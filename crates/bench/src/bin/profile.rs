@@ -14,24 +14,13 @@
 //! Kernel names match the suite (case insensitive); `HB_SCALE` picks the
 //! Cell shape as in the figure binaries. Profiling is observation-only:
 //! cycles and results are bit-identical to an unprofiled run, and the
-//! profile itself is bit-identical across `HB_THREADS` and
-//! `HB_EVENT_CORE` — CI diffs the `.folded` bytes across all four legs.
+//! profile itself is bit-identical across `HB_THREADS` and both park
+//! policies — CI diffs the `.folded` bytes of an `HB_THREADS=1` and an
+//! `HB_THREADS=4` run, `tests/profile.rs` covers never-park.
 
+use hb_bench::cli::arg_value;
 use hb_bench::{bench_size, hb_config};
 use hb_core::MachineConfig;
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    let eq = format!("{flag}=");
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        } else if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_owned());
-        }
-    }
-    None
-}
 
 const USAGE: &str = "usage: profile [--kernel SGEMM] [--out profile] [--top 10]";
 

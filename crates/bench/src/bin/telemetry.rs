@@ -12,20 +12,8 @@
 //! insensitive); `HB_SCALE` picks the Cell shape as in the figure
 //! binaries. The run is bit-identical to an uninstrumented one.
 
+use hb_bench::cli::arg_value;
 use hb_bench::{bench_size, hb_config, run_instrumented, telemetry_window};
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    let eq = format!("{flag}=");
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        } else if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_owned());
-        }
-    }
-    None
-}
 
 fn main() {
     let kernel = arg_value("--kernel").unwrap_or_else(|| "SGEMM".to_owned());

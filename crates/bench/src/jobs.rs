@@ -18,19 +18,9 @@ use std::sync::Mutex;
 /// `--threads=N`) on the command line wins, else the `HB_THREADS`
 /// environment variable, else 1.
 pub fn job_threads() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    hb_core::threads_from_env()
+    crate::cli::arg_value("--threads")
+        .and_then(|v| v.parse::<usize>().ok())
+        .map_or_else(hb_core::threads_from_env, |n| n.max(1))
 }
 
 /// The configuration a fanned-out simulation point should run with: when

@@ -11,33 +11,15 @@ use std::io::Write as _;
 /// Telemetry output path from the command line: `--telemetry <path>` or
 /// `--telemetry=<path>`, else `None` (telemetry stays off).
 pub fn telemetry_out() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--telemetry" {
-            return args.next();
-        } else if let Some(v) = a.strip_prefix("--telemetry=") {
-            return Some(v.to_owned());
-        }
-    }
-    None
+    crate::cli::arg_value("--telemetry")
 }
 
 /// Sampling window from the command line: `--window N` or `--window=N`,
 /// else `default`.
 pub fn telemetry_window(default: u64) -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--window" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--window=") {
-            if let Ok(n) = v.parse::<u64>() {
-                return n.max(1);
-            }
-        }
-    }
-    default
+    crate::cli::arg_value("--window")
+        .and_then(|v| v.parse::<u64>().ok())
+        .map_or(default, |n| n.max(1))
 }
 
 /// Runs one instrumented pass of `bench` on `cfg` with the given sampling

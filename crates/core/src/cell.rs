@@ -4,7 +4,7 @@
 
 use crate::banknode::BankNode;
 use crate::config::MachineConfig;
-use crate::parallel::{PhaseTimes, TilePool};
+use crate::parallel::{NoClock, PhaseClock, TilePool};
 use crate::payload::{Request, Response};
 use crate::pgas::PgasMap;
 use crate::sched::TileSched;
@@ -98,17 +98,16 @@ pub struct Cell {
     next_mem_id: u64,
     barriers: Vec<BarrierNetwork>,
     active: Vec<bool>,
-    /// Wake-list scheduler for the event-driven tile phase (see
-    /// [`crate::sched`]); dormant when [`MachineConfig::event_core`] is
-    /// off or tracing forces the dense schedule.
+    /// Wake-list scheduler running the tile phase (see [`crate::sched`]);
+    /// [`MachineConfig::event_core`] selects its park policy.
     sched: TileSched,
     alloc_ptr: u32,
     cycle: u64,
     /// Worker pool for the tile phase (shared across the machine's Cells);
     /// `None` steps tiles inline.
     pool: Option<Arc<TilePool>>,
-    /// Tracing serializes the tile phase (the shared ring must observe
-    /// events in deterministic tile order).
+    /// Tracing bypasses the pool (the shared ring must observe events in
+    /// deterministic tile order).
     traced: bool,
     /// Requests bound for other Cells (drained by the inter-Cell fabric).
     pub xreq_out: VecDeque<(u8, Packet<Request>)>,
@@ -239,10 +238,10 @@ impl Cell {
         &self.tiles[y as usize * self.cfg.cell_dim.x as usize + x as usize]
     }
 
-    /// Mutable tile accessor. Re-arms the tile in the event scheduler:
-    /// any host or fault-injection mutation may unblock it, and a spurious
-    /// wake is harmless (the tile steps once, records the same stall the
-    /// dense schedule would, and parks again).
+    /// Mutable tile accessor. Re-arms the tile on the wake list: any host
+    /// or fault-injection mutation may unblock it, and a spurious wake is
+    /// harmless (the tile steps once, records the stall it would have
+    /// recorded anyway, and parks again).
     pub fn tile_mut(&mut self, x: u8, y: u8) -> &mut Tile {
         let i = y as usize * self.cfg.cell_dim.x as usize + x as usize;
         self.sched.wake(i);
@@ -366,9 +365,9 @@ impl Cell {
     }
 
     /// Aggregated core statistics over active tiles. Owed-aware: stalls a
-    /// sleeping tile would have recorded under the dense schedule but has
-    /// not yet been credited are added virtually, so the aggregate is
-    /// bit-identical to the dense one at any observation point.
+    /// sleeping tile would have recorded had it never parked, but has not
+    /// yet been credited, are added virtually, so the aggregate is
+    /// bit-identical under both park policies at any observation point.
     pub fn core_stats(&self) -> CoreStats {
         let mut agg = CoreStats::default();
         for (i, (t, &a)) in self.tiles.iter().zip(&self.active).enumerate() {
@@ -385,8 +384,8 @@ impl Cell {
     /// One tile's core statistics, owed-aware (see
     /// [`core_stats`](Self::core_stats)): every per-tile stats consumer
     /// (telemetry windows, profiles) must read through here rather than
-    /// `tile(x, y).stats()` so skipped tiles report dense-identical
-    /// counters.
+    /// `tile(x, y).stats()` so skipped tiles report the counters they
+    /// would have had they never parked.
     pub fn tile_stats(&self, x: u8, y: u8) -> CoreStats {
         let i = y as usize * self.cfg.cell_dim.x as usize + x as usize;
         let mut stats = *self.tiles[i].stats();
@@ -399,7 +398,7 @@ impl Cell {
     /// Folds every active tile's guest-code profile into `into` (creating
     /// it from the first profiled tile), row-major and owed-aware: stall
     /// debt of still-parked tiles is added virtually at their parking PC —
-    /// the same dense-identical read [`core_stats`](Self::core_stats)
+    /// the same policy-independent read [`core_stats`](Self::core_stats)
     /// performs — without touching any scheduler state.
     pub(crate) fn fold_guest_profile(&self, into: &mut Option<crate::gprof::GuestProfile>) {
         for (i, (t, &a)) in self.tiles.iter().zip(&self.active).enumerate() {
@@ -418,16 +417,17 @@ impl Cell {
         }
     }
 
-    /// `(stepped, skipped)` tile-tick counters from the event scheduler:
-    /// how many per-tile steps actually ran versus how many the wake list
-    /// elided. Both zero under the dense schedule.
+    /// `(stepped, skipped)` tile-tick counters from the wake-list
+    /// scheduler: how many per-tile steps actually ran versus how many the
+    /// wake list elided. The never-park policy reports `(stepped, 0)`.
     pub fn tile_ticks(&self) -> (u64, u64) {
         self.sched.tick_counts()
     }
 
-    /// Wake-list re-arms performed by the event scheduler (always zero
-    /// under the dense schedule). A forward-progress signal: a machine
-    /// that keeps re-arming tiles is quiescent-but-armed, not livelocked.
+    /// Wake-list re-arms performed by the scheduler (under the never-park
+    /// policy only sleepers restored from a checkpoint are ever re-armed).
+    /// A forward-progress signal: a machine that keeps re-arming tiles is
+    /// quiescent-but-armed, not livelocked.
     pub fn sched_rearms(&self) -> u64 {
         self.sched.rearms()
     }
@@ -461,13 +461,11 @@ impl Cell {
     ///
     /// Tracing disables tile-phase parallelism for this Cell: the shared
     /// ring must record events in tile order for the cosim checker, so the
-    /// tile phase falls back to the sequential schedule (which the parallel
-    /// one is bit-identical to anyway).
+    /// wake list is stepped inline (which the pool is bit-identical to
+    /// anyway). Parked tiles stay parked — a skipped tile stalls, and
+    /// stalls are not trace events.
     pub fn set_trace(&mut self, trace: crate::trace::TraceHandle) {
         self.traced = true;
-        // Tracing switches to the dense schedule, which never settles the
-        // wake list: materialize any owed stalls first.
-        self.sched.settle(&mut self.tiles, self.cycle);
         for t in &mut self.tiles {
             t.set_trace(trace.clone());
         }
@@ -632,7 +630,15 @@ impl Cell {
     /// Host operation: flushes every cache bank's dirty lines into DRAM so
     /// results written through the write-validate caches become visible to
     /// [`dram`](Self::dram). Call after a kernel finishes, never mid-run.
+    ///
+    /// A run that was cut short (a trap, a timeout) can leave misses in
+    /// flight, and a flush is only defined on a quiescent memory system:
+    /// those are retired first by advancing the memory side alone — no
+    /// tile or router steps, the cycle counter stands still.
     pub fn flush_caches(&mut self) {
+        while self.banks.iter().any(|b| b.bank.outstanding_misses() > 0) {
+            self.phase_memory();
+        }
         for b in 0..self.banks.len() {
             for (line_addr, data, dirty) in self.banks[b].bank.flush_all() {
                 for (i, &byte) in data.iter().enumerate() {
@@ -673,53 +679,29 @@ impl Cell {
     /// so they act as the double buffers between tile compute and the
     /// sequential Cell plumbing.
     pub fn tick(&mut self) {
+        self.tick_with(&mut NoClock);
+    }
+
+    /// The one cycle body; `clock` is told where each phase ends.
+    pub(crate) fn tick_with(&mut self, clock: &mut impl PhaseClock) {
         self.cycle += 1;
         let now = self.cycle;
         self.phase_network();
+        clock.lap(|t| &mut t.network);
         self.phase_memory();
-        self.phase_tiles(now);
+        clock.lap(|t| &mut t.memory);
+        // BSP phase 3 — every due tile executes one pipeline cycle. This is
+        // the only phase the worker pool shards: tiles touch nothing but
+        // their own state here, so any execution order is bit-identical to
+        // the in-order loop.
+        let pool = self.pool.as_deref().filter(|_| !self.traced);
+        let park = self.cfg.event_core;
+        self.sched
+            .run_cycle(&mut self.tiles, &self.active, now, park, pool, clock);
         self.phase_sync();
+        clock.lap(|t| &mut t.sync);
         self.phase_inject();
-    }
-
-    /// Like [`tick`](Self::tick), accumulating per-phase wall-clock time.
-    pub fn tick_profiled(&mut self, acc: &mut PhaseTimes) {
-        self.cycle += 1;
-        let now = self.cycle;
-        let t0 = std::time::Instant::now();
-        self.phase_network();
-        let t1 = std::time::Instant::now();
-        self.phase_memory();
-        let t2 = std::time::Instant::now();
-        // The event path splits its own time between `tiles` (stepping)
-        // and `sched` (wake-list bookkeeping), so the Amdahl tile-share
-        // report never counts scheduler overhead as parallelizable work.
-        if self.event_schedule() {
-            let pool = self.pool.as_deref();
-            self.sched
-                .run_cycle(&mut self.tiles, &self.active, now, pool, Some(acc));
-        } else {
-            self.phase_tiles(now);
-        }
-        let t3 = std::time::Instant::now();
-        self.phase_sync();
-        let t4 = std::time::Instant::now();
-        self.phase_inject();
-        let t5 = std::time::Instant::now();
-        acc.network += t1 - t0;
-        acc.memory += t2 - t1;
-        if !self.event_schedule() {
-            acc.tiles += t3 - t2;
-        }
-        acc.sync += t4 - t3;
-        acc.inject += t5 - t4;
-    }
-
-    /// Whether this Cell runs the event-driven tile phase (tracing forces
-    /// the dense schedule: the shared ring must observe events every
-    /// cycle, in tile order).
-    fn event_schedule(&self) -> bool {
-        self.cfg.event_core && !self.traced
+        clock.lap(|t| &mut t.inject);
     }
 
     /// BSP phase 1 — networks advance, then ejection latches fill: requests
@@ -774,7 +756,7 @@ impl Cell {
                 }
             }
             // A delivery un-quiesces the tile: it must drain its inboxes on
-            // this very cycle, exactly when the dense schedule would.
+            // this very cycle, exactly when a never-parked tile would.
             if delivered || ejected > 0 {
                 self.sched.wake(i);
             }
@@ -883,30 +865,6 @@ impl Cell {
         }
     }
 
-    /// BSP phase 3 — every active tile executes one pipeline cycle. This is
-    /// the only phase the worker pool shards: tiles touch nothing but their
-    /// own state here, so any execution order is bit-identical to the
-    /// in-order loop. Tracing forces the sequential schedule so ring-buffer
-    /// event order stays deterministic.
-    fn phase_tiles(&mut self, now: u64) {
-        if self.event_schedule() {
-            let pool = self.pool.as_deref();
-            self.sched
-                .run_cycle(&mut self.tiles, &self.active, now, pool, None);
-            return;
-        }
-        match &self.pool {
-            Some(pool) if !self.traced => pool.step_tiles(&mut self.tiles, &self.active, now),
-            _ => {
-                for (t, &a) in self.tiles.iter_mut().zip(&self.active) {
-                    if a {
-                        t.step(now);
-                    }
-                }
-            }
-        }
-    }
-
     /// BSP phase 4 — barrier joins and releases.
     fn phase_sync(&mut self) {
         for i in 0..self.tiles.len() {
@@ -931,7 +889,7 @@ impl Cell {
                     self.tiles[i].barrier_waiting = false;
                     self.tiles[i].race_epoch_end();
                     // Barrier release re-arms the parked tile; it resumes on
-                    // the next cycle's tile phase, as under the dense schedule.
+                    // the next cycle's tile phase, like a never-parked one.
                     self.sched.wake(i);
                 }
             }
@@ -1146,13 +1104,6 @@ impl Cell {
         for _ in 0..r.seq_len()? {
             let cell = r.u8()?;
             self.xresp_out.push_back((cell, snap_load_resp_packet(r)?));
-        }
-        // A dense-schedule Cell never runs the wake-list phase, so stall
-        // debt restored from an event-schedule checkpoint would accrue
-        // forever and double-count against the densely recorded stalls.
-        // Materialize it now, like the tracing dense-switch does.
-        if !self.event_schedule() {
-            self.sched.settle(&mut self.tiles, self.cycle);
         }
         Ok(())
     }

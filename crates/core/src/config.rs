@@ -135,13 +135,15 @@ pub struct MachineConfig {
     /// and with it off the hot loop pays exactly one always-false branch
     /// (the same pattern as `telemetry_window`/fault hooks).
     pub race_check: bool,
-    /// Event-driven tile scheduling (see `hb_core::parallel` and the
-    /// "Event-driven core" section of DESIGN.md): quiescent tiles park on
-    /// a wake list and are skipped until their wake cycle instead of being
-    /// stepped every cycle. Purely a host-execution optimization — every
-    /// counter, memory word and telemetry/fault/race observation is
-    /// bit-identical with the flag on or off. Presets seed this from
-    /// `HB_EVENT_CORE` (`0` = dense, anything else or unset = event).
+    /// Park policy of the tile phase's wake-list loop (see
+    /// `hb_core::sched` and the "Event-driven core" section of DESIGN.md).
+    /// On (every preset's default): quiescent tiles park and are skipped
+    /// until their wake cycle. Off: *never park* — every active tile
+    /// steps every cycle, the reference the test suites prove the park
+    /// hints against. Purely a host-execution choice — every counter,
+    /// memory word and telemetry/fault/race observation is bit-identical
+    /// with the flag on or off, at equal speed, so nothing but those
+    /// comparisons needs it off.
     pub event_core: bool,
     /// Guest-code profiling (see `hb_core::gprof`): when `true`, every
     /// tile accumulates an exact retired-PC histogram plus per-PC
@@ -201,7 +203,7 @@ impl MachineConfig {
             threads: crate::parallel::threads_from_env(),
             telemetry_window: 0,
             race_check: false,
-            event_core: crate::parallel::event_core_from_env(),
+            event_core: true,
             profile: false,
             watchdog_window: 10_000,
         }

@@ -15,16 +15,17 @@
 //! The capture is exact, not sampled: `retired + stalled` summed over the
 //! histogram equals the tile's cycle taxonomy. It is also deterministic by
 //! construction — each tile writes only its own buffer (no cross-thread
-//! state), and the event scheduler's bulk stall credits land on the same
-//! PC the dense schedule would have recorded cycle-by-cycle, because a
+//! state), and the wake list's bulk stall credits land on the same PC a
+//! never-parked tile would have recorded cycle-by-cycle, because a
 //! parked tile's PC cannot change while it is parked. Profiles are
-//! therefore bit-identical across `HB_THREADS` and `HB_EVENT_CORE`.
+//! therefore bit-identical across `HB_THREADS` and both park policies
+//! (`MachineConfig::event_core`).
 //!
 //! Folding ([`Machine::guest_profile`](crate::Machine::guest_profile)) is
 //! the only aggregation step: tiles merge row-major into a
 //! [`GuestProfile`], with any still-outstanding stall debt of parked tiles
 //! added virtually (the same owed-aware read the stats accessors use) so a
-//! mid-run fold matches the dense schedule too.
+//! mid-run fold matches a never-parked run too.
 
 use crate::stats::StallKind;
 use hb_isa::INSTR_BYTES;

@@ -4,6 +4,7 @@
 use crate::cell::{Cell, GroupSpec};
 use crate::config::MachineConfig;
 use crate::diag::{FaultInfo, HangClass, HangReport};
+use crate::parallel::{NoClock, PhaseClock, PhaseTimes, Stopwatch};
 use crate::payload::{Request, Response};
 use crate::stats::CoreStats;
 use hb_asm::Program;
@@ -435,11 +436,26 @@ impl Machine {
 
     /// Advances the machine one core cycle.
     pub fn tick(&mut self) {
+        self.tick_with(&mut NoClock);
+    }
+
+    /// Advances one core cycle while accumulating per-phase wall-clock time
+    /// into `acc` (fabric time is accounted to the network phase) — the
+    /// same cycle body as [`tick`](Self::tick), with a stopwatch for a
+    /// clock. Feeds the benches' per-phase ledger rows and the tile phase's
+    /// Amdahl bound.
+    pub fn tick_profiled(&mut self, acc: &mut PhaseTimes) {
+        self.tick_with(&mut Stopwatch::start(acc));
+    }
+
+    /// The one cycle body; `clock` is told where each phase ends.
+    fn tick_with(&mut self, clock: &mut impl PhaseClock) {
         self.cycle += 1;
         for cell in &mut self.cells {
-            cell.tick();
+            cell.tick_with(clock);
         }
         self.tick_fabric();
+        clock.lap(|t| &mut t.network);
         if self.cycle >= self.fault_due {
             self.inject_due();
         }
@@ -694,32 +710,6 @@ impl Machine {
         self.observer = Some(obs);
     }
 
-    /// Advances one core cycle while accumulating per-phase wall-clock time
-    /// into `acc` (fabric time is accounted to the network phase). Used by
-    /// the `sim_throughput` bench to measure the tile phase's share of a
-    /// cycle — the Amdahl bound on tile-phase parallel scaling.
-    pub fn tick_profiled(&mut self, acc: &mut crate::parallel::PhaseTimes) {
-        self.cycle += 1;
-        for cell in &mut self.cells {
-            cell.tick_profiled(acc);
-        }
-        let t0 = std::time::Instant::now();
-        self.tick_fabric();
-        acc.network += t0.elapsed();
-        if self.cycle >= self.fault_due {
-            self.inject_due();
-        }
-        if self.cycle >= self.obs_due {
-            self.observe();
-        }
-        if self.race.is_some() {
-            self.drain_races();
-        }
-        if self.cycle >= self.ckpt_due {
-            self.auto_checkpoint();
-        }
-    }
-
     /// Fabric: collect outbound traffic (budgeted) and deliver due items.
     fn tick_fabric(&mut self) {
         for ci in 0..self.cells.len() {
@@ -819,7 +809,7 @@ impl Machine {
     }
 
     /// A cheap forward-progress fingerprint: total retired instructions,
-    /// total packets delivered by the Cell NoCs, and event-scheduler wake
+    /// total packets delivered by the Cell NoCs, and wake-list
     /// re-arms. The re-arm count keeps a legitimately all-parked machine —
     /// e.g. every tile asleep across an injected HBM stall window while
     /// deliveries keep re-arming them — from reading as zero progress and
@@ -832,8 +822,8 @@ impl Machine {
     }
 
     /// Tile-phase tick counts over all Cells since launch:
-    /// `(stepped, skipped)`, where `skipped` counts tile-cycles the event
-    /// scheduler elided (always 0 under the dense schedule).
+    /// `(stepped, skipped)`, where `skipped` counts tile-cycles the wake
+    /// list elided (always 0 under the never-park policy).
     pub fn tile_ticks(&self) -> (u64, u64) {
         self.cells.iter().fold((0, 0), |(s, k), c| {
             let (cs, ck) = c.tile_ticks();

@@ -9,9 +9,10 @@
 //! 1. **network** — router pipelines advance; packets are ejected into
 //!    per-tile/per-bank inboxes,
 //! 2. **memory** — cache banks, refill strips and the HBM2 channel,
-//! 3. **tiles** — every tile executes one pipeline cycle
+//! 3. **tiles** — every due tile executes one pipeline cycle
 //!    ([`Tile::step`](crate::Tile::step)): icache, hazards, SPM, the
-//!    remote-op scoreboard, inbox draining and outbox filling,
+//!    remote-op scoreboard, inbox draining and outbox filling (which tiles
+//!    are due is the wake list's business, see `crate::sched`),
 //! 4. **sync** — barrier-network joins and releases,
 //! 5. **inject** — tile/bank outboxes drain into the routers.
 //!
@@ -26,16 +27,24 @@
 //!
 //! [`TilePool`] is the persistent worker pool that runs phase 3: `threads-1`
 //! long-lived `std::thread` workers plus the calling thread, each stepping a
-//! contiguous shard of the tile array. Thread count comes from
+//! contiguous shard of the cycle's wake list. Thread count comes from
 //! [`MachineConfig::threads`](crate::MachineConfig::threads) (seeded from
 //! the `HB_THREADS` environment variable).
+//!
+//! # One cycle body, two clocks
+//!
+//! [`Machine::tick`](crate::Machine::tick) and
+//! [`Machine::tick_profiled`](crate::Machine::tick_profiled) run the same
+//! generic cycle body; they differ only in the `PhaseClock` handed down
+//! through the phases — `NoClock` compiles to nothing, `Stopwatch` bills
+//! the wall-clock time between phase boundaries to [`PhaseTimes`].
 
 use crate::sched::Park;
 use crate::tile::Tile;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wall-clock time spent in each BSP phase of [`Cell::tick`](crate::Cell::tick),
 /// accumulated by [`Machine::tick_profiled`](crate::Machine::tick_profiled).
@@ -51,10 +60,10 @@ pub struct PhaseTimes {
     pub memory: Duration,
     /// Tile execution (the parallel phase).
     pub tiles: Duration,
-    /// Event-scheduler bookkeeping (wake scan, stall catch-up, park
-    /// application — see `crate::sched`). Zero under the dense schedule.
-    /// Kept out of `tiles` so the Amdahl tile-share report stays truthful
-    /// about the parallelizable fraction.
+    /// Wake-list bookkeeping (due scan, stall catch-up, park application
+    /// — see `crate::sched`), paid under either park policy. Kept out of
+    /// `tiles` so the Amdahl tile-share report stays truthful about the
+    /// parallelizable fraction.
     pub sched: Duration,
     /// Barrier joins/releases.
     pub sync: Duration,
@@ -79,38 +88,68 @@ impl PhaseTimes {
     }
 }
 
-/// One shard of tile-stepping work handed to a worker.
+/// Marks the phase boundaries of one cycle (see the module docs). A
+/// generic parameter of the cycle body, never a trait object: the untimed
+/// instantiation must cost nothing.
+pub(crate) trait PhaseClock {
+    /// Bills the time since the previous lap (or the clock's start) to
+    /// the bucket `bucket` selects.
+    fn lap(&mut self, bucket: impl FnOnce(&mut PhaseTimes) -> &mut Duration);
+}
+
+/// The clock of [`Machine::tick`](crate::Machine::tick): measures nothing.
+pub(crate) struct NoClock;
+
+impl PhaseClock for NoClock {
+    #[inline(always)]
+    fn lap(&mut self, _: impl FnOnce(&mut PhaseTimes) -> &mut Duration) {}
+}
+
+/// The clock of [`Machine::tick_profiled`](crate::Machine::tick_profiled):
+/// the only place the simulator core reads the host's wall clock.
+pub(crate) struct Stopwatch<'a> {
+    acc: &'a mut PhaseTimes,
+    last: Instant,
+}
+
+impl<'a> Stopwatch<'a> {
+    pub(crate) fn start(acc: &'a mut PhaseTimes) -> Self {
+        Stopwatch {
+            acc,
+            last: Instant::now(),
+        }
+    }
+}
+
+impl PhaseClock for Stopwatch<'_> {
+    fn lap(&mut self, bucket: impl FnOnce(&mut PhaseTimes) -> &mut Duration) {
+        let now = Instant::now();
+        *bucket(self.acc) += now - self.last;
+        self.last = now;
+    }
+}
+
+/// One shard of tile-stepping work handed to a worker: a range of
+/// wake-list positions — step `tiles[list[pos]]` and write its park hint
+/// to `parks[pos]` for each `pos` in `[start, end)`.
 ///
 /// Raw pointers because workers are persistent (the borrow cannot be
 /// expressed through the channel); safety rests on three invariants upheld
-/// by [`TilePool::step_tiles`] / [`TilePool::step_list`]: shard ranges are
-/// pairwise disjoint (and wake-list entries unique, so `List` shards touch
-/// disjoint tiles), read-only inputs are only read, and the caller blocks
-/// on the completion latch before the borrows it took the pointers from
-/// end.
-enum Shard {
-    /// A contiguous range of the dense tile array.
-    Dense {
-        tiles: *mut Tile,
-        active: *const bool,
-        start: usize,
-        end: usize,
-        now: u64,
-    },
-    /// A range of wake-list positions: step `tiles[list[pos]]` and write
-    /// its park hint to `parks[pos]` for each `pos` in `[start, end)`.
-    List {
-        tiles: *mut Tile,
-        list: *const u32,
-        parks: *mut Park,
-        start: usize,
-        end: usize,
-        now: u64,
-    },
+/// by [`TilePool::step_list`]: shard ranges are pairwise disjoint and
+/// wake-list entries unique (so shards touch disjoint tiles), read-only
+/// inputs are only read, and the caller blocks on the completion latch
+/// before the borrows it took the pointers from end.
+struct Shard {
+    tiles: *mut Tile,
+    list: *const u32,
+    parks: *mut Park,
+    start: usize,
+    end: usize,
+    now: u64,
 }
 
 // SAFETY: `Tile` is `Send` (all fields are owned or `Arc` of `Send + Sync`
-// data) and `step_tiles` guarantees disjoint, latch-synchronized access.
+// data) and `step_list` guarantees disjoint, latch-synchronized access.
 unsafe impl Send for Shard {}
 
 /// Countdown latch: the caller waits until every worker reports done.
@@ -181,25 +220,7 @@ impl TilePool {
                         // from every other shard (including the caller's),
                         // and the caller keeps the backing allocations
                         // borrowed until the latch opens.
-                        unsafe {
-                            match shard {
-                                Shard::Dense {
-                                    tiles,
-                                    active,
-                                    start,
-                                    end,
-                                    now,
-                                } => run_dense_range(tiles, active, start, end, now),
-                                Shard::List {
-                                    tiles,
-                                    list,
-                                    parks,
-                                    start,
-                                    end,
-                                    now,
-                                } => run_list_range(tiles, list, parks, start, end, now),
-                            }
-                        }
+                        unsafe { run_list_range(&shard) }
                         latch.count_down();
                     }
                 })
@@ -225,143 +246,63 @@ impl TilePool {
         self.senders.len() + 1
     }
 
-    /// Steps every `active` tile one cycle, sharded across the pool.
-    ///
-    /// Bit-identical to the sequential loop `for i { if active[i] {
-    /// tiles[i].step(now) } }`: tiles share no mutable state during the
-    /// step (see the module docs), so shard assignment and thread
-    /// interleaving cannot affect any per-tile result.
-    pub fn step_tiles(&self, tiles: &mut [Tile], active: &[bool], now: u64) {
-        assert_eq!(tiles.len(), active.len());
-        let shards = self.senders.len() + 1;
-        let chunk = tiles.len().div_ceil(shards);
-        if self.senders.is_empty() || chunk == 0 {
-            for (t, &a) in tiles.iter_mut().zip(active) {
-                if a {
-                    t.step(now);
-                }
-            }
-            return;
-        }
-        self.latch.reset(self.senders.len());
-        let len = tiles.len();
-        let base = tiles.as_mut_ptr();
-        let act = active.as_ptr();
-        for (w, tx) in self.senders.iter().enumerate() {
-            let start = ((w + 1) * chunk).min(len);
-            let end = ((w + 2) * chunk).min(len);
-            tx.send(Shard::Dense {
-                tiles: base,
-                active: act,
-                start,
-                end,
-                now,
-            })
-            .expect("tile worker alive");
-        }
-        // The calling thread takes the first shard, through the same raw
-        // base pointer as the workers so no `&mut` to the full slice is
-        // live while they hold their sub-slices.
-        // SAFETY: [0, chunk) is disjoint from every worker shard.
-        unsafe {
-            run_dense_range(base, act, 0, chunk.min(len), now);
-        }
-        self.latch.wait();
-    }
-
     /// Steps exactly the tiles named by `list` (the event scheduler's wake
     /// list), writing each tile's park hint to the matching position of
     /// `parks`, sharded across the pool by list position.
     ///
-    /// Bit-identical to the inline loop for the same reason as
-    /// [`step_tiles`](Self::step_tiles): wake-list entries are unique, so
-    /// shards touch disjoint tiles and disjoint `parks` positions.
+    /// Bit-identical to the inline loop: tiles share no mutable state
+    /// during the step (see the module docs) and wake-list entries are
+    /// unique, so shards touch disjoint tiles and disjoint `parks`
+    /// positions, and shard assignment and thread interleaving cannot
+    /// affect any per-tile result.
     ///
     /// # Panics
     ///
     /// Panics if `parks` is not the same length as `list`.
     pub(crate) fn step_list(&self, tiles: &mut [Tile], list: &[u32], parks: &mut [Park], now: u64) {
         assert_eq!(list.len(), parks.len());
-        let shards = self.senders.len() + 1;
-        let chunk = list.len().div_ceil(shards);
-        if self.senders.is_empty() || chunk == 0 {
-            for (pos, &i) in list.iter().enumerate() {
-                let t = &mut tiles[i as usize];
-                t.step(now);
-                parks[pos] = t.park_hint(now);
-            }
+        let len = list.len();
+        let chunk = len.div_ceil(self.senders.len() + 1);
+        if chunk == 0 {
             return;
         }
+        // Shard `k` of the list. The calling thread takes shard 0 through
+        // the same raw base pointers as the workers, so no `&mut` to a full
+        // slice is live while they hold their sub-ranges.
+        let (tiles, list, parks) = (tiles.as_mut_ptr(), list.as_ptr(), parks.as_mut_ptr());
+        let shard = |k: usize| Shard {
+            tiles,
+            list,
+            parks,
+            start: (k * chunk).min(len),
+            end: ((k + 1) * chunk).min(len),
+            now,
+        };
         self.latch.reset(self.senders.len());
-        let len = list.len();
-        let base = tiles.as_mut_ptr();
-        let lp = list.as_ptr();
-        let pp = parks.as_mut_ptr();
         for (w, tx) in self.senders.iter().enumerate() {
-            let start = ((w + 1) * chunk).min(len);
-            let end = ((w + 2) * chunk).min(len);
-            tx.send(Shard::List {
-                tiles: base,
-                list: lp,
-                parks: pp,
-                start,
-                end,
-                now,
-            })
-            .expect("tile worker alive");
+            tx.send(shard(w + 1)).expect("tile worker alive");
         }
         // SAFETY: positions [0, chunk) are disjoint from every worker
         // shard, and list entries are unique tile indices.
-        unsafe {
-            run_list_range(base, lp, pp, 0, chunk.min(len), now);
-        }
+        unsafe { run_list_range(&shard(0)) }
         self.latch.wait();
     }
 }
 
-/// Steps the active tiles of one dense shard.
+/// Steps the wake-list tiles of one shard and records their park hints.
 ///
 /// # Safety
 ///
-/// `[start, end)` must be in bounds for both allocations and disjoint from
-/// every concurrently running shard; the backing borrows must outlive the
-/// call (guaranteed by the pool's completion latch).
-unsafe fn run_dense_range(
-    tiles: *mut Tile,
-    active: *const bool,
-    start: usize,
-    end: usize,
-    now: u64,
-) {
-    let n = end - start;
-    let tiles = std::slice::from_raw_parts_mut(tiles.add(start), n);
-    let active = std::slice::from_raw_parts(active.add(start), n);
-    for (t, &a) in tiles.iter_mut().zip(active) {
-        if a {
-            t.step(now);
-        }
-    }
-}
-
-/// Steps the wake-list tiles of one list shard and records park hints.
-///
-/// # Safety
-///
-/// As [`run_dense_range`], plus: `list[start..end]` must hold unique,
-/// in-bounds tile indices (so tile access is disjoint across shards).
-unsafe fn run_list_range(
-    tiles: *mut Tile,
-    list: *const u32,
-    parks: *mut Park,
-    start: usize,
-    end: usize,
-    now: u64,
-) {
-    for pos in start..end {
-        let i = *list.add(pos) as usize;
-        let t = &mut *tiles.add(i);
-        t.step(now);
-        *parks.add(pos) = t.park_hint(now);
+/// `[start, end)` must be in bounds for `list` and `parks` and disjoint
+/// from every concurrently running shard; `list[start..end]` must hold
+/// unique, in-bounds tile indices (so tile access is disjoint across
+/// shards); the backing borrows must outlive the call (guaranteed by the
+/// pool's completion latch).
+unsafe fn run_list_range(s: &Shard) {
+    for pos in s.start..s.end {
+        let t = &mut *s.tiles.add(*s.list.add(pos) as usize);
+        t.step(s.now);
+        *s.parks.add(pos) = t.park_hint(s.now);
     }
 }
 
@@ -383,32 +324,65 @@ pub fn threads_from_env() -> usize {
         .map_or(1, |n| n.max(1))
 }
 
-/// Parses `HB_EVENT_CORE` (event-driven tile scheduling; `0` disables it,
-/// anything else or unset leaves it on).
-pub fn event_core_from_env() -> bool {
-    std::env::var("HB_EVENT_CORE").map_or(true, |v| v.trim() != "0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn empty_pool_is_inline() {
-        let pool = TilePool::new(1);
-        assert_eq!(pool.threads(), 1);
-        // No tiles: must not deadlock or panic.
-        pool.step_tiles(&mut [], &[], 1);
+    fn empty_list_neither_deadlocks_nor_panics() {
+        // Inline pool and an 8-worker pool, nothing due: no shard is sent
+        // and the latch is never armed.
+        for threads in [1, 8] {
+            let pool = TilePool::new(threads);
+            assert_eq!(pool.threads(), threads);
+            pool.step_list(&mut [], &[], &mut [], 1);
+            pool.step_list(&mut [], &[], &mut [], 2);
+        }
     }
 
     #[test]
-    fn pool_with_more_threads_than_tiles() {
-        // 8 workers, 0 tiles: every shard is empty; the latch must still
-        // open.
-        let pool = TilePool::new(8);
-        assert_eq!(pool.threads(), 8);
-        pool.step_tiles(&mut [], &[], 1);
-        pool.step_tiles(&mut [], &[], 2);
+    fn more_threads_than_list_entries() {
+        // 8 workers, 3 due tiles of 4 (tile 2 is not on the list): five
+        // shards are empty, the latch must still open, and exactly the
+        // listed tiles step and report a hint at their list position.
+        let cfg = Arc::new(crate::MachineConfig {
+            cell_dim: crate::CellDim { x: 4, y: 1 },
+            threads: 1,
+            ..crate::MachineConfig::baseline_16x8()
+        });
+        let pgas = *crate::Cell::new(cfg.clone(), 0).pgas();
+        let mut a = hb_asm::Assembler::new();
+        a.ecall();
+        let program = Arc::new(a.assemble(0).unwrap());
+        let info = crate::tile::GroupInfo {
+            origin: (0, 0),
+            dim: (4, 1),
+            barrier_id: 0,
+            live_rank: 0,
+            live_size: 4,
+            adopt: crate::pgas::NO_ADOPTEE,
+        };
+        let launched = || -> Vec<Tile> {
+            (0..4)
+                .map(|x| {
+                    let mut t = Tile::new(cfg.clone(), pgas, (x, 0));
+                    t.launch(program.clone(), &[], info);
+                    t
+                })
+                .collect()
+        };
+        let list = [3, 0, 1];
+        let mut inline = [Park::Awake; 3];
+        TilePool::new(1).step_list(&mut launched(), &list, &mut inline, 1);
+
+        let mut tiles = launched();
+        let mut parks = [Park::Awake; 3];
+        TilePool::new(8).step_list(&mut tiles, &list, &mut parks, 1);
+        assert_eq!(parks, inline);
+        let idle = *launched()[2].stats();
+        for (i, t) in tiles.iter().enumerate() {
+            assert_eq!(*t.stats() != idle, list.contains(&(i as u32)), "tile {i}");
+        }
     }
 
     #[test]

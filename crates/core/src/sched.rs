@@ -1,27 +1,30 @@
-//! Event-driven tile scheduler: the wake-list that lets
-//! [`Cell::tick`](crate::Cell::tick) skip quiescent tiles.
+//! The tile phase of [`Cell::tick`](crate::Cell::tick): one wake-list loop
+//! that steps the tiles due this cycle, under one of two *park policies*.
 //!
 //! # Model
 //!
 //! The paper's workloads leave most of a 16x8 Cell barrier-parked,
 //! scoreboard-blocked or riding out a multi-cycle penalty for long
-//! stretches, yet the dense tile phase still steps every tile every cycle.
-//! This module replaces that with a *wake list*: after each step a tile
-//! reports a [`Park`] hint — either `Awake` (step me again next cycle) or
-//! `Sleep` (skip me until cycle `wake_at`, or until a wake event re-arms
-//! me). A sleeping tile owes exactly one stall of a constant
-//! [`StallKind`] per skipped cycle; the debt is credited in bulk the next
-//! time it steps (or virtually, by the owed-aware stats accessors on
-//! [`Cell`](crate::Cell)), so every counter comes out bit-identical to the
-//! dense schedule.
+//! stretches. After each step a tile reports a [`Park`] hint — either
+//! `Awake` (step me again next cycle) or `Sleep` (skip me until cycle
+//! `wake_at`, or until a wake event re-arms me). Under the *park* policy
+//! ([`MachineConfig::event_core`](crate::MachineConfig::event_core) on, the
+//! default) the hint is taken: a sleeping tile leaves the wake list and
+//! owes exactly one stall of a constant [`StallKind`] per skipped cycle;
+//! the debt is credited in bulk the next time it steps (or virtually, by
+//! the owed-aware stats accessors on [`Cell`](crate::Cell)). Under the
+//! *never-park* policy (`event_core` off) the same loop ignores the hints,
+//! so every active tile is due every cycle and records its own stalls —
+//! the every-tile-every-cycle reference the park hints are proved against:
+//! every counter must come out bit-identical under both policies.
 //!
 //! # Why skipping is sound
 //!
-//! A tile only sleeps when *every* per-cycle effect of its dense step is
+//! A tile only sleeps when *every* per-cycle effect of stepping it is
 //! provably constant over the skipped window:
 //!
-//! - its inboxes, staging queue and combining latch are empty (a dense
-//!   step would drain/serve nothing), and
+//! - its inboxes, staging queue and combining latch are empty (a step
+//!   would drain/serve nothing), and
 //! - its next action is a stall of one fixed kind: `Done` / idle (it will
 //!   never run again), `Barrier` (cleared only by the Cell's sync phase),
 //!   `RemoteLoad` (cleared only by a response delivery), `Fence` with
@@ -29,17 +32,16 @@
 //!   `BranchMiss`, `Frozen`, ... — expires at a known cycle).
 //!
 //! Every event that could change that state runs through the Cell and
-//! re-arms the tile *at the same cycle the dense schedule would observe
+//! re-arms the tile *at the same cycle a never-parked tile would observe
 //! it*: packet ejection and fabric staging in the network phase, barrier
 //! release in the sync phase, and any host/fault mutation through
 //! [`Cell::tile_mut`](crate::Cell::tile_mut). Spurious wakes are harmless —
-//! the tile steps once, records the same stall dense would have, and parks
-//! again.
+//! the tile steps once, records the stall it would have recorded anyway,
+//! and parks again.
 
-use crate::parallel::{PhaseTimes, TilePool};
+use crate::parallel::{PhaseClock, TilePool};
 use crate::stats::StallKind;
 use crate::tile::Tile;
-use std::time::Instant;
 
 /// Sentinel for "not parked" in [`TileSched::park_cycle`].
 const NOT_PARKED: u64 = u64::MAX;
@@ -52,7 +54,7 @@ pub enum Park {
     Awake,
     /// The tile provably stalls every cycle until re-armed.
     Sleep {
-        /// The stall recorded per skipped cycle under the dense schedule;
+        /// The stall a never-parked tile records per skipped cycle;
         /// `None` for idle/trapped tiles, which record nothing.
         kind: Option<StallKind>,
         /// First cycle the tile must step again on its own (`u64::MAX`
@@ -129,7 +131,8 @@ impl TileSched {
     /// Stalls tile `i` still owes at observation horizon `cycle` (the last
     /// completed Cell cycle), with the kind they carry. Used by the
     /// owed-aware `&self` stats accessors so telemetry, profiling and the
-    /// run summary see dense-identical counters without stepping anyone.
+    /// run summary see never-park-identical counters without stepping
+    /// anyone.
     pub(crate) fn owed(&self, i: usize, cycle: u64) -> Option<(StallKind, u64)> {
         let kind = self.park_kind[i]?;
         if self.park_cycle[i] == NOT_PARKED {
@@ -142,8 +145,8 @@ impl TileSched {
     }
 
     /// Materializes every owed stall into the tiles' own counters and
-    /// clears all park state. Called before switching to the dense
-    /// schedule (tracing) or relaunching, so no debt is stranded.
+    /// clears all park state. Called before relaunching, so no debt is
+    /// stranded on tiles the next launch leaves inactive.
     pub(crate) fn settle(&mut self, tiles: &mut [Tile], cycle: u64) {
         for (i, tile) in tiles.iter_mut().enumerate() {
             if let Some((kind, n)) = self.owed(i, cycle) {
@@ -204,22 +207,22 @@ impl TileSched {
         Ok(())
     }
 
-    /// Runs one event-driven tile phase: wakes due sleepers, credits owed
-    /// stalls, steps the wake list (sharded over `pool` when present) and
-    /// applies the new park hints. With `times`, wake-list bookkeeping is
-    /// attributed to the `sched` phase bucket and only the stepping itself
-    /// to `tiles`.
+    /// Runs one tile phase: wakes due sleepers, credits owed stalls, steps
+    /// the wake list (sharded over `pool` when present) and, if `park`,
+    /// takes the new park hints. With `park` off every active tile is due
+    /// — a sleeper can then only come from a checkpoint captured under the
+    /// park policy, and is woken and credited like any other. Wake-list
+    /// bookkeeping is billed to the clock's `sched` bucket and only the
+    /// stepping itself to `tiles`.
     pub(crate) fn run_cycle(
         &mut self,
         tiles: &mut [Tile],
         active: &[bool],
         now: u64,
+        park: bool,
         pool: Option<&TilePool>,
-        times: Option<&mut PhaseTimes>,
+        clock: &mut impl PhaseClock,
     ) {
-        let timed = times.is_some();
-        let t0 = timed.then(Instant::now);
-
         // Build: scan the SoA state, wake due tiles, credit stall debt.
         self.run_list.clear();
         for (i, &a) in active.iter().enumerate() {
@@ -227,7 +230,7 @@ impl TileSched {
                 continue;
             }
             if self.asleep[i] {
-                if self.wake_at[i] > now {
+                if park && self.wake_at[i] > now {
                     self.skipped += 1;
                     continue;
                 }
@@ -249,8 +252,7 @@ impl TileSched {
         }
         self.parks.clear();
         self.parks.resize(self.run_list.len(), Park::Awake);
-
-        let t1 = timed.then(Instant::now);
+        clock.lap(|t| &mut t.sched);
 
         // Step: only the wake list, inline or across the worker pool.
         match pool {
@@ -264,26 +266,22 @@ impl TileSched {
             }
         }
         self.stepped += self.run_list.len() as u64;
-
-        let t2 = timed.then(Instant::now);
+        clock.lap(|t| &mut t.tiles);
 
         // Apply: record the new parks.
-        for (pos, &i) in self.run_list.iter().enumerate() {
-            if let Park::Sleep { kind, wake_at } = self.parks[pos] {
-                let i = i as usize;
-                self.asleep[i] = true;
-                self.wake_at[i] = wake_at;
-                self.park_kind[i] = kind;
-                self.park_cycle[i] = now + 1;
-                tiles[i].push_obs(now, crate::observe::ObsKind::Park(kind));
+        if park {
+            for (pos, &i) in self.run_list.iter().enumerate() {
+                if let Park::Sleep { kind, wake_at } = self.parks[pos] {
+                    let i = i as usize;
+                    self.asleep[i] = true;
+                    self.wake_at[i] = wake_at;
+                    self.park_kind[i] = kind;
+                    self.park_cycle[i] = now + 1;
+                    tiles[i].push_obs(now, crate::observe::ObsKind::Park(kind));
+                }
             }
         }
-
-        if let Some(times) = times {
-            let (t0, t1, t2) = (t0.unwrap(), t1.unwrap(), t2.unwrap());
-            times.sched += (t1 - t0) + t2.elapsed();
-            times.tiles += t2 - t1;
-        }
+        clock.lap(|t| &mut t.sched);
     }
 }
 
@@ -310,7 +308,7 @@ mod tests {
         let mut s = TileSched::new(1);
         s.asleep[0] = true;
         s.park_cycle[0] = 5;
-        s.park_kind[0] = None; // trapped/idle: dense records no stall
+        s.park_kind[0] = None; // trapped/idle: a stepped tile records no stall
         assert_eq!(s.owed(0, 100), None);
     }
 

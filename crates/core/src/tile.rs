@@ -639,11 +639,11 @@ impl Tile {
         }
     }
 
-    /// Bulk stall catch-up from the event scheduler: the tile slept `n`
-    /// cycles during which the dense schedule would have recorded one
-    /// stall of `kind` each (see `crate::sched`). The PC cannot have moved
-    /// since the tile parked, so attributing the whole span to the current
-    /// PC reproduces the dense schedule's cycle-by-cycle attribution.
+    /// Bulk stall catch-up from the wake list: the tile slept `n` cycles
+    /// during which a never-parked tile would have recorded one stall of
+    /// `kind` each (see `crate::sched`). The PC cannot have moved since
+    /// the tile parked, so attributing the whole span to the current PC
+    /// reproduces the cycle-by-cycle attribution.
     pub(crate) fn credit_stalls(&mut self, kind: StallKind, n: u64) {
         self.stats.add_stall_n(kind, n);
         if let Some(p) = &mut self.prof {
@@ -1344,12 +1344,12 @@ impl Tile {
         self.execute(instr, now);
     }
 
-    /// Scheduling hint for the event-driven core (see `crate::sched`),
+    /// Scheduling hint for the wake list's park policy (see `crate::sched`),
     /// computed after [`Tile::step`] ran for cycle `now`: may the Cell
     /// skip this tile, and until when?
     ///
-    /// The contract: a `Sleep { kind, wake_at }` promises that a dense
-    /// step at every cycle in `(now, wake_at)` would drain nothing, serve
+    /// The contract: a `Sleep { kind, wake_at }` promises that stepping
+    /// the tile at every cycle in `(now, wake_at)` would drain nothing, serve
     /// nothing, and record exactly one stall of `kind` (none for `None`) —
     /// unless an external event re-arms the tile first, which the Cell
     /// guarantees happens on any delivery, barrier release or host/fault
@@ -1367,7 +1367,7 @@ impl Tile {
         }
         // A pending penalty window also bounds event-only sleeps: the tile
         // must step at expiry so `last_cycle` (and thus `is_frozen`) tracks
-        // the dense schedule.
+        // a never-parked tile's.
         let bound = |wake: u64| {
             if self.penalty_until > now {
                 wake.min(self.penalty_until)
@@ -1772,12 +1772,30 @@ impl Tile {
         }
     }
 
+    /// [`PgasMap::translate`] plus the one check that needs the access
+    /// width: a DRAM access must sit inside one cache line, because a bank
+    /// serves whole lines. Naturally aligned accesses never straddle, so
+    /// only a corrupted address (fault injection) gets here — and must
+    /// trap the tile, not index past the line in the bank.
+    fn translate(&self, eva: u32, width: u8) -> Result<Target, String> {
+        let target = self.pgas.translate(eva).map_err(|e| e.to_string())?;
+        if let Target::Bank { addr, .. } = target {
+            // `line_bytes` is a power of two (`CacheBank::new` asserts it).
+            if (addr & (self.cfg.line_bytes - 1)) + u32::from(width) > self.cfg.line_bytes {
+                return Err(format!(
+                    "{width}-byte DRAM access at {eva:#x} crosses its cache line"
+                ));
+            }
+        }
+        Ok(target)
+    }
+
     /// Executes a load; returns `false` when the instruction must retry
     /// (stall already recorded).
     fn do_load(&mut self, now: u64, eva: u32, width: u8, signed: bool, dst: Dst) -> bool {
-        match self.pgas.translate(eva) {
+        match self.translate(eva, width) {
             Err(e) => {
-                self.trap(e.to_string());
+                self.trap(e);
                 false
             }
             Ok(Target::LocalSpm { offset }) => {
@@ -1901,9 +1919,9 @@ impl Tile {
     }
 
     fn do_store(&mut self, now: u64, eva: u32, width: u8, data: u32) -> bool {
-        match self.pgas.translate(eva) {
+        match self.translate(eva, width) {
             Err(e) => {
-                self.trap(e.to_string());
+                self.trap(e);
                 false
             }
             Ok(Target::LocalSpm { offset }) => {
@@ -2026,9 +2044,9 @@ impl Tile {
     }
 
     fn do_amo(&mut self, now: u64, eva: u32, op: hb_isa::AmoOp, data: u32, rd: Gpr) -> bool {
-        match self.pgas.translate(eva) {
+        match self.translate(eva, 4) {
             Err(e) => {
-                self.trap(e.to_string());
+                self.trap(e);
                 false
             }
             Ok(Target::Bank { cell, bank, addr }) => {

@@ -42,10 +42,10 @@ pub struct BenchStats {
     /// bottleneck diagnosis) of Cell 0.
     pub profile: CellProfile,
     /// Tile-phase ticks actually executed across all Cells — host-side
-    /// scheduler work, not an architectural counter; never compare it
-    /// between schedules.
+    /// scheduler work, not an architectural counter; it differs between
+    /// park policies.
     pub ticks_stepped: u64,
-    /// Tile-phase ticks the event scheduler elided (0 when dense).
+    /// Tile-phase ticks the wake list elided (0 under never-park).
     pub ticks_skipped: u64,
 }
 
@@ -69,8 +69,8 @@ impl BenchStats {
         }
     }
 
-    /// Share of tile-phase ticks the event scheduler skipped, in
-    /// `[0, 1]` (0.0 for a dense run or an empty machine).
+    /// Share of tile-phase ticks the wake list skipped, in `[0, 1]` (0.0
+    /// for a never-park run or an empty machine).
     pub fn skipped_share(&self) -> f64 {
         let total = self.ticks_stepped + self.ticks_skipped;
         if total == 0 {

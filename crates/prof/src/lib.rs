@@ -18,7 +18,7 @@
 //! is the machine's tile-cycles and stall frames nest under the block
 //! that paid them. Everything here is a pure function of the captured
 //! [`GuestProfile`], which is itself bit-identical across `HB_THREADS`
-//! and `HB_EVENT_CORE`; the exporters iterate phases and blocks in their
+//! and park policies; the exporters iterate phases and blocks in their
 //! deterministic stored order, so the rendered bytes are reproducible
 //! across hosts and schedules.
 //!
@@ -89,7 +89,7 @@ pub type SharedProfiles = Arc<Mutex<ProfStore>>;
 /// Observer that harvests the guest profile when the machine is dropped.
 /// It never samples mid-run (`next_due` is `u64::MAX`); the fold in
 /// `Machine::guest_profile` is owed-aware, so even a machine dropped
-/// mid-kernel yields dense-identical counts.
+/// mid-kernel yields the counts of a never-parked run.
 #[derive(Debug)]
 struct Harvester {
     store: SharedProfiles,

@@ -240,8 +240,8 @@ mod tests {
     #[test]
     fn fault_campaign_shape_and_manifest_roundtrip() {
         // Pin the host-only fields to the values `from_canonical_text`
-        // restores, so the roundtrip compares equal under any
-        // HB_THREADS/HB_EVENT_CORE environment.
+        // restores, so the roundtrip compares equal under any HB_THREADS
+        // environment.
         let cfg = MachineConfig {
             threads: 1,
             event_core: true,

@@ -31,6 +31,24 @@ pub fn flag_value(argv: &[String], i: &mut usize, usage: &str) -> String {
         .unwrap_or_else(|| usage_fail(usage, format!("{flag} needs a value")))
 }
 
+/// The value of the first `--flag v` or `--flag=v` on this process's
+/// command line, for binaries that probe a few optional flags instead of
+/// walking argv with [`flag_value`].
+pub fn arg_value(flag: &str) -> Option<String> {
+    scan_args(std::env::args().skip(1), flag)
+}
+
+fn scan_args(mut args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
+    while let Some(a) = args.next() {
+        if a == flag {
+            return args.next();
+        } else if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+            return Some(v.to_owned());
+        }
+    }
+    None
+}
+
 /// Parses a flag's value, or a clean usage error naming flag and value.
 pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, usage: &str) -> T {
     value
@@ -95,5 +113,15 @@ mod tests {
         assert_eq!((cell.x, cell.y), (4, 8));
         assert_eq!(parse_disabled("1,2;3,4", "u"), vec![(1, 2), (3, 4)]);
         assert_eq!(parse_value::<u64>("--seed", "7", "u"), 7u64);
+    }
+
+    #[test]
+    fn arg_scanner_takes_both_spellings_and_the_first_occurrence() {
+        let argv = |s: &str| s.split(' ').map(str::to_owned).collect::<Vec<_>>();
+        let scan = |s: &str, flag: &str| scan_args(argv(s).into_iter(), flag);
+        assert_eq!(scan("--out a --top 3", "--top").as_deref(), Some("3"));
+        assert_eq!(scan("--out=a --out b", "--out").as_deref(), Some("a"));
+        assert_eq!(scan("--outer=x", "--out"), None);
+        assert_eq!(scan("--kernel", "--kernel"), None);
     }
 }

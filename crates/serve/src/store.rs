@@ -19,7 +19,7 @@
 //! Durability contract: `rename(2)` alone only orders the swap against
 //! other operations on a live filesystem — the *directory entry* is not
 //! durable until the parent directory itself is fsynced. Every rename in
-//! this module is therefore followed by [`sync_dir`] on the parent, so a
+//! this module is therefore followed by `sync_dir` on the parent, so a
 //! power cut after `put` returns cannot resurrect the pre-rename state.
 
 use crate::json::{self, JsonValue};

@@ -60,8 +60,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn config() -> MachineConfig {
     // Host-only fields pinned to the values `from_canonical_text` restores,
-    // so manifest roundtrips compare equal under any HB_THREADS /
-    // HB_EVENT_CORE environment.
+    // so manifest roundtrips compare equal under any HB_THREADS
+    // environment.
     MachineConfig {
         threads: 1,
         event_core: true,

@@ -2,8 +2,11 @@
 //! mid-kernel checkpoint and continued must be *bit-identical* to the
 //! uninterrupted twin — every architectural counter, every telemetry
 //! window, the guest-code profile and the final DRAM image — across
-//! worker-thread counts {1, 4} and the dense/event tile schedules, the
-//! same matrix every prior subsystem's determinism leg pins down.
+//! worker-thread counts {1, 4} and both park policies of the tile phase
+//! (a park-policy capture continues under never-park, which wakes and
+//! credits the restored sleepers in its ordinary build step, and a
+//! never-park capture continues under the park policy), the same matrix
+//! every prior subsystem's determinism leg pins down.
 //!
 //! The checkpoint itself is also deterministic: capturing at the same
 //! cycle from a 1-thread and a 4-thread run must produce byte-identical
@@ -185,6 +188,16 @@ fn restored_run_is_bit_identical_for_every_kernel() {
                 digests.push((tag, fin.digest));
             }
         }
+        // And back: a never-park capture (nobody asleep, no stall debt)
+        // continues under the park policy.
+        let (_, never_park_blob) = run_with_capture(bench.as_ref(), &cfg_with(1, false), at);
+        let fin = continue_from(&never_park_blob, &base);
+        let tag = format!("{name} never-park capture");
+        assert_eq!(fin.cycles, reference.cycles, "{tag}: cycle count diverged");
+        assert_eq!(fin.core, reference.core, "{tag}: core counters diverged");
+        assert_eq!(fin.hbm, reference.hbm, "{tag}: HBM2 counters diverged");
+        assert_eq!(fin.cache, reference.cache, "{tag}: cache counters diverged");
+        digests.push((tag, fin.digest));
         for w in digests.windows(2) {
             assert_eq!(
                 w[0].1, w[1].1,

@@ -14,15 +14,15 @@ use hammerblade::kernels::{suite, SizeClass};
 fn cfg_with_threads(threads: usize) -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
-        // Explicit, not from HB_THREADS/HB_EVENT_CORE: runs must differ
-        // only where each test says they do.
+        // Explicit, not from HB_THREADS: runs must differ only where each
+        // test says they do.
         threads,
         event_core: true,
         ..MachineConfig::baseline_16x8()
     }
 }
 
-fn cfg_dense(threads: usize) -> MachineConfig {
+fn cfg_never_park(threads: usize) -> MachineConfig {
     MachineConfig {
         event_core: false,
         ..cfg_with_threads(threads)
@@ -57,13 +57,13 @@ fn parallel_tile_phase_is_bit_identical_for_every_kernel() {
 }
 
 #[test]
-fn event_schedule_is_bit_identical_to_dense_for_every_kernel() {
-    // The event-driven core (quiescent tiles parked on a wake list) is a
-    // host-side scheduling optimization only: for every kernel, at 1 and
-    // 4 worker threads, every architectural counter must match the dense
-    // every-tile-every-cycle schedule exactly.
+fn park_policy_is_bit_identical_to_never_park_for_every_kernel() {
+    // Parking quiescent tiles off the wake list is a host-side scheduling
+    // optimization only: for every kernel, at 1 and 4 worker threads,
+    // every architectural counter must match the never-park policy — the
+    // same loop stepping every tile every cycle — exactly.
     for threads in [1, 4] {
-        let dense_cfg = cfg_dense(threads);
+        let dense_cfg = cfg_never_park(threads);
         let event_cfg = cfg_with_threads(threads);
         for bench in suite() {
             let name = bench.name();
@@ -97,9 +97,14 @@ fn event_schedule_is_bit_identical_to_dense_for_every_kernel() {
                 dense.profile.east_busy, event.profile.east_busy,
                 "{name} (threads={threads}): per-router link activity diverged"
             );
-            // Host-side sanity, not an architectural counter: the dense
-            // schedule never skips, the event schedule is allowed to.
-            assert_eq!(dense.ticks_skipped, 0, "{name}: dense run skipped ticks");
+            // Host-side sanity, not architectural counters: never-park
+            // steps every tile-tick the park policy steps or skips.
+            assert_eq!(dense.ticks_skipped, 0, "{name}: never-park skipped ticks");
+            assert_eq!(
+                dense.ticks_stepped,
+                event.ticks_stepped + event.ticks_skipped,
+                "{name}: the two policies disagree on the tile-tick total"
+            );
         }
     }
 }

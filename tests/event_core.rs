@@ -1,7 +1,8 @@
-//! Regression tests for the event-driven tile scheduler (`event_core`):
+//! Regression tests for the wake list's park policy (`event_core`):
 //! parked tiles must be *invisible* — stall blame, watchdog classification,
 //! telemetry windows and fault injections all behave exactly as under the
-//! dense every-tile-every-cycle schedule, even when nearly every tile is
+//! never-park policy (`event_core = false`: the same loop stepping every
+//! tile every cycle, called "dense" below), even when nearly every tile is
 //! asleep on the wake list.
 
 use std::sync::Arc;
@@ -112,8 +113,9 @@ fn parked_tiles_report_dense_identical_stall_blame() {
         "event run skipped only {skipped} of {} tile-ticks",
         stepped + skipped
     );
-    let (_, dense_skipped) = dense.tile_ticks();
-    assert_eq!(dense_skipped, 0, "dense schedule must never skip");
+    let (dense_stepped, dense_skipped) = dense.tile_ticks();
+    assert_eq!(dense_skipped, 0, "never-park must never skip");
+    assert_eq!(dense_stepped, stepped + skipped, "tile-tick totals differ");
 }
 
 #[test]

@@ -1,0 +1,206 @@
+//! Contracts of the one cycle loop: there is a single tile phase (the
+//! wake-list loop, under the park or the never-park policy) and a single
+//! cycle body (`tick`, with or without a stopwatch for a clock), so
+//!
+//! - tracing needs no schedule of its own: a traced run under the park
+//!   policy fills the shared ring with exactly the events of a traced
+//!   never-park run, at 1 and 4 worker threads;
+//! - `tick_profiled` *is* `tick`: a kernel driven to completion by either
+//!   ends in the same state, under both policies, and the stopwatch bills
+//!   every one of its six phase buckets.
+
+use hammerblade::asm::{Assembler, Program};
+use hammerblade::core::{
+    pgas, CellDim, CoreStats, HbOps, Machine, MachineConfig, PhaseTimes, SnapshotDram,
+};
+use hammerblade::isa::Gpr::*;
+use hammerblade::kernels::Sgemm;
+use hammerblade::workloads::gen;
+use std::sync::Arc;
+use std::time::Duration;
+
+const BUDGET: u64 = 10_000_000;
+
+fn cfg(threads: usize, event_core: bool) -> MachineConfig {
+    MachineConfig {
+        cell_dim: CellDim { x: 4, y: 2 },
+        threads,
+        event_core,
+        ..MachineConfig::baseline_16x8()
+    }
+}
+
+/// Eight rounds of rank-proportional spinning, each closed by the group
+/// barrier: low ranks park for most of every round.
+fn barrier_rounds_kernel() -> Program {
+    let mut a = Assembler::new();
+    a.tg_rank(T0, T6);
+    a.li(T1, 8);
+    let round = a.new_label();
+    a.bind(round);
+    a.addi(T2, T0, 1);
+    a.slli(T2, T2, 4);
+    let spin = a.new_label();
+    a.bind(spin);
+    a.addi(T2, T2, -1);
+    a.bnez(T2, spin);
+    a.barrier(T6);
+    a.addi(T1, T1, -1);
+    a.bnez(T1, round);
+    a.ecall();
+    a.assemble(0).expect("kernel assembles")
+}
+
+fn barrier_machine(cfg: &MachineConfig) -> Machine {
+    let mut machine = Machine::new(cfg.clone());
+    machine.launch(0, &Arc::new(barrier_rounds_kernel()), &[]);
+    machine
+}
+
+/// The seeded 32x16x32 SGEMM of `tests/checkpoint.rs`, DRAM-streaming.
+fn sgemm_machine(cfg: &MachineConfig) -> Machine {
+    let mut machine = Machine::new(cfg.clone());
+    let (m, k, n) = (32usize, 16usize, 32usize);
+    let cell = machine.cell_mut(0);
+    let a_dev = cell.alloc((m * k * 4) as u32, 64);
+    let b_dev = cell.alloc((k * n * 4) as u32, 64);
+    let c_dev = cell.alloc((m * n * 4) as u32, 64);
+    cell.dram_mut()
+        .write_f32_slice(a_dev, &gen::dense_matrix(m, k, 0xA));
+    cell.dram_mut()
+        .write_f32_slice(b_dev, &gen::dense_matrix(k, n, 0xB));
+    let args = [
+        pgas::local_dram(a_dev),
+        pgas::local_dram(b_dev),
+        pgas::local_dram(c_dev),
+        m as u32,
+        k as u32,
+        n as u32,
+    ];
+    machine.launch(0, &Arc::new(Sgemm::program()), &args);
+    machine
+}
+
+type Build = fn(&MachineConfig) -> Machine;
+const KERNELS: [(&str, Build); 2] = [("barrier", barrier_machine), ("sgemm", sgemm_machine)];
+
+fn dram_digest(machine: &mut Machine) -> u64 {
+    machine.flush_all_caches();
+    let snap = SnapshotDram::from_machine(machine);
+    snap.cell(0).iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn traced_park_run_fills_the_ring_like_traced_never_park() {
+    for (name, build) in KERNELS {
+        let mut runs = Vec::new();
+        for (threads, event_core) in [(1, false), (1, true), (4, false), (4, true)] {
+            let mut machine = build(&cfg(threads, event_core));
+            let trace = machine.enable_tracing(1 << 20);
+            let summary = machine.run(BUDGET).expect("kernel finishes");
+            let (_, skipped) = machine.tile_ticks();
+            assert_eq!(
+                skipped > 0,
+                event_core,
+                "{name}: tracing must leave the park policy alone (threads={threads})"
+            );
+            runs.push((
+                trace.render_all(),
+                trace.events(),
+                summary.cycles,
+                summary.core,
+            ));
+        }
+        assert!(
+            runs[0].1.len() > 1000,
+            "{name}: trace too short to mean much"
+        );
+        for (i, run) in runs.iter().enumerate().skip(1) {
+            assert!(run.0 == runs[0].0, "{name}: run {i} rendered another trace");
+            assert!(
+                run.1 == runs[0].1,
+                "{name}: run {i} pushed in another order"
+            );
+            assert_eq!(run.2, runs[0].2, "{name}: run {i} cycle count diverged");
+            assert_eq!(run.3, runs[0].3, "{name}: run {i} core counters diverged");
+        }
+    }
+}
+
+/// What a finished run is compared by.
+#[derive(Debug, PartialEq)]
+struct Finish {
+    cycles: u64,
+    core: CoreStats,
+    tile_ticks: (u64, u64),
+    digest: u64,
+}
+
+fn finish(mut machine: Machine) -> Finish {
+    assert!(machine.all_done() && machine.cell(0).fault().is_none());
+    Finish {
+        cycles: machine.cycle(),
+        core: machine.cell(0).core_stats(),
+        tile_ticks: machine.tile_ticks(),
+        digest: dram_digest(&mut machine),
+    }
+}
+
+#[test]
+fn tick_profiled_is_tick_with_a_stopwatch() {
+    for (name, build) in KERNELS {
+        let mut finishes = Vec::new();
+        for event_core in [false, true] {
+            let cfg = cfg(1, event_core);
+            let mut plain = build(&cfg);
+            while !plain.all_done() && plain.cycle() < BUDGET {
+                plain.tick();
+            }
+            let mut timed = build(&cfg);
+            let mut acc = PhaseTimes::default();
+            while !timed.all_done() && timed.cycle() < BUDGET {
+                timed.tick_profiled(&mut acc);
+            }
+            let (plain, timed) = (finish(plain), finish(timed));
+            assert_eq!(plain, timed, "{name} event_core={event_core}");
+
+            // Every bucket is billed — `sched` under never-park too: the
+            // due scan is paid whether or not anything parks.
+            let buckets = [
+                ("network", acc.network),
+                ("memory", acc.memory),
+                ("tiles", acc.tiles),
+                ("sched", acc.sched),
+                ("sync", acc.sync),
+                ("inject", acc.inject),
+            ];
+            for (bucket, spent) in buckets {
+                assert!(
+                    spent > Duration::ZERO,
+                    "{name} event_core={event_core}: nothing billed to {bucket}"
+                );
+            }
+            assert_eq!(acc.total(), buckets.iter().map(|b| b.1).sum());
+            assert_eq!(
+                plain.tile_ticks.1 > 0,
+                event_core,
+                "{name}: only the park policy skips"
+            );
+            finishes.push(plain);
+        }
+        // Park vs never-park: the same run, except for who got stepped.
+        let (never, park) = (&finishes[0], &finishes[1]);
+        assert_eq!(
+            (never.cycles, never.core, never.digest),
+            (park.cycles, park.core, park.digest),
+            "{name}: park policy changed the run"
+        );
+        assert_eq!(
+            never.tile_ticks.0,
+            park.tile_ticks.0 + park.tile_ticks.1,
+            "{name}: never-park steps exactly what park steps or skips"
+        );
+    }
+}

@@ -6,7 +6,7 @@
 //! 1. the SGEMM profile names the FMA inner-loop block as the top retired
 //!    block, with more than half of all retired instructions;
 //! 2. the folded-stack export is byte-identical across host thread counts
-//!    and with the event-driven scheduler on or off;
+//!    and under both park policies of the tile phase;
 //! 3. enabling profiling does not change simulated cycles.
 
 use hammerblade::core::{CellDim, MachineConfig};
