@@ -617,212 +617,105 @@ impl CacheBank {
         Some(line_addr)
     }
 
-    /// Serializes all dynamic bank state (lines, MSHRs, queues, counters).
-    pub fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.tag(b"BANK");
-        w.usize(self.lines.len());
-        for slot in &self.lines {
-            if w.opt(slot.is_some()) {
-                let line = slot.as_ref().unwrap();
-                w.u32(line.tag);
-                w.bytes(&line.data);
-                w.u64(line.valid);
-                w.u64(line.dirty);
-                w.bool(line.pending);
-                w.u64(line.last_use);
-            }
-        }
-        w.usize(self.mshrs.len());
-        for m in &self.mshrs {
-            w.u32(m.line_addr);
-            w.usize(m.waiting.len());
-            for req in &m.waiting {
-                snap_save_request(w, req);
-            }
-        }
-        w.usize(self.input.len());
-        for req in &self.input {
-            snap_save_request(w, req);
-        }
-        w.usize(self.responses.len());
-        for &(ready_at, resp) in &self.responses {
-            w.u64(ready_at);
-            w.u64(resp.id);
-            w.u32(resp.data);
-        }
-        w.usize(self.mem_requests.len());
-        for mreq in &self.mem_requests {
-            w.u32(mreq.line_addr);
-            match &mreq.kind {
-                LineRequestKind::Fetch => w.u8(0),
-                LineRequestKind::Writeback { data, valid } => {
-                    w.u8(1);
-                    w.bytes(data);
-                    w.u64(*valid);
-                }
-            }
-        }
-        w.u64(self.cycle);
-        for v in [
-            self.stats.hits,
-            self.stats.misses,
-            self.stats.secondary_misses,
-            self.stats.write_validate_fills,
-            self.stats.evictions,
-            self.stats.writebacks,
-            self.stats.rejected_input,
-            self.stats.rejected_mshr,
-            self.stats.amos,
-            self.stats.idle_cycles,
-            self.stats.blocked_cycles,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restores dynamic state into a freshly constructed bank of the same
-    /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or a geometry mismatch.
-    pub fn snap_load(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
-        r.expect_tag(b"BANK", "CacheBank section")?;
-        if r.usize()? != self.lines.len() {
-            return Err(SnapError::Bad("CacheBank line count mismatch"));
-        }
+    /// After a restore: every decoded line image has this bank's line size.
+    fn check_line_sizes(&mut self) -> Result<(), hb_mem::SnapError> {
         let line_bytes = self.cfg.line_bytes as usize;
-        for slot in &mut self.lines {
-            *slot = if r.opt()? {
-                let tag = r.u32()?;
-                let data = r.bytes()?;
-                if data.len() != line_bytes {
-                    return Err(SnapError::Bad("CacheBank line size mismatch"));
-                }
-                Some(Line {
-                    tag,
-                    data,
-                    valid: r.u64()?,
-                    dirty: r.u64()?,
-                    pending: r.bool()?,
-                    last_use: r.u64()?,
-                })
-            } else {
-                None
-            };
+        if (self.lines.iter().flatten()).any(|l| l.data.len() != line_bytes) {
+            return Err(hb_mem::SnapError::Bad("CacheBank line size mismatch"));
         }
-        self.mshrs.clear();
-        for _ in 0..r.seq_len()? {
-            let line_addr = r.u32()?;
-            let nwait = r.seq_len()?;
-            let mut waiting = Vec::with_capacity(nwait);
-            for _ in 0..nwait {
-                waiting.push(snap_load_request(r)?);
-            }
-            self.mshrs.push(Mshr { line_addr, waiting });
-        }
-        self.input.clear();
-        for _ in 0..r.seq_len()? {
-            self.input.push_back(snap_load_request(r)?);
-        }
-        self.responses.clear();
-        for _ in 0..r.seq_len()? {
-            let ready_at = r.u64()?;
-            self.responses.push_back((
-                ready_at,
-                CacheResponse {
-                    id: r.u64()?,
-                    data: r.u32()?,
-                },
-            ));
-        }
-        self.mem_requests.clear();
-        for _ in 0..r.seq_len()? {
-            let line_addr = r.u32()?;
-            let kind = match r.u8()? {
-                0 => LineRequestKind::Fetch,
-                1 => {
-                    let data = r.bytes()?;
-                    if data.len() != line_bytes {
-                        return Err(SnapError::Bad("CacheBank writeback size mismatch"));
-                    }
-                    LineRequestKind::Writeback {
-                        data,
-                        valid: r.u64()?,
-                    }
-                }
-                _ => return Err(SnapError::Bad("CacheBank line-request kind out of range")),
-            };
-            self.mem_requests.push_back(LineRequest { line_addr, kind });
-        }
-        self.cycle = r.u64()?;
-        self.stats = CacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            secondary_misses: r.u64()?,
-            write_validate_fills: r.u64()?,
-            evictions: r.u64()?,
-            writebacks: r.u64()?,
-            rejected_input: r.u64()?,
-            rejected_mshr: r.u64()?,
-            amos: r.u64()?,
-            idle_cycles: r.u64()?,
-            blocked_cycles: r.u64()?,
+        let short_writeback = |m: &LineRequest| match &m.kind {
+            LineRequestKind::Fetch => false,
+            LineRequestKind::Writeback { data, .. } => data.len() != line_bytes,
         };
+        if self.mem_requests.iter().any(short_writeback) {
+            return Err(hb_mem::SnapError::Bad("CacheBank writeback size mismatch"));
+        }
         Ok(())
     }
 }
 
-/// All nine RISC-V AMO ops in declaration order, for tag encoding.
-const AMO_OPS: [AmoOp; 9] = [
-    AmoOp::Swap,
-    AmoOp::Add,
-    AmoOp::Xor,
-    AmoOp::And,
-    AmoOp::Or,
-    AmoOp::Min,
-    AmoOp::Max,
-    AmoOp::Minu,
-    AmoOp::Maxu,
-];
+/// Snapshot codec of [`AmoOp`] — `hb-isa` sits below the codec, so its
+/// types cannot implement `Snap` themselves — as an index in declaration
+/// order. Named as `op [amo_op]` in a `snap_enum!` list.
+pub mod amo_op {
+    use hb_isa::AmoOp;
+    use hb_mem::{SnapError, SnapReader, SnapWriter};
 
-/// Encodes a [`CacheRequest`] (shared by the bank and the Cell's BankNode
-/// expansion queues).
-pub fn snap_save_request(w: &mut hb_mem::SnapWriter, req: &CacheRequest) {
-    w.u64(req.id);
-    w.u32(req.addr);
-    match req.kind {
-        AccessKind::Load => w.u8(0),
-        AccessKind::Store => w.u8(1),
-        AccessKind::Amo(op) => w.u8(2 + AMO_OPS.iter().position(|&o| o == op).unwrap() as u8),
+    const ALL: [AmoOp; 9] = [
+        AmoOp::Swap,
+        AmoOp::Add,
+        AmoOp::Xor,
+        AmoOp::And,
+        AmoOp::Or,
+        AmoOp::Min,
+        AmoOp::Max,
+        AmoOp::Minu,
+        AmoOp::Maxu,
+    ];
+
+    /// Appends the op's index.
+    pub fn save(op: &AmoOp, w: &mut SnapWriter) {
+        w.u8(ALL
+            .iter()
+            .position(|o| o == op)
+            .expect("ALL lists every AmoOp") as u8);
     }
-    w.u32(req.data);
-    w.u8(req.width);
+
+    /// Decodes an op index.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncation or an index past the last op.
+    pub fn load(r: &mut SnapReader) -> Result<AmoOp, SnapError> {
+        (ALL.get(usize::from(r.u8()?)).copied()).ok_or(SnapError::Bad("unknown AMO op tag"))
+    }
 }
 
-/// Decodes a [`CacheRequest`].
-///
-/// # Errors
-///
-/// [`hb_mem::SnapError`] on truncation or an out-of-range kind tag.
-pub fn snap_load_request(r: &mut hb_mem::SnapReader) -> Result<CacheRequest, hb_mem::SnapError> {
-    let id = r.u64()?;
-    let addr = r.u32()?;
-    let kind = match r.u8()? {
-        0 => AccessKind::Load,
-        1 => AccessKind::Store,
-        t if (t as usize) < 2 + AMO_OPS.len() => AccessKind::Amo(AMO_OPS[t as usize - 2]),
-        _ => return Err(hb_mem::SnapError::Bad("CacheRequest kind out of range")),
-    };
-    Ok(CacheRequest {
-        id,
-        addr,
-        kind,
-        data: r.u32()?,
-        width: r.u8()?,
-    })
-}
+hb_mem::snap_enum!(AccessKind, "CacheRequest kind out of range" {
+    0 => Load,
+    1 => Store,
+    2 => Amo(op [amo_op]),
+});
+hb_mem::snap_value!(CacheRequest {
+    id,
+    addr,
+    kind,
+    data,
+    width
+});
+hb_mem::snap_value!(CacheResponse { id, data });
+hb_mem::snap_enum!(LineRequestKind, "CacheBank line-request kind out of range" {
+    0 => Fetch,
+    1 => Writeback { data, valid },
+});
+hb_mem::snap_value!(LineRequest { line_addr, kind });
+hb_mem::snap_value!(CacheStats {
+    hits,
+    misses,
+    secondary_misses,
+    write_validate_fills,
+    evictions,
+    writebacks,
+    rejected_input,
+    rejected_mshr,
+    amos,
+    idle_cycles,
+    blocked_cycles,
+});
+hb_mem::snap_value!(Line {
+    tag,
+    data,
+    valid,
+    dirty,
+    pending,
+    last_use
+});
+hb_mem::snap_value!(Mshr { line_addr, waiting });
+hb_mem::snap_state!(CacheBank [b"BANK"] {
+    save: mshrs, input, responses, mem_requests, cycle, stats;
+    fixed: lines;
+    host: cfg;
+} check check_line_sizes);
 
 #[cfg(test)]
 mod tests {

@@ -40,6 +40,6 @@
 mod bank;
 
 pub use bank::{
-    snap_load_request, snap_save_request, AccessKind, CacheBank, CacheConfig, CacheRequest,
-    CacheResponse, CacheStats, LineRequest, LineRequestKind,
+    amo_op, AccessKind, CacheBank, CacheConfig, CacheRequest, CacheResponse, CacheStats,
+    LineRequest, LineRequestKind,
 };

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "HBCKPT01"
-//! 8       4     format version (u32 LE, currently 1)
+//! 8       4     format version (u32 LE, currently 2)
 //! 12      8+n   machine config canonical text (u64 LE length + UTF-8)
 //! ..      8     machine cycle at capture (u64 LE)
 //! ..      8+m   machine payload (u64 LE length + bytes)
@@ -31,12 +31,18 @@
 //! [`CkptError`] variant.
 
 use hb_core::{Machine, MachineConfig};
+use hb_mem::{SnapError, SnapReader, SnapState, SnapWriter};
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-/// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Current checkpoint format version. It names the byte layout of the
+/// machine payload, which follows from the snapshot field lists
+/// (`hb_mem::snap`): any change to a list changes the layout and must bump
+/// this. `tests/checkpoint.rs::payload_layout_is_pinned_to_ckpt_version`
+/// digests a fixed machine's checkpoint so that such a change cannot ship
+/// under the old number.
+pub const CKPT_VERSION: u32 = 2;
 
 /// File magic; the trailing digits track the container layout (the payload
 /// inside is versioned separately by `CKPT_VERSION`).
@@ -153,19 +159,59 @@ fn fnv1a128(bytes: &[u8]) -> u128 {
 /// Deterministic: the same machine state always encodes to the same bytes,
 /// so callers may content-address checkpoints by hashing the result.
 pub fn encode(machine: &Machine) -> Vec<u8> {
-    let payload = machine.save_checkpoint();
-    let mut out = Vec::with_capacity(payload.len() + 256);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    let cfg_text = machine.config().canonical_text();
-    out.extend_from_slice(&(cfg_text.len() as u64).to_le_bytes());
-    out.extend_from_slice(cfg_text.as_bytes());
-    out.extend_from_slice(&machine.cycle().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut w = SnapWriter::new();
+    w.raw(&MAGIC);
+    w.u32(CKPT_VERSION);
+    w.str(&machine.config().canonical_text());
+    w.u64(machine.cycle());
+    // The payload is encoded in place, behind a length patched in after.
+    let len_at = w.len();
+    w.u64(0);
+    machine.save_state(&mut w);
+    let mut out = w.into_bytes();
+    let payload_len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
     let hash = fnv1a128(&out);
     out.extend_from_slice(&hash.to_le_bytes());
     out
+}
+
+/// The fields of an integrity-checked container, borrowed from its bytes.
+struct Parsed<'a> {
+    cycle: u64,
+    config_text: &'a str,
+    payload: &'a [u8],
+}
+
+fn parse(bytes: &[u8]) -> Result<Parsed<'_>, CkptError> {
+    if bytes.len() < MAGIC.len() + 4 + 16 {
+        if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
+            return Err(CkptError::BadMagic);
+        }
+        return Err(CkptError::Malformed(SnapError::Eof));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 16);
+    let mut r = SnapReader::new(body);
+    if r.raw(MAGIC.len())? != MAGIC {
+        return Err(CkptError::BadMagic);
+    }
+    // The version check precedes the hash check: a future format may hash
+    // differently, and "unsupported version" is the more actionable error.
+    let version = r.u32()?;
+    if version != CKPT_VERSION {
+        return Err(CkptError::Version { found: version });
+    }
+    let stored = u128::from_le_bytes(tail.try_into().expect("split 16 bytes off"));
+    if fnv1a128(body) != stored {
+        return Err(CkptError::Corrupt);
+    }
+    let parsed = Parsed {
+        config_text: r.str()?,
+        cycle: r.u64()?,
+        payload: r.bytes()?,
+    };
+    r.finish()?;
+    Ok(parsed)
 }
 
 /// Decodes and integrity-checks checkpoint-file bytes without applying
@@ -176,37 +222,26 @@ pub fn encode(machine: &Machine) -> Vec<u8> {
 /// [`CkptError::BadMagic`], [`CkptError::Version`], [`CkptError::Corrupt`]
 /// or [`CkptError::Malformed`]; never a panic.
 pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
-    use hb_mem::SnapError;
-    if bytes.len() < MAGIC.len() + 4 + 16 {
-        if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
-            return Err(CkptError::BadMagic);
-        }
-        return Err(CkptError::Malformed(SnapError::Eof));
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(CkptError::BadMagic);
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 16);
-    let stored = u128::from_le_bytes(tail.try_into().unwrap());
-    // The version check precedes the hash check: a future format may hash
-    // differently, and "unsupported version" is the more actionable error.
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != CKPT_VERSION {
-        return Err(CkptError::Version { found: version });
-    }
-    if fnv1a128(body) != stored {
-        return Err(CkptError::Corrupt);
-    }
-    let mut r = hb_mem::SnapReader::new(&body[12..]);
-    let config_text = r.str()?;
-    let cycle = r.u64()?;
-    let payload = r.bytes()?;
-    r.finish()?;
+    let parsed = parse(bytes)?;
     Ok(Checkpoint {
-        cycle,
-        config_text,
-        payload,
+        cycle: parsed.cycle,
+        config_text: parsed.config_text.to_owned(),
+        payload: parsed.payload.to_vec(),
     })
+}
+
+impl Parsed<'_> {
+    fn apply(&self, machine: &mut Machine) -> Result<u64, CkptError> {
+        let got = machine.config().canonical_text();
+        if got != self.config_text {
+            return Err(CkptError::ConfigMismatch {
+                expected: self.config_text.to_owned(),
+                got,
+            });
+        }
+        machine.restore_checkpoint(self.payload)?;
+        Ok(self.cycle)
+    }
 }
 
 /// Restores a decoded checkpoint into `machine`, verifying the config
@@ -218,24 +253,22 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
 /// [`CkptError::Malformed`] when the payload does not decode (the machine
 /// must then be discarded — it may be partially overwritten).
 pub fn apply(machine: &mut Machine, ckpt: &Checkpoint) -> Result<u64, CkptError> {
-    let got = machine.config().canonical_text();
-    if got != ckpt.config_text {
-        return Err(CkptError::ConfigMismatch {
-            expected: ckpt.config_text.clone(),
-            got,
-        });
-    }
-    machine.restore_checkpoint(&ckpt.payload)?;
-    Ok(ckpt.cycle)
+    let parsed = Parsed {
+        cycle: ckpt.cycle,
+        config_text: &ckpt.config_text,
+        payload: &ckpt.payload,
+    };
+    parsed.apply(machine)
 }
 
-/// [`decode`] + [`apply`] in one step.
+/// [`decode`] + [`apply`] in one step, without the owned copy of the
+/// payload a [`Checkpoint`] holds.
 ///
 /// # Errors
 ///
 /// Any [`CkptError`].
 pub fn restore(machine: &mut Machine, bytes: &[u8]) -> Result<u64, CkptError> {
-    apply(machine, &decode(bytes)?)
+    parse(bytes)?.apply(machine)
 }
 
 /// Writes the machine's checkpoint to `path` crash-safely: the bytes land

@@ -174,110 +174,25 @@ impl BankNode {
             }
         }
     }
-
-    /// Serializes the adapter state and the bank behind it (the map of
-    /// in-progress groups sorted by id for determinism).
-    pub(crate) fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        use crate::payload::{snap_save_req_packet, snap_save_resp_packet};
-        w.tag(b"BNOD");
-        self.bank.snap_save(w);
-        w.usize(self.inbox.len());
-        for pkt in &self.inbox {
-            snap_save_req_packet(w, pkt);
-        }
-        w.usize(self.resp_outbox.len());
-        for (cell, pkt) in &self.resp_outbox {
-            w.u8(*cell);
-            snap_save_resp_packet(w, pkt);
-        }
-        w.usize(self.expansion.len());
-        for req in &self.expansion {
-            hb_cache::snap_save_request(w, req);
-        }
-        let mut groups: Vec<(&u64, &Group)> = self.groups.iter().collect();
-        groups.sort_by_key(|(id, _)| **id);
-        w.usize(groups.len());
-        for (id, g) in groups {
-            w.u64(*id);
-            w.u8(g.from.cell);
-            crate::payload::snap_save_coord(w, g.from.coord);
-            w.u32(g.op_id);
-            w.u8(match g.kind {
-                GroupKind::Load => 0,
-                GroupKind::Store => 1,
-                GroupKind::Amo => 2,
-            });
-            w.u8(g.remaining);
-            w.u8(g.count);
-            for d in g.data {
-                w.u32(d);
-            }
-        }
-        w.u64(self.next_group);
-    }
-
-    /// Restores state written by [`BankNode::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or a bank-geometry mismatch.
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut hb_mem::SnapReader,
-    ) -> Result<(), hb_mem::SnapError> {
-        use crate::payload::{snap_load_req_packet, snap_load_resp_packet};
-        r.expect_tag(b"BNOD", "BankNode section")?;
-        self.bank.snap_load(r)?;
-        self.inbox.clear();
-        for _ in 0..r.seq_len()? {
-            self.inbox.push_back(snap_load_req_packet(r)?);
-        }
-        self.resp_outbox.clear();
-        for _ in 0..r.seq_len()? {
-            let cell = r.u8()?;
-            self.resp_outbox
-                .push_back((cell, snap_load_resp_packet(r)?));
-        }
-        self.expansion.clear();
-        for _ in 0..r.seq_len()? {
-            self.expansion.push_back(hb_cache::snap_load_request(r)?);
-        }
-        self.groups.clear();
-        for _ in 0..r.seq_len()? {
-            let id = r.u64()?;
-            let from = NodeId {
-                cell: r.u8()?,
-                coord: crate::payload::snap_load_coord(r)?,
-            };
-            let op_id = r.u32()?;
-            let kind = match r.u8()? {
-                0 => GroupKind::Load,
-                1 => GroupKind::Store,
-                2 => GroupKind::Amo,
-                _ => return Err(hb_mem::SnapError::Bad("unknown group kind tag")),
-            };
-            let remaining = r.u8()?;
-            let count = r.u8()?;
-            let mut data = [0u32; 4];
-            for d in &mut data {
-                *d = r.u32()?;
-            }
-            self.groups.insert(
-                id,
-                Group {
-                    from,
-                    op_id,
-                    kind,
-                    remaining,
-                    count,
-                    data,
-                },
-            );
-        }
-        self.next_group = r.u64()?;
-        Ok(())
-    }
 }
+
+hb_mem::snap_enum!(GroupKind, "unknown group kind tag" {
+    0 => Load,
+    1 => Store,
+    2 => Amo,
+});
+hb_mem::snap_value!(Group {
+    from,
+    op_id,
+    kind,
+    remaining,
+    count,
+    data
+});
+hb_mem::snap_state!(BankNode [b"BNOD"] {
+    save: bank, inbox, resp_outbox, expansion, groups, next_group;
+    host: coord;
+});
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@ use crate::stats::CoreStats;
 use crate::tile::{GroupInfo, Tile};
 use hb_asm::Program;
 use hb_cache::{CacheBank, CacheConfig, CacheStats, LineRequestKind};
-use hb_mem::{ClockDivider, Dram, DramRequest, Hbm2Channel, Hbm2Stats};
+use hb_mem::{ClockDivider, Dram, DramRequest, Hbm2Channel, Hbm2Stats, Snap, SnapError};
 use hb_noc::{
     BarrierNetwork, Coord, LinkStats, Network, NetworkConfig, Packet, RouteOrder, StripChannel,
 };
@@ -896,214 +896,55 @@ impl Cell {
         }
     }
 
-    /// Serializes the complete Cell: every tile (with a deduplicated
-    /// program table — tiles share `Arc<Program>` images), every bank
-    /// node, both NoCs with their in-flight packets, the four refill
-    /// strips, the HBM2 channel and its clock divider, the full DRAM
-    /// image, the in-flight bank↔DRAM operations, the barrier trees, the
-    /// wake-list scheduler and the fabric-bound outboxes.
-    ///
-    /// Host-execution state (`pool`, `traced`) is not serialized: it is
-    /// re-established by whoever owns the restored machine and cannot
-    /// change simulated results.
-    pub(crate) fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        use crate::payload::{
-            snap_save_req_packet, snap_save_request, snap_save_resp_packet, snap_save_response,
-        };
-        w.tag(b"CELL");
-        w.u64(self.cycle);
-        w.u32(self.alloc_ptr);
-        // Deduplicated program table: tiles launched from the same
-        // `Arc<Program>` share one image, identified by pointer.
+    /// The `extra` section of the Cell's snapshot: the program images.
+    /// Tiles launched from the same `Arc<Program>` share one image, so the
+    /// stream carries a deduplicated table (identity is the pointer) and
+    /// one index into it per tile.
+    fn save_programs(&self, w: &mut hb_mem::SnapWriter) {
         let mut table: Vec<&Arc<Program>> = Vec::new();
-        let mut indices: Vec<Option<u32>> = Vec::with_capacity(self.tiles.len());
-        for t in &self.tiles {
-            indices.push(
-                t.program()
-                    .map(|p| match table.iter().position(|q| Arc::ptr_eq(q, p)) {
-                        Some(i) => i as u32,
-                        None => {
-                            table.push(p);
-                            (table.len() - 1) as u32
-                        }
-                    }),
-            );
-        }
+        let indices: Vec<Option<u32>> = (self.tiles.iter())
+            .map(|t| {
+                let p = t.program()?;
+                let at = table.iter().position(|q| Arc::ptr_eq(q, p));
+                Some(at.unwrap_or_else(|| {
+                    table.push(p);
+                    table.len() - 1
+                }) as u32)
+            })
+            .collect();
         w.usize(table.len());
-        for p in &table {
+        for p in table {
             w.u32(p.base());
-            w.usize(p.words().len());
-            for &word in p.words() {
-                w.u32(word);
-            }
+            hb_mem::snap::save_fixed(p.words(), w);
         }
-        w.usize(self.tiles.len());
-        for (t, idx) in self.tiles.iter().zip(&indices) {
-            t.snap_save(w, *idx);
-        }
-        w.usize(self.banks.len());
-        for b in &self.banks {
-            b.snap_save(w);
-        }
-        self.req_net
-            .snap_save_with(w, &|w, p| snap_save_request(w, p));
-        self.resp_net
-            .snap_save_with(w, &|w, p| snap_save_response(w, p));
-        for s in &self.strip_to_mem {
-            s.snap_save(w);
-        }
-        for s in &self.strip_from_mem {
-            s.snap_save(w);
-        }
-        self.hbm.snap_save(w);
-        self.hbm_clock.snap_save(w);
-        self.dram.snap_save(w);
-        w.usize(self.hbm_retry.len());
-        for req in &self.hbm_retry {
-            w.u64(req.id);
-            w.u32(req.addr);
-            w.bool(req.write);
-        }
-        let mut ops: Vec<(&u64, &MemOp)> = self.mem_ops.iter().collect();
-        ops.sort_by_key(|(id, _)| **id);
-        w.usize(ops.len());
-        for (id, op) in ops {
-            w.u64(*id);
-            w.usize(op.bank);
-            w.u32(op.line_addr);
-            w.bool(op.write);
-            if w.opt(op.data.is_some()) {
-                w.bytes(op.data.as_ref().unwrap());
-            }
-        }
-        w.u64(self.next_mem_id);
-        w.usize(self.barriers.len());
-        for b in &self.barriers {
-            b.snap_save(w);
-        }
-        w.usize(self.active.len());
-        for &a in &self.active {
-            w.bool(a);
-        }
-        self.sched.snap_save(w);
-        w.usize(self.xreq_out.len());
-        for (cell, pkt) in &self.xreq_out {
-            w.u8(*cell);
-            snap_save_req_packet(w, pkt);
-        }
-        w.usize(self.xresp_out.len());
-        for (cell, pkt) in &self.xresp_out {
-            w.u8(*cell);
-            snap_save_resp_packet(w, pkt);
-        }
+        indices.save(w);
     }
 
-    /// Restores state written by [`Cell::snap_save`] into a Cell built
-    /// from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation, undecodable program words, or
-    /// any geometry mismatch against this Cell's configuration.
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut hb_mem::SnapReader,
-    ) -> Result<(), hb_mem::SnapError> {
-        use crate::payload::{
-            snap_load_req_packet, snap_load_request, snap_load_resp_packet, snap_load_response,
-        };
-        use hb_mem::SnapError;
-        r.expect_tag(b"CELL", "Cell section")?;
-        self.cycle = r.u64()?;
-        self.alloc_ptr = r.u32()?;
-        let mut programs: Vec<Arc<Program>> = Vec::new();
-        for _ in 0..r.seq_len()? {
-            let base = r.u32()?;
-            let mut words = Vec::new();
-            for _ in 0..r.seq_len()? {
-                words.push(r.u32()?);
-            }
-            let p = Program::from_words(base, &words)
-                .map_err(|_| SnapError::Bad("program word fails to decode"))?;
-            programs.push(Arc::new(p));
+    /// Decodes the program table and re-attaches each tile's image.
+    fn load_programs(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), SnapError> {
+        let programs = Vec::<(u32, Vec<u32>)>::load(r)?
+            .into_iter()
+            .map(|(base, words)| match Program::from_words(base, &words) {
+                Ok(p) => Ok(Arc::new(p)),
+                Err(_) => Err(SnapError::Bad("program word fails to decode")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let indices = Vec::<Option<u32>>::load(r)?;
+        if indices.len() != self.tiles.len() {
+            return Err(SnapError::Bad("Cell program index count mismatch"));
         }
-        if r.usize()? != self.tiles.len() {
-            return Err(SnapError::Bad("Cell tile count mismatch"));
+        for (tile, idx) in self.tiles.iter_mut().zip(indices) {
+            let image = idx.map(|i| programs.get(i as usize).cloned());
+            let image = image.map(|p| p.ok_or(SnapError::Bad("program table index out of range")));
+            tile.set_program(image.transpose()?);
         }
-        for t in &mut self.tiles {
-            t.snap_load(r, &programs)?;
-        }
-        if r.usize()? != self.banks.len() {
-            return Err(SnapError::Bad("Cell bank count mismatch"));
-        }
-        for b in &mut self.banks {
-            b.snap_load(r)?;
-        }
-        self.req_net.snap_load_with(r, &snap_load_request)?;
-        self.resp_net.snap_load_with(r, &snap_load_response)?;
-        for s in &mut self.strip_to_mem {
-            s.snap_load(r)?;
-        }
-        for s in &mut self.strip_from_mem {
-            s.snap_load(r)?;
-        }
-        self.hbm.snap_load(r)?;
-        self.hbm_clock = ClockDivider::snap_load(r)?;
-        self.dram.snap_load(r)?;
-        self.hbm_retry.clear();
-        for _ in 0..r.seq_len()? {
-            self.hbm_retry.push_back(DramRequest {
-                id: r.u64()?,
-                addr: r.u32()?,
-                write: r.bool()?,
-            });
-        }
-        self.mem_ops.clear();
-        for _ in 0..r.seq_len()? {
-            let id = r.u64()?;
-            let bank = r.usize()?;
-            if bank >= self.banks.len() {
-                return Err(SnapError::Bad("mem op bank index out of range"));
-            }
-            let line_addr = r.u32()?;
-            let write = r.bool()?;
-            let data = if r.opt()? {
-                Some(r.bytes()?.to_vec())
-            } else {
-                None
-            };
-            self.mem_ops.insert(
-                id,
-                MemOp {
-                    bank,
-                    line_addr,
-                    write,
-                    data,
-                },
-            );
-        }
-        self.next_mem_id = r.u64()?;
-        let nbarriers = r.seq_len()?;
-        self.barriers.clear();
-        for _ in 0..nbarriers {
-            self.barriers.push(BarrierNetwork::snap_load(r)?);
-        }
-        if r.usize()? != self.active.len() {
-            return Err(SnapError::Bad("Cell active mask size mismatch"));
-        }
-        for a in &mut self.active {
-            *a = r.bool()?;
-        }
-        self.sched.snap_load(r)?;
-        self.xreq_out.clear();
-        for _ in 0..r.seq_len()? {
-            let cell = r.u8()?;
-            self.xreq_out.push_back((cell, snap_load_req_packet(r)?));
-        }
-        self.xresp_out.clear();
-        for _ in 0..r.seq_len()? {
-            let cell = r.u8()?;
-            self.xresp_out.push_back((cell, snap_load_resp_packet(r)?));
+        Ok(())
+    }
+
+    /// After a restore: every in-flight line operation names a live bank.
+    fn check_mem_ops(&mut self) -> Result<(), SnapError> {
+        if self.mem_ops.values().any(|op| op.bank >= self.banks.len()) {
+            return Err(SnapError::Bad("mem op bank index out of range"));
         }
         Ok(())
     }
@@ -1156,6 +997,21 @@ impl Cell {
         }
     }
 }
+
+hb_mem::snap_value!(MemOp {
+    bank,
+    line_addr,
+    write,
+    data
+});
+// `pool` and `traced` are host-execution state, re-established by whoever
+// owns the restored machine; they cannot change simulated results.
+hb_mem::snap_state!(Cell [b"CELL"] {
+    save: cycle, alloc_ptr, req_net, resp_net, hbm, hbm_clock, dram, hbm_retry, mem_ops,
+        next_mem_id, barriers, sched, xreq_out, xresp_out;
+    fixed: tiles, banks, strip_to_mem, strip_from_mem, active;
+    host: cfg, id, pgas, pool, traced;
+} extra (save_programs, load_programs) check check_mem_ops);
 
 #[cfg(test)]
 mod tests {

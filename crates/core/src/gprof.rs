@@ -117,59 +117,25 @@ impl TileProfile {
         self.phases[self.cur].0
     }
 
-    /// Serializes the capture buffer.
-    pub(crate) fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.tag(b"PROF");
-        w.u32(self.base);
-        w.usize(self.len);
-        w.usize(self.cur);
-        w.usize(self.phases.len());
-        for (mark, hist) in &self.phases {
-            w.u32(*mark);
-            for &v in &hist.retired {
-                w.u64(v);
-            }
-            for &v in &hist.stalls {
-                w.u64(v);
-            }
-        }
-    }
-
-    /// Restores a capture buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or inconsistent indices.
-    pub(crate) fn snap_load(r: &mut hb_mem::SnapReader) -> Result<TileProfile, hb_mem::SnapError> {
+    /// After a decode: the current-phase index and every histogram length
+    /// are what `record_*` index by.
+    fn check_shape(&mut self) -> Result<(), hb_mem::SnapError> {
         use hb_mem::SnapError;
-        r.expect_tag(b"PROF", "TileProfile section")?;
-        let base = r.u32()?;
-        let len = r.usize()?;
-        let cur = r.usize()?;
-        let nphases = r.seq_len()?;
-        if nphases == 0 || cur >= nphases {
+        if self.cur >= self.phases.len() {
             return Err(SnapError::Bad("TileProfile phase index out of range"));
         }
-        let mut phases = Vec::with_capacity(nphases);
-        for _ in 0..nphases {
-            let mark = r.u32()?;
-            let mut hist = PhaseHist::new(len);
-            for v in &mut hist.retired {
-                *v = r.u64()?;
-            }
-            for v in &mut hist.stalls {
-                *v = r.u64()?;
-            }
-            phases.push((mark, hist));
+        let stalls = self.len.checked_mul(StallKind::COUNT);
+        if (self.phases.iter())
+            .any(|(_, h)| h.retired.len() != self.len || Some(h.stalls.len()) != stalls)
+        {
+            return Err(SnapError::Bad("TileProfile histogram length mismatch"));
         }
-        Ok(TileProfile {
-            base,
-            len,
-            cur,
-            phases,
-        })
+        Ok(())
     }
 }
+
+hb_mem::snap_value!(PhaseHist { retired, stalls });
+hb_mem::snap_value!(TileProfile [b"PROF"] { base, len, cur, phases } check check_shape);
 
 /// Histograms of one phase, folded across tiles.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -87,41 +87,13 @@ impl ICache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Serializes the tag array and counters.
-    pub(crate) fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.tag(b"ICAC");
-        w.usize(self.tags.len());
-        for t in &self.tags {
-            if w.opt(t.is_some()) {
-                w.u32(t.unwrap());
-            }
-        }
-        w.u64(self.hits);
-        w.u64(self.misses);
-    }
-
-    /// Restores tag array and counters into an icache of the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or a size mismatch.
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut hb_mem::SnapReader,
-    ) -> Result<(), hb_mem::SnapError> {
-        r.expect_tag(b"ICAC", "ICache section")?;
-        if r.usize()? != self.tags.len() {
-            return Err(hb_mem::SnapError::Bad("ICache line count mismatch"));
-        }
-        for t in &mut self.tags {
-            *t = if r.opt()? { Some(r.u32()?) } else { None };
-        }
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        Ok(())
-    }
 }
+
+hb_mem::snap_state!(ICache [b"ICAC"] {
+    save: hits, misses;
+    fixed: tags;
+    host: line_shift, index_mask;
+});
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@ use crate::payload::{Request, Response};
 use crate::stats::CoreStats;
 use hb_asm::Program;
 use hb_fault::{Injection, Site};
+use hb_mem::{Snap, SnapError, SnapState};
 use hb_noc::{Coord, Packet, Port};
 use std::collections::VecDeque;
 use std::fmt;
@@ -533,37 +534,7 @@ impl Machine {
     /// auto-checkpoint sink, which runs there).
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = hb_mem::SnapWriter::new();
-        w.tag(b"MACH");
-        w.u64(self.cycle);
-        w.usize(self.cells.len());
-        for cell in &self.cells {
-            cell.snap_save(&mut w);
-        }
-        w.usize(self.fabric.in_flight.len());
-        for (due, dst, item) in &self.fabric.in_flight {
-            w.u64(*due);
-            w.u8(*dst);
-            match item {
-                XItem::Req(pkt) => {
-                    w.u8(0);
-                    crate::payload::snap_save_req_packet(&mut w, pkt);
-                }
-                XItem::Resp(pkt) => {
-                    w.u8(1);
-                    crate::payload::snap_save_resp_packet(&mut w, pkt);
-                }
-            }
-        }
-        w.usize(self.fault_plan.len());
-        for inj in &self.fault_plan {
-            snap_save_injection(&mut w, inj);
-        }
-        w.usize(self.fault_cursor);
-        w.u64(self.fault_due);
-        let obs_blob = self.observer.as_ref().and_then(|o| o.snapshot());
-        if w.opt(obs_blob.is_some()) {
-            w.bytes(&obs_blob.unwrap());
-        }
+        self.save_state(&mut w);
         w.into_bytes()
     }
 
@@ -582,51 +553,57 @@ impl Machine {
     ///
     /// [`hb_mem::SnapError`] on truncation, layout mismatch or any
     /// geometry/config disagreement.
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
+    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = hb_mem::SnapReader::new(bytes);
-        r.expect_tag(b"MACH", "Machine section")?;
-        self.cycle = r.u64()?;
-        if r.usize()? != self.cells.len() {
-            return Err(SnapError::Bad("Cell count mismatch"));
-        }
-        for cell in &mut self.cells {
-            cell.snap_load(&mut r)?;
-        }
-        self.fabric.in_flight.clear();
-        for _ in 0..r.seq_len()? {
-            let due = r.u64()?;
-            let dst = r.u8()?;
-            if usize::from(dst) >= self.cells.len() {
-                return Err(SnapError::Bad("fabric destination out of range"));
-            }
-            let item = match r.u8()? {
-                0 => XItem::Req(crate::payload::snap_load_req_packet(&mut r)?),
-                1 => XItem::Resp(crate::payload::snap_load_resp_packet(&mut r)?),
-                _ => return Err(SnapError::Bad("unknown fabric item tag")),
-            };
-            self.fabric.in_flight.push_back((due, dst, item));
-        }
-        self.fault_plan.clear();
-        for _ in 0..r.seq_len()? {
-            self.fault_plan.push(snap_load_injection(&mut r)?);
-        }
-        self.fault_cursor = r.usize()?;
-        if self.fault_cursor > self.fault_plan.len() {
-            return Err(SnapError::Bad("fault cursor out of range"));
-        }
-        self.fault_due = r.u64()?;
-        if r.opt()? {
-            let blob = r.bytes()?;
-            if let Some(obs) = &mut self.observer {
-                obs.restore(&blob)?;
-            }
-        }
+        self.load_state(&mut r)?;
         r.finish()?;
         // The observer (re-)attached by the host decides its own next due
         // cycle from the restored window state.
         if let Some(obs) = &self.observer {
             self.obs_due = obs.next_due();
+        }
+        Ok(())
+    }
+
+    /// The `extra` section of the machine's snapshot: the fault plan (its
+    /// `hb-fault` sites sit below the codec and travel as their canonical
+    /// text, the form job hashes already freeze) and the attached
+    /// observer's in-progress window, if it keeps one.
+    fn save_plan_and_observer(&self, w: &mut hb_mem::SnapWriter) {
+        let plan: Vec<(u64, String)> = (self.fault_plan.iter())
+            .map(|inj| (inj.cycle, inj.site.canonical()))
+            .collect();
+        plan.save(w);
+        self.observer.as_ref().and_then(|o| o.snapshot()).save(w);
+    }
+
+    /// Decodes the fault plan and hands the observer blob to the attached
+    /// observer (a machine restored without one drops it).
+    fn load_plan_and_observer(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), SnapError> {
+        self.fault_plan = Vec::<(u64, String)>::load(r)?
+            .into_iter()
+            .map(|(cycle, site)| match Site::from_canonical(&site) {
+                Ok(site) => Ok(Injection { cycle, site }),
+                Err(_) => Err(SnapError::Bad("fault plan site does not parse")),
+            })
+            .collect::<Result<_, _>>()?;
+        if r.bool()? {
+            let blob = r.bytes()?;
+            if let Some(obs) = &mut self.observer {
+                obs.restore(blob)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// After a restore: the decoded indices point inside this machine.
+    fn check_restored(&mut self) -> Result<(), SnapError> {
+        if self.fault_cursor > self.fault_plan.len() {
+            return Err(SnapError::Bad("fault cursor out of range"));
+        }
+        let cells = self.cells.len();
+        if (self.fabric.in_flight.iter()).any(|&(_, dst, _)| usize::from(dst) >= cells) {
+            return Err(SnapError::Bad("fabric destination out of range"));
         }
         Ok(())
     }
@@ -929,122 +906,23 @@ impl Machine {
     }
 }
 
-/// Serializes one pending fault-plan entry. `NocLink` never appears in
-/// `Machine::fault_plan` (link faults were partitioned into the networks by
-/// `set_injection_plan` and travel with the `Network` snapshots), but the
-/// codec still covers it so the format is total over [`Site`].
-fn snap_save_injection(w: &mut hb_mem::SnapWriter, inj: &Injection) {
-    w.u64(inj.cycle);
-    match inj.site {
-        Site::RegFile {
-            cell,
-            x,
-            y,
-            reg,
-            bit,
-        } => {
-            w.u8(0);
-            w.u8(cell);
-            w.u8(x);
-            w.u8(y);
-            w.u8(reg);
-            w.u8(bit);
-        }
-        Site::Spm {
-            cell,
-            x,
-            y,
-            word,
-            bit,
-        } => {
-            w.u8(1);
-            w.u8(cell);
-            w.u8(x);
-            w.u8(y);
-            w.u16(word);
-            w.u8(bit);
-        }
-        Site::IcacheLine { cell, x, y, line } => {
-            w.u8(2);
-            w.u8(cell);
-            w.u8(x);
-            w.u8(y);
-            w.u16(line);
-        }
-        Site::NocLink {
-            cell,
-            x,
-            y,
-            port,
-            req,
-        } => {
-            w.u8(3);
-            w.u8(cell);
-            w.u8(x);
-            w.u8(y);
-            w.u8(port);
-            w.bool(req);
-        }
-        Site::HbmStall { cell, window } => {
-            w.u8(4);
-            w.u8(cell);
-            w.u16(window);
-        }
-        Site::TileFreeze { cell, x, y, cycles } => {
-            w.u8(5);
-            w.u8(cell);
-            w.u8(x);
-            w.u8(y);
-            w.u64(cycles);
-        }
-    }
-}
-
-/// Decodes one entry written by [`snap_save_injection`].
-fn snap_load_injection(r: &mut hb_mem::SnapReader) -> Result<Injection, hb_mem::SnapError> {
-    let cycle = r.u64()?;
-    let site = match r.u8()? {
-        0 => Site::RegFile {
-            cell: r.u8()?,
-            x: r.u8()?,
-            y: r.u8()?,
-            reg: r.u8()?,
-            bit: r.u8()?,
-        },
-        1 => Site::Spm {
-            cell: r.u8()?,
-            x: r.u8()?,
-            y: r.u8()?,
-            word: r.u16()?,
-            bit: r.u8()?,
-        },
-        2 => Site::IcacheLine {
-            cell: r.u8()?,
-            x: r.u8()?,
-            y: r.u8()?,
-            line: r.u16()?,
-        },
-        3 => Site::NocLink {
-            cell: r.u8()?,
-            x: r.u8()?,
-            y: r.u8()?,
-            port: r.u8()?,
-            req: r.bool()?,
-        },
-        4 => Site::HbmStall {
-            cell: r.u8()?,
-            window: r.u16()?,
-        },
-        5 => Site::TileFreeze {
-            cell: r.u8()?,
-            x: r.u8()?,
-            y: r.u8()?,
-            cycles: r.u64()?,
-        },
-        _ => return Err(hb_mem::SnapError::Bad("unknown injection site tag")),
-    };
-    Ok(Injection { cycle, site })
-}
+hb_mem::snap_enum!(XItem, "unknown fabric item tag" {
+    0 => Req(pkt),
+    1 => Resp(pkt),
+});
+hb_mem::snap_state!(Fabric [b"FABR"] {
+    save: in_flight;
+    host: latency, words_per_cycle;
+});
+// `fault_plan` and the `observer`'s window travel in the extra section. The
+// rest of `host` is scaffolding the host re-establishes after a restore:
+// the race sanitizer (its per-cycle logs are drained every tick, so they
+// are empty at a checkpoint) and the auto-checkpoint sink.
+hb_mem::snap_state!(Machine [b"MACH"] {
+    save: cycle, fabric, fault_cursor, fault_due;
+    fixed: cells;
+    host: cfg, observer, obs_due, fault_plan, race, ckpt_sink, ckpt_due;
+} extra (save_plan_and_observer, load_plan_and_observer) check check_restored);
 
 impl Drop for Machine {
     /// Flushes the observer's final partial window: benchmark harnesses

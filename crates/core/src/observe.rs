@@ -57,69 +57,24 @@ pub enum ObsKind {
     Wake,
 }
 
-impl ObsKind {
-    /// Serializes the event for checkpointing (stable tag per variant).
-    pub(crate) fn snap_save(self, w: &mut hb_mem::SnapWriter) {
-        match self {
-            ObsKind::Mark(v) => {
-                w.u8(0);
-                w.u32(v);
-            }
-            ObsKind::BarrierJoin => w.u8(1),
-            ObsKind::FenceRetire => w.u8(2),
-            ObsKind::Fault => w.u8(3),
-            ObsKind::Inject(k) => {
-                w.u8(4);
-                w.u8(match k {
-                    InjectKind::Reg => 0,
-                    InjectKind::Spm => 1,
-                    InjectKind::Icache => 2,
-                    InjectKind::Hbm => 3,
-                    InjectKind::Freeze => 4,
-                });
-            }
-            ObsKind::Retransmit => w.u8(5),
-            ObsKind::Race => w.u8(6),
-            ObsKind::Park(kind) => {
-                w.u8(7);
-                match kind {
-                    None => w.u8(0),
-                    Some(k) => w.u8(1 + k as u8),
-                }
-            }
-            ObsKind::Wake => w.u8(8),
-        }
-    }
-
-    /// Decodes one event written by [`ObsKind::snap_save`].
-    pub(crate) fn snap_load(r: &mut hb_mem::SnapReader) -> Result<ObsKind, hb_mem::SnapError> {
-        use crate::stats::StallKind;
-        use hb_mem::SnapError;
-        Ok(match r.u8()? {
-            0 => ObsKind::Mark(r.u32()?),
-            1 => ObsKind::BarrierJoin,
-            2 => ObsKind::FenceRetire,
-            3 => ObsKind::Fault,
-            4 => ObsKind::Inject(match r.u8()? {
-                0 => InjectKind::Reg,
-                1 => InjectKind::Spm,
-                2 => InjectKind::Icache,
-                3 => InjectKind::Hbm,
-                4 => InjectKind::Freeze,
-                _ => return Err(SnapError::Bad("unknown inject kind tag")),
-            }),
-            5 => ObsKind::Retransmit,
-            6 => ObsKind::Race,
-            7 => ObsKind::Park(match r.u8()? {
-                0 => None,
-                t if (t as usize) <= StallKind::COUNT => Some(StallKind::ALL[t as usize - 1]),
-                _ => return Err(SnapError::Bad("park stall kind out of range")),
-            }),
-            8 => ObsKind::Wake,
-            _ => return Err(SnapError::Bad("unknown observation kind tag")),
-        })
-    }
-}
+hb_mem::snap_enum!(ObsKind, "unknown observation kind tag" {
+    0 => Mark(value),
+    1 => BarrierJoin,
+    2 => FenceRetire,
+    3 => Fault,
+    4 => Inject(kind),
+    5 => Retransmit,
+    6 => Race,
+    7 => Park(kind),
+    8 => Wake,
+});
+hb_mem::snap_enum!(InjectKind, "unknown inject kind tag" {
+    0 => Reg,
+    1 => Spm,
+    2 => Icache,
+    3 => Hbm,
+    4 => Freeze,
+});
 
 /// Which structure an [`ObsKind::Inject`] event hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,6 +5,7 @@
 //! consecutive word loads (one base address plus destination-register
 //! bookkeeping kept at the issuing tile).
 
+use hb_cache::amo_op;
 use hb_isa::AmoOp;
 use hb_noc::Coord;
 
@@ -102,167 +103,24 @@ pub enum RespKind {
     },
 }
 
-// ---- Snapshot codecs ----
-//
-// Fixed tag order per enum; any unknown tag on load is a clean
-// `SnapError::Bad`, never a panic. Packets serialize as src, dst, payload.
-
-use hb_mem::{SnapError, SnapReader, SnapWriter};
-use hb_noc::Packet;
-
-/// AMO operations in a stable snapshot order (tag = index).
-const AMO_OPS: [AmoOp; 9] = [
-    AmoOp::Swap,
-    AmoOp::Add,
-    AmoOp::Xor,
-    AmoOp::And,
-    AmoOp::Or,
-    AmoOp::Min,
-    AmoOp::Max,
-    AmoOp::Minu,
-    AmoOp::Maxu,
-];
-
-pub(crate) fn snap_save_coord(w: &mut SnapWriter, c: Coord) {
-    w.u8(c.x);
-    w.u8(c.y);
-}
-
-pub(crate) fn snap_load_coord(r: &mut SnapReader) -> Result<Coord, SnapError> {
-    Ok(Coord {
-        x: r.u8()?,
-        y: r.u8()?,
-    })
-}
-
-pub(crate) fn snap_save_request(w: &mut SnapWriter, req: &Request) {
-    w.u8(req.from.cell);
-    snap_save_coord(w, req.from.coord);
-    w.u32(req.op_id);
-    match req.kind {
-        ReqKind::Load { addr, width, count } => {
-            w.u8(0);
-            w.u32(addr);
-            w.u8(width);
-            w.u8(count);
-        }
-        ReqKind::Store { addr, width, data } => {
-            w.u8(1);
-            w.u32(addr);
-            w.u8(width);
-            w.u32(data);
-        }
-        ReqKind::Amo { addr, op, data } => {
-            w.u8(2);
-            w.u32(addr);
-            w.u8(AMO_OPS.iter().position(|&o| o == op).unwrap() as u8);
-            w.u32(data);
-        }
-    }
-}
-
-pub(crate) fn snap_load_request(r: &mut SnapReader) -> Result<Request, SnapError> {
-    let from = NodeId {
-        cell: r.u8()?,
-        coord: snap_load_coord(r)?,
-    };
-    let op_id = r.u32()?;
-    let kind = match r.u8()? {
-        0 => ReqKind::Load {
-            addr: r.u32()?,
-            width: r.u8()?,
-            count: r.u8()?,
-        },
-        1 => ReqKind::Store {
-            addr: r.u32()?,
-            width: r.u8()?,
-            data: r.u32()?,
-        },
-        2 => {
-            let addr = r.u32()?;
-            let op = *AMO_OPS
-                .get(r.u8()? as usize)
-                .ok_or(SnapError::Bad("unknown AMO op tag"))?;
-            ReqKind::Amo {
-                addr,
-                op,
-                data: r.u32()?,
-            }
-        }
-        _ => return Err(SnapError::Bad("unknown request kind tag")),
-    };
-    Ok(Request { from, op_id, kind })
-}
-
-pub(crate) fn snap_save_response(w: &mut SnapWriter, resp: &Response) {
-    w.u32(resp.op_id);
-    match resp.kind {
-        RespKind::Load { data, count } => {
-            w.u8(0);
-            for d in data {
-                w.u32(d);
-            }
-            w.u8(count);
-        }
-        RespKind::StoreAck => w.u8(1),
-        RespKind::AmoOld { data } => {
-            w.u8(2);
-            w.u32(data);
-        }
-    }
-}
-
-pub(crate) fn snap_load_response(r: &mut SnapReader) -> Result<Response, SnapError> {
-    let op_id = r.u32()?;
-    let kind = match r.u8()? {
-        0 => {
-            let mut data = [0u32; 4];
-            for d in &mut data {
-                *d = r.u32()?;
-            }
-            RespKind::Load {
-                data,
-                count: r.u8()?,
-            }
-        }
-        1 => RespKind::StoreAck,
-        2 => RespKind::AmoOld { data: r.u32()? },
-        _ => return Err(SnapError::Bad("unknown response kind tag")),
-    };
-    Ok(Response { op_id, kind })
-}
-
-pub(crate) fn snap_save_req_packet(w: &mut SnapWriter, p: &Packet<Request>) {
-    snap_save_coord(w, p.src);
-    snap_save_coord(w, p.dst);
-    snap_save_request(w, &p.payload);
-}
-
-pub(crate) fn snap_load_req_packet(r: &mut SnapReader) -> Result<Packet<Request>, SnapError> {
-    Ok(Packet {
-        src: snap_load_coord(r)?,
-        dst: snap_load_coord(r)?,
-        payload: snap_load_request(r)?,
-    })
-}
-
-pub(crate) fn snap_save_resp_packet(w: &mut SnapWriter, p: &Packet<Response>) {
-    snap_save_coord(w, p.src);
-    snap_save_coord(w, p.dst);
-    snap_save_response(w, &p.payload);
-}
-
-pub(crate) fn snap_load_resp_packet(r: &mut SnapReader) -> Result<Packet<Response>, SnapError> {
-    Ok(Packet {
-        src: snap_load_coord(r)?,
-        dst: snap_load_coord(r)?,
-        payload: snap_load_response(r)?,
-    })
-}
+hb_mem::snap_value!(NodeId { cell, coord });
+hb_mem::snap_value!(Request { from, op_id, kind });
+hb_mem::snap_enum!(ReqKind, "unknown request kind tag" {
+    0 => Load { addr, width, count },
+    1 => Store { addr, width, data },
+    2 => Amo { addr, op [amo_op], data },
+});
+hb_mem::snap_value!(Response { op_id, kind });
+hb_mem::snap_enum!(RespKind, "unknown response kind tag" {
+    0 => Load { data, count },
+    1 => StoreAck,
+    2 => AmoOld { data },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_mem::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn request_sizes() {
@@ -344,20 +202,12 @@ mod tests {
             },
         ];
         let mut w = SnapWriter::new();
-        for req in &reqs {
-            snap_save_request(&mut w, req);
-        }
-        for resp in &resps {
-            snap_save_response(&mut w, resp);
-        }
+        reqs.save(&mut w);
+        resps.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        for req in &reqs {
-            assert_eq!(snap_load_request(&mut r).unwrap(), *req);
-        }
-        for resp in &resps {
-            assert_eq!(snap_load_response(&mut r).unwrap(), *resp);
-        }
+        assert_eq!(Snap::load(&mut r), Ok(reqs));
+        assert_eq!(Snap::load(&mut r), Ok(resps));
         r.finish().unwrap();
     }
 }

@@ -158,55 +158,6 @@ impl TileSched {
         }
     }
 
-    /// Serializes the wake-list state (the `run_list`/`parks` scratch
-    /// vectors are rebuilt every cycle and carry nothing).
-    pub(crate) fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.tag(b"SCHD");
-        w.usize(self.asleep.len());
-        for i in 0..self.asleep.len() {
-            w.bool(self.asleep[i]);
-            w.u64(self.wake_at[i]);
-            w.u64(self.park_cycle[i]);
-            match self.park_kind[i] {
-                None => w.u8(0),
-                Some(kind) => w.u8(1 + kind as u8),
-            }
-        }
-        w.u64(self.stepped);
-        w.u64(self.skipped);
-        w.u64(self.rearms);
-    }
-
-    /// Restores wake-list state for the same number of tiles.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or a shape mismatch.
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut hb_mem::SnapReader,
-    ) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
-        r.expect_tag(b"SCHD", "TileSched section")?;
-        if r.usize()? != self.asleep.len() {
-            return Err(SnapError::Bad("TileSched tile count mismatch"));
-        }
-        for i in 0..self.asleep.len() {
-            self.asleep[i] = r.bool()?;
-            self.wake_at[i] = r.u64()?;
-            self.park_cycle[i] = r.u64()?;
-            self.park_kind[i] = match r.u8()? {
-                0 => None,
-                t if (t as usize) <= StallKind::COUNT => Some(StallKind::ALL[t as usize - 1]),
-                _ => return Err(SnapError::Bad("TileSched park kind out of range")),
-            };
-        }
-        self.stepped = r.u64()?;
-        self.skipped = r.u64()?;
-        self.rearms = r.u64()?;
-        Ok(())
-    }
-
     /// Runs one tile phase: wakes due sleepers, credits owed stalls, steps
     /// the wake list (sharded over `pool` when present) and, if `park`,
     /// takes the new park hints. With `park` off every active tile is due
@@ -284,6 +235,13 @@ impl TileSched {
         clock.lap(|t| &mut t.sched);
     }
 }
+
+// `run_list`/`parks` are scratch, rebuilt every cycle.
+hb_mem::snap_state!(TileSched [b"SCHD"] {
+    save: stepped, skipped, rearms;
+    fixed: asleep, wake_at, park_cycle, park_kind;
+    host: run_list, parks;
+});
 
 #[cfg(test)]
 mod tests {

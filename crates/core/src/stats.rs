@@ -123,6 +123,34 @@ impl Default for CoreStats {
     }
 }
 
+hb_mem::snap_enum!(StallKind, "stall kind out of range" {
+    0 => IcacheMiss,
+    1 => BranchMiss,
+    2 => Bypass,
+    3 => LocalLoad,
+    4 => RemoteLoad,
+    5 => AmoDep,
+    6 => RemoteCredit,
+    7 => Fence,
+    8 => Barrier,
+    9 => FpBusy,
+    10 => IntBusy,
+    11 => Frozen,
+    12 => Done,
+});
+// No section tag: `CoreStats` appears hundreds of times per snapshot.
+hb_mem::snap_value!(CoreStats {
+    int_cycles,
+    fp_cycles,
+    stalls,
+    instrs,
+    remote_requests,
+    lpc_merged,
+    branch_misses,
+    branches,
+    icache_misses,
+});
+
 impl CoreStats {
     /// Total cycles accounted (execute + stall).
     pub fn total_cycles(&self) -> u64 {
@@ -155,47 +183,6 @@ impl CoreStats {
         } else {
             (self.int_cycles + self.fp_cycles) as f64 / total as f64
         }
-    }
-
-    /// Serializes the counter block (fixed-width, no tags: `CoreStats`
-    /// appears hundreds of times per snapshot).
-    pub fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.u64(self.int_cycles);
-        w.u64(self.fp_cycles);
-        for &s in &self.stalls {
-            w.u64(s);
-        }
-        w.u64(self.instrs);
-        w.u64(self.remote_requests);
-        w.u64(self.lpc_merged);
-        w.u64(self.branch_misses);
-        w.u64(self.branches);
-        w.u64(self.icache_misses);
-    }
-
-    /// Restores a counter block.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError::Eof`] on truncation.
-    pub fn snap_load(r: &mut hb_mem::SnapReader) -> Result<CoreStats, hb_mem::SnapError> {
-        let int_cycles = r.u64()?;
-        let fp_cycles = r.u64()?;
-        let mut stalls = [0u64; StallKind::COUNT];
-        for s in &mut stalls {
-            *s = r.u64()?;
-        }
-        Ok(CoreStats {
-            int_cycles,
-            fp_cycles,
-            stalls,
-            instrs: r.u64()?,
-            remote_requests: r.u64()?,
-            lpc_merged: r.u64()?,
-            branch_misses: r.u64()?,
-            branches: r.u64()?,
-            icache_misses: r.u64()?,
-        })
     }
 
     /// One JSON object on a single line, hand-written (no serde). Shared

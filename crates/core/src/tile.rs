@@ -200,91 +200,68 @@ fn write_bytes(buf: &mut [u8], offset: u32, width: u8, value: u32) {
     }
 }
 
-// ---- Snapshot helpers for tile-private types ----
+/// Snapshot codecs of the `hb-isa` register names (`hb-isa` sits below the
+/// codec, so its types cannot implement `Snap` themselves): the register
+/// index, range-checked on load.
+macro_rules! reg_codec {
+    ($module:ident, $reg:ident) => {
+        mod $module {
+            use hb_mem::{SnapError, SnapReader, SnapWriter};
 
-fn snap_load_stall_kind(r: &mut hb_mem::SnapReader) -> Result<StallKind, hb_mem::SnapError> {
-    let t = r.u8()? as usize;
-    if t >= StallKind::COUNT {
-        return Err(hb_mem::SnapError::Bad("stall kind out of range"));
-    }
-    Ok(StallKind::ALL[t])
-}
-
-fn snap_save_dst(w: &mut hb_mem::SnapWriter, d: Dst) {
-    match d {
-        Dst::Int(rd) => {
-            w.u8(0);
-            w.u8(rd.index());
-        }
-        Dst::Fp(rd) => {
-            w.u8(1);
-            w.u8(rd.index());
-        }
-    }
-}
-
-fn snap_load_dst(r: &mut hb_mem::SnapReader) -> Result<Dst, hb_mem::SnapError> {
-    let tag = r.u8()?;
-    let idx = r.u8()?;
-    if idx >= 32 {
-        return Err(hb_mem::SnapError::Bad("register index out of range"));
-    }
-    match tag {
-        0 => Ok(Dst::Int(Gpr::from_index(idx))),
-        1 => Ok(Dst::Fp(Fpr::from_index(idx))),
-        _ => Err(hb_mem::SnapError::Bad("unknown load destination tag")),
-    }
-}
-
-fn snap_save_pending(w: &mut hb_mem::SnapWriter, op: &PendingOp) {
-    match op {
-        PendingOp::Load {
-            dsts,
-            width,
-            signed,
-        } => {
-            w.u8(0);
-            w.usize(dsts.len());
-            for &d in dsts {
-                snap_save_dst(w, d);
+            pub(super) fn save(reg: &hb_isa::$reg, w: &mut SnapWriter) {
+                w.u8(reg.index());
             }
-            w.u8(*width);
-            w.bool(*signed);
-        }
-        PendingOp::Store => w.u8(1),
-        PendingOp::Amo { rd } => {
-            w.u8(2);
-            w.u8(rd.index());
-        }
-    }
-}
 
-fn snap_load_pending(r: &mut hb_mem::SnapReader) -> Result<PendingOp, hb_mem::SnapError> {
-    Ok(match r.u8()? {
-        0 => {
-            let mut dsts = Vec::new();
-            for _ in 0..r.seq_len()? {
-                dsts.push(snap_load_dst(r)?);
-            }
-            PendingOp::Load {
-                dsts,
-                width: r.u8()?,
-                signed: r.bool()?,
+            pub(super) fn load(r: &mut SnapReader) -> Result<hb_isa::$reg, SnapError> {
+                match r.u8()? {
+                    idx @ 0..=31 => Ok(hb_isa::$reg::from_index(idx)),
+                    _ => Err(SnapError::Bad("register index out of range")),
+                }
             }
         }
-        1 => PendingOp::Store,
-        2 => {
-            let idx = r.u8()?;
-            if idx >= 32 {
-                return Err(hb_mem::SnapError::Bad("register index out of range"));
-            }
-            PendingOp::Amo {
-                rd: Gpr::from_index(idx),
-            }
-        }
-        _ => return Err(hb_mem::SnapError::Bad("unknown pending op tag")),
-    })
+    };
 }
+reg_codec!(gpr, Gpr);
+reg_codec!(fpr, Fpr);
+
+hb_mem::snap_enum!(Dst, "unknown load destination tag" {
+    0 => Int(rd [gpr]),
+    1 => Fp(rd [fpr]),
+});
+hb_mem::snap_enum!(PendingOp, "unknown pending op tag" {
+    0 => Load { dsts, width, signed },
+    1 => Store,
+    2 => Amo { rd [gpr] },
+});
+hb_mem::snap_value!(Combine {
+    dst_cell,
+    dst_coord,
+    base_addr,
+    dsts,
+    op_id,
+    flush_at
+});
+hb_mem::snap_value!(GroupInfo {
+    origin,
+    dim,
+    barrier_id,
+    live_rank,
+    live_size,
+    adopt
+});
+// `program` is restored by the Cell, which owns the deduplicated program
+// table. The trace handle and the race-sanitizer log feed consumers that
+// live outside the snapshot; the log is drained every cycle, so it is empty
+// at any checkpoint boundary.
+hb_mem::snap_state!(Tile [b"TILE"] {
+    save: group, regs, fregs, pc, args, int_ready, fp_ready, int_ready_kind, fp_ready_kind,
+        int_pending, fp_pending, fpu_busy_until, div_busy_until, penalty_until, penalty_kind,
+        icache, outstanding, next_op_id, pending_ops, blocking_on, combine, req_outbox,
+        resp_outbox, req_inbox, resp_inbox, resp_stage, wants_join, barrier_waiting, running,
+        finished, fault, stats, last_cycle, observed, obs_events, prof;
+    fixed: spm;
+    host: cfg, pgas, xy, program, trace, race_check, race_log, race_join_unfenced;
+});
 
 impl Tile {
     /// Creates an idle tile.
@@ -528,6 +505,12 @@ impl Tile {
         self.program.as_ref()
     }
 
+    /// Re-attaches the program image after a restore (see
+    /// `Cell::load_programs`).
+    pub(crate) fn set_program(&mut self, program: Option<Arc<Program>>) {
+        self.program = program;
+    }
+
     /// Kernel arguments as loaded at launch (ARG CSRs).
     pub fn args(&self) -> [u32; 8] {
         self.args
@@ -655,289 +638,6 @@ impl Tile {
     /// tile has launched.
     pub(crate) fn guest_prof(&self) -> Option<&crate::gprof::TileProfile> {
         self.prof.as_deref()
-    }
-
-    /// Serializes the complete tile state: architectural (registers, PC,
-    /// SPM), microarchitectural (hazard timers, scoreboard, combining
-    /// latch, icache tags), every network-interface queue, execution
-    /// flags, counters and the optional profile buffer. `prog_idx` is this
-    /// tile's index into the Cell's deduplicated program table (tiles
-    /// share `Arc<Program>` images; the Cell owns the table).
-    ///
-    /// Host-side capture channels that feed *external* consumers — the
-    /// trace buffer and the race-sanitizer log — are not serialized: the
-    /// race log is drained every cycle (empty at any checkpoint boundary)
-    /// and its checker lives outside the snapshot by design.
-    pub(crate) fn snap_save(&self, w: &mut hb_mem::SnapWriter, prog_idx: Option<u32>) {
-        use crate::payload::{snap_save_coord, snap_save_req_packet, snap_save_resp_packet};
-        w.tag(b"TILE");
-        // Group identity (set at launch).
-        w.u8(self.group.origin.0);
-        w.u8(self.group.origin.1);
-        w.u8(self.group.dim.0);
-        w.u8(self.group.dim.1);
-        w.usize(self.group.barrier_id);
-        w.u32(self.group.live_rank);
-        w.u32(self.group.live_size);
-        w.u32(self.group.adopt);
-        // Architectural state.
-        for r in self.regs {
-            w.u32(r);
-        }
-        for f in self.fregs {
-            w.f32(f);
-        }
-        w.u32(self.pc);
-        w.bytes(&self.spm);
-        for a in self.args {
-            w.u32(a);
-        }
-        // Hazard tracking.
-        for v in self.int_ready {
-            w.u64(v);
-        }
-        for v in self.fp_ready {
-            w.u64(v);
-        }
-        for k in self.int_ready_kind {
-            w.u8(k as u8);
-        }
-        for k in self.fp_ready_kind {
-            w.u8(k as u8);
-        }
-        for p in self.int_pending {
-            w.bool(p);
-        }
-        for p in self.fp_pending {
-            w.bool(p);
-        }
-        w.u64(self.fpu_busy_until);
-        w.u64(self.div_busy_until);
-        w.u64(self.penalty_until);
-        w.u8(self.penalty_kind as u8);
-        // Frontend.
-        self.icache.snap_save(w);
-        if w.opt(prog_idx.is_some()) {
-            w.u32(prog_idx.unwrap());
-        }
-        // Scoreboard (map serialized sorted by op id for determinism).
-        w.usize(self.outstanding);
-        w.u32(self.next_op_id);
-        let mut ops: Vec<(&u32, &PendingOp)> = self.pending_ops.iter().collect();
-        ops.sort_by_key(|(id, _)| **id);
-        w.usize(ops.len());
-        for (id, op) in ops {
-            w.u32(*id);
-            snap_save_pending(w, op);
-        }
-        if w.opt(self.blocking_on.is_some()) {
-            w.u32(self.blocking_on.unwrap());
-        }
-        if w.opt(self.combine.is_some()) {
-            let c = self.combine.as_ref().unwrap();
-            w.u8(c.dst_cell);
-            snap_save_coord(w, c.dst_coord);
-            w.u32(c.base_addr);
-            w.usize(c.dsts.len());
-            for &d in &c.dsts {
-                snap_save_dst(w, d);
-            }
-            w.u32(c.op_id);
-            w.u64(c.flush_at);
-        }
-        // Network-interface queues.
-        w.usize(self.req_outbox.len());
-        for (cell, pkt) in &self.req_outbox {
-            w.u8(*cell);
-            snap_save_req_packet(w, pkt);
-        }
-        w.usize(self.resp_outbox.len());
-        for (cell, pkt) in &self.resp_outbox {
-            w.u8(*cell);
-            snap_save_resp_packet(w, pkt);
-        }
-        w.usize(self.req_inbox.len());
-        for pkt in &self.req_inbox {
-            snap_save_req_packet(w, pkt);
-        }
-        w.usize(self.resp_inbox.len());
-        for pkt in &self.resp_inbox {
-            snap_save_resp_packet(w, pkt);
-        }
-        w.usize(self.resp_stage.len());
-        for pkt in &self.resp_stage {
-            snap_save_resp_packet(w, pkt);
-        }
-        // Execution flags and counters.
-        w.bool(self.wants_join);
-        w.bool(self.barrier_waiting);
-        w.bool(self.running);
-        w.bool(self.finished);
-        if w.opt(self.fault.is_some()) {
-            let (pc, cause) = self.fault.as_ref().unwrap();
-            w.u32(*pc);
-            w.str(cause);
-        }
-        self.stats.snap_save(w);
-        w.u64(self.last_cycle);
-        w.bool(self.observed);
-        w.usize(self.obs_events.len());
-        for &(cycle, kind) in &self.obs_events {
-            w.u64(cycle);
-            kind.snap_save(w);
-        }
-        if w.opt(self.prof.is_some()) {
-            self.prof.as_ref().unwrap().snap_save(w);
-        }
-    }
-
-    /// Restores tile state written by [`Tile::snap_save`] into a tile of
-    /// the same configuration. `programs` is the Cell's decoded program
-    /// table; the tile's saved index resolves against it.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation, an out-of-range tag/index, or
-    /// a geometry mismatch (SPM/icache size).
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut hb_mem::SnapReader,
-        programs: &[Arc<Program>],
-    ) -> Result<(), hb_mem::SnapError> {
-        use crate::payload::{snap_load_coord, snap_load_req_packet, snap_load_resp_packet};
-        use hb_mem::SnapError;
-        r.expect_tag(b"TILE", "Tile section")?;
-        self.group = GroupInfo {
-            origin: (r.u8()?, r.u8()?),
-            dim: (r.u8()?, r.u8()?),
-            barrier_id: r.usize()?,
-            live_rank: r.u32()?,
-            live_size: r.u32()?,
-            adopt: r.u32()?,
-        };
-        for reg in &mut self.regs {
-            *reg = r.u32()?;
-        }
-        for f in &mut self.fregs {
-            *f = r.f32()?;
-        }
-        self.pc = r.u32()?;
-        let spm = r.bytes()?;
-        if spm.len() != self.spm.len() {
-            return Err(SnapError::Bad("SPM size mismatch"));
-        }
-        self.spm.copy_from_slice(&spm);
-        for a in &mut self.args {
-            *a = r.u32()?;
-        }
-        for v in &mut self.int_ready {
-            *v = r.u64()?;
-        }
-        for v in &mut self.fp_ready {
-            *v = r.u64()?;
-        }
-        for k in &mut self.int_ready_kind {
-            *k = snap_load_stall_kind(r)?;
-        }
-        for k in &mut self.fp_ready_kind {
-            *k = snap_load_stall_kind(r)?;
-        }
-        for p in &mut self.int_pending {
-            *p = r.bool()?;
-        }
-        for p in &mut self.fp_pending {
-            *p = r.bool()?;
-        }
-        self.fpu_busy_until = r.u64()?;
-        self.div_busy_until = r.u64()?;
-        self.penalty_until = r.u64()?;
-        self.penalty_kind = snap_load_stall_kind(r)?;
-        self.icache.snap_load(r)?;
-        self.program = if r.opt()? {
-            let idx = r.u32()? as usize;
-            Some(
-                programs
-                    .get(idx)
-                    .ok_or(SnapError::Bad("program table index out of range"))?
-                    .clone(),
-            )
-        } else {
-            None
-        };
-        self.outstanding = r.usize()?;
-        self.next_op_id = r.u32()?;
-        self.pending_ops.clear();
-        for _ in 0..r.seq_len()? {
-            let id = r.u32()?;
-            self.pending_ops.insert(id, snap_load_pending(r)?);
-        }
-        self.blocking_on = if r.opt()? { Some(r.u32()?) } else { None };
-        self.combine = if r.opt()? {
-            let dst_cell = r.u8()?;
-            let dst_coord = snap_load_coord(r)?;
-            let base_addr = r.u32()?;
-            let mut dsts = Vec::new();
-            for _ in 0..r.seq_len()? {
-                dsts.push(snap_load_dst(r)?);
-            }
-            Some(Combine {
-                dst_cell,
-                dst_coord,
-                base_addr,
-                dsts,
-                op_id: r.u32()?,
-                flush_at: r.u64()?,
-            })
-        } else {
-            None
-        };
-        self.req_outbox.clear();
-        for _ in 0..r.seq_len()? {
-            let cell = r.u8()?;
-            self.req_outbox.push_back((cell, snap_load_req_packet(r)?));
-        }
-        self.resp_outbox.clear();
-        for _ in 0..r.seq_len()? {
-            let cell = r.u8()?;
-            self.resp_outbox
-                .push_back((cell, snap_load_resp_packet(r)?));
-        }
-        self.req_inbox.clear();
-        for _ in 0..r.seq_len()? {
-            self.req_inbox.push_back(snap_load_req_packet(r)?);
-        }
-        self.resp_inbox.clear();
-        for _ in 0..r.seq_len()? {
-            self.resp_inbox.push_back(snap_load_resp_packet(r)?);
-        }
-        self.resp_stage.clear();
-        for _ in 0..r.seq_len()? {
-            self.resp_stage.push_back(snap_load_resp_packet(r)?);
-        }
-        self.wants_join = r.bool()?;
-        self.barrier_waiting = r.bool()?;
-        self.running = r.bool()?;
-        self.finished = r.bool()?;
-        self.fault = if r.opt()? {
-            Some((r.u32()?, r.str()?.to_string()))
-        } else {
-            None
-        };
-        self.stats = CoreStats::snap_load(r)?;
-        self.last_cycle = r.u64()?;
-        self.observed = r.bool()?;
-        self.obs_events.clear();
-        for _ in 0..r.seq_len()? {
-            let cycle = r.u64()?;
-            let kind = crate::observe::ObsKind::snap_load(r)?;
-            self.obs_events.push((cycle, kind));
-        }
-        self.prof = if r.opt()? {
-            Some(Box::new(crate::gprof::TileProfile::snap_load(r)?))
-        } else {
-            None
-        };
-        Ok(())
     }
 
     fn trap(&mut self, msg: String) {

@@ -456,152 +456,42 @@ impl Hbm2Channel {
             }
         }
     }
-    /// Serializes all dynamic channel state (the config is rebuilt from the
-    /// machine configuration on restore).
-    pub fn snap_save(&self, w: &mut crate::SnapWriter) {
-        w.tag(b"HBM2");
-        w.usize(self.banks.len());
-        for b in &self.banks {
-            if w.opt(b.open_row.is_some()) {
-                w.u32(b.open_row.unwrap());
-            }
-            w.u64(b.ready_at);
-            w.u64(b.precharge_ok_at);
-        }
-        let req = |w: &mut crate::SnapWriter, r: &DramRequest| {
-            w.u64(r.id);
-            w.u32(r.addr);
-            w.bool(r.write);
-        };
-        w.usize(self.queue.len());
-        for q in &self.queue {
-            req(w, &q.req);
-            w.bool(q.touched_row);
-        }
-        w.usize(self.inflight.len());
-        for f in &self.inflight {
-            req(w, &f.req);
-            w.u64(f.done_at);
-        }
-        w.usize(self.responses.len());
-        for r in &self.responses {
-            w.u64(r.id);
-            w.u32(r.addr);
-            w.bool(r.write);
-        }
-        w.u64(self.bus_busy_until);
-        w.bool(self.bus_is_write);
-        w.u64(self.cycle);
-        w.u64(self.next_refresh_at);
-        w.u64(self.refresh_until);
-        w.u64(self.stall_until);
-        w.u64(self.stall_windows);
-        self.stats.snap_save(w);
-    }
-
-    /// Restores dynamic state into a freshly constructed channel whose
-    /// config matches the one that was saved.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SnapError`] on truncation or a geometry mismatch.
-    pub fn snap_load(&mut self, r: &mut crate::SnapReader) -> Result<(), crate::SnapError> {
-        use crate::SnapError;
-        r.expect_tag(b"HBM2", "Hbm2Channel section")?;
-        let nbanks = r.usize()?;
-        if nbanks != self.banks.len() {
-            return Err(SnapError::Bad("Hbm2Channel bank count mismatch"));
-        }
-        for b in &mut self.banks {
-            b.open_row = if r.opt()? { Some(r.u32()?) } else { None };
-            b.ready_at = r.u64()?;
-            b.precharge_ok_at = r.u64()?;
-        }
-        let req = |r: &mut crate::SnapReader| -> Result<DramRequest, SnapError> {
-            Ok(DramRequest {
-                id: r.u64()?,
-                addr: r.u32()?,
-                write: r.bool()?,
-            })
-        };
-        self.queue.clear();
-        for _ in 0..r.seq_len()? {
-            let q = req(r)?;
-            let touched_row = r.bool()?;
-            self.queue.push_back(Queued {
-                req: q,
-                touched_row,
-            });
-        }
-        self.inflight.clear();
-        for _ in 0..r.seq_len()? {
-            let q = req(r)?;
-            let done_at = r.u64()?;
-            self.inflight.push(Inflight { req: q, done_at });
-        }
-        self.responses.clear();
-        for _ in 0..r.seq_len()? {
-            self.responses.push_back(DramResponse {
-                id: r.u64()?,
-                addr: r.u32()?,
-                write: r.bool()?,
-            });
-        }
-        self.bus_busy_until = r.u64()?;
-        self.bus_is_write = r.bool()?;
-        self.cycle = r.u64()?;
-        self.next_refresh_at = r.u64()?;
-        self.refresh_until = r.u64()?;
-        self.stall_until = r.u64()?;
-        self.stall_windows = r.u64()?;
-        self.stats = Hbm2Stats::snap_load(r)?;
-        Ok(())
-    }
 }
 
-impl Hbm2Stats {
-    /// Serializes the counter block.
-    pub fn snap_save(&self, w: &mut crate::SnapWriter) {
-        for v in [
-            self.read_cycles,
-            self.write_cycles,
-            self.busy_cycles,
-            self.idle_cycles,
-            self.refresh_cycles,
-            self.row_hits,
-            self.row_misses,
-            self.row_conflicts,
-            self.reads,
-            self.writes,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restores a counter block.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SnapError::Eof`] on truncation.
-    pub fn snap_load(r: &mut crate::SnapReader) -> Result<Hbm2Stats, crate::SnapError> {
-        Ok(Hbm2Stats {
-            read_cycles: r.u64()?,
-            write_cycles: r.u64()?,
-            busy_cycles: r.u64()?,
-            idle_cycles: r.u64()?,
-            refresh_cycles: r.u64()?,
-            row_hits: r.u64()?,
-            row_misses: r.u64()?,
-            row_conflicts: r.u64()?,
-            reads: r.u64()?,
-            writes: r.u64()?,
-        })
-    }
-}
+// The snapshot field lists: `config` is rebuilt from the machine
+// configuration, which also fixes the number of banks.
+crate::snap_value!(DramRequest { id, addr, write });
+crate::snap_value!(DramResponse { id, addr, write });
+crate::snap_value!(Hbm2Stats {
+    read_cycles,
+    write_cycles,
+    busy_cycles,
+    idle_cycles,
+    refresh_cycles,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    reads,
+    writes,
+});
+crate::snap_value!(Bank {
+    open_row,
+    ready_at,
+    precharge_ok_at
+});
+crate::snap_value!(Inflight { req, done_at });
+crate::snap_value!(Queued { req, touched_row });
+crate::snap_state!(Hbm2Channel [b"HBM2"] {
+    save: queue, inflight, responses, bus_busy_until, bus_is_write, cycle, next_refresh_at,
+        refresh_until, stall_until, stall_windows, stats;
+    fixed: banks;
+    host: config;
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SnapState;
 
     fn run_until_response(ch: &mut Hbm2Channel, limit: u64) -> Option<(DramResponse, u64)> {
         for _ in 0..limit {
@@ -879,11 +769,11 @@ mod tests {
         a.stall_for(5);
 
         let mut w = crate::SnapWriter::new();
-        a.snap_save(&mut w);
+        a.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut b = Hbm2Channel::new(Hbm2Config::default());
         let mut r = crate::SnapReader::new(&bytes);
-        b.snap_load(&mut r).unwrap();
+        b.load_state(&mut r).unwrap();
         r.finish().unwrap();
 
         for _ in 0..2000 {
@@ -901,7 +791,7 @@ mod tests {
             ..Hbm2Config::default()
         });
         let mut r = crate::SnapReader::new(&bytes);
-        assert!(wrong.snap_load(&mut r).is_err());
+        assert!(wrong.load_state(&mut r).is_err());
     }
 
     #[test]

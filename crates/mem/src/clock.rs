@@ -15,9 +15,9 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockDivider {
-    numer: u64,
-    denom: u64,
-    acc: u64,
+    pub(crate) numer: u64,
+    pub(crate) denom: u64,
+    pub(crate) acc: u64,
 }
 
 impl ClockDivider {
@@ -33,17 +33,6 @@ impl ClockDivider {
             denom,
             acc: 0,
         }
-    }
-
-    /// The `(numer, denom, acc)` triple, for snapshot encoding.
-    pub(crate) fn parts(&self) -> (u64, u64, u64) {
-        (self.numer, self.denom, self.acc)
-    }
-
-    /// Overwrites the accumulator, for snapshot restore. The caller has
-    /// validated `acc < denom`.
-    pub(crate) fn set_acc(&mut self, acc: u64) {
-        self.acc = acc;
     }
 
     /// Advances the fast clock one cycle; returns `true` when the slow clock

@@ -37,5 +37,5 @@ mod storage;
 
 pub use channel::{DramRequest, DramResponse, Hbm2Channel, Hbm2Config, Hbm2Stats};
 pub use clock::ClockDivider;
-pub use snap::{SnapError, SnapReader, SnapWriter};
+pub use snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 pub use storage::Dram;

@@ -1,28 +1,106 @@
-//! Binary snapshot encoding for checkpoint/restore.
+//! The snapshot codec: one trait, three field-list macros.
 //!
-//! Every dynamic-state type in the simulator serializes itself through
-//! [`SnapWriter`] and rebuilds from [`SnapReader`]. The format is a flat
-//! little-endian byte stream with no self-description beyond section tags:
-//! the reader must know the layout, which it does because writer and reader
-//! live next to each other in each type's own module. The result is
-//! deterministic by construction — the same machine state always encodes to
-//! the same bytes — which is what lets the checkpoint layer content-hash
-//! snapshots and lets tests `assert_eq!` whole encodings.
+//! A checkpoint is a flat little-endian byte stream with no
+//! self-description beyond section tags, so writer and reader must agree
+//! on the layout. They cannot disagree here, because neither is written by
+//! hand: a type names its fields *once*, in a field list next to its
+//! definition, and the list expands to both directions. The stream is
+//! deterministic by construction — the same machine state always encodes
+//! to the same bytes — which is what lets the checkpoint layer
+//! content-hash snapshots and lets tests `assert_eq!` whole encodings.
 //!
 //! This module lives in `hb-mem` (the bottom of the crate stack, zero
 //! dependencies) so `hb-noc`, `hb-cache` and `hb-core` can all reach it.
 //!
-//! Conventions:
+//! # The trait
 //!
-//! - integers are little-endian; `usize` travels as `u64`;
-//! - `f32` travels as its IEEE bit pattern (bit-exact restore);
-//! - sequences are a `u64` length followed by the elements;
-//! - `Option<T>` is a presence byte followed by `T` when present;
-//! - four-byte section tags ([`SnapWriter::tag`]/[`SnapReader::expect_tag`])
-//!   bracket each composite type, so a layout mismatch fails fast with a
-//!   named error instead of silently misreading downstream fields.
+//! [`Snap`] is the codec of a *value*: `save` appends it to a
+//! [`SnapWriter`], `load` rebuilds it from a [`SnapReader`] and nothing
+//! else. It is implemented here for the scalars and the std containers:
+//!
+//! | type | encoding |
+//! |---|---|
+//! | `u8` `u16` `u32` `u64` | little-endian |
+//! | `usize` | as `u64`; values the host cannot index are rejected |
+//! | `bool` | one byte, `0` or `1`; anything else is an error |
+//! | `f32` | its IEEE-754 bit pattern (bit-exact restore) |
+//! | `String` | `u64` length, then UTF-8 bytes (validated) |
+//! | `Vec<T>` `VecDeque<T>` | `u64` length, then the elements |
+//! | `HashMap<K, V>` | `u64` length, then `(K, V)` pairs sorted by key |
+//! | `Option<T>` | presence byte, then `T` when present |
+//! | `[T; N]` tuples `Box<T>` | the elements, nothing added |
+//!
+//! Every length read from the stream is bounded by the bytes that remain
+//! before anything is allocated for it, and byte sequences move as one
+//! `memcpy` (the `save_slice`/`load_slice`/`load_vec` hooks, overridden
+//! for `u8` only) — the 16 MB DRAM image is not a per-byte loop.
+//!
+//! A machine *component* (a tile, a cache bank, a network) cannot be
+//! rebuilt from the stream alone: its geometry comes from the machine
+//! configuration. It implements [`SnapState`] instead — the same `save`,
+//! but `load_state` restores *into* a component that was constructed from
+//! the matching configuration. Every [`Snap`] value is a [`SnapState`]
+//! (restoring it is an assignment), so a component's list may name values
+//! and nested components alike.
+//!
+//! # The field lists
+//!
+//! - [`snap_value!`](crate::snap_value) — a value struct: every field, in
+//!   stream order; optionally a section tag, `derived` fields (not in the
+//!   stream; default-initialised, then filled by the check), and a `check`
+//!   method run on the decoded value.
+//! - [`snap_enum!`](crate::snap_enum) — a tagged enum: `tag => Variant`
+//!   per variant, unit, tuple or struct shaped; an unknown tag is
+//!   [`SnapError::Bad`] with the message the list gives.
+//! - [`snap_state!`](crate::snap_state) — an in-place component: a section
+//!   tag and every field in exactly one of three classes:
+//!   - `save:` dynamic state, replaced on restore (values) or restored in
+//!     place (nested components);
+//!   - `fixed:` a `Vec`/array whose length is the configuration's: a `u64`
+//!     length that must equal the live one, then the elements in place;
+//!   - `host:` configuration, derived state and host-side scaffolding —
+//!     not in the stream, untouched by restore.
+//!
+//!   Optionally `extra (save_fn, load_fn)` appends a hand-written section
+//!   for state that needs context, and `check method` validates (and
+//!   re-derives) after the fields are in.
+//!
+//! A field of a type from a crate that cannot see this one (`hb-isa`
+//! registers, say) is written `field [codec]` in a `snap_enum!` list,
+//! where `codec` is a module with `save(&T, &mut SnapWriter)` and
+//! `load(&mut SnapReader) -> Result<T, SnapError>`.
+//!
+//! All three expand to an exhaustive `let Self { .. }` destructuring (or an
+//! exhaustive `match`), so a field or variant that no list names does not
+//! compile:
+//!
+//! ```
+//! use hb_mem::{snap_value, Snap, SnapReader, SnapWriter};
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct Beat { id: u64, lanes: [u16; 2], note: Option<String> }
+//! snap_value!(Beat { id, lanes, note });
+//!
+//! let beat = Beat { id: 7, lanes: [1, 2], note: Some("hi".into()) };
+//! let mut w = SnapWriter::new();
+//! beat.save(&mut w);
+//! let bytes = w.into_bytes();
+//! let mut r = SnapReader::new(&bytes);
+//! assert_eq!(Beat::load(&mut r).unwrap(), beat);
+//! r.finish().unwrap();
+//! ```
+//!
+//! ```compile_fail,E0027
+//! use hb_mem::snap_value;
+//!
+//! struct Beat { id: u64, lanes: [u16; 2], added_later: bool }
+//! snap_value!(Beat { id, lanes }); // pattern does not mention `added_later`
+//! ```
 
+use crate::{ClockDivider, Dram};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 
 /// Snapshot decoding errors. Encoding is infallible (it only appends to a
 /// buffer); every decode error is one of these, never a panic.
@@ -50,6 +128,14 @@ impl std::error::Error for SnapError {}
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+}
+
+impl From<Vec<u8>> for SnapWriter {
+    /// A writer that appends to `buf` (a container header, say) instead of
+    /// starting a second buffer.
+    fn from(buf: Vec<u8>) -> SnapWriter {
+        SnapWriter { buf }
+    }
 }
 
 impl SnapWriter {
@@ -113,22 +199,20 @@ impl SnapWriter {
         self.u32(v.to_bits());
     }
 
+    /// Appends bytes as they are, with no length prefix.
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Writes a length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
-        self.buf.extend_from_slice(v);
+        self.raw(v);
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
-    }
-
-    /// Writes an `Option` presence byte; the caller encodes the payload
-    /// when this returns `true`.
-    pub fn opt(&mut self, present: bool) -> bool {
-        self.bool(present);
-        present
     }
 }
 
@@ -164,13 +248,21 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+    /// Reads the next `n` bytes as they are, borrowed from the input.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Eof`] on truncation (likewise for every reader below).
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         let end = self.pos.checked_add(n).ok_or(SnapError::Eof)?;
-        if end > self.buf.len() {
-            return Err(SnapError::Eof);
-        }
-        let out = &self.buf[self.pos..end];
+        let out = self.buf.get(self.pos..end).ok_or(SnapError::Eof)?;
         self.pos = end;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.raw(N)?);
         Ok(out)
     }
 
@@ -181,7 +273,7 @@ impl<'a> SnapReader<'a> {
     /// [`SnapError::Bad`] naming `what` on mismatch, [`SnapError::Eof`] on
     /// truncation.
     pub fn expect_tag(&mut self, tag: &[u8; 4], what: &'static str) -> Result<(), SnapError> {
-        if self.take(4)? == tag {
+        if self.raw(4)? == tag {
             Ok(())
         } else {
             Err(SnapError::Bad(what))
@@ -192,9 +284,9 @@ impl<'a> SnapReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Eof`] on truncation (likewise for every reader below).
+    /// [`SnapError::Eof`] on truncation.
     pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        Ok(self.raw(1)?[0])
     }
 
     /// Reads a bool byte; any value other than 0/1 is a layout error.
@@ -216,7 +308,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Eof`] on truncation.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
@@ -225,7 +317,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Eof`] on truncation.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
@@ -234,7 +326,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Eof`] on truncation.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a `u64` into `usize`, rejecting values the host cannot index.
@@ -255,28 +347,24 @@ impl<'a> SnapReader<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// Reads a length-prefixed byte vector. The length is bounded by the
-    /// bytes actually remaining, so a corrupt length cannot trigger a huge
-    /// allocation.
+    /// Reads a length-prefixed byte slice, borrowed from the input so the
+    /// caller copies it straight to where it belongs.
     ///
     /// # Errors
     ///
     /// [`SnapError::Eof`] or [`SnapError::Bad`].
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.usize()?;
-        if n > self.remaining() {
-            return Err(SnapError::Eof);
-        }
-        Ok(self.take(n)?.to_vec())
+        self.raw(n)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
     ///
     /// # Errors
     ///
     /// [`SnapError::Eof`] or [`SnapError::Bad`] on invalid UTF-8.
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        String::from_utf8(self.bytes()?).map_err(|_| SnapError::Bad("invalid UTF-8 string"))
+    pub fn str(&mut self) -> Result<&'a str, SnapError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| SnapError::Bad("invalid UTF-8 string"))
     }
 
     /// Reads a sequence length, sanity-bounded by the remaining bytes (every
@@ -292,72 +380,451 @@ impl<'a> SnapReader<'a> {
         }
         Ok(n)
     }
+}
 
-    /// Reads an `Option` presence byte.
+/// A value that encodes itself and decodes from the stream alone. See the
+/// [module docs](self) for the conventions and the field-list macros that
+/// implement it.
+pub trait Snap: Sized {
+    /// Appends the value to the stream.
+    fn save(&self, w: &mut SnapWriter);
+
+    /// Decodes one value.
     ///
     /// # Errors
     ///
-    /// [`SnapError::Eof`] or [`SnapError::Bad`].
-    pub fn opt(&mut self) -> Result<bool, SnapError> {
-        self.bool()
+    /// [`SnapError`] on truncation or a value the type cannot hold.
+    fn load(r: &mut SnapReader) -> Result<Self, SnapError>;
+
+    /// Appends `items` back to back (no length). `u8` overrides this with
+    /// one bulk copy; the same goes for the two hooks below.
+    #[doc(hidden)]
+    fn save_slice(items: &[Self], w: &mut SnapWriter) {
+        for item in items {
+            item.save(w);
+        }
+    }
+
+    /// Decodes `out.len()` values over `out`.
+    #[doc(hidden)]
+    fn load_slice(out: &mut [Self], r: &mut SnapReader) -> Result<(), SnapError> {
+        for slot in out {
+            *slot = Self::load(r)?;
+        }
+        Ok(())
+    }
+
+    /// Decodes `n` values into a fresh `Vec`. `n` came out of
+    /// [`SnapReader::seq_len`]; the reservation is further capped so that
+    /// it never exceeds the bytes still unread.
+    #[doc(hidden)]
+    fn load_vec(n: usize, r: &mut SnapReader) -> Result<Vec<Self>, SnapError> {
+        let fits = r.remaining() / std::mem::size_of::<Self>().max(1);
+        let mut out = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            out.push(Self::load(r)?);
+        }
+        Ok(out)
     }
 }
 
-impl crate::Dram {
-    /// Serializes the full byte image.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(b"DRAM");
-        w.bytes(self.slice(0, self.len()));
-    }
+/// A machine component whose dynamic state is restored *into* an instance
+/// built from the matching configuration. Implemented by
+/// [`snap_state!`](crate::snap_state); every [`Snap`] value is one too.
+pub trait SnapState {
+    /// Appends the component's dynamic state to the stream.
+    fn save_state(&self, w: &mut SnapWriter);
 
-    /// Restores the byte image in place; the capacity must match (it is
-    /// config-derived, and the checkpoint layer has already verified the
-    /// config).
+    /// Restores the dynamic state in place. On error the component may be
+    /// partially overwritten and must be discarded.
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncation or a capacity mismatch.
-    pub fn snap_load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.expect_tag(b"DRAM", "Dram section")?;
-        let bytes = r.bytes()?;
-        if bytes.len() != self.len() {
-            return Err(SnapError::Bad("Dram capacity mismatch"));
+    /// [`SnapError`] on truncation, a section-tag or geometry mismatch, or
+    /// an out-of-range index.
+    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError>;
+
+    /// [`save_fixed`]'s element loop (bulk for `u8`).
+    #[doc(hidden)]
+    fn save_states(items: &[Self], w: &mut SnapWriter)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.save_state(w);
         }
-        self.write_bytes(0, &bytes);
+    }
+
+    /// [`load_fixed`]'s element loop (bulk for `u8`).
+    #[doc(hidden)]
+    fn load_states(items: &mut [Self], r: &mut SnapReader) -> Result<(), SnapError>
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.load_state(r)?;
+        }
         Ok(())
     }
 }
 
-impl crate::ClockDivider {
-    /// Serializes the divider (ratio + accumulator).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        let (numer, denom, acc) = self.parts();
-        w.u64(numer);
-        w.u64(denom);
-        w.u64(acc);
+impl<T: Snap> SnapState for T {
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save(w);
     }
 
-    /// Restores a divider.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncation or an invalid ratio.
-    pub fn snap_load(r: &mut SnapReader) -> Result<crate::ClockDivider, SnapError> {
-        let numer = r.u64()?;
-        let denom = r.u64()?;
-        let acc = r.u64()?;
-        if denom == 0 || numer > denom || acc >= denom {
-            return Err(SnapError::Bad("ClockDivider ratio out of range"));
-        }
-        let mut d = crate::ClockDivider::new(numer, denom);
-        d.set_acc(acc);
-        Ok(d)
+    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        *self = T::load(r)?;
+        Ok(())
+    }
+
+    fn save_states(items: &[T], w: &mut SnapWriter) {
+        T::save_slice(items, w);
+    }
+
+    fn load_states(items: &mut [T], r: &mut SnapReader) -> Result<(), SnapError> {
+        T::load_slice(items, r)
     }
 }
+
+/// Saves a fixed-geometry sequence: its length, then the elements.
+pub fn save_fixed<T: SnapState>(items: &[T], w: &mut SnapWriter) {
+    w.usize(items.len());
+    T::save_states(items, w);
+}
+
+/// Restores a fixed-geometry sequence element by element, in place.
+///
+/// # Errors
+///
+/// [`SnapError::Bad`] naming `what` when the stored length is not the live
+/// one (the checkpoint was taken under another geometry).
+pub fn load_fixed<T: SnapState>(
+    items: &mut [T],
+    r: &mut SnapReader,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    if r.usize()? != items.len() {
+        return Err(SnapError::Bad(what));
+    }
+    T::load_states(items, r)
+}
+
+macro_rules! snap_scalars {
+    ($($t:ident),*) => {$(
+        impl Snap for $t {
+            fn save(&self, w: &mut SnapWriter) {
+                w.$t(*self);
+            }
+
+            fn load(r: &mut SnapReader) -> Result<$t, SnapError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+snap_scalars!(u16, u32, u64, usize, bool, f32);
+
+impl Snap for u8 {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u8(*self);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<u8, SnapError> {
+        r.u8()
+    }
+
+    fn save_slice(items: &[u8], w: &mut SnapWriter) {
+        w.raw(items);
+    }
+
+    fn load_slice(out: &mut [u8], r: &mut SnapReader) -> Result<(), SnapError> {
+        out.copy_from_slice(r.raw(out.len())?);
+        Ok(())
+    }
+
+    fn load_vec(n: usize, r: &mut SnapReader) -> Result<Vec<u8>, SnapError> {
+        Ok(r.raw(n)?.to_vec())
+    }
+}
+
+impl Snap for String {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(self);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<String, SnapError> {
+        Ok(r.str()?.to_owned())
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+
+    fn load(r: &mut SnapReader) -> Result<Option<T>, SnapError> {
+        Ok(if r.bool()? { Some(T::load(r)?) } else { None })
+    }
+}
+
+impl<T: Snap> Snap for Box<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        (**self).save(w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<Box<T>, SnapError> {
+        Ok(Box::new(T::load(r)?))
+    }
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        T::save_slice(self, w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<Vec<T>, SnapError> {
+        let n = r.seq_len()?;
+        T::load_vec(n, r)
+    }
+}
+
+impl<T: Snap> Snap for VecDeque<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        let (front, back) = self.as_slices();
+        w.usize(self.len());
+        T::save_slice(front, w);
+        T::save_slice(back, w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<VecDeque<T>, SnapError> {
+        Ok(Vec::load(r)?.into())
+    }
+}
+
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        T::save_slice(self, w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<[T; N], SnapError> {
+        let mut failed = None;
+        let slots: [Option<T>; N] = std::array::from_fn(|_| {
+            if failed.is_some() {
+                return None;
+            }
+            T::load(r).map_err(|e| failed = Some(e)).ok()
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(slots.map(|slot| slot.expect("no slot failed to decode"))),
+        }
+    }
+}
+
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+        self.1.save(w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<(A, B), SnapError> {
+        Ok((A::load(r)?, B::load(r)?))
+    }
+}
+
+impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+        self.1.save(w);
+        self.2.save(w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<(A, B, C), SnapError> {
+        Ok((A::load(r)?, B::load(r)?, C::load(r)?))
+    }
+}
+
+/// Saved in key order: `HashMap` iteration order differs between runs and
+/// the stream must not.
+impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
+    fn save(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        w.usize(entries.len());
+        for (k, v) in entries {
+            k.save(w);
+            v.save(w);
+        }
+    }
+
+    fn load(r: &mut SnapReader) -> Result<HashMap<K, V>, SnapError> {
+        let mut out = HashMap::new();
+        for _ in 0..r.seq_len()? {
+            out.insert(K::load(r)?, V::load(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// One field of a `snap_enum!` variant: through [`Snap`], or through the
+/// codec module named in brackets.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_save_field {
+    ($f:expr, $w:expr) => {
+        $crate::Snap::save($f, $w)
+    };
+    ($f:expr, $w:expr, $codec:ident) => {
+        $codec::save($f, $w)
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_load_field {
+    ($r:expr; $f:ident) => {
+        $crate::Snap::load($r)?
+    };
+    ($r:expr, $codec:ident; $f:ident) => {
+        $codec::load($r)?
+    };
+}
+
+/// Implements [`Snap`] for a struct from one list of its fields, in stream
+/// order. See the [module docs](crate::snap).
+#[macro_export]
+macro_rules! snap_value {
+    ($ty:ident $(<$p:ident>)? $([$tag:literal])? {
+        $($f:ident),* $(,)? $(; derived $($d:ident),+)?
+    } $(check $check:ident)?) => {
+        impl$(<$p: $crate::Snap>)? $crate::Snap for $ty$(<$p>)? {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                let Self { $($f,)* $($($d: _,)+)? } = self;
+                $(w.tag($tag);)?
+                $($crate::Snap::save($f, w);)*
+            }
+
+            fn load(r: &mut $crate::SnapReader) -> Result<Self, $crate::SnapError> {
+                $(r.expect_tag($tag, concat!(stringify!($ty), " section"))?;)?
+                #[allow(unused_mut)]
+                let mut value = Self {
+                    $($f: $crate::Snap::load(r)?,)*
+                    $($($d: Default::default(),)+)?
+                };
+                $(value.$check()?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for an enum from one `tag => Variant` list. See the
+/// [module docs](crate::snap).
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $v:ident
+            $(( $($tf:ident $([$tc:ident])?),+ ))?
+            $({ $($sf:ident $([$sc:ident])?),+ })?
+        ),+ $(,)?
+    }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $(Self::$v $(( $($tf),+ ))? $({ $($sf),+ })? => {
+                        w.u8($tag);
+                        $($($crate::__snap_save_field!($tf, w $(, $tc)?);)+)?
+                        $($($crate::__snap_save_field!($sf, w $(, $sc)?);)+)?
+                    })+
+                }
+            }
+
+            fn load(r: &mut $crate::SnapReader) -> Result<Self, $crate::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$v
+                        $(( $($crate::__snap_load_field!(r $(, $tc)?; $tf)),+ ))?
+                        $({ $($sf: $crate::__snap_load_field!(r $(, $sc)?; $sf)),+ })?,
+                    )+
+                    _ => return Err($crate::SnapError::Bad($what)),
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`SnapState`] for a machine component from one list that
+/// puts every field in a class. See the [module docs](crate::snap).
+#[macro_export]
+macro_rules! snap_state {
+    ($ty:ident $(<$p:ident>)? [$tag:literal] {
+        $(save: $($s:ident),+ ;)?
+        $(fixed: $($x:ident),+ ;)?
+        $(host: $($h:ident),+ ;)?
+    } $(extra ($extra_save:ident, $extra_load:ident))? $(check $check:ident)?) => {
+        impl$(<$p: $crate::Snap>)? $crate::SnapState for $ty$(<$p>)? {
+            fn save_state(&self, w: &mut $crate::SnapWriter) {
+                let Self { $($($s,)+)? $($($x,)+)? $($($h: _,)+)? } = self;
+                w.tag($tag);
+                $($($crate::SnapState::save_state($s, w);)+)?
+                $($($crate::snap::save_fixed(&$x[..], w);)+)?
+                $(self.$extra_save(w);)?
+            }
+
+            fn load_state(
+                &mut self,
+                r: &mut $crate::SnapReader,
+            ) -> Result<(), $crate::SnapError> {
+                r.expect_tag($tag, concat!(stringify!($ty), " section"))?;
+                let Self { $($($s,)+)? $($($x,)+)? $($($h: _,)+)? } = self;
+                $($($crate::SnapState::load_state($s, r)?;)+)?
+                $($($crate::snap::load_fixed(
+                    &mut $x[..],
+                    r,
+                    concat!(stringify!($ty), ".", stringify!($x), " length mismatch"),
+                )?;)+)?
+                $(self.$extra_load(r)?;)?
+                $(self.$check()?;)?
+                Ok(())
+            }
+        }
+    };
+}
+
+crate::snap_state!(Dram [b"DRAM"] {
+    fixed: bytes;
+});
+
+impl ClockDivider {
+    fn check_ratio(&mut self) -> Result<(), SnapError> {
+        if self.denom == 0 || self.numer > self.denom || self.acc >= self.denom {
+            return Err(SnapError::Bad("ClockDivider ratio out of range"));
+        }
+        Ok(())
+    }
+}
+crate::snap_value!(ClockDivider { numer, denom, acc } check check_ratio);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn round_trip<T: Snap + PartialEq + fmt::Debug>(value: T) {
+        let mut w = SnapWriter::new();
+        value.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(T::load(&mut r).unwrap(), value);
+        r.finish().unwrap();
+        // Every strict prefix is a clean error, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(T::load(&mut SnapReader::new(&bytes[..cut])).is_err());
+        }
+    }
 
     #[test]
     fn scalars_round_trip() {
@@ -372,9 +839,6 @@ mod tests {
         w.f32(-1.5);
         w.bytes(b"abc");
         w.str("hé");
-        assert!(w.opt(true));
-        w.u8(9);
-        assert!(!w.opt(false));
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
@@ -388,10 +852,92 @@ mod tests {
         assert_eq!(r.f32().unwrap(), -1.5);
         assert_eq!(r.bytes().unwrap(), b"abc");
         assert_eq!(r.str().unwrap(), "hé");
-        assert!(r.opt().unwrap());
-        assert_eq!(r.u8().unwrap(), 9);
-        assert!(!r.opt().unwrap());
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn containers_round_trip() {
+        round_trip((7u8, 0xbeefu16, u64::MAX - 1));
+        round_trip((usize::MAX >> 1, true, -1.5f32));
+        round_trip(String::from("hé"));
+        round_trip(vec![Some(1u32), None, Some(3)]);
+        round_trip(VecDeque::from([(1u8, vec![9u8, 8, 7]), (2, vec![])]));
+        round_trip([[1u64, 2], [3, 4], [5, 6]]);
+        round_trip(Some(Box::new((1u32, String::from("boxed")))));
+        round_trip(HashMap::from([(3u32, false), (1, true), (2, true)]));
+        // A wrapped-around deque saves in queue order.
+        let mut dq = VecDeque::with_capacity(4);
+        dq.extend([1u8, 2, 3, 4]);
+        dq.pop_front();
+        dq.push_back(5);
+        round_trip(dq);
+    }
+
+    #[test]
+    fn hash_maps_save_in_key_order() {
+        let encode = |keys: &[u32]| {
+            let map: HashMap<u32, u8> = keys.iter().map(|&k| (k, k as u8)).collect();
+            let mut w = SnapWriter::new();
+            map.save(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(encode(&[5, 1, 9, 3]), encode(&[9, 3, 5, 1]));
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line(u8, u16),
+        Rect { w: u32, h: u32 },
+    }
+    snap_enum!(Shape, "unknown shape tag" {
+        0 => Dot,
+        1 => Line(a, b),
+        2 => Rect { w, h },
+    });
+
+    #[derive(Debug, PartialEq, Default)]
+    struct Tagged {
+        shapes: Vec<Shape>,
+        area: u64,
+        count: usize,
+    }
+    impl Tagged {
+        fn recount(&mut self) -> Result<(), SnapError> {
+            self.count = self.shapes.len();
+            if self.area == 0 {
+                return Err(SnapError::Bad("Tagged area is zero"));
+            }
+            Ok(())
+        }
+    }
+    snap_value!(Tagged [b"TAGD"] { shapes, area; derived count } check recount);
+
+    #[test]
+    fn field_lists_round_trip_and_validate() {
+        round_trip(Shape::Dot);
+        round_trip(Shape::Line(3, 700));
+        round_trip(Shape::Rect { w: 1, h: u32::MAX });
+        assert_eq!(
+            Shape::load(&mut SnapReader::new(&[3])),
+            Err(SnapError::Bad("unknown shape tag"))
+        );
+        round_trip(Tagged {
+            shapes: vec![Shape::Dot, Shape::Line(1, 2)],
+            area: 9,
+            count: 2,
+        });
+        let mut w = SnapWriter::new();
+        Tagged::default().save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            Tagged::load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Bad("Tagged area is zero"))
+        );
+        assert_eq!(
+            Tagged::load(&mut SnapReader::new(b"XXXX")),
+            Err(SnapError::Bad("Tagged section"))
+        );
     }
 
     #[test]
@@ -414,28 +960,48 @@ mod tests {
         // A corrupt huge length cannot allocate.
         let mut w = SnapWriter::new();
         w.u64(u64::MAX);
+        w.u64(0);
         let huge = w.into_bytes();
         assert_eq!(SnapReader::new(&huge).bytes(), Err(SnapError::Eof));
+        assert_eq!(
+            Vec::<u64>::load(&mut SnapReader::new(&huge)),
+            Err(SnapError::Eof)
+        );
+        assert_eq!(
+            String::load(&mut SnapReader::new(&huge)),
+            Err(SnapError::Eof)
+        );
+        assert!(HashMap::<u64, u64>::load(&mut SnapReader::new(&huge)).is_err());
+        // A length that fits the remaining bytes but not the elements
+        // reserves no more than those bytes before it runs dry.
+        let mut w = SnapWriter::new();
+        w.u64(8);
+        w.u64(0);
+        let short = w.into_bytes();
+        assert_eq!(
+            Vec::<u64>::load(&mut SnapReader::new(&short)),
+            Err(SnapError::Eof)
+        );
     }
 
     #[test]
     fn dram_and_divider_round_trip() {
-        let mut d = crate::Dram::new(64);
+        let mut d = Dram::new(64);
         d.write_u32(8, 0xdead_beef);
-        let mut div = crate::ClockDivider::new(1_000, 1_350);
+        let mut div = ClockDivider::new(1_000, 1_350);
         for _ in 0..7 {
             div.tick();
         }
         let mut w = SnapWriter::new();
-        d.snap_save(&mut w);
-        div.snap_save(&mut w);
+        d.save_state(&mut w);
+        div.save(&mut w);
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
-        let mut d2 = crate::Dram::new(64);
-        d2.snap_load(&mut r).unwrap();
+        let mut d2 = Dram::new(64);
+        d2.load_state(&mut r).unwrap();
         assert_eq!(d2, d);
-        let div2 = crate::ClockDivider::snap_load(&mut r).unwrap();
+        let div2 = ClockDivider::load(&mut r).unwrap();
         assert_eq!(div2, div);
         r.finish().unwrap();
         // Continued ticks agree bit-for-bit.
@@ -444,9 +1010,17 @@ mod tests {
             assert_eq!(a.tick(), b.tick());
         }
 
-        // Capacity mismatch is a clean error.
+        // Capacity mismatch is a clean error, and so is a ratio the
+        // divider's constructor would have refused.
         let mut r = SnapReader::new(&bytes);
-        let mut wrong = crate::Dram::new(32);
-        assert!(wrong.snap_load(&mut r).is_err());
+        let mut wrong = Dram::new(32);
+        assert_eq!(
+            wrong.load_state(&mut r),
+            Err(SnapError::Bad("Dram.bytes length mismatch"))
+        );
+        let mut w = SnapWriter::new();
+        (5u64, 0u64, 0u64).save(&mut w);
+        let bytes = w.into_bytes();
+        assert!(ClockDivider::load(&mut SnapReader::new(&bytes)).is_err());
     }
 }

@@ -5,7 +5,7 @@
 /// cache refills read and evictions write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dram {
-    bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
 }
 
 impl Dram {

@@ -289,117 +289,46 @@ impl BarrierNetwork {
             }
         }
     }
-    /// Serializes all dynamic state plus the tree shape (the tree is
-    /// config-derived, but saving `parent` lets restore validate it and
-    /// rebuild `children` without re-deriving group geometry).
-    pub fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.tag(b"BARR");
-        w.u8(self.width);
-        w.u8(self.height);
-        w.u8(self.ruche_factor);
-        w.usize(self.parent.len());
-        for p in &self.parent {
-            if w.opt(p.is_some()) {
-                w.usize(p.unwrap());
-            }
-        }
-        for n in &self.nodes {
-            w.u64(n.joins);
-            w.u64(n.sent);
-            w.u64(n.recv);
-            w.u64(n.released);
-            w.u64(n.consumed);
-        }
-        for &b in &self.bypassed {
-            w.bool(b);
-        }
-        w.usize(self.up_in_flight.len());
-        for &t in &self.up_in_flight {
-            w.usize(t);
-        }
-        w.usize(self.wake_in_flight.len());
-        for &t in &self.wake_in_flight {
-            w.usize(t);
-        }
-        w.u64(self.cycle);
-        w.u64(self.rounds);
-    }
 
-    /// Rebuilds a barrier network from a snapshot; `children` is derived
-    /// from the decoded `parent` vector.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or an out-of-range index.
-    pub fn snap_load(r: &mut hb_mem::SnapReader) -> Result<BarrierNetwork, hb_mem::SnapError> {
+    /// After a decode: checks the shape and every node index, then
+    /// re-derives `children` from `parent` (in node order, as `new` does).
+    fn rebuild_children(&mut self) -> Result<(), hb_mem::SnapError> {
         use hb_mem::SnapError;
-        r.expect_tag(b"BARR", "BarrierNetwork section")?;
-        let width = r.u8()?;
-        let height = r.u8()?;
-        let ruche_factor = r.u8()?;
-        let n = r.seq_len()?;
-        if n != width as usize * height as usize {
+        let n = self.width as usize * self.height as usize;
+        if [self.parent.len(), self.nodes.len(), self.bypassed.len()] != [n; 3] {
             return Err(SnapError::Bad("BarrierNetwork shape mismatch"));
         }
-        let mut parent = Vec::with_capacity(n);
-        let mut children = vec![Vec::new(); n];
-        for i in 0..n {
-            if r.opt()? {
-                let p = r.usize()?;
-                if p >= n {
-                    return Err(SnapError::Bad("BarrierNetwork parent out of range"));
-                }
-                parent.push(Some(p));
-                children[p].push(i);
-            } else {
-                parent.push(None);
+        if self.parent.iter().flatten().any(|&p| p >= n) {
+            return Err(SnapError::Bad("BarrierNetwork parent out of range"));
+        }
+        if (self.up_in_flight.iter().chain(&self.wake_in_flight)).any(|&t| t >= n) {
+            return Err(SnapError::Bad(
+                "BarrierNetwork in-flight index out of range",
+            ));
+        }
+        self.children = vec![Vec::new(); n];
+        for (i, p) in self.parent.iter().enumerate() {
+            if let Some(p) = *p {
+                self.children[p].push(i);
             }
         }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(NodeState {
-                joins: r.u64()?,
-                sent: r.u64()?,
-                recv: r.u64()?,
-                released: r.u64()?,
-                consumed: r.u64()?,
-            });
-        }
-        let mut bypassed = Vec::with_capacity(n);
-        for _ in 0..n {
-            bypassed.push(r.bool()?);
-        }
-        let in_flight = |r: &mut hb_mem::SnapReader| -> Result<Vec<usize>, SnapError> {
-            let len = r.seq_len()?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                let t = r.usize()?;
-                if t >= n {
-                    return Err(SnapError::Bad(
-                        "BarrierNetwork in-flight index out of range",
-                    ));
-                }
-                v.push(t);
-            }
-            Ok(v)
-        };
-        let up_in_flight = in_flight(r)?;
-        let wake_in_flight = in_flight(r)?;
-        Ok(BarrierNetwork {
-            width,
-            height,
-            ruche_factor,
-            parent,
-            children,
-            nodes,
-            bypassed,
-            up_in_flight,
-            wake_in_flight,
-            cycle: r.u64()?,
-            rounds: r.u64()?,
-        })
+        Ok(())
     }
 }
+
+hb_mem::snap_value!(NodeState {
+    joins,
+    sent,
+    recv,
+    released,
+    consumed
+});
+// The tree is config-derived, but saving `parent` lets a decode validate it
+// and rebuild `children` without re-deriving group geometry.
+hb_mem::snap_value!(BarrierNetwork [b"BARR"] {
+    width, height, ruche_factor, parent, nodes, bypassed, up_in_flight, wake_in_flight,
+    cycle, rounds; derived children
+} check rebuild_children);
 
 #[cfg(test)]
 mod tests {

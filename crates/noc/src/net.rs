@@ -167,28 +167,6 @@ impl LinkStats {
     }
 }
 
-impl LinkStats {
-    /// Serializes the counter triple.
-    pub fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        w.u64(self.busy);
-        w.u64(self.stalled);
-        w.u64(self.flits);
-    }
-
-    /// Restores a counter triple.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError::Eof`] on truncation.
-    pub fn snap_load(r: &mut hb_mem::SnapReader) -> Result<LinkStats, hb_mem::SnapError> {
-        Ok(LinkStats {
-            busy: r.u64()?,
-            stalled: r.u64()?,
-            flits: r.u64()?,
-        })
-    }
-}
-
 impl std::ops::Sub for LinkStats {
     type Output = LinkStats;
 
@@ -601,170 +579,6 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
         }
     }
 
-    /// Serializes all dynamic network state. `enc` encodes one payload;
-    /// the static config is rebuilt from the machine configuration on
-    /// restore.
-    pub fn snap_save_with(
-        &self,
-        w: &mut hb_mem::SnapWriter,
-        enc: &dyn Fn(&mut hb_mem::SnapWriter, &P),
-    ) {
-        let coord = |w: &mut hb_mem::SnapWriter, c: Coord| {
-            w.u8(c.x);
-            w.u8(c.y);
-        };
-        let pkt = |w: &mut hb_mem::SnapWriter, p: &Packet<P>| {
-            coord(w, p.src);
-            coord(w, p.dst);
-            enc(w, &p.payload);
-        };
-        w.tag(b"NET0");
-        w.usize(self.routers.len());
-        for router in &self.routers {
-            for q in &router.inputs {
-                w.usize(q.len());
-                for p in q {
-                    pkt(w, p);
-                }
-            }
-            for rr in router.rr {
-                w.usize(rr);
-            }
-        }
-        for latch in &self.latches {
-            for slot in latch {
-                if w.opt(slot.is_some()) {
-                    let (p, free_at) = slot.as_ref().unwrap();
-                    pkt(w, p);
-                    w.u64(*free_at);
-                }
-            }
-        }
-        for stats in &self.link_stats {
-            for s in stats {
-                s.snap_save(w);
-            }
-        }
-        for q in &self.eject_qs {
-            w.usize(q.len());
-            for p in q {
-                pkt(w, p);
-            }
-        }
-        w.u64(self.stats.injected);
-        w.u64(self.stats.ejected);
-        w.u64(self.stats.retransmits);
-        w.u64(self.cycle);
-        w.usize(self.link_faults.len());
-        for &(cycle, idx, port) in &self.link_faults {
-            w.u64(cycle);
-            w.usize(idx);
-            w.usize(port);
-        }
-        w.usize(self.retransmit_events.len());
-        for e in &self.retransmit_events {
-            w.u64(e.cycle);
-            coord(w, e.at);
-            w.u8(e.port as u8);
-        }
-    }
-
-    /// Restores dynamic state into a freshly constructed network of the
-    /// same shape; `moving` is recomputed from the decoded population.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation, a shape mismatch, or an
-    /// out-of-range index.
-    pub fn snap_load_with(
-        &mut self,
-        r: &mut hb_mem::SnapReader,
-        dec: &dyn Fn(&mut hb_mem::SnapReader) -> Result<P, hb_mem::SnapError>,
-    ) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
-        let coord = |r: &mut hb_mem::SnapReader| -> Result<Coord, SnapError> {
-            Ok(Coord::new(r.u8()?, r.u8()?))
-        };
-        let pkt = |r: &mut hb_mem::SnapReader| -> Result<Packet<P>, SnapError> {
-            Ok(Packet {
-                src: coord(r)?,
-                dst: coord(r)?,
-                payload: dec(r)?,
-            })
-        };
-        r.expect_tag(b"NET0", "Network section")?;
-        let n = self.routers.len();
-        if r.usize()? != n {
-            return Err(SnapError::Bad("Network router count mismatch"));
-        }
-        let mut moving = 0usize;
-        for router in &mut self.routers {
-            for q in &mut router.inputs {
-                q.clear();
-            }
-            for q in &mut router.inputs {
-                for _ in 0..r.seq_len()? {
-                    q.push_back(pkt(r)?);
-                    moving += 1;
-                }
-            }
-            for rr in &mut router.rr {
-                let v = r.usize()?;
-                if v >= NPORTS {
-                    return Err(SnapError::Bad("Network round-robin pointer out of range"));
-                }
-                *rr = v;
-            }
-        }
-        for latch in &mut self.latches {
-            for slot in latch.iter_mut() {
-                *slot = if r.opt()? {
-                    moving += 1;
-                    Some((pkt(r)?, r.u64()?))
-                } else {
-                    None
-                };
-            }
-        }
-        for stats in &mut self.link_stats {
-            for s in stats.iter_mut() {
-                *s = LinkStats::snap_load(r)?;
-            }
-        }
-        for q in &mut self.eject_qs {
-            q.clear();
-            for _ in 0..r.seq_len()? {
-                q.push_back(pkt(r)?);
-            }
-        }
-        self.moving = moving;
-        self.stats = NetworkStats {
-            injected: r.u64()?,
-            ejected: r.u64()?,
-            retransmits: r.u64()?,
-        };
-        self.cycle = r.u64()?;
-        self.link_faults.clear();
-        for _ in 0..r.seq_len()? {
-            let cycle = r.u64()?;
-            let idx = r.usize()?;
-            let port = r.usize()?;
-            if idx >= n || port >= NPORTS {
-                return Err(SnapError::Bad("Network link fault out of range"));
-            }
-            self.link_faults.push((cycle, idx, port));
-        }
-        self.retransmit_events.clear();
-        for _ in 0..r.seq_len()? {
-            self.retransmit_events.push(RetransmitEvent {
-                cycle: r.u64()?,
-                at: coord(r)?,
-                port: Port::from_index(r.u8()? as usize),
-            });
-        }
-        Ok(())
-    }
-
     /// Cumulative stats for the output link of (`at`, `port`).
     pub fn link_stats(&self, at: Coord, port: Port) -> LinkStats {
         self.link_stats[self.idx(at)][port as usize]
@@ -823,6 +637,62 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
         }
     }
 }
+
+impl<P> Network<P> {
+    /// After a restore: range-checks the decoded indices and recounts
+    /// `moving`, which is derived from the FIFO and latch population.
+    fn check_restored(&mut self) -> Result<(), hb_mem::SnapError> {
+        use hb_mem::SnapError;
+        let n = self.routers.len();
+        if self
+            .routers
+            .iter()
+            .any(|r| r.rr.iter().any(|&v| v >= NPORTS))
+        {
+            return Err(SnapError::Bad("Network round-robin pointer out of range"));
+        }
+        if (self.link_faults.iter()).any(|&(_, idx, port)| idx >= n || port >= NPORTS) {
+            return Err(SnapError::Bad("Network link fault out of range"));
+        }
+        let queued = self
+            .routers
+            .iter()
+            .flat_map(|r| &r.inputs)
+            .map(VecDeque::len);
+        let latched = self.latches.iter().flatten().flatten().count();
+        self.moving = queued.sum::<usize>() + latched;
+        Ok(())
+    }
+}
+
+hb_mem::snap_value!(Coord { x, y });
+hb_mem::snap_enum!(Port, "Network port out of range" {
+    0 => Local,
+    1 => North,
+    2 => South,
+    3 => East,
+    4 => West,
+    5 => RucheEast,
+    6 => RucheWest,
+});
+hb_mem::snap_value!(Packet<P> { src, dst, payload });
+hb_mem::snap_value!(LinkStats {
+    busy,
+    stalled,
+    flits
+});
+hb_mem::snap_value!(NetworkStats {
+    injected,
+    ejected,
+    retransmits
+});
+hb_mem::snap_value!(RetransmitEvent { cycle, at, port });
+hb_mem::snap_value!(Router<P> { inputs, rr });
+hb_mem::snap_state!(Network<P> [b"NET0"] {
+    save: stats, cycle, link_faults, retransmit_events;
+    fixed: routers, latches, link_stats, eject_qs;
+    host: cfg, moving;
+} check check_restored);
 
 #[cfg(test)]
 mod tests {

@@ -160,81 +160,33 @@ impl StripChannel {
         }
     }
 
-    /// Serializes all dynamic channel state.
-    pub fn snap_save(&self, w: &mut hb_mem::SnapWriter) {
-        let xfer = |w: &mut hb_mem::SnapWriter, x: &StripTransfer| {
-            w.u64(x.id);
-            w.usize(x.bank);
-            w.u32(x.bytes);
-            w.bool(x.write);
-        };
-        w.tag(b"STRP");
-        w.usize(self.queue.len());
-        for x in &self.queue {
-            xfer(w, x);
+    /// After a restore: every decoded transfer names a bank on this strip
+    /// (what `enqueue` asserts for live ones).
+    fn check_banks(&mut self) -> Result<(), hb_mem::SnapError> {
+        let held = self.active.iter().map(|a| &a.xfer);
+        if (self.queue.iter().chain(held).chain(&self.done)).any(|x| x.bank >= self.cfg.banks) {
+            return Err(hb_mem::SnapError::Bad("StripChannel bank out of range"));
         }
-        if w.opt(self.active.is_some()) {
-            let a = self.active.as_ref().unwrap();
-            xfer(w, &a.xfer);
-            w.u64(a.done_at);
-        }
-        w.usize(self.done.len());
-        for x in &self.done {
-            xfer(w, x);
-        }
-        w.u64(self.cycle);
-        w.u64(self.stats.busy_cycles);
-        w.u64(self.stats.wait_cycles);
-        w.u64(self.stats.transfers);
-    }
-
-    /// Restores dynamic state into a freshly constructed channel of the
-    /// same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`hb_mem::SnapError`] on truncation or an out-of-range bank.
-    pub fn snap_load(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
-        let banks = self.cfg.banks;
-        let xfer = |r: &mut hb_mem::SnapReader| -> Result<StripTransfer, SnapError> {
-            let x = StripTransfer {
-                id: r.u64()?,
-                bank: r.usize()?,
-                bytes: r.u32()?,
-                write: r.bool()?,
-            };
-            if x.bank >= banks {
-                return Err(SnapError::Bad("StripChannel bank out of range"));
-            }
-            Ok(x)
-        };
-        r.expect_tag(b"STRP", "StripChannel section")?;
-        self.queue.clear();
-        for _ in 0..r.seq_len()? {
-            self.queue.push_back(xfer(r)?);
-        }
-        self.active = if r.opt()? {
-            Some(Active {
-                xfer: xfer(r)?,
-                done_at: r.u64()?,
-            })
-        } else {
-            None
-        };
-        self.done.clear();
-        for _ in 0..r.seq_len()? {
-            self.done.push_back(xfer(r)?);
-        }
-        self.cycle = r.u64()?;
-        self.stats = StripStats {
-            busy_cycles: r.u64()?,
-            wait_cycles: r.u64()?,
-            transfers: r.u64()?,
-        };
         Ok(())
     }
 }
+
+hb_mem::snap_value!(StripTransfer {
+    id,
+    bank,
+    bytes,
+    write
+});
+hb_mem::snap_value!(StripStats {
+    busy_cycles,
+    wait_cycles,
+    transfers
+});
+hb_mem::snap_value!(Active { xfer, done_at });
+hb_mem::snap_state!(StripChannel [b"STRP"] {
+    save: queue, active, done, cycle, stats;
+    host: cfg;
+} check check_banks);
 
 #[cfg(test)]
 mod tests {

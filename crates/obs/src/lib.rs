@@ -52,7 +52,7 @@ pub mod ndjson;
 
 use hb_core::observe::{MachineObserver, ObsEvent};
 use hb_core::{CoreStats, Machine, MachineConfig, ObserverScope};
-use hb_mem::Hbm2Stats;
+use hb_mem::{Hbm2Stats, SnapError, SnapState};
 use hb_noc::LinkStats;
 use std::sync::{Arc, Mutex};
 
@@ -323,76 +323,48 @@ impl MachineObserver for Sampler {
         }
     }
 
-    /// Serializes the in-progress window (due cycle, last window boundary,
-    /// and the previous cumulative counters the next delta diffs against)
-    /// so a restored run closes its windows at the same cycles with the
-    /// same contents as the uninterrupted one. The retention policy and
-    /// the store itself are host-side and travel separately.
     fn snapshot(&self) -> Option<Vec<u8>> {
         let mut w = hb_mem::SnapWriter::new();
-        w.tag(b"SAMP");
-        w.u64(self.window);
-        w.u64(self.due);
-        w.u64(self.last_end);
-        w.usize(self.prev.len());
-        for p in &self.prev {
-            w.usize(p.tiles.len());
-            for t in &p.tiles {
-                t.snap_save(&mut w);
-            }
-            w.usize(p.req.len());
-            for l in &p.req {
-                l.snap_save(&mut w);
-            }
-            w.usize(p.resp.len());
-            for l in &p.resp {
-                l.snap_save(&mut w);
-            }
-            p.hbm.snap_save(&mut w);
-        }
+        self.save_state(&mut w);
         Some(w.into_bytes())
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = hb_mem::SnapReader::new(bytes);
-        r.expect_tag(b"SAMP", "Sampler section")?;
-        let window = r.u64()?;
-        if window != self.window {
+        self.load_state(&mut r)?;
+        r.finish()
+    }
+}
+
+impl Sampler {
+    fn save_window(&self, w: &mut hb_mem::SnapWriter) {
+        w.u64(self.window);
+    }
+
+    /// The window length is configuration: a blob captured under another
+    /// one would close its windows at the wrong cycles.
+    fn check_window(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), SnapError> {
+        if r.u64()? != self.window {
             return Err(SnapError::Bad("Sampler window mismatch"));
         }
-        let due = r.u64()?;
-        let last_end = r.u64()?;
-        if r.usize()? != self.prev.len() {
-            return Err(SnapError::Bad("Sampler cell count mismatch"));
-        }
-        for p in &mut self.prev {
-            if r.seq_len()? != p.tiles.len() {
-                return Err(SnapError::Bad("Sampler tile count mismatch"));
-            }
-            for t in &mut p.tiles {
-                *t = CoreStats::snap_load(&mut r)?;
-            }
-            if r.seq_len()? != p.req.len() {
-                return Err(SnapError::Bad("Sampler router count mismatch"));
-            }
-            for l in &mut p.req {
-                *l = LinkStats::snap_load(&mut r)?;
-            }
-            if r.seq_len()? != p.resp.len() {
-                return Err(SnapError::Bad("Sampler router count mismatch"));
-            }
-            for l in &mut p.resp {
-                *l = LinkStats::snap_load(&mut r)?;
-            }
-            p.hbm = Hbm2Stats::snap_load(&mut r)?;
-        }
-        r.finish()?;
-        self.due = due;
-        self.last_end = last_end;
         Ok(())
     }
 }
+
+hb_mem::snap_state!(PrevCell [b"PREV"] {
+    save: hbm;
+    fixed: tiles, req, resp;
+});
+// The in-progress window: its due cycle, the last window boundary and the
+// previous cumulative counters the next delta diffs against, so a restored
+// run closes its windows at the same cycles with the same contents as the
+// uninterrupted one. The retention policy and the store itself are
+// host-side and travel separately.
+hb_mem::snap_state!(Sampler [b"SAMP"] {
+    save: due, last_end;
+    fixed: prev;
+    host: window, keep, store;
+} extra (save_window, check_window));
 
 /// Installs the thread-local observer factory and returns the scope guard
 /// plus the shared store.

@@ -95,6 +95,100 @@ fn killed_campaign_resumes_mid_job_with_identical_report() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// What an existing store meets after a `CKPT_VERSION` bump: the resume
+/// checkpoint a killed worker left behind and the shared warm checkpoint
+/// both carry the previous format version. Neither may fail the campaign —
+/// the resume checkpoint is dropped and its job starts over, the warm
+/// checkpoint is rebuilt — and the report must not change.
+#[test]
+fn stale_version_checkpoints_are_discarded_on_resume() {
+    let bin = env!("CARGO_BIN_EXE_hb-serve");
+    let base = std::env::temp_dir().join(format!("hb-serve-ckpt-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let clean = base.join("clean");
+    let killed = base.join("killed");
+    let warm_args = |dir: &Path| {
+        let mut args = run_args(dir);
+        let kernel = args.iter().position(|a| a == "jacobi").unwrap();
+        args[kernel] = "warm:jacobi".to_owned();
+        args
+    };
+
+    let out = Command::new(bin).args(warm_args(&clean)).output().unwrap();
+    assert!(
+        out.status.success(),
+        "clean run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut kargs = warm_args(&killed);
+    kargs.extend(["--crash-after-ckpts".to_owned(), "2".to_owned()]);
+    let out = Command::new(bin).args(kargs).output().unwrap();
+    assert_eq!(out.status.code(), Some(3), "expected the mid-run kill");
+
+    // Stamp every leftover checkpoint with the previous format version.
+    let ckpt_dir = killed.join("store").join("ckpt");
+    let leftovers: Vec<_> = std::fs::read_dir(&ckpt_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    let is_warm = |p: &Path| {
+        let name = p.file_name().unwrap().to_string_lossy().into_owned();
+        name.starts_with("warm-")
+    };
+    assert!(
+        leftovers.iter().any(|p| is_warm(p)) && leftovers.iter().any(|p| !is_warm(p)),
+        "expected a warm and a resume checkpoint, found {leftovers:?}"
+    );
+    for path in &leftovers {
+        let mut bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes[8..12], hb_ckpt::CKPT_VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+        assert!(matches!(
+            hb_ckpt::decode(&bytes),
+            Err(hb_ckpt::CkptError::Version { found: 1 })
+        ));
+    }
+
+    let out = Command::new(bin)
+        .args([
+            "resume",
+            "--dir",
+            &killed.display().to_string(),
+            "--threads",
+            "1",
+            "--ckpt-every",
+            "1000",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "resume over stale checkpoints failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // The stale resume checkpoint is gone; the warm one was rebuilt in the
+    // current format.
+    for path in &leftovers {
+        if is_warm(path) {
+            let rebuilt = std::fs::read(path).unwrap();
+            assert!(
+                hb_ckpt::decode(&rebuilt).is_ok(),
+                "warm checkpoint not rebuilt"
+            );
+        } else {
+            assert!(!path.exists(), "stale resume checkpoint survived: {path:?}");
+        }
+    }
+    assert_eq!(
+        std::fs::read(clean.join("report.txt")).unwrap(),
+        std::fs::read(killed.join("report.txt")).unwrap(),
+        "report over stale checkpoints diverges from the uninterrupted twin"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 #[test]
 fn warm_campaign_classifies_identically_to_cold() {
     use hb_core::MachineConfig;

@@ -167,6 +167,16 @@ fn restored_run_is_bit_identical_for_every_kernel() {
             "{name}: checkpoint bytes differ between 1 and 4 worker threads"
         );
 
+        // Restore is a fixed point of encode: a field saved but not loaded,
+        // or derived state leaking into the payload, would change the bytes.
+        let mut restored = Machine::new(base.clone());
+        ckpt::restore(&mut restored, &blob).expect("restore");
+        assert!(
+            ckpt::encode(&restored) == blob,
+            "{name}: re-encoding the restored machine changed the checkpoint"
+        );
+        drop(restored);
+
         // Continue the same checkpoint under every host-knob combination.
         let mut digests = Vec::new();
         for threads in [1, 4] {
@@ -382,4 +392,40 @@ fn mismatched_version_and_config_are_clean_errors() {
     let mid = torn.len() / 2;
     torn[mid] ^= 0x10;
     assert!(matches!(ckpt::decode(&torn), Err(ckpt::CkptError::Corrupt)));
+}
+
+/// The format pin: `CKPT_VERSION` names a byte layout, and the layout
+/// follows from the snapshot field lists, so editing a list silently
+/// changes what version 2 means. This digests the checkpoint of one fixed
+/// machine — 2x2, the seeded SGEMM 997 cycles in, profiling on, a fault
+/// plan pending — and compares it with the digest recorded when the
+/// version was last bumped.
+#[test]
+fn payload_layout_is_pinned_to_ckpt_version() {
+    use hammerblade::fault::{InjectionPlan, Site};
+    const PINNED: (u32, u64) = (2, 0x43f6_7ab0_41be_fa54);
+
+    let cfg = MachineConfig {
+        cell_dim: CellDim { x: 2, y: 2 },
+        profile: true,
+        ..cfg_with(1, true)
+    };
+    let mut machine = sgemm_machine(&cfg);
+    let sites = ["regfile(0,1,0,9,4)", "noc(0,1,0,3,0)", "freeze(0,1,0,64)"];
+    machine.set_injection_plan(&InjectionPlan::explicit(
+        sites.map(|s| (1 << 40, Site::from_canonical(s).expect("a canonical site"))),
+    ));
+    while machine.cycle() < 997 {
+        machine.tick();
+    }
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &ckpt::encode(&machine) {
+        digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(
+        (ckpt::CKPT_VERSION, digest),
+        PINNED,
+        "layout changed: bump `CKPT_VERSION` and re-record `PINNED` \
+         (only re-record if it is the simulated first 997 cycles that changed)"
+    );
 }
