@@ -10,18 +10,13 @@
 //! Restore is deterministic, so every replay of the same file walks the
 //! same post-mortem trajectory — add cycles to step further into the hang.
 
+use hb_bench::cli::{fail, flag_value, usage_fail};
 use hb_core::{Machine, SimError, SnapshotDram};
 
 const USAGE: &str = "usage: replay --ckpt <file> [--cycles N]
 
   --ckpt FILE    checkpoint file to restore (required)
   --cycles N     further cycles to simulate  [100000]";
-
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("replay: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(1);
-}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -30,30 +25,21 @@ fn main() {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--ckpt" => {
-                i += 1;
-                ckpt_path = Some(
-                    argv.get(i)
-                        .unwrap_or_else(|| fail("--ckpt needs a file"))
-                        .into(),
-                );
-            }
+            "--ckpt" => ckpt_path = Some(flag_value(&argv, &mut i, USAGE).into()),
             "--cycles" => {
-                i += 1;
-                cycles = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--cycles needs a number"));
+                cycles = flag_value(&argv, &mut i, USAGE)
+                    .parse()
+                    .unwrap_or_else(|_| usage_fail(USAGE, "--cycles needs a number"));
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
-            other => fail(format!("unknown option {other:?}")),
+            other => usage_fail(USAGE, format!("unknown option {other:?}")),
         }
         i += 1;
     }
-    let path = ckpt_path.unwrap_or_else(|| fail("--ckpt is required"));
+    let path = ckpt_path.unwrap_or_else(|| usage_fail(USAGE, "--ckpt is required"));
 
     let bytes = std::fs::read(&path)
         .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));

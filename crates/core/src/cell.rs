@@ -116,9 +116,8 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Builds an idle Cell.
+    /// Builds an idle Cell of a configuration `Machine::new` has validated.
     pub fn new(cfg: Arc<MachineConfig>, id: u8) -> Cell {
-        cfg.validate_or_panic();
         let pgas = PgasMap {
             cell_id: id,
             num_cells: cfg.num_cells,

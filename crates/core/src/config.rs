@@ -3,7 +3,28 @@
 //! Every architectural feature evaluated in the paper's Figure 10 ablation
 //! has a knob here, and the Table II machine configurations are provided as
 //! presets.
+//!
+//! # The canonical text, and the `hashed`/`host` rule
+//!
+//! [`MachineConfig::canonical_text`] is the identity of a configuration:
+//! `hb-serve` hashes it into every job hash, and a checkpoint will only
+//! restore into a machine whose text matches its header. Writer and reader
+//! are both generated from the one field list at the bottom of this file
+//! (`hb_mem::text_record!`), which must put **every** field of
+//! [`MachineConfig`] in one of two classes — a field in neither does not
+//! compile:
+//!
+//! - `hashed "key"`: the field can change a simulated result, so it is in
+//!   the text. Adding, removing or re-interpreting one changes what cached
+//!   results mean: bump [`MachineConfig::CANONICAL_VERSION`] (the tier-1
+//!   test `tests/text_pins.rs` fails until you do).
+//! - `host = value`: the field only steers the host (`threads`, the
+//!   sanitizer, the park policy, the profiler); results are bit-identical
+//!   at any setting, it is not in the text, and a decoded configuration
+//!   carries the normalized `value` — callers that simulate set it as they
+//!   like afterwards.
 
+use hb_mem::text::Text;
 use hb_mem::Hbm2Config;
 use hb_noc::StripConfig;
 
@@ -15,6 +36,9 @@ pub struct CellDim {
     /// Tile rows.
     pub y: u8,
 }
+
+// The `16x8` of the canonical text.
+hb_mem::text_tuple!(CellDim, 'x' { x, y });
 
 impl CellDim {
     /// Total tiles in the Cell.
@@ -154,13 +178,6 @@ pub struct MachineConfig {
     /// branch per recorded event (the same pattern as `telemetry_window`
     /// and `race_check`). Host-only: excluded from the canonical text.
     pub profile: bool,
-    /// Hang-watchdog probe interval in core cycles: `Machine::run` samples
-    /// its progress signature every `watchdog_window` cycles and declares a
-    /// hang after two unchanged samples (so detection latency is between
-    /// one and two windows). Host-only: the watchdog merely *observes* a
-    /// run, so the window is excluded from the canonical text and cannot
-    /// change simulated results. Must be at least 1.
-    pub watchdog_window: u64,
 }
 
 impl MachineConfig {
@@ -205,7 +222,6 @@ impl MachineConfig {
             race_check: false,
             event_core: true,
             profile: false,
-            watchdog_window: 10_000,
         }
     }
 
@@ -244,16 +260,10 @@ impl MachineConfig {
     pub fn baseline_manycore() -> MachineConfig {
         MachineConfig {
             cell_dim: CellDim { x: 8, y: 4 },
-            ruche_factor: 0,
-            non_blocking_loads: false,
-            write_validate: false,
-            load_packet_compression: false,
-            ipoly_hashing: false,
-            non_blocking_cache: false,
             cache_sets: 32,
             link_occupancy: 2,
             net_fifo_depth: 2,
-            ..MachineConfig::baseline_16x8()
+            ..MachineConfig::cellular_baseline()
         }
     }
 
@@ -319,9 +329,6 @@ impl MachineConfig {
         if self.num_cells < 1 {
             return Err(ConfigError::ZeroCells);
         }
-        if self.watchdog_window == 0 {
-            return Err(ConfigError::ZeroWatchdogWindow);
-        }
         if self.dram_bytes_per_cell > (16 << 20) {
             return Err(ConfigError::DramWindowTooLarge {
                 bytes: self.dram_bytes_per_cell,
@@ -340,241 +347,79 @@ impl MachineConfig {
         Ok(())
     }
 
-    /// Like [`MachineConfig::validate`], for call sites where an invalid
-    /// configuration is a programming error.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message on an impossible
-    /// configuration.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid machine configuration: {e}");
-        }
-    }
-}
-
-impl MachineConfig {
     /// Version of the canonical text layout produced by
     /// [`MachineConfig::canonical_text`]. Bump whenever a field is added,
     /// removed or re-interpreted so stale cached results never alias.
     pub const CANONICAL_VERSION: u32 = 1;
 
-    /// Stable canonical serialization: every simulated-behaviour field in a
-    /// fixed order as `key=value` pairs joined by `;`, prefixed with a
-    /// layout version. Host-execution knobs that cannot change simulated
-    /// results (`threads`) are deliberately excluded, so the text — and any
-    /// content hash derived from it — is identical across `HB_THREADS`
+    /// Stable canonical serialization: the layout version, then every
+    /// `hashed` field of the list below in list order, as `key=value` pairs
+    /// joined by `;`. The `host` fields (`threads`, ...) cannot change
+    /// simulated results and are deliberately excluded, so the text — and
+    /// any content hash derived from it — is identical across `HB_THREADS`
     /// settings.
     pub fn canonical_text(&self) -> String {
-        let disabled = self
-            .disabled_tiles
-            .iter()
-            .map(|(x, y)| format!("{x},{y}"))
-            .collect::<Vec<_>>()
-            .join("+");
-        format!(
-            "cfgv={v};cell={cx}x{cy};cells={cells};ruche={ruche};nbl={nbl};wv={wv};\
-             lpc={lpc};ipoly={ipoly};nbc={nbc};spm={spm};icache={ic};sets={sets};\
-             ways={ways};line={line};mshrs={mshrs};dram={dram};fma={fma};mul={mul};\
-             div={div};fdiv={fdiv};fsqrt={fsqrt};fp={fp};spmld={spmld};bmiss={bmiss};\
-             icmiss={icmiss};outst={outst};fifo={fifo};linkocc={linkocc};\
-             coremhz={coremhz};memmhz={memmhz};hbm={hbanks},{hrow},{hline},{hburst},\
-             {hrcd},{hrp},{hcas},{hras},{hccd},{hrfc},{hrefi},{hqd};\
-             strip={sbanks},{sbpc},{slat},{sskip};disabled={disabled};telw={telw}",
-            v = MachineConfig::CANONICAL_VERSION,
-            cx = self.cell_dim.x,
-            cy = self.cell_dim.y,
-            cells = self.num_cells,
-            ruche = self.ruche_factor,
-            nbl = u8::from(self.non_blocking_loads),
-            wv = u8::from(self.write_validate),
-            lpc = u8::from(self.load_packet_compression),
-            ipoly = u8::from(self.ipoly_hashing),
-            nbc = u8::from(self.non_blocking_cache),
-            spm = self.spm_bytes,
-            ic = self.icache_bytes,
-            sets = self.cache_sets,
-            ways = self.cache_ways,
-            line = self.line_bytes,
-            mshrs = self.cache_mshrs,
-            dram = self.dram_bytes_per_cell,
-            fma = self.fma_latency,
-            mul = self.mul_latency,
-            div = self.div_latency,
-            fdiv = self.fdiv_latency,
-            fsqrt = self.fsqrt_latency,
-            fp = self.fp_latency,
-            spmld = self.spm_load_latency,
-            bmiss = self.branch_miss_penalty,
-            icmiss = self.icache_miss_latency,
-            outst = self.max_outstanding,
-            fifo = self.net_fifo_depth,
-            linkocc = self.link_occupancy,
-            coremhz = self.core_freq_mhz,
-            memmhz = self.mem_freq_mhz,
-            hbanks = self.hbm.banks,
-            hrow = self.hbm.row_bytes,
-            hline = self.hbm.line_bytes,
-            hburst = self.hbm.burst_cycles,
-            hrcd = self.hbm.t_rcd,
-            hrp = self.hbm.t_rp,
-            hcas = self.hbm.t_cas,
-            hras = self.hbm.t_ras,
-            hccd = self.hbm.t_ccd,
-            hrfc = self.hbm.t_rfc,
-            hrefi = self.hbm.t_refi,
-            hqd = self.hbm.queue_depth,
-            sbanks = self.strip.banks,
-            sbpc = self.strip.bytes_per_cycle,
-            slat = self.strip.base_latency,
-            sskip = self.strip.skip_distance,
-            disabled = disabled,
-            telw = self.telemetry_window,
-        )
+        self.to_text()
     }
 
     /// Parses a [`MachineConfig::canonical_text`] string back into a
-    /// configuration. `threads` is not part of the canonical form and is
-    /// restored to `1`; callers that simulate set it explicitly.
+    /// configuration and [validates](MachineConfig::validate) it, so a
+    /// decoded configuration can always build a machine. The `host` fields
+    /// are not part of the canonical form and come back normalized
+    /// (`threads` 1, sanitizer and profiler off, parking on).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing, unknown or malformed field.
-    /// A version other than [`MachineConfig::CANONICAL_VERSION`] is an
-    /// error — stale text must not silently reparse.
+    /// Returns a message naming the missing, repeated, unknown or
+    /// malformed field, or the [`ConfigError`]. A version other than
+    /// [`MachineConfig::CANONICAL_VERSION`] is an error — stale text must
+    /// not silently reparse.
     pub fn from_canonical_text(text: &str) -> Result<MachineConfig, String> {
-        let mut map = std::collections::BTreeMap::new();
-        for part in text.split(';') {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("malformed field {part:?}"))?;
-            if map.insert(k.trim(), v).is_some() {
-                return Err(format!("duplicate field {k:?}"));
-            }
-        }
-        fn req<'a>(
-            map: &std::collections::BTreeMap<&str, &'a str>,
-            key: &str,
-        ) -> Result<&'a str, String> {
-            map.get(key)
-                .copied()
-                .ok_or_else(|| format!("missing field {key:?}"))
-        }
-        fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("bad value for {key:?}: {v:?}"))
-        }
-        fn get<T: std::str::FromStr>(
-            map: &std::collections::BTreeMap<&str, &str>,
-            key: &str,
-        ) -> Result<T, String> {
-            num(key, req(map, key)?)
-        }
-        fn get_bool(
-            map: &std::collections::BTreeMap<&str, &str>,
-            key: &str,
-        ) -> Result<bool, String> {
-            Ok(get::<u8>(map, key)? != 0)
-        }
-        fn fields<'a, const N: usize>(key: &str, v: &'a str) -> Result<[&'a str; N], String> {
-            let parts: Vec<&str> = v.split(',').collect();
-            parts
-                .try_into()
-                .map_err(|_| format!("{key:?} wants {N} comma-separated values, got {v:?}"))
-        }
-
-        let version: u32 = get(&map, "cfgv")?;
-        if version != MachineConfig::CANONICAL_VERSION {
-            return Err(format!(
-                "canonical config version {version} != supported {}",
-                MachineConfig::CANONICAL_VERSION
-            ));
-        }
-        let cell = req(&map, "cell")?;
-        let (cx, cy) = cell
-            .split_once('x')
-            .ok_or_else(|| format!("bad cell dim {cell:?}"))?;
-        let hbm = fields::<12>("hbm", req(&map, "hbm")?)?;
-        let strip = fields::<4>("strip", req(&map, "strip")?)?;
-        let disabled_text = req(&map, "disabled")?;
-        let mut disabled_tiles = Vec::new();
-        if !disabled_text.is_empty() {
-            for pair in disabled_text.split('+') {
-                let (x, y) = pair
-                    .split_once(',')
-                    .ok_or_else(|| format!("bad disabled tile {pair:?}"))?;
-                disabled_tiles.push((num("disabled", x)?, num("disabled", y)?));
-            }
-        }
-        let cfg = MachineConfig {
-            cell_dim: CellDim {
-                x: num("cell", cx)?,
-                y: num("cell", cy)?,
-            },
-            num_cells: get(&map, "cells")?,
-            ruche_factor: get(&map, "ruche")?,
-            non_blocking_loads: get_bool(&map, "nbl")?,
-            write_validate: get_bool(&map, "wv")?,
-            load_packet_compression: get_bool(&map, "lpc")?,
-            ipoly_hashing: get_bool(&map, "ipoly")?,
-            non_blocking_cache: get_bool(&map, "nbc")?,
-            spm_bytes: get(&map, "spm")?,
-            icache_bytes: get(&map, "icache")?,
-            cache_sets: get(&map, "sets")?,
-            cache_ways: get(&map, "ways")?,
-            line_bytes: get(&map, "line")?,
-            cache_mshrs: get(&map, "mshrs")?,
-            dram_bytes_per_cell: get(&map, "dram")?,
-            fma_latency: get(&map, "fma")?,
-            mul_latency: get(&map, "mul")?,
-            div_latency: get(&map, "div")?,
-            fdiv_latency: get(&map, "fdiv")?,
-            fsqrt_latency: get(&map, "fsqrt")?,
-            fp_latency: get(&map, "fp")?,
-            spm_load_latency: get(&map, "spmld")?,
-            branch_miss_penalty: get(&map, "bmiss")?,
-            icache_miss_latency: get(&map, "icmiss")?,
-            max_outstanding: get(&map, "outst")?,
-            net_fifo_depth: get(&map, "fifo")?,
-            link_occupancy: get(&map, "linkocc")?,
-            core_freq_mhz: get(&map, "coremhz")?,
-            mem_freq_mhz: get(&map, "memmhz")?,
-            hbm: Hbm2Config {
-                banks: num("hbm.banks", hbm[0])?,
-                row_bytes: num("hbm.row_bytes", hbm[1])?,
-                line_bytes: num("hbm.line_bytes", hbm[2])?,
-                burst_cycles: num("hbm.burst_cycles", hbm[3])?,
-                t_rcd: num("hbm.t_rcd", hbm[4])?,
-                t_rp: num("hbm.t_rp", hbm[5])?,
-                t_cas: num("hbm.t_cas", hbm[6])?,
-                t_ras: num("hbm.t_ras", hbm[7])?,
-                t_ccd: num("hbm.t_ccd", hbm[8])?,
-                t_rfc: num("hbm.t_rfc", hbm[9])?,
-                t_refi: num("hbm.t_refi", hbm[10])?,
-                queue_depth: num("hbm.queue_depth", hbm[11])?,
-            },
-            strip: StripConfig {
-                banks: num("strip.banks", strip[0])?,
-                bytes_per_cycle: num("strip.bytes_per_cycle", strip[1])?,
-                base_latency: num("strip.base_latency", strip[2])?,
-                skip_distance: num("strip.skip_distance", strip[3])?,
-            },
-            disabled_tiles,
-            threads: 1,
-            telemetry_window: get(&map, "telw")?,
-            race_check: false,
-            event_core: true,
-            profile: false,
-            watchdog_window: 10_000,
-        };
-        // 34 top-level keys: every field accounted for, nothing unknown.
-        if map.len() != 34 {
-            return Err(format!("expected 34 canonical fields, got {}", map.len()));
-        }
-        Ok(cfg)
+        MachineConfig::parse(text)
     }
 }
+
+// Dead tiles are spelled `x,y+x,y`.
+hb_mem::text_record!(MachineConfig, ';' {
+    version "cfgv" = MachineConfig::CANONICAL_VERSION,
+    hashed "cell" => cell_dim,
+    hashed "cells" => num_cells,
+    hashed "ruche" => ruche_factor,
+    hashed "nbl" => non_blocking_loads,
+    hashed "wv" => write_validate,
+    hashed "lpc" => load_packet_compression,
+    hashed "ipoly" => ipoly_hashing,
+    hashed "nbc" => non_blocking_cache,
+    hashed "spm" => spm_bytes,
+    hashed "icache" => icache_bytes,
+    hashed "sets" => cache_sets,
+    hashed "ways" => cache_ways,
+    hashed "line" => line_bytes,
+    hashed "mshrs" => cache_mshrs,
+    hashed "dram" => dram_bytes_per_cell,
+    hashed "fma" => fma_latency,
+    hashed "mul" => mul_latency,
+    hashed "div" => div_latency,
+    hashed "fdiv" => fdiv_latency,
+    hashed "fsqrt" => fsqrt_latency,
+    hashed "fp" => fp_latency,
+    hashed "spmld" => spm_load_latency,
+    hashed "bmiss" => branch_miss_penalty,
+    hashed "icmiss" => icache_miss_latency,
+    hashed "outst" => max_outstanding,
+    hashed "fifo" => net_fifo_depth,
+    hashed "linkocc" => link_occupancy,
+    hashed "coremhz" => core_freq_mhz,
+    hashed "memmhz" => mem_freq_mhz,
+    hashed "hbm" => hbm,
+    hashed "strip" => strip,
+    hashed "disabled" => disabled_tiles,
+    hashed "telw" => telemetry_window,
+    host threads = 1,
+    host race_check = false,
+    host event_core = true,
+    host profile = false,
+} check validate);
 
 /// Why a [`MachineConfig`] is internally inconsistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -599,8 +444,6 @@ pub enum ConfigError {
     ZeroScoreboard,
     /// A machine needs at least one Cell.
     ZeroCells,
-    /// The hang watchdog cannot probe on a zero-cycle interval.
-    ZeroWatchdogWindow,
     /// The Local/Group-DRAM EVA offset field is 24 bits, capping the
     /// per-Cell window at 16 MiB.
     DramWindowTooLarge {
@@ -632,9 +475,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "max_outstanding must be at least 1")
             }
             ConfigError::ZeroCells => write!(f, "num_cells must be at least 1"),
-            ConfigError::ZeroWatchdogWindow => {
-                write!(f, "watchdog_window must be at least 1 cycle")
-            }
             ConfigError::DisabledTileOutOfRange { tile, dim } => {
                 write!(
                     f,
@@ -718,12 +558,6 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::ZeroCells));
 
         let c = MachineConfig {
-            watchdog_window: 0,
-            ..base.clone()
-        };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroWatchdogWindow));
-
-        let c = MachineConfig {
             dram_bytes_per_cell: 32 << 20,
             ..base.clone()
         };
@@ -747,12 +581,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid machine configuration")]
-    fn validate_or_panic_panics_on_bad_config() {
-        MachineConfig {
+    fn building_a_machine_panics_on_bad_config() {
+        crate::Machine::new(MachineConfig {
             num_cells: 0,
             ..MachineConfig::baseline_16x8()
-        }
-        .validate_or_panic();
+        });
     }
 
     #[test]
@@ -772,11 +605,11 @@ mod tests {
         ] {
             let text = cfg.canonical_text();
             let back = MachineConfig::from_canonical_text(&text).unwrap();
-            // threads/event_core/profile are host-only and restored to their
-            // fixed values; everything else must survive the round trip
-            // bit-exactly.
+            // The host fields come back at their normalized values;
+            // everything else must survive the round trip bit-exactly.
             let normalized = MachineConfig {
                 threads: 1,
+                race_check: false,
                 event_core: true,
                 profile: false,
                 ..cfg
@@ -786,293 +619,99 @@ mod tests {
         }
     }
 
+    /// A value of `field` (as the field list names it) that no preset has.
+    /// A field added to the list fails here until it has a mutation.
+    fn mutate(cfg: &mut MachineConfig, field: &str) {
+        match field {
+            "cell_dim" => cfg.cell_dim = CellDim { x: 8, y: 8 },
+            "num_cells" => cfg.num_cells = 2,
+            "ruche_factor" => cfg.ruche_factor = 0,
+            "non_blocking_loads" => cfg.non_blocking_loads = false,
+            "write_validate" => cfg.write_validate = false,
+            "load_packet_compression" => cfg.load_packet_compression = false,
+            "ipoly_hashing" => cfg.ipoly_hashing = false,
+            "non_blocking_cache" => cfg.non_blocking_cache = false,
+            "spm_bytes" => cfg.spm_bytes = 8192,
+            "icache_bytes" => cfg.icache_bytes = 8192,
+            "cache_sets" => cfg.cache_sets = 128,
+            "cache_ways" => cfg.cache_ways = 4,
+            "line_bytes" => cfg.line_bytes = 32,
+            "cache_mshrs" => cfg.cache_mshrs = 4,
+            "dram_bytes_per_cell" => cfg.dram_bytes_per_cell = 8 << 20,
+            "fma_latency" => cfg.fma_latency = 4,
+            "mul_latency" => cfg.mul_latency = 3,
+            "div_latency" => cfg.div_latency = 17,
+            "fdiv_latency" => cfg.fdiv_latency = 13,
+            "fsqrt_latency" => cfg.fsqrt_latency = 13,
+            "fp_latency" => cfg.fp_latency = 3,
+            "spm_load_latency" => cfg.spm_load_latency = 3,
+            "branch_miss_penalty" => cfg.branch_miss_penalty = 3,
+            "icache_miss_latency" => cfg.icache_miss_latency = 41,
+            "max_outstanding" => cfg.max_outstanding = 32,
+            "net_fifo_depth" => cfg.net_fifo_depth = 8,
+            "link_occupancy" => cfg.link_occupancy = 2,
+            "core_freq_mhz" => cfg.core_freq_mhz = 1000,
+            "mem_freq_mhz" => cfg.mem_freq_mhz = 800,
+            "hbm" => cfg.hbm.t_cas = 15,
+            "strip" => cfg.strip.base_latency = 3,
+            "disabled_tiles" => cfg.disabled_tiles = vec![(1, 1)],
+            "telemetry_window" => cfg.telemetry_window = 100,
+            "threads" => cfg.threads = 8,
+            "race_check" => cfg.race_check = true,
+            "event_core" => cfg.event_core = false,
+            "profile" => cfg.profile = true,
+            _ => panic!("no mutation for field {field:?}: add one"),
+        }
+    }
+
     #[test]
     fn canonical_text_ignores_threads_and_sees_every_other_field() {
-        let base = MachineConfig::baseline_16x8();
-        let a = MachineConfig {
+        // threads 1 vs 8, parking on vs off, profiler off vs on, and every
+        // other host field: none may leak into the canonical form. Every
+        // hashed field: mutating it must change the text (and therefore any
+        // content hash derived from it), and the mutated text must decode
+        // to the mutated value.
+        let base = MachineConfig {
             threads: 1,
-            ..base.clone()
+            ..MachineConfig::baseline_16x8()
         };
-        let b = MachineConfig {
-            threads: 8,
-            ..base.clone()
-        };
-        assert_eq!(
-            a.canonical_text(),
-            b.canonical_text(),
-            "threads must not leak into the canonical form"
-        );
-        let ev_on = MachineConfig {
-            event_core: true,
-            ..base.clone()
-        };
-        let ev_off = MachineConfig {
-            event_core: false,
-            ..base.clone()
-        };
-        assert_eq!(
-            ev_on.canonical_text(),
-            ev_off.canonical_text(),
-            "event_core must not leak into the canonical form"
-        );
-        let prof_on = MachineConfig {
-            profile: true,
-            ..base.clone()
-        };
-        assert_eq!(
-            prof_on.canonical_text(),
-            base.canonical_text(),
-            "profile must not leak into the canonical form"
-        );
-
-        // Mutating any simulated-behaviour field must change the text (and
-        // therefore any content hash derived from it).
-        let mutations: Vec<(&str, MachineConfig)> = vec![
-            (
-                "cell_dim",
-                MachineConfig {
-                    cell_dim: CellDim { x: 8, y: 8 },
-                    ..base.clone()
-                },
-            ),
-            (
-                "num_cells",
-                MachineConfig {
-                    num_cells: 2,
-                    ..base.clone()
-                },
-            ),
-            (
-                "ruche_factor",
-                MachineConfig {
-                    ruche_factor: 0,
-                    ..base.clone()
-                },
-            ),
-            (
-                "non_blocking_loads",
-                MachineConfig {
-                    non_blocking_loads: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "write_validate",
-                MachineConfig {
-                    write_validate: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "load_packet_compression",
-                MachineConfig {
-                    load_packet_compression: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "ipoly_hashing",
-                MachineConfig {
-                    ipoly_hashing: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "non_blocking_cache",
-                MachineConfig {
-                    non_blocking_cache: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "spm_bytes",
-                MachineConfig {
-                    spm_bytes: 8192,
-                    ..base.clone()
-                },
-            ),
-            (
-                "icache_bytes",
-                MachineConfig {
-                    icache_bytes: 8192,
-                    ..base.clone()
-                },
-            ),
-            (
-                "cache_sets",
-                MachineConfig {
-                    cache_sets: 128,
-                    ..base.clone()
-                },
-            ),
-            (
-                "cache_ways",
-                MachineConfig {
-                    cache_ways: 4,
-                    ..base.clone()
-                },
-            ),
-            (
-                "line_bytes",
-                MachineConfig {
-                    line_bytes: 32,
-                    ..base.clone()
-                },
-            ),
-            (
-                "cache_mshrs",
-                MachineConfig {
-                    cache_mshrs: 4,
-                    ..base.clone()
-                },
-            ),
-            (
-                "dram_bytes_per_cell",
-                MachineConfig {
-                    dram_bytes_per_cell: 8 << 20,
-                    ..base.clone()
-                },
-            ),
-            (
-                "fma_latency",
-                MachineConfig {
-                    fma_latency: 4,
-                    ..base.clone()
-                },
-            ),
-            (
-                "mul_latency",
-                MachineConfig {
-                    mul_latency: 3,
-                    ..base.clone()
-                },
-            ),
-            (
-                "div_latency",
-                MachineConfig {
-                    div_latency: 17,
-                    ..base.clone()
-                },
-            ),
-            (
-                "fdiv_latency",
-                MachineConfig {
-                    fdiv_latency: 13,
-                    ..base.clone()
-                },
-            ),
-            (
-                "fsqrt_latency",
-                MachineConfig {
-                    fsqrt_latency: 13,
-                    ..base.clone()
-                },
-            ),
-            (
-                "fp_latency",
-                MachineConfig {
-                    fp_latency: 3,
-                    ..base.clone()
-                },
-            ),
-            (
-                "spm_load_latency",
-                MachineConfig {
-                    spm_load_latency: 3,
-                    ..base.clone()
-                },
-            ),
-            (
-                "branch_miss_penalty",
-                MachineConfig {
-                    branch_miss_penalty: 3,
-                    ..base.clone()
-                },
-            ),
-            (
-                "icache_miss_latency",
-                MachineConfig {
-                    icache_miss_latency: 41,
-                    ..base.clone()
-                },
-            ),
-            (
-                "max_outstanding",
-                MachineConfig {
-                    max_outstanding: 32,
-                    ..base.clone()
-                },
-            ),
-            (
-                "net_fifo_depth",
-                MachineConfig {
-                    net_fifo_depth: 8,
-                    ..base.clone()
-                },
-            ),
-            (
-                "link_occupancy",
-                MachineConfig {
-                    link_occupancy: 2,
-                    ..base.clone()
-                },
-            ),
-            (
-                "core_freq_mhz",
-                MachineConfig {
-                    core_freq_mhz: 1000,
-                    ..base.clone()
-                },
-            ),
-            (
-                "mem_freq_mhz",
-                MachineConfig {
-                    mem_freq_mhz: 800,
-                    ..base.clone()
-                },
-            ),
-            (
-                "hbm",
-                MachineConfig {
-                    hbm: Hbm2Config {
-                        t_cas: 15,
-                        ..base.hbm.clone()
-                    },
-                    ..base.clone()
-                },
-            ),
-            (
-                "strip",
-                MachineConfig {
-                    strip: StripConfig {
-                        base_latency: 3,
-                        ..base.strip
-                    },
-                    ..base.clone()
-                },
-            ),
-            (
-                "disabled_tiles",
-                MachineConfig {
-                    disabled_tiles: vec![(1, 1)],
-                    ..base.clone()
-                },
-            ),
-            (
-                "telemetry_window",
-                MachineConfig {
-                    telemetry_window: 100,
-                    ..base.clone()
-                },
-            ),
-        ];
         let baseline_text = base.canonical_text();
-        for (field, cfg) in mutations {
-            assert_ne!(
-                cfg.canonical_text(),
-                baseline_text,
-                "mutating {field} must change the canonical text"
-            );
+        assert_eq!(MachineConfig::FIELDS.len(), 33 + 4);
+        for &(field, hashed) in MachineConfig::FIELDS {
+            let mut cfg = base.clone();
+            mutate(&mut cfg, field);
+            assert_ne!(cfg, base, "the mutation of {field} is a no-op");
+            let text = cfg.canonical_text();
+            if hashed {
+                assert_ne!(
+                    text, baseline_text,
+                    "mutating {field} must change the canonical text"
+                );
+                assert_eq!(MachineConfig::from_canonical_text(&text), Ok(cfg));
+            } else {
+                assert_eq!(
+                    text, baseline_text,
+                    "{field} must not leak into the canonical form"
+                );
+            }
+        }
+        // The positional sub-fields of `hbm` and `strip`, one at a time.
+        for (key, arity) in [("hbm", 12), ("strip", 4)] {
+            let entry = baseline_text
+                .split(';')
+                .find(|e| e.starts_with(&format!("{key}=")))
+                .unwrap();
+            let values: Vec<&str> = entry[key.len() + 1..].split(',').collect();
+            assert_eq!(values.len(), arity);
+            for i in 0..arity {
+                let mut bumped = values.clone();
+                let plus_one = format!("{}", values[i].parse::<u64>().unwrap() + 1);
+                bumped[i] = &plus_one;
+                let text = baseline_text.replace(entry, &format!("{key}={}", bumped.join(",")));
+                let cfg = MachineConfig::from_canonical_text(&text).unwrap();
+                assert_ne!(cfg, base, "{key} field {i} is not decoded");
+                assert_eq!(cfg.canonical_text(), text, "{key} field {i} is not encoded");
+            }
         }
     }
 
@@ -1087,6 +726,41 @@ mod tests {
         // A truncated tail (missing fields) is rejected.
         let cut = &good[..good.len() / 2];
         assert!(MachineConfig::from_canonical_text(cut).is_err());
+        // One text per value: no signs, no flags other than 0 and 1, no
+        // repeated, unknown or empty entries.
+        for (from, to) in [
+            ("ruche=3", "ruche=+3"),
+            ("nbl=1", "nbl=2"),
+            ("ways=8", "ways=8;ways=8"),
+            ("ways=8", "ways=8;wayz=8"),
+            ("ways=8", "ways=8;"),
+            ("strip=16,16,2,4", "strip=16,16,2"),
+            ("strip=16,16,2,4", "strip=16,16,2,4,1"),
+            ("disabled=", "disabled=1"),
+            ("cell=16x8", "cell=16"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert!(MachineConfig::from_canonical_text(&bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn decoded_configs_are_validated() {
+        // What parses but cannot build a machine is the decoder's error,
+        // with `validate`'s message — not a panic in `Machine::new`.
+        let good = MachineConfig::baseline_16x8().canonical_text();
+        for (from, to, why) in [
+            ("cell=16x8", "cell=0x0", "empty cell"),
+            ("cell=16x8", "cell=3x8", "power of two"),
+            ("cells=1", "cells=0", "num_cells"),
+            ("dram=16777216", "dram=4294967295", "EVA offset"),
+            ("spm=4096", "spm=16", "too small"),
+            ("outst=63", "outst=0", "max_outstanding"),
+            ("disabled=", "disabled=16,0", "outside the 16x8 cell"),
+        ] {
+            let err = MachineConfig::from_canonical_text(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(why), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -15,6 +15,14 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+/// Hang-watchdog probe interval in core cycles: [`Machine::run`] samples
+/// its progress signature this often and dates the last progress to the
+/// last sample that differed, so a [`HangReport`] is accurate to one
+/// window. A constant, not a configuration field: it decides how a fault
+/// job's hang is described, so a value that varied would have to be hashed
+/// — and nothing ever set it to anything else.
+const WATCHDOG_WINDOW: u64 = 10_000;
+
 /// Periodic checkpoint callback (see [`Machine::set_auto_checkpoint`]).
 /// The machine passes itself back so the sink can serialize it; the sink
 /// is detached for the duration of the call.
@@ -161,8 +169,17 @@ impl Machine {
     /// Cells; the tile phase of each cycle then runs across that pool. The
     /// simulated results are bit-identical either way (see
     /// `crates/core/src/parallel.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::ConfigError) message when
+    /// `cfg` does not [validate](MachineConfig::validate): handing an
+    /// impossible configuration to the simulator is a programming error.
+    /// (Configurations read from outside the program are validated where
+    /// they are decoded, [`MachineConfig::from_canonical_text`].)
     pub fn new(cfg: MachineConfig) -> Machine {
-        cfg.validate_or_panic();
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"));
         let cfg = Arc::new(cfg);
         let mut cells: Vec<Cell> = (0..cfg.num_cells)
             .map(|i| Cell::new(cfg.clone(), i))
@@ -742,10 +759,9 @@ impl Machine {
     /// watchdog's [`HangReport`] classifying *why* the run never finished.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimError> {
         let start = self.cycle;
-        let wd_window = self.cfg.watchdog_window;
         let mut wd_sig = self.progress_signature();
         let mut wd_progress_cycle = self.cycle;
-        let mut wd_next = self.cycle + wd_window;
+        let mut wd_next = self.cycle + WATCHDOG_WINDOW;
         loop {
             if let Some(info) = self.cells.iter().find_map(Cell::fault) {
                 return Err(SimError::Fault(Box::new(info)));
@@ -779,7 +795,7 @@ impl Machine {
                     wd_progress_cycle = self.cycle;
                     wd_sig = sig;
                 }
-                wd_next = self.cycle + wd_window;
+                wd_next = self.cycle + WATCHDOG_WINDOW;
             }
             self.tick();
         }

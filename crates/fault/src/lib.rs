@@ -20,6 +20,7 @@
 //! (never inside the parallel tile phase), so a campaign run is bit-identical
 //! across repeats and across `HB_THREADS` settings.
 
+use hb_mem::text::Text;
 use hb_rng::Rng;
 
 /// Marker for a permanent tile freeze (never thaws).
@@ -108,48 +109,28 @@ pub enum Site {
     },
 }
 
+/// Kind tokens that are both the canonical-text spelling of a [`Site`]
+/// and the report label of its [`SiteKind`].
+const REGFILE: &str = "regfile";
+const SPM: &str = "spm";
+const ICACHE: &str = "icache";
+
+// `kind(field,field,...)`, fields in declaration order. Campaign job
+// hashes fold this text in (see `hb-serve`) and checkpoints carry pending
+// sites in it, so the layout is frozen: a change must bump `planv` below.
+hb_mem::text_enum!(Site, "site kind" {
+    REGFILE ["(" ")"] => RegFile { cell, x, y, reg, bit },
+    SPM ["(" ")"] => Spm { cell, x, y, word, bit },
+    ICACHE ["(" ")"] => IcacheLine { cell, x, y, line },
+    "noc" ["(" ")"] => NocLink { cell, x, y, port, req },
+    "hbm" ["(" ")"] => HbmStall { cell, window },
+    "freeze" ["(" ")"] => TileFreeze { cell, x, y, cycles },
+});
+
 impl Site {
-    /// Stable canonical text form, `kind(field,field,...)` with fields in
-    /// declaration order — the serialization campaign job hashes fold in
-    /// (see `hb-serve`), so the layout is frozen: any change must bump the
-    /// plan version in [`InjectionPlan::canonical_text`].
+    /// Stable canonical text form, `kind(field,field,...)`.
     pub fn canonical(&self) -> String {
-        match *self {
-            Site::RegFile {
-                cell,
-                x,
-                y,
-                reg,
-                bit,
-            } => {
-                format!("regfile({cell},{x},{y},{reg},{bit})")
-            }
-            Site::Spm {
-                cell,
-                x,
-                y,
-                word,
-                bit,
-            } => {
-                format!("spm({cell},{x},{y},{word},{bit})")
-            }
-            Site::IcacheLine { cell, x, y, line } => {
-                format!("icache({cell},{x},{y},{line})")
-            }
-            Site::NocLink {
-                cell,
-                x,
-                y,
-                port,
-                req,
-            } => {
-                format!("noc({cell},{x},{y},{port},{})", u8::from(req))
-            }
-            Site::HbmStall { cell, window } => format!("hbm({cell},{window})"),
-            Site::TileFreeze { cell, x, y, cycles } => {
-                format!("freeze({cell},{x},{y},{cycles})")
-            }
-        }
+        self.to_text()
     }
 
     /// Parses [`Site::canonical`] text.
@@ -158,85 +139,7 @@ impl Site {
     ///
     /// Returns a message describing the malformed component.
     pub fn from_canonical(text: &str) -> Result<Site, String> {
-        let open = text.find('(').ok_or_else(|| format!("bad site {text:?}"))?;
-        let body = text[open..]
-            .strip_prefix('(')
-            .and_then(|t| t.strip_suffix(')'))
-            .ok_or_else(|| format!("bad site {text:?}"))?;
-        let kind = &text[..open];
-        let nums: Vec<&str> = body.split(',').collect();
-        fn field<T: std::str::FromStr>(site: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("bad site field {v:?} in {site:?}"))
-        }
-        let want = |n: usize| -> Result<(), String> {
-            if nums.len() == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "site {text:?} wants {n} fields, got {}",
-                    nums.len()
-                ))
-            }
-        };
-        Ok(match kind {
-            "regfile" => {
-                want(5)?;
-                Site::RegFile {
-                    cell: field(text, nums[0])?,
-                    x: field(text, nums[1])?,
-                    y: field(text, nums[2])?,
-                    reg: field(text, nums[3])?,
-                    bit: field(text, nums[4])?,
-                }
-            }
-            "spm" => {
-                want(5)?;
-                Site::Spm {
-                    cell: field(text, nums[0])?,
-                    x: field(text, nums[1])?,
-                    y: field(text, nums[2])?,
-                    word: field(text, nums[3])?,
-                    bit: field(text, nums[4])?,
-                }
-            }
-            "icache" => {
-                want(4)?;
-                Site::IcacheLine {
-                    cell: field(text, nums[0])?,
-                    x: field(text, nums[1])?,
-                    y: field(text, nums[2])?,
-                    line: field(text, nums[3])?,
-                }
-            }
-            "noc" => {
-                want(5)?;
-                Site::NocLink {
-                    cell: field(text, nums[0])?,
-                    x: field(text, nums[1])?,
-                    y: field(text, nums[2])?,
-                    port: field(text, nums[3])?,
-                    req: field::<u8>(text, nums[4])? != 0,
-                }
-            }
-            "hbm" => {
-                want(2)?;
-                Site::HbmStall {
-                    cell: field(text, nums[0])?,
-                    window: field(text, nums[1])?,
-                }
-            }
-            "freeze" => {
-                want(4)?;
-                Site::TileFreeze {
-                    cell: field(text, nums[0])?,
-                    x: field(text, nums[1])?,
-                    y: field(text, nums[2])?,
-                    cycles: field(text, nums[3])?,
-                }
-            }
-            _ => return Err(format!("unknown site kind {kind:?}")),
-        })
+        Site::parse(text)
     }
 
     /// The structure this site belongs to, for AVF aggregation.
@@ -287,9 +190,9 @@ impl SiteKind {
     /// Stable lowercase label.
     pub fn label(&self) -> &'static str {
         match self {
-            SiteKind::RegFile => "regfile",
-            SiteKind::Spm => "spm",
-            SiteKind::IcacheLine => "icache",
+            SiteKind::RegFile => REGFILE,
+            SiteKind::Spm => SPM,
+            SiteKind::IcacheLine => ICACHE,
             SiteKind::NocLink => "noc-link",
             SiteKind::HbmStall => "hbm-stall",
             SiteKind::TileFreeze => "tile-freeze",
@@ -305,6 +208,9 @@ pub struct Injection {
     /// Where it lands.
     pub site: Site,
 }
+
+// `cycle@site`, and `|` between the injections of a plan.
+hb_mem::text_tuple!(Injection, '@' { cycle, site } list '|');
 
 /// The machine shape a random plan draws sites from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,6 +236,12 @@ pub struct InjectionPlan {
     /// Scheduled faults; sorted by cycle on construction.
     pub injections: Vec<Injection>,
 }
+
+hb_mem::text_record!(InjectionPlan, ';' {
+    version "planv" = 1u32,
+    hashed "seed" => seed,
+    hashed "inj" => injections,
+});
 
 impl InjectionPlan {
     /// A plan from an explicit `(cycle, site)` list.
@@ -420,13 +332,7 @@ impl InjectionPlan {
     /// campaign job hashes fold in, so identical plans — however they were
     /// constructed — serialize identically.
     pub fn canonical_text(&self) -> String {
-        let inj = self
-            .injections
-            .iter()
-            .map(|i| format!("{}@{}", i.cycle, i.site.canonical()))
-            .collect::<Vec<_>>()
-            .join("|");
-        format!("planv=1;seed={};inj={inj}", self.seed)
+        self.to_text()
     }
 
     /// Parses [`InjectionPlan::canonical_text`].
@@ -436,52 +342,7 @@ impl InjectionPlan {
     /// Returns a message describing the malformed component; a version
     /// other than 1 is an error.
     pub fn from_canonical_text(text: &str) -> Result<InjectionPlan, String> {
-        let mut seed = None;
-        let mut inj_text = None;
-        let mut version = None;
-        for part in text.split(';') {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("malformed plan field {part:?}"))?;
-            match k {
-                "planv" => {
-                    version = Some(
-                        v.parse::<u32>()
-                            .map_err(|_| format!("bad plan version {v:?}"))?,
-                    );
-                }
-                "seed" => {
-                    seed = Some(
-                        v.parse::<u64>()
-                            .map_err(|_| format!("bad plan seed {v:?}"))?,
-                    );
-                }
-                "inj" => inj_text = Some(v),
-                _ => return Err(format!("unknown plan field {k:?}")),
-            }
-        }
-        match version {
-            Some(1) => {}
-            Some(v) => return Err(format!("unsupported plan version {v}")),
-            None => return Err("missing plan version".to_owned()),
-        }
-        let seed = seed.ok_or("missing plan seed")?;
-        let inj_text = inj_text.ok_or("missing plan injections")?;
-        let mut injections = Vec::new();
-        if !inj_text.is_empty() {
-            for item in inj_text.split('|') {
-                let (cycle, site) = item
-                    .split_once('@')
-                    .ok_or_else(|| format!("malformed injection {item:?}"))?;
-                injections.push(Injection {
-                    cycle: cycle
-                        .parse()
-                        .map_err(|_| format!("bad injection cycle {cycle:?}"))?,
-                    site: Site::from_canonical(site)?,
-                });
-            }
-        }
-        Ok(InjectionPlan { seed, injections })
+        InjectionPlan::parse(text)
     }
 
     /// Whether the plan schedules nothing.
@@ -577,49 +438,31 @@ impl AvfTable {
     /// Renders the table as aligned text, one row per site kind plus a
     /// totals row.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}\n",
-            "site", "masked", "sdc", "detected", "hang", "total", "avf"
-        ));
-        for kind in SiteKind::ALL {
-            let row: u64 = Outcome::ALL.iter().map(|&o| self.count(kind, o)).sum();
-            if row == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6.2}%\n",
-                kind.label(),
-                self.count(kind, Outcome::Masked),
-                self.count(kind, Outcome::Sdc),
-                self.count(kind, Outcome::Detected),
-                self.count(kind, Outcome::Hang),
-                row,
-                self.avf(kind) * 100.0,
-            ));
+        // A 12-wide label, an 8-wide cell per outcome, the row total.
+        fn row(label: &str, cells: [String; Outcome::COUNT], total: &str) -> String {
+            let cells: String = cells.iter().map(|c| format!(" {c:>8}")).collect();
+            format!("{label:<12}{cells} {total:>8}")
         }
-        out.push_str(&format!(
-            "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
-            "total",
-            self.outcome_total(Outcome::Masked),
-            self.outcome_total(Outcome::Sdc),
-            self.outcome_total(Outcome::Detected),
-            self.outcome_total(Outcome::Hang),
-            self.total(),
-        ));
-        out
+        let mut out = row("site", Outcome::ALL.map(|o| o.label().to_owned()), "total");
+        out += &format!(" {:>7}\n", "avf");
+        for kind in SiteKind::ALL {
+            let counts = Outcome::ALL.map(|o| self.count(kind, o));
+            let sum: u64 = counts.iter().sum();
+            if sum > 0 {
+                let cells = counts.map(|c| c.to_string());
+                out += &row(kind.label(), cells, &sum.to_string());
+                out += &format!(" {:>6.2}%\n", self.avf(kind) * 100.0);
+            }
+        }
+        let totals = Outcome::ALL.map(|o| self.outcome_total(o).to_string());
+        out + &row("total", totals, &self.total().to_string()) + "\n"
     }
 
     /// One-line `masked=a sdc=b detected=c hang=d` summary, the format the
     /// CI smoke job asserts against.
     pub fn summary_line(&self) -> String {
-        format!(
-            "masked={} sdc={} detected={} hang={}",
-            self.outcome_total(Outcome::Masked),
-            self.outcome_total(Outcome::Sdc),
-            self.outcome_total(Outcome::Detected),
-            self.outcome_total(Outcome::Hang),
-        )
+        let counts = Outcome::ALL.map(|o| format!("{}={}", o.label(), self.outcome_total(o)));
+        counts.join(" ")
     }
 }
 

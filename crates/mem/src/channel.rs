@@ -54,6 +54,13 @@ impl Default for Hbm2Config {
     }
 }
 
+// The canonical-text spelling (`hbm=16,1024,..` in `MachineConfig`'s):
+// every field is simulated behaviour, so every field is in it.
+crate::text_tuple!(Hbm2Config, ',' {
+    banks, row_bytes, line_bytes, burst_cycles, t_rcd, t_rp, t_cas, t_ras, t_ccd, t_rfc, t_refi,
+    queue_depth,
+});
+
 /// A line-granularity DRAM request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramRequest {

@@ -12,6 +12,11 @@
 //! DRAM timing) and *idle* (queue empty), with refresh cycles subtracted
 //! from the denominator.
 //!
+//! As the bottom of the crate stack (no dependencies), this crate also
+//! hosts the three codecs every layer above shares: [`snap`] (binary
+//! checkpoints), [`text`] (the canonical texts results are hashed by) and
+//! [`json`] (the one JSON parser, and flat-object records over it).
+//!
 //! # Examples
 //!
 //! ```
@@ -32,8 +37,10 @@
 
 mod channel;
 mod clock;
+pub mod json;
 pub mod snap;
 mod storage;
+pub mod text;
 
 pub use channel::{DramRequest, DramResponse, Hbm2Channel, Hbm2Config, Hbm2Stats};
 pub use clock::ClockDivider;

@@ -37,6 +37,9 @@ impl Default for StripConfig {
     }
 }
 
+// The canonical-text spelling (`strip=16,16,2,4` in `MachineConfig`'s).
+hb_mem::text_tuple!(StripConfig, ',' { banks, bytes_per_cycle, base_latency, skip_distance });
+
 /// One line transfer riding the strip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripTransfer {

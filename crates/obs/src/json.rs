@@ -1,254 +1,5 @@
-//! Minimal JSON utilities: string escaping for the hand-written exporters
-//! and a strict recursive-descent syntax validator used by the golden
-//! tests (no serde anywhere in the workspace).
+//! JSON escaping for the hand-written exporters and the strict syntax
+//! validator their golden tests use; both are `hb_mem::json`, the
+//! workspace's one JSON parser, shared with `hb-serve`.
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Validates that `s` is exactly one well-formed JSON value (per RFC 8259
-/// syntax; no trailing garbage). Returns the byte offset of the first
-/// error.
-pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, pos: 0 };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos != b.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.bump() == Some(c) {
-            Ok(())
-        } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(()),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or '}'"));
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(()),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or ']'"));
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(()),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                    Some(b'u') => {
-                        for _ in 0..4 {
-                            match self.bump() {
-                                Some(c) if c.is_ascii_hexdigit() => {}
-                                _ => return Err(self.err("bad \\u escape")),
-                            }
-                        }
-                    }
-                    _ => return Err(self.err("bad escape")),
-                },
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => {}
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("expected a digit")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return Err(self.err("expected a fraction digit"));
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return Err(self.err("expected an exponent digit"));
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accepts_valid_documents() {
-        for doc in [
-            "{}",
-            "[]",
-            "0",
-            "-12.5e3",
-            "true",
-            "null",
-            r#""hi \"there\"""#,
-            r#"{"a":[1,2,{"b":null}],"c":"é"}"#,
-            "  { \"k\" : [ 1 , 2 ] }\n",
-        ] {
-            assert!(validate(doc).is_ok(), "rejected valid {doc:?}");
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for doc in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "01",
-            "1.",
-            "\"unterminated",
-            "nul",
-            "{} extra",
-            "{'a':1}",
-        ] {
-            assert!(validate(doc).is_err(), "accepted invalid {doc:?}");
-        }
-    }
-
-    #[test]
-    fn escape_round_trips_through_validation() {
-        let nasty = "quote \" backslash \\ newline \n tab \t bell \u{7}";
-        let doc = format!("{{\"k\":\"{}\"}}", escape(nasty));
-        assert!(validate(&doc).is_ok(), "{doc}");
-    }
-}
+pub use hb_mem::json::{escape, validate};

@@ -237,16 +237,17 @@ impl CampaignStatus {
 mod tests {
     use super::*;
 
+    /// The baseline as its canonical text denotes it — the host fields at
+    /// their normalized values — so a manifest roundtrip compares equal
+    /// under any `HB_THREADS` environment.
+    fn canonical_baseline() -> MachineConfig {
+        MachineConfig::from_canonical_text(&MachineConfig::baseline_16x8().canonical_text())
+            .unwrap()
+    }
+
     #[test]
     fn fault_campaign_shape_and_manifest_roundtrip() {
-        // Pin the host-only fields to the values `from_canonical_text`
-        // restores, so the roundtrip compares equal under any HB_THREADS
-        // environment.
-        let cfg = MachineConfig {
-            threads: 1,
-            event_core: true,
-            ..MachineConfig::baseline_16x8()
-        };
+        let cfg = canonical_baseline();
         let c = Campaign::fault("avf sgemm", "sgemm", &cfg, 7, 5);
         assert_eq!(c.specs.len(), 6);
         assert_eq!(c.specs[0].kind, JobKind::Golden);
@@ -264,11 +265,7 @@ mod tests {
 
     #[test]
     fn profile_campaign_shape_and_manifest_roundtrip() {
-        let cfg = MachineConfig {
-            threads: 1,
-            event_core: true,
-            ..MachineConfig::baseline_16x8()
-        };
+        let cfg = canonical_baseline();
         let c = Campaign::profile("hot blocks", &["SGEMM", "BFS", "Jacobi"], &cfg, "small");
         assert_eq!(c.specs.len(), 3);
         for (spec, kernel) in c.specs.iter().zip(["SGEMM", "BFS", "Jacobi"]) {

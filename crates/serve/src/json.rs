@@ -1,194 +1,4 @@
-//! Minimal flat-JSON support for store records: one-level objects whose
-//! values are strings or unsigned integers. Hand-written like `hb-obs`'s
-//! exporters — the workspace deliberately has no serde. Strict enough for
-//! our own records; not a general JSON parser.
+//! JSON string quoting for record writers; the parser, the validator and
+//! the record codec are `hb_mem::json`, shared with `hb-obs`.
 
-use std::collections::BTreeMap;
-
-/// A parsed flat-object value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JsonValue {
-    /// A JSON string (unescaped).
-    Str(String),
-    /// An unsigned integer.
-    Num(u64),
-}
-
-/// Quotes and escapes `s` as a JSON string literal.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Parses a single flat JSON object (`{"k":"v","n":3}`) into a key → value
-/// map. Values must be strings or unsigned integers; nesting is rejected.
-///
-/// # Errors
-///
-/// Returns a message describing the first syntax problem.
-pub fn parse_object(text: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut map = BTreeMap::new();
-    let bytes = text.trim().as_bytes();
-    let mut i = 0usize;
-    let err = |i: usize, what: &str| format!("json byte {i}: {what}");
-    if bytes.first() != Some(&b'{') {
-        return Err(err(0, "expected '{'"));
-    }
-    i += 1;
-    skip_ws(bytes, &mut i);
-    if bytes.get(i) == Some(&b'}') {
-        if i + 1 == bytes.len() {
-            return Ok(map);
-        }
-        return Err(err(i + 1, "trailing garbage"));
-    }
-    loop {
-        skip_ws(bytes, &mut i);
-        let key = parse_string(bytes, &mut i)?;
-        skip_ws(bytes, &mut i);
-        if bytes.get(i) != Some(&b':') {
-            return Err(err(i, "expected ':'"));
-        }
-        i += 1;
-        skip_ws(bytes, &mut i);
-        let value = match bytes.get(i) {
-            Some(b'"') => JsonValue::Str(parse_string(bytes, &mut i)?),
-            Some(c) if c.is_ascii_digit() => {
-                let start = i;
-                while bytes.get(i).is_some_and(u8::is_ascii_digit) {
-                    i += 1;
-                }
-                let text = std::str::from_utf8(&bytes[start..i]).unwrap();
-                JsonValue::Num(
-                    text.parse()
-                        .map_err(|_| err(start, "integer out of range"))?,
-                )
-            }
-            _ => return Err(err(i, "expected string or unsigned integer value")),
-        };
-        if map.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        skip_ws(bytes, &mut i);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                skip_ws(bytes, &mut i);
-                if i == bytes.len() {
-                    return Ok(map);
-                }
-                return Err(err(i, "trailing garbage"));
-            }
-            _ => return Err(err(i, "expected ',' or '}'")),
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], i: &mut usize) {
-    while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-        *i += 1;
-    }
-}
-
-fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    if bytes.get(*i) != Some(&b'"') {
-        return Err(format!("json byte {i}: expected '\"'", i = *i));
-    }
-    *i += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*i) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *i += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *i += 1;
-                match bytes.get(*i) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*i + 1..*i + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
-                        *i += 4;
-                    }
-                    _ => return Err("unknown escape".to_owned()),
-                }
-                *i += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (records hold only our own text,
-                // but labels may be non-ASCII).
-                let rest =
-                    std::str::from_utf8(&bytes[*i..]).map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *i += c.len_utf8();
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quote_and_parse_roundtrip() {
-        let obj = format!(
-            "{{\"plain\":{},\"tricky\":{},\"n\":42}}",
-            quote("hello"),
-            quote("a\"b\\c\nd\tz")
-        );
-        let map = parse_object(&obj).unwrap();
-        assert_eq!(map["plain"], JsonValue::Str("hello".to_owned()));
-        assert_eq!(map["tricky"], JsonValue::Str("a\"b\\c\nd\tz".to_owned()));
-        assert_eq!(map["n"], JsonValue::Num(42));
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in [
-            "",
-            "{",
-            "{}x",
-            "{\"a\"}",
-            "{\"a\":}",
-            "{\"a\":1,}",
-            "{\"a\":-1}",
-            "{\"a\":{}}",
-            "{\"a\":1}{",
-            "{\"a\":1,\"a\":2}",
-        ] {
-            assert!(parse_object(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn empty_object_parses() {
-        assert!(parse_object("{}").unwrap().is_empty());
-        assert!(parse_object(" { } ").unwrap().is_empty());
-    }
-}
+pub use hb_mem::json::quote;

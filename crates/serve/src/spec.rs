@@ -9,9 +9,14 @@
 //! never alias fresh jobs. Identical `(revision, kernel, config, seed, plan,
 //! kind)` tuples hash identically, which is the whole caching story: the
 //! content-addressed store keys results by this hash.
+//!
+//! Every text form here — the kind and plan tokens, the job line — is
+//! generated in both directions from one field list (`hb_mem::text`); in
+//! [`JobSpec`]'s, `hashed` means "in the canonical line, so in the hash".
 
 use hb_core::MachineConfig;
 use hb_fault::InjectionPlan;
+use hb_mem::text::Text;
 
 /// Version of the job canonical form *and* the stored result layout. Bump on
 /// any change to [`JobSpec::canonical_line`], the canonical config/plan
@@ -74,40 +79,19 @@ pub enum JobKind {
     },
 }
 
-impl JobKind {
-    /// Stable token used in the canonical line.
-    pub fn canonical(&self) -> String {
-        match self {
-            JobKind::Golden => "golden".to_owned(),
-            JobKind::Fault => "fault".to_owned(),
-            JobKind::Ablation { size } => format!("ablation:{size}"),
-            JobKind::RaceCheck { size } => format!("race:{size}"),
-            JobKind::Profile { size } => format!("profile:{size}"),
-        }
-    }
+// `golden`, `fault`, or `<kind>:<size class>`.
+hb_mem::text_enum!(JobKind, "job kind" {
+    "golden" => Golden,
+    "fault" => Fault,
+    "ablation" [":" ""] => Ablation { size },
+    "race" [":" ""] => RaceCheck { size },
+    "profile" [":" ""] => Profile { size },
+});
 
-    /// Parses a [`JobKind::canonical`] token.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on an unknown token.
-    pub fn from_canonical(text: &str) -> Result<JobKind, String> {
-        match text {
-            "golden" => Ok(JobKind::Golden),
-            "fault" => Ok(JobKind::Fault),
-            _ => match text.split_once(':') {
-                Some(("ablation", size)) if !size.is_empty() => Ok(JobKind::Ablation {
-                    size: size.to_owned(),
-                }),
-                Some(("race", size)) if !size.is_empty() => Ok(JobKind::RaceCheck {
-                    size: size.to_owned(),
-                }),
-                Some(("profile", size)) if !size.is_empty() => Ok(JobKind::Profile {
-                    size: size.to_owned(),
-                }),
-                _ => Err(format!("unknown job kind {text:?}")),
-            },
-        }
+impl JobKind {
+    /// Stable token used in the canonical line (and as a record's `kind`).
+    pub fn canonical(&self) -> String {
+        self.to_text()
     }
 }
 
@@ -128,41 +112,12 @@ pub enum PlanSpec {
     Explicit(InjectionPlan),
 }
 
-impl PlanSpec {
-    /// Stable token used in the canonical line (no spaces).
-    pub fn canonical(&self) -> String {
-        match self {
-            PlanSpec::None => "none".to_owned(),
-            PlanSpec::Seeded { faults } => format!("seeded:{faults}"),
-            PlanSpec::Explicit(plan) => format!("explicit:{{{}}}", plan.canonical_text()),
-        }
-    }
-
-    /// Parses a [`PlanSpec::canonical`] token.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on a malformed token.
-    pub fn from_canonical(text: &str) -> Result<PlanSpec, String> {
-        if text == "none" {
-            return Ok(PlanSpec::None);
-        }
-        if let Some(n) = text.strip_prefix("seeded:") {
-            return Ok(PlanSpec::Seeded {
-                faults: n.parse().map_err(|_| format!("bad fault count {n:?}"))?,
-            });
-        }
-        if let Some(body) = text.strip_prefix("explicit:{") {
-            let body = body
-                .strip_suffix('}')
-                .ok_or_else(|| format!("unterminated explicit plan {text:?}"))?;
-            return Ok(PlanSpec::Explicit(InjectionPlan::from_canonical_text(
-                body,
-            )?));
-        }
-        Err(format!("unknown plan spec {text:?}"))
-    }
-}
+// No spaces: an explicit plan is its canonical text in braces.
+hb_mem::text_enum!(PlanSpec, "plan spec" {
+    "none" => None,
+    "seeded" [":" ""] => Seeded { faults },
+    "explicit" [":{" "}"] => Explicit(plan),
+});
 
 /// One fully-specified simulation job. Everything that can change the
 /// simulated result is in here (plus the revision); everything that cannot
@@ -184,21 +139,29 @@ pub struct JobSpec {
     pub label: String,
 }
 
+// The part of the canonical line after the revision: space-delimited, and
+// none of the field spellings contain spaces.
+hb_mem::text_record!(JobSpec, ' ' {
+    hashed "kind" => kind,
+    hashed "kernel" => kernel,
+    hashed "seed" => seed,
+    hashed "plan" => plan,
+    hashed "cfg" ["{" "}"] => config,
+    host label = String::new(),
+});
+
+/// What every canonical line begins with, up to the revision.
+const LINE_HEAD: &str = "hbjob v1 rev=";
+/// What introduces the display label at the end of a manifest line.
+const LABEL: &str = " label=";
+
 impl JobSpec {
-    /// The canonical single-line form the content hash is computed over.
-    /// Space-delimited fields; none of the field serializations contain
-    /// spaces. `label` is display-only and excluded.
+    /// The canonical single-line form the content hash is computed over:
+    /// the revision, then every `hashed` field of the list above. `label`
+    /// is display-only and excluded.
     pub fn canonical_line(&self) -> String {
-        format!(
-            "hbjob v1 rev={}.{} kind={} kernel={} seed={} plan={} cfg{{{}}}",
-            SCHEMA_REV,
-            binary_rev(),
-            self.kind.canonical(),
-            self.kernel,
-            self.seed,
-            self.plan.canonical(),
-            self.config.canonical_text(),
-        )
+        let rev = binary_rev();
+        format!("{LINE_HEAD}{SCHEMA_REV}.{rev} {}", self.to_text())
     }
 
     /// Content hash: 128-bit FNV-1a over [`JobSpec::canonical_line`], as 32
@@ -209,7 +172,7 @@ impl JobSpec {
 
     /// The manifest line: the canonical line plus the display label.
     pub fn manifest_line(&self) -> String {
-        format!("{} label={}", self.canonical_line(), self.label)
+        format!("{}{LABEL}{}", self.canonical_line(), self.label)
     }
 
     /// Parses a [`JobSpec::manifest_line`] (or a bare canonical line — the
@@ -218,59 +181,19 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a message naming the malformed field. The revision field is
-    /// parsed but **not** required to match the current binary: old manifest
-    /// entries must load so `status` can report them as stale-revision
-    /// misses rather than erroring.
+    /// **not** required to match the current binary: old manifest entries
+    /// must load so `status` can report them as stale-revision misses
+    /// rather than erroring.
     pub fn from_manifest_line(line: &str) -> Result<JobSpec, String> {
-        let rest = line
-            .strip_prefix("hbjob v1 ")
-            .ok_or_else(|| format!("not an hbjob v1 line: {line:?}"))?;
-        let mut kind = None;
-        let mut kernel = None;
-        let mut seed = None;
-        let mut plan = None;
-        let mut config = None;
-        let mut label = String::new();
-        // `label=` swallows the rest of the line (labels may contain spaces).
-        let (head, tail) = match rest.split_once(" label=") {
-            Some((h, t)) => (h, Some(t)),
-            None => (rest, None),
-        };
-        if let Some(t) = tail {
-            label = t.to_owned();
-        }
-        for tok in head.split_ascii_whitespace() {
-            // cfg{...} is one token (the canonical config has no spaces) and
-            // contains '=' characters of its own; handle it structurally.
-            if let Some(body) = tok.strip_prefix("cfg{") {
-                let body = body
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("unterminated cfg in {line:?}"))?;
-                config = Some(MachineConfig::from_canonical_text(body)?);
-                continue;
-            }
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("malformed job field {tok:?}"))?;
-            match k {
-                "rev" => {} // informational; mismatches surface as cache misses
-                "kind" => kind = Some(JobKind::from_canonical(v)?),
-                "kernel" => kernel = Some(v.to_owned()),
-                "seed" => {
-                    seed = Some(v.parse::<u64>().map_err(|_| format!("bad seed {v:?}"))?);
-                }
-                "plan" => plan = Some(PlanSpec::from_canonical(v)?),
-                _ => return Err(format!("unknown job field {k:?}")),
-            }
-        }
-
+        // The label swallows the rest of the line (labels may contain spaces).
+        let (line, label) = line.split_once(LABEL).unwrap_or((line, ""));
+        let (_rev, fields) = line
+            .strip_prefix(LINE_HEAD)
+            .and_then(|rest| rest.split_once(' '))
+            .ok_or_else(|| format!("not an hbjob v1 line: {:?}", hb_mem::text::clip(line)))?;
         Ok(JobSpec {
-            kind: kind.ok_or("missing kind")?,
-            kernel: kernel.ok_or("missing kernel")?,
-            seed: seed.ok_or("missing seed")?,
-            plan: plan.ok_or("missing plan")?,
-            config: config.ok_or("missing cfg")?,
-            label,
+            label: label.to_owned(),
+            ..JobSpec::parse(fields)?
         })
     }
 }
@@ -387,11 +310,10 @@ mod tests {
         ] {
             let line = s.manifest_line();
             let back = JobSpec::from_manifest_line(&line).unwrap();
-            // threads/event_core are host-only, not canonical; compare
-            // modulo them.
+            // The config's host fields are not canonical; compare modulo
+            // them.
             let mut want = s.clone();
-            want.config.threads = back.config.threads;
-            want.config.event_core = back.config.event_core;
+            want.config = MachineConfig::from_canonical_text(&s.config.canonical_text()).unwrap();
             assert_eq!(back, want, "roundtrip of {line}");
             assert_eq!(back.hash(), s.hash());
         }
@@ -407,6 +329,32 @@ mod tests {
             "hbjob v1 kind=golden kernel=x seed=0 plan=none",
         ] {
             assert!(JobSpec::from_manifest_line(bad).is_err(), "{bad:?}");
+        }
+        // One defect each, in an otherwise canonical line.
+        let good = spec().canonical_line();
+        JobSpec::from_manifest_line(&good).unwrap();
+        for (from, to) in [
+            ("hbjob v1", "hbjob v2"),
+            ("rev=3.", "ver=3."),
+            ("kind=fault", "kind=warp"),
+            ("kind=fault", "kind=ablation:"),
+            ("kind=fault", "kind=faulty"),
+            ("seed=7", "seed=z"),
+            ("seed=7", "seed=+7"),
+            ("seed=7", "seed=7 seed=7"),
+            ("seed=7", "seed=7 sede=7"),
+            ("seed=7 ", ""),
+            ("seed=7 ", "seed=7  "),
+            ("plan=seeded:1", "plan=seeded:x"),
+            ("plan=seeded:1", "plan=explicit:{planv=1;seed=0;inj="),
+            ("plan=seeded:1", "plan=explicit:{planv=2;seed=0;inj=}"),
+            (" cfg{", " cfg="),
+            ("telw=0}", "telw=0"),
+            ("cell=16x8", "cell=0x0"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let bad = good.replacen(from, to, 1);
+            assert!(JobSpec::from_manifest_line(&bad).is_err(), "{bad:?}");
         }
     }
 }

@@ -22,8 +22,6 @@
 //! this module is therefore followed by `sync_dir` on the parent, so a
 //! power cut after `put` returns cannot resurrect the pre-rename state.
 
-use crate::json::{self, JsonValue};
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -66,75 +64,28 @@ pub struct JobRecord {
     pub profile: String,
 }
 
-impl JobRecord {
-    /// Serializes as a single JSON object line.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"hash\":{},\"kind\":{},\"kernel\":{},\"seed\":{},\"outcome\":{},\
-             \"site\":{},\"inj_cycle\":{},\"cycles\":{},\"instrs\":{},\
-             \"dram_digest\":{},\"checks\":{},\"retries\":{},\"artifacts\":{},\
-             \"profile\":{}}}",
-            json::quote(&self.hash),
-            json::quote(&self.kind),
-            json::quote(&self.kernel),
-            self.seed,
-            json::quote(&self.outcome),
-            json::quote(&self.site),
-            self.inj_cycle,
-            self.cycles,
-            self.instrs,
-            json::quote(&format!("{:#018x}", self.dram_digest)),
-            json::quote(&self.checks),
-            self.retries,
-            json::quote(&self.artifacts),
-            json::quote(&self.profile),
-        )
-    }
+/// Keys a record and a journal line share.
+const HASH: &str = "hash";
+const RETRIES: &str = "retries";
 
-    /// Parses a [`JobRecord::to_json_line`] object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed JSON or missing/mistyped fields.
-    pub fn from_json_line(line: &str) -> Result<JobRecord, String> {
-        let map = json::parse_object(line)?;
-        fn str_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
-            match map.get(key) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                Some(_) => Err(format!("field {key:?} is not a string")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        }
-        fn num_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-            match map.get(key) {
-                Some(JsonValue::Num(n)) => Ok(*n),
-                Some(_) => Err(format!("field {key:?} is not a number")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        }
-        let digest_hex = str_field(&map, "dram_digest")?;
-        let digest = digest_hex
-            .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| format!("bad dram_digest {digest_hex:?}"))?;
-        Ok(JobRecord {
-            hash: str_field(&map, "hash")?,
-            kind: str_field(&map, "kind")?,
-            kernel: str_field(&map, "kernel")?,
-            seed: num_field(&map, "seed")?,
-            outcome: str_field(&map, "outcome")?,
-            site: str_field(&map, "site")?,
-            inj_cycle: num_field(&map, "inj_cycle")?,
-            cycles: num_field(&map, "cycles")?,
-            instrs: num_field(&map, "instrs")?,
-            dram_digest: digest,
-            checks: str_field(&map, "checks")?,
-            retries: num_field(&map, "retries")? as u32,
-            artifacts: str_field(&map, "artifacts")?,
-            profile: str_field(&map, "profile")?,
-        })
-    }
-}
+// One JSON object per line, members in this order. Changing the list
+// changes the stored layout: bump `SCHEMA_REV`.
+hb_mem::json_record!(pub JobRecord {
+    HASH => hash: string,
+    "kind" => kind: string,
+    "kernel" => kernel: string,
+    "seed" => seed: number,
+    "outcome" => outcome: string,
+    "site" => site: string,
+    "inj_cycle" => inj_cycle: number,
+    "cycles" => cycles: number,
+    "instrs" => instrs: number,
+    "dram_digest" => dram_digest: hex,
+    "checks" => checks: string,
+    RETRIES => retries: number,
+    "artifacts" => artifacts: string,
+    "profile" => profile: string,
+});
 
 /// One journal line: the completion (or terminal failure) of a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,46 +101,41 @@ pub struct JournalEntry {
     pub retries: u32,
 }
 
-impl JournalEntry {
-    fn to_json_line(&self) -> String {
-        format!(
-            "{{\"hash\":{},\"status\":{},\"detail\":{},\"retries\":{}}}",
-            json::quote(&self.hash),
-            json::quote(&self.status),
-            json::quote(&self.detail),
-            self.retries,
-        )
-    }
-
-    fn from_json_line(line: &str) -> Result<JournalEntry, String> {
-        let map = json::parse_object(line)?;
-        let get_str = |key: &str| -> Result<String, String> {
-            match map.get(key) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing/mistyped {key:?}")),
-            }
-        };
-        let retries = match map.get("retries") {
-            Some(JsonValue::Num(n)) => *n as u32,
-            _ => return Err("missing/mistyped \"retries\"".to_owned()),
-        };
-        Ok(JournalEntry {
-            hash: get_str("hash")?,
-            status: get_str("status")?,
-            detail: get_str("detail")?,
-            retries,
-        })
-    }
-}
+hb_mem::json_record!(pub JournalEntry {
+    HASH => hash: string,
+    "status" => status: string,
+    "detail" => detail: string,
+    RETRIES => retries: number,
+});
 
 /// Fsyncs a directory so a preceding `rename`/`create` in it is durable.
 ///
 /// File data made durable with `File::sync_all` can still vanish on power
 /// loss if the directory entry pointing at it was never flushed; POSIX
 /// only guarantees the entry's durability once the directory itself is
-/// synced. Called after every rename below.
+/// synced.
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
+}
+
+/// Replaces `path` atomically and durably (see the module-level
+/// durability contract): the content goes to a `.tmp` sibling that is
+/// fsynced, the rename swaps it in, and the parent directory is fsynced
+/// so the swap survives a power cut.
+fn write_atomic(
+    path: &Path,
+    content: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let dir = path.parent().expect("store paths are below the root");
+    std::fs::create_dir_all(dir)?;
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        content(&mut f)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    sync_dir(dir)
 }
 
 /// Statistics from a [`Store::gc`] pass.
@@ -261,22 +207,9 @@ impl Store {
     ///
     /// Propagates I/O failures.
     pub fn put(&self, rec: &JobRecord) -> std::io::Result<()> {
-        let path = self.object_path(&rec.hash);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{}", rec.to_json_line())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        // The rename is not durable until its directory entry is: fsync
-        // the shard directory (see the module-level durability contract).
-        if let Some(dir) = path.parent() {
-            sync_dir(dir)?;
-        }
+        write_atomic(&self.object_path(&rec.hash), |f| {
+            writeln!(f, "{}", rec.to_json_line())
+        })?;
         self.append_journal(&JournalEntry {
             hash: rec.hash.clone(),
             status: "done".to_owned(),
@@ -305,7 +238,11 @@ impl Store {
             .create(true)
             .append(true)
             .open(self.journal_path())?;
-        writeln!(f, "{}", entry.to_json_line())?;
+        // The line and its newline go out in ONE write: workers append
+        // concurrently, `O_APPEND` keeps each write whole, and `writeln!`
+        // would issue the newline as a second write that another worker's
+        // line can land in front of (`{..}{..}\n\n`, an unreadable journal).
+        f.write_all((entry.to_json_line() + "\n").as_bytes())?;
         f.sync_all()?;
         // The first append also creates the file; its directory entry
         // needs the same parent fsync as a rename to survive power loss.
@@ -328,21 +265,7 @@ impl Store {
     ///
     /// Propagates I/O failures.
     pub fn put_ckpt(&self, key: &str, bytes: &[u8]) -> std::io::Result<()> {
-        let path = self.ckpt_path(key);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        if let Some(dir) = path.parent() {
-            sync_dir(dir)?;
-        }
-        Ok(())
+        write_atomic(&self.ckpt_path(key), |f| f.write_all(bytes))
     }
 
     /// Fetches the checkpoint blob stored under `key`; `None` on a miss.
@@ -378,18 +301,17 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(format!("read journal: {e}")),
         };
-        let mut out = Vec::new();
-        let lines: Vec<&str> = text.split('\n').collect();
-        // The final `split` fragment is never a complete entry: empty after a
-        // trailing newline, a truncated partial line otherwise. Drop it.
-        let complete = lines.len().saturating_sub(1);
-        for (i, line) in lines.iter().take(complete).enumerate() {
-            match JournalEntry::from_json_line(line) {
-                Ok(e) => out.push(e),
-                Err(err) => return Err(format!("journal line {}: {err}", i + 1)),
-            }
-        }
-        Ok(out)
+        // What follows the last newline is never a complete entry: empty
+        // after a clean append, a torn partial line otherwise. Drop it.
+        let Some((complete, _torn)) = text.rsplit_once('\n') else {
+            return Ok(Vec::new());
+        };
+        (complete.split('\n').enumerate())
+            .map(|(i, line)| {
+                JournalEntry::from_json_line(line)
+                    .map_err(|err| format!("journal line {}: {err}", i + 1))
+            })
+            .collect()
     }
 
     /// Deletes every object whose hash is not in `keep`; prunes journal
@@ -425,18 +347,11 @@ impl Store {
         }
         // Rewrite the journal without entries for deleted objects.
         let entries = self.journal()?;
-        let tmp = self.journal_path().with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| e.to_string())?;
-            for e in entries.iter().filter(|e| keep.contains(&e.hash)) {
-                writeln!(f, "{}", e.to_json_line()).map_err(|e| e.to_string())?;
-            }
-            f.sync_all().map_err(|e| e.to_string())?;
-        }
-        std::fs::rename(&tmp, self.journal_path()).map_err(|e| e.to_string())?;
-        // Same rename-durability contract as `put`: the swap is only
-        // durable once the parent directory entry is flushed.
-        sync_dir(&self.root).map_err(|e| e.to_string())?;
+        write_atomic(&self.journal_path(), |f| {
+            (entries.iter().filter(|e| keep.contains(&e.hash)))
+                .try_for_each(|e| writeln!(f, "{}", e.to_json_line()))
+        })
+        .map_err(|e| format!("rewrite journal: {e}"))?;
         Ok(stats)
     }
 }
@@ -522,6 +437,29 @@ mod tests {
         )
         .unwrap();
         assert!(store.journal().is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_keep_lines_whole() {
+        // Workers of one campaign append to the journal concurrently; an
+        // append that is more than one `write` lets two lines interleave.
+        let dir = tmpdir("append");
+        let store = Store::open(&dir).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let store = &store;
+                s.spawn(move || {
+                    for i in 0..40 {
+                        store
+                            .record_failure(&format!("{t}-{i}"), "boom", t)
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let journal = store.journal().expect("every line is one whole entry");
+        assert_eq!(journal.len(), 160);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

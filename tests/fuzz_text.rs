@@ -1,0 +1,259 @@
+//! No-panic fuzzing of the text decoders: a canonical machine
+//! configuration, a six-kind injection plan, a manifest line that embeds
+//! both, a job record, a journal entry and the Chrome trace of a short run
+//! are mutated with seeded `hb-rng` draws — truncation at every byte,
+//! single-bit flips and byte replacements, entries duplicated, dropped and
+//! reordered, and every number inflated to `u64::MAX`, one past it and a
+//! 30-digit integer — and fed to the decoder that owns the form.
+//!
+//! Property: every input yields `Ok` or an error message — never a panic —
+//! no single allocation made while decoding is larger than the input plus
+//! the harness's slack, and whatever decodes re-encodes to a text that
+//! decodes to an equal value.
+
+use hammerblade::core::{CellDim, MachineConfig};
+use hammerblade::fault::InjectionPlan;
+use hammerblade::kernels::{suite, SizeClass};
+use hammerblade::obs::{chrome, json, Keep};
+use hammerblade::rng::Rng;
+use hb_serve::{JobKind, JobRecord, JobSpec, JournalEntry, PlanSpec};
+use std::fmt::Debug;
+
+mod alloc_watch;
+use alloc_watch::check;
+
+/// One text form: a valid text, what separates its entries, and its codec.
+struct Form<'a, T> {
+    name: &'a str,
+    text: String,
+    seps: &'a [char],
+    decode: fn(&str) -> Result<T, String>,
+    encode: fn(&T) -> String,
+}
+
+impl<T: PartialEq + Debug> Form<'_, T> {
+    /// Decodes `input` under the watch; a value that comes out must
+    /// survive its own re-encoding.
+    fn feed(&self, what: &str, input: &[u8]) {
+        // A consumer reads these forms as UTF-8 text or not at all.
+        let input = String::from_utf8_lossy(input);
+        let what = format!("{}: {what}", self.name);
+        let mut value = None;
+        check(&what, input.as_bytes(), || {
+            (self.decode)(&input).map(|v| value = Some(v))
+        });
+        if let Some(value) = value {
+            let again = (self.encode)(&value);
+            assert_eq!(
+                (self.decode)(&again).as_ref(),
+                Ok(&value),
+                "{what}: {input:?} decoded, but not back from {again:?}"
+            );
+        }
+    }
+
+    fn fuzz(&self, rng: &mut Rng) {
+        let text = self.text.as_bytes();
+        let len = text.len();
+        self.feed("pristine", text);
+        assert!(
+            (self.decode)(&self.text).is_ok(),
+            "{}: the pristine text must decode",
+            self.name
+        );
+
+        // Truncation: at every byte of a short form, at every byte of the
+        // head and at seeded cuts of a long one.
+        let cuts = (0..len.min(2048)).chain((0..200).map(|_| rng.below(len as u64) as usize));
+        for cut in cuts {
+            self.feed(&format!("truncated to {cut} of {len}"), &text[..cut]);
+        }
+
+        // Damage: a flipped bit, a replaced byte.
+        for _ in 0..600 {
+            let at = rng.below(len as u64) as usize;
+            let mut bytes = text.to_vec();
+            bytes[at] ^= 1 << rng.below(8);
+            self.feed(&format!("a bit of byte {at} flipped"), &bytes);
+            bytes[at] = rng.below(256) as u8;
+            self.feed(&format!("byte {at} replaced"), &bytes);
+        }
+
+        // Entries duplicated, dropped and swapped, at every separator level
+        // (every entry of a short form, seeded picks of a long one).
+        for &sep in self.seps {
+            let parts: Vec<&str> = self.text.split(sep).collect();
+            let join = |parts: &[&str]| parts.join(&sep.to_string()).into_bytes();
+            let picks: Vec<usize> = match parts.len() {
+                n @ 0..=64 => (0..n).collect(),
+                n => (0..64).map(|_| rng.below(n as u64) as usize).collect(),
+            };
+            for i in picks {
+                let mut edited = parts.clone();
+                edited.insert(i, parts[i]);
+                self.feed(&format!("{sep:?}-entry {i} duplicated"), &join(&edited));
+                edited = parts.clone();
+                edited.remove(i);
+                self.feed(&format!("{sep:?}-entry {i} dropped"), &join(&edited));
+                edited = parts.clone();
+                edited.swap(i, rng.below(parts.len() as u64) as usize);
+                self.feed(&format!("{sep:?}-entry {i} swapped"), &join(&edited));
+            }
+        }
+
+        // Inflation: every run of digits becomes a number no field holds.
+        let mut at = 0;
+        while at < len {
+            let digits = text[at..].iter().take_while(|b| b.is_ascii_digit()).count();
+            for huge in [
+                "18446744073709551615",
+                "18446744073709551616",
+                "999999999999999999999999999999",
+            ] {
+                let mut bytes = text[..at].to_vec();
+                bytes.extend_from_slice(huge.as_bytes());
+                bytes.extend_from_slice(&text[at + digits..]);
+                if digits > 0 {
+                    self.feed(&format!("number at {at} inflated to {huge}"), &bytes);
+                }
+            }
+            at += digits.max(1);
+        }
+    }
+}
+
+fn config() -> MachineConfig {
+    MachineConfig {
+        cell_dim: CellDim { x: 4, y: 2 },
+        disabled_tiles: vec![(1, 1), (0, 1)],
+        telemetry_window: 500,
+        ..MachineConfig::baseline_16x8()
+    }
+}
+
+/// One injection of each site kind, the last one permanent.
+const PLAN: &str = "planv=1;seed=0;inj=10@regfile(0,1,1,5,3)|20@spm(0,1,1,9,31)|30@icache(0,1,1,7)\
+    |40@noc(0,1,1,3,1)|50@hbm(0,50)|60@freeze(0,1,1,18446744073709551615)";
+
+fn record() -> JobRecord {
+    JobRecord {
+        hash: "00ff".repeat(8),
+        kind: "fault".to_owned(),
+        kernel: "sgemm".to_owned(),
+        seed: 7,
+        outcome: "hang".to_owned(),
+        site: "tile-freeze".to_owned(),
+        inj_cycle: 60,
+        cycles: 0,
+        instrs: 890,
+        dram_digest: 0xdead_beef_cafe_f00d,
+        checks: "a\"b\\c\n\u{1}é".to_owned(),
+        retries: 2,
+        artifacts: "ckpt/hang-00ff.ckpt".to_owned(),
+        profile: "0x0054:3328:7497:7610;0x0088:128:656:551".to_owned(),
+    }
+}
+
+/// The Chrome trace of a 2x2 SGEMM, cut down to its first and last 25
+/// lines (the exporter writes one event per line): the document frame and
+/// every event kind, in a few KB.
+fn chrome_trace() -> String {
+    let sgemm = suite()
+        .into_iter()
+        .find(|b| b.name() == "SGEMM")
+        .expect("suite has SGEMM");
+    let cfg = MachineConfig {
+        cell_dim: CellDim { x: 2, y: 2 },
+        threads: 1,
+        telemetry_window: 1000,
+        ..MachineConfig::baseline_16x8()
+    };
+    let (scope, store) = hammerblade::obs::attach(Keep::All);
+    sgemm.run(&cfg, SizeClass::Tiny).expect("sgemm runs");
+    drop(scope);
+    let doc = chrome::to_string(&store.lock().unwrap());
+    let lines: Vec<&str> = doc.lines().collect();
+    let doc = [&lines[..25], &lines[lines.len() - 25..]]
+        .concat()
+        .join("\n");
+    for kind in ["\"ph\":\"M\"", "\"ph\":\"C\"", "\"ph\":\"i\""] {
+        assert!(doc.contains(kind), "no {kind} event in the cut-down trace");
+    }
+    doc
+}
+
+#[test]
+fn mutated_texts_never_panic_or_overallocate() {
+    let mut rng = Rng::seed_from_u64(0x7E87_0016);
+
+    Form {
+        name: "config",
+        text: config().canonical_text(),
+        seps: &[';', ',', '+'],
+        decode: MachineConfig::from_canonical_text,
+        encode: MachineConfig::canonical_text,
+    }
+    .fuzz(&mut rng);
+
+    Form {
+        name: "plan",
+        text: PLAN.to_owned(),
+        seps: &[';', '|', ','],
+        decode: InjectionPlan::from_canonical_text,
+        encode: InjectionPlan::canonical_text,
+    }
+    .fuzz(&mut rng);
+
+    let spec = JobSpec {
+        kind: JobKind::Ablation {
+            size: "small".to_owned(),
+        },
+        kernel: "SGEMM@blocked".to_owned(),
+        seed: 7,
+        plan: PlanSpec::Explicit(InjectionPlan::from_canonical_text(PLAN).unwrap()),
+        config: config(),
+        label: "a sweep point".to_owned(),
+    };
+    Form {
+        name: "manifest line",
+        text: spec.manifest_line(),
+        seps: &[' ', ';'],
+        decode: JobSpec::from_manifest_line,
+        encode: JobSpec::manifest_line,
+    }
+    .fuzz(&mut rng);
+
+    Form {
+        name: "record",
+        text: record().to_json_line(),
+        seps: &[',', ':'],
+        decode: JobRecord::from_json_line,
+        encode: JobRecord::to_json_line,
+    }
+    .fuzz(&mut rng);
+
+    let entry = JournalEntry {
+        hash: "00ff".repeat(8),
+        status: "failed".to_owned(),
+        detail: "panic: \"boom\"\n".to_owned(),
+        retries: 3,
+    };
+    Form {
+        name: "journal line",
+        text: entry.to_json_line(),
+        seps: &[',', ':'],
+        decode: JournalEntry::from_json_line,
+        encode: JournalEntry::to_json_line,
+    }
+    .fuzz(&mut rng);
+
+    // Nothing to re-encode: the validator's value is "this is JSON".
+    Form {
+        name: "chrome trace",
+        text: chrome_trace(),
+        seps: &['{', ','],
+        decode: json::validate,
+        encode: |()| "null".to_owned(),
+    }
+    .fuzz(&mut rng);
+}
