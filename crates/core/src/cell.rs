@@ -12,9 +12,10 @@ use crate::stats::CoreStats;
 use crate::tile::{GroupInfo, Tile};
 use hb_asm::Program;
 use hb_cache::{CacheBank, CacheConfig, CacheStats, LineRequestKind};
-use hb_mem::{ClockDivider, Dram, DramRequest, Hbm2Channel, Hbm2Stats, Snap, SnapError};
+use hb_mem::{ClockDivider, Dram, DramRequest, Hbm2Channel, Hbm2Stats, Snap, SnapError, WorkSet};
 use hb_noc::{
     BarrierNetwork, Coord, LinkStats, Network, NetworkConfig, Packet, RouteOrder, StripChannel,
+    TickWork,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -76,6 +77,25 @@ struct MemOp {
     data: Option<Vec<u8>>,
 }
 
+/// Host-side work done by a Cell's sequential phases since construction:
+/// how many elements each phase looked at, the exact and noise-free measure
+/// of "a cycle costs its activity, not the machine". Not simulated state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CellWork {
+    /// Both NoCs' [`Network::tick`](hb_noc::Network::tick) work, summed.
+    pub noc: TickWork,
+    /// Nodes visited for ejection in the network phase (a node with a
+    /// request delivery, a tile with a response delivery or a staged one).
+    pub eject_nodes: u64,
+    /// Tiles visited in the sync phase (join flags, barrier releases).
+    pub sync_tiles: u64,
+    /// Barrier-network nodes evaluated in the sync phase, over the barrier
+    /// networks of the current launch.
+    pub barrier_nodes: u64,
+    /// Tiles and banks whose outboxes the inject phase visited.
+    pub inject_nodes: u64,
+}
+
 /// One Cell of the machine. Ticked by [`Machine`](crate::Machine) on the
 /// core clock.
 #[derive(Debug)]
@@ -113,6 +133,34 @@ pub struct Cell {
     pub xreq_out: VecDeque<(u8, Packet<Request>)>,
     /// Responses bound for other Cells.
     pub xresp_out: VecDeque<(u8, Packet<Response>)>,
+    /// Worklists of the sequential phases (see DESIGN.md, "Cycle model").
+    /// Each is a superset of the tiles (banks) its phase has work for, kept
+    /// by the code that creates the work; all are derived state, marked
+    /// full after a restore or a launch so the next cycle looks everywhere
+    /// once.
+    ///
+    /// Tiles whose `resp_stage` may hold a fabric-staged response.
+    staged: WorkSet,
+    /// Tiles handed out by [`tile_mut`](Self::tile_mut) since the last sync
+    /// phase: the host may have changed anything the phases read.
+    touched: WorkSet,
+    /// Tiles the inject phase left with a non-empty outbox.
+    backlog: WorkSet,
+    /// Banks whose response outbox may be non-empty.
+    bank_out: WorkSet,
+    /// Scratch: the tiles the current phase visits.
+    visit: WorkSet,
+    /// Scratch: the nodes with a request delivery this cycle.
+    ready: Vec<Coord>,
+    /// Scratch: tiles whose barrier release may be consumable this cycle.
+    release_check: Vec<u32>,
+    /// Group origin per barrier network (fixed at launch): maps a barrier
+    /// node back to its tile.
+    barrier_origin: Vec<(u8, u8)>,
+    /// Whether some tile may hold a fault; `false` spares
+    /// [`fault`](Self::fault) its scan.
+    maybe_fault: bool,
+    work: CellWork,
 }
 
 impl Cell {
@@ -186,6 +234,16 @@ impl Cell {
             traced: false,
             xreq_out: VecDeque::new(),
             xresp_out: VecDeque::new(),
+            staged: WorkSet::new(cfg.cell_dim.tiles()),
+            touched: WorkSet::new(cfg.cell_dim.tiles()),
+            backlog: WorkSet::new(cfg.cell_dim.tiles()),
+            bank_out: WorkSet::new(cfg.banks_per_cell()),
+            visit: WorkSet::new(cfg.cell_dim.tiles()),
+            ready: Vec::new(),
+            release_check: Vec::new(),
+            barrier_origin: Vec::new(),
+            maybe_fault: false,
+            work: CellWork::default(),
             cfg,
         }
     }
@@ -240,10 +298,14 @@ impl Cell {
     /// Mutable tile accessor. Re-arms the tile on the wake list: any host
     /// or fault-injection mutation may unblock it, and a spurious wake is
     /// harmless (the tile steps once, records the stall it would have
-    /// recorded anyway, and parks again).
+    /// recorded anyway, and parks again). For the same reason the tile goes
+    /// on the phases' worklists: the caller may stage a response, raise a
+    /// join, fill an outbox.
     pub fn tile_mut(&mut self, x: u8, y: u8) -> &mut Tile {
         let i = y as usize * self.cfg.cell_dim.x as usize + x as usize;
         self.sched.wake(i);
+        self.staged.insert(i);
+        self.touched.insert(i);
         &mut self.tiles[i]
     }
 
@@ -262,6 +324,8 @@ impl Cell {
         self.sched.reset();
         let mut owned = vec![false; w as usize * h as usize];
         self.barriers.clear();
+        self.barrier_origin = groups.iter().map(|(g, _)| g.origin).collect();
+        self.touched.insert_all();
         self.active = vec![false; w as usize * h as usize];
         for (gi, (g, args)) in groups.iter().enumerate() {
             assert!(
@@ -324,6 +388,8 @@ impl Cell {
                 }
             }
         }
+        // A launch clears the faults of the tiles it covers, no others.
+        self.maybe_fault = self.tiles.iter().any(|t| t.fault().is_some());
     }
 
     /// Launches `program` on every tile as a single Cell-wide group.
@@ -343,6 +409,11 @@ impl Cell {
     /// The first tile fault, if any, with tile attribution and a
     /// disassembled window around the faulting pc.
     pub fn fault(&self) -> Option<crate::diag::FaultInfo> {
+        // A tile traps in its own step; the sync phase notes it. A tile the
+        // host has touched since may have been stepped by hand.
+        if !self.maybe_fault && self.touched.is_empty() {
+            return None;
+        }
         self.tiles.iter().find_map(|t| {
             t.fault().map(|(pc, cause)| match t.program() {
                 Some(p) => crate::diag::FaultInfo::at_tile(self.id as usize, t.xy, pc, cause, p),
@@ -421,6 +492,19 @@ impl Cell {
     /// wake list elided. The never-park policy reports `(stepped, 0)`.
     pub fn tile_ticks(&self) -> (u64, u64) {
         self.sched.tick_counts()
+    }
+
+    /// Host work done by the sequential phases so far (see [`CellWork`]).
+    pub fn work(&self) -> CellWork {
+        let (req, resp) = (self.req_net.work(), self.resp_net.work());
+        CellWork {
+            noc: TickWork {
+                latches: req.latches + resp.latches,
+                routers: req.routers + resp.routers,
+            },
+            barrier_nodes: self.barriers.iter().map(BarrierNetwork::node_visits).sum(),
+            ..self.work
+        }
     }
 
     /// Wake-list re-arms performed by the scheduler (under the never-park
@@ -683,6 +767,10 @@ impl Cell {
 
     /// The one cycle body; `clock` is told where each phase ends.
     pub(crate) fn tick_with(&mut self, clock: &mut impl PhaseClock) {
+        #[cfg(test)]
+        if reference::ENABLED.get() {
+            return self.tick_reference();
+        }
         self.cycle += 1;
         let now = self.cycle;
         self.phase_network();
@@ -712,53 +800,96 @@ impl Cell {
     fn phase_network(&mut self) {
         self.req_net.tick();
         self.resp_net.tick();
-        for b in 0..self.banks.len() {
-            let coord = self.banks[b].coord;
-            while self.banks[b].can_take() {
-                match self.req_net.eject(coord) {
-                    Some(pkt) => self.banks[b].inbox.push_back(pkt),
-                    None => break,
-                }
+        let w = self.cfg.cell_dim.x as usize;
+        // Requests: visit the nodes the network has a delivery for.
+        self.ready.clear();
+        self.ready.extend(self.req_net.ready_nodes());
+        self.work.eject_nodes += self.ready.len() as u64;
+        for k in 0..self.ready.len() {
+            let coord = self.ready[k];
+            if let Some(b) = self.pgas.coord_to_bank(coord) {
+                self.eject_requests_to_bank(b);
+            } else if let Some((x, y)) = self.pgas.coord_to_tile(coord) {
+                self.eject_requests_to_tile(y as usize * w + x as usize);
             }
         }
-        for i in 0..self.tiles.len() {
-            let (x, y) = self.tiles[i].xy;
-            let coord = self.pgas.tile_coord(x, y);
-            let mut delivered = false;
-            while self.tiles[i].req_inbox.len() < EJECT_PER_CYCLE {
-                match self.req_net.eject(coord) {
-                    Some(pkt) => {
-                        self.tiles[i].req_inbox.push_back(pkt);
-                        delivered = true;
-                    }
-                    None => break,
+        // Responses: the tiles with a network delivery or a staged one.
+        self.visit.union_with(&self.staged);
+        for coord in self.resp_net.ready_nodes() {
+            if let Some((x, y)) = self.pgas.coord_to_tile(coord) {
+                self.visit.insert(y as usize * w + x as usize);
+            }
+        }
+        let mut cursor = 0;
+        while let Some(i) = self.visit.first_from(cursor) {
+            cursor = i + 1;
+            self.work.eject_nodes += 1;
+            self.eject_responses_to_tile(i);
+            if self.tiles[i].resp_stage.is_empty() {
+                self.staged.remove(i);
+            }
+        }
+        self.visit.clear();
+    }
+
+    /// Network phase, one bank: request packets into its inbox.
+    fn eject_requests_to_bank(&mut self, b: usize) {
+        let coord = self.banks[b].coord;
+        while self.banks[b].can_take() {
+            match self.req_net.eject(coord) {
+                Some(pkt) => self.banks[b].inbox.push_back(pkt),
+                None => break,
+            }
+        }
+    }
+
+    /// Network phase, one tile: request packets into its bounded inbox.
+    fn eject_requests_to_tile(&mut self, i: usize) {
+        let (x, y) = self.tiles[i].xy;
+        let coord = self.pgas.tile_coord(x, y);
+        let mut delivered = false;
+        while self.tiles[i].req_inbox.len() < EJECT_PER_CYCLE {
+            match self.req_net.eject(coord) {
+                Some(pkt) => {
+                    self.tiles[i].req_inbox.push_back(pkt);
+                    delivered = true;
                 }
+                None => break,
             }
-            let mut ejected = 0;
-            while ejected < EJECT_PER_CYCLE {
-                match self.resp_net.eject(coord) {
-                    Some(pkt) => {
-                        self.tiles[i].resp_inbox.push_back(pkt);
-                        ejected += 1;
-                    }
-                    None => break,
+        }
+        // A delivery un-quiesces the tile: it must drain its inboxes on
+        // this very cycle, exactly when a never-parked tile would.
+        if delivered {
+            self.sched.wake(i);
+        }
+    }
+
+    /// Network phase, one tile: network responses, then fabric-staged ones,
+    /// under one [`EJECT_PER_CYCLE`] budget.
+    fn eject_responses_to_tile(&mut self, i: usize) {
+        let (x, y) = self.tiles[i].xy;
+        let coord = self.pgas.tile_coord(x, y);
+        let mut ejected = 0;
+        while ejected < EJECT_PER_CYCLE {
+            match self.resp_net.eject(coord) {
+                Some(pkt) => {
+                    self.tiles[i].resp_inbox.push_back(pkt);
+                    ejected += 1;
                 }
+                None => break,
             }
-            // Fabric-staged responses share the same delivery budget.
-            while ejected < EJECT_PER_CYCLE {
-                match self.tiles[i].resp_stage.pop_front() {
-                    Some(pkt) => {
-                        self.tiles[i].resp_inbox.push_back(pkt);
-                        ejected += 1;
-                    }
-                    None => break,
+        }
+        while ejected < EJECT_PER_CYCLE {
+            match self.tiles[i].resp_stage.pop_front() {
+                Some(pkt) => {
+                    self.tiles[i].resp_inbox.push_back(pkt);
+                    ejected += 1;
                 }
+                None => break,
             }
-            // A delivery un-quiesces the tile: it must drain its inboxes on
-            // this very cycle, exactly when a never-parked tile would.
-            if delivered || ejected > 0 {
-                self.sched.wake(i);
-            }
+        }
+        if ejected > 0 {
+            self.sched.wake(i);
         }
     }
 
@@ -768,6 +899,9 @@ impl Cell {
         // Banks: adapter + bank pipeline, then their DRAM side.
         for b in 0..self.banks.len() {
             self.banks[b].tick();
+            if !self.banks[b].resp_outbox.is_empty() {
+                self.bank_out.insert(b);
+            }
             while let Some(lr) = self.banks[b].bank.pop_mem_request() {
                 let id = self.next_mem_id;
                 self.next_mem_id += 1;
@@ -864,34 +998,84 @@ impl Cell {
         }
     }
 
-    /// BSP phase 4 — barrier joins and releases.
+    /// BSP phase 4 — barrier joins and releases. Visits the tiles that
+    /// stepped this cycle (only a step raises a join or traps) and those the
+    /// host touched; a release is consumed where the barrier network says
+    /// one arrived, or where a tile just started waiting.
     fn phase_sync(&mut self) {
-        for i in 0..self.tiles.len() {
-            if self.tiles[i].wants_join {
-                self.tiles[i].wants_join = false;
-                let g = self.tiles[i].group();
-                let (x, y) = self.tiles[i].xy;
-                let local = Coord::new(x - g.origin.0, y - g.origin.1);
-                self.barriers[g.barrier_id].join(local);
-            }
+        let w = self.cfg.cell_dim.x as usize;
+        self.release_check.clear();
+        let mut cursor = 0;
+        while let Some(i) = self.touched.first_from(cursor) {
+            cursor = i + 1;
+            self.visit.insert(i);
+            self.release_check.push(i as u32);
+            self.sync_tile(i);
         }
-        for barrier in &mut self.barriers {
+        self.touched.clear();
+        for k in 0..self.sched.run_list().len() {
+            let i = self.sched.run_list()[k] as usize;
+            self.visit.insert(i);
+            self.sync_tile(i);
+        }
+        for (barrier, &(ox, oy)) in self.barriers.iter_mut().zip(&self.barrier_origin) {
             barrier.tick();
+            self.release_check.extend(
+                barrier
+                    .released_this_tick()
+                    .map(|c| ((oy + c.y) as usize * w + (ox + c.x) as usize) as u32),
+            );
         }
-        for i in 0..self.tiles.len() {
-            if self.active[i] && self.tiles[i].barrier_waiting {
-                let g = self.tiles[i].group();
-                let (x, y) = self.tiles[i].xy;
-                let local = Coord::new(x - g.origin.0, y - g.origin.1);
-                if self.barriers[g.barrier_id].is_released(local) {
-                    self.barriers[g.barrier_id].consume_release(local);
-                    self.tiles[i].barrier_waiting = false;
-                    self.tiles[i].race_epoch_end();
-                    // Barrier release re-arms the parked tile; it resumes on
-                    // the next cycle's tile phase, like a never-parked one.
-                    self.sched.wake(i);
-                }
-            }
+        self.work.sync_tiles += self.release_check.len() as u64;
+        for k in 0..self.release_check.len() {
+            self.consume_release(self.release_check[k] as usize);
+        }
+    }
+
+    /// Sync phase, one stepped or touched tile: notes a trap, forwards a
+    /// raised join flag (a tile that just started waiting may find an
+    /// earlier release still unconsumed, so it is checked for one).
+    #[inline]
+    fn sync_tile(&mut self, i: usize) {
+        self.work.sync_tiles += 1;
+        self.maybe_fault |= self.tiles[i].fault().is_some();
+        if self.join_if_wanted(i) {
+            self.release_check.push(i as u32);
+        }
+    }
+
+    /// Tile `i`'s group barrier and its node there.
+    fn barrier_node(&self, i: usize) -> (usize, Coord) {
+        let g = self.tiles[i].group();
+        let (x, y) = self.tiles[i].xy;
+        (g.barrier_id, Coord::new(x - g.origin.0, y - g.origin.1))
+    }
+
+    /// Sync phase, one tile: forwards a raised join flag to its barrier.
+    #[inline]
+    fn join_if_wanted(&mut self, i: usize) -> bool {
+        let wanted = self.tiles[i].wants_join;
+        if wanted {
+            self.tiles[i].wants_join = false;
+            let (barrier, node) = self.barrier_node(i);
+            self.barriers[barrier].join(node);
+        }
+        wanted
+    }
+
+    /// Sync phase, one tile: a waiting tile takes its release, if one came.
+    fn consume_release(&mut self, i: usize) {
+        if !(self.active[i] && self.tiles[i].barrier_waiting) {
+            return;
+        }
+        let (barrier, node) = self.barrier_node(i);
+        if self.barriers[barrier].is_released(node) {
+            self.barriers[barrier].consume_release(node);
+            self.tiles[i].barrier_waiting = false;
+            self.tiles[i].race_epoch_end();
+            // Barrier release re-arms the parked tile; it resumes on the
+            // next cycle's tile phase, like a never-parked one.
+            self.sched.wake(i);
         }
     }
 
@@ -940,59 +1124,109 @@ impl Cell {
         Ok(())
     }
 
-    /// After a restore: every in-flight line operation names a live bank.
-    fn check_mem_ops(&mut self) -> Result<(), SnapError> {
+    /// After a restore: every in-flight line operation names a live bank
+    /// and every barrier network lies inside the Cell; then the derived
+    /// state — barrier origins from the tiles' group registers, every
+    /// worklist full so the next cycle looks everywhere once.
+    fn check_restored(&mut self) -> Result<(), SnapError> {
         if self.mem_ops.values().any(|op| op.bank >= self.banks.len()) {
             return Err(SnapError::Bad("mem op bank index out of range"));
         }
+        self.barrier_origin = vec![(0, 0); self.barriers.len()];
+        for (t, _) in self.tiles.iter().zip(&self.active).filter(|(_, &a)| a) {
+            if let Some(origin) = self.barrier_origin.get_mut(t.group().barrier_id) {
+                *origin = t.group().origin;
+            }
+        }
+        let (w, h) = (self.cfg.cell_dim.x, self.cfg.cell_dim.y);
+        let fits = |(b, &(ox, oy)): (&BarrierNetwork, &(u8, u8))| {
+            u16::from(ox) + u16::from(b.width()) <= u16::from(w)
+                && u16::from(oy) + u16::from(b.height()) <= u16::from(h)
+        };
+        if !self.barriers.iter().zip(&self.barrier_origin).all(fits) {
+            return Err(SnapError::Bad("barrier network leaves the cell"));
+        }
+        self.staged.insert_all();
+        self.touched.insert_all();
+        self.backlog.insert_all();
+        self.bank_out.insert_all();
+        self.maybe_fault = true;
         Ok(())
     }
 
     /// BSP phase 5 — injections: tile and bank outboxes drain into the
-    /// routers (cross-Cell traffic diverts to the fabric queues).
+    /// routers (cross-Cell traffic diverts to the fabric queues). Visits, in
+    /// index order (the order the fabric queues are filled in), the tiles
+    /// that can hold an outgoing packet — those that stepped this cycle,
+    /// those the host touched, those left with a backlog — and the banks
+    /// the memory phase saw with a response.
     fn phase_inject(&mut self) {
-        for i in 0..self.tiles.len() {
-            let (x, y) = self.tiles[i].xy;
-            let coord = self.pgas.tile_coord(x, y);
-            while let Some(&(cell, _)) = self.tiles[i].req_outbox.front() {
-                if cell == self.id {
-                    if !self.req_net.can_inject(coord) {
-                        break;
-                    }
-                    let (_, pkt) = self.tiles[i].req_outbox.pop_front().unwrap();
-                    self.req_net.inject(coord, pkt);
-                } else {
-                    let (cell, pkt) = self.tiles[i].req_outbox.pop_front().unwrap();
-                    self.xreq_out.push_back((cell, pkt));
-                }
+        // `visit` still names the stepped and touched tiles. It leaves
+        // `self` for the walk, which needs all of `self` per tile.
+        self.visit.union_with(&self.backlog);
+        self.backlog.clear();
+        let mut visit = std::mem::take(&mut self.visit);
+        for i in visit.iter() {
+            self.work.inject_nodes += 1;
+            if self.tiles[i].req_outbox.is_empty() && self.tiles[i].resp_outbox.is_empty() {
+                continue;
             }
-            while let Some(&(cell, _)) = self.tiles[i].resp_outbox.front() {
-                if cell == self.id {
-                    if !self.resp_net.can_inject(coord) {
-                        break;
-                    }
-                    let (_, pkt) = self.tiles[i].resp_outbox.pop_front().unwrap();
-                    self.resp_net.inject(coord, pkt);
-                } else {
-                    let (cell, pkt) = self.tiles[i].resp_outbox.pop_front().unwrap();
-                    self.xresp_out.push_back((cell, pkt));
-                }
+            self.inject_from_tile(i);
+            if !(self.tiles[i].req_outbox.is_empty() && self.tiles[i].resp_outbox.is_empty()) {
+                self.backlog.insert(i);
             }
         }
-        for b in 0..self.banks.len() {
-            let coord = self.banks[b].coord;
-            while let Some(&(cell, _)) = self.banks[b].resp_outbox.front() {
-                if cell == self.id {
-                    if !self.resp_net.can_inject(coord) {
-                        break;
-                    }
-                    let (_, pkt) = self.banks[b].resp_outbox.pop_front().unwrap();
-                    self.resp_net.inject(coord, pkt);
-                } else {
-                    let (cell, pkt) = self.banks[b].resp_outbox.pop_front().unwrap();
-                    self.xresp_out.push_back((cell, pkt));
-                }
+        visit.clear();
+        self.visit = visit;
+        let mut cursor = 0;
+        while let Some(b) = self.bank_out.first_from(cursor) {
+            cursor = b + 1;
+            self.work.inject_nodes += 1;
+            self.inject_from_bank(b);
+            if self.banks[b].resp_outbox.is_empty() {
+                self.bank_out.remove(b);
             }
+        }
+    }
+
+    /// Inject phase, one tile: its request outbox, then its response outbox.
+    fn inject_from_tile(&mut self, i: usize) {
+        let (x, y) = self.tiles[i].xy;
+        let coord = self.pgas.tile_coord(x, y);
+        let tile = &mut self.tiles[i];
+        let (req, xreq) = (&mut self.req_net, &mut self.xreq_out);
+        drain_outbox(&mut tile.req_outbox, self.id, coord, req, xreq);
+        let (resp, xresp) = (&mut self.resp_net, &mut self.xresp_out);
+        drain_outbox(&mut tile.resp_outbox, self.id, coord, resp, xresp);
+    }
+
+    /// Inject phase, one bank: its response outbox.
+    fn inject_from_bank(&mut self, b: usize) {
+        let bank = &mut self.banks[b];
+        let (resp, xresp) = (&mut self.resp_net, &mut self.xresp_out);
+        drain_outbox(&mut bank.resp_outbox, self.id, bank.coord, resp, xresp);
+    }
+}
+
+/// Drains a node's outbox in order: packets for Cell `own` inject into
+/// `net` at `coord` until its injection FIFO is full (the rest wait for the
+/// next cycle); packets for other Cells divert to the `fabric` queue.
+fn drain_outbox<P: Clone + std::fmt::Debug>(
+    outbox: &mut VecDeque<(u8, Packet<P>)>,
+    own: u8,
+    coord: Coord,
+    net: &mut Network<P>,
+    fabric: &mut VecDeque<(u8, Packet<P>)>,
+) {
+    while let Some(&(cell, _)) = outbox.front() {
+        if cell == own && !net.can_inject(coord) {
+            break;
+        }
+        let (cell, pkt) = outbox.pop_front().expect("front was just read");
+        if cell == own {
+            net.inject(coord, pkt);
+        } else {
+            fabric.push_back((cell, pkt));
         }
     }
 }
@@ -1009,8 +1243,63 @@ hb_mem::snap_state!(Cell [b"CELL"] {
     save: cycle, alloc_ptr, req_net, resp_net, hbm, hbm_clock, dram, hbm_retry, mem_ops,
         next_mem_id, barriers, sched, xreq_out, xresp_out;
     fixed: tiles, banks, strip_to_mem, strip_from_mem, active;
-    host: cfg, id, pgas, pool, traced;
-} extra (save_programs, load_programs) check check_mem_ops);
+    host: cfg, id, pgas, pool, traced, staged, touched, backlog, bank_out, visit, ready,
+        release_check, barrier_origin, maybe_fault, work;
+} extra (save_programs, load_programs) check check_restored);
+
+/// The every-node, every-tile scans the worklists replaced, kept as the
+/// oracle of `worklist_phases_match_the_full_scans`: the same per-node work
+/// at ~290 nodes in the network phase, at every tile twice in the sync
+/// phase, at every tile and every bank in the inject phase. They read no
+/// worklist and keep none.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    thread_local! {
+        /// While set, `Cell::tick` on this thread runs the reference scans.
+        pub(super) static ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    impl Cell {
+        pub(super) fn tick_reference(&mut self) {
+            self.cycle += 1;
+            self.maybe_fault = true;
+
+            self.req_net.tick();
+            self.resp_net.tick();
+            for b in 0..self.banks.len() {
+                self.eject_requests_to_bank(b);
+            }
+            for i in 0..self.tiles.len() {
+                self.eject_requests_to_tile(i);
+                self.eject_responses_to_tile(i);
+            }
+
+            self.phase_memory();
+            let pool = self.pool.as_deref().filter(|_| !self.traced);
+            let (now, park) = (self.cycle, self.cfg.event_core);
+            (self.sched).run_cycle(&mut self.tiles, &self.active, now, park, pool, &mut NoClock);
+
+            for i in 0..self.tiles.len() {
+                self.join_if_wanted(i);
+            }
+            for barrier in &mut self.barriers {
+                barrier.tick();
+            }
+            for i in 0..self.tiles.len() {
+                self.consume_release(i);
+            }
+
+            for i in 0..self.tiles.len() {
+                self.inject_from_tile(i);
+            }
+            for b in 0..self.banks.len() {
+                self.inject_from_bank(b);
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1068,6 +1357,105 @@ mod tests {
             cycles >= floor,
             "a {n}-response burst must take >= {floor} cycles, took {cycles}"
         );
+    }
+
+    /// The oracle for the Cell-side worklists: two 2-Cell machines in
+    /// lockstep, one ticking the worklist phases, one the full scans they
+    /// replaced (`reference`), under both park policies. The kernel makes
+    /// every kind of work the worklists track — cross-Cell AMOs on one hot
+    /// bank (fabric queues, staged responses, bank back-pressure), remote
+    /// scratchpad stores converging on one tile per group (inbox bound,
+    /// outbox backlog on parked tiles), a barrier per iteration in four
+    /// groups — and the host adds its own through `tile_mut` (a freeze, a
+    /// bogus response that traps a tile). Checkpoint bytes, tile-tick
+    /// counts and the reported fault agree after every cycle.
+    #[test]
+    fn worklist_phases_match_the_full_scans() {
+        use crate::kernel_util::HbOps;
+        use hb_isa::Gpr::*;
+        let mut a = hb_asm::Assembler::new();
+        a.tg_rank(T0, T6);
+        a.li(S0, 40);
+        a.li(T2, 1);
+        a.li_u(T3, crate::pgas::group_spm(0, 0, 256));
+        let top = a.here();
+        a.amoadd(Zero, T2, A0);
+        a.lw(T4, A1, 0);
+        a.sw(T0, T3, 0);
+        a.sw(T0, T3, 4);
+        a.sw(T0, T3, 8);
+        a.barrier(T6);
+        a.addi(S0, S0, -1);
+        a.bnez(S0, top);
+        a.fence();
+        a.ecall();
+        let program = Arc::new(a.assemble(0).unwrap());
+
+        for event_core in [true, false] {
+            let cfg = MachineConfig {
+                cell_dim: CellDim { x: 4, y: 2 },
+                num_cells: 2,
+                dram_bytes_per_cell: 64 << 10,
+                // Shallow FIFOs: tiles park in the barrier with stores
+                // still waiting in their outbox for an injection slot.
+                net_fifo_depth: 1,
+                threads: 1,
+                event_core,
+                ..MachineConfig::baseline_16x8()
+            };
+            let groups: Vec<_> = (GroupSpec::grid(&cfg, 2, 2).into_iter())
+                .map(|g| {
+                    (
+                        g,
+                        vec![crate::pgas::global_dram(64), crate::pgas::local_dram(128)],
+                    )
+                })
+                .collect();
+            let build = || {
+                let mut m = crate::Machine::new(cfg.clone());
+                m.launch_groups(0, &program, &groups);
+                m.launch_groups(1, &program, &groups);
+                m
+            };
+            let (mut fast, mut slow) = (build(), build());
+            for cycle in 1..=1200u64 {
+                for m in [&mut fast, &mut slow] {
+                    match cycle {
+                        40 => m.cell_mut(0).tile_mut(1, 0).freeze(60, cycle),
+                        500 => {
+                            let dst = m.cell(1).pgas().tile_coord(3, 1);
+                            m.cell_mut(1).deliver_remote_response(Packet {
+                                src: dst,
+                                dst,
+                                payload: crate::payload::Response {
+                                    op_id: 0xdead,
+                                    kind: RespKind::StoreAck,
+                                },
+                            });
+                        }
+                        _ => {}
+                    }
+                }
+                fast.tick();
+                reference::ENABLED.set(true);
+                slow.tick();
+                reference::ENABLED.set(false);
+                assert!(
+                    fast.save_checkpoint() == slow.save_checkpoint(),
+                    "state diverged at cycle {cycle} (event_core {event_core})"
+                );
+                assert_eq!(fast.tile_ticks(), slow.tile_ticks(), "cycle {cycle}");
+                for c in 0..2 {
+                    assert_eq!(fast.cell(c).fault(), slow.cell(c).fault(), "cycle {cycle}");
+                }
+            }
+            // The run did what the test needs: traffic crossed the fabric,
+            // barriers completed, the bogus response trapped its tile.
+            assert!(fast.cell(1).fault().is_some() && fast.cell(0).fault().is_none());
+            assert!(fast.cell(0).all_done() && !fast.cell(1).all_done());
+            let work = fast.cell(0).work();
+            assert!(work.noc.latches > 0 && work.barrier_nodes > 0, "{work:?}");
+        }
     }
 
     /// The phase split must not change what a cycle does: an idle Cell

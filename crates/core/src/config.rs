@@ -334,6 +334,58 @@ impl MachineConfig {
                 bytes: self.dram_bytes_per_cell,
             });
         }
+        if self.spm_bytes > Self::MAX_SPM_BYTES {
+            return Err(ConfigError::SpmTooLarge {
+                bytes: self.spm_bytes,
+            });
+        }
+        if self.cell_dim.x > Self::MAX_CELL_EDGE || self.cell_dim.y > Self::MAX_CELL_EDGE {
+            return Err(ConfigError::CellTooLarge { dim: self.cell_dim });
+        }
+        if self.net_fifo_depth < 1 {
+            return Err(ConfigError::ZeroFifoDepth);
+        }
+        let bank_bytes = (self.cache_sets.checked_mul(self.cache_ways))
+            .and_then(|lines| lines.checked_mul(self.line_bytes as usize));
+        if !matches!(bank_bytes, Some(1..=Self::MAX_BANK_BYTES))
+            || !(4..=64).contains(&self.line_bytes)
+            || !self.line_bytes.is_power_of_two()
+            || self.cache_mshrs < 1
+        {
+            return Err(ConfigError::BadCacheGeometry {
+                sets: self.cache_sets,
+                ways: self.cache_ways,
+                line_bytes: self.line_bytes,
+                mshrs: self.cache_mshrs,
+            });
+        }
+        if !(16..=Self::MAX_ICACHE_BYTES).contains(&self.icache_bytes)
+            || !self.icache_bytes.is_power_of_two()
+        {
+            return Err(ConfigError::BadIcacheSize {
+                bytes: self.icache_bytes,
+            });
+        }
+        if !self.hbm.banks.is_power_of_two()
+            || self.hbm.banks > Self::MAX_HBM_BANKS
+            || self.hbm.line_bytes == 0
+            || self.hbm.row_bytes < self.hbm.line_bytes
+        {
+            return Err(ConfigError::BadHbmGeometry {
+                banks: self.hbm.banks,
+                row_bytes: self.hbm.row_bytes,
+                line_bytes: self.hbm.line_bytes,
+            });
+        }
+        if self.core_freq_mhz == 0 || self.mem_freq_mhz > self.core_freq_mhz {
+            return Err(ConfigError::BadClockRatio {
+                core_mhz: self.core_freq_mhz,
+                mem_mhz: self.mem_freq_mhz,
+            });
+        }
+        if self.strip.bytes_per_cycle == 0 || self.strip.skip_distance == 0 {
+            return Err(ConfigError::ZeroWidthStrip);
+        }
         if let Some(&(x, y)) = self
             .disabled_tiles
             .iter()
@@ -346,6 +398,20 @@ impl MachineConfig {
         }
         Ok(())
     }
+
+    /// Largest Cell edge, in tiles: a Group-SPM address names a tile with
+    /// two 6-bit coordinate fields.
+    pub const MAX_CELL_EDGE: u8 = 64;
+    /// Largest scratchpad, in bytes: a Group-SPM address carries an 18-bit
+    /// offset.
+    pub const MAX_SPM_BYTES: u32 = 1 << 18;
+    /// Largest cache bank, in bytes: no bank outgrows the 16 MiB DRAM
+    /// window it caches.
+    pub const MAX_BANK_BYTES: usize = 16 << 20;
+    /// Largest instruction cache, in bytes.
+    pub const MAX_ICACHE_BYTES: u32 = 1 << 20;
+    /// Most banks an HBM2 pseudo-channel is modelled with.
+    pub const MAX_HBM_BANKS: usize = 1024;
 
     /// Version of the canonical text layout produced by
     /// [`MachineConfig::canonical_text`]. Bump whenever a field is added,
@@ -457,6 +523,59 @@ pub enum ConfigError {
         /// The Cell shape.
         dim: CellDim,
     },
+    /// The scratchpad exceeds [`MachineConfig::MAX_SPM_BYTES`].
+    SpmTooLarge {
+        /// The configured size.
+        bytes: u32,
+    },
+    /// A Cell edge exceeds [`MachineConfig::MAX_CELL_EDGE`] tiles.
+    CellTooLarge {
+        /// The offending shape.
+        dim: CellDim,
+    },
+    /// A router input FIFO must hold at least one packet.
+    ZeroFifoDepth,
+    /// The cache-bank model needs at least one set, way and MSHR, a
+    /// power-of-two line of 4 to 64 bytes, and a bank of at most
+    /// [`MachineConfig::MAX_BANK_BYTES`].
+    BadCacheGeometry {
+        /// Configured sets per bank.
+        sets: usize,
+        /// Configured ways per set.
+        ways: usize,
+        /// Configured line size.
+        line_bytes: u32,
+        /// Configured MSHRs per bank.
+        mshrs: usize,
+    },
+    /// The instruction cache is a power of two between one 16-byte line and
+    /// [`MachineConfig::MAX_ICACHE_BYTES`].
+    BadIcacheSize {
+        /// The configured size.
+        bytes: u32,
+    },
+    /// The HBM2 channel needs a power-of-two bank count of at most
+    /// [`MachineConfig::MAX_HBM_BANKS`] and a row that holds a non-empty
+    /// line.
+    BadHbmGeometry {
+        /// Configured banks per pseudo-channel.
+        banks: usize,
+        /// Configured row size.
+        row_bytes: u32,
+        /// Configured line size.
+        line_bytes: u32,
+    },
+    /// The memory clock is derived from the core clock by skipping core
+    /// cycles: the core clock must run, and no slower than memory.
+    BadClockRatio {
+        /// Configured core clock.
+        core_mhz: u32,
+        /// Configured memory clock.
+        mem_mhz: u32,
+    },
+    /// A refill strip must move at least one byte per cycle over skip links
+    /// at least one bank long.
+    ZeroWidthStrip,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -486,6 +605,64 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "DRAM window of {bytes} bytes exceeds the 24-bit EVA offset field (16 MiB)"
+                )
+            }
+            ConfigError::SpmTooLarge { bytes } => {
+                write!(
+                    f,
+                    "SPM of {bytes} bytes exceeds the 18-bit Group-SPM offset field (256 KiB)"
+                )
+            }
+            ConfigError::CellTooLarge { dim } => {
+                write!(
+                    f,
+                    "cell of {}x{} tiles exceeds the 6-bit tile coordinate fields (64x64)",
+                    dim.x, dim.y
+                )
+            }
+            ConfigError::ZeroFifoDepth => write!(f, "net_fifo_depth must be at least 1"),
+            ConfigError::BadCacheGeometry {
+                sets,
+                ways,
+                line_bytes,
+                mshrs,
+            } => {
+                write!(
+                    f,
+                    "cache bank of {sets} sets x {ways} ways x {line_bytes}-byte lines with \
+                     {mshrs} MSHRs: need at least one of each, a power-of-two line of 4..=64 \
+                     bytes and at most 16 MiB per bank"
+                )
+            }
+            ConfigError::BadIcacheSize { bytes } => {
+                write!(
+                    f,
+                    "icache of {bytes} bytes must be a power of two from 16 bytes to 1 MiB"
+                )
+            }
+            ConfigError::BadHbmGeometry {
+                banks,
+                row_bytes,
+                line_bytes,
+            } => {
+                write!(
+                    f,
+                    "HBM2 channel of {banks} banks, {row_bytes}-byte rows, {line_bytes}-byte \
+                     lines: need a power-of-two bank count up to 1024 and a row holding a \
+                     non-empty line"
+                )
+            }
+            ConfigError::BadClockRatio { core_mhz, mem_mhz } => {
+                write!(
+                    f,
+                    "clocks of {core_mhz} MHz core / {mem_mhz} MHz memory: the core clock must \
+                     be nonzero and at least the memory clock"
+                )
+            }
+            ConfigError::ZeroWidthStrip => {
+                write!(
+                    f,
+                    "strip channel width and skip distance must be at least 1"
                 )
             }
         }
@@ -568,7 +745,7 @@ mod tests {
 
         let c = MachineConfig {
             disabled_tiles: vec![(1, 1), (16, 0)],
-            ..base
+            ..base.clone()
         };
         assert_eq!(
             c.validate(),
@@ -577,6 +754,105 @@ mod tests {
                 dim: CellDim { x: 16, y: 8 }
             })
         );
+
+        // What `Machine::new` would otherwise die on in a constructor
+        // `assert!` (or an arithmetic overflow) three layers down.
+        let c = MachineConfig {
+            spm_bytes: 1 << 19,
+            ..base.clone()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::SpmTooLarge { bytes: 1 << 19 })
+        );
+
+        let dim = CellDim { x: 16, y: 254 };
+        let c = MachineConfig {
+            cell_dim: dim,
+            ..base.clone()
+        };
+        assert_eq!(c.validate(), Err(ConfigError::CellTooLarge { dim }));
+
+        let c = MachineConfig {
+            net_fifo_depth: 0,
+            ..base.clone()
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroFifoDepth));
+
+        let bad_cache =
+            |c: MachineConfig| matches!(c.validate(), Err(ConfigError::BadCacheGeometry { .. }));
+        for (sets, ways, line_bytes, mshrs) in [
+            (0, 8, 64, 8),
+            (64, 0, 64, 8),
+            (64, 8, 0, 8),
+            (64, 8, 48, 8),
+            (64, 8, 128, 8),
+            (64, 8, 64, 0),
+            (usize::MAX, 8, 64, 8),
+            (1 << 20, 1 << 10, 64, 8),
+        ] {
+            assert!(
+                bad_cache(MachineConfig {
+                    cache_sets: sets,
+                    cache_ways: ways,
+                    line_bytes,
+                    cache_mshrs: mshrs,
+                    ..base.clone()
+                }),
+                "{sets} sets x {ways} ways x {line_bytes} B, {mshrs} MSHRs"
+            );
+        }
+
+        for bytes in [0, 8, 4095, 2 << 20] {
+            let c = MachineConfig {
+                icache_bytes: bytes,
+                ..base.clone()
+            };
+            assert_eq!(c.validate(), Err(ConfigError::BadIcacheSize { bytes }));
+        }
+
+        for (banks, row_bytes, line_bytes) in [(0, 1024, 64), (12, 1024, 64), (1 << 20, 1024, 64)]
+            .into_iter()
+            .chain([(16, 1024, 0), (16, 32, 64)])
+        {
+            let c = MachineConfig {
+                hbm: hb_mem::Hbm2Config {
+                    banks,
+                    row_bytes,
+                    line_bytes,
+                    ..base.hbm.clone()
+                },
+                ..base.clone()
+            };
+            let expect = ConfigError::BadHbmGeometry {
+                banks,
+                row_bytes,
+                line_bytes,
+            };
+            assert_eq!(c.validate(), Err(expect));
+        }
+
+        for (core_mhz, mem_mhz) in [(0, 0), (1000, 1350)] {
+            let c = MachineConfig {
+                core_freq_mhz: core_mhz,
+                mem_freq_mhz: mem_mhz,
+                ..base.clone()
+            };
+            let expect = ConfigError::BadClockRatio { core_mhz, mem_mhz };
+            assert_eq!(c.validate(), Err(expect));
+        }
+
+        for (bytes_per_cycle, skip_distance) in [(0, 4), (16, 0)] {
+            let c = MachineConfig {
+                strip: hb_noc::StripConfig {
+                    bytes_per_cycle,
+                    skip_distance,
+                    ..base.strip
+                },
+                ..base.clone()
+            };
+            assert_eq!(c.validate(), Err(ConfigError::ZeroWidthStrip));
+        }
     }
 
     #[test]
@@ -704,9 +980,11 @@ mod tests {
             let values: Vec<&str> = entry[key.len() + 1..].split(',').collect();
             assert_eq!(values.len(), arity);
             for i in 0..arity {
+                // Doubled, not incremented: the bank count stays a power of
+                // two, so the text still describes a buildable machine.
                 let mut bumped = values.clone();
-                let plus_one = format!("{}", values[i].parse::<u64>().unwrap() + 1);
-                bumped[i] = &plus_one;
+                let doubled = format!("{}", values[i].parse::<u64>().unwrap() * 2);
+                bumped[i] = &doubled;
                 let text = baseline_text.replace(entry, &format!("{key}={}", bumped.join(",")));
                 let cfg = MachineConfig::from_canonical_text(&text).unwrap();
                 assert_ne!(cfg, base, "{key} field {i} is not decoded");

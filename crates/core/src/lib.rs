@@ -68,7 +68,7 @@ mod stats;
 mod tile;
 pub mod trace;
 
-pub use cell::{Cell, GroupSpec, EJECT_PER_CYCLE};
+pub use cell::{Cell, CellWork, GroupSpec, EJECT_PER_CYCLE};
 pub use config::{CellDim, ConfigError, MachineConfig};
 pub use cosim::{CosimChecker, CosimError, CosimReport, Divergence};
 pub use diag::{FaultInfo, HangClass, HangReport};

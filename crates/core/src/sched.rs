@@ -123,6 +123,13 @@ impl TileSched {
         self.rearms
     }
 
+    /// The tiles the latest [`run_cycle`](Self::run_cycle) stepped, in
+    /// ascending order: the only ones that can have raised a barrier join,
+    /// trapped or filled an outbox in it.
+    pub(crate) fn run_list(&self) -> &[u32] {
+        &self.run_list
+    }
+
     /// `(stepped, skipped)` tile-tick counters.
     pub(crate) fn tick_counts(&self) -> (u64, u64) {
         (self.stepped, self.skipped)
@@ -236,7 +243,7 @@ impl TileSched {
     }
 }
 
-// `run_list`/`parks` are scratch, rebuilt every cycle.
+// `run_list`/`parks` are rebuilt every cycle (and read only within it).
 hb_mem::snap_state!(TileSched [b"SCHD"] {
     save: stepped, skipped, rearms;
     fixed: asleep, wake_at, park_cycle, park_kind;

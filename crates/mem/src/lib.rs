@@ -15,7 +15,9 @@
 //! As the bottom of the crate stack (no dependencies), this crate also
 //! hosts the three codecs every layer above shares: [`snap`] (binary
 //! checkpoints), [`text`] (the canonical texts results are hashed by) and
-//! [`json`] (the one JSON parser, and flat-object records over it).
+//! [`json`] (the one JSON parser, and flat-object records over it) — and
+//! [`WorkSet`], the ascending-order worklist the NoC and the Cell's
+//! sequential phases walk instead of sweeping the machine.
 //!
 //! # Examples
 //!
@@ -41,8 +43,10 @@ pub mod json;
 pub mod snap;
 mod storage;
 pub mod text;
+mod worklist;
 
 pub use channel::{DramRequest, DramResponse, Hbm2Channel, Hbm2Config, Hbm2Stats};
 pub use clock::ClockDivider;
 pub use snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 pub use storage::Dram;
+pub use worklist::WorkSet;

@@ -10,8 +10,13 @@
 //!
 //! Rounds are pipelined with cumulative counters, so a tile near the root
 //! may re-join the next barrier while far tiles are still being woken.
+//!
+//! A tick looks only at the nodes whose inputs moved since it last looked
+//! at them (a join, an arriving signal, a send of their own), in node
+//! order; a network nobody is joining costs nothing per cycle.
 
 use crate::net::Coord;
+use hb_mem::WorkSet;
 
 /// A barrier-network link direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +56,7 @@ pub struct BarrierConfig {
     pub output: Option<Dir>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct NodeState {
     /// Cumulative joins by the local tile.
     joins: u64,
@@ -66,7 +71,7 @@ struct NodeState {
 }
 
 /// The hardware barrier network over a `width * height` tile group.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BarrierNetwork {
     width: u8,
     height: u8,
@@ -85,6 +90,18 @@ pub struct BarrierNetwork {
     cycle: u64,
     /// Completed barrier rounds at the root.
     rounds: u64,
+    /// Worklist: nodes whose send condition must be re-evaluated — a
+    /// counter it reads (`joins`, `recv`, `sent`, a bypassed node's
+    /// `released`) moved since the node was last looked at. Whether a node
+    /// sends is a function of those counters alone, so a node outside the
+    /// set would decide what it decided last time: nothing.
+    dirty: WorkSet,
+    /// Scratch: the wake signals being delivered this tick.
+    waking: Vec<usize>,
+    /// Nodes that received a release in the latest tick.
+    released_now: Vec<usize>,
+    /// Host work: nodes evaluated by `tick` so far (not simulated state).
+    node_visits: u64,
 }
 
 impl BarrierNetwork {
@@ -136,6 +153,10 @@ impl BarrierNetwork {
             wake_in_flight: Vec::new(),
             cycle: 0,
             rounds: 0,
+            dirty: WorkSet::new(n),
+            waking: Vec::new(),
+            released_now: Vec::new(),
+            node_visits: 0,
         }
     }
 
@@ -208,6 +229,7 @@ impl BarrierNetwork {
     pub fn join(&mut self, at: Coord) {
         let i = self.idx(at);
         self.nodes[i].joins += 1;
+        self.dirty.insert(i);
     }
 
     /// Marks tile `at` as bypassed: its barrier node joins every round on
@@ -216,6 +238,7 @@ impl BarrierNetwork {
     pub fn bypass(&mut self, at: Coord) {
         let i = self.idx(at);
         self.bypassed[i] = true;
+        self.dirty.insert(i);
     }
 
     /// Whether tile `at` is bypassed.
@@ -237,61 +260,89 @@ impl BarrierNetwork {
         self.nodes[i].consumed += 1;
     }
 
+    /// The tiles that received a release in the latest [`tick`](Self::tick)
+    /// — the only ones whose [`is_released`](Self::is_released) can have
+    /// turned true in it.
+    pub fn released_this_tick(&self) -> impl Iterator<Item = Coord> + '_ {
+        let w = self.width as usize;
+        (self.released_now.iter()).map(move |&i| Coord::new((i % w) as u8, (i / w) as u8))
+    }
+
+    /// Host work: nodes [`tick`](Self::tick) has evaluated so far.
+    pub fn node_visits(&self) -> u64 {
+        self.node_visits
+    }
+
     /// Advances the barrier network one cycle.
     pub fn tick(&mut self) {
         self.cycle += 1;
+        self.released_now.clear();
 
         // Deliver in-flight signals (sent last cycle).
-        for &t in &std::mem::take(&mut self.up_in_flight) {
+        for t in self.up_in_flight.drain(..) {
             self.nodes[t].recv += 1;
+            self.dirty.insert(t);
         }
-        let wakes = std::mem::take(&mut self.wake_in_flight);
-        for &t in &wakes {
+        std::mem::swap(&mut self.wake_in_flight, &mut self.waking);
+        for &t in &self.waking {
             self.nodes[t].released += 1;
+            self.released_now.push(t);
+            if self.bypassed[t] {
+                self.dirty.insert(t);
+            }
             // Forward the wake to this node's children next cycle.
-            for &c in &self.children[t] {
-                self.wake_in_flight.push(c);
-            }
+            self.wake_in_flight.extend(&self.children[t]);
         }
+        self.waking.clear();
 
-        // Send up-signals where a node has joined and gathered its children.
-        for i in 0..self.nodes.len() {
-            let nchild = self.children[i].len() as u64;
-            let n = &self.nodes[i];
-            let round = n.sent; // next round to send is round `sent`
-                                // A bypassed node joins instantly each round, paced by its own
-                                // releases (like a tile that re-joins the moment it is woken),
-                                // so it can never flood its parent ahead of the live tiles.
-            let joined = if self.bypassed[i] {
-                n.sent <= n.released
-            } else {
-                n.joins > round
-            };
-            let ready = joined && n.recv >= (round + 1) * nchild;
-            if !ready {
-                continue;
-            }
-            match self.parent[i] {
-                Some(p) => {
-                    self.nodes[i].sent += 1;
-                    self.up_in_flight.push(p);
-                }
-                None => {
-                    // Root fires: release itself now, wake children next
-                    // cycle.
-                    self.nodes[i].sent += 1;
-                    self.nodes[i].released += 1;
-                    self.rounds += 1;
-                    for &c in &self.children[i] {
-                        self.wake_in_flight.push(c);
-                    }
-                }
+        // Send up-signals where a node has joined and gathered its children,
+        // in node order (the order the in-flight lists are filled in).
+        let mut cursor = 0;
+        while let Some(i) = self.dirty.first_from(cursor) {
+            cursor = i + 1;
+            self.dirty.remove(i);
+            self.node_visits += 1;
+            if self.send_if_ready(i) {
+                // Its `sent` moved: look again next tick.
+                self.dirty.insert(i);
             }
         }
     }
 
+    /// Sends node `i`'s up-signal (the root: fires the round) if it has
+    /// joined the round it is due to send and gathered its children.
+    fn send_if_ready(&mut self, i: usize) -> bool {
+        let nchild = self.children[i].len() as u64;
+        let n = &self.nodes[i];
+        let round = n.sent; // next round to send is round `sent`
+                            // A bypassed node joins instantly each round, paced by its own
+                            // releases (like a tile that re-joins the moment it is woken), so it
+                            // can never flood its parent ahead of the live tiles.
+        let joined = if self.bypassed[i] {
+            n.sent <= n.released
+        } else {
+            n.joins > round
+        };
+        if !(joined && n.recv >= (round + 1) * nchild) {
+            return false;
+        }
+        self.nodes[i].sent += 1;
+        match self.parent[i] {
+            Some(p) => self.up_in_flight.push(p),
+            None => {
+                // Root fires: release itself now, wake children next cycle.
+                self.nodes[i].released += 1;
+                self.released_now.push(i);
+                self.rounds += 1;
+                self.wake_in_flight.extend(&self.children[i]);
+            }
+        }
+        true
+    }
+
     /// After a decode: checks the shape and every node index, then
-    /// re-derives `children` from `parent` (in node order, as `new` does).
+    /// re-derives `children` from `parent` (in node order, as `new` does)
+    /// and marks every node for re-evaluation.
     fn rebuild_children(&mut self) -> Result<(), hb_mem::SnapError> {
         use hb_mem::SnapError;
         let n = self.width as usize * self.height as usize;
@@ -312,6 +363,8 @@ impl BarrierNetwork {
                 self.children[p].push(i);
             }
         }
+        // Which nodes are due a look is not in the stream: look at them all.
+        self.dirty = WorkSet::full(n);
         Ok(())
     }
 }
@@ -327,8 +380,30 @@ hb_mem::snap_value!(NodeState {
 // and rebuild `children` without re-deriving group geometry.
 hb_mem::snap_value!(BarrierNetwork [b"BARR"] {
     width, height, ruche_factor, parent, nodes, bypassed, up_in_flight, wake_in_flight,
-    cycle, rounds; derived children
+    cycle, rounds; derived children, dirty, waking, released_now, node_visits
 } check rebuild_children);
+
+/// The all-nodes scan the dirty-node worklist replaced, kept as the oracle
+/// of `dirty_node_tick_matches_the_all_nodes_scan`.
+#[cfg(test)]
+impl BarrierNetwork {
+    fn tick_reference(&mut self) {
+        self.cycle += 1;
+        for &t in &std::mem::take(&mut self.up_in_flight) {
+            self.nodes[t].recv += 1;
+        }
+        let wakes = std::mem::take(&mut self.wake_in_flight);
+        for &t in &wakes {
+            self.nodes[t].released += 1;
+            for &c in &self.children[t] {
+                self.wake_in_flight.push(c);
+            }
+        }
+        for i in 0..self.nodes.len() {
+            self.send_if_ready(i);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -493,6 +568,98 @@ mod tests {
         let live: Vec<Coord> = (1..4).map(|x| Coord::new(x, 0)).collect();
         masked_round(&mut net, &live);
         assert_eq!(net.rounds(), 1);
+    }
+
+    /// The dirty-node tick against the scan of every node it replaced, in
+    /// lockstep under seeded join traffic (pipelined rounds, bypassed
+    /// nodes, tiles that join twice before consuming): node counters, both
+    /// in-flight lists *in order* (they are checkpointed) and the round
+    /// count agree after every tick, and `released_this_tick` names exactly
+    /// the nodes whose release count moved.
+    #[test]
+    fn dirty_node_tick_matches_the_all_nodes_scan() {
+        for (seed, (w, h, rf)) in [
+            (1, (16, 8, 3)),
+            (2, (8, 4, 0)),
+            (3, (5, 3, 3)),
+            (4, (1, 1, 0)),
+        ] {
+            let mut rng = hb_rng::Rng::seed_from_u64(seed);
+            let mut fast = BarrierNetwork::tree_for_group(w, h, rf);
+            let coords: Vec<Coord> = all_coords(w, h).collect();
+            let dead: Vec<Coord> = (coords.iter().copied())
+                .filter(|_| coords.len() > 4 && rng.chance(0.1))
+                .collect();
+            for &d in &dead {
+                fast.bypass(d);
+            }
+            let mut slow = fast.clone();
+            // Joins a live tile still owes a consume for.
+            let mut owed = vec![0u32; coords.len()];
+            for t in 0..3000 {
+                for (i, &c) in coords.iter().enumerate() {
+                    if dead.contains(&c) {
+                        continue;
+                    }
+                    // Mostly one join per round; rarely a second on top.
+                    let eager = if owed[i] == 0 { 0.05 } else { 0.002 };
+                    if rng.chance(eager) {
+                        fast.join(c);
+                        slow.join(c);
+                        owed[i] += 1;
+                    }
+                }
+                let before: Vec<u64> = fast.nodes.iter().map(|n| n.released).collect();
+                fast.tick();
+                slow.tick_reference();
+                assert_eq!(fast.nodes, slow.nodes, "seed {seed} tick {t}");
+                assert_eq!(fast.up_in_flight, slow.up_in_flight, "seed {seed} tick {t}");
+                assert_eq!(
+                    fast.wake_in_flight, slow.wake_in_flight,
+                    "seed {seed} tick {t}"
+                );
+                assert_eq!(fast.rounds, slow.rounds);
+                let mut named: Vec<Coord> = fast.released_this_tick().collect();
+                named.sort();
+                let mut moved: Vec<Coord> = (coords.iter().copied().zip(&before))
+                    .filter(|&(c, &b)| fast.nodes[fast.idx(c)].released > b)
+                    .map(|(c, _)| c)
+                    .collect();
+                moved.sort();
+                assert_eq!(named, moved, "seed {seed} tick {t}");
+                for (i, &c) in coords.iter().enumerate() {
+                    if owed[i] > 0 && fast.is_released(c) {
+                        fast.consume_release(c);
+                        slow.consume_release(c);
+                        owed[i] -= 1;
+                    }
+                }
+            }
+            assert!(
+                fast.rounds() > 5,
+                "seed {seed}: only {} rounds",
+                fast.rounds()
+            );
+            assert!(
+                fast.node_visits() < 3000 * coords.len() as u64 / 4 + 64,
+                "seed {seed}: {} node visits is not activity-proportional",
+                fast.node_visits()
+            );
+        }
+    }
+
+    #[test]
+    fn idle_barrier_ticks_visit_no_node() {
+        let mut net = BarrierNetwork::tree_for_group(16, 8, 3);
+        barrier_latency(&mut net, 16, 8);
+        for _ in 0..4 {
+            net.tick();
+        }
+        let settled = net.node_visits();
+        for _ in 0..1000 {
+            net.tick();
+        }
+        assert_eq!(net.node_visits(), settled);
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod strip;
 pub use barrier::{BarrierConfig, BarrierNetwork, Dir};
 pub use net::{
     Coord, LinkStats, Network, NetworkConfig, NetworkStats, Packet, Port, RetransmitEvent,
-    RouteOrder, RETRY_PENALTY,
+    RouteOrder, TickWork, RETRY_PENALTY,
 };
 pub use strip::{StripChannel, StripConfig, StripStats, StripTransfer};
 

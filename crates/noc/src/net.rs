@@ -1,9 +1,15 @@
 //! Cycle-level 2-D mesh / Half-Ruche network with dimension-ordered routing.
 
+use hb_mem::WorkSet;
 use std::collections::VecDeque;
 
 /// Number of router ports (local + 4 mesh + 2 Ruche).
 const NPORTS: usize = 7;
+
+/// Stride of a router in the port-granular worklists: member
+/// `router * PORT_STRIDE + port`, so one router's ports are one
+/// [`WorkSet::octet`] and an ascending walk is ascending `(router, port)`.
+const PORT_STRIDE: usize = 8;
 
 /// A network node coordinate. `x` grows eastward, `y` grows southward
 /// (row 0 is the northern cache-bank strip in a HammerBlade Cell).
@@ -219,7 +225,7 @@ pub struct RetransmitEvent {
     pub port: Port,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Router<P> {
     inputs: [VecDeque<Packet<P>>; NPORTS],
     /// Round-robin pointer per output port.
@@ -235,16 +241,44 @@ impl<P> Router<P> {
     }
 }
 
-/// A cycle-level single-flit-packet network: 2-D mesh plus optional
-/// horizontal Ruche links, credit/latch flow control, round-robin output
-/// arbitration and dimension-ordered routing.
 /// One router's output latches: a packet plus its link-release cycle per
 /// output port.
 type OutputLatches<P> = [Option<(Packet<P>, u64)>; NPORTS];
 
-#[derive(Debug)]
+/// Where each output link of one router lands: the downstream router and
+/// its input port; `None` for the local ejection queue or a nonexistent
+/// link.
+type LinkDests = [Option<(u16, Port)>; NPORTS];
+
+/// Host-side work done by [`Network::tick`] since construction: the exact,
+/// noise-free measure of what a cycle cost the simulator. Not simulated
+/// state — never checkpointed, never part of [`NetworkStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickWork {
+    /// Occupied output latches visited by the delivery phase (one per
+    /// occupied latch per tick: the mean per tick is the mean number of
+    /// latches holding a flit).
+    pub latches: u64,
+    /// Routers arbitrated (one per router with a non-empty input FIFO per
+    /// tick).
+    pub routers: u64,
+}
+
+/// A cycle-level single-flit-packet network: 2-D mesh plus optional
+/// horizontal Ruche links, credit/latch flow control, round-robin output
+/// arbitration and dimension-ordered routing.
+///
+/// A tick costs what is in flight, not what was built: it walks the
+/// occupied output latches and the routers holding a queued packet, two
+/// worklists kept exact by `inject`, delivery and arbitration (see
+/// DESIGN.md, "Event-driven core").
+#[derive(Debug, Clone)]
 pub struct Network<P> {
     cfg: NetworkConfig,
+    /// Router coordinates, row-major (fixed at build time).
+    coords: Vec<Coord>,
+    /// Link destinations per router (fixed at build time).
+    link_dests: Vec<LinkDests>,
     routers: Vec<Router<P>>,
     /// Output latch per (router, output port): the packet and the cycle at
     /// which it may leave the link (link_occupancy pacing).
@@ -256,6 +290,16 @@ pub struct Network<P> {
     /// excluded: their draining is driven by the attached nodes, not by
     /// `tick`. Zero makes a tick a provable no-op (quiescence fast path).
     moving: usize,
+    /// Worklist: occupied output latches, `router * PORT_STRIDE + port`.
+    /// A latch stays a member for as long as it holds a packet — while it
+    /// serializes, while it is stalled on a full FIFO or ejection queue —
+    /// because `busy`/`stalled` accrue per occupied-latch cycle.
+    latched: WorkSet,
+    /// Worklist: non-empty input FIFOs, `router * PORT_STRIDE + port`.
+    queued: WorkSet,
+    /// Worklist: routers whose ejection queue holds a delivery.
+    ready: WorkSet,
+    work: TickWork,
     stats: NetworkStats,
     cycle: u64,
     /// Scheduled link faults as `(cycle, router index, port)`: the first
@@ -263,6 +307,32 @@ pub struct Network<P> {
     /// corrupted, detected, and replayed. Empty on the zero-injection path.
     link_faults: Vec<(u64, usize, usize)>,
     retransmit_events: Vec<RetransmitEvent>,
+}
+
+/// Row-major coordinate of router `idx` in a grid `width` wide.
+fn coord_of(cfg: &NetworkConfig, idx: usize) -> Coord {
+    let w = cfg.width as usize;
+    Coord::new((idx % w) as u8, (idx / w) as u8)
+}
+
+/// Where the output link of (`idx`, `port`) lands: `None` for the local
+/// ejection queue or a nonexistent link. Evaluated once per link by
+/// [`Network::new`]; a hop reads the table.
+fn link_dest_of(cfg: &NetworkConfig, idx: usize, port: Port) -> Option<(u16, Port)> {
+    let c = coord_of(cfg, idx);
+    let rf = cfg.ruche_factor;
+    let (w, h) = (cfg.width, cfg.height);
+    let at = |x: u8, y: u8| (y as usize * w as usize + x as usize) as u16;
+    match port {
+        Port::Local => None,
+        Port::North => (c.y > 0).then(|| (at(c.x, c.y - 1), Port::South)),
+        Port::South => (c.y + 1 < h).then(|| (at(c.x, c.y + 1), Port::North)),
+        Port::East => (c.x + 1 < w).then(|| (at(c.x + 1, c.y), Port::West)),
+        Port::West => (c.x > 0).then(|| (at(c.x - 1, c.y), Port::East)),
+        Port::RucheEast => (rf > 0 && u16::from(c.x) + u16::from(rf) < u16::from(w))
+            .then(|| (at(c.x + rf, c.y), Port::RucheWest)),
+        Port::RucheWest => (rf > 0 && c.x >= rf).then(|| (at(c.x - rf, c.y), Port::RucheEast)),
+    }
 }
 
 impl<P: Clone + std::fmt::Debug> Network<P> {
@@ -279,12 +349,20 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
         assert!(cfg.fifo_depth > 0, "fifo depth must be nonzero");
         let n = cfg.width as usize * cfg.height as usize;
         Network {
+            coords: (0..n).map(|idx| coord_of(&cfg, idx)).collect(),
+            link_dests: (0..n)
+                .map(|idx| Port::ALL.map(|port| link_dest_of(&cfg, idx, port)))
+                .collect(),
             cfg,
             routers: (0..n).map(|_| Router::new()).collect(),
             latches: (0..n).map(|_| std::array::from_fn(|_| None)).collect(),
             link_stats: vec![[LinkStats::default(); NPORTS]; n],
             eject_qs: (0..n).map(|_| VecDeque::new()).collect(),
             moving: 0,
+            latched: WorkSet::new(n * PORT_STRIDE),
+            queued: WorkSet::new(n * PORT_STRIDE),
+            ready: WorkSet::new(n),
+            work: TickWork::default(),
             stats: NetworkStats::default(),
             cycle: 0,
             link_faults: Vec::new(),
@@ -344,32 +422,6 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
         c.y as usize * self.cfg.width as usize + c.x as usize
     }
 
-    fn coord(&self, idx: usize) -> Coord {
-        Coord::new(
-            (idx % self.cfg.width as usize) as u8,
-            (idx / self.cfg.width as usize) as u8,
-        )
-    }
-
-    /// Where the output link of (`router`, `port`) lands: `None` for the
-    /// local ejection queue or a nonexistent link.
-    fn link_dest(&self, idx: usize, port: Port) -> Option<(usize, Port)> {
-        let c = self.coord(idx);
-        let rf = self.cfg.ruche_factor;
-        let (w, h) = (self.cfg.width, self.cfg.height);
-        match port {
-            Port::Local => None,
-            Port::North => (c.y > 0).then(|| (self.idx(Coord::new(c.x, c.y - 1)), Port::South)),
-            Port::South => (c.y + 1 < h).then(|| (self.idx(Coord::new(c.x, c.y + 1)), Port::North)),
-            Port::East => (c.x + 1 < w).then(|| (self.idx(Coord::new(c.x + 1, c.y)), Port::West)),
-            Port::West => (c.x > 0).then(|| (self.idx(Coord::new(c.x - 1, c.y)), Port::East)),
-            Port::RucheEast => (rf > 0 && c.x + rf < w)
-                .then(|| (self.idx(Coord::new(c.x + rf, c.y)), Port::RucheWest)),
-            Port::RucheWest => (rf > 0 && c.x >= rf)
-                .then(|| (self.idx(Coord::new(c.x - rf, c.y)), Port::RucheEast)),
-        }
-    }
-
     /// The deterministic routing function: which output port a packet at
     /// `at` destined for `dst` takes.
     pub fn route_port(&self, at: Coord, dst: Coord) -> Port {
@@ -426,10 +478,12 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// when the injection FIFO is full (the caller must retry).
     pub fn inject(&mut self, at: Coord, pkt: Packet<P>) -> bool {
         let idx = self.idx(at);
-        if self.routers[idx].inputs[Port::Local as usize].len() >= self.cfg.fifo_depth {
+        let fifo = &mut self.routers[idx].inputs[Port::Local as usize];
+        if fifo.len() >= self.cfg.fifo_depth {
             return false;
         }
-        self.routers[idx].inputs[Port::Local as usize].push_back(pkt);
+        fifo.push_back(pkt);
+        self.queued.insert(idx * PORT_STRIDE + Port::Local as usize);
         self.moving += 1;
         self.stats.injected += 1;
         true
@@ -444,28 +498,33 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// Pops a packet delivered to node `at`, if any.
     pub fn eject(&mut self, at: Coord) -> Option<Packet<P>> {
         let idx = self.idx(at);
-        let pkt = self.eject_qs[idx].pop_front();
-        if pkt.is_some() {
-            self.stats.ejected += 1;
+        let pkt = self.eject_qs[idx].pop_front()?;
+        if self.eject_qs[idx].is_empty() {
+            self.ready.remove(idx);
         }
-        pkt
+        self.stats.ejected += 1;
+        Some(pkt)
     }
 
-    /// Packets currently inside the network (injected but not ejected,
-    /// excluding those sitting in ejection queues).
+    /// The nodes holding a delivery [`eject`](Self::eject) would return, in
+    /// row-major order — so the attached side visits the nodes with
+    /// something to deliver instead of polling every node every cycle.
+    pub fn ready_nodes(&self) -> impl Iterator<Item = Coord> + '_ {
+        self.ready.iter().map(|idx| self.coords[idx])
+    }
+
+    /// Host work done by [`tick`](Self::tick) so far.
+    pub fn work(&self) -> TickWork {
+        self.work
+    }
+
+    /// Packets currently inside the network: injected but not yet ejected,
+    /// including those delivered to an ejection queue and waiting there for
+    /// the attached node to [`eject`](Self::eject) them.
     pub fn in_flight(&self) -> u64 {
-        debug_assert_eq!(
-            self.moving,
-            self.routers
-                .iter()
-                .map(|r| r.inputs.iter().map(VecDeque::len).sum::<usize>())
-                .sum::<usize>()
-                + self
-                    .latches
-                    .iter()
-                    .map(|l| l.iter().filter(|p| p.is_some()).count())
-                    .sum::<usize>(),
-            "moving-packet counter drifted from router state"
+        debug_assert!(
+            self.derived_state_is_exact(),
+            "moving-packet counter or a worklist drifted from router state"
         );
         (self.moving + self.eject_qs.iter().map(VecDeque::len).sum::<usize>()) as u64
     }
@@ -478,104 +537,160 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// Advances the network one cycle: deliver latched packets downstream,
     /// then arbitrate input FIFOs into output latches (so a packet moves at
     /// most one link per cycle).
+    ///
+    /// Kept out of line: a quiescent tick is then a call, an increment and a
+    /// compare wherever it is made from — which is what the benchmark's
+    /// `noc.idle_ticks_per_s` row times (inlined into that row's loop, 4096
+    /// quiescent ticks fold into one addition and the row reads 1e11).
+    #[inline(never)]
     pub fn tick(&mut self) {
+        self.tick_worklists::<true>();
+    }
+
+    /// The one tick body. `REARBITRATE` is `true` everywhere but in the
+    /// lockstep test's deliberately broken twin (see `arbitrate`).
+    #[inline]
+    fn tick_worklists<const REARBITRATE: bool>(&mut self) {
         self.cycle += 1;
         // Quiescence fast path: with no packet in any input FIFO or output
-        // latch, both phases below are no-ops and no link counter can move
+        // latch both worklists are empty and no link counter can move
         // (busy/stalled/flits all require an occupied latch; armed link
-        // faults only fire on a latched flit). Skipping the empty sweep over
-        // every router x port keeps a drained mesh O(1) per cycle, so the
-        // tile-phase savings of the event-driven schedule show up in
-        // wall-clock time instead of drowning in idle router iteration.
-        if self.moving == 0 {
-            return;
+        // faults only fire on a latched flit).
+        if self.moving != 0 {
+            self.advance::<REARBITRATE>();
         }
+    }
+
+    /// A tick of a network that holds a moving packet. Out of line, so the
+    /// quiescent path above it saves no registers.
+    #[inline(never)]
+    fn advance<const REARBITRATE: bool>(&mut self) {
         let faults_armed = !self.link_faults.is_empty();
 
-        // Phase A: deliver output latches across links.
-        for idx in 0..self.routers.len() {
-            for port in Port::ALL {
-                let p = port as usize;
-                let Some(&(_, free_at)) = self.latches[idx][p].as_ref() else {
-                    continue;
-                };
-                if self.cycle < free_at {
-                    // Still serializing across a narrow link.
-                    self.link_stats[idx][p].busy += 1;
-                    continue;
+        // Phase A: deliver output latches across links, in ascending
+        // (router, port) order. The order is immaterial to the packets —
+        // each input FIFO and each ejection queue is fed by exactly one
+        // latch, and this phase pops no FIFO — but it is the order
+        // retransmit events are logged and due faults consumed in. The walk
+        // only ever removes members (a delivered latch), never adds one.
+        let mut cursor = 0;
+        while let Some(member) = self.latched.first_from(cursor) {
+            cursor = member + 1;
+            let (idx, p) = (member / PORT_STRIDE, member % PORT_STRIDE);
+            self.work.latches += 1;
+            let &(_, free_at) = self.latches[idx][p]
+                .as_ref()
+                .expect("latched worklist names an empty latch");
+            if self.cycle < free_at {
+                // Still serializing across a narrow link.
+                self.link_stats[idx][p].busy += 1;
+                continue;
+            }
+            if faults_armed && self.take_due_fault(idx, p) {
+                // The flit is corrupted in flight; the downstream link
+                // check nacks it and the sender holds it latched for a
+                // bounded replay.
+                if let Some((_, fa)) = self.latches[idx][p].as_mut() {
+                    *fa = self.cycle + RETRY_PENALTY;
                 }
-                if faults_armed && self.take_due_fault(idx, p) {
-                    // The flit is corrupted in flight; the downstream link
-                    // check nacks it and the sender holds it latched for a
-                    // bounded replay.
-                    if let Some((_, fa)) = self.latches[idx][p].as_mut() {
-                        *fa = self.cycle + RETRY_PENALTY;
+                self.stats.retransmits += 1;
+                self.link_stats[idx][p].busy += 1;
+                self.retransmit_events.push(RetransmitEvent {
+                    cycle: self.cycle,
+                    at: self.coords[idx],
+                    port: Port::ALL[p],
+                });
+                continue;
+            }
+            let accepted = match self.link_dests[idx][p] {
+                None if p == Port::Local as usize => {
+                    // Ejection queues are consumed by the attached node
+                    // every cycle; bound them generously.
+                    let room = self.eject_qs[idx].len() < 8 * self.cfg.fifo_depth;
+                    if room {
+                        let (pkt, _) = self.latches[idx][p].take().unwrap();
+                        self.eject_qs[idx].push_back(pkt);
+                        self.ready.insert(idx);
+                        self.moving -= 1;
                     }
-                    self.stats.retransmits += 1;
-                    self.link_stats[idx][p].busy += 1;
-                    self.retransmit_events.push(RetransmitEvent {
-                        cycle: self.cycle,
-                        at: self.coord(idx),
-                        port,
-                    });
-                    continue;
+                    room
                 }
-                match self.link_dest(idx, port) {
-                    None if port == Port::Local => {
-                        // Ejection queues are consumed by the attached node
-                        // every cycle; bound them generously.
-                        if self.eject_qs[idx].len() < 8 * self.cfg.fifo_depth {
-                            let (pkt, _) = self.latches[idx][p].take().unwrap();
-                            self.eject_qs[idx].push_back(pkt);
-                            self.moving -= 1;
-                            self.link_stats[idx][p].busy += 1;
-                            self.link_stats[idx][p].flits += 1;
-                        } else {
-                            self.link_stats[idx][p].stalled += 1;
-                        }
+                None => unreachable!("packet latched on nonexistent link"),
+                Some((didx, dport)) => {
+                    let (didx, dport) = (didx as usize, dport as usize);
+                    let room = self.routers[didx].inputs[dport].len() < self.cfg.fifo_depth;
+                    if room {
+                        let (pkt, _) = self.latches[idx][p].take().unwrap();
+                        self.routers[didx].inputs[dport].push_back(pkt);
+                        self.queued.insert(didx * PORT_STRIDE + dport);
                     }
-                    None => unreachable!("packet latched on nonexistent link"),
-                    Some((didx, dport)) => {
-                        if self.routers[didx].inputs[dport as usize].len() < self.cfg.fifo_depth {
-                            let (pkt, _) = self.latches[idx][p].take().unwrap();
-                            self.routers[didx].inputs[dport as usize].push_back(pkt);
-                            self.link_stats[idx][p].busy += 1;
-                            self.link_stats[idx][p].flits += 1;
-                        } else {
-                            self.link_stats[idx][p].stalled += 1;
-                        }
-                    }
+                    room
                 }
+            };
+            if accepted {
+                self.latched.remove(member);
+                self.link_stats[idx][p].busy += 1;
+                self.link_stats[idx][p].flits += 1;
+            } else {
+                self.link_stats[idx][p].stalled += 1;
             }
         }
 
-        // Phase B: arbitrate input FIFO heads into free output latches.
-        for idx in 0..self.routers.len() {
-            let at = self.coord(idx);
-            for out in Port::ALL {
-                let o = out as usize;
-                if self.latches[idx][o].is_some() {
-                    continue;
-                }
-                // Round-robin over input ports whose head routes to `out`.
-                let start = self.routers[idx].rr[o];
-                let mut chosen = None;
-                for k in 0..NPORTS {
-                    let inp = (start + k) % NPORTS;
-                    if let Some(head) = self.routers[idx].inputs[inp].front() {
-                        if self.route_port(at, head.dst) == out {
-                            chosen = Some(inp);
-                            break;
-                        }
-                    }
-                }
-                if let Some(inp) = chosen {
-                    let pkt = self.routers[idx].inputs[inp].pop_front().unwrap();
-                    let free_at = self.cycle + u64::from(self.cfg.link_occupancy);
-                    self.latches[idx][o] = Some((pkt, free_at));
-                    self.routers[idx].rr[o] = (inp + 1) % NPORTS;
-                }
+        // Phase B: arbitrate input FIFO heads into free output latches, one
+        // router with a queued packet at a time (a router touches only its
+        // own FIFOs, latches and round-robin pointers). A latch delivered
+        // in phase A is already a member here.
+        let mut cursor = 0;
+        while let Some(member) = self.queued.first_from(cursor) {
+            let idx = member / PORT_STRIDE;
+            cursor = (idx + 1) * PORT_STRIDE;
+            self.work.routers += 1;
+            self.arbitrate::<REARBITRATE>(idx);
+        }
+    }
+
+    /// Phase B for one router: every free output, in port order, takes the
+    /// first input at or after its round-robin pointer whose head routes to
+    /// it. `route_port` runs once per head, not once per (output, input).
+    ///
+    /// A FIFO can issue twice in one tick: once input `i` is popped for
+    /// output `o`, its *new* head competes for the outputs after `o`. So the
+    /// popped input's wanted port is recomputed on the spot; with
+    /// `REARBITRATE` off it is not (a one-shot snapshot of the heads), which
+    /// is the mutation `worklist_tick_matches_the_reference_sweep` catches.
+    fn arbitrate<const REARBITRATE: bool>(&mut self, idx: usize) {
+        let at = self.coords[idx];
+        // wants[o]: the inputs whose head routes to output `o`.
+        let mut wants = [0u8; NPORTS];
+        let mut heads = self.queued.octet(idx);
+        while heads != 0 {
+            let inp = heads.trailing_zeros() as usize;
+            heads &= heads - 1;
+            let head = self.routers[idx].inputs[inp]
+                .front()
+                .expect("queued worklist names an empty FIFO");
+            wants[self.route_port(at, head.dst) as usize] |= 1 << inp;
+        }
+        for o in 0..NPORTS {
+            if wants[o] == 0 || self.latches[idx][o].is_some() {
+                continue;
             }
+            // Round-robin: the first wanting input at or after the pointer,
+            // else the lowest one.
+            let from_rr = wants[o] >> self.routers[idx].rr[o] << self.routers[idx].rr[o];
+            let pick = if from_rr != 0 { from_rr } else { wants[o] };
+            let inp = pick.trailing_zeros() as usize;
+            let fifo = &mut self.routers[idx].inputs[inp];
+            let pkt = fifo.pop_front().unwrap();
+            match fifo.front().map(|head| head.dst) {
+                Some(dst) if REARBITRATE => wants[self.route_port(at, dst) as usize] |= 1 << inp,
+                Some(_) => {}
+                None => self.queued.remove(idx * PORT_STRIDE + inp),
+            }
+            let free_at = self.cycle + u64::from(self.cfg.link_occupancy);
+            self.latches[idx][o] = Some((pkt, free_at));
+            self.latched.insert(idx * PORT_STRIDE + o);
+            self.routers[idx].rr[o] = (inp + 1) % NPORTS;
         }
     }
 
@@ -618,9 +733,9 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     fn for_each_bisection_link(&self, x_boundary: u8, mut f: impl FnMut(usize, Port)) {
         let rf = self.cfg.ruche_factor;
         for idx in 0..self.routers.len() {
-            let c = self.coord(idx);
+            let c = self.coords[idx];
             for port in [Port::East, Port::West, Port::RucheEast, Port::RucheWest] {
-                if self.link_dest(idx, port).is_none() {
+                if self.link_dests[idx][port as usize].is_none() {
                     continue;
                 }
                 let crosses = match port {
@@ -639,8 +754,43 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
 }
 
 impl<P> Network<P> {
-    /// After a restore: range-checks the decoded indices and recounts
-    /// `moving`, which is derived from the FIFO and latch population.
+    /// `moving` and the three worklists, recounted from the FIFOs, latches
+    /// and ejection queues they are derived from.
+    fn derived(&self) -> (usize, WorkSet, WorkSet, WorkSet) {
+        let n = self.routers.len();
+        let mut moving = 0;
+        let mut latched = WorkSet::new(n * PORT_STRIDE);
+        let mut queued = WorkSet::new(n * PORT_STRIDE);
+        let mut ready = WorkSet::new(n);
+        for idx in 0..n {
+            for p in 0..NPORTS {
+                if self.latches[idx][p].is_some() {
+                    latched.insert(idx * PORT_STRIDE + p);
+                    moving += 1;
+                }
+                if !self.routers[idx].inputs[p].is_empty() {
+                    queued.insert(idx * PORT_STRIDE + p);
+                    moving += self.routers[idx].inputs[p].len();
+                }
+            }
+            if !self.eject_qs[idx].is_empty() {
+                ready.insert(idx);
+            }
+        }
+        (moving, latched, queued, ready)
+    }
+
+    /// Whether `moving` and the incrementally kept worklists equal a
+    /// from-scratch recount.
+    fn derived_state_is_exact(&self) -> bool {
+        let (moving, latched, queued, ready) = self.derived();
+        (moving, &latched, &queued, &ready)
+            == (self.moving, &self.latched, &self.queued, &self.ready)
+    }
+
+    /// After a restore: range-checks the decoded indices and recounts the
+    /// derived state — `moving` and the worklists — from the FIFO, latch and
+    /// ejection-queue population.
     fn check_restored(&mut self) -> Result<(), hb_mem::SnapError> {
         use hb_mem::SnapError;
         let n = self.routers.len();
@@ -654,13 +804,7 @@ impl<P> Network<P> {
         if (self.link_faults.iter()).any(|&(_, idx, port)| idx >= n || port >= NPORTS) {
             return Err(SnapError::Bad("Network link fault out of range"));
         }
-        let queued = self
-            .routers
-            .iter()
-            .flat_map(|r| &r.inputs)
-            .map(VecDeque::len);
-        let latched = self.latches.iter().flatten().flatten().count();
-        self.moving = queued.sum::<usize>() + latched;
+        (self.moving, self.latched, self.queued, self.ready) = self.derived();
         Ok(())
     }
 }
@@ -691,8 +835,103 @@ hb_mem::snap_value!(Router<P> { inputs, rr });
 hb_mem::snap_state!(Network<P> [b"NET0"] {
     save: stats, cycle, link_faults, retransmit_events;
     fixed: routers, latches, link_stats, eject_qs;
-    host: cfg, moving;
+    host: cfg, coords, link_dests, moving, latched, queued, ready, work;
 } check check_restored);
+
+/// The full-sweep tick the worklists replaced, kept verbatim as the oracle
+/// of `worklist_tick_matches_the_reference_sweep`: every router x port in
+/// phase A, every router x output x input in phase B, coordinates and link
+/// destinations by div/mod per hop. It maintains nothing incrementally —
+/// `moving` and the worklists are recounted from state when it is done.
+#[cfg(test)]
+impl<P: Clone + std::fmt::Debug> Network<P> {
+    fn tick_reference(&mut self) {
+        self.cycle += 1;
+        let faults_armed = !self.link_faults.is_empty();
+
+        // Phase A: deliver output latches across links.
+        for idx in 0..self.routers.len() {
+            for port in Port::ALL {
+                let p = port as usize;
+                let Some(&(_, free_at)) = self.latches[idx][p].as_ref() else {
+                    continue;
+                };
+                if self.cycle < free_at {
+                    self.link_stats[idx][p].busy += 1;
+                    continue;
+                }
+                if faults_armed && self.take_due_fault(idx, p) {
+                    if let Some((_, fa)) = self.latches[idx][p].as_mut() {
+                        *fa = self.cycle + RETRY_PENALTY;
+                    }
+                    self.stats.retransmits += 1;
+                    self.link_stats[idx][p].busy += 1;
+                    self.retransmit_events.push(RetransmitEvent {
+                        cycle: self.cycle,
+                        at: coord_of(&self.cfg, idx),
+                        port,
+                    });
+                    continue;
+                }
+                match link_dest_of(&self.cfg, idx, port) {
+                    None if port == Port::Local => {
+                        if self.eject_qs[idx].len() < 8 * self.cfg.fifo_depth {
+                            let (pkt, _) = self.latches[idx][p].take().unwrap();
+                            self.eject_qs[idx].push_back(pkt);
+                            self.link_stats[idx][p].busy += 1;
+                            self.link_stats[idx][p].flits += 1;
+                        } else {
+                            self.link_stats[idx][p].stalled += 1;
+                        }
+                    }
+                    None => unreachable!("packet latched on nonexistent link"),
+                    Some((didx, dport)) => {
+                        let (didx, dport) = (didx as usize, dport as usize);
+                        if self.routers[didx].inputs[dport].len() < self.cfg.fifo_depth {
+                            let (pkt, _) = self.latches[idx][p].take().unwrap();
+                            self.routers[didx].inputs[dport].push_back(pkt);
+                            self.link_stats[idx][p].busy += 1;
+                            self.link_stats[idx][p].flits += 1;
+                        } else {
+                            self.link_stats[idx][p].stalled += 1;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Phase B: arbitrate input FIFO heads into free output latches.
+        for idx in 0..self.routers.len() {
+            let at = coord_of(&self.cfg, idx);
+            for out in Port::ALL {
+                let o = out as usize;
+                if self.latches[idx][o].is_some() {
+                    continue;
+                }
+                // Round-robin over input ports whose head routes to `out`.
+                let start = self.routers[idx].rr[o];
+                let mut chosen = None;
+                for k in 0..NPORTS {
+                    let inp = (start + k) % NPORTS;
+                    if let Some(head) = self.routers[idx].inputs[inp].front() {
+                        if self.route_port(at, head.dst) == out {
+                            chosen = Some(inp);
+                            break;
+                        }
+                    }
+                }
+                if let Some(inp) = chosen {
+                    let pkt = self.routers[idx].inputs[inp].pop_front().unwrap();
+                    let free_at = self.cycle + u64::from(self.cfg.link_occupancy);
+                    self.latches[idx][o] = Some((pkt, free_at));
+                    self.routers[idx].rr[o] = (inp + 1) % NPORTS;
+                }
+            }
+        }
+
+        (self.moving, self.latched, self.queued, self.ready) = self.derived();
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1021,6 +1260,206 @@ mod tests {
         assert_eq!(injected, ejected, "retransmit lost or duplicated packets");
         assert!(net.is_drained());
         assert!(net.stats().retransmits > 0, "no scheduled fault ever fired");
+    }
+
+    /// The first piece of state `tick` may write that differs between two
+    /// networks, if any.
+    fn first_difference(a: &Network<u64>, b: &Network<u64>) -> Option<String> {
+        for idx in 0..a.routers.len() {
+            let at = a.coords[idx];
+            if a.routers[idx].inputs != b.routers[idx].inputs {
+                return Some(format!("input FIFOs of router {at}"));
+            }
+            if a.routers[idx].rr != b.routers[idx].rr {
+                return Some(format!("round-robin pointers of router {at}"));
+            }
+            if a.latches[idx] != b.latches[idx] {
+                return Some(format!("output latches of router {at}"));
+            }
+            if a.link_stats[idx] != b.link_stats[idx] {
+                return Some(format!("link stats of router {at}"));
+            }
+            if a.eject_qs[idx] != b.eject_qs[idx] {
+                return Some(format!("ejection queue of node {at}"));
+            }
+        }
+        let whole = |n: &Network<u64>| {
+            (
+                n.stats,
+                n.cycle,
+                n.moving,
+                n.retransmit_events.clone(),
+                n.link_faults.clone(),
+            )
+        };
+        (whole(a) != whole(b)).then(|| "stats, retransmit events or armed faults".to_owned())
+    }
+
+    /// Drives `cfg` twice with the same seeded traffic — once through the
+    /// worklist tick (`REARBITRATE` as given), once through
+    /// `tick_reference` — and compares the pair after every tick. Four
+    /// 150-tick stretches: light random traffic; the same with ejection
+    /// withheld (hot destinations back up into full ejection queues and on
+    /// into the fabric); saturation (an injection attempt at every node
+    /// every tick); drain. Link faults are scheduled throughout.
+    fn lockstep<const REARBITRATE: bool>(cfg: NetworkConfig, seed: u64) -> Result<(), String> {
+        let mut rng = hb_rng::Rng::seed_from_u64(seed);
+        let mut fast: Network<u64> = Network::new(cfg);
+        let (w, h) = (cfg.width, cfg.height);
+        let any = |rng: &mut hb_rng::Rng| {
+            Coord::new(rng.index(w as usize) as u8, rng.index(h as usize) as u8)
+        };
+        for _ in 0..24 {
+            let (cycle, at) = (rng.below(600), any(&mut rng));
+            fast.schedule_link_fault(cycle, at, Port::from_index(rng.index(NPORTS)));
+        }
+        let mut slow = fast.clone();
+        let hot = [any(&mut rng), any(&mut rng)];
+        let mut payload = 0u64;
+        for t in 0..600u64 {
+            let (withheld, saturate, drain) =
+                ((150..300).contains(&t), (300..450).contains(&t), t >= 450);
+            let sources: Vec<Coord> = match (saturate, drain) {
+                (true, _) => fast.coords.clone(),
+                (_, true) => Vec::new(),
+                _ => (0..rng.index(5)).map(|_| any(&mut rng)).collect(),
+            };
+            for src in sources {
+                let dst = if rng.chance(0.5) {
+                    *rng.pick(&hot)
+                } else {
+                    any(&mut rng)
+                };
+                payload += 1;
+                let pkt = Packet { src, dst, payload };
+                if fast.inject(src, pkt) != slow.inject(src, pkt) {
+                    return Err(format!("tick {t}: inject at {src} disagreed"));
+                }
+            }
+            fast.tick_worklists::<REARBITRATE>();
+            slow.tick_reference();
+            if let Some(what) = first_difference(&fast, &slow) {
+                return Err(format!("tick {}: {what} differ", t + 1));
+            }
+            if !fast.derived_state_is_exact() {
+                return Err(format!("tick {}: a worklist drifted from state", t + 1));
+            }
+            if !withheld {
+                // The worklist side ejects what `ready_nodes` names, the
+                // reference polls every node: same packets, same order.
+                let ready: Vec<Coord> = fast.ready_nodes().collect();
+                let polled: Vec<Coord> = (slow.coords.iter().copied())
+                    .filter(|&c| !slow.eject_qs[slow.idx(c)].is_empty())
+                    .collect();
+                if ready != polled {
+                    return Err(format!(
+                        "tick {}: ready nodes {ready:?} != {polled:?}",
+                        t + 1
+                    ));
+                }
+                for at in ready {
+                    for _ in 0..1 + rng.index(3) {
+                        if fast.eject(at) != slow.eject(at) {
+                            return Err(format!("tick {}: eject at {at} disagreed", t + 1));
+                        }
+                    }
+                }
+            }
+        }
+        // The run met what it set out to: replays, full ejection queues.
+        let eject_stalls: u64 = (fast.link_stats.iter())
+            .map(|ports| ports[Port::Local as usize].stalled)
+            .sum();
+        assert!(fast.stats.retransmits > 0 && eject_stalls > 0 && fast.stats.ejected > 300);
+        Ok(())
+    }
+
+    fn lockstep_configs() -> Vec<NetworkConfig> {
+        let mut cfgs = Vec::new();
+        for ruche_factor in [0, 3] {
+            for order in [RouteOrder::XThenY, RouteOrder::YThenX] {
+                for link_occupancy in [1, 2] {
+                    for fifo_depth in [1, 2, 4] {
+                        cfgs.push(NetworkConfig {
+                            width: 8,
+                            height: 4,
+                            ruche_factor,
+                            order,
+                            fifo_depth,
+                            link_occupancy,
+                        });
+                    }
+                }
+            }
+        }
+        cfgs
+    }
+
+    /// The oracle for touching arbitration: the worklist tick against the
+    /// full router x port sweep it replaced, in lockstep, on every piece of
+    /// state a tick may write (FIFOs, latches, round-robin pointers, link
+    /// stats, ejection queues, counters, retransmit events, armed faults),
+    /// with the incrementally kept worklists checked against a from-scratch
+    /// recount after every tick.
+    ///
+    /// The mutation it is known to catch (second half of the test): phase B
+    /// taking a one-shot snapshot of the FIFO heads instead of recomputing a
+    /// popped input's wanted port — which loses the second issue a FIFO can
+    /// make in one tick when its new head wants a later output.
+    #[test]
+    fn worklist_tick_matches_the_reference_sweep() {
+        for (i, cfg) in lockstep_configs().into_iter().enumerate() {
+            for seed in [1, 2] {
+                if let Err(e) = lockstep::<true>(cfg, 1000 * i as u64 + seed) {
+                    panic!("{cfg:?} seed {seed}: {e}");
+                }
+            }
+        }
+        let caught = (lockstep_configs().into_iter().enumerate())
+            .filter(|(_, cfg)| cfg.fifo_depth > 1)
+            .filter(|&(i, cfg)| lockstep::<false>(cfg, 1000 * i as u64 + 1).is_err())
+            .count();
+        assert_eq!(
+            caught, 16,
+            "the head-snapshot mutant must diverge wherever a FIFO holds two packets"
+        );
+    }
+
+    /// Activity proportionality as an exact count: a tick costs what is in
+    /// flight. One packet crossing an idle 16x10 Ruche-3 grid is one latch
+    /// visit and one router arbitration per tick (the full sweep made 2,240
+    /// latch probes); an idle tick costs nothing.
+    #[test]
+    fn one_packet_costs_a_handful_of_visits_per_tick() {
+        let mut net: Network<u64> = Network::new(NetworkConfig::new(16, 10, 3, RouteOrder::XThenY));
+        let (src, dst) = (Coord::new(0, 0), Coord::new(15, 9));
+        assert!(net.inject(
+            src,
+            Packet {
+                src,
+                dst,
+                payload: 1
+            }
+        ));
+        let mut ticks = 0;
+        while net.eject(dst).is_none() {
+            let visits = |w: TickWork| w.latches + w.routers;
+            let before = visits(net.work());
+            net.tick();
+            ticks += 1;
+            let spent = visits(net.work()) - before;
+            assert!((1..=4).contains(&spent), "tick {ticks} cost {spent} visits");
+            assert!(ticks < 64, "packet never arrived");
+        }
+        let total = net.work();
+        assert!(
+            total.latches <= ticks && total.routers <= ticks,
+            "{total:?}"
+        );
+        for _ in 0..100 {
+            net.tick();
+        }
+        assert_eq!(net.work(), total, "an idle tick visited something");
     }
 
     #[test]

@@ -285,3 +285,59 @@ fn injection_lands_on_schedule_while_every_tile_is_asleep() {
     }
     assert_eq!(stats[0], stats[1], "injection run diverged from dense");
 }
+
+/// Activity proportionality as exact counts (`Cell::work`): the sequential
+/// phases of a cycle look at what the cycle's activity names — flits,
+/// deliveries, stepped tiles, moved barrier inputs — never at the machine.
+/// The all-routers, all-tiles and all-barrier-nodes sweeps these counters
+/// replaced would read 2,240 latch probes, ~290 `eject` calls, 384 tile
+/// visits and 128 barrier nodes per cycle on the same 16x8 Cell.
+#[test]
+fn a_cycle_visits_its_activity_not_the_machine() {
+    // Idle, never launched: a tick looks at nothing at all.
+    let mut idle = Machine::new(cfg(true));
+    for _ in 0..100 {
+        idle.tick();
+    }
+    assert_eq!(idle.cell(0).work(), Default::default());
+
+    // Fully quiescent (127 tiles parked in a barrier nobody completes, one
+    // finished): once the last response has landed, nothing again.
+    let mut quiet = Machine::new(cfg(true));
+    quiet.launch(0, &all_parked_kernel(), &[]);
+    for _ in 0..2_000 {
+        quiet.tick();
+    }
+    let settled = quiet.cell(0).work();
+    for _ in 0..1_000 {
+        quiet.tick();
+    }
+    assert_eq!(quiet.cell(0).work(), settled);
+
+    // 127 parked, one spinning in its icache: per cycle the sync phase
+    // looks at the one tile that stepped and so does the inject phase.
+    let mut spin = Machine::new(cfg(true));
+    spin.launch(0, &spin_vs_parked_kernel(), &[]);
+    for _ in 0..2_000 {
+        spin.tick();
+    }
+    let before = spin.cell(0).work();
+    let cycles = 10_000;
+    for _ in 0..cycles {
+        spin.tick();
+    }
+    let after = spin.cell(0).work();
+    assert_eq!(after.noc, before.noc, "no flit is in flight");
+    assert_eq!(after.eject_nodes, before.eject_nodes);
+    assert_eq!(
+        after.barrier_nodes, before.barrier_nodes,
+        "no barrier input moved"
+    );
+    let per_cycle = |a: u64, b: u64| (a - b) as f64 / cycles as f64;
+    let tiles = per_cycle(after.sync_tiles, before.sync_tiles)
+        + per_cycle(after.inject_nodes, before.inject_nodes);
+    assert!(
+        (1.0..=2.0).contains(&tiles),
+        "sync + inject visited {tiles} tiles per cycle with one tile awake"
+    );
+}

@@ -9,9 +9,10 @@
 //! Property: every input yields `Ok` or an error message — never a panic —
 //! no single allocation made while decoding is larger than the input plus
 //! the harness's slack, and whatever decodes re-encodes to a text that
-//! decodes to an equal value.
+//! decodes to an equal value. A configuration that decodes also builds:
+//! `Machine::new` gets through every constructor below it.
 
-use hammerblade::core::{CellDim, MachineConfig};
+use hammerblade::core::{CellDim, Machine, MachineConfig};
 use hammerblade::fault::InjectionPlan;
 use hammerblade::kernels::{suite, SizeClass};
 use hammerblade::obs::{chrome, json, Keep};
@@ -29,6 +30,8 @@ struct Form<'a, T> {
     seps: &'a [char],
     decode: fn(&str) -> Result<T, String>,
     encode: fn(&T) -> String,
+    /// What a consumer does next with a decoded value; it must not panic.
+    consume: fn(&T),
 }
 
 impl<T: PartialEq + Debug> Form<'_, T> {
@@ -43,6 +46,7 @@ impl<T: PartialEq + Debug> Form<'_, T> {
             (self.decode)(&input).map(|v| value = Some(v))
         });
         if let Some(value) = value {
+            (self.consume)(&value);
             let again = (self.encode)(&value);
             assert_eq!(
                 (self.decode)(&again).as_ref(),
@@ -192,6 +196,7 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &[';', ',', '+'],
         decode: MachineConfig::from_canonical_text,
         encode: MachineConfig::canonical_text,
+        consume: |cfg| drop(Machine::new(cfg.clone())),
     }
     .fuzz(&mut rng);
 
@@ -201,6 +206,7 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &[';', '|', ','],
         decode: InjectionPlan::from_canonical_text,
         encode: InjectionPlan::canonical_text,
+        consume: |_| {},
     }
     .fuzz(&mut rng);
 
@@ -220,6 +226,7 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &[' ', ';'],
         decode: JobSpec::from_manifest_line,
         encode: JobSpec::manifest_line,
+        consume: |_| {},
     }
     .fuzz(&mut rng);
 
@@ -229,6 +236,7 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &[',', ':'],
         decode: JobRecord::from_json_line,
         encode: JobRecord::to_json_line,
+        consume: |_| {},
     }
     .fuzz(&mut rng);
 
@@ -244,6 +252,7 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &[',', ':'],
         decode: JournalEntry::from_json_line,
         encode: JournalEntry::to_json_line,
+        consume: |_| {},
     }
     .fuzz(&mut rng);
 
@@ -254,6 +263,7 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &['{', ','],
         decode: json::validate,
         encode: |()| "null".to_owned(),
+        consume: |_| {},
     }
     .fuzz(&mut rng);
 }
