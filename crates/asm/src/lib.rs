@@ -30,6 +30,8 @@
 //! # Ok::<(), hb_asm::AsmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod parse;
 mod program;

@@ -23,8 +23,8 @@
 //! barrier-free kernels — the cycle-level DRAM must match an `hb-iss`
 //! functional execution of the same launch.
 //!
-//! Everything is a pure function of `--seed`, so repeated invocations and
-//! `HB_THREADS=1` vs `HB_THREADS=4` produce identical tables.
+//! Everything is a pure function of `--seed`, so repeated invocations (at
+//! any `--threads`) produce identical tables.
 //!
 //! Usage:
 //!
@@ -134,7 +134,6 @@ fn main() {
     let cfg = MachineConfig {
         cell_dim: args.cell,
         disabled_tiles: args.disabled.clone(),
-        threads: 1,
         ..MachineConfig::baseline_16x8()
     };
     if let Err(e) = cfg.validate() {

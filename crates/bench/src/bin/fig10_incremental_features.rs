@@ -5,8 +5,8 @@
 //! and non-blocking caches. Reports per-kernel and geomean speedups.
 
 use hb_bench::{
-    bench_cell, bench_size, geomean, header, job_threads, point_config, row, run_instrumented,
-    run_ordered, telemetry_out, telemetry_window,
+    bench_cell, bench_size, geomean, header, job_threads, row, run_instrumented, telemetry_out,
+    telemetry_window,
 };
 use hb_core::{CellDim, MachineConfig};
 
@@ -123,16 +123,15 @@ fn main() {
         cfg = apply(&cfg);
         configs.push((label, cfg.clone()));
     }
-    let jobs = job_threads();
     let points: Vec<(usize, usize)> = (0..configs.len())
         .flat_map(|si| (0..suite.len()).map(move |ki| (si, ki)))
         .collect();
-    let tputs = run_ordered(points, jobs, |_, (si, ki)| {
+    let tputs = hb_serve::run_ordered(&points, job_threads(), |_, &(si, ki)| {
         let (label, cfg) = &configs[si];
         let bench = &suite[ki];
         eprintln!("  running {} / {label} ...", bench.name());
         let stats = bench
-            .run(&point_config(cfg, jobs), size)
+            .run(cfg, size)
             .unwrap_or_else(|e| panic!("{} under '{label}' failed: {e}", bench.name()));
         // Work-normalized (Jacobi's grid scales with the Cell).
         stats.throughput()

@@ -3,8 +3,8 @@
 //! more Cells (2x16x8) — vs the baseline 16x8 Cell.
 
 use hb_bench::{
-    bench_cell, bench_size, geomean, header, job_threads, point_config, row, run_instrumented,
-    run_ordered, telemetry_out, telemetry_window,
+    bench_cell, bench_size, geomean, header, job_threads, row, run_instrumented, telemetry_out,
+    telemetry_window,
 };
 use hb_core::{CellDim, MachineConfig, MultiCellEstimator, Phase};
 
@@ -63,16 +63,15 @@ fn main() {
         ("wide", &wide),
         ("half-bw", &half_bw),
     ];
-    let jobs = job_threads();
     let points: Vec<(usize, usize)> = (0..suite.len())
         .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
         .collect();
-    let runs = run_ordered(points, jobs, |_, (ki, vi)| {
+    let runs = hb_serve::run_ordered(&points, job_threads(), |_, &(ki, vi)| {
         let bench = &suite[ki];
         let (vname, cfg) = variants[vi];
         eprintln!("  running {} / {vname} ...", bench.name());
         let stats = bench
-            .run(&point_config(cfg, jobs), size)
+            .run(cfg, size)
             .unwrap_or_else(|e| panic!("{} / {vname} failed: {e}", bench.name()));
         (stats.cycles, stats.throughput(), stats.work_units)
     });

@@ -14,9 +14,8 @@
 //! Kernel names match the suite (case insensitive); `HB_SCALE` picks the
 //! Cell shape as in the figure binaries. Profiling is observation-only:
 //! cycles and results are bit-identical to an unprofiled run, and the
-//! profile itself is bit-identical across `HB_THREADS` and both park
-//! policies — CI diffs the `.folded` bytes of an `HB_THREADS=1` and an
-//! `HB_THREADS=4` run, `tests/profile.rs` covers never-park.
+//! profile itself is bit-identical across both park policies
+//! (`tests/profile.rs`).
 
 use hb_bench::cli::arg_value;
 use hb_bench::{bench_size, hb_config};

@@ -13,13 +13,10 @@
 //!   `--expect static=N,dynamic=M` (mismatch exits 1). Pass `--fixture
 //!   list` to enumerate the fixtures.
 //!
-//! Reports are bit-identical across `--threads` settings, so CI runs the
-//! same expectations on `HB_THREADS=1` and `4`.
-//!
 //! ```text
 //! cargo run --release -p hb-bench --bin race_check -- \
 //!   [--suite] [--fixture NAME] [--expect static=N,dynamic=M] \
-//!   [--cell WxH] [--threads T] [--verbose]
+//!   [--cell WxH] [--verbose]
 //! ```
 
 use hb_bench::cli;
@@ -27,13 +24,12 @@ use hb_core::{CellDim, MachineConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: race_check [--suite] [--fixture NAME] \
-[--expect static=N,dynamic=M] [--cell WxH] [--threads T] [--verbose]";
+[--expect static=N,dynamic=M] [--cell WxH] [--verbose]";
 
 struct Args {
     fixture: Option<String>,
     expect: Option<(usize, usize)>,
     cell: Option<CellDim>,
-    threads: usize,
     verbose: bool,
 }
 
@@ -42,7 +38,6 @@ fn parse_args() -> Args {
         fixture: None,
         expect: None,
         cell: None,
-        threads: hb_bench::job_threads(),
         verbose: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -76,10 +71,6 @@ fn parse_args() -> Args {
                     USAGE,
                 ))
             }
-            "--threads" => {
-                // Consumed for arity; job_threads() already parsed it.
-                let _ = cli::flag_value(&argv, &mut i, USAGE);
-            }
             "--verbose" => out.verbose = true,
             other => cli::usage_fail(USAGE, format!("unknown option {other:?}")),
         }
@@ -103,7 +94,6 @@ fn check_fixtures(args: &Args, name: &str) -> ExitCode {
     };
     let cfg = MachineConfig {
         cell_dim: args.cell.unwrap_or(CellDim { x: 4, y: 2 }),
-        threads: args.threads,
         ..MachineConfig::baseline_16x8()
     };
     if let Err(e) = cfg.validate() {
@@ -155,7 +145,6 @@ fn check_fixtures(args: &Args, name: &str) -> ExitCode {
 fn check_suite(args: &Args) -> ExitCode {
     let cfg = MachineConfig {
         cell_dim: args.cell.unwrap_or_else(hb_bench::bench_cell),
-        threads: args.threads,
         ..MachineConfig::baseline_16x8()
     };
     if let Err(e) = cfg.validate() {

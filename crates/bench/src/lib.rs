@@ -9,12 +9,12 @@
 //! - `full` — the paper's 16x8 Cell and larger inputs (slow; release
 //!   builds only).
 
+#![forbid(unsafe_code)]
+
 use hb_core::{CellDim, MachineConfig};
 use hb_kernels::SizeClass;
 
-pub mod jobs;
 pub mod telemetry;
-pub use jobs::{job_threads, point_config, run_ordered, run_ordered_results, JobPanic};
 pub use telemetry::{run_instrumented, telemetry_out, telemetry_window};
 
 /// Uniform command-line error handling for the harness binaries: malformed
@@ -22,6 +22,15 @@ pub use telemetry::{run_instrumented, telemetry_out, telemetry_window};
 /// (unwritable `--out`, invalid configuration) are one `error:` line and
 /// exit 1. Shared with the `hb-serve` CLI, which hosts the implementation.
 pub use hb_serve::cli;
+
+/// Job-level worker count for a sweep binary: `--threads N` (or
+/// `--threads=N`) on the command line, else 1. The points fan out through
+/// [`hb_serve::run_ordered`] or a campaign's [`hb_serve::RunOpts`].
+pub fn job_threads() -> usize {
+    cli::arg_value("--threads")
+        .and_then(|v| v.parse::<usize>().ok())
+        .map_or(1, |n| n.max(1))
+}
 
 /// The benchmark scale selected by `HB_SCALE`.
 pub fn scale() -> SizeClass {

@@ -37,6 +37,8 @@
 //! assert!(bank.pop_mem_request().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bank;
 
 pub use bank::{

@@ -22,16 +22,18 @@
 //! The config travels as [`hb_core::MachineConfig::canonical_text`] — the
 //! same canonical form job hashing uses — so "same config" means exactly
 //! what it means everywhere else in the stack: every simulated-behavior
-//! knob equal, host-only knobs (threads, event scheduling, profiling) free
-//! to differ. That is what makes a checkpoint taken under `threads = 4`
-//! restorable under `threads = 1` with bit-identical continuation.
+//! knob equal, host-only knobs (the park policy, profiling) free to differ.
+//! That is what makes a checkpoint taken under the park policy restorable
+//! under never-park with bit-identical continuation.
 //!
 //! Restore never panics: a wrong magic, an unknown version, a config
 //! mismatch, a hash mismatch or a malformed payload each map to a distinct
 //! [`CkptError`] variant.
 
+#![forbid(unsafe_code)]
+
 use hb_core::{Machine, MachineConfig};
-use hb_mem::{SnapError, SnapReader, SnapState, SnapWriter};
+use hb_mem::{fnv1a128, SnapError, SnapReader, SnapState, SnapWriter};
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
@@ -141,18 +143,6 @@ impl Checkpoint {
     pub fn config(&self) -> Result<MachineConfig, String> {
         MachineConfig::from_canonical_text(&self.config_text)
     }
-}
-
-/// 128-bit FNV-1a over `bytes`.
-fn fnv1a128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 /// Encodes the machine's current state as complete checkpoint-file bytes.
@@ -328,7 +318,6 @@ mod tests {
     fn tiny_cfg() -> MachineConfig {
         MachineConfig {
             cell_dim: CellDim { x: 2, y: 2 },
-            threads: 1,
             ..MachineConfig::baseline_16x8()
         }
     }
@@ -406,8 +395,7 @@ mod tests {
         ));
         // Host-only knobs are allowed to differ.
         let host_cfg = MachineConfig {
-            threads: 4,
-            event_core: true,
+            event_core: false,
             ..tiny_cfg()
         };
         let mut host = Machine::new(host_cfg);

@@ -4,9 +4,9 @@
 
 use crate::banknode::BankNode;
 use crate::config::MachineConfig;
-use crate::parallel::{NoClock, PhaseClock, TilePool};
 use crate::payload::{Request, Response};
 use crate::pgas::PgasMap;
+use crate::phase::{NoClock, PhaseClock};
 use crate::sched::TileSched;
 use crate::stats::CoreStats;
 use crate::tile::{GroupInfo, Tile};
@@ -123,12 +123,6 @@ pub struct Cell {
     sched: TileSched,
     alloc_ptr: u32,
     cycle: u64,
-    /// Worker pool for the tile phase (shared across the machine's Cells);
-    /// `None` steps tiles inline.
-    pool: Option<Arc<TilePool>>,
-    /// Tracing bypasses the pool (the shared ring must observe events in
-    /// deterministic tile order).
-    traced: bool,
     /// Requests bound for other Cells (drained by the inter-Cell fabric).
     pub xreq_out: VecDeque<(u8, Packet<Request>)>,
     /// Responses bound for other Cells.
@@ -230,8 +224,6 @@ impl Cell {
             sched: TileSched::new(cfg.cell_dim.tiles()),
             alloc_ptr: 0,
             cycle: 0,
-            pool: None,
-            traced: false,
             xreq_out: VecDeque::new(),
             xresp_out: VecDeque::new(),
             staged: WorkSet::new(cfg.cell_dim.tiles()),
@@ -246,11 +238,6 @@ impl Cell {
             work: CellWork::default(),
             cfg,
         }
-    }
-
-    /// Installs the shared tile-phase worker pool (see [`crate::parallel`]).
-    pub fn set_pool(&mut self, pool: Arc<TilePool>) {
-        self.pool = Some(pool);
     }
 
     /// The Cell's PGAS map (coordinate helpers).
@@ -541,24 +528,18 @@ impl Cell {
     }
 
     /// Installs a shared trace buffer into every tile (see [`crate::trace`]).
-    ///
-    /// Tracing disables tile-phase parallelism for this Cell: the shared
-    /// ring must record events in tile order for the cosim checker, so the
-    /// wake list is stepped inline (which the pool is bit-identical to
-    /// anyway). Parked tiles stay parked — a skipped tile stalls, and
-    /// stalls are not trace events.
+    /// Parked tiles stay parked — a skipped tile stalls, and stalls are not
+    /// trace events.
     pub fn set_trace(&mut self, trace: crate::trace::TraceHandle) {
-        self.traced = true;
         for t in &mut self.tiles {
             t.set_trace(trace.clone());
         }
     }
 
     /// Turns telemetry event capture on or off for every tile (see
-    /// [`crate::observe`]). Unlike [`Cell::set_trace`] this does not force
-    /// the sequential tile phase: events land in tile-local buffers during
-    /// the (possibly parallel) tile phase and are drained at the window
-    /// boundary, after the sync phase.
+    /// [`crate::observe`]): events land in tile-local buffers during the
+    /// tile phase and are drained at the window boundary, after the sync
+    /// phase.
     pub fn set_observed(&mut self, on: bool) {
         for t in &mut self.tiles {
             t.set_observed(on);
@@ -567,16 +548,15 @@ impl Cell {
 
     /// Turns race-sanitizer capture on or off for every tile (see
     /// [`crate::race`]). Like telemetry, capture is tile-local during the
-    /// (possibly parallel) tile phase; logs are drained after sync.
+    /// tile phase; logs are drained after sync.
     pub fn set_race_check(&mut self, on: bool) {
         for t in &mut self.tiles {
             t.set_race_check(on);
         }
     }
 
-    /// Drains every tile's race log into `checker`, in deterministic
-    /// row-major tile order (which makes reports bit-identical across
-    /// `HB_THREADS` settings).
+    /// Drains every tile's race log into `checker`, in row-major tile
+    /// order.
     pub fn drain_race_logs(&mut self, checker: &mut crate::race::RaceChecker) {
         let cell = self.id;
         for t in &mut self.tiles {
@@ -755,12 +735,10 @@ impl Cell {
     /// Advances the whole Cell one core-clock cycle.
     ///
     /// The cycle is a sequence of bulk-synchronous phases (see
-    /// [`crate::parallel`] for the model and determinism argument):
-    /// network → memory → tiles → sync → inject. Only the tile phase runs
-    /// on the worker pool; every phase boundary is a full barrier, and
-    /// tile inboxes/outboxes are written and drained in *different* phases,
-    /// so they act as the double buffers between tile compute and the
-    /// sequential Cell plumbing.
+    /// `crate::phase` for the model): network → memory → tiles → sync →
+    /// inject. Tile inboxes/outboxes are written and drained in *different*
+    /// phases, so they act as the double buffers between tile compute and
+    /// the Cell plumbing.
     pub fn tick(&mut self) {
         self.tick_with(&mut NoClock);
     }
@@ -777,14 +755,10 @@ impl Cell {
         clock.lap(|t| &mut t.network);
         self.phase_memory();
         clock.lap(|t| &mut t.memory);
-        // BSP phase 3 — every due tile executes one pipeline cycle. This is
-        // the only phase the worker pool shards: tiles touch nothing but
-        // their own state here, so any execution order is bit-identical to
-        // the in-order loop.
-        let pool = self.pool.as_deref().filter(|_| !self.traced);
+        // BSP phase 3 — every due tile executes one pipeline cycle.
         let park = self.cfg.event_core;
         self.sched
-            .run_cycle(&mut self.tiles, &self.active, now, park, pool, clock);
+            .run_cycle(&mut self.tiles, &self.active, now, park, clock);
         self.phase_sync();
         clock.lap(|t| &mut t.sync);
         self.phase_inject();
@@ -1237,13 +1211,11 @@ hb_mem::snap_value!(MemOp {
     write,
     data
 });
-// `pool` and `traced` are host-execution state, re-established by whoever
-// owns the restored machine; they cannot change simulated results.
 hb_mem::snap_state!(Cell [b"CELL"] {
     save: cycle, alloc_ptr, req_net, resp_net, hbm, hbm_clock, dram, hbm_retry, mem_ops,
         next_mem_id, barriers, sched, xreq_out, xresp_out;
     fixed: tiles, banks, strip_to_mem, strip_from_mem, active;
-    host: cfg, id, pgas, pool, traced, staged, touched, backlog, bank_out, visit, ready,
+    host: cfg, id, pgas, staged, touched, backlog, bank_out, visit, ready,
         release_check, barrier_origin, maybe_fault, work;
 } extra (save_programs, load_programs) check check_restored);
 
@@ -1277,9 +1249,8 @@ mod reference {
             }
 
             self.phase_memory();
-            let pool = self.pool.as_deref().filter(|_| !self.traced);
             let (now, park) = (self.cycle, self.cfg.event_core);
-            (self.sched).run_cycle(&mut self.tiles, &self.active, now, park, pool, &mut NoClock);
+            (self.sched).run_cycle(&mut self.tiles, &self.active, now, park, &mut NoClock);
 
             for i in 0..self.tiles.len() {
                 self.join_if_wanted(i);
@@ -1310,7 +1281,6 @@ mod tests {
     fn small_cell() -> Cell {
         let cfg = MachineConfig {
             cell_dim: CellDim { x: 4, y: 2 },
-            threads: 1,
             ..MachineConfig::baseline_16x8()
         };
         Cell::new(Arc::new(cfg), 0)
@@ -1399,7 +1369,6 @@ mod tests {
                 // Shallow FIFOs: tiles park in the barrier with stores
                 // still waiting in their outbox for an injection slot.
                 net_fifo_depth: 1,
-                threads: 1,
                 event_core,
                 ..MachineConfig::baseline_16x8()
             };

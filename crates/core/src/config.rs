@@ -18,8 +18,8 @@
 //!   the text. Adding, removing or re-interpreting one changes what cached
 //!   results mean: bump [`MachineConfig::CANONICAL_VERSION`] (the tier-1
 //!   test `tests/text_pins.rs` fails until you do).
-//! - `host = value`: the field only steers the host (`threads`, the
-//!   sanitizer, the park policy, the profiler); results are bit-identical
+//! - `host = value`: the field only steers the host (the sanitizer, the
+//!   park policy, the profiler); results are bit-identical
 //!   at any setting, it is not in the text, and a decoded configuration
 //!   carries the normalized `value` — callers that simulate set it as they
 //!   like afterwards.
@@ -140,10 +140,10 @@ pub struct MachineConfig {
     pub disabled_tiles: Vec<(u8, u8)>,
 
     // ---- Host execution (does not affect simulated results) ----
-    /// Host worker threads for the tile phase of each cycle (see
-    /// `hb_core::parallel`). `1` steps tiles inline; `>1` shards them
-    /// across a persistent pool. Results are bit-identical either way.
-    /// Presets seed this from the `HB_THREADS` environment variable.
+    /// No effect since PR 18 (a machine runs on the thread that ticks it;
+    /// nothing reads this). Kept because the benchmark crate `hb_perf/`
+    /// names it in struct literals; the benchmark-only follow-up that
+    /// drops it there deletes the field (ROADMAP item 2).
     pub threads: usize,
     /// Telemetry sampling window in core cycles; `0` disables sampling.
     /// Consulted by the `hb-obs` observer factory (see `hb_core::observe`)
@@ -217,7 +217,7 @@ impl MachineConfig {
             hbm: Hbm2Config::default(),
             strip: StripConfig::default(),
             disabled_tiles: Vec::new(),
-            threads: crate::parallel::threads_from_env(),
+            threads: 1,
             telemetry_window: 0,
             race_check: false,
             event_core: true,
@@ -386,6 +386,10 @@ impl MachineConfig {
         if self.strip.bytes_per_cycle == 0 || self.strip.skip_distance == 0 {
             return Err(ConfigError::ZeroWidthStrip);
         }
+        let bytes = self.host_footprint();
+        if bytes > Self::MAX_HOST_BYTES {
+            return Err(ConfigError::HostFootprintTooLarge { bytes });
+        }
         if let Some(&(x, y)) = self
             .disabled_tiles
             .iter()
@@ -399,6 +403,42 @@ impl MachineConfig {
         Ok(())
     }
 
+    /// Host bytes the machine's storage occupies: every tile's scratchpad
+    /// and icache, every cache bank's lines and every Cell's DRAM window,
+    /// each tile and line with the fixed host state around it; `u64::MAX`
+    /// when the sum overflows.
+    fn host_footprint(&self) -> u64 {
+        let per_tile =
+            u64::from(self.spm_bytes) + u64::from(self.icache_bytes) + Self::HOST_BYTES_PER_TILE;
+        let per_line = u64::from(self.line_bytes) + Self::HOST_BYTES_PER_LINE;
+        let sum = || {
+            let tiles = (self.cell_dim.tiles() as u64).checked_mul(per_tile)?;
+            let banks = (self.banks_per_cell() as u64)
+                .checked_mul(self.cache_sets as u64)?
+                .checked_mul(self.cache_ways as u64)?
+                .checked_mul(per_line)?;
+            tiles
+                .checked_add(banks)?
+                .checked_add(u64::from(self.dram_bytes_per_cell))?
+                .checked_mul(u64::from(self.num_cells))
+        };
+        sum().unwrap_or(u64::MAX)
+    }
+
+    /// Largest [host footprint](ConfigError::HostFootprintTooLarge) a
+    /// machine may ask for: 1 GiB, ~26x the largest shape any preset,
+    /// figure or `HB_SCALE=full` run builds (`two_cells_16x8`, 39 MiB).
+    /// Every field of a 63-Cell, 64x64-tile, 16 MiB-bank configuration is
+    /// in range, and building it would abort the process on allocation.
+    pub const MAX_HOST_BYTES: u64 = 1 << 30;
+    /// Host bytes a tile costs beside its scratchpad and icache — the
+    /// `Tile` itself, its queues and its two routers. Measured: a machine
+    /// of 255 Cells of 64x64 tiles with the smallest memories is 4.1 KiB
+    /// of resident set per tile.
+    const HOST_BYTES_PER_TILE: u64 = 4096;
+    /// Host bytes a cache line costs beside its data: the slot with its
+    /// tag, masks and LRU stamp.
+    const HOST_BYTES_PER_LINE: u64 = 64;
     /// Largest Cell edge, in tiles: a Group-SPM address names a tile with
     /// two 6-bit coordinate fields.
     pub const MAX_CELL_EDGE: u8 = 64;
@@ -420,10 +460,8 @@ impl MachineConfig {
 
     /// Stable canonical serialization: the layout version, then every
     /// `hashed` field of the list below in list order, as `key=value` pairs
-    /// joined by `;`. The `host` fields (`threads`, ...) cannot change
-    /// simulated results and are deliberately excluded, so the text — and
-    /// any content hash derived from it — is identical across `HB_THREADS`
-    /// settings.
+    /// joined by `;`. The `host` fields cannot change simulated results
+    /// and are deliberately excluded.
     pub fn canonical_text(&self) -> String {
         self.to_text()
     }
@@ -432,7 +470,7 @@ impl MachineConfig {
     /// configuration and [validates](MachineConfig::validate) it, so a
     /// decoded configuration can always build a machine. The `host` fields
     /// are not part of the canonical form and come back normalized
-    /// (`threads` 1, sanitizer and profiler off, parking on).
+    /// (sanitizer and profiler off, parking on).
     ///
     /// # Errors
     ///
@@ -576,6 +614,12 @@ pub enum ConfigError {
     /// A refill strip must move at least one byte per cycle over skip links
     /// at least one bank long.
     ZeroWidthStrip,
+    /// Tiles, cache banks and DRAM windows together exceed
+    /// [`MachineConfig::MAX_HOST_BYTES`] of host memory.
+    HostFootprintTooLarge {
+        /// The footprint (`u64::MAX` when the sum overflows).
+        bytes: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -663,6 +707,12 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "strip channel width and skip distance must be at least 1"
+                )
+            }
+            ConfigError::HostFootprintTooLarge { bytes } => {
+                write!(
+                    f,
+                    "machine of {bytes} host bytes exceeds the 1 GiB host memory budget"
                 )
             }
         }
@@ -853,6 +903,23 @@ mod tests {
             };
             assert_eq!(c.validate(), Err(ConfigError::ZeroWidthStrip));
         }
+
+        // Every field in range, 126 GiB of cache banks: `Machine::new`
+        // would abort on allocation, which no `catch_unwind` isolates.
+        let c = MachineConfig {
+            cell_dim: CellDim { x: 64, y: 64 },
+            num_cells: 63,
+            cache_sets: 1 << 15,
+            ..base.clone()
+        };
+        let bytes = 63 * (4096 * (8192 + 4096) + 128 * (32 << 20) + (16 << 20));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::HostFootprintTooLarge { bytes })
+        );
+        // The largest preset is far inside the budget.
+        let two = MachineConfig::two_cells_16x8();
+        assert_eq!(two.host_footprint(), 39 << 20);
     }
 
     #[test]
@@ -884,7 +951,6 @@ mod tests {
             // The host fields come back at their normalized values;
             // everything else must survive the round trip bit-exactly.
             let normalized = MachineConfig {
-                threads: 1,
                 race_check: false,
                 event_core: true,
                 profile: false,
@@ -947,10 +1013,7 @@ mod tests {
         // hashed field: mutating it must change the text (and therefore any
         // content hash derived from it), and the mutated text must decode
         // to the mutated value.
-        let base = MachineConfig {
-            threads: 1,
-            ..MachineConfig::baseline_16x8()
-        };
+        let base = MachineConfig::baseline_16x8();
         let baseline_text = base.canonical_text();
         assert_eq!(MachineConfig::FIELDS.len(), 33 + 4);
         for &(field, hashed) in MachineConfig::FIELDS {
@@ -1035,6 +1098,7 @@ mod tests {
             ("spm=4096", "spm=16", "too small"),
             ("outst=63", "outst=0", "max_outstanding"),
             ("disabled=", "disabled=16,0", "outside the 16x8 cell"),
+            ("cells=1", "cells=255", "host memory budget"),
         ] {
             let err = MachineConfig::from_canonical_text(&good.replacen(from, to, 1)).unwrap_err();
             assert!(err.contains(why), "{to}: {err}");

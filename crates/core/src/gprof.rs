@@ -14,12 +14,11 @@
 //!
 //! The capture is exact, not sampled: `retired + stalled` summed over the
 //! histogram equals the tile's cycle taxonomy. It is also deterministic by
-//! construction — each tile writes only its own buffer (no cross-thread
-//! state), and the wake list's bulk stall credits land on the same PC a
-//! never-parked tile would have recorded cycle-by-cycle, because a
-//! parked tile's PC cannot change while it is parked. Profiles are
-//! therefore bit-identical across `HB_THREADS` and both park policies
-//! (`MachineConfig::event_core`).
+//! construction — each tile writes only its own buffer, and the wake
+//! list's bulk stall credits land on the same PC a never-parked tile would
+//! have recorded cycle-by-cycle, because a parked tile's PC cannot change
+//! while it is parked. Profiles are therefore bit-identical across both
+//! park policies (`MachineConfig::event_core`).
 //!
 //! Folding ([`Machine::guest_profile`](crate::Machine::guest_profile)) is
 //! the only aggregation step: tiles merge row-major into a

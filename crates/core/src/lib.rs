@@ -46,6 +46,8 @@
 //! # Ok::<(), hb_asm::AsmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod banknode;
 mod cell;
 mod config;
@@ -58,9 +60,9 @@ mod kernel_util;
 mod machine;
 mod multicell;
 pub mod observe;
-pub mod parallel;
 mod payload;
 pub mod pgas;
+mod phase;
 pub mod profile;
 pub mod race;
 mod sched;
@@ -81,9 +83,9 @@ pub use multicell::{MultiCellEstimator, Phase};
 pub use observe::{
     set_observer_factory, InjectKind, MachineObserver, ObsEvent, ObsKind, ObserverScope,
 };
-pub use parallel::{threads_from_env, PhaseTimes, TilePool};
 pub use payload::{NodeId, ReqKind, Request, RespKind, Response};
 pub use pgas::{ipoly_hash, PgasMap, Target};
+pub use phase::PhaseTimes;
 pub use race::{
     collect_races, AccessInfo, AccessKind, RaceChecker, RaceLoc, RaceReport, RaceSinkScope,
 };

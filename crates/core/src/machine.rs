@@ -4,8 +4,8 @@
 use crate::cell::{Cell, GroupSpec};
 use crate::config::MachineConfig;
 use crate::diag::{FaultInfo, HangClass, HangReport};
-use crate::parallel::{NoClock, PhaseClock, PhaseTimes, Stopwatch};
 use crate::payload::{Request, Response};
+use crate::phase::{NoClock, PhaseClock, PhaseTimes, Stopwatch};
 use crate::stats::CoreStats;
 use hb_asm::Program;
 use hb_fault::{Injection, Site};
@@ -162,13 +162,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine from a configuration.
-    ///
-    /// If [`MachineConfig::threads`] is greater than one, a single
-    /// [`TilePool`](crate::parallel::TilePool) is created and shared by all
-    /// Cells; the tile phase of each cycle then runs across that pool. The
-    /// simulated results are bit-identical either way (see
-    /// `crates/core/src/parallel.rs`).
+    /// Builds a machine from a configuration. It runs on whichever thread
+    /// ticks it.
     ///
     /// # Panics
     ///
@@ -181,15 +176,9 @@ impl Machine {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"));
         let cfg = Arc::new(cfg);
-        let mut cells: Vec<Cell> = (0..cfg.num_cells)
+        let cells: Vec<Cell> = (0..cfg.num_cells)
             .map(|i| Cell::new(cfg.clone(), i))
             .collect();
-        if cfg.threads > 1 {
-            let pool = Arc::new(crate::parallel::TilePool::new(cfg.threads));
-            for cell in &mut cells {
-                cell.set_pool(pool.clone());
-            }
-        }
         let fabric = Fabric::new(&cfg);
         let mut machine = Machine {
             cfg,
@@ -424,8 +413,7 @@ impl Machine {
     /// Installs a fault-injection plan (see [`hb_fault`]). NoC link faults
     /// arm directly inside the target Cell's networks; every other site
     /// lands through a machine-level due list checked once per cycle, in
-    /// the sequential part of the cycle — injection order is therefore
-    /// deterministic and independent of the tile-phase thread count.
+    /// after the Cells' phases — injection order is therefore deterministic.
     /// Replaces any previously installed plan.
     pub fn set_injection_plan(&mut self, plan: &hb_fault::InjectionPlan) {
         let mut rest = Vec::new();
@@ -543,10 +531,10 @@ impl Machine {
     /// payload. The same machine state always encodes to the same bytes,
     /// so the checkpoint layer can content-hash snapshots.
     ///
-    /// Host-side scaffolding is deliberately not serialized: the thread
-    /// pool, trace ring, race sanitizer (its per-cycle logs are drained
-    /// every tick, so they are empty here) and the auto-checkpoint sink are
-    /// all re-established by the host after restore. Call this only at the
+    /// Host-side scaffolding is deliberately not serialized: the trace
+    /// ring, race sanitizer (its per-cycle logs are drained every tick, so
+    /// they are empty here) and the auto-checkpoint sink are all
+    /// re-established by the host after restore. Call this only at the
     /// end-of-cycle quiescent point (between `tick`s, or from an
     /// auto-checkpoint sink, which runs there).
     pub fn save_checkpoint(&self) -> Vec<u8> {
@@ -627,8 +615,7 @@ impl Machine {
 
     /// Out-of-line injection dispatch: delivers every plan entry due at or
     /// before the current cycle. Runs after the Cells' phases and the
-    /// fabric, so the flipped state is what the *next* cycle observes —
-    /// the same point in the cycle for every thread count.
+    /// fabric, so the flipped state is what the *next* cycle observes.
     #[cold]
     fn inject_due(&mut self) {
         while let Some(&inj) = self.fault_plan.get(self.fault_cursor) {

@@ -127,8 +127,7 @@ pub trait MachineObserver: Send + std::fmt::Debug {
     /// reaches [`MachineObserver::next_due`]. All five Cell phases and the
     /// inter-cell fabric have run for this cycle; tile state is quiescent
     /// (the same synchronization point as the BSP sync phase, seen from
-    /// the machine level), so sampling here composes with the `TilePool`
-    /// without locks.
+    /// the machine level).
     fn sample(&mut self, machine: &mut Machine);
 
     /// The next machine cycle at which [`MachineObserver::sample`] should

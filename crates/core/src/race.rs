@@ -28,8 +28,8 @@
 //!
 //! Checking is read-only: the sanitizer never perturbs simulated state, so
 //! cycle counts and DRAM contents are bit-identical with it on or off, and
-//! reports are bit-identical across `HB_THREADS` settings (logs are drained
-//! in cell-id then row-major tile order every cycle).
+//! reports are reproducible (logs are drained in cell-id then row-major
+//! tile order every cycle).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};

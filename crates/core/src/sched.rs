@@ -39,7 +39,7 @@
 //! the tile steps once, records the stall it would have recorded anyway,
 //! and parks again.
 
-use crate::parallel::{PhaseClock, TilePool};
+use crate::phase::PhaseClock;
 use crate::stats::StallKind;
 use crate::tile::Tile;
 
@@ -75,8 +75,9 @@ pub(crate) struct TileSched {
     park_kind: Vec<Option<StallKind>>,
     /// Scratch: indices of tiles to step this cycle.
     run_list: Vec<u32>,
-    /// Scratch: park hints produced by this cycle's steps (parallel to
-    /// `run_list`).
+    /// Scratch: park hints produced by this cycle's steps (position for
+    /// position with `run_list`), applied after the step so that taking
+    /// them is billed to the clock's `sched` bucket, not to `tiles`.
     parks: Vec<Park>,
     stepped: u64,
     skipped: u64,
@@ -166,19 +167,17 @@ impl TileSched {
     }
 
     /// Runs one tile phase: wakes due sleepers, credits owed stalls, steps
-    /// the wake list (sharded over `pool` when present) and, if `park`,
-    /// takes the new park hints. With `park` off every active tile is due
-    /// — a sleeper can then only come from a checkpoint captured under the
-    /// park policy, and is woken and credited like any other. Wake-list
-    /// bookkeeping is billed to the clock's `sched` bucket and only the
-    /// stepping itself to `tiles`.
+    /// the wake list and, if `park`, takes the new park hints. With `park`
+    /// off every active tile is due — a sleeper can then only come from a
+    /// checkpoint captured under the park policy, and is woken and credited
+    /// like any other. Wake-list bookkeeping is billed to the clock's
+    /// `sched` bucket and only the stepping itself to `tiles`.
     pub(crate) fn run_cycle(
         &mut self,
         tiles: &mut [Tile],
         active: &[bool],
         now: u64,
         park: bool,
-        pool: Option<&TilePool>,
         clock: &mut impl PhaseClock,
     ) {
         // Build: scan the SoA state, wake due tiles, credit stall debt.
@@ -209,27 +208,21 @@ impl TileSched {
             self.run_list.push(i as u32);
         }
         self.parks.clear();
-        self.parks.resize(self.run_list.len(), Park::Awake);
         clock.lap(|t| &mut t.sched);
 
-        // Step: only the wake list, inline or across the worker pool.
-        match pool {
-            Some(pool) => pool.step_list(tiles, &self.run_list, &mut self.parks, now),
-            None => {
-                for (pos, &i) in self.run_list.iter().enumerate() {
-                    let t = &mut tiles[i as usize];
-                    t.step(now);
-                    self.parks[pos] = t.park_hint(now);
-                }
-            }
+        // Step: only the wake list.
+        for &i in &self.run_list {
+            let t = &mut tiles[i as usize];
+            t.step(now);
+            self.parks.push(t.park_hint(now));
         }
         self.stepped += self.run_list.len() as u64;
         clock.lap(|t| &mut t.tiles);
 
         // Apply: record the new parks.
         if park {
-            for (pos, &i) in self.run_list.iter().enumerate() {
-                if let Park::Sleep { kind, wake_at } = self.parks[pos] {
+            for (&i, &hint) in self.run_list.iter().zip(&self.parks) {
+                if let Park::Sleep { kind, wake_at } = hint {
                     let i = i as usize;
                     self.asleep[i] = true;
                     self.wake_at[i] = wake_at;

@@ -15,6 +15,8 @@
 //! the 3.6-15.1x span — are the reproduced result; absolute picojoules
 //! are indicative only.
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 
 use std::fmt;

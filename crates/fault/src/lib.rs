@@ -16,9 +16,11 @@
 //! an AVF-style report.
 //!
 //! Determinism argument: a plan is a pure function of its seed and shape, and
-//! every injection is applied in a *sequential* phase of the BSP engine
-//! (never inside the parallel tile phase), so a campaign run is bit-identical
-//! across repeats and across `HB_THREADS` settings.
+//! every injection is applied at one fixed point of the cycle (after the
+//! Cells' phases and the fabric), so a campaign run is bit-identical across
+//! repeats.
+
+#![forbid(unsafe_code)]
 
 use hb_mem::text::Text;
 use hb_rng::Rng;

@@ -19,6 +19,8 @@
 //! (instruction and memory-access counts from the HB simulator) into
 //! hierarchical-machine execution time.
 
+#![forbid(unsafe_code)]
+
 use hb_rng::Rng;
 
 /// Configuration of the hierarchical machine.

@@ -23,6 +23,8 @@
 //! assert_eq!(add.to_string(), "add a0, a1, a2");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod decode;
 mod disasm;
 mod encode;

@@ -25,6 +25,8 @@
 //! as one flat 32-bit space, which is what standalone interpreter runs and
 //! unit tests want.
 
+#![forbid(unsafe_code)]
+
 pub mod fuzz;
 mod hart;
 mod mem;

@@ -11,7 +11,7 @@
 //! buffers of `ranks + 1` words each, passed as launch arguments
 //! `a0..` in order. Expected finding counts are exact — both checkers
 //! deduplicate reports by instruction pair, so the counts are independent
-//! of Cell shape (any shape with at least two tiles) and of `HB_THREADS`.
+//! of Cell shape (any shape with at least two tiles).
 
 use hb_asm::{Assembler, Program};
 use hb_core::HbOps;

@@ -22,6 +22,8 @@
 //! **validates the simulated output against the golden reference**, and
 //! returns the hardware counters the paper's figures are drawn from.
 
+#![forbid(unsafe_code)]
+
 mod aes;
 mod bench;
 mod bfs;

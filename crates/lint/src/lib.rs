@@ -35,6 +35,8 @@
 //! assert!(diags.iter().any(|d| d.severity == Severity::Error));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod absint;
 pub mod cfg;
 pub mod dataflow;

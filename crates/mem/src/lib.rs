@@ -15,7 +15,8 @@
 //! As the bottom of the crate stack (no dependencies), this crate also
 //! hosts the three codecs every layer above shares: [`snap`] (binary
 //! checkpoints), [`text`] (the canonical texts results are hashed by) and
-//! [`json`] (the one JSON parser, and flat-object records over it) — and
+//! [`json`] (the one JSON parser, and flat-object records over it) — plus
+//! [`fnv1a128`], the digest those forms are sealed and keyed with, and
 //! [`WorkSet`], the ascending-order worklist the NoC and the Cell's
 //! sequential phases walk instead of sweeping the machine.
 //!
@@ -37,6 +38,8 @@
 //! assert_eq!(done.unwrap().id, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod channel;
 mod clock;
 pub mod json;
@@ -50,3 +53,16 @@ pub use clock::ClockDivider;
 pub use snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 pub use storage::Dram;
 pub use worklist::WorkSet;
+
+/// 128-bit FNV-1a over `bytes`: the checkpoint trailer, and (as 32 hex
+/// digits) every job hash and store key.
+pub fn fnv1a128(bytes: &[u8]) -> u128 {
+    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+    let mut h = OFFSET;
+    for &b in bytes {
+        h ^= u128::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}

@@ -43,6 +43,8 @@
 //! assert_eq!(got.unwrap().payload, 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod barrier;
 mod net;
 mod strip;

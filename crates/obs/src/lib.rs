@@ -45,6 +45,8 @@
 //! assert!(json.starts_with("{\"traceEvents\":["));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod heatmap;
 pub mod json;
@@ -184,8 +186,7 @@ struct PrevCell {
 ///
 /// Driven by [`hb_core::Machine::tick`] at the end of each window: all
 /// five BSP phases of every Cell plus the inter-Cell fabric have run, so
-/// counters are quiescent and sampling composes with the `TilePool`
-/// without locks. Each sample is a field-wise delta against the previous
+/// counters are quiescent. Each sample is a field-wise delta against the previous
 /// cumulative snapshot, so the store holds true per-window activity.
 #[derive(Debug)]
 pub struct Sampler {
@@ -393,7 +394,6 @@ mod tests {
     fn tiny_cfg() -> MachineConfig {
         MachineConfig {
             cell_dim: CellDim { x: 2, y: 2 },
-            threads: 1,
             ..MachineConfig::baseline_16x8()
         }
     }

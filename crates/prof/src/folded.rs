@@ -72,7 +72,6 @@ mod tests {
         let (_scope, store) = crate::attach();
         let cfg = MachineConfig {
             cell_dim: hb_core::CellDim { x: 1, y: 1 },
-            threads: 1,
             profile: true,
             ..MachineConfig::baseline_16x8()
         };

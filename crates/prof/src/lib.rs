@@ -17,8 +17,8 @@
 //! Counts in both exporters are **cycles**, so a flamegraph's total width
 //! is the machine's tile-cycles and stall frames nest under the block
 //! that paid them. Everything here is a pure function of the captured
-//! [`GuestProfile`], which is itself bit-identical across `HB_THREADS`
-//! and park policies; the exporters iterate phases and blocks in their
+//! [`GuestProfile`], which is itself bit-identical across park policies;
+//! the exporters iterate phases and blocks in their
 //! deterministic stored order, so the rendered bytes are reproducible
 //! across hosts and schedules.
 //!
@@ -41,6 +41,8 @@
 //!     println!("{}", hb_prof::summary::report_text(&analysis, 10));
 //! }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod folded;
 pub mod summary;
@@ -402,7 +404,6 @@ mod tests {
     fn profiled_cfg() -> MachineConfig {
         MachineConfig {
             cell_dim: CellDim { x: 2, y: 2 },
-            threads: 1,
             profile: true,
             ..MachineConfig::baseline_16x8()
         }

@@ -5,6 +5,7 @@
 
 use crate::Analysis;
 use hb_core::StallKind;
+use hb_mem::json::escape;
 use std::fmt::Write as _;
 use std::io;
 
@@ -72,7 +73,7 @@ pub fn to_ndjson(a: &Analysis) -> String {
         out,
         "{{\"type\":\"profile\",\"kernel\":\"{}\",\"cycles\":{},\"retired\":{},\
          \"stalled\":{},\"tile_cycles\":{},\"phases\":{},\"blocks\":{}}}",
-        crate::summary::escape(&a.kernel),
+        escape(&a.kernel),
         a.cycles,
         a.retired,
         a.stalled,
@@ -99,26 +100,6 @@ pub fn to_ndjson(a: &Analysis) -> String {
             row.stall_cycles(),
             a.share_bp(row)
         );
-    }
-    out
-}
-
-/// Minimal JSON string escaper (mirrors `hb_obs::json::escape`; kept
-/// local so the exporter has no dependency above `hb-core`).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }
@@ -152,7 +133,6 @@ mod tests {
         let (_scope, store) = crate::attach();
         let cfg = MachineConfig {
             cell_dim: hb_core::CellDim { x: 2, y: 1 },
-            threads: 1,
             profile: true,
             ..MachineConfig::baseline_16x8()
         };
@@ -199,7 +179,12 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_controls() {
-        assert_eq!(super::escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(super::escape("\u{1}"), "\\u0001");
+        // The kernel name is the one free-form string the exporter emits.
+        let mut a = analyzed();
+        a.kernel = "a\"b\\c\n\u{1}".to_owned();
+        let doc = super::to_ndjson(&a);
+        let header = doc.lines().next().unwrap();
+        assert!(header.contains(r#""kernel":"a\"b\\c\n\u0001""#), "{header}");
+        hb_obs::json::validate(header).unwrap();
     }
 }

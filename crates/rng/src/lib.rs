@@ -12,6 +12,8 @@
 //! invalidates recorded failing seeds, so treat the output sequence as
 //! stable.
 
+#![forbid(unsafe_code)]
+
 /// `xoshiro256**` PRNG with a `splitmix64` seeding routine.
 ///
 /// Deterministic for a given seed on every platform.

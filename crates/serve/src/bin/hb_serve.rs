@@ -40,7 +40,7 @@ options:
   --seed S         base seed (job i uses S+i)    [1]
   --cell WxH       tile grid per cell            [4x4]
   --disable x,y[;x,y]  disabled tiles            []
-  --threads T      worker threads                [HB_THREADS or 1]
+  --threads T      worker threads                [1]
   --max-jobs N     stop after N executed jobs (deterministic mid-run stop)
   --retries R      retries per transient failure [2]
   --ckpt-every N   checkpoint fault runs every N cycles into the store,
@@ -81,7 +81,7 @@ fn parse_opts(argv: &[String]) -> Opts {
         seed: 1,
         cell: CellDim { x: 4, y: 4 },
         disabled: Vec::new(),
-        threads: hb_core::threads_from_env(),
+        threads: 1,
         max_jobs: None,
         retries: 2,
         ckpt_every: 0,
@@ -152,7 +152,6 @@ fn campaign_config(opts: &Opts) -> MachineConfig {
     let cfg = MachineConfig {
         cell_dim: opts.cell,
         disabled_tiles: opts.disabled.clone(),
-        threads: 1,
         ..MachineConfig::baseline_16x8()
     };
     if let Err(e) = cfg.validate() {

@@ -238,8 +238,7 @@ mod tests {
     use super::*;
 
     /// The baseline as its canonical text denotes it — the host fields at
-    /// their normalized values — so a manifest roundtrip compares equal
-    /// under any `HB_THREADS` environment.
+    /// their normalized values — so a manifest roundtrip compares equal.
     fn canonical_baseline() -> MachineConfig {
         MachineConfig::from_canonical_text(&MachineConfig::baseline_16x8().canonical_text())
             .unwrap()

@@ -87,7 +87,6 @@ impl GoldenInfo {
 /// memory (and falls back to the store on resume) so thousands of fault
 /// jobs classify against one golden run.
 pub struct SimExecutor {
-    pool_threads: usize,
     goldens: Mutex<HashMap<String, GoldenInfo>>,
     /// Shared warm-start checkpoints by store key, decoded-once per process.
     warm_blobs: Mutex<HashMap<String, Arc<Vec<u8>>>>,
@@ -99,13 +98,13 @@ pub struct SimExecutor {
 }
 
 impl SimExecutor {
-    /// An executor for a pool of `pool_threads` workers. When the pool fans
-    /// out, each Machine keeps its tile phase sequential (`threads = 1`) so
-    /// total host threads ≈ workers — same policy as
-    /// `hb-bench::point_config`. Simulated results are identical either way.
-    pub fn new(pool_threads: usize) -> SimExecutor {
+    /// An executor. The argument has had no effect since PR 18 (workers are
+    /// [`RunOpts::threads`](crate::RunOpts); every job's machine runs on
+    /// the worker that claimed it); the arity is kept because the benchmark
+    /// crate `hb_perf/` calls `SimExecutor::new(1)`, and goes with the
+    /// benchmark-only follow-up (ROADMAP item 2).
+    pub fn new(_workers: usize) -> SimExecutor {
         SimExecutor {
-            pool_threads: pool_threads.max(1),
             goldens: Mutex::new(HashMap::new()),
             warm_blobs: Mutex::new(HashMap::new()),
             ckpt_every: None,
@@ -132,17 +131,6 @@ impl SimExecutor {
         self
     }
 
-    fn machine_config(&self, spec: &JobSpec) -> MachineConfig {
-        MachineConfig {
-            threads: if self.pool_threads > 1 {
-                1
-            } else {
-                spec.config.threads.max(1)
-            },
-            ..spec.config.clone()
-        }
-    }
-
     /// Fetches (or computes and caches) the golden info for `spec`'s
     /// (kernel, config) — from memory, then the store, then a fresh run.
     fn golden_info(&self, spec: &JobSpec, store: &Store) -> Result<GoldenInfo, JobError> {
@@ -166,11 +154,11 @@ impl SimExecutor {
 
     fn run_golden(&self, spec: &JobSpec) -> Result<JobRecord, JobError> {
         let kernel = campaign_kernel(&spec.kernel)?;
-        let cfg = self.machine_config(spec);
+        let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
         let cells = cfg.num_cells;
-        let (gold_res, gold_mem) = run_once(kernel, &cfg, None, GOLDEN_BUDGET);
+        let (gold_res, gold_mem) = run_once(kernel, cfg, None, GOLDEN_BUDGET);
         let gold = gold_res.map_err(|e| JobError::Permanent(format!("golden run failed: {e}")))?;
         let gold_digest = digest(&gold_mem, cells);
         let mut checks = vec!["empty-plan-identity"];
@@ -178,7 +166,7 @@ impl SimExecutor {
         // Bit-identity: installing an *empty* plan must change nothing —
         // the zero-injection hot path is one untaken branch.
         let (empty_res, empty_mem) =
-            run_once(kernel, &cfg, Some(&InjectionPlan::default()), GOLDEN_BUDGET);
+            run_once(kernel, cfg, Some(&InjectionPlan::default()), GOLDEN_BUDGET);
         let empty =
             empty_res.map_err(|e| JobError::Permanent(format!("empty-plan run failed: {e}")))?;
         if (empty.cycles, empty.core.instrs, digest(&empty_mem, cells))
@@ -232,9 +220,9 @@ impl SimExecutor {
         store: &Store,
     ) -> Result<Arc<Vec<u8>>, JobError> {
         let key = format!(
-            "warm-{}-{}",
+            "warm-{}-{:032x}",
             kernel.label(),
-            crate::spec::fnv1a128_hex(cfg.canonical_text().as_bytes())
+            hb_mem::fnv1a128(cfg.canonical_text().as_bytes())
         );
         if let Some(blob) = self.warm_blobs.lock().unwrap().get(&key) {
             return Ok(blob.clone());
@@ -264,7 +252,7 @@ impl SimExecutor {
 
     fn run_fault(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError> {
         let kernel = campaign_kernel(&spec.kernel)?;
-        let cfg = self.machine_config(spec);
+        let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
         let cells = cfg.num_cells;
@@ -273,7 +261,7 @@ impl SimExecutor {
         let plan = match &spec.plan {
             PlanSpec::Explicit(plan) => plan.clone(),
             PlanSpec::Seeded { faults } => {
-                InjectionPlan::random(spec.seed, *faults as usize, &plan_shape(&cfg, gold.cycles))
+                InjectionPlan::random(spec.seed, *faults as usize, &plan_shape(cfg, gold.cycles))
             }
             PlanSpec::None => {
                 return Err(JobError::Permanent(
@@ -315,7 +303,7 @@ impl SimExecutor {
             let warm = spec.kernel.starts_with("warm:")
                 && plan.injections.iter().all(|i| i.cycle > WARM_CYCLES);
             if warm {
-                let blob = self.warm_blob(kernel, &cfg, store)?;
+                let blob = self.warm_blob(kernel, cfg, store)?;
                 hb_ckpt::restore(&mut machine, &blob).map_err(|e| {
                     JobError::Permanent(format!("warm checkpoint restore failed: {e}"))
                 })?;
@@ -399,11 +387,11 @@ impl SimExecutor {
                 .find(|b| b.name().eq_ignore_ascii_case(name))
                 .ok_or_else(|| JobError::Permanent(format!("unknown kernel {name:?}")))?,
         };
-        let cfg = self.machine_config(spec);
+        let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
         let stats = bench
-            .run(&cfg, size)
+            .run(cfg, size)
             .map_err(|e| JobError::Permanent(format!("{} failed: {e}", bench.name())))?;
         Ok(JobRecord {
             kind: spec.kind.canonical(),
@@ -429,7 +417,7 @@ impl SimExecutor {
             .ok_or_else(|| JobError::Permanent(format!("unknown kernel {:?}", spec.kernel)))?;
         let cfg = MachineConfig {
             profile: true,
-            ..self.machine_config(spec)
+            ..spec.config.clone()
         };
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
@@ -466,7 +454,7 @@ impl SimExecutor {
             .ok_or_else(|| JobError::Permanent(format!("unknown kernel {:?}", spec.kernel)))?;
         let cfg = MachineConfig {
             race_check: true,
-            ..self.machine_config(spec)
+            ..spec.config.clone()
         };
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;

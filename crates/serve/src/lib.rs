@@ -11,9 +11,11 @@
 //! * [`store`] — the content-addressed results [`Store`]: one JSON object
 //!   per completed job under its hash, plus an append-only journal with
 //!   truncated-tail recovery. Identical work is a cache hit forever.
-//! * [`pool`] — the worker pool: bounded in-flight memory, per-job panic
-//!   isolation, bounded retries with backoff, cooperative cancellation and
-//!   an exact execution budget (`max_jobs`) for deterministic mid-run stops.
+//! * [`pool`] — the worker pool, the workspace's one level of host
+//!   parallelism: an ordered, panic-isolating map over scoped workers, and
+//!   on it the campaign runner — bounded in-flight memory, bounded retries
+//!   with backoff, cooperative cancellation and an exact execution budget
+//!   (`max_jobs`) for deterministic mid-run stops.
 //! * [`exec`] — the [`SimExecutor`] that actually runs the simulator:
 //!   golden references (with bit-identity and hb-iss anchoring checks),
 //!   classified fault injections, and ablation benchmark points.
@@ -27,6 +29,7 @@
 //! `resume` / `report` / `gc`; `fault_campaign` and `ablation_sweeps` in
 //! `hb-bench` execute through it and inherit caching and resume.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
@@ -40,7 +43,10 @@ pub mod store;
 
 pub use campaign::{Campaign, CampaignStatus};
 pub use exec::{golden_spec, size_token, SimExecutor};
-pub use pool::{run_jobs, CampaignSummary, CancelToken, Executor, JobError, RunOpts};
+pub use pool::{
+    run_jobs, run_ordered, run_ordered_results, CampaignSummary, CancelToken, Executor, JobError,
+    JobPanic, RunOpts,
+};
 pub use spec::{binary_rev, JobKind, JobSpec, PlanSpec, SCHEMA_REV};
 pub use store::{GcStats, JobRecord, JournalEntry, Store};
 

@@ -1,19 +1,93 @@
-//! The campaign worker pool: executes a manifest of jobs against the store
-//! with bounded in-flight memory (one job per worker at a time; results
-//! stream to disk, never accumulate in RAM), per-job panic isolation,
-//! bounded retries with backoff for transient failures, and cooperative
-//! cancellation.
+//! The workspace's one level of host parallelism: independent jobs fanned
+//! out over scoped workers. A simulated machine runs on the thread that
+//! ticks it; what scales is running many of them.
 //!
-//! This is the durable sibling of `hb-bench`'s `jobs::run_ordered`: the same
-//! scoped-thread claim-by-atomic-index shape, but jobs are keyed by content
-//! hash, completed jobs are skipped (cache hits), and a panicking job
-//! becomes a `failed` journal entry instead of poisoning the pool.
+//! [`run_ordered_results`] is the one claim loop — workers claim items by
+//! atomic index, each item runs under `catch_unwind`, results come back in
+//! item order. The figure binaries map their (kernel, configuration)
+//! points through it ([`run_ordered`]); [`run_jobs`] maps a campaign
+//! manifest through it against the store, with bounded in-flight memory
+//! (one job per worker at a time; results stream to disk, and what comes
+//! back per job is a counter-sized outcome), completed jobs skipped as
+//! cache hits, bounded retries with backoff for transient failures,
+//! cooperative cancellation, and a panicking job recorded as a `failed`
+//! journal entry.
 
 use crate::spec::JobSpec;
 use crate::store::{JobRecord, Store};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// One job's panic, caught and isolated by [`run_ordered_results`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobPanic {
+    /// Submission index of the job that panicked.
+    pub index: usize,
+    /// Best-effort panic payload message.
+    pub message: String,
+}
+
+/// Runs `f` over every item on up to `threads` scoped workers and returns
+/// one `Result` **per item, in item order** (work-stealing execution,
+/// deterministic collection). Each job runs under `catch_unwind`, so a
+/// panicking job yields `Err(JobPanic)` in its own slot and every other job
+/// still completes — one bad simulation point cannot take down a
+/// whole-figure sweep. With `threads <= 1` (or a single item) the loop
+/// runs on the calling thread, in order, with the same isolation.
+pub fn run_ordered_results<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<Result<T, JobPanic>>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> T + Sync,
+{
+    let n = items.len();
+    let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| JobPanic {
+            index: i,
+            message: panic_message(payload.as_ref()),
+        });
+        *slots[i].lock().expect("unpoisoned: no job runs under it") = Some(out);
+    };
+    if threads <= 1 || n <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..threads.min(n) {
+                s.spawn(worker);
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("unpoisoned: no job runs under it")
+                .expect("every job completed")
+        })
+        .collect()
+}
+
+/// [`run_ordered_results`] for harnesses that treat any panic as fatal:
+/// every *other* job still runs to completion first, then the first panic
+/// (in item order) is re-raised with its index and message.
+pub fn run_ordered<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> T + Sync,
+{
+    run_ordered_results(items, threads, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| panic!("job {} panicked: {}", p.index, p.message)))
+        .collect()
+}
 
 /// How a job execution failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +204,18 @@ impl CampaignSummary {
     }
 }
 
+/// What became of one job of a manifest (beside its retry count).
+enum Outcome {
+    /// Ran to a stored result.
+    Stored,
+    /// A valid result was already stored.
+    Cached,
+    /// Terminal failure, journaled.
+    Failed,
+    /// Not attempted.
+    Skipped,
+}
+
 /// Executes `specs` over `opts.threads` workers. Jobs whose hash is already
 /// stored are counted as cache hits and skipped; the rest run with per-job
 /// `catch_unwind` isolation and bounded retries, streaming results into
@@ -142,94 +228,66 @@ pub fn run_jobs(
     cancel: &CancelToken,
 ) -> CampaignSummary {
     let started = std::time::Instant::now();
-    let next = AtomicUsize::new(0);
     let executed = AtomicUsize::new(0);
-    let run = AtomicUsize::new(0);
-    let cached = AtomicUsize::new(0);
-    let retried = AtomicUsize::new(0);
-    let failed = AtomicUsize::new(0);
-    let skipped = AtomicUsize::new(0);
-
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= specs.len() {
-            break;
-        }
+    let run_one = |_, spec: &JobSpec| -> (Outcome, usize) {
         if cancel.is_cancelled() {
-            skipped.fetch_add(1, Ordering::Relaxed);
-            continue;
+            return (Outcome::Skipped, 0);
         }
-        let spec = &specs[i];
         let hash = spec.hash();
         if store.has(&hash) {
-            cached.fetch_add(1, Ordering::Relaxed);
-            continue;
+            return (Outcome::Cached, 0);
         }
         // The executed-budget claim happens before running so `max_jobs`
         // is exact: exactly that many cache misses execute.
         if let Some(max) = opts.max_jobs {
             if executed.fetch_add(1, Ordering::Relaxed) >= max {
                 cancel.cancel();
-                skipped.fetch_add(1, Ordering::Relaxed);
-                continue;
+                return (Outcome::Skipped, 0);
             }
         }
         let mut attempts: u32 = 0;
-        let outcome = loop {
-            let result = catch_unwind(AssertUnwindSafe(|| exec.run(spec, store)));
-            let err = match result {
+        let failure = loop {
+            match catch_unwind(AssertUnwindSafe(|| exec.run(spec, store))) {
                 Ok(Ok(mut rec)) => {
                     rec.hash = hash.clone();
                     rec.retries = attempts;
-                    break Ok(rec);
+                    match store.put(&rec) {
+                        Ok(()) => return (Outcome::Stored, attempts as usize),
+                        Err(_) => return (Outcome::Failed, attempts as usize),
+                    }
                 }
                 Ok(Err(JobError::Transient(_))) if attempts < opts.retries => {
-                    retried.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_millis(
                         opts.backoff_ms << attempts.min(10),
                     ));
                     attempts += 1;
-                    continue;
                 }
-                Ok(Err(e)) => e.message().to_owned(),
-                Err(payload) => format!("panic: {}", panic_message(payload.as_ref())),
-            };
-            break Err(err);
+                Ok(Err(e)) => break e.message().to_owned(),
+                Err(payload) => break format!("panic: {}", panic_message(payload.as_ref())),
+            }
         };
-        match outcome {
-            Ok(rec) => {
-                if store.put(&rec).is_ok() {
-                    run.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(msg) => {
-                let _ = store.record_failure(&hash, &msg, attempts);
-                failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let _ = store.record_failure(&hash, &failure, attempts);
+        (Outcome::Failed, attempts as usize)
     };
 
-    if opts.threads <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..opts.threads.min(specs.len().max(1)) {
-                s.spawn(worker);
-            }
-        });
-    }
-
-    CampaignSummary {
+    let mut summary = CampaignSummary {
         total: specs.len(),
-        run: run.load(Ordering::Relaxed),
-        cached: cached.load(Ordering::Relaxed),
-        retried: retried.load(Ordering::Relaxed),
-        failed: failed.load(Ordering::Relaxed),
-        skipped: skipped.load(Ordering::Relaxed),
-        wall_ms: started.elapsed().as_millis() as u64,
+        ..CampaignSummary::default()
+    };
+    for outcome in run_ordered_results(specs, opts.threads, run_one) {
+        // A panic that escaped `run_one` came from the store, not the
+        // executor: there is nothing to journal it with.
+        let (outcome, retried) = outcome.unwrap_or((Outcome::Failed, 0));
+        summary.retried += retried;
+        match outcome {
+            Outcome::Stored => summary.run += 1,
+            Outcome::Cached => summary.cached += 1,
+            Outcome::Failed => summary.failed += 1,
+            Outcome::Skipped => summary.skipped += 1,
+        }
     }
+    summary.wall_ms = started.elapsed().as_millis() as u64;
+    summary
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -257,10 +315,7 @@ mod tests {
                 kernel: "mock".to_owned(),
                 seed: i as u64,
                 plan: PlanSpec::Seeded { faults: 1 },
-                config: MachineConfig {
-                    threads: 1,
-                    ..MachineConfig::baseline_16x8()
-                },
+                config: MachineConfig::baseline_16x8(),
                 label: format!("job {i}"),
             })
             .collect()
@@ -309,6 +364,77 @@ mod tests {
                 ..JobRecord::default()
             })
         }
+    }
+
+    #[test]
+    fn results_come_back_in_item_order() {
+        let items: Vec<usize> = (0..64).collect();
+        let out = run_ordered(&items, 4, |i, &item| {
+            assert_eq!(i, item);
+            item * 10
+        });
+        assert_eq!(out, (0..64).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn single_thread_is_inline_and_ordered() {
+        let caller = std::thread::current().id();
+        let out = run_ordered(&["a", "b", "c"], 1, |i, s| {
+            assert_eq!(std::thread::current().id(), caller);
+            format!("{i}{s}")
+        });
+        assert_eq!(out, vec!["0a", "1b", "2c"]);
+    }
+
+    #[test]
+    fn more_threads_than_items() {
+        let out = run_ordered(&[7usize], 16, |_, x| x + 1);
+        assert_eq!(out, vec![8]);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_poison_the_pool() {
+        let items: Vec<usize> = (0..8).collect();
+        let out = run_ordered_results(&items, 4, |_, &item| {
+            if item == 3 {
+                panic!("point {item} exploded");
+            }
+            item * 10
+        });
+        assert_eq!(out.len(), 8);
+        for (i, r) in out.iter().enumerate() {
+            if i == 3 {
+                let p = r.as_ref().unwrap_err();
+                assert_eq!(p.index, 3);
+                assert!(p.message.contains("point 3 exploded"), "{p:?}");
+            } else {
+                assert_eq!(*r, Ok(i * 10), "job {i} completed despite job 3");
+            }
+        }
+        // Same isolation on the single-threaded path.
+        let out = run_ordered_results(&[0usize, 1], 1, |_, &item| {
+            if item == 0 {
+                panic!("boom");
+            }
+            item
+        });
+        assert!(out[0].is_err());
+        assert_eq!(out[1], Ok(1));
+    }
+
+    #[test]
+    fn run_ordered_reraises_the_first_panic_in_order() {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_ordered(&[0usize, 1, 2], 2, |_, &item| {
+                if item >= 1 {
+                    panic!("item {item} bad");
+                }
+                item
+            })
+        }));
+        let msg = panic_message(caught.unwrap_err().as_ref());
+        assert!(msg.contains("job 1 panicked"), "{msg}");
+        assert!(msg.contains("item 1 bad"), "{msg}");
     }
 
     #[test]

@@ -142,10 +142,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hb-serve-report-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
-        let cfg = MachineConfig {
-            threads: 1,
-            ..MachineConfig::baseline_16x8()
-        };
+        let cfg = MachineConfig::baseline_16x8();
         let campaign = Campaign::fault("avf", "sgemm", &cfg, 7, 3);
 
         // Golden + 2 of 3 fault results stored.

@@ -16,6 +16,7 @@
 
 use hb_core::MachineConfig;
 use hb_fault::InjectionPlan;
+use hb_mem::fnv1a128;
 use hb_mem::text::Text;
 
 /// Version of the job canonical form *and* the stored result layout. Bump on
@@ -121,7 +122,7 @@ hb_mem::text_enum!(PlanSpec, "plan spec" {
 
 /// One fully-specified simulation job. Everything that can change the
 /// simulated result is in here (plus the revision); everything that cannot
-/// (`label`, host thread counts) stays out of the hash.
+/// (`label`, the host fields of the configuration) stays out of the hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Campaign kind.
@@ -133,7 +134,7 @@ pub struct JobSpec {
     pub seed: u64,
     /// Injection plan.
     pub plan: PlanSpec,
-    /// Machine configuration (canonicalized; `threads` never hashes).
+    /// Machine configuration (canonicalized; host fields never hash).
     pub config: MachineConfig,
     /// Display label for reports (sweep point name). **Not hashed.**
     pub label: String,
@@ -167,7 +168,7 @@ impl JobSpec {
     /// Content hash: 128-bit FNV-1a over [`JobSpec::canonical_line`], as 32
     /// lowercase hex digits. The store keys result objects by this.
     pub fn hash(&self) -> String {
-        fnv1a128_hex(self.canonical_line().as_bytes())
+        format!("{:032x}", fnv1a128(self.canonical_line().as_bytes()))
     }
 
     /// The manifest line: the canonical line plus the display label.
@@ -198,18 +199,6 @@ impl JobSpec {
     }
 }
 
-/// 128-bit FNV-1a, rendered as 32 lowercase hex digits.
-pub fn fnv1a128_hex(bytes: &[u8]) -> String {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    format!("{h:032x}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,8 +224,8 @@ mod tests {
         assert_eq!(a.hash().len(), 32);
 
         let mut c = spec();
-        c.config.threads = 16;
-        assert_eq!(a.hash(), c.hash(), "host threads must not affect the hash");
+        c.config.profile = true;
+        assert_eq!(a.hash(), c.hash(), "host fields must not affect the hash");
     }
 
     #[test]

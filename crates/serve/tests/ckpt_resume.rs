@@ -196,10 +196,7 @@ fn warm_campaign_classifies_identically_to_cold() {
 
     let base = std::env::temp_dir().join(format!("hb-serve-warm-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let cfg = MachineConfig {
-        threads: 1,
-        ..MachineConfig::baseline_16x8()
-    };
+    let cfg = MachineConfig::baseline_16x8();
     let opts = RunOpts {
         threads: 1,
         ..RunOpts::default()

@@ -17,7 +17,6 @@ fn the_five_panicking_seeds_classify() {
     let store = Store::open(&dir).unwrap();
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 4, y: 4 },
-        threads: 1,
         ..MachineConfig::baseline_16x8()
     };
     let sim = SimExecutor::new(1);

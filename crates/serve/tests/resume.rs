@@ -10,10 +10,7 @@ use hb_serve::{report, Campaign, CancelToken, RunOpts, SimExecutor, Store};
 fn real_campaign_kill_resume_and_cache() {
     let dir = std::env::temp_dir().join(format!("hb-serve-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = MachineConfig {
-        threads: 1,
-        ..MachineConfig::baseline_16x8()
-    };
+    let cfg = MachineConfig::baseline_16x8();
     // Jacobi is the cheaper campaign kernel (no iss-anchor re-run); 4 fault
     // jobs keeps this tractable in debug builds.
     let campaign = Campaign::fault("e2e jacobi", "jacobi", &cfg, 1, 4);

@@ -60,8 +60,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn config() -> MachineConfig {
     // Host-only fields pinned to the values `from_canonical_text` restores,
-    // so manifest roundtrips compare equal under any HB_THREADS
-    // environment.
+    // so manifest roundtrips compare equal.
     MachineConfig {
         threads: 1,
         event_core: true,

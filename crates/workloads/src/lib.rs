@@ -13,6 +13,8 @@
 //! plus dense matrix/signal generators and host-side golden
 //! implementations of all ten kernels used to validate simulator output.
 
+#![forbid(unsafe_code)]
+
 pub mod csr;
 pub mod gen;
 pub mod golden;

@@ -14,6 +14,8 @@
 //! assert_eq!(config.cell_dim, CellDim { x: 16, y: 8 });
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Assembler with labels, relocation and pseudo-instructions.
 pub use hb_asm as asm;
 /// Non-blocking, write-validate last-level cache banks.

@@ -1,17 +1,15 @@
 //! The checkpoint/restore determinism contract: a run restored from a
 //! mid-kernel checkpoint and continued must be *bit-identical* to the
 //! uninterrupted twin — every architectural counter, every telemetry
-//! window, the guest-code profile and the final DRAM image — across
-//! worker-thread counts {1, 4} and both park policies of the tile phase
-//! (a park-policy capture continues under never-park, which wakes and
-//! credits the restored sleepers in its ordinary build step, and a
-//! never-park capture continues under the park policy), the same matrix
-//! every prior subsystem's determinism leg pins down.
+//! window, the guest-code profile and the final DRAM image — across both
+//! park policies of the tile phase (a park-policy capture continues under
+//! never-park, which wakes and credits the restored sleepers in its
+//! ordinary build step, and a never-park capture continues under the park
+//! policy).
 //!
-//! The checkpoint itself is also deterministic: capturing at the same
-//! cycle from a 1-thread and a 4-thread run must produce byte-identical
-//! files, which is what lets `hb-serve` content-address shared warm
-//! checkpoints.
+//! The checkpoint itself is also deterministic: re-encoding a restored
+//! machine reproduces the file byte for byte, which is what lets
+//! `hb-serve` content-address shared warm checkpoints.
 
 use hammerblade::ckpt;
 use hammerblade::core::observe::MachineObserver;
@@ -24,10 +22,9 @@ use std::sync::{Arc, Mutex};
 
 const BUDGET: u64 = 200_000_000;
 
-fn cfg_with(threads: usize, event_core: bool) -> MachineConfig {
+fn cfg_with(event_core: bool) -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
-        threads,
         event_core,
         ..MachineConfig::baseline_16x8()
     }
@@ -139,7 +136,7 @@ fn capture_cycle(total: u64) -> u64 {
 
 #[test]
 fn restored_run_is_bit_identical_for_every_kernel() {
-    let base = cfg_with(1, true);
+    let base = cfg_with(true);
     for bench in suite() {
         let name = bench.name();
         // Uninterrupted twin (unobserved — attaching the capture observer
@@ -160,13 +157,6 @@ fn restored_run_is_bit_identical_for_every_kernel() {
             "{name}: capture perturbed counters"
         );
 
-        // The checkpoint is content-deterministic across worker threads.
-        let (_, blob4) = run_with_capture(bench.as_ref(), &cfg_with(4, true), at);
-        assert_eq!(
-            blob, blob4,
-            "{name}: checkpoint bytes differ between 1 and 4 worker threads"
-        );
-
         // Restore is a fixed point of encode: a field saved but not loaded,
         // or derived state leaking into the payload, would change the bytes.
         let mut restored = Machine::new(base.clone());
@@ -177,30 +167,28 @@ fn restored_run_is_bit_identical_for_every_kernel() {
         );
         drop(restored);
 
-        // Continue the same checkpoint under every host-knob combination.
+        // Continue the same checkpoint under both park policies.
         let mut digests = Vec::new();
-        for threads in [1, 4] {
-            for event_core in [false, true] {
-                let tag = format!("{name} threads={threads} event={event_core}");
-                let fin = continue_from(&blob, &cfg_with(threads, event_core));
-                assert_eq!(fin.cycles, reference.cycles, "{tag}: cycle count diverged");
-                assert_eq!(fin.core, reference.core, "{tag}: core counters diverged");
-                assert_eq!(fin.hbm, reference.hbm, "{tag}: HBM2 counters diverged");
-                assert_eq!(fin.cache, reference.cache, "{tag}: cache counters diverged");
-                assert_eq!(
-                    fin.bisection, reference.bisection,
-                    "{tag}: NoC bisection counters diverged"
-                );
-                assert_eq!(
-                    fin.east_busy, reference.profile.east_busy,
-                    "{tag}: per-router link activity diverged"
-                );
-                digests.push((tag, fin.digest));
-            }
+        for event_core in [false, true] {
+            let tag = format!("{name} event={event_core}");
+            let fin = continue_from(&blob, &cfg_with(event_core));
+            assert_eq!(fin.cycles, reference.cycles, "{tag}: cycle count diverged");
+            assert_eq!(fin.core, reference.core, "{tag}: core counters diverged");
+            assert_eq!(fin.hbm, reference.hbm, "{tag}: HBM2 counters diverged");
+            assert_eq!(fin.cache, reference.cache, "{tag}: cache counters diverged");
+            assert_eq!(
+                fin.bisection, reference.bisection,
+                "{tag}: NoC bisection counters diverged"
+            );
+            assert_eq!(
+                fin.east_busy, reference.profile.east_busy,
+                "{tag}: per-router link activity diverged"
+            );
+            digests.push((tag, fin.digest));
         }
         // And back: a never-park capture (nobody asleep, no stall debt)
         // continues under the park policy.
-        let (_, never_park_blob) = run_with_capture(bench.as_ref(), &cfg_with(1, false), at);
+        let (_, never_park_blob) = run_with_capture(bench.as_ref(), &cfg_with(false), at);
         let fin = continue_from(&never_park_blob, &base);
         let tag = format!("{name} never-park capture");
         assert_eq!(fin.cycles, reference.cycles, "{tag}: cycle count diverged");
@@ -250,7 +238,7 @@ fn sgemm_machine(cfg: &MachineConfig) -> Machine {
 
 #[test]
 fn telemetry_windows_survive_restore() {
-    let cfg = cfg_with(1, true);
+    let cfg = cfg_with(true);
     const WINDOW: u64 = 256;
     const AT: u64 = 997; // mid-window: 3 windows closed, one in flight
 
@@ -324,7 +312,7 @@ fn telemetry_windows_survive_restore() {
 fn guest_profile_survives_restore() {
     let cfg = MachineConfig {
         profile: true,
-        ..cfg_with(1, true)
+        ..cfg_with(true)
     };
 
     let mut twin = sgemm_machine(&cfg);
@@ -352,7 +340,7 @@ fn guest_profile_survives_restore() {
 
 #[test]
 fn mismatched_version_and_config_are_clean_errors() {
-    let cfg = cfg_with(1, true);
+    let cfg = cfg_with(true);
     let mut machine = sgemm_machine(&cfg);
     while machine.cycle() < 100 {
         machine.tick();
@@ -383,8 +371,8 @@ fn mismatched_version_and_config_are_clean_errors() {
         "rejected restore must not advance the machine"
     );
 
-    // Host-only knobs (threads, schedule) are free to differ.
-    let mut host_machine = Machine::new(cfg_with(4, false));
+    // Host-only knobs (the schedule) are free to differ.
+    let mut host_machine = Machine::new(cfg_with(false));
     assert_eq!(ckpt::restore(&mut host_machine, &blob).unwrap(), 100);
 
     // Corruption is a clean error too.
@@ -408,7 +396,7 @@ fn payload_layout_is_pinned_to_ckpt_version() {
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },
         profile: true,
-        ..cfg_with(1, true)
+        ..cfg_with(true)
     };
     let mut machine = sgemm_machine(&cfg);
     let sites = ["regfile(0,1,0,9,4)", "noc(0,1,0,3,0)", "freeze(0,1,0,64)"];

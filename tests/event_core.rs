@@ -15,9 +15,6 @@ use hammerblade::obs::Keep;
 
 fn cfg(event_core: bool) -> MachineConfig {
     MachineConfig {
-        // Explicit, not from the environment: each test controls the
-        // schedule itself.
-        threads: 1,
         event_core,
         ..MachineConfig::baseline_16x8()
     }

@@ -34,7 +34,6 @@ const SECTION_TAGS: [&[u8; 4]; 15] = [
 fn cfg() -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },
-        threads: 1,
         profile: true,
         // A small DRAM image keeps the structured sections a large share of
         // the payload, and each of the thousands of restores cheap.

@@ -168,7 +168,6 @@ fn chrome_trace() -> String {
         .expect("suite has SGEMM");
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },
-        threads: 1,
         telemetry_window: 1000,
         ..MachineConfig::baseline_16x8()
     };

@@ -4,7 +4,7 @@
 //!
 //! - tracing needs no schedule of its own: a traced run under the park
 //!   policy fills the shared ring with exactly the events of a traced
-//!   never-park run, at 1 and 4 worker threads;
+//!   never-park run;
 //! - `tick_profiled` *is* `tick`: a kernel driven to completion by either
 //!   ends in the same state, under both policies, and the stopwatch bills
 //!   every one of its six phase buckets.
@@ -21,10 +21,9 @@ use std::time::Duration;
 
 const BUDGET: u64 = 10_000_000;
 
-fn cfg(threads: usize, event_core: bool) -> MachineConfig {
+fn cfg(event_core: bool) -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
-        threads,
         event_core,
         ..MachineConfig::baseline_16x8()
     }
@@ -96,15 +95,15 @@ fn dram_digest(machine: &mut Machine) -> u64 {
 fn traced_park_run_fills_the_ring_like_traced_never_park() {
     for (name, build) in KERNELS {
         let mut runs = Vec::new();
-        for (threads, event_core) in [(1, false), (1, true), (4, false), (4, true)] {
-            let mut machine = build(&cfg(threads, event_core));
+        for event_core in [false, true] {
+            let mut machine = build(&cfg(event_core));
             let trace = machine.enable_tracing(1 << 20);
             let summary = machine.run(BUDGET).expect("kernel finishes");
             let (_, skipped) = machine.tile_ticks();
             assert_eq!(
                 skipped > 0,
                 event_core,
-                "{name}: tracing must leave the park policy alone (threads={threads})"
+                "{name}: tracing must leave the park policy alone"
             );
             runs.push((
                 trace.render_all(),
@@ -153,7 +152,7 @@ fn tick_profiled_is_tick_with_a_stopwatch() {
     for (name, build) in KERNELS {
         let mut finishes = Vec::new();
         for event_core in [false, true] {
-            let cfg = cfg(1, event_core);
+            let cfg = cfg(event_core);
             let mut plain = build(&cfg);
             while !plain.all_done() && plain.cycle() < BUDGET {
                 plain.tick();

@@ -5,18 +5,17 @@
 //!
 //! 1. the SGEMM profile names the FMA inner-loop block as the top retired
 //!    block, with more than half of all retired instructions;
-//! 2. the folded-stack export is byte-identical across host thread counts
-//!    and under both park policies of the tile phase;
+//! 2. the folded-stack export is byte-identical under both park policies
+//!    of the tile phase;
 //! 3. enabling profiling does not change simulated cycles.
 
 use hammerblade::core::{CellDim, MachineConfig};
 use hammerblade::kernels::{suite, SizeClass};
 use hammerblade::prof::{folded, summary, Analysis};
 
-fn cfg(threads: usize, event_core: bool, profile: bool) -> MachineConfig {
+fn cfg(event_core: bool, profile: bool) -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
-        threads,
         event_core,
         profile,
         ..MachineConfig::baseline_16x8()
@@ -25,13 +24,11 @@ fn cfg(threads: usize, event_core: bool, profile: bool) -> MachineConfig {
 
 /// Runs SGEMM at tiny scale under the profiler and returns the analysis,
 /// the FMA-block disassembly of the top retired block, and the cycle count.
-fn sgemm_profile(threads: usize, event_core: bool) -> (Analysis, Vec<String>, u64) {
+fn sgemm_profile(event_core: bool) -> (Analysis, Vec<String>, u64) {
     let suite = suite();
     let bench = suite.iter().find(|b| b.name() == "SGEMM").unwrap();
     let (scope, store) = hammerblade::prof::attach();
-    let stats = bench
-        .run(&cfg(threads, event_core, true), SizeClass::Tiny)
-        .unwrap();
+    let stats = bench.run(&cfg(event_core, true), SizeClass::Tiny).unwrap();
     drop(scope);
     let store = store.lock().unwrap();
     let run = store.last().expect("profiled machine harvests a profile");
@@ -50,7 +47,7 @@ fn sgemm_profile(threads: usize, event_core: bool) -> (Analysis, Vec<String>, u6
 
 #[test]
 fn sgemm_fma_inner_loop_dominates_retired_instructions() {
-    let (a, body, _) = sgemm_profile(1, false);
+    let (a, body, _) = sgemm_profile(false);
     let top = a.ranked.iter().max_by_key(|r| r.retired).unwrap();
     assert!(
         a.retired_share_bp(top) > 5000,
@@ -68,30 +65,28 @@ fn sgemm_fma_inner_loop_dominates_retired_instructions() {
 
 #[test]
 fn profile_exports_are_identical_across_host_schedules() {
-    let (base, _, _) = sgemm_profile(1, false);
+    let (base, _, _) = sgemm_profile(false);
     let folded_base = folded::to_string(&base);
     let ndjson_base = summary::to_ndjson(&base);
     assert!(!folded_base.is_empty());
-    for (threads, event_core) in [(1, true), (4, false), (4, true)] {
-        let (a, _, _) = sgemm_profile(threads, event_core);
-        assert_eq!(
-            folded::to_string(&a),
-            folded_base,
-            "folded export differs at threads={threads} event_core={event_core}"
-        );
-        assert_eq!(
-            summary::to_ndjson(&a),
-            ndjson_base,
-            "NDJSON export differs at threads={threads} event_core={event_core}"
-        );
-    }
+    let (a, _, _) = sgemm_profile(true);
+    assert_eq!(
+        folded::to_string(&a),
+        folded_base,
+        "folded export differs under the park policy"
+    );
+    assert_eq!(
+        summary::to_ndjson(&a),
+        ndjson_base,
+        "NDJSON export differs under the park policy"
+    );
 }
 
 #[test]
 fn profiling_does_not_change_simulated_cycles() {
     let suite = suite();
     let bench = suite.iter().find(|b| b.name() == "SGEMM").unwrap();
-    let off = bench.run(&cfg(1, true, false), SizeClass::Tiny).unwrap();
-    let (_, _, on_cycles) = sgemm_profile(1, true);
+    let off = bench.run(&cfg(true, false), SizeClass::Tiny).unwrap();
+    let (_, _, on_cycles) = sgemm_profile(true);
     assert_eq!(off.cycles, on_cycles, "profiling must be timing-invisible");
 }

@@ -3,18 +3,15 @@
 //! baseline) and then with the sampler attached at several windows —
 //! including the pathological `window = 1` (a sample every machine tick)
 //! and a coprime window (1009) — and every architectural counter must be
-//! bit-identical. Sampling also composes with the parallel tile phase:
-//! an instrumented `threads = 4` run matches the uninstrumented
-//! `threads = 1` baseline too.
+//! bit-identical.
 
 use hammerblade::core::{CellDim, MachineConfig};
 use hammerblade::kernels::{suite, SizeClass};
 use hammerblade::obs::Keep;
 
-fn cfg(threads: usize, window: u64) -> MachineConfig {
+fn cfg(window: u64) -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
-        threads,
         telemetry_window: window,
         ..MachineConfig::baseline_16x8()
     }
@@ -25,9 +22,9 @@ fn telemetry_never_perturbs_any_kernel() {
     for bench in suite() {
         let name = bench.name();
         let base = bench
-            .run(&cfg(1, 0), SizeClass::Tiny)
+            .run(&cfg(0), SizeClass::Tiny)
             .unwrap_or_else(|e| panic!("{name} baseline failed: {e}"));
-        for (window, threads) in [(1u64, 1usize), (64, 1), (1009, 1), (64, 4)] {
+        for window in [1u64, 64, 1009] {
             // Bound retention at window = 1: one sample per machine tick.
             let keep = if window == 1 {
                 Keep::Last(8)
@@ -36,12 +33,10 @@ fn telemetry_never_perturbs_any_kernel() {
             };
             let (scope, store) = hammerblade::obs::attach(keep);
             let run = bench
-                .run(&cfg(threads, window), SizeClass::Tiny)
-                .unwrap_or_else(|e| {
-                    panic!("{name} (window={window}, threads={threads}) failed: {e}")
-                });
+                .run(&cfg(window), SizeClass::Tiny)
+                .unwrap_or_else(|e| panic!("{name} (window={window}) failed: {e}"));
             drop(scope);
-            let label = format!("{name} window={window} threads={threads}");
+            let label = format!("{name} window={window}");
             assert_eq!(base.cycles, run.cycles, "{label}: cycle count diverged");
             assert_eq!(base.core, run.core, "{label}: core counters diverged");
             assert_eq!(base.hbm, run.hbm, "{label}: HBM2 counters diverged");
@@ -61,7 +56,7 @@ fn telemetry_never_perturbs_any_kernel() {
 fn telemetry_windows_cover_the_whole_run() {
     let bench = &suite()[0];
     let (scope, store) = hammerblade::obs::attach(Keep::All);
-    let stats = bench.run(&cfg(1, 64), SizeClass::Tiny).unwrap();
+    let stats = bench.run(&cfg(64), SizeClass::Tiny).unwrap();
     drop(scope);
     let t = store.lock().unwrap();
     // Windows tile [0, final] exactly: contiguous, no gaps, no overlap.

@@ -11,7 +11,6 @@ use hammerblade::obs::{chrome, json, ndjson, Keep};
 fn sgemm_cfg(dim: CellDim, window: u64) -> MachineConfig {
     MachineConfig {
         cell_dim: dim,
-        threads: 1,
         telemetry_window: window,
         ..MachineConfig::baseline_16x8()
     }
