@@ -212,9 +212,7 @@ impl TileSched {
 
         // Step: only the wake list.
         for &i in &self.run_list {
-            let t = &mut tiles[i as usize];
-            t.step(now);
-            self.parks.push(t.park_hint(now));
+            self.parks.push(tiles[i as usize].step(now));
         }
         self.stepped += self.run_list.len() as u64;
         clock.lap(|t| &mut t.tiles);

@@ -6,7 +6,7 @@ use std::ops::{Add, AddAssign, Sub};
 
 /// Why a core did not retire an instruction this cycle (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum StallKind {
     /// Instruction-cache miss refill.
     IcacheMiss = 0,

@@ -13,6 +13,7 @@ use crate::config::MachineConfig;
 use crate::icache::ICache;
 use crate::payload::{NodeId, ReqKind, Request, RespKind, Response};
 use crate::pgas::{csr, PgasMap, Target};
+use crate::sched::Park;
 use crate::stats::{CoreStats, StallKind};
 use crate::trace::{TraceEvent, TraceHandle};
 use hb_asm::Program;
@@ -105,6 +106,13 @@ pub struct Tile {
     fp_pending: [bool; 32],
     fpu_busy_until: u64,
     div_busy_until: u64,
+    /// Hazard horizon: an upper bound on every `int_ready`/`fp_ready` entry
+    /// and both `*_busy_until`s, so that with no remote operation
+    /// outstanding and `now >= haz_until` no instruction can have a hazard
+    /// and [`Tile::execute`] skips the check. Raised wherever those are
+    /// written ([`Tile::raise_horizon`]), zeroed by [`Tile::launch`],
+    /// re-derived after a restore ([`Tile::check_restored`]).
+    haz_until: u64,
     penalty_until: u64,
     penalty_kind: StallKind,
 
@@ -260,8 +268,8 @@ hb_mem::snap_state!(Tile [b"TILE"] {
         resp_outbox, req_inbox, resp_inbox, resp_stage, wants_join, barrier_waiting, running,
         finished, fault, stats, last_cycle, observed, obs_events, prof;
     fixed: spm;
-    host: cfg, pgas, xy, program, trace, race_check, race_log, race_join_unfenced;
-});
+    host: cfg, pgas, xy, haz_until, program, trace, race_check, race_log, race_join_unfenced;
+} check check_restored);
 
 impl Tile {
     /// Creates an idle tile.
@@ -293,6 +301,7 @@ impl Tile {
             fp_pending: [false; 32],
             fpu_busy_until: 0,
             div_busy_until: 0,
+            haz_until: 0,
             penalty_until: 0,
             penalty_kind: StallKind::IcacheMiss,
             icache,
@@ -397,8 +406,23 @@ impl Tile {
             .map(|i| i.to_string())
     }
 
-    /// Launches the kernel: resets architectural state, loads `args` into
-    /// `a0..a7` (and the ARG CSRs), points the PC at the program base.
+    /// Launches the kernel: resets every per-kernel field — architectural
+    /// registers, hazard and scoreboard state, barrier flags, run state —
+    /// loads `args` into `a0..a7` (and the ARG CSRs) and points the PC at
+    /// the program base, so nothing the previous kernel left half-done (a
+    /// barrier join, an outstanding remote op, a divide in flight) is
+    /// blamed on this one.
+    ///
+    /// What deliberately survives: the scratchpad contents and the icache
+    /// tags (kernels hand data over through the SPM, and a relaunch of the
+    /// same code starts warm, as on the hardware), the cumulative `stats`,
+    /// the trace handle, the telemetry and race-log buffers, `last_cycle`
+    /// (the clock does not restart), `next_op_id` (so a response to a dead
+    /// kernel's operation cannot alias a live one — it traps as "unknown
+    /// op" instead of landing in a register) and the network-interface
+    /// queues, whose packets are the Cell's to deliver. An injected freeze
+    /// also stays: it is a fault of the tile, not state of the kernel it
+    /// interrupted. The guest profile is re-allocated, sized by `program`.
     pub fn launch(&mut self, program: Arc<Program>, args: &[u32], group: GroupInfo) {
         assert!(args.len() <= 8, "at most 8 kernel arguments");
         self.regs = [0; 32];
@@ -407,6 +431,17 @@ impl Tile {
         self.fp_ready = [0; 32];
         self.int_pending = [false; 32];
         self.fp_pending = [false; 32];
+        self.fpu_busy_until = 0;
+        self.div_busy_until = 0;
+        self.haz_until = 0;
+        if self.penalty_kind != StallKind::Frozen {
+            self.penalty_until = 0;
+        }
+        self.outstanding = 0;
+        self.pending_ops.clear();
+        self.wants_join = false;
+        self.barrier_waiting = false;
+        self.race_join_unfenced = false;
         self.args = [0; 8];
         for (i, &a) in args.iter().enumerate() {
             self.args[i] = a;
@@ -662,10 +697,27 @@ impl Tile {
         }
     }
 
+    /// Keeps `haz_until` above a ready/busy time that was just written.
+    fn raise_horizon(&mut self, until: u64) {
+        self.haz_until = self.haz_until.max(until);
+    }
+
+    /// After a restore: re-derives the hazard horizon, which is not in the
+    /// stream, from the ready and busy times that are.
+    fn check_restored(&mut self) -> Result<(), hb_mem::SnapError> {
+        let ready = self.int_ready.iter().chain(&self.fp_ready).copied().max();
+        self.haz_until = ready
+            .unwrap_or(0)
+            .max(self.fpu_busy_until)
+            .max(self.div_busy_until);
+        Ok(())
+    }
+
     fn set_int_latency(&mut self, rd: Gpr, now: u64, lat: u64, kind: StallKind) {
         if rd != Gpr::Zero && lat > 1 {
             self.int_ready[rd.index() as usize] = now + lat;
             self.int_ready_kind[rd.index() as usize] = kind;
+            self.raise_horizon(now + lat);
         }
     }
 
@@ -673,6 +725,7 @@ impl Tile {
         if lat > 1 {
             self.fp_ready[rd.index() as usize] = now + lat;
             self.fp_ready_kind[rd.index() as usize] = kind;
+            self.raise_horizon(now + lat);
         }
     }
 
@@ -783,9 +836,17 @@ impl Tile {
                 RespKind::StoreAck
             }
             ReqKind::Amo { addr, op, data } => {
-                // AMOs on scratchpads are allowed for flags/mailboxes.
-                let old = read_bytes(&self.spm, addr, 4);
-                write_bytes(&mut self.spm, addr, 4, op.apply(old, data));
+                // AMOs on scratchpads are allowed for flags/mailboxes. The
+                // issuing tile traps an overrun; one that arrives anyway
+                // (a corrupted packet) reads as zero and writes nothing,
+                // like the loads and stores above.
+                let old = if addr + 4 > self.cfg.spm_bytes {
+                    0
+                } else {
+                    let old = read_bytes(&self.spm, addr, 4);
+                    write_bytes(&mut self.spm, addr, 4, op.apply(old, data));
+                    old
+                };
                 RespKind::AmoOld { data: old }
             }
         };
@@ -991,8 +1052,9 @@ impl Tile {
         })
     }
 
-    /// Advances the tile one core cycle.
-    pub fn step(&mut self, now: u64) {
+    /// Advances the tile one core cycle and reports whether the wake list
+    /// may skip it afterwards (the contract of the hint is on `park_hint`).
+    pub fn step(&mut self, now: u64) -> Park {
         self.last_cycle = now;
         // Response draining and SPM servicing happen even while stalled.
         self.drain_responses(now);
@@ -1005,6 +1067,13 @@ impl Tile {
             }
         }
 
+        self.issue(now);
+        self.park_hint(now)
+    }
+
+    /// The cycle's one issue slot: retires one instruction or records
+    /// exactly one stall.
+    fn issue(&mut self, now: u64) {
         if !self.running {
             if self.finished {
                 self.stall(StallKind::Done);
@@ -1035,7 +1104,7 @@ impl Tile {
             self.stall(StallKind::IcacheMiss);
             return;
         }
-        let program = self.program.clone().expect("running tile without program");
+        let program = self.program.as_ref().expect("running tile without program");
         let Some(instr) = program.instr_at(self.pc) else {
             self.trap("pc outside program image".to_owned());
             return;
@@ -1045,8 +1114,8 @@ impl Tile {
     }
 
     /// Scheduling hint for the wake list's park policy (see `crate::sched`),
-    /// computed after [`Tile::step`] ran for cycle `now`: may the Cell
-    /// skip this tile, and until when?
+    /// computed by [`Tile::step`] once cycle `now`'s issue slot is spent:
+    /// may the Cell skip this tile, and until when?
     ///
     /// The contract: a `Sleep { kind, wake_at }` promises that stepping
     /// the tile at every cycle in `(now, wake_at)` would drain nothing, serve
@@ -1054,8 +1123,7 @@ impl Tile {
     /// unless an external event re-arms the tile first, which the Cell
     /// guarantees happens on any delivery, barrier release or host/fault
     /// mutation. Anything not provably in that shape stays `Awake`.
-    pub(crate) fn park_hint(&self, now: u64) -> crate::sched::Park {
-        use crate::sched::Park;
+    fn park_hint(&self, now: u64) -> Park {
         // Pending inbox/staged traffic or an armed combining latch needs
         // per-cycle service regardless of pipeline state.
         if !self.resp_inbox.is_empty()
@@ -1106,40 +1174,44 @@ impl Tile {
             // One remaining penalty cycle: skipping it saves nothing.
             return Park::Awake;
         }
-        // The tile would fetch and (maybe) execute next cycle. Peek: if
-        // the fetch hits and the instruction is provably stuck on a
-        // pending remote operand — or is a fence over outstanding ops —
-        // every cycle until a response delivery is a constant stall.
-        let Some(program) = &self.program else {
-            return Park::Awake;
-        };
-        if !self.icache.would_hit(self.pc) {
+        // The tile would fetch and (maybe) execute next cycle. It can only
+        // be stuck until a response delivery if a response is due: pending
+        // bits are set together with `outstanding += 1` and cleared with
+        // the matching decrement, and a fence waits on `outstanding`
+        // itself. With nothing in flight the fetch is not repeated here.
+        if self.outstanding == 0 {
+            debug_assert_eq!(self.stuck_on_remote(now), None);
             return Park::Awake;
         }
-        let Some(instr) = program.instr_at(self.pc) else {
-            return Park::Awake;
-        };
+        match self.stuck_on_remote(now) {
+            Some(kind) => Park::Sleep {
+                kind: Some(kind),
+                wake_at: u64::MAX,
+            },
+            None => Park::Awake,
+        }
+    }
+
+    /// Peeks at the next issue slot: if the fetch hits and the instruction
+    /// is provably stuck on a pending remote operand — or is a fence over
+    /// outstanding ops — every cycle until a response delivery is a
+    /// constant stall of the returned kind.
+    fn stuck_on_remote(&self, now: u64) -> Option<StallKind> {
+        let program = self.program.as_ref()?;
+        if !self.icache.would_hit(self.pc) {
+            return None;
+        }
+        let instr = program.instr_at(self.pc)?;
         if matches!(instr, Instr::Fence) {
-            if self.outstanding > 0 {
-                return Park::Sleep {
-                    kind: Some(StallKind::Fence),
-                    wake_at: u64::MAX,
-                };
-            }
-            return Park::Awake;
+            return (self.outstanding > 0).then_some(StallKind::Fence);
         }
         // `RemoteLoad` from `instr_hazard` can only come from a pending
         // bit (ready-kind arrays never hold it), the first-checked
         // blocking source stays first and pending until a response
         // delivery, and deliveries always wake — so the stall kind is
         // constant over the whole sleep.
-        if self.instr_hazard(&instr, now + 1) == Some(StallKind::RemoteLoad) {
-            return Park::Sleep {
-                kind: Some(StallKind::RemoteLoad),
-                wake_at: u64::MAX,
-            };
-        }
-        Park::Awake
+        (self.instr_hazard(&instr, now + 1) == Some(StallKind::RemoteLoad))
+            .then_some(StallKind::RemoteLoad)
     }
 
     /// Decodes hazards and executes one instruction (or records one stall).
@@ -1147,11 +1219,16 @@ impl Tile {
     fn execute(&mut self, instr: Instr, now: u64) {
         use Instr as I;
 
-        // Source / structural hazard checks.
-        let hazard = self.instr_hazard(&instr, now);
-        if let Some(kind) = hazard {
-            self.stall(kind);
-            return;
+        // Source / structural hazard checks — only when something can be
+        // in flight: a remote operation (pending bits) or a result or unit
+        // not yet past the hazard horizon.
+        if self.outstanding > 0 || now < self.haz_until {
+            if let Some(kind) = self.instr_hazard(&instr, now) {
+                self.stall(kind);
+                return;
+            }
+        } else {
+            debug_assert_eq!(self.instr_hazard(&instr, now), None);
         }
 
         // The compressor detects *consecutive* remote loads in the
@@ -1161,7 +1238,6 @@ impl Tile {
             self.flush_combine();
         }
 
-        let cfg = self.cfg.clone();
         let mut next_pc = self.pc.wrapping_add(4);
         let mut fp_instr = false;
 
@@ -1180,7 +1256,7 @@ impl Tile {
                 next_pc = target;
                 // Indirect targets are not captured by the icache-embedded
                 // BTB: charge the misprediction penalty.
-                self.penalty_until = now + cfg.branch_miss_penalty;
+                self.penalty_until = now + self.cfg.branch_miss_penalty;
                 self.penalty_kind = StallKind::BranchMiss;
                 self.stats.branch_misses += 1;
             }
@@ -1202,7 +1278,7 @@ impl Tile {
                 }
                 if taken != predicted_taken {
                     self.stats.branch_misses += 1;
-                    self.penalty_until = now + cfg.branch_miss_penalty;
+                    self.penalty_until = now + self.cfg.branch_miss_penalty;
                     self.penalty_kind = StallKind::BranchMiss;
                 }
             }
@@ -1222,10 +1298,11 @@ impl Tile {
                             | hb_isa::OpOp::Rem
                             | hb_isa::OpOp::Remu
                     ) {
-                        self.div_busy_until = now + cfg.div_latency;
-                        cfg.div_latency
+                        self.div_busy_until = now + self.cfg.div_latency;
+                        self.raise_horizon(self.div_busy_until);
+                        self.cfg.div_latency
                     } else {
-                        cfg.mul_latency
+                        self.cfg.mul_latency
                     };
                     self.set_int_latency(rd, now, lat, StallKind::IntBusy);
                 }
@@ -1321,17 +1398,19 @@ impl Tile {
                 self.fregs[rd.index() as usize] = op.eval(a, b);
                 match op {
                     hb_isa::FpOp::Div => {
-                        self.fpu_busy_until = now + cfg.fdiv_latency;
-                        self.set_fp_latency(rd, now, cfg.fdiv_latency, StallKind::FpBusy);
+                        self.fpu_busy_until = now + self.cfg.fdiv_latency;
+                        self.raise_horizon(self.fpu_busy_until);
+                        self.set_fp_latency(rd, now, self.cfg.fdiv_latency, StallKind::FpBusy);
                     }
                     hb_isa::FpOp::Sqrt => {
-                        self.fpu_busy_until = now + cfg.fsqrt_latency;
-                        self.set_fp_latency(rd, now, cfg.fsqrt_latency, StallKind::FpBusy);
+                        self.fpu_busy_until = now + self.cfg.fsqrt_latency;
+                        self.raise_horizon(self.fpu_busy_until);
+                        self.set_fp_latency(rd, now, self.cfg.fsqrt_latency, StallKind::FpBusy);
                     }
                     hb_isa::FpOp::Mul => {
-                        self.set_fp_latency(rd, now, cfg.fma_latency, StallKind::Bypass);
+                        self.set_fp_latency(rd, now, self.cfg.fma_latency, StallKind::Bypass);
                     }
-                    _ => self.set_fp_latency(rd, now, cfg.fp_latency, StallKind::Bypass),
+                    _ => self.set_fp_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass),
                 }
             }
             I::Fma {
@@ -1346,38 +1425,38 @@ impl Tile {
                 let b = self.fregs[rs2.index() as usize];
                 let c = self.fregs[rs3.index() as usize];
                 self.fregs[rd.index() as usize] = op.eval(a, b, c);
-                self.set_fp_latency(rd, now, cfg.fma_latency, StallKind::Bypass);
+                self.set_fp_latency(rd, now, self.cfg.fma_latency, StallKind::Bypass);
             }
             I::FpCmp { op, rd, rs1, rs2 } => {
                 fp_instr = true;
                 let a = self.fregs[rs1.index() as usize];
                 let b = self.fregs[rs2.index() as usize];
                 self.write_int(rd, u32::from(op.eval(a, b)));
-                self.set_int_latency(rd, now, cfg.fp_latency, StallKind::Bypass);
+                self.set_int_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtWS { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.fregs[rs1.index() as usize];
                 self.write_int(rd, v as i32 as u32);
-                self.set_int_latency(rd, now, cfg.fp_latency, StallKind::Bypass);
+                self.set_int_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtWuS { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.fregs[rs1.index() as usize];
                 self.write_int(rd, v as u32);
-                self.set_int_latency(rd, now, cfg.fp_latency, StallKind::Bypass);
+                self.set_int_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtSW { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.regs[rs1.index() as usize] as i32;
                 self.fregs[rd.index() as usize] = v as f32;
-                self.set_fp_latency(rd, now, cfg.fp_latency, StallKind::Bypass);
+                self.set_fp_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtSWu { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.regs[rs1.index() as usize];
                 self.fregs[rd.index() as usize] = v as f32;
-                self.set_fp_latency(rd, now, cfg.fp_latency, StallKind::Bypass);
+                self.set_fp_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FmvXW { rd, rs1 } => {
                 fp_instr = true;
@@ -1781,6 +1860,10 @@ impl Tile {
                 true
             }
             Ok(Target::RemoteSpm { tile, offset }) => {
+                if offset + 4 > self.cfg.spm_bytes {
+                    self.trap(format!("SPM AMO overrun at {offset:#x}"));
+                    return false;
+                }
                 self.flush_combine();
                 if self.outstanding >= self.cfg.max_outstanding
                     || self.req_outbox.len() >= OUTBOX_CAP
@@ -1826,5 +1909,63 @@ impl Tile {
                 false
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tile() -> Tile {
+        let cfg = Arc::new(MachineConfig::baseline_16x8());
+        let pgas = PgasMap {
+            cell_id: 0,
+            num_cells: cfg.num_cells,
+            cell_w: cfg.cell_dim.x,
+            cell_h: cfg.cell_dim.y,
+            spm_bytes: cfg.spm_bytes,
+            line_bytes: cfg.line_bytes,
+            dram_bytes: cfg.dram_bytes_per_cell,
+            ipoly: cfg.ipoly_hashing,
+        };
+        Tile::new(cfg, pgas, (0, 0))
+    }
+
+    #[test]
+    fn tile_fits_in_1700_bytes() {
+        // The two ready-kind arrays hold one byte per register
+        // (`StallKind` is `repr(u8)`), not one word: 2096 -> 1656 bytes.
+        let size = std::mem::size_of::<Tile>();
+        assert!(size <= 1700, "Tile grew to {size} bytes");
+    }
+
+    #[test]
+    fn out_of_range_amo_request_reads_zero_and_writes_nothing() {
+        let mut t = tile();
+        let spm_bytes = t.cfg.spm_bytes;
+        t.spm_write_u32(spm_bytes - 4, 0xdead_beef);
+        let here = t.pgas.tile_coord(0, 0);
+        let from = NodeId {
+            cell: 0,
+            coord: t.pgas.tile_coord(1, 0),
+        };
+        t.req_inbox.push_back(Packet {
+            src: from.coord,
+            dst: here,
+            payload: Request {
+                from,
+                op_id: 7,
+                kind: ReqKind::Amo {
+                    addr: spm_bytes - 2,
+                    op: hb_isa::AmoOp::Add,
+                    data: 1,
+                },
+            },
+        });
+        t.step(0);
+        let (_, resp) = t.resp_outbox.pop_front().expect("the request is answered");
+        assert_eq!(resp.payload.op_id, 7);
+        assert!(matches!(resp.payload.kind, RespKind::AmoOld { data: 0 }));
+        assert_eq!(t.spm_read_u32(spm_bytes - 4), 0xdead_beef);
     }
 }

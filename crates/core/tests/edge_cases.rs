@@ -3,7 +3,7 @@
 //! barrier pipelining.
 
 use hb_asm::Assembler;
-use hb_core::{pgas, CellDim, HbOps, Machine, MachineConfig, StallKind};
+use hb_core::{pgas, CellDim, HbOps, Machine, MachineConfig, SimError, StallKind};
 use hb_isa::Gpr::*;
 use std::sync::Arc;
 
@@ -317,4 +317,48 @@ fn global_dram_host_round_trip() {
     let cells: std::collections::HashSet<u8> =
         (0..64u32).map(|i| m.global_location(i * 64).0).collect();
     assert_eq!(cells.len(), 2);
+}
+
+#[test]
+fn amo_past_the_end_of_a_remote_scratchpad_traps_the_guest() {
+    // Rank 0 bumps a mailbox word in tile (1, 0)'s scratchpad, `back`
+    // bytes from its end.
+    let bump = |back: u32| {
+        let config = cfg();
+        let offset = config.spm_bytes - back;
+        let mut m = Machine::new(config);
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        let skip = a.new_label();
+        a.bnez(T0, skip);
+        a.li(T1, 5);
+        a.amoadd(T2, T1, A0);
+        a.fence();
+        a.bind(skip);
+        a.ecall();
+        let p = Arc::new(a.assemble(0).unwrap());
+        m.launch(0, &p, &[pgas::group_spm(1, 0, offset)]);
+        let outcome = m.run(100_000);
+        (outcome, m.cell(0).tile(1, 0).spm_read_u32(offset & !3))
+    };
+
+    // The last whole word is a legal mailbox.
+    let (outcome, word) = bump(4);
+    outcome.unwrap();
+    assert_eq!(word, 5);
+
+    // The last three bytes translate (the offset is below `spm_bytes`) but
+    // a word there does not fit: one register bit-flip away from the legal
+    // address. The issuing tile must trap, as it does for a local overrun
+    // — not hand the neighbour's NI a request that indexes past its SPM.
+    for back in 1..4 {
+        match bump(back) {
+            (Err(SimError::Fault(info)), word) => {
+                assert_eq!(info.coord, Some((0, 0)), "{info}");
+                assert!(info.cause.contains("AMO overrun"), "{info}");
+                assert_eq!(word, 0, "the neighbour's scratchpad was written");
+            }
+            (other, _) => panic!("expected a guest fault {back} bytes from the end, got {other:?}"),
+        }
+    }
 }

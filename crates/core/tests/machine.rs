@@ -2,7 +2,9 @@
 //! cycle-level simulator, results read back through DRAM.
 
 use hb_asm::Assembler;
-use hb_core::{pgas, CellDim, GroupSpec, HbOps, Machine, MachineConfig, SimError, StallKind};
+use hb_core::{
+    pgas, CellDim, GroupSpec, HangClass, HbOps, Machine, MachineConfig, SimError, StallKind,
+};
 use hb_isa::Gpr::*;
 use std::sync::Arc;
 
@@ -434,6 +436,44 @@ fn infinite_loop_times_out() {
         Err(SimError::Timeout { running_tiles, .. }) => assert_eq!(running_tiles, 8),
         other => panic!("expected timeout, got {other:?}"),
     }
+}
+
+#[test]
+fn relaunch_does_not_inherit_the_previous_kernels_pipeline_state() {
+    // Kernel A hangs: rank 0 joins the barrier, everyone else exits
+    // without joining. The timeout is A's own fault and says so.
+    let mut m = machine(small_cfg());
+    let mut a = Assembler::new();
+    a.tg_rank(T0, T6);
+    let leave = a.new_label();
+    a.bnez(T0, leave);
+    a.barrier(T6);
+    a.bind(leave);
+    a.ecall();
+    let hang = Arc::new(a.assemble(0).unwrap());
+    m.launch(0, &hang, &[]);
+    match m.run(20_000) {
+        Err(SimError::Timeout {
+            hang: Some(report), ..
+        }) => match &report.class {
+            HangClass::BarrierStall { waiting, .. } => assert_eq!(waiting, &[(0, 0, 0)]),
+            other => panic!("expected a barrier stall, got {other:?}"),
+        },
+        other => panic!("expected timeout, got {other:?}"),
+    }
+    assert!(m.cell(0).tile(0, 0).barrier_waiting);
+
+    // Kernel B is a single `ecall` on the same machine. Nothing of A's
+    // half-joined barrier may survive the launch: B finishes, on every
+    // tile, as it would on a fresh machine.
+    let mut b = Assembler::new();
+    b.ecall();
+    let done = Arc::new(b.assemble(0).unwrap());
+    m.launch(0, &done, &[]);
+    let summary = m
+        .run(20_000)
+        .unwrap_or_else(|e| panic!("the relaunched kernel inherited the old one's hang: {e}"));
+    assert!(summary.cycles < 1_000, "{} cycles", summary.cycles);
 }
 
 #[test]

@@ -14,7 +14,9 @@
 use hammerblade::ckpt;
 use hammerblade::core::observe::MachineObserver;
 use hammerblade::core::profile::CellProfile;
-use hammerblade::core::{pgas, CellDim, CoreStats, Machine, MachineConfig, SnapshotDram};
+use hammerblade::core::{
+    pgas, CellDim, CoreStats, Machine, MachineConfig, SnapshotDram, StallKind,
+};
 use hammerblade::kernels::{suite, Benchmark, Sgemm, SizeClass};
 use hammerblade::obs::{Keep, Sampler, Telemetry};
 use hammerblade::workloads::gen;
@@ -234,6 +236,88 @@ fn sgemm_machine(cfg: &MachineConfig) -> Machine {
         ],
     );
     machine
+}
+
+/// Every tile runs, out of its registers alone, an `fdiv` and a `div` in
+/// their iterative units, a dependent `fmadd` chain, and the instructions
+/// that wait on each: the unit is busy (`fsqrt`, `rem`) or the result is
+/// not back yet. No remote operation is outstanding until the closing
+/// store, so the only thing between a restored tile and retiring through
+/// those hazards is what it re-derives from the ready and busy times in
+/// the stream.
+fn latency_machine(cfg: &MachineConfig) -> Machine {
+    use hammerblade::asm::Assembler;
+    use hammerblade::core::HbOps;
+    use hammerblade::isa::{Fpr::*, Gpr::*};
+    let mut a = Assembler::new();
+    a.tg_rank(T0, T6);
+    a.slli(T1, T0, 2);
+    a.add(A0, A0, T1); // &out[rank]
+    a.addi(T1, T0, 3);
+    a.fcvt_s_w(Fa0, T1);
+    a.lif(Fa1, T6, 1.5);
+    a.lif(Fa2, T6, 0.25);
+    a.li(T2, 1_000_003);
+    a.li(T3, 4);
+    let top = a.here();
+    a.fdiv(Fa3, Fa0, Fa1);
+    a.div(T4, T2, T1);
+    a.fmadd(Fa4, Fa1, Fa2, Fa0);
+    a.fmadd(Fa4, Fa4, Fa2, Fa1);
+    a.fmadd(Fa4, Fa4, Fa2, Fa1);
+    a.fsqrt(Fa5, Fa1);
+    a.rem(T5, T2, T1);
+    a.fadd(Fa0, Fa3, Fa4);
+    a.fadd(Fa0, Fa0, Fa5);
+    a.add(T2, T2, T4);
+    a.add(T2, T2, T5);
+    a.addi(T3, T3, -1);
+    a.bnez(T3, top);
+    a.fmv_x_w(T4, Fa0);
+    a.xor(T4, T4, T2);
+    a.sw(T4, A0, 0);
+    a.fence();
+    a.ecall();
+    let program = Arc::new(a.assemble(0).expect("kernel assembles"));
+    let mut machine = Machine::new(cfg.clone());
+    let out = machine.cell_mut(0).alloc(8 * 4, 64);
+    machine.launch(0, &program, &[pgas::local_dram(out)]);
+    machine
+}
+
+#[test]
+fn restore_rederives_the_hazard_horizon_under_inflight_latencies() {
+    // A small DRAM keeps one checkpoint per cycle affordable.
+    let small = |event_core| MachineConfig {
+        dram_bytes_per_cell: 64 << 10,
+        ..cfg_with(event_core)
+    };
+    let cfg = small(true);
+    let mut twin = latency_machine(&cfg);
+    twin.run(BUDGET).expect("twin run");
+    twin.flush_all_caches();
+    let (cycles, core, digest) = (twin.cycle(), twin.cell(0).core_stats(), dram_digest(&twin));
+    assert!(
+        core.stall(StallKind::FpBusy) > 0
+            && core.stall(StallKind::IntBusy) > 0
+            && core.stall(StallKind::Bypass) > 0,
+        "the kernel no longer waits on all three latency sources"
+    );
+
+    // One checkpoint per cycle of the whole run: some land while the
+    // divider is busy, some while the FPU is, some inside the fmadd chain.
+    let mut machine = latency_machine(&cfg);
+    for at in 1..cycles {
+        machine.tick();
+        let blob = ckpt::encode(&machine);
+        for event_core in [true, false] {
+            let fin = continue_from(&blob, &small(event_core));
+            let tag = format!("capture at {at}, event={event_core}");
+            assert_eq!(fin.cycles, cycles, "{tag}: cycle count diverged");
+            assert_eq!(fin.core, core, "{tag}: core counters diverged");
+            assert_eq!(fin.digest, digest, "{tag}: DRAM digest diverged");
+        }
+    }
 }
 
 #[test]

@@ -8,7 +8,9 @@
 use std::sync::Arc;
 
 use hammerblade::asm::{Assembler, Program};
-use hammerblade::core::{utilization_report, HbOps, Machine, MachineConfig, SimError, StallKind};
+use hammerblade::core::{
+    pgas, utilization_report, HbOps, Machine, MachineConfig, SimError, StallKind,
+};
 use hammerblade::fault::{InjectionPlan, Site};
 use hammerblade::isa::Gpr::*;
 use hammerblade::obs::Keep;
@@ -112,6 +114,94 @@ fn parked_tiles_report_dense_identical_stall_blame() {
     );
     let (dense_stepped, dense_skipped) = dense.tile_ticks();
     assert_eq!(dense_skipped, 0, "never-park must never skip");
+    assert_eq!(dense_stepped, stepped + skipped, "tile-tick totals differ");
+}
+
+/// Every rank streams its slice of a DRAM array through FP latency chains:
+/// remote `flw`s in flight (pending bits, scoreboard occupancy), a
+/// dependent `fmadd` chain and an `fdiv` on the loaded values (ready
+/// times, a busy unit), a remote store and a fence per round, a barrier at
+/// the end. Each step's park hint has to tell "stuck until a response"
+/// from "stuck until a ready time" from "not stuck".
+fn fp_chains_over_remote_loads_kernel(rounds: i32) -> Arc<Program> {
+    use hammerblade::isa::Fpr::*;
+    let mut a = Assembler::new();
+    a.tg_rank(T0, T6);
+    a.slli(T1, T0, 4);
+    a.add(A0, A0, T1); // &in[4 * rank]
+    a.slli(T1, T0, 2);
+    a.add(A1, A1, T1); // &out[rank]
+    a.lif(Fa5, T6, 0.5);
+    a.li(T2, rounds);
+    let top = a.here();
+    a.flw(Fa0, A0, 0);
+    a.flw(Fa1, A0, 4);
+    a.flw(Fa2, A0, 8);
+    a.flw(Fa3, A0, 12);
+    a.fmadd(Fa4, Fa0, Fa1, Fa5);
+    a.fmadd(Fa4, Fa4, Fa2, Fa5);
+    a.fmadd(Fa4, Fa4, Fa3, Fa5);
+    a.fdiv(Fa5, Fa4, Fa1);
+    a.fsw(Fa4, A1, 0);
+    a.fence();
+    a.fadd(Fa5, Fa5, Fa4);
+    a.addi(T2, T2, -1);
+    a.bnez(T2, top);
+    a.fsw(Fa5, A1, 0);
+    a.fence();
+    a.barrier(T6);
+    a.ecall();
+    Arc::new(a.assemble(0).expect("kernel assembles"))
+}
+
+#[test]
+fn fp_chains_over_remote_loads_park_identically() {
+    let mut runs = Vec::new();
+    for event_core in [false, true] {
+        let mut machine = Machine::new(cfg(event_core));
+        let cell = machine.cell_mut(0);
+        let input = cell.alloc(128 * 16, 64);
+        let out = cell.alloc(128 * 4, 64);
+        let values: Vec<f32> = (0..128 * 4).map(|i| 1.0 + (i % 7) as f32 * 0.25).collect();
+        cell.dram_mut().write_f32_slice(input, &values);
+        machine.launch(
+            0,
+            &fp_chains_over_remote_loads_kernel(6),
+            &[pgas::local_dram(input), pgas::local_dram(out)],
+        );
+        let summary = machine.run(1_000_000).expect("kernel runs");
+        machine.cell_mut(0).flush_caches();
+        let result = machine.cell(0).dram().read_u32_slice(out, 128);
+        let tiles: Vec<_> = (0..8)
+            .flat_map(|y| (0..16).map(move |x| (x, y)))
+            .map(|(x, y)| machine.cell(0).tile_stats(x, y))
+            .collect();
+        runs.push((
+            summary.cycles,
+            summary.core,
+            tiles,
+            result,
+            machine.tile_ticks(),
+        ));
+    }
+    let (dense, event) = (&runs[0], &runs[1]);
+    assert_eq!(dense.0, event.0, "cycle count diverged");
+    assert_eq!(dense.1, event.1, "aggregate counters diverged");
+    assert_eq!(dense.2, event.2, "per-tile counters diverged");
+    assert_eq!(dense.3, event.3, "results diverged");
+    // The kernel waits on everything the hints distinguish...
+    for kind in [
+        StallKind::RemoteLoad,
+        StallKind::Fence,
+        StallKind::Bypass,
+        StallKind::Barrier,
+    ] {
+        assert!(event.1.stall(kind) > 0, "kernel never stalls on {kind}");
+    }
+    // ...and the park policy skipped some of it without losing a tick.
+    let ((dense_stepped, dense_skipped), (stepped, skipped)) = (dense.4, event.4);
+    assert_eq!(dense_skipped, 0, "never-park must never skip");
+    assert!(skipped > 0, "the park policy never parked");
     assert_eq!(dense_stepped, stepped + skipped, "tile-tick totals differ");
 }
 

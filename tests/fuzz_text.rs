@@ -1,10 +1,11 @@
 //! No-panic fuzzing of the text decoders: a canonical machine
 //! configuration, a six-kind injection plan, a manifest line that embeds
-//! both, a job record, a journal entry and the Chrome trace of a short run
-//! are mutated with seeded `hb-rng` draws — truncation at every byte,
-//! single-bit flips and byte replacements, entries duplicated, dropped and
-//! reordered, and every number inflated to `u64::MAX`, one past it and a
-//! 30-digit integer — and fed to the decoder that owns the form.
+//! both, a job record, a journal entry, the Chrome trace of a short run and
+//! an assembler source are mutated with seeded `hb-rng` draws — truncation
+//! at every byte, single-bit flips and byte replacements, entries
+//! duplicated, dropped and reordered, and every number inflated to
+//! `u64::MAX`, one past it and a 30-digit integer — and fed to the decoder
+//! that owns the form.
 //!
 //! Property: every input yields `Ok` or an error message — never a panic —
 //! no single allocation made while decoding is larger than the input plus
@@ -185,6 +186,29 @@ fn chrome_trace() -> String {
     doc
 }
 
+/// An assembler source with everything the text parser accepts: labels
+/// (own line and inline), both comment styles, pseudo-instructions, hex and
+/// negative immediates, memory operands, FP and atomic mnemonics.
+const ASM_SOURCE: &str = "\
+// dot product, then a mailbox bump
+start:  li   t0, 16          # trip count
+        lui  t1, 0x80000
+        li   t2, -2048
+        fmv.w.x fa0, zero
+loop:   flw  fa1, 0(a0)
+        flw  fa2, 4(a0)
+        fmadd.s fa0, fa1, fa2, fa0
+        addi a0, a0, 8
+        addi t0, t0, -1
+        bnez t0, loop
+        fsw  fa0, 0(a1)
+        amoadd.w t3, t2, (a2)
+        beq  t3, zero, done
+        jal  ra, start
+done:   fence
+        ecall
+";
+
 #[test]
 fn mutated_texts_never_panic_or_overallocate() {
     let mut rng = Rng::seed_from_u64(0x7E87_0016);
@@ -251,6 +275,21 @@ fn mutated_texts_never_panic_or_overallocate() {
         seps: &[',', ':'],
         decode: JournalEntry::from_json_line,
         encode: JournalEntry::to_json_line,
+        consume: |_| {},
+    }
+    .fuzz(&mut rng);
+
+    Form {
+        name: "assembler source",
+        text: ASM_SOURCE.to_owned(),
+        seps: &['\n', ',', ' '],
+        decode: |src| hammerblade::asm::parse(src).map_err(|e| e.to_string()),
+        // One instruction per line, as `Program::disassemble` prints them
+        // after its pc and word columns (`tests/asm_roundtrip.rs`).
+        encode: |program| {
+            let lines: Vec<String> = program.instrs().iter().map(|i| i.to_string()).collect();
+            lines.join("\n")
+        },
         consume: |_| {},
     }
     .fuzz(&mut rng);
