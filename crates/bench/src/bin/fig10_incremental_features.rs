@@ -157,14 +157,9 @@ fn main() {
     // `--telemetry <out>`: one instrumented SGEMM pass on the top rung of
     // the ladder (all features on), run inline after the sweep.
     if let Some(out) = telemetry_out() {
-        let sgemm = suite
-            .iter()
-            .find(|b| b.name() == "SGEMM")
-            .expect("suite has SGEMM");
+        let sgemm = hb_kernels::Sgemm::default();
         let (_, full_cfg) = configs.last().expect("ladder is non-empty");
-        if let Err(e) =
-            run_instrumented(sgemm.as_ref(), full_cfg, size, telemetry_window(1000), &out)
-        {
+        if let Err(e) = run_instrumented(&sgemm, full_cfg, size, telemetry_window(1000), &out) {
             hb_bench::cli::fail(e);
         }
     }

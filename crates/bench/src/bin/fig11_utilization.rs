@@ -66,12 +66,8 @@ fn main() {
     // `--telemetry <out>`: one instrumented SGEMM pass on the same
     // fully-featured configuration the table used.
     if let Some(out) = telemetry_out() {
-        let suite = hb_kernels::suite();
-        let sgemm = suite
-            .iter()
-            .find(|b| b.name() == "SGEMM")
-            .expect("suite has SGEMM");
-        if let Err(e) = run_instrumented(sgemm.as_ref(), &cfg, size, telemetry_window(1000), &out) {
+        let sgemm = hb_kernels::Sgemm::default();
+        if let Err(e) = run_instrumented(&sgemm, &cfg, size, telemetry_window(1000), &out) {
             hb_bench::cli::fail(e);
         }
     }

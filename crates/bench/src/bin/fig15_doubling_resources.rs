@@ -131,12 +131,8 @@ fn main() {
     // `--telemetry <out>`: one instrumented SGEMM pass on the baseline
     // configuration the speedups are normalized to.
     if let Some(out) = telemetry_out() {
-        let sgemm = suite
-            .iter()
-            .find(|b| b.name() == "SGEMM")
-            .expect("suite has SGEMM");
         if let Err(e) = run_instrumented(
-            sgemm.as_ref(),
+            &hb_kernels::Sgemm::default(),
             &base_cfg,
             size,
             telemetry_window(1000),

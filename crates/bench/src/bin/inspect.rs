@@ -3,9 +3,9 @@
 //! cache and HBM2 tables, bottleneck verdict).
 //!
 //! Usage: `cargo run --release -p hb-bench --bin inspect -- [kernel]`
-//! where `kernel` is one of the Table I names (default: SpGEMM).
+//! where `kernel` is an `hb_kernels::kernels()` token (default: SpGEMM).
 
-use hb_bench::{bench_size, hb_config};
+use hb_bench::{bench_size, hb_config, kernel_arg};
 
 fn main() {
     let want = std::env::args()
@@ -13,17 +13,7 @@ fn main() {
         .unwrap_or_else(|| "SpGEMM".to_owned());
     let cfg = hb_config();
     let size = bench_size();
-    let suite = hb_kernels::suite();
-    let bench = suite
-        .iter()
-        .find(|b| b.name().eq_ignore_ascii_case(&want))
-        .unwrap_or_else(|| {
-            eprintln!("unknown kernel '{want}'; options:");
-            for b in &suite {
-                eprintln!("  {}", b.name());
-            }
-            std::process::exit(1);
-        });
+    let bench = kernel_arg(&want, "usage: inspect [kernel]");
 
     eprintln!(
         "running {} on a {}x{} Cell ...",

@@ -11,15 +11,16 @@
 //!     [--kernel SGEMM] [--out profile] [--top 10]
 //! ```
 //!
-//! Kernel names match the suite (case insensitive); `HB_SCALE` picks the
+//! Kernel names are `hb_kernels::kernels()` tokens (case insensitive); `HB_SCALE` picks the
 //! Cell shape as in the figure binaries. Profiling is observation-only:
 //! cycles and results are bit-identical to an unprofiled run, and the
 //! profile itself is bit-identical across both park policies
 //! (`tests/profile.rs`).
 
 use hb_bench::cli::arg_value;
-use hb_bench::{bench_size, hb_config};
-use hb_core::MachineConfig;
+use hb_bench::{bench_size, hb_config, kernel_arg};
+use hb_core::{Machine, MachineConfig};
+use std::sync::Arc;
 
 const USAGE: &str = "usage: profile [--kernel SGEMM] [--out profile] [--top 10]";
 
@@ -31,17 +32,7 @@ fn main() {
             .unwrap_or_else(|_| hb_bench::cli::usage_fail(USAGE, format!("bad --top {v:?}")))
     });
 
-    let suite = hb_kernels::suite();
-    let bench = suite
-        .iter()
-        .find(|b| b.name().eq_ignore_ascii_case(&kernel))
-        .unwrap_or_else(|| {
-            let names: Vec<&str> = suite.iter().map(|b| b.name()).collect();
-            hb_bench::cli::usage_fail(
-                USAGE,
-                format!("unknown kernel {kernel:?}; available: {}", names.join(", ")),
-            )
-        });
+    let bench = kernel_arg(&kernel, USAGE);
 
     let cfg = MachineConfig {
         profile: true,
@@ -54,18 +45,15 @@ fn main() {
         cfg.cell_dim.y
     );
 
-    let (scope, store) = hb_prof::attach();
-    let stats = match bench.run(&cfg, bench_size()) {
+    let mut machine = Machine::new(cfg);
+    let stats = match hb_kernels::run_on(&mut machine, bench.as_ref(), bench_size()) {
         Ok(stats) => stats,
         Err(e) => hb_bench::cli::fail(e),
     };
-    drop(scope);
-
-    let store = store.lock().unwrap();
-    let Some(run) = store.last() else {
+    let Some(run) = hb_prof::ProfRun::capture(&machine, Arc::new(bench.program())) else {
         hb_bench::cli::fail("kernel run captured no profile");
     };
-    let analysis = hb_prof::Analysis::analyze(bench.name(), run);
+    let analysis = hb_prof::Analysis::analyze(bench.name(), &run);
 
     print!("{}", hb_prof::summary::report_text(&analysis, top));
     println!(

@@ -156,7 +156,8 @@ fn check_suite(args: &Args) -> ExitCode {
         cfg.cell_dim.x, cfg.cell_dim.y, size
     );
     let mut dirty = 0usize;
-    for e in hb_race::check_suite(&cfg, size) {
+    let entries = hb_race::check_suite(&cfg, size);
+    for e in &entries {
         println!(
             "{:16} static={} dynamic={}  {}",
             e.name,
@@ -175,10 +176,7 @@ fn check_suite(args: &Args) -> ExitCode {
         eprintln!("error: {dirty} kernel(s) with race findings");
         return ExitCode::FAILURE;
     }
-    println!(
-        "all {} parameterizations race-clean",
-        hb_race::SUITE_KERNELS.len()
-    );
+    println!("all {} parameterizations race-clean", entries.len());
     ExitCode::SUCCESS
 }
 

@@ -8,29 +8,23 @@
 //!     [--kernel SGEMM] [--window 1000] [--out telemetry.json]
 //! ```
 //!
-//! Kernel names match the suite (`SGEMM`, `FFT`, `BFS`, ... — case
-//! insensitive); `HB_SCALE` picks the Cell shape as in the figure
-//! binaries. The run is bit-identical to an uninstrumented one.
+//! Kernel names are `hb_kernels::kernels()` tokens (`SGEMM`, `FFT`,
+//! `BFS@diropt`, ... — case insensitive); `HB_SCALE` picks the Cell shape
+//! as in the figure binaries. The run is bit-identical to an
+//! uninstrumented one.
 
 use hb_bench::cli::arg_value;
-use hb_bench::{bench_size, hb_config, run_instrumented, telemetry_window};
+use hb_bench::{bench_size, hb_config, kernel_arg, run_instrumented, telemetry_window};
 
 fn main() {
     let kernel = arg_value("--kernel").unwrap_or_else(|| "SGEMM".to_owned());
     let out = arg_value("--out").unwrap_or_else(|| "telemetry.json".to_owned());
     let window = telemetry_window(1000);
 
-    let suite = hb_kernels::suite();
-    let bench = suite
-        .iter()
-        .find(|b| b.name().eq_ignore_ascii_case(&kernel))
-        .unwrap_or_else(|| {
-            let names: Vec<&str> = suite.iter().map(|b| b.name()).collect();
-            hb_bench::cli::usage_fail(
-                "usage: telemetry [--kernel SGEMM] [--window 1000] [--out telemetry.json]",
-                format!("unknown kernel {kernel:?}; available: {}", names.join(", ")),
-            )
-        });
+    let bench = kernel_arg(
+        &kernel,
+        "usage: telemetry [--kernel SGEMM] [--window 1000] [--out telemetry.json]",
+    );
 
     let cfg = hb_config();
     println!(

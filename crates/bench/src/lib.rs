@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 
 use hb_core::{CellDim, MachineConfig};
-use hb_kernels::SizeClass;
+use hb_kernels::{Kernel, SizeClass};
 
 pub mod telemetry;
 pub use telemetry::{run_instrumented, telemetry_out, telemetry_window};
@@ -30,6 +30,18 @@ pub fn job_threads() -> usize {
     cli::arg_value("--threads")
         .and_then(|v| v.parse::<usize>().ok())
         .map_or(1, |n| n.max(1))
+}
+
+/// Resolves a `--kernel` argument through [`hb_kernels::by_name`]; an unknown
+/// token is a usage error listing the registry.
+pub fn kernel_arg(token: &str, usage: &str) -> Box<dyn Kernel> {
+    hb_kernels::by_name(token).unwrap_or_else(|| {
+        let tokens: Vec<&str> = hb_kernels::kernels().iter().map(|(t, _)| *t).collect();
+        cli::usage_fail(
+            usage,
+            format!("unknown kernel {token:?}; available: {}", tokens.join(", ")),
+        )
+    })
 }
 
 /// The benchmark scale selected by `HB_SCALE`.

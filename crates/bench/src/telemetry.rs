@@ -3,9 +3,9 @@
 //! single-kernel pass that writes a Chrome trace + NDJSON dump and prints
 //! the mesh heatmaps.
 
-use hb_core::MachineConfig;
-use hb_kernels::{Benchmark, SizeClass};
-use hb_obs::Keep;
+use hb_core::{Machine, MachineConfig};
+use hb_kernels::{Kernel, SizeClass};
+use hb_obs::{Keep, Sampler, SharedTelemetry};
 use std::io::Write as _;
 
 /// Telemetry output path from the command line: `--telemetry <path>` or
@@ -26,10 +26,9 @@ pub fn telemetry_window(default: u64) -> u64 {
 /// window, writes the Chrome trace to `out` and the NDJSON dump next to it
 /// (`<out>.ndjson`), and prints the Cell-0 heatmaps to stdout.
 ///
-/// The pass runs inline on the calling thread: the observer factory behind
-/// [`hb_obs::attach`] is thread-local, so machines built by `run_ordered`
-/// workers are never instrumented — only this one is. Simulated results
-/// are bit-identical to the uninstrumented run.
+/// The sampler is attached to the one machine built here, so the sweep's
+/// machines are never instrumented. Simulated results are bit-identical to
+/// the uninstrumented run.
 ///
 /// # Errors
 ///
@@ -37,21 +36,23 @@ pub fn telemetry_window(default: u64) -> u64 {
 /// line, not a panic backtrace) when the kernel faults, produces no
 /// telemetry, or an output file cannot be written.
 pub fn run_instrumented(
-    bench: &dyn Benchmark,
+    bench: &dyn Kernel,
     cfg: &MachineConfig,
     size: SizeClass,
     window: u64,
     out: &str,
 ) -> Result<(), String> {
-    let inst_cfg = MachineConfig {
-        telemetry_window: window,
-        ..cfg.clone()
-    };
-    let (scope, store) = hb_obs::attach(Keep::All);
-    let stats = bench
-        .run(&inst_cfg, size)
+    let store = SharedTelemetry::default();
+    let mut machine = Machine::new(cfg.clone());
+    machine.attach_observer(Box::new(Sampler::new(
+        cfg,
+        window,
+        Keep::All,
+        store.clone(),
+    )));
+    let stats = hb_kernels::run_on(&mut machine, bench, size)
         .map_err(|e| format!("instrumented {} failed: {e}", bench.name()))?;
-    drop(scope);
+    machine.detach_observer(); // flushes the final partial window
 
     let t = store.lock().unwrap();
     if t.samples.is_empty() {

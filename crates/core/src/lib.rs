@@ -86,9 +86,7 @@ pub use observe::{
 pub use payload::{NodeId, ReqKind, Request, RespKind, Response};
 pub use pgas::{ipoly_hash, PgasMap, Target};
 pub use phase::PhaseTimes;
-pub use race::{
-    collect_races, AccessInfo, AccessKind, RaceChecker, RaceLoc, RaceReport, RaceSinkScope,
-};
+pub use race::{AccessInfo, AccessKind, RaceChecker, RaceLoc, RaceReport};
 pub use sched::Park;
 pub use stats::{utilization_report, CoreStats, StallKind};
 pub use tile::{GroupInfo, Tile};

@@ -827,16 +827,6 @@ impl Machine {
         gp
     }
 
-    /// The program launched on `cell`'s tiles, if any (profiling consumers
-    /// map histogram indices back onto instructions with it).
-    pub fn launched_program(&self, cell: u8) -> Option<Arc<Program>> {
-        let c = &self.cells[cell as usize];
-        let (w, h) = (self.cfg.cell_dim.x, self.cfg.cell_dim.y);
-        (0..h)
-            .flat_map(|y| (0..w).map(move |x| (x, y)))
-            .find_map(|(x, y)| c.tile(x, y).program().cloned())
-    }
-
     /// Classifies a hang at timeout. Precedence: tiles parked in a barrier
     /// dominate (they explain every downstream symptom), then a leaked
     /// scoreboard with drained networks, then packets stuck inside a NoC;
@@ -928,20 +918,12 @@ hb_mem::snap_state!(Machine [b"MACH"] {
 } extra (save_plan_and_observer, load_plan_and_observer) check check_restored);
 
 impl Drop for Machine {
-    /// Flushes the observer's final partial window: benchmark harnesses
-    /// build and drop machines internally, and the telemetry store (shared
-    /// out-of-band) must still see the tail of the run. Likewise, when a
-    /// [`collect_races`](crate::race::collect_races) sink is installed on
-    /// this thread, accumulated race reports are pushed there so harnesses
-    /// that never see the machine can still observe them.
+    /// Flushes the observer's final partial window, so a telemetry store
+    /// shared out-of-band sees the tail of a run whose machine is dropped
+    /// without a [`detach_observer`](Machine::detach_observer).
     fn drop(&mut self) {
         if self.observer.is_some() {
             self.detach_observer();
-        }
-        if self.race.is_some() && crate::race::sink_active() {
-            let rendered = self.render_races();
-            let reports = self.race_reports().to_vec();
-            crate::race::sink_push(reports.into_iter().zip(rendered).collect());
         }
     }
 }

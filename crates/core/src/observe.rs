@@ -190,6 +190,12 @@ impl Drop for ObserverScope {
 /// call site. The factory is thread-local, so concurrent un-instrumented
 /// runs on worker threads are unaffected; installing a new factory
 /// replaces the previous one.
+///
+/// A caller that builds its own machine — every suite consumer in this
+/// workspace, through `hb_kernels::run_on` — calls
+/// [`Machine::attach_observer`] instead. The factory is what the benchmark
+/// crate `hb_perf/` (and `hb_obs::attach`) still reach machines built
+/// inside `Benchmark::run` with.
 pub fn set_observer_factory(
     f: impl Fn(&MachineConfig) -> Option<Box<dyn MachineObserver>> + 'static,
 ) -> ObserverScope {

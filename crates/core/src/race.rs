@@ -31,7 +31,6 @@
 //! reports are reproducible (logs are drained in cell-id then row-major
 //! tile order every cycle).
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 /// Canonical identity of one shared 32-bit word.
@@ -326,69 +325,6 @@ impl RaceChecker {
         self.locs.clear();
         self.pending_writes.clear();
     }
-}
-
-thread_local! {
-    /// Report sink installed by [`collect_races`]; when active, a dropped
-    /// [`Machine`](crate::Machine) with race checking on pushes its
-    /// accumulated reports here instead of discarding them. This lets
-    /// harnesses that run kernels through interfaces that build and drop
-    /// the machine internally (the `Benchmark` trait) still observe races.
-    static SINK: RefCell<Option<Vec<(RaceReport, String)>>> = const { RefCell::new(None) };
-}
-
-/// Installs a thread-local race-report sink for the scope of the returned
-/// guard. While active, any [`Machine`](crate::Machine) with
-/// `race_check` on that is dropped on this thread appends its reports —
-/// raw and rendered — to the sink.
-///
-/// ```
-/// let scope = hb_core::collect_races();
-/// // ... run benchmarks that construct Machines internally ...
-/// let races = scope.take();
-/// assert!(races.is_empty());
-/// ```
-pub fn collect_races() -> RaceSinkScope {
-    SINK.with(|s| *s.borrow_mut() = Some(Vec::new()));
-    RaceSinkScope { _priv: () }
-}
-
-/// Guard returned by [`collect_races`]; uninstalls the sink on drop.
-pub struct RaceSinkScope {
-    _priv: (),
-}
-
-impl RaceSinkScope {
-    /// Takes the reports accumulated so far, leaving the sink installed
-    /// and empty.
-    pub fn take(&self) -> Vec<(RaceReport, String)> {
-        SINK.with(|s| {
-            s.borrow_mut()
-                .as_mut()
-                .map(std::mem::take)
-                .unwrap_or_default()
-        })
-    }
-}
-
-impl Drop for RaceSinkScope {
-    fn drop(&mut self) {
-        SINK.with(|s| *s.borrow_mut() = None);
-    }
-}
-
-/// Whether a sink is installed on this thread.
-pub(crate) fn sink_active() -> bool {
-    SINK.with(|s| s.borrow().is_some())
-}
-
-/// Appends reports to the active sink (no-op without one).
-pub(crate) fn sink_push(items: Vec<(RaceReport, String)>) {
-    SINK.with(|s| {
-        if let Some(v) = s.borrow_mut().as_mut() {
-            v.extend(items);
-        }
-    });
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! exact strategy) and encrypts a rank-strided set of 16-byte blocks with
 //! byte-level table lookups.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
 use crate::util::prologue;
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
@@ -180,42 +180,6 @@ impl Aes {
         a.ecall();
         a.assemble(0).expect("aes assembles")
     }
-
-    /// Runs and validates against [`golden::aes128_ecb`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        let key: [u8; 16] = *b"HammerBlade-2024";
-        let plaintext = gen::random_bytes(self.blocks as usize * 16, 0xAE5);
-        let expect = golden::aes128_ecb(&plaintext, &key);
-        let round_keys = golden::aes128_key_schedule(&key);
-
-        let mut machine = Machine::new(cfg.clone());
-        let cell = machine.cell_mut(0);
-        let sbox = cell.alloc(256, 64);
-        let rk = cell.alloc(176, 64);
-        let input = cell.alloc(self.blocks * 16, 64);
-        let output = cell.alloc(self.blocks * 16, 64);
-        cell.dram_mut().write_bytes(sbox, &golden::AES_SBOX);
-        cell.dram_mut().write_bytes(rk, &round_keys);
-        cell.dram_mut().write_bytes(input, &plaintext);
-
-        let program = Arc::new(Self::program());
-        machine.launch(
-            0,
-            &program,
-            &[
-                pgas::local_dram(sbox),
-                pgas::local_dram(rk),
-                pgas::local_dram(input),
-                pgas::local_dram(output),
-                self.blocks,
-            ],
-        );
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine.cell(0).dram().slice(output, expect.len()).to_vec();
-        assert_eq!(got, expect, "AES ciphertext mismatch");
-        Ok(BenchStats::collect("AES", summary.cycles, &machine))
-    }
 }
 
 impl Benchmark for Aes {
@@ -228,7 +192,47 @@ impl Benchmark for Aes {
     }
 
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for Aes {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::aes128_ecb`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let blocks = self.sized(size).blocks;
+        let key: [u8; 16] = *b"HammerBlade-2024";
+        let plaintext = gen::random_bytes(blocks as usize * 16, 0xAE5);
+
+        let cell = machine.cell_mut(0);
+        let sbox = cell.alloc(256, 64);
+        let rk = cell.alloc(176, 64);
+        let input = cell.alloc(blocks * 16, 64);
+        let output = cell.alloc(blocks * 16, 64);
+        cell.dram_mut().write_bytes(sbox, &golden::AES_SBOX);
+        cell.dram_mut()
+            .write_bytes(rk, &golden::aes128_key_schedule(&key));
+        cell.dram_mut().write_bytes(input, &plaintext);
+
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![
+                pgas::local_dram(sbox),
+                pgas::local_dram(rk),
+                pgas::local_dram(input),
+                pgas::local_dram(output),
+                blocks,
+            ],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let expect = golden::aes128_ecb(&plaintext, &key);
+                let got = machine.cell(0).dram().slice(output, expect.len());
+                assert_eq!(got, expect, "AES ciphertext mismatch");
+            }),
+        }
     }
 }
 

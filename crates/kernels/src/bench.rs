@@ -1,10 +1,12 @@
 //! The [`Benchmark`] abstraction and the counter bundle figures draw from.
 
+use hb_asm::Program;
 use hb_cache::CacheStats;
 use hb_core::profile::CellProfile;
 use hb_core::{CoreStats, Machine, MachineConfig, SimError};
 use hb_mem::Hbm2Stats;
 use hb_noc::LinkStats;
+use std::sync::Arc;
 
 /// Input scale for a benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,7 +110,8 @@ pub trait Benchmark: Sync {
     fn dwarf(&self) -> &'static str;
 
     /// Builds a machine with `cfg`, runs the kernel at `size`, validates
-    /// the output against the golden reference and returns the counters.
+    /// the output against the golden reference and returns the counters
+    /// (for every suite kernel, [`run_on`] a fresh machine).
     ///
     /// # Errors
     ///
@@ -121,9 +124,83 @@ pub trait Benchmark: Sync {
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError>;
 }
 
-/// Cycle budget scaled to the machine size (debug builds are ~50x slower
-/// than the silicon, so budgets are generous).
-pub fn cycle_budget(cfg: &MachineConfig) -> u64 {
-    let _ = cfg;
-    200_000_000
+/// One kernel launch on a machine the caller built: the inputs are already
+/// in Cell 0's Local DRAM, the program has not started.
+pub struct Launch {
+    /// The program every tile of Cell 0 runs.
+    pub program: Arc<Program>,
+    /// Launch arguments (`a0..`).
+    pub args: Vec<u32>,
+    /// See [`BenchStats::work_units`].
+    pub work_units: f64,
+    /// Compares Cell 0's flushed DRAM with the golden model. The model is
+    /// computed in here, so a run that never validates (a fault job, a
+    /// checkpoint capture) does not pay for it. Any machine holding this
+    /// launch's DRAM layout will do, e.g. one restored from a checkpoint
+    /// of the launched machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mismatch.
+    pub check: Box<dyn FnOnce(&Machine)>,
+}
+
+/// A [`Benchmark`] that can be launched on a machine the caller owns, so
+/// the caller can attach an observer, turn the race sanitizer on, install
+/// an injection plan, co-simulate or checkpoint between the steps.
+pub trait Kernel: Benchmark {
+    /// The program [`prepare`](Kernel::prepare) launches, for the static
+    /// passes (lint, race phases, disassembly).
+    fn program(&self) -> Program;
+
+    /// Allocates and fills the inputs at `size` in Cell 0 of `machine`
+    /// (seeded: the same DRAM image on every call) and describes the launch.
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch;
+}
+
+/// Cycle budget of a suite run (debug builds are ~50x slower than the
+/// silicon, so it is generous).
+pub const CYCLE_BUDGET: u64 = 200_000_000;
+
+/// [`Kernel::prepare`], then the launch on Cell 0.
+pub fn launch_on(machine: &mut Machine, kernel: &dyn Kernel, size: SizeClass) -> Launch {
+    let launch = kernel.prepare(machine, size);
+    machine.launch(0, &launch.program, &launch.args);
+    launch
+}
+
+/// The one body of a suite run, on a machine the caller built: launch, run
+/// to completion, flush, validate against the golden model, collect.
+///
+/// # Errors
+///
+/// Propagates simulator faults/timeouts.
+///
+/// # Panics
+///
+/// Panics if the simulated output does not match the golden reference.
+pub fn run_on(
+    machine: &mut Machine,
+    kernel: &dyn Kernel,
+    size: SizeClass,
+) -> Result<BenchStats, SimError> {
+    let launch = launch_on(machine, kernel, size);
+    let summary = machine.run(CYCLE_BUDGET)?;
+    machine.cell_mut(0).flush_caches();
+    (launch.check)(machine);
+    Ok(BenchStats::collect(kernel.name(), summary.cycles, machine).with_work(launch.work_units))
+}
+
+/// [`run_on`] a machine built from `cfg`: every suite kernel's
+/// [`Benchmark::run`].
+///
+/// # Errors
+///
+/// As [`run_on`].
+pub(crate) fn run_fresh(
+    kernel: &dyn Kernel,
+    cfg: &MachineConfig,
+    size: SizeClass,
+) -> Result<BenchStats, SimError> {
+    run_on(&mut Machine::new(cfg.clone()), kernel, size)
 }

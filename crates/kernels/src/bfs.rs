@@ -7,8 +7,8 @@
 //! frontier array. Severely irregular: per-vertex work varies with degree,
 //! which is why the SPMD model (independent thread execution) wins here.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_u32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, HbOps, Machine, MachineConfig, SimError};
 use hb_isa::Gpr::*;
@@ -321,21 +321,34 @@ impl Bfs {
         a.ecall();
         a.assemble(0).expect("bfs assembles")
     }
+}
 
-    /// Runs and validates against [`golden::bfs`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        let g = self.graph();
+impl Benchmark for Bfs {
+    fn name(&self) -> &'static str {
+        "BFS"
+    }
+
+    fn dwarf(&self) -> &'static str {
+        "Graph Traversal"
+    }
+
+    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for Bfs {
+    fn program(&self) -> Program {
+        Self::program(self.direction_optimizing)
+    }
+
+    /// Validates against [`golden::bfs`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let g = self.sized(size).graph();
         let n = g.rows;
         let source = 0u32;
-        let expect = golden::bfs(&g, source);
 
-        let mut machine = Machine::new(cfg.clone());
         let cell = machine.cell_mut(0);
-        let alloc_u32 = |cell: &mut hb_core::Cell, data: &[u32]| {
-            let p = cell.alloc((data.len() * 4) as u32, 64);
-            cell.dram_mut().write_u32_slice(p, data);
-            p
-        };
         let rp = alloc_u32(cell, &g.row_ptr);
         let ci = alloc_u32(cell, &g.col_idx);
         let mut dist_init = vec![u32::MAX; n as usize];
@@ -356,51 +369,36 @@ impl Bfs {
         let tg_rp = alloc_u32(cell, &tg.row_ptr);
         let tg_ci = alloc_u32(cell, &tg.col_idx);
         let mode = alloc_u32(cell, &[0]); // level 1 is always top-down
-        let desc = alloc_u32(
-            cell,
-            &[
-                pgas::local_dram(rp),
-                pgas::local_dram(ci),
-                pgas::local_dram(dist),
-                pgas::local_dram(front_a),
-                pgas::local_dram(front_b),
-                pgas::local_dram(bitmap),
-                pgas::local_dram(q0),
-                pgas::local_dram(q1),
-                pgas::local_dram(fsize),
-                pgas::local_dram(next_count),
-                pgas::local_dram(done),
-                n,
-                nwords,
-                pgas::local_dram(tg_rp),
-                pgas::local_dram(tg_ci),
-                pgas::local_dram(mode),
-            ],
-        );
-        debug_assert_eq!(DESC_WORDS, 16);
-        let _ = mode;
+        let desc_vals = [
+            pgas::local_dram(rp),
+            pgas::local_dram(ci),
+            pgas::local_dram(dist),
+            pgas::local_dram(front_a),
+            pgas::local_dram(front_b),
+            pgas::local_dram(bitmap),
+            pgas::local_dram(q0),
+            pgas::local_dram(q1),
+            pgas::local_dram(fsize),
+            pgas::local_dram(next_count),
+            pgas::local_dram(done),
+            n,
+            nwords,
+            pgas::local_dram(tg_rp),
+            pgas::local_dram(tg_ci),
+            pgas::local_dram(mode),
+        ];
+        debug_assert_eq!(desc_vals.len(), DESC_WORDS as usize);
+        let desc = alloc_u32(cell, &desc_vals);
 
-        let program = Arc::new(Self::program(self.direction_optimizing));
-        machine.launch(0, &program, &[pgas::local_dram(desc)]);
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine.cell(0).dram().read_u32_slice(dist, n as usize);
-        assert_eq!(got, expect, "BFS distance mismatch");
-        Ok(BenchStats::collect("BFS", summary.cycles, &machine))
-    }
-}
-
-impl Benchmark for Bfs {
-    fn name(&self) -> &'static str {
-        "BFS"
-    }
-
-    fn dwarf(&self) -> &'static str {
-        "Graph Traversal"
-    }
-
-    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        Launch {
+            program: Arc::new(self.program()),
+            args: vec![pgas::local_dram(desc)],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let got = machine.cell(0).dram().read_u32_slice(dist, n as usize);
+                assert_eq!(got, golden::bfs(&g, source), "BFS distance mismatch");
+            }),
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! accumulation use back-to-back `fsqrt`/`fdiv`, the iterative-FPU
 //! bottleneck Figure 11 shows for BH.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_f32, alloc_u32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
@@ -182,14 +182,33 @@ impl BarnesHut {
         a.ecall();
         a.assemble(0).expect("barnes-hut assembles")
     }
+}
 
-    /// Runs and validates against [`golden::QuadTree::force`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        let bodies = gen::bodies(self.bodies as usize, 0xB4);
+impl Benchmark for BarnesHut {
+    fn name(&self) -> &'static str {
+        "BH"
+    }
+
+    fn dwarf(&self) -> &'static str {
+        "N-Body Methods"
+    }
+
+    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for BarnesHut {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::QuadTree::force`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let n = self.sized(size).bodies;
+        let bodies = gen::bodies(n as usize, 0xB4);
+        // The kernel walks the host-built tree, so it is set-up, not golden.
         let tree = golden::QuadTree::build(&bodies);
-        let expect: Vec<(f32, f32)> = (0..bodies.len())
-            .map(|b| tree.force(&bodies, b, THETA))
-            .collect();
 
         // Serialize the tree into flat arrays.
         let nn = tree.nodes.len();
@@ -216,26 +235,14 @@ impl BarnesHut {
             }
         }
 
-        let mut machine = Machine::new(cfg.clone());
-        let nthreads = cfg.cell_dim.tiles() as u32;
+        let nthreads = machine.config().cell_dim.tiles() as u32;
         let cell = machine.cell_mut(0);
-        let alloc_u32 = |cell: &mut hb_core::Cell, data: &[u32]| {
-            let p = cell.alloc((data.len() * 4) as u32, 64);
-            cell.dram_mut().write_u32_slice(p, data);
-            p
-        };
-        let alloc_f32 = |cell: &mut hb_core::Cell, data: &[f32]| {
-            let p = cell.alloc((data.len() * 4) as u32, 64);
-            cell.dram_mut().write_f32_slice(p, data);
-            p
-        };
         let cx_d = alloc_f32(cell, &cx);
         let cy_d = alloc_f32(cell, &cy);
         let mass_d = alloc_f32(cell, &mass);
         let size2_d = alloc_f32(cell, &size2);
         let leaf_d = alloc_u32(cell, &leaf);
         let child_d = alloc_u32(cell, &child);
-        let n = self.bodies;
         let mut body_soa = Vec::with_capacity(3 * n as usize);
         body_soa.extend(bodies.iter().map(|b| b.0));
         body_soa.extend(bodies.iter().map(|b| b.1));
@@ -244,64 +251,48 @@ impl BarnesHut {
         let out_d = cell.alloc(2 * n * 4, 64);
         let q0 = alloc_u32(cell, &[0]);
         let stack = cell.alloc(nthreads * 4096, 64);
-        let desc = alloc_u32(
-            cell,
-            &[
-                pgas::local_dram(cx_d),
-                pgas::local_dram(cy_d),
-                pgas::local_dram(mass_d),
-                pgas::local_dram(size2_d),
-                pgas::local_dram(leaf_d),
-                pgas::local_dram(child_d),
-                pgas::local_dram(bodies_d),
-                pgas::local_dram(out_d),
-                pgas::local_dram(q0),
-                n,
-                pgas::local_dram(stack),
-                (THETA * THETA).to_bits(),
-                EPS2.to_bits(),
-            ],
-        );
-        debug_assert_eq!(DESC_WORDS, 13);
+        let desc_vals = [
+            pgas::local_dram(cx_d),
+            pgas::local_dram(cy_d),
+            pgas::local_dram(mass_d),
+            pgas::local_dram(size2_d),
+            pgas::local_dram(leaf_d),
+            pgas::local_dram(child_d),
+            pgas::local_dram(bodies_d),
+            pgas::local_dram(out_d),
+            pgas::local_dram(q0),
+            n,
+            pgas::local_dram(stack),
+            (THETA * THETA).to_bits(),
+            EPS2.to_bits(),
+        ];
+        debug_assert_eq!(desc_vals.len(), DESC_WORDS as usize);
+        let desc = alloc_u32(cell, &desc_vals);
 
-        let program = Arc::new(Self::program());
-        machine.launch(0, &program, &[pgas::local_dram(desc)]);
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let fx = machine.cell(0).dram().read_f32_slice(out_d, n as usize);
-        let fy = machine
-            .cell(0)
-            .dram()
-            .read_f32_slice(out_d + 4 * n, n as usize);
-        for b in 0..n as usize {
-            let (ex, ey) = expect[b];
-            let scale = ex.abs().max(ey.abs()).max(1.0);
-            assert!(
-                (fx[b] - ex).abs() <= scale * 1e-2,
-                "BH fx mismatch at body {b}: sim {} vs golden {ex}",
-                fx[b]
-            );
-            assert!(
-                (fy[b] - ey).abs() <= scale * 1e-2,
-                "BH fy mismatch at body {b}: sim {} vs golden {ey}",
-                fy[b]
-            );
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![pgas::local_dram(desc)],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let dram = machine.cell(0).dram();
+                let fx = dram.read_f32_slice(out_d, n as usize);
+                let fy = dram.read_f32_slice(out_d + 4 * n, n as usize);
+                for b in 0..n as usize {
+                    let (ex, ey) = tree.force(&bodies, b, THETA);
+                    let scale = ex.abs().max(ey.abs()).max(1.0);
+                    assert!(
+                        (fx[b] - ex).abs() <= scale * 1e-2,
+                        "BH fx mismatch at body {b}: sim {} vs golden {ex}",
+                        fx[b]
+                    );
+                    assert!(
+                        (fy[b] - ey).abs() <= scale * 1e-2,
+                        "BH fy mismatch at body {b}: sim {} vs golden {ey}",
+                        fy[b]
+                    );
+                }
+            }),
         }
-        Ok(BenchStats::collect("BH", summary.cycles, &machine))
-    }
-}
-
-impl Benchmark for BarnesHut {
-    fn name(&self) -> &'static str {
-        "BH"
-    }
-
-    fn dwarf(&self) -> &'static str {
-        "N-Body Methods"
-    }
-
-    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
     }
 }
 

@@ -6,7 +6,7 @@
 //! is characterized by fdiv/fsqrt use and bypass stalls from polynomial
 //! evaluation).
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
 use crate::util::{emit_exp_approx, emit_ln_approx, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
@@ -136,52 +136,6 @@ impl BlackScholes {
         a.ecall();
         a.assemble(0).expect("black-scholes assembles")
     }
-
-    /// Runs and validates against [`golden::black_scholes_call`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        let opts = gen::bs_options(self.count as usize, 0xB5);
-        let expect: Vec<f32> = opts
-            .iter()
-            .map(|&(s, k, t)| golden::black_scholes_call(s, k, t))
-            .collect();
-
-        let mut machine = Machine::new(cfg.clone());
-        let cell = machine.cell_mut(0);
-        let n = self.count;
-        let spot = cell.alloc(n * 4, 64);
-        let strike = cell.alloc(n * 4, 64);
-        let time = cell.alloc(n * 4, 64);
-        let out = cell.alloc(n * 4, 64);
-        let d = cell.dram_mut();
-        for (i, &(s, k, t)) in opts.iter().enumerate() {
-            d.write_f32(spot + 4 * i as u32, s);
-            d.write_f32(strike + 4 * i as u32, k);
-            d.write_f32(time + 4 * i as u32, t);
-        }
-        let program = Arc::new(Self::program());
-        machine.launch(
-            0,
-            &program,
-            &[
-                pgas::local_dram(spot),
-                pgas::local_dram(strike),
-                pgas::local_dram(time),
-                pgas::local_dram(out),
-                n,
-            ],
-        );
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine.cell(0).dram().read_f32_slice(out, n as usize);
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (g - e).abs() <= e.abs() * 2e-3 + 2e-3,
-                "BS mismatch at option {i}: sim {g} vs golden {e} ({:?})",
-                opts[i]
-            );
-        }
-        Ok(BenchStats::collect("BS", summary.cycles, &machine))
-    }
 }
 
 impl Benchmark for BlackScholes {
@@ -194,7 +148,54 @@ impl Benchmark for BlackScholes {
     }
 
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for BlackScholes {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::black_scholes_call`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let n = self.sized(size).count;
+        let opts = gen::bs_options(n as usize, 0xB5);
+
+        let cell = machine.cell_mut(0);
+        let spot = cell.alloc(n * 4, 64);
+        let strike = cell.alloc(n * 4, 64);
+        let time = cell.alloc(n * 4, 64);
+        let out = cell.alloc(n * 4, 64);
+        let d = cell.dram_mut();
+        for (i, &(s, k, t)) in opts.iter().enumerate() {
+            d.write_f32(spot + 4 * i as u32, s);
+            d.write_f32(strike + 4 * i as u32, k);
+            d.write_f32(time + 4 * i as u32, t);
+        }
+
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![
+                pgas::local_dram(spot),
+                pgas::local_dram(strike),
+                pgas::local_dram(time),
+                pgas::local_dram(out),
+                n,
+            ],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let got = machine.cell(0).dram().read_f32_slice(out, n as usize);
+                for (i, (g, &(s, k, t))) in got.iter().zip(&opts).enumerate() {
+                    let e = golden::black_scholes_call(s, k, t);
+                    assert!(
+                        (g - e).abs() <= e.abs() * 2e-3 + 2e-3,
+                        "BS mismatch at option {i}: sim {g} vs golden {e} ({:?})",
+                        opts[i]
+                    );
+                }
+            }),
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! territory), runs the in-SPM butterfly passes, and streams the spectrum
 //! back out through the write-validate cache.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_f32, alloc_u32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
@@ -214,17 +214,33 @@ impl Fft {
         a.ecall();
         a.assemble(0).expect("fft assembles")
     }
+}
 
-    /// Runs and validates against [`golden::fft`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        let n = self.points as usize;
+impl Benchmark for Fft {
+    fn name(&self) -> &'static str {
+        "FFT"
+    }
+
+    fn dwarf(&self) -> &'static str {
+        "Spectral Methods"
+    }
+
+    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for Fft {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::fft`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let Fft { points, batch } = self.sized(size);
+        let n = points as usize;
         assert!(n.is_power_of_two() && (8..=128).contains(&n));
-        let mut signals = gen::complex_signal(n * self.batch as usize, 0xFF7);
-        let input = signals.clone();
-        for s in 0..self.batch as usize {
-            golden::fft(&mut signals[s * 2 * n..(s + 1) * 2 * n]);
-        }
-        let expect = signals;
+        let input = gen::complex_signal(n * batch as usize, 0xFF7);
 
         // Host-precomputed tables (the RV32 core has no sin/cos).
         let bits = n.trailing_zeros();
@@ -238,51 +254,35 @@ impl Fft {
             twiddles.push(ang.sin());
         }
 
-        let mut machine = Machine::new(cfg.clone());
         let cell = machine.cell_mut(0);
-        let sig = cell.alloc((input.len() * 4) as u32, 64);
-        let rev_dev = cell.alloc((n * 4) as u32, 64);
-        let tw_dev = cell.alloc((n * 4) as u32, 64);
-        cell.dram_mut().write_f32_slice(sig, &input);
-        cell.dram_mut().write_u32_slice(rev_dev, &rev);
-        cell.dram_mut().write_f32_slice(tw_dev, &twiddles);
+        let sig = alloc_f32(cell, &input);
+        let rev_dev = alloc_u32(cell, &rev);
+        let tw_dev = alloc_f32(cell, &twiddles);
 
-        let program = Arc::new(Self::program());
-        machine.launch(
-            0,
-            &program,
-            &[
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![
                 pgas::local_dram(sig),
                 pgas::local_dram(rev_dev),
                 pgas::local_dram(tw_dev),
-                self.batch,
-                self.points,
+                batch,
+                points,
             ],
-        );
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine.cell(0).dram().read_f32_slice(sig, expect.len());
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (g - e).abs() <= 1e-3 + e.abs() * 1e-3,
-                "FFT mismatch at float {i}: sim {g} vs golden {e}"
-            );
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let mut expect = input;
+                for signal in expect.chunks_mut(2 * n) {
+                    golden::fft(signal);
+                }
+                let got = machine.cell(0).dram().read_f32_slice(sig, expect.len());
+                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (g - e).abs() <= 1e-3 + e.abs() * 1e-3,
+                        "FFT mismatch at float {i}: sim {g} vs golden {e}"
+                    );
+                }
+            }),
         }
-        Ok(BenchStats::collect("FFT", summary.cycles, &machine))
-    }
-}
-
-impl Benchmark for Fft {
-    fn name(&self) -> &'static str {
-        "FFT"
-    }
-
-    fn dwarf(&self) -> &'static str {
-        "Spectral Methods"
-    }
-
-    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
     }
 }
 

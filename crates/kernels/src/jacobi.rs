@@ -19,31 +19,13 @@
 //! disabled the descriptor list has one entry and the schedule matches the
 //! dedicated-column kernel.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_f32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, HbOps, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
-use hb_workloads::golden;
-use rand_like::grid_values;
+use hb_workloads::{gen, golden};
 use std::sync::Arc;
-
-/// Deterministic pseudo-random initial grid (no rand dependency needed
-/// here; a simple LCG keeps the host and test sides identical).
-mod rand_like {
-    /// Fills an `nx * ny * nz` grid with values in (-1, 1).
-    pub fn grid_values(n: usize) -> Vec<f32> {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-            })
-            .collect()
-    }
-}
 
 /// Double-buffered column storage: buffer 0 at SPM 0, buffer 1 at 0x800.
 const BUF_STRIDE: i32 = 0x800;
@@ -304,43 +286,6 @@ impl Jacobi {
         a.ecall();
         a.assemble(0).expect("jacobi assembles")
     }
-
-    /// Runs and validates against repeated [`golden::jacobi_step`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        assert!(self.z <= 448, "column must fit double-buffered in SPM");
-        let (nx, ny, nz) = (
-            cfg.cell_dim.x as usize,
-            cfg.cell_dim.y as usize,
-            self.z as usize,
-        );
-        let init = grid_values(nx * ny * nz);
-        let mut expect = init.clone();
-        for _ in 0..self.steps {
-            expect = golden::jacobi_step(nx, ny, nz, &expect);
-        }
-
-        let mut machine = Machine::new(cfg.clone());
-        let cell = machine.cell_mut(0);
-        let grid = cell.alloc((nx * ny * nz * 4) as u32, 64);
-        cell.dram_mut().write_f32_slice(grid, &init);
-
-        let program = Arc::new(Self::program());
-        machine.launch(0, &program, &[pgas::local_dram(grid), self.z, self.steps]);
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine.cell(0).dram().read_f32_slice(grid, expect.len());
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (g - e).abs() <= 1e-4 + e.abs() * 1e-4,
-                "Jacobi mismatch at {i}: sim {g} vs golden {e}"
-            );
-        }
-        // The grid scales with the Cell, so normalize by grid size for
-        // cross-configuration comparisons (weak scaling).
-        let points = (nx * ny * nz) as f64;
-        Ok(BenchStats::collect("Jacobi", summary.cycles, &machine)
-            .with_work(points * f64::from(self.steps)))
-    }
 }
 
 impl Benchmark for Jacobi {
@@ -353,7 +298,45 @@ impl Benchmark for Jacobi {
     }
 
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for Jacobi {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against repeated [`golden::jacobi_step`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let Jacobi { z, steps } = self.sized(size);
+        assert!(z <= 448, "column must fit double-buffered in SPM");
+        let dim = machine.config().cell_dim;
+        let (nx, ny, nz) = (dim.x as usize, dim.y as usize, z as usize);
+        let init = gen::dense_matrix(nx * ny, nz, 0x1AC0B1);
+
+        let grid = alloc_f32(machine.cell_mut(0), &init);
+
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![pgas::local_dram(grid), z, steps],
+            // The grid scales with the Cell, so normalize by grid size for
+            // cross-configuration comparisons (weak scaling).
+            work_units: (nx * ny * nz) as f64 * f64::from(steps),
+            check: Box::new(move |machine| {
+                let mut expect = init;
+                for _ in 0..steps {
+                    expect = golden::jacobi_step(nx, ny, nz, &expect);
+                }
+                let got = machine.cell(0).dram().read_f32_slice(grid, expect.len());
+                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (g - e).abs() <= 1e-4 + e.abs() * 1e-4,
+                        "Jacobi mismatch at {i}: sim {g} vs golden {e}"
+                    );
+                }
+            }),
+        }
     }
 }
 

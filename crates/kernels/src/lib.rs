@@ -17,10 +17,12 @@
 //! | BFS | Graph traversal | memory-intensive, irregular-access |
 //! | BH (Barnes-Hut) | N-body methods | memory-intensive, irregular-access |
 //!
-//! Every benchmark implements [`Benchmark`]: it builds a machine from a
-//! [`hb_core::MachineConfig`], generates its input, runs the kernel to completion,
-//! **validates the simulated output against the golden reference**, and
-//! returns the hardware counters the paper's figures are drawn from.
+//! Every kernel implements [`Kernel`]: on a machine the caller built it
+//! generates its input and describes one [`Launch`]. [`run_on`] is the one
+//! run body — launch, run to completion, **validate the simulated output
+//! against the golden reference**, return the hardware counters the paper's
+//! figures are drawn from — and [`Benchmark::run`] is [`run_on`] a fresh
+//! machine. [`kernels`] is the one table of what the suite is.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +41,9 @@ mod sw;
 pub mod util;
 
 pub use aes::Aes;
-pub use bench::{BenchStats, Benchmark, SizeClass};
+pub use bench::{
+    launch_on, run_on, BenchStats, Benchmark, Kernel, Launch, SizeClass, CYCLE_BUDGET,
+};
 pub use bfs::Bfs;
 pub use bh::BarnesHut;
 pub use bs::BlackScholes;
@@ -50,19 +54,47 @@ pub use sgemm::Sgemm;
 pub use spgemm::SpGemm;
 pub use sw::SmithWaterman;
 
-/// The full ten-kernel suite with default inputs, ordered
-/// memory-intensive → compute-intensive as in the paper's Figure 11.
+type New = fn() -> Box<dyn Kernel>;
+
+/// The twelve checked parameterizations by token, `Name` or `Name@variant`
+/// (space-free, so a token fits the `hb-serve` canonical job line): the ten
+/// suite defaults, ordered memory-intensive → compute-intensive as in the
+/// paper's Figure 11, with the direction-optimizing BFS (`Bfs::program(true)`)
+/// and the SPM-blocked SGEMM after their defaults. Constructors, so
+/// [`by_name`] builds the one kernel it returns and [`suite`] its ten.
+const KERNELS: [(&str, New); 12] = [
+    ("PR", || Box::<PageRank>::default()),
+    ("BFS", || Box::<Bfs>::default()),
+    ("BFS@diropt", || Box::new(Bfs::direction_optimizing())),
+    ("SpGEMM", || Box::<SpGemm>::default()),
+    ("BH", || Box::<BarnesHut>::default()),
+    ("FFT", || Box::<Fft>::default()),
+    ("Jacobi", || Box::<Jacobi>::default()),
+    ("SGEMM", || Box::<Sgemm>::default()),
+    ("SGEMM@blocked", || Box::new(Sgemm::blocked())),
+    ("BS", || Box::<BlackScholes>::default()),
+    ("SW", || Box::<SmithWaterman>::default()),
+    ("AES", || Box::<Aes>::default()),
+];
+
+/// Every registry entry: `(token, kernel)`, in table order.
+pub fn kernels() -> Vec<(&'static str, Box<dyn Kernel>)> {
+    KERNELS.iter().map(|&(token, new)| (token, new())).collect()
+}
+
+/// Resolves a [`kernels`] token, case-insensitively.
+pub fn by_name(token: &str) -> Option<Box<dyn Kernel>> {
+    KERNELS
+        .iter()
+        .find_map(|(t, new)| t.eq_ignore_ascii_case(token).then(new))
+}
+
+/// The full ten-kernel suite with default inputs: the un-suffixed
+/// [`kernels`].
 pub fn suite() -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(PageRank::default()),
-        Box::new(Bfs::default()),
-        Box::new(SpGemm::default()),
-        Box::new(BarnesHut::default()),
-        Box::new(Fft::default()),
-        Box::new(Jacobi::default()),
-        Box::new(Sgemm::default()),
-        Box::new(BlackScholes::default()),
-        Box::new(SmithWaterman::default()),
-        Box::new(Aes::default()),
-    ]
+    KERNELS
+        .iter()
+        .filter(|(token, _)| !token.contains('@'))
+        .map(|(_, new)| new() as Box<dyn Benchmark>)
+        .collect()
 }

@@ -7,8 +7,8 @@
 //! term, (3) every tile gathers in-edge contributions — the irregular,
 //! memory-bound phase the paper characterizes as HBM2-latency dominated.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_u32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, HbOps, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
@@ -216,69 +216,6 @@ impl PageRank {
         a.ecall();
         a.assemble(0).expect("pagerank assembles")
     }
-
-    /// Runs and validates against [`golden::pagerank`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        let g = self.graph();
-        let n = g.rows;
-        let expect = golden::pagerank(&g, self.iters);
-        let tg = g.transpose();
-        let deg: Vec<u32> = (0..n).map(|v| g.degree(v)).collect();
-
-        let mut machine = Machine::new(cfg.clone());
-        let nthreads = cfg.cell_dim.tiles() as u32;
-        let cell = machine.cell_mut(0);
-        let alloc_u32 = |cell: &mut hb_core::Cell, data: &[u32]| {
-            let p = cell.alloc((data.len() * 4) as u32, 64);
-            cell.dram_mut().write_u32_slice(p, data);
-            p
-        };
-        let tg_rp = alloc_u32(cell, &tg.row_ptr);
-        let tg_ci = alloc_u32(cell, &tg.col_idx);
-        let deg_dev = alloc_u32(cell, &deg);
-        let pr_a = cell.alloc(n * 4, 64);
-        let pr_b = cell.alloc(n * 4, 64);
-        let contrib = cell.alloc(n * 4, 64);
-        let partials = cell.alloc(nthreads * 4, 64);
-        let base_slot = cell.alloc(4, 64);
-        cell.dram_mut()
-            .write_f32_slice(pr_a, &vec![1.0 / n as f32; n as usize]);
-        let desc = alloc_u32(
-            cell,
-            &[
-                pgas::local_dram(tg_rp),
-                pgas::local_dram(tg_ci),
-                pgas::local_dram(deg_dev),
-                pgas::local_dram(pr_a),
-                pgas::local_dram(pr_b),
-                pgas::local_dram(contrib),
-                pgas::local_dram(partials),
-                pgas::local_dram(base_slot),
-                n,
-                self.iters,
-            ],
-        );
-        debug_assert_eq!(DESC_WORDS, 10);
-
-        let program = Arc::new(Self::program());
-        machine.launch(0, &program, &[pgas::local_dram(desc)]);
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        // Result buffer depends on iteration parity.
-        let result = if self.iters.is_multiple_of(2) {
-            pr_a
-        } else {
-            pr_b
-        };
-        let got = machine.cell(0).dram().read_f32_slice(result, n as usize);
-        for (v, (g_val, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (g_val - e).abs() <= 1e-5 + e.abs() * 1e-3,
-                "PageRank mismatch at vertex {v}: sim {g_val} vs golden {e}"
-            );
-        }
-        Ok(BenchStats::collect("PR", summary.cycles, &machine))
-    }
 }
 
 impl Benchmark for PageRank {
@@ -291,7 +228,68 @@ impl Benchmark for PageRank {
     }
 
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for PageRank {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::pagerank`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let sized = self.sized(size);
+        let iters = sized.iters;
+        let g = sized.graph();
+        let n = g.rows;
+        let tg = g.transpose();
+        let deg: Vec<u32> = (0..n).map(|v| g.degree(v)).collect();
+
+        let nthreads = machine.config().cell_dim.tiles() as u32;
+        let cell = machine.cell_mut(0);
+        let tg_rp = alloc_u32(cell, &tg.row_ptr);
+        let tg_ci = alloc_u32(cell, &tg.col_idx);
+        let deg_dev = alloc_u32(cell, &deg);
+        let pr_a = cell.alloc(n * 4, 64);
+        let pr_b = cell.alloc(n * 4, 64);
+        let contrib = cell.alloc(n * 4, 64);
+        let partials = cell.alloc(nthreads * 4, 64);
+        let base_slot = cell.alloc(4, 64);
+        cell.dram_mut()
+            .write_f32_slice(pr_a, &vec![1.0 / n as f32; n as usize]);
+        let desc_vals = [
+            pgas::local_dram(tg_rp),
+            pgas::local_dram(tg_ci),
+            pgas::local_dram(deg_dev),
+            pgas::local_dram(pr_a),
+            pgas::local_dram(pr_b),
+            pgas::local_dram(contrib),
+            pgas::local_dram(partials),
+            pgas::local_dram(base_slot),
+            n,
+            iters,
+        ];
+        debug_assert_eq!(desc_vals.len(), DESC_WORDS as usize);
+        let desc = alloc_u32(cell, &desc_vals);
+
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![pgas::local_dram(desc)],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let expect = golden::pagerank(&g, iters);
+                // Result buffer depends on iteration parity.
+                let result = if iters.is_multiple_of(2) { pr_a } else { pr_b };
+                let got = machine.cell(0).dram().read_f32_slice(result, n as usize);
+                for (v, (g_val, e)) in got.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (g_val - e).abs() <= 1e-5 + e.abs() * 1e-3,
+                        "PageRank mismatch at vertex {v}: sim {g_val} vs golden {e}"
+                    );
+                }
+            }),
+        }
     }
 }
 

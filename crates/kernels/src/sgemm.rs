@@ -5,8 +5,8 @@
 //! (sequential loads that Load Packet Compression merges), accumulating
 //! with `fmadd.s`.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_f32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
@@ -296,57 +296,6 @@ impl Sgemm {
         a.ecall();
         a.assemble(0).expect("blocked sgemm assembles")
     }
-
-    /// Runs and validates against [`golden::sgemm`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        assert_eq!(self.n % 4, 0, "N must be a multiple of 4");
-        if self.blocked {
-            assert!(
-                self.m.is_multiple_of(8) && self.n.is_multiple_of(8) && self.k.is_multiple_of(16),
-                "blocked SGEMM needs M,N % 8 == 0 and K % 16 == 0"
-            );
-        }
-        let (m, k, n) = (self.m as usize, self.k as usize, self.n as usize);
-        let a_host = gen::dense_matrix(m, k, 0xA);
-        let b_host = gen::dense_matrix(k, n, 0xB);
-        let expect = golden::sgemm(m, k, n, &a_host, &b_host);
-
-        let mut machine = Machine::new(cfg.clone());
-        let cell = machine.cell_mut(0);
-        let a_dev = cell.alloc((m * k * 4) as u32, 64);
-        let b_dev = cell.alloc((k * n * 4) as u32, 64);
-        let c_dev = cell.alloc((m * n * 4) as u32, 64);
-        cell.dram_mut().write_f32_slice(a_dev, &a_host);
-        cell.dram_mut().write_f32_slice(b_dev, &b_host);
-
-        let program = Arc::new(if self.blocked {
-            Self::program_blocked()
-        } else {
-            Self::program()
-        });
-        machine.launch(
-            0,
-            &program,
-            &[
-                pgas::local_dram(a_dev),
-                pgas::local_dram(b_dev),
-                pgas::local_dram(c_dev),
-                self.m,
-                self.k,
-                self.n,
-            ],
-        );
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine.cell(0).dram().read_f32_slice(c_dev, m * n);
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (g - e).abs() <= e.abs() * 1e-3 + 1e-4,
-                "SGEMM mismatch at {i}: sim {g} vs golden {e}"
-            );
-        }
-        Ok(BenchStats::collect("SGEMM", summary.cycles, &machine))
-    }
 }
 
 impl Benchmark for Sgemm {
@@ -359,7 +308,60 @@ impl Benchmark for Sgemm {
     }
 
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for Sgemm {
+    fn program(&self) -> Program {
+        if self.blocked {
+            Self::program_blocked()
+        } else {
+            Self::program()
+        }
+    }
+
+    /// Validates against [`golden::sgemm`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let Sgemm { m, k, n, blocked } = self.sized(size);
+        assert_eq!(n % 4, 0, "N must be a multiple of 4");
+        if blocked {
+            assert!(
+                m.is_multiple_of(8) && n.is_multiple_of(8) && k.is_multiple_of(16),
+                "blocked SGEMM needs M,N % 8 == 0 and K % 16 == 0"
+            );
+        }
+        let (mu, ku, nu) = (m as usize, k as usize, n as usize);
+        let a_host = gen::dense_matrix(mu, ku, 0xA);
+        let b_host = gen::dense_matrix(ku, nu, 0xB);
+
+        let cell = machine.cell_mut(0);
+        let a_dev = alloc_f32(cell, &a_host);
+        let b_dev = alloc_f32(cell, &b_host);
+        let c_dev = cell.alloc(m * n * 4, 64);
+
+        Launch {
+            program: Arc::new(self.program()),
+            args: vec![
+                pgas::local_dram(a_dev),
+                pgas::local_dram(b_dev),
+                pgas::local_dram(c_dev),
+                m,
+                k,
+                n,
+            ],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let expect = golden::sgemm(mu, ku, nu, &a_host, &b_host);
+                let got = machine.cell(0).dram().read_f32_slice(c_dev, mu * nu);
+                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (g - e).abs() <= e.abs() * 1e-3 + 1e-4,
+                        "SGEMM mismatch at {i}: sim {g} vs golden {e}"
+                    );
+                }
+            }),
+        }
     }
 }
 

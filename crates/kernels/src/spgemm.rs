@@ -6,8 +6,8 @@
 //! result nonzeros are appended to a global triple buffer through a second
 //! atomic counter. Memory-intensive with highly irregular access.
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
-use crate::util::prologue;
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
+use crate::util::{alloc_f32, alloc_u32, prologue};
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
@@ -203,25 +203,37 @@ impl SpGemm {
         let b = gen::uniform_sparse(self.n, self.n, self.nnz_per_row, 0x5B);
         (a, b)
     }
+}
 
-    /// Runs and validates against [`golden::spgemm`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        assert!(self.n.is_power_of_two() && self.n <= 512);
-        let (am, bm) = self.inputs();
+impl Benchmark for SpGemm {
+    fn name(&self) -> &'static str {
+        "SpGEMM"
+    }
+
+    fn dwarf(&self) -> &'static str {
+        "Sparse Linear Algebra"
+    }
+
+    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for SpGemm {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::spgemm`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let sized = self.sized(size);
+        assert!(sized.n.is_power_of_two() && sized.n <= 512);
+        let (am, bm) = sized.inputs();
+        // The output buffers are sized from the product, so this kernel
+        // multiplies on the host before the launch, not in `check`.
         let expect = golden::spgemm(&am, &bm);
 
-        let mut machine = Machine::new(cfg.clone());
         let cell = machine.cell_mut(0);
-        let alloc_u32 = |cell: &mut hb_core::Cell, data: &[u32]| {
-            let p = cell.alloc((data.len() * 4) as u32, 64);
-            cell.dram_mut().write_u32_slice(p, data);
-            p
-        };
-        let alloc_f32 = |cell: &mut hb_core::Cell, data: &[f32]| {
-            let p = cell.alloc((data.len() * 4) as u32, 64);
-            cell.dram_mut().write_f32_slice(p, data);
-            p
-        };
         let a_rp = alloc_u32(cell, &am.row_ptr);
         let a_ci = alloc_u32(cell, &am.col_idx);
         let a_av = alloc_f32(cell, &am.vals);
@@ -252,47 +264,34 @@ impl SpGemm {
         debug_assert_eq!(desc_vals.len(), DESC_WORDS as usize);
         let desc = alloc_u32(cell, &desc_vals);
 
-        let program = Arc::new(Self::program());
-        machine.launch(0, &program, &[pgas::local_dram(desc)]);
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-
-        let dram = machine.cell(0).dram();
-        let got_nnz = dram.read_u32(nnz) as usize;
-        assert_eq!(got_nnz, expect.nnz(), "SpGEMM nonzero count mismatch");
-        let is = dram.read_u32_slice(out_i, got_nnz);
-        let js = dram.read_u32_slice(out_j, got_nnz);
-        let vs = dram.read_f32_slice(out_v, got_nnz);
-        let triples: Vec<(u32, u32, f32)> = is
-            .into_iter()
-            .zip(js)
-            .zip(vs)
-            .map(|((i, j), v)| (i, j, v))
-            .collect();
-        let got = CsrMatrix::from_triples(am.rows, bm.cols, &triples);
-        assert_eq!(got.row_ptr, expect.row_ptr, "SpGEMM structure mismatch");
-        assert_eq!(got.col_idx, expect.col_idx, "SpGEMM pattern mismatch");
-        for (i, (g, e)) in got.vals.iter().zip(&expect.vals).enumerate() {
-            assert!(
-                (g - e).abs() <= e.abs() * 1e-3 + 1e-5,
-                "SpGEMM value mismatch at nz {i}: {g} vs {e}"
-            );
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![pgas::local_dram(desc)],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let dram = machine.cell(0).dram();
+                let got_nnz = dram.read_u32(nnz) as usize;
+                assert_eq!(got_nnz, expect.nnz(), "SpGEMM nonzero count mismatch");
+                let is = dram.read_u32_slice(out_i, got_nnz);
+                let js = dram.read_u32_slice(out_j, got_nnz);
+                let vs = dram.read_f32_slice(out_v, got_nnz);
+                let triples: Vec<(u32, u32, f32)> = is
+                    .into_iter()
+                    .zip(js)
+                    .zip(vs)
+                    .map(|((i, j), v)| (i, j, v))
+                    .collect();
+                let got = CsrMatrix::from_triples(am.rows, bm.cols, &triples);
+                assert_eq!(got.row_ptr, expect.row_ptr, "SpGEMM structure mismatch");
+                assert_eq!(got.col_idx, expect.col_idx, "SpGEMM pattern mismatch");
+                for (i, (g, e)) in got.vals.iter().zip(&expect.vals).enumerate() {
+                    assert!(
+                        (g - e).abs() <= e.abs() * 1e-3 + 1e-5,
+                        "SpGEMM value mismatch at nz {i}: {g} vs {e}"
+                    );
+                }
+            }),
         }
-        Ok(BenchStats::collect("SpGEMM", summary.cycles, &machine))
-    }
-}
-
-impl Benchmark for SpGemm {
-    fn name(&self) -> &'static str {
-        "SpGEMM"
-    }
-
-    fn dwarf(&self) -> &'static str {
-        "Sparse Linear Algebra"
-    }
-
-    fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
     }
 }
 

@@ -7,7 +7,7 @@
 //! paper calls out SW's high branch-miss rate (fixable with min/max ISA
 //! extensions).
 
-use crate::bench::{cycle_budget, BenchStats, Benchmark, SizeClass};
+use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
 use crate::util::prologue;
 use hb_asm::{Assembler, Program};
 use hb_core::{pgas, Machine, MachineConfig, SimError};
@@ -147,50 +147,6 @@ impl SmithWaterman {
         a.ecall();
         a.assemble(0).expect("smith-waterman assembles")
     }
-
-    /// Runs and validates against [`golden::smith_waterman`].
-    pub fn execute(&self, cfg: &MachineConfig) -> Result<BenchStats, SimError> {
-        assert!(self.len <= 128, "DP row must fit the SPM layout");
-        let n = (self.pairs * self.len) as usize;
-        let queries = gen::dna_sequence(n, 0x51);
-        let refs = gen::dna_sequence(n, 0x52);
-        let expect: Vec<u32> = (0..self.pairs as usize)
-            .map(|p| {
-                let lo = p * self.len as usize;
-                let hi = lo + self.len as usize;
-                golden::smith_waterman(&queries[lo..hi], &refs[lo..hi]) as u32
-            })
-            .collect();
-
-        let mut machine = Machine::new(cfg.clone());
-        let cell = machine.cell_mut(0);
-        let q = cell.alloc(n as u32, 64);
-        let r = cell.alloc(n as u32, 64);
-        let out = cell.alloc(self.pairs * 4, 64);
-        cell.dram_mut().write_bytes(q, &queries);
-        cell.dram_mut().write_bytes(r, &refs);
-
-        let program = Arc::new(Self::program());
-        machine.launch(
-            0,
-            &program,
-            &[
-                pgas::local_dram(q),
-                pgas::local_dram(r),
-                pgas::local_dram(out),
-                self.pairs,
-                self.len,
-            ],
-        );
-        let summary = machine.run(cycle_budget(cfg))?;
-        machine.cell_mut(0).flush_caches();
-        let got = machine
-            .cell(0)
-            .dram()
-            .read_u32_slice(out, self.pairs as usize);
-        assert_eq!(got, expect, "SW score mismatch");
-        Ok(BenchStats::collect("SW", summary.cycles, &machine))
-    }
 }
 
 impl Benchmark for SmithWaterman {
@@ -203,7 +159,49 @@ impl Benchmark for SmithWaterman {
     }
 
     fn run(&self, cfg: &MachineConfig, size: SizeClass) -> Result<BenchStats, SimError> {
-        self.sized(size).execute(cfg)
+        run_fresh(self, cfg, size)
+    }
+}
+
+impl Kernel for SmithWaterman {
+    fn program(&self) -> Program {
+        Self::program()
+    }
+
+    /// Validates against [`golden::smith_waterman`].
+    fn prepare(&self, machine: &mut Machine, size: SizeClass) -> Launch {
+        let SmithWaterman { pairs, len } = self.sized(size);
+        assert!(len <= 128, "DP row must fit the SPM layout");
+        let n = (pairs * len) as usize;
+        let queries = gen::dna_sequence(n, 0x51);
+        let refs = gen::dna_sequence(n, 0x52);
+
+        let cell = machine.cell_mut(0);
+        let q = cell.alloc(n as u32, 64);
+        let r = cell.alloc(n as u32, 64);
+        let out = cell.alloc(pairs * 4, 64);
+        cell.dram_mut().write_bytes(q, &queries);
+        cell.dram_mut().write_bytes(r, &refs);
+
+        Launch {
+            program: Arc::new(Self::program()),
+            args: vec![
+                pgas::local_dram(q),
+                pgas::local_dram(r),
+                pgas::local_dram(out),
+                pairs,
+                len,
+            ],
+            work_units: 1.0,
+            check: Box::new(move |machine| {
+                let len = len as usize;
+                let expect: Vec<u32> = (queries.chunks(len).zip(refs.chunks(len)))
+                    .map(|(q, r)| golden::smith_waterman(q, r) as u32)
+                    .collect();
+                let got = machine.cell(0).dram().read_u32_slice(out, pairs as usize);
+                assert_eq!(got, expect, "SW score mismatch");
+            }),
+        }
     }
 }
 

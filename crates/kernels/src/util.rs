@@ -1,8 +1,22 @@
 //! Shared kernel-authoring helpers.
 
 use hb_asm::Assembler;
-use hb_core::HbOps;
+use hb_core::{Cell, HbOps};
 use hb_isa::Gpr;
+
+/// Allocates a 64-byte-aligned Local-DRAM buffer holding `data`.
+pub(crate) fn alloc_u32(cell: &mut Cell, data: &[u32]) -> u32 {
+    let p = cell.alloc((data.len() * 4) as u32, 64);
+    cell.dram_mut().write_u32_slice(p, data);
+    p
+}
+
+/// [`alloc_u32`] for floats.
+pub(crate) fn alloc_f32(cell: &mut Cell, data: &[f32]) -> u32 {
+    let p = cell.alloc((data.len() * 4) as u32, 64);
+    cell.dram_mut().write_f32_slice(p, data);
+    p
+}
 
 /// Emits the standard kernel prologue: `rank` ← *live* tile-group rank
 /// and `nthreads` ← live tile-group size (clobbering `scratch`). Launch
@@ -17,22 +31,6 @@ use hb_isa::Gpr;
 pub fn prologue(a: &mut Assembler, rank: Gpr, nthreads: Gpr, scratch: Gpr) {
     a.tg_live_rank(rank, scratch);
     a.tg_live_size(nthreads, scratch);
-}
-
-/// Emits a rank-strided loop header over `0..count`: on entry `idx` holds
-/// the rank; each iteration the caller advances `idx += nthreads` and
-/// branches back while `idx < count`. Returns the loop-top label after
-/// binding it; the caller emits the back-branch.
-///
-/// Typical shape:
-/// ```text
-/// mv idx, rank
-/// top:
-///   blt idx, count? -> body, else exit — here the caller handles it
-/// ```
-/// (Provided as documentation of the idiom; kernels mostly inline it.)
-pub fn f32_bits(v: f32) -> u32 {
-    v.to_bits()
 }
 
 /// Emits `exp(x) ~= (1 + x/256)^256` into `dst` (eight fmuls), matching

@@ -1,4 +1,4 @@
-//! Lints every kernel in `hb-kernels` across its parameterizations.
+//! Lints every entry of `hb_kernels::kernels()`.
 //!
 //! ```text
 //! cargo run -p hb-lint --bin lint-kernels [-- --deny-warnings] [--verbose] [--json]
@@ -14,30 +14,9 @@
 //! "message":...}]}`) plus a final `{"total":...}` summary line. Exit
 //! codes are unchanged.
 
-use hb_asm::Program;
 use hb_core::MachineConfig;
-use hb_kernels::{
-    Aes, BarnesHut, Bfs, BlackScholes, Fft, Jacobi, PageRank, Sgemm, SmithWaterman, SpGemm,
-};
 use hb_lint::{lint, render, LintConfig, Severity};
 use std::process::ExitCode;
-
-fn programs() -> Vec<(&'static str, Program)> {
-    vec![
-        ("aes", Aes::program()),
-        ("bfs (top-down)", Bfs::program(false)),
-        ("bfs (direction-optimizing)", Bfs::program(true)),
-        ("barnes-hut", BarnesHut::program()),
-        ("black-scholes", BlackScholes::program()),
-        ("fft", Fft::program()),
-        ("jacobi", Jacobi::program()),
-        ("pagerank", PageRank::program()),
-        ("sgemm", Sgemm::program()),
-        ("sgemm (blocked)", Sgemm::program_blocked()),
-        ("spgemm", SpGemm::program()),
-        ("smith-waterman", SmithWaterman::program()),
-    ]
-}
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
 fn json_escape(s: &str) -> String {
@@ -88,7 +67,8 @@ fn main() -> ExitCode {
 
     let mut total = [0usize; 3]; // info, warning, error
     let mut failed = false;
-    for (name, program) in programs() {
+    for (name, kernel) in hb_kernels::kernels() {
+        let program = kernel.program();
         let diags = lint(&program, &config);
         let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
         let (ni, nw, ne) = (

@@ -5,23 +5,9 @@ use hb_lint::{lint, LintConfig, Severity};
 
 #[test]
 fn all_kernels_lint_without_errors() {
-    let programs = [
-        ("aes", hb_kernels::Aes::program()),
-        ("bfs (top-down)", hb_kernels::Bfs::program(false)),
-        ("bfs (direction-optimizing)", hb_kernels::Bfs::program(true)),
-        ("barnes-hut", hb_kernels::BarnesHut::program()),
-        ("black-scholes", hb_kernels::BlackScholes::program()),
-        ("fft", hb_kernels::Fft::program()),
-        ("jacobi", hb_kernels::Jacobi::program()),
-        ("pagerank", hb_kernels::PageRank::program()),
-        ("sgemm", hb_kernels::Sgemm::program()),
-        ("sgemm (blocked)", hb_kernels::Sgemm::program_blocked()),
-        ("spgemm", hb_kernels::SpGemm::program()),
-        ("smith-waterman", hb_kernels::SmithWaterman::program()),
-    ];
     let lc = LintConfig::default();
-    for (name, program) in &programs {
-        let errors: Vec<String> = lint(program, &lc)
+    for (name, kernel) in hb_kernels::kernels() {
+        let errors: Vec<String> = lint(&kernel.program(), &lc)
             .into_iter()
             .filter(|d| d.severity == Severity::Error)
             .map(|d| d.to_string())

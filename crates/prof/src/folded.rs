@@ -69,7 +69,6 @@ mod tests {
         asm.ecall();
         let program = Arc::new(asm.assemble(0).unwrap());
 
-        let (_scope, store) = crate::attach();
         let cfg = MachineConfig {
             cell_dim: hb_core::CellDim { x: 1, y: 1 },
             profile: true,
@@ -78,9 +77,7 @@ mod tests {
         let mut machine = Machine::new(cfg);
         machine.launch(0, &program, &[]);
         machine.run(10_000).unwrap();
-        drop(machine);
-        let run = store.lock().unwrap().last().unwrap().clone();
-        run
+        ProfRun::capture(&machine, program).unwrap()
     }
 
     #[test]

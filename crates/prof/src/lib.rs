@@ -27,17 +27,15 @@
 //! ```no_run
 //! use hb_core::{Machine, MachineConfig};
 //!
-//! let (_scope, store) = hb_prof::attach();
 //! let cfg = MachineConfig {
 //!     profile: true,
 //!     ..MachineConfig::baseline_16x8()
 //! };
-//! let machine = Machine::new(cfg);
-//! // ... launch and run a kernel, drop the machine ...
-//! drop(machine);
-//! let store = store.lock().unwrap();
-//! if let Some(run) = store.last() {
-//!     let analysis = hb_prof::Analysis::analyze("sgemm", run);
+//! let mut machine = Machine::new(cfg);
+//! # let program: std::sync::Arc<hb_asm::Program> = unimplemented!();
+//! // ... launch `program` and run it ...
+//! if let Some(run) = hb_prof::ProfRun::capture(&machine, program) {
+//!     let analysis = hb_prof::Analysis::analyze("sgemm", &run);
 //!     println!("{}", hb_prof::summary::report_text(&analysis, 10));
 //! }
 //! ```
@@ -48,102 +46,36 @@ pub mod folded;
 pub mod summary;
 
 use hb_asm::Program;
-use hb_core::observe::MachineObserver;
-use hb_core::{GuestProfile, Machine, MachineConfig, ObserverScope, StallKind, UNMARKED};
+use hb_core::{GuestProfile, Machine, StallKind, UNMARKED};
 use hb_isa::INSTR_BYTES;
 use hb_lint::cfg::Cfg;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One profiled machine run: the program it executed, the folded guest
 /// profile, and the machine cycle the capture closed at.
 #[derive(Debug, Clone)]
 pub struct ProfRun {
-    /// The program launched on Cell 0 (profiles are per-image).
+    /// The program the machine ran (profiles are per-image).
     pub program: Arc<Program>,
     /// The machine-wide guest profile.
     pub profile: GuestProfile,
-    /// Machine cycle at capture (end of the run).
+    /// Machine cycle at capture.
     pub cycles: u64,
 }
 
-/// Captured runs, oldest first. Shared between the caller and the
-/// observer the factory hands to each profiled machine.
-#[derive(Debug, Default)]
-pub struct ProfStore {
-    runs: Vec<ProfRun>,
-}
-
-impl ProfStore {
-    /// All captured runs, in machine-drop order.
-    pub fn runs(&self) -> &[ProfRun] {
-        &self.runs
-    }
-
-    /// The most recent captured run, if any.
-    pub fn last(&self) -> Option<&ProfRun> {
-        self.runs.last()
-    }
-}
-
-/// Shared handle to the captured runs.
-pub type SharedProfiles = Arc<Mutex<ProfStore>>;
-
-/// Observer that harvests the guest profile when the machine is dropped.
-/// It never samples mid-run (`next_due` is `u64::MAX`); the fold in
-/// `Machine::guest_profile` is owed-aware, so even a machine dropped
-/// mid-kernel yields the counts of a never-parked run.
-#[derive(Debug)]
-struct Harvester {
-    store: SharedProfiles,
-}
-
-impl MachineObserver for Harvester {
-    fn sample(&mut self, _machine: &mut Machine) {}
-
-    fn next_due(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn finish(&mut self, machine: &mut Machine) {
-        let (Some(profile), Some(program)) = (machine.guest_profile(), machine.launched_program(0))
-        else {
-            return;
-        };
-        self.runs_push(ProfRun {
+impl ProfRun {
+    /// Reads the guest profile of `machine`, which ran `program`, as it
+    /// stands now. The fold in [`Machine::guest_profile`] is owed-aware, so
+    /// even a machine captured mid-kernel yields the counts of a
+    /// never-parked run. `None` when [`hb_core::MachineConfig::profile`] is
+    /// off or nothing has launched.
+    pub fn capture(machine: &Machine, program: Arc<Program>) -> Option<ProfRun> {
+        Some(ProfRun {
             program,
-            profile,
+            profile: machine.guest_profile()?,
             cycles: machine.cycle(),
-        });
-    }
-}
-
-impl Harvester {
-    fn runs_push(&self, run: ProfRun) {
-        self.store.lock().unwrap().runs.push(run);
-    }
-}
-
-/// Installs a thread-local observer factory (see
-/// [`hb_core::set_observer_factory`]) and returns its scope guard plus
-/// the shared run store.
-///
-/// Every [`Machine::new`] on this thread whose config has
-/// `profile: true` then gets a harvesting observer attached — this is
-/// how the profiler reaches machines built deep inside benchmark
-/// harnesses without changing their signatures. The profile is read in
-/// the observer's `finish`, i.e. when the machine is dropped. Drop the
-/// scope to stop instrumenting.
-pub fn attach() -> (ObserverScope, SharedProfiles) {
-    let store: SharedProfiles = Arc::default();
-    let factory_store = store.clone();
-    let scope = hb_core::set_observer_factory(move |cfg: &MachineConfig| {
-        cfg.profile.then(|| {
-            Box::new(Harvester {
-                store: factory_store.clone(),
-            }) as Box<dyn MachineObserver>
         })
-    });
-    (scope, store)
+    }
 }
 
 /// One basic block's profile: histogram counts summed over the block's
@@ -385,7 +317,7 @@ pub fn instr_index(base: u32, pc: u32) -> usize {
 mod tests {
     use super::*;
     use hb_asm::Assembler;
-    use hb_core::{CellDim, HbOps};
+    use hb_core::{CellDim, HbOps, MachineConfig};
     use hb_isa::Gpr::*;
 
     /// Counted loop with a barrier: block structure is
@@ -409,28 +341,24 @@ mod tests {
         }
     }
 
-    fn run_loop_kernel() -> SharedProfiles {
-        let (_scope, store) = attach();
-        let mut machine = Machine::new(profiled_cfg());
-        machine.launch(0, &loop_kernel(), &[]);
+    fn run_loop_kernel(cfg: MachineConfig) -> Option<ProfRun> {
+        let mut machine = Machine::new(cfg);
+        let program = loop_kernel();
+        machine.launch(0, &program, &[]);
         machine.run(100_000).unwrap();
-        drop(machine);
-        store
+        ProfRun::capture(&machine, program)
     }
 
     #[test]
-    fn attach_harvests_on_drop_and_analysis_ranks_the_loop() {
-        let store = run_loop_kernel();
-        let store = store.lock().unwrap();
-        assert_eq!(store.runs().len(), 1);
-        let run = store.last().unwrap();
+    fn capture_reads_the_machine_and_analysis_ranks_the_loop() {
+        let run = run_loop_kernel(profiled_cfg()).unwrap();
         assert!(run.cycles > 0);
         // Each of the 4 tiles retires every instruction once, except the
         // 2-instruction loop body, which retires 8 times.
         let per_tile = (run.profile.instrs as u64 - 2) + 2 * 8;
         assert_eq!(run.profile.retired_total(), 4 * per_tile);
 
-        let a = Analysis::analyze("loop", run);
+        let a = Analysis::analyze("loop", &run);
         assert_eq!(a.retired, 4 * per_tile);
         assert_eq!(a.tile_cycles(), a.retired + a.stalled);
         // The 2-instruction loop body dominates retires (the exit block
@@ -447,21 +375,17 @@ mod tests {
     }
 
     #[test]
-    fn factory_declines_unprofiled_machines() {
-        let (_scope, store) = attach();
+    fn capture_declines_unprofiled_machines() {
         let cfg = MachineConfig {
             profile: false,
             ..profiled_cfg()
         };
-        drop(Machine::new(cfg));
-        assert!(store.lock().unwrap().runs().is_empty());
+        assert!(run_loop_kernel(cfg).is_none());
     }
 
     #[test]
     fn compact_roundtrips() {
-        let store = run_loop_kernel();
-        let store = store.lock().unwrap();
-        let a = Analysis::analyze("loop", store.last().unwrap());
+        let a = Analysis::analyze("loop", &run_loop_kernel(profiled_cfg()).unwrap());
         let s = compact_top(&a, 3);
         let rows = parse_compact(&s);
         assert_eq!(rows.len(), a.top(3).len());

@@ -130,7 +130,6 @@ mod tests {
         asm.ecall();
         let program = Arc::new(asm.assemble(0).unwrap());
 
-        let (_scope, store) = crate::attach();
         let cfg = MachineConfig {
             cell_dim: hb_core::CellDim { x: 2, y: 1 },
             profile: true,
@@ -139,8 +138,7 @@ mod tests {
         let mut machine = Machine::new(cfg);
         machine.launch(0, &program, &[]);
         machine.run(10_000).unwrap();
-        drop(machine);
-        let run = store.lock().unwrap().last().unwrap().clone();
+        let run = crate::ProfRun::capture(&machine, program).unwrap();
         Analysis::analyze("loopy", &run)
     }
 

@@ -17,19 +17,16 @@
 //! pass over-approximates; the dynamic pass only sees what a particular
 //! run did). [`cross_validate`] enforces that contract, and the racy
 //! fixtures in [`hb_kernels::fixtures`] exercise it with exact expected
-//! finding counts on both sides. The clean direction — the whole benchmark
-//! suite produces zero findings from either checker — is covered by
-//! [`check_suite`] and the `race_check` harness binary.
+//! finding counts on both sides. The clean direction — every entry of
+//! [`hb_kernels::kernels`] produces zero findings from either checker — is
+//! covered by [`check_suite`] and the `race_check` harness binary.
 
 #![forbid(unsafe_code)]
 
 use hb_asm::Program;
-use hb_core::{collect_races, pgas, Machine, MachineConfig, RaceReport};
+use hb_core::{pgas, Machine, MachineConfig, RaceReport};
 use hb_kernels::fixtures::Fixture;
-use hb_kernels::{
-    Aes, BarnesHut, Benchmark, Bfs, BlackScholes, Fft, Jacobi, PageRank, Sgemm, SizeClass,
-    SmithWaterman, SpGemm,
-};
+use hb_kernels::SizeClass;
 use hb_lint::phases::phase_conflicts;
 pub use hb_lint::phases::PhaseConflict;
 use hb_lint::LintConfig;
@@ -112,58 +109,6 @@ pub fn cross_validate(statics: &[PhaseConflict], dynamic: &[RaceReport]) -> Resu
     Ok(())
 }
 
-/// Canonical kernel tokens for the twelve checked parameterizations: the
-/// ten suite defaults plus the direction-optimizing BFS and SPM-blocked
-/// SGEMM variants. Tokens are `Name` or `Name@variant` (space-free, so
-/// they fit the `hb-serve` canonical job line) and are what
-/// [`parameterization`] accepts.
-pub const SUITE_KERNELS: [&str; 12] = [
-    "PR",
-    "BFS",
-    "BFS@diropt",
-    "SpGEMM",
-    "BH",
-    "FFT",
-    "Jacobi",
-    "SGEMM",
-    "SGEMM@blocked",
-    "BS",
-    "SW",
-    "AES",
-];
-
-/// Resolves a kernel token (case-insensitive `Name` or `Name@variant`) to
-/// the benchmark instance and the matching static program.
-pub fn parameterization(kernel: &str) -> Option<(Box<dyn Benchmark>, Program)> {
-    let b = |b: Box<dyn Benchmark>, p: Program| Some((b, p));
-    match kernel.to_ascii_lowercase().as_str() {
-        "pr" => b(Box::<PageRank>::default(), PageRank::program()),
-        "bfs" => b(Box::<Bfs>::default(), Bfs::program(false)),
-        "bfs@diropt" => b(Box::new(Bfs::direction_optimizing()), Bfs::program(true)),
-        "spgemm" => b(Box::<SpGemm>::default(), SpGemm::program()),
-        "bh" => b(Box::<BarnesHut>::default(), BarnesHut::program()),
-        "fft" => b(Box::<Fft>::default(), Fft::program()),
-        "jacobi" => b(Box::<Jacobi>::default(), Jacobi::program()),
-        "sgemm" => b(Box::<Sgemm>::default(), Sgemm::program()),
-        "sgemm@blocked" => b(Box::new(Sgemm::blocked()), Sgemm::program_blocked()),
-        "bs" => b(Box::<BlackScholes>::default(), BlackScholes::program()),
-        "sw" => b(Box::<SmithWaterman>::default(), SmithWaterman::program()),
-        "aes" => b(Box::<Aes>::default(), Aes::program()),
-        _ => None,
-    }
-}
-
-/// Every checked parameterization: `(token, benchmark, program)`.
-pub fn suite_parameterizations() -> Vec<(&'static str, Box<dyn Benchmark>, Program)> {
-    SUITE_KERNELS
-        .iter()
-        .map(|k| {
-            let (bench, program) = parameterization(k).expect("token list is exhaustive");
-            (*k, bench, program)
-        })
-        .collect()
-}
-
 /// Verdict for one suite kernel: finding counts from both checkers.
 pub struct SuiteEntry {
     pub name: &'static str,
@@ -179,32 +124,29 @@ impl SuiteEntry {
     }
 }
 
-/// Runs every suite parameterization through both checkers: the static
-/// pass against `cfg`'s shape and a full sanitized benchmark run (which
-/// also golden-validates the output, proving the sanitizer is read-only).
+/// Runs every [`hb_kernels::kernels`] entry through both checkers: the
+/// static pass against `cfg`'s shape and a full sanitized benchmark run
+/// (which also golden-validates the output, proving the sanitizer is
+/// read-only).
 ///
 /// # Panics
 ///
 /// Panics if a benchmark run fails or mis-validates.
 pub fn check_suite(cfg: &MachineConfig, size: SizeClass) -> Vec<SuiteEntry> {
-    let run_cfg = MachineConfig {
-        race_check: true,
-        ..cfg.clone()
-    };
-    suite_parameterizations()
+    hb_kernels::kernels()
         .into_iter()
-        .map(|(name, bench, program)| {
-            let statics = static_conflicts(&program, cfg);
-            let scope = collect_races();
-            bench
-                .run(&run_cfg, size)
+        .map(|(name, kernel)| {
+            let statics = static_conflicts(&kernel.program(), cfg);
+            let mut machine = Machine::new(cfg.clone());
+            machine.set_race_check(true);
+            hb_kernels::run_on(&mut machine, kernel.as_ref(), size)
                 .unwrap_or_else(|e| panic!("{name} failed under the sanitizer: {e:?}"));
-            let races = scope.take();
+            let races = machine.render_races();
             SuiteEntry {
                 name,
                 static_findings: statics.len(),
                 dynamic_findings: races.len(),
-                races: races.into_iter().map(|(_, s)| s).collect(),
+                races,
             }
         })
         .collect()
@@ -278,30 +220,5 @@ mod tests {
         m.launch(0, &p, &[pgas::local_dram(buf)]);
         m.run(1_000_000).unwrap();
         assert!(m.race_reports().is_empty());
-    }
-
-    #[test]
-    fn sink_captures_reports_from_an_internally_dropped_machine() {
-        let f = hb_kernels::fixtures::by_name("shared-row-ww").unwrap();
-        let scope = collect_races();
-        {
-            let c = MachineConfig {
-                race_check: true,
-                ..cfg()
-            };
-            let mut m = Machine::new(c);
-            let buf = m.cell_mut(0).alloc(9 * 4, 64);
-            let p = Arc::new((f.build)());
-            m.launch(0, &p, &[pgas::local_dram(buf)]);
-            m.run(1_000_000).unwrap();
-            // No explicit report read: Drop must push to the sink.
-        }
-        let got = scope.take();
-        assert_eq!(got.len(), 1);
-        assert!(got[0].1.contains("race on"));
-        // And the sink is uninstalled with the scope.
-        drop(scope);
-        let orphan = collect_races();
-        assert!(orphan.take().is_empty());
     }
 }

@@ -4,10 +4,11 @@
 //! `hb-serve` binary, the bench harnesses and the tests all share one
 //! implementation (and so every caller gains caching/resume for free).
 //!
-//! Golden/fault jobs run the SPM-blocked SGEMM or the Jacobi kernel with
-//! seeded inputs — identical initial DRAM on every run — and classify
-//! against the campaign's golden record. Ablation jobs run any
-//! `hb_kernels::suite()` benchmark at a size class and record cycles.
+//! Golden/fault jobs run one of the two [`campaign_kernel`]s — the
+//! SPM-blocked SGEMM or the Jacobi kernel, seeded inputs, identical initial
+//! DRAM on every run — and classify against the campaign's golden record.
+//! Ablation, profile and race-check jobs run any [`hb_kernels::kernels`]
+//! token at a size class on a machine they build themselves.
 //!
 //! Fault jobs can additionally checkpoint: with an interval configured
 //! (`with_ckpt_every`), each run periodically snapshots its machine into
@@ -20,48 +21,62 @@
 use crate::pool::{Executor, JobError};
 use crate::spec::{JobKind, JobSpec, PlanSpec};
 use crate::store::{JobRecord, Store};
-use hb_asm::Program;
-use hb_core::{pgas, Machine, MachineConfig, SimError, SnapshotDram};
+use hb_core::{Machine, MachineConfig, SimError, SnapshotDram};
 use hb_fault::{InjectionPlan, PlanShape};
-use hb_kernels::{Jacobi, Sgemm, SizeClass};
-use hb_workloads::gen;
+use hb_kernels::{launch_on, run_on, Jacobi, Kernel, Sgemm, SizeClass};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The kernels golden/fault campaigns can run (the ones with seeded input
-/// preparation and a deterministic golden image).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignKernel {
-    /// SPM-blocked SGEMM (every tile of a 4x4 cell owns live state).
-    Sgemm,
-    /// Jacobi relaxation over SPM work descriptors.
-    Jacobi,
+/// One row of the campaign table: what golden/fault/warm jobs can run. Two
+/// rows, not the suite: a campaign needs live state on every tile of a 4x4
+/// Cell for SPM faults to hit (hence the SPM-blocked SGEMM with 16 output
+/// blocks), and its golden digests, cycle counts and `--expect` outcome
+/// counts are recorded against exactly these inputs.
+struct CampaignRow {
+    /// Stable lowercase name (part of the warm-checkpoint store key).
+    label: &'static str,
+    /// [`Kernel::prepare`] at [`SizeClass::Small`] is the campaign set-up.
+    kernel: &'static dyn Kernel,
+    /// No barriers, so an `hb-iss` functional run executes the kernel to
+    /// completion and can anchor the golden memory image.
+    barrier_free: bool,
 }
 
-impl CampaignKernel {
-    /// Parses a kernel name.
-    pub fn parse(s: &str) -> Option<CampaignKernel> {
-        match s.to_ascii_lowercase().as_str() {
-            "sgemm" => Some(CampaignKernel::Sgemm),
-            "jacobi" => Some(CampaignKernel::Jacobi),
-            _ => None,
+/// Resolves a campaign kernel name. A `warm:` prefix selects the shared
+/// warm-checkpoint start for fault jobs and is otherwise transparent: the
+/// simulated kernel, inputs and classification are identical.
+fn campaign_row(name: &str) -> Result<CampaignRow, JobError> {
+    let bare = name.strip_prefix("warm:").unwrap_or(name);
+    Ok(match bare.to_ascii_lowercase().as_str() {
+        "sgemm" => CampaignRow {
+            label: "sgemm",
+            kernel: &Sgemm {
+                m: 32,
+                k: 16,
+                n: 32,
+                blocked: true,
+            },
+            barrier_free: true,
+        },
+        "jacobi" => CampaignRow {
+            label: "jacobi",
+            kernel: &Jacobi { z: 32, steps: 2 },
+            barrier_free: false,
+        },
+        _ => {
+            return Err(JobError::Permanent(format!(
+                "unknown campaign kernel {name:?}"
+            )))
         }
-    }
+    })
+}
 
-    /// Stable lowercase name.
-    pub fn label(self) -> &'static str {
-        match self {
-            CampaignKernel::Sgemm => "sgemm",
-            CampaignKernel::Jacobi => "jacobi",
-        }
-    }
-
-    /// Whether the kernel is barrier-free, so an `hb-iss` functional run
-    /// executes it to completion and can anchor the golden memory image.
-    fn functional_runs_to_completion(self) -> bool {
-        matches!(self, CampaignKernel::Sgemm)
-    }
+/// The kernel a campaign named `name` (`sgemm` or `jacobi`, optionally
+/// `warm:`-prefixed) launches at [`SizeClass::Small`]; `None` for any
+/// other name.
+pub fn campaign_kernel(name: &str) -> Option<&'static dyn Kernel> {
+    campaign_row(name).ok().map(|row| row.kernel)
 }
 
 /// What fault jobs need from their campaign's golden run.
@@ -153,7 +168,8 @@ impl SimExecutor {
     }
 
     fn run_golden(&self, spec: &JobSpec) -> Result<JobRecord, JobError> {
-        let kernel = campaign_kernel(&spec.kernel)?;
+        let row = campaign_row(&spec.kernel)?;
+        let kernel = row.kernel;
         let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
@@ -179,10 +195,9 @@ impl SimExecutor {
 
         // Anchor the golden image to the hb-iss functional model where the
         // kernel runs to completion functionally (no barriers).
-        if kernel.functional_runs_to_completion() {
+        if row.barrier_free {
             let mut machine = Machine::new(cfg.clone());
-            let (program, largs) = prepare(kernel, &mut machine);
-            machine.launch(0, &program, &largs);
+            launch_on(&mut machine, kernel, SizeClass::Small);
             machine
                 .warmup_functional(100_000_000)
                 .map_err(|e| JobError::Permanent(format!("functional golden run failed: {e}")))?;
@@ -215,13 +230,13 @@ impl SimExecutor {
     /// directory, so parallel campaigns over the same point share one blob.
     fn warm_blob(
         &self,
-        kernel: CampaignKernel,
+        row: &CampaignRow,
         cfg: &MachineConfig,
         store: &Store,
     ) -> Result<Arc<Vec<u8>>, JobError> {
         let key = format!(
             "warm-{}-{:032x}",
-            kernel.label(),
+            row.label,
             hb_mem::fnv1a128(cfg.canonical_text().as_bytes())
         );
         if let Some(blob) = self.warm_blobs.lock().unwrap().get(&key) {
@@ -236,8 +251,7 @@ impl SimExecutor {
             Some(bytes) => bytes,
             None => {
                 let mut machine = Machine::new(cfg.clone());
-                let (program, args) = prepare(kernel, &mut machine);
-                machine.launch(0, &program, &args);
+                launch_on(&mut machine, row.kernel, SizeClass::Small);
                 while machine.cycle() < WARM_CYCLES {
                     machine.tick();
                 }
@@ -251,7 +265,7 @@ impl SimExecutor {
     }
 
     fn run_fault(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError> {
-        let kernel = campaign_kernel(&spec.kernel)?;
+        let row = campaign_row(&spec.kernel)?;
         let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
@@ -303,13 +317,12 @@ impl SimExecutor {
             let warm = spec.kernel.starts_with("warm:")
                 && plan.injections.iter().all(|i| i.cycle > WARM_CYCLES);
             if warm {
-                let blob = self.warm_blob(kernel, cfg, store)?;
+                let blob = self.warm_blob(&row, cfg, store)?;
                 hb_ckpt::restore(&mut machine, &blob).map_err(|e| {
                     JobError::Permanent(format!("warm checkpoint restore failed: {e}"))
                 })?;
             } else {
-                let (program, args) = prepare(kernel, &mut machine);
-                machine.launch(0, &program, &args);
+                launch_on(&mut machine, row.kernel, SizeClass::Small);
             }
             machine.set_injection_plan(&plan);
         }
@@ -371,28 +384,13 @@ impl SimExecutor {
 
     fn run_ablation(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
         let size = parse_size(size)?;
-        let (name, variant) = match spec.kernel.split_once('@') {
-            Some((n, v)) => (n, Some(v)),
-            None => (spec.kernel.as_str(), None),
-        };
-        let bench: Box<dyn hb_kernels::Benchmark> = match variant {
-            Some("blocked") if name.eq_ignore_ascii_case("SGEMM") => Box::new(Sgemm::blocked()),
-            Some(v) => {
-                return Err(JobError::Permanent(format!(
-                    "unknown kernel variant {v:?} for {name:?}"
-                )))
-            }
-            None => hb_kernels::suite()
-                .into_iter()
-                .find(|b| b.name().eq_ignore_ascii_case(name))
-                .ok_or_else(|| JobError::Permanent(format!("unknown kernel {name:?}")))?,
-        };
+        let kernel = suite_kernel(&spec.kernel)?;
         let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let stats = bench
+        let stats = kernel
             .run(cfg, size)
-            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", bench.name())))?;
+            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
         Ok(JobRecord {
             kind: spec.kind.canonical(),
             kernel: spec.kernel.clone(),
@@ -411,26 +409,19 @@ impl SimExecutor {
     /// report renders as a per-kernel hot-block section.
     fn run_profile(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
         let size = parse_size(size)?;
-        let bench = hb_kernels::suite()
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(&spec.kernel))
-            .ok_or_else(|| JobError::Permanent(format!("unknown kernel {:?}", spec.kernel)))?;
+        let kernel = suite_kernel(&spec.kernel)?;
         let cfg = MachineConfig {
             profile: true,
             ..spec.config.clone()
         };
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let (scope, profiles) = hb_prof::attach();
-        let stats = bench
-            .run(&cfg, size)
-            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", bench.name())))?;
-        drop(scope);
-        let profiles = profiles.lock().unwrap();
-        let run = profiles
-            .last()
-            .ok_or_else(|| JobError::Permanent(format!("{} captured no profile", bench.name())))?;
-        let analysis = hb_prof::Analysis::analyze(bench.name(), run);
+        let mut machine = Machine::new(cfg);
+        let stats = run_on(&mut machine, kernel.as_ref(), size)
+            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
+        let run = hb_prof::ProfRun::capture(&machine, Arc::new(kernel.program()))
+            .ok_or_else(|| JobError::Permanent(format!("{} captured no profile", kernel.name())))?;
+        let analysis = hb_prof::Analysis::analyze(kernel.name(), &run);
         Ok(JobRecord {
             kind: spec.kind.canonical(),
             kernel: spec.kernel.clone(),
@@ -450,21 +441,17 @@ impl SimExecutor {
     /// as `static=N,dynamic=M`; any finding makes the outcome `racy`.
     fn run_race_check(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
         let size = parse_size(size)?;
-        let (bench, program) = hb_race::parameterization(&spec.kernel)
-            .ok_or_else(|| JobError::Permanent(format!("unknown kernel {:?}", spec.kernel)))?;
-        let cfg = MachineConfig {
-            race_check: true,
-            ..spec.config.clone()
-        };
+        let kernel = suite_kernel(&spec.kernel)?;
+        let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let statics = hb_race::static_conflicts(&program, &cfg);
-        let scope = hb_core::collect_races();
-        let stats = bench
-            .run(&cfg, size)
-            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", bench.name())))?;
-        let races = scope.take();
-        let clean = statics.is_empty() && races.is_empty();
+        let statics = hb_race::static_conflicts(&kernel.program(), cfg);
+        let mut machine = Machine::new(cfg.clone());
+        machine.set_race_check(true);
+        let stats = run_on(&mut machine, kernel.as_ref(), size)
+            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
+        let races = machine.race_reports().len();
+        let clean = statics.is_empty() && races == 0;
         Ok(JobRecord {
             kind: spec.kind.canonical(),
             kernel: spec.kernel.clone(),
@@ -472,7 +459,7 @@ impl SimExecutor {
             outcome: if clean { "clean" } else { "racy" }.to_owned(),
             cycles: stats.cycles,
             instrs: stats.core.instrs,
-            checks: format!("static={},dynamic={}", statics.len(), races.len()),
+            checks: format!("static={},dynamic={races}", statics.len()),
             ..JobRecord::default()
         })
     }
@@ -530,13 +517,11 @@ pub fn golden_spec(kernel: &str, config: &MachineConfig) -> JobSpec {
     }
 }
 
-/// Resolves a campaign kernel name. A `warm:` prefix selects the shared
-/// warm-checkpoint start for fault jobs and is otherwise transparent: the
-/// simulated kernel, inputs and classification are identical.
-fn campaign_kernel(name: &str) -> Result<CampaignKernel, JobError> {
-    let bare = name.strip_prefix("warm:").unwrap_or(name);
-    CampaignKernel::parse(bare)
-        .ok_or_else(|| JobError::Permanent(format!("unknown campaign kernel {name:?}")))
+/// Resolves the kernel token of an ablation, profile or race-check job:
+/// any of [`hb_kernels::kernels`], case-insensitively.
+fn suite_kernel(token: &str) -> Result<Box<dyn Kernel>, JobError> {
+    hb_kernels::by_name(token)
+        .ok_or_else(|| JobError::Permanent(format!("unknown kernel {token:?}")))
 }
 
 fn parse_size(s: &str) -> Result<SizeClass, JobError> {
@@ -557,64 +542,16 @@ pub fn size_token(size: SizeClass) -> &'static str {
     }
 }
 
-/// Builds the machine, allocates and fills the kernel inputs, and returns
-/// the launch (program + argument words). Input generation is seeded, so
-/// every run of a campaign sees identical initial DRAM.
-fn prepare(kernel: CampaignKernel, machine: &mut Machine) -> (Arc<Program>, Vec<u32>) {
-    let (nx, ny) = {
-        let d = machine.config().cell_dim;
-        (d.x as usize, d.y as usize)
-    };
-    let cell = machine.cell_mut(0);
-    match kernel {
-        CampaignKernel::Sgemm => {
-            // 16 output blocks: every tile of a 4x4 cell owns live state.
-            let (m, k, n) = (32usize, 16usize, 32usize);
-            let a_host = gen::dense_matrix(m, k, 0xA);
-            let b_host = gen::dense_matrix(k, n, 0xB);
-            let a_dev = cell.alloc((m * k * 4) as u32, 64);
-            let b_dev = cell.alloc((k * n * 4) as u32, 64);
-            let c_dev = cell.alloc((m * n * 4) as u32, 64);
-            cell.dram_mut().write_f32_slice(a_dev, &a_host);
-            cell.dram_mut().write_f32_slice(b_dev, &b_host);
-            // The SPM-blocked variant: operand blocks live in the
-            // scratchpad, so SPM faults have architectural state to hit.
-            (
-                Arc::new(Sgemm::program_blocked()),
-                vec![
-                    pgas::local_dram(a_dev),
-                    pgas::local_dram(b_dev),
-                    pgas::local_dram(c_dev),
-                    m as u32,
-                    k as u32,
-                    n as u32,
-                ],
-            )
-        }
-        CampaignKernel::Jacobi => {
-            let (z, steps) = (32usize, 2u32);
-            let init = gen::dense_matrix(nx * ny, z, 0x1AC0B1);
-            let grid = cell.alloc((nx * ny * z * 4) as u32, 64);
-            cell.dram_mut().write_f32_slice(grid, &init);
-            (
-                Arc::new(Jacobi::program()),
-                vec![pgas::local_dram(grid), z as u32, steps],
-            )
-        }
-    }
-}
-
 /// One full simulation: fresh machine, same seeded inputs, optional
 /// injection plan. Returns the run result and the flushed DRAM image.
 fn run_once(
-    kernel: CampaignKernel,
+    kernel: &dyn Kernel,
     cfg: &MachineConfig,
     plan: Option<&InjectionPlan>,
     budget: u64,
 ) -> (Result<hb_core::RunSummary, SimError>, SnapshotDram) {
     let mut machine = Machine::new(cfg.clone());
-    let (program, args) = prepare(kernel, &mut machine);
-    machine.launch(0, &program, &args);
+    launch_on(&mut machine, kernel, SizeClass::Small);
     if let Some(plan) = plan {
         machine.set_injection_plan(plan);
     }

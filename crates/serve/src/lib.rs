@@ -42,7 +42,7 @@ pub mod spec;
 pub mod store;
 
 pub use campaign::{Campaign, CampaignStatus};
-pub use exec::{golden_spec, size_token, SimExecutor};
+pub use exec::{campaign_kernel, golden_spec, size_token, SimExecutor};
 pub use pool::{
     run_jobs, run_ordered, run_ordered_results, CampaignSummary, CancelToken, Executor, JobError,
     JobPanic, RunOpts,

@@ -127,8 +127,9 @@ hb_mem::text_enum!(PlanSpec, "plan spec" {
 pub struct JobSpec {
     /// Campaign kind.
     pub kind: JobKind,
-    /// Kernel name: `sgemm`/`jacobi` for golden/fault jobs, a suite name
-    /// (optionally `Name@variant`, e.g. `SGEMM@blocked`) for ablation jobs.
+    /// Kernel name: `sgemm`/`jacobi` for golden/fault jobs, an
+    /// `hb_kernels::kernels()` token (`Name` or `Name@variant`, e.g.
+    /// `SGEMM@blocked`) for ablation, profile and race-check jobs.
     pub kernel: String,
     /// Seed: selects the injection plan for fault jobs; 0 where unused.
     pub seed: u64,

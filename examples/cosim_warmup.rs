@@ -5,10 +5,9 @@
 //! Run with: `cargo run --release --example cosim_warmup`
 
 use hammerblade::asm::Assembler;
-use hammerblade::core::{pgas, CellDim, CosimChecker, CosimError, Machine, MachineConfig};
+use hammerblade::core::{CellDim, CosimChecker, CosimError, Machine, MachineConfig};
 use hammerblade::isa::Gpr;
-use hammerblade::kernels::Sgemm;
-use hammerblade::workloads::{gen, golden};
+use hammerblade::kernels::{launch_on, Launch, Sgemm, SizeClass};
 use std::sync::Arc;
 
 fn config(x: u8, y: u8) -> MachineConfig {
@@ -18,72 +17,41 @@ fn config(x: u8, y: u8) -> MachineConfig {
     }
 }
 
-/// Builds an SGEMM launch on `cfg`; returns (machine, c_dev, expect).
-fn sgemm_machine(cfg: &MachineConfig, m: usize, k: usize, n: usize) -> (Machine, u32, Vec<f32>) {
-    let a_host = gen::dense_matrix(m, k, 0xA);
-    let b_host = gen::dense_matrix(k, n, 0xB);
-    let expect = golden::sgemm(m, k, n, &a_host, &b_host);
-
-    let mut machine = Machine::new(cfg.clone());
-    let cell = machine.cell_mut(0);
-    let a_dev = cell.alloc((m * k * 4) as u32, 64);
-    let b_dev = cell.alloc((k * n * 4) as u32, 64);
-    let c_dev = cell.alloc((m * n * 4) as u32, 64);
-    cell.dram_mut().write_f32_slice(a_dev, &a_host);
-    cell.dram_mut().write_f32_slice(b_dev, &b_host);
-    let program = Arc::new(Sgemm::program());
-    machine.launch(
-        0,
-        &program,
-        &[
-            pgas::local_dram(a_dev),
-            pgas::local_dram(b_dev),
-            pgas::local_dram(c_dev),
-            m as u32,
-            k as u32,
-            n as u32,
-        ],
-    );
-    (machine, c_dev, expect)
+/// A machine with the suite's `Tiny` SGEMM (8x16x8) launched, and the
+/// launch, whose `check` is the golden model.
+fn sgemm_machine(cfg: MachineConfig) -> (Machine, Launch) {
+    let mut machine = Machine::new(cfg);
+    let launch = launch_on(&mut machine, &Sgemm::default(), SizeClass::Tiny);
+    (machine, launch)
 }
 
 fn main() {
     // 1. Lockstep co-simulation: single-tile SGEMM, every retire checked
     //    against the ISS, full state compared at the end.
-    let (m, k, n) = (8, 8, 8);
-    let (mut machine, c_dev, expect) = sgemm_machine(&config(1, 1), m, k, n);
+    let (mut machine, launch) = sgemm_machine(config(1, 1));
     let (summary, report) = machine
         .run_cosim(10_000_000)
         .unwrap_or_else(|e| panic!("{e}"));
-    let got = machine.cell(0).dram().read_f32_slice(c_dev, m * n);
-    let max_err = got
-        .iter()
-        .zip(&expect)
-        .map(|(g, e)| (g - e).abs())
-        .fold(0f32, f32::max);
-    println!("[cosim] {m}x{k}x{n} SGEMM: {} cycles, {} retires checked, {} register-file compares, 0 divergences",
-        summary.cycles, report.instrs, report.reg_compares);
-    println!("[cosim] result validates against golden (max |err| = {max_err:.2e})");
+    (launch.check)(&machine);
+    println!(
+        "[cosim] 8x16x8 SGEMM: {} cycles, {} retires checked, {} register-file compares, \
+         0 divergences; result validates against golden",
+        summary.cycles, report.instrs, report.reg_compares
+    );
 
     // 2. Functional fast-forward: the same kernel on a 2x2 tile group is
     //    executed by the ISS at interpreter speed; the cycle model only
     //    retires what remains.
-    let (mut machine, c_dev, expect) = sgemm_machine(&config(2, 2), m, k, n);
+    let (mut machine, launch) = sgemm_machine(config(2, 2));
     let warm = machine.warmup_functional(1_000_000).unwrap();
     let summary = machine.run(1_000_000).unwrap();
     machine.cell_mut(0).flush_caches();
-    let got = machine.cell(0).dram().read_f32_slice(c_dev, m * n);
-    let max_err = got
-        .iter()
-        .zip(&expect)
-        .map(|(g, e)| (g - e).abs())
-        .fold(0f32, f32::max);
+    (launch.check)(&machine);
     println!(
         "[warmup] fast-forwarded {} instrs across {} tiles ({} finished, {} at a barrier); \
-         cycle model finished in {} cycles",
+         cycle model finished in {} cycles; result validates against golden",
         warm.instrs, warm.tiles, warm.finished, warm.at_barrier, summary.cycles
     );
-    println!("[warmup] result validates against golden (max |err| = {max_err:.2e})");
 
     // 3. What a divergence looks like: corrupt the tile's scratchpad after
     //    the checker snapshots it, so the first load disagrees.

@@ -37,21 +37,7 @@ fn round_trips(name: &str, program: &Program) {
 
 #[test]
 fn all_kernels_round_trip_through_text() {
-    let programs = [
-        ("aes", hb_kernels::Aes::program()),
-        ("bfs (top-down)", hb_kernels::Bfs::program(false)),
-        ("bfs (direction-optimizing)", hb_kernels::Bfs::program(true)),
-        ("barnes-hut", hb_kernels::BarnesHut::program()),
-        ("black-scholes", hb_kernels::BlackScholes::program()),
-        ("fft", hb_kernels::Fft::program()),
-        ("jacobi", hb_kernels::Jacobi::program()),
-        ("pagerank", hb_kernels::PageRank::program()),
-        ("sgemm", hb_kernels::Sgemm::program()),
-        ("sgemm (blocked)", hb_kernels::Sgemm::program_blocked()),
-        ("spgemm", hb_kernels::SpGemm::program()),
-        ("smith-waterman", hb_kernels::SmithWaterman::program()),
-    ];
-    for (name, program) in &programs {
-        round_trips(name, program);
+    for (name, kernel) in hb_kernels::kernels() {
+        round_trips(name, &kernel.program());
     }
 }

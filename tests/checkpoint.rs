@@ -12,14 +12,12 @@
 //! `hb-serve` content-address shared warm checkpoints.
 
 use hammerblade::ckpt;
-use hammerblade::core::observe::MachineObserver;
 use hammerblade::core::profile::CellProfile;
 use hammerblade::core::{
     pgas, CellDim, CoreStats, Machine, MachineConfig, SnapshotDram, StallKind,
 };
-use hammerblade::kernels::{suite, Benchmark, Sgemm, SizeClass};
+use hammerblade::kernels::{kernels, launch_on, Kernel, Launch, SizeClass};
 use hammerblade::obs::{Keep, Sampler, Telemetry};
-use hammerblade::workloads::gen;
 use std::sync::{Arc, Mutex};
 
 const BUDGET: u64 = 200_000_000;
@@ -46,54 +44,17 @@ fn dram_digest(machine: &Machine) -> u64 {
     h
 }
 
-/// Observer that encodes one checkpoint the first time the machine
-/// reaches `due`, then goes quiet. Observation is read-only, so the run
-/// it rides on stays bit-identical to an unobserved one.
-#[derive(Debug)]
-struct CkptCapture {
-    due: u64,
-    slot: Arc<Mutex<Option<Vec<u8>>>>,
-}
-
-impl MachineObserver for CkptCapture {
-    fn sample(&mut self, machine: &mut Machine) {
-        *self.slot.lock().unwrap() = Some(ckpt::encode(machine));
-        self.due = u64::MAX;
+/// Launches `kernel` on a machine built from `cfg`, ticks it to cycle `at`
+/// and encodes it there. The launch comes back too: its `check` holds any
+/// restored continuation's DRAM to the golden model.
+fn capture(kernel: &dyn Kernel, cfg: &MachineConfig, at: u64) -> (Vec<u8>, Launch) {
+    let mut machine = Machine::new(cfg.clone());
+    let launch = launch_on(&mut machine, kernel, SizeClass::Tiny);
+    while machine.cycle() < at {
+        machine.tick();
     }
-
-    fn next_due(&self) -> u64 {
-        self.due
-    }
-
-    fn finish(&mut self, _machine: &mut Machine) {}
-}
-
-/// Runs a benchmark with a [`CkptCapture`] attached (via the thread-local
-/// observer factory, the same hook telemetry uses) and returns the stats
-/// plus the checkpoint captured at cycle `at`.
-fn run_with_capture(
-    bench: &dyn Benchmark,
-    cfg: &MachineConfig,
-    at: u64,
-) -> (hammerblade::kernels::BenchStats, Vec<u8>) {
-    let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let captured = slot.clone();
-    let scope = hammerblade::core::set_observer_factory(move |_cfg| {
-        Some(Box::new(CkptCapture {
-            due: at,
-            slot: captured.clone(),
-        }) as Box<dyn MachineObserver>)
-    });
-    let stats = bench
-        .run(cfg, SizeClass::Tiny)
-        .unwrap_or_else(|e| panic!("{} (capture run) failed: {e}", bench.name()));
-    drop(scope);
-    let blob = slot
-        .lock()
-        .unwrap()
-        .take()
-        .unwrap_or_else(|| panic!("{}: no checkpoint captured at cycle {at}", bench.name()));
-    (stats, blob)
+    assert!(!machine.all_done(), "capture at {at} is past the run");
+    (ckpt::encode(&machine), launch)
 }
 
 /// What a restored-and-continued run finished with.
@@ -107,14 +68,17 @@ struct Finish {
     digest: u64,
 }
 
-/// Restores `blob` into a fresh machine built from `cfg` and runs it to
-/// completion.
-fn continue_from(blob: &[u8], cfg: &MachineConfig) -> Finish {
+/// Restores `blob` into a fresh machine built from `cfg`, runs it to
+/// completion and flushes it.
+fn continue_from(blob: &[u8], cfg: &MachineConfig) -> Machine {
     let mut machine = Machine::new(cfg.clone());
     ckpt::restore(&mut machine, blob).expect("restore");
     machine.run(BUDGET).expect("continued run");
     machine.flush_all_caches();
-    let digest = dram_digest(&machine);
+    machine
+}
+
+fn finish(machine: &Machine) -> Finish {
     let cell = machine.cell(0);
     Finish {
         cycles: machine.cycle(),
@@ -123,7 +87,7 @@ fn continue_from(blob: &[u8], cfg: &MachineConfig) -> Finish {
         cache: cell.cache_stats(),
         bisection: cell.request_bisection(),
         east_busy: CellProfile::capture(cell).east_busy,
-        digest,
+        digest: dram_digest(machine),
     }
 }
 
@@ -139,25 +103,13 @@ fn capture_cycle(total: u64) -> u64 {
 #[test]
 fn restored_run_is_bit_identical_for_every_kernel() {
     let base = cfg_with(true);
-    for bench in suite() {
-        let name = bench.name();
-        // Uninterrupted twin (unobserved — attaching the capture observer
-        // must not change any of its numbers, which the asserts below
-        // double-check via the capture run's own stats).
-        let reference = bench
+    for (name, kernel) in kernels() {
+        // Uninterrupted twin.
+        let reference = kernel
             .run(&base, SizeClass::Tiny)
             .unwrap_or_else(|e| panic!("{name} (reference) failed: {e}"));
         let at = capture_cycle(reference.cycles);
-
-        let (stats1, blob) = run_with_capture(bench.as_ref(), &base, at);
-        assert_eq!(
-            stats1.cycles, reference.cycles,
-            "{name}: capture perturbed the run"
-        );
-        assert_eq!(
-            stats1.core, reference.core,
-            "{name}: capture perturbed counters"
-        );
+        let (blob, launch) = capture(kernel.as_ref(), &base, at);
 
         // Restore is a fixed point of encode: a field saved but not loaded,
         // or derived state leaking into the payload, would change the bytes.
@@ -169,11 +121,17 @@ fn restored_run_is_bit_identical_for_every_kernel() {
         );
         drop(restored);
 
-        // Continue the same checkpoint under both park policies.
+        // Continue the same checkpoint under both park policies; the
+        // never-park continuation also answers to the golden model.
+        let mut check = Some(launch.check);
         let mut digests = Vec::new();
         for event_core in [false, true] {
             let tag = format!("{name} event={event_core}");
-            let fin = continue_from(&blob, &cfg_with(event_core));
+            let machine = continue_from(&blob, &cfg_with(event_core));
+            if let Some(check) = check.take() {
+                check(&machine);
+            }
+            let fin = finish(&machine);
             assert_eq!(fin.cycles, reference.cycles, "{tag}: cycle count diverged");
             assert_eq!(fin.core, reference.core, "{tag}: core counters diverged");
             assert_eq!(fin.hbm, reference.hbm, "{tag}: HBM2 counters diverged");
@@ -189,9 +147,11 @@ fn restored_run_is_bit_identical_for_every_kernel() {
             digests.push((tag, fin.digest));
         }
         // And back: a never-park capture (nobody asleep, no stall debt)
-        // continues under the park policy.
-        let (_, never_park_blob) = run_with_capture(bench.as_ref(), &cfg_with(false), at);
-        let fin = continue_from(&never_park_blob, &base);
+        // continues under the park policy, and validates there.
+        let (never_park_blob, launch) = capture(kernel.as_ref(), &cfg_with(false), at);
+        let machine = continue_from(&never_park_blob, &base);
+        (launch.check)(&machine);
+        let fin = finish(&machine);
         let tag = format!("{name} never-park capture");
         assert_eq!(fin.cycles, reference.cycles, "{tag}: cycle count diverged");
         assert_eq!(fin.core, reference.core, "{tag}: core counters diverged");
@@ -213,28 +173,8 @@ fn restored_run_is_bit_identical_for_every_kernel() {
 /// direct mid-run control.
 fn sgemm_machine(cfg: &MachineConfig) -> Machine {
     let mut machine = Machine::new(cfg.clone());
-    let (m, k, n) = (32usize, 16usize, 32usize);
-    let a_host = gen::dense_matrix(m, k, 0xA);
-    let b_host = gen::dense_matrix(k, n, 0xB);
-    let cell = machine.cell_mut(0);
-    let a_dev = cell.alloc((m * k * 4) as u32, 64);
-    let b_dev = cell.alloc((k * n * 4) as u32, 64);
-    let c_dev = cell.alloc((m * n * 4) as u32, 64);
-    cell.dram_mut().write_f32_slice(a_dev, &a_host);
-    cell.dram_mut().write_f32_slice(b_dev, &b_host);
-    let program = Arc::new(Sgemm::program_blocked());
-    machine.launch(
-        0,
-        &program,
-        &[
-            pgas::local_dram(a_dev),
-            pgas::local_dram(b_dev),
-            pgas::local_dram(c_dev),
-            m as u32,
-            k as u32,
-            n as u32,
-        ],
-    );
+    let sgemm = hb_serve::campaign_kernel("sgemm").expect("a campaign kernel");
+    launch_on(&mut machine, sgemm, SizeClass::Small);
     machine
 }
 
@@ -311,7 +251,7 @@ fn restore_rederives_the_hazard_horizon_under_inflight_latencies() {
         machine.tick();
         let blob = ckpt::encode(&machine);
         for event_core in [true, false] {
-            let fin = continue_from(&blob, &small(event_core));
+            let fin = finish(&continue_from(&blob, &small(event_core)));
             let tag = format!("capture at {at}, event={event_core}");
             assert_eq!(fin.cycles, cycles, "{tag}: cycle count diverged");
             assert_eq!(fin.core, core, "{tag}: core counters diverged");

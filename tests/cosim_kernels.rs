@@ -1,167 +1,66 @@
-//! Lockstep co-simulation of real benchmark kernels: the cycle-level tile
-//! and the `hb-iss` golden model retire the same instruction stream, and
+//! Lockstep co-simulation of the suite: the cycle-level tile and the
+//! `hb-iss` golden model retire the same instruction stream, and
 //! `Machine::run_cosim` checks PCs at every retire, register files at
 //! quiescent points, and the full architectural state (registers, SPM,
 //! DRAM) at the end. One divergence anywhere fails the run with a
-//! disassembled context window.
+//! disassembled context window. The launch's own `check` then holds the
+//! flushed DRAM to the host golden model, so the two oracles — `hb-iss` and
+//! `hb_workloads::golden` — are applied to the same run.
 //!
-//! These run single-tile (`cell_dim` 1x1) so the instruction interleaving
-//! is deterministic; the multi-tile cycle model is validated separately by
-//! the kernel suites against their golden references.
+//! Every entry of `hb_kernels::kernels()` runs, at `Tiny`; none has to be
+//! left out. They run single-tile (`cell_dim` 1x1) so the instruction
+//! interleaving is deterministic: rank-strided kernels cover all the work
+//! from rank 0, Jacobi's one column is an edge (copy-in, a barrier per
+//! step, copy-out, grid unchanged), and the graph kernels take every
+//! barrier and AMO alone. The multi-tile cycle model is validated
+//! separately by the kernel suites against their golden references.
 
-use hammerblade::core::{pgas, CellDim, Machine, MachineConfig};
-use hammerblade::kernels::{Bfs, Jacobi, Sgemm};
-use hammerblade::rng::Rng;
-use hammerblade::workloads::{gen, golden};
-use std::sync::Arc;
+use hammerblade::core::{CellDim, Machine, MachineConfig};
+use hammerblade::kernels::{kernels, launch_on, SizeClass};
 
-fn single_tile_config() -> MachineConfig {
-    MachineConfig {
+/// Co-simulates and golden-checks the registry entries `pick` selects; the
+/// four tests below partition the registry so they run side by side.
+fn cosim_entries(pick: impl Fn(&str) -> bool) {
+    let cfg = MachineConfig {
         cell_dim: CellDim { x: 1, y: 1 },
         ..MachineConfig::baseline_16x8()
+    };
+    let mut ran = 0;
+    for (token, kernel) in kernels().into_iter().filter(|(token, _)| pick(token)) {
+        let mut machine = Machine::new(cfg.clone());
+        let launch = launch_on(&mut machine, kernel.as_ref(), SizeClass::Tiny);
+        let (_, report) = machine
+            .run_cosim(50_000_000)
+            .unwrap_or_else(|e| panic!("{token}: {e}"));
+        assert!(report.instrs > 100, "{token} must retire real work");
+        assert!(
+            report.reg_compares > 0,
+            "{token}: quiescent points must be checked"
+        );
+        (launch.check)(&machine);
+        ran += 1;
     }
+    assert!(ran > 0, "the filter selects no registry entry");
 }
+
+const OWN_TEST: [&str; 3] = ["SGEMM", "Jacobi", "BFS"];
 
 #[test]
 fn sgemm_cosim_runs_divergence_free() {
-    let (m, k, n) = (4usize, 4usize, 4usize);
-    let a_host = gen::dense_matrix(m, k, 0xA);
-    let b_host = gen::dense_matrix(k, n, 0xB);
-    let expect = golden::sgemm(m, k, n, &a_host, &b_host);
-
-    let mut machine = Machine::new(single_tile_config());
-    let cell = machine.cell_mut(0);
-    let a_dev = cell.alloc((m * k * 4) as u32, 64);
-    let b_dev = cell.alloc((k * n * 4) as u32, 64);
-    let c_dev = cell.alloc((m * n * 4) as u32, 64);
-    cell.dram_mut().write_f32_slice(a_dev, &a_host);
-    cell.dram_mut().write_f32_slice(b_dev, &b_host);
-
-    let program = Arc::new(Sgemm::program());
-    machine.launch(
-        0,
-        &program,
-        &[
-            pgas::local_dram(a_dev),
-            pgas::local_dram(b_dev),
-            pgas::local_dram(c_dev),
-            m as u32,
-            k as u32,
-            n as u32,
-        ],
-    );
-    let (_, report) = machine
-        .run_cosim(2_000_000)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert!(report.instrs > 100, "sgemm must retire real work");
-    assert!(report.reg_compares > 0, "quiescent points must be checked");
-
-    let got = machine.cell(0).dram().read_f32_slice(c_dev, m * n);
-    for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-        assert!(
-            (g - e).abs() <= e.abs() * 1e-3 + 1e-4,
-            "C[{i}]: sim {g} vs golden {e}"
-        );
-    }
+    cosim_entries(|token| token.starts_with("SGEMM"));
 }
 
 #[test]
 fn jacobi_cosim_runs_divergence_free() {
-    // Single tile: the kernel takes the edge path (column copy-in, a
-    // barrier per step, copy-out), exercising DRAM streams, SPM stores and
-    // the barrier CSR under the checker. With a 1x1 grid there is no
-    // interior, so the column must round-trip unchanged.
-    let z = 32u32;
-    let steps = 3u32;
-    let mut init = vec![0f32; z as usize];
-    let mut rng = Rng::seed_from_u64(0x7AC0B1);
-    for v in &mut init {
-        *v = rng.range_f32(-1.0, 1.0);
-    }
-
-    let mut machine = Machine::new(single_tile_config());
-    let cell = machine.cell_mut(0);
-    let grid = cell.alloc(z * 4, 64);
-    cell.dram_mut().write_f32_slice(grid, &init);
-
-    let program = Arc::new(Jacobi::program());
-    machine.launch(0, &program, &[pgas::local_dram(grid), z, steps]);
-    let (_, report) = machine
-        .run_cosim(2_000_000)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert!(report.instrs > 100, "jacobi must retire real work");
-
-    let got = machine.cell(0).dram().read_f32_slice(grid, z as usize);
-    assert_eq!(
-        got, init,
-        "1x1 jacobi has no interior: grid must be unchanged"
-    );
+    cosim_entries(|token| token.starts_with("Jacobi"));
 }
 
 #[test]
 fn bfs_cosim_runs_divergence_free() {
-    // Road-style grid graph, one tile doing the whole frontier expansion:
-    // AMOs on the work counters and bitmap, irregular loads, barriers.
-    let g = gen::road_grid(4, 4);
-    let n = g.rows;
-    let source = 0u32;
-    let expect = golden::bfs(&g, source);
+    cosim_entries(|token| token.starts_with("BFS"));
+}
 
-    let mut machine = Machine::new(single_tile_config());
-    let cell = machine.cell_mut(0);
-    let alloc_u32 = |cell: &mut hammerblade::core::Cell, data: &[u32]| {
-        let p = cell.alloc((data.len() * 4) as u32, 64);
-        cell.dram_mut().write_u32_slice(p, data);
-        p
-    };
-    let rp = alloc_u32(cell, &g.row_ptr);
-    let ci = alloc_u32(cell, &g.col_idx);
-    let mut dist_init = vec![u32::MAX; n as usize];
-    dist_init[source as usize] = 0;
-    let dist = alloc_u32(cell, &dist_init);
-    let front_a = cell.alloc(n * 4, 64);
-    let front_b = cell.alloc(n * 4, 64);
-    cell.dram_mut().write_u32(front_a, source);
-    let nwords = n.div_ceil(32);
-    let bitmap = alloc_u32(cell, &vec![0u32; nwords as usize]);
-    let q0 = alloc_u32(cell, &[0]);
-    let q1 = alloc_u32(cell, &[0]);
-    let fsize = alloc_u32(cell, &[1]);
-    let next_count = alloc_u32(cell, &[0]);
-    let done = alloc_u32(cell, &[0]);
-    let tg = g.transpose();
-    let tg_rp = alloc_u32(cell, &tg.row_ptr);
-    let tg_ci = alloc_u32(cell, &tg.col_idx);
-    let mode = alloc_u32(cell, &[0]);
-    let desc = alloc_u32(
-        cell,
-        &[
-            pgas::local_dram(rp),
-            pgas::local_dram(ci),
-            pgas::local_dram(dist),
-            pgas::local_dram(front_a),
-            pgas::local_dram(front_b),
-            pgas::local_dram(bitmap),
-            pgas::local_dram(q0),
-            pgas::local_dram(q1),
-            pgas::local_dram(fsize),
-            pgas::local_dram(next_count),
-            pgas::local_dram(done),
-            n,
-            nwords,
-            pgas::local_dram(tg_rp),
-            pgas::local_dram(tg_ci),
-            pgas::local_dram(mode),
-        ],
-    );
-
-    let program = Arc::new(Bfs::program(false));
-    machine.launch(0, &program, &[pgas::local_dram(desc)]);
-    let (_, report) = machine
-        .run_cosim(4_000_000)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert!(report.instrs > 100, "bfs must retire real work");
-
-    let got = machine.cell(0).dram().read_u32_slice(dist, n as usize);
-    assert_eq!(got, expect, "BFS distances must match the golden reference");
+#[test]
+fn every_other_registry_entry_cosims_divergence_free() {
+    cosim_entries(|token| !OWN_TEST.iter().any(|own| token.starts_with(own)));
 }

@@ -3,8 +3,8 @@
 //! with the race sanitizer on and off; every architectural counter — cycle
 //! counts, stall blame, cache/HBM/NoC traffic — must match exactly.
 
-use hammerblade::core::{CellDim, MachineConfig};
-use hammerblade::kernels::{suite, SizeClass};
+use hammerblade::core::{CellDim, Machine, MachineConfig};
+use hammerblade::kernels::{kernels, run_on, suite, SizeClass};
 
 fn cfg(event_core: bool) -> MachineConfig {
     MachineConfig {
@@ -55,35 +55,22 @@ fn park_policy_is_bit_identical_to_never_park_for_every_kernel() {
 
 #[test]
 fn race_sanitizer_is_read_only_and_suite_is_clean() {
-    // The dynamic race sanitizer only observes: every kernel must simulate
-    // bit-identically with `race_check` on or off — and, while we're
-    // watching, the suite must be race-free.
-    let off_cfg = cfg(true);
-    let on_cfg = MachineConfig {
-        race_check: true,
-        ..cfg(true)
-    };
-    let scope = hammerblade::core::collect_races();
-    for bench in suite() {
-        let name = bench.name();
-        let off = bench
-            .run(&off_cfg, SizeClass::Tiny)
-            .unwrap_or_else(|e| panic!("{name} (race_check off) failed: {e}"));
-        let on = bench
-            .run(&on_cfg, SizeClass::Tiny)
-            .unwrap_or_else(|e| panic!("{name} (race_check on) failed: {e}"));
+    // The dynamic race sanitizer only observes: every registry entry must
+    // simulate bit-identically with it on or off — and, while we're
+    // watching, must be race-free.
+    let cfg = cfg(true);
+    for (name, kernel) in kernels() {
+        let off = kernel
+            .run(&cfg, SizeClass::Tiny)
+            .unwrap_or_else(|e| panic!("{name} (race check off) failed: {e}"));
+        let mut machine = Machine::new(cfg.clone());
+        machine.set_race_check(true);
+        let on = run_on(&mut machine, kernel.as_ref(), SizeClass::Tiny)
+            .unwrap_or_else(|e| panic!("{name} (race check on) failed: {e}"));
         assert_eq!(off.cycles, on.cycles, "{name}: sanitizer changed cycles");
         assert_eq!(off.core, on.core, "{name}: sanitizer changed core counters");
         assert_eq!(off.hbm, on.hbm, "{name}: sanitizer changed HBM2 counters");
-        let races = scope.take();
-        assert!(
-            races.is_empty(),
-            "{name} is racy:\n{}",
-            races
-                .iter()
-                .map(|(_, s)| s.as_str())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        let races = machine.render_races();
+        assert!(races.is_empty(), "{name} is racy:\n{}", races.join("\n"));
     }
 }

@@ -14,13 +14,13 @@
 
 use hammerblade::ckpt::{self, CkptError};
 use hammerblade::core::observe::MachineObserver;
-use hammerblade::core::{pgas, CellDim, Machine, MachineConfig};
+use hammerblade::core::{CellDim, Machine, MachineConfig};
 use hammerblade::fault::{InjectionPlan, Site};
-use hammerblade::kernels::Sgemm;
+use hammerblade::kernels::{launch_on, SizeClass};
 use hammerblade::mem::SnapError;
 use hammerblade::obs::{Keep, Sampler, Telemetry};
 use hammerblade::rng::Rng;
-use hammerblade::workloads::gen;
+use hb_serve::campaign_kernel;
 use std::sync::{Arc, Mutex};
 
 mod alloc_watch;
@@ -79,19 +79,8 @@ fn restore_target() -> Machine {
 fn mid_run_machine() -> Machine {
     let mut machine = Machine::new(cfg());
     machine.attach_observer(Box::new(sampler(&cfg())));
-    let (m, k, n) = (32usize, 16usize, 32usize);
-    let cell = machine.cell_mut(0);
-    let a_dev = cell.alloc((m * k * 4) as u32, 64);
-    let b_dev = cell.alloc((k * n * 4) as u32, 64);
-    let c_dev = cell.alloc((m * n * 4) as u32, 64);
-    (cell.dram_mut()).write_f32_slice(a_dev, &gen::dense_matrix(m, k, 0xA));
-    (cell.dram_mut()).write_f32_slice(b_dev, &gen::dense_matrix(k, n, 0xB));
-    let args = [a_dev, b_dev, c_dev].map(pgas::local_dram);
-    machine.launch(
-        0,
-        &Arc::new(Sgemm::program_blocked()),
-        &[args[0], args[1], args[2], m as u32, k as u32, n as u32],
-    );
+    let sgemm = campaign_kernel("sgemm").expect("a campaign kernel");
+    launch_on(&mut machine, sgemm, SizeClass::Small);
     // One pending entry per site kind, far past the capture cycle.
     let sites = [
         "regfile(0,1,1,5,3)",

@@ -11,11 +11,10 @@
 
 use hammerblade::asm::{Assembler, Program};
 use hammerblade::core::{
-    pgas, CellDim, CoreStats, HbOps, Machine, MachineConfig, PhaseTimes, SnapshotDram,
+    CellDim, CoreStats, HbOps, Machine, MachineConfig, PhaseTimes, SnapshotDram,
 };
 use hammerblade::isa::Gpr::*;
-use hammerblade::kernels::Sgemm;
-use hammerblade::workloads::gen;
+use hammerblade::kernels::{launch_on, Sgemm, SizeClass};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,27 +55,16 @@ fn barrier_machine(cfg: &MachineConfig) -> Machine {
     machine
 }
 
-/// The seeded 32x16x32 SGEMM of `tests/checkpoint.rs`, DRAM-streaming.
+/// A seeded 32x16x32 SGEMM, DRAM-streaming.
 fn sgemm_machine(cfg: &MachineConfig) -> Machine {
     let mut machine = Machine::new(cfg.clone());
-    let (m, k, n) = (32usize, 16usize, 32usize);
-    let cell = machine.cell_mut(0);
-    let a_dev = cell.alloc((m * k * 4) as u32, 64);
-    let b_dev = cell.alloc((k * n * 4) as u32, 64);
-    let c_dev = cell.alloc((m * n * 4) as u32, 64);
-    cell.dram_mut()
-        .write_f32_slice(a_dev, &gen::dense_matrix(m, k, 0xA));
-    cell.dram_mut()
-        .write_f32_slice(b_dev, &gen::dense_matrix(k, n, 0xB));
-    let args = [
-        pgas::local_dram(a_dev),
-        pgas::local_dram(b_dev),
-        pgas::local_dram(c_dev),
-        m as u32,
-        k as u32,
-        n as u32,
-    ];
-    machine.launch(0, &Arc::new(Sgemm::program()), &args);
+    let sgemm = Sgemm {
+        m: 32,
+        k: 16,
+        n: 32,
+        blocked: false,
+    };
+    launch_on(&mut machine, &sgemm, SizeClass::Small);
     machine
 }
 

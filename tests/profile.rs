@@ -9,9 +9,10 @@
 //!    of the tile phase;
 //! 3. enabling profiling does not change simulated cycles.
 
-use hammerblade::core::{CellDim, MachineConfig};
-use hammerblade::kernels::{suite, SizeClass};
-use hammerblade::prof::{folded, summary, Analysis};
+use hammerblade::core::{CellDim, Machine, MachineConfig};
+use hammerblade::kernels::{run_on, Benchmark, Sgemm, SizeClass};
+use hammerblade::prof::{folded, summary, Analysis, ProfRun};
+use std::sync::Arc;
 
 fn cfg(event_core: bool, profile: bool) -> MachineConfig {
     MachineConfig {
@@ -25,14 +26,11 @@ fn cfg(event_core: bool, profile: bool) -> MachineConfig {
 /// Runs SGEMM at tiny scale under the profiler and returns the analysis,
 /// the FMA-block disassembly of the top retired block, and the cycle count.
 fn sgemm_profile(event_core: bool) -> (Analysis, Vec<String>, u64) {
-    let suite = suite();
-    let bench = suite.iter().find(|b| b.name() == "SGEMM").unwrap();
-    let (scope, store) = hammerblade::prof::attach();
-    let stats = bench.run(&cfg(event_core, true), SizeClass::Tiny).unwrap();
-    drop(scope);
-    let store = store.lock().unwrap();
-    let run = store.last().expect("profiled machine harvests a profile");
-    let analysis = Analysis::analyze("SGEMM", run);
+    let mut machine = Machine::new(cfg(event_core, true));
+    let stats = run_on(&mut machine, &Sgemm::default(), SizeClass::Tiny).unwrap();
+    let run = ProfRun::capture(&machine, Arc::new(Sgemm::program()))
+        .expect("a profiled machine holds a profile");
+    let analysis = Analysis::analyze("SGEMM", &run);
     let top = analysis
         .ranked
         .iter()
@@ -84,9 +82,9 @@ fn profile_exports_are_identical_across_host_schedules() {
 
 #[test]
 fn profiling_does_not_change_simulated_cycles() {
-    let suite = suite();
-    let bench = suite.iter().find(|b| b.name() == "SGEMM").unwrap();
-    let off = bench.run(&cfg(true, false), SizeClass::Tiny).unwrap();
+    let off = Sgemm::default()
+        .run(&cfg(true, false), SizeClass::Tiny)
+        .unwrap();
     let (_, _, on_cycles) = sgemm_profile(true);
     assert_eq!(off.cycles, on_cycles, "profiling must be timing-invisible");
 }
