@@ -11,7 +11,7 @@
 //! same post-mortem trajectory — add cycles to step further into the hang.
 
 use hb_bench::cli::{fail, flag_value, usage_fail};
-use hb_core::{Machine, SimError, SnapshotDram};
+use hb_core::{Machine, SimError};
 
 const USAGE: &str = "usage: replay --ckpt <file> [--cycles N]
 
@@ -58,13 +58,12 @@ fn main() {
         cfg.num_cells, cfg.cell_dim.x, cfg.cell_dim.y
     );
 
-    let mut machine = Machine::new(cfg.clone());
+    let mut machine = Machine::new(cfg);
     hb_ckpt::apply(&mut machine, &ckpt).unwrap_or_else(|e| fail(e));
 
     let result = machine.run(cycles);
     machine.flush_all_caches();
-    let mem = SnapshotDram::from_machine(&machine);
-    let digest = hb_serve::exec::digest(&mem, cfg.num_cells);
+    let digest = hb_serve::exec::digest(&machine);
     let stats = machine.cell(0).core_stats();
     match result {
         Ok(s) => println!(

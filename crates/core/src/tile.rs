@@ -13,6 +13,7 @@ use crate::config::MachineConfig;
 use crate::icache::ICache;
 use crate::payload::{NodeId, ReqKind, Request, RespKind, Response};
 use crate::pgas::{csr, PgasMap, Target};
+use crate::race::{AccessKind, RaceLoc};
 use crate::sched::Park;
 use crate::stats::{CoreStats, StallKind};
 use crate::trace::{TraceEvent, TraceHandle};
@@ -56,6 +57,23 @@ struct Combine {
     op_id: u32,
     /// Flush deadline (cycles the latch may hold the packet).
     flush_at: u64,
+}
+
+/// Where a data access lands (see [`Tile::resolve`]).
+enum Access {
+    /// This tile's own scratchpad, named directly or through group space.
+    Spm { offset: u32, loc: RaceLoc },
+    /// One of this tile's CSRs.
+    Csr { offset: u32 },
+    /// An endpoint behind the network — a cache bank or another tile's
+    /// scratchpad — at network coordinate `coord` of Cell `cell`, with the
+    /// endpoint-local byte address that goes in the request.
+    Remote {
+        cell: u8,
+        coord: Coord,
+        addr: u32,
+        loc: RaceLoc,
+    },
 }
 
 /// Tile-group identity exposed through CSRs.
@@ -369,13 +387,7 @@ impl Tile {
     /// Appends a shared-location access to the race log. One always-false
     /// branch when the sanitizer is off.
     #[inline]
-    fn push_race(
-        &mut self,
-        cycle: u64,
-        loc: crate::race::RaceLoc,
-        kind: crate::race::AccessKind,
-        remote: bool,
-    ) {
+    fn push_race(&mut self, cycle: u64, loc: RaceLoc, kind: AccessKind, remote: bool) {
         if self.race_check {
             self.race_log.push(crate::race::TileRaceEvent::Access {
                 cycle,
@@ -755,7 +767,7 @@ impl Tile {
 
     /// Processes all arrived responses: fills registers, releases the
     /// scoreboard.
-    fn drain_responses(&mut self, now: u64) {
+    fn drain_responses(&mut self) {
         while let Some(pkt) = self.resp_inbox.pop_front() {
             let resp = pkt.payload;
             let Some(op) = self.pending_ops.remove(&resp.op_id) else {
@@ -772,28 +784,15 @@ impl Tile {
                     RespKind::Load { data, count },
                 ) => {
                     debug_assert_eq!(dsts.len(), count as usize);
-                    for (i, dst) in dsts.iter().enumerate() {
-                        let v = extend(data[i], width, signed);
-                        match *dst {
-                            Dst::Int(rd) => {
-                                self.write_int(rd, v);
-                                self.int_pending[rd.index() as usize] = false;
-                            }
-                            Dst::Fp(rd) => {
-                                self.fregs[rd.index() as usize] = f32::from_bits(v);
-                                self.fp_pending[rd.index() as usize] = false;
-                            }
-                        }
-                        self.outstanding -= 1;
+                    for (i, &dst) in dsts.iter().enumerate() {
+                        self.retire_remote(dst, extend(data[i], width, signed));
                     }
                 }
                 (PendingOp::Store, RespKind::StoreAck) => {
                     self.outstanding -= 1;
                 }
                 (PendingOp::Amo { rd }, RespKind::AmoOld { data }) => {
-                    self.write_int(rd, data);
-                    self.int_pending[rd.index() as usize] = false;
-                    self.outstanding -= 1;
+                    self.retire_remote(Dst::Int(rd), data);
                 }
                 (op, kind) => {
                     self.trap(format!("mismatched response {kind:?} for {op:?}"));
@@ -803,7 +802,6 @@ impl Tile {
             if self.blocking_on == Some(resp.op_id) {
                 self.blocking_on = None;
             }
-            let _ = now;
         }
     }
 
@@ -864,6 +862,7 @@ impl Tile {
         ));
     }
 
+    /// Sends the held load packet, if any.
     fn flush_combine(&mut self) {
         let Some(c) = self.combine.take() else {
             return;
@@ -872,33 +871,73 @@ impl Tile {
         if count > 1 {
             self.stats.lpc_merged += u64::from(count) - 1;
         }
-        let req = Request {
-            from: NodeId {
-                cell: self.pgas.cell_id,
-                coord: self.pgas.tile_coord(self.xy.0, self.xy.1),
-            },
-            op_id: c.op_id,
-            kind: ReqKind::Load {
-                addr: c.base_addr,
-                width: 4,
-                count,
-            },
+        let kind = ReqKind::Load {
+            addr: c.base_addr,
+            width: 4,
+            count,
         };
-        self.req_outbox.push_back((
-            c.dst_cell,
-            Packet {
-                src: self.pgas.tile_coord(self.xy.0, self.xy.1),
-                dst: c.dst_coord,
-                payload: req,
-            },
-        ));
-        self.stats.remote_requests += 1;
+        self.send_request(c.dst_cell, c.dst_coord, c.op_id, kind);
     }
 
-    /// Issues a remote word load, possibly merging into the combining
-    /// latch. Returns `false` if it must retry (no scoreboard/queue space).
+    /// Writes a loaded value to its destination register.
+    fn write_dst(&mut self, dst: Dst, value: u32) {
+        match dst {
+            Dst::Int(rd) => self.write_int(rd, value),
+            Dst::Fp(rd) => self.fregs[rd.index() as usize] = f32::from_bits(value),
+        }
+    }
+
+    fn set_pending(&mut self, dst: Dst, pending: bool) {
+        match dst {
+            Dst::Int(Gpr::Zero) => {}
+            Dst::Int(rd) => self.int_pending[rd.index() as usize] = pending,
+            Dst::Fp(rd) => self.fp_pending[rd.index() as usize] = pending,
+        }
+    }
+
+    /// One response word lands: fills the register, releases its pending bit
+    /// and its scoreboard credit.
+    fn retire_remote(&mut self, dst: Dst, value: u32) {
+        self.write_dst(dst, value);
+        self.set_pending(dst, false);
+        self.outstanding -= 1;
+    }
+
+    /// The way every remote operation enters the scoreboard: it takes a
+    /// credit and an outbox slot, or the instruction retries as one
+    /// `RemoteCredit` stall (`None`). A held load packet leaves first, once
+    /// the credit is certain, so requests reach the outbox in program order;
+    /// only a load can find one, because `execute` closes the latch ahead of
+    /// every other instruction. In blocking mode the tile then waits for
+    /// this operation's response, unless it is a posted store. Sending the
+    /// request under the returned id — or holding it in the combining latch
+    /// — is the caller's.
+    fn issue_remote(&mut self, op: PendingOp) -> Option<u32> {
+        let credit = self.outstanding < self.cfg.max_outstanding;
+        if credit {
+            self.flush_combine();
+        }
+        if !credit || self.req_outbox.len() >= OUTBOX_CAP {
+            self.stall(StallKind::RemoteCredit);
+            return None;
+        }
+        let op_id = self.next_op_id;
+        self.next_op_id = op_id.wrapping_add(1);
+        if !self.cfg.non_blocking_loads && !matches!(op, PendingOp::Store) {
+            self.blocking_on = Some(op_id);
+        }
+        self.pending_ops.insert(op_id, op);
+        self.outstanding += 1;
+        Some(op_id)
+    }
+
+    /// Issues a remote load; `false` when it must retry. With Load Packet
+    /// Compression a word load is held in the combining latch for up to two
+    /// cycles, so that a load of the next word of the same endpoint can ride
+    /// in its packet (up to four). A blocking load waits for its own
+    /// response, so it is never held.
     #[allow(clippy::too_many_arguments)]
-    fn issue_remote_load(
+    fn remote_load(
         &mut self,
         now: u64,
         cell: u8,
@@ -908,39 +947,34 @@ impl Tile {
         signed: bool,
         dst: Dst,
     ) -> bool {
-        if self.outstanding >= self.cfg.max_outstanding {
-            return false;
-        }
-        // Try to merge into the combining latch.
-        if self.cfg.load_packet_compression && width == 4 {
-            if let Some(c) = &mut self.combine {
-                let next = c.base_addr + 4 * c.dsts.len() as u32;
-                if c.dst_cell == cell && c.dst_coord == coord && next == addr && c.dsts.len() < 4 {
-                    c.dsts.push(dst);
-                    c.flush_at = now + 2;
-                    let op_id = c.op_id;
-                    match self.pending_ops.get_mut(&op_id) {
-                        Some(PendingOp::Load { dsts, .. }) => dsts.push(dst),
-                        _ => unreachable!("combine latch without pending op"),
-                    }
-                    self.mark_pending(dst);
-                    self.outstanding += 1;
-                    return true;
+        let hold = self.cfg.load_packet_compression && self.cfg.non_blocking_loads && width == 4;
+        if let Some(c) = &mut self.combine {
+            let next = c.base_addr + 4 * c.dsts.len() as u32;
+            if hold
+                && self.outstanding < self.cfg.max_outstanding
+                && (c.dst_cell, c.dst_coord, next) == (cell, coord, addr)
+                && c.dsts.len() < 4
+            {
+                c.dsts.push(dst);
+                c.flush_at = now + 2;
+                match self.pending_ops.get_mut(&c.op_id) {
+                    Some(PendingOp::Load { dsts, .. }) => dsts.push(dst),
+                    _ => unreachable!("combine latch without pending op"),
                 }
+                self.outstanding += 1;
+                self.set_pending(dst, true);
+                return true;
             }
-            self.flush_combine();
-            if self.req_outbox.len() >= OUTBOX_CAP {
-                return false;
-            }
-            let op_id = self.alloc_op_id();
-            self.pending_ops.insert(
-                op_id,
-                PendingOp::Load {
-                    dsts: vec![dst],
-                    width,
-                    signed,
-                },
-            );
+        }
+        let op = PendingOp::Load {
+            dsts: vec![dst],
+            width,
+            signed,
+        };
+        let Some(op_id) = self.issue_remote(op) else {
+            return false;
+        };
+        if hold {
             self.combine = Some(Combine {
                 dst_cell: cell,
                 dst_coord: coord,
@@ -949,54 +983,16 @@ impl Tile {
                 op_id,
                 flush_at: now + 2,
             });
-            self.mark_pending(dst);
-            self.outstanding += 1;
-            return true;
-        }
-        // Uncompressed path.
-        self.flush_combine();
-        if self.req_outbox.len() >= OUTBOX_CAP {
-            return false;
-        }
-        let op_id = self.alloc_op_id();
-        self.pending_ops.insert(
-            op_id,
-            PendingOp::Load {
-                dsts: vec![dst],
-                width,
-                signed,
-            },
-        );
-        self.send_request(
-            cell,
-            coord,
-            op_id,
-            ReqKind::Load {
+        } else {
+            let kind = ReqKind::Load {
                 addr,
                 width,
                 count: 1,
-            },
-        );
-        self.mark_pending(dst);
-        self.outstanding += 1;
-        true
-    }
-
-    fn mark_pending(&mut self, dst: Dst) {
-        match dst {
-            Dst::Int(rd) => {
-                if rd != Gpr::Zero {
-                    self.int_pending[rd.index() as usize] = true;
-                }
-            }
-            Dst::Fp(rd) => self.fp_pending[rd.index() as usize] = true,
+            };
+            self.send_request(cell, coord, op_id, kind);
         }
-    }
-
-    fn alloc_op_id(&mut self) -> u32 {
-        let id = self.next_op_id;
-        self.next_op_id = self.next_op_id.wrapping_add(1);
-        id
+        self.set_pending(dst, true);
+        true
     }
 
     fn send_request(&mut self, cell: u8, coord: Coord, op_id: u32, kind: ReqKind) {
@@ -1057,7 +1053,7 @@ impl Tile {
     pub fn step(&mut self, now: u64) -> Park {
         self.last_cycle = now;
         // Response draining and SPM servicing happen even while stalled.
-        self.drain_responses(now);
+        self.drain_responses();
         self.service_spm_request();
 
         // Flush an expired combining latch.
@@ -1551,178 +1547,133 @@ impl Tile {
         }
     }
 
-    /// [`PgasMap::translate`] plus the one check that needs the access
-    /// width: a DRAM access must sit inside one cache line, because a bank
-    /// serves whole lines. Naturally aligned accesses never straddle, so
-    /// only a corrupted address (fault injection) gets here — and must
-    /// trap the tile, not index past the line in the bank.
-    fn translate(&self, eva: u32, width: u8) -> Result<Target, String> {
-        let target = self.pgas.translate(eva).map_err(|e| e.to_string())?;
-        if let Target::Bank { addr, .. } = target {
-            // `line_bytes` is a power of two (`CacheBank::new` asserts it).
-            if (addr & (self.cfg.line_bytes - 1)) + u32::from(width) > self.cfg.line_bytes {
-                return Err(format!(
-                    "{width}-byte DRAM access at {eva:#x} crosses its cache line"
-                ));
+    /// Where a data access lands, or why the tile must trap on it: the PGAS
+    /// decision of paper Fig. 5, made once per access and only here.
+    ///
+    /// Past [`PgasMap::translate`] this is: a DRAM access must sit inside one
+    /// cache line, because a bank serves whole lines (naturally aligned
+    /// accesses never straddle, so only a corrupted address gets here — and
+    /// must trap the tile, not index past the line in the bank); a tile that
+    /// names itself through group space is served by its own scratchpad like
+    /// a local access; and an access its issuer can see running off the end
+    /// of a scratchpad traps. An AMO is the exception to both scratchpad
+    /// rules. It is atomic only at the endpoint that orders all traffic to
+    /// its word — a bank, or a scratchpad's network interface — so it takes
+    /// the network even to the issuing tile and has no local form; and where
+    /// a scratchpad answers an overrunning load or store with zero and no
+    /// write, it cannot apply part of an AMO, so the issuer checks that too.
+    fn resolve(&self, eva: u32, width: u8, kind: AccessKind) -> Result<Access, String> {
+        let amo = kind == AccessKind::Amo;
+        let own = Coord::new(self.xy.0, self.xy.1);
+        let (tile, offset) = match self.pgas.translate(eva).map_err(|e| e.to_string())? {
+            Target::Bank { cell, bank, addr } => {
+                // `line_bytes` is a power of two (`CacheBank::new` asserts it).
+                if (addr & (self.cfg.line_bytes - 1)) + u32::from(width) > self.cfg.line_bytes {
+                    return Err(format!(
+                        "{width}-byte DRAM access at {eva:#x} crosses its cache line"
+                    ));
+                }
+                return Ok(Access::Remote {
+                    cell,
+                    coord: self.pgas.bank_coord(bank),
+                    addr,
+                    loc: RaceLoc::Dram {
+                        cell,
+                        bank: bank as u8,
+                        word: addr & !3,
+                    },
+                });
             }
+            Target::RemoteSpm { tile, offset } => (tile, offset),
+            _ if amo => return Err(format!("AMO to non-atomic space at {eva:#x}")),
+            Target::Csr { offset } => return Ok(Access::Csr { offset }),
+            Target::LocalSpm { offset } => (own, offset),
+        };
+        let local = tile == own && !amo;
+        if (local || amo) && offset + u32::from(width) > self.cfg.spm_bytes {
+            let what = match kind {
+                AccessKind::Read => "load",
+                AccessKind::Write => "store",
+                AccessKind::Amo => "AMO",
+            };
+            return Err(format!("SPM {what} overrun at {offset:#x}"));
         }
-        Ok(target)
+        let cell = self.pgas.cell_id;
+        let loc = RaceLoc::Spm {
+            cell,
+            x: tile.x,
+            y: tile.y,
+            word: offset & !3,
+        };
+        Ok(if local {
+            Access::Spm { offset, loc }
+        } else {
+            Access::Remote {
+                cell,
+                coord: self.pgas.tile_coord(tile.x, tile.y),
+                addr: offset,
+                loc,
+            }
+        })
     }
 
     /// Executes a load; returns `false` when the instruction must retry
     /// (stall already recorded).
     fn do_load(&mut self, now: u64, eva: u32, width: u8, signed: bool, dst: Dst) -> bool {
-        match self.translate(eva, width) {
+        let value = match self.resolve(eva, width, AccessKind::Read) {
             Err(e) => {
                 self.trap(e);
-                false
+                return false;
             }
-            Ok(Target::LocalSpm { offset }) => {
-                if offset + u32::from(width) > self.cfg.spm_bytes {
-                    self.trap(format!("SPM load overrun at {offset:#x}"));
-                    return false;
-                }
+            Ok(Access::Spm { offset, loc }) => {
                 // Local SPM is remotely addressable (a neighbour's remote
                 // store can land here), so local reads are race-relevant.
-                self.push_race(
-                    now,
-                    crate::race::RaceLoc::Spm {
-                        cell: self.pgas.cell_id,
-                        x: self.xy.0,
-                        y: self.xy.1,
-                        word: offset & !3,
-                    },
-                    crate::race::AccessKind::Read,
-                    false,
-                );
-                let v = extend(read_bytes(&self.spm, offset, width), width, signed);
+                self.push_race(now, loc, AccessKind::Read, false);
+                let lat = self.cfg.spm_load_latency;
                 match dst {
-                    Dst::Int(rd) => {
-                        self.write_int(rd, v);
-                        self.set_int_latency(
-                            rd,
-                            now,
-                            self.cfg.spm_load_latency,
-                            StallKind::LocalLoad,
-                        );
-                    }
-                    Dst::Fp(rd) => {
-                        self.fregs[rd.index() as usize] = f32::from_bits(v);
-                        self.set_fp_latency(
-                            rd,
-                            now,
-                            self.cfg.spm_load_latency,
-                            StallKind::LocalLoad,
-                        );
-                    }
+                    Dst::Int(rd) => self.set_int_latency(rd, now, lat, StallKind::LocalLoad),
+                    Dst::Fp(rd) => self.set_fp_latency(rd, now, lat, StallKind::LocalLoad),
                 }
-                true
+                extend(read_bytes(&self.spm, offset, width), width, signed)
             }
-            Ok(Target::Csr { offset }) => {
-                let Some(v) = self.csr_read(offset, now) else {
+            Ok(Access::Csr { offset }) => match self.csr_read(offset, now) {
+                Some(value) => value,
+                None => {
                     self.trap(format!("read of unknown CSR {offset:#x}"));
                     return false;
-                };
-                match dst {
-                    Dst::Int(rd) => self.write_int(rd, v),
-                    Dst::Fp(rd) => self.fregs[rd.index() as usize] = f32::from_bits(v),
                 }
-                true
-            }
-            Ok(Target::RemoteSpm { tile, offset }) => {
-                // Accessing our own SPM through the group space is local.
-                if tile == Coord::new(self.xy.0, self.xy.1) {
-                    return self.do_load(now, offset, width, signed, dst);
-                }
-                let coord = self.pgas.tile_coord(tile.x, tile.y);
-                let ok =
-                    self.remote_load(now, self.pgas.cell_id, coord, offset, width, signed, dst);
+            },
+            Ok(Access::Remote {
+                cell,
+                coord,
+                addr,
+                loc,
+            }) => {
+                let ok = self.remote_load(now, cell, coord, addr, width, signed, dst);
                 if ok {
                     // Record only on issue; a credit stall retries the
                     // instruction and would double-count.
-                    self.push_race(
-                        now,
-                        crate::race::RaceLoc::Spm {
-                            cell: self.pgas.cell_id,
-                            x: tile.x,
-                            y: tile.y,
-                            word: offset & !3,
-                        },
-                        crate::race::AccessKind::Read,
-                        true,
-                    );
+                    self.push_race(now, loc, AccessKind::Read, true);
                 }
-                ok
+                return ok;
             }
-            Ok(Target::Bank { cell, bank, addr }) => {
-                let coord = self.pgas.bank_coord(bank);
-                let ok = self.remote_load(now, cell, coord, addr, width, signed, dst);
-                if ok {
-                    self.push_race(
-                        now,
-                        crate::race::RaceLoc::Dram {
-                            cell,
-                            bank: bank as u8,
-                            word: addr & !3,
-                        },
-                        crate::race::AccessKind::Read,
-                        true,
-                    );
-                }
-                ok
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn remote_load(
-        &mut self,
-        now: u64,
-        cell: u8,
-        coord: Coord,
-        addr: u32,
-        width: u8,
-        signed: bool,
-        dst: Dst,
-    ) -> bool {
-        if !self.issue_remote_load(now, cell, coord, addr, width, signed, dst) {
-            self.stall(StallKind::RemoteCredit);
-            return false;
-        }
-        if !self.cfg.non_blocking_loads {
-            self.flush_combine();
-            // Blocking: wait for this exact op before any further progress.
-            self.blocking_on = Some(self.next_op_id.wrapping_sub(1));
-        }
+        };
+        self.write_dst(dst, value);
         true
     }
 
     fn do_store(&mut self, now: u64, eva: u32, width: u8, data: u32) -> bool {
-        match self.translate(eva, width) {
+        match self.resolve(eva, width, AccessKind::Write) {
             Err(e) => {
                 self.trap(e);
                 false
             }
-            Ok(Target::LocalSpm { offset }) => {
-                if offset + u32::from(width) > self.cfg.spm_bytes {
-                    self.trap(format!("SPM store overrun at {offset:#x}"));
-                    return false;
-                }
-                self.push_race(
-                    now,
-                    crate::race::RaceLoc::Spm {
-                        cell: self.pgas.cell_id,
-                        x: self.xy.0,
-                        y: self.xy.1,
-                        word: offset & !3,
-                    },
-                    crate::race::AccessKind::Write,
-                    false,
-                );
+            Ok(Access::Spm { offset, loc }) => {
+                self.push_race(now, loc, AccessKind::Write, false);
                 write_bytes(&mut self.spm, offset, width, data);
                 true
             }
-            Ok(Target::Csr { offset }) => match offset {
+            Ok(Access::Csr { offset }) => match offset {
                 csr::BARRIER => {
                     if let Some(t) = &self.trace {
                         t.push(TraceEvent::BarrierJoin {
@@ -1760,153 +1711,44 @@ impl Tile {
                     false
                 }
             },
-            Ok(Target::RemoteSpm { tile, offset }) => {
-                if tile == Coord::new(self.xy.0, self.xy.1) {
-                    return self.do_store(now, offset, width, data);
-                }
-                let coord = self.pgas.tile_coord(tile.x, tile.y);
-                let ok = self.remote_store(now, self.pgas.cell_id, coord, offset, width, data);
-                if ok {
-                    self.push_race(
-                        now,
-                        crate::race::RaceLoc::Spm {
-                            cell: self.pgas.cell_id,
-                            x: tile.x,
-                            y: tile.y,
-                            word: offset & !3,
-                        },
-                        crate::race::AccessKind::Write,
-                        true,
-                    );
-                }
-                ok
-            }
-            Ok(Target::Bank { cell, bank, addr }) => {
-                let coord = self.pgas.bank_coord(bank);
-                let ok = self.remote_store(now, cell, coord, addr, width, data);
-                if ok {
-                    self.push_race(
-                        now,
-                        crate::race::RaceLoc::Dram {
-                            cell,
-                            bank: bank as u8,
-                            word: addr & !3,
-                        },
-                        crate::race::AccessKind::Write,
-                        true,
-                    );
-                }
-                ok
+            Ok(Access::Remote {
+                cell,
+                coord,
+                addr,
+                loc,
+            }) => {
+                let Some(op_id) = self.issue_remote(PendingOp::Store) else {
+                    return false;
+                };
+                self.send_request(cell, coord, op_id, ReqKind::Store { addr, width, data });
+                self.push_race(now, loc, AccessKind::Write, true);
+                true
             }
         }
-    }
-
-    fn remote_store(
-        &mut self,
-        _now: u64,
-        cell: u8,
-        coord: Coord,
-        addr: u32,
-        width: u8,
-        data: u32,
-    ) -> bool {
-        self.flush_combine();
-        if self.outstanding >= self.cfg.max_outstanding || self.req_outbox.len() >= OUTBOX_CAP {
-            self.stall(StallKind::RemoteCredit);
-            return false;
-        }
-        let op_id = self.alloc_op_id();
-        self.pending_ops.insert(op_id, PendingOp::Store);
-        self.send_request(cell, coord, op_id, ReqKind::Store { addr, width, data });
-        self.outstanding += 1;
-        true
     }
 
     fn do_amo(&mut self, now: u64, eva: u32, op: hb_isa::AmoOp, data: u32, rd: Gpr) -> bool {
-        match self.translate(eva, 4) {
+        match self.resolve(eva, 4, AccessKind::Amo) {
             Err(e) => {
                 self.trap(e);
                 false
             }
-            Ok(Target::Bank { cell, bank, addr }) => {
-                self.flush_combine();
-                if self.outstanding >= self.cfg.max_outstanding
-                    || self.req_outbox.len() >= OUTBOX_CAP
-                {
-                    self.stall(StallKind::RemoteCredit);
+            Ok(Access::Remote {
+                cell,
+                coord,
+                addr,
+                loc,
+            }) => {
+                let Some(op_id) = self.issue_remote(PendingOp::Amo { rd }) else {
                     return false;
-                }
-                let op_id = self.alloc_op_id();
-                self.pending_ops.insert(op_id, PendingOp::Amo { rd });
-                let coord = self.pgas.bank_coord(bank);
+                };
                 self.send_request(cell, coord, op_id, ReqKind::Amo { addr, op, data });
-                if rd != Gpr::Zero {
-                    self.int_pending[rd.index() as usize] = true;
-                }
-                self.outstanding += 1;
-                if !self.cfg.non_blocking_loads {
-                    self.blocking_on = Some(op_id);
-                }
-                self.push_race(
-                    now,
-                    crate::race::RaceLoc::Dram {
-                        cell,
-                        bank: bank as u8,
-                        word: addr & !3,
-                    },
-                    crate::race::AccessKind::Amo,
-                    true,
-                );
+                self.set_pending(Dst::Int(rd), true);
+                self.push_race(now, loc, AccessKind::Amo, true);
                 true
             }
-            Ok(Target::RemoteSpm { tile, offset }) => {
-                if offset + 4 > self.cfg.spm_bytes {
-                    self.trap(format!("SPM AMO overrun at {offset:#x}"));
-                    return false;
-                }
-                self.flush_combine();
-                if self.outstanding >= self.cfg.max_outstanding
-                    || self.req_outbox.len() >= OUTBOX_CAP
-                {
-                    self.stall(StallKind::RemoteCredit);
-                    return false;
-                }
-                let op_id = self.alloc_op_id();
-                self.pending_ops.insert(op_id, PendingOp::Amo { rd });
-                let coord = self.pgas.tile_coord(tile.x, tile.y);
-                self.send_request(
-                    self.pgas.cell_id,
-                    coord,
-                    op_id,
-                    ReqKind::Amo {
-                        addr: offset,
-                        op,
-                        data,
-                    },
-                );
-                if rd != Gpr::Zero {
-                    self.int_pending[rd.index() as usize] = true;
-                }
-                self.outstanding += 1;
-                if !self.cfg.non_blocking_loads {
-                    self.blocking_on = Some(op_id);
-                }
-                self.push_race(
-                    now,
-                    crate::race::RaceLoc::Spm {
-                        cell: self.pgas.cell_id,
-                        x: tile.x,
-                        y: tile.y,
-                        word: offset & !3,
-                    },
-                    crate::race::AccessKind::Amo,
-                    true,
-                );
-                true
-            }
-            Ok(_) => {
-                self.trap(format!("AMO to non-atomic space at {eva:#x}"));
-                false
+            Ok(Access::Spm { .. } | Access::Csr { .. }) => {
+                unreachable!("resolve gives an AMO the network or an error")
             }
         }
     }
@@ -1916,9 +1758,8 @@ impl Tile {
 mod tests {
     use super::*;
 
-    fn tile() -> Tile {
-        let cfg = Arc::new(MachineConfig::baseline_16x8());
-        let pgas = PgasMap {
+    fn pgas_of(cfg: &MachineConfig) -> PgasMap {
+        PgasMap {
             cell_id: 0,
             num_cells: cfg.num_cells,
             cell_w: cfg.cell_dim.x,
@@ -1927,8 +1768,409 @@ mod tests {
             line_bytes: cfg.line_bytes,
             dram_bytes: cfg.dram_bytes_per_cell,
             ipoly: cfg.ipoly_hashing,
-        };
+        }
+    }
+
+    fn tile() -> Tile {
+        let cfg = Arc::new(MachineConfig::baseline_16x8());
+        let pgas = pgas_of(&cfg);
         Tile::new(cfg, pgas, (0, 0))
+    }
+
+    /// The data-access matrix: every kind of memory instruction against
+    /// every kind of address. One tile, one instruction, the outcome read
+    /// straight off the tile — a local effect, the request packet with its
+    /// destination, or the exact trap — and, wherever the functional bus has
+    /// an opinion (it has none on cache lines), the same outcome from it.
+    #[test]
+    fn every_access_kind_lands_where_the_address_says() {
+        use crate::func::{DramStore, FuncBus, TileCtx};
+        use hb_isa::{AmoOp, LoadWidth, StoreWidth};
+        use hb_iss::{Bus, StoreEffect};
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Kind {
+            Load { signed: bool, fp: bool },
+            Store { fp: bool },
+            Amo,
+        }
+        /// What one access must do. `Own(offset)`: served by the tile's own
+        /// scratchpad. `Net`: one request to `coord` of `cell` carrying
+        /// `addr`. `Reads(value)`: a CSR read. `Joins`/`Retires`: the two
+        /// writable CSRs.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Expect {
+            Own(u32),
+            Net { cell: u8, coord: Coord, addr: u32 },
+            Reads(u32),
+            Joins,
+            Retires,
+            Trap(String),
+        }
+        use Expect::{Joins, Net, Own, Reads, Retires, Trap};
+
+        struct Zeroes;
+        impl DramStore for Zeroes {
+            fn read(&mut self, _: u8, _: u32, _: u8) -> u32 {
+                0
+            }
+            fn write(&mut self, _: u8, _: u32, _: u8, _: u32) {}
+        }
+
+        let cfg = Arc::new(MachineConfig {
+            num_cells: 2,
+            ..MachineConfig::baseline_16x8()
+        });
+        let pg = pgas_of(&cfg);
+        let (me, other) = ((2u8, 3u8), (5u8, 1u8));
+        let (spm_bytes, line) = (cfg.spm_bytes, cfg.line_bytes);
+        let image: Vec<u8> = (0..spm_bytes).map(|i| (i * 7 + 0x83) as u8).collect();
+        let group = Tile::new(cfg.clone(), pg, me).group();
+
+        let ops: [(&str, Kind, u8); 9] = [
+            (
+                "lb",
+                Kind::Load {
+                    signed: true,
+                    fp: false,
+                },
+                1,
+            ),
+            (
+                "lh",
+                Kind::Load {
+                    signed: true,
+                    fp: false,
+                },
+                2,
+            ),
+            (
+                "lw",
+                Kind::Load {
+                    signed: false,
+                    fp: false,
+                },
+                4,
+            ),
+            (
+                "flw",
+                Kind::Load {
+                    signed: false,
+                    fp: true,
+                },
+                4,
+            ),
+            ("sb", Kind::Store { fp: false }, 1),
+            ("sh", Kind::Store { fp: false }, 2),
+            ("sw", Kind::Store { fp: false }, 4),
+            ("fsw", Kind::Store { fp: true }, 4),
+            ("amoadd.w", Kind::Amo, 4),
+        ];
+
+        // Expectation helpers shared by the rows.
+        let non_atomic = |eva: u32| Trap(format!("AMO to non-atomic space at {eva:#x}"));
+        let to_tile = |(x, y): (u8, u8), addr: u32| Net {
+            cell: pg.cell_id,
+            coord: pg.tile_coord(x, y),
+            addr,
+        };
+        let to_bank = |eva: u32| match pg.translate(eva) {
+            Ok(Target::Bank { cell, bank, addr }) => Net {
+                cell,
+                coord: pg.bank_coord(bank),
+                addr,
+            },
+            other => panic!("{eva:#x} is not DRAM: {other:?}"),
+        };
+        let overrun = |kind: Kind, offset: u32| {
+            let what = match kind {
+                Kind::Load { .. } => "load",
+                Kind::Store { .. } => "store",
+                Kind::Amo => "AMO",
+            };
+            Trap(format!("SPM {what} overrun at {offset:#x}"))
+        };
+        let csr_row = |eva: u32, load: Expect, store: Expect| {
+            move |kind: Kind, _: u8| match kind {
+                Kind::Load { .. } => load.clone(),
+                Kind::Store { .. } => store.clone(),
+                Kind::Amo => Trap(format!("AMO to non-atomic space at {eva:#x}")),
+            }
+        };
+        let unknown = |eva: u32| Trap(format!("read of unknown CSR {eva:#x}"));
+        let read_only = |eva: u32| Trap(format!("store to read-only CSR {eva:#x}"));
+
+        type Row<'a> = (&'a str, u32, Box<dyn Fn(Kind, u8) -> Expect + 'a>);
+        let last = spm_bytes - 1;
+        let own_alias = crate::pgas::group_spm(me.0, me.1, 0x40);
+        let rows: Vec<Row> = vec![
+            (
+                "local SPM",
+                0x40,
+                Box::new(|kind, _| match kind {
+                    Kind::Amo => non_atomic(0x40),
+                    _ => Own(0x40),
+                }),
+            ),
+            (
+                "own tile through group space",
+                own_alias,
+                Box::new(|kind, _| match kind {
+                    // An AMO takes the network even to its own tile.
+                    Kind::Amo => to_tile(me, 0x40),
+                    _ => Own(0x40),
+                }),
+            ),
+            (
+                "another tile's SPM",
+                crate::pgas::group_spm(other.0, other.1, 0x40),
+                Box::new(|_, _| to_tile(other, 0x40)),
+            ),
+            (
+                "Local DRAM",
+                crate::pgas::local_dram(0x1040),
+                Box::new(|_, _| to_bank(crate::pgas::local_dram(0x1040))),
+            ),
+            (
+                "Group DRAM of the other Cell",
+                crate::pgas::group_dram(1, 0x2080),
+                Box::new(|_, _| to_bank(crate::pgas::group_dram(1, 0x2080))),
+            ),
+            (
+                "Global DRAM",
+                crate::pgas::global_dram(0x12340),
+                Box::new(|_, _| to_bank(crate::pgas::global_dram(0x12340))),
+            ),
+            (
+                "read-only CSR",
+                csr::TILE_X,
+                Box::new(csr_row(
+                    csr::TILE_X,
+                    Reads(u32::from(me.0)),
+                    read_only(csr::TILE_X),
+                )),
+            ),
+            (
+                "BARRIER CSR",
+                csr::BARRIER,
+                Box::new(csr_row(csr::BARRIER, unknown(csr::BARRIER), Joins)),
+            ),
+            (
+                "MARK CSR",
+                csr::MARK,
+                Box::new(csr_row(csr::MARK, unknown(csr::MARK), Retires)),
+            ),
+            (
+                "unknown CSR",
+                0x10f0,
+                Box::new(csr_row(0x10f0, unknown(0x10f0), read_only(0x10f0))),
+            ),
+            (
+                "bad EVA",
+                0x2000,
+                Box::new(|_, _| Trap("EVA 0x00002000 does not map to any resource".to_owned())),
+            ),
+            (
+                "last byte of the local SPM",
+                last,
+                Box::new(|kind, width| match kind {
+                    Kind::Amo => non_atomic(last),
+                    _ if width == 1 => Own(last),
+                    _ => overrun(kind, last),
+                }),
+            ),
+            (
+                "last byte of the own SPM through group space",
+                crate::pgas::group_spm(me.0, me.1, last),
+                Box::new(|kind, width| match kind {
+                    _ if width == 1 => Own(last),
+                    _ => overrun(kind, last),
+                }),
+            ),
+            (
+                "last byte of another tile's SPM",
+                crate::pgas::group_spm(other.0, other.1, last),
+                Box::new(|kind, _| match kind {
+                    // Its owner answers a load or store that overruns; only
+                    // the issuer can refuse an AMO.
+                    Kind::Amo => overrun(kind, last),
+                    _ => to_tile(other, last),
+                }),
+            ),
+            (
+                "last byte of a DRAM cache line",
+                crate::pgas::local_dram(line - 1),
+                Box::new(|_, width| {
+                    let eva = crate::pgas::local_dram(line - 1);
+                    if width == 1 {
+                        to_bank(eva)
+                    } else {
+                        Trap(format!(
+                            "{width}-byte DRAM access at {eva:#x} crosses its cache line"
+                        ))
+                    }
+                }),
+            ),
+        ];
+
+        let (base, rd, src) = (Gpr::A0, Gpr::A1, Gpr::A2);
+        let (frd, fsrc) = (Fpr::from_index(1), Fpr::from_index(2));
+        let data = 0xfeed_c0de_u32;
+        for (row, eva, expect) in &rows {
+            for &(name, kind, width) in &ops {
+                let what = format!("{name} at {row} ({eva:#x})");
+                let expect = expect(kind, width);
+
+                // The tile.
+                let mut t = Tile::new(cfg.clone(), pg, me);
+                t.spm.copy_from_slice(&image);
+                t.regs[base.index() as usize] = *eva;
+                t.regs[src.index() as usize] = data;
+                t.fregs[fsrc.index() as usize] = f32::from_bits(data);
+                let instr = match (kind, width) {
+                    (Kind::Load { fp: true, .. }, _) => Instr::Flw {
+                        rd: frd,
+                        rs1: base,
+                        offset: 0,
+                    },
+                    (Kind::Load { .. }, _) => Instr::Load {
+                        width: [LoadWidth::B, LoadWidth::H, LoadWidth::W][width as usize / 2],
+                        rd,
+                        rs1: base,
+                        offset: 0,
+                    },
+                    (Kind::Store { fp: true }, _) => Instr::Fsw {
+                        rs1: base,
+                        rs2: fsrc,
+                        offset: 0,
+                    },
+                    (Kind::Store { .. }, _) => Instr::Store {
+                        width: [StoreWidth::B, StoreWidth::H, StoreWidth::W][width as usize / 2],
+                        rs1: base,
+                        rs2: src,
+                        offset: 0,
+                    },
+                    (Kind::Amo, _) => Instr::Amo {
+                        op: AmoOp::Add,
+                        rd,
+                        rs1: base,
+                        rs2: src,
+                        aq: false,
+                        rl: false,
+                    },
+                };
+                t.execute(instr, 0);
+                t.flush_combine(); // a held word load leaves now
+                let sent: Vec<_> = t.req_outbox.drain(..).collect();
+                let loaded = match kind {
+                    Kind::Load { fp: true, .. } => t.fregs[frd.index() as usize].to_bits(),
+                    _ => t.regs[rd.index() as usize],
+                };
+                let spm_changed = t.spm != image;
+                let got = match (t.fault(), sent.as_slice()) {
+                    (Some((_, cause)), []) => Trap(cause.to_owned()),
+                    (None, [(cell, pkt)]) => {
+                        assert_eq!(pkt.src, pg.tile_coord(me.0, me.1), "{what}");
+                        assert_eq!(pkt.payload.from.coord, pkt.src, "{what}");
+                        assert_eq!(t.outstanding(), 1, "{what}");
+                        let addr = match (kind, pkt.payload.kind) {
+                            (
+                                Kind::Load { .. },
+                                ReqKind::Load {
+                                    addr,
+                                    width: w,
+                                    count: 1,
+                                },
+                            ) if w == width => addr,
+                            (
+                                Kind::Store { .. },
+                                ReqKind::Store {
+                                    addr,
+                                    width: w,
+                                    data: d,
+                                },
+                            ) if (w, d) == (width, data) => addr,
+                            (
+                                Kind::Amo,
+                                ReqKind::Amo {
+                                    addr,
+                                    op: AmoOp::Add,
+                                    data: d,
+                                },
+                            ) if d == data => addr,
+                            (_, req) => panic!("{what}: wrong request {req:?}"),
+                        };
+                        Net {
+                            cell: *cell,
+                            coord: pkt.dst,
+                            addr,
+                        }
+                    }
+                    (None, []) if t.wants_join && t.barrier_waiting => Joins,
+                    (None, []) => match (&expect, kind) {
+                        (Own(offset), Kind::Load { signed, .. }) => {
+                            let raw = read_bytes(&image, *offset, width);
+                            assert_eq!(loaded, extend(raw, width, signed), "{what}");
+                            Own(*offset)
+                        }
+                        (Own(offset), _) => {
+                            let mut after = image.clone();
+                            write_bytes(&mut after, *offset, width, data);
+                            assert_eq!(t.spm, after, "{what}");
+                            Own(*offset)
+                        }
+                        (_, Kind::Load { .. }) => Reads(loaded),
+                        _ => Retires,
+                    },
+                    (fault, sent) => panic!("{what}: fault {fault:?} and packets {sent:?}"),
+                };
+                assert_eq!(got, expect, "{what}");
+                let retired = u64::from(!matches!(got, Trap(_)));
+                assert_eq!(t.stats().instrs, retired, "{what}");
+                if !matches!(got, Net { .. }) {
+                    assert_eq!(t.outstanding(), 0, "{what}");
+                }
+                if !matches!((&got, kind), (Own(_), Kind::Store { .. })) {
+                    assert!(!spm_changed, "{what}: scratchpad written");
+                }
+
+                // The functional bus, with both tiles modelled.
+                if *row == "last byte of a DRAM cache line" {
+                    continue;
+                }
+                let ctx = |xy| TileCtx {
+                    xy,
+                    group,
+                    args: [0; 8],
+                };
+                let tiles = vec![(ctx(me), image.clone()), (ctx(other), image.clone())];
+                let mut bus = FuncBus::new(pg, tiles, Zeroes);
+                let said = match kind {
+                    Kind::Load { signed, .. } => match bus.load(*eva, width) {
+                        Ok(raw) if matches!(got, Own(_) | Reads(_)) => {
+                            assert_eq!(extend(raw, width, signed), loaded, "{what}: bus value");
+                            Ok(())
+                        }
+                        other => other.map(|_| ()),
+                    },
+                    Kind::Store { .. } => match bus.store(*eva, width, data) {
+                        Ok(effect) => {
+                            assert_eq!(effect == StoreEffect::Barrier, got == Joins, "{what}");
+                            assert_eq!(bus.spm(0), t.spm(), "{what}: bus scratchpad");
+                            Ok(())
+                        }
+                        Err(e) => Err(e),
+                    },
+                    Kind::Amo => bus.amo(*eva, AmoOp::Add, data).map(|_| ()),
+                };
+                match (&got, said) {
+                    (Trap(cause), Err(e)) => assert_eq!(&e, cause, "{what}: bus trap"),
+                    (Trap(cause), Ok(())) => panic!("{what}: tile traps ({cause}), bus does not"),
+                    (_, Err(e)) => panic!("{what}: bus traps ({e}), tile does not"),
+                    (_, Ok(())) => {}
+                }
+            }
+        }
     }
 
     #[test]

@@ -362,3 +362,39 @@ fn amo_past_the_end_of_a_remote_scratchpad_traps_the_guest() {
         }
     }
 }
+
+#[test]
+fn a_compressed_load_packet_is_traced_when_it_leaves() {
+    // Two consecutive remote word loads ride in one packet (Load Packet
+    // Compression is on by default); the trace ring shows that packet
+    // leaving, as it shows every other remote request.
+    let mut m = Machine::new(cfg());
+    let trace = m.enable_tracing(256);
+    let base = m.cell_mut(0).alloc(64, 64);
+    let mut a = Assembler::new();
+    a.tg_rank(T0, T6);
+    let skip = a.new_label();
+    a.bnez(T0, skip);
+    // Both loads in one icache line: a fetch miss between them would
+    // outlast the latch.
+    a.addi(T3, Zero, 0);
+    a.lw(T1, A0, 0);
+    a.lw(T2, A0, 4);
+    a.add(T1, T1, T2);
+    a.bind(skip);
+    a.ecall();
+    let p = Arc::new(a.assemble(0).unwrap());
+    m.launch(0, &p, &[pgas::local_dram(base)]);
+    let summary = m.run(100_000).unwrap();
+    assert_eq!(summary.core.remote_requests, 1);
+    let issues: Vec<String> = trace
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            hb_core::trace::TraceEvent::RemoteIssue { what, .. } => Some(what.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(issues.len(), 1, "{issues:?}");
+    assert!(issues[0].contains("count: 2"), "{issues:?}");
+}

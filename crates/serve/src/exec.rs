@@ -21,7 +21,7 @@
 use crate::pool::{Executor, JobError};
 use crate::spec::{JobKind, JobSpec, PlanSpec};
 use crate::store::{JobRecord, Store};
-use hb_core::{Machine, MachineConfig, SimError, SnapshotDram};
+use hb_core::{Machine, MachineConfig, SimError};
 use hb_fault::{InjectionPlan, PlanShape};
 use hb_kernels::{launch_on, run_on, Jacobi, Kernel, Sgemm, SizeClass};
 use std::collections::HashMap;
@@ -173,24 +173,25 @@ impl SimExecutor {
         let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let cells = cfg.num_cells;
-        let (gold_res, gold_mem) = run_once(kernel, cfg, None, GOLDEN_BUDGET);
+        let (gold_res, gold_machine) = run_once(kernel, cfg, None, GOLDEN_BUDGET);
         let gold = gold_res.map_err(|e| JobError::Permanent(format!("golden run failed: {e}")))?;
-        let gold_digest = digest(&gold_mem, cells);
         let mut checks = vec!["empty-plan-identity"];
 
         // Bit-identity: installing an *empty* plan must change nothing —
         // the zero-injection hot path is one untaken branch.
-        let (empty_res, empty_mem) =
-            run_once(kernel, cfg, Some(&InjectionPlan::default()), GOLDEN_BUDGET);
-        let empty =
-            empty_res.map_err(|e| JobError::Permanent(format!("empty-plan run failed: {e}")))?;
-        if (empty.cycles, empty.core.instrs, digest(&empty_mem, cells))
-            != (gold.cycles, gold.core.instrs, gold_digest)
         {
-            return Err(JobError::Permanent(
-                "empty injection plan is not bit-identical to the uninstrumented run".to_owned(),
-            ));
+            let (empty_res, empty_machine) =
+                run_once(kernel, cfg, Some(&InjectionPlan::default()), GOLDEN_BUDGET);
+            let empty = empty_res
+                .map_err(|e| JobError::Permanent(format!("empty-plan run failed: {e}")))?;
+            if (empty.cycles, empty.core.instrs) != (gold.cycles, gold.core.instrs)
+                || !same_memory(&empty_machine, &gold_machine)
+            {
+                return Err(JobError::Permanent(
+                    "empty injection plan is not bit-identical to the uninstrumented run"
+                        .to_owned(),
+                ));
+            }
         }
 
         // Anchor the golden image to the hb-iss functional model where the
@@ -202,8 +203,7 @@ impl SimExecutor {
                 .warmup_functional(100_000_000)
                 .map_err(|e| JobError::Permanent(format!("functional golden run failed: {e}")))?;
             machine.flush_all_caches();
-            let func_mem = SnapshotDram::from_machine(&machine);
-            if !same_memory(&gold_mem, &func_mem, cells) {
+            if !same_memory(&gold_machine, &machine) {
                 return Err(JobError::Permanent(
                     "cycle-level golden memory diverges from the hb-iss functional run".to_owned(),
                 ));
@@ -218,7 +218,7 @@ impl SimExecutor {
             outcome: "ok".to_owned(),
             cycles: gold.cycles,
             instrs: gold.core.instrs,
-            dram_digest: gold_digest,
+            dram_digest: digest(&gold_machine),
             checks: checks.join(","),
             ..JobRecord::default()
         })
@@ -269,7 +269,6 @@ impl SimExecutor {
         let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let cells = cfg.num_cells;
         let gold = self.golden_info(spec, store)?;
 
         let plan = match &spec.plan {
@@ -357,12 +356,12 @@ impl SimExecutor {
             }
         }
         machine.flush_all_caches();
-        let mem = SnapshotDram::from_machine(&machine);
+        let dram_digest = digest(&machine);
         let total_cycles = machine.cycle();
         let (outcome, cycles, instrs) = match &result {
             Err(SimError::Fault(_)) => ("detected", 0, 0),
             Err(SimError::Timeout { .. }) => ("hang", 0, 0),
-            Ok(s) if digest(&mem, cells) == gold.digest => ("masked", total_cycles, s.core.instrs),
+            Ok(s) if dram_digest == gold.digest => ("masked", total_cycles, s.core.instrs),
             Ok(s) => ("sdc", total_cycles, s.core.instrs),
         };
         // The run finished: its resume checkpoint is dead weight now.
@@ -376,7 +375,7 @@ impl SimExecutor {
             inj_cycle,
             cycles,
             instrs,
-            dram_digest: digest(&mem, cells),
+            dram_digest,
             artifacts,
             ..JobRecord::default()
         })
@@ -543,13 +542,13 @@ pub fn size_token(size: SizeClass) -> &'static str {
 }
 
 /// One full simulation: fresh machine, same seeded inputs, optional
-/// injection plan. Returns the run result and the flushed DRAM image.
+/// injection plan. Returns the run result and the machine, caches flushed.
 fn run_once(
     kernel: &dyn Kernel,
     cfg: &MachineConfig,
     plan: Option<&InjectionPlan>,
     budget: u64,
-) -> (Result<hb_core::RunSummary, SimError>, SnapshotDram) {
+) -> (Result<hb_core::RunSummary, SimError>, Machine) {
     let mut machine = Machine::new(cfg.clone());
     launch_on(&mut machine, kernel, SizeClass::Small);
     if let Some(plan) = plan {
@@ -557,14 +556,24 @@ fn run_once(
     }
     let result = machine.run(budget);
     machine.flush_all_caches();
-    (result, SnapshotDram::from_machine(&machine))
+    (result, machine)
 }
 
-/// FNV-1a digest over every Cell's DRAM image.
-pub fn digest(snap: &SnapshotDram, cells: u8) -> u64 {
+/// The DRAM of every Cell of `machine`, in Cell order. Meaningful as "the
+/// memory the kernel left behind" once the caches are flushed.
+fn dram_images(machine: &Machine) -> impl Iterator<Item = &[u8]> {
+    (0..machine.num_cells()).map(|c| {
+        let dram = machine.cell(c as u8).dram();
+        dram.slice(0, dram.len())
+    })
+}
+
+/// FNV-1a-64 over every Cell's DRAM, hashed where it lies: the
+/// `dram_digest` of a job record.
+pub fn digest(machine: &Machine) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in 0..cells {
-        for &b in snap.cell(c) {
+    for image in dram_images(machine) {
+        for &b in image {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -572,6 +581,7 @@ pub fn digest(snap: &SnapshotDram, cells: u8) -> u64 {
     h
 }
 
-fn same_memory(a: &SnapshotDram, b: &SnapshotDram, cells: u8) -> bool {
-    (0..cells).all(|c| a.cell(c) == b.cell(c))
+/// Whether two machines hold the same DRAM, byte for byte.
+fn same_memory(a: &Machine, b: &Machine) -> bool {
+    dram_images(a).eq(dram_images(b))
 }

@@ -13,9 +13,7 @@
 
 use hammerblade::ckpt;
 use hammerblade::core::profile::CellProfile;
-use hammerblade::core::{
-    pgas, CellDim, CoreStats, Machine, MachineConfig, SnapshotDram, StallKind,
-};
+use hammerblade::core::{pgas, CellDim, CoreStats, Machine, MachineConfig, StallKind};
 use hammerblade::kernels::{kernels, launch_on, Kernel, Launch, SizeClass};
 use hammerblade::obs::{Keep, Sampler, Telemetry};
 use std::sync::{Arc, Mutex};
@@ -28,20 +26,6 @@ fn cfg_with(event_core: bool) -> MachineConfig {
         event_core,
         ..MachineConfig::baseline_16x8()
     }
-}
-
-/// FNV-1a digest over every Cell's flushed DRAM image (the same digest
-/// `hb-serve` classifies fault outcomes with).
-fn dram_digest(machine: &Machine) -> u64 {
-    let snap = SnapshotDram::from_machine(machine);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in 0..machine.num_cells() {
-        for &b in snap.cell(c as u8) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Launches `kernel` on a machine built from `cfg`, ticks it to cycle `at`
@@ -87,7 +71,7 @@ fn finish(machine: &Machine) -> Finish {
         cache: cell.cache_stats(),
         bisection: cell.request_bisection(),
         east_busy: CellProfile::capture(cell).east_busy,
-        digest: dram_digest(machine),
+        digest: hb_serve::exec::digest(machine),
     }
 }
 
@@ -236,7 +220,11 @@ fn restore_rederives_the_hazard_horizon_under_inflight_latencies() {
     let mut twin = latency_machine(&cfg);
     twin.run(BUDGET).expect("twin run");
     twin.flush_all_caches();
-    let (cycles, core, digest) = (twin.cycle(), twin.cell(0).core_stats(), dram_digest(&twin));
+    let (cycles, core, digest) = (
+        twin.cycle(),
+        twin.cell(0).core_stats(),
+        hb_serve::exec::digest(&twin),
+    );
     assert!(
         core.stall(StallKind::FpBusy) > 0
             && core.stall(StallKind::IntBusy) > 0

@@ -10,9 +10,7 @@
 //!   every one of its six phase buckets.
 
 use hammerblade::asm::{Assembler, Program};
-use hammerblade::core::{
-    CellDim, CoreStats, HbOps, Machine, MachineConfig, PhaseTimes, SnapshotDram,
-};
+use hammerblade::core::{CellDim, CoreStats, HbOps, Machine, MachineConfig, PhaseTimes};
 use hammerblade::isa::Gpr::*;
 use hammerblade::kernels::{launch_on, Sgemm, SizeClass};
 use std::sync::Arc;
@@ -71,14 +69,6 @@ fn sgemm_machine(cfg: &MachineConfig) -> Machine {
 type Build = fn(&MachineConfig) -> Machine;
 const KERNELS: [(&str, Build); 2] = [("barrier", barrier_machine), ("sgemm", sgemm_machine)];
 
-fn dram_digest(machine: &mut Machine) -> u64 {
-    machine.flush_all_caches();
-    let snap = SnapshotDram::from_machine(machine);
-    snap.cell(0).iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn traced_park_run_fills_the_ring_like_traced_never_park() {
     for (name, build) in KERNELS {
@@ -127,11 +117,12 @@ struct Finish {
 
 fn finish(mut machine: Machine) -> Finish {
     assert!(machine.all_done() && machine.cell(0).fault().is_none());
+    machine.flush_all_caches();
     Finish {
         cycles: machine.cycle(),
         core: machine.cell(0).core_stats(),
         tile_ticks: machine.tile_ticks(),
-        digest: dram_digest(&mut machine),
+        digest: hb_serve::exec::digest(&machine),
     }
 }
 

@@ -4,7 +4,7 @@
 //! cycle-level simulation takes over — producing the same final memory
 //! image as a pure cycle-level run.
 
-use hammerblade::core::{CellDim, Machine, MachineConfig, SnapshotDram};
+use hammerblade::core::{CellDim, Machine, MachineConfig};
 use hammerblade::kernels::{launch_on, Jacobi, Launch, Sgemm, SizeClass};
 
 fn config(x: u8, y: u8) -> MachineConfig {
@@ -59,7 +59,7 @@ fn warmup_matches_pure_cycle_simulation_bit_for_bit() {
     warm.cell_mut(0).flush_caches();
 
     assert!(
-        SnapshotDram::from_machine(&pure).cell(0) == SnapshotDram::from_machine(&warm).cell(0),
+        pure.cell(0).dram() == warm.cell(0).dram(),
         "warmup must not change the computed result"
     );
 }
