@@ -33,7 +33,7 @@
 //! Every length read from the stream is bounded by the bytes that remain
 //! before anything is allocated for it, and byte sequences move as one
 //! `memcpy` (the `save_slice`/`load_slice`/`load_vec` hooks, overridden
-//! for `u8` only) — the 16 MB DRAM image is not a per-byte loop.
+//! for `u8` only) — an SPM or a DRAM extent is not a per-byte loop.
 //!
 //! A machine *component* (a tile, a cache bank, a network) cannot be
 //! rebuilt from the stream alone: its geometry comes from the machine
@@ -64,6 +64,9 @@
 //!   Optionally `extra (save_fn, load_fn)` appends a hand-written section
 //!   for state that needs context, and `check method` validates (and
 //!   re-derives) after the fields are in.
+//!
+//! One component is written by hand, below the macros: a [`Dram`] stores
+//! its non-zero extents, not its image.
 //!
 //! A field of a type from a crate that cannot see this one (`hb-isa`
 //! registers, say) is written `field [codec]` in a `snap_enum!` list,
@@ -795,9 +798,46 @@ macro_rules! snap_state {
     };
 }
 
-crate::snap_state!(Dram [b"DRAM"] {
-    fixed: bytes;
-});
+/// The one component written by hand — a data-dependent list is what a
+/// `fixed:` class cannot say: the tag, the image length (must equal the live
+/// one), `(offset, u64 length + bytes)` per [`Dram::extents`] extent,
+/// ascending, and a closing offset equal to the image length.
+impl SnapState for Dram {
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.tag(b"DRAM");
+        w.usize(self.len());
+        for (offset, bytes) in self.extents() {
+            w.usize(offset);
+            w.bytes(bytes);
+        }
+        w.usize(self.len());
+    }
+
+    /// Zeroes every byte outside the stored extents: the target of a restore
+    /// is not always a fresh machine.
+    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        r.expect_tag(b"DRAM", "Dram section")?;
+        let len = self.bytes.len();
+        if r.usize()? != len {
+            return Err(SnapError::Bad("Dram.bytes length mismatch"));
+        }
+        let mut done = 0; // everything below it is restored
+        loop {
+            let offset = r.usize()?;
+            if offset == len {
+                self.bytes[done..].fill(0);
+                return Ok(());
+            }
+            let bytes = r.bytes()?;
+            if offset < done || offset > len || bytes.is_empty() || bytes.len() > len - offset {
+                return Err(SnapError::Bad("Dram extent out of order or out of range"));
+            }
+            self.bytes[done..offset].fill(0);
+            done = offset + bytes.len();
+            self.bytes[offset..done].copy_from_slice(bytes);
+        }
+    }
+}
 
 impl ClockDivider {
     fn check_ratio(&mut self) -> Result<(), SnapError> {
@@ -1022,5 +1062,129 @@ mod tests {
         (5u64, 0u64, 0u64).save(&mut w);
         let bytes = w.into_bytes();
         assert!(ClockDivider::load(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    fn saved(d: &Dram) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        d.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Restores `bytes` into `d` and requires the stream to end there.
+    fn load_all(d: &mut Dram, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes);
+        d.load_state(&mut r)?;
+        r.finish()
+    }
+
+    /// Three extents over five blocks and a ragged tail: a byte at each end
+    /// of block 0, one on each side of the 2|3 boundary (one run of two
+    /// blocks), and the image's last byte in its partial block.
+    const RAGGED: usize = 5 * 4096 + 100;
+
+    fn sparse_dram() -> Dram {
+        let mut d = Dram::new(RAGGED);
+        for at in [0, 4095, 3 * 4096 - 1, 3 * 4096, RAGGED - 1] {
+            d.write_u8(at as u32, 0xa5);
+        }
+        d
+    }
+
+    #[test]
+    fn dram_extents_are_the_maximal_non_zero_block_runs() {
+        let spans = |d: &Dram| -> Vec<(usize, usize)> {
+            d.extents().map(|(at, bytes)| (at, bytes.len())).collect()
+        };
+        assert_eq!(spans(&Dram::new(RAGGED)), []);
+        assert_eq!(spans(&Dram::new(0)), []);
+        assert_eq!(
+            spans(&sparse_dram()),
+            [(0, 4096), (2 * 4096, 2 * 4096), (5 * 4096, 100)]
+        );
+        let mut full = Dram::new(RAGGED);
+        full.bytes.fill(1);
+        assert_eq!(spans(&full), [(0, RAGGED)]);
+        let sparse = sparse_dram();
+        for (at, bytes) in sparse.extents() {
+            assert_eq!(bytes, sparse.slice(at as u32, bytes.len()));
+        }
+    }
+
+    #[test]
+    fn dram_restores_into_a_dirty_image_and_re_encodes_to_the_same_bytes() {
+        for source in [sparse_dram(), Dram::new(RAGGED), Dram::new(0)] {
+            let bytes = saved(&source);
+            // Two length words plus, per extent, an offset and a length.
+            let extents = source.extents().count();
+            let stored: usize = source.extents().map(|(_, b)| b.len()).sum();
+            assert_eq!(bytes.len(), 4 + 16 + 16 * extents + stored);
+            // The target of a restore is not always a fresh machine: every
+            // gap between extents has to be zeroed, not skipped.
+            let mut dirty = Dram::new(source.len());
+            dirty.bytes.fill(0xff);
+            load_all(&mut dirty, &bytes).unwrap();
+            assert_eq!(dirty, source);
+            assert_eq!(saved(&dirty), bytes);
+            for cut in 0..bytes.len() {
+                let mut target = Dram::new(source.len());
+                assert_eq!(load_all(&mut target, &bytes[..cut]), Err(SnapError::Eof));
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_dram_extents_are_typed_errors() {
+        const LEN: usize = 4 * 4096;
+        // A `DRAM` section over a `LEN`-byte image from `(offset, claimed
+        // length, bytes present)` words, closed by `close`.
+        let section = |extents: &[(u64, u64, usize)], close: Option<u64>| {
+            let mut w = SnapWriter::new();
+            w.tag(b"DRAM");
+            w.usize(LEN);
+            for &(offset, claimed, present) in extents {
+                w.u64(offset);
+                w.u64(claimed);
+                w.raw(&vec![7; present]);
+            }
+            if let Some(close) = close {
+                w.u64(close);
+            }
+            w.into_bytes()
+        };
+        let end = LEN as u64;
+        let load = |bytes: &[u8]| load_all(&mut Dram::new(LEN), bytes);
+        let bad = Err(SnapError::Bad("Dram extent out of order or out of range"));
+
+        assert_eq!(
+            load(&section(&[(0, 8, 8), (4096, 8, 8)], Some(end))),
+            Ok(())
+        );
+        // Adjacent is in order; anything earlier is not.
+        assert_eq!(load(&section(&[(0, 8, 8), (8, 8, 8)], Some(end))), Ok(()));
+        assert_eq!(load(&section(&[(4096, 8, 8), (0, 8, 8)], Some(end))), bad);
+        assert_eq!(load(&section(&[(0, 8, 8), (7, 8, 8)], Some(end))), bad);
+        assert_eq!(load(&section(&[(0, 8, 8), (0, 8, 8)], Some(end))), bad);
+        // Starting or ending past the image.
+        assert_eq!(load(&section(&[(end + 1, 8, 8)], Some(end))), bad);
+        assert_eq!(load(&section(&[(u64::MAX, 8, 8)], Some(end))), bad);
+        assert_eq!(load(&section(&[(end - 4, 8, 8)], Some(end))), bad);
+        // Empty.
+        assert_eq!(load(&section(&[(64, 0, 0)], Some(end))), bad);
+        // No terminator, and one that comes before the bytes do.
+        assert_eq!(load(&section(&[(0, 8, 8)], None)), Err(SnapError::Eof));
+        assert_eq!(
+            load(&section(&[(end, 8, 8)], Some(end))),
+            Err(SnapError::Bad("trailing bytes after snapshot"))
+        );
+        // A length larger than the bytes that remain, huge or off by one:
+        // refused before anything is copied or reserved.
+        for claimed in [u64::MAX, 1 << 40, 9 + 8] {
+            assert_eq!(
+                load(&section(&[(0, claimed, 8)], Some(end))),
+                Err(SnapError::Eof)
+            );
+        }
+        // A length the stream does hold but the image does not.
+        assert_eq!(load(&section(&[(0, end + 1, LEN + 1)], Some(end))), bad);
     }
 }

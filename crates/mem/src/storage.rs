@@ -83,6 +83,27 @@ impl Dram {
         &self.bytes[addr as usize..addr as usize + len]
     }
 
+    /// The maximal runs of 4 KiB blocks that hold a non-zero byte, ascending,
+    /// as `(offset, bytes)`; every byte outside them is zero. Whoever must
+    /// walk the image (the job digest, the checkpoint) walks these instead.
+    ///
+    /// Stateless on purpose: every call compares each block with a zero
+    /// block, at `memcmp` speed. A dirty-block bitmap would put host state on
+    /// every write path and into restore; an allocator high-water mark is
+    /// unsound under a fault that corrupts a store address.
+    pub fn extents(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        const BLOCK: usize = 4096;
+        static ZERO_BLOCK: [u8; BLOCK] = [0; BLOCK];
+        let live = |block: &[u8]| *block != ZERO_BLOCK[..block.len()];
+        let mut blocks = self.bytes.chunks(BLOCK).map(live).enumerate().peekable();
+        std::iter::from_fn(move || {
+            let (first, _) = blocks.find(|&(_, live)| live)?;
+            let run = 1 + std::iter::from_fn(|| blocks.next_if(|&(_, live)| live)).count();
+            let (start, end) = (first * BLOCK, ((first + run) * BLOCK).min(self.bytes.len()));
+            Some((start, &self.bytes[start..end]))
+        })
+    }
+
     /// Copies `data` into the store at `addr`.
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) {
         self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);

@@ -14,7 +14,7 @@
 //! hb-serve resume --dir hb-serve-data                       # finish a killed campaign
 //! hb-serve status --dir hb-serve-data                       # done/missing counts
 //! hb-serve report --dir hb-serve-data                       # rebuild report.txt
-//! hb-serve gc     --dir hb-serve-data                       # drop unreferenced objects
+//! hb-serve gc     --dir hb-serve-data                       # drop unreferenced objects and checkpoints
 //! ```
 
 use hb_core::{CellDim, MachineConfig};
@@ -31,7 +31,7 @@ commands:
   resume   re-run only the jobs missing from the store
   status   print done/missing counts for the manifest
   report   rebuild and print the deterministic report
-  gc       delete store objects the manifest does not reference
+  gc       delete store objects and checkpoints the manifest does not reference
 
 options:
   --dir D          campaign directory            [hb-serve-data]
@@ -311,8 +311,8 @@ fn main() {
             let keep: std::collections::HashSet<String> = campaign.hashes().into_iter().collect();
             let stats = store.gc(&keep).unwrap_or_else(|e| cli::fail(e));
             println!(
-                "gc: kept={} deleted={} bytes={}",
-                stats.kept, stats.deleted, stats.bytes
+                "gc: kept={} deleted={} bytes={} ckpts_deleted={} ckpt_bytes={}",
+                stats.kept, stats.deleted, stats.bytes, stats.ckpts_deleted, stats.ckpt_bytes
             );
         }
         other => cli::usage_fail(USAGE, format!("unknown command {other:?}")),

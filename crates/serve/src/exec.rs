@@ -561,27 +561,35 @@ fn run_once(
 
 /// The DRAM of every Cell of `machine`, in Cell order. Meaningful as "the
 /// memory the kernel left behind" once the caches are flushed.
-fn dram_images(machine: &Machine) -> impl Iterator<Item = &[u8]> {
-    (0..machine.num_cells()).map(|c| {
-        let dram = machine.cell(c as u8).dram();
-        dram.slice(0, dram.len())
-    })
+fn drams(machine: &Machine) -> impl Iterator<Item = &hb_mem::Dram> {
+    (0..machine.num_cells()).map(|c| machine.cell(c as u8).dram())
 }
 
-/// FNV-1a-64 over every Cell's DRAM, hashed where it lies: the
-/// `dram_digest` of a job record.
+/// FNV-1a-64 over every Cell's DRAM in Cell order, hashed where it lies:
+/// the `dram_digest` of a job record. Only [`hb_mem::Dram::extents`] are
+/// walked byte by byte. A zero byte's step is `h = (h ^ 0) * P`, so a run of
+/// `n` of them is exactly `h * P^n mod 2^64`, and every image digests to
+/// what the byte-serial walk over all of it gives.
 pub fn digest(machine: &Machine) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let skip_zeros = |h: u64, n: usize| h.wrapping_mul(PRIME.wrapping_pow(n as u32));
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for image in dram_images(machine) {
-        for &b in image {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    for dram in drams(machine) {
+        // `Dram` is addressed by `u32`, so every gap fits the exponent.
+        let mut done = 0;
+        for (offset, bytes) in dram.extents() {
+            h = skip_zeros(h, offset - done);
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            }
+            done = offset + bytes.len();
         }
+        h = skip_zeros(h, dram.len() - done);
     }
     h
 }
 
 /// Whether two machines hold the same DRAM, byte for byte.
 fn same_memory(a: &Machine, b: &Machine) -> bool {
-    dram_images(a).eq(dram_images(b))
+    drams(a).eq(drams(b))
 }

@@ -147,6 +147,10 @@ pub struct GcStats {
     pub deleted: usize,
     /// Bytes reclaimed.
     pub bytes: u64,
+    /// Checkpoint files deleted from `ckpt/`.
+    pub ckpts_deleted: usize,
+    /// Bytes those held.
+    pub ckpt_bytes: u64,
 }
 
 /// The on-disk store.
@@ -164,6 +168,7 @@ impl Store {
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Store> {
         let root = root.into();
         std::fs::create_dir_all(root.join("objects"))?;
+        std::fs::create_dir_all(root.join("ckpt"))?;
         Ok(Store { root })
     }
 
@@ -316,6 +321,10 @@ impl Store {
 
     /// Deletes every object whose hash is not in `keep`; prunes journal
     /// lines for deleted objects by rewriting the journal (atomic rename).
+    /// In `ckpt/`, deletes the hang dump (`hang-<h>.ckpt`) and the resume
+    /// checkpoint (`<h>.ckpt`) of every job not in `keep`, and any checkpoint
+    /// this binary cannot decode (an older `CKPT_VERSION`, a torn file);
+    /// shared `warm-*` blobs belong to no job and stay while they decode.
     ///
     /// # Errors
     ///
@@ -343,6 +352,21 @@ impl Store {
                     std::fs::remove_file(&path).map_err(|e| format!("rm {path:?}: {e}"))?;
                     stats.deleted += 1;
                 }
+            }
+        }
+        let ckpts =
+            std::fs::read_dir(self.root.join("ckpt")).map_err(|e| format!("read ckpt: {e}"))?;
+        for ckpt in ckpts {
+            let path = ckpt.map_err(|e| e.to_string())?.path();
+            let key = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+            let job = key.strip_prefix("hang-").unwrap_or(key);
+            let orphan = !key.starts_with("warm-") && !keep.contains(job);
+            let unreadable =
+                || std::fs::read(&path).map_or(true, |bytes| hb_ckpt::decode(&bytes).is_err());
+            if path.extension().is_some_and(|e| e == "ckpt") && (orphan || unreadable()) {
+                stats.ckpt_bytes += path.metadata().map(|m| m.len()).unwrap_or(0);
+                std::fs::remove_file(&path).map_err(|e| format!("rm {path:?}: {e}"))?;
+                stats.ckpts_deleted += 1;
             }
         }
         // Rewrite the journal without entries for deleted objects.
@@ -500,6 +524,46 @@ mod tests {
         assert!(store.has("ab12"));
         assert!(!store.has("cd34"));
         assert_eq!(store.journal().unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_sweeps_orphaned_and_unreadable_checkpoints() {
+        let dir = tmpdir("gc-ckpt");
+        let store = Store::open(&dir).unwrap();
+        let blob = hb_ckpt::encode(&hb_core::Machine::new(hb_core::MachineConfig {
+            cell_dim: hb_core::CellDim { x: 2, y: 2 },
+            dram_bytes_per_cell: 1 << 16,
+            ..hb_core::MachineConfig::baseline_16x8()
+        }));
+        // What no binary reads any more: the previous format version.
+        let mut stale = blob.clone();
+        stale[8..12].copy_from_slice(&(hb_ckpt::CKPT_VERSION - 1).to_le_bytes());
+        let mut torn = blob.clone();
+        torn.truncate(blob.len() / 2);
+
+        store.put(&rec("ab12")).unwrap();
+        store.put_ckpt("hang-ab12", &blob).unwrap();
+        store.put_ckpt("hang-cd34", &blob).unwrap(); // a dump with no record
+        store.put_ckpt("ef56", &blob).unwrap(); // a resume point with no record
+        store.put_ckpt("warm-sgemm-00ff", &blob).unwrap();
+        store.put_ckpt("warm-jacobi-00ff", &stale).unwrap();
+        store.put_ckpt("ab12", &torn).unwrap(); // kept job, unreadable file
+
+        let keep: std::collections::HashSet<String> = ["ab12".to_owned()].into();
+        let stats = store.gc(&keep).unwrap();
+        assert_eq!((stats.kept, stats.deleted), (1, 0));
+        assert_eq!(stats.ckpts_deleted, 4);
+        assert_eq!(
+            stats.ckpt_bytes,
+            (2 * blob.len() + stale.len() + torn.len()) as u64
+        );
+        let mut left: Vec<String> = std::fs::read_dir(dir.join("ckpt"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["hang-ab12.ckpt", "warm-sgemm-00ff.ckpt"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -394,16 +394,56 @@ fn mismatched_version_and_config_are_clean_errors() {
     assert!(matches!(ckpt::decode(&torn), Err(ckpt::CkptError::Corrupt)));
 }
 
+/// A checkpoint costs what the kernel touched, and a dense image is not
+/// taxed for it.
+#[test]
+fn checkpoint_size_follows_the_touched_memory() {
+    // The paper's Cell, 16 MiB of Local DRAM, the campaign SGEMM mid-run.
+    let mut machine = sgemm_machine(&MachineConfig::baseline_16x8());
+    while machine.cycle() < 997 {
+        machine.tick();
+    }
+    assert!(
+        !machine.all_done(),
+        "the checkpointed SGEMM must be mid-run"
+    );
+    let mid_run = ckpt::encode(&machine).len();
+    assert!(mid_run < 2_000_000, "a {mid_run}-byte mid-run checkpoint");
+
+    // Every byte non-zero: one extent, so three words more than the dense
+    // form (offset, length, terminator). The dense form was tag, length and
+    // image: the all-zero machine's encoding less its terminator, plus the
+    // image.
+    let cfg = MachineConfig {
+        dram_bytes_per_cell: (1 << 20) + 100,
+        ..cfg_with(true)
+    };
+    let mut machine = Machine::new(cfg.clone());
+    let image = vec![0x5a; cfg.dram_bytes_per_cell as usize];
+    let dense = ckpt::encode(&machine).len() - 8 + image.len();
+    machine.cell_mut(0).dram_mut().write_bytes(0, &image);
+    let full = ckpt::encode(&machine);
+    assert!(
+        full.len() <= dense + 64,
+        "a dense image encodes to {} bytes, {dense} before",
+        full.len()
+    );
+    let mut restored = Machine::new(cfg);
+    ckpt::restore(&mut restored, &full).expect("restore");
+    assert_eq!(restored.cell(0).dram().slice(0, image.len()), &image[..]);
+}
+
 /// The format pin: `CKPT_VERSION` names a byte layout, and the layout
 /// follows from the snapshot field lists, so editing a list silently
-/// changes what version 2 means. This digests the checkpoint of one fixed
+/// changes what version 3 means. This digests the checkpoint of one fixed
 /// machine — 2x2, the seeded SGEMM 997 cycles in, profiling on, a fault
 /// plan pending — and compares it with the digest recorded when the
-/// version was last bumped.
+/// version was last bumped. Version 3 changed one section: `DRAM` holds the
+/// image's non-zero extents (`Dram::extents`) instead of the whole image.
 #[test]
 fn payload_layout_is_pinned_to_ckpt_version() {
     use hammerblade::fault::{InjectionPlan, Site};
-    const PINNED: (u32, u64) = (2, 0x43f6_7ab0_41be_fa54);
+    const PINNED: (u32, u64) = (3, 0x5510_29e6_0415_0e26);
 
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },

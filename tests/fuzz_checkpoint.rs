@@ -1,9 +1,10 @@
 //! No-panic fuzzing of the checkpoint decoders: a mid-run 2x2 SGEMM
 //! checkpoint (guest profile on, a telemetry sampler attached, a fault
 //! plan with one pending entry per site kind) is mutated with seeded
-//! `hb-rng` draws — truncation in every section, single-bit flips, and
-//! length fields inflated to `u64::MAX` and to one more than the bytes that
-//! follow — and fed to `Machine::restore_checkpoint` (the raw payload, no
+//! `hb-rng` draws — truncation in every section, single-bit flips, length
+//! fields inflated to `u64::MAX` and to one more than the bytes that
+//! follow, and every offset and length word of the `DRAM` section's extent
+//! list rewritten — and fed to `Machine::restore_checkpoint` (the raw payload, no
 //! container hash in front of it) and to `hb_ckpt::decode` (the container,
 //! both as mutated and re-sealed with a fresh hash so the framing parser
 //! sees the damage).
@@ -81,6 +82,12 @@ fn mid_run_machine() -> Machine {
     machine.attach_observer(Box::new(sampler(&cfg())));
     let sgemm = campaign_kernel("sgemm").expect("a campaign kernel");
     launch_on(&mut machine, sgemm, SizeClass::Small);
+    // A stray word far above the kernel's buffers: the `DRAM` section
+    // lists two extents.
+    machine
+        .cell_mut(0)
+        .dram_mut()
+        .write_u32(0x3_f000, 0x5eed_f00d);
     // One pending entry per site kind, far past the capture cycle.
     let sites = [
         "regfile(0,1,1,5,3)",
@@ -122,6 +129,11 @@ fn reseal(container: &mut [u8]) {
     let body = container.len() - 16;
     let hash = fnv1a128(&container[..body]);
     container[body..].copy_from_slice(&hash.to_le_bytes());
+}
+
+/// The little-endian `u64` at `bytes[at..]`.
+fn word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
 }
 
 /// Overwrites `bytes[at..]` with `patch`, runs `run` and undoes it.
@@ -204,6 +216,51 @@ fn mutated_checkpoints_never_panic_or_overallocate() {
             });
         }
     }
+
+    // The `DRAM` section is the one whose framing is data-dependent: an
+    // image length, `(offset, length, bytes)` per non-zero extent, a closing
+    // offset. Every one of those words is set to the values its checks turn
+    // on — nothing, everything, the image length and its neighbours, a block
+    // either way, its own neighbours — and to seeded ones.
+    let image = u64::from(cfg().dram_bytes_per_cell);
+    let dram = sections
+        .iter()
+        .map(|&at| at + 4)
+        .find(|&at| payload[at - 4..at] == b"DRAM"[..] && word(&payload, at) == image)
+        .expect("a DRAM section");
+    let mut words = vec![dram];
+    let mut at = dram + 8;
+    while word(&payload, at) != image {
+        words.extend([at, at + 8]);
+        at += 16 + word(&payload, at + 8) as usize;
+    }
+    words.push(at);
+    assert!(words.len() >= 6, "the image has at least two extents");
+    for &at in &words {
+        let was = word(&payload, at);
+        let aimed = [0, 1, 4096, image - 1, image, image + 1, u64::MAX];
+        let nearby = [
+            was.wrapping_sub(1),
+            was + 1,
+            was.wrapping_sub(4096),
+            was + 4096,
+        ];
+        let seeded = [rng.below(image), rng.below(2 * image), rng.next_u64()];
+        for value in aimed.into_iter().chain(nearby).chain(seeded) {
+            with_patch(&mut payload, at, &value.to_le_bytes(), |bytes| {
+                check_restore(&format!("DRAM word at {at} set to {value}"), bytes);
+            });
+        }
+    }
+    // And the property is met by refusing, not by luck: the second extent
+    // claiming the first one's offset is out of order.
+    let first = payload[words[1]..words[1] + 8].to_vec();
+    with_patch(&mut payload, words[3], &first, |bytes| {
+        assert_eq!(
+            restore_target().restore_checkpoint(bytes),
+            Err(SnapError::Bad("Dram extent out of order or out of range"))
+        );
+    });
 
     // The container: as mutated (the hash or an earlier check catches it)
     // and re-sealed (the framing parser meets the damage itself).
