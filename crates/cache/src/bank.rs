@@ -133,7 +133,9 @@ pub struct CacheStats {
     pub rejected_mshr: u64,
     /// Atomic operations performed.
     pub amos: u64,
-    /// Cycles with no request to process.
+    /// Cycles with no request to process. Derived, not counted: every tick
+    /// is busy (it processed a request), blocked or idle, so idle is the
+    /// clock less the other two (see [`CacheBank::stats_at`]).
     pub idle_cycles: u64,
     /// Cycles stalled waiting on an outstanding miss (blocking mode).
     pub blocked_cycles: u64,
@@ -185,7 +187,12 @@ pub struct CacheBank {
     input: VecDeque<CacheRequest>,
     responses: VecDeque<(u64 /* ready_at */, CacheResponse)>,
     mem_requests: VecDeque<LineRequest>,
+    /// The bank's clock: one per [`tick`](Self::tick), or set by an owner
+    /// that skips idle ticks ([`set_clock`](Self::set_clock)).
     cycle: u64,
+    /// Ticks that processed a request.
+    busy_cycles: u64,
+    /// Every counter but `idle_cycles`, which is derived.
     stats: CacheStats,
 }
 
@@ -207,6 +214,7 @@ impl CacheBank {
             responses: VecDeque::new(),
             mem_requests: VecDeque::new(),
             cycle: 0,
+            busy_cycles: 0,
             stats: CacheStats::default(),
             cfg,
         }
@@ -217,9 +225,52 @@ impl CacheBank {
         &self.cfg
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    /// Accumulated statistics as of the bank's own clock.
+    pub fn stats(&self) -> CacheStats {
+        self.stats_at(self.cycle)
+    }
+
+    /// Accumulated statistics as of `clock`, at or past the bank's own: the
+    /// ticks an owner skipped were idle ones. (Saturating: a restored
+    /// snapshot's counters are not checked against the clock.)
+    pub fn stats_at(&self, clock: u64) -> CacheStats {
+        let ticked = self.busy_cycles.saturating_add(self.stats.blocked_cycles);
+        CacheStats {
+            idle_cycles: clock.saturating_sub(ticked),
+            ..self.stats
+        }
+    }
+
+    /// Sets the bank's clock, which is not part of its snapshot. A tick with
+    /// no work ([`has_work`](Self::has_work)) only advances the clock, so an
+    /// owner may skip it and set the clock instead.
+    pub fn set_clock(&mut self, cycle: u64) {
+        self.cycle = cycle;
+    }
+
+    /// Whether a tick could do anything but advance the clock: a request
+    /// waits in the input queue or a response is still in the pipeline.
+    pub fn has_work(&self) -> bool {
+        !(self.input.is_empty() && self.responses.is_empty())
+    }
+
+    /// The tag of every request the bank holds — queued, waiting in an MSHR,
+    /// or answered and not yet popped.
+    pub fn held_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let waiting = self.mshrs.iter().flat_map(|m| &m.waiting);
+        (self.input.iter().chain(waiting).map(|r| r.id))
+            .chain(self.responses.iter().map(|(_, r)| r.id))
+    }
+
+    /// Whether a fetch of `line_addr` is outstanding: an MSHR chases it and
+    /// the line is installed, waiting for its data — what
+    /// [`complete_fetch`](Self::complete_fetch) requires.
+    pub fn awaits_fetch(&self, line_addr: u32) -> bool {
+        self.mshrs.iter().any(|m| m.line_addr == line_addr)
+            && self.find_way(line_addr).is_some_and(|way| {
+                let slot = self.set_index(line_addr) * self.cfg.ways + way;
+                self.lines[slot].as_ref().is_some_and(|l| l.pending)
+            })
     }
 
     /// Whether the input queue can take another request this cycle.
@@ -478,38 +529,30 @@ impl CacheBank {
         if self.cfg.blocking && !self.mshrs.is_empty() {
             if !self.input.is_empty() {
                 self.stats.blocked_cycles += 1;
-            } else {
-                self.stats.idle_cycles += 1;
             }
             return;
         }
 
-        match self.process_front(false) {
-            None => {}
-            Some(line) => {
-                for _ in 0..3 {
-                    let same_line = self
-                        .input
-                        .front()
-                        .is_some_and(|r| self.line_addr(r.addr) == line);
-                    if !same_line || self.process_front(true).is_none() {
-                        break;
-                    }
-                }
+        let Some(line) = self.process_front(false) else {
+            return;
+        };
+        self.busy_cycles += 1;
+        for _ in 0..3 {
+            let same_line = self
+                .input
+                .front()
+                .is_some_and(|r| self.line_addr(r.addr) == line);
+            if !same_line || self.process_front(true).is_none() {
+                break;
             }
         }
     }
 
     /// Tries to process the front input request; returns the line address
-    /// on success. `quiet` suppresses stall accounting (used for burst
-    /// continuation attempts).
+    /// on success. A failure with a request waiting is a blocked tick
+    /// unless `quiet` (a burst continuation attempt); with none it is idle.
     fn process_front(&mut self, quiet: bool) -> Option<u32> {
-        let Some(&req) = self.input.front() else {
-            if !quiet {
-                self.stats.idle_cycles += 1;
-            }
-            return None;
-        };
+        let &req = self.input.front()?;
 
         let line_addr = self.line_addr(req.addr);
         let needed = Self::byte_mask(req.addr, req.width, self.cfg.line_bytes);
@@ -699,8 +742,8 @@ hb_mem::snap_value!(CacheStats {
     rejected_input,
     rejected_mshr,
     amos,
-    idle_cycles,
-    blocked_cycles,
+    blocked_cycles;
+    derived idle_cycles
 });
 hb_mem::snap_value!(Line {
     tag,
@@ -712,9 +755,9 @@ hb_mem::snap_value!(Line {
 });
 hb_mem::snap_value!(Mshr { line_addr, waiting });
 hb_mem::snap_state!(CacheBank [b"BANK"] {
-    save: mshrs, input, responses, mem_requests, cycle, stats;
+    save: mshrs, input, responses, mem_requests, busy_cycles, stats;
     fixed: lines;
-    host: cfg;
+    host: cfg, cycle;
 } check check_line_sizes);
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "HBCKPT01"
-//! 8       4     format version (u32 LE, currently 3)
+//! 8       4     format version (u32 LE, currently 4)
 //! 12      8+n   machine config canonical text (u64 LE length + UTF-8)
 //! ..      8     machine cycle at capture (u64 LE)
 //! ..      8+m   machine payload (u64 LE length + bytes)
@@ -44,7 +44,7 @@ use std::path::Path;
 /// this. `tests/checkpoint.rs::payload_layout_is_pinned_to_ckpt_version`
 /// digests a fixed machine's checkpoint so that such a change cannot ship
 /// under the old number.
-pub const CKPT_VERSION: u32 = 3;
+pub const CKPT_VERSION: u32 = 4;
 
 /// File magic; the trailing digits track the container layout (the payload
 /// inside is versioned separately by `CKPT_VERSION`).

@@ -5,7 +5,7 @@
 use crate::payload::{NodeId, ReqKind, Request, RespKind, Response};
 use hb_cache::{AccessKind, CacheBank, CacheRequest};
 use hb_noc::{Coord, Packet};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// An in-progress request group (one network request = one group; a
 /// compressed load spawns several bank accesses).
@@ -42,7 +42,9 @@ pub struct BankNode {
     pub resp_outbox: VecDeque<(u8, Packet<Response>)>,
     /// Bank accesses awaiting `try_accept`.
     expansion: VecDeque<CacheRequest>,
-    groups: HashMap<u64, Group>,
+    /// Open groups by id, ascending (ids are handed out in order); at most
+    /// `RESP_CAP` of them, so a scan finds one.
+    groups: Vec<(u64, Group)>,
     next_group: u64,
 }
 
@@ -55,7 +57,7 @@ impl BankNode {
             inbox: VecDeque::new(),
             resp_outbox: VecDeque::new(),
             expansion: VecDeque::new(),
-            groups: HashMap::new(),
+            groups: Vec::new(),
             next_group: 0,
         }
     }
@@ -63,6 +65,31 @@ impl BankNode {
     /// Whether the Cell may push another request packet this cycle.
     pub fn can_take(&self) -> bool {
         self.inbox.len() < INBOX_CAP
+    }
+
+    /// Whether a tick could do anything but advance the bank's clock: a
+    /// packet to unpack, an access to feed or one inside the bank.
+    pub fn has_work(&self) -> bool {
+        !(self.inbox.is_empty() && self.expansion.is_empty()) || self.bank.has_work()
+    }
+
+    /// After a restore: group ids ascend, and each open group still waits
+    /// for exactly the accesses the adapter and the bank hold for it, so
+    /// every completion finds its group.
+    fn check_groups(&mut self) -> Result<(), hb_mem::SnapError> {
+        let held: Vec<u64> = (self.expansion.iter().map(|r| r.id))
+            .chain(self.bank.held_ids())
+            .collect();
+        let waits = |gid: u64| held.iter().filter(|&&id| id / 4 == gid).count();
+        let ascending = self.groups.windows(2).all(|w| w[0].0 < w[1].0);
+        let owed = (self.groups.iter()).all(|(id, g)| waits(*id) == usize::from(g.remaining));
+        let open: usize = (self.groups.iter())
+            .map(|(_, g)| usize::from(g.remaining))
+            .sum();
+        if !(ascending && owed && open == held.len()) {
+            return Err(hb_mem::SnapError::Bad("BankNode groups disagree"));
+        }
+        Ok(())
     }
 
     /// Advances the adapter + bank one cycle. The Cell separately services
@@ -113,7 +140,7 @@ impl BankNode {
                         (GroupKind::Amo, 1)
                     }
                 };
-                self.groups.insert(
+                self.groups.push((
                     gid,
                     Group {
                         from: req.from,
@@ -123,7 +150,7 @@ impl BankNode {
                         count,
                         data: [0; 4],
                     },
-                );
+                ));
             }
         }
 
@@ -142,14 +169,14 @@ impl BankNode {
         while let Some(resp) = self.bank.pop_response() {
             let gid = resp.id / 4;
             let idx = (resp.id % 4) as usize;
-            let group = self
-                .groups
-                .get_mut(&gid)
+            let at = (self.groups.iter())
+                .position(|&(id, _)| id == gid)
                 .expect("bank response without group");
+            let group = &mut self.groups[at].1;
             group.data[idx] = resp.data;
             group.remaining -= 1;
             if group.remaining == 0 {
-                let group = self.groups.remove(&gid).unwrap();
+                let (_, group) = self.groups.remove(at);
                 let kind = match group.kind {
                     GroupKind::Load => RespKind::Load {
                         data: group.data,
@@ -192,7 +219,7 @@ hb_mem::snap_value!(Group {
 hb_mem::snap_state!(BankNode [b"BNOD"] {
     save: bank, inbox, resp_outbox, expansion, groups, next_group;
     host: coord;
-});
+} check check_groups);
 
 #[cfg(test)]
 mod tests {
@@ -294,6 +321,32 @@ mod tests {
         let (cell, pkt) = n.resp_outbox.pop_front().expect("ack");
         assert_eq!(cell, 1);
         assert_eq!(pkt.payload.kind, RespKind::StoreAck);
+    }
+
+    /// A restored adapter finds a group for every completion: group ids out
+    /// of order, or an access whose group is gone, are refused.
+    #[test]
+    fn restore_refuses_groups_the_bank_disagrees_with() {
+        use hb_mem::{SnapError, SnapReader, SnapState, SnapWriter};
+        let mut n = node();
+        n.inbox.push_back(mk_load(1, 0x100, 2));
+        n.inbox.push_back(mk_load(2, 0x2000, 1));
+        // Memory never answers: both groups stay open on their misses.
+        for _ in 0..4 {
+            n.tick();
+        }
+        let reload = |n: &BankNode| {
+            let mut w = SnapWriter::new();
+            n.save_state(&mut w);
+            node().load_state(&mut SnapReader::new(&w.into_bytes()))
+        };
+        assert_eq!(reload(&n), Ok(()));
+        let refused = Err(SnapError::Bad("BankNode groups disagree"));
+        let (first, second) = (n.groups[0].0, n.groups[1].0);
+        n.groups[1].0 = first;
+        assert_eq!(reload(&n), refused, "two groups, one id");
+        n.groups[1].0 = second + 4;
+        assert_eq!(reload(&n), refused, "an access whose group is gone");
     }
 
     #[test]

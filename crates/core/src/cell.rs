@@ -94,6 +94,10 @@ pub struct CellWork {
     pub barrier_nodes: u64,
     /// Tiles and banks whose outboxes the inject phase visited.
     pub inject_nodes: u64,
+    /// Cache banks (adapter and bank) ticked in the memory phase.
+    pub bank_ticks: u64,
+    /// Refill-strip channels ticked in the memory phase.
+    pub strip_ticks: u64,
 }
 
 /// One Cell of the machine. Ticked by [`Machine`](crate::Machine) on the
@@ -114,6 +118,10 @@ pub struct Cell {
     hbm_clock: ClockDivider,
     dram: Dram,
     hbm_retry: VecDeque<DramRequest>,
+    /// The memory clock: memory phases run, `flush_caches`' included. Banks
+    /// and strips keep their own clocks, brought up to this one before they
+    /// are ticked (see [`phase_memory`](Self::phase_memory)).
+    mem_cycle: u64,
     mem_ops: HashMap<u64, MemOp>,
     next_mem_id: u64,
     barriers: Vec<BarrierNetwork>,
@@ -142,6 +150,9 @@ pub struct Cell {
     backlog: WorkSet,
     /// Banks whose response outbox may be non-empty.
     bank_out: WorkSet,
+    /// Banks with a packet, an access or a response to move
+    /// ([`BankNode::has_work`]): the banks the memory phase ticks.
+    mem_live: WorkSet,
     /// Scratch: the tiles the current phase visits.
     visit: WorkSet,
     /// Scratch: the nodes with a request delivery this cycle.
@@ -217,6 +228,7 @@ impl Cell {
             hbm_clock: ClockDivider::new(u64::from(cfg.mem_freq_mhz), u64::from(cfg.core_freq_mhz)),
             dram: Dram::new(cfg.dram_bytes_per_cell as usize),
             hbm_retry: VecDeque::new(),
+            mem_cycle: 0,
             mem_ops: HashMap::new(),
             next_mem_id: 0,
             barriers: Vec::new(),
@@ -230,6 +242,7 @@ impl Cell {
             touched: WorkSet::new(cfg.cell_dim.tiles()),
             backlog: WorkSet::new(cfg.cell_dim.tiles()),
             bank_out: WorkSet::new(cfg.banks_per_cell()),
+            mem_live: WorkSet::new(cfg.banks_per_cell()),
             visit: WorkSet::new(cfg.cell_dim.tiles()),
             ready: Vec::new(),
             release_check: Vec::new(),
@@ -511,7 +524,7 @@ impl Cell {
     pub fn cache_stats(&self) -> CacheStats {
         let mut agg = CacheStats::default();
         for b in &self.banks {
-            let s = *b.bank.stats();
+            let s = b.bank.stats_at(self.mem_cycle);
             agg.hits += s.hits;
             agg.misses += s.misses;
             agg.secondary_misses += s.secondary_misses;
@@ -653,9 +666,9 @@ impl Cell {
         self.req_net.stats().retransmits + self.resp_net.stats().retransmits
     }
 
-    /// Stats of one cache bank.
-    pub fn bank_stats(&self, bank: usize) -> &CacheStats {
-        self.banks[bank].bank.stats()
+    /// Stats of one cache bank, as of the Cell's memory clock.
+    pub fn bank_stats(&self, bank: usize) -> CacheStats {
+        self.banks[bank].bank.stats_at(self.mem_cycle)
     }
 
     /// Request-network link stats for the output link at (`at`, `port`).
@@ -717,6 +730,7 @@ impl Cell {
     pub fn deliver_remote_request(&mut self, pkt: Packet<Request>) {
         if let Some(b) = self.pgas.coord_to_bank(pkt.dst) {
             self.banks[b].inbox.push_back(pkt);
+            self.mem_live.insert(b);
         } else if let Some((x, y)) = self.pgas.coord_to_tile(pkt.dst) {
             self.tile_mut(x, y).req_inbox.push_back(pkt);
         }
@@ -811,7 +825,10 @@ impl Cell {
         let coord = self.banks[b].coord;
         while self.banks[b].can_take() {
             match self.req_net.eject(coord) {
-                Some(pkt) => self.banks[b].inbox.push_back(pkt),
+                Some(pkt) => {
+                    self.banks[b].inbox.push_back(pkt);
+                    self.mem_live.insert(b);
+                }
                 None => break,
             }
         }
@@ -867,108 +884,149 @@ impl Cell {
         }
     }
 
-    /// BSP phase 2 — cache banks, refill strips and the HBM2 channel.
+    /// BSP phase 2 — cache banks, refill strips and the HBM2 channel. A bank
+    /// is ticked while it is in `mem_live`, a strip while it carries a
+    /// transfer, each brought up to the memory clock first (DESIGN.md,
+    /// "Event-driven core"); the channel ticks on every memory-clock edge.
     fn phase_memory(&mut self) {
-        let w = self.cfg.cell_dim.x;
-        // Banks: adapter + bank pipeline, then their DRAM side.
-        for b in 0..self.banks.len() {
-            self.banks[b].tick();
-            if !self.banks[b].resp_outbox.is_empty() {
-                self.bank_out.insert(b);
-            }
-            while let Some(lr) = self.banks[b].bank.pop_mem_request() {
-                let id = self.next_mem_id;
-                self.next_mem_id += 1;
-                let strip = usize::from(b >= w as usize);
-                let pos = b % w as usize;
-                let (write, bytes) = match lr.kind {
-                    LineRequestKind::Fetch => (false, 8),
-                    LineRequestKind::Writeback { data, valid } => {
-                        // Functional data lands in DRAM at enqueue time so a
-                        // later fetch of the same line (FIFO-ordered on the
-                        // strip) observes it; timing continues below.
-                        for (i, &byte) in data.iter().enumerate() {
-                            if valid & (1 << i) != 0 {
-                                self.dram.write_u8(lr.line_addr + i as u32, byte);
-                            }
-                        }
-                        (true, 8 + self.cfg.line_bytes)
-                    }
-                };
-                self.mem_ops.insert(
-                    id,
-                    MemOp {
-                        bank: b,
-                        line_addr: lr.line_addr,
-                        write,
-                        data: None,
-                    },
-                );
-                self.strip_to_mem[strip].enqueue(hb_noc::StripTransfer {
-                    id,
-                    bank: pos,
-                    bytes,
-                    write,
-                });
+        #[cfg(test)]
+        if reference::ENABLED.get() {
+            return self.memory_reference();
+        }
+        self.mem_cycle += 1;
+        let now = self.mem_cycle;
+        let mut cursor = 0;
+        while let Some(b) = self.mem_live.first_from(cursor) {
+            cursor = b + 1;
+            self.banks[b].bank.set_clock(now - 1);
+            self.tick_bank(b);
+            if !self.banks[b].has_work() {
+                self.mem_live.remove(b);
             }
         }
-
-        // Strip channels toward memory -> HBM2 queue.
-        for strip in &mut self.strip_to_mem {
-            strip.tick();
-            while let Some(t) = strip.pop_complete() {
-                let op = &self.mem_ops[&t.id];
-                self.hbm_retry.push_back(DramRequest {
-                    id: t.id,
-                    addr: op.line_addr,
-                    write: op.write,
-                });
-            }
-        }
-
-        // HBM2 on its own clock.
-        if self.hbm_clock.tick() {
-            while let Some(&req) = self.hbm_retry.front() {
-                if self.hbm.enqueue(req) {
-                    self.hbm_retry.pop_front();
-                } else {
-                    break;
-                }
-            }
-            self.hbm.tick();
-            while let Some(resp) = self.hbm.pop_response() {
-                if resp.write {
-                    self.mem_ops.remove(&resp.id);
-                } else {
-                    let op = self
-                        .mem_ops
-                        .get_mut(&resp.id)
-                        .expect("unknown HBM response");
-                    let line = self
-                        .dram
-                        .slice(op.line_addr, self.cfg.line_bytes as usize)
-                        .to_vec();
-                    op.data = Some(line);
-                    let strip = usize::from(op.bank >= w as usize);
-                    let pos = op.bank % w as usize;
-                    self.strip_from_mem[strip].enqueue(hb_noc::StripTransfer {
-                        id: resp.id,
-                        bank: pos,
-                        bytes: 8 + self.cfg.line_bytes,
-                        write: false,
-                    });
-                }
-            }
-        }
-
-        // Strip channels from memory -> cache refill completion.
         for s in 0..2 {
-            self.strip_from_mem[s].tick();
-            while let Some(t) = self.strip_from_mem[s].pop_complete() {
-                let op = self.mem_ops.remove(&t.id).expect("refill without op");
-                let data = op.data.expect("refill without data");
-                self.banks[op.bank].bank.complete_fetch(op.line_addr, &data);
+            if self.strip_to_mem[s].pending() > 0 {
+                self.strip_to_mem[s].set_clock(now - 1);
+                self.tick_strip_to_mem(s);
             }
+        }
+        self.tick_hbm();
+        for s in 0..2 {
+            if self.strip_from_mem[s].pending() > 0 {
+                self.strip_from_mem[s].set_clock(now - 1);
+                self.tick_strip_from_mem(s);
+            }
+        }
+    }
+
+    /// Memory phase, one bank: adapter + bank pipeline, then its DRAM side.
+    fn tick_bank(&mut self, b: usize) {
+        self.work.bank_ticks += 1;
+        let w = self.cfg.cell_dim.x as usize;
+        self.banks[b].tick();
+        if !self.banks[b].resp_outbox.is_empty() {
+            self.bank_out.insert(b);
+        }
+        while let Some(lr) = self.banks[b].bank.pop_mem_request() {
+            let id = self.next_mem_id;
+            self.next_mem_id += 1;
+            let (write, bytes) = match lr.kind {
+                LineRequestKind::Fetch => (false, 8),
+                LineRequestKind::Writeback { data, valid } => {
+                    // Functional data lands in DRAM at enqueue time so a
+                    // later fetch of the same line (FIFO-ordered on the
+                    // strip) observes it; timing continues below.
+                    for (i, &byte) in data.iter().enumerate() {
+                        if valid & (1 << i) != 0 {
+                            self.dram.write_u8(lr.line_addr + i as u32, byte);
+                        }
+                    }
+                    (true, 8 + self.cfg.line_bytes)
+                }
+            };
+            self.mem_ops.insert(
+                id,
+                MemOp {
+                    bank: b,
+                    line_addr: lr.line_addr,
+                    write,
+                    data: None,
+                },
+            );
+            self.strip_to_mem[usize::from(b >= w)].enqueue(hb_noc::StripTransfer {
+                id,
+                bank: b % w,
+                bytes,
+                write,
+            });
+        }
+    }
+
+    /// Memory phase, one strip channel toward memory: arrivals join the
+    /// HBM2 retry queue.
+    fn tick_strip_to_mem(&mut self, s: usize) {
+        self.work.strip_ticks += 1;
+        self.strip_to_mem[s].tick();
+        while let Some(t) = self.strip_to_mem[s].pop_complete() {
+            let op = &self.mem_ops[&t.id];
+            self.hbm_retry.push_back(DramRequest {
+                id: t.id,
+                addr: op.line_addr,
+                write: op.write,
+            });
+        }
+    }
+
+    /// Memory phase, the HBM2 channel on its own clock: the retry queue
+    /// drains into it, and a finished read rides a strip back to its bank.
+    fn tick_hbm(&mut self) {
+        if !self.hbm_clock.tick() {
+            return;
+        }
+        let w = self.cfg.cell_dim.x as usize;
+        while let Some(&req) = self.hbm_retry.front() {
+            if self.hbm.enqueue(req) {
+                self.hbm_retry.pop_front();
+            } else {
+                break;
+            }
+        }
+        self.hbm.tick();
+        while let Some(resp) = self.hbm.pop_response() {
+            if resp.write {
+                self.mem_ops.remove(&resp.id);
+            } else {
+                let op = self
+                    .mem_ops
+                    .get_mut(&resp.id)
+                    .expect("unknown HBM response");
+                let line = self
+                    .dram
+                    .slice(op.line_addr, self.cfg.line_bytes as usize)
+                    .to_vec();
+                op.data = Some(line);
+                self.strip_from_mem[usize::from(op.bank >= w)].enqueue(hb_noc::StripTransfer {
+                    id: resp.id,
+                    bank: op.bank % w,
+                    bytes: 8 + self.cfg.line_bytes,
+                    write: false,
+                });
+            }
+        }
+    }
+
+    /// Memory phase, one strip channel from memory: a refill completes into
+    /// its bank, which is brought up to the memory clock and goes live.
+    fn tick_strip_from_mem(&mut self, s: usize) {
+        self.work.strip_ticks += 1;
+        self.strip_from_mem[s].tick();
+        while let Some(t) = self.strip_from_mem[s].pop_complete() {
+            let op = self.mem_ops.remove(&t.id).expect("refill without op");
+            let data = op.data.expect("refill without data");
+            let bank = &mut self.banks[op.bank].bank;
+            bank.set_clock(self.mem_cycle);
+            bank.complete_fetch(op.line_addr, &data);
+            self.mem_live.insert(op.bank);
         }
     }
 
@@ -1098,13 +1156,37 @@ impl Cell {
         Ok(())
     }
 
-    /// After a restore: every in-flight line operation names a live bank
+    /// After a restore: every in-flight line operation names a live bank,
+    /// the read ones and the banks' outstanding fetches pair up one to one,
     /// and every barrier network lies inside the Cell; then the derived
-    /// state — barrier origins from the tiles' group registers, every
-    /// worklist full so the next cycle looks everywhere once.
+    /// state — bank and strip clocks from the memory clock, barrier origins
+    /// from the tiles' group registers, every worklist full so the next
+    /// cycle looks everywhere once.
     fn check_restored(&mut self) -> Result<(), SnapError> {
         if self.mem_ops.values().any(|op| op.bank >= self.banks.len()) {
             return Err(SnapError::Bad("mem op bank index out of range"));
+        }
+        let line_bytes = self.cfg.line_bytes as usize;
+        let reads: Vec<&MemOp> = self.mem_ops.values().filter(|op| !op.write).collect();
+        let awaited = |op: &&MemOp| {
+            self.banks[op.bank].bank.awaits_fetch(op.line_addr)
+                && op.data.as_ref().is_none_or(|line| line.len() == line_bytes)
+        };
+        if !reads.iter().all(awaited) {
+            return Err(SnapError::Bad("mem op reads a line no MSHR awaits"));
+        }
+        let mut lines: Vec<(usize, u32)> = reads.iter().map(|op| (op.bank, op.line_addr)).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let mshrs: usize = self.banks.iter().map(|b| b.bank.outstanding_misses()).sum();
+        if lines.len() != reads.len() || reads.len() != mshrs {
+            return Err(SnapError::Bad("MSHR without exactly one mem op"));
+        }
+        for node in &mut self.banks {
+            node.bank.set_clock(self.mem_cycle);
+        }
+        for strip in self.strip_to_mem.iter_mut().chain(&mut self.strip_from_mem) {
+            strip.set_clock(self.mem_cycle);
         }
         self.barrier_origin = vec![(0, 0); self.barriers.len()];
         for (t, _) in self.tiles.iter().zip(&self.active).filter(|(_, &a)| a) {
@@ -1124,6 +1206,7 @@ impl Cell {
         self.touched.insert_all();
         self.backlog.insert_all();
         self.bank_out.insert_all();
+        self.mem_live.insert_all();
         self.maybe_fault = true;
         Ok(())
     }
@@ -1212,28 +1295,44 @@ hb_mem::snap_value!(MemOp {
     data
 });
 hb_mem::snap_state!(Cell [b"CELL"] {
-    save: cycle, alloc_ptr, req_net, resp_net, hbm, hbm_clock, dram, hbm_retry, mem_ops,
-        next_mem_id, barriers, sched, xreq_out, xresp_out;
+    save: cycle, alloc_ptr, req_net, resp_net, hbm, hbm_clock, dram, hbm_retry, mem_cycle,
+        mem_ops, next_mem_id, barriers, sched, xreq_out, xresp_out;
     fixed: tiles, banks, strip_to_mem, strip_from_mem, active;
-    host: cfg, id, pgas, staged, touched, backlog, bank_out, visit, ready,
+    host: cfg, id, pgas, staged, touched, backlog, bank_out, mem_live, visit, ready,
         release_check, barrier_origin, maybe_fault, work;
 } extra (save_programs, load_programs) check check_restored);
 
 /// The every-node, every-tile scans the worklists replaced, kept as the
 /// oracle of `worklist_phases_match_the_full_scans`: the same per-node work
-/// at ~290 nodes in the network phase, at every tile twice in the sync
-/// phase, at every tile and every bank in the inject phase. They read no
-/// worklist and keep none.
+/// at ~290 nodes in the network phase, at every bank and strip every memory
+/// cycle, at every tile twice in the sync phase, at every tile and every
+/// bank in the inject phase. They read no worklist and skip no tick, so
+/// every bank's and strip's own clock keeps pace with the Cell's by ticking.
 #[cfg(test)]
 mod reference {
     use super::*;
 
     thread_local! {
-        /// While set, `Cell::tick` on this thread runs the reference scans.
+        /// While set, `Cell::tick` and `flush_caches` on this thread run the
+        /// reference scans.
         pub(super) static ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
     impl Cell {
+        pub(super) fn memory_reference(&mut self) {
+            self.mem_cycle += 1;
+            for b in 0..self.banks.len() {
+                self.tick_bank(b);
+            }
+            for s in 0..2 {
+                self.tick_strip_to_mem(s);
+            }
+            self.tick_hbm();
+            for s in 0..2 {
+                self.tick_strip_from_mem(s);
+            }
+        }
+
         pub(super) fn tick_reference(&mut self) {
             self.cycle += 1;
             self.maybe_fault = true;
@@ -1248,7 +1347,7 @@ mod reference {
                 self.eject_responses_to_tile(i);
             }
 
-            self.phase_memory();
+            self.memory_reference();
             let (now, park) = (self.cycle, self.cfg.event_core);
             (self.sched).run_cycle(&mut self.tiles, &self.active, now, park, &mut NoClock);
 
@@ -1336,9 +1435,14 @@ mod tests {
     /// bank (fabric queues, staged responses, bank back-pressure), remote
     /// scratchpad stores converging on one tile per group (inbox bound,
     /// outbox backlog on parked tiles), a barrier per iteration in four
-    /// groups — and the host adds its own through `tile_mut` (a freeze, a
-    /// bogus response that traps a tile). Checkpoint bytes, tile-tick
-    /// counts and the reported fault agree after every cycle.
+    /// groups, a load and a store to a new line every iteration (misses,
+    /// write-validate fills or write-allocate fetches, evictions and
+    /// writebacks through small banks, MSHR-full back-pressure) — over
+    /// blocking and non-blocking banks, and the host adds its own: a freeze
+    /// and a bogus response that traps a tile through `tile_mut`, an HBM2
+    /// stall, a `flush_caches` and a restore into a fresh machine mid-run.
+    /// Checkpoint bytes, cache counters, tile-tick counts and the reported
+    /// fault agree after every cycle.
     #[test]
     fn worklist_phases_match_the_full_scans() {
         use crate::kernel_util::HbOps;
@@ -1348,9 +1452,14 @@ mod tests {
         a.li(S0, 40);
         a.li(T2, 1);
         a.li_u(T3, crate::pgas::group_spm(0, 0, 256));
+        a.slli(T5, T0, 11);
+        a.add(A2, A2, T5);
         let top = a.here();
         a.amoadd(Zero, T2, A0);
         a.lw(T4, A1, 0);
+        a.lw(T1, A2, 0);
+        a.sw(T0, A2, 1024);
+        a.addi(A2, A2, 64);
         a.sw(T0, T3, 0);
         a.sw(T0, T3, 4);
         a.sw(T0, T3, 8);
@@ -1361,7 +1470,12 @@ mod tests {
         a.ecall();
         let program = Arc::new(a.assemble(0).unwrap());
 
-        for event_core in [true, false] {
+        // (park policy, non-blocking banks, write-validate, MSHRs per bank)
+        for (event_core, non_blocking_cache, write_validate, cache_mshrs) in [
+            (true, true, true, 1),
+            (false, false, false, 8),
+            (true, true, false, 2),
+        ] {
             let cfg = MachineConfig {
                 cell_dim: CellDim { x: 4, y: 2 },
                 num_cells: 2,
@@ -1370,15 +1484,17 @@ mod tests {
                 // still waiting in their outbox for an injection slot.
                 net_fifo_depth: 1,
                 event_core,
+                non_blocking_cache,
+                write_validate,
+                cache_mshrs,
+                cache_sets: 4,
+                cache_ways: 2,
                 ..MachineConfig::baseline_16x8()
             };
+            let dram = crate::pgas::local_dram;
+            let args = vec![crate::pgas::global_dram(64), dram(128), dram(4096)];
             let groups: Vec<_> = (GroupSpec::grid(&cfg, 2, 2).into_iter())
-                .map(|g| {
-                    (
-                        g,
-                        vec![crate::pgas::global_dram(64), crate::pgas::local_dram(128)],
-                    )
-                })
+                .map(|g| (g, args.clone()))
                 .collect();
             let build = || {
                 let mut m = crate::Machine::new(cfg.clone());
@@ -1387,10 +1503,12 @@ mod tests {
                 m
             };
             let (mut fast, mut slow) = (build(), build());
-            for cycle in 1..=1200u64 {
+            let tag = format!("event_core {event_core}, {cache_mshrs} MSHRs");
+            for cycle in 1..=3400u64 {
                 for m in [&mut fast, &mut slow] {
                     match cycle {
                         40 => m.cell_mut(0).tile_mut(1, 0).freeze(60, cycle),
+                        300 => m.cell_mut(0).inject_hbm_stall(80, cycle),
                         500 => {
                             let dst = m.cell(1).pgas().tile_coord(3, 1);
                             m.cell_mut(1).deliver_remote_response(Packet {
@@ -1405,26 +1523,102 @@ mod tests {
                         _ => {}
                     }
                 }
+                if cycle == 700 {
+                    let mut restored = crate::Machine::new(cfg.clone());
+                    restored
+                        .restore_checkpoint(&fast.save_checkpoint())
+                        .unwrap();
+                    fast = restored;
+                }
+                if cycle == 900 {
+                    fast.cell_mut(1).flush_caches();
+                    reference::ENABLED.set(true);
+                    slow.cell_mut(1).flush_caches();
+                    reference::ENABLED.set(false);
+                }
                 fast.tick();
                 reference::ENABLED.set(true);
                 slow.tick();
                 reference::ENABLED.set(false);
                 assert!(
                     fast.save_checkpoint() == slow.save_checkpoint(),
-                    "state diverged at cycle {cycle} (event_core {event_core})"
+                    "state diverged at cycle {cycle} ({tag})"
                 );
                 assert_eq!(fast.tile_ticks(), slow.tile_ticks(), "cycle {cycle}");
                 for c in 0..2 {
-                    assert_eq!(fast.cell(c).fault(), slow.cell(c).fault(), "cycle {cycle}");
+                    let (f, s) = (fast.cell(c), slow.cell(c));
+                    assert_eq!(f.fault(), s.fault(), "cycle {cycle}");
+                    assert_eq!(f.cache_stats(), s.cache_stats(), "cycle {cycle} ({tag})");
+                    for (b, node) in s.banks.iter().enumerate() {
+                        assert_eq!(node.bank.stats(), s.bank_stats(b), "bank {b} clock");
+                    }
                 }
             }
             // The run did what the test needs: traffic crossed the fabric,
-            // barriers completed, the bogus response trapped its tile.
+            // barriers completed, the bogus response trapped its tile, banks
+            // missed, wrote back and ran out of MSHRs, and the worklist
+            // machine ticked fewer banks than the sweep.
             assert!(fast.cell(1).fault().is_some() && fast.cell(0).fault().is_none());
             assert!(fast.cell(0).all_done() && !fast.cell(1).all_done());
             let work = fast.cell(0).work();
             assert!(work.noc.latches > 0 && work.barrier_nodes > 0, "{work:?}");
+            let (cache, hbm) = (fast.cell(0).cache_stats(), *fast.cell(0).hbm_stats());
+            assert!(
+                cache.writebacks > 0 && cache.blocked_cycles > 0,
+                "{cache:?}"
+            );
+            assert!(cache.rejected_mshr > 0 || cache_mshrs == 8, "{cache:?}");
+            assert!(hbm.reads > 0 && hbm.writes > 0, "{hbm:?}");
+            assert!(work.bank_ticks < slow.cell(0).work().bank_ticks, "{tag}");
         }
+    }
+
+    /// The memory phase costs requests, not banks (`CellWork::bank_ticks`,
+    /// `strip_ticks`): an idle Cell ticks no bank and no strip, and one load
+    /// that misses to DRAM ticks its bank twice (on arrival, and to answer
+    /// after the refill) and each strip it rides for the transfer alone —
+    /// where the every-bank sweep ticked all 32 banks and four strips every
+    /// cycle of the round trip.
+    #[test]
+    fn one_dram_miss_costs_a_handful_of_bank_ticks() {
+        use crate::payload::{NodeId, ReqKind, Request};
+        let mut cell = Cell::new(Arc::new(MachineConfig::baseline_16x8()), 0);
+        for _ in 0..1000 {
+            cell.tick();
+        }
+        assert_eq!(cell.work(), CellWork::default());
+
+        let addr = 0x1_0000;
+        let bank = cell.pgas().bank_for(addr);
+        let (src, dst) = (cell.pgas().tile_coord(0, 0), cell.pgas().bank_coord(bank));
+        let from = NodeId {
+            cell: 0,
+            coord: src,
+        };
+        let kind = ReqKind::Load {
+            addr,
+            width: 4,
+            count: 1,
+        };
+        let payload = Request {
+            from,
+            op_id: 1,
+            kind,
+        };
+        cell.deliver_remote_request(Packet { src, dst, payload });
+        let mut cycles = 0;
+        while cell.tile(0, 0).resp_inbox.is_empty() {
+            cell.tick();
+            cycles += 1;
+            assert!(cycles < 1000, "the load never came back");
+        }
+        let work = cell.work();
+        assert_eq!(cell.bank_stats(bank).misses, 1);
+        assert_eq!(work.bank_ticks, 2, "{work:?}");
+        assert!(
+            work.strip_ticks < cycles / 2,
+            "{work:?} over {cycles} cycles"
+        );
     }
 
     /// The phase split must not change what a cycle does: an idle Cell

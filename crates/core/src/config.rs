@@ -370,6 +370,7 @@ impl MachineConfig {
             || self.hbm.banks > Self::MAX_HBM_BANKS
             || self.hbm.line_bytes == 0
             || self.hbm.row_bytes < self.hbm.line_bytes
+            || self.hbm.burst_cycles == 0
         {
             return Err(ConfigError::BadHbmGeometry {
                 banks: self.hbm.banks,
@@ -593,8 +594,8 @@ pub enum ConfigError {
         bytes: u32,
     },
     /// The HBM2 channel needs a power-of-two bank count of at most
-    /// [`MachineConfig::MAX_HBM_BANKS`] and a row that holds a non-empty
-    /// line.
+    /// [`MachineConfig::MAX_HBM_BANKS`], a row that holds a non-empty
+    /// line, and a burst that occupies the data bus.
     BadHbmGeometry {
         /// Configured banks per pseudo-channel.
         banks: usize,
@@ -692,8 +693,8 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "HBM2 channel of {banks} banks, {row_bytes}-byte rows, {line_bytes}-byte \
-                     lines: need a power-of-two bank count up to 1024 and a row holding a \
-                     non-empty line"
+                     lines: need a power-of-two bank count up to 1024, a row holding a \
+                     non-empty line and a burst of at least one cycle"
                 )
             }
             ConfigError::BadClockRatio { core_mhz, mem_mhz } => {
@@ -881,6 +882,17 @@ mod tests {
             };
             assert_eq!(c.validate(), Err(expect));
         }
+        let zero_burst = MachineConfig {
+            hbm: hb_mem::Hbm2Config {
+                burst_cycles: 0,
+                ..base.hbm.clone()
+            },
+            ..base.clone()
+        };
+        assert!(matches!(
+            zero_burst.validate(),
+            Err(ConfigError::BadHbmGeometry { .. })
+        ));
 
         for (core_mhz, mem_mhz) in [(0, 0), (1000, 1350)] {
             let c = MachineConfig {

@@ -67,7 +67,7 @@ impl CellProfile {
                 east_busy.push(busy);
             }
         }
-        let banks = (0..cfg.banks()).map(|b| *cell.bank_stats(b)).collect();
+        let banks = (0..cfg.banks()).map(|b| cell.bank_stats(b)).collect();
         CellProfile {
             dim: (w, h),
             cycles: cell.cycle(),

@@ -196,11 +196,14 @@ struct Inflight {
 }
 
 /// A queued request plus whether it already paid for an activation or
-/// precharge (so its eventual column command is not miscounted as a row hit).
+/// precharge (so its eventual column command is not miscounted as a row hit),
+/// and the bank and row its address decodes to (derived, once, at enqueue).
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     req: DramRequest,
     touched_row: bool,
+    bank: usize,
+    row: u32,
 }
 
 /// One HBM2 pseudo-channel: FR-FCFS scheduler over per-bank row-buffer
@@ -210,7 +213,10 @@ pub struct Hbm2Channel {
     config: Hbm2Config,
     banks: Vec<Bank>,
     queue: VecDeque<Queued>,
-    inflight: Vec<Inflight>,
+    /// Issued transfers in issue order, which is `done_at` order: each burst
+    /// starts after the bus frees (`start > bus_busy_until`), so `done_at`
+    /// strictly increases and they retire from the front.
+    inflight: VecDeque<Inflight>,
     responses: VecDeque<DramResponse>,
     /// Cycle until which the data bus is occupied, and whether by a write.
     bus_busy_until: u64,
@@ -237,6 +243,7 @@ impl Hbm2Channel {
             "bank count must be a power of two"
         );
         assert!(config.row_bytes >= config.line_bytes && config.line_bytes > 0);
+        assert!(config.burst_cycles > 0, "a burst occupies the bus");
         let banks = vec![
             Bank {
                 open_row: None,
@@ -250,7 +257,7 @@ impl Hbm2Channel {
             config,
             banks,
             queue: VecDeque::new(),
-            inflight: Vec::new(),
+            inflight: VecDeque::new(),
             responses: VecDeque::new(),
             bus_busy_until: 0,
             bus_is_write: false,
@@ -300,9 +307,12 @@ impl Hbm2Channel {
         if !self.can_accept() {
             return false;
         }
+        let (bank, row) = self.bank_and_row(req.addr);
         self.queue.push_back(Queued {
             req,
             touched_row: false,
+            bank,
+            row,
         });
         true
     }
@@ -342,29 +352,31 @@ impl Hbm2Channel {
         (bank, row)
     }
 
+    /// After a restore: every queued request's bank and row, decoded again.
+    fn check_restored(&mut self) -> Result<(), crate::SnapError> {
+        for i in 0..self.queue.len() {
+            (self.queue[i].bank, self.queue[i].row) = self.bank_and_row(self.queue[i].req.addr);
+        }
+        Ok(())
+    }
+
     /// Advances the channel by one memory-clock cycle.
     pub fn tick(&mut self) {
         self.cycle += 1;
         let now = self.cycle;
 
-        // Retire finished transfers.
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].done_at <= now {
-                let fin = self.inflight.swap_remove(i);
-                if fin.req.write {
-                    self.stats.writes += 1;
-                } else {
-                    self.stats.reads += 1;
-                }
-                self.responses.push_back(DramResponse {
-                    id: fin.req.id,
-                    addr: fin.req.addr,
-                    write: fin.req.write,
-                });
+        // Retire finished transfers (in order; at most one is due per tick).
+        while let Some(fin) = self.inflight.pop_front_if(|f| f.done_at <= now) {
+            if fin.req.write {
+                self.stats.writes += 1;
             } else {
-                i += 1;
+                self.stats.reads += 1;
             }
+            self.responses.push_back(DramResponse {
+                id: fin.req.id,
+                addr: fin.req.addr,
+                write: fin.req.write,
+            });
         }
 
         // Refresh window: all banks blocked.
@@ -406,8 +418,8 @@ impl Hbm2Channel {
 
         let mut issued = false;
         for qi in 0..self.queue.len() {
-            let Queued { req, touched_row } = self.queue[qi];
-            let (bi, row) = self.bank_and_row(req.addr);
+            let q = self.queue[qi];
+            let (req, bi, row) = (q.req, q.bank, q.row);
             let bank = self.banks[bi];
             if bank.open_row == Some(row) && bank.ready_at <= now {
                 // Row open: issue column command now.
@@ -416,9 +428,9 @@ impl Hbm2Channel {
                 self.bus_busy_until = done;
                 self.bus_is_write = req.write;
                 self.banks[bi].ready_at = now + self.config.t_ccd;
-                self.inflight.push(Inflight { req, done_at: done });
+                self.inflight.push_back(Inflight { req, done_at: done });
                 self.queue.remove(qi);
-                if !touched_row {
+                if !q.touched_row {
                     // A genuine row-buffer hit: served from a row someone
                     // else opened.
                     self.stats.row_hits += 1;
@@ -431,8 +443,7 @@ impl Hbm2Channel {
         if !issued {
             // Progress the oldest request whose bank is idle enough.
             for qi in 0..self.queue.len() {
-                let Queued { req, .. } = self.queue[qi];
-                let (bi, row) = self.bank_and_row(req.addr);
+                let Queued { bank: bi, row, .. } = self.queue[qi];
                 let bank = self.banks[bi];
                 if bank.ready_at > now {
                     continue;
@@ -487,13 +498,13 @@ crate::snap_value!(Bank {
     precharge_ok_at
 });
 crate::snap_value!(Inflight { req, done_at });
-crate::snap_value!(Queued { req, touched_row });
+crate::snap_value!(Queued { req, touched_row; derived bank, row });
 crate::snap_state!(Hbm2Channel [b"HBM2"] {
     save: queue, inflight, responses, bus_busy_until, bus_is_write, cycle, next_refresh_at,
         refresh_until, stall_until, stall_windows, stats;
     fixed: banks;
     host: config;
-});
+} check check_restored);
 
 #[cfg(test)]
 mod tests {

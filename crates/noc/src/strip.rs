@@ -133,6 +133,13 @@ impl StripChannel {
         &self.stats
     }
 
+    /// Sets the channel's clock, which is not part of its snapshot. A tick
+    /// with nothing [`pending`](Self::pending) only advances the clock, so
+    /// an owner may skip it and set the clock instead.
+    pub fn set_clock(&mut self, cycle: u64) {
+        self.cycle = cycle;
+    }
+
     fn hop_latency(&self, bank: usize) -> u64 {
         (bank / self.cfg.skip_distance) as u64 + (bank % self.cfg.skip_distance) as u64
     }
@@ -187,8 +194,8 @@ hb_mem::snap_value!(StripStats {
 });
 hb_mem::snap_value!(Active { xfer, done_at });
 hb_mem::snap_state!(StripChannel [b"STRP"] {
-    save: queue, active, done, cycle, stats;
-    host: cfg;
+    save: queue, active, done, stats;
+    host: cfg, cycle;
 } check check_banks);
 
 #[cfg(test)]

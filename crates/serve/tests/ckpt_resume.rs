@@ -95,10 +95,10 @@ fn killed_campaign_resumes_mid_job_with_identical_report() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// What an existing store meets after a `CKPT_VERSION` bump — here 2 → 3,
-/// the dense `DRAM` section giving way to extents, with no version-2 reader
-/// kept: the resume checkpoint a killed worker left behind and the shared
-/// warm checkpoint both say version 2. Whatever follows such a header is
+/// What an existing store meets after a `CKPT_VERSION` bump — here 3 → 4,
+/// the per-bank and per-strip clocks giving way to one memory clock, with
+/// no version-3 reader kept: the resume checkpoint a killed worker left
+/// behind and the shared warm checkpoint both say version 3. Whatever follows such a header is
 /// never looked at, so neither may fail the campaign — the resume
 /// checkpoint is dropped and its job starts over, the warm checkpoint is
 /// rebuilt — and the report must not change.
@@ -128,7 +128,7 @@ fn stale_version_checkpoints_are_discarded_on_resume() {
     assert_eq!(out.status.code(), Some(3), "expected the mid-run kill");
 
     // Stamp every leftover checkpoint with the previous format version.
-    assert_eq!(hb_ckpt::CKPT_VERSION, 3);
+    assert_eq!(hb_ckpt::CKPT_VERSION, 4);
     let ckpt_dir = killed.join("store").join("ckpt");
     let leftovers: Vec<_> = std::fs::read_dir(&ckpt_dir)
         .unwrap()
@@ -145,11 +145,11 @@ fn stale_version_checkpoints_are_discarded_on_resume() {
     for path in &leftovers {
         let mut bytes = std::fs::read(path).unwrap();
         assert_eq!(bytes[8..12], hb_ckpt::CKPT_VERSION.to_le_bytes());
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
         std::fs::write(path, &bytes).unwrap();
         assert!(matches!(
             hb_ckpt::decode(&bytes),
-            Err(hb_ckpt::CkptError::Version { found: 2 })
+            Err(hb_ckpt::CkptError::Version { found: 3 })
         ));
     }
 

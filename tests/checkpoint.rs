@@ -433,17 +433,77 @@ fn checkpoint_size_follows_the_touched_memory() {
     assert_eq!(restored.cell(0).dram().slice(0, image.len()), &image[..]);
 }
 
+/// The offset of the one encoded in-flight line operation `id` of the
+/// Cell's `mem_ops` map — key, bank, line address, then `write = false` —
+/// in `bytes`.
+fn read_op_at(bytes: &[u8], id: u64, bank: u64, line: u32) -> usize {
+    let mut op = [id.to_le_bytes(), bank.to_le_bytes()].concat();
+    op.extend(line.to_le_bytes());
+    op.push(0);
+    let hits: Vec<usize> = (0..bytes.len() - op.len())
+        .filter(|&at| bytes[at..at + op.len()] == op[..])
+        .collect();
+    assert_eq!(hits.len(), 1, "read op {id} (bank {bank}, line {line:#x})");
+    hits[0]
+}
+
+/// A restore that decodes must leave a machine the memory phase can run: a
+/// refill whose line address no MSHR awaits used to restore `Ok` and then
+/// panic the run ("fetch completion without MSHR"), from a raw payload and
+/// from a re-sealed container alike.
+#[test]
+fn a_refill_no_mshr_awaits_is_refused_at_restore() {
+    use hammerblade::mem::{fnv1a128, SnapError};
+    let cfg = MachineConfig {
+        cell_dim: CellDim { x: 4, y: 4 },
+        ..MachineConfig::baseline_16x8()
+    };
+    let mut machine = sgemm_machine(&cfg);
+    while machine.cycle() < 1390 {
+        machine.tick();
+    }
+    let refused = Err(SnapError::Bad("mem op reads a line no MSHR awaits"));
+
+    // Read op 4 refills bank 1 with line 0x40; point it at line 0x1040.
+    let mut payload = machine.save_checkpoint();
+    let line = read_op_at(&payload, 4, 1, 0x40) + 16;
+    Machine::new(cfg.clone())
+        .restore_checkpoint(&payload)
+        .expect("the pristine payload restores");
+    payload[line..line + 4].copy_from_slice(&0x1040u32.to_le_bytes());
+    assert_eq!(
+        Machine::new(cfg.clone()).restore_checkpoint(&payload),
+        refused
+    );
+
+    // The same edit in a container whose hash is recomputed over it.
+    let mut container = ckpt::encode(&machine);
+    let line = read_op_at(&container, 4, 1, 0x40) + 16;
+    container[line..line + 4].copy_from_slice(&0x1040u32.to_le_bytes());
+    let body = container.len() - 16;
+    let hash = fnv1a128(&container[..body]);
+    container[body..].copy_from_slice(&hash.to_le_bytes());
+    let decoded = ckpt::decode(&container).expect("a re-sealed container decodes");
+    match ckpt::apply(&mut Machine::new(cfg), &decoded) {
+        Err(ckpt::CkptError::Malformed(e)) => assert_eq!(Err(e), refused),
+        other => panic!("applied a refill no MSHR awaits: {other:?}"),
+    }
+}
+
 /// The format pin: `CKPT_VERSION` names a byte layout, and the layout
 /// follows from the snapshot field lists, so editing a list silently
-/// changes what version 3 means. This digests the checkpoint of one fixed
+/// changes what version 4 means. This digests the checkpoint of one fixed
 /// machine — 2x2, the seeded SGEMM 997 cycles in, profiling on, a fault
 /// plan pending — and compares it with the digest recorded when the
-/// version was last bumped. Version 3 changed one section: `DRAM` holds the
-/// image's non-zero extents (`Dram::extents`) instead of the whole image.
+/// version was last bumped. Version 4 moved the memory side's clocks: the
+/// Cell saves one memory clock (`mem_cycle`) where every cache bank and
+/// refill strip saved its own, and a bank saves its busy ticks where it
+/// saved `idle_cycles`, which is now derived from that clock. (Version 3
+/// stored `DRAM` as the image's non-zero extents, not the whole image.)
 #[test]
 fn payload_layout_is_pinned_to_ckpt_version() {
     use hammerblade::fault::{InjectionPlan, Site};
-    const PINNED: (u32, u64) = (3, 0x5510_29e6_0415_0e26);
+    const PINNED: (u32, u64) = (4, 0x50fd_2e50_0cf3_86be);
 
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },

@@ -6,11 +6,14 @@
 //! retires its `ecall` long before. The span between the two reads is
 //! asserted *equal* to the closed form, for the local scratchpad, a remote
 //! scratchpad at every kind of distance on the mesh and over Ruche links,
-//! and a last-level-cache hit at bank distance. These are the layer under
-//! every kernel's cycle count: a change to the tile's data path, the
-//! network interface or the router pipeline that moves one of them moves
-//! every figure, and says so here first. (DRAM row-hit/miss/conflict and
-//! refresh pins belong with the HBM2 controller rework, ROADMAP item 1.)
+//! a last-level-cache hit at bank distance, and the DRAM layer under it:
+//! an LLC miss to an open row, a closed bank and a row conflict, a miss
+//! that meets a refresh, and peak streaming read bandwidth. These are the
+//! layer under every kernel's cycle count: a change to the tile's data
+//! path, the network interface, the router pipeline, the strips or the
+//! HBM2 controller that moves one of them moves every figure, and says so
+//! here first. Only loaded behaviour (queue occupancy, bandwidth under
+//! contention) may move without moving a pin.
 //!
 //! The span, read off the cycle model (`Cell::tick`: network → memory →
 //! tiles → sync → inject):
@@ -33,11 +36,35 @@
 //!   load waits in the combining latch until it expires, [`LPC_HOLD`]
 //!   cycles, because the dependent instruction stalls before it can close
 //!   the latch.
+//!
+//! A miss in the bank it arrives at is served by the memory phase instead:
+//!
+//! - The bank allocates an MSHR in the cycle the request arrives, and the
+//!   8-byte fetch rides its strip to the controller: [`strip`] = the
+//!   strip's `base_latency`, plus the bank's skip-channel hops, plus one
+//!   beat per `bytes_per_cycle`. It joins the controller's queue in the
+//!   cycle it lands.
+//! - The controller opens the row as [`Row`] says — nothing for the open
+//!   row, `t_rcd` for a closed bank, `t_rp + t_rcd` for a conflict — then
+//!   `t_cas` and `burst_cycles` for the data; the line leaves on the last
+//!   beat, and a refresh under way first waits out the rest of `t_rfc`.
+//! - The refill rides the strip back (`8 + line_bytes` bytes), completes
+//!   into the bank, and the bank answers one cycle later.
+//!
+//! The controller counts memory-clock cycles. With the core and memory
+//! clocks equal every DRAM pin is exact. Under the presets' 1350/1000 MHz
+//! divider the request first waits for the next memory-clock edge (from
+//! nothing to one memory tick) and the edges fall on whole core cycles, so
+//! the controller's part is pinned to the window [`memory_side`] gives —
+//! one memory tick wide — and the rest of the span stays exact.
 
 use hammerblade::asm::Assembler;
 use hammerblade::cache::CacheConfig;
-use hammerblade::core::{pgas, HbOps, Machine, MachineConfig};
+use hammerblade::core::{pgas, CellDim, HbOps, Machine, MachineConfig};
 use hammerblade::isa::Gpr::*;
+use hammerblade::mem::Hbm2Config;
+use hammerblade::noc::StripConfig;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Scratchpad word the microkernel leaves its measurement in.
@@ -52,6 +79,12 @@ const LPC_HOLD: u32 = 2;
 /// not) consume `t1`. The timed stretch runs twice and the second span is
 /// kept, so the icache and — for a DRAM address — the cache bank are warm.
 fn span(cfg: &MachineConfig, at: (u8, u8), addr: u32, dependent: bool) -> u32 {
+    timed(cfg, at, addr, 0, dependent).1
+}
+
+/// [`span`] with the second load `stride` bytes past the first, and the
+/// cycle the kept stretch's first `CYCLE` read returned: `(A, span)`.
+fn timed(cfg: &MachineConfig, at: (u8, u8), addr: u32, stride: u32, dependent: bool) -> (u32, u32) {
     let mut machine = Machine::new(cfg.clone());
     let rank = u32::from(at.1) * u32::from(cfg.cell_dim.x) + u32::from(at.0);
     let cycle = (pgas::csr::CYCLE & 0x7ff) as i32;
@@ -69,15 +102,18 @@ fn span(cfg: &MachineConfig, at: (u8, u8), addr: u32, dependent: bool) -> u32 {
     a.lw(S3, T6, cycle);
     a.sub(S3, S3, S2);
     a.sw(S3, Zero, RESULT as i32);
+    a.sw(S2, Zero, RESULT as i32 + 4);
     a.fence();
+    a.add(A0, A0, A1);
     a.addi(S0, S0, -1);
     a.bnez(S0, top);
     a.bind(done);
     a.ecall();
     let program = Arc::new(a.assemble(0).unwrap());
-    machine.launch(0, &program, &[addr]);
+    machine.launch(0, &program, &[addr, stride]);
     machine.run(100_000).unwrap();
-    machine.cell(0).tile(at.0, at.1).spm_read_u32(RESULT)
+    let tile = machine.cell(0).tile(at.0, at.1);
+    (tile.spm_read_u32(RESULT + 4), tile.spm_read_u32(RESULT))
 }
 
 /// Network coordinate of tile `(x, y)`: tile rows sit under the top strip.
@@ -222,5 +258,239 @@ fn llc_hit_costs_the_round_trip_to_its_bank_plus_the_hit_pipeline() {
             }
             assert_eq!(seen.len(), 7, "a line for every bank of interest");
         }
+    }
+}
+
+/// What an LLC miss finds in the HBM2 bank its line maps to, set up by the
+/// microkernel's first load (which opened a row there) and the stride to
+/// its second.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    /// The open row: the same bank, the next line in the row.
+    Hit,
+    /// A bank no access has opened: the next line.
+    Closed,
+    /// Another row of the open row's bank.
+    Conflict,
+}
+
+impl Row {
+    fn stride(self, hbm: &Hbm2Config) -> u32 {
+        match self {
+            Row::Hit => hbm.banks as u32 * hbm.line_bytes,
+            Row::Closed => hbm.line_bytes,
+            Row::Conflict => hbm.banks as u32 * hbm.row_bytes,
+        }
+    }
+
+    /// Memory-clock cycles from the controller taking the request to the
+    /// last data beat: precharge and activate as the row needs, the column
+    /// access, the burst.
+    fn dram(self, hbm: &Hbm2Config) -> u64 {
+        let open = match self {
+            Row::Hit => 0,
+            Row::Closed => hbm.t_rcd,
+            Row::Conflict => hbm.t_rp + hbm.t_rcd,
+        };
+        open + hbm.t_cas + hbm.burst_cycles - 1
+    }
+}
+
+/// Cycles a strip channel holds a transfer of `bytes` for the bank at
+/// position `pos` along it: the pipeline, the skip-channel hops, the beats.
+fn strip(cfg: &MachineConfig, pos: usize, bytes: u32) -> u32 {
+    let s: StripConfig = cfg.strip;
+    let hops = pos / s.skip_distance + pos % s.skip_distance;
+    s.base_latency as u32 + hops as u32 + bytes.div_ceil(s.bytes_per_cycle)
+}
+
+/// The core cycles `n` memory-clock cycles of the controller take, counted
+/// from the core cycle the request reaches it: exactly `n` when the clocks
+/// are equal. Under a divider the request first waits for the next
+/// memory-clock edge — nothing up to one memory tick — and edges fall on
+/// whole core cycles, so with ρ = core/mem the count lies strictly between
+/// `n·ρ − 1` and `(n + 1)·ρ`: one memory tick of jitter.
+fn memory_side(cfg: &MachineConfig, n: u64) -> RangeInclusive<u32> {
+    let (core, mem) = (u64::from(cfg.core_freq_mhz), u64::from(cfg.mem_freq_mhz));
+    let lo = (n * core - mem) / mem + 1;
+    let hi = ((n + 1) * core - 1) / mem;
+    lo as u32..=hi as u32
+}
+
+/// The memory-clock cycle the controller takes a request in that reaches
+/// it in core cycle `at`: the first memory-clock edge at or after it.
+fn taken_at(cfg: &MachineConfig, at: u32) -> u64 {
+    let (core, mem) = (u64::from(cfg.core_freq_mhz), u64::from(cfg.mem_freq_mhz));
+    (u64::from(at) - 1) * mem / core + 1
+}
+
+/// The two clockings the DRAM pins run under: equal clocks, where every
+/// pin is exact, and the presets' 1.35 GHz core over 1 GHz memory.
+fn clockings() -> [MachineConfig; 2] {
+    let base = MachineConfig::baseline_16x8();
+    let equal = MachineConfig {
+        core_freq_mhz: base.mem_freq_mhz,
+        ..base.clone()
+    };
+    [equal, base]
+}
+
+/// The second load's line, and the constant part of its span: the round
+/// trip to its cache bank, whose service is the request's strip ride to
+/// the controller, the refill's ride back and one cycle to answer; what is
+/// left is the controller's.
+fn miss_path(cfg: &MachineConfig, at: (u8, u8), second: u32) -> (u32, u32) {
+    let map = *Machine::new(MachineConfig {
+        dram_bytes_per_cell: 1 << 16,
+        ..cfg.clone()
+    })
+    .cell(0)
+    .pgas();
+    let bank = map.bank_for(second);
+    let coord = map.bank_coord(bank);
+    let hops = hops(cfg, tile_at(at.0, at.1), (coord.x, coord.y));
+    let pos = bank % usize::from(cfg.cell_dim.x);
+    let to_mem = strip(cfg, pos, 8);
+    let service = to_mem + strip(cfg, pos, 8 + cfg.line_bytes) + 1;
+    let hold = if cfg.load_packet_compression {
+        LPC_HOLD
+    } else {
+        0
+    };
+    // Core cycles from the kept stretch's `CYCLE` read to the request
+    // joining the controller's queue.
+    let reach = 1 + hold + one_way(cfg, hops) + to_mem;
+    (reach, round_trip(cfg, hops, service))
+}
+
+#[test]
+fn llc_miss_costs_both_strip_rides_and_the_row_buffer_outcome() {
+    for cfg in clockings() {
+        for at in [(0, 0), (9, 7)] {
+            for first in [0x1_0000, 0x2_3440] {
+                for row in [Row::Hit, Row::Closed, Row::Conflict] {
+                    let stride = row.stride(&cfg.hbm);
+                    let (_, fixed) = miss_path(&cfg, at, first + stride);
+                    let (_, got) = timed(&cfg, at, pgas::local_dram(first), stride, true);
+                    let dram = memory_side(&cfg, row.dram(&cfg.hbm));
+                    assert!(
+                        got >= fixed && dram.contains(&(got - fixed)),
+                        "{row:?} miss from tile {at:?} after {first:#x} at {} MHz: {got} cycles, \
+                         {fixed} + {dram:?} expected",
+                        cfg.core_freq_mhz
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_miss_that_meets_a_refresh_waits_out_the_window() {
+    for base in clockings() {
+        let hbm = Hbm2Config {
+            t_rfc: 16,
+            ..base.hbm.clone()
+        };
+        let base = MachineConfig { hbm, ..base };
+        let (at, first, stride) = ((0, 0), pgas::local_dram(0x1_0000), base.hbm.line_bytes);
+        let (reach, fixed) = miss_path(&base, at, 0x1_0000 + stride);
+        let (start, quiet) = timed(&base, at, first, stride, true);
+        let taken = taken_at(&base, start + reach);
+        // A refresh that starts `early` memory cycles before the controller
+        // takes the request: it waits out what is left of the window, and
+        // finds its bank closed either way.
+        let t_rfc = base.hbm.t_rfc;
+        for early in [0, 1, t_rfc - 1, t_rfc, t_rfc + 5] {
+            let hbm = Hbm2Config {
+                t_refi: taken - early,
+                ..base.hbm.clone()
+            };
+            let cfg = MachineConfig {
+                hbm,
+                ..base.clone()
+            };
+            let (again, got) = timed(&cfg, at, first, stride, true);
+            assert_eq!(again, start, "the refresh reached the first load");
+            let n = Row::Closed.dram(&cfg.hbm) + t_rfc.saturating_sub(early);
+            let dram = memory_side(&cfg, n);
+            assert!(
+                dram.contains(&(got - fixed)),
+                "refresh {early} cycles early at {} MHz: {got} cycles ({quiet} without), \
+                 {fixed} + {dram:?} expected",
+                cfg.core_freq_mhz
+            );
+        }
+    }
+}
+
+/// Peak streaming reads: every tile of a 4x4 Cell walks its own lines of a
+/// 64 KiB array, eight loads in flight, and the controller's data bus
+/// moves one line per burst, back to back. The strips are widened so they
+/// carry more than the bus, and refresh is pinned above, not here. Over a
+/// window inside the stream the bytes read are the bus's `line_bytes /
+/// burst_cycles` per memory cycle, to within one line and one memory tick
+/// at the window's edges.
+#[test]
+fn peak_streaming_reads_move_one_line_per_burst() {
+    const LINES: u32 = 1024;
+    let regs = [T0, T1, T2, T3, T4, T5, S4, S5];
+    let mut a = Assembler::new();
+    a.tg_rank(S1, S3);
+    a.tg_size(S2, S3);
+    a.slli(S1, S1, 6);
+    a.add(A0, A0, S1);
+    a.slli(S2, S2, 6);
+    a.li_u(S0, LINES / 16 / regs.len() as u32);
+    let top = a.here();
+    for &r in &regs {
+        a.lw(r, A0, 0);
+        a.add(A0, A0, S2);
+    }
+    for &r in &regs {
+        a.add(S6, S6, r);
+    }
+    a.addi(S0, S0, -1);
+    a.bnez(S0, top);
+    a.ecall();
+    let program = Arc::new(a.assemble(0).unwrap());
+    for base in clockings() {
+        let cfg = MachineConfig {
+            cell_dim: CellDim { x: 4, y: 4 },
+            strip: StripConfig {
+                bytes_per_cycle: 64,
+                ..base.strip
+            },
+            hbm: Hbm2Config {
+                t_refi: 1 << 40,
+                ..base.hbm.clone()
+            },
+            ..base
+        };
+        let mut machine = Machine::new(cfg.clone());
+        machine.launch(0, &program, &[pgas::local_dram(0x1_0000)]);
+        let reads_at = |machine: &mut Machine, cycle: u64| {
+            while machine.cycle() < cycle {
+                machine.tick();
+            }
+            machine.cell(0).hbm_stats().reads
+        };
+        let (from, to) = (1_000, 3_000);
+        let before = reads_at(&mut machine, from);
+        let lines = reads_at(&mut machine, to) - before;
+        assert!(!machine.all_done(), "the stream ended inside the window");
+        let (core, mem) = (u64::from(cfg.core_freq_mhz), u64::from(cfg.mem_freq_mhz));
+        let burst = cfg.hbm.burst_cycles;
+        // lines · burst memory cycles against (to − from) core cycles'
+        // worth, in core·memory units.
+        let moved = lines * burst * core;
+        let window = (to - from) * mem;
+        assert!(
+            moved.abs_diff(window) <= burst * core + core,
+            "{lines} lines in {} cycles at {core} MHz: {:.2} bytes per cycle, peak {:.2}",
+            to - from,
+            (lines * u64::from(cfg.hbm.line_bytes)) as f64 / (to - from) as f64,
+            f64::from(cfg.hbm.line_bytes) * mem as f64 / (burst * core) as f64
+        );
     }
 }
