@@ -6,7 +6,7 @@
 
 use hb_bench::{
     bench_cell, bench_size, geomean, header, job_threads, row, run_instrumented, telemetry_out,
-    telemetry_window,
+    window_arg,
 };
 use hb_core::{CellDim, MachineConfig};
 
@@ -159,7 +159,7 @@ fn main() {
     if let Some(out) = telemetry_out() {
         let sgemm = hb_kernels::Sgemm::default();
         let (_, full_cfg) = configs.last().expect("ladder is non-empty");
-        if let Err(e) = run_instrumented(&sgemm, full_cfg, size, telemetry_window(1000), &out) {
+        if let Err(e) = run_instrumented(&sgemm, full_cfg, size, window_arg(1000), &out) {
             hb_bench::cli::fail(e);
         }
     }

@@ -2,9 +2,7 @@
 //! Cell, kernels ordered memory-intensive -> compute-intensive, with the
 //! stall taxonomy of Table III.
 
-use hb_bench::{
-    bench_size, hb_config, header, row, run_instrumented, telemetry_out, telemetry_window,
-};
+use hb_bench::{bench_size, hb_config, header, row, run_instrumented, telemetry_out, window_arg};
 use hb_core::StallKind;
 
 fn main() {
@@ -67,7 +65,7 @@ fn main() {
     // fully-featured configuration the table used.
     if let Some(out) = telemetry_out() {
         let sgemm = hb_kernels::Sgemm::default();
-        if let Err(e) = run_instrumented(&sgemm, &cfg, size, telemetry_window(1000), &out) {
+        if let Err(e) = run_instrumented(&sgemm, &cfg, size, window_arg(1000), &out) {
             hb_bench::cli::fail(e);
         }
     }

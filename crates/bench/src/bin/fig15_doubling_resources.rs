@@ -4,7 +4,7 @@
 
 use hb_bench::{
     bench_cell, bench_size, geomean, header, job_threads, row, run_instrumented, telemetry_out,
-    telemetry_window,
+    window_arg,
 };
 use hb_core::{CellDim, MachineConfig, MultiCellEstimator, Phase};
 
@@ -135,7 +135,7 @@ fn main() {
             &hb_kernels::Sgemm::default(),
             &base_cfg,
             size,
-            telemetry_window(1000),
+            window_arg(1000),
             &out,
         ) {
             hb_bench::cli::fail(e);

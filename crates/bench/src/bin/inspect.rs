@@ -6,6 +6,8 @@
 //! where `kernel` is an `hb_kernels::kernels()` token (default: SpGEMM).
 
 use hb_bench::{bench_size, hb_config, kernel_arg};
+use hb_core::profile::CellProfile;
+use hb_core::Machine;
 
 fn main() {
     let want = std::env::args()
@@ -21,7 +23,8 @@ fn main() {
         cfg.cell_dim.x,
         cfg.cell_dim.y
     );
-    let stats = bench.run(&cfg, size).expect("kernel validates");
+    let mut machine = Machine::new(cfg);
+    let stats = hb_kernels::run_on(&mut machine, bench.as_ref(), size).expect("kernel validates");
     println!(
         "{} finished in {} cycles ({} instructions, {} remote requests)\n",
         bench.name(),
@@ -29,5 +32,5 @@ fn main() {
         stats.core.instrs,
         stats.core.remote_requests
     );
-    println!("{}", stats.profile.report());
+    println!("{}", CellProfile::capture(machine.cell(0)).report());
 }

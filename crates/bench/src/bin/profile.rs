@@ -1,5 +1,5 @@
-//! Deterministic guest-code profile of one suite kernel: runs it with
-//! `MachineConfig::profile` enabled, maps the retired-PC and stall-cycle
+//! Deterministic guest-code profile of one suite kernel: runs it on a
+//! machine with `set_profile(true)`, maps the retired-PC and stall-cycle
 //! histograms onto the kernel's basic blocks, prints the ranked
 //! hot-block table and writes two exports next to `--out`:
 //!
@@ -19,7 +19,7 @@
 
 use hb_bench::cli::arg_value;
 use hb_bench::{bench_size, hb_config, kernel_arg};
-use hb_core::{Machine, MachineConfig};
+use hb_core::Machine;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: profile [--kernel SGEMM] [--out profile] [--top 10]";
@@ -34,10 +34,7 @@ fn main() {
 
     let bench = kernel_arg(&kernel, USAGE);
 
-    let cfg = MachineConfig {
-        profile: true,
-        ..hb_config()
-    };
+    let cfg = hb_config();
     println!(
         "profile run: {} on a {}x{} Cell",
         bench.name(),
@@ -46,6 +43,7 @@ fn main() {
     );
 
     let mut machine = Machine::new(cfg);
+    machine.set_profile(true);
     let stats = match hb_kernels::run_on(&mut machine, bench.as_ref(), bench_size()) {
         Ok(stats) => stats,
         Err(e) => hb_bench::cli::fail(e),

@@ -14,12 +14,12 @@
 //! uninstrumented one.
 
 use hb_bench::cli::arg_value;
-use hb_bench::{bench_size, hb_config, kernel_arg, run_instrumented, telemetry_window};
+use hb_bench::{bench_size, hb_config, kernel_arg, run_instrumented, window_arg};
 
 fn main() {
     let kernel = arg_value("--kernel").unwrap_or_else(|| "SGEMM".to_owned());
     let out = arg_value("--out").unwrap_or_else(|| "telemetry.json".to_owned());
-    let window = telemetry_window(1000);
+    let window = window_arg(1000);
 
     let bench = kernel_arg(
         &kernel,

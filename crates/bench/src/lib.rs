@@ -15,7 +15,7 @@ use hb_core::{CellDim, MachineConfig};
 use hb_kernels::{Kernel, SizeClass};
 
 pub mod telemetry;
-pub use telemetry::{run_instrumented, telemetry_out, telemetry_window};
+pub use telemetry::{run_instrumented, telemetry_out, window_arg};
 
 /// Uniform command-line error handling for the harness binaries: malformed
 /// arguments are one `error:` line + usage and exit 2; runtime failures

@@ -16,7 +16,7 @@ pub fn telemetry_out() -> Option<String> {
 
 /// Sampling window from the command line: `--window N` or `--window=N`,
 /// else `default`.
-pub fn telemetry_window(default: u64) -> u64 {
+pub fn window_arg(default: u64) -> u64 {
     crate::cli::arg_value("--window")
         .and_then(|v| v.parse::<u64>().ok())
         .map_or(default, |n| n.max(1))

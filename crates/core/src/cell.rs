@@ -465,20 +465,25 @@ impl Cell {
         stats
     }
 
-    /// Folds every active tile's guest-code profile into `into` (creating
-    /// it from the first profiled tile), row-major and owed-aware: stall
-    /// debt of still-parked tiles is added virtually at their parking PC —
-    /// the same policy-independent read [`core_stats`](Self::core_stats)
-    /// performs — without touching any scheduler state.
-    pub(crate) fn fold_guest_profile(&self, into: &mut Option<crate::gprof::GuestProfile>) {
+    /// Folds the guest-code profile of every active tile running `program`
+    /// into `into` (creating it at the first such tile), row-major and
+    /// owed-aware: stall debt of still-parked tiles is added virtually at
+    /// their parking PC — the same policy-independent read
+    /// [`core_stats`](Self::core_stats) performs — without touching any
+    /// scheduler state.
+    pub(crate) fn fold_guest_profile(
+        &self,
+        program: &Program,
+        into: &mut Option<crate::gprof::GuestProfile>,
+    ) {
+        let runs = |p: &Arc<Program>| std::ptr::eq(&**p, program) || **p == *program;
         for (i, (t, &a)) in self.tiles.iter().zip(&self.active).enumerate() {
-            if !a {
+            if !a || !t.program().is_some_and(runs) {
                 continue;
             }
             let Some(tp) = t.guest_prof() else { continue };
             let gp = into.get_or_insert_with(|| {
-                let p = t.program().expect("profiled tile has a program");
-                crate::gprof::GuestProfile::new(p.base(), p.instrs().len())
+                crate::gprof::GuestProfile::new(program.base(), program.instrs().len())
             });
             gp.merge_tile(tp);
             if let Some((kind, n)) = self.sched.owed(i, self.cycle) {
@@ -565,6 +570,14 @@ impl Cell {
     pub fn set_race_check(&mut self, on: bool) {
         for t in &mut self.tiles {
             t.set_race_check(on);
+        }
+    }
+
+    /// Turns guest-code profiling on or off for every tile (see
+    /// [`Machine::set_profile`](crate::Machine::set_profile)).
+    pub(crate) fn set_profile(&mut self, on: bool) {
+        for t in &mut self.tiles {
+            t.set_profile(on);
         }
     }
 
@@ -1135,7 +1148,8 @@ impl Cell {
         indices.save(w);
     }
 
-    /// Decodes the program table and re-attaches each tile's image.
+    /// Decodes the program table and re-attaches each tile's image, which
+    /// a restored guest profile must describe.
     fn load_programs(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), SnapError> {
         let programs = Vec::<(u32, Vec<u32>)>::load(r)?
             .into_iter()
@@ -1152,6 +1166,7 @@ impl Cell {
             let image = idx.map(|i| programs.get(i as usize).cloned());
             let image = image.map(|p| p.ok_or(SnapError::Bad("program table index out of range")));
             tile.set_program(image.transpose()?);
+            tile.check_profile()?;
         }
         Ok(())
     }

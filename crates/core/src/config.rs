@@ -18,11 +18,14 @@
 //!   the text. Adding, removing or re-interpreting one changes what cached
 //!   results mean: bump [`MachineConfig::CANONICAL_VERSION`] (the tier-1
 //!   test `tests/text_pins.rs` fails until you do).
-//! - `host = value`: the field only steers the host (the sanitizer, the
-//!   park policy, the profiler); results are bit-identical
-//!   at any setting, it is not in the text, and a decoded configuration
-//!   carries the normalized `value` — callers that simulate set it as they
-//!   like afterwards.
+//! - `host = value`: the field only steers the host (`threads`, the park
+//!   policy); results are bit-identical at any setting, it is not in the
+//!   text, and a decoded configuration carries the normalized `value` —
+//!   callers that simulate set it as they like afterwards.
+//!
+//! Observers are not configuration at all: telemetry, the race sanitizer
+//! and the guest profiler are switched on the [`Machine`](crate::Machine)
+//! the caller owns (`attach_observer`, `set_race_check`, `set_profile`).
 
 use hb_mem::text::Text;
 use hb_mem::Hbm2Config;
@@ -143,22 +146,8 @@ pub struct MachineConfig {
     /// No effect since PR 18 (a machine runs on the thread that ticks it;
     /// nothing reads this). Kept because the benchmark crate `hb_perf/`
     /// names it in struct literals; the benchmark-only follow-up that
-    /// drops it there deletes the field (ROADMAP item 2).
+    /// drops it there deletes the field (ROADMAP item 8).
     pub threads: usize,
-    /// Telemetry sampling window in core cycles; `0` disables sampling.
-    /// Consulted by the `hb-obs` observer factory (see `hb_core::observe`)
-    /// when one is installed — without a factory the knob is inert.
-    /// Sampling never changes simulated results; runs are bit-identical
-    /// at any window.
-    pub telemetry_window: u64,
-    /// Dynamic race sanitizer (see `hb_core::race`): when `true`, every
-    /// shared-location access (remote stores, AMOs, DRAM and SPM traffic)
-    /// is stamped `(tile, barrier-epoch, kind)` into a shadow map and
-    /// same-epoch conflicting pairs are reported. Checking is read-only:
-    /// simulated results are bit-identical with the sanitizer on or off,
-    /// and with it off the hot loop pays exactly one always-false branch
-    /// (the same pattern as `telemetry_window`/fault hooks).
-    pub race_check: bool,
     /// Park policy of the tile phase's wake-list loop (see
     /// `hb_core::sched` and the "Event-driven core" section of DESIGN.md).
     /// On (every preset's default): quiescent tiles park and are skipped
@@ -169,15 +158,6 @@ pub struct MachineConfig {
     /// with the flag on or off, at equal speed, so nothing but those
     /// comparisons needs it off.
     pub event_core: bool,
-    /// Guest-code profiling (see `hb_core::gprof`): when `true`, every
-    /// tile accumulates an exact retired-PC histogram plus per-PC
-    /// stall-cycle attribution, folded on demand by
-    /// `Machine::guest_profile`. Profiling is read-only — cycles, memory
-    /// and every architectural counter are bit-identical with the flag on
-    /// or off, and with it off each tile pays exactly one always-false
-    /// branch per recorded event (the same pattern as `telemetry_window`
-    /// and `race_check`). Host-only: excluded from the canonical text.
-    pub profile: bool,
 }
 
 impl MachineConfig {
@@ -218,10 +198,7 @@ impl MachineConfig {
             strip: StripConfig::default(),
             disabled_tiles: Vec::new(),
             threads: 1,
-            telemetry_window: 0,
-            race_check: false,
             event_core: true,
-            profile: false,
         }
     }
 
@@ -457,7 +434,9 @@ impl MachineConfig {
     /// Version of the canonical text layout produced by
     /// [`MachineConfig::canonical_text`]. Bump whenever a field is added,
     /// removed or re-interpreted so stale cached results never alias.
-    pub const CANONICAL_VERSION: u32 = 1;
+    /// Version 2 dropped `telw` (the telemetry window, which never changed
+    /// a simulated result).
+    pub const CANONICAL_VERSION: u32 = 2;
 
     /// Stable canonical serialization: the layout version, then every
     /// `hashed` field of the list below in list order, as `key=value` pairs
@@ -471,7 +450,7 @@ impl MachineConfig {
     /// configuration and [validates](MachineConfig::validate) it, so a
     /// decoded configuration can always build a machine. The `host` fields
     /// are not part of the canonical form and come back normalized
-    /// (sanitizer and profiler off, parking on).
+    /// (one thread, parking on).
     ///
     /// # Errors
     ///
@@ -519,11 +498,8 @@ hb_mem::text_record!(MachineConfig, ';' {
     hashed "hbm" => hbm,
     hashed "strip" => strip,
     hashed "disabled" => disabled_tiles,
-    hashed "telw" => telemetry_window,
     host threads = 1,
-    host race_check = false,
     host event_core = true,
-    host profile = false,
 } check validate);
 
 /// Why a [`MachineConfig`] is internally inconsistent.
@@ -954,7 +930,8 @@ mod tests {
             MachineConfig::cellular_baseline(),
             MachineConfig {
                 disabled_tiles: vec![(1, 1), (0, 2)],
-                telemetry_window: 500,
+                threads: 4,
+                event_core: false,
                 ..MachineConfig::baseline_16x8()
             },
         ] {
@@ -963,9 +940,8 @@ mod tests {
             // The host fields come back at their normalized values;
             // everything else must survive the round trip bit-exactly.
             let normalized = MachineConfig {
-                race_check: false,
+                threads: 1,
                 event_core: true,
-                profile: false,
                 ..cfg
             };
             assert_eq!(back, normalized, "roundtrip of {text}");
@@ -1009,25 +985,21 @@ mod tests {
             "hbm" => cfg.hbm.t_cas = 15,
             "strip" => cfg.strip.base_latency = 3,
             "disabled_tiles" => cfg.disabled_tiles = vec![(1, 1)],
-            "telemetry_window" => cfg.telemetry_window = 100,
             "threads" => cfg.threads = 8,
-            "race_check" => cfg.race_check = true,
             "event_core" => cfg.event_core = false,
-            "profile" => cfg.profile = true,
             _ => panic!("no mutation for field {field:?}: add one"),
         }
     }
 
     #[test]
     fn canonical_text_ignores_threads_and_sees_every_other_field() {
-        // threads 1 vs 8, parking on vs off, profiler off vs on, and every
-        // other host field: none may leak into the canonical form. Every
-        // hashed field: mutating it must change the text (and therefore any
-        // content hash derived from it), and the mutated text must decode
-        // to the mutated value.
+        // threads 1 vs 8 and parking on vs off, the two host fields: neither
+        // may leak into the canonical form. Every hashed field: mutating it
+        // must change the text (and therefore any content hash derived from
+        // it), and the mutated text must decode to the mutated value.
         let base = MachineConfig::baseline_16x8();
         let baseline_text = base.canonical_text();
-        assert_eq!(MachineConfig::FIELDS.len(), 33 + 4);
+        assert_eq!(MachineConfig::FIELDS.len(), 32 + 2);
         for &(field, hashed) in MachineConfig::FIELDS {
             let mut cfg = base.clone();
             mutate(&mut cfg, field);
@@ -1071,11 +1043,17 @@ mod tests {
     #[test]
     fn canonical_parse_rejects_garbage() {
         assert!(MachineConfig::from_canonical_text("").is_err());
-        assert!(MachineConfig::from_canonical_text("cfgv=1").is_err());
+        assert!(MachineConfig::from_canonical_text("cfgv=2").is_err());
         let good = MachineConfig::baseline_16x8().canonical_text();
-        // Wrong version must not silently reparse.
-        let stale = good.replacen("cfgv=1", "cfgv=0", 1);
-        assert!(MachineConfig::from_canonical_text(&stale).is_err());
+        // Wrong version must not silently reparse: neither an older text
+        // (version 1 still carried `telw`) nor the same text relabelled.
+        for version in ["cfgv=0", "cfgv=1", "cfgv=3"] {
+            let stale = good.replacen("cfgv=2", version, 1);
+            assert_ne!(stale, good);
+            assert!(MachineConfig::from_canonical_text(&stale).is_err());
+        }
+        let v1 = format!("{};telw=0", good.replacen("cfgv=2", "cfgv=1", 1));
+        assert!(MachineConfig::from_canonical_text(&v1).is_err());
         // A truncated tail (missing fields) is rejected.
         let cut = &good[..good.len() / 2];
         assert!(MachineConfig::from_canonical_text(cut).is_err());

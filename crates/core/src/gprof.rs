@@ -1,8 +1,8 @@
 //! Guest-code profiling: exact retired-PC histograms with per-PC
 //! stall-cycle attribution.
 //!
-//! When [`MachineConfig::profile`](crate::MachineConfig::profile) is set,
-//! every tile allocates a `TileProfile` at launch and records three
+//! While [`Machine::set_profile`](crate::Machine::set_profile) is on, every
+//! launched tile keeps a `TileProfile` of its program and records three
 //! things as it executes:
 //!
 //! - **retires** — one count at the PC of every retired instruction,
@@ -21,12 +21,13 @@
 //! park policies (`MachineConfig::event_core`).
 //!
 //! Folding ([`Machine::guest_profile`](crate::Machine::guest_profile)) is
-//! the only aggregation step: tiles merge row-major into a
-//! [`GuestProfile`], with any still-outstanding stall debt of parked tiles
-//! added virtually (the same owed-aware read the stats accessors use) so a
-//! mid-run fold matches a never-parked run too.
+//! the only aggregation step: the tiles running the profiled program merge
+//! row-major into a [`GuestProfile`], with any still-outstanding stall
+//! debt of parked tiles added virtually (the same owed-aware read the
+//! stats accessors use) so a mid-run fold matches a never-parked run too.
 
 use crate::stats::StallKind;
+use hb_asm::Program;
 use hb_isa::INSTR_BYTES;
 
 /// Phase id used before the first `MARK` CSR store of a tile.
@@ -50,9 +51,8 @@ impl PhaseHist {
     }
 }
 
-/// Per-tile capture buffer. Allocated by `Tile::launch` when profiling is
-/// configured; every record is two loads, one bounds check and one
-/// increment.
+/// Per-tile capture buffer. Allocated by `Tile::launch` while profiling is
+/// on; every record is two loads, one bounds check and one increment.
 #[derive(Debug, Clone)]
 pub(crate) struct TileProfile {
     base: u32,
@@ -72,6 +72,16 @@ impl TileProfile {
             cur: 0,
             phases: vec![(UNMARKED, PhaseHist::new(len))],
         }
+    }
+
+    /// An empty buffer for `program`'s image.
+    pub(crate) fn boxed(program: &Program) -> Box<TileProfile> {
+        Box::new(TileProfile::new(program.base(), program.instrs().len()))
+    }
+
+    /// Whether this buffer counts `program`'s instructions.
+    pub(crate) fn describes(&self, program: &Program) -> bool {
+        (self.base, self.len) == (program.base(), program.instrs().len())
     }
 
     /// Instruction index of `pc`, if it lies inside the program image

@@ -147,8 +147,7 @@ pub struct Machine {
     /// (the same pattern as `obs_due`).
     fault_due: u64,
     /// Dynamic race sanitizer shadow map (see [`crate::race`]); `None`
-    /// unless [`MachineConfig::race_check`] (or
-    /// [`Machine::set_race_check`]) turned checking on, so the unchecked
+    /// unless [`Machine::set_race_check`] turned checking on, so the unchecked
     /// hot loop pays exactly one always-false branch (the same pattern as
     /// `obs_due`/`fault_due`).
     race: Option<Box<crate::race::RaceChecker>>,
@@ -194,9 +193,6 @@ impl Machine {
             ckpt_sink: None,
             ckpt_due: u64::MAX,
         };
-        if machine.cfg.race_check {
-            machine.set_race_check(true);
-        }
         if let Some(obs) = crate::observe::make_observer(&machine.cfg) {
             machine.attach_observer(obs);
         }
@@ -204,7 +200,12 @@ impl Machine {
     }
 
     /// Turns the dynamic race sanitizer on or off (see [`crate::race`]).
-    /// Turning it off discards all shadow state and accumulated reports.
+    /// Every shared-location access (remote stores, AMOs, DRAM and SPM
+    /// traffic) is then stamped `(tile, barrier-epoch, kind)` into a shadow
+    /// map and same-epoch conflicting pairs are reported. Checking is
+    /// read-only: simulated results are bit-identical with the sanitizer on
+    /// or off. Turning it off discards all shadow state and accumulated
+    /// reports.
     pub fn set_race_check(&mut self, on: bool) {
         for cell in &mut self.cells {
             cell.set_race_check(on);
@@ -219,6 +220,29 @@ impl Machine {
     /// Whether the dynamic race sanitizer is on.
     pub fn is_race_checked(&self) -> bool {
         self.race.is_some()
+    }
+
+    /// Turns guest-code profiling on or off (see [`crate::gprof`]): a
+    /// profiled tile keeps an exact retired-PC histogram and per-PC
+    /// stall-cycle attribution of the program it launched, folded on
+    /// demand by [`Machine::guest_profile`]. Profiling is read-only —
+    /// cycles, memory and every architectural counter are bit-identical
+    /// with it on or off — and with it off each record site pays one
+    /// always-false branch.
+    ///
+    /// On, every tile that has launched and has no profile yet starts an
+    /// empty one for its program, and every later launch starts a fresh
+    /// one. So a call after a launch but before the first tick gives the
+    /// same profile as a call before the launch. A call mid-run counts
+    /// from there on, except that a tile parked across the call also bills
+    /// the parked cycles before it. Turning it on again keeps the counts;
+    /// off drops them. Like the sanitizer, the switch is host state and is
+    /// not checkpointed: a restore takes the profiles the checkpoint
+    /// carries, and the switch decides what later calls and launches do.
+    pub fn set_profile(&mut self, on: bool) {
+        for cell in &mut self.cells {
+            cell.set_profile(on);
+        }
     }
 
     /// Race reports accumulated so far (pending tile logs are drained
@@ -811,18 +835,21 @@ impl Machine {
         })
     }
 
-    /// Folds the guest-code profile of every profiled tile, machine-wide
-    /// (see [`crate::gprof`]): Cells in id order, tiles row-major, with
-    /// the stall debt of still-parked tiles added virtually at their
-    /// parking PC. Read-only and safe at any point of a run; `None` when
-    /// [`MachineConfig::profile`] is off or nothing has launched. Out of
-    /// the hot path — profiling costs the simulation loop nothing beyond
-    /// the tiles' own one-branch record sites.
+    /// Folds the guest-code profile of `program` machine-wide (see
+    /// [`crate::gprof`]): every profiled tile whose launched program is
+    /// `program` (the same image, or an equal one), Cells in id order,
+    /// tiles row-major, with the stall debt of still-parked tiles added
+    /// virtually at their parking PC. Tiles running another program are
+    /// left out: their histograms index a different image. Read-only and
+    /// safe at any point of a run; `None` when no profiled tile runs
+    /// `program` (see [`Machine::set_profile`]). Out of the hot path —
+    /// profiling costs the simulation loop nothing beyond the tiles' own
+    /// one-branch record sites.
     #[cold]
-    pub fn guest_profile(&self) -> Option<crate::gprof::GuestProfile> {
+    pub fn guest_profile(&self, program: &Program) -> Option<crate::gprof::GuestProfile> {
         let mut gp = None;
         for cell in &self.cells {
-            cell.fold_guest_profile(&mut gp);
+            cell.fold_guest_profile(program, &mut gp);
         }
         gp
     }

@@ -4,9 +4,8 @@
 //! module only defines the [`MachineObserver`] trait, the tile-local
 //! instant events ([`ObsEvent`]) that fire on kernel-phase marks
 //! ([`crate::pgas::csr::MARK`] stores), barrier joins, fence retires and
-//! faults, and a thread-local factory through which an external crate
-//! (`hb-obs`) attaches an observer to every [`Machine`] built on the
-//! current thread.
+//! faults, and a thread-local factory through which the benchmark crate
+//! attaches an observer to every [`Machine`] built on the current thread.
 //!
 //! # Cost model
 //!
@@ -191,11 +190,10 @@ impl Drop for ObserverScope {
 /// runs on worker threads are unaffected; installing a new factory
 /// replaces the previous one.
 ///
-/// A caller that builds its own machine — every suite consumer in this
-/// workspace, through `hb_kernels::run_on` — calls
-/// [`Machine::attach_observer`] instead. The factory is what the benchmark
-/// crate `hb_perf/` (and `hb_obs::attach`) still reach machines built
-/// inside `Benchmark::run` with.
+/// A caller that builds its own machine — every consumer in this
+/// workspace — calls [`Machine::attach_observer`] instead. The factory
+/// exists only for the benchmark crate `hb_perf/` (its `trace.rs`), which
+/// still reaches machines built inside `Benchmark::run` with it.
 pub fn set_observer_factory(
     f: impl Fn(&MachineConfig) -> Option<Box<dyn MachineObserver>> + 'static,
 ) -> ObserverScope {

@@ -29,7 +29,10 @@ use std::fmt::Write;
 /// Shade glyphs from cold to hot.
 const SHADES: [char; 8] = [' ', '.', ':', '-', '=', '+', '#', '@'];
 
-fn shade(v: f64) -> char {
+/// The heatmap glyph of a share `v` in `0.0..=1.0` (clamped), from `' '`
+/// (cold) to `'@'` (hot). `hb_obs`'s time-windowed heatmaps use the same
+/// ramp.
+pub fn shade(v: f64) -> char {
     let i = ((v.clamp(0.0, 1.0)) * (SHADES.len() - 1) as f64).round() as usize;
     SHADES[i]
 }
@@ -82,13 +85,6 @@ impl CellProfile {
     pub fn tile_heatmap(&self) -> String {
         self.render_grid("tile utilization (execute share)", |s: &CoreStats| {
             s.utilization()
-        })
-    }
-
-    /// ASCII heatmap of the dominant stall share per tile.
-    pub fn stall_heatmap(&self, kind: StallKind) -> String {
-        self.render_grid(kind.label(), move |s: &CoreStats| {
-            s.stall(kind) as f64 / s.total_cycles().max(1) as f64
         })
     }
 
@@ -221,21 +217,6 @@ impl CellProfile {
     }
 }
 
-/// Convenience: hottest tile by a metric, for blame-style navigation.
-pub fn hottest_tile(profile: &CellProfile, kind: StallKind) -> (u8, u8, f64) {
-    let mut best = (0u8, 0u8, 0.0f64);
-    for y in 0..profile.dim.1 {
-        for x in 0..profile.dim.0 {
-            let s = &profile.tiles[y as usize * profile.dim.0 as usize + x as usize];
-            let share = s.stall(kind) as f64 / s.total_cycles().max(1) as f64;
-            if share > best.2 {
-                best = (x, y, share);
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,14 +285,6 @@ mod tests {
             "verdict: {verdict}"
         );
         assert!(verdict.contains("80%"), "verdict: {verdict}");
-    }
-
-    #[test]
-    fn hottest_tile_finds_the_barrier_bound_one() {
-        let p = fake_profile();
-        let (x, y, share) = hottest_tile(&p, StallKind::Barrier);
-        assert_eq!((x, y), (1, 0));
-        assert!(share > 0.9);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Two accesses to the same shared word can race only if they carry the
 //! same epoch and come from different tiles.
 //!
-//! When [`MachineConfig::race_check`](crate::MachineConfig) is on, every
+//! While [`Machine::set_race_check`](crate::Machine::set_race_check) is on, every
 //! shared-location access — remote stores and loads over the fabric, AMOs,
 //! DRAM traffic, and local-SPM traffic (local SPM is remotely addressable,
 //! so a neighbour's remote store can race with the owner's own load) — is

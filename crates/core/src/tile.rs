@@ -191,10 +191,13 @@ pub struct Tile {
     /// epoch).
     race_join_unfenced: bool,
 
-    /// Guest-code profile capture (see [`crate::gprof`]): allocated at
-    /// launch when [`MachineConfig::profile`](crate::MachineConfig) is
-    /// set, `None` otherwise — every record site pays exactly one branch
-    /// on the option when profiling is off.
+    /// Guest-code profiling switch (see
+    /// [`Machine::set_profile`](crate::Machine::set_profile)).
+    profile: bool,
+    /// Guest-code profile capture (see [`crate::gprof`]): allocated for
+    /// the launched program while `profile` is set, `None` otherwise —
+    /// every record site pays exactly one branch on the option when
+    /// profiling is off.
     prof: Option<Box<crate::gprof::TileProfile>>,
 }
 
@@ -278,7 +281,8 @@ hb_mem::snap_value!(GroupInfo {
 // `program` is restored by the Cell, which owns the deduplicated program
 // table. The trace handle and the race-sanitizer log feed consumers that
 // live outside the snapshot; the log is drained every cycle, so it is empty
-// at any checkpoint boundary.
+// at any checkpoint boundary. The sanitizer and profiler switches are the
+// host's to set.
 hb_mem::snap_state!(Tile [b"TILE"] {
     save: group, regs, fregs, pc, args, int_ready, fp_ready, int_ready_kind, fp_ready_kind,
         int_pending, fp_pending, fpu_busy_until, div_busy_until, penalty_until, penalty_kind,
@@ -286,7 +290,8 @@ hb_mem::snap_state!(Tile [b"TILE"] {
         resp_outbox, req_inbox, resp_inbox, resp_stage, wants_join, barrier_waiting, running,
         finished, fault, stats, last_cycle, observed, obs_events, prof;
     fixed: spm;
-    host: cfg, pgas, xy, haz_until, program, trace, race_check, race_log, race_join_unfenced;
+    host: cfg, pgas, xy, haz_until, program, trace, race_check, race_log, race_join_unfenced,
+        profile;
 } check check_restored);
 
 impl Tile {
@@ -347,6 +352,7 @@ impl Tile {
             race_check: false,
             race_log: Vec::new(),
             race_join_unfenced: false,
+            profile: false,
             prof: None,
         }
     }
@@ -376,6 +382,34 @@ impl Tile {
         self.race_check = on;
         if !on {
             self.race_log.clear();
+        }
+    }
+
+    /// Turns guest-code profiling on or off (see
+    /// [`Machine::set_profile`](crate::Machine::set_profile)): on, a
+    /// launched tile without a profile starts an empty one for its
+    /// program; off drops the profile.
+    pub(crate) fn set_profile(&mut self, on: bool) {
+        self.profile = on;
+        if !on {
+            self.prof = None;
+        } else if self.prof.is_none() {
+            self.prof = self
+                .program
+                .as_deref()
+                .map(crate::gprof::TileProfile::boxed);
+        }
+    }
+
+    /// After a restore, once the Cell has re-attached the program image: a
+    /// restored guest profile counts that image's instructions.
+    pub(crate) fn check_profile(&self) -> Result<(), hb_mem::SnapError> {
+        match (&self.prof, &self.program) {
+            (None, _) => Ok(()),
+            (Some(tp), Some(p)) if tp.describes(p) => Ok(()),
+            _ => Err(hb_mem::SnapError::Bad(
+                "guest profile does not match the tile's program",
+            )),
         }
     }
 
@@ -434,7 +468,8 @@ impl Tile {
     /// op" instead of landing in a register) and the network-interface
     /// queues, whose packets are the Cell's to deliver. An injected freeze
     /// also stays: it is a fault of the tile, not state of the kernel it
-    /// interrupted. The guest profile is re-allocated, sized by `program`.
+    /// interrupted. The guest profile starts afresh for `program` while
+    /// profiling is on.
     pub fn launch(&mut self, program: Arc<Program>, args: &[u32], group: GroupInfo) {
         assert!(args.len() <= 8, "at most 8 kernel arguments");
         self.regs = [0; 32];
@@ -462,12 +497,9 @@ impl Tile {
         // Stack at the top of the scratchpad.
         self.regs[Gpr::Sp.index() as usize] = self.cfg.spm_bytes;
         self.pc = program.base();
-        self.prof = self.cfg.profile.then(|| {
-            Box::new(crate::gprof::TileProfile::new(
-                program.base(),
-                program.instrs().len(),
-            ))
-        });
+        self.prof = self
+            .profile
+            .then(|| crate::gprof::TileProfile::boxed(&program));
         self.program = Some(program);
         self.group = group;
         self.running = true;
@@ -681,8 +713,8 @@ impl Tile {
         }
     }
 
-    /// The guest-code profile buffer, when profiling is configured and the
-    /// tile has launched.
+    /// The guest-code profile buffer, when profiling is on and the tile
+    /// has launched.
     pub(crate) fn guest_prof(&self) -> Option<&crate::gprof::TileProfile> {
         self.prof.as_deref()
     }

@@ -2,7 +2,6 @@
 
 use hb_asm::Program;
 use hb_cache::CacheStats;
-use hb_core::profile::CellProfile;
 use hb_core::{CoreStats, Machine, MachineConfig, SimError};
 use hb_mem::Hbm2Stats;
 use hb_noc::LinkStats;
@@ -40,9 +39,6 @@ pub struct BenchStats {
     /// with the machine, e.g. Jacobi's grid); cross-configuration
     /// comparisons should compare `work_units / cycles`.
     pub work_units: f64,
-    /// Full §III.D profile snapshot (heatmaps, per-bank tables,
-    /// bottleneck diagnosis) of Cell 0.
-    pub profile: CellProfile,
     /// Tile-phase ticks actually executed across all Cells — host-side
     /// scheduler work, not an architectural counter; it differs between
     /// park policies.
@@ -65,7 +61,6 @@ impl BenchStats {
             bisection: cell.request_bisection(),
             bisection_links: cell.request_bisection_links(),
             work_units: 1.0,
-            profile: CellProfile::capture(cell),
             ticks_stepped,
             ticks_skipped,
         }
@@ -146,8 +141,9 @@ pub struct Launch {
 }
 
 /// A [`Benchmark`] that can be launched on a machine the caller owns, so
-/// the caller can attach an observer, turn the race sanitizer on, install
-/// an injection plan, co-simulate or checkpoint between the steps.
+/// the caller can attach an observer, turn the race sanitizer or the
+/// profiler on, install an injection plan, co-simulate or checkpoint
+/// between the steps.
 pub trait Kernel: Benchmark {
     /// The program [`prepare`](Kernel::prepare) launches, for the static
     /// passes (lint, race phases, disassembly).

@@ -1,21 +1,19 @@
 //! Textual mesh heatmaps over the telemetry store: where on the Cell the
 //! time went, aggregated over the retained windows (the time-resolved
-//! counterpart of `hb_core::profile::CellProfile`'s end-of-run maps).
+//! counterpart of `hb_core::profile::CellProfile`'s end-of-run maps, in
+//! the same shade ramp).
 
 use crate::Telemetry;
+use hb_core::profile::shade;
 use std::fmt::Write as _;
-
-/// Shade glyphs from cold to hot (same ramp as `hb_core::profile`).
-const SHADES: [char; 8] = [' ', '.', ':', '-', '=', '+', '#', '@'];
-
-fn shade(v: f64) -> char {
-    let i = ((v.clamp(0.0, 1.0)) * (SHADES.len() - 1) as f64).round() as usize;
-    SHADES[i]
-}
 
 /// The shade ramp, for legends.
 pub fn legend() -> String {
-    format!("shade ramp: '{}' = 0% .. '@' = 100%", SHADES[0])
+    format!(
+        "shade ramp: '{}' = 0% .. '{}' = 100%",
+        shade(0.0),
+        shade(1.0)
+    )
 }
 
 /// Per-tile utilization heatmap (execute cycles / covered cycles),

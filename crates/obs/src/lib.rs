@@ -2,9 +2,8 @@
 //!
 //! Every number the simulator reports elsewhere (`CellProfile`, the
 //! Figure 11 taxonomy) is an end-of-run aggregate. This crate adds the
-//! *time* axis: a [`Sampler`] attached to a machine (via
-//! [`hb_core::Machine::attach_observer`] or the thread-local factory
-//! behind [`attach`]) snapshots per-tile [`CoreStats`] deltas, per-router
+//! *time* axis: a [`Sampler`] attached to a machine with
+//! [`hb_core::Machine::attach_observer`] snapshots per-tile [`CoreStats`] deltas, per-router
 //! NoC link counters and per-HBM-channel activity every `window` cycles
 //! into an in-memory [`Telemetry`] store, together with instant events
 //! (kernel-phase marks, barrier joins, fence retires, faults) captured by
@@ -53,7 +52,7 @@ pub mod json;
 pub mod ndjson;
 
 use hb_core::observe::{MachineObserver, ObsEvent};
-use hb_core::{CoreStats, Machine, MachineConfig, ObserverScope};
+use hb_core::{CoreStats, Machine, MachineConfig};
 use hb_mem::{Hbm2Stats, SnapError, SnapState};
 use hb_noc::LinkStats;
 use std::sync::{Arc, Mutex};
@@ -238,15 +237,6 @@ impl Sampler {
         }
     }
 
-    /// [`Sampler::new`] with the window taken from
-    /// [`MachineConfig::telemetry_window`]; `None` if that knob is zero.
-    pub fn from_config(cfg: &MachineConfig, keep: Keep, store: SharedTelemetry) -> Option<Sampler> {
-        match cfg.telemetry_window {
-            0 => None,
-            w => Some(Sampler::new(cfg, w, keep, store)),
-        }
-    }
-
     fn take_sample(&mut self, machine: &mut Machine) {
         let end = machine.cycle();
         let mut cells = Vec::with_capacity(machine.num_cells());
@@ -367,25 +357,6 @@ hb_mem::snap_state!(Sampler [b"SAMP"] {
     host: window, keep, store;
 } extra (save_window, check_window));
 
-/// Installs the thread-local observer factory and returns the scope guard
-/// plus the shared store.
-///
-/// Every [`Machine::new`] on this thread whose config has
-/// `telemetry_window > 0` then gets a [`Sampler`] attached automatically —
-/// this is how telemetry reaches machines built deep inside benchmark
-/// harnesses. The store is reset each time a machine attaches, so after
-/// the run it holds the most recent instrumented machine's series. Drop
-/// the scope to stop instrumenting.
-pub fn attach(keep: Keep) -> (ObserverScope, SharedTelemetry) {
-    let store: SharedTelemetry = Arc::new(Mutex::new(Telemetry::default()));
-    let factory_store = store.clone();
-    let scope = hb_core::set_observer_factory(move |cfg| {
-        Sampler::from_config(cfg, keep, factory_store.clone())
-            .map(|s| Box::new(s) as Box<dyn MachineObserver>)
-    });
-    (scope, store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,19 +419,5 @@ mod tests {
         // Aggregation over empty windows is empty too.
         let agg = t.aggregate(0);
         assert!(agg.tiles.iter().all(|st| st.instrs == 0));
-    }
-
-    #[test]
-    fn from_config_respects_the_knob() {
-        let cfg = tiny_cfg();
-        let store = Arc::new(Mutex::new(Telemetry::default()));
-        assert!(Sampler::from_config(&cfg, Keep::All, store.clone()).is_none());
-        let cfg_on = MachineConfig {
-            telemetry_window: 128,
-            ..cfg
-        };
-        let s = Sampler::from_config(&cfg_on, Keep::All, store.clone()).unwrap();
-        assert_eq!(s.next_due(), 128);
-        assert_eq!(store.lock().unwrap().window, 128);
     }
 }

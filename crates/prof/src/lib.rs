@@ -2,7 +2,7 @@
 //! and stall-cycle histograms captured by
 //! [`hb_core::gprof`](hb_core::GuestProfile).
 //!
-//! `hb-core` owns the capture (see `MachineConfig::profile`): every tile
+//! `hb-core` owns the capture (see `Machine::set_profile`): every tile
 //! accumulates, per program phase, how many instructions retired at each
 //! PC and how many stall cycles of each [`StallKind`] were spent there.
 //! This crate owns the *analysis*: it maps those flat histograms onto the
@@ -27,11 +27,8 @@
 //! ```no_run
 //! use hb_core::{Machine, MachineConfig};
 //!
-//! let cfg = MachineConfig {
-//!     profile: true,
-//!     ..MachineConfig::baseline_16x8()
-//! };
-//! let mut machine = Machine::new(cfg);
+//! let mut machine = Machine::new(MachineConfig::baseline_16x8());
+//! machine.set_profile(true);
 //! # let program: std::sync::Arc<hb_asm::Program> = unimplemented!();
 //! // ... launch `program` and run it ...
 //! if let Some(run) = hb_prof::ProfRun::capture(&machine, program) {
@@ -64,15 +61,16 @@ pub struct ProfRun {
 }
 
 impl ProfRun {
-    /// Reads the guest profile of `machine`, which ran `program`, as it
-    /// stands now. The fold in [`Machine::guest_profile`] is owed-aware, so
-    /// even a machine captured mid-kernel yields the counts of a
-    /// never-parked run. `None` when [`hb_core::MachineConfig::profile`] is
-    /// off or nothing has launched.
+    /// Reads the guest profile of `program` on `machine` as it stands now:
+    /// the tiles running `program`, not those running anything else. The
+    /// fold in [`Machine::guest_profile`] is owed-aware, so even a machine
+    /// captured mid-kernel yields the counts of a never-parked run. `None`
+    /// when profiling is off ([`Machine::set_profile`]) or no tile runs
+    /// `program`.
     pub fn capture(machine: &Machine, program: Arc<Program>) -> Option<ProfRun> {
         Some(ProfRun {
+            profile: machine.guest_profile(&program)?,
             program,
-            profile: machine.guest_profile()?,
             cycles: machine.cycle(),
         })
     }
@@ -333,16 +331,16 @@ mod tests {
         Arc::new(a.assemble(0).unwrap())
     }
 
-    fn profiled_cfg() -> MachineConfig {
+    fn cfg_2x2() -> MachineConfig {
         MachineConfig {
             cell_dim: CellDim { x: 2, y: 2 },
-            profile: true,
             ..MachineConfig::baseline_16x8()
         }
     }
 
-    fn run_loop_kernel(cfg: MachineConfig) -> Option<ProfRun> {
-        let mut machine = Machine::new(cfg);
+    fn run_loop_kernel(profile: bool) -> Option<ProfRun> {
+        let mut machine = Machine::new(cfg_2x2());
+        machine.set_profile(profile);
         let program = loop_kernel();
         machine.launch(0, &program, &[]);
         machine.run(100_000).unwrap();
@@ -351,7 +349,7 @@ mod tests {
 
     #[test]
     fn capture_reads_the_machine_and_analysis_ranks_the_loop() {
-        let run = run_loop_kernel(profiled_cfg()).unwrap();
+        let run = run_loop_kernel(true).unwrap();
         assert!(run.cycles > 0);
         // Each of the 4 tiles retires every instruction once, except the
         // 2-instruction loop body, which retires 8 times.
@@ -376,16 +374,56 @@ mod tests {
 
     #[test]
     fn capture_declines_unprofiled_machines() {
-        let cfg = MachineConfig {
-            profile: false,
-            ..profiled_cfg()
+        assert!(run_loop_kernel(false).is_none());
+    }
+
+    /// Two Cells running different programs: a capture folds the tiles
+    /// running the program it is given and nothing else (folding the
+    /// other Cell's histograms in, indexed by the wrong image, used to
+    /// trip a debug assertion or miscount).
+    #[test]
+    fn capture_folds_only_the_tiles_running_the_program() {
+        let short = {
+            let mut a = Assembler::new();
+            a.li(T0, 1);
+            a.addi(T0, T0, 1);
+            a.addi(T0, T0, 1);
+            a.ecall();
+            Arc::new(a.assemble(0).unwrap())
         };
-        assert!(run_loop_kernel(cfg).is_none());
+        let long = {
+            let mut a = Assembler::new();
+            for _ in 0..40 {
+                a.addi(T1, T1, 1);
+            }
+            a.ecall();
+            Arc::new(a.assemble(0).unwrap())
+        };
+        assert_eq!((short.instrs().len(), long.instrs().len()), (4, 41));
+        let mut machine = Machine::new(MachineConfig {
+            num_cells: 2,
+            ..cfg_2x2()
+        });
+        machine.set_profile(true);
+        machine.launch(0, &short, &[]);
+        machine.launch(1, &long, &[]);
+        machine.run(100_000).unwrap();
+        for (cell, program) in [(0, &short), (1, &long)] {
+            let run = ProfRun::capture(&machine, program.clone()).unwrap();
+            assert_eq!(run.profile.instrs, program.instrs().len());
+            assert_eq!(
+                run.profile.retired_total(),
+                4 * program.instrs().len() as u64
+            );
+            let instrs = machine.cell(cell).core_stats().instrs;
+            assert_eq!(run.profile.retired_total(), instrs, "cell {cell}");
+        }
+        assert!(ProfRun::capture(&machine, loop_kernel()).is_none());
     }
 
     #[test]
     fn compact_roundtrips() {
-        let a = Analysis::analyze("loop", &run_loop_kernel(profiled_cfg()).unwrap());
+        let a = Analysis::analyze("loop", &run_loop_kernel(true).unwrap());
         let s = compact_top(&a, 3);
         let rows = parse_compact(&s);
         assert_eq!(rows.len(), a.top(3).len());

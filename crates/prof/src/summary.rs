@@ -132,10 +132,10 @@ mod tests {
 
         let cfg = MachineConfig {
             cell_dim: hb_core::CellDim { x: 2, y: 1 },
-            profile: true,
             ..MachineConfig::baseline_16x8()
         };
         let mut machine = Machine::new(cfg);
+        machine.set_profile(true);
         machine.launch(0, &program, &[]);
         machine.run(10_000).unwrap();
         let run = crate::ProfRun::capture(&machine, program).unwrap();

@@ -50,9 +50,8 @@ pub struct FixtureOutcome {
 }
 
 /// Runs one fixture through both checkers: the static pass over its
-/// program, then a sanitized run on a machine built from `cfg` (with
-/// `race_check` forced on), one `ranks + 1`-word DRAM buffer per launch
-/// argument.
+/// program, then a run on a machine built from `cfg` with the sanitizer
+/// switched on, one `ranks + 1`-word DRAM buffer per launch argument.
 ///
 /// # Panics
 ///
@@ -61,12 +60,9 @@ pub struct FixtureOutcome {
 pub fn run_fixture(f: &Fixture, cfg: &MachineConfig) -> FixtureOutcome {
     let program = (f.build)();
     let statics = static_conflicts(&program, cfg);
-    let cfg = MachineConfig {
-        race_check: true,
-        ..cfg.clone()
-    };
     let ranks = u32::from(cfg.cell_dim.x) * u32::from(cfg.cell_dim.y);
-    let mut m = Machine::new(cfg);
+    let mut m = Machine::new(cfg.clone());
+    m.set_race_check(true);
     let args: Vec<u32> = (0..f.buffers)
         .map(|_| pgas::local_dram(m.cell_mut(0).alloc((ranks + 1) * 4, 64)))
         .collect();
@@ -210,11 +206,8 @@ mod tests {
 
         let c = cfg();
         assert!(static_conflicts(&program, &c).is_empty());
-        let run_cfg = MachineConfig {
-            race_check: true,
-            ..c
-        };
-        let mut m = Machine::new(run_cfg);
+        let mut m = Machine::new(c);
+        m.set_race_check(true);
         let buf = m.cell_mut(0).alloc(9 * 4, 64);
         let p = Arc::new(program);
         m.launch(0, &p, &[pgas::local_dram(buf)]);

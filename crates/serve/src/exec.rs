@@ -409,13 +409,11 @@ impl SimExecutor {
     fn run_profile(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
         let size = parse_size(size)?;
         let kernel = suite_kernel(&spec.kernel)?;
-        let cfg = MachineConfig {
-            profile: true,
-            ..spec.config.clone()
-        };
+        let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let mut machine = Machine::new(cfg);
+        let mut machine = Machine::new(cfg.clone());
+        machine.set_profile(true);
         let stats = run_on(&mut machine, kernel.as_ref(), size)
             .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
         let run = hb_prof::ProfRun::capture(&machine, Arc::new(kernel.program()))

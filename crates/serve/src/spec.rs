@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(a.hash().len(), 32);
 
         let mut c = spec();
-        c.config.profile = true;
+        c.config.event_core = false;
         assert_eq!(a.hash(), c.hash(), "host fields must not affect the hash");
     }
 
@@ -339,7 +339,7 @@ mod tests {
             ("plan=seeded:1", "plan=explicit:{planv=1;seed=0;inj="),
             ("plan=seeded:1", "plan=explicit:{planv=2;seed=0;inj=}"),
             (" cfg{", " cfg="),
-            ("telw=0}", "telw=0"),
+            ("disabled=}", "disabled="),
             ("cell=16x8", "cell=0x0"),
         ] {
             assert!(good.contains(from), "{from}");

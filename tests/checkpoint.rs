@@ -14,7 +14,7 @@
 use hammerblade::ckpt;
 use hammerblade::core::profile::CellProfile;
 use hammerblade::core::{pgas, CellDim, CoreStats, Machine, MachineConfig, StallKind};
-use hammerblade::kernels::{kernels, launch_on, Kernel, Launch, SizeClass};
+use hammerblade::kernels::{kernels, launch_on, run_on, Kernel, Launch, SizeClass};
 use hammerblade::obs::{Keep, Sampler, Telemetry};
 use std::sync::{Arc, Mutex};
 
@@ -89,9 +89,11 @@ fn restored_run_is_bit_identical_for_every_kernel() {
     let base = cfg_with(true);
     for (name, kernel) in kernels() {
         // Uninterrupted twin.
-        let reference = kernel
-            .run(&base, SizeClass::Tiny)
+        let mut twin = Machine::new(base.clone());
+        let reference = run_on(&mut twin, kernel.as_ref(), SizeClass::Tiny)
             .unwrap_or_else(|e| panic!("{name} (reference) failed: {e}"));
+        let east_busy = CellProfile::capture(twin.cell(0)).east_busy;
+        drop(twin);
         let at = capture_cycle(reference.cycles);
         let (blob, launch) = capture(kernel.as_ref(), &base, at);
 
@@ -125,7 +127,7 @@ fn restored_run_is_bit_identical_for_every_kernel() {
                 "{tag}: NoC bisection counters diverged"
             );
             assert_eq!(
-                fin.east_busy, reference.profile.east_busy,
+                fin.east_busy, east_busy,
                 "{tag}: per-router link activity diverged"
             );
             digests.push((tag, fin.digest));
@@ -320,18 +322,34 @@ fn telemetry_windows_survive_restore() {
     assert_eq!(full.final_cycle, tail.final_cycle);
 }
 
+/// The program [`sgemm_machine`] launches.
+fn sgemm_program() -> hammerblade::asm::Program {
+    hb_serve::campaign_kernel("sgemm")
+        .expect("a campaign kernel")
+        .program()
+}
+
+/// The campaign SGEMM launched on a machine built from `cfg`, with
+/// profiling switched on before the launch (`early`) or only after it.
+fn profiled_sgemm(cfg: &MachineConfig, early: bool) -> Machine {
+    let mut machine = Machine::new(cfg.clone());
+    machine.set_profile(early);
+    let sgemm = hb_serve::campaign_kernel("sgemm").expect("a campaign kernel");
+    launch_on(&mut machine, sgemm, SizeClass::Small);
+    machine.set_profile(true);
+    machine
+}
+
 #[test]
 fn guest_profile_survives_restore() {
-    let cfg = MachineConfig {
-        profile: true,
-        ..cfg_with(true)
-    };
+    let cfg = cfg_with(true);
+    let program = sgemm_program();
 
-    let mut twin = sgemm_machine(&cfg);
+    let mut twin = profiled_sgemm(&cfg, true);
     twin.run(BUDGET).expect("twin run");
-    let full_profile = twin.guest_profile().expect("twin profile");
+    let full_profile = twin.guest_profile(&program).expect("twin profile");
 
-    let mut machine = sgemm_machine(&cfg);
+    let mut machine = profiled_sgemm(&cfg, true);
     while machine.cycle() < 997 {
         machine.tick();
     }
@@ -339,15 +357,87 @@ fn guest_profile_survives_restore() {
     drop(machine);
 
     // The profile buffers ride the tile snapshots, so even a restore into
-    // a machine whose own `profile` knob is off continues recording.
+    // a machine whose own profiling switch is off continues recording.
     let mut restored = Machine::new(cfg.clone());
     ckpt::restore(&mut restored, &blob).expect("restore");
     restored.run(BUDGET).expect("continued run");
     assert_eq!(
-        restored.guest_profile().expect("restored profile"),
+        restored.guest_profile(&program).expect("restored profile"),
         full_profile,
         "guest-code profile diverges after restore"
     );
+}
+
+/// FNV-1a-64 over `bytes`.
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    digest
+}
+
+/// `Machine::set_profile` in each order a caller may switch it in — before
+/// the launch, after the launch but before the first tick, and across a
+/// checkpoint restore (switched on before or after the restore) — yields
+/// one profile: the one a `MachineConfig` profiling field gave before the
+/// switch moved onto the machine. Its retire and stall totals and a digest
+/// of every phase's histograms are pinned here as recorded with that field.
+#[test]
+fn set_profile_gives_one_profile_in_every_order() {
+    const PINNED: (u64, u64, u64) = (143_416, 57_232, 0x2d76_a4c3_f80a_2562);
+    let cfg = cfg_with(true);
+    let program = sgemm_program();
+    let run = |mut machine: Machine| {
+        machine.run(BUDGET).expect("profiled run");
+        machine.guest_profile(&program).expect("a profile")
+    };
+
+    let before_launch = run(profiled_sgemm(&cfg, true));
+    let after_launch = run(profiled_sgemm(&cfg, false));
+    assert_eq!(after_launch, before_launch, "switched on after the launch");
+
+    let mut machine = profiled_sgemm(&cfg, true);
+    while machine.cycle() < 997 {
+        machine.tick();
+    }
+    let blob = ckpt::encode(&machine);
+    drop(machine);
+    for switch_first in [true, false] {
+        let mut restored = Machine::new(cfg.clone());
+        restored.set_profile(switch_first);
+        ckpt::restore(&mut restored, &blob).expect("restore");
+        restored.set_profile(true);
+        let profile = run(restored);
+        assert_eq!(profile, before_launch, "across a restore ({switch_first})");
+    }
+
+    let words = (before_launch.phases.iter())
+        .flat_map(|p| {
+            [u64::from(p.mark)]
+                .into_iter()
+                .chain(p.retired.clone())
+                .chain(p.stalls.clone())
+        })
+        .flat_map(u64::to_le_bytes);
+    let got = (
+        before_launch.retired_total(),
+        before_launch.stall_total(),
+        fnv1a64(words),
+    );
+    assert_eq!(got, PINNED, "the profile moved");
+
+    // Switched off, the profile goes; switched on again mid-run, a new one
+    // counts from there.
+    let mut machine = profiled_sgemm(&cfg, true);
+    machine.set_profile(false);
+    while machine.cycle() < 997 {
+        machine.tick();
+    }
+    assert!(machine.guest_profile(&program).is_none());
+    machine.set_profile(true);
+    let late = run(machine);
+    assert!(late.retired_total() < before_launch.retired_total());
 }
 
 #[test]
@@ -500,17 +590,22 @@ fn a_refill_no_mshr_awaits_is_refused_at_restore() {
 /// refill strip saved its own, and a bank saves its busy ticks where it
 /// saved `idle_cycles`, which is now derived from that clock. (Version 3
 /// stored `DRAM` as the image's non-zero extents, not the whole image.)
+///
+/// The digest was re-recorded once without a version bump, when canonical
+/// config version 2 dropped `telw` from the text. Only the header's config
+/// text moved: the version-4 container with its header text rewritten
+/// (`cfgv=2`, no `;telw=0`) and its hash re-sealed digests to the new
+/// value, so every byte after the header is the same.
 #[test]
 fn payload_layout_is_pinned_to_ckpt_version() {
     use hammerblade::fault::{InjectionPlan, Site};
-    const PINNED: (u32, u64) = (4, 0x50fd_2e50_0cf3_86be);
+    const PINNED: (u32, u64) = (4, 0x160e_51c4_698f_8628);
 
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },
-        profile: true,
         ..cfg_with(true)
     };
-    let mut machine = sgemm_machine(&cfg);
+    let mut machine = profiled_sgemm(&cfg, true);
     let sites = ["regfile(0,1,0,9,4)", "noc(0,1,0,3,0)", "freeze(0,1,0,64)"];
     machine.set_injection_plan(&InjectionPlan::explicit(
         sites.map(|s| (1 << 40, Site::from_canonical(s).expect("a canonical site"))),
@@ -518,10 +613,7 @@ fn payload_layout_is_pinned_to_ckpt_version() {
     while machine.cycle() < 997 {
         machine.tick();
     }
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &ckpt::encode(&machine) {
-        digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let digest = fnv1a64(ckpt::encode(&machine));
     assert_eq!(
         (ckpt::CKPT_VERSION, digest),
         PINNED,

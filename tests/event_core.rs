@@ -13,7 +13,7 @@ use hammerblade::core::{
 };
 use hammerblade::fault::{InjectionPlan, Site};
 use hammerblade::isa::Gpr::*;
-use hammerblade::obs::Keep;
+use hammerblade::obs::{Keep, Sampler, SharedTelemetry};
 
 fn cfg(event_core: bool) -> MachineConfig {
     MachineConfig {
@@ -52,6 +52,16 @@ fn all_parked_kernel() -> Arc<Program> {
     a.barrier(T6);
     a.ecall();
     Arc::new(a.assemble(0).expect("kernel assembles"))
+}
+
+/// A machine built from `cfg` with a `window`-cycle telemetry sampler
+/// attached, and the store the sampler fills.
+fn sampled(cfg: MachineConfig, window: u64) -> (Machine, SharedTelemetry) {
+    let store = SharedTelemetry::default();
+    let sampler = Sampler::new(&cfg, window, Keep::All, store.clone());
+    let mut machine = Machine::new(cfg);
+    machine.attach_observer(Box::new(sampler));
+    (machine, store)
 }
 
 fn run_to_timeout(machine: &mut Machine, budget: u64) -> SimError {
@@ -228,22 +238,17 @@ fn quiescent_machine_times_out_as_barrier_stall_not_livelock() {
 
 #[test]
 fn telemetry_window_one_fires_every_cycle_while_parked() {
-    // `telemetry_window = 1` demands a sample every machine tick. The
+    // A one-cycle window demands a sample every machine tick. The
     // event scheduler must not fast-forward past due windows while all
     // tiles sleep: sample count, window bounds and per-window counter
     // deltas must match the dense schedule exactly.
     let budget = 1_500;
     let mut runs = Vec::new();
     for event_core in [false, true] {
-        let (scope, store) = hammerblade::obs::attach(Keep::All);
-        let mut machine = Machine::new(MachineConfig {
-            telemetry_window: 1,
-            ..cfg(event_core)
-        });
+        let (mut machine, store) = sampled(cfg(event_core), 1);
         machine.launch(0, &all_parked_kernel(), &[]);
         run_to_timeout(&mut machine, budget);
         drop(machine); // flush the final partial window
-        drop(scope);
         runs.push(store);
     }
     let dense = runs[0].lock().unwrap();
@@ -277,7 +282,7 @@ fn telemetry_window_one_fires_every_cycle_while_parked() {
 
 #[test]
 fn coprime_telemetry_windows_split_parked_spans_identically() {
-    // `telemetry_window = 13` is coprime with every periodicity in the
+    // A 13-cycle window is coprime with every periodicity in the
     // kernel, so window boundaries land in the *middle* of multi-thousand
     // cycle parked spans. The owed-aware readers must split a parked
     // tile's barrier debt at exactly the boundary cycle — each window sees
@@ -287,16 +292,11 @@ fn coprime_telemetry_windows_split_parked_spans_identically() {
     let window = 13;
     let mut runs = Vec::new();
     for event_core in [false, true] {
-        let (scope, store) = hammerblade::obs::attach(Keep::All);
-        let mut machine = Machine::new(MachineConfig {
-            telemetry_window: window,
-            ..cfg(event_core)
-        });
+        let (mut machine, store) = sampled(cfg(event_core), window);
         machine.launch(0, &spin_vs_parked_kernel(), &[]);
         run_to_timeout(&mut machine, budget);
         let end_parked = machine.cell(0).tile_stats(1, 0);
         drop(machine); // flush the final partial window
-        drop(scope);
         runs.push((store, end_parked));
     }
     let dense = runs[0].0.lock().unwrap();

@@ -35,7 +35,6 @@ const SECTION_TAGS: [&[u8; 4]; 15] = [
 fn cfg() -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },
-        profile: true,
         // A small DRAM image keeps the structured sections a large share of
         // the payload, and each of the thousands of restores cheap.
         dram_bytes_per_cell: 1 << 18,
@@ -71,6 +70,7 @@ impl MachineObserver for DecodeOnly {
 
 fn restore_target() -> Machine {
     let mut machine = Machine::new(cfg());
+    machine.set_profile(true);
     machine.attach_observer(Box::new(DecodeOnly(sampler(&cfg()))));
     machine
 }
@@ -79,6 +79,7 @@ fn restore_target() -> Machine {
 /// lines dirty, tiles parked, a telemetry window open.
 fn mid_run_machine() -> Machine {
     let mut machine = Machine::new(cfg());
+    machine.set_profile(true);
     machine.attach_observer(Box::new(sampler(&cfg())));
     let sgemm = campaign_kernel("sgemm").expect("a campaign kernel");
     launch_on(&mut machine, sgemm, SizeClass::Small);

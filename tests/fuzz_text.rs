@@ -15,8 +15,8 @@
 
 use hammerblade::core::{CellDim, Machine, MachineConfig};
 use hammerblade::fault::InjectionPlan;
-use hammerblade::kernels::{suite, SizeClass};
-use hammerblade::obs::{chrome, json, Keep};
+use hammerblade::kernels::{by_name, run_on, SizeClass};
+use hammerblade::obs::{chrome, json, Keep, Sampler, SharedTelemetry};
 use hammerblade::rng::Rng;
 use hb_serve::{JobKind, JobRecord, JobSpec, JournalEntry, PlanSpec};
 use std::fmt::Debug;
@@ -131,7 +131,6 @@ fn config() -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
         disabled_tiles: vec![(1, 1), (0, 1)],
-        telemetry_window: 500,
         ..MachineConfig::baseline_16x8()
     }
 }
@@ -163,18 +162,16 @@ fn record() -> JobRecord {
 /// lines (the exporter writes one event per line): the document frame and
 /// every event kind, in a few KB.
 fn chrome_trace() -> String {
-    let sgemm = suite()
-        .into_iter()
-        .find(|b| b.name() == "SGEMM")
-        .expect("suite has SGEMM");
+    let sgemm = by_name("SGEMM").expect("the registry has SGEMM");
     let cfg = MachineConfig {
         cell_dim: CellDim { x: 2, y: 2 },
-        telemetry_window: 1000,
         ..MachineConfig::baseline_16x8()
     };
-    let (scope, store) = hammerblade::obs::attach(Keep::All);
-    sgemm.run(&cfg, SizeClass::Tiny).expect("sgemm runs");
-    drop(scope);
+    let store = SharedTelemetry::default();
+    let mut machine = Machine::new(cfg.clone());
+    machine.attach_observer(Box::new(Sampler::new(&cfg, 1000, Keep::All, store.clone())));
+    run_on(&mut machine, sgemm.as_ref(), SizeClass::Tiny).expect("sgemm runs");
+    drop(machine); // flushes the final partial window
     let doc = chrome::to_string(&store.lock().unwrap());
     let lines: Vec<&str> = doc.lines().collect();
     let doc = [&lines[..25], &lines[lines.len() - 25..]]

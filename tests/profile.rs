@@ -10,15 +10,14 @@
 //! 3. enabling profiling does not change simulated cycles.
 
 use hammerblade::core::{CellDim, Machine, MachineConfig};
-use hammerblade::kernels::{run_on, Benchmark, Sgemm, SizeClass};
+use hammerblade::kernels::{run_on, Sgemm, SizeClass};
 use hammerblade::prof::{folded, summary, Analysis, ProfRun};
 use std::sync::Arc;
 
-fn cfg(event_core: bool, profile: bool) -> MachineConfig {
+fn cfg(event_core: bool) -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 4, y: 2 },
         event_core,
-        profile,
         ..MachineConfig::baseline_16x8()
     }
 }
@@ -26,7 +25,8 @@ fn cfg(event_core: bool, profile: bool) -> MachineConfig {
 /// Runs SGEMM at tiny scale under the profiler and returns the analysis,
 /// the FMA-block disassembly of the top retired block, and the cycle count.
 fn sgemm_profile(event_core: bool) -> (Analysis, Vec<String>, u64) {
-    let mut machine = Machine::new(cfg(event_core, true));
+    let mut machine = Machine::new(cfg(event_core));
+    machine.set_profile(true);
     let stats = run_on(&mut machine, &Sgemm::default(), SizeClass::Tiny).unwrap();
     let run = ProfRun::capture(&machine, Arc::new(Sgemm::program()))
         .expect("a profiled machine holds a profile");
@@ -82,9 +82,12 @@ fn profile_exports_are_identical_across_host_schedules() {
 
 #[test]
 fn profiling_does_not_change_simulated_cycles() {
-    let off = Sgemm::default()
-        .run(&cfg(true, false), SizeClass::Tiny)
-        .unwrap();
+    let off = run_on(
+        &mut Machine::new(cfg(true)),
+        &Sgemm::default(),
+        SizeClass::Tiny,
+    )
+    .unwrap();
     let (_, _, on_cycles) = sgemm_profile(true);
     assert_eq!(off.cycles, on_cycles, "profiling must be timing-invisible");
 }

@@ -5,28 +5,38 @@
 //! be one valid object per line.
 
 use hammerblade::core::{CellDim, HbOps, Machine, MachineConfig};
-use hammerblade::kernels::{suite, SizeClass};
-use hammerblade::obs::{chrome, json, ndjson, Keep};
+use hammerblade::kernels::{by_name, run_on, BenchStats, SizeClass};
+use hammerblade::obs::{chrome, json, ndjson, Keep, Sampler, SharedTelemetry};
 
-fn sgemm_cfg(dim: CellDim, window: u64) -> MachineConfig {
-    MachineConfig {
+/// A `dim` Cell with a `window`-cycle sampler attached, and its store.
+fn sampled(dim: CellDim, window: u64) -> (Machine, SharedTelemetry) {
+    let cfg = MachineConfig {
         cell_dim: dim,
-        telemetry_window: window,
         ..MachineConfig::baseline_16x8()
-    }
+    };
+    let store = SharedTelemetry::default();
+    let mut machine = Machine::new(cfg.clone());
+    machine.attach_observer(Box::new(Sampler::new(
+        &cfg,
+        window,
+        Keep::All,
+        store.clone(),
+    )));
+    (machine, store)
+}
+
+/// The suite's SGEMM on a sampled `dim` Cell; the machine is dropped, so
+/// the store holds the final partial window too.
+fn sampled_sgemm(dim: CellDim, window: u64) -> (BenchStats, SharedTelemetry) {
+    let sgemm = by_name("SGEMM").expect("the registry has SGEMM");
+    let (mut machine, store) = sampled(dim, window);
+    let stats = run_on(&mut machine, sgemm.as_ref(), SizeClass::Tiny).expect("sgemm runs");
+    (stats, store)
 }
 
 #[test]
 fn chrome_trace_of_a_2x2_sgemm_matches_the_golden_structure() {
-    let sgemm = suite()
-        .into_iter()
-        .find(|b| b.name() == "SGEMM")
-        .expect("suite has SGEMM");
-    let (scope, store) = hammerblade::obs::attach(Keep::All);
-    let stats = sgemm
-        .run(&sgemm_cfg(CellDim { x: 2, y: 2 }, 64), SizeClass::Tiny)
-        .expect("sgemm runs");
-    drop(scope);
+    let (stats, store) = sampled_sgemm(CellDim { x: 2, y: 2 }, 64);
     let t = store.lock().unwrap();
 
     let doc = chrome::to_string(&t);
@@ -68,15 +78,7 @@ fn chrome_trace_of_a_2x2_sgemm_matches_the_golden_structure() {
 #[test]
 fn full_cell_sgemm_trace_stays_valid() {
     // The acceptance-criteria shape: SGEMM on the paper's 16x8 Cell.
-    let sgemm = suite()
-        .into_iter()
-        .find(|b| b.name() == "SGEMM")
-        .expect("suite has SGEMM");
-    let (scope, store) = hammerblade::obs::attach(Keep::All);
-    sgemm
-        .run(&sgemm_cfg(CellDim { x: 16, y: 8 }, 1000), SizeClass::Tiny)
-        .expect("sgemm runs");
-    drop(scope);
+    let (_, store) = sampled_sgemm(CellDim { x: 16, y: 8 }, 1000);
     let t = store.lock().unwrap();
     let doc = chrome::to_string(&t);
     json::validate(&doc).unwrap_or_else(|e| panic!("invalid Chrome trace: {e}"));
@@ -95,10 +97,7 @@ fn full_cell_sgemm_trace_stays_valid() {
 fn mark_csr_stores_become_instant_events() {
     // A hand-assembled kernel that brackets its (empty) phases with MARK
     // stores; the trace must carry them as named instants in order.
-    let mut cfg = sgemm_cfg(CellDim { x: 2, y: 1 }, 32);
-    cfg.telemetry_window = 32;
-    let (scope, store) = hammerblade::obs::attach(Keep::All);
-    let mut machine = Machine::new(cfg);
+    let (mut machine, store) = sampled(CellDim { x: 2, y: 1 }, 32);
     let program = {
         use hammerblade::asm::Assembler;
         use hammerblade::isa::Gpr;
@@ -111,7 +110,6 @@ fn mark_csr_stores_become_instant_events() {
     machine.launch(0, &program, &[]);
     machine.run(10_000).expect("marks retire");
     drop(machine);
-    drop(scope);
     let t = store.lock().unwrap();
     let marks: Vec<u32> = t
         .events

@@ -22,10 +22,13 @@ fn pin(what: &str, got: &str, want: &str) {
     );
 }
 
-const BASELINE: &str = "cfgv=1;cell=16x8;cells=1;ruche=3;nbl=1;wv=1;lpc=1;ipoly=1;nbc=1;\
+// `cfgv=2`: canonical config version 2 dropped the trailing `;telw=0`
+// (the telemetry window, which never changed a simulated result); every
+// other entry is the version-1 text byte for byte.
+const BASELINE: &str = "cfgv=2;cell=16x8;cells=1;ruche=3;nbl=1;wv=1;lpc=1;ipoly=1;nbc=1;\
     spm=4096;icache=4096;sets=64;ways=8;line=64;mshrs=8;dram=16777216;fma=3;mul=2;div=16;\
     fdiv=12;fsqrt=12;fp=2;spmld=2;bmiss=2;icmiss=40;outst=63;fifo=4;linkocc=1;coremhz=1350;\
-    memmhz=1000;hbm=16,1024,64,4,14,14,14,33,2,260,3900,32;strip=16,16,2,4;disabled=;telw=0";
+    memmhz=1000;hbm=16,1024,64,4,14,14,14,33,2,260,3900,32;strip=16,16,2,4;disabled=";
 
 fn one_site_of_each_kind() -> InjectionPlan {
     let (cell, x, y) = (0, 1, 2);
@@ -92,20 +95,21 @@ fn config_and_plan_texts_are_pinned() {
         &MachineConfig::baseline_16x8().canonical_text(),
         BASELINE,
     );
-    // Every Figure 10 knob off, dead tiles, telemetry on: the fields the
-    // baseline leaves at their defaults.
+    // Every Figure 10 knob off, dead tiles: the fields the baseline leaves
+    // at their defaults.
     let degraded = MachineConfig {
         disabled_tiles: vec![(1, 1), (0, 2)],
-        telemetry_window: 500,
         ..MachineConfig::baseline_manycore()
     };
+    // Re-recorded for `cfgv=2` like `BASELINE`: the version moved and the
+    // trailing `;telw=500` left.
     pin(
         "canonical_text of a degraded baseline_manycore",
         &degraded.canonical_text(),
-        "cfgv=1;cell=8x4;cells=1;ruche=0;nbl=0;wv=0;lpc=0;ipoly=0;nbc=0;spm=4096;icache=4096;\
+        "cfgv=2;cell=8x4;cells=1;ruche=0;nbl=0;wv=0;lpc=0;ipoly=0;nbc=0;spm=4096;icache=4096;\
          sets=32;ways=8;line=64;mshrs=8;dram=16777216;fma=3;mul=2;div=16;fdiv=12;fsqrt=12;fp=2;\
          spmld=2;bmiss=2;icmiss=40;outst=63;fifo=2;linkocc=2;coremhz=1350;memmhz=1000;\
-         hbm=16,1024,64,4,14,14,14,33,2,260,3900,32;strip=16,16,2,4;disabled=1,1+0,2;telw=500",
+         hbm=16,1024,64,4,14,14,14,33,2,260,3900,32;strip=16,16,2,4;disabled=1,1+0,2",
     );
     pin(
         "canonical_text of a six-kind plan",
@@ -138,7 +142,9 @@ fn manifest_line_and_hash_are_pinned() {
              plan=explicit:{{{PLAN}}} cfg{{{BASELINE}}} label=ruche=3 sweep point"
         ),
     );
-    pin("hash", &spec.hash(), "04b3d0e9a0eb23edccfe300cb13e8d56");
+    // Both hashes were re-recorded when `cfgv=2` moved the embedded config
+    // text; the job line around it did not change.
+    pin("hash", &spec.hash(), "4a8986e65a19c60b81fca20c9fd44aa1");
     let seeded = JobSpec {
         kind: JobKind::Fault,
         kernel: "sgemm".to_owned(),
@@ -153,7 +159,7 @@ fn manifest_line_and_hash_are_pinned() {
             "hbjob v1 rev=3.dev kind=fault kernel=sgemm seed=7 plan=seeded:2 cfg{{{BASELINE}}}"
         ),
     );
-    pin("hash", &seeded.hash(), "4b803369e840504fa4bda680042d61c5");
+    pin("hash", &seeded.hash(), "57ee196a20d8a66983b1af6ea37c5a4c");
 }
 
 #[test]
