@@ -730,11 +730,7 @@ impl Cell {
         }
         for b in 0..self.banks.len() {
             for (line_addr, data, dirty) in self.banks[b].bank.flush_all() {
-                for (i, &byte) in data.iter().enumerate() {
-                    if dirty & (1 << i) != 0 {
-                        self.dram.write_u8(line_addr + i as u32, byte);
-                    }
-                }
+                self.dram.write_masked(line_addr, &data, dirty);
             }
         }
     }
@@ -949,11 +945,7 @@ impl Cell {
                     // Functional data lands in DRAM at enqueue time so a
                     // later fetch of the same line (FIFO-ordered on the
                     // strip) observes it; timing continues below.
-                    for (i, &byte) in data.iter().enumerate() {
-                        if valid & (1 << i) != 0 {
-                            self.dram.write_u8(lr.line_addr + i as u32, byte);
-                        }
-                    }
+                    self.dram.write_masked(lr.line_addr, &data, valid);
                     (true, 8 + self.cfg.line_bytes)
                 }
             };
@@ -1013,11 +1005,8 @@ impl Cell {
                     .mem_ops
                     .get_mut(&resp.id)
                     .expect("unknown HBM response");
-                let line = self
-                    .dram
-                    .slice(op.line_addr, self.cfg.line_bytes as usize)
-                    .to_vec();
-                op.data = Some(line);
+                let line = op.data.insert(vec![0; self.cfg.line_bytes as usize]);
+                self.dram.read_into(op.line_addr, line);
                 self.strip_from_mem[usize::from(op.bank >= w)].enqueue(hb_noc::StripTransfer {
                     id: resp.id,
                     bank: op.bank % w,

@@ -20,7 +20,7 @@
 //! A divergence produces a [`Divergence`] carrying the disassembled recent
 //! retire history.
 
-use crate::func::IssTile;
+use crate::func::{IssTile, SnapshotDram};
 use crate::machine::{Machine, RunSummary, SimError};
 use crate::stats::CoreStats;
 use crate::trace::TraceEvent;
@@ -283,9 +283,9 @@ impl CosimChecker {
                 ),
             ));
         }
+        let real_image = SnapshotDram::from_machine(machine);
         for c in 0..machine.num_cells() {
-            let dram = machine.cell(c as u8).dram();
-            let real = dram.slice(0, dram.len());
+            let real = real_image.cell(c as u8);
             let shadow = self.iss.bus.dram.cell(c as u8);
             if let Some(off) = (0..real.len()).find(|&i| real[i] != shadow[i]) {
                 let a = off & !3;

@@ -81,7 +81,9 @@ impl SnapshotDram {
         let cells = (0..machine.num_cells())
             .map(|c| {
                 let dram = machine.cell(c as u8).dram();
-                dram.slice(0, dram.len()).to_vec()
+                let mut image = vec![0; dram.len()];
+                dram.read_into(0, &mut image);
+                image
             })
             .collect();
         SnapshotDram { cells }

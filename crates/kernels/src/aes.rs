@@ -229,7 +229,8 @@ impl Kernel for Aes {
             work_units: 1.0,
             check: Box::new(move |machine| {
                 let expect = golden::aes128_ecb(&plaintext, &key);
-                let got = machine.cell(0).dram().slice(output, expect.len());
+                let mut got = vec![0; expect.len()];
+                machine.cell(0).dram().read_into(output, &mut got);
                 assert_eq!(got, expect, "AES ciphertext mismatch");
             }),
         }

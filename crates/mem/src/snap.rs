@@ -800,41 +800,41 @@ macro_rules! snap_state {
 
 /// The one component written by hand — a data-dependent list is what a
 /// `fixed:` class cannot say: the tag, the image length (must equal the live
-/// one), `(offset, u64 length + bytes)` per [`Dram::extents`] extent,
+/// one), `(offset, u64 length + bytes)` per [`Dram::extents`] run of pages,
 /// ascending, and a closing offset equal to the image length.
 impl SnapState for Dram {
     fn save_state(&self, w: &mut SnapWriter) {
         w.tag(b"DRAM");
         w.usize(self.len());
-        for (offset, bytes) in self.extents() {
+        for (offset, pages) in self.extents() {
             w.usize(offset);
-            w.bytes(bytes);
+            w.usize(pages.iter().map(|page| page.len()).sum());
+            pages.iter().for_each(|page| w.raw(page));
         }
         w.usize(self.len());
     }
 
-    /// Zeroes every byte outside the stored extents: the target of a restore
-    /// is not always a fresh machine.
+    /// Drops every page and writes only the stored extents: the target of a
+    /// restore is not always a fresh machine, and a gap reads as zero.
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         r.expect_tag(b"DRAM", "Dram section")?;
-        let len = self.bytes.len();
+        let len = self.len();
         if r.usize()? != len {
             return Err(SnapError::Bad("Dram.bytes length mismatch"));
         }
+        self.clear();
         let mut done = 0; // everything below it is restored
         loop {
             let offset = r.usize()?;
             if offset == len {
-                self.bytes[done..].fill(0);
                 return Ok(());
             }
             let bytes = r.bytes()?;
             if offset < done || offset > len || bytes.is_empty() || bytes.len() > len - offset {
                 return Err(SnapError::Bad("Dram extent out of order or out of range"));
             }
-            self.bytes[done..offset].fill(0);
+            self.write_at(offset, bytes);
             done = offset + bytes.len();
-            self.bytes[offset..done].copy_from_slice(bytes);
         }
     }
 }
@@ -1090,10 +1090,20 @@ mod tests {
         d
     }
 
+    /// Each extent as `(offset, its bytes)`.
+    fn flat_extents(d: &Dram) -> Vec<(usize, Vec<u8>)> {
+        d.extents()
+            .map(|(at, pages)| (at, pages.concat()))
+            .collect()
+    }
+
     #[test]
     fn dram_extents_are_the_maximal_non_zero_block_runs() {
         let spans = |d: &Dram| -> Vec<(usize, usize)> {
-            d.extents().map(|(at, bytes)| (at, bytes.len())).collect()
+            flat_extents(d)
+                .into_iter()
+                .map(|(at, bytes)| (at, bytes.len()))
+                .collect()
         };
         assert_eq!(spans(&Dram::new(RAGGED)), []);
         assert_eq!(spans(&Dram::new(0)), []);
@@ -1102,11 +1112,13 @@ mod tests {
             [(0, 4096), (2 * 4096, 2 * 4096), (5 * 4096, 100)]
         );
         let mut full = Dram::new(RAGGED);
-        full.bytes.fill(1);
+        full.write_bytes(0, &[1; RAGGED]);
         assert_eq!(spans(&full), [(0, RAGGED)]);
         let sparse = sparse_dram();
-        for (at, bytes) in sparse.extents() {
-            assert_eq!(bytes, sparse.slice(at as u32, bytes.len()));
+        for (at, bytes) in flat_extents(&sparse) {
+            let mut image = vec![0; bytes.len()];
+            sparse.read_into(at as u32, &mut image);
+            assert_eq!(bytes, image);
         }
     }
 
@@ -1115,13 +1127,13 @@ mod tests {
         for source in [sparse_dram(), Dram::new(RAGGED), Dram::new(0)] {
             let bytes = saved(&source);
             // Two length words plus, per extent, an offset and a length.
-            let extents = source.extents().count();
-            let stored: usize = source.extents().map(|(_, b)| b.len()).sum();
-            assert_eq!(bytes.len(), 4 + 16 + 16 * extents + stored);
+            let extents = flat_extents(&source);
+            let stored: usize = extents.iter().map(|(_, b)| b.len()).sum();
+            assert_eq!(bytes.len(), 4 + 16 + 16 * extents.len() + stored);
             // The target of a restore is not always a fresh machine: every
-            // gap between extents has to be zeroed, not skipped.
+            // gap between extents has to read as zero, not as it was.
             let mut dirty = Dram::new(source.len());
-            dirty.bytes.fill(0xff);
+            dirty.write_bytes(0, &vec![0xff; source.len()]);
             load_all(&mut dirty, &bytes).unwrap();
             assert_eq!(dirty, source);
             assert_eq!(saved(&dirty), bytes);

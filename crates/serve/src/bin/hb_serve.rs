@@ -49,8 +49,8 @@ options:
                    ckpt-smoke CI job's deterministic mid-run kill)
   --out FILE       also write the report here
 
-kernel names: sgemm | jacobi, optionally warm:<kernel> to restore every
-fault run from one shared post-warmup checkpoint
+kernel names: sgemm | jacobi; warm:<kernel> is an alias (every fault run
+already starts from the golden run's state just before its injection)
 
 profile options:
   --kernels K,K    suite kernels to profile      [SGEMM,BFS,Jacobi]

@@ -10,13 +10,16 @@
 //! Ablation, profile and race-check jobs run any [`hb_kernels::kernels`]
 //! token at a size class on a machine they build themselves.
 //!
-//! Fault jobs can additionally checkpoint: with an interval configured
-//! (`with_ckpt_every`), each run periodically snapshots its machine into
-//! the store under the job hash, a killed worker's next attempt restores
-//! from the last snapshot instead of restarting, and a `warm:<kernel>`
-//! campaign restores every run from one shared post-warmup checkpoint.
-//! Restore is bit-exact (see `hb-ckpt`), so resumed and warm-started runs
-//! classify identically to cold ones.
+//! A fault job simulates only what follows its injection. Up to its first
+//! injection it *is* the golden run, so it forks from the golden run: it
+//! restores the last golden-prefix capture before that cycle, which the
+//! executor keeps in memory (see [`SimExecutor`]), and installs its plan
+//! there. Fault jobs can additionally checkpoint: with an interval
+//! configured (`with_ckpt_every`), each run periodically snapshots its
+//! machine into the store under the job hash, and a killed worker's next
+//! attempt restores from the last snapshot instead of restarting. Restore
+//! is bit-exact (see `hb-ckpt`), so forked and resumed runs classify
+//! identically to cold ones.
 
 use crate::pool::{Executor, JobError};
 use crate::spec::{JobKind, JobSpec, PlanSpec};
@@ -24,17 +27,17 @@ use crate::store::{JobRecord, Store};
 use hb_core::{Machine, MachineConfig, SimError};
 use hb_fault::{InjectionPlan, PlanShape};
 use hb_kernels::{launch_on, run_on, Jacobi, Kernel, Sgemm, SizeClass};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One row of the campaign table: what golden/fault/warm jobs can run. Two
+/// One row of the campaign table: what golden/fault jobs can run. Two
 /// rows, not the suite: a campaign needs live state on every tile of a 4x4
 /// Cell for SPM faults to hit (hence the SPM-blocked SGEMM with 16 output
 /// blocks), and its golden digests, cycle counts and `--expect` outcome
 /// counts are recorded against exactly these inputs.
 struct CampaignRow {
-    /// Stable lowercase name (part of the warm-checkpoint store key).
+    /// Stable lowercase name (part of the golden-prefix capture key).
     label: &'static str,
     /// [`Kernel::prepare`] at [`SizeClass::Small`] is the campaign set-up.
     kernel: &'static dyn Kernel,
@@ -43,9 +46,9 @@ struct CampaignRow {
     barrier_free: bool,
 }
 
-/// Resolves a campaign kernel name. A `warm:` prefix selects the shared
-/// warm-checkpoint start for fault jobs and is otherwise transparent: the
-/// simulated kernel, inputs and classification are identical.
+/// Resolves a campaign kernel name. A `warm:` prefix is a transparent
+/// alias, kept so that campaigns and job hashes that name it still
+/// resolve: every fault job forks from the golden prefix either way.
 fn campaign_row(name: &str) -> Result<CampaignRow, JobError> {
     let bare = name.strip_prefix("warm:").unwrap_or(name);
     Ok(match bare.to_ascii_lowercase().as_str() {
@@ -98,13 +101,27 @@ impl GoldenInfo {
     }
 }
 
+/// The golden run's state at evenly spaced cycles (see [`capture_every`]),
+/// as checkpoint bytes by cycle.
+type Captures = BTreeMap<u64, Arc<Vec<u8>>>;
+
+/// Which golden run a capture belongs to: the campaign row's label, the
+/// canonical config, and the park policy, which is host-only (not in the
+/// canonical text) but is part of the state a checkpoint holds.
+type CaptureKey = (&'static str, String, bool);
+
 /// The shared simulation executor. Caches each campaign's golden info in
 /// memory (and falls back to the store on resume) so thousands of fault
 /// jobs classify against one golden run.
+///
+/// It also keeps each campaign's golden-prefix captures, which fault jobs
+/// fork from. They are made by the fault jobs themselves, on the way to
+/// their first injection, and are golden-prefix states by construction, so
+/// it does not matter which job made one or on how many threads. They live
+/// in memory only: no store object, no gc rule, no torn file to survive.
 pub struct SimExecutor {
     goldens: Mutex<HashMap<String, GoldenInfo>>,
-    /// Shared warm-start checkpoints by store key, decoded-once per process.
-    warm_blobs: Mutex<HashMap<String, Arc<Vec<u8>>>>,
+    captures: Mutex<HashMap<CaptureKey, Captures>>,
     /// Cycles between mid-job checkpoints of fault runs; `None` = off.
     ckpt_every: Option<u64>,
     /// Fault-injection hook for the crash/resume CI job: the process exits
@@ -117,11 +134,11 @@ impl SimExecutor {
     /// [`RunOpts::threads`](crate::RunOpts); every job's machine runs on
     /// the worker that claimed it); the arity is kept because the benchmark
     /// crate `hb_perf/` calls `SimExecutor::new(1)`, and goes with the
-    /// benchmark-only follow-up (ROADMAP item 2).
+    /// benchmark-only follow-up (ROADMAP item 8).
     pub fn new(_workers: usize) -> SimExecutor {
         SimExecutor {
             goldens: Mutex::new(HashMap::new()),
-            warm_blobs: Mutex::new(HashMap::new()),
+            captures: Mutex::new(HashMap::new()),
             ckpt_every: None,
             crash_after: None,
         }
@@ -224,44 +241,58 @@ impl SimExecutor {
         })
     }
 
-    /// Fetches (building and sharing on first use) the post-warmup
-    /// checkpoint every run of a `warm:<kernel>` campaign restores from.
-    /// Keyed by (kernel, canonical config) in the store's `ckpt/`
-    /// directory, so parallel campaigns over the same point share one blob.
-    fn warm_blob(
+    /// Brings a fresh `machine` to the golden run's state at [`fork_point`]:
+    /// it restores the latest capture at or before that cycle (or launches
+    /// cold when there is none), then ticks forward without a plan,
+    /// capturing each point it passes that nobody has captured yet.
+    ///
+    /// An attached observer may drive the machine from inside `tick` (the
+    /// benchmark's phase probe does, in chunks), which would carry it past
+    /// the fork point. It is detached over the prefix and sees the run from
+    /// the fork on, so no capture holds observer state either.
+    fn fork(
         &self,
         row: &CampaignRow,
-        cfg: &MachineConfig,
-        store: &Store,
-    ) -> Result<Arc<Vec<u8>>, JobError> {
-        let key = format!(
-            "warm-{}-{:032x}",
-            row.label,
-            hb_mem::fnv1a128(cfg.canonical_text().as_bytes())
-        );
-        if let Some(blob) = self.warm_blobs.lock().unwrap().get(&key) {
-            return Ok(blob.clone());
-        }
-        // A stored blob that fails to decode (torn write, older format) is
-        // ignored and rebuilt — warm checkpoints are pure optimization.
-        let stored = store
-            .get_ckpt(&key)
-            .filter(|bytes| hb_ckpt::decode(bytes).is_ok());
-        let blob = Arc::new(match stored {
-            Some(bytes) => bytes,
-            None => {
-                let mut machine = Machine::new(cfg.clone());
-                launch_on(&mut machine, row.kernel, SizeClass::Small);
-                while machine.cycle() < WARM_CYCLES {
-                    machine.tick();
-                }
-                let bytes = hb_ckpt::encode(&machine);
-                let _ = store.put_ckpt(&key, &bytes); // best-effort sharing
-                bytes
-            }
+        machine: &mut Machine,
+        plan: &InjectionPlan,
+        golden_cycles: u64,
+    ) -> Result<(), JobError> {
+        let every = capture_every(golden_cycles);
+        let target = fork_point(plan, golden_cycles);
+        let cfg = machine.config();
+        let key = (row.label, cfg.canonical_text(), cfg.event_core);
+        let observer = machine.detach_observer();
+        let captures = || self.captures.lock().expect("no capture holder panics");
+        let latest = (captures().get(&key)).and_then(|caps| {
+            caps.range(..=target)
+                .next_back()
+                .map(|(_, blob)| blob.clone())
         });
-        self.warm_blobs.lock().unwrap().insert(key, blob.clone());
-        Ok(blob)
+        match latest {
+            Some(blob) => {
+                hb_ckpt::restore(machine, &blob).map_err(|e| {
+                    JobError::Permanent(format!("golden-prefix capture does not restore: {e}"))
+                })?;
+            }
+            None => {
+                launch_on(machine, row.kernel, SizeClass::Small);
+            }
+        }
+        while machine.cycle() < target {
+            machine.tick();
+            let cycle = machine.cycle();
+            let captured = |caps: &Captures| caps.contains_key(&cycle);
+            if cycle.is_multiple_of(every) && !captures().get(&key).is_some_and(captured) {
+                let blob = Arc::new(hb_ckpt::encode(machine));
+                let mut captures = captures();
+                let caps = captures.entry(key.clone()).or_default();
+                caps.entry(cycle).or_insert(blob);
+            }
+        }
+        if let Some(observer) = observer {
+            machine.attach_observer(observer);
+        }
+        Ok(())
     }
 
     fn run_fault(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError> {
@@ -308,21 +339,7 @@ impl SimExecutor {
             }
         }
         if !resumed {
-            // Warm start only when every injection lands strictly after
-            // the warmup horizon (seeded plans always do — `plan_shape`
-            // floors at cycle 100; a cold run would already have delivered
-            // an injection at cycle <= WARM_CYCLES by the capture point).
-            // Explicit early injections fall back to a cold start.
-            let warm = spec.kernel.starts_with("warm:")
-                && plan.injections.iter().all(|i| i.cycle > WARM_CYCLES);
-            if warm {
-                let blob = self.warm_blob(&row, cfg, store)?;
-                hb_ckpt::restore(&mut machine, &blob).map_err(|e| {
-                    JobError::Permanent(format!("warm checkpoint restore failed: {e}"))
-                })?;
-            } else {
-                launch_on(&mut machine, row.kernel, SizeClass::Small);
-            }
+            self.fork(&row, &mut machine, &plan, gold.cycles)?;
             machine.set_injection_plan(&plan);
         }
         if let Some(every) = self.ckpt_every {
@@ -341,7 +358,7 @@ impl SimExecutor {
             });
         }
 
-        // Budget in *total* cycles since launch, so a resumed or warm run
+        // Budget in *total* cycles since launch, so a resumed or forked run
         // hangs (or finishes) at exactly the same machine cycle as a cold
         // one — the classification below is bit-identical either way.
         let result = machine.run(budget.saturating_sub(machine.cycle()));
@@ -478,10 +495,24 @@ impl Executor for SimExecutor {
 /// this is a campaign configuration error).
 const GOLDEN_BUDGET: u64 = 10_000_000;
 
-/// Cycles simulated before capturing a `warm:<kernel>` shared checkpoint.
-/// Must stay below the `plan_shape` injection floor (cycle 100) so seeded
-/// plans always qualify for a warm start.
-const WARM_CYCLES: u64 = 64;
+/// Cycles between golden-prefix captures: a rule, not a knob. At most 16
+/// per golden run, so a campaign's captures stay a few golden images, and
+/// never closer than 1024 cycles, since each capture costs an encode and
+/// each fork a restore.
+fn capture_every(golden_cycles: u64) -> u64 {
+    golden_cycles.div_ceil(16).max(1024)
+}
+
+/// The cycle a fault job forks from the golden run at: the last capture
+/// point strictly before its first injection (every injection has
+/// `cycle > c`, link faults included) and strictly inside the golden run,
+/// which has not finished there. 0, a cold launch, when none qualifies.
+fn fork_point(plan: &InjectionPlan, golden_cycles: u64) -> u64 {
+    let first = plan.injections.iter().map(|i| i.cycle).min();
+    let bound = first.unwrap_or(u64::MAX).min(golden_cycles);
+    let every = capture_every(golden_cycles);
+    bound.saturating_sub(1) / every * every
+}
 
 /// The injected-run budget: leaves room for stall windows and retransmits
 /// while still bounding frozen-tile hangs.
@@ -575,12 +606,15 @@ pub fn digest(machine: &Machine) -> u64 {
     for dram in drams(machine) {
         // `Dram` is addressed by `u32`, so every gap fits the exponent.
         let mut done = 0;
-        for (offset, bytes) in dram.extents() {
+        for (offset, pages) in dram.extents() {
             h = skip_zeros(h, offset - done);
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            done = offset;
+            for bytes in pages {
+                for &b in bytes {
+                    h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+                }
+                done += bytes.len();
             }
-            done = offset + bytes.len();
         }
         h = skip_zeros(h, dram.len() - done);
     }
@@ -590,4 +624,296 @@ pub fn digest(machine: &Machine) -> u64 {
 /// Whether two machines hold the same DRAM, byte for byte.
 fn same_memory(a: &Machine, b: &Machine) -> bool {
     drams(a).eq(drams(b))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Campaign, CancelToken, RunOpts};
+    use hb_core::CellDim;
+    use hb_fault::{Injection, Site};
+
+    fn campaign_cfg() -> MachineConfig {
+        MachineConfig {
+            cell_dim: CellDim { x: 4, y: 4 },
+            ..MachineConfig::baseline_16x8()
+        }
+    }
+
+    fn tmp_store(tag: &str) -> (std::path::PathBuf, Store) {
+        let dir = std::env::temp_dir().join(format!("hb-serve-fork-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).expect("a fresh store");
+        (dir, store)
+    }
+
+    /// A fault job's record, with the hash the pool sets left out, and the
+    /// hang dump the job stored.
+    type Outcome = (JobRecord, Option<Vec<u8>>);
+
+    fn forked(mut rec: JobRecord, hash: &str, store: &Store) -> Outcome {
+        rec.hash.clear();
+        (rec, store.get_ckpt(&format!("hang-{hash}")))
+    }
+
+    /// What `spec` records when it launches cold and runs its plan from
+    /// cycle 0: the reference a forked job is held to, built here and not
+    /// by the executor.
+    fn cold(spec: &JobSpec, gold: GoldenInfo) -> Outcome {
+        let plan = match &spec.plan {
+            PlanSpec::Explicit(plan) => plan.clone(),
+            PlanSpec::Seeded { faults } => {
+                let shape = plan_shape(&spec.config, gold.cycles);
+                InjectionPlan::random(spec.seed, *faults as usize, &shape)
+            }
+            PlanSpec::None => unreachable!("a fault job has a plan"),
+        };
+        let kernel = campaign_kernel(&spec.kernel).expect("a campaign kernel");
+        let mut machine = Machine::new(spec.config.clone());
+        launch_on(&mut machine, kernel, SizeClass::Small);
+        machine.set_injection_plan(&plan);
+        let result = machine.run(fault_budget(gold.cycles));
+        let hung = matches!(result, Err(SimError::Timeout { .. }));
+        let dump = hung.then(|| hb_ckpt::encode(&machine));
+        machine.flush_all_caches();
+        let dram_digest = digest(&machine);
+        let (outcome, cycles, instrs) = match result {
+            Err(SimError::Fault(_)) => ("detected", 0, 0),
+            Err(_) => ("hang", 0, 0),
+            Ok(s) if dram_digest == gold.digest => ("masked", machine.cycle(), s.core.instrs),
+            Ok(s) => ("sdc", machine.cycle(), s.core.instrs),
+        };
+        let first = plan.injections.first();
+        let artifacts = match dump {
+            Some(_) => format!("ckpt/hang-{}.ckpt", spec.hash()),
+            None => String::new(),
+        };
+        let record = JobRecord {
+            kind: spec.kind.canonical(),
+            kernel: spec.kernel.clone(),
+            seed: spec.seed,
+            outcome: outcome.to_owned(),
+            site: (first.map(|i| i.site.kind().label().to_owned())).unwrap_or_default(),
+            inj_cycle: first.map_or(0, |i| i.cycle),
+            cycles,
+            instrs,
+            dram_digest,
+            artifacts,
+            ..JobRecord::default()
+        };
+        (record, dump)
+    }
+
+    fn fault_spec(kernel: &str, injections: Vec<Injection>) -> JobSpec {
+        JobSpec {
+            kind: JobKind::Fault,
+            kernel: kernel.to_owned(),
+            seed: 0,
+            plan: PlanSpec::Explicit(InjectionPlan {
+                seed: 0,
+                injections,
+            }),
+            config: campaign_cfg(),
+            label: "explicit".to_owned(),
+        }
+    }
+
+    #[test]
+    fn the_fork_point_is_the_last_capture_strictly_before_the_first_injection() {
+        let at = |cycles: &[u64], golden| {
+            let injections = (cycles.iter())
+                .map(|&cycle| Injection {
+                    cycle,
+                    site: Site::HbmStall { cell: 0, window: 1 },
+                })
+                .collect();
+            fork_point(
+                &InjectionPlan {
+                    seed: 0,
+                    injections,
+                },
+                golden,
+            )
+        };
+        // 4x4 SGEMM: 13,865 golden cycles, a capture every 1024.
+        assert_eq!(capture_every(13_865), 1024);
+        assert_eq!(capture_every(100_000), 6250);
+        assert_eq!(at(&[1], 13_865), 0);
+        assert_eq!(at(&[1024], 13_865), 0);
+        assert_eq!(at(&[1025], 13_865), 1024);
+        assert_eq!(at(&[9000, 5000], 13_865), 4096);
+        // Past the golden run's end, and no injection at all: the last
+        // point the golden run had not yet finished at.
+        assert_eq!(at(&[50_000], 13_865), 13_312);
+        assert_eq!(at(&[], 13_865), 13_312);
+        assert_eq!(at(&[], 2048), 1024);
+    }
+
+    /// Forked fault jobs record what cold ones do, byte for byte including
+    /// the hang dump: a Jacobi campaign with three hangs on two pool
+    /// threads, then explicit plans that sit on each edge of the rule —
+    /// an injection at cycle 1, at a capture cycle and one past it, link
+    /// faults only, and one past the golden run's end.
+    #[test]
+    fn forked_fault_jobs_match_cold_runs() {
+        let (dir, store) = tmp_store("jacobi");
+        let sim = SimExecutor::new(1);
+        let campaign = Campaign::fault("fork", "jacobi", &campaign_cfg(), 7, 25);
+        let opts = RunOpts {
+            threads: 2,
+            ..RunOpts::default()
+        };
+        let summary = campaign.run(&store, &sim, &opts, &CancelToken::new());
+        assert_eq!((summary.run, summary.failed), (26, 0), "{summary:?}");
+        let gold = sim.golden_info(&campaign.specs[1], &store).unwrap();
+        assert_eq!(capture_every(gold.cycles), 1024);
+        let mut hangs = 0;
+        for spec in &campaign.specs[1..] {
+            let hash = spec.hash();
+            let rec = store.get(&hash).expect("a stored record");
+            let want = cold(spec, gold);
+            hangs += usize::from(want.1.is_some());
+            assert_eq!(forked(rec, &hash, &store), want, "seed {}", spec.seed);
+        }
+        assert_eq!(hangs, 3);
+
+        let flip = |cycle, x, y| Injection {
+            cycle,
+            site: Site::RegFile {
+                cell: 0,
+                x,
+                y,
+                reg: 10,
+                bit: 4,
+            },
+        };
+        let link = |cycle, port| Injection {
+            cycle,
+            site: Site::NocLink {
+                cell: 0,
+                x: 1,
+                y: 2,
+                port,
+                req: cycle % 2 == 0,
+            },
+        };
+        let plans = [
+            vec![flip(1, 1, 1)],
+            vec![flip(1024, 2, 1)],
+            vec![flip(1025, 2, 1)],
+            vec![flip(3100, 0, 3), flip(2048, 3, 3)],
+            vec![link(1024, 1), link(2049, 2), link(2050, 3)],
+            vec![flip(9000, 1, 2)],
+        ];
+        let row = campaign_row("jacobi").unwrap();
+        for injections in plans {
+            let spec = fault_spec("jacobi", injections);
+            let hash = spec.hash();
+            let rec = sim.run(&spec, &store).expect("the job runs");
+            assert_eq!(forked(rec, &hash, &store), cold(&spec, gold), "{spec:?}");
+            // And the whole machine, where the first injection lands: a
+            // fork one cycle late still finds most injections harmless.
+            let PlanSpec::Explicit(plan) = &spec.plan else {
+                unreachable!("an explicit plan")
+            };
+            let mut fork = Machine::new(campaign_cfg());
+            sim.fork(&row, &mut fork, plan, gold.cycles).unwrap();
+            fork.set_injection_plan(plan);
+            let mut cold = Machine::new(campaign_cfg());
+            launch_on(&mut cold, row.kernel, SizeClass::Small);
+            cold.set_injection_plan(plan);
+            let first = plan.injections.iter().map(|i| i.cycle).min().unwrap();
+            for machine in [&mut fork, &mut cold] {
+                while machine.cycle() < first {
+                    machine.tick();
+                }
+            }
+            assert!(hb_ckpt::encode(&fork) == hb_ckpt::encode(&cold), "{spec:?}");
+        }
+        // Captures are made on the way, and never reach the store.
+        let captures = sim.captures.lock().unwrap();
+        let cycles: Vec<u64> = captures.values().flat_map(|c| c.keys().copied()).collect();
+        assert_eq!(cycles, [1024, 2048, 3072, 4096]);
+        let in_store = std::fs::read_dir(dir.join("ckpt")).unwrap();
+        assert!(in_store
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .all(|name| name.starts_with("hang-")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An observer may drive the machine from inside `tick`, as the
+    /// benchmark's phase probe does; a fork still stops at its point, and
+    /// the observer is attached again for the rest of the run.
+    #[test]
+    fn a_driving_observer_does_not_carry_a_fork_past_its_point() {
+        #[derive(Debug)]
+        struct Driver;
+        impl hb_core::MachineObserver for Driver {
+            fn sample(&mut self, machine: &mut Machine) {
+                (0..4096).for_each(|_| machine.tick());
+            }
+            fn next_due(&self) -> u64 {
+                1
+            }
+            fn finish(&mut self, _: &mut Machine) {}
+        }
+        let (dir, store) = tmp_store("driven");
+        let sim = SimExecutor::new(1);
+        let gold = (sim.golden_info(&golden_spec("jacobi", &campaign_cfg()), &store)).unwrap();
+        let row = campaign_row("jacobi").unwrap();
+        let site = Site::HbmStall { cell: 0, window: 8 };
+        let plan = InjectionPlan {
+            seed: 0,
+            injections: vec![Injection { cycle: 3000, site }],
+        };
+        // The first fork makes the captures, the second restores one.
+        for _ in 0..2 {
+            let mut machine = Machine::new(campaign_cfg());
+            machine.attach_observer(Box::new(Driver));
+            sim.fork(&row, &mut machine, &plan, gold.cycles).unwrap();
+            assert_eq!(machine.cycle(), 2048);
+            assert!(machine.is_observed());
+        }
+        let captures = sim.captures.lock().unwrap();
+        let cycles: Vec<u64> = captures.values().flat_map(|c| c.keys().copied()).collect();
+        assert_eq!(cycles, [1024, 2048]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Job seeds 375, 581, 1280, 1927 and 2657 of the 4x4 SGEMM campaign
+    /// once ended in a host panic; each now traps (a register flip
+    /// detected), forked or cold alike.
+    #[test]
+    fn sgemm_seeds_that_once_panicked_are_detected() {
+        let (dir, store) = tmp_store("sgemm");
+        let sim = SimExecutor::new(1);
+        let cfg = campaign_cfg();
+        let gold = sim
+            .golden_info(&golden_spec("sgemm", &cfg), &store)
+            .unwrap();
+        let mut forks = Vec::new();
+        for (seed, inj_cycle) in [
+            (375, 4270),
+            (581, 1666),
+            (1280, 7659),
+            (1927, 3727),
+            (2657, 958),
+        ] {
+            let spec = Campaign::fault("pins", "sgemm", &cfg, seed, 1).specs[1].clone();
+            let rec = sim.run(&spec, &store).expect("the job runs");
+            let want = ("detected", "regfile", inj_cycle);
+            assert_eq!(
+                (&rec.outcome[..], &rec.site[..], rec.inj_cycle),
+                want,
+                "seed {seed}"
+            );
+            assert_eq!(forked(rec, &spec.hash(), &store), cold(&spec, gold));
+            forks.push(fork_point(
+                &InjectionPlan::random(seed, 1, &plan_shape(&cfg, gold.cycles)),
+                gold.cycles,
+            ));
+        }
+        assert_eq!(forks, [4096, 1024, 7168, 3072, 0]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

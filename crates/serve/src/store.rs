@@ -5,7 +5,7 @@
 //! ```text
 //! store/
 //!   objects/<h[0..2]>/<h>.json    one JSON line per completed job (h = JobSpec hash)
-//!   ckpt/<h>.ckpt                 mid-job / warm-start machine checkpoints
+//!   ckpt/<h>.ckpt                 mid-job resume checkpoints (hang-<h>: hang dumps)
 //!   journal.ndjson                append-only completion log
 //! ```
 //!
@@ -255,8 +255,8 @@ impl Store {
     }
 
     /// Path of the checkpoint blob stored under `key` (a job hash for
-    /// mid-job resume checkpoints, `warm-<kernel>-<hash>` for shared
-    /// warm-start snapshots).
+    /// mid-job resume checkpoints, `hang-<hash>` for a timed-out job's
+    /// dump).
     pub fn ckpt_path(&self, key: &str) -> PathBuf {
         self.root.join("ckpt").join(format!("{key}.ckpt"))
     }
@@ -323,8 +323,9 @@ impl Store {
     /// lines for deleted objects by rewriting the journal (atomic rename).
     /// In `ckpt/`, deletes the hang dump (`hang-<h>.ckpt`) and the resume
     /// checkpoint (`<h>.ckpt`) of every job not in `keep`, and any checkpoint
-    /// this binary cannot decode (an older `CKPT_VERSION`, a torn file);
-    /// shared `warm-*` blobs belong to no job and stay while they decode.
+    /// this binary cannot decode (an older `CKPT_VERSION`, a torn file). A
+    /// checkpoint that names no job, such as a `warm-*` blob an older
+    /// binary shared between runs, is an orphan.
     ///
     /// # Errors
     ///
@@ -360,7 +361,7 @@ impl Store {
             let path = ckpt.map_err(|e| e.to_string())?.path();
             let key = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             let job = key.strip_prefix("hang-").unwrap_or(key);
-            let orphan = !key.starts_with("warm-") && !keep.contains(job);
+            let orphan = !keep.contains(job);
             let unreadable =
                 || std::fs::read(&path).map_or(true, |bytes| hb_ckpt::decode(&bytes).is_err());
             if path.extension().is_some_and(|e| e == "ckpt") && (orphan || unreadable()) {
@@ -546,24 +547,24 @@ mod tests {
         store.put_ckpt("hang-ab12", &blob).unwrap();
         store.put_ckpt("hang-cd34", &blob).unwrap(); // a dump with no record
         store.put_ckpt("ef56", &blob).unwrap(); // a resume point with no record
-        store.put_ckpt("warm-sgemm-00ff", &blob).unwrap();
+        store.put_ckpt("warm-sgemm-00ff", &blob).unwrap(); // an older binary's: no job
         store.put_ckpt("warm-jacobi-00ff", &stale).unwrap();
         store.put_ckpt("ab12", &torn).unwrap(); // kept job, unreadable file
 
         let keep: std::collections::HashSet<String> = ["ab12".to_owned()].into();
         let stats = store.gc(&keep).unwrap();
         assert_eq!((stats.kept, stats.deleted), (1, 0));
-        assert_eq!(stats.ckpts_deleted, 4);
+        assert_eq!(stats.ckpts_deleted, 5);
         assert_eq!(
             stats.ckpt_bytes,
-            (2 * blob.len() + stale.len() + torn.len()) as u64
+            (3 * blob.len() + stale.len() + torn.len()) as u64
         );
         let mut left: Vec<String> = std::fs::read_dir(dir.join("ckpt"))
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         left.sort();
-        assert_eq!(left, ["hang-ab12.ckpt", "warm-sgemm-00ff.ckpt"]);
+        assert_eq!(left, ["hang-ab12.ckpt"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
