@@ -12,12 +12,14 @@ use crate::stats::CoreStats;
 use crate::tile::{GroupInfo, Tile};
 use hb_asm::Program;
 use hb_cache::{CacheBank, CacheConfig, CacheStats, LineRequestKind};
-use hb_mem::{ClockDivider, Dram, DramRequest, Hbm2Channel, Hbm2Stats, Snap, SnapError, WorkSet};
+use hb_mem::{
+    ClockDivider, Dram, DramRequest, Hbm2Channel, Hbm2Stats, IdMap, Snap, SnapError, WorkSet,
+};
 use hb_noc::{
     BarrierNetwork, Coord, LinkStats, Network, NetworkConfig, Packet, RouteOrder, StripChannel,
     TickWork,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A rectangular tile group within a Cell (the paper's unit of thread
@@ -87,7 +89,9 @@ pub struct CellWork {
     /// Nodes visited for ejection in the network phase (a node with a
     /// request delivery, a tile with a response delivery or a staged one).
     pub eject_nodes: u64,
-    /// Tiles visited in the sync phase (join flags, barrier releases).
+    /// Tiles visited in the sync phase (join flags, barrier releases): the
+    /// touched ones and the stepped ones whose step left work, not every
+    /// stepped tile.
     pub sync_tiles: u64,
     /// Barrier-network nodes evaluated in the sync phase, over the barrier
     /// networks of the current launch.
@@ -122,7 +126,7 @@ pub struct Cell {
     /// and strips keep their own clocks, brought up to this one before they
     /// are ticked (see [`phase_memory`](Self::phase_memory)).
     mem_cycle: u64,
-    mem_ops: HashMap<u64, MemOp>,
+    mem_ops: IdMap<u64, MemOp>,
     next_mem_id: u64,
     barriers: Vec<BarrierNetwork>,
     active: Vec<bool>,
@@ -229,7 +233,7 @@ impl Cell {
             dram: Dram::new(cfg.dram_bytes_per_cell as usize),
             hbm_retry: VecDeque::new(),
             mem_cycle: 0,
-            mem_ops: HashMap::new(),
+            mem_ops: IdMap::default(),
             next_mem_id: 0,
             barriers: Vec::new(),
             active: vec![false; cfg.cell_dim.tiles()],
@@ -973,7 +977,7 @@ impl Cell {
         self.work.strip_ticks += 1;
         self.strip_to_mem[s].tick();
         while let Some(t) = self.strip_to_mem[s].pop_complete() {
-            let op = &self.mem_ops[&t.id];
+            let op = self.mem_ops.get(t.id).expect("strip arrival without op");
             self.hbm_retry.push_back(DramRequest {
                 id: t.id,
                 addr: op.line_addr,
@@ -999,12 +1003,9 @@ impl Cell {
         self.hbm.tick();
         while let Some(resp) = self.hbm.pop_response() {
             if resp.write {
-                self.mem_ops.remove(&resp.id);
+                self.mem_ops.remove(resp.id);
             } else {
-                let op = self
-                    .mem_ops
-                    .get_mut(&resp.id)
-                    .expect("unknown HBM response");
+                let op = self.mem_ops.get_mut(resp.id).expect("unknown HBM response");
                 let line = op.data.insert(vec![0; self.cfg.line_bytes as usize]);
                 self.dram.read_into(op.line_addr, line);
                 self.strip_from_mem[usize::from(op.bank >= w)].enqueue(hb_noc::StripTransfer {
@@ -1023,7 +1024,7 @@ impl Cell {
         self.work.strip_ticks += 1;
         self.strip_from_mem[s].tick();
         while let Some(t) = self.strip_from_mem[s].pop_complete() {
-            let op = self.mem_ops.remove(&t.id).expect("refill without op");
+            let op = self.mem_ops.remove(t.id).expect("refill without op");
             let data = op.data.expect("refill without data");
             let bank = &mut self.banks[op.bank].bank;
             bank.set_clock(self.mem_cycle);
@@ -1032,10 +1033,11 @@ impl Cell {
         }
     }
 
-    /// BSP phase 4 — barrier joins and releases. Visits the tiles that
-    /// stepped this cycle (only a step raises a join or traps) and those the
-    /// host touched; a release is consumed where the barrier network says
-    /// one arrived, or where a tile just started waiting.
+    /// BSP phase 4 — barrier joins and releases. Visits the tiles the host
+    /// touched and the stepped tiles whose step left work
+    /// ([`TileSched::with_work`]; only a step raises a join or traps); a
+    /// release is consumed where the barrier network says one arrived, or
+    /// where a tile just started waiting.
     fn phase_sync(&mut self) {
         let w = self.cfg.cell_dim.x as usize;
         self.release_check.clear();
@@ -1047,8 +1049,8 @@ impl Cell {
             self.sync_tile(i);
         }
         self.touched.clear();
-        for k in 0..self.sched.run_list().len() {
-            let i = self.sched.run_list()[k] as usize;
+        for k in 0..self.sched.with_work().len() {
+            let i = self.sched.with_work()[k] as usize;
             self.visit.insert(i);
             self.sync_tile(i);
         }
@@ -1066,9 +1068,10 @@ impl Cell {
         }
     }
 
-    /// Sync phase, one stepped or touched tile: notes a trap, forwards a
-    /// raised join flag (a tile that just started waiting may find an
-    /// earlier release still unconsumed, so it is checked for one).
+    /// Sync phase, one touched tile or one stepped tile with work: notes a
+    /// trap, forwards a raised join flag (a tile that just started waiting
+    /// may find an earlier release still unconsumed, so it is checked for
+    /// one).
     #[inline]
     fn sync_tile(&mut self, i: usize) {
         self.work.sync_tiles += 1;
@@ -1218,12 +1221,15 @@ impl Cell {
     /// BSP phase 5 — injections: tile and bank outboxes drain into the
     /// routers (cross-Cell traffic diverts to the fabric queues). Visits, in
     /// index order (the order the fabric queues are filled in), the tiles
-    /// that can hold an outgoing packet — those that stepped this cycle,
-    /// those the host touched, those left with a backlog — and the banks
-    /// the memory phase saw with a response.
+    /// that can hold an outgoing packet — the stepped ones whose step left
+    /// work, those the host touched, those left with a backlog — and the
+    /// banks the memory phase saw with a response. A stepped tile without
+    /// work was seen with both outboxes empty right after its step, and
+    /// nothing since has filled them.
     fn phase_inject(&mut self) {
-        // `visit` still names the stepped and touched tiles. It leaves
-        // `self` for the walk, which needs all of `self` per tile.
+        // `visit` still names the touched tiles and the stepped ones with
+        // work. It leaves `self` for the walk, which needs all of `self` per
+        // tile.
         self.visit.union_with(&self.backlog);
         self.backlog.clear();
         let mut visit = std::mem::take(&mut self.visit);

@@ -43,11 +43,11 @@ pub struct PhaseTimes {
     pub network: Duration,
     /// Cache banks, refill strips, HBM2.
     pub memory: Duration,
-    /// Tile execution: [`Tile::step`](crate::Tile::step) on the run list.
+    /// Tile execution: [`Tile::step`](crate::Tile::step) on the run list,
+    /// and taking the park hint each step returns.
     pub tiles: Duration,
-    /// Wake-list bookkeeping (due scan, stall catch-up, park application
-    /// — see `crate::sched`), paid under either park policy. Kept out of
-    /// `tiles` so that bucket is the cost of stepping alone.
+    /// The wake list's build scan (due scan, wakes, stall catch-up — see
+    /// `crate::sched`), paid under either park policy.
     pub sched: Duration,
     /// Barrier joins/releases.
     pub sync: Duration,

@@ -75,10 +75,9 @@ pub(crate) struct TileSched {
     park_kind: Vec<Option<StallKind>>,
     /// Scratch: indices of tiles to step this cycle.
     run_list: Vec<u32>,
-    /// Scratch: park hints produced by this cycle's steps (position for
-    /// position with `run_list`), applied after the step so that taking
-    /// them is billed to the clock's `sched` bucket, not to `tiles`.
-    parks: Vec<Park>,
+    /// Scratch: the stepped tiles whose step left work for the sync or
+    /// inject phase, in `run_list` order.
+    with_work: Vec<u32>,
     stepped: u64,
     skipped: u64,
     rearms: u64,
@@ -92,7 +91,7 @@ impl TileSched {
             park_cycle: vec![NOT_PARKED; tiles],
             park_kind: vec![None; tiles],
             run_list: Vec::with_capacity(tiles),
-            parks: Vec::with_capacity(tiles),
+            with_work: Vec::with_capacity(tiles),
             stepped: 0,
             skipped: 0,
             rearms: 0,
@@ -124,11 +123,13 @@ impl TileSched {
         self.rearms
     }
 
-    /// The tiles the latest [`run_cycle`](Self::run_cycle) stepped, in
-    /// ascending order: the only ones that can have raised a barrier join,
-    /// trapped or filled an outbox in it.
-    pub(crate) fn run_list(&self) -> &[u32] {
-        &self.run_list
+    /// The tiles the latest [`run_cycle`](Self::run_cycle) stepped whose
+    /// step left a barrier join, a trap or an outgoing packet
+    /// ([`Tile::left_work`]), in ascending order: only a step raises a join,
+    /// traps or fills an outbox, so these are the only stepped tiles the
+    /// sync and inject phases must look into.
+    pub(crate) fn with_work(&self) -> &[u32] {
+        &self.with_work
     }
 
     /// `(stepped, skipped)` tile-tick counters.
@@ -167,11 +168,12 @@ impl TileSched {
     }
 
     /// Runs one tile phase: wakes due sleepers, credits owed stalls, steps
-    /// the wake list and, if `park`, takes the new park hints. With `park`
-    /// off every active tile is due — a sleeper can then only come from a
-    /// checkpoint captured under the park policy, and is woken and credited
-    /// like any other. Wake-list bookkeeping is billed to the clock's
-    /// `sched` bucket and only the stepping itself to `tiles`.
+    /// the wake list and, if `park`, takes each new park hint as its step
+    /// returns it. With `park` off every active tile is due — a sleeper can
+    /// then only come from a checkpoint captured under the park policy, and
+    /// is woken and credited like any other. The build scan is billed to
+    /// the clock's `sched` bucket; the steps and the hints they return, to
+    /// `tiles`.
     pub(crate) fn run_cycle(
         &mut self,
         tiles: &mut [Tile],
@@ -182,6 +184,7 @@ impl TileSched {
     ) {
         // Build: scan the SoA state, wake due tiles, credit stall debt.
         self.run_list.clear();
+        self.with_work.clear();
         for (i, &a) in active.iter().enumerate() {
             if !a {
                 continue;
@@ -207,21 +210,18 @@ impl TileSched {
             }
             self.run_list.push(i as u32);
         }
-        self.parks.clear();
         clock.lap(|t| &mut t.sched);
 
-        // Step: only the wake list.
+        // Step only the wake list, and record each new park as it comes and
+        // whether the tile, still in cache, left work for a later phase.
         for &i in &self.run_list {
-            self.parks.push(tiles[i as usize].step(now));
-        }
-        self.stepped += self.run_list.len() as u64;
-        clock.lap(|t| &mut t.tiles);
-
-        // Apply: record the new parks.
-        if park {
-            for (&i, &hint) in self.run_list.iter().zip(&self.parks) {
-                if let Park::Sleep { kind, wake_at } = hint {
-                    let i = i as usize;
+            let i = i as usize;
+            let hint = tiles[i].step(now);
+            if tiles[i].left_work() {
+                self.with_work.push(i as u32);
+            }
+            if let Park::Sleep { kind, wake_at } = hint {
+                if park {
                     self.asleep[i] = true;
                     self.wake_at[i] = wake_at;
                     self.park_kind[i] = kind;
@@ -230,15 +230,17 @@ impl TileSched {
                 }
             }
         }
-        clock.lap(|t| &mut t.sched);
+        self.stepped += self.run_list.len() as u64;
+        clock.lap(|t| &mut t.tiles);
     }
 }
 
-// `run_list`/`parks` are rebuilt every cycle (and read only within it).
+// `run_list` and `with_work` are rebuilt every cycle (and read only until
+// the next).
 hb_mem::snap_state!(TileSched [b"SCHD"] {
     save: stepped, skipped, rearms;
     fixed: asleep, wake_at, park_cycle, park_kind;
-    host: run_list, parks;
+    host: run_list, with_work;
 });
 
 #[cfg(test)]

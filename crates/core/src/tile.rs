@@ -19,8 +19,9 @@ use crate::stats::{CoreStats, StallKind};
 use crate::trace::{TraceEvent, TraceHandle};
 use hb_asm::Program;
 use hb_isa::{Fpr, Gpr, Instr};
+use hb_mem::{IdMap, Snap, SnapError, SnapReader, SnapWriter};
 use hb_noc::{Coord, Packet};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Destination of an in-flight remote load.
@@ -32,15 +33,57 @@ enum Dst {
     Fp(Fpr),
 }
 
+/// The destinations of one remote load, one per word, held inline: a
+/// compressed load packet carries at most four words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dsts {
+    len: u8,
+    items: [Dst; 4],
+}
+
+impl Dsts {
+    fn one(dst: Dst) -> Dsts {
+        Dsts {
+            len: 1,
+            items: [dst; 4],
+        }
+    }
+
+    fn push(&mut self, dst: Dst) {
+        self.items[usize::from(self.len)] = dst;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Dst] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+/// Encoded as a `Vec<Dst>`: a `u64` length, then the destinations.
+impl Snap for Dsts {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.as_slice().len());
+        Dst::save_slice(self.as_slice(), w);
+    }
+
+    fn load(r: &mut SnapReader) -> Result<Dsts, SnapError> {
+        let n = r.usize()?;
+        if !(1..=4).contains(&n) {
+            return Err(SnapError::Bad("load destination count out of range"));
+        }
+        let mut dsts = Dsts::one(Dst::load(r)?);
+        for _ in 1..n {
+            dsts.push(Dst::load(r)?);
+        }
+        Ok(dsts)
+    }
+}
+
 /// Book-keeping for one outstanding remote operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum PendingOp {
     /// A (possibly compressed) load: one destination per word.
-    Load {
-        dsts: Vec<Dst>,
-        width: u8,
-        signed: bool,
-    },
+    Load { dsts: Dsts, width: u8, signed: bool },
     /// A posted store awaiting its scoreboard credit.
     Store,
     /// An atomic op returning the old value.
@@ -53,7 +96,7 @@ struct Combine {
     dst_cell: u8,
     dst_coord: Coord,
     base_addr: u32,
-    dsts: Vec<Dst>,
+    dsts: Dsts,
     op_id: u32,
     /// Flush deadline (cycles the latch may hold the packet).
     flush_at: u64,
@@ -141,7 +184,7 @@ pub struct Tile {
     // Remote-op scoreboard.
     outstanding: usize,
     next_op_id: u32,
-    pending_ops: HashMap<u32, PendingOp>,
+    pending_ops: IdMap<u32, PendingOp>,
     blocking_on: Option<u32>,
     combine: Option<Combine>,
 
@@ -331,7 +374,7 @@ impl Tile {
             program: None,
             outstanding: 0,
             next_op_id: 0,
-            pending_ops: HashMap::new(),
+            pending_ops: IdMap::default(),
             blocking_on: None,
             combine: None,
             req_outbox: VecDeque::new(),
@@ -512,6 +555,15 @@ impl Tile {
     /// Whether the tile has executed `ecall` (kernel complete).
     pub fn is_finished(&self) -> bool {
         self.finished
+    }
+
+    /// Whether the last step left work for the Cell's sync phase (a
+    /// barrier join, a trap) or inject phase (a packet to send).
+    pub(crate) fn left_work(&self) -> bool {
+        self.wants_join
+            || self.fault.is_some()
+            || !self.req_outbox.is_empty()
+            || !self.resp_outbox.is_empty()
     }
 
     /// Whether the tile is executing.
@@ -802,7 +854,7 @@ impl Tile {
     fn drain_responses(&mut self) {
         while let Some(pkt) = self.resp_inbox.pop_front() {
             let resp = pkt.payload;
-            let Some(op) = self.pending_ops.remove(&resp.op_id) else {
+            let Some(op) = self.pending_ops.remove(resp.op_id) else {
                 self.trap(format!("response for unknown op {}", resp.op_id));
                 return;
             };
@@ -815,8 +867,8 @@ impl Tile {
                     },
                     RespKind::Load { data, count },
                 ) => {
-                    debug_assert_eq!(dsts.len(), count as usize);
-                    for (i, &dst) in dsts.iter().enumerate() {
+                    debug_assert_eq!(dsts.len, count);
+                    for (i, &dst) in dsts.as_slice().iter().enumerate() {
                         self.retire_remote(dst, extend(data[i], width, signed));
                     }
                 }
@@ -899,7 +951,7 @@ impl Tile {
         let Some(c) = self.combine.take() else {
             return;
         };
-        let count = c.dsts.len() as u8;
+        let count = c.dsts.len;
         if count > 1 {
             self.stats.lpc_merged += u64::from(count) - 1;
         }
@@ -981,15 +1033,15 @@ impl Tile {
     ) -> bool {
         let hold = self.cfg.load_packet_compression && self.cfg.non_blocking_loads && width == 4;
         if let Some(c) = &mut self.combine {
-            let next = c.base_addr + 4 * c.dsts.len() as u32;
+            let next = c.base_addr + 4 * u32::from(c.dsts.len);
             if hold
                 && self.outstanding < self.cfg.max_outstanding
                 && (c.dst_cell, c.dst_coord, next) == (cell, coord, addr)
-                && c.dsts.len() < 4
+                && c.dsts.len < 4
             {
                 c.dsts.push(dst);
                 c.flush_at = now + 2;
-                match self.pending_ops.get_mut(&c.op_id) {
+                match self.pending_ops.get_mut(c.op_id) {
                     Some(PendingOp::Load { dsts, .. }) => dsts.push(dst),
                     _ => unreachable!("combine latch without pending op"),
                 }
@@ -999,7 +1051,7 @@ impl Tile {
             }
         }
         let op = PendingOp::Load {
-            dsts: vec![dst],
+            dsts: Dsts::one(dst),
             width,
             signed,
         };
@@ -1011,7 +1063,7 @@ impl Tile {
                 dst_cell: cell,
                 dst_coord: coord,
                 base_addr: addr,
-                dsts: vec![dst],
+                dsts: Dsts::one(dst),
                 op_id,
                 flush_at: now + 2,
             });
@@ -1192,14 +1244,16 @@ impl Tile {
                 wake_at: bound(u64::MAX),
             };
         }
-        if self.penalty_until > now + 1 {
+        if self.penalty_until > now + 2 {
             return Park::Sleep {
                 kind: Some(self.penalty_kind),
                 wake_at: self.penalty_until,
             };
         }
         if self.penalty_until > now {
-            // One remaining penalty cycle: skipping it saves nothing.
+            // At most one penalty stall left (the default branch miss): a
+            // sleep would skip at most one step, and parking, waking and
+            // crediting it cost more than the step it saves.
             return Park::Awake;
         }
         // The tile would fetch and (maybe) execute next cycle. It can only
@@ -2211,6 +2265,106 @@ mod tests {
         // (`StallKind` is `repr(u8)`), not one word: 2096 -> 1656 bytes.
         let size = std::mem::size_of::<Tile>();
         assert!(size <= 1700, "Tile grew to {size} bytes");
+    }
+
+    #[test]
+    fn a_penalty_parks_only_when_the_sleep_skips_two_steps() {
+        let branch_miss_at = |penalty| {
+            let cfg = Arc::new(MachineConfig {
+                branch_miss_penalty: penalty,
+                ..MachineConfig::baseline_16x8()
+            });
+            let mut t = Tile::new(cfg.clone(), pgas_of(&cfg), (0, 0));
+            t.running = true;
+            // Taken forward: the static predictor said not taken.
+            let beq = Instr::Branch {
+                op: hb_isa::BranchOp::Eq,
+                rs1: Gpr::Zero,
+                rs2: Gpr::Zero,
+                offset: 8,
+            };
+            t.execute(beq, 10);
+            assert_eq!(t.stats().branch_misses, 1);
+            t.park_hint(10)
+        };
+        // One stall left (cycle 11): stepping it is cheaper than parking.
+        assert_eq!(branch_miss_at(2), Park::Awake);
+        // Two (cycles 11 and 12): sleep until the penalty ends.
+        let sleep = Park::Sleep {
+            kind: Some(StallKind::BranchMiss),
+            wake_at: 13,
+        };
+        assert_eq!(branch_miss_at(3), sleep);
+    }
+
+    /// The scoreboard's inline destinations and id-ordered table keep the
+    /// wire form of the `Vec` and the map they replaced: a tile with a
+    /// four-word combined load in the latch checkpoints, restores and
+    /// checkpoints again to the same bytes, and the restored tile retires
+    /// the response into all four registers.
+    #[test]
+    fn a_combined_load_in_flight_round_trips_its_checkpoint() {
+        use hb_isa::LoadWidth;
+        use hb_mem::SnapState;
+
+        let cfg = Arc::new(MachineConfig::baseline_16x8());
+        let pg = pgas_of(&cfg);
+        let (me, other) = ((2u8, 3u8), (5u8, 1u8));
+        let mut t = Tile::new(cfg.clone(), pg, me);
+        t.regs[Gpr::A0.index() as usize] = crate::pgas::group_spm(other.0, other.1, 0x40);
+        let (a1, a2, f1, f2) = (Gpr::A1, Gpr::A2, Fpr::from_index(1), Fpr::from_index(2));
+        let load = |rd, offset| Instr::Load {
+            width: LoadWidth::W,
+            rd,
+            rs1: Gpr::A0,
+            offset,
+        };
+        let flw = |rd, offset| Instr::Flw {
+            rd,
+            rs1: Gpr::A0,
+            offset,
+        };
+        for instr in [load(a1, 0), flw(f1, 4), load(a2, 8), flw(f2, 12)] {
+            t.execute(instr, 0);
+        }
+        assert_eq!(t.outstanding(), 4);
+        assert!(t.req_outbox.is_empty(), "the packet is held in the latch");
+        let held = t.combine.as_ref().expect("the latch holds the load").dsts;
+        let want = [Dst::Int(a1), Dst::Fp(f1), Dst::Int(a2), Dst::Fp(f2)];
+        assert_eq!(held.as_slice(), want);
+        let encode = |f: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            f(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(
+            encode(&|w| held.save(w)),
+            encode(&|w| want.to_vec().save(w))
+        );
+
+        let bytes = encode(&|w| t.save_state(w));
+        let mut back = Tile::new(cfg, pg, me);
+        back.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(encode(&|w| back.save_state(w)), bytes);
+
+        back.flush_combine();
+        let (_, pkt) = back.req_outbox.pop_front().expect("the held packet leaves");
+        let op_id = pkt.payload.op_id;
+        assert!(matches!(pkt.payload.kind, ReqKind::Load { count: 4, .. }));
+        let data = [11, 22, 33, 44];
+        back.resp_inbox.push_back(Packet {
+            src: pkt.dst,
+            dst: pkt.src,
+            payload: Response {
+                op_id,
+                kind: RespKind::Load { data, count: 4 },
+            },
+        });
+        back.drain_responses();
+        assert_eq!(back.fault(), None);
+        assert_eq!(back.outstanding(), 0);
+        assert_eq!((back.reg(a1), back.reg(a2)), (11, 33));
+        assert_eq!((back.freg(f1).to_bits(), back.freg(f2).to_bits()), (22, 44));
     }
 
     #[test]

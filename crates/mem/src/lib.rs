@@ -18,7 +18,8 @@
 //! [`json`] (the one JSON parser, and flat-object records over it) — plus
 //! [`fnv1a128`], the digest those forms are sealed and keyed with, and
 //! [`WorkSet`], the ascending-order worklist the NoC and the Cell's
-//! sequential phases walk instead of sweeping the machine.
+//! sequential phases walk instead of sweeping the machine, and [`IdMap`],
+//! the id-ordered table of in-flight operations.
 //!
 //! # Examples
 //!
@@ -42,6 +43,7 @@
 
 mod channel;
 mod clock;
+mod idmap;
 pub mod json;
 pub mod snap;
 mod storage;
@@ -50,6 +52,7 @@ mod worklist;
 
 pub use channel::{DramRequest, DramResponse, Hbm2Channel, Hbm2Config, Hbm2Stats};
 pub use clock::ClockDivider;
+pub use idmap::IdMap;
 pub use snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 pub use storage::Dram;
 pub use worklist::WorkSet;

@@ -26,7 +26,7 @@
 //! | `f32` | its IEEE-754 bit pattern (bit-exact restore) |
 //! | `String` | `u64` length, then UTF-8 bytes (validated) |
 //! | `Vec<T>` `VecDeque<T>` | `u64` length, then the elements |
-//! | `HashMap<K, V>` | `u64` length, then `(K, V)` pairs sorted by key |
+//! | `HashMap<K, V>` [`IdMap<K, V>`](crate::IdMap) | `u64` length, then `(K, V)` pairs sorted by key |
 //! | `Option<T>` | presence byte, then `T` when present |
 //! | `[T; N]` tuples `Box<T>` | the elements, nothing added |
 //!
