@@ -392,6 +392,9 @@ impl Cell {
                 }
             }
         }
+        self.sched
+            .set_active(&self.active)
+            .expect("a launch wakes every tile");
         // A launch clears the faults of the tiles it covers, no others.
         self.maybe_fault = self.tiles.iter().any(|t| t.fault().is_some());
     }
@@ -1209,6 +1212,7 @@ impl Cell {
         if !self.barriers.iter().zip(&self.barrier_origin).all(fits) {
             return Err(SnapError::Bad("barrier network leaves the cell"));
         }
+        self.sched.set_active(&self.active)?;
         self.staged.insert_all();
         self.touched.insert_all();
         self.backlog.insert_all();

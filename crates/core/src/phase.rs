@@ -46,8 +46,9 @@ pub struct PhaseTimes {
     /// Tile execution: [`Tile::step`](crate::Tile::step) on the run list,
     /// and taking the park hint each step returns.
     pub tiles: Duration,
-    /// The wake list's build scan (due scan, wakes, stall catch-up — see
-    /// `crate::sched`), paid under either park policy.
+    /// The wake list's build (timer wakes, the walk over the awake active
+    /// tiles, stall catch-up — see `crate::sched`), paid under either park
+    /// policy.
     pub sched: Duration,
     /// Barrier joins/releases.
     pub sync: Duration,

@@ -72,6 +72,38 @@ impl WorkSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Whether `i` is a member.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
+    /// How many indices are members of both `self` and `other`, a set of
+    /// the same capacity: one popcount per word.
+    #[inline]
+    pub fn count_and(&self, other: &WorkSet) -> usize {
+        debug_assert_eq!(self.capacity, other.capacity);
+        (self.words.iter().zip(&other.words))
+            .map(|(w, o)| (w & o).count_ones() as usize)
+            .sum()
+    }
+
+    /// The members of `self` that are not members of `other`, a set of the
+    /// same capacity, in ascending order: a walk over one masked word at a
+    /// time, so the indices `other` holds cost nothing.
+    #[inline]
+    pub fn iter_and_not<'a>(&'a self, other: &'a WorkSet) -> AndNot<'a> {
+        debug_assert_eq!(self.capacity, other.capacity);
+        AndNot {
+            words: &self.words,
+            not: &other.words,
+            next_word: 0,
+            rest: 0,
+        }
+    }
+
     /// The smallest member at or above `from`: the cursor of a walk that
     /// edits the set as it goes (`while let Some(i) = set.first_from(cur)`
     /// with `cur = i + 1`), which an iterator's borrow would forbid.
@@ -121,6 +153,34 @@ impl Iterator for Iter<'_> {
     fn next(&mut self) -> Option<usize> {
         while self.rest == 0 {
             self.rest = *self.words.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some((self.next_word - 1) * 64 + bit)
+    }
+}
+
+/// Ascending walk over the difference of two [`WorkSet`]s (see
+/// [`WorkSet::iter_and_not`]).
+#[derive(Debug, Clone)]
+pub struct AndNot<'a> {
+    words: &'a [u64],
+    not: &'a [u64],
+    /// Index of the first word not yet loaded into `rest`.
+    next_word: usize,
+    /// Members of the current masked word still to yield.
+    rest: u64,
+}
+
+impl Iterator for AndNot<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.rest == 0 {
+            let word = *self.words.get(self.next_word)?;
+            self.rest = word & !self.not[self.next_word];
             self.next_word += 1;
         }
         let bit = self.rest.trailing_zeros() as usize;
@@ -179,5 +239,52 @@ mod tests {
         );
         t.clear();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn intersections_and_differences_work_a_word_at_a_time() {
+        let cap = 200;
+        let (mut a, mut b) = (WorkSet::new(cap), WorkSet::new(cap));
+        for i in [0, 5, 63, 64, 100, 127, 128, 199] {
+            a.insert(i);
+        }
+        for i in [5, 64, 101, 127, 199] {
+            b.insert(i);
+        }
+        assert_eq!(a.count_and(&b), 4);
+        assert_eq!(b.count_and(&a), 4);
+        assert_eq!(a.iter_and_not(&b).collect::<Vec<_>>(), [0, 63, 100, 128]);
+        assert_eq!(b.iter_and_not(&a).collect::<Vec<_>>(), [101]);
+        assert!(a.contains(63) && !a.contains(62) && !a.contains(cap + 64));
+        // Against a member-by-member reference, over every word boundary.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..50 {
+            let (mut x, mut y) = (WorkSet::new(cap), WorkSet::new(cap));
+            for i in 0..cap {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match rng >> 62 {
+                    0 => x.insert(i),
+                    1 => y.insert(i),
+                    2 => {
+                        x.insert(i);
+                        y.insert(i);
+                    }
+                    _ => {}
+                }
+            }
+            let both = (0..cap).filter(|&i| x.contains(i) && y.contains(i)).count();
+            let only: Vec<usize> = (0..cap)
+                .filter(|&i| x.contains(i) && !y.contains(i))
+                .collect();
+            assert_eq!(x.count_and(&y), both);
+            assert_eq!(x.iter_and_not(&y).collect::<Vec<_>>(), only);
+        }
+        assert_eq!(WorkSet::new(0).iter_and_not(&WorkSet::new(0)).next(), None);
+        assert_eq!(
+            WorkSet::full(cap).iter_and_not(&WorkSet::full(cap)).next(),
+            None
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Cycle-level 2-D mesh / Half-Ruche network with dimension-ordered routing.
 
-use hb_mem::WorkSet;
+use hb_mem::{Snap, SnapError, SnapReader, SnapWriter, WorkSet};
 use std::collections::VecDeque;
 
 /// Number of router ports (local + 4 mesh + 2 Ruche).
@@ -225,15 +225,25 @@ pub struct RetransmitEvent {
     pub port: Port,
 }
 
+/// A packet as the fabric moves it: its handle in the network's packet slab
+/// and the one field routing reads. Input FIFOs, output latches and
+/// ejection queues carry these 8 bytes; the packet itself is written once
+/// by `inject` and read once by `eject`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    handle: u32,
+    dst: Coord,
+}
+
 #[derive(Debug, Clone)]
-struct Router<P> {
-    inputs: [VecDeque<Packet<P>>; NPORTS],
+struct Router {
+    inputs: [VecDeque<Slot>; NPORTS],
     /// Round-robin pointer per output port.
     rr: [usize; NPORTS],
 }
 
-impl<P> Router<P> {
-    fn new() -> Router<P> {
+impl Router {
+    fn new() -> Router {
         Router {
             inputs: std::array::from_fn(|_| VecDeque::new()),
             rr: [0; NPORTS],
@@ -241,9 +251,9 @@ impl<P> Router<P> {
     }
 }
 
-/// One router's output latches: a packet plus its link-release cycle per
-/// output port.
-type OutputLatches<P> = [Option<(Packet<P>, u64)>; NPORTS];
+/// One router's output latches: a packet's slot plus its link-release
+/// cycle per output port.
+type OutputLatches = [Option<(Slot, u64)>; NPORTS];
 
 /// Where each output link of one router lands: the downstream router and
 /// its input port; `None` for the local ejection queue or a nonexistent
@@ -279,12 +289,19 @@ pub struct Network<P> {
     coords: Vec<Coord>,
     /// Link destinations per router (fixed at build time).
     link_dests: Vec<LinkDests>,
-    routers: Vec<Router<P>>,
-    /// Output latch per (router, output port): the packet and the cycle at
-    /// which it may leave the link (link_occupancy pacing).
-    latches: Vec<OutputLatches<P>>,
+    routers: Vec<Router>,
+    /// Output latch per (router, output port): the packet's slot and the
+    /// cycle at which it may leave the link (link_occupancy pacing).
+    latches: Vec<OutputLatches>,
     link_stats: Vec<[LinkStats; NPORTS]>,
-    eject_qs: Vec<VecDeque<Packet<P>>>,
+    eject_qs: Vec<VecDeque<Slot>>,
+    /// The slab the slots point into: every packet between `inject` and
+    /// `eject`, plus the handles `eject` freed for reuse. It grows to the
+    /// most packets ever inside the network at once, never to the worst
+    /// case. Host state: a checkpoint writes each packet where its slot
+    /// sits, so handles are not in the stream.
+    packets: Vec<Packet<P>>,
+    free: Vec<u32>,
     /// Packets currently in router input FIFOs or output latches — the
     /// population [`tick`](Self::tick) can act on. Ejection queues are
     /// excluded: their draining is driven by the attached nodes, not by
@@ -358,6 +375,8 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
             latches: (0..n).map(|_| std::array::from_fn(|_| None)).collect(),
             link_stats: vec![[LinkStats::default(); NPORTS]; n],
             eject_qs: (0..n).map(|_| VecDeque::new()).collect(),
+            packets: Vec::new(),
+            free: Vec::new(),
             moving: 0,
             latched: WorkSet::new(n * PORT_STRIDE),
             queued: WorkSet::new(n * PORT_STRIDE),
@@ -478,11 +497,11 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// when the injection FIFO is full (the caller must retry).
     pub fn inject(&mut self, at: Coord, pkt: Packet<P>) -> bool {
         let idx = self.idx(at);
-        let fifo = &mut self.routers[idx].inputs[Port::Local as usize];
-        if fifo.len() >= self.cfg.fifo_depth {
+        if !self.can_inject(at) {
             return false;
         }
-        fifo.push_back(pkt);
+        let slot = self.stow(pkt);
+        self.routers[idx].inputs[Port::Local as usize].push_back(slot);
         self.queued.insert(idx * PORT_STRIDE + Port::Local as usize);
         self.moving += 1;
         self.stats.injected += 1;
@@ -498,12 +517,13 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// Pops a packet delivered to node `at`, if any.
     pub fn eject(&mut self, at: Coord) -> Option<Packet<P>> {
         let idx = self.idx(at);
-        let pkt = self.eject_qs[idx].pop_front()?;
+        let slot = self.eject_qs[idx].pop_front()?;
         if self.eject_qs[idx].is_empty() {
             self.ready.remove(idx);
         }
         self.stats.ejected += 1;
-        Some(pkt)
+        self.free.push(slot.handle);
+        Some(self.packets[slot.handle as usize].clone())
     }
 
     /// The nodes holding a delivery [`eject`](Self::eject) would return, in
@@ -608,8 +628,8 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
                     // every cycle; bound them generously.
                     let room = self.eject_qs[idx].len() < 8 * self.cfg.fifo_depth;
                     if room {
-                        let (pkt, _) = self.latches[idx][p].take().unwrap();
-                        self.eject_qs[idx].push_back(pkt);
+                        let (slot, _) = self.latches[idx][p].take().unwrap();
+                        self.eject_qs[idx].push_back(slot);
                         self.ready.insert(idx);
                         self.moving -= 1;
                     }
@@ -620,8 +640,8 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
                     let (didx, dport) = (didx as usize, dport as usize);
                     let room = self.routers[didx].inputs[dport].len() < self.cfg.fifo_depth;
                     if room {
-                        let (pkt, _) = self.latches[idx][p].take().unwrap();
-                        self.routers[didx].inputs[dport].push_back(pkt);
+                        let (slot, _) = self.latches[idx][p].take().unwrap();
+                        self.routers[didx].inputs[dport].push_back(slot);
                         self.queued.insert(didx * PORT_STRIDE + dport);
                     }
                     room
@@ -681,14 +701,14 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
             let pick = if from_rr != 0 { from_rr } else { wants[o] };
             let inp = pick.trailing_zeros() as usize;
             let fifo = &mut self.routers[idx].inputs[inp];
-            let pkt = fifo.pop_front().unwrap();
+            let slot = fifo.pop_front().unwrap();
             match fifo.front().map(|head| head.dst) {
                 Some(dst) if REARBITRATE => wants[self.route_port(at, dst) as usize] |= 1 << inp,
                 Some(_) => {}
                 None => self.queued.remove(idx * PORT_STRIDE + inp),
             }
             let free_at = self.cycle + u64::from(self.cfg.link_occupancy);
-            self.latches[idx][o] = Some((pkt, free_at));
+            self.latches[idx][o] = Some((slot, free_at));
             self.latched.insert(idx * PORT_STRIDE + o);
             self.routers[idx].rr[o] = (inp + 1) % NPORTS;
         }
@@ -781,18 +801,36 @@ impl<P> Network<P> {
     }
 
     /// Whether `moving` and the incrementally kept worklists equal a
-    /// from-scratch recount.
+    /// from-scratch recount, and the slab holds exactly the packets the
+    /// slots point to.
     fn derived_state_is_exact(&self) -> bool {
         let (moving, latched, queued, ready) = self.derived();
+        let ejectable: usize = self.eject_qs.iter().map(VecDeque::len).sum();
         (moving, &latched, &queued, &ready)
             == (self.moving, &self.latched, &self.queued, &self.ready)
+            && self.packets.len() - self.free.len() == moving + ejectable
+    }
+
+    /// Puts `pkt` in the slab, in a freed place if there is one.
+    fn stow(&mut self, pkt: Packet<P>) -> Slot {
+        let dst = pkt.dst;
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.packets[handle as usize] = pkt;
+                handle
+            }
+            None => {
+                self.packets.push(pkt);
+                u32::try_from(self.packets.len() - 1).expect("over 2^32 packets in flight")
+            }
+        };
+        Slot { handle, dst }
     }
 
     /// After a restore: range-checks the decoded indices and recounts the
     /// derived state — `moving` and the worklists — from the FIFO, latch and
     /// ejection-queue population.
-    fn check_restored(&mut self) -> Result<(), hb_mem::SnapError> {
-        use hb_mem::SnapError;
+    fn check_restored(&mut self) -> Result<(), SnapError> {
         let n = self.routers.len();
         if self
             .routers
@@ -831,12 +869,93 @@ hb_mem::snap_value!(NetworkStats {
     retransmits
 });
 hb_mem::snap_value!(RetransmitEvent { cycle, at, port });
-hb_mem::snap_value!(Router<P> { inputs, rr });
 hb_mem::snap_state!(Network<P> [b"NET0"] {
     save: stats, cycle, link_faults, retransmit_events;
-    fixed: routers, latches, link_stats, eject_qs;
-    host: cfg, coords, link_dests, moving, latched, queued, ready, work;
-} check check_restored);
+    host: cfg, coords, link_dests, routers, latches, link_stats, eject_qs, packets, free, moving,
+        latched, queued, ready, work;
+} extra (save_fabric, load_fabric) check check_restored);
+
+/// The packet containers, in the wire form they had when they held whole
+/// packets, so a checkpoint does not depend on where the slab put them:
+/// per router its seven input FIFOs (`u64` length, then the packets) and
+/// round-robin pointers; per router its seven output latches (presence
+/// byte, packet, release cycle); the link counters; per node its ejection
+/// queue. Each sequence of routers is prefixed by the router count, which
+/// must equal the live one.
+impl<P: Snap> Network<P> {
+    fn save_fabric(&self, w: &mut SnapWriter) {
+        let queue = |q: &VecDeque<Slot>, w: &mut SnapWriter| {
+            w.usize(q.len());
+            q.iter()
+                .for_each(|s| self.packets[s.handle as usize].save(w));
+        };
+        w.usize(self.routers.len());
+        for router in &self.routers {
+            router.inputs.iter().for_each(|q| queue(q, w));
+            router.rr.save(w);
+        }
+        w.usize(self.latches.len());
+        for latch in self.latches.iter().flatten() {
+            w.bool(latch.is_some());
+            if let Some((s, free_at)) = latch {
+                self.packets[s.handle as usize].save(w);
+                free_at.save(w);
+            }
+        }
+        hb_mem::snap::save_fixed(&self.link_stats, w);
+        w.usize(self.eject_qs.len());
+        self.eject_qs.iter().for_each(|q| queue(q, w));
+    }
+
+    /// Re-slabs every packet as it is read.
+    fn load_fabric(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let n = self.routers.len();
+        let routers = |r: &mut SnapReader, what| match r.usize()? == n {
+            true => Ok(()),
+            false => Err(SnapError::Bad(what)),
+        };
+        self.packets.clear();
+        self.free.clear();
+        routers(r, "Network.routers length mismatch")?;
+        for idx in 0..n {
+            for p in 0..NPORTS {
+                let mut q = std::mem::take(&mut self.routers[idx].inputs[p]);
+                self.load_queue(&mut q, r)?;
+                self.routers[idx].inputs[p] = q;
+            }
+            self.routers[idx].rr = Snap::load(r)?;
+        }
+        routers(r, "Network.latches length mismatch")?;
+        for idx in 0..n {
+            for p in 0..NPORTS {
+                let latch = Option::<(Packet<P>, u64)>::load(r)?;
+                self.latches[idx][p] = latch.map(|(pkt, free_at)| (self.stow(pkt), free_at));
+            }
+        }
+        hb_mem::snap::load_fixed(
+            &mut self.link_stats,
+            r,
+            "Network.link_stats length mismatch",
+        )?;
+        routers(r, "Network.eject_qs length mismatch")?;
+        for idx in 0..n {
+            let mut q = std::mem::take(&mut self.eject_qs[idx]);
+            self.load_queue(&mut q, r)?;
+            self.eject_qs[idx] = q;
+        }
+        Ok(())
+    }
+
+    /// Replaces the contents of `q` by a stored packet queue.
+    fn load_queue(&mut self, q: &mut VecDeque<Slot>, r: &mut SnapReader) -> Result<(), SnapError> {
+        q.clear();
+        for _ in 0..r.seq_len()? {
+            let pkt = Packet::load(r)?;
+            q.push_back(self.stow(pkt));
+        }
+        Ok(())
+    }
+}
 
 /// The full-sweep tick the worklists replaced, kept verbatim as the oracle
 /// of `worklist_tick_matches_the_reference_sweep`: every router x port in
@@ -1262,24 +1381,48 @@ mod tests {
         assert!(net.stats().retransmits > 0, "no scheduled fault ever fired");
     }
 
+    /// Router `idx`'s input FIFOs, output latches and ejection queue, each
+    /// slot resolved to its packet.
+    #[allow(clippy::type_complexity)]
+    fn contents(
+        net: &Network<u64>,
+        idx: usize,
+    ) -> (
+        Vec<Vec<Packet<u64>>>,
+        Vec<Option<(Packet<u64>, u64)>>,
+        Vec<Packet<u64>>,
+    ) {
+        let packet = |s: &Slot| net.packets[s.handle as usize];
+        (
+            (net.routers[idx].inputs.iter())
+                .map(|q| q.iter().map(packet).collect())
+                .collect(),
+            (net.latches[idx].iter())
+                .map(|l| l.map(|(s, free_at)| (packet(&s), free_at)))
+                .collect(),
+            net.eject_qs[idx].iter().map(packet).collect(),
+        )
+    }
+
     /// The first piece of state `tick` may write that differs between two
     /// networks, if any.
     fn first_difference(a: &Network<u64>, b: &Network<u64>) -> Option<String> {
         for idx in 0..a.routers.len() {
             let at = a.coords[idx];
-            if a.routers[idx].inputs != b.routers[idx].inputs {
+            let (x, y) = (contents(a, idx), contents(b, idx));
+            if x.0 != y.0 {
                 return Some(format!("input FIFOs of router {at}"));
             }
             if a.routers[idx].rr != b.routers[idx].rr {
                 return Some(format!("round-robin pointers of router {at}"));
             }
-            if a.latches[idx] != b.latches[idx] {
+            if x.1 != y.1 {
                 return Some(format!("output latches of router {at}"));
             }
             if a.link_stats[idx] != b.link_stats[idx] {
                 return Some(format!("link stats of router {at}"));
             }
-            if a.eject_qs[idx] != b.eject_qs[idx] {
+            if x.2 != y.2 {
                 return Some(format!("ejection queue of node {at}"));
             }
         }
@@ -1468,5 +1611,136 @@ mod tests {
         deliver(&mut net, Coord::new(0, 0), Coord::new(7, 0), 1);
         let stats = net.bisection_stats(4);
         assert!(stats.busy >= 1);
+    }
+
+    fn encoded(net: &Network<u64>) -> Vec<u8> {
+        let mut w = hb_mem::SnapWriter::new();
+        hb_mem::SnapState::save_state(net, &mut w);
+        w.into_bytes()
+    }
+
+    /// A network holding packets in input FIFOs, output latches and full
+    /// ejection queues: every node injects toward two hot nodes or a random
+    /// one while ejection is withheld, except that the hot nodes eject a few
+    /// packets half way, so the packets of one queue did not all enter the
+    /// network in queue order.
+    fn filled(cfg: NetworkConfig) -> Network<u64> {
+        let mut net = Network::new(cfg);
+        let mut rng = hb_rng::Rng::seed_from_u64(30);
+        let (w, h) = (cfg.width, cfg.height);
+        let hot = [Coord::new(1, 1), Coord::new(w - 1, h - 1)];
+        let mut payload = 0;
+        for t in 0..60 {
+            for idx in 0..net.coords.len() {
+                let src = net.coords[idx];
+                let dst = match rng.index(3) {
+                    2 => Coord::new(rng.index(w.into()) as u8, rng.index(h.into()) as u8),
+                    k => hot[k],
+                };
+                payload += 1;
+                net.inject(src, Packet { src, dst, payload });
+            }
+            net.tick();
+            if t == 30 {
+                for at in hot {
+                    for _ in 0..3 {
+                        net.eject(at);
+                    }
+                }
+            }
+        }
+        net
+    }
+
+    /// The checkpoint wire form of the packet containers, pinned from the
+    /// encoding that kept whole packets in them: a packet is written where
+    /// it sits, in queue order, whatever the network keeps it in. A restore
+    /// re-encodes byte-equal and drains in lockstep with the original.
+    #[test]
+    fn packet_containers_keep_their_wire_form() {
+        for (cfg, pinned) in [
+            (
+                NetworkConfig::new(4, 4, 0, RouteOrder::XThenY),
+                0x496961ed50fb312b970920cde662ca5b,
+            ),
+            (
+                NetworkConfig::new(8, 4, 3, RouteOrder::YThenX),
+                0xc773c4b5d7fb66fe000cc588c15e5820,
+            ),
+        ] {
+            let mut net = filled(cfg);
+            let n = net.coords.len();
+            let deep_fifos = (0..n * NPORTS)
+                .filter(|&m| net.routers[m / NPORTS].inputs[m % NPORTS].len() > 1)
+                .count();
+            let latches = (0..n * NPORTS)
+                .filter(|&m| net.latches[m / NPORTS][m % NPORTS].is_some())
+                .count();
+            let full_ejects = (net.eject_qs.iter())
+                .filter(|q| q.len() == 8 * cfg.fifo_depth)
+                .count();
+            assert!(deep_fifos > 4 && latches > 4 && full_ejects > 0, "{cfg:?}");
+            let bytes = encoded(&net);
+            assert_eq!(hb_mem::fnv1a128(&bytes), pinned, "{cfg:?}");
+
+            let mut twin = Network::new(cfg);
+            let mut r = hb_mem::SnapReader::new(&bytes);
+            hb_mem::SnapState::load_state(&mut twin, &mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(encoded(&twin), bytes);
+            for tick in 0.. {
+                assert!(tick < 2000, "{cfg:?}: the network never drained");
+                net.tick();
+                twin.tick();
+                for idx in 0..n {
+                    let at = net.coords[idx];
+                    while let Some(pkt) = net.eject(at) {
+                        assert_eq!(twin.eject(at), Some(pkt), "{cfg:?} tick {tick}");
+                    }
+                    assert_eq!(twin.eject(at), None, "{cfg:?} tick {tick}");
+                }
+                assert!(encoded(&twin) == encoded(&net), "{cfg:?} tick {tick}");
+                if net.is_drained() {
+                    break;
+                }
+            }
+            assert!(twin.is_drained());
+        }
+    }
+
+    /// The slab grows to the most packets ever in flight at once, not with
+    /// the packets that passed through: `eject` frees what `inject` stowed.
+    #[test]
+    fn the_slab_is_bounded_by_the_peak_in_flight() {
+        let mut net = mesh(4, 4);
+        let mut rng = hb_rng::Rng::seed_from_u64(7);
+        let any = |rng: &mut hb_rng::Rng| Coord::new(rng.index(4) as u8, rng.index(4) as u8);
+        let (mut round_trips, mut peak) = (0, 0);
+        while round_trips < 100_000 {
+            for _ in 0..rng.index(6) {
+                let (src, dst) = (any(&mut rng), any(&mut rng));
+                net.inject(
+                    src,
+                    Packet {
+                        src,
+                        dst,
+                        payload: 0,
+                    },
+                );
+            }
+            peak = peak.max(net.in_flight());
+            net.tick();
+            for idx in 0..net.coords.len() {
+                while net.eject(net.coords[idx]).is_some() {
+                    round_trips += 1;
+                }
+            }
+        }
+        assert!(peak > 8, "the mesh never held much");
+        assert!(
+            net.packets.len() as u64 <= peak,
+            "{} > {peak}",
+            net.packets.len()
+        );
     }
 }
