@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo bench -p hb-bench` (release codegen; debug numbers are
 //! meaningless). These guard the simulator's performance; the paper's
-//! figures are regenerated by the `fig*`/`table*` binaries in `src/bin/`.
+//! figures are regenerated by `hb-bench <figure>` (`src/main.rs`).
 //!
 //! Besides the human-readable log, every reported number is collected into
 //! a machine-readable trajectory and written as one JSON document to

@@ -1,4 +1,4 @@
-//! Ablation sweeps over the design choices DESIGN.md calls out, beyond the
+//! `ablations` — sweeps over the design choices DESIGN.md calls out, beyond the
 //! paper's on/off feature analysis (Figure 10):
 //!
 //! - Ruche factor 0..4 (the paper fixes 3; this shows the knee),
@@ -15,18 +15,19 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p hb-bench --bin ablation_sweeps -- \
-//!   [--out DIR] [--threads T]
+//! hb-bench ablations [--out DIR] [--threads N]
 //! ```
+//!
+//! The service's summary line carries host wall-clock, so it goes to
+//! stderr: stdout is `results/ablations.txt` byte for byte.
 
-use hb_bench::{bench_size, cli, hb_config, header, job_threads, row};
+use crate::{bench_size, hb_config, header, job_threads, row};
 use hb_core::MachineConfig;
+use hb_serve::cli::{self, Args};
 use hb_serve::{
     size_token, Campaign, CancelToken, JobKind, JobSpec, PlanSpec, RunOpts, SimExecutor, Store,
 };
 use std::path::PathBuf;
-
-const USAGE: &str = "usage: ablation_sweeps [--out DIR] [--threads T]";
 
 struct Sweep {
     title: &'static str,
@@ -35,29 +36,11 @@ struct Sweep {
     points: Vec<(String, MachineConfig)>,
 }
 
-fn parse_args() -> Option<PathBuf> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--out" => out = Some(PathBuf::from(cli::flag_value(&argv, &mut i, USAGE))),
-            "--threads" => {
-                // Consumed for arity; job_threads() already parsed it.
-                let _ = cli::flag_value(&argv, &mut i, USAGE);
-            }
-            other => cli::usage_fail(USAGE, format!("unknown option {other:?}")),
-        }
-        i += 1;
-    }
-    out
-}
-
-fn main() {
-    let out = parse_args();
+pub fn run(args: &Args) {
+    let out = args.value("--out").map(PathBuf::from);
     let base = hb_config();
     let size = bench_size();
-    let threads = job_threads();
+    let threads = job_threads(args);
     println!(
         "Ablation sweeps ({}x{} Cell)\n",
         base.cell_dim.x, base.cell_dim.y
@@ -224,7 +207,7 @@ fn main() {
         println!();
     }
 
-    println!("service: {}", summary.line());
+    eprintln!("service: {}", summary.line());
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     } else {

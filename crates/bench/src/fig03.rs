@@ -3,13 +3,14 @@
 //! Cell's banks — HB's word-per-packet uniform network vs a hierarchical
 //! manycore's 1024-bit block channels.
 
-use hb_bench::{header, row, scale};
+use crate::{header, row, scale};
 use hb_hier::BlockChannel;
 use hb_kernels::SizeClass;
 use hb_noc::{Coord, Network, NetworkConfig, Packet, RouteOrder};
 use hb_rng::Rng;
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(_: &Args) {
     let words: usize = match scale() {
         SizeClass::Tiny => 16 * 1024 / 4,
         _ => 1024 * 1024 / 4, // the paper's 1 MB

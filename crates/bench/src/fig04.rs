@@ -1,8 +1,9 @@
 //! Figure 4: hardware-barrier latency vs group size — Ruche vs plain
 //! mesh barrier wiring vs a software tree barrier estimate.
 
-use hb_bench::{header, row};
+use crate::{header, row};
 use hb_noc::{BarrierNetwork, Coord};
+use hb_serve::cli::Args;
 
 /// One full barrier round (all tiles join at cycle 0): cycles until the
 /// last release.
@@ -29,7 +30,7 @@ fn sw_estimate(tiles: u32, round_trip: u64) -> u64 {
     2 * u64::from(rounds) * round_trip
 }
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Figure 4 — barrier latency vs tile-group size\n");
     let widths = [10usize, 12, 12, 14];
     header(

@@ -4,13 +4,13 @@
 //! Ruche network, write-validate, Load Packet Compression, Regional IPOLY
 //! and non-blocking caches. Reports per-kernel and geomean speedups.
 
-use hb_bench::{
-    bench_cell, bench_size, geomean, header, job_threads, row, run_instrumented, telemetry_out,
-    window_arg,
-};
+use crate::{bench_cell, bench_size, geomean, header, job_threads, row, telemetry};
 use hb_core::{CellDim, MachineConfig};
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(args: &Args) {
+    let threads = job_threads(args);
+    let telemetry = telemetry::request(args);
     let full = bench_cell();
     let quarter = CellDim {
         x: full.x / 2,
@@ -126,7 +126,7 @@ fn main() {
     let points: Vec<(usize, usize)> = (0..configs.len())
         .flat_map(|si| (0..suite.len()).map(move |ki| (si, ki)))
         .collect();
-    let tputs = hb_serve::run_ordered(&points, job_threads(), |_, &(si, ki)| {
+    let tputs = hb_serve::run_ordered(&points, threads, |_, &(si, ki)| {
         let (label, cfg) = &configs[si];
         let bench = &suite[ki];
         eprintln!("  running {} / {label} ...", bench.name());
@@ -156,11 +156,6 @@ fn main() {
 
     // `--telemetry <out>`: one instrumented SGEMM pass on the top rung of
     // the ladder (all features on), run inline after the sweep.
-    if let Some(out) = telemetry_out() {
-        let sgemm = hb_kernels::Sgemm::default();
-        let (_, full_cfg) = configs.last().expect("ladder is non-empty");
-        if let Err(e) = run_instrumented(&sgemm, full_cfg, size, window_arg(1000), &out) {
-            hb_bench::cli::fail(e);
-        }
-    }
+    let (_, full_cfg) = configs.last().expect("ladder is non-empty");
+    telemetry::sgemm_after(telemetry, full_cfg, size);
 }

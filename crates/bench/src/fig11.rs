@@ -2,10 +2,12 @@
 //! Cell, kernels ordered memory-intensive -> compute-intensive, with the
 //! stall taxonomy of Table III.
 
-use hb_bench::{bench_size, hb_config, header, row, run_instrumented, telemetry_out, window_arg};
+use crate::{bench_size, hb_config, header, row, telemetry};
 use hb_core::StallKind;
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(args: &Args) {
+    let telemetry = telemetry::request(args);
     let cfg = hb_config();
     let size = bench_size();
     println!(
@@ -63,12 +65,7 @@ fn main() {
 
     // `--telemetry <out>`: one instrumented SGEMM pass on the same
     // fully-featured configuration the table used.
-    if let Some(out) = telemetry_out() {
-        let sgemm = hb_kernels::Sgemm::default();
-        if let Err(e) = run_instrumented(&sgemm, &cfg, size, window_arg(1000), &out) {
-            hb_bench::cli::fail(e);
-        }
-    }
+    telemetry::sgemm_after(telemetry, &cfg, size);
 }
 
 fn describe(kind: StallKind) -> &'static str {

@@ -2,9 +2,10 @@
 //! matrix) with tile groups — one Cell-wide group vs several smaller
 //! groups each running an independent task on the shared data structure.
 
-use hb_bench::{bench_cell, header, row};
+use crate::{bench_cell, header, row};
 use hb_core::{pgas, Cell, GroupSpec, Machine, MachineConfig};
 use hb_kernels::SpGemm;
+use hb_serve::cli::Args;
 use hb_workloads::{gen, golden};
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ fn alloc_f32(cell: &mut Cell, data: &[f32]) -> u32 {
     p
 }
 
-fn main() {
+pub fn run(_: &Args) {
     let dim = bench_cell();
     let cfg = MachineConfig {
         cell_dim: dim,

@@ -2,10 +2,11 @@
 //! breakdown vs OpenPiton (McKeown et al., HPCA 2018) normalized to the
 //! same process corner with CV² scaling.
 
-use hb_bench::{header, row};
+use crate::{header, row};
 use hb_energy::{efficiency_ratio, hammerblade_epi, piton_epi_raw, piton_epi_scaled, InstrClass};
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Figure 13 — Energy per Instruction (pJ), HB 14/16nm vs OpenPiton (CV2-scaled)\n");
     let widths = [9usize, 26, 9, 12, 12, 7];
     header(

@@ -1,10 +1,11 @@
 //! Figure 14: Cell-bisection stall percentage per kernel for (1) plain
 //! 2-D mesh, (2) Ruche network, (3) Ruche + Load Packet Compression.
 
-use hb_bench::{bench_cell, bench_size, header, row};
+use crate::{bench_cell, bench_size, header, row};
 use hb_core::{CellDim, MachineConfig};
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(_: &Args) {
     // A wide Cell stresses the horizontal bisection (the paper's point).
     let base = bench_cell();
     let dim = CellDim {

@@ -2,13 +2,13 @@
 //! constant HBM2 bandwidth — taller Cells (16x16), wider Cells (32x8) and
 //! more Cells (2x16x8) — vs the baseline 16x8 Cell.
 
-use hb_bench::{
-    bench_cell, bench_size, geomean, header, job_threads, row, run_instrumented, telemetry_out,
-    window_arg,
-};
+use crate::{bench_cell, bench_size, geomean, header, job_threads, row, telemetry};
 use hb_core::{CellDim, MachineConfig, MultiCellEstimator, Phase};
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(args: &Args) {
+    let threads = job_threads(args);
+    let telemetry = telemetry::request(args);
     let base_dim = bench_cell();
     let size = bench_size();
     let base_cfg = MachineConfig {
@@ -66,7 +66,7 @@ fn main() {
     let points: Vec<(usize, usize)> = (0..suite.len())
         .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
         .collect();
-    let runs = hb_serve::run_ordered(&points, job_threads(), |_, &(ki, vi)| {
+    let runs = hb_serve::run_ordered(&points, threads, |_, &(ki, vi)| {
         let bench = &suite[ki];
         let (vname, cfg) = variants[vi];
         eprintln!("  running {} / {vname} ...", bench.name());
@@ -130,15 +130,5 @@ fn main() {
 
     // `--telemetry <out>`: one instrumented SGEMM pass on the baseline
     // configuration the speedups are normalized to.
-    if let Some(out) = telemetry_out() {
-        if let Err(e) = run_instrumented(
-            &hb_kernels::Sgemm::default(),
-            &base_cfg,
-            size,
-            window_arg(1000),
-            &out,
-        ) {
-            hb_bench::cli::fail(e);
-        }
-    }
+    telemetry::sgemm_after(telemetry, &base_cfg, size);
 }

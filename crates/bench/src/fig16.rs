@@ -2,12 +2,13 @@
 //! on the irregular workloads, splitting run time into execution and
 //! inter-phase sparse data transfer.
 
-use hb_bench::{bench_cell, bench_size, header, row};
+use crate::{bench_cell, bench_size, header, row};
 use hb_core::{CellDim, MachineConfig, MultiCellEstimator};
 use hb_hier::{HierConfig, HierMachine, WorkloadProfile};
 use hb_kernels::Benchmark;
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(_: &Args) {
     let base = bench_cell();
     let dim = CellDim {
         x: base.x * 2,

@@ -2,20 +2,18 @@
 //! benchmark and print the full profile (tile/link heatmaps, stall blame,
 //! cache and HBM2 tables, bottleneck verdict).
 //!
-//! Usage: `cargo run --release -p hb-bench --bin inspect -- [kernel]`
-//! where `kernel` is an `hb_kernels::kernels()` token (default: SpGEMM).
+//! Usage: `hb-bench inspect [--kernel K]` where `K` is an
+//! `hb_kernels::kernels()` token (default: SpGEMM).
 
-use hb_bench::{bench_size, hb_config, kernel_arg};
+use crate::{bench_size, hb_config, kernel_arg};
 use hb_core::profile::CellProfile;
 use hb_core::Machine;
+use hb_serve::cli::Args;
 
-fn main() {
-    let want = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "SpGEMM".to_owned());
+pub fn run(args: &Args) {
+    let bench = kernel_arg(args, "SpGEMM");
     let cfg = hb_config();
     let size = bench_size();
-    let bench = kernel_arg(&want, "usage: inspect [kernel]");
 
     eprintln!(
         "running {} on a {}x{} Cell ...",

@@ -14,72 +14,38 @@
 //!   list` to enumerate the fixtures.
 //!
 //! ```text
-//! cargo run --release -p hb-bench --bin race_check -- \
-//!   [--suite] [--fixture NAME] [--expect static=N,dynamic=M] \
-//!   [--cell WxH] [--verbose]
+//! hb-bench race_check [--suite] [--fixture NAME] \
+//!   [--expect static=N,dynamic=M] [--cell WxH] [--verbose]
 //! ```
 
-use hb_bench::cli;
 use hb_core::{CellDim, MachineConfig};
-use std::process::ExitCode;
+use hb_serve::cli::{self, Args};
 
-const USAGE: &str = "usage: race_check [--suite] [--fixture NAME] \
-[--expect static=N,dynamic=M] [--cell WxH] [--verbose]";
-
-struct Args {
-    fixture: Option<String>,
+struct Opts {
     expect: Option<(usize, usize)>,
     cell: Option<CellDim>,
     verbose: bool,
 }
 
-fn parse_args() -> Args {
-    let mut out = Args {
-        fixture: None,
-        expect: None,
-        cell: None,
-        verbose: false,
+pub fn run(args: &Args) {
+    let opts = Opts {
+        expect: args.value("--expect").map(|v| {
+            let counts = cli::parse_counts("--expect", v, &["static", "dynamic"], args.usage());
+            (counts[0] as usize, counts[1] as usize)
+        }),
+        cell: args
+            .value("--cell")
+            .map(|v| cli::parse_cell(v, args.usage())),
+        verbose: args.has("--verbose"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--suite" => {} // the default mode; accepted for explicitness
-            "--fixture" => out.fixture = Some(cli::flag_value(&argv, &mut i, USAGE)),
-            "--expect" => {
-                let v = cli::flag_value(&argv, &mut i, USAGE);
-                let mut want = (None, None);
-                for part in v.split(',') {
-                    match part.split_once('=') {
-                        Some(("static", n)) => {
-                            want.0 = Some(cli::parse_value("--expect", n.trim(), USAGE));
-                        }
-                        Some(("dynamic", n)) => {
-                            want.1 = Some(cli::parse_value("--expect", n.trim(), USAGE));
-                        }
-                        _ => cli::usage_fail(USAGE, format!("bad --expect component {part:?}")),
-                    }
-                }
-                let (Some(s), Some(d)) = want else {
-                    cli::usage_fail(USAGE, "--expect needs both static=N and dynamic=M");
-                };
-                out.expect = Some((s, d));
-            }
-            "--cell" => {
-                out.cell = Some(cli::parse_cell(
-                    &cli::flag_value(&argv, &mut i, USAGE),
-                    USAGE,
-                ))
-            }
-            "--verbose" => out.verbose = true,
-            other => cli::usage_fail(USAGE, format!("unknown option {other:?}")),
-        }
-        i += 1;
+    // `--suite` is the default mode; it is accepted for explicitness.
+    match args.value("--fixture") {
+        Some(name) => check_fixtures(&opts, name),
+        None => check_suite(&opts),
     }
-    out
 }
 
-fn check_fixtures(args: &Args, name: &str) -> ExitCode {
+fn check_fixtures(opts: &Opts, name: &str) {
     if name == "list" {
         for f in hb_kernels::fixtures::all() {
             println!(
@@ -87,13 +53,13 @@ fn check_fixtures(args: &Args, name: &str) -> ExitCode {
                 f.name, f.expect_static, f.expect_dynamic, f.blurb
             );
         }
-        return ExitCode::SUCCESS;
+        return;
     }
     let Some(f) = hb_kernels::fixtures::by_name(name) else {
         cli::fail(format!("unknown fixture {name:?} (try --fixture list)"));
     };
     let cfg = MachineConfig {
-        cell_dim: args.cell.unwrap_or(CellDim { x: 4, y: 2 }),
+        cell_dim: opts.cell.unwrap_or(CellDim { x: 4, y: 2 }),
         ..MachineConfig::baseline_16x8()
     };
     if let Err(e) = cfg.validate() {
@@ -106,7 +72,7 @@ fn check_fixtures(args: &Args, name: &str) -> ExitCode {
         out.statics.len(),
         out.dynamic.len()
     );
-    if args.verbose {
+    if opts.verbose {
         for c in &out.statics {
             println!(
                 "static: {} at {:#x} vs {} at {:#x} ({}, phase {})",
@@ -123,34 +89,31 @@ fn check_fixtures(args: &Args, name: &str) -> ExitCode {
         println!("{r}");
     }
     if let Err(e) = hb_race::cross_validate(&out.statics, &out.dynamic) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+        cli::fail(e);
     }
     println!("cross-validation: every dynamic race statically flagged");
-    if let Some((ws, wd)) = args.expect {
+    if let Some((ws, wd)) = opts.expect {
         if (out.statics.len(), out.dynamic.len()) != (ws, wd) {
-            eprintln!(
+            cli::fail(format!(
                 "expectation mismatch: wanted static={ws} dynamic={wd}, \
                  got static={} dynamic={}",
                 out.statics.len(),
                 out.dynamic.len()
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         println!("expected finding counts: ok");
     }
-    ExitCode::SUCCESS
 }
 
-fn check_suite(args: &Args) -> ExitCode {
+fn check_suite(opts: &Opts) {
     let cfg = MachineConfig {
-        cell_dim: args.cell.unwrap_or_else(hb_bench::bench_cell),
+        cell_dim: opts.cell.unwrap_or_else(crate::bench_cell),
         ..MachineConfig::baseline_16x8()
     };
     if let Err(e) = cfg.validate() {
         cli::fail(format!("invalid configuration: {e}"));
     }
-    let size = hb_bench::bench_size();
+    let size = crate::bench_size();
     println!(
         "race_check: suite cell={}x{} size={:?} (static + sanitized golden-validating runs)",
         cfg.cell_dim.x, cfg.cell_dim.y, size
@@ -173,17 +136,7 @@ fn check_suite(args: &Args) -> ExitCode {
         }
     }
     if dirty > 0 {
-        eprintln!("error: {dirty} kernel(s) with race findings");
-        return ExitCode::FAILURE;
+        cli::fail(format!("{dirty} kernel(s) with race findings"));
     }
     println!("all {} parameterizations race-clean", entries.len());
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let args = parse_args();
-    match &args.fixture {
-        Some(name) => check_fixtures(&args, &name.clone()),
-        None => check_suite(&args),
-    }
 }

@@ -1,7 +1,7 @@
 //! `replay` — deterministic post-mortem replay of a machine checkpoint.
 //!
-//! Usage:
-//! `cargo run --release -p hb-bench --bin replay -- --ckpt <file> [--cycles N]`
+//! Usage: `hb-bench replay --ckpt <file> [--cycles N]` (`--cycles`
+//! defaults to 100000).
 //!
 //! Loads a checkpoint file (e.g. the `ckpt/hang-<hash>.ckpt` a timed-out
 //! `hb-serve` fault job dumps next to its hang report), rebuilds the machine
@@ -10,38 +10,17 @@
 //! Restore is deterministic, so every replay of the same file walks the
 //! same post-mortem trajectory — add cycles to step further into the hang.
 
-use hb_bench::cli::{fail, flag_value, usage_fail};
 use hb_core::{Machine, SimError};
+use hb_serve::cli::{fail, usage_fail, Args};
 
-const USAGE: &str = "usage: replay --ckpt <file> [--cycles N]
+pub fn run(args: &Args) {
+    let Some(path) = args.value("--ckpt") else {
+        usage_fail(args.usage(), "--ckpt is required");
+    };
+    let path = std::path::Path::new(path);
+    let cycles: u64 = args.parse("--cycles").unwrap_or(100_000);
 
-  --ckpt FILE    checkpoint file to restore (required)
-  --cycles N     further cycles to simulate  [100000]";
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut ckpt_path: Option<std::path::PathBuf> = None;
-    let mut cycles: u64 = 100_000;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--ckpt" => ckpt_path = Some(flag_value(&argv, &mut i, USAGE).into()),
-            "--cycles" => {
-                cycles = flag_value(&argv, &mut i, USAGE)
-                    .parse()
-                    .unwrap_or_else(|_| usage_fail(USAGE, "--cycles needs a number"));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => usage_fail(USAGE, format!("unknown option {other:?}")),
-        }
-        i += 1;
-    }
-    let path = ckpt_path.unwrap_or_else(|| usage_fail(USAGE, "--ckpt is required"));
-
-    let bytes = std::fs::read(&path)
+    let bytes = std::fs::read(path)
         .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
     let ckpt = hb_ckpt::decode(&bytes).unwrap_or_else(|e| fail(e));
     let cfg = ckpt

@@ -1,8 +1,9 @@
 //! Table I: the parallel benchmark suite, its dwarfs and inputs.
 
-use hb_bench::{header, row};
+use crate::{header, row};
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Table I — parallel benchmark suite (Berkeley dwarfs coverage)\n");
     let widths = [8usize, 30, 36];
     header(&["kernel", "dwarf", "input (synthetic stand-in)"], &widths);

@@ -1,9 +1,10 @@
 //! Table II: HB machine configurations and derived geometry.
 
-use hb_bench::{header, row};
+use crate::{header, row};
 use hb_core::MachineConfig;
+use hb_serve::cli::Args;
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Table II — HB machine configurations\n");
     // Paper-reported implementation areas (14/16 nm) per configuration.
     let configs: [(&str, MachineConfig, f64, &str); 4] = [

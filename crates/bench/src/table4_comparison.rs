@@ -1,7 +1,8 @@
 //! Table IV: manycore landscape comparison — networks, processor type,
 //! and 14/16nm-scaled compute density.
 
-use hb_bench::{header, row};
+use crate::{header, row};
+use hb_serve::cli::Args;
 
 struct Entry {
     name: &'static str,
@@ -13,7 +14,7 @@ struct Entry {
     scaled_area_mm2: f64,
 }
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Table IV — manycore comparison (areas scaled to 14/16 nm)\n");
     // Literature data reproduced from the paper's Table IV.
     let entries = [

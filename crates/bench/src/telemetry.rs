@@ -1,25 +1,63 @@
-//! Telemetry wiring shared by the figure binaries and the `telemetry`
-//! binary: `--telemetry <out>` argument parsing and an instrumented
-//! single-kernel pass that writes a Chrome trace + NDJSON dump and prints
-//! the mesh heatmaps.
+//! `telemetry` — an instrumented single-kernel run: samples cycle-windowed
+//! telemetry while the kernel executes, writes a Perfetto-loadable Chrome
+//! trace plus an NDJSON dump, and prints the tile-utilization and
+//! router-occupancy heatmaps of Cell 0.
+//!
+//! ```text
+//! hb-bench telemetry [--kernel SGEMM] [--window 1000] [--out telemetry.json]
+//! ```
+//!
+//! Kernel names are `hb_kernels::kernels()` tokens (`SGEMM`, `FFT`,
+//! `BFS@diropt`, ... — case insensitive); `HB_SCALE` picks the Cell shape
+//! as in the figures. The run is bit-identical to an uninstrumented one.
+//! The same pass follows a sweep of `fig10`, `fig11` or `fig15` given
+//! `--telemetry <out>` ([`request`]).
 
+use crate::{bench_size, hb_config, kernel_arg};
 use hb_core::{Machine, MachineConfig};
 use hb_kernels::{Kernel, SizeClass};
 use hb_obs::{Keep, Sampler, SharedTelemetry};
+use hb_serve::cli::{self, Args};
 use std::io::Write as _;
 
-/// Telemetry output path from the command line: `--telemetry <path>` or
-/// `--telemetry=<path>`, else `None` (telemetry stays off).
-pub fn telemetry_out() -> Option<String> {
-    crate::cli::arg_value("--telemetry")
+pub fn run(args: &Args) {
+    let bench = kernel_arg(args, "SGEMM");
+    let out = args.value("--out").unwrap_or("telemetry.json");
+    let window = window(args);
+
+    let cfg = hb_config();
+    println!(
+        "telemetry run: {} on a {}x{} Cell, window {window}",
+        bench.name(),
+        cfg.cell_dim.x,
+        cfg.cell_dim.y
+    );
+    if let Err(e) = run_instrumented(bench.as_ref(), &cfg, bench_size(), window, out) {
+        cli::fail(e);
+    }
 }
 
-/// Sampling window from the command line: `--window N` or `--window=N`,
-/// else `default`.
-pub fn window_arg(default: u64) -> u64 {
-    crate::cli::arg_value("--window")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(default, |n| n.max(1))
+/// The sampling window: `--window N`, else 1000.
+fn window(args: &Args) -> u64 {
+    args.parse::<u64>("--window").map_or(1000, |n| n.max(1))
+}
+
+/// A figure's `--telemetry <out>` request with its `--window`, read before
+/// the sweep so a bad value fails before anything runs.
+pub fn request(args: &Args) -> Option<(String, u64)> {
+    let window = window(args);
+    args.value("--telemetry")
+        .map(|out| (out.to_owned(), window))
+}
+
+/// One instrumented SGEMM pass on `cfg`, as [`request`]ed after a sweep.
+pub fn sgemm_after(request: Option<(String, u64)>, cfg: &MachineConfig, size: SizeClass) {
+    if let Some((out, window)) = request {
+        let sgemm = hb_kernels::Sgemm::default();
+        if let Err(e) = run_instrumented(&sgemm, cfg, size, window, &out) {
+            cli::fail(e);
+        }
+    }
 }
 
 /// Runs one instrumented pass of `bench` on `cfg` with the given sampling
@@ -32,10 +70,10 @@ pub fn window_arg(default: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns a message (for the binaries to surface as one clean `error:`
+/// Returns a message (for the caller to surface as one clean `error:`
 /// line, not a panic backtrace) when the kernel faults, produces no
 /// telemetry, or an output file cannot be written.
-pub fn run_instrumented(
+fn run_instrumented(
     bench: &dyn Kernel,
     cfg: &MachineConfig,
     size: SizeClass,

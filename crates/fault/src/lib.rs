@@ -9,8 +9,8 @@
 //! at install time so the zero-injection hot path stays a single untaken
 //! branch.
 //!
-//! The same crate also defines the outcome taxonomy used by the
-//! `fault_campaign` harness: every injected fault is classified as
+//! The same crate also defines the outcome taxonomy `hb-serve`'s fault
+//! campaigns report: every injected fault is classified as
 //! [`Outcome::Masked`], [`Outcome::Sdc`], [`Outcome::Detected`] or
 //! [`Outcome::Hang`], and [`AvfTable`] aggregates counts per site kind into
 //! an AVF-style report.

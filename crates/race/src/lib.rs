@@ -19,7 +19,7 @@
 //! fixtures in [`hb_kernels::fixtures`] exercise it with exact expected
 //! finding counts on both sides. The clean direction — every entry of
 //! [`hb_kernels::kernels`] produces zero findings from either checker — is
-//! covered by [`check_suite`] and the `race_check` harness binary.
+//! covered by [`check_suite`] and `hb-bench race_check`.
 
 #![forbid(unsafe_code)]
 

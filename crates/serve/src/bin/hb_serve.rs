@@ -10,6 +10,7 @@
 //! ```text
 //! hb-serve run    --kernel sgemm --faults 200 --seed 7      # submit + execute + report
 //! hb-serve run    ... --max-jobs 100                        # stop after 100 executions
+//! hb-serve run    ... --expect masked=42,sdc=2,detected=1,hang=5  # exact AVF counts or exit 1
 //! hb-serve profile --kernels SGEMM,BFS,Jacobi --size small  # per-kernel hot-block tables
 //! hb-serve resume --dir hb-serve-data                       # finish a killed campaign
 //! hb-serve status --dir hb-serve-data                       # done/missing counts
@@ -18,6 +19,7 @@
 //! ```
 
 use hb_core::{CellDim, MachineConfig};
+use hb_fault::Outcome;
 use hb_serve::cli;
 use hb_serve::{report, Campaign, CancelToken, RunOpts, SimExecutor};
 use std::path::PathBuf;
@@ -33,7 +35,7 @@ commands:
   report   rebuild and print the deterministic report
   gc       delete store objects and checkpoints the manifest does not reference
 
-options:
+options (each command takes the ones it uses; status and gc take --dir):
   --dir D          campaign directory            [hb-serve-data]
   --kernel K       sgemm | jacobi                [sgemm]
   --faults N       seeded single-fault jobs      [50]
@@ -48,6 +50,9 @@ options:
   --crash-after-ckpts N  testing: exit(3) after N checkpoints (the
                    ckpt-smoke CI job's deterministic mid-run kill)
   --out FILE       also write the report here
+  --expect masked=a,sdc=b,detected=c,hang=d
+                   run: exit 1 unless the report's AVF summary has
+                   exactly these counts (the CI fault-smoke contract)
 
 kernel names: sgemm | jacobi; warm:<kernel> is an alias (every fault run
 already starts from the golden run's state just before its injection)
@@ -71,81 +76,70 @@ struct Opts {
     out: Option<PathBuf>,
     kernels: Vec<String>,
     size: String,
+    expect: Option<String>,
 }
 
-fn parse_opts(argv: &[String]) -> Opts {
-    let mut opts = Opts {
-        dir: PathBuf::from("hb-serve-data"),
-        kernel: "sgemm".to_owned(),
-        faults: 50,
-        seed: 1,
-        cell: CellDim { x: 4, y: 4 },
-        disabled: Vec::new(),
-        threads: 1,
-        max_jobs: None,
-        retries: 2,
-        ckpt_every: 0,
-        crash_after_ckpts: None,
-        out: None,
-        kernels: vec!["SGEMM".to_owned(), "BFS".to_owned(), "Jacobi".to_owned()],
-        size: "small".to_owned(),
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        match flag.as_str() {
-            "--dir" => opts.dir = PathBuf::from(cli::flag_value(argv, &mut i, USAGE)),
-            "--kernel" => opts.kernel = cli::flag_value(argv, &mut i, USAGE).to_ascii_lowercase(),
-            "--faults" => {
-                opts.faults = cli::parse_value(&flag, &cli::flag_value(argv, &mut i, USAGE), USAGE)
-            }
-            "--seed" => {
-                opts.seed = cli::parse_value(&flag, &cli::flag_value(argv, &mut i, USAGE), USAGE)
-            }
-            "--cell" => opts.cell = cli::parse_cell(&cli::flag_value(argv, &mut i, USAGE), USAGE),
-            "--disable" => {
-                opts.disabled = cli::parse_disabled(&cli::flag_value(argv, &mut i, USAGE), USAGE)
-            }
-            "--threads" => {
-                opts.threads =
-                    cli::parse_value::<usize>(&flag, &cli::flag_value(argv, &mut i, USAGE), USAGE)
-                        .max(1)
-            }
-            "--max-jobs" => {
-                opts.max_jobs = Some(cli::parse_value(
-                    &flag,
-                    &cli::flag_value(argv, &mut i, USAGE),
-                    USAGE,
-                ))
-            }
-            "--retries" => {
-                opts.retries = cli::parse_value(&flag, &cli::flag_value(argv, &mut i, USAGE), USAGE)
-            }
-            "--ckpt-every" => {
-                opts.ckpt_every =
-                    cli::parse_value(&flag, &cli::flag_value(argv, &mut i, USAGE), USAGE)
-            }
-            "--crash-after-ckpts" => {
-                opts.crash_after_ckpts = Some(cli::parse_value(
-                    &flag,
-                    &cli::flag_value(argv, &mut i, USAGE),
-                    USAGE,
-                ))
-            }
-            "--out" => opts.out = Some(PathBuf::from(cli::flag_value(argv, &mut i, USAGE))),
-            "--kernels" => {
-                opts.kernels = cli::flag_value(argv, &mut i, USAGE)
-                    .split(',')
-                    .filter(|k| !k.is_empty())
-                    .map(str::to_owned)
-                    .collect()
-            }
-            "--size" => opts.size = cli::flag_value(argv, &mut i, USAGE).to_ascii_lowercase(),
-            other => cli::usage_fail(USAGE, format!("unknown option {other:?}")),
-        }
-        i += 1;
+/// The flags of the commands that execute jobs.
+const EXEC_FLAGS: &str =
+    "--threads T --max-jobs N --retries R --ckpt-every N --crash-after-ckpts N --out FILE";
+
+/// Each command's flags: a flag followed by a word takes a value.
+fn flags(cmd: &str) -> String {
+    match cmd {
+        "submit" => "--dir D --kernel K --faults N --seed S --cell WxH --disable L".to_owned(),
+        "run" => format!("{} --expect E {EXEC_FLAGS}", flags("submit")),
+        "profile" => format!("--dir D --kernels K --size S --cell WxH --disable L {EXEC_FLAGS}"),
+        "resume" => format!("--dir D {EXEC_FLAGS}"),
+        "report" => "--dir D --out FILE".to_owned(),
+        _ => "--dir D".to_owned(),
     }
-    opts
+}
+
+fn parse_opts(cmd: &str, argv: &[String]) -> Opts {
+    let args = cli::Args::walk(argv, &flags(cmd), USAGE.to_owned());
+    Opts {
+        dir: PathBuf::from(args.value("--dir").unwrap_or("hb-serve-data")),
+        kernel: args
+            .value("--kernel")
+            .unwrap_or("sgemm")
+            .to_ascii_lowercase(),
+        faults: args.parse("--faults").unwrap_or(50),
+        seed: args.parse("--seed").unwrap_or(1),
+        cell: args
+            .value("--cell")
+            .map_or(CellDim { x: 4, y: 4 }, |v| cli::parse_cell(v, USAGE)),
+        disabled: args
+            .value("--disable")
+            .map_or_else(Vec::new, |v| cli::parse_disabled(v, USAGE)),
+        threads: args.parse::<usize>("--threads").map_or(1, |n| n.max(1)),
+        max_jobs: args.parse("--max-jobs"),
+        retries: args.parse("--retries").unwrap_or(2),
+        ckpt_every: args.parse("--ckpt-every").unwrap_or(0),
+        crash_after_ckpts: args.parse("--crash-after-ckpts"),
+        out: args.value("--out").map(PathBuf::from),
+        kernels: args
+            .value("--kernels")
+            .unwrap_or("SGEMM,BFS,Jacobi")
+            .split(',')
+            .filter(|k| !k.is_empty())
+            .map(str::to_owned)
+            .collect(),
+        size: args.value("--size").unwrap_or("small").to_ascii_lowercase(),
+        expect: args.value("--expect").map(parse_expect),
+    }
+}
+
+/// Parses `--expect masked=a,sdc=b,detected=c,hang=d` into the AVF
+/// summary line the report must carry.
+fn parse_expect(value: &str) -> String {
+    let labels = Outcome::ALL.map(|o| o.label());
+    let counts = cli::parse_counts("--expect", value, &labels, USAGE);
+    let pairs: Vec<String> = labels
+        .iter()
+        .zip(counts)
+        .map(|(l, n)| format!("{l}={n}"))
+        .collect();
+    format!("summary: {}", pairs.join(" "))
 }
 
 fn campaign_config(opts: &Opts) -> MachineConfig {
@@ -242,6 +236,16 @@ fn execute(campaign: &Campaign, opts: &Opts) -> ! {
             summary.failed
         ));
     }
+    if let Some(want) = &opts.expect {
+        if !text.lines().any(|l| l == want) {
+            let got = text.lines().find(|l| l.starts_with("summary: "));
+            cli::fail(format!(
+                "expectation mismatch: wanted {want:?}, the report has {:?}",
+                got.unwrap_or("no AVF summary")
+            ));
+        }
+        println!("expected outcome counts: ok");
+    }
     std::process::exit(0);
 }
 
@@ -258,7 +262,7 @@ fn main() {
     match cmd.as_str() {
         "help" | "--help" | "-h" => println!("{USAGE}"),
         "submit" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = submit_campaign(&opts);
             println!(
                 "submitted: {:?} ({} jobs) -> {}",
@@ -268,22 +272,22 @@ fn main() {
             );
         }
         "run" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = submit_campaign(&opts);
             execute(&campaign, &opts);
         }
         "profile" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = submit_profile_campaign(&opts);
             execute(&campaign, &opts);
         }
         "resume" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = load_campaign(&opts);
             execute(&campaign, &opts);
         }
         "status" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = load_campaign(&opts);
             let store = Campaign::open_store(&opts.dir)
                 .unwrap_or_else(|e| cli::fail(format!("cannot open store: {e}")));
@@ -291,7 +295,7 @@ fn main() {
             println!("{}", campaign.status(&store).line());
         }
         "report" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = load_campaign(&opts);
             let store = Campaign::open_store(&opts.dir)
                 .unwrap_or_else(|e| cli::fail(format!("cannot open store: {e}")));
@@ -304,7 +308,7 @@ fn main() {
             print!("{text}");
         }
         "gc" => {
-            let opts = parse_opts(rest);
+            let opts = parse_opts(cmd, rest);
             let campaign = load_campaign(&opts);
             let store = Campaign::open_store(&opts.dir)
                 .unwrap_or_else(|e| cli::fail(format!("cannot open store: {e}")));

@@ -30,8 +30,8 @@ pub struct Campaign {
 
 impl Campaign {
     /// A single-fault AVF campaign: one golden job plus `runs` seeded
-    /// single-fault jobs (`seed + i` for run `i`), mirroring the
-    /// `fault_campaign` harness.
+    /// single-fault jobs (`seed + i` for run `i`), as `hb-serve run`
+    /// submits it.
     pub fn fault(
         name: impl Into<String>,
         kernel: &str,

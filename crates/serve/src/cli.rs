@@ -1,10 +1,11 @@
-//! Shared command-line helpers for the workspace binaries.
+//! Shared command-line handling for the workspace binaries.
 //!
-//! Every harness binary follows the same contract: malformed arguments
-//! print one `error:` line plus the usage text and exit **2**; runtime
-//! failures (unwritable `--out`, invalid configuration) print one `error:`
-//! line and exit **1**. These helpers keep the behavior uniform — `hb-bench`
-//! re-exports this module so the figure binaries share it.
+//! Every binary follows the same contract: malformed arguments — an
+//! unknown flag, a missing or unparsable value — print one `error:` line
+//! plus the usage text and exit **2**; runtime failures (unwritable
+//! `--out`, invalid configuration) print one `error:` line and exit **1**.
+//! `hb-serve` and `hb-bench` check every command line with [`Args::walk`]
+//! against the command's own flag list.
 
 use std::fmt::Display;
 use std::path::Path;
@@ -31,19 +32,88 @@ pub fn flag_value(argv: &[String], i: &mut usize, usage: &str) -> String {
         .unwrap_or_else(|| usage_fail(usage, format!("{flag} needs a value")))
 }
 
-/// The value of the first `--flag v` or `--flag=v` on this process's
-/// command line, for binaries that probe a few optional flags instead of
-/// walking argv with [`flag_value`].
-pub fn arg_value(flag: &str) -> Option<String> {
-    scan_args(std::env::args().skip(1), flag)
+/// A command line checked against one command's flag list.
+pub struct Args {
+    usage: String,
+    given: Vec<(String, Option<String>)>,
 }
 
-fn scan_args(mut args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        } else if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Some(v.to_owned());
+impl Args {
+    /// Checks `argv` against `flags`, a usage-style list such as
+    /// `"--out FILE --top N --verbose"`: a flag followed by a word that is
+    /// not a flag takes a value (given as `--out f` or `--out=f`), the
+    /// others are switches. `--help` prints `usage` and exits 0; an
+    /// unlisted argument, a flag given twice, a missing value or a value
+    /// given to a switch is a usage error.
+    pub fn walk(argv: &[String], flags: &str, usage: String) -> Args {
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        match Args::check(argv, flags) {
+            Ok(given) => Args { usage, given },
+            Err(msg) => usage_fail(&usage, msg),
+        }
+    }
+
+    fn check(argv: &[String], flags: &str) -> Result<Vec<(String, Option<String>)>, String> {
+        let mut given: Vec<(String, Option<String>)> = Vec::new();
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, v)) => (name, Some(v.to_owned())),
+                None => (arg.as_str(), None),
+            };
+            let Some(takes_value) = takes_value(flags, name) else {
+                return Err(format!("unknown option {arg:?}"));
+            };
+            let value = match (takes_value, inline) {
+                (false, None) => None,
+                (false, Some(_)) => return Err(format!("{name} takes no value")),
+                (true, Some(v)) => Some(v),
+                (true, None) => Some(rest.next().ok_or(format!("{name} needs a value"))?.clone()),
+            };
+            if given.iter().any(|(n, _)| n == name) {
+                return Err(format!("{name} given twice"));
+            }
+            given.push((name.to_owned(), value));
+        }
+        Ok(given)
+    }
+
+    /// The value given for `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .find(|(n, _)| n == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// `flag`'s value parsed as `T`, if it was given; an unparsable value
+    /// is a usage error naming flag and value.
+    pub fn parse<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).map(|v| parse_value(flag, v, &self.usage))
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(n, _)| n == flag)
+    }
+
+    /// The usage text errors print.
+    pub fn usage(&self) -> &str {
+        &self.usage
+    }
+}
+
+/// Whether `name` takes a value in the flag list `flags`, or `None` if it
+/// is not listed.
+fn takes_value(flags: &str, name: &str) -> Option<bool> {
+    let mut words = flags.split_whitespace().peekable();
+    while let Some(flag) = words.next() {
+        let takes = words.next_if(|w| !w.starts_with("--")).is_some();
+        if flag == name {
+            return Some(takes);
         }
     }
     None
@@ -54,6 +124,29 @@ pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, usage: &str) -
     value
         .parse()
         .unwrap_or_else(|_| usage_fail(usage, format!("bad value {value:?} for {flag}")))
+}
+
+/// Parses a `key=n,key=n` list that names each of `keys` (in any order),
+/// such as `--expect static=1,dynamic=1`, into counts in `keys` order.
+pub fn parse_counts(flag: &str, value: &str, keys: &[&str], usage: &str) -> Vec<u64> {
+    let mut counts = vec![None; keys.len()];
+    for part in value.split(',') {
+        let key = part.split_once('=').and_then(|(key, n)| {
+            let i = keys.iter().position(|k| *k == key.trim())?;
+            Some((i, n))
+        });
+        let Some((i, n)) = key else {
+            usage_fail(usage, format!("bad {flag} component {part:?}"));
+        };
+        counts[i] = Some(parse_value(flag, n.trim(), usage));
+    }
+    counts
+        .into_iter()
+        .collect::<Option<_>>()
+        .unwrap_or_else(|| {
+            let want: Vec<String> = keys.iter().map(|k| format!("{k}=N")).collect();
+            usage_fail(usage, format!("{flag} needs {}", want.join(",")))
+        })
 }
 
 /// Parses a `WxH` cell-dimension value (e.g. `4x4`).
@@ -113,15 +206,31 @@ mod tests {
         assert_eq!((cell.x, cell.y), (4, 8));
         assert_eq!(parse_disabled("1,2;3,4", "u"), vec![(1, 2), (3, 4)]);
         assert_eq!(parse_value::<u64>("--seed", "7", "u"), 7u64);
+        let keys = ["static", "dynamic"];
+        assert_eq!(
+            parse_counts("--expect", "dynamic=2,static=1", &keys, "u"),
+            [1, 2]
+        );
     }
 
     #[test]
-    fn arg_scanner_takes_both_spellings_and_the_first_occurrence() {
+    fn walk_takes_both_spellings_and_refuses_what_is_not_listed() {
         let argv = |s: &str| s.split(' ').map(str::to_owned).collect::<Vec<_>>();
-        let scan = |s: &str, flag: &str| scan_args(argv(s).into_iter(), flag);
-        assert_eq!(scan("--out a --top 3", "--top").as_deref(), Some("3"));
-        assert_eq!(scan("--out=a --out b", "--out").as_deref(), Some("a"));
-        assert_eq!(scan("--outer=x", "--out"), None);
-        assert_eq!(scan("--kernel", "--kernel"), None);
+        let flags = "--out FILE --top N --verbose";
+        let check = |s: &str| Args::check(&argv(s), flags);
+        let args = Args {
+            usage: String::new(),
+            given: check("--out a --top=3 --verbose").unwrap(),
+        };
+        assert_eq!(args.value("--out"), Some("a"));
+        assert_eq!(args.parse::<u32>("--top"), Some(3));
+        assert!(args.has("--verbose"));
+        assert_eq!(args.value("--cycles"), None);
+        let err = |s: &str| check(s).unwrap_err();
+        assert_eq!(err("--outer=x"), "unknown option \"--outer=x\"");
+        assert_eq!(err("BFS"), "unknown option \"BFS\"");
+        assert_eq!(err("--top"), "--top needs a value");
+        assert_eq!(err("--verbose=1"), "--verbose takes no value");
+        assert_eq!(err("--out a --out=b"), "--out given twice");
     }
 }

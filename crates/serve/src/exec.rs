@@ -1,8 +1,7 @@
 //! The simulation executor: turns a [`JobSpec`] into a [`JobRecord`] by
-//! actually running the simulator. This is the execution core that
-//! `fault_campaign` previously carried inline; it moved here so the
-//! `hb-serve` binary, the bench harnesses and the tests all share one
-//! implementation (and so every caller gains caching/resume for free).
+//! actually running the simulator. The `hb-serve` binary, `hb-bench`'s
+//! ablation sweep and the tests all run jobs through this one
+//! implementation (so every caller gains caching/resume for free).
 //!
 //! Golden/fault jobs run one of the two [`campaign_kernel`]s — the
 //! SPM-blocked SGEMM or the Jacobi kernel, seeded inputs, identical initial

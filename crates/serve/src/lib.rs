@@ -25,9 +25,11 @@
 //!   completion counts, with no wall-clock in the artifact, so a resumed
 //!   campaign reports byte-identically to an uninterrupted one.
 //!
-//! The `hb-serve` binary exposes this as `submit` / `run` / `status` /
-//! `resume` / `report` / `gc`; `fault_campaign` and `ablation_sweeps` in
-//! `hb-bench` execute through it and inherit caching and resume.
+//! The `hb-serve` binary exposes this as `submit` / `run` / `profile` /
+//! `status` / `resume` / `report` / `gc` (`run --expect` holds a fault
+//! campaign to exact outcome counts); `hb-bench ablations` executes
+//! through it too and inherits caching and resume. [`cli`] is the argument
+//! walk both binaries share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //! are classified `masked` or `sdc` against the golden record's digest, and
 //! a store written by one build is read by the next. Two pins hold it in
 //! place. The golden records of the two 4x4 campaigns (the configuration
-//! `fault_campaign` and the CI smoke jobs run) carry the digests, cycle and
+//! the CI fault-smoke and serve-smoke jobs run) carry the digests, cycle and
 //! instruction counts recorded from the build that introduced revision 3;
 //! and [`digest`], which walks only the non-zero extents of each Cell's DRAM
 //! and steps over the zeros between them in closed form, equals its

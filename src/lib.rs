@@ -27,7 +27,7 @@ pub use hb_core as core;
 /// Per-instruction energy model.
 pub use hb_energy as energy;
 /// Deterministic seeded fault injection plans and the AVF outcome
-/// taxonomy (`fault_campaign` classifies against these).
+/// taxonomy (`hb-serve` fault campaigns classify against these).
 pub use hb_fault as fault;
 /// Hierarchical-manycore (ET-style) baseline model.
 pub use hb_hier as hier;
