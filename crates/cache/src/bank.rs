@@ -141,7 +141,26 @@ pub struct CacheStats {
     pub blocked_cycles: u64,
 }
 
+/// The counters a tick records when it can do nothing else, each 0 or 1
+/// (see [`CacheBank::stall`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stall {
+    /// `rejected_input`: the owner's feed finds `input` full.
+    pub rejected_input: bool,
+    /// `rejected_mshr`: the front request waits on an MSHR.
+    pub rejected_mshr: bool,
+    /// `blocked_cycles`: the front request waits on a fetch.
+    pub blocked: bool,
+}
+
 impl CacheStats {
+    /// Adds what `ticks` ticks recording `stall` each record.
+    fn credit(&mut self, stall: Stall, ticks: u64) {
+        self.rejected_input += u64::from(stall.rejected_input) * ticks;
+        self.rejected_mshr += u64::from(stall.rejected_mshr) * ticks;
+        self.blocked_cycles += u64::from(stall.blocked) * ticks;
+    }
+
     /// Miss rate over all completed primary lookups.
     pub fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses + self.write_validate_fills;
@@ -173,6 +192,52 @@ struct Mshr {
     waiting: Vec<CacheRequest>,
 }
 
+/// What the front request of the input queue does on a tick: the one copy
+/// of the bank's hit, MSHR, way-allocation and write-validate rules.
+/// [`CacheBank::tick`] applies it; [`CacheBank::stall`] reads it.
+#[derive(Debug, Clone, Copy)]
+enum Front {
+    /// No request queued.
+    Idle,
+    /// Served from the installed line in this slot (a store always is: it
+    /// validates what it writes).
+    Hit(usize),
+    /// Joins the MSHR at this index as a secondary miss.
+    Merge(usize),
+    /// A primary miss: an MSHR and a fetch into `way` of `set`, where the
+    /// line is installed with the requested bytes invalid (a write-validate
+    /// hole) or `way` is the victim.
+    Fetch {
+        set: usize,
+        way: usize,
+        installed: bool,
+    },
+    /// A write-validate store miss: `way` of `set` is allocated, no fetch.
+    Validate { set: usize, way: usize },
+    /// Waits for an MSHR: every one is busy, or its line's one is full.
+    WaitMshr,
+    /// Waits for a way: every one in its set is pending a fetch.
+    WaitSet,
+}
+
+impl Front {
+    /// What a tick records when the request cannot move (none is queued,
+    /// or it waits), or `None` when it leaves the queue.
+    fn stall(self) -> Option<Stall> {
+        let waits = |rejected_mshr| Stall {
+            rejected_mshr,
+            blocked: true,
+            ..Stall::default()
+        };
+        match self {
+            Front::Idle => Some(Stall::default()),
+            Front::WaitMshr => Some(waits(true)),
+            Front::WaitSet => Some(waits(false)),
+            Front::Hit(_) | Front::Merge(_) | Front::Fetch { .. } | Front::Validate { .. } => None,
+        }
+    }
+}
+
 /// One non-blocking, write-validate cache bank. See the crate docs for the
 /// policies; drive it with [`try_accept`](CacheBank::try_accept) /
 /// [`tick`](CacheBank::tick) and service its DRAM side via
@@ -188,12 +253,15 @@ pub struct CacheBank {
     responses: VecDeque<(u64 /* ready_at */, CacheResponse)>,
     mem_requests: VecDeque<LineRequest>,
     /// The bank's clock: one per [`tick`](Self::tick), or set by an owner
-    /// that skips idle ticks ([`set_clock`](Self::set_clock)).
+    /// that skips ticks ([`set_clock`](Self::set_clock)).
     cycle: u64,
     /// Ticks that processed a request.
     busy_cycles: u64,
     /// Every counter but `idle_cycles`, which is derived.
     stats: CacheStats,
+    /// What each tick an owner skips records, until the next tick (see
+    /// [`sleep`](Self::sleep)): nothing, unless the bank sleeps on a stall.
+    skipped: Stall,
 }
 
 impl CacheBank {
@@ -216,6 +284,7 @@ impl CacheBank {
             cycle: 0,
             busy_cycles: 0,
             stats: CacheStats::default(),
+            skipped: Stall::default(),
             cfg,
         }
     }
@@ -231,27 +300,76 @@ impl CacheBank {
     }
 
     /// Accumulated statistics as of `clock`, at or past the bank's own: the
-    /// ticks an owner skipped were idle ones. (Saturating: a restored
-    /// snapshot's counters are not checked against the clock.)
+    /// ticks an owner skipped recorded what [`sleep`](Self::sleep) said, and
+    /// were idle but for that. (Saturating: a restored snapshot's counters
+    /// are not checked against the clock.)
     pub fn stats_at(&self, clock: u64) -> CacheStats {
-        let ticked = self.busy_cycles.saturating_add(self.stats.blocked_cycles);
+        let stats = self.counters_at(clock);
+        let ticked = self.busy_cycles.saturating_add(stats.blocked_cycles);
         CacheStats {
             idle_cycles: clock.saturating_sub(ticked),
-            ..self.stats
+            ..stats
         }
     }
 
-    /// Sets the bank's clock, which is not part of its snapshot. A tick with
-    /// no work ([`has_work`](Self::has_work)) only advances the clock, so an
-    /// owner may skip it and set the clock instead.
+    /// Brings the bank's clock, which is not part of its snapshot, up to
+    /// `cycle`: the ticks an owner skipped in between are credited with
+    /// what each would have recorded. An owner may skip any tick that
+    /// [`stall`](Self::stall) says can only record a stall, once it has
+    /// told the bank so with [`sleep`](Self::sleep); a tick with nothing
+    /// queued records nothing.
     pub fn set_clock(&mut self, cycle: u64) {
+        self.stats = self.counters_at(cycle);
         self.cycle = cycle;
     }
 
-    /// Whether a tick could do anything but advance the clock: a request
-    /// waits in the input queue or a response is still in the pipeline.
-    pub fn has_work(&self) -> bool {
-        !(self.input.is_empty() && self.responses.is_empty())
+    /// The counted statistics once the clock is brought up to `clock`.
+    fn counters_at(&self, clock: u64) -> CacheStats {
+        let mut stats = self.stats;
+        stats.credit(self.skipped, clock.saturating_sub(self.cycle));
+        stats
+    }
+
+    /// Until the next [`tick`](Self::tick), each tick the owner skips
+    /// records `stall` — what [`stall`](Self::stall) said, plus the
+    /// owner's own `rejected_input`.
+    pub fn sleep(&mut self, stall: Stall) {
+        self.skipped = stall;
+    }
+
+    /// What a tick would record if it can do nothing else — no response in
+    /// the pipeline, and no request queued or the front one waiting on a
+    /// fetch — or `None` if it could do more. Only a new request and
+    /// [`complete_fetch`](Self::complete_fetch) change a `Some`.
+    pub fn stall(&self) -> Option<Stall> {
+        if !self.responses.is_empty() {
+            return None;
+        }
+        self.miss_blocks().or_else(|| self.front().stall())
+    }
+
+    /// What a blocking bank's tick records while a miss is outstanding: it
+    /// processes nothing, and is blocked if a request waits.
+    fn miss_blocks(&self) -> Option<Stall> {
+        (self.cfg.blocking && !self.mshrs.is_empty()).then(|| Stall {
+            blocked: !self.input.is_empty(),
+            ..Stall::default()
+        })
+    }
+
+    /// The snapshot [`save_state`](hb_mem::SnapState::save_state) writes
+    /// once the clock is brought up to `clock`: the skipped ticks'
+    /// counters credited, at their place in the stream.
+    pub fn save_state_at(&self, clock: u64, w: &mut hb_mem::SnapWriter) {
+        use hb_mem::Snap;
+        w.tag(b"BANK");
+        self.mshrs.save(w);
+        self.input.save(w);
+        self.responses.save(w);
+        self.mem_requests.save(w);
+        self.busy_cycles.save(w);
+        self.counters_at(clock).save(w);
+        hb_mem::snap::save_fixed(&self.lines[..], w);
     }
 
     /// The tag of every request the bank holds — queued, waiting in an MSHR,
@@ -449,30 +567,25 @@ impl CacheBank {
         }
     }
 
-    /// Picks a victim way in `set`; evicts (with writeback if dirty) and
-    /// returns the way, or `None` if every way is pending.
-    fn allocate_way(&mut self, set: usize) -> Option<usize> {
-        // Free way first.
-        for w in 0..self.cfg.ways {
-            if self.lines[set * self.cfg.ways + w].is_none() {
-                return Some(w);
-            }
+    /// The way of `set` an allocation takes: a free one first, else the
+    /// least recently used of those not pending a fetch; `None` if every
+    /// way is pending.
+    fn victim(&self, set: usize) -> Option<usize> {
+        let ways = &self.lines[set * self.cfg.ways..][..self.cfg.ways];
+        if let Some(free) = ways.iter().position(Option::is_none) {
+            return Some(free);
         }
-        // LRU among non-pending ways.
-        let victim = (0..self.cfg.ways)
-            .filter(|&w| {
-                !self.lines[set * self.cfg.ways + w]
-                    .as_ref()
-                    .unwrap()
-                    .pending
-            })
-            .min_by_key(|&w| {
-                self.lines[set * self.cfg.ways + w]
-                    .as_ref()
-                    .unwrap()
-                    .last_use
-            })?;
-        let line = self.lines[set * self.cfg.ways + victim].take().unwrap();
+        let line = |w: usize| ways[w].as_ref().unwrap();
+        (0..ways.len())
+            .filter(|&w| !line(w).pending)
+            .min_by_key(|&w| line(w).last_use)
+    }
+
+    /// Empties `slot`, writing its line back if dirty.
+    fn evict(&mut self, slot: usize) {
+        let Some(line) = self.lines[slot].take() else {
+            return;
+        };
         self.stats.evictions += 1;
         if line.dirty != 0 {
             self.stats.writebacks += 1;
@@ -484,7 +597,6 @@ impl CacheBank {
                 },
             });
         }
-        Some(victim)
     }
 
     fn install_line(&mut self, set: usize, way: usize, line_addr: u32, pending: bool) {
@@ -525,11 +637,9 @@ impl CacheBank {
     /// together).
     pub fn tick(&mut self) {
         self.cycle += 1;
-
-        if self.cfg.blocking && !self.mshrs.is_empty() {
-            if !self.input.is_empty() {
-                self.stats.blocked_cycles += 1;
-            }
+        self.skipped = Stall::default();
+        if let Some(stall) = self.miss_blocks() {
+            self.stats.credit(stall, 1);
             return;
         }
 
@@ -548,120 +658,125 @@ impl CacheBank {
         }
     }
 
-    /// Tries to process the front input request; returns the line address
-    /// on success. A failure with a request waiting is a blocked tick
-    /// unless `quiet` (a burst continuation attempt); with none it is idle.
-    fn process_front(&mut self, quiet: bool) -> Option<u32> {
-        let &req = self.input.front()?;
-
+    /// Classifies the front input request (see [`Front`]). Inlined into
+    /// both readers: left a call, it costs the hit path a fifth of its
+    /// speed.
+    #[inline(always)]
+    fn front(&self) -> Front {
+        let Some(req) = self.input.front() else {
+            return Front::Idle;
+        };
         let line_addr = self.line_addr(req.addr);
-        let needed = Self::byte_mask(req.addr, req.width, self.cfg.line_bytes);
-
         // An MSHR already chasing this line: merge as a secondary miss so
         // ordering against the fetch is preserved.
         if let Some(mi) = self.mshrs.iter().position(|m| m.line_addr == line_addr) {
             if self.mshrs[mi].waiting.len() < self.cfg.mshr_capacity {
-                let req = self.input.pop_front().unwrap();
-                self.mshrs[mi].waiting.push(req);
-                self.stats.secondary_misses += 1;
-                return Some(line_addr);
+                return Front::Merge(mi);
             }
+            return Front::WaitMshr;
+        }
+        let set = self.set_index(line_addr);
+        let mshr_free = self.mshrs.len() < self.cfg.mshrs;
+        let is_store = matches!(req.kind, AccessKind::Store);
+        if let Some(way) = self.find_way(line_addr) {
+            let slot = set * self.cfg.ways + way;
+            let needed = Self::byte_mask(req.addr, req.width, self.cfg.line_bytes);
+            let line = self.lines[slot].as_ref().unwrap();
+            if is_store || (line.valid & needed) == needed {
+                return Front::Hit(slot);
+            }
+            // Present but requested bytes invalid (write-validate hole):
+            // fetch and merge.
+            if !mshr_free {
+                return Front::WaitMshr;
+            }
+            return Front::Fetch {
+                set,
+                way,
+                installed: true,
+            };
+        }
+        // Full miss: write-validate allocates without fetching; loads, AMOs
+        // and stores without write-validate fetch.
+        let validate = is_store && self.cfg.write_validate;
+        if !(validate || mshr_free) {
+            return Front::WaitMshr;
+        }
+        match self.victim(set) {
+            None => Front::WaitSet,
+            Some(way) if validate => Front::Validate { set, way },
+            Some(way) => Front::Fetch {
+                set,
+                way,
+                installed: false,
+            },
+        }
+    }
+
+    /// Applies the front request's [`Front`]; returns its line address if
+    /// the request left the queue. A request that cannot move records its
+    /// stall unless `quiet` (a burst continuation attempt).
+    fn process_front(&mut self, quiet: bool) -> Option<u32> {
+        let front = self.front();
+        if let Some(stall) = front.stall() {
             if !quiet {
-                self.stats.rejected_mshr += 1;
-                self.stats.blocked_cycles += 1;
+                self.stats.credit(stall, 1);
             }
             return None;
         }
-
-        if let Some(way) = self.find_way(line_addr) {
-            let set = self.set_index(line_addr);
-            let slot = set * self.cfg.ways + way;
-            let line = self.lines[slot].as_ref().unwrap();
-            let is_store = matches!(req.kind, AccessKind::Store);
-            if is_store || (line.valid & needed) == needed {
-                // Hit (stores always hit an installed line: they validate).
-                let req = self.input.pop_front().unwrap();
+        let req = self.input.pop_front().unwrap();
+        let line_addr = self.line_addr(req.addr);
+        match front {
+            Front::Hit(slot) => {
                 self.stats.hits += 1;
                 let resp = self.perform(slot, req);
                 self.responses
                     .push_back((self.cycle + self.cfg.hit_latency, resp));
-                return Some(line_addr);
             }
-            // Present but requested bytes invalid (write-validate hole):
-            // fetch and merge.
-            if self.mshrs.len() >= self.cfg.mshrs {
-                if !quiet {
-                    self.stats.rejected_mshr += 1;
-                    self.stats.blocked_cycles += 1;
+            Front::Merge(mi) => {
+                self.mshrs[mi].waiting.push(req);
+                self.stats.secondary_misses += 1;
+            }
+            Front::Fetch {
+                set,
+                way,
+                installed,
+            } => {
+                let slot = set * self.cfg.ways + way;
+                if installed {
+                    self.lines[slot].as_mut().unwrap().pending = true;
+                } else {
+                    self.evict(slot);
+                    self.install_line(set, way, line_addr, true);
                 }
-                return None;
+                self.stats.misses += 1;
+                self.mshrs.push(Mshr {
+                    line_addr,
+                    waiting: vec![req],
+                });
+                self.mem_requests.push_back(LineRequest {
+                    line_addr,
+                    kind: LineRequestKind::Fetch,
+                });
             }
-            let req = self.input.pop_front().unwrap();
-            self.stats.misses += 1;
-            self.lines[slot].as_mut().unwrap().pending = true;
-            self.mshrs.push(Mshr {
-                line_addr,
-                waiting: vec![req],
-            });
-            self.mem_requests.push_back(LineRequest {
-                line_addr,
-                kind: LineRequestKind::Fetch,
-            });
-            return Some(line_addr);
-        }
-
-        // Full miss.
-        let is_store = matches!(req.kind, AccessKind::Store);
-        if is_store && self.cfg.write_validate {
-            // Write-validate: allocate without fetching.
-            let set = self.set_index(line_addr);
-            let Some(way) = self.allocate_way(set) else {
-                if !quiet {
-                    self.stats.blocked_cycles += 1;
-                }
-                return None;
-            };
-            let req = self.input.pop_front().unwrap();
-            self.install_line(set, way, line_addr, false);
-            self.stats.write_validate_fills += 1;
-            let slot = set * self.cfg.ways + way;
-            let resp = self.perform(slot, req);
-            self.responses
-                .push_back((self.cycle + self.cfg.hit_latency, resp));
-            return Some(line_addr);
-        }
-
-        // Fetch path (loads, AMOs, and stores without write-validate).
-        if self.mshrs.len() >= self.cfg.mshrs {
-            if !quiet {
-                self.stats.rejected_mshr += 1;
-                self.stats.blocked_cycles += 1;
+            Front::Validate { set, way } => {
+                self.evict(set * self.cfg.ways + way);
+                self.install_line(set, way, line_addr, false);
+                self.stats.write_validate_fills += 1;
+                let resp = self.perform(set * self.cfg.ways + way, req);
+                self.responses
+                    .push_back((self.cycle + self.cfg.hit_latency, resp));
             }
-            return None;
+            Front::Idle | Front::WaitMshr | Front::WaitSet => unreachable!("a stall moves nothing"),
         }
-        let set = self.set_index(line_addr);
-        let Some(way) = self.allocate_way(set) else {
-            if !quiet {
-                self.stats.blocked_cycles += 1;
-            }
-            return None;
-        };
-        let req = self.input.pop_front().unwrap();
-        self.install_line(set, way, line_addr, true);
-        self.stats.misses += 1;
-        self.mshrs.push(Mshr {
-            line_addr,
-            waiting: vec![req],
-        });
-        self.mem_requests.push_back(LineRequest {
-            line_addr,
-            kind: LineRequestKind::Fetch,
-        });
         Some(line_addr)
     }
 
-    /// After a restore: every decoded line image has this bank's line size.
-    fn check_line_sizes(&mut self) -> Result<(), hb_mem::SnapError> {
+    /// After a restore: every decoded line image has this bank's line size,
+    /// and the bank is awake (a skipped tick records nothing; the owner
+    /// sets the clock).
+    fn check_restored(&mut self) -> Result<(), hb_mem::SnapError> {
+        self.skipped = Stall::default();
         let line_bytes = self.cfg.line_bytes as usize;
         if (self.lines.iter().flatten()).any(|l| l.data.len() != line_bytes) {
             return Err(hb_mem::SnapError::Bad("CacheBank line size mismatch"));
@@ -757,8 +872,8 @@ hb_mem::snap_value!(Mshr { line_addr, waiting });
 hb_mem::snap_state!(CacheBank [b"BANK"] {
     save: mshrs, input, responses, mem_requests, busy_cycles, stats;
     fixed: lines;
-    host: cfg, cycle;
-} check check_line_sizes);
+    host: cfg, cycle, skipped;
+} check check_restored);
 
 #[cfg(test)]
 mod tests {
@@ -1102,5 +1217,157 @@ mod tests {
         bank.try_accept(load(5, 0x0)); // A should still be resident: hit
         run_with_memory(&mut bank, &mut mem, 20);
         assert_eq!(bank.stats().hits, 2); // loads 3 and 5
+    }
+
+    /// A bank in a seeded random state: requests to six lines competing for
+    /// two 2-way sets, ticks, fetches completed out of order, responses
+    /// popped — under the policy knobs a stall depends on.
+    fn random_bank(rng: &mut hb_rng::Rng) -> CacheBank {
+        let cfg = CacheConfig {
+            sets: 2,
+            ways: 2,
+            bank_shift: 0,
+            mshrs: *rng.pick(&[1, 2, 8]),
+            mshr_capacity: *rng.pick(&[1, 4]),
+            write_validate: rng.chance(0.5),
+            blocking: rng.chance(0.3),
+            ..CacheConfig::default()
+        };
+        let mut bank = CacheBank::new(cfg);
+        let mut fetching = Vec::new();
+        for id in 0..rng.below(80) {
+            match rng.below(8) {
+                0..=3 => {
+                    let addr = (rng.range_u32(0, 6) << 6) | (rng.range_u32(0, 16) << 2);
+                    let kind = *rng.pick(&[
+                        AccessKind::Load,
+                        AccessKind::Store,
+                        AccessKind::Amo(AmoOp::Add),
+                    ]);
+                    let data = rng.next_u32();
+                    let width = 4;
+                    bank.try_accept(CacheRequest {
+                        id,
+                        addr,
+                        kind,
+                        data,
+                        width,
+                    });
+                }
+                4 | 5 => bank.tick(),
+                6 => {
+                    if let Some(LineRequest {
+                        line_addr,
+                        kind: LineRequestKind::Fetch,
+                    }) = bank.pop_mem_request()
+                    {
+                        fetching.push(line_addr);
+                    }
+                }
+                _ if !fetching.is_empty() => {
+                    let line = fetching.swap_remove(rng.index(fetching.len()));
+                    bank.complete_fetch(line, &[rng.next_u32() as u8; 64]);
+                }
+                _ => while bank.pop_response().is_some() {},
+            }
+        }
+        bank
+    }
+
+    /// A copy through the snapshot, awake, on the same clock.
+    fn copy(bank: &CacheBank) -> CacheBank {
+        use hb_mem::{SnapReader, SnapState, SnapWriter};
+        let mut w = SnapWriter::new();
+        bank.save_state(&mut w);
+        let mut copy = CacheBank::new(bank.cfg);
+        copy.load_state(&mut SnapReader::new(&w.into_bytes()))
+            .unwrap();
+        copy.set_clock(bank.cycle);
+        copy
+    }
+
+    fn saved_at(bank: &CacheBank, clock: u64) -> Vec<u8> {
+        let mut w = hb_mem::SnapWriter::new();
+        bank.save_state_at(clock, &mut w);
+        w.into_bytes()
+    }
+
+    /// The sleep predicate and the tick agree. Where [`CacheBank::stall`]
+    /// predicts a stall, each of three real ticks (each followed by the
+    /// owner's pop of the responses due) changes exactly the predicted
+    /// counters and nothing else: its snapshot equals the sleeping copy's
+    /// settled one. Where it does not, no stall reproduces
+    /// the tick, unless a response is still in the pipeline (the
+    /// predicate's one conservative case).
+    #[test]
+    fn a_predicted_stall_is_exactly_what_a_tick_records() {
+        let stalls: Vec<Stall> = (0..4)
+            .map(|k| Stall {
+                rejected_mshr: k & 1 != 0,
+                blocked: k & 2 != 0,
+                ..Stall::default()
+            })
+            .collect();
+        let (mut slept, mut kinds) = (0, [false; 3]);
+        for seed in 0..3000 {
+            let mut rng = hb_rng::Rng::seed_from_u64(seed);
+            let bank = random_bank(&mut rng);
+            let at = bank.cycle;
+            // A tick is the bank's and its owner's, who pops what it answered.
+            let tick = |bank: &mut CacheBank| {
+                bank.tick();
+                while bank.pop_response().is_some() {}
+            };
+            let mut ticked = copy(&bank);
+            tick(&mut ticked);
+            let after = saved_at(&ticked, ticked.cycle);
+            let Some(stall) = bank.stall() else {
+                let sleeps = |&s: &Stall| {
+                    let mut sleeper = copy(&bank);
+                    sleeper.sleep(s);
+                    saved_at(&sleeper, at + 1) == after
+                };
+                assert!(
+                    !bank.responses.is_empty() || !stalls.iter().any(sleeps),
+                    "seed {seed}: a stall the predicate missed"
+                );
+                continue;
+            };
+            assert!(!stall.rejected_input, "seed {seed}: the bank has no feed");
+            let mut sleeper = copy(&bank);
+            sleeper.sleep(stall);
+            for k in 1..=3 {
+                if k > 1 {
+                    tick(&mut ticked);
+                }
+                let settled = saved_at(&sleeper, at + k);
+                assert!(
+                    saved_at(&ticked, at + k) == settled,
+                    "seed {seed}, tick {k}: {stall:?} is not what the tick did"
+                );
+                assert_eq!(ticked.stats(), sleeper.stats_at(at + k), "seed {seed}");
+            }
+            slept += 1;
+            kinds[usize::from(stall.rejected_mshr) + usize::from(stall.blocked)] = true;
+        }
+        // Idle, set-waiting and MSHR-waiting banks all came up, and so did
+        // banks that could not sleep.
+        assert!(kinds.iter().all(|&k| k), "{kinds:?}");
+        assert!(slept > 300 && slept < 2700, "{slept} of 3000 slept");
+    }
+
+    /// The settled writer is the generated one when nothing is owed.
+    #[test]
+    fn an_awake_bank_saves_what_the_generated_writer_saves() {
+        use hb_mem::{SnapState, SnapWriter};
+        for seed in 0..200 {
+            let bank = random_bank(&mut hb_rng::Rng::seed_from_u64(seed));
+            let mut w = SnapWriter::new();
+            bank.save_state(&mut w);
+            assert!(
+                w.into_bytes() == saved_at(&bank, bank.cycle + 5),
+                "seed {seed}"
+            );
+        }
     }
 }

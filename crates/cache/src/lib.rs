@@ -43,5 +43,5 @@ mod bank;
 
 pub use bank::{
     amo_op, AccessKind, CacheBank, CacheConfig, CacheRequest, CacheResponse, CacheStats,
-    LineRequest, LineRequestKind,
+    LineRequest, LineRequestKind, Stall,
 };

@@ -3,7 +3,7 @@
 //! re-packs completions into response packets.
 
 use crate::payload::{NodeId, ReqKind, Request, RespKind, Response};
-use hb_cache::{AccessKind, CacheBank, CacheRequest};
+use hb_cache::{AccessKind, CacheBank, CacheRequest, Stall};
 use hb_noc::{Coord, Packet};
 use std::collections::VecDeque;
 
@@ -67,10 +67,45 @@ impl BankNode {
         self.inbox.len() < INBOX_CAP
     }
 
-    /// Whether a tick could do anything but advance the bank's clock: a
-    /// packet to unpack, an access to feed or one inside the bank.
-    pub fn has_work(&self) -> bool {
-        !(self.inbox.is_empty() && self.expansion.is_empty()) || self.bank.has_work()
+    /// Whether a tick unpacks a packet: one waits in the inbox, the last
+    /// one's accesses are all fed, and there is room to answer it. A packet
+    /// entering the inbox or a drained `resp_outbox` can make it true.
+    pub fn unpacks(&self) -> bool {
+        !self.inbox.is_empty()
+            && self.expansion.is_empty()
+            && self.resp_outbox.len() < RESP_CAP
+            && self.groups.len() < RESP_CAP
+    }
+
+    /// What a tick would record if it can do nothing else, or `None` if it
+    /// could do more: the adapter can neither unpack a packet nor feed an
+    /// access into the bank, and the bank itself can only stall
+    /// ([`CacheBank::stall`]). Only a refill completing into the bank, or
+    /// a change that lets the adapter unpack, can end it.
+    pub fn stall(&self) -> Option<Stall> {
+        let feeds = !self.expansion.is_empty() && self.bank.can_accept();
+        if self.unpacks() || feeds {
+            return None;
+        }
+        let stall = self.bank.stall()?;
+        Some(Stall {
+            rejected_input: !self.expansion.is_empty(),
+            ..stall
+        })
+    }
+
+    /// The snapshot [`save_state`](hb_mem::SnapState::save_state) writes
+    /// once the bank's clock is brought up to `clock`
+    /// ([`CacheBank::save_state_at`]).
+    pub fn save_state_at(&self, clock: u64, w: &mut hb_mem::SnapWriter) {
+        use hb_mem::Snap;
+        w.tag(b"BNOD");
+        self.bank.save_state_at(clock, w);
+        self.inbox.save(w);
+        self.resp_outbox.save(w);
+        self.expansion.save(w);
+        self.groups.save(w);
+        self.next_group.save(w);
     }
 
     /// After a restore: group ids ascend, and each open group still waits
@@ -363,5 +398,88 @@ mod tests {
             responses += n.resp_outbox.drain(..).count();
         }
         assert_eq!(responses, 4);
+    }
+
+    /// The adapter's side of the sleep predicate. A node in a seeded random
+    /// state — blocking and non-blocking banks of 1 or 8 MSHRs, packets
+    /// piling up behind a full `input`, a full `resp_outbox` or full
+    /// `groups` — is ticked for real and, where [`BankNode::stall`] predicts
+    /// a stall, put to sleep instead: the two snapshots agree, settled
+    /// `rejected_input` included, and a node that can unpack or feed is
+    /// never put to sleep.
+    #[test]
+    fn a_predicted_stall_is_exactly_what_a_node_tick_records() {
+        use hb_mem::{SnapReader, SnapState, SnapWriter};
+        let (mut slept, mut fed, mut outbox_full, mut groups_full) = (0, 0, 0, 0);
+        for seed in 0..1500u64 {
+            let mut rng = hb_rng::Rng::seed_from_u64(seed);
+            let cfg = CacheConfig {
+                sets: 2,
+                ways: 2,
+                mshrs: *rng.pick(&[1, 8]),
+                blocking: rng.chance(0.3),
+                ..CacheConfig::default()
+            };
+            let fresh = || BankNode::new(CacheBank::new(cfg), Coord::new(0, 0));
+            let mut n = fresh();
+            let (mut clock, answers) = (0, rng.chance(0.7));
+            for op in 0..rng.below(200) as u32 {
+                match rng.below(20) {
+                    0..=7 => {
+                        let addr = rng.range_u32(0, 8) << 11;
+                        n.inbox.push_back(mk_load(op, addr, *rng.pick(&[1, 4])));
+                    }
+                    8..=13 => {
+                        n.tick();
+                        clock += 1;
+                    }
+                    14..=18 if answers => {
+                        if let Some(r) = n.bank.pop_mem_request() {
+                            n.bank.complete_fetch(r.line_addr, &[7; 64]);
+                        }
+                    }
+                    14..=18 => {}
+                    _ => n.resp_outbox.clear(),
+                }
+            }
+            let copy = |n: &BankNode| {
+                let mut w = SnapWriter::new();
+                n.save_state(&mut w);
+                let mut c = fresh();
+                c.load_state(&mut SnapReader::new(&w.into_bytes())).unwrap();
+                c.bank.set_clock(clock);
+                c
+            };
+            let saved_at = |n: &BankNode, at: u64| {
+                let mut w = SnapWriter::new();
+                n.save_state_at(at, &mut w);
+                w.into_bytes()
+            };
+            let Some(stall) = n.stall() else {
+                continue;
+            };
+            let mut ticked = copy(&n);
+            ticked.tick();
+            let mut sleeper = copy(&n);
+            sleeper.bank.sleep(stall);
+            let unpacks = !n.inbox.is_empty()
+                && n.expansion.is_empty()
+                && n.resp_outbox.len() < RESP_CAP
+                && n.groups.len() < RESP_CAP;
+            assert!(!unpacks && (n.expansion.is_empty() || !n.bank.can_accept()));
+            assert!(
+                saved_at(&ticked, clock + 1) == saved_at(&sleeper, clock + 1),
+                "seed {seed}: {stall:?} is not what the tick did"
+            );
+            slept += 1;
+            fed += usize::from(stall.rejected_input);
+            outbox_full += usize::from(n.resp_outbox.len() == RESP_CAP && !n.inbox.is_empty());
+            groups_full += usize::from(n.groups.len() == RESP_CAP && !n.inbox.is_empty());
+        }
+        assert!(
+            slept > 300 && fed > 100 && outbox_full > 0 && groups_full > 0,
+            "{slept} slept, {fed} with a rejected feed, {outbox_full} held by the outbox, \
+             {groups_full} by the groups"
+        );
     }
 }

@@ -124,7 +124,8 @@ pub struct Cell {
     hbm_retry: VecDeque<DramRequest>,
     /// The memory clock: memory phases run, `flush_caches`' included. Banks
     /// and strips keep their own clocks, brought up to this one before they
-    /// are ticked (see [`phase_memory`](Self::phase_memory)).
+    /// are ticked (see [`phase_memory`](Self::phase_memory)), and a bank's
+    /// counters are read and saved settled to it.
     mem_cycle: u64,
     mem_ops: IdMap<u64, MemOp>,
     next_mem_id: u64,
@@ -154,8 +155,9 @@ pub struct Cell {
     backlog: WorkSet,
     /// Banks whose response outbox may be non-empty.
     bank_out: WorkSet,
-    /// Banks with a packet, an access or a response to move
-    /// ([`BankNode::has_work`]): the banks the memory phase ticks.
+    /// Banks awake: the ones the memory phase ticks. A bank leaves when its
+    /// next tick could only record a stall ([`BankNode::stall`]) and sleeps
+    /// until something can end it.
     mem_live: WorkSet,
     /// Scratch: the tiles the current phase visits.
     visit: WorkSet,
@@ -532,11 +534,11 @@ impl Cell {
         self.hbm.stats()
     }
 
-    /// Aggregated cache-bank statistics.
+    /// Aggregated cache-bank statistics, summed over
+    /// [`bank_stats`](Self::bank_stats).
     pub fn cache_stats(&self) -> CacheStats {
         let mut agg = CacheStats::default();
-        for b in &self.banks {
-            let s = b.bank.stats_at(self.mem_cycle);
+        for s in (0..self.banks.len()).map(|b| self.bank_stats(b)) {
             agg.hits += s.hits;
             agg.misses += s.misses;
             agg.secondary_misses += s.secondary_misses;
@@ -686,7 +688,9 @@ impl Cell {
         self.req_net.stats().retransmits + self.resp_net.stats().retransmits
     }
 
-    /// Stats of one cache bank, as of the Cell's memory clock.
+    /// Stats of one cache bank, as of the Cell's memory clock: a sleeping
+    /// bank's skipped ticks are credited with the stall each would have
+    /// recorded. The one read of the bank counters.
     pub fn bank_stats(&self, bank: usize) -> CacheStats {
         self.banks[bank].bank.stats_at(self.mem_cycle)
     }
@@ -746,7 +750,7 @@ impl Cell {
     pub fn deliver_remote_request(&mut self, pkt: Packet<Request>) {
         if let Some(b) = self.pgas.coord_to_bank(pkt.dst) {
             self.banks[b].inbox.push_back(pkt);
-            self.mem_live.insert(b);
+            self.wake_if_unpacks(b);
         } else if let Some((x, y)) = self.pgas.coord_to_tile(pkt.dst) {
             self.tile_mut(x, y).req_inbox.push_back(pkt);
         }
@@ -841,12 +845,20 @@ impl Cell {
         let coord = self.banks[b].coord;
         while self.banks[b].can_take() {
             match self.req_net.eject(coord) {
-                Some(pkt) => {
-                    self.banks[b].inbox.push_back(pkt);
-                    self.mem_live.insert(b);
-                }
+                Some(pkt) => self.banks[b].inbox.push_back(pkt),
                 None => break,
             }
+        }
+        self.wake_if_unpacks(b);
+    }
+
+    /// Wakes bank `b` if its adapter can now unpack a packet: of what the
+    /// network and inject phases do to a bank, a packet entering the inbox
+    /// and room in the response outbox can end a sleeping bank's stall
+    /// ([`BankNode::stall`]), and only by making that true.
+    fn wake_if_unpacks(&mut self, b: usize) {
+        if self.banks[b].unpacks() {
+            self.mem_live.insert(b);
         }
     }
 
@@ -903,7 +915,8 @@ impl Cell {
     /// BSP phase 2 — cache banks, refill strips and the HBM2 channel. A bank
     /// is ticked while it is in `mem_live`, a strip while it carries a
     /// transfer, each brought up to the memory clock first (DESIGN.md,
-    /// "Event-driven core"); the channel ticks on every memory-clock edge.
+    /// "Event-driven core"); a bank whose next tick could only stall goes
+    /// to sleep. The channel ticks on every memory-clock edge.
     fn phase_memory(&mut self) {
         #[cfg(test)]
         if reference::ENABLED.get() {
@@ -916,7 +929,8 @@ impl Cell {
             cursor = b + 1;
             self.banks[b].bank.set_clock(now - 1);
             self.tick_bank(b);
-            if !self.banks[b].has_work() {
+            if let Some(stall) = self.banks[b].stall() {
+                self.banks[b].bank.sleep(stall);
                 self.mem_live.remove(b);
             }
         }
@@ -1022,7 +1036,7 @@ impl Cell {
     }
 
     /// Memory phase, one strip channel from memory: a refill completes into
-    /// its bank, which is brought up to the memory clock and goes live.
+    /// its bank, which is brought up to the memory clock and wakes.
     fn tick_strip_from_mem(&mut self, s: usize) {
         self.work.strip_ticks += 1;
         self.strip_from_mem[s].tick();
@@ -1119,10 +1133,42 @@ impl Cell {
         }
     }
 
-    /// The `extra` section of the Cell's snapshot: the program images.
-    /// Tiles launched from the same `Arc<Program>` share one image, so the
-    /// stream carries a deduplicated table (identity is the pointer) and
-    /// one index into it per tile.
+    /// The `extra` section of the Cell's snapshot: the banks, the strips and
+    /// `active`, encoded as the `fixed:` class would (each bank with its
+    /// counters settled to `mem_cycle`, so a sleeping bank saves what an
+    /// awake one would), then the program images.
+    fn save_extra(&self, w: &mut hb_mem::SnapWriter) {
+        w.usize(self.banks.len());
+        for node in &self.banks {
+            node.save_state_at(self.mem_cycle, w);
+        }
+        hb_mem::snap::save_fixed(&self.strip_to_mem[..], w);
+        hb_mem::snap::save_fixed(&self.strip_from_mem[..], w);
+        hb_mem::snap::save_fixed(&self.active[..], w);
+        self.save_programs(w);
+    }
+
+    /// Decodes what [`save_extra`](Self::save_extra) wrote.
+    fn load_extra(&mut self, r: &mut hb_mem::SnapReader) -> Result<(), SnapError> {
+        use hb_mem::snap::load_fixed;
+        load_fixed(&mut self.banks[..], r, "Cell.banks length mismatch")?;
+        load_fixed(
+            &mut self.strip_to_mem[..],
+            r,
+            "Cell.strip_to_mem length mismatch",
+        )?;
+        load_fixed(
+            &mut self.strip_from_mem[..],
+            r,
+            "Cell.strip_from_mem length mismatch",
+        )?;
+        load_fixed(&mut self.active[..], r, "Cell.active length mismatch")?;
+        self.load_programs(r)
+    }
+
+    /// The program images. Tiles launched from the same `Arc<Program>`
+    /// share one image, so the stream carries a deduplicated table
+    /// (identity is the pointer) and one index into it per tile.
     fn save_programs(&self, w: &mut hb_mem::SnapWriter) {
         let mut table: Vec<&Arc<Program>> = Vec::new();
         let indices: Vec<Option<u32>> = (self.tiles.iter())
@@ -1227,9 +1273,10 @@ impl Cell {
     /// index order (the order the fabric queues are filled in), the tiles
     /// that can hold an outgoing packet — the stepped ones whose step left
     /// work, those the host touched, those left with a backlog — and the
-    /// banks the memory phase saw with a response. A stepped tile without
-    /// work was seen with both outboxes empty right after its step, and
-    /// nothing since has filled them.
+    /// banks the memory phase saw with a response (one that room in its
+    /// outbox lets unpack a packet wakes). A stepped tile without work was
+    /// seen with both outboxes empty right after its step, and nothing
+    /// since has filled them.
     fn phase_inject(&mut self) {
         // `visit` still names the touched tiles and the stepped ones with
         // work. It leaves `self` for the walk, which needs all of `self` per
@@ -1254,6 +1301,7 @@ impl Cell {
             cursor = b + 1;
             self.work.inject_nodes += 1;
             self.inject_from_bank(b);
+            self.wake_if_unpacks(b);
             if self.banks[b].resp_outbox.is_empty() {
                 self.bank_out.remove(b);
             }
@@ -1311,10 +1359,11 @@ hb_mem::snap_value!(MemOp {
 hb_mem::snap_state!(Cell [b"CELL"] {
     save: cycle, alloc_ptr, req_net, resp_net, hbm, hbm_clock, dram, hbm_retry, mem_cycle,
         mem_ops, next_mem_id, barriers, sched, xreq_out, xresp_out;
-    fixed: tiles, banks, strip_to_mem, strip_from_mem, active;
-    host: cfg, id, pgas, staged, touched, backlog, bank_out, mem_live, visit, ready,
-        release_check, barrier_origin, maybe_fault, work;
-} extra (save_programs, load_programs) check check_restored);
+    fixed: tiles;
+    // `banks`, the strips and `active` are saved by `save_extra`.
+    host: cfg, id, pgas, banks, strip_to_mem, strip_from_mem, active, staged, touched, backlog,
+        bank_out, mem_live, visit, ready, release_check, barrier_origin, maybe_fault, work;
+} extra (save_extra, load_extra) check check_restored);
 
 /// The every-node, every-tile scans the worklists replaced, kept as the
 /// oracle of `worklist_phases_match_the_full_scans`: the same per-node work
@@ -1345,6 +1394,15 @@ mod reference {
             for s in 0..2 {
                 self.tick_strip_from_mem(s);
             }
+        }
+
+        /// Banks asleep with stall counts owed: their settled counters are
+        /// ahead of the ones they hold.
+        pub(super) fn owing_banks(&self) -> usize {
+            let counts = |s: CacheStats| (s.rejected_input, s.rejected_mshr, s.blocked_cycles);
+            (0..self.banks.len())
+                .filter(|&b| counts(self.banks[b].bank.stats()) != counts(self.bank_stats(b)))
+                .count()
         }
 
         pub(super) fn tick_reference(&mut self) {
@@ -1454,9 +1512,11 @@ mod tests {
     /// writebacks through small banks, MSHR-full back-pressure) — over
     /// blocking and non-blocking banks, and the host adds its own: a freeze
     /// and a bogus response that traps a tile through `tile_mut`, an HBM2
-    /// stall, a `flush_caches` and a restore into a fresh machine mid-run.
-    /// Checkpoint bytes, cache counters, tile-tick counts and the reported
-    /// fault agree after every cycle.
+    /// stall, a burst of loads into one bank behind a slow response network
+    /// (the bank sleeps with a full outbox over its inbox), a `flush_caches`,
+    /// a restore in place (over banks asleep with stall counts owed) and one
+    /// into a fresh machine mid-run. Checkpoint bytes, cache counters,
+    /// tile-tick counts and the reported fault agree after every cycle.
     #[test]
     fn worklist_phases_match_the_full_scans() {
         use crate::kernel_util::HbOps;
@@ -1484,11 +1544,12 @@ mod tests {
         a.ecall();
         let program = Arc::new(a.assemble(0).unwrap());
 
-        // (park policy, non-blocking banks, write-validate, MSHRs per bank)
-        for (event_core, non_blocking_cache, write_validate, cache_mshrs) in [
-            (true, true, true, 1),
-            (false, false, false, 8),
-            (true, true, false, 2),
+        // (park policy, non-blocking banks, write-validate, MSHRs per bank,
+        // cycles a packet holds a link)
+        for (event_core, non_blocking_cache, write_validate, cache_mshrs, link_occupancy) in [
+            (true, true, true, 1, 1),
+            (false, false, false, 8, 1),
+            (true, true, false, 2, 3),
         ] {
             let cfg = MachineConfig {
                 cell_dim: CellDim { x: 4, y: 2 },
@@ -1503,6 +1564,7 @@ mod tests {
                 cache_mshrs,
                 cache_sets: 4,
                 cache_ways: 2,
+                link_occupancy,
                 ..MachineConfig::baseline_16x8()
             };
             let dram = crate::pgas::local_dram;
@@ -1534,8 +1596,36 @@ mod tests {
                                 },
                             });
                         }
+                        620 => {
+                            // Loads for the trapped tile, faster than a
+                            // slow response network drains them: a bank
+                            // sleeps with a full outbox over its inbox.
+                            let cell = m.cell_mut(1);
+                            let from = crate::payload::NodeId {
+                                cell: 1,
+                                coord: cell.pgas().tile_coord(3, 1),
+                            };
+                            let dst = cell.pgas().bank_coord(cell.pgas().bank_for(128));
+                            for op_id in 0..24 {
+                                let kind = crate::payload::ReqKind::Load {
+                                    addr: 128,
+                                    width: 4,
+                                    count: 1,
+                                };
+                                let payload = Request { from, op_id, kind };
+                                let src = from.coord;
+                                cell.deliver_remote_request(Packet { src, dst, payload });
+                            }
+                        }
                         _ => {}
                     }
+                }
+                if cycle == 580 {
+                    // Sleeping banks save settled and restore awake, over
+                    // their own stale sleep.
+                    let owing = (0..2).map(|c| fast.cell(c).owing_banks()).sum::<usize>();
+                    assert!(owing > 0, "no bank owes a stall at the restore ({tag})");
+                    fast.restore_checkpoint(&fast.save_checkpoint()).unwrap();
                 }
                 if cycle == 700 {
                     let mut restored = crate::Machine::new(cfg.clone());
@@ -1585,6 +1675,58 @@ mod tests {
             assert!(hbm.reads > 0 && hbm.writes > 0, "{hbm:?}");
             assert!(work.bank_ticks < slow.cell(0).work().bank_ticks, "{tag}");
         }
+    }
+
+    /// The memory phase costs refills, not stalled cycles: one tile's loads
+    /// to distinct lines of one bank with a single MSHR keep that bank
+    /// stalled nearly every cycle (`rejected_mshr` grows with the cycle
+    /// count), yet it is ticked a few times per load — on arrivals and
+    /// after refills — where a bank that never sleeps is ticked every
+    /// stalled cycle.
+    #[test]
+    fn a_bank_stalled_on_its_mshrs_costs_ticks_per_refill_not_per_cycle() {
+        use crate::kernel_util::HbOps;
+        use hb_isa::Gpr::*;
+        const LOADS: u64 = 64;
+        let cfg = MachineConfig {
+            cell_dim: CellDim { x: 4, y: 2 },
+            cache_mshrs: 1,
+            ipoly_hashing: false,
+            ..MachineConfig::baseline_16x8()
+        };
+        let mut m = crate::Machine::new(cfg.clone());
+        // Lines 0, 8, 16, ... stripe onto one bank: every load a primary
+        // miss, four in flight per iteration.
+        let stride = cfg.line_bytes * cfg.banks_per_cell() as u32;
+        let base = m.cell_mut(0).alloc(stride * LOADS as u32, stride);
+        let mut a = hb_asm::Assembler::new();
+        a.tg_rank(T0, T6);
+        let done = a.new_label();
+        a.bnez(T0, done);
+        a.li(S0, LOADS as i32 / 4);
+        a.li_u(T2, 4 * stride);
+        let top = a.here();
+        for (k, r) in [T1, T3, T4, T5].into_iter().enumerate() {
+            a.lw(r, A0, k as i32 * stride as i32);
+        }
+        a.add(A0, A0, T2);
+        a.addi(S0, S0, -1);
+        a.bnez(S0, top);
+        a.bind(done);
+        a.fence();
+        a.ecall();
+        let program = Arc::new(a.assemble(0).unwrap());
+        m.launch(0, &program, &[crate::pgas::local_dram(base)]);
+        let summary = m.run(1_000_000).unwrap();
+        let (cell, bank) = (m.cell(0), m.cell(0).pgas().bank_for(base));
+        let (work, stats) = (cell.work(), cell.bank_stats(bank));
+        assert_eq!(stats.misses, LOADS, "{stats:?}");
+        assert!(
+            stats.rejected_mshr > summary.cycles / 2,
+            "{stats:?} over {} cycles",
+            summary.cycles
+        );
+        assert!(work.bank_ticks <= 3 * LOADS, "{work:?} for {LOADS} loads");
     }
 
     /// The memory phase costs requests, not banks (`CellWork::bank_ticks`,
