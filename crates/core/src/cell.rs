@@ -86,8 +86,9 @@ struct MemOp {
 pub struct CellWork {
     /// Both NoCs' [`Network::tick`](hb_noc::Network::tick) work, summed.
     pub noc: TickWork,
-    /// Nodes visited for ejection in the network phase (a node with a
-    /// request delivery, a tile with a response delivery or a staged one).
+    /// Nodes visited for ejection in the network phase (a tile or a bank
+    /// with a request delivery and room in its inbox, a tile with a
+    /// response delivery or a staged one).
     pub eject_nodes: u64,
     /// Tiles visited in the sync phase (join flags, barrier releases): the
     /// touched ones and the stepped ones whose step left work, not every
@@ -102,6 +103,9 @@ pub struct CellWork {
     pub bank_ticks: u64,
     /// Refill-strip channels ticked in the memory phase.
     pub strip_ticks: u64,
+    /// HBM2 request-queue entries the channel's scheduler looked at
+    /// ([`Hbm2Channel::entries_examined`]).
+    pub hbm_entries: u64,
 }
 
 /// One Cell of the machine. Ticked by [`Machine`](crate::Machine) on the
@@ -155,6 +159,11 @@ pub struct Cell {
     backlog: WorkSet,
     /// Banks whose response outbox may be non-empty.
     bank_out: WorkSet,
+    /// The request-network nodes of the banks whose inbox is full, exactly:
+    /// the network phase's ejection walk leaves them out. Unlike the
+    /// worklists it is rebuilt, not marked full, after a restore; a launch
+    /// leaves the banks' inboxes alone.
+    inbox_full: WorkSet,
     /// Banks awake: the ones the memory phase ticks. A bank leaves when its
     /// next tick could only record a stall ([`BankNode::stall`]) and sleeps
     /// until something can end it.
@@ -221,12 +230,14 @@ impl Cell {
             ..cfg.strip
         };
         let strip = || StripChannel::new(strip_cfg);
+        let req_net = Network::new(net_cfg(RouteOrder::XThenY));
         Cell {
             id,
             pgas,
             tiles,
             banks,
-            req_net: Network::new(net_cfg(RouteOrder::XThenY)),
+            inbox_full: WorkSet::new(req_net.nodes()),
+            req_net,
             resp_net: Network::new(net_cfg(RouteOrder::YThenX)),
             strip_to_mem: [strip(), strip()],
             strip_from_mem: [strip(), strip()],
@@ -517,6 +528,7 @@ impl Cell {
                 routers: req.routers + resp.routers,
             },
             barrier_nodes: self.barriers.iter().map(BarrierNetwork::node_visits).sum(),
+            hbm_entries: self.hbm.entries_examined(),
             ..self.work
         }
     }
@@ -750,6 +762,7 @@ impl Cell {
     pub fn deliver_remote_request(&mut self, pkt: Packet<Request>) {
         if let Some(b) = self.pgas.coord_to_bank(pkt.dst) {
             self.banks[b].inbox.push_back(pkt);
+            self.note_inbox(b);
             self.wake_if_unpacks(b);
         } else if let Some((x, y)) = self.pgas.coord_to_tile(pkt.dst) {
             self.tile_mut(x, y).req_inbox.push_back(pkt);
@@ -809,9 +822,14 @@ impl Cell {
         self.req_net.tick();
         self.resp_net.tick();
         let w = self.cfg.cell_dim.x as usize;
-        // Requests: visit the nodes the network has a delivery for.
+        // Requests: visit the nodes the network has a delivery for, less
+        // the banks whose inbox is full: such a bank takes no packet, and
+        // with none entering there is nothing to wake it for
+        // (`wake_if_unpacks`).
+        debug_assert!(self.inbox_full_is_exact(), "inbox_full drifted");
         self.ready.clear();
-        self.ready.extend(self.req_net.ready_nodes());
+        self.ready
+            .extend(self.req_net.ready_nodes_except(&self.inbox_full));
         self.work.eject_nodes += self.ready.len() as u64;
         for k in 0..self.ready.len() {
             let coord = self.ready[k];
@@ -849,7 +867,25 @@ impl Cell {
                 None => break,
             }
         }
+        self.note_inbox(b);
         self.wake_if_unpacks(b);
+    }
+
+    /// Keeps bank `b`'s `inbox_full` membership after its inbox changed.
+    fn note_inbox(&mut self, b: usize) {
+        let node = self.req_net.node_index(self.banks[b].coord);
+        if self.banks[b].can_take() {
+            self.inbox_full.remove(node);
+        } else {
+            self.inbox_full.insert(node);
+        }
+    }
+
+    /// Whether `inbox_full` names exactly the banks with a full inbox.
+    fn inbox_full_is_exact(&self) -> bool {
+        let full = self.banks.iter().filter(|node| !node.can_take());
+        let nodes = full.map(|node| self.req_net.node_index(node.coord));
+        nodes.eq(self.inbox_full.iter())
     }
 
     /// Wakes bank `b` if its adapter can now unpack a packet: of what the
@@ -954,6 +990,7 @@ impl Cell {
         self.work.bank_ticks += 1;
         let w = self.cfg.cell_dim.x as usize;
         self.banks[b].tick();
+        self.note_inbox(b);
         if !self.banks[b].resp_outbox.is_empty() {
             self.bank_out.insert(b);
         }
@@ -1215,9 +1252,10 @@ impl Cell {
     /// After a restore: every in-flight line operation names a live bank,
     /// the read ones and the banks' outstanding fetches pair up one to one,
     /// and every barrier network lies inside the Cell; then the derived
-    /// state — bank and strip clocks from the memory clock, barrier origins
-    /// from the tiles' group registers, every worklist full so the next
-    /// cycle looks everywhere once.
+    /// state — bank and strip clocks from the memory clock, `inbox_full`
+    /// from the banks' inboxes, barrier origins from the tiles' group
+    /// registers, every worklist full so the next cycle looks everywhere
+    /// once.
     fn check_restored(&mut self) -> Result<(), SnapError> {
         if self.mem_ops.values().any(|op| op.bank >= self.banks.len()) {
             return Err(SnapError::Bad("mem op bank index out of range"));
@@ -1238,8 +1276,12 @@ impl Cell {
         if lines.len() != reads.len() || reads.len() != mshrs {
             return Err(SnapError::Bad("MSHR without exactly one mem op"));
         }
+        self.inbox_full.clear();
         for node in &mut self.banks {
             node.bank.set_clock(self.mem_cycle);
+            if !node.can_take() {
+                self.inbox_full.insert(self.req_net.node_index(node.coord));
+            }
         }
         for strip in self.strip_to_mem.iter_mut().chain(&mut self.strip_from_mem) {
             strip.set_clock(self.mem_cycle);
@@ -1362,7 +1404,7 @@ hb_mem::snap_state!(Cell [b"CELL"] {
     fixed: tiles;
     // `banks`, the strips and `active` are saved by `save_extra`.
     host: cfg, id, pgas, banks, strip_to_mem, strip_from_mem, active, staged, touched, backlog,
-        bank_out, mem_live, visit, ready, release_check, barrier_origin, maybe_fault, work;
+        bank_out, inbox_full, mem_live, visit, ready, release_check, barrier_origin, maybe_fault, work;
 } extra (save_extra, load_extra) check check_restored);
 
 /// The every-node, every-tile scans the worklists replaced, kept as the
@@ -1514,9 +1556,11 @@ mod tests {
     /// and a bogus response that traps a tile through `tile_mut`, an HBM2
     /// stall, a burst of loads into one bank behind a slow response network
     /// (the bank sleeps with a full outbox over its inbox), a `flush_caches`,
-    /// a restore in place (over banks asleep with stall counts owed) and one
-    /// into a fresh machine mid-run. Checkpoint bytes, cache counters,
-    /// tile-tick counts and the reported fault agree after every cycle.
+    /// a restore in place (over banks asleep with stall counts owed) and two
+    /// into a fresh machine mid-run (one over a full inbox); some bank's
+    /// full inbox keeps a waiting request out of the ejection walk. Checkpoint
+    /// bytes, cache counters, tile-tick counts and the reported fault agree
+    /// after every cycle.
     #[test]
     fn worklist_phases_match_the_full_scans() {
         use crate::kernel_util::HbOps;
@@ -1580,6 +1624,9 @@ mod tests {
             };
             let (mut fast, mut slow) = (build(), build());
             let tag = format!("event_core {event_core}, {cache_mshrs} MSHRs");
+            // Cycles some bank's inbox was full with a request waiting for
+            // it in the network, and restores over such a bank.
+            let (mut excluded, mut restored_full) = (0, 0);
             for cycle in 1..=3400u64 {
                 for m in [&mut fast, &mut slow] {
                     match cycle {
@@ -1620,14 +1667,29 @@ mod tests {
                         _ => {}
                     }
                 }
+                let full = |m: &crate::Machine| {
+                    (0..2).filter(|&c| !m.cell(c).inbox_full.is_empty()).count()
+                };
                 if cycle == 580 {
                     // Sleeping banks save settled and restore awake, over
                     // their own stale sleep.
                     let owing = (0..2).map(|c| fast.cell(c).owing_banks()).sum::<usize>();
                     assert!(owing > 0, "no bank owes a stall at the restore ({tag})");
+                    restored_full += full(&fast);
                     fast.restore_checkpoint(&fast.save_checkpoint()).unwrap();
                 }
+                if cycle == 630 {
+                    // The burst at 620 left its bank's inbox full: a fresh
+                    // machine restored from it must rebuild `inbox_full`.
+                    restored_full += full(&fast);
+                    let mut restored = crate::Machine::new(cfg.clone());
+                    restored
+                        .restore_checkpoint(&fast.save_checkpoint())
+                        .unwrap();
+                    fast = restored;
+                }
                 if cycle == 700 {
+                    restored_full += full(&fast);
                     let mut restored = crate::Machine::new(cfg.clone());
                     restored
                         .restore_checkpoint(&fast.save_checkpoint())
@@ -1640,6 +1702,13 @@ mod tests {
                     slow.cell_mut(1).flush_caches();
                     reference::ENABLED.set(false);
                 }
+                excluded += (0..2)
+                    .filter(|&c| {
+                        let cell = fast.cell(c);
+                        cell.req_net.ready_nodes().count()
+                            > cell.req_net.ready_nodes_except(&cell.inbox_full).count()
+                    })
+                    .count();
                 fast.tick();
                 reference::ENABLED.set(true);
                 slow.tick();
@@ -1674,7 +1743,71 @@ mod tests {
             assert!(cache.rejected_mshr > 0 || cache_mshrs == 8, "{cache:?}");
             assert!(hbm.reads > 0 && hbm.writes > 0, "{hbm:?}");
             assert!(work.bank_ticks < slow.cell(0).work().bank_ticks, "{tag}");
+            assert!(excluded > 0 && restored_full > 0, "{tag}");
         }
+    }
+
+    /// The network phase costs deliveries, not waits: every tile's loads
+    /// converge on one bank with a single MSHR, whose inbox then stays full
+    /// while more requests wait for it in the network for most of the run,
+    /// yet the ejection walk visits a node only to eject from it.
+    #[test]
+    fn a_full_bank_inbox_costs_no_ejection_visits() {
+        use crate::kernel_util::HbOps;
+        use hb_isa::Gpr::*;
+        const LOADS: u32 = 32;
+        let cfg = MachineConfig {
+            cell_dim: CellDim { x: 4, y: 2 },
+            cache_mshrs: 1,
+            ipoly_hashing: false,
+            ..MachineConfig::baseline_16x8()
+        };
+        let mut m = crate::Machine::new(cfg.clone());
+        // Lines 0, 8, 16, ... stripe onto one bank; tile `r` loads `LOADS`
+        // of them from line `8 * LOADS * r` on, four per iteration.
+        let stride = cfg.line_bytes * cfg.banks_per_cell() as u32;
+        let tiles = cfg.cell_dim.tiles() as u32;
+        let base = m.cell_mut(0).alloc(stride * LOADS * tiles, stride);
+        let mut a = hb_asm::Assembler::new();
+        a.tg_rank(T0, T6);
+        a.slli(T0, T0, (stride * LOADS).trailing_zeros() as i32);
+        a.add(A0, A0, T0);
+        a.li(S0, LOADS as i32 / 4);
+        a.li_u(T2, 4 * stride);
+        let top = a.here();
+        for (k, r) in [T1, T3, T4, T5].into_iter().enumerate() {
+            a.lw(r, A0, k as i32 * stride as i32);
+        }
+        a.add(A0, A0, T2);
+        a.addi(S0, S0, -1);
+        a.bnez(S0, top);
+        a.fence();
+        a.ecall();
+        let program = Arc::new(a.assemble(0).unwrap());
+        m.launch(0, &program, &[crate::pgas::local_dram(base)]);
+        let bank = m.cell(0).pgas().bank_for(base);
+        let coord = m.cell(0).pgas().bank_coord(bank);
+        let mut waits = 0;
+        while !m.all_done() {
+            m.tick();
+            let cell = m.cell(0);
+            let waiting = cell.req_net.ready_nodes().any(|c| c == coord);
+            waits += u64::from(waiting && !cell.banks[bank].can_take());
+        }
+        let cell = m.cell(0);
+        let work = cell.work();
+        assert_eq!(cell.bank_stats(bank).misses, u64::from(LOADS * tiles));
+        assert!(
+            waits > m.cycle() / 2,
+            "the inbox was full with a request waiting on {waits} of {} cycles",
+            m.cycle()
+        );
+        assert!(
+            work.eject_nodes <= cell.net_ejected(),
+            "{} ejection visits for {} packets ejected ({waits} cycles waiting)",
+            work.eject_nodes,
+            cell.net_ejected()
+        );
     }
 
     /// The memory phase costs refills, not stalled cycles: one tile's loads

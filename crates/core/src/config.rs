@@ -378,6 +378,12 @@ impl MachineConfig {
                 dim: self.cell_dim,
             });
         }
+        let machine_banks = self.banks_per_cell() * usize::from(self.num_cells);
+        if self.ipoly_hashing && !machine_banks.is_power_of_two() {
+            return Err(ConfigError::MachineBankCountNotPowerOfTwo {
+                banks: machine_banks,
+            });
+        }
         Ok(())
     }
 
@@ -597,6 +603,12 @@ pub enum ConfigError {
         /// The footprint (`u64::MAX` when the sum overflows).
         bytes: u64,
     },
+    /// IPOLY hashing spreads Global-DRAM lines over every bank of every
+    /// Cell, which needs a power-of-two total.
+    MachineBankCountNotPowerOfTwo {
+        /// Banks per Cell times Cells.
+        banks: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -690,6 +702,13 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "machine of {bytes} host bytes exceeds the 1 GiB host memory budget"
+                )
+            }
+            ConfigError::MachineBankCountNotPowerOfTwo { banks } => {
+                write!(
+                    f,
+                    "IPOLY hashing over {banks} banks (banks per cell x cells) needs a power \
+                     of two"
                 )
             }
         }
@@ -892,6 +911,26 @@ mod tests {
             assert_eq!(c.validate(), Err(ConfigError::ZeroWidthStrip));
         }
 
+        // IPOLY hashes global lines over all banks of all Cells; without
+        // it they stripe modulo any count.
+        for num_cells in [3, 5] {
+            let c = MachineConfig {
+                num_cells,
+                ..base.clone()
+            };
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::MachineBankCountNotPowerOfTwo {
+                    banks: 32 * usize::from(num_cells)
+                })
+            );
+            let c = MachineConfig {
+                ipoly_hashing: false,
+                ..c
+            };
+            assert_eq!(c.validate(), Ok(()));
+        }
+
         // Every field in range, 126 GiB of cache banks: `Machine::new`
         // would abort on allocation, which no `catch_unwind` isolates.
         let c = MachineConfig {
@@ -1089,6 +1128,7 @@ mod tests {
             ("outst=63", "outst=0", "max_outstanding"),
             ("disabled=", "disabled=16,0", "outside the 16x8 cell"),
             ("cells=1", "cells=255", "host memory budget"),
+            ("cells=1", "cells=3", "IPOLY hashing over 96 banks"),
         ] {
             let err = MachineConfig::from_canonical_text(&good.replacen(from, to, 1)).unwrap_err();
             assert!(err.contains(why), "{to}: {err}");

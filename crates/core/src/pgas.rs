@@ -234,15 +234,16 @@ impl PgasMap {
                 // Global DRAM: hash the line over (cell, bank) across the
                 // whole machine.
                 let offset = eva & 0x3fff_ffff;
-                let line = offset / self.line_bytes;
-                let total_banks = self.banks() as u32 * u32::from(self.num_cells);
+                let line = offset >> self.line_bytes.trailing_zeros();
+                let banks = self.banks() as u32;
+                let total_banks = banks * u32::from(self.num_cells);
                 let slot = if self.ipoly {
                     ipoly_hash(line, total_banks)
                 } else {
                     line % total_banks
                 };
-                let cell = (slot / self.banks() as u32) as u8;
-                let bank = (slot % self.banks() as u32) as usize;
+                let cell = (slot >> banks.trailing_zeros()) as u8;
+                let bank = (slot & (banks - 1)) as usize;
                 // Each Cell stores global lines in the top of its window.
                 let addr = offset % self.dram_bytes;
                 Ok(Target::Bank { cell, bank, addr })
@@ -253,9 +254,7 @@ impl PgasMap {
     /// Like [`PgasMap::translate`], but skips bank selection for Cell-local
     /// DRAM (the returned `bank` is 0). Bank choice only matters to the
     /// cycle-level memory system; functional consumers (the `hb-iss` bus)
-    /// need just "which Cell, which byte", and the bank hash — two integer
-    /// divisions plus an optional IPOLY reduction — dominates their
-    /// per-access cost.
+    /// need just "which Cell, which byte".
     ///
     /// # Errors
     ///
@@ -281,14 +280,15 @@ impl PgasMap {
         self.translate(eva)
     }
 
-    /// Bank selection for a Cell-local DRAM address.
+    /// Bank selection for a Cell-local DRAM address. The line size and
+    /// the bank count are powers of two (`MachineConfig::validate`).
     pub fn bank_for(&self, addr: u32) -> usize {
-        let line = addr / self.line_bytes;
+        let line = addr >> self.line_bytes.trailing_zeros();
         let banks = self.banks() as u32;
         let b = if self.ipoly {
             ipoly_hash(line, banks)
         } else {
-            line % banks
+            line & (banks - 1)
         };
         b as usize
     }
@@ -332,47 +332,210 @@ impl PgasMap {
     }
 }
 
+/// Highest IPOLY degree: 128 banks per Cell (a 64-tile-wide Cell) times
+/// 128 Cells, the largest power-of-two bank count a machine
+/// `MachineConfig::validate` admits can hash global lines over.
+const IPOLY_MAX_DEGREE: u32 = 14;
+
 /// Irreducible polynomials over GF(2) by degree, for IPOLY hashing
 /// (Rau, "Pseudo-randomly interleaved memory", ISCA 1991).
-const IPOLY: [u32; 9] = [
-    0b1,         // degree 0 (unused)
-    0b11,        // x + 1
-    0b111,       // x^2 + x + 1
-    0b1011,      // x^3 + x + 1
-    0b10011,     // x^4 + x + 1
-    0b100101,    // x^5 + x^2 + 1
-    0b1000011,   // x^6 + x + 1
-    0b10001001,  // x^7 + x^3 + 1
-    0b100011011, // x^8 + x^4 + x^3 + x + 1
+const IPOLY: [u32; IPOLY_MAX_DEGREE as usize + 1] = [
+    0b1,               // degree 0 (unused)
+    0b11,              // x + 1
+    0b111,             // x^2 + x + 1
+    0b1011,            // x^3 + x + 1
+    0b10011,           // x^4 + x + 1
+    0b100101,          // x^5 + x^2 + 1
+    0b1000011,         // x^6 + x + 1
+    0b10001001,        // x^7 + x^3 + 1
+    0b100011011,       // x^8 + x^4 + x^3 + x + 1
+    0b1000010001,      // x^9 + x^4 + 1
+    0b10000001001,     // x^10 + x^3 + 1
+    0b100000000101,    // x^11 + x^2 + 1
+    0b1000001010011,   // x^12 + x^6 + x^4 + x + 1
+    0b10000000011011,  // x^13 + x^4 + x^3 + x + 1
+    0b100010001000011, // x^14 + x^10 + x^6 + x + 1
 ];
 
-/// Hashes a line index into `banks` slots (power of two) using polynomial
-/// residue over GF(2). Unlike modulo striping, stride-2^n access patterns
-/// spread evenly over all banks.
+/// Residue tables: `IPOLY_TABLES[deg][k][b]` is `b << 8k` modulo
+/// `IPOLY[deg]`. The residue is linear over GF(2), so a line's residue is
+/// the XOR of its four bytes' entries.
+static IPOLY_TABLES: [[[u16; 256]; 4]; IPOLY_MAX_DEGREE as usize + 1] = ipoly_tables();
+
+const fn ipoly_tables() -> [[[u16; 256]; 4]; IPOLY_MAX_DEGREE as usize + 1] {
+    let mut tables = [[[0u16; 256]; 4]; IPOLY_MAX_DEGREE as usize + 1];
+    // Degree 0 hashes everything to bank 0: its tables stay zero.
+    let mut deg = 1;
+    while deg <= IPOLY_MAX_DEGREE as usize {
+        // x^j modulo the polynomial, for every bit j of a line.
+        let mut basis = [0u16; 32];
+        let mut r = 1u32;
+        let mut j = 0;
+        while j < 32 {
+            basis[j] = r as u16;
+            r <<= 1;
+            if r & (1 << deg) != 0 {
+                r ^= IPOLY[deg];
+            }
+            j += 1;
+        }
+        let mut k = 0;
+        while k < 4 {
+            let mut b = 1;
+            while b < 256 {
+                // `b` is `b & (b - 1)` (filled earlier) plus its lowest bit.
+                let low = (b as u32).trailing_zeros() as usize;
+                tables[deg][k][b] = tables[deg][k][b & (b - 1)] ^ basis[8 * k + low];
+                b += 1;
+            }
+            k += 1;
+        }
+        deg += 1;
+    }
+    tables
+}
+
+/// Hashes a line index into `banks` slots (power of two, at most
+/// 2^14) using polynomial residue over GF(2). Unlike
+/// modulo striping, stride-2^n access patterns spread evenly over all
+/// banks.
 pub fn ipoly_hash(line: u32, banks: u32) -> u32 {
-    debug_assert!(banks.is_power_of_two() && banks > 0);
-    let deg = banks.trailing_zeros();
-    if deg == 0 {
-        return 0;
-    }
-    let p = IPOLY[deg as usize];
-    let mut v = line;
-    let mut bit = 31u32;
-    while bit >= deg {
-        if v & (1 << bit) != 0 {
-            v ^= p << (bit - deg);
-        }
-        if bit == 0 {
-            break;
-        }
-        bit -= 1;
-    }
-    v & (banks - 1)
+    debug_assert!(banks.is_power_of_two() && banks.trailing_zeros() <= IPOLY_MAX_DEGREE);
+    let t = &IPOLY_TABLES[banks.trailing_zeros() as usize];
+    let [b0, b1, b2, b3] = line.to_le_bytes();
+    u32::from(t[0][b0 as usize] ^ t[1][b1 as usize] ^ t[2][b2 as usize] ^ t[3][b3 as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_rng::Rng;
+
+    /// The bit-serial reduction the tables replace: the reference.
+    fn ipoly_hash_reference(line: u32, banks: u32) -> u32 {
+        let deg = banks.trailing_zeros();
+        if deg == 0 {
+            return 0;
+        }
+        let p = IPOLY[deg as usize];
+        let mut v = line;
+        let mut bit = 31u32;
+        while bit >= deg {
+            if v & (1 << bit) != 0 {
+                v ^= p << (bit - deg);
+            }
+            if bit == 0 {
+                break;
+            }
+            bit -= 1;
+        }
+        v & (banks - 1)
+    }
+
+    #[test]
+    fn the_table_hash_equals_the_bit_loop() {
+        let mut rng = Rng::seed_from_u64(34);
+        for deg in 0..=IPOLY_MAX_DEGREE {
+            let banks = 1u32 << deg;
+            for line in 0..1u32 << 16 {
+                assert_eq!(
+                    ipoly_hash(line, banks),
+                    ipoly_hash_reference(line, banks),
+                    "line {line:#x}, {banks} banks"
+                );
+            }
+            for _ in 0..1 << 16 {
+                let line = rng.next_u32();
+                assert_eq!(
+                    ipoly_hash(line, banks),
+                    ipoly_hash_reference(line, banks),
+                    "line {line:#x}, {banks} banks"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_ipoly_polynomial_is_irreducible() {
+        // Residue of `p` modulo `q` over GF(2).
+        let rem = |mut p: u32, q: u32| {
+            let dq = 31 - q.leading_zeros();
+            while p != 0 && 31 - p.leading_zeros() >= dq {
+                p ^= q << (31 - p.leading_zeros() - dq);
+            }
+            p
+        };
+        for deg in 1..=IPOLY_MAX_DEGREE {
+            let p = IPOLY[deg as usize];
+            assert_eq!(31 - p.leading_zeros(), deg, "IPOLY[{deg}] has degree {deg}");
+            // Trial division by every polynomial of degree 1..=deg/2.
+            for q in 2..1u32 << (deg / 2 + 1) {
+                assert_ne!(rem(p, q), 0, "IPOLY[{deg}] = {p:#b} is divisible by {q:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn shift_and_mask_selection_equals_div_mod() {
+        let mut rng = Rng::seed_from_u64(7);
+        for (cell_w, num_cells) in [(1, 1), (2, 2), (4, 1), (8, 4), (16, 1), (16, 2), (64, 2)] {
+            for line_bytes in [4, 16, 64] {
+                for ipoly in [false, true] {
+                    let m = PgasMap {
+                        num_cells,
+                        cell_w,
+                        line_bytes,
+                        ipoly,
+                        ..map()
+                    };
+                    let banks = m.banks() as u32;
+                    let total = banks * u32::from(num_cells);
+                    let hash = |line, n| {
+                        if ipoly {
+                            ipoly_hash_reference(line, n)
+                        } else {
+                            line % n
+                        }
+                    };
+                    for _ in 0..2000 {
+                        let addr = rng.next_u32() % m.dram_bytes;
+                        assert_eq!(m.bank_for(addr), hash(addr / line_bytes, banks) as usize);
+                        let offset = rng.next_u32() & 0x3fff_ffff;
+                        let slot = hash(offset / line_bytes, total);
+                        let want = Target::Bank {
+                            cell: (slot / banks) as u8,
+                            bank: (slot % banks) as usize,
+                            addr: offset % m.dram_bytes,
+                        };
+                        assert_eq!(m.translate(global_dram(offset)), Ok(want));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn global_lines_reach_every_cell_of_a_16_cell_machine() {
+        // 512 banks: past the degree-8 table the hash once stopped at.
+        let m = PgasMap {
+            num_cells: 16,
+            ..map()
+        };
+        let mut lines = [0u32; 16];
+        for i in 0..4096u32 {
+            match m.translate(global_dram(i * 64)).unwrap() {
+                Target::Bank { cell, bank, .. } => {
+                    assert!(bank < 32);
+                    lines[cell as usize] += 1;
+                }
+                other => panic!("wrong target {other:?}"),
+            }
+        }
+        assert_eq!(
+            lines, [256; 16],
+            "sequential global lines balance over the Cells"
+        );
+    }
 
     fn map() -> PgasMap {
         PgasMap {

@@ -229,6 +229,9 @@ pub struct Hbm2Channel {
     stall_until: u64,
     stall_windows: u64,
     stats: Hbm2Stats,
+    /// Host work: queue entries the scheduler looked at, over all ticks.
+    /// Not simulated state.
+    examined: u64,
 }
 
 impl Hbm2Channel {
@@ -267,6 +270,7 @@ impl Hbm2Channel {
             stall_until: 0,
             stall_windows: 0,
             stats: Hbm2Stats::default(),
+            examined: 0,
         }
     }
 
@@ -344,6 +348,13 @@ impl Hbm2Channel {
         self.cycle
     }
 
+    /// Host work: queue entries the FR-FCFS scheduler has looked at so far
+    /// (a request it skips because its bank is busy included). Not
+    /// simulated state: a restore leaves it alone.
+    pub fn entries_examined(&self) -> u64 {
+        self.examined
+    }
+
     fn bank_and_row(&self, addr: u32) -> (usize, u32) {
         let line = addr / self.config.line_bytes;
         let bank = (line as usize) & (self.config.banks - 1);
@@ -362,6 +373,15 @@ impl Hbm2Channel {
 
     /// Advances the channel by one memory-clock cycle.
     pub fn tick(&mut self) {
+        if self.begin_tick() {
+            self.issue();
+        }
+    }
+
+    /// A tick up to its scheduling decision: the cycle advances, finished
+    /// transfers retire, a refresh window opens, the cycle is accounted.
+    /// Returns whether a command may issue (no refresh, no injected stall).
+    fn begin_tick(&mut self) -> bool {
         self.cycle += 1;
         let now = self.cycle;
 
@@ -405,74 +425,77 @@ impl Hbm2Channel {
             self.stats.busy_cycles += 1;
         }
 
-        if refreshing || now < self.stall_until {
-            return;
-        }
+        !refreshing && now >= self.stall_until
+    }
 
-        // FR-FCFS: issue a column command for the oldest row-hit whose bank
-        // is ready; otherwise advance the oldest request's bank FSM.
-        let cas_slot_free = |ch: &Hbm2Channel| -> u64 {
-            // First cycle the data bus could start a new burst after CAS.
-            (now + ch.config.t_cas).max(ch.bus_busy_until + 1)
-        };
-
-        let mut issued = false;
-        for qi in 0..self.queue.len() {
-            let q = self.queue[qi];
-            let (req, bi, row) = (q.req, q.bank, q.row);
-            let bank = self.banks[bi];
-            if bank.open_row == Some(row) && bank.ready_at <= now {
-                // Row open: issue column command now.
-                let start = cas_slot_free(self);
-                let done = start + self.config.burst_cycles - 1;
-                self.bus_busy_until = done;
-                self.bus_is_write = req.write;
-                self.banks[bi].ready_at = now + self.config.t_ccd;
-                self.inflight.push_back(Inflight { req, done_at: done });
-                self.queue.remove(qi);
-                if !q.touched_row {
-                    // A genuine row-buffer hit: served from a row someone
-                    // else opened.
-                    self.stats.row_hits += 1;
-                }
-                issued = true;
+    /// FR-FCFS: a column command for the oldest row hit whose bank is
+    /// ready, otherwise the oldest request whose bank is ready advances its
+    /// bank FSM. No command changes a bank before the choice is made, so
+    /// one pass over the queue finds both candidates.
+    fn issue(&mut self) {
+        let now = self.cycle;
+        let banks = &self.banks;
+        let (mut hit, mut oldest) = (None, None);
+        for (qi, q) in self.queue.iter().enumerate() {
+            let bank = &banks[q.bank];
+            if bank.ready_at > now {
+                continue;
+            }
+            if bank.open_row == Some(q.row) {
+                hit = Some(qi);
                 break;
             }
+            oldest.get_or_insert(qi);
         }
+        self.examined += hit.map_or(self.queue.len(), |qi| qi + 1) as u64;
+        if let Some(qi) = hit {
+            self.column(qi, now);
+        } else if let Some(qi) = oldest {
+            self.advance_bank(qi, now);
+        }
+    }
 
-        if !issued {
-            // Progress the oldest request whose bank is idle enough.
-            for qi in 0..self.queue.len() {
-                let Queued { bank: bi, row, .. } = self.queue[qi];
-                let bank = self.banks[bi];
-                if bank.ready_at > now {
-                    continue;
-                }
-                match bank.open_row {
-                    None => {
-                        // Activate the row.
-                        self.banks[bi].open_row = Some(row);
-                        self.banks[bi].ready_at = now + self.config.t_rcd;
-                        self.banks[bi].precharge_ok_at = now + self.config.t_ras;
-                        self.stats.row_misses += 1;
-                        self.queue[qi].touched_row = true;
-                    }
-                    Some(open) if open != row => {
-                        // Conflict: precharge once tRAS allows.
-                        let start = now.max(bank.precharge_ok_at);
-                        self.banks[bi].open_row = None;
-                        self.banks[bi].ready_at = start + self.config.t_rp;
-                        self.stats.row_conflicts += 1;
-                        self.queue[qi].touched_row = true;
-                    }
-                    Some(_) => {
-                        // Row open and matching but the bank was busy this
-                        // cycle (tCCD); nothing to do.
-                    }
-                }
-                break;
+    /// Issues the column command of queued request `qi`, whose row is open
+    /// in its ready bank.
+    fn column(&mut self, qi: usize, now: u64) {
+        let q = self.queue.remove(qi).expect("queued request");
+        // First cycle the data bus could start a new burst after CAS.
+        let start = (now + self.config.t_cas).max(self.bus_busy_until + 1);
+        let done = start + self.config.burst_cycles - 1;
+        self.bus_busy_until = done;
+        self.bus_is_write = q.req.write;
+        self.banks[q.bank].ready_at = now + self.config.t_ccd;
+        self.inflight.push_back(Inflight {
+            req: q.req,
+            done_at: done,
+        });
+        if !q.touched_row {
+            // A genuine row-buffer hit: served from a row someone else
+            // opened.
+            self.stats.row_hits += 1;
+        }
+    }
+
+    /// Advances the bank FSM of queued request `qi`, whose bank is ready
+    /// but does not hold its row open: activate, or precharge the open one.
+    fn advance_bank(&mut self, qi: usize, now: u64) {
+        let Queued { bank: bi, row, .. } = self.queue[qi];
+        let bank = &mut self.banks[bi];
+        match bank.open_row {
+            None => {
+                bank.open_row = Some(row);
+                bank.ready_at = now + self.config.t_rcd;
+                bank.precharge_ok_at = now + self.config.t_ras;
+                self.stats.row_misses += 1;
+            }
+            Some(_) => {
+                // Conflict: precharge once tRAS allows.
+                bank.open_row = None;
+                bank.ready_at = now.max(bank.precharge_ok_at) + self.config.t_rp;
+                self.stats.row_conflicts += 1;
             }
         }
+        self.queue[qi].touched_row = true;
     }
 }
 
@@ -503,7 +526,7 @@ crate::snap_state!(Hbm2Channel [b"HBM2"] {
     save: queue, inflight, responses, bus_busy_until, bus_is_write, cycle, next_refresh_at,
         refresh_until, stall_until, stall_windows, stats;
     fixed: banks;
-    host: config;
+    host: config, examined;
 } check check_restored);
 
 #[cfg(test)]
@@ -810,6 +833,180 @@ mod tests {
         });
         let mut r = crate::SnapReader::new(&bytes);
         assert!(wrong.load_state(&mut r).is_err());
+    }
+
+    impl Hbm2Channel {
+        /// The two-scan tick [`tick`](Hbm2Channel::tick) replaced: the
+        /// lockstep reference of `tick_matches_the_two_scan_reference`.
+        fn tick_reference(&mut self) {
+            if !self.begin_tick() {
+                return;
+            }
+            let now = self.cycle;
+            // FR-FCFS: issue a column command for the oldest row-hit whose bank
+            // is ready; otherwise advance the oldest request's bank FSM.
+            let cas_slot_free = |ch: &Hbm2Channel| -> u64 {
+                // First cycle the data bus could start a new burst after CAS.
+                (now + ch.config.t_cas).max(ch.bus_busy_until + 1)
+            };
+
+            let mut issued = false;
+            for qi in 0..self.queue.len() {
+                self.examined += 1;
+                let q = self.queue[qi];
+                let (req, bi, row) = (q.req, q.bank, q.row);
+                let bank = self.banks[bi];
+                if bank.open_row == Some(row) && bank.ready_at <= now {
+                    // Row open: issue column command now.
+                    let start = cas_slot_free(self);
+                    let done = start + self.config.burst_cycles - 1;
+                    self.bus_busy_until = done;
+                    self.bus_is_write = req.write;
+                    self.banks[bi].ready_at = now + self.config.t_ccd;
+                    self.inflight.push_back(Inflight { req, done_at: done });
+                    self.queue.remove(qi);
+                    if !q.touched_row {
+                        // A genuine row-buffer hit: served from a row someone
+                        // else opened.
+                        self.stats.row_hits += 1;
+                    }
+                    issued = true;
+                    break;
+                }
+            }
+
+            if !issued {
+                // Progress the oldest request whose bank is idle enough.
+                for qi in 0..self.queue.len() {
+                    self.examined += 1;
+                    let Queued { bank: bi, row, .. } = self.queue[qi];
+                    let bank = self.banks[bi];
+                    if bank.ready_at > now {
+                        continue;
+                    }
+                    match bank.open_row {
+                        None => {
+                            // Activate the row.
+                            self.banks[bi].open_row = Some(row);
+                            self.banks[bi].ready_at = now + self.config.t_rcd;
+                            self.banks[bi].precharge_ok_at = now + self.config.t_ras;
+                            self.stats.row_misses += 1;
+                            self.queue[qi].touched_row = true;
+                        }
+                        Some(open) if open != row => {
+                            // Conflict: precharge once tRAS allows.
+                            let start = now.max(bank.precharge_ok_at);
+                            self.banks[bi].open_row = None;
+                            self.banks[bi].ready_at = start + self.config.t_rp;
+                            self.stats.row_conflicts += 1;
+                            self.queue[qi].touched_row = true;
+                        }
+                        Some(_) => {
+                            // Row open and matching but the bank was busy this
+                            // cycle (tCCD); nothing to do.
+                        }
+                    }
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Every saved field, as checkpoint bytes.
+    fn saved(ch: &Hbm2Channel) -> Vec<u8> {
+        let mut w = crate::SnapWriter::new();
+        ch.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn tick_matches_the_two_scan_reference() {
+        // xorshift32: seeded traffic without a dependency.
+        let mut state = 34u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let configs = [
+            Hbm2Config::default(),
+            Hbm2Config {
+                queue_depth: 2,
+                ..Hbm2Config::default()
+            },
+            // A refresh that only closes rows: the same tick issues.
+            Hbm2Config {
+                t_refi: 97,
+                t_rfc: 0,
+                ..Hbm2Config::default()
+            },
+            // Frequent refresh windows, one bank: every request conflicts
+            // or hits.
+            Hbm2Config {
+                banks: 1,
+                t_refi: 300,
+                t_rfc: 40,
+                ..Hbm2Config::default()
+            },
+            // More banks than the default, shallow rows, a deep queue.
+            Hbm2Config {
+                banks: 128,
+                row_bytes: 256,
+                queue_depth: 48,
+                ..Hbm2Config::default()
+            },
+        ];
+        let (mut examined, mut examined_ref) = (0, 0);
+        for cfg in configs {
+            let (banks, row_bytes, line) = (cfg.banks as u32, cfg.row_bytes, cfg.line_bytes);
+            let t_rfc = cfg.t_rfc;
+            let mut ch = Hbm2Channel::new(cfg.clone());
+            let mut reference = Hbm2Channel::new(cfg);
+            let mut id = 0;
+            for cycle in 0..12_000u64 {
+                // Bursts and lulls; a few rows per bank, so hits, misses and
+                // conflicts all occur.
+                let rate = if (cycle / 1000) % 3 == 2 { 0 } else { 2 };
+                for _ in 0..next() % (rate + 1) {
+                    let bank = next() % banks;
+                    let row = next() % 3;
+                    let col = next() % (row_bytes / line);
+                    let req = DramRequest {
+                        id,
+                        addr: (row * (row_bytes / line) + col) * line * banks + bank * line,
+                        write: next().is_multiple_of(3),
+                    };
+                    id += 1;
+                    assert_eq!(ch.enqueue(req), reference.enqueue(req));
+                }
+                if next().is_multiple_of(1500) {
+                    let window = u64::from(next() % 80);
+                    ch.stall_for(window);
+                    reference.stall_for(window);
+                }
+                ch.tick();
+                reference.tick_reference();
+                assert_eq!(saved(&ch), saved(&reference), "cycle {cycle}");
+                while let Some(r) = reference.pop_response() {
+                    assert_eq!(ch.pop_response(), Some(r), "cycle {cycle}");
+                }
+                assert_eq!(ch.pop_response(), None, "cycle {cycle}");
+            }
+            let s = ch.stats();
+            assert!(
+                s.row_hits > 0 && s.row_misses > 0 && s.row_conflicts > 0,
+                "{s:?}"
+            );
+            assert!(s.reads > 0 && s.writes > 0, "{s:?}");
+            assert_eq!(s.refresh_cycles > 0, t_rfc > 0, "{s:?}");
+            examined += ch.entries_examined();
+            examined_ref += reference.entries_examined();
+        }
+        assert!(
+            examined < examined_ref,
+            "one pass looks at fewer requests than two: {examined} vs {examined_ref}"
+        );
     }
 
     #[test]

@@ -533,6 +533,24 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
         self.ready.iter().map(|idx| self.coords[idx])
     }
 
+    /// [`ready_nodes`](Self::ready_nodes) less the members of `skip`, a set
+    /// over [`node_index`](Self::node_index): the attached side leaves out
+    /// the nodes that cannot take a delivery, a masked word at a time.
+    pub fn ready_nodes_except<'a>(&'a self, skip: &'a WorkSet) -> impl Iterator<Item = Coord> + 'a {
+        self.ready.iter_and_not(skip).map(|idx| self.coords[idx])
+    }
+
+    /// Number of nodes: the capacity of a set over
+    /// [`node_index`](Self::node_index).
+    pub fn nodes(&self) -> usize {
+        self.coords.len()
+    }
+
+    /// The row-major index of node `c`.
+    pub fn node_index(&self, c: Coord) -> usize {
+        self.idx(c)
+    }
+
     /// Host work done by [`tick`](Self::tick) so far.
     pub fn work(&self) -> TickWork {
         self.work
