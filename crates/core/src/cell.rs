@@ -566,15 +566,6 @@ impl Cell {
         agg
     }
 
-    /// Installs a shared trace buffer into every tile (see [`crate::trace`]).
-    /// Parked tiles stay parked — a skipped tile stalls, and stalls are not
-    /// trace events.
-    pub fn set_trace(&mut self, trace: crate::trace::TraceHandle) {
-        for t in &mut self.tiles {
-            t.set_trace(trace.clone());
-        }
-    }
-
     /// Turns telemetry event capture on or off for every tile (see
     /// [`crate::observe`]): events land in tile-local buffers during the
     /// tile phase and are drained at the window boundary, after the sync

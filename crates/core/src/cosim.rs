@@ -4,7 +4,7 @@
 //! The cycle-level [`Tile`](crate::Tile) is ~1.1k lines of pipelined,
 //! scoreboarded, network-coupled state machine; the [`hb_iss::Hart`] is a
 //! few hundred lines of direct interpretation. Running them in lockstep —
-//! the checker consumes the tile's [`TraceEvent::Retire`] stream and steps
+//! the checker reads the tile's retire counter after every tick and steps
 //! the ISS once per retire — catches any architectural disagreement at the
 //! first diverging instruction instead of as a corrupted result buffer a
 //! million cycles later.
@@ -23,9 +23,7 @@
 use crate::func::{IssTile, SnapshotDram};
 use crate::machine::{Machine, RunSummary, SimError};
 use crate::stats::CoreStats;
-use crate::trace::TraceEvent;
 use hb_isa::Instr;
-use hb_iss::Step;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -66,6 +64,9 @@ pub enum CosimError {
     Sim(SimError),
     /// The two models disagreed.
     Diverged(Box<Divergence>),
+    /// [`Machine::run_cosim`] checks exactly one running tile; this many
+    /// were running.
+    RunningTiles(usize),
 }
 
 impl fmt::Display for CosimError {
@@ -73,6 +74,9 @@ impl fmt::Display for CosimError {
         match self {
             CosimError::Sim(e) => write!(f, "{e}"),
             CosimError::Diverged(d) => write!(f, "{d}"),
+            CosimError::RunningTiles(n) => {
+                write!(f, "cosim checks exactly one running tile, found {n}")
+            }
         }
     }
 }
@@ -97,8 +101,8 @@ pub struct CosimReport {
 /// The lockstep oracle for one tile.
 ///
 /// Create it *after* launching the kernel (it snapshots the launched
-/// state), feed it the machine's drained trace events as the simulation
-/// advances, and call [`CosimChecker::finish`] once the machine is done.
+/// state), let it [`observe`](CosimChecker::observe) the machine after
+/// every tick, and call [`CosimChecker::finish`] once the machine is done.
 /// [`Machine::run_cosim`] wraps the whole protocol for the common
 /// single-tile case.
 #[derive(Debug)]
@@ -106,6 +110,10 @@ pub struct CosimChecker {
     iss: IssTile,
     cell: u8,
     xy: (u8, u8),
+    /// The tile's pc and retire count at the last observation: the next
+    /// retire is of the instruction at that pc.
+    pc: u32,
+    retired: u64,
     recent: VecDeque<(u64, u32, Instr)>,
     instrs: u64,
     reg_compares: u64,
@@ -115,10 +123,13 @@ impl CosimChecker {
     /// Snapshots tile `xy` of Cell `cell` (which must be launched) into a
     /// fresh golden model.
     pub fn new(machine: &Machine, cell: u8, xy: (u8, u8)) -> CosimChecker {
+        let tile = machine.cell(cell).tile(xy.0, xy.1);
         CosimChecker {
             iss: IssTile::from_machine(machine, cell, xy),
             cell,
             xy,
+            pc: tile.pc(),
+            retired: tile.stats().instrs,
             recent: VecDeque::with_capacity(CONTEXT_DEPTH),
             instrs: 0,
             reg_compares: 0,
@@ -177,73 +188,62 @@ impl CosimChecker {
         Ok(())
     }
 
-    /// Consumes one batch of drained trace events, stepping the ISS once
-    /// per retire of the checked tile and comparing as it goes. Call every
-    /// cycle (or at least often enough that the trace ring cannot evict).
+    /// Reads the checked tile after a tick: if its retire counter moved
+    /// on by one, steps the ISS once and compares. A tile retires at most
+    /// one instruction per cycle, so call this after every tick.
     ///
     /// # Errors
     ///
-    /// The first architectural disagreement, with disassembled context.
-    pub fn observe(
-        &mut self,
-        machine: &Machine,
-        events: &[TraceEvent],
-    ) -> Result<(), Box<Divergence>> {
-        let mut retired = false;
-        let mut last = (0u64, 0u32);
-        for ev in events {
-            let TraceEvent::Retire {
-                cycle,
-                tile,
-                pc,
-                instr,
-            } = ev
-            else {
-                continue;
-            };
-            if *tile != self.xy {
-                continue;
-            }
-            if self.iss.hart.pc != *pc {
-                return Err(self.diverge(
-                    *cycle,
-                    *pc,
-                    format!(
-                        "pc mismatch: tile retired {pc:#010x}, iss expects {:#010x}",
-                        self.iss.hart.pc
-                    ),
-                ));
-            }
-            self.iss.bus.set_now(*cycle);
-            match self.iss.hart.step(&self.iss.program, &mut self.iss.bus) {
-                Ok(Step::Retired | Step::Barrier | Step::Ecall) => {}
-                Err(f) => {
-                    return Err(self.diverge(
-                        *cycle,
-                        *pc,
-                        format!("iss faulted where the tile retired: {f}"),
-                    ));
-                }
-            }
-            if self.recent.len() == CONTEXT_DEPTH {
-                self.recent.pop_front();
-            }
-            self.recent.push_back((*cycle, *pc, *instr));
-            self.instrs += 1;
-            retired = true;
-            last = (*cycle, *pc);
+    /// The first architectural disagreement, with disassembled context; a
+    /// counter that moved by more than one retire since the last call.
+    pub fn observe(&mut self, machine: &Machine) -> Result<(), Box<Divergence>> {
+        let cell = machine.cell(self.cell);
+        let tile = cell.tile(self.xy.0, self.xy.1);
+        let (cycle, pc, instrs) = (cell.cycle(), self.pc, tile.stats().instrs);
+        self.pc = tile.pc();
+        if instrs == self.retired {
+            return Ok(());
         }
+        if instrs != self.retired + 1 {
+            return Err(self.diverge(
+                cycle,
+                pc,
+                format!(
+                    "retire count moved from {} to {instrs} between two observations",
+                    self.retired
+                ),
+            ));
+        }
+        self.retired = instrs;
+        if self.iss.hart.pc != pc {
+            return Err(self.diverge(
+                cycle,
+                pc,
+                format!(
+                    "pc mismatch: tile retired {pc:#010x}, iss expects {:#010x}",
+                    self.iss.hart.pc
+                ),
+            ));
+        }
+        self.iss.bus.set_now(cycle);
+        if let Err(f) = self.iss.hart.step(&self.iss.program, &mut self.iss.bus) {
+            return Err(self.diverge(
+                cycle,
+                pc,
+                format!("iss faulted where the tile retired: {f}"),
+            ));
+        }
+        let instr = (self.iss.program.instr_at(pc)).expect("the iss just stepped this pc");
+        if self.recent.len() == CONTEXT_DEPTH {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((cycle, pc, instr));
+        self.instrs += 1;
         // Register files are only comparable when no remote fills are in
         // flight (the tile retires remote loads at issue and writes the
         // destination later).
-        if retired
-            && machine
-                .cell(self.cell)
-                .tile(self.xy.0, self.xy.1)
-                .outstanding()
-                == 0
-        {
-            self.compare_regfiles(machine, last.0, last.1)?;
+        if tile.outstanding() == 0 {
+            self.compare_regfiles(machine, cycle, pc)?;
         }
         Ok(())
     }
@@ -318,33 +318,20 @@ impl Machine {
     ///
     /// # Errors
     ///
+    /// [`CosimError::RunningTiles`] unless exactly one tile is running,
     /// [`CosimError::Sim`] if the simulation faults or times out,
     /// [`CosimError::Diverged`] on the first disagreement.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one tile is running.
     pub fn run_cosim(&mut self, max_cycles: u64) -> Result<(RunSummary, CosimReport), CosimError> {
         let dim = self.config().cell_dim;
-        let mut target = None;
-        for c in 0..self.num_cells() as u8 {
-            for y in 0..dim.y {
-                for x in 0..dim.x {
-                    if self.cell(c).tile(x, y).is_running() {
-                        assert!(
-                            target.is_none(),
-                            "run_cosim checks exactly one running tile"
-                        );
-                        target = Some((c, (x, y)));
-                    }
-                }
-            }
-        }
-        let (cell, xy) = target.expect("run_cosim needs one launched tile");
+        let running: Vec<(u8, (u8, u8))> = (0..self.num_cells() as u8)
+            .flat_map(|c| (0..dim.y).flat_map(move |y| (0..dim.x).map(move |x| (c, (x, y)))))
+            .filter(|&(c, (x, y))| self.cell(c).tile(x, y).is_running())
+            .collect();
+        let [(cell, xy)] = running[..] else {
+            return Err(CosimError::RunningTiles(running.len()));
+        };
 
         let mut checker = CosimChecker::new(self, cell, xy);
-        let trace = self.enable_tracing(64);
-        trace.drain();
 
         let start = self.cycle();
         loop {
@@ -368,10 +355,7 @@ impl Machine {
                 .into());
             }
             self.tick();
-            let events = trace.drain();
-            checker
-                .observe(self, &events)
-                .map_err(CosimError::Diverged)?;
+            checker.observe(self).map_err(CosimError::Diverged)?;
         }
         let cycles = self.cycle() - start;
 
@@ -387,9 +371,6 @@ impl Machine {
             self.tick();
             spare += 1;
         }
-        checker
-            .observe(self, &trace.drain())
-            .map_err(CosimError::Diverged)?;
         self.flush_all_caches();
 
         let mut core = CoreStats::default();
@@ -398,5 +379,79 @@ impl Machine {
         }
         let report = checker.finish(self).map_err(CosimError::Diverged)?;
         Ok((RunSummary { cycles, core }, report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CellDim, MachineConfig};
+    use hb_asm::Assembler;
+    use std::sync::Arc;
+
+    /// A `w`x1 Cell; `launched` puts four nops and an ecall on every tile.
+    fn machine(w: u8, launched: bool) -> Machine {
+        let mut m = Machine::new(MachineConfig {
+            cell_dim: CellDim { x: w, y: 1 },
+            dram_bytes_per_cell: 1 << 16,
+            ..MachineConfig::baseline_16x8()
+        });
+        if launched {
+            let mut a = Assembler::new();
+            for _ in 0..4 {
+                a.nop();
+            }
+            a.ecall();
+            m.launch(0, &Arc::new(a.assemble(0).unwrap()), &[]);
+        }
+        m
+    }
+
+    /// Ticks and observes until the checker objects.
+    fn first_divergence(m: &mut Machine, checker: &mut CosimChecker) -> Box<Divergence> {
+        while !m.all_done() {
+            m.tick();
+            if let Err(d) = checker.observe(m) {
+                return d;
+            }
+        }
+        panic!("the run must diverge");
+    }
+
+    #[test]
+    fn a_tile_one_instruction_ahead_is_a_pc_mismatch() {
+        let mut m = machine(1, true);
+        let mut checker = CosimChecker::new(&m, 0, (0, 0));
+        let t = m.cell(0).tile(0, 0);
+        let (regs, fregs, pc, spm) = (*t.arch_regs(), *t.arch_fregs(), t.pc(), t.spm().to_vec());
+        let tile = m.cell_mut(0).tile_mut(0, 0);
+        tile.restore_arch_state(&regs, &fregs, pc + 4, &spm);
+        let d = first_divergence(&mut m, &mut checker);
+        assert!(d.what.starts_with("pc mismatch"), "{}", d.what);
+    }
+
+    #[test]
+    fn an_observation_that_skips_two_retires_is_a_divergence() {
+        let mut m = machine(1, true);
+        let mut checker = CosimChecker::new(&m, 0, (0, 0));
+        while m.cell(0).tile(0, 0).stats().instrs < 2 {
+            m.tick();
+        }
+        let d = checker
+            .observe(&m)
+            .expect_err("two retires in one observation");
+        assert!(d.what.contains("moved from 0 to 2"), "{}", d.what);
+    }
+
+    #[test]
+    fn run_cosim_wants_exactly_one_running_tile() {
+        for (w, launched, running) in [(1, false, 0), (2, true, 2)] {
+            match machine(w, launched).run_cosim(1000) {
+                Err(CosimError::RunningTiles(n)) => assert_eq!(n, running),
+                other => panic!("{running} running tiles: {other:?}"),
+            }
+        }
+        let (_, report) = machine(1, true).run_cosim(1000).unwrap();
+        assert_eq!(report.instrs, 5);
     }
 }

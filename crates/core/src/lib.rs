@@ -68,7 +68,6 @@ pub mod race;
 mod sched;
 mod stats;
 mod tile;
-pub mod trace;
 
 pub use cell::{Cell, CellWork, GroupSpec, EJECT_PER_CYCLE};
 pub use config::{CellDim, ConfigError, MachineConfig};

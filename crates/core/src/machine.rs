@@ -356,17 +356,6 @@ impl Machine {
         &mut self.cells
     }
 
-    /// Enables execution tracing: installs a shared ring buffer holding the
-    /// most recent `capacity` events across all tiles and returns the
-    /// handle for rendering (most useful after a fault).
-    pub fn enable_tracing(&mut self, capacity: usize) -> crate::trace::TraceHandle {
-        let handle = crate::trace::TraceBuffer::new(capacity);
-        for cell in &mut self.cells {
-            cell.set_trace(handle.clone());
-        }
-        handle
-    }
-
     /// Resolves a Global-DRAM offset to its home `(cell, cell-local
     /// address)` using the chip-wide hash — the host-side counterpart of a
     /// tile's Global-DRAM access.
@@ -555,12 +544,14 @@ impl Machine {
     /// payload. The same machine state always encodes to the same bytes,
     /// so the checkpoint layer can content-hash snapshots.
     ///
-    /// Host-side scaffolding is deliberately not serialized: the trace
-    /// ring, race sanitizer (its per-cycle logs are drained every tick, so
-    /// they are empty here) and the auto-checkpoint sink are all
-    /// re-established by the host after restore. Call this only at the
-    /// end-of-cycle quiescent point (between `tick`s, or from an
-    /// auto-checkpoint sink, which runs there).
+    /// Host-side scaffolding is deliberately not serialized: the race
+    /// sanitizer (its per-cycle logs are drained every tick, so they are
+    /// empty here), the profiling switch and the auto-checkpoint sink are
+    /// all re-established by the host after restore. The tiles' telemetry
+    /// capture switch keeps a byte in the payload, but a restore sets it
+    /// from the restoring machine's observer, not from the bytes. Call
+    /// this only at the end-of-cycle quiescent point (between `tick`s, or
+    /// from an auto-checkpoint sink, which runs there).
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = hb_mem::SnapWriter::new();
         self.save_state(&mut w);
@@ -586,8 +577,12 @@ impl Machine {
         let mut r = hb_mem::SnapReader::new(bytes);
         self.load_state(&mut r)?;
         r.finish()?;
-        // The observer (re-)attached by the host decides its own next due
+        // Telemetry capture follows the host's observer, not the capture;
+        // the observer (re-)attached by the host decides its own next due
         // cycle from the restored window state.
+        for cell in &mut self.cells {
+            cell.set_observed(self.observer.is_some());
+        }
         if let Some(obs) = &self.observer {
             self.obs_due = obs.next_due();
         }

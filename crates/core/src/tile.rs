@@ -16,7 +16,6 @@ use crate::pgas::{csr, PgasMap, Target};
 use crate::race::{AccessKind, RaceLoc};
 use crate::sched::Park;
 use crate::stats::{CoreStats, StallKind};
-use crate::trace::{TraceEvent, TraceHandle};
 use hb_asm::Program;
 use hb_isa::{Fpr, Gpr, Instr};
 use hb_mem::{IdMap, Snap, SnapError, SnapReader, SnapWriter};
@@ -215,7 +214,6 @@ pub struct Tile {
     /// `(pc, cause)` of the trap, if the tile trapped.
     fault: Option<(u32, String)>,
     stats: CoreStats,
-    trace: Option<TraceHandle>,
     last_cycle: u64,
 
     /// Telemetry capture (see [`crate::observe`]): when set, the rare
@@ -322,10 +320,11 @@ hb_mem::snap_value!(GroupInfo {
     adopt
 });
 // `program` is restored by the Cell, which owns the deduplicated program
-// table. The trace handle and the race-sanitizer log feed consumers that
-// live outside the snapshot; the log is drained every cycle, so it is empty
-// at any checkpoint boundary. The sanitizer and profiler switches are the
-// host's to set.
+// table. The race-sanitizer log feeds a consumer that lives outside the
+// snapshot; it is drained every cycle, so it is empty at any checkpoint
+// boundary. The sanitizer, profiler and telemetry switches are the host's
+// to set: `observed` keeps its byte in the stream, but the machine
+// overwrites it after a load with whether it has an observer attached.
 hb_mem::snap_state!(Tile [b"TILE"] {
     save: group, regs, fregs, pc, args, int_ready, fp_ready, int_ready_kind, fp_ready_kind,
         int_pending, fp_pending, fpu_busy_until, div_busy_until, penalty_until, penalty_kind,
@@ -333,7 +332,7 @@ hb_mem::snap_state!(Tile [b"TILE"] {
         resp_outbox, req_inbox, resp_inbox, resp_stage, wants_join, barrier_waiting, running,
         finished, fault, stats, last_cycle, observed, obs_events, prof;
     fixed: spm;
-    host: cfg, pgas, xy, haz_until, program, trace, race_check, race_log, race_join_unfenced,
+    host: cfg, pgas, xy, haz_until, program, race_check, race_log, race_join_unfenced,
         profile;
 } check check_restored);
 
@@ -388,7 +387,6 @@ impl Tile {
             finished: false,
             fault: None,
             stats: CoreStats::default(),
-            trace: None,
             last_cycle: 0,
             observed: false,
             obs_events: Vec::new(),
@@ -398,11 +396,6 @@ impl Tile {
             profile: false,
             prof: None,
         }
-    }
-
-    /// Installs a shared trace buffer (see [`crate::trace`]).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
     }
 
     /// Turns telemetry event capture on or off (off discards any
@@ -505,11 +498,11 @@ impl Tile {
     /// What deliberately survives: the scratchpad contents and the icache
     /// tags (kernels hand data over through the SPM, and a relaunch of the
     /// same code starts warm, as on the hardware), the cumulative `stats`,
-    /// the trace handle, the telemetry and race-log buffers, `last_cycle`
-    /// (the clock does not restart), `next_op_id` (so a response to a dead
-    /// kernel's operation cannot alias a live one — it traps as "unknown
-    /// op" instead of landing in a register) and the network-interface
-    /// queues, whose packets are the Cell's to deliver. An injected freeze
+    /// the telemetry and race-log buffers, `last_cycle` (the clock does
+    /// not restart), `next_op_id` (so a response to a dead kernel's
+    /// operation cannot alias a live one — it traps as "unknown op" instead
+    /// of landing in a register) and the network-interface queues, whose
+    /// packets are the Cell's to deliver. An injected freeze
     /// also stays: it is a fault of the tile, not state of the kernel it
     /// interrupted. The guest profile starts afresh for `program` while
     /// profiling is on.
@@ -694,8 +687,9 @@ impl Tile {
         self.penalty_kind == StallKind::Frozen && self.penalty_until > self.last_cycle
     }
 
-    /// Appends an instant event if telemetry capture is on (used by the
-    /// Cell for events it attributes to this tile, e.g. HBM stalls).
+    /// Appends an instant event if telemetry capture is on: the one write
+    /// site of the tile's own events and of those the Cell or the machine
+    /// attributes to it (HBM stalls, races).
     pub(crate) fn push_obs(&mut self, cycle: u64, kind: crate::observe::ObsKind) {
         if self.observed {
             self.obs_events.push((cycle, kind));
@@ -772,17 +766,7 @@ impl Tile {
     }
 
     fn trap(&mut self, msg: String) {
-        if let Some(t) = &self.trace {
-            t.push(TraceEvent::Fault {
-                cycle: self.last_cycle,
-                tile: self.xy,
-                message: msg.clone(),
-            });
-        }
-        if self.observed {
-            self.obs_events
-                .push((self.last_cycle, crate::observe::ObsKind::Fault));
-        }
+        self.push_obs(self.last_cycle, crate::observe::ObsKind::Fault);
         self.fault = Some((self.pc, msg));
         self.running = false;
     }
@@ -1092,14 +1076,6 @@ impl Tile {
                 payload: Request { from, op_id, kind },
             },
         ));
-        if let Some(t) = &self.trace {
-            t.push(TraceEvent::RemoteIssue {
-                cycle: self.last_cycle,
-                tile: self.xy,
-                op_id,
-                what: format!("{kind:?} -> cell {cell} {coord}"),
-            });
-        }
         self.stats.remote_requests += 1;
     }
 
@@ -1395,10 +1371,7 @@ impl Tile {
                     self.stall(StallKind::Fence);
                     return;
                 }
-                if self.observed {
-                    self.obs_events
-                        .push((now, crate::observe::ObsKind::FenceRetire));
-                }
+                self.push_obs(now, crate::observe::ObsKind::FenceRetire);
             }
             I::Ecall => {
                 self.flush_combine();
@@ -1408,14 +1381,6 @@ impl Tile {
                 self.stats.int_cycles += 1;
                 if let Some(p) = &mut self.prof {
                     p.record_retire(self.pc);
-                }
-                if let Some(t) = &self.trace {
-                    t.push(TraceEvent::Retire {
-                        cycle: now,
-                        tile: self.xy,
-                        pc: self.pc,
-                        instr,
-                    });
                 }
                 return;
             }
@@ -1550,14 +1515,6 @@ impl Tile {
             }
         }
 
-        if let Some(t) = &self.trace {
-            t.push(TraceEvent::Retire {
-                cycle: now,
-                tile: self.xy,
-                pc: self.pc,
-                instr,
-            });
-        }
         if let Some(p) = &mut self.prof {
             p.record_retire(self.pc);
         }
@@ -1761,32 +1718,20 @@ impl Tile {
             }
             Ok(Access::Csr { offset }) => match offset {
                 csr::BARRIER => {
-                    if let Some(t) = &self.trace {
-                        t.push(TraceEvent::BarrierJoin {
-                            cycle: self.last_cycle,
-                            tile: self.xy,
-                        });
-                    }
                     self.wants_join = true;
                     self.barrier_waiting = true;
                     // Joining with remote ops outstanding means their
                     // writes are not ordered before the release: the
                     // sanitizer extends them into the next epoch.
                     self.race_join_unfenced = self.outstanding > 0;
-                    if self.observed {
-                        self.obs_events
-                            .push((now, crate::observe::ObsKind::BarrierJoin));
-                    }
+                    self.push_obs(now, crate::observe::ObsKind::BarrierJoin);
                     true
                 }
                 csr::MARK => {
                     // Architecturally a no-op: the store retires normally
                     // whether or not telemetry is listening, so marked
                     // kernels stay bit-identical with telemetry off.
-                    if self.observed {
-                        self.obs_events
-                            .push((now, crate::observe::ObsKind::Mark(data)));
-                    }
+                    self.push_obs(now, crate::observe::ObsKind::Mark(data));
                     if let Some(p) = &mut self.prof {
                         p.set_phase(data);
                     }

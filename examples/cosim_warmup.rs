@@ -68,14 +68,13 @@ fn main() {
         .cell_mut(0)
         .tile_mut(0, 0)
         .spm_write_u32(0, 0xdead_beef);
-    let trace = machine.enable_tracing(64);
     println!("\n[divergence demo] corrupting SPM[0] behind the checker's back...");
     for _ in 0..100_000 {
         if machine.all_done() {
             break;
         }
         machine.tick();
-        if let Err(d) = checker.observe(&machine, &trace.drain()) {
+        if let Err(d) = checker.observe(&machine) {
             println!("{}", CosimError::Diverged(d));
             return;
         }

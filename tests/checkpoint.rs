@@ -322,6 +322,65 @@ fn telemetry_windows_survive_restore() {
     assert_eq!(full.final_cycle, tail.final_cycle);
 }
 
+/// Telemetry capture follows the restoring machine's observer, not the
+/// capture's: restored without one, a machine buffers no instants; with a
+/// sampler attached, it records every instant after the capture cycle.
+#[test]
+fn telemetry_capture_follows_the_restoring_host() {
+    let cfg = cfg_with(true);
+    const AT: u64 = 997;
+    let sampler =
+        |store: &Arc<Mutex<Telemetry>>| Box::new(Sampler::new(&cfg, 256, Keep::All, store.clone()));
+    let capture = |observed: bool| {
+        let mut machine = sgemm_machine(&cfg);
+        if observed {
+            machine.attach_observer(sampler(&Arc::default()));
+        }
+        while machine.cycle() < AT {
+            machine.tick();
+        }
+        ckpt::encode(&machine)
+    };
+    let run = |blob: &[u8], store: Option<&Arc<Mutex<Telemetry>>>| {
+        let mut machine = Machine::new(cfg.clone());
+        if let Some(store) = store {
+            machine.attach_observer(sampler(store));
+        }
+        ckpt::restore(&mut machine, blob).expect("restore");
+        machine.run(BUDGET).expect("continued run");
+        machine
+    };
+
+    let mut bare = run(&capture(true), None);
+    let mut left = Vec::new();
+    for c in 0..bare.num_cells() as u8 {
+        bare.cell_mut(c).drain_obs_events(&mut left);
+    }
+    assert!(
+        left.is_empty(),
+        "{} instants buffered for no observer",
+        left.len()
+    );
+
+    let after_capture = |store: Arc<Mutex<Telemetry>>| {
+        let events = &store.lock().unwrap().events;
+        let tail: Vec<String> = (events.iter().filter(|e| e.cycle > AT))
+            .map(|e| format!("{e:?}"))
+            .collect();
+        tail
+    };
+    let full = Arc::default();
+    let mut twin = sgemm_machine(&cfg);
+    twin.attach_observer(sampler(&full));
+    twin.run(BUDGET).expect("twin run");
+    drop(twin);
+    let tail = Arc::default();
+    drop(run(&capture(false), Some(&tail)));
+    let expected = after_capture(full);
+    assert!(!expected.is_empty(), "the twin records instants after {AT}");
+    assert_eq!(after_capture(tail), expected);
+}
+
 /// The program [`sgemm_machine`] launches.
 fn sgemm_program() -> hammerblade::asm::Program {
     hb_serve::campaign_kernel("sgemm")

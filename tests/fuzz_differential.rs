@@ -85,14 +85,13 @@ fn cosim_catches_a_real_divergence() {
         .cell_mut(0)
         .tile_mut(0, 0)
         .spm_write_u32(0, 0xdead_beef);
-    let trace = machine.enable_tracing(64);
     let mut divergence = None;
     for _ in 0..100_000 {
         if machine.all_done() {
             break;
         }
         machine.tick();
-        if let Err(d) = checker.observe(&machine, &trace.drain()) {
+        if let Err(d) = checker.observe(&machine) {
             divergence = Some(d);
             break;
         }

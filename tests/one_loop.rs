@@ -2,9 +2,9 @@
 //! wake-list loop, under the park or the never-park policy) and a single
 //! cycle body (`tick`, with or without a stopwatch for a clock), so
 //!
-//! - tracing needs no schedule of its own: a traced run under the park
-//!   policy fills the shared ring with exactly the events of a traced
-//!   never-park run;
+//! - a run under the park policy retires exactly the (cycle, tile, pc)
+//!   stream of a never-park run, read from every tile's retire counter
+//!   after each tick;
 //! - `tick_profiled` *is* `tick`: a kernel driven to completion by either
 //!   ends in the same state, under both policies, and the stopwatch bills
 //!   every one of its six phase buckets.
@@ -69,39 +69,61 @@ fn sgemm_machine(cfg: &MachineConfig) -> Machine {
 type Build = fn(&MachineConfig) -> Machine;
 const KERNELS: [(&str, Build); 2] = [("barrier", barrier_machine), ("sgemm", sgemm_machine)];
 
+/// A retire: the Cell cycle, the tile (cell, x, y) and its pc.
+type Retire = (u64, (u8, u8, u8), u32);
+
+/// Runs `machine` to completion, reading every tile after each tick: a
+/// retire is its counter moving on by one, at the pc it held before.
+/// Returns the stream, the cycles taken and the core counters.
+fn run_retiring(machine: &mut Machine) -> (Vec<Retire>, u64, CoreStats) {
+    let dim = machine.config().cell_dim;
+    let tiles: Vec<(u8, u8, u8)> = (0..machine.num_cells() as u8)
+        .flat_map(|c| (0..dim.y).flat_map(move |y| (0..dim.x).map(move |x| (c, x, y))))
+        .collect();
+    let read = |m: &Machine, &(c, x, y): &(u8, u8, u8)| {
+        let tile = m.cell(c).tile(x, y);
+        (tile.stats().instrs, tile.pc())
+    };
+    let mut last: Vec<(u64, u32)> = tiles.iter().map(|t| read(machine, t)).collect();
+    let (start, mut stream) = (machine.cycle(), Vec::new());
+    while !machine.all_done() && machine.cycle() - start < BUDGET {
+        machine.tick();
+        for (t, seen) in tiles.iter().zip(&mut last) {
+            let now = read(machine, t);
+            assert!(now.0 - seen.0 <= 1, "{t:?} retired twice in a cycle");
+            if now.0 > seen.0 {
+                stream.push((machine.cell(t.0).cycle(), *t, seen.1));
+            }
+            *seen = now;
+        }
+    }
+    let core = machine.run(0).expect("kernel finishes").core;
+    (stream, machine.cycle() - start, core)
+}
+
 #[test]
-fn traced_park_run_fills_the_ring_like_traced_never_park() {
+fn park_run_retires_the_stream_of_never_park() {
     for (name, build) in KERNELS {
         let mut runs = Vec::new();
         for event_core in [false, true] {
             let mut machine = build(&cfg(event_core));
-            let trace = machine.enable_tracing(1 << 20);
-            let summary = machine.run(BUDGET).expect("kernel finishes");
+            let run = run_retiring(&mut machine);
             let (_, skipped) = machine.tile_ticks();
             assert_eq!(
                 skipped > 0,
                 event_core,
-                "{name}: tracing must leave the park policy alone"
+                "{name}: reading the counters must leave the park policy alone"
             );
-            runs.push((
-                trace.render_all(),
-                trace.events(),
-                summary.cycles,
-                summary.core,
-            ));
+            runs.push(run);
         }
         assert!(
-            runs[0].1.len() > 1000,
-            "{name}: trace too short to mean much"
+            runs[0].0.len() > 1000,
+            "{name}: stream too short to mean much"
         );
         for (i, run) in runs.iter().enumerate().skip(1) {
-            assert!(run.0 == runs[0].0, "{name}: run {i} rendered another trace");
-            assert!(
-                run.1 == runs[0].1,
-                "{name}: run {i} pushed in another order"
-            );
-            assert_eq!(run.2, runs[0].2, "{name}: run {i} cycle count diverged");
-            assert_eq!(run.3, runs[0].3, "{name}: run {i} core counters diverged");
+            assert!(run.0 == runs[0].0, "{name}: run {i} retired another stream");
+            assert_eq!(run.1, runs[0].1, "{name}: run {i} cycle count diverged");
+            assert_eq!(run.2, runs[0].2, "{name}: run {i} core counters diverged");
         }
     }
 }
