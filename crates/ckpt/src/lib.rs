@@ -272,7 +272,7 @@ pub fn restore(machine: &mut Machine, bytes: &[u8]) -> Result<u64, CkptError> {
 /// [`CkptError::Io`] on any file operation failure.
 pub fn save_to_file(machine: &Machine, path: &Path) -> Result<(), CkptError> {
     let bytes = encode(machine);
-    write_atomic(path, &bytes)?;
+    write_atomic(path, |f| f.write_all(&bytes))?;
     Ok(())
 }
 
@@ -287,9 +287,18 @@ pub fn restore_from_file(machine: &mut Machine, path: &Path) -> Result<u64, Ckpt
     restore(machine, &bytes)
 }
 
-/// Atomic tmp+rename+dir-fsync write (the checkpoint durability
-/// discipline; `hb-serve`'s store follows the same contract).
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Replaces `path` atomically and durably: the content goes to a `.tmp`
+/// sibling that is fsynced, the rename swaps it in, and the parent
+/// directory is fsynced so the swap survives a power cut. Checkpoint files
+/// and every file `hb-serve`'s store replaces are written through it.
+///
+/// # Errors
+///
+/// Any file operation failure, including one `content` returns.
+pub fn write_atomic(
+    path: &Path,
+    content: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     if let Some(dir) = dir {
         std::fs::create_dir_all(dir)?;
@@ -297,7 +306,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        content(&mut f)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;

@@ -1,39 +1,148 @@
-//! Abstract interpretation of tile resources.
+//! Abstract interpretation of tile resources and barrier phases: the one
+//! interpreter the linter runs over a program.
 //!
-//! A small constant-propagation domain over the GPRs drives an address
-//! classifier that mirrors `hb_core::pgas::PgasMap::translate`, letting the
-//! linter statically decide where each memory access lands: local SPM, a
-//! tile CSR, or the remote network. On top of that, intervals track how many
-//! remote operations can be outstanding in the 63-entry scoreboard, which
-//! registers have in-flight remote loads, and how many barrier joins each
-//! static path has executed.
+//! Every GPR holds a *rank-affine* value, `arg? + base + coeff * rank`,
+//! where `rank` is the symbolic `TG_RANK` of the executing tile and `arg`
+//! one opaque launch argument. A constant (no argument, no rank) drives an
+//! address classifier that mirrors `hb_core::pgas::PgasMap::translate`,
+//! letting the linter statically decide where each memory access lands:
+//! local SPM, a tile CSR, or the remote network. Anything else classifies
+//! as unknown. On top of that, intervals track how many remote operations
+//! can be outstanding in the 63-entry scoreboard, which registers have
+//! in-flight remote loads, and how many barrier joins each static path has
+//! executed.
+//!
+//! The same walk hands the phase-race pass ([`mod@crate::phases`]) what it
+//! pairs up: every shared-memory access with a rank-affine address, the
+//! rank a `rank == c` guard pins it to, the posted writes still unfenced at
+//! each barrier join, and the one barrier-phase numbering
+//! (`BarrierPhases`) that the `barrier-mismatch` check reads too.
 
 use crate::cfg::{Cfg, Terminator};
 use crate::dataflow::defs_uses;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
 use hb_core::pgas::{csr, OWN_CELL};
-use hb_isa::{Fpr, Gpr, Instr, INSTR_BYTES};
+use hb_core::AccessKind;
+use hb_isa::{BranchOp, Fpr, Gpr, Instr, OpImmOp, OpOp, INSTR_BYTES};
+use std::collections::HashSet;
 
 /// Sentinel for an interval bound that widening has given up on.
 const UNBOUNDED: u32 = u32::MAX;
 
-/// Constant-propagation lattice value for one register.
+/// Rank-affine abstract value: `sym + base + coeff * rank` (all u32
+/// arithmetic wrapping), where `sym` is one launch argument treated as an
+/// opaque region pointer. Plain constants are `Aff` with `sym: None,
+/// coeff: 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Val {
-    /// Unreached (bottom).
+pub(crate) enum AVal {
     Bot,
-    /// Known constant on every path.
-    Const(u32),
-    /// Statically unknown (top).
+    Aff {
+        sym: Option<u8>,
+        base: u32,
+        coeff: u32,
+    },
     Top,
 }
 
-impl Val {
-    fn join(self, other: Val) -> Val {
+impl AVal {
+    const fn aff(sym: Option<u8>, base: u32, coeff: u32) -> AVal {
+        AVal::Aff { sym, base, coeff }
+    }
+
+    pub(crate) const fn konst(c: u32) -> AVal {
+        AVal::aff(None, c, 0)
+    }
+
+    const RANK: AVal = AVal::aff(None, 0, 1);
+
+    fn join(self, other: AVal) -> AVal {
         match (self, other) {
-            (Val::Bot, v) | (v, Val::Bot) => v,
-            (Val::Const(a), Val::Const(b)) if a == b => Val::Const(a),
-            _ => Val::Top,
+            (AVal::Bot, v) | (v, AVal::Bot) => v,
+            (a, b) if a == b => a,
+            _ => AVal::Top,
+        }
+    }
+
+    /// `(sym, base, coeff)` of an affine value.
+    fn parts(self) -> Option<(Option<u8>, u32, u32)> {
+        match self {
+            AVal::Aff { sym, base, coeff } => Some((sym, base, coeff)),
+            _ => None,
+        }
+    }
+
+    /// Pure constant (no symbol, no rank dependence).
+    fn as_const(self) -> Option<u32> {
+        match self.parts()? {
+            (None, base, 0) => Some(base),
+            _ => None,
+        }
+    }
+
+    fn add(self, other: AVal) -> AVal {
+        let (Some((sa, ba, ca)), Some((sb, bb, cb))) = (self.parts(), other.parts()) else {
+            return AVal::Top;
+        };
+        let sym = match (sa, sb) {
+            (None, s) | (s, None) => s,
+            (Some(_), Some(_)) => return AVal::Top,
+        };
+        AVal::aff(sym, ba.wrapping_add(bb), ca.wrapping_add(cb))
+    }
+
+    fn sub(self, other: AVal) -> AVal {
+        let (Some((sa, ba, ca)), Some((sb, bb, cb))) = (self.parts(), other.parts()) else {
+            return AVal::Top;
+        };
+        let sym = match (sa, sb) {
+            (s, None) => s,
+            (Some(a), Some(b)) if a == b => None,
+            _ => return AVal::Top,
+        };
+        AVal::aff(sym, ba.wrapping_sub(bb), ca.wrapping_sub(cb))
+    }
+
+    fn shl(self, sh: u32) -> AVal {
+        match self.parts() {
+            Some((None, base, coeff)) => {
+                AVal::aff(None, base.wrapping_shl(sh), coeff.wrapping_shl(sh))
+            }
+            _ if sh == 0 => self,
+            _ => AVal::Top,
+        }
+    }
+
+    fn mul(self, other: AVal) -> AVal {
+        let scale = |v: AVal, k: u32| match v.parts() {
+            Some((None, base, coeff)) => {
+                AVal::aff(None, base.wrapping_mul(k), coeff.wrapping_mul(k))
+            }
+            _ if k == 1 => v,
+            _ => AVal::Top,
+        };
+        match (self.as_const(), other.as_const()) {
+            (_, Some(k)) => scale(self, k),
+            (Some(k), _) => scale(other, k),
+            _ => AVal::Top,
+        }
+    }
+}
+
+/// Rank constraint along a path: `Eq(c)` after flowing through the
+/// `rank == c` side of a guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pin {
+    Bot,
+    Eq(u32),
+    Any,
+}
+
+impl Pin {
+    fn join(self, other: Pin) -> Pin {
+        match (self, other) {
+            (Pin::Bot, p) | (p, Pin::Bot) => p,
+            (a, b) if a == b => a,
+            _ => Pin::Any,
         }
     }
 }
@@ -83,8 +192,8 @@ impl Interval {
 /// Abstract machine state at a program point.
 #[derive(Debug, Clone, PartialEq)]
 struct State {
-    /// Constant-propagation values for the 32 GPRs.
-    regs: [Val; 32],
+    /// Rank-affine values for the 32 GPRs.
+    regs: [AVal; 32],
     /// Outstanding remote operations (scoreboard entries).
     ops: Interval,
     /// The subset of `ops` that are posted remote *stores*.
@@ -97,16 +206,22 @@ struct State {
     /// on a divergent value can send different tiles down different paths,
     /// which is what turns unbalanced barrier counts into a deadlock.
     div: u64,
+    /// The rank a `rank == c` guard pins this path to.
+    pin: Pin,
+    /// Instruction indices of possibly-remote writes with a rank-affine
+    /// address posted since the last fence (sorted, deduplicated). These
+    /// are what an unfenced barrier join leaks into the next phase.
+    unfenced: Vec<usize>,
 }
 
 impl State {
     fn entry(lc: &LintConfig) -> State {
         // `Tile::launch` zeroes every register, then sets sp to the top of
-        // the SPM and a0..a7 to the kernel arguments.
-        let mut regs = [Val::Const(0); 32];
-        regs[Gpr::Sp.index() as usize] = Val::Const(lc.spm_bytes);
-        for r in &mut regs[10..=17] {
-            *r = Val::Top;
+        // the SPM and a0..a7 to the kernel arguments (opaque symbols).
+        let mut regs = [AVal::konst(0); 32];
+        regs[Gpr::Sp.index() as usize] = AVal::konst(lc.spm_bytes);
+        for (i, r) in regs[10..=17].iter_mut().enumerate() {
+            *r = AVal::aff(Some(i as u8), 0, 0);
         }
         State {
             regs,
@@ -114,13 +229,19 @@ impl State {
             stores: Interval::ZERO,
             pending: 0,
             div: 0,
+            pin: Pin::Bot,
+            unfenced: Vec::new(),
         }
     }
 
     fn join(&self, other: &State) -> State {
-        let mut regs = [Val::Bot; 32];
+        let mut regs = [AVal::Bot; 32];
         for (i, r) in regs.iter_mut().enumerate() {
             *r = self.regs[i].join(other.regs[i]);
+        }
+        let mut unfenced = self.unfenced.clone();
+        for &i in &other.unfenced {
+            insert_sorted(&mut unfenced, i);
         }
         State {
             regs,
@@ -128,28 +249,42 @@ impl State {
             stores: self.stores.join(other.stores),
             pending: self.pending | other.pending,
             div: self.div | other.div,
+            pin: self.pin.join(other.pin),
+            unfenced,
         }
     }
 
+    /// Widens the intervals only: every other component has finite height.
     fn widen(&self, newer: &State) -> State {
         State {
-            regs: newer.regs,
             ops: self.ops.widen(newer.ops),
             stores: self.stores.widen(newer.stores),
-            pending: newer.pending,
-            div: newer.div,
+            ..newer.clone()
         }
     }
 
-    fn get(&self, r: Gpr) -> Val {
+    fn get(&self, r: Gpr) -> AVal {
         self.regs[r.index() as usize]
     }
 
-    fn set(&mut self, r: Gpr, v: Val) {
+    fn set(&mut self, r: Gpr, v: AVal) {
         if r != Gpr::Zero {
             self.regs[r.index() as usize] = v;
         }
     }
+}
+
+fn insert_sorted(set: &mut Vec<usize>, i: usize) {
+    if let Err(at) = set.binary_search(&i) {
+        set.insert(at, i);
+    }
+}
+
+/// `true` when `addr` is a concrete in-bounds local-SPM address for every
+/// rank (rank-independent): the only write target that cannot be in flight
+/// at a barrier join.
+pub(crate) fn is_local_spm(addr: AVal, width: u32, lc: &LintConfig) -> bool {
+    matches!(addr.as_const(), Some(base) if base.wrapping_add(width) <= lc.spm_bytes)
 }
 
 /// Where a statically-classified access lands.
@@ -167,10 +302,9 @@ enum Class {
     Bad(Rule, String),
 }
 
-fn classify(v: Val, width: u32, lc: &LintConfig) -> Class {
-    let c = match v {
-        Val::Const(c) => c,
-        _ => return Class::Unknown,
+fn classify(v: AVal, width: u32, lc: &LintConfig) -> Class {
+    let Some(c) = v.as_const() else {
+        return Class::Unknown;
     };
     if width > 1 && c % width != 0 {
         return Class::Bad(
@@ -267,8 +401,25 @@ fn csr_load_ok(offset: u32) -> bool {
     ) || (csr::ARG0..csr::ARG0 + 32).contains(&offset)
 }
 
+/// The value a load of CSR `offset` yields: the tile's rank, a launch
+/// argument, or something the domain does not track.
+fn csr_value(offset: u32) -> AVal {
+    match offset {
+        csr::TG_RANK | csr::TG_LIVE_RANK => AVal::RANK,
+        o if (csr::ARG0..csr::ARG0 + 32).contains(&o) => {
+            AVal::aff(Some(((o - csr::ARG0) / 4) as u8), 0, 0)
+        }
+        _ => AVal::Top,
+    }
+}
+
+/// A shared-memory access with a rank-affine address: (instruction index,
+/// kind, width, address, the rank a guard pins it to).
+pub(crate) type Access = (usize, AccessKind, u32, AVal, Option<u32>);
+
 /// Per-instruction facts collected while re-walking blocks after the
-/// fixpoint, consumed by the loop-level and barrier-phase checks.
+/// fixpoint, consumed by the loop-level, barrier-phase and phase-race
+/// checks.
 struct Recorder {
     diags: Vec<Diagnostic>,
     barrier_at: Vec<bool>,
@@ -277,11 +428,15 @@ struct Recorder {
     remote_store_at: Vec<bool>,
     pending_use_at: Vec<bool>,
     divergent_branch_at: Vec<bool>,
+    accesses: Vec<Access>,
+    /// (barrier-join instruction index, unfenced writes at the join)
+    leaks: Vec<(usize, Vec<usize>)>,
 }
 
 struct Interp<'a> {
     lc: &'a LintConfig,
     cfg: &'a Cfg,
+    instrs: &'a [Instr],
 }
 
 impl Interp<'_> {
@@ -309,11 +464,12 @@ impl Interp<'_> {
 
     /// Interprets one instruction, updating `st` and (if `rec` is set)
     /// reporting diagnostics and per-instruction facts.
-    fn step(&self, st: &mut State, i: usize, instr: &Instr, mut rec: Option<&mut Recorder>) {
+    fn step(&self, st: &mut State, i: usize, mut rec: Option<&mut Recorder>) {
+        let instr = self.instrs[i];
         // A read of a register with an in-flight remote value stalls the
         // core until the value arrives (per-register interlock), after
         // which that operation has retired.
-        let (_, uses) = defs_uses(instr);
+        let (defs, uses) = defs_uses(&instr);
         let stalled = uses & st.pending;
         if stalled != 0 {
             for bit in 0..64u32 {
@@ -348,26 +504,24 @@ impl Interp<'_> {
         // cycle counter) or from AMO results differ across tiles; anything
         // else is optimistically assumed uniform (memory contents are not
         // tracked). Link registers and upper-immediates are always uniform.
-        let (defs, _) = defs_uses(instr);
-        let divergent_def = match *instr {
+        let divergent_def = match instr {
             Instr::Lui { .. } | Instr::Auipc { .. } | Instr::Jal { .. } | Instr::Jalr { .. } => {
                 false
             }
             Instr::Amo { .. } => true,
-            Instr::Load { rs1, offset, .. } => match self.effective(st, rs1, offset) {
-                Val::Const(c) => {
-                    matches!(
-                        c,
+            Instr::Load { rs1, offset, .. } => {
+                matches!(
+                    self.effective(st, rs1, offset).as_const(),
+                    Some(
                         csr::TILE_X
                             | csr::TILE_Y
                             | csr::TG_RANK
                             | csr::TG_LIVE_RANK
                             | csr::TG_ADOPT
                             | csr::CYCLE
-                    ) || st.div & reg_bit_gpr(rs1) != 0
-                }
-                _ => st.div & reg_bit_gpr(rs1) != 0,
-            },
+                    )
+                ) || st.div & reg_bit_gpr(rs1) != 0
+            }
             _ => uses & st.div != 0,
         };
         if let Instr::Branch { .. } = instr {
@@ -385,27 +539,41 @@ impl Interp<'_> {
             }
         }
 
-        match *instr {
-            Instr::Lui { rd, imm } => st.set(rd, Val::Const((imm as u32) << 12)),
+        match instr {
+            Instr::Lui { rd, imm } => st.set(rd, AVal::konst((imm as u32) << 12)),
             Instr::Auipc { rd, imm } => {
-                st.set(rd, Val::Const(self.pc(i).wrapping_add((imm as u32) << 12)));
+                st.set(rd, AVal::konst(self.pc(i).wrapping_add((imm as u32) << 12)));
             }
             Instr::Jal { rd, .. } | Instr::Jalr { rd, .. } => {
-                st.set(rd, Val::Const(self.pc(i).wrapping_add(INSTR_BYTES)));
+                st.set(rd, AVal::konst(self.pc(i).wrapping_add(INSTR_BYTES)));
             }
             Instr::Branch { .. } => {}
             Instr::OpImm { op, rd, rs1, imm } => {
-                let v = match st.get(rs1) {
-                    Val::Const(a) => Val::Const(op.eval(a, imm)),
-                    Val::Bot => Val::Bot,
-                    Val::Top => Val::Top,
+                let a = st.get(rs1);
+                let v = match op {
+                    OpImmOp::Addi => a.add(AVal::konst(imm as u32)),
+                    OpImmOp::Slli => a.shl((imm as u32) & 0x1f),
+                    _ => match a.as_const() {
+                        Some(c) => AVal::konst(op.eval(c, imm)),
+                        None => AVal::Top,
+                    },
                 };
                 st.set(rd, v);
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let v = match (st.get(rs1), st.get(rs2)) {
-                    (Val::Const(a), Val::Const(b)) => Val::Const(op.eval(a, b)),
-                    _ => Val::Top,
+                let (a, b) = (st.get(rs1), st.get(rs2));
+                let v = match op {
+                    OpOp::Add => a.add(b),
+                    OpOp::Sub => a.sub(b),
+                    OpOp::Mul => a.mul(b),
+                    OpOp::Sll => match b.as_const() {
+                        Some(sh) => a.shl(sh & 0x1f),
+                        None => AVal::Top,
+                    },
+                    _ => match (a.as_const(), b.as_const()) {
+                        (Some(x), Some(y)) => AVal::konst(op.eval(x, y)),
+                        _ => AVal::Top,
+                    },
                 };
                 st.set(rd, v);
             }
@@ -416,26 +584,20 @@ impl Interp<'_> {
                 offset,
             } => {
                 let addr = self.effective(st, rs1, offset);
-                self.load_effect(st, i, addr, width.bytes(), LoadDst::Int(rd), &mut rec);
+                let v = self.load_effect(st, i, addr, width.bytes(), LoadDst::Int(rd), &mut rec);
+                st.set(rd, v);
             }
             Instr::Flw { rd, rs1, offset } => {
                 let addr = self.effective(st, rs1, offset);
                 self.load_effect(st, i, addr, 4, LoadDst::Fp(rd), &mut rec);
             }
             Instr::Store {
-                width,
-                rs1,
-                rs2: _,
-                offset,
+                width, rs1, offset, ..
             } => {
                 let addr = self.effective(st, rs1, offset);
                 self.store_effect(st, i, addr, width.bytes(), &mut rec);
             }
-            Instr::Fsw {
-                rs1,
-                rs2: _,
-                offset,
-            } => {
+            Instr::Fsw { rs1, offset, .. } => {
                 let addr = self.effective(st, rs1, offset);
                 self.store_effect(st, i, addr, 4, &mut rec);
             }
@@ -443,6 +605,7 @@ impl Interp<'_> {
                 st.ops = Interval::ZERO;
                 st.stores = Interval::ZERO;
                 st.pending = 0;
+                st.unfenced.clear();
                 if let Some(r) = rec.as_deref_mut() {
                     r.fence_at[i] = true;
                 }
@@ -462,8 +625,10 @@ impl Interp<'_> {
             }
             Instr::Ebreak => {}
             Instr::Amo { rd, rs1, .. } => {
-                let addr = self.effective(st, rs1, 0);
-                match classify(addr, 4, self.lc) {
+                let addr = st.get(rs1);
+                let class = classify(addr, 4, self.lc);
+                let csr = matches!(class, Class::Csr(_));
+                match class {
                     Class::Local | Class::Csr(_) => self.emit(
                         &mut rec,
                         Severity::Error,
@@ -483,7 +648,10 @@ impl Interp<'_> {
                         st.pending |= reg_bit_gpr(rd);
                     }
                 }
-                st.set(rd, Val::Top);
+                if !csr {
+                    self.access(st, i, AccessKind::Amo, 4, addr, &mut rec);
+                }
+                st.set(rd, AVal::Top);
             }
             Instr::LrW { rd, .. } | Instr::ScW { rd, .. } => {
                 self.emit(
@@ -493,22 +661,19 @@ impl Interp<'_> {
                     Rule::AmoToLocal,
                     "lr/sc are not supported by the tile (it traps); use AMOs".to_owned(),
                 );
-                st.set(rd, Val::Top);
+                st.set(rd, AVal::Top);
             }
             Instr::FpOp { .. } | Instr::Fma { .. } => {}
             Instr::FpCmp { rd, .. }
             | Instr::FcvtWS { rd, .. }
             | Instr::FcvtWuS { rd, .. }
-            | Instr::FmvXW { rd, .. } => st.set(rd, Val::Top),
+            | Instr::FmvXW { rd, .. } => st.set(rd, AVal::Top),
             Instr::FcvtSW { .. } | Instr::FcvtSWu { .. } | Instr::FmvWX { .. } => {}
         }
     }
 
-    fn effective(&self, st: &State, base: Gpr, offset: i32) -> Val {
-        match st.get(base) {
-            Val::Const(b) => Val::Const(b.wrapping_add(offset as u32)),
-            v => v,
-        }
+    fn effective(&self, st: &State, base: Gpr, offset: i32) -> AVal {
+        st.get(base).add(AVal::konst(offset as u32))
     }
 
     /// Accounts for a newly-issued remote operation and reports scoreboard
@@ -535,15 +700,43 @@ impl Interp<'_> {
         }
     }
 
+    /// Hands a shared-memory access to the phase-race pass. Only
+    /// rank-affine addresses are analysable; a write that may be remote is
+    /// one a fence would wait for.
+    fn access(
+        &self,
+        st: &mut State,
+        i: usize,
+        kind: AccessKind,
+        width: u32,
+        addr: AVal,
+        rec: &mut Option<&mut Recorder>,
+    ) {
+        let AVal::Aff { .. } = addr else {
+            return;
+        };
+        if kind.is_write() && !is_local_spm(addr, width, self.lc) {
+            insert_sorted(&mut st.unfenced, i);
+        }
+        if let Some(r) = rec {
+            let pin = match st.pin {
+                Pin::Eq(c) => Some(c),
+                _ => None,
+            };
+            r.accesses.push((i, kind, width, addr, pin));
+        }
+    }
+
+    /// Returns the loaded value: a CSR's, or unknown for memory.
     fn load_effect(
         &self,
         st: &mut State,
         i: usize,
-        addr: Val,
+        addr: AVal,
         width: u32,
         dst: LoadDst,
         rec: &mut Option<&mut Recorder>,
-    ) {
+    ) -> AVal {
         match classify(addr, width, self.lc) {
             Class::Local => {}
             Class::Csr(offset) => {
@@ -564,6 +757,7 @@ impl Interp<'_> {
                         format!("load of unknown CSR {offset:#x} traps"),
                     );
                 }
+                return csr_value(offset);
             }
             Class::Remote => {
                 self.issue(st, i, 1, rec);
@@ -578,16 +772,15 @@ impl Interp<'_> {
             }
             Class::Bad(rule, msg) => self.emit(rec, Severity::Error, i, rule, msg),
         }
-        if let LoadDst::Int(rd) = dst {
-            st.set(rd, Val::Top);
-        }
+        self.access(st, i, AccessKind::Read, width, addr, rec);
+        AVal::Top
     }
 
     fn store_effect(
         &self,
         st: &mut State,
         i: usize,
-        addr: Val,
+        addr: AVal,
         width: u32,
         rec: &mut Option<&mut Recorder>,
     ) {
@@ -609,6 +802,7 @@ impl Interp<'_> {
                     }
                     if let Some(r) = rec.as_deref_mut() {
                         r.barrier_at[i] = true;
+                        r.leaks.push((i, st.unfenced.clone()));
                     }
                 } else if offset == csr::MARK {
                     // Kernel-phase marker: a legal store-only no-op.
@@ -621,6 +815,7 @@ impl Interp<'_> {
                         format!("store to read-only CSR {offset:#x} traps"),
                     );
                 }
+                return;
             }
             Class::Remote => {
                 self.issue(st, i, 1, rec);
@@ -635,6 +830,55 @@ impl Interp<'_> {
             }
             Class::Bad(rule, msg) => self.emit(rec, Severity::Error, i, rule, msg),
         }
+        self.access(st, i, AccessKind::Write, width, addr, rec);
+    }
+
+    /// The successor of block `b` that only `rank == c` tiles enter, and
+    /// `c`, when `b` ends in a branch comparing a rank-affine value with a
+    /// constant (`if rank == 0` finalization code).
+    fn rank_guard(&self, b: usize, out: &State) -> Option<(usize, u32)> {
+        let block = &self.cfg.blocks[b];
+        if block.term != Terminator::Branch {
+            return None;
+        }
+        let last = block.end - 1;
+        let Instr::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        } = self.instrs[last]
+        else {
+            return None;
+        };
+        // Solve `base + coeff*rank == k` for rank.
+        let solve = |v: AVal, k: AVal| -> Option<u32> {
+            let (Some((None, base, coeff)), Some(k)) = (v.parts(), k.as_const()) else {
+                return None;
+            };
+            if coeff == 0 {
+                return None;
+            }
+            let diff = k.wrapping_sub(base);
+            (diff % coeff == 0).then_some(diff / coeff)
+        };
+        let (va, vb) = (out.get(rs1), out.get(rs2));
+        let rank = solve(va, vb).or_else(|| solve(vb, va))?;
+        let n = self.instrs.len();
+        let t = last as i64 + i64::from(offset) / i64::from(INSTR_BYTES);
+        let taken = (0..n as i64)
+            .contains(&t)
+            .then(|| self.cfg.block_of[t as usize]);
+        let fall = (last + 1 < n).then(|| self.cfg.block_of[last + 1]);
+        if taken == fall {
+            return None;
+        }
+        let eq = match op {
+            BranchOp::Eq => taken,
+            BranchOp::Ne => fall,
+            _ => None,
+        };
+        eq.map(|s| (s, rank))
     }
 }
 
@@ -662,35 +906,57 @@ fn reg_bit_gpr(r: Gpr) -> u64 {
     }
 }
 
-/// Runs the resource abstract interpretation and all derived checks.
-pub fn check_resources(cfg: &Cfg, instrs: &[Instr], lc: &LintConfig, diags: &mut Vec<Diagnostic>) {
-    let n = cfg.blocks.len();
-    if n == 0 {
-        return;
-    }
-    let interp = Interp { lc, cfg };
-    let reachable = cfg.reachable();
-    let rpo = cfg.reverse_postorder();
+/// What the phase-race pass reads from one interpretation.
+pub(crate) struct Facts {
+    /// Shared-memory accesses with rank-affine addresses.
+    pub accesses: Vec<Access>,
+    /// (barrier-join instruction index, unfenced writes at the join)
+    pub leaks: Vec<(usize, Vec<usize>)>,
+    /// The barrier-phase numbering.
+    pub phases: BarrierPhases,
+}
 
-    // --- Fixpoint over block entry states, with interval widening. ---
+/// Runs the abstract interpretation once: pushes the resource findings
+/// (scoreboard, CSR, bounds, barrier pairing, icache) onto `diags` and
+/// returns the facts the phase-race pass reads.
+pub(crate) fn interpret(
+    cfg: &Cfg,
+    instrs: &[Instr],
+    lc: &LintConfig,
+    diags: &mut Vec<Diagnostic>,
+) -> Facts {
+    let n = cfg.blocks.len();
+    let interp = Interp { lc, cfg, instrs };
+    let reachable = cfg.reachable();
+
+    // --- Fixpoint over block entry states in reverse postorder, with rank
+    // pins refined along guard edges and interval widening. ---
     let mut in_state: Vec<Option<State>> = vec![None; n];
-    in_state[0] = Some(State::entry(lc));
+    if n > 0 {
+        in_state[0] = Some(State::entry(lc));
+    }
     let mut bumps = vec![0u32; n];
+    let rpo = cfg.reverse_postorder();
     loop {
         let mut changed = false;
         for &b in &rpo {
-            let Some(st_in) = in_state[b].clone() else {
+            let Some(mut st) = in_state[b].clone() else {
                 continue;
             };
-            let mut st = st_in;
-            let (start, end) = (cfg.blocks[b].start, cfg.blocks[b].end);
-            for (i, instr) in instrs[start..end].iter().enumerate() {
-                interp.step(&mut st, start + i, instr, None);
+            for i in cfg.blocks[b].start..cfg.blocks[b].end {
+                interp.step(&mut st, i, None);
             }
+            let guard = interp.rank_guard(b, &st);
             for &s in &cfg.blocks[b].succs {
+                let mut out = st.clone();
+                if let Some((eq, rank)) = guard {
+                    if s == eq {
+                        out.pin = Pin::Eq(rank);
+                    }
+                }
                 let merged = match &in_state[s] {
-                    None => st.clone(),
-                    Some(old) => old.join(&st),
+                    None => out,
+                    Some(old) => old.join(&out),
                 };
                 if in_state[s].as_ref() != Some(&merged) {
                     bumps[s] += 1;
@@ -721,33 +987,39 @@ pub fn check_resources(cfg: &Cfg, instrs: &[Instr], lc: &LintConfig, diags: &mut
         remote_store_at: vec![false; instrs.len()],
         pending_use_at: vec![false; instrs.len()],
         divergent_branch_at: vec![false; instrs.len()],
+        accesses: Vec::new(),
+        leaks: Vec::new(),
     };
     for b in 0..n {
         if !reachable[b] {
             continue;
         }
-        let Some(st_in) = in_state[b].clone() else {
+        let Some(mut st) = in_state[b].clone() else {
             continue;
         };
-        let mut st = st_in;
-        let (start, end) = (cfg.blocks[b].start, cfg.blocks[b].end);
-        for (i, instr) in instrs[start..end].iter().enumerate() {
-            interp.step(&mut st, start + i, instr, Some(&mut rec));
+        for i in cfg.blocks[b].start..cfg.blocks[b].end {
+            interp.step(&mut st, i, Some(&mut rec));
         }
     }
 
     let loop_diags = check_loop_saturation(cfg, &reachable, &rec, lc);
     rec.diags.extend(loop_diags);
+    let phases = BarrierPhases::number(cfg, &reachable, rec.barrier_at);
     check_barrier_phases(
         cfg,
         &reachable,
-        &rec.barrier_at,
+        &phases,
         &rec.divergent_branch_at,
         &mut rec.diags,
     );
     check_icache(cfg, instrs.len(), lc, &mut rec.diags);
 
     diags.append(&mut rec.diags);
+    Facts {
+        accesses: rec.accesses,
+        leaks: rec.leaks,
+        phases,
+    }
 }
 
 /// Flags loops that issue remote operations every iteration with no fence
@@ -760,7 +1032,7 @@ fn check_loop_saturation(
     lc: &LintConfig,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut seen_heads = std::collections::HashSet::new();
+    let mut seen_heads = HashSet::new();
     for (tail, head) in cfg.back_edges() {
         if !reachable[head] || !seen_heads.insert(head) {
             continue;
@@ -877,7 +1149,7 @@ fn dominating_branch(cfg: &Cfg, idom: &[usize], b: usize) -> Option<usize> {
 
 /// Nearest common dominator of two blocks.
 fn common_dominator(idom: &[usize], a: usize, b: usize) -> Option<usize> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let mut x = a;
     loop {
         seen.insert(x);
@@ -906,10 +1178,102 @@ fn common_dominator(idom: &[usize], a: usize, b: usize) -> Option<usize> {
     }
 }
 
+/// Barrier joins counted over the acyclic skeleton of the CFG (back edges
+/// removed), in reverse postorder: the one phase numbering that both the
+/// `barrier-mismatch` check and the phase-race pass read.
+pub(crate) struct BarrierPhases {
+    /// Which instructions are barrier joins.
+    barrier_at: Vec<bool>,
+    /// Barrier joins in each block.
+    count: Vec<u32>,
+    /// Joins executed before each block along the first skeleton path into
+    /// it (`None`: unreachable).
+    phase: Vec<Option<u32>>,
+    /// Whether every skeleton path into the block, and into every block
+    /// before it, executed the same number of joins.
+    agreed: Vec<bool>,
+    /// Blocks whose skeleton predecessors disagree, in reverse postorder,
+    /// with two of the disagreeing counts.
+    conflicts: Vec<(usize, u32, u32)>,
+}
+
+impl BarrierPhases {
+    fn number(cfg: &Cfg, reachable: &[bool], barrier_at: Vec<bool>) -> BarrierPhases {
+        let n = cfg.blocks.len();
+        let count: Vec<u32> = cfg
+            .blocks
+            .iter()
+            .map(|b| (b.start..b.end).filter(|&i| barrier_at[i]).count() as u32)
+            .collect();
+        let back: HashSet<(usize, usize)> = cfg.back_edges().into_iter().collect();
+        let preds = cfg.preds();
+        let mut phase: Vec<Option<u32>> = vec![None; n];
+        let mut agreed = vec![false; n];
+        let mut conflicts = Vec::new();
+        if n > 0 {
+            phase[0] = Some(0);
+            agreed[0] = true;
+        }
+        for &b in &cfg.reverse_postorder() {
+            if b == 0 {
+                continue;
+            }
+            let mut first: Option<u32> = None;
+            let mut conflict = None;
+            let mut clean = true;
+            for &p in &preds[b] {
+                if back.contains(&(p, b)) || !reachable[p] {
+                    continue;
+                }
+                let Some(pp) = phase[p] else {
+                    clean = false;
+                    continue;
+                };
+                clean &= agreed[p];
+                let v = pp + count[p];
+                match first {
+                    None => first = Some(v),
+                    Some(a) if a != v => conflict = Some((a, v)),
+                    Some(_) => {}
+                }
+            }
+            if let Some((a, v)) = conflict {
+                conflicts.push((b, a, v));
+            }
+            phase[b] = first;
+            agreed[b] = clean && conflict.is_none() && first.is_some();
+        }
+        BarrierPhases {
+            barrier_at,
+            count,
+            phase,
+            agreed,
+            conflicts,
+        }
+    }
+
+    /// Barrier joins in block `b`.
+    pub(crate) fn joins(&self, b: usize) -> u32 {
+        self.count[b]
+    }
+
+    /// The phase instruction `i` executes in, when every skeleton path to
+    /// it agrees on one.
+    pub(crate) fn of(&self, cfg: &Cfg, i: usize) -> Option<u32> {
+        let b = cfg.block_of[i];
+        if !self.agreed[b] {
+            return None;
+        }
+        let before = (cfg.blocks[b].start..i)
+            .filter(|&j| self.barrier_at[j])
+            .count() as u32;
+        self.phase[b].map(|p| p + before)
+    }
+}
+
 /// Checks that every static path executes the same barrier-join sequence.
 ///
-/// Phases propagate over the acyclic skeleton of the CFG (back edges
-/// removed): a join whose predecessors carry different phase counts means
+/// A join whose skeleton predecessors carry different phase counts means
 /// tiles taking different paths join a different number of barriers. Each
 /// conflict is attributed to the nearest dominating conditional branch: a
 /// branch on a *tile-divergent* value (rank, coordinates, AMO result)
@@ -920,22 +1284,14 @@ fn common_dominator(idom: &[usize], a: usize, b: usize) -> Option<usize> {
 fn check_barrier_phases(
     cfg: &Cfg,
     reachable: &[bool],
-    barrier_at: &[bool],
+    phases: &BarrierPhases,
     divergent_branch_at: &[bool],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let n = cfg.blocks.len();
-    if n == 0 {
+    if cfg.blocks.is_empty() {
         return;
     }
-    let back: std::collections::HashSet<(usize, usize)> = cfg.back_edges().into_iter().collect();
-    let preds = cfg.preds();
     let idom = idoms(cfg, reachable);
-    let count: Vec<u32> = cfg
-        .blocks
-        .iter()
-        .map(|b| (b.start..b.end).filter(|&i| barrier_at[i]).count() as u32)
-        .collect();
     // Severity and framing for one conflict, based on the deciding branch.
     let attribute = |decider: Option<usize>| -> (Severity, String) {
         match decider {
@@ -970,42 +1326,20 @@ fn check_barrier_phases(
         }
     };
 
-    let mut phase: Vec<Option<u32>> = vec![None; n];
-    phase[0] = Some(0);
-    for &b in &cfg.reverse_postorder() {
-        if b == 0 {
-            continue;
-        }
-        let mut agreed: Option<u32> = None;
-        let mut conflict = None;
-        for &p in &preds[b] {
-            if back.contains(&(p, b)) || !reachable[p] {
-                continue;
-            }
-            let Some(pp) = phase[p] else { continue };
-            let v = pp + count[p];
-            match agreed {
-                None => agreed = Some(v),
-                Some(a) if a != v => conflict = Some((a, v)),
-                Some(_) => {}
-            }
-        }
-        if let Some((a, v)) = conflict {
-            let (severity, why) = attribute(dominating_branch(cfg, &idom, b));
-            diags.push(Diagnostic {
-                severity,
-                pc: Some(cfg.pc_of(cfg.blocks[b].start)),
-                rule: Rule::BarrierMismatch,
-                message: format!(
-                    "paths joining at {:#x} have executed different numbers of barrier \
-                     joins ({} vs {}); {why}",
-                    cfg.pc_of(cfg.blocks[b].start),
-                    a.min(v),
-                    a.max(v),
-                ),
-            });
-        }
-        phase[b] = agreed;
+    for &(b, a, v) in &phases.conflicts {
+        let (severity, why) = attribute(dominating_branch(cfg, &idom, b));
+        diags.push(Diagnostic {
+            severity,
+            pc: Some(cfg.pc_of(cfg.blocks[b].start)),
+            rule: Rule::BarrierMismatch,
+            message: format!(
+                "paths joining at {:#x} have executed different numbers of barrier \
+                 joins ({} vs {}); {why}",
+                cfg.pc_of(cfg.blocks[b].start),
+                a.min(v),
+                a.max(v),
+            ),
+        });
     }
 
     // Every exit must agree too: otherwise some tiles finish while others
@@ -1015,8 +1349,8 @@ fn check_barrier_phases(
         if !reachable[bi] || b.term != Terminator::Exit {
             continue;
         }
-        let Some(p) = phase[bi] else { continue };
-        let v = p + count[bi];
+        let Some(p) = phases.phase[bi] else { continue };
+        let v = p + phases.count[bi];
         match exit_phase {
             None => exit_phase = Some((v, bi)),
             Some((e, first)) if e != v => {
@@ -1057,7 +1391,7 @@ fn check_icache(cfg: &Cfg, n_instrs: usize, lc: &LintConfig, diags: &mut Vec<Dia
             ),
         });
     }
-    let mut seen_heads = std::collections::HashSet::new();
+    let mut seen_heads = HashSet::new();
     for (tail, head) in cfg.back_edges() {
         if !seen_heads.insert(head) {
             continue;
@@ -1079,5 +1413,60 @@ fn check_icache(cfg: &Cfg, n_instrs: usize, lc: &LintConfig, diags: &mut Vec<Dia
                 ),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{lint, Diagnostic, LintConfig, Rule};
+    use hb_asm::Assembler;
+    use hb_core::HbOps;
+    use hb_isa::Gpr::*;
+
+    fn unaligned(a: &Assembler) -> Vec<Diagnostic> {
+        let p = a.assemble(0).unwrap();
+        lint(&p, &LintConfig::default())
+            .into_iter()
+            .filter(|d| d.rule == Rule::UnalignedAccess)
+            .collect()
+    }
+
+    /// `a0 - a0` is zero whatever the launch argument is, so the load
+    /// below has a known, misaligned address.
+    #[test]
+    fn an_argument_minus_itself_is_the_constant_zero() {
+        let mut a = Assembler::new();
+        a.sub(T0, A0, A0);
+        a.lw(T1, T0, 2);
+        a.ecall();
+        let d = unaligned(&a);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].pc, Some(4));
+    }
+
+    /// The rank times the constant 0 is 0 on every tile.
+    #[test]
+    fn the_rank_times_zero_is_the_constant_zero() {
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.mul(T1, T0, Zero);
+        a.lw(T2, T1, 2);
+        a.ecall();
+        let d = unaligned(&a);
+        assert_eq!(d.len(), 1, "{d:?}");
+    }
+
+    /// A value that depends on the rank or on an argument is not a
+    /// constant, and an address that is not a constant is not classified.
+    #[test]
+    fn a_rank_or_argument_dependent_address_is_unknown() {
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.slli(T1, T0, 2);
+        a.lw(T2, T1, 2);
+        a.addi(T3, A0, 2);
+        a.lw(T4, T3, 0);
+        a.ecall();
+        assert_eq!(unaligned(&a), vec![]);
     }
 }

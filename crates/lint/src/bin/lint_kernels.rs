@@ -16,31 +16,8 @@
 
 use hb_core::MachineConfig;
 use hb_lint::{lint, render, LintConfig, Severity};
+use hb_mem::json::escape;
 use std::process::ExitCode;
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn severity_token(s: Severity) -> &'static str {
-    match s {
-        Severity::Info => "info",
-        Severity::Warning => "warning",
-        Severity::Error => "error",
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -85,17 +62,17 @@ fn main() -> ExitCode {
                 .map(|d| {
                     format!(
                         "{{\"severity\":\"{}\",\"rule\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        severity_token(d.severity),
+                        d.severity,
                         d.rule.name(),
                         d.pc.map_or("null".to_owned(), |pc| pc.to_string()),
-                        json_escape(&d.message)
+                        escape(&d.message)
                     )
                 })
                 .collect();
             println!(
                 "{{\"kernel\":\"{}\",\"instrs\":{},\"errors\":{ne},\"warnings\":{nw},\
                  \"info\":{ni},\"diagnostics\":[{}]}}",
-                json_escape(name),
+                escape(name),
                 program.len(),
                 items.join(",")
             );

@@ -10,10 +10,12 @@
 //!    detection;
 //! 2. classic dataflow ([`dataflow`]): use-before-def over GPRs and FPRs,
 //!    dead-write detection via backward liveness, unreachable blocks;
-//! 3. abstract interpretation of tile resources ([`absint`]): constant
-//!    propagation drives an address classifier mirroring the PGAS map, which
-//!    feeds scoreboard-occupancy intervals, barrier-pairing phase checks,
-//!    alignment/bounds checks and icache footprint estimates.
+//! 3. one abstract interpretation per program ([`absint`]): rank-affine
+//!    register values drive an address classifier mirroring the PGAS map,
+//!    which feeds scoreboard-occupancy intervals, barrier-pairing phase
+//!    checks, alignment/bounds checks and icache footprint estimates;
+//! 4. cross-tile barrier-phase races ([`phases`]) over the accesses and the
+//!    barrier-phase numbering that same interpretation collects.
 //!
 //! Run [`lint`] for the full battery, or assemble with
 //! [`AssembleChecked::assemble_checked`] to reject programs with
@@ -268,8 +270,8 @@ pub fn lint(program: &Program, config: &LintConfig) -> Vec<Diagnostic> {
     dataflow::check_reachability(&graph, &mut diags);
     dataflow::check_use_before_def(&graph, instrs, &mut diags);
     dataflow::check_dead_writes(&graph, instrs, &mut diags);
-    absint::check_resources(&graph, instrs, config, &mut diags);
-    phases::check_phase_conflicts(&graph, instrs, config, &mut diags);
+    let facts = absint::interpret(&graph, instrs, config, &mut diags);
+    phases::report(&graph, &facts, config, &mut diags);
     diags.retain(|d| !config.disabled.contains(&d.rule));
     diags.sort_by(|a, b| {
         b.severity

@@ -4,11 +4,11 @@
 //! The tile-group barrier splits a kernel's execution into **phases**: two
 //! accesses to the same shared word from different tiles are ordered only
 //! if a barrier (with the producer's stores fenced) separates them. This
-//! module re-interprets the program with a *rank-affine* value domain —
-//! every register is `arg? + base + coeff * rank`, where `rank` is the
-//! symbolic `TG_RANK` of the executing tile — assigns each memory access a
-//! barrier phase using the same acyclic-skeleton propagation as the
-//! `barrier-mismatch` check, and reports pairs that
+//! module reads what the one abstract interpretation ([`mod@crate::absint`])
+//! hands it: every memory access whose address is *rank-affine* —
+//! `arg? + base + coeff * rank`, where `rank` is the symbolic `TG_RANK` of
+//! the executing tile — and the barrier phase the `barrier-mismatch` check's
+//! numbering gives it. It reports pairs that
 //!
 //! 1. may execute in the same phase (including re-executions of a phase by
 //!    a loop whose body joins `b` barriers per iteration: phases congruent
@@ -32,12 +32,12 @@
 //! one full-cell group with origin (0, 0), which is how every harness in
 //! this repository launches.
 
-use crate::cfg::{Cfg, Terminator};
+use crate::absint::{self, is_local_spm, AVal, Facts};
+use crate::cfg::Cfg;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
 use hb_asm::Program;
-use hb_core::pgas::csr;
 pub use hb_core::AccessKind;
-use hb_isa::{Gpr, Instr, OpImmOp, OpOp, INSTR_BYTES};
+use hb_isa::Instr;
 use std::collections::{BTreeSet, HashSet};
 
 /// A statically-found same-phase conflicting pair.
@@ -57,227 +57,6 @@ pub struct PhaseConflict {
     pub space: &'static str,
 }
 
-/// Rank-affine abstract value: `sym + base + coeff * rank` (all u32
-/// arithmetic wrapping), where `sym` is one launch argument treated as an
-/// opaque region pointer. Plain constants are `Aff` with `sym: None,
-/// coeff: 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AVal {
-    Bot,
-    Aff {
-        sym: Option<u8>,
-        base: u32,
-        coeff: u32,
-    },
-    Top,
-}
-
-impl AVal {
-    const fn konst(c: u32) -> AVal {
-        AVal::Aff {
-            sym: None,
-            base: c,
-            coeff: 0,
-        }
-    }
-
-    const RANK: AVal = AVal::Aff {
-        sym: None,
-        base: 0,
-        coeff: 1,
-    };
-
-    fn join(self, other: AVal) -> AVal {
-        match (self, other) {
-            (AVal::Bot, v) | (v, AVal::Bot) => v,
-            (a, b) if a == b => a,
-            _ => AVal::Top,
-        }
-    }
-
-    /// Pure constant (no symbol, no rank dependence).
-    fn as_const(self) -> Option<u32> {
-        match self {
-            AVal::Aff {
-                sym: None,
-                base,
-                coeff: 0,
-            } => Some(base),
-            _ => None,
-        }
-    }
-
-    fn add(self, other: AVal) -> AVal {
-        let (
-            AVal::Aff {
-                sym: sa,
-                base: ba,
-                coeff: ca,
-            },
-            AVal::Aff {
-                sym: sb,
-                base: bb,
-                coeff: cb,
-            },
-        ) = (self, other)
-        else {
-            return AVal::Top;
-        };
-        let sym = match (sa, sb) {
-            (None, s) | (s, None) => s,
-            (Some(_), Some(_)) => return AVal::Top,
-        };
-        AVal::Aff {
-            sym,
-            base: ba.wrapping_add(bb),
-            coeff: ca.wrapping_add(cb),
-        }
-    }
-
-    fn sub(self, other: AVal) -> AVal {
-        let (
-            AVal::Aff {
-                sym: sa,
-                base: ba,
-                coeff: ca,
-            },
-            AVal::Aff {
-                sym: sb,
-                base: bb,
-                coeff: cb,
-            },
-        ) = (self, other)
-        else {
-            return AVal::Top;
-        };
-        let sym = match (sa, sb) {
-            (s, None) => s,
-            (Some(a), Some(b)) if a == b => None,
-            _ => return AVal::Top,
-        };
-        AVal::Aff {
-            sym,
-            base: ba.wrapping_sub(bb),
-            coeff: ca.wrapping_sub(cb),
-        }
-    }
-
-    fn shl(self, sh: u32) -> AVal {
-        match self {
-            AVal::Aff {
-                sym: None,
-                base,
-                coeff,
-            } => AVal::Aff {
-                sym: None,
-                base: base.wrapping_shl(sh),
-                coeff: coeff.wrapping_shl(sh),
-            },
-            v if sh == 0 => v,
-            _ => AVal::Top,
-        }
-    }
-
-    fn mul(self, other: AVal) -> AVal {
-        let scale = |v: AVal, k: u32| match v {
-            AVal::Aff {
-                sym: None,
-                base,
-                coeff,
-            } => AVal::Aff {
-                sym: None,
-                base: base.wrapping_mul(k),
-                coeff: coeff.wrapping_mul(k),
-            },
-            v if k == 1 => v,
-            _ => AVal::Top,
-        };
-        match (self.as_const(), other.as_const()) {
-            (_, Some(k)) => scale(self, k),
-            (Some(k), _) => scale(other, k),
-            _ => AVal::Top,
-        }
-    }
-}
-
-/// Rank constraint along a path: `Eq(c)` after flowing through the
-/// `rank == c` side of a guard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pin {
-    Bot,
-    Eq(u32),
-    Any,
-}
-
-impl Pin {
-    fn join(self, other: Pin) -> Pin {
-        match (self, other) {
-            (Pin::Bot, p) | (p, Pin::Bot) => p,
-            (a, b) if a == b => a,
-            _ => Pin::Any,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct PState {
-    regs: [AVal; 32],
-    pin: Pin,
-    /// Instruction indices of possibly-remote writes posted since the last
-    /// fence (sorted, deduplicated). These are what an unfenced barrier
-    /// join leaks into the next phase.
-    unfenced: Vec<usize>,
-}
-
-impl PState {
-    fn entry(lc: &LintConfig) -> PState {
-        // Mirror `Tile::launch`: registers zeroed, sp at the SPM top,
-        // a0..a7 carry the kernel arguments (modelled as opaque symbols).
-        let mut regs = [AVal::konst(0); 32];
-        regs[Gpr::Sp.index() as usize] = AVal::konst(lc.spm_bytes);
-        for (i, r) in regs[10..=17].iter_mut().enumerate() {
-            *r = AVal::Aff {
-                sym: Some(i as u8),
-                base: 0,
-                coeff: 0,
-            };
-        }
-        PState {
-            regs,
-            pin: Pin::Bot,
-            unfenced: Vec::new(),
-        }
-    }
-
-    fn join(&self, other: &PState) -> PState {
-        let mut regs = [AVal::Bot; 32];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = self.regs[i].join(other.regs[i]);
-        }
-        let mut unfenced = self.unfenced.clone();
-        for &i in &other.unfenced {
-            if let Err(at) = unfenced.binary_search(&i) {
-                unfenced.insert(at, i);
-            }
-        }
-        PState {
-            regs,
-            pin: self.pin.join(other.pin),
-            unfenced,
-        }
-    }
-
-    fn get(&self, r: Gpr) -> AVal {
-        self.regs[r.index() as usize]
-    }
-
-    fn set(&mut self, r: Gpr, v: AVal) {
-        if r != Gpr::Zero {
-            self.regs[r.index() as usize] = v;
-        }
-    }
-}
-
 /// One shared-memory access with a rank-affine address.
 #[derive(Debug, Clone)]
 struct Acc {
@@ -294,234 +73,6 @@ struct Acc {
     /// Barrier joins per iteration of each loop whose body re-executes
     /// this access.
     periods: Vec<u32>,
-}
-
-/// What a reporting walk over one block produces.
-#[derive(Default)]
-struct Collect {
-    /// (instruction index, kind, width, address, pin at the access)
-    accs: Vec<(usize, AccessKind, u32, AVal, Option<u32>)>,
-    /// Barrier-join instruction indices.
-    barriers: Vec<usize>,
-    /// (join instruction index, unfenced write indices at the join)
-    leaks: Vec<(usize, Vec<usize>)>,
-}
-
-/// Executes one basic block from `st`, optionally collecting accesses.
-fn exec_block(
-    instrs: &[Instr],
-    cfg: &Cfg,
-    b: usize,
-    st: &mut PState,
-    lc: &LintConfig,
-    mut collect: Option<&mut Collect>,
-) {
-    let block = &cfg.blocks[b];
-    for (i, &instr) in instrs.iter().enumerate().take(block.end).skip(block.start) {
-        let pin = match st.pin {
-            Pin::Eq(c) => Some(c),
-            _ => None,
-        };
-        let access = |st: &mut PState,
-                      collect: &mut Option<&mut Collect>,
-                      kind: AccessKind,
-                      width: u32,
-                      addr: AVal| {
-            // Only rank-affine, non-CSR data addresses are analysable.
-            let AVal::Aff { sym, base, coeff } = addr else {
-                return;
-            };
-            if sym.is_none() && coeff == 0 && (0x1000..0x1100).contains(&base) {
-                // CSR window: barrier joins are handled by the caller,
-                // the rest is not shared memory.
-                return;
-            }
-            if kind.is_write() && !is_local_spm(addr, width, lc) {
-                // A posted write a fence would wait for.
-                if let Err(at) = st.unfenced.binary_search(&i) {
-                    st.unfenced.insert(at, i);
-                }
-            }
-            if let Some(c) = collect {
-                c.accs.push((i, kind, width, addr, pin));
-            }
-        };
-        match instr {
-            Instr::Lui { rd, imm } => st.set(rd, AVal::konst((imm as u32) << 12)),
-            Instr::Auipc { rd, imm } => {
-                st.set(
-                    rd,
-                    AVal::konst(cfg.pc_of(i).wrapping_add((imm as u32) << 12)),
-                );
-            }
-            Instr::Jal { rd, .. } | Instr::Jalr { rd, .. } => {
-                st.set(rd, AVal::konst(cfg.pc_of(i).wrapping_add(INSTR_BYTES)));
-            }
-            Instr::Branch { .. } => {}
-            Instr::Load {
-                width,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = st.get(rs1).add(AVal::konst(offset as u32));
-                let loaded = match addr.as_const() {
-                    Some(c) if c == csr::TG_RANK || c == csr::TG_LIVE_RANK => AVal::RANK,
-                    Some(c) if (csr::ARG0..csr::ARG0 + 32).contains(&c) => AVal::Aff {
-                        sym: Some(((c - csr::ARG0) / 4) as u8),
-                        base: 0,
-                        coeff: 0,
-                    },
-                    Some(c) if (0x1000..0x1100).contains(&c) => AVal::Top,
-                    _ => {
-                        access(st, &mut collect, AccessKind::Read, width.bytes(), addr);
-                        AVal::Top
-                    }
-                };
-                st.set(rd, loaded);
-            }
-            Instr::Flw { rs1, offset, .. } => {
-                let addr = st.get(rs1).add(AVal::konst(offset as u32));
-                access(st, &mut collect, AccessKind::Read, 4, addr);
-            }
-            Instr::Store {
-                width, rs1, offset, ..
-            } => {
-                let addr = st.get(rs1).add(AVal::konst(offset as u32));
-                if addr.as_const() == Some(csr::BARRIER) {
-                    if let Some(c) = &mut collect {
-                        c.barriers.push(i);
-                        c.leaks.push((i, st.unfenced.clone()));
-                    }
-                } else {
-                    access(st, &mut collect, AccessKind::Write, width.bytes(), addr);
-                }
-            }
-            Instr::Fsw { rs1, offset, .. } => {
-                let addr = st.get(rs1).add(AVal::konst(offset as u32));
-                access(st, &mut collect, AccessKind::Write, 4, addr);
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let a = st.get(rs1);
-                let v = match op {
-                    OpImmOp::Addi => a.add(AVal::konst(imm as u32)),
-                    OpImmOp::Slli => a.shl((imm as u32) & 0x1f),
-                    _ => match a.as_const() {
-                        Some(c) => AVal::konst(op.eval(c, imm)),
-                        None => AVal::Top,
-                    },
-                };
-                st.set(rd, v);
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let (a, b) = (st.get(rs1), st.get(rs2));
-                let v = match op {
-                    OpOp::Add => a.add(b),
-                    OpOp::Sub => a.sub(b),
-                    OpOp::Mul => a.mul(b),
-                    OpOp::Sll => match b.as_const() {
-                        Some(sh) => a.shl(sh & 0x1f),
-                        None => AVal::Top,
-                    },
-                    _ => match (a.as_const(), b.as_const()) {
-                        (Some(x), Some(y)) => AVal::konst(op.eval(x, y)),
-                        _ => AVal::Top,
-                    },
-                };
-                st.set(rd, v);
-            }
-            Instr::Amo { rd, rs1, .. } => {
-                let addr = st.get(rs1);
-                access(st, &mut collect, AccessKind::Amo, 4, addr);
-                st.set(rd, AVal::Top);
-            }
-            Instr::Fence => st.unfenced.clear(),
-            Instr::Ecall | Instr::Ebreak => {}
-            // lr/sc trap in the tile; the absint already reports them.
-            Instr::LrW { rd, .. } | Instr::ScW { rd, .. } => st.set(rd, AVal::Top),
-            Instr::FpCmp { rd, .. }
-            | Instr::FcvtWS { rd, .. }
-            | Instr::FcvtWuS { rd, .. }
-            | Instr::FmvXW { rd, .. } => st.set(rd, AVal::Top),
-            Instr::FpOp { .. }
-            | Instr::Fma { .. }
-            | Instr::FcvtSW { .. }
-            | Instr::FcvtSWu { .. }
-            | Instr::FmvWX { .. } => {}
-        }
-    }
-}
-
-/// `true` when `addr` is a concrete in-bounds local-SPM address for every
-/// rank (rank-independent): the only write target that cannot be in flight
-/// at a barrier join.
-fn is_local_spm(addr: AVal, width: u32, lc: &LintConfig) -> bool {
-    matches!(
-        addr,
-        AVal::Aff { sym: None, base, coeff: 0 } if base.wrapping_add(width) <= lc.spm_bytes
-    )
-}
-
-/// Per-successor states of block `b` with rank pins refined along the
-/// edges of a `rank ==/!= const` branch.
-fn succ_states(instrs: &[Instr], cfg: &Cfg, b: usize, out: &PState) -> Vec<(usize, PState)> {
-    let block = &cfg.blocks[b];
-    let last = block.end - 1;
-    let mut refined: Vec<(usize, PState)> = block.succs.iter().map(|&s| (s, out.clone())).collect();
-    if block.term != Terminator::Branch {
-        return refined;
-    }
-    let Instr::Branch {
-        op,
-        rs1,
-        rs2,
-        offset,
-    } = instrs[last]
-    else {
-        return refined;
-    };
-    // rank-vs-constant guard? Solve `base + coeff*rank == k` for rank.
-    let solve = |v: AVal, k: AVal| -> Option<u32> {
-        let (
-            AVal::Aff {
-                sym: None,
-                base,
-                coeff,
-            },
-            Some(k),
-        ) = (v, k.as_const())
-        else {
-            return None;
-        };
-        if coeff == 0 {
-            return None;
-        }
-        let diff = k.wrapping_sub(base);
-        (diff % coeff == 0).then_some(diff / coeff)
-    };
-    let (va, vb) = (out.get(rs1), out.get(rs2));
-    let Some(rank) = solve(va, vb).or_else(|| solve(vb, va)) else {
-        return refined;
-    };
-    let t = last as i64 + i64::from(offset) / i64::from(INSTR_BYTES);
-    let taken = (0..instrs.len() as i64)
-        .contains(&t)
-        .then(|| cfg.block_of[t as usize]);
-    let fall = (last + 1 < instrs.len()).then(|| cfg.block_of[last + 1]);
-    if taken == fall {
-        return refined;
-    }
-    for (s, st) in &mut refined {
-        let eq_edge = match op {
-            hb_isa::BranchOp::Eq => Some(*s) == taken && Some(*s) != fall,
-            hb_isa::BranchOp::Ne => Some(*s) == fall && Some(*s) != taken,
-            _ => false,
-        };
-        if eq_edge {
-            st.pin = Pin::Eq(rank);
-        }
-    }
-    refined
 }
 
 /// Which shared container a concretized address lands in.
@@ -604,24 +155,8 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
     if a.sym.is_none()
         && a.coeff == 0
         && b.coeff == 0
-        && is_local_spm(
-            AVal::Aff {
-                sym: None,
-                base: a.base,
-                coeff: 0,
-            },
-            a.width,
-            lc,
-        )
-        && is_local_spm(
-            AVal::Aff {
-                sym: None,
-                base: b.base,
-                coeff: 0,
-            },
-            b.width,
-            lc,
-        )
+        && is_local_spm(AVal::konst(a.base), a.width, lc)
+        && is_local_spm(AVal::konst(b.base), b.width, lc)
     {
         return None;
     }
@@ -676,7 +211,8 @@ fn meet_phase(a: &Acc, b: &Acc) -> Option<u32> {
 /// Runs the full analysis over an assembled program.
 pub fn phase_conflicts(program: &Program, lc: &LintConfig) -> Vec<PhaseConflict> {
     let cfg = Cfg::build(program);
-    conflicts(&cfg, program.instrs(), lc)
+    let facts = absint::interpret(&cfg, program.instrs(), lc, &mut Vec::new());
+    conflicts(&cfg, &facts, lc)
 }
 
 /// Lint entry point: emits one `phase-race` warning per conflicting pair.
@@ -686,7 +222,17 @@ pub fn check_phase_conflicts(
     lc: &LintConfig,
     diags: &mut Vec<Diagnostic>,
 ) {
-    for c in conflicts(cfg, instrs, lc) {
+    report(
+        cfg,
+        &absint::interpret(cfg, instrs, lc, &mut Vec::new()),
+        lc,
+        diags,
+    );
+}
+
+/// Emits one `phase-race` warning per conflicting pair among `facts`.
+pub(crate) fn report(cfg: &Cfg, facts: &Facts, lc: &LintConfig, diags: &mut Vec<Diagnostic>) {
+    for c in conflicts(cfg, facts, lc) {
         diags.push(Diagnostic {
             severity: Severity::Warning,
             pc: Some(c.pc_a),
@@ -706,113 +252,22 @@ pub fn check_phase_conflicts(
     }
 }
 
-fn conflicts(cfg: &Cfg, instrs: &[Instr], lc: &LintConfig) -> Vec<PhaseConflict> {
-    let n = cfg.blocks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let rpo = cfg.reverse_postorder();
-
-    // Fixpoint over block entry states.
-    let mut inb: Vec<Option<PState>> = vec![None; n];
-    inb[0] = Some(PState::entry(lc));
-    for _ in 0..64 {
-        let mut changed = false;
-        for &b in &rpo {
-            let Some(mut st) = inb[b].clone() else {
-                continue;
-            };
-            exec_block(instrs, cfg, b, &mut st, lc, None);
-            for (s, refined) in succ_states(instrs, cfg, b, &st) {
-                let joined = match &inb[s] {
-                    None => refined,
-                    Some(old) => old.join(&refined),
-                };
-                if inb[s].as_ref() != Some(&joined) {
-                    inb[s] = Some(joined);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Reporting walk: collect accesses, barrier joins and unfenced leaks.
-    let mut col = Collect::default();
-    for (b, entry) in inb.iter().enumerate().take(n) {
-        let Some(mut st) = entry.clone() else {
-            continue;
-        };
-        exec_block(instrs, cfg, b, &mut st, lc, Some(&mut col));
-    }
-
-    // Skeleton phase per block: propagate barrier counts over non-back
-    // edges (the same numbering as the barrier-mismatch check; blocks with
-    // disagreeing predecessors get no phase and their accesses are
-    // skipped — the mismatch itself is reported by the absint).
-    let mut barrier_at = vec![false; instrs.len()];
-    for &i in &col.barriers {
-        barrier_at[i] = true;
-    }
-    let count: Vec<u32> = cfg
-        .blocks
-        .iter()
-        .map(|blk| (blk.start..blk.end).filter(|&i| barrier_at[i]).count() as u32)
-        .collect();
-    let back: HashSet<(usize, usize)> = cfg.back_edges().into_iter().collect();
-    let preds = cfg.preds();
-    let reachable = cfg.reachable();
-    let mut phase: Vec<Option<u32>> = vec![None; n];
-    phase[0] = Some(0);
-    for &b in &rpo {
-        if b == 0 {
-            continue;
-        }
-        let mut agreed = None;
-        let mut consistent = true;
-        for &p in &preds[b] {
-            if back.contains(&(p, b)) || !reachable[p] {
-                continue;
-            }
-            let Some(pp) = phase[p] else {
-                consistent = false;
-                continue;
-            };
-            let v = pp + count[p];
-            match agreed {
-                None => agreed = Some(v),
-                Some(a) if a != v => consistent = false,
-                _ => {}
-            }
-        }
-        if consistent {
-            phase[b] = agreed;
-        }
-    }
-    let phase_of = |i: usize| -> Option<u32> {
-        let b = cfg.block_of[i];
-        let blk = &cfg.blocks[b];
-        let before = (blk.start..i).filter(|&j| barrier_at[j]).count() as u32;
-        phase[b].map(|p| p + before)
-    };
-
+fn conflicts(cfg: &Cfg, facts: &Facts, lc: &LintConfig) -> Vec<PhaseConflict> {
     // Natural loops and their barrier joins per iteration.
     let mut loops: Vec<(HashSet<usize>, u32)> = Vec::new();
     for (tail, head) in cfg.back_edges() {
         let body: HashSet<usize> = cfg.natural_loop(tail, head).into_iter().collect();
-        let joins: u32 = body.iter().map(|&blk| count[blk]).sum();
+        let joins: u32 = body.iter().map(|&blk| facts.phases.joins(blk)).sum();
         loops.push((body, joins));
     }
 
     // Assemble the access list with phase sets and loop periods.
     let mut accs: Vec<Acc> = Vec::new();
-    for &(idx, kind, width, addr, pin) in &col.accs {
+    for &(idx, kind, width, addr, pin) in &facts.accesses {
         let AVal::Aff { sym, base, coeff } = addr else {
             continue;
         };
-        let Some(p) = phase_of(idx) else {
+        let Some(p) = facts.phases.of(cfg, idx) else {
             continue;
         };
         let mut phases = BTreeSet::new();
@@ -835,8 +290,8 @@ fn conflicts(cfg: &Cfg, instrs: &[Instr], lc: &LintConfig) -> Vec<PhaseConflict>
         });
     }
     // Unfenced writes leak one phase past the join they were in flight at.
-    for (join, stores) in &col.leaks {
-        let Some(pj) = phase_of(*join) else {
+    for (join, stores) in &facts.leaks {
+        let Some(pj) = facts.phases.of(cfg, *join) else {
             continue;
         };
         for acc in &mut accs {
@@ -1041,5 +496,48 @@ mod tests {
         let c = analyze(&a);
         assert_eq!(c.len(), 1, "{c:?}");
         assert_eq!(c[0].space, "cell-DRAM");
+    }
+
+    /// A join is a store to the barrier CSR, whatever register it stores:
+    /// `fsw` joins as `sw` does.
+    #[test]
+    fn an_fsw_to_the_barrier_csr_is_a_join() {
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.slli(T1, T0, 2);
+        a.add(T2, A0, T1);
+        a.sw(T0, T2, 0);
+        a.fence();
+        a.li(T6, pgas::csr::BARRIER as i32);
+        a.fmv_w_x(hb_isa::Fpr::Ft0, Zero);
+        a.fsw(hb_isa::Fpr::Ft0, T6, 0);
+        a.lw(T3, T2, 4);
+        a.ecall();
+        assert_eq!(analyze(&a), vec![]);
+    }
+
+    /// Paths that join different numbers of barriers give the code after
+    /// them no phase: the pass leaves it to the `barrier-mismatch` check
+    /// rather than guess which count the tiles agree on.
+    #[test]
+    fn accesses_behind_a_barrier_mismatch_are_left_to_it() {
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.li(T6, pgas::csr::TILE_X as i32);
+        a.lw(T1, T6, 0);
+        let skip = a.new_label();
+        a.bnez(T1, skip); // only column 0 joins
+        a.barrier(T6);
+        a.bind(skip);
+        a.sw(T0, A0, 0); // every rank stores to the same word
+        a.fence();
+        a.ecall();
+        assert_eq!(analyze(&a), vec![]);
+        let p = a.assemble(0).unwrap();
+        let diags = crate::lint(&p, &LintConfig::default());
+        assert!(
+            diags.iter().any(|d| d.rule == Rule::BarrierMismatch),
+            "{diags:?}"
+        );
     }
 }

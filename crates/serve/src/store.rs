@@ -18,10 +18,13 @@
 //!
 //! Durability contract: `rename(2)` alone only orders the swap against
 //! other operations on a live filesystem — the *directory entry* is not
-//! durable until the parent directory itself is fsynced. Every rename in
-//! this module is therefore followed by `sync_dir` on the parent, so a
-//! power cut after `put` returns cannot resurrect the pre-rename state.
+//! durable until the parent directory itself is fsynced. Every file this
+//! module replaces goes through [`hb_ckpt::write_atomic`], which fsyncs the
+//! parent after the rename, and every journal append (the first one
+//! creates the file) is followed by `sync_dir` on the root, so a power cut
+//! after `put` returns cannot resurrect the pre-rename state.
 
+use hb_ckpt::write_atomic;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -116,26 +119,6 @@ hb_mem::json_record!(pub JournalEntry {
 /// synced.
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
-}
-
-/// Replaces `path` atomically and durably (see the module-level
-/// durability contract): the content goes to a `.tmp` sibling that is
-/// fsynced, the rename swaps it in, and the parent directory is fsynced
-/// so the swap survives a power cut.
-fn write_atomic(
-    path: &Path,
-    content: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let dir = path.parent().expect("store paths are below the root");
-    std::fs::create_dir_all(dir)?;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        content(&mut f)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_dir(dir)
 }
 
 /// Statistics from a [`Store::gc`] pass.
