@@ -101,11 +101,14 @@ fn main() {
     run(&Args::walk(&argv[1..], flags, usage.trim_end().to_owned()));
 }
 
-/// Job-level worker count for a sweep: `--threads N`, else 1. The points
-/// fan out through [`hb_serve::run_ordered`] or a campaign's
-/// [`hb_serve::RunOpts`].
+/// Job-level worker count for a sweep: `--threads N`, else the host's
+/// available parallelism ([`hb_serve::default_threads`]). The points fan
+/// out through [`hb_serve::run_ordered`] or a campaign's
+/// [`hb_serve::RunOpts`], and come back in point order, so the count
+/// never shows in a figure.
 fn job_threads(args: &Args) -> usize {
-    args.parse::<usize>("--threads").map_or(1, |n| n.max(1))
+    args.parse::<usize>("--threads")
+        .map_or_else(hb_serve::default_threads, |n| n.max(1))
 }
 
 /// Resolves `--kernel` (else `default`) through [`hb_kernels::by_name`];

@@ -129,20 +129,21 @@ impl AVal {
 }
 
 /// Rank constraint along a path: `Eq(c)` after flowing through the
-/// `rank == c` side of a guard.
+/// `rank == c` side of a guard, `Any` from the entry on. A block not yet
+/// reached has no state at all, so the pin needs no bottom: a path that
+/// goes around a guard joins `Any` into whatever the guarded path carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pin {
-    Bot,
     Eq(u32),
     Any,
 }
 
 impl Pin {
     fn join(self, other: Pin) -> Pin {
-        match (self, other) {
-            (Pin::Bot, p) | (p, Pin::Bot) => p,
-            (a, b) if a == b => a,
-            _ => Pin::Any,
+        if self == other {
+            self
+        } else {
+            Pin::Any
         }
     }
 }
@@ -229,7 +230,7 @@ impl State {
             stores: Interval::ZERO,
             pending: 0,
             div: 0,
-            pin: Pin::Bot,
+            pin: Pin::Any,
             unfenced: Vec::new(),
         }
     }

@@ -166,6 +166,18 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
     };
     let (alo, ahi) = range(a.pin);
     let (blo, bhi) = range(b.pin);
+    // Rank-independent addresses in a space every tile names alike (an
+    // argument region or DRAM, not a scratchpad): one comparison decides,
+    // and distinct ranks exist unless both sides are pinned to one rank.
+    if a.coeff == 0 && b.coeff == 0 && shared_space(a) && shared_space(b) {
+        let distinct = alo < ahi && blo < bhi && !(ahi - alo == 1 && (alo, ahi) == (blo, bhi));
+        let (Some((ca, la, ha)), Some((cb, lb, hb))) =
+            (concretize(a, alo, lc), concretize(b, blo, lc))
+        else {
+            return None;
+        };
+        return (distinct && ca == cb && la < hb && lb < ha).then(|| ca.space());
+    }
     for ra in alo..ahi {
         for rb in blo..bhi {
             if ra == rb {
@@ -182,6 +194,13 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
         }
     }
     None
+}
+
+/// Whether `acc` concretizes to the same container for every rank that
+/// issues it: a launch-argument region or a DRAM space, whose EVA does not
+/// name the issuing tile as a scratchpad address does.
+fn shared_space(acc: &Acc) -> bool {
+    acc.sym.is_some() || acc.base >> 31 == 1
 }
 
 /// Can the two accesses execute in the same barrier phase? Returns the
@@ -399,6 +418,65 @@ mod tests {
         a.fence();
         a.ecall();
         assert_eq!(analyze(&a), vec![]);
+    }
+
+    /// A guard pins only the path through it: the store after the guarded
+    /// region runs on every rank, whichever way each rank came.
+    #[test]
+    fn a_store_after_a_rank_guard_is_every_ranks() {
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        let skip = a.new_label();
+        a.bnez(T0, skip); // only rank 0 falls through
+        a.addi(T1, T0, 1);
+        a.bind(skip);
+        a.sw(T0, A0, 0); // every rank stores to the same word
+        a.fence();
+        a.ecall();
+        let c = analyze(&a);
+        assert_eq!(c.len(), 1, "{c:?}");
+        assert_eq!(
+            (c[0].kind_a, c[0].kind_b),
+            (AccessKind::Write, AccessKind::Write)
+        );
+        assert_eq!(c[0].pc_a, c[0].pc_b);
+    }
+
+    /// Rank-independent DRAM words are compared once, pins included: two
+    /// accesses pinned to one rank never conflict, a pinned write and an
+    /// every-rank read of its word do.
+    #[test]
+    fn pinned_and_unpinned_dram_words() {
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.li(T1, pgas::local_dram(256) as i32);
+        let skip = a.new_label();
+        a.bnez(T0, skip); // only rank 0 falls through
+        a.sw(T0, T1, 0);
+        a.lw(T2, T1, 0);
+        a.bind(skip);
+        a.fence();
+        a.ecall();
+        assert_eq!(analyze(&a), vec![]);
+
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.li(T1, pgas::local_dram(256) as i32);
+        let skip = a.new_label();
+        a.bnez(T0, skip);
+        a.sw(T0, T1, 0);
+        a.bind(skip);
+        a.lw(T2, T1, 2); // every rank reads the upper half of that word
+        a.lw(T3, T1, 4); // and the next word, which nobody writes
+        a.fence();
+        a.ecall();
+        let c = analyze(&a);
+        assert_eq!(c.len(), 1, "{c:?}");
+        assert_eq!(
+            (c[0].kind_a, c[0].kind_b),
+            (AccessKind::Write, AccessKind::Read)
+        );
+        assert_eq!(c[0].space, "cell-DRAM");
     }
 
     #[test]

@@ -42,13 +42,15 @@ options (each command takes the ones it uses; status and gc take --dir):
   --seed S         base seed (job i uses S+i)    [1]
   --cell WxH       tile grid per cell            [4x4]
   --disable x,y[;x,y]  disabled tiles            []
-  --threads T      worker threads                [1]
+  --threads T      job workers, this thread included
+                   [the host's available parallelism]
   --max-jobs N     stop after N executed jobs (deterministic mid-run stop)
   --retries R      retries per transient failure [2]
   --ckpt-every N   checkpoint fault runs every N cycles into the store,
                    so a killed worker resumes mid-job (0 = off)  [0]
   --crash-after-ckpts N  testing: exit(3) after N checkpoints (the
-                   ckpt-smoke CI job's deterministic mid-run kill)
+                   ckpt-smoke CI job's deterministic mid-run kill); runs
+                   on one worker, so --threads above 1 is refused
   --out FILE       also write the report here
   --expect masked=a,sdc=b,detected=c,hang=d
                    run: exit 1 unless the report's AVF summary has
@@ -111,7 +113,7 @@ fn parse_opts(cmd: &str, argv: &[String]) -> Opts {
         disabled: args
             .value("--disable")
             .map_or_else(Vec::new, |v| cli::parse_disabled(v, USAGE)),
-        threads: args.parse::<usize>("--threads").map_or(1, |n| n.max(1)),
+        threads: worker_count(&args),
         max_jobs: args.parse("--max-jobs"),
         retries: args.parse("--retries").unwrap_or(2),
         ckpt_every: args.parse("--ckpt-every").unwrap_or(0),
@@ -126,6 +128,24 @@ fn parse_opts(cmd: &str, argv: &[String]) -> Opts {
             .collect(),
         size: args.value("--size").unwrap_or("small").to_ascii_lowercase(),
         expect: args.value("--expect").map(parse_expect),
+    }
+}
+
+/// `--threads`, else the host's available parallelism. A
+/// `--crash-after-ckpts` run is the deterministic stand-in for a `kill -9`
+/// only when one worker writes every checkpoint, so it runs on one, and
+/// asking it for more is a usage error.
+fn worker_count(args: &cli::Args) -> usize {
+    let asked = args.parse::<usize>("--threads").map(|n| n.max(1));
+    if args.value("--crash-after-ckpts").is_none() {
+        return asked.unwrap_or_else(hb_serve::default_threads);
+    }
+    match asked {
+        Some(n) if n > 1 => cli::usage_fail(
+            USAGE,
+            format!("--crash-after-ckpts runs on one worker; --threads {n} asks for more"),
+        ),
+        _ => 1,
     }
 }
 

@@ -26,6 +26,7 @@ use crate::store::{JobRecord, Store};
 use hb_core::{Machine, MachineConfig, SimError};
 use hb_fault::{InjectionPlan, PlanShape};
 use hb_kernels::{launch_on, run_on, Jacobi, Kernel, Sgemm, SizeClass};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -101,8 +102,8 @@ impl GoldenInfo {
 }
 
 /// The golden run's state at evenly spaced cycles (see [`capture_every`]),
-/// as checkpoint bytes by cycle.
-type Captures = BTreeMap<u64, Arc<Vec<u8>>>;
+/// as [`pack`]ed checkpoint bytes by cycle.
+type Captures = BTreeMap<u64, Vec<u8>>;
 
 /// Which golden run a capture belongs to: the campaign row's label, the
 /// canonical config, and the park policy, which is host-only (not in the
@@ -118,6 +119,8 @@ type CaptureKey = (&'static str, String, bool);
 /// their first injection, and are golden-prefix states by construction, so
 /// it does not matter which job made one or on how many threads. They live
 /// in memory only: no store object, no gc rule, no torn file to survive.
+/// Most of a checkpoint's bytes are zero, so a capture is kept with its
+/// zero runs packed (`pack`) and unpacked just before its restore.
 pub struct SimExecutor {
     goldens: Mutex<HashMap<String, GoldenInfo>>,
     captures: Mutex<HashMap<CaptureKey, Captures>>,
@@ -262,11 +265,8 @@ impl SimExecutor {
         let key = (row.label, cfg.canonical_text(), cfg.event_core);
         let observer = machine.detach_observer();
         let captures = || self.captures.lock().expect("no capture holder panics");
-        let latest = (captures().get(&key)).and_then(|caps| {
-            caps.range(..=target)
-                .next_back()
-                .map(|(_, blob)| blob.clone())
-        });
+        let latest = (captures().get(&key))
+            .and_then(|caps| caps.range(..=target).next_back().map(|(_, c)| unpack(c)));
         match latest {
             Some(blob) => {
                 hb_ckpt::restore(machine, &blob).map_err(|e| {
@@ -280,12 +280,14 @@ impl SimExecutor {
         while machine.cycle() < target {
             machine.tick();
             let cycle = machine.cycle();
-            let captured = |caps: &Captures| caps.contains_key(&cycle);
-            if cycle.is_multiple_of(every) && !captures().get(&key).is_some_and(captured) {
-                let blob = Arc::new(hb_ckpt::encode(machine));
+            if cycle.is_multiple_of(every) {
+                // Encoded under the lock: two jobs passing the same point
+                // at once make one capture, not two with one thrown away.
                 let mut captures = captures();
                 let caps = captures.entry(key.clone()).or_default();
-                caps.entry(cycle).or_insert(blob);
+                if let Entry::Vacant(slot) = caps.entry(cycle) {
+                    slot.insert(pack(&hb_ckpt::encode(machine)));
+                }
             }
         }
         if let Some(observer) = observer {
@@ -500,6 +502,83 @@ const GOLDEN_BUDGET: u64 = 10_000_000;
 /// each fork a restore.
 fn capture_every(golden_cycles: u64) -> u64 {
     golden_cycles.div_ceil(16).max(1024)
+}
+
+/// Zero runs shorter than this stay among the literal bytes: breaking one
+/// out costs two length bytes.
+const MIN_ZERO_RUN: usize = 4;
+
+/// Appends `n` as an unsigned LEB128 varint.
+fn put_len(out: &mut Vec<u8>, mut n: usize) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// Reads the LEB128 varint at `packed[*at..]` and steps past it.
+fn take_len(packed: &[u8], at: &mut usize) -> usize {
+    let mut n = 0;
+    let mut shift = 0;
+    loop {
+        let byte = packed[*at];
+        *at += 1;
+        n |= usize::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return n;
+        }
+        shift += 7;
+    }
+}
+
+/// Packs the zero runs of `raw`: its length, then groups of (literal
+/// length, literal bytes, zero-run length), every length a LEB128 varint.
+/// A golden-prefix capture of a 4x4 campaign shrinks 3–9x. Only
+/// [`unpack`] reads the result, and only in this process.
+fn pack(raw: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(raw.len() / 4);
+    put_len(&mut out, raw.len());
+    let (mut lit, mut i) = (0, 0);
+    while i < raw.len() {
+        if raw[i] != 0 {
+            i += 1;
+            continue;
+        }
+        let end = raw[i..]
+            .iter()
+            .position(|&b| b != 0)
+            .map_or(raw.len(), |k| i + k);
+        if end - i >= MIN_ZERO_RUN || end == raw.len() {
+            put_len(&mut out, i - lit);
+            out.extend_from_slice(&raw[lit..i]);
+            put_len(&mut out, end - i);
+            lit = end;
+        }
+        i = end;
+    }
+    if lit < raw.len() {
+        put_len(&mut out, raw.len() - lit);
+        out.extend_from_slice(&raw[lit..]);
+        put_len(&mut out, 0);
+    }
+    // A capture lives as long as the executor: give back the slack.
+    out.shrink_to_fit();
+    out
+}
+
+/// The bytes [`pack`] was given.
+fn unpack(packed: &[u8]) -> Vec<u8> {
+    let mut at = 0;
+    let mut raw = Vec::with_capacity(take_len(packed, &mut at));
+    while at < packed.len() {
+        let lit = take_len(packed, &mut at);
+        raw.extend_from_slice(&packed[at..at + lit]);
+        at += lit;
+        let zeros = take_len(packed, &mut at);
+        raw.resize(raw.len() + zeros, 0);
+    }
+    raw
 }
 
 /// The cycle a fault job forks from the golden run at: the last capture
@@ -749,21 +828,30 @@ mod tests {
     }
 
     /// Forked fault jobs record what cold ones do, byte for byte including
-    /// the hang dump: a Jacobi campaign with three hangs on two pool
-    /// threads, then explicit plans that sit on each edge of the rule —
-    /// an injection at cycle 1, at a capture cycle and one past it, link
-    /// faults only, and one past the golden run's end.
+    /// the hang dump, at one pool worker and at the default count: a
+    /// Jacobi campaign with three hangs, whose records and report the two
+    /// counts give alike, then explicit plans that sit on each edge of the
+    /// rule — an injection at cycle 1, at a capture cycle and one past it,
+    /// link faults only, and one past the golden run's end.
     #[test]
     fn forked_fault_jobs_match_cold_runs() {
-        let (dir, store) = tmp_store("jacobi");
-        let sim = SimExecutor::new(1);
         let campaign = Campaign::fault("fork", "jacobi", &campaign_cfg(), 7, 25);
-        let opts = RunOpts {
-            threads: 2,
-            ..RunOpts::default()
-        };
-        let summary = campaign.run(&store, &sim, &opts, &CancelToken::new());
-        assert_eq!((summary.run, summary.failed), (26, 0), "{summary:?}");
+        let counts = [("one", 1), ("default", RunOpts::default().threads)];
+        let [one, (dir, store, sim)] = counts.map(|(tag, threads)| {
+            let (dir, store) = tmp_store(&format!("jacobi-{tag}"));
+            let sim = SimExecutor::new(1);
+            let opts = RunOpts {
+                threads,
+                ..RunOpts::default()
+            };
+            let summary = campaign.run(&store, &sim, &opts, &CancelToken::new());
+            assert_eq!((summary.run, summary.failed), (26, 0), "{summary:?}");
+            (dir, store, sim)
+        });
+        assert_eq!(
+            crate::report::build(&campaign, &one.1),
+            crate::report::build(&campaign, &store)
+        );
         let gold = sim.golden_info(&campaign.specs[1], &store).unwrap();
         assert_eq!(capture_every(gold.cycles), 1024);
         let mut hangs = 0;
@@ -772,9 +860,12 @@ mod tests {
             let rec = store.get(&hash).expect("a stored record");
             let want = cold(spec, gold);
             hangs += usize::from(want.1.is_some());
+            let at_one = one.1.get(&hash).expect("a stored record");
+            assert_eq!(forked(at_one, &hash, &one.1), want, "seed {}", spec.seed);
             assert_eq!(forked(rec, &hash, &store), want, "seed {}", spec.seed);
         }
         assert_eq!(hangs, 3);
+        let _ = std::fs::remove_dir_all(&one.0);
 
         let flip = |cycle, x, y| Injection {
             cycle,
@@ -838,6 +929,54 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .all(|name| name.starts_with("hang-")));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_capture_codec_round_trips() {
+        let mut runs = vec![1u8];
+        for len in [1, 3, 4, 127, 128, 129, 300, 16_384] {
+            runs.extend(std::iter::repeat_n(0, len));
+            runs.push(len as u8 | 1);
+        }
+        let cases: [Vec<u8>; 6] = [
+            Vec::new(),
+            vec![0; 5000],
+            (0..1000).map(|i| (i % 255 + 1) as u8).collect(),
+            runs,
+            [7, 0, 0, 9].into_iter().chain([0; 200]).collect(),
+            vec![5, 0],
+        ];
+        for raw in &cases {
+            let packed = pack(raw);
+            assert_eq!(&unpack(&packed), raw, "{} bytes", raw.len());
+            if !raw.is_empty() && raw.iter().all(|&b| b == 0) {
+                assert!(packed.len() <= 6, "{packed:?}");
+            }
+        }
+    }
+
+    /// A fork restores an unpacked capture; the machine it gets is the one
+    /// the raw checkpoint gives.
+    #[test]
+    fn a_packed_capture_restores_what_its_raw_blob_does() {
+        let row = campaign_row("sgemm").unwrap();
+        let mut machine = Machine::new(campaign_cfg());
+        launch_on(&mut machine, row.kernel, SizeClass::Small);
+        (0..2048).for_each(|_| machine.tick());
+        let raw = hb_ckpt::encode(&machine);
+        let packed = pack(&raw);
+        assert!(
+            packed.len() * 2 < raw.len(),
+            "{} of {}",
+            packed.len(),
+            raw.len()
+        );
+        let restored = |blob: &[u8]| {
+            let mut m = Machine::new(campaign_cfg());
+            hb_ckpt::restore(&mut m, blob).unwrap();
+            hb_ckpt::encode(&m)
+        };
+        assert!(restored(&unpack(&packed)) == restored(&raw));
     }
 
     /// An observer may drive the machine from inside `tick`, as the

@@ -46,8 +46,8 @@ pub mod store;
 pub use campaign::{Campaign, CampaignStatus};
 pub use exec::{campaign_kernel, golden_spec, size_token, SimExecutor};
 pub use pool::{
-    run_jobs, run_ordered, run_ordered_results, CampaignSummary, CancelToken, Executor, JobError,
-    JobPanic, RunOpts,
+    default_threads, run_jobs, run_ordered, run_ordered_results, CampaignSummary, CancelToken,
+    Executor, JobError, JobPanic, RunOpts,
 };
 pub use spec::{binary_rev, JobKind, JobSpec, PlanSpec, SCHEMA_REV};
 pub use store::{GcStats, JobRecord, JournalEntry, Store};

@@ -2,16 +2,17 @@
 //! out over scoped workers. A simulated machine runs on the thread that
 //! ticks it; what scales is running many of them.
 //!
-//! [`run_ordered_results`] is the one claim loop — workers claim items by
-//! atomic index, each item runs under `catch_unwind`, results come back in
-//! item order. The figure binaries map their (kernel, configuration)
-//! points through it ([`run_ordered`]); [`run_jobs`] maps a campaign
-//! manifest through it against the store, with bounded in-flight memory
-//! (one job per worker at a time; results stream to disk, and what comes
-//! back per job is a counter-sized outcome), completed jobs skipped as
-//! cache hits, bounded retries with backoff for transient failures,
-//! cooperative cancellation, and a panicking job recorded as a `failed`
-//! journal entry.
+//! `run_shared` is the one worker loop — workers claim items by atomic
+//! index or take a fixed stride of them, each item runs under
+//! `catch_unwind`, results come back in item order. The figure binaries
+//! map their (kernel, configuration) points through its claiming form
+//! ([`run_ordered_results`], [`run_ordered`]); [`run_jobs`] maps a
+//! campaign manifest through its striding form against the store, with
+//! bounded in-flight memory (one job per worker at a time; results stream
+//! to disk, and what comes back per job is a counter-sized outcome),
+//! completed jobs skipped as cache hits, bounded retries with backoff for
+//! transient failures, cooperative cancellation, and a panicking job
+//! recorded as a `failed` journal entry.
 
 use crate::spec::JobSpec;
 use crate::store::{JobRecord, Store};
@@ -28,42 +29,79 @@ pub struct JobPanic {
     pub message: String,
 }
 
-/// Runs `f` over every item on up to `threads` scoped workers and returns
-/// one `Result` **per item, in item order** (work-stealing execution,
+/// The worker count a pool gets when none is asked for: the host's
+/// [`std::thread::available_parallelism`], or 1 where it cannot be read.
+/// Results are collected in item order, so the count never shows in them.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `f` over every item on up to `threads` workers and returns one
+/// `Result` **per item, in item order** (work-stealing execution,
 /// deterministic collection). Each job runs under `catch_unwind`, so a
 /// panicking job yields `Err(JobPanic)` in its own slot and every other job
 /// still completes — one bad simulation point cannot take down a
-/// whole-figure sweep. With `threads <= 1` (or a single item) the loop
-/// runs on the calling thread, in order, with the same isolation.
+/// whole-figure sweep. The calling thread is one of the workers: it spawns
+/// `threads.min(items) - 1` scoped threads and claims items beside them,
+/// rather than idling in the join while one more spawned thread maps one
+/// more allocator arena. `threads <= 1` (or a single item) runs on the
+/// caller alone, in order, with the same isolation.
 pub fn run_ordered_results<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<Result<T, JobPanic>>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
+    run_shared(items, threads, Share::Steal, f)
+}
+
+/// How a pool's workers divide its items.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Share {
+    /// Each worker claims the next unclaimed item: no worker idles while
+    /// another has a queue, whatever the items cost.
+    Steal,
+    /// Worker `w` of `n` runs items `w, w + n, w + 2n, ...` in order (the
+    /// caller is worker 0). Which worker runs which item, and so what each
+    /// worker's allocator arena holds, is the same from run to run.
+    Stride,
+}
+
+/// [`run_ordered_results`] with the division of items chosen.
+fn run_shared<I, T, F>(items: &[I], threads: usize, share: Share, f: F) -> Vec<Result<T, JobPanic>>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> T + Sync,
+{
     let n = items.len();
+    let workers = threads.min(n).max(1);
     let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
+    let run = |i: usize| {
         let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| JobPanic {
             index: i,
             message: panic_message(payload.as_ref()),
         });
         *slots[i].lock().expect("unpoisoned: no job runs under it") = Some(out);
     };
-    if threads <= 1 || n <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(n) {
-                s.spawn(worker);
+    let next = AtomicUsize::new(0);
+    let worker = |w: usize| match share {
+        Share::Steal => loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
-        });
-    }
+            run(i);
+        },
+        Share::Stride => (w..n).step_by(workers).for_each(run),
+    };
+    std::thread::scope(|s| {
+        for w in 1..workers {
+            let worker = &worker;
+            s.spawn(move || worker(w));
+        }
+        worker(0);
+    });
     slots
         .into_iter()
         .map(|s| {
@@ -125,7 +163,8 @@ pub trait Executor: Sync {
 /// Pool tuning.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// Worker threads.
+    /// Workers, the calling thread included; [`default_threads`] by
+    /// default.
     pub threads: usize,
     /// Retries per job after the first attempt (transient failures only).
     pub retries: u32,
@@ -140,7 +179,7 @@ pub struct RunOpts {
 impl Default for RunOpts {
     fn default() -> RunOpts {
         RunOpts {
-            threads: 1,
+            threads: default_threads(),
             retries: 2,
             backoff_ms: 20,
             max_jobs: None,
@@ -220,6 +259,13 @@ enum Outcome {
 /// stored are counted as cache hits and skipped; the rest run with per-job
 /// `catch_unwind` isolation and bounded retries, streaming results into
 /// `store` as they complete.
+///
+/// The workers stride the manifest rather than claim from it: worker `w`
+/// of `n` runs jobs `w, w + n, ...`, the caller being worker 0. A
+/// campaign's jobs are alike in cost, and a fixed division keeps what each
+/// worker allocates — its job machines, the golden-prefix captures its
+/// jobs make, its hang dumps — and so the process's peak memory the same
+/// from run to run, where claiming lets thread timing decide it.
 pub fn run_jobs(
     specs: &[JobSpec],
     store: &Store,
@@ -274,7 +320,7 @@ pub fn run_jobs(
         total: specs.len(),
         ..CampaignSummary::default()
     };
-    for outcome in run_ordered_results(specs, opts.threads, run_one) {
+    for outcome in run_shared(specs, opts.threads, Share::Stride, run_one) {
         // A panic that escaped `run_one` came from the store, not the
         // executor: there is nothing to journal it with.
         let (outcome, retried) = outcome.unwrap_or((Outcome::Failed, 0));
@@ -384,6 +430,71 @@ mod tests {
             format!("{i}{s}")
         });
         assert_eq!(out, vec!["0a", "1b", "2c"]);
+    }
+
+    /// `n` workers are the caller and `n - 1` scoped threads. Every job
+    /// off the caller's thread waits until the caller has run one, so a
+    /// caller that claimed nothing fails the test instead of passing it by
+    /// luck.
+    #[test]
+    fn the_caller_is_one_of_at_most_n_workers() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..32).collect();
+        for n in [1, 2, 3] {
+            let caller_ran = AtomicBool::new(false);
+            let ids = run_ordered(&items, n, |_, _| {
+                let me = std::thread::current().id();
+                if me == caller {
+                    caller_ran.store(true, Ordering::Relaxed);
+                } else {
+                    let t0 = std::time::Instant::now();
+                    while !caller_ran.load(Ordering::Relaxed)
+                        && t0.elapsed() < std::time::Duration::from_secs(10)
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+                me
+            });
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert!(distinct.len() <= n, "{n} workers ran on {distinct:?}");
+            assert!(distinct.contains(&caller), "{n} workers, caller idle");
+        }
+    }
+
+    /// A campaign's workers stride its manifest: with `n` workers, job `i`
+    /// runs on worker `i % n`, the caller being worker 0, however the
+    /// jobs' times fall.
+    #[test]
+    fn a_campaign_strides_its_workers() {
+        struct Where(Mutex<Vec<(u64, std::thread::ThreadId)>>);
+        impl Executor for Where {
+            fn run(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError> {
+                let me = std::thread::current().id();
+                self.0.lock().unwrap().push((spec.seed, me));
+                MockExec::ok().run(spec, store)
+            }
+        }
+        let caller = std::thread::current().id();
+        for n in [1, 2, 3] {
+            let (store, dir) = open_store(&format!("stride-{n}"));
+            let exec = Where(Mutex::new(Vec::new()));
+            let opts = RunOpts {
+                threads: n,
+                ..RunOpts::default()
+            };
+            let s = run_jobs(&specs(10), &store, &exec, &opts, &CancelToken::new());
+            assert_eq!(s.run, 10);
+            let mut ran = exec.0.into_inner().unwrap();
+            ran.sort_by_key(|&(seed, _)| seed);
+            for &(seed, id) in &ran {
+                assert_eq!(id, ran[seed as usize % n].1, "{n} workers, job {seed}");
+            }
+            let workers: std::collections::HashSet<_> = ran.iter().map(|&(_, id)| id).collect();
+            assert_eq!(workers.len(), n, "{n} workers");
+            assert_eq!(ran[0].1, caller, "{n} workers: job 0 off the caller");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -178,6 +178,59 @@ fn stale_version_checkpoints_are_discarded_on_resume() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// `--crash-after-ckpts` runs on one worker, whatever the host's count:
+/// without `--threads` it kills the campaign at the checkpoint a
+/// `--threads 1` run does and leaves the same bytes behind, and asking it
+/// for more workers is a usage error before anything runs.
+#[test]
+fn a_crash_run_is_one_worker() {
+    let bin = env!("CARGO_BIN_EXE_hb-serve");
+    let base = std::env::temp_dir().join(format!("hb-serve-ckpt-one-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let crash = |dir: &Path, threads: Option<&str>| {
+        let mut args = run_args(dir);
+        let at = args.iter().position(|a| a == "--threads").unwrap();
+        args.drain(at..at + 2);
+        if let Some(n) = threads {
+            args.extend(["--threads".to_owned(), n.to_owned()]);
+        }
+        args.extend(["--crash-after-ckpts".to_owned(), "2".to_owned()]);
+        Command::new(bin).args(args).output().unwrap()
+    };
+    let ckpts = |dir: &Path| {
+        let mut files: Vec<_> = std::fs::read_dir(dir.join("store").join("ckpt"))
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+
+    let one = crash(&base.join("one"), Some("1"));
+    let default = crash(&base.join("default"), None);
+    assert_eq!(one.status.code(), Some(3), "the --threads 1 kill");
+    assert_eq!(default.status.code(), Some(3), "the default kill");
+    assert!(!ckpts(&base.join("one")).is_empty());
+    assert_eq!(ckpts(&base.join("one")), ckpts(&base.join("default")));
+
+    let refused = crash(&base.join("two"), Some("2"));
+    assert_eq!(refused.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(
+        stderr.lines().filter(|l| l.starts_with("error:")).count(),
+        1
+    );
+    assert!(stderr.contains("--crash-after-ckpts"), "{stderr}");
+    assert!(!base.join("two").exists(), "a refused run wrote a campaign");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 #[test]
 fn warm_campaign_classifies_identically_to_cold() {
     use hb_core::MachineConfig;
