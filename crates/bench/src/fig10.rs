@@ -4,13 +4,12 @@
 //! Ruche network, write-validate, Load Packet Compression, Regional IPOLY
 //! and non-blocking caches. Reports per-kernel and geomean speedups.
 
-use crate::{bench_cell, bench_size, geomean, header, job_threads, row, telemetry};
+use crate::{bench_cell, bench_size, geomean, header, job_threads, row};
 use hb_core::{CellDim, MachineConfig};
 use hb_serve::cli::Args;
 
 pub fn run(args: &Args) {
     let threads = job_threads(args);
-    let telemetry = telemetry::request(args);
     let full = bench_cell();
     let quarter = CellDim {
         x: full.x / 2,
@@ -153,9 +152,4 @@ pub fn run(args: &Args) {
         "\npaper: all optimizations together give ~5.2x geomean over the Baseline\n\
          Manycore; core density is the single largest contributor."
     );
-
-    // `--telemetry <out>`: one instrumented SGEMM pass on the top rung of
-    // the ladder (all features on), run inline after the sweep.
-    let (_, full_cfg) = configs.last().expect("ladder is non-empty");
-    telemetry::sgemm_after(telemetry, full_cfg, size);
 }

@@ -2,12 +2,11 @@
 //! Cell, kernels ordered memory-intensive -> compute-intensive, with the
 //! stall taxonomy of Table III.
 
-use crate::{bench_size, hb_config, header, row, telemetry};
+use crate::{bench_size, hb_config, header, row};
 use hb_core::StallKind;
 use hb_serve::cli::Args;
 
-pub fn run(args: &Args) {
-    let telemetry = telemetry::request(args);
+pub fn run(_: &Args) {
     let cfg = hb_config();
     let size = bench_size();
     println!(
@@ -62,10 +61,6 @@ pub fn run(args: &Args) {
     for kind in StallKind::ALL {
         println!("  {:<12} {}", kind.label(), describe(kind));
     }
-
-    // `--telemetry <out>`: one instrumented SGEMM pass on the same
-    // fully-featured configuration the table used.
-    telemetry::sgemm_after(telemetry, &cfg, size);
 }
 
 fn describe(kind: StallKind) -> &'static str {

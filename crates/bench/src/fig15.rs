@@ -2,13 +2,12 @@
 //! constant HBM2 bandwidth — taller Cells (16x16), wider Cells (32x8) and
 //! more Cells (2x16x8) — vs the baseline 16x8 Cell.
 
-use crate::{bench_cell, bench_size, geomean, header, job_threads, row, telemetry};
+use crate::{bench_cell, bench_size, geomean, header, job_threads, row};
 use hb_core::{CellDim, MachineConfig, MultiCellEstimator, Phase};
 use hb_serve::cli::Args;
 
 pub fn run(args: &Args) {
     let threads = job_threads(args);
-    let telemetry = telemetry::request(args);
     let base_dim = bench_cell();
     let size = bench_size();
     let base_cfg = MachineConfig {
@@ -127,8 +126,4 @@ pub fn run(args: &Args) {
          win when data is hard to partition; more Cells avoid bisection\n\
          pressure but duplicate shared data."
     );
-
-    // `--telemetry <out>`: one instrumented SGEMM pass on the baseline
-    // configuration the speedups are normalized to.
-    telemetry::sgemm_after(telemetry, &base_cfg, size);
 }

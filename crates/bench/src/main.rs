@@ -16,6 +16,8 @@
 //! - `small` (default) — reduced Cell (8x4) and inputs; shapes hold,
 //! - `full` — the paper's 16x8 Cell and larger inputs (slow; release
 //!   builds only).
+//!
+//! Any other `HB_SCALE` value is a usage error too.
 
 #![forbid(unsafe_code)]
 
@@ -42,9 +44,6 @@ use hb_core::{CellDim, MachineConfig};
 use hb_kernels::{Kernel, SizeClass};
 use hb_serve::cli::{self, Args};
 
-/// The flags of a sweep that can end with an instrumented SGEMM pass.
-const SWEEP_FLAGS: &str = "--threads N --telemetry FILE --window N";
-
 /// A command: its name, its flags (a flag followed by a word takes a
 /// value) and its body.
 type Command = (&'static str, &'static str, fn(&Args));
@@ -52,12 +51,12 @@ type Command = (&'static str, &'static str, fn(&Args));
 const COMMANDS: &[Command] = &[
     ("fig03", "", fig03::run),
     ("fig04", "", fig04::run),
-    ("fig10", SWEEP_FLAGS, fig10::run),
-    ("fig11", "--telemetry FILE --window N", fig11::run),
+    ("fig10", "--threads N", fig10::run),
+    ("fig11", "", fig11::run),
     ("fig12", "", fig12::run),
     ("fig13", "", fig13::run),
     ("fig14", "", fig14::run),
-    ("fig15", SWEEP_FLAGS, fig15::run),
+    ("fig15", "--threads N", fig15::run),
     ("fig16", "", fig16::run),
     ("table1_benchmarks", "", table1_benchmarks::run),
     ("table2_configurations", "", table2_configurations::run),
@@ -97,6 +96,14 @@ fn main() {
     let Some((name, flags, run)) = COMMANDS.iter().find(|(n, ..)| n == name) else {
         cli::usage_fail(&usage, format!("unknown command {name:?}"));
     };
+    if let Some(v) = std::env::var_os("HB_SCALE") {
+        if !matches!(v.to_str(), Some("tiny" | "small" | "full")) {
+            cli::usage_fail(
+                &usage,
+                format!("HB_SCALE={v:?}: expected tiny, small or full"),
+            );
+        }
+    }
     let usage = format!("usage: hb-bench {name} {flags}");
     run(&Args::walk(&argv[1..], flags, usage.trim_end().to_owned()));
 }
@@ -124,7 +131,8 @@ fn kernel_arg(args: &Args, default: &str) -> Box<dyn Kernel> {
     })
 }
 
-/// The benchmark scale selected by `HB_SCALE`.
+/// The benchmark scale selected by `HB_SCALE` (unset is `small`; `main`
+/// refuses any other value before a command runs).
 fn scale() -> SizeClass {
     match std::env::var("HB_SCALE").as_deref() {
         Ok("tiny") => SizeClass::Tiny,

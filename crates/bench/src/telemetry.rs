@@ -10,12 +10,10 @@
 //! Kernel names are `hb_kernels::kernels()` tokens (`SGEMM`, `FFT`,
 //! `BFS@diropt`, ... — case insensitive); `HB_SCALE` picks the Cell shape
 //! as in the figures. The run is bit-identical to an uninstrumented one.
-//! The same pass follows a sweep of `fig10`, `fig11` or `fig15` given
-//! `--telemetry <out>` ([`request`]).
 
 use crate::{bench_size, hb_config, kernel_arg};
 use hb_core::{Machine, MachineConfig};
-use hb_kernels::{Kernel, SizeClass};
+use hb_kernels::Kernel;
 use hb_obs::{Keep, Sampler, SharedTelemetry};
 use hb_serve::cli::{self, Args};
 use std::io::Write as _;
@@ -23,7 +21,7 @@ use std::io::Write as _;
 pub fn run(args: &Args) {
     let bench = kernel_arg(args, "SGEMM");
     let out = args.value("--out").unwrap_or("telemetry.json");
-    let window = window(args);
+    let window = args.parse::<u64>("--window").map_or(1000, |n| n.max(1));
 
     let cfg = hb_config();
     println!(
@@ -32,41 +30,15 @@ pub fn run(args: &Args) {
         cfg.cell_dim.x,
         cfg.cell_dim.y
     );
-    if let Err(e) = run_instrumented(bench.as_ref(), &cfg, bench_size(), window, out) {
+    if let Err(e) = run_instrumented(bench.as_ref(), &cfg, window, out) {
         cli::fail(e);
-    }
-}
-
-/// The sampling window: `--window N`, else 1000.
-fn window(args: &Args) -> u64 {
-    args.parse::<u64>("--window").map_or(1000, |n| n.max(1))
-}
-
-/// A figure's `--telemetry <out>` request with its `--window`, read before
-/// the sweep so a bad value fails before anything runs.
-pub fn request(args: &Args) -> Option<(String, u64)> {
-    let window = window(args);
-    args.value("--telemetry")
-        .map(|out| (out.to_owned(), window))
-}
-
-/// One instrumented SGEMM pass on `cfg`, as [`request`]ed after a sweep.
-pub fn sgemm_after(request: Option<(String, u64)>, cfg: &MachineConfig, size: SizeClass) {
-    if let Some((out, window)) = request {
-        let sgemm = hb_kernels::Sgemm::default();
-        if let Err(e) = run_instrumented(&sgemm, cfg, size, window, &out) {
-            cli::fail(e);
-        }
     }
 }
 
 /// Runs one instrumented pass of `bench` on `cfg` with the given sampling
 /// window, writes the Chrome trace to `out` and the NDJSON dump next to it
-/// (`<out>.ndjson`), and prints the Cell-0 heatmaps to stdout.
-///
-/// The sampler is attached to the one machine built here, so the sweep's
-/// machines are never instrumented. Simulated results are bit-identical to
-/// the uninstrumented run.
+/// (`<out>.ndjson`), and prints the Cell-0 heatmaps to stdout. Simulated
+/// results are bit-identical to the uninstrumented run.
 ///
 /// # Errors
 ///
@@ -76,7 +48,6 @@ pub fn sgemm_after(request: Option<(String, u64)>, cfg: &MachineConfig, size: Si
 fn run_instrumented(
     bench: &dyn Kernel,
     cfg: &MachineConfig,
-    size: SizeClass,
     window: u64,
     out: &str,
 ) -> Result<(), String> {
@@ -88,7 +59,7 @@ fn run_instrumented(
         Keep::All,
         store.clone(),
     )));
-    let stats = hb_kernels::run_on(&mut machine, bench, size)
+    let stats = hb_kernels::run_on(&mut machine, bench, bench_size())
         .map_err(|e| format!("instrumented {} failed: {e}", bench.name()))?;
     machine.detach_observer(); // flushes the final partial window
 

@@ -33,6 +33,9 @@ fn assert_usage_error(args: &[&str]) {
 #[test]
 fn an_unknown_flag_is_a_usage_error() {
     assert_usage_error(&["fig04", "--bogus"]);
+    // Telemetry has one route, `hb-bench telemetry`.
+    assert_usage_error(&["fig11", "--telemetry", "t.json"]);
+    assert_usage_error(&["fig15", "--window", "200"]);
 }
 
 #[test]
@@ -65,4 +68,25 @@ fn table1_prints_its_results_file() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&want)
     );
+}
+
+/// `HB_SCALE` is checked once, before any command runs: a misspelled
+/// scale must not quietly run the default one.
+#[test]
+fn an_unknown_scale_is_a_usage_error() {
+    for scale in ["ful", "", "Tiny"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hb-bench"))
+            .arg("fig04")
+            .env("HB_SCALE", scale)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "HB_SCALE={scale:?}: {stderr}");
+        assert_eq!(
+            stderr.lines().filter(|l| l.starts_with("error:")).count(),
+            1,
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "HB_SCALE={scale:?} ran fig04");
+    }
 }

@@ -444,12 +444,6 @@ impl CacheBank {
         self.mshrs.len()
     }
 
-    /// Whether the bank holds no queued work (responses may still be
-    /// draining).
-    pub fn is_quiescent(&self) -> bool {
-        self.input.is_empty() && self.mshrs.is_empty() && self.mem_requests.is_empty()
-    }
-
     fn line_addr(&self, addr: u32) -> u32 {
         addr & !(self.cfg.line_bytes - 1)
     }

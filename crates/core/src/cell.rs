@@ -703,11 +703,6 @@ impl Cell {
         self.req_net.link_stats(at, port)
     }
 
-    /// Response-network link stats for the output link at (`at`, `port`).
-    pub fn response_link(&self, at: Coord, port: hb_noc::Port) -> LinkStats {
-        self.resp_net.link_stats(at, port)
-    }
-
     /// Per-router cumulative request-network counters (ports summed),
     /// indexed row-major over the Cell's router grid — the cheap snapshot
     /// the telemetry sampler diffs each window.

@@ -199,11 +199,6 @@ impl<D: DramStore> FuncBus<D> {
         &self.spms[idx]
     }
 
-    /// Mutable SPM image of modelled tile `idx`.
-    pub fn spm_mut(&mut self, idx: usize) -> &mut Vec<u8> {
-        &mut self.spms[idx]
-    }
-
     /// The context of modelled tile `idx`.
     pub fn ctx(&self, idx: usize) -> &TileCtx {
         &self.ctxs[idx]

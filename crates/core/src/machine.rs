@@ -217,11 +217,6 @@ impl Machine {
         };
     }
 
-    /// Whether the dynamic race sanitizer is on.
-    pub fn is_race_checked(&self) -> bool {
-        self.race.is_some()
-    }
-
     /// Turns guest-code profiling on or off (see [`crate::gprof`]): a
     /// profiled tile keeps an exact retired-PC histogram and per-PC
     /// stall-cycle attribution of the program it launched, folded on

@@ -635,26 +635,4 @@ impl Instr {
         rs1: Gpr::Zero,
         imm: 0,
     };
-
-    /// Whether executing this instruction may access data memory.
-    pub fn is_memory_op(&self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. }
-                | Instr::Store { .. }
-                | Instr::Amo { .. }
-                | Instr::LrW { .. }
-                | Instr::ScW { .. }
-                | Instr::Flw { .. }
-                | Instr::Fsw { .. }
-        )
-    }
-
-    /// Whether this instruction may redirect the PC.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. }
-        )
-    }
 }

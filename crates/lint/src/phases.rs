@@ -37,7 +37,6 @@ use crate::cfg::Cfg;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
 use hb_asm::Program;
 pub use hb_core::AccessKind;
-use hb_isa::Instr;
 use std::collections::{BTreeSet, HashSet};
 
 /// A statically-found same-phase conflicting pair.
@@ -232,21 +231,6 @@ pub fn phase_conflicts(program: &Program, lc: &LintConfig) -> Vec<PhaseConflict>
     let cfg = Cfg::build(program);
     let facts = absint::interpret(&cfg, program.instrs(), lc, &mut Vec::new());
     conflicts(&cfg, &facts, lc)
-}
-
-/// Lint entry point: emits one `phase-race` warning per conflicting pair.
-pub fn check_phase_conflicts(
-    cfg: &Cfg,
-    instrs: &[Instr],
-    lc: &LintConfig,
-    diags: &mut Vec<Diagnostic>,
-) {
-    report(
-        cfg,
-        &absint::interpret(cfg, instrs, lc, &mut Vec::new()),
-        lc,
-        diags,
-    );
 }
 
 /// Emits one `phase-race` warning per conflicting pair among `facts`.

@@ -157,16 +157,6 @@ impl LinkStats {
         }
     }
 
-    /// Fraction of occupied cycles spent stalled.
-    pub fn stall_fraction(&self) -> f64 {
-        let total = self.busy + self.stalled;
-        if total == 0 {
-            0.0
-        } else {
-            self.stalled as f64 / total as f64
-        }
-    }
-
     /// Cycles the link carried no traffic at all, out of `elapsed`.
     pub fn idle(&self, elapsed: u64) -> u64 {
         elapsed.saturating_sub(self.busy + self.stalled)

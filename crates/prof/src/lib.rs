@@ -259,53 +259,6 @@ impl Analysis {
     }
 }
 
-/// Compact hot-block encoding carried by `hb-serve` job records:
-/// `pc:retired:stall_cycles:share_bp` rows joined by `;`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactBlock {
-    /// Byte address of the block's first instruction.
-    pub start_pc: u32,
-    /// Instructions retired in the block.
-    pub retired: u64,
-    /// Stall cycles attributed to the block.
-    pub stall_cycles: u64,
-    /// Share of tile-cycles in basis points.
-    pub share_bp: u64,
-}
-
-/// Encodes the `n` hottest blocks as a single compact field.
-pub fn compact_top(a: &Analysis, n: usize) -> String {
-    a.top(n)
-        .iter()
-        .map(|r| {
-            format!(
-                "{:#06x}:{}:{}:{}",
-                r.start_pc,
-                r.retired,
-                r.stall_cycles(),
-                a.share_bp(r)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-/// Decodes a [`compact_top`] field; malformed rows are dropped.
-pub fn parse_compact(s: &str) -> Vec<CompactBlock> {
-    s.split(';')
-        .filter_map(|row| {
-            let mut it = row.split(':');
-            let pc = it.next()?.strip_prefix("0x")?;
-            Some(CompactBlock {
-                start_pc: u32::from_str_radix(pc, 16).ok()?,
-                retired: it.next()?.parse().ok()?,
-                stall_cycles: it.next()?.parse().ok()?,
-                share_bp: it.next()?.parse().ok()?,
-            })
-        })
-        .collect()
-}
-
 /// Instruction index of byte address `pc` relative to `base`.
 pub fn instr_index(base: u32, pc: u32) -> usize {
     pc.wrapping_sub(base) as usize / INSTR_BYTES as usize
@@ -419,17 +372,5 @@ mod tests {
             assert_eq!(run.profile.retired_total(), instrs, "cell {cell}");
         }
         assert!(ProfRun::capture(&machine, loop_kernel()).is_none());
-    }
-
-    #[test]
-    fn compact_roundtrips() {
-        let a = Analysis::analyze("loop", &run_loop_kernel(true).unwrap());
-        let s = compact_top(&a, 3);
-        let rows = parse_compact(&s);
-        assert_eq!(rows.len(), a.top(3).len());
-        assert_eq!(rows[0].start_pc, a.ranked[0].start_pc);
-        assert_eq!(rows[0].retired, a.ranked[0].retired);
-        assert_eq!(rows[0].share_bp, a.share_bp(&a.ranked[0]));
-        assert!(parse_compact("garbage").is_empty());
     }
 }

@@ -7,7 +7,6 @@ use crate::Analysis;
 use hb_core::StallKind;
 use hb_mem::json::escape;
 use std::fmt::Write as _;
-use std::io;
 
 /// Renders a fixed-width ranked table of the `top` hottest blocks, with
 /// header totals, per-kind stall columns folded to the dominant kinds,
@@ -102,16 +101,6 @@ pub fn to_ndjson(a: &Analysis) -> String {
         );
     }
     out
-}
-
-/// Writes [`report_text`] to `w`.
-pub fn write_text<W: io::Write>(a: &Analysis, top: usize, w: &mut W) -> io::Result<()> {
-    w.write_all(report_text(a, top).as_bytes())
-}
-
-/// Writes [`to_ndjson`] to `w`.
-pub fn write_ndjson<W: io::Write>(a: &Analysis, w: &mut W) -> io::Result<()> {
-    w.write_all(to_ndjson(a).as_bytes())
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 //! hb-serve run    --kernel sgemm --faults 200 --seed 7      # submit + execute + report
 //! hb-serve run    ... --max-jobs 100                        # stop after 100 executions
 //! hb-serve run    ... --expect masked=42,sdc=2,detected=1,hang=5  # exact AVF counts or exit 1
-//! hb-serve profile --kernels SGEMM,BFS,Jacobi --size small  # per-kernel hot-block tables
 //! hb-serve resume --dir hb-serve-data                       # finish a killed campaign
 //! hb-serve status --dir hb-serve-data                       # done/missing counts
 //! hb-serve report --dir hb-serve-data                       # rebuild report.txt
@@ -29,7 +28,6 @@ const USAGE: &str = "usage: hb-serve <command> [options]
 commands:
   submit   write the campaign manifest without running it
   run      submit (if needed) + execute + write report.txt
-  profile  run hot-block profiling jobs over suite kernels
   resume   re-run only the jobs missing from the store
   status   print done/missing counts for the manifest
   report   rebuild and print the deterministic report
@@ -57,11 +55,7 @@ options (each command takes the ones it uses; status and gc take --dir):
                    exactly these counts (the CI fault-smoke contract)
 
 kernel names: sgemm | jacobi; warm:<kernel> is an alias (every fault run
-already starts from the golden run's state just before its injection)
-
-profile options:
-  --kernels K,K    suite kernels to profile      [SGEMM,BFS,Jacobi]
-  --size S         tiny | small | large          [small]";
+already starts from the golden run's state just before its injection)";
 
 struct Opts {
     dir: PathBuf,
@@ -76,8 +70,6 @@ struct Opts {
     ckpt_every: u64,
     crash_after_ckpts: Option<u64>,
     out: Option<PathBuf>,
-    kernels: Vec<String>,
-    size: String,
     expect: Option<String>,
 }
 
@@ -90,7 +82,6 @@ fn flags(cmd: &str) -> String {
     match cmd {
         "submit" => "--dir D --kernel K --faults N --seed S --cell WxH --disable L".to_owned(),
         "run" => format!("{} --expect E {EXEC_FLAGS}", flags("submit")),
-        "profile" => format!("--dir D --kernels K --size S --cell WxH --disable L {EXEC_FLAGS}"),
         "resume" => format!("--dir D {EXEC_FLAGS}"),
         "report" => "--dir D --out FILE".to_owned(),
         _ => "--dir D".to_owned(),
@@ -119,14 +110,6 @@ fn parse_opts(cmd: &str, argv: &[String]) -> Opts {
         ckpt_every: args.parse("--ckpt-every").unwrap_or(0),
         crash_after_ckpts: args.parse("--crash-after-ckpts"),
         out: args.value("--out").map(PathBuf::from),
-        kernels: args
-            .value("--kernels")
-            .unwrap_or("SGEMM,BFS,Jacobi")
-            .split(',')
-            .filter(|k| !k.is_empty())
-            .map(str::to_owned)
-            .collect(),
-        size: args.value("--size").unwrap_or("small").to_ascii_lowercase(),
         expect: args.value("--expect").map(parse_expect),
     }
 }
@@ -162,7 +145,11 @@ fn parse_expect(value: &str) -> String {
     format!("summary: {}", pairs.join(" "))
 }
 
-fn campaign_config(opts: &Opts) -> MachineConfig {
+/// Builds the campaign `submit`/`run` describe and saves it into
+/// `opts.dir`, unless the directory already holds the same campaign (no-op);
+/// refuses to silently reuse a directory whose manifest is a *different*
+/// campaign.
+fn submit_campaign(opts: &Opts) -> Campaign {
     let cfg = MachineConfig {
         cell_dim: opts.cell,
         disabled_tiles: opts.disabled.clone(),
@@ -171,42 +158,11 @@ fn campaign_config(opts: &Opts) -> MachineConfig {
     if let Err(e) = cfg.validate() {
         cli::fail(format!("invalid machine configuration: {e}"));
     }
-    cfg
-}
-
-/// Builds the campaign `submit`/`run` describe; refuses to silently reuse a
-/// directory whose manifest is a *different* campaign.
-fn submit_campaign(opts: &Opts) -> Campaign {
-    let cfg = campaign_config(opts);
     let name = format!(
         "{} cell={}x{} seed={} faults={}",
         opts.kernel, opts.cell.x, opts.cell.y, opts.seed, opts.faults
     );
     let campaign = Campaign::fault(name, &opts.kernel, &cfg, opts.seed, opts.faults);
-    persist_campaign(campaign, opts)
-}
-
-/// Builds the hot-block profiling campaign `profile` describes.
-fn submit_profile_campaign(opts: &Opts) -> Campaign {
-    let cfg = campaign_config(opts);
-    let kernels: Vec<&str> = opts.kernels.iter().map(String::as_str).collect();
-    if kernels.is_empty() {
-        cli::usage_fail(USAGE, "--kernels names no kernels");
-    }
-    let name = format!(
-        "profile {} cell={}x{} size={}",
-        kernels.join(","),
-        opts.cell.x,
-        opts.cell.y,
-        opts.size
-    );
-    let campaign = Campaign::profile(name, &kernels, &cfg, &opts.size);
-    persist_campaign(campaign, opts)
-}
-
-/// Saves `campaign` into `opts.dir`, unless the directory already holds the
-/// same campaign (no-op) or a different one (error).
-fn persist_campaign(campaign: Campaign, opts: &Opts) -> Campaign {
     if opts.dir.join("manifest.txt").exists() {
         match Campaign::load(&opts.dir) {
             Ok(existing) if existing == campaign => return campaign,
@@ -294,11 +250,6 @@ fn main() {
         "run" => {
             let opts = parse_opts(cmd, rest);
             let campaign = submit_campaign(&opts);
-            execute(&campaign, &opts);
-        }
-        "profile" => {
-            let opts = parse_opts(cmd, rest);
-            let campaign = submit_profile_campaign(&opts);
             execute(&campaign, &opts);
         }
         "resume" => {

@@ -54,35 +54,6 @@ impl Campaign {
         }
     }
 
-    /// A hot-block profiling campaign: one `profile:<size>` job per suite
-    /// kernel named in `kernels`, in the given order. Kept separate from
-    /// [`Campaign::fault`] so fault-campaign job counts (which CI asserts
-    /// on) never change shape; mix specs by concatenating `specs` vectors.
-    pub fn profile(
-        name: impl Into<String>,
-        kernels: &[&str],
-        config: &MachineConfig,
-        size: &str,
-    ) -> Campaign {
-        let specs = kernels
-            .iter()
-            .map(|kernel| JobSpec {
-                kind: JobKind::Profile {
-                    size: size.to_owned(),
-                },
-                kernel: (*kernel).to_owned(),
-                seed: 0,
-                plan: PlanSpec::None,
-                config: config.clone(),
-                label: format!("profile {kernel}"),
-            })
-            .collect();
-        Campaign {
-            name: name.into(),
-            specs,
-        }
-    }
-
     /// Job hashes in manifest order.
     pub fn hashes(&self) -> Vec<String> {
         self.specs.iter().map(JobSpec::hash).collect()
@@ -260,27 +231,5 @@ mod tests {
         assert_eq!(back.hashes(), c.hashes());
 
         assert!(Campaign::from_manifest_text("nonsense\n").is_err());
-    }
-
-    #[test]
-    fn profile_campaign_shape_and_manifest_roundtrip() {
-        let cfg = canonical_baseline();
-        let c = Campaign::profile("hot blocks", &["SGEMM", "BFS", "Jacobi"], &cfg, "small");
-        assert_eq!(c.specs.len(), 3);
-        for (spec, kernel) in c.specs.iter().zip(["SGEMM", "BFS", "Jacobi"]) {
-            assert_eq!(
-                spec.kind,
-                JobKind::Profile {
-                    size: "small".to_owned()
-                }
-            );
-            assert_eq!(spec.kernel, kernel);
-            assert_eq!(spec.plan, PlanSpec::None);
-            assert_eq!(spec.label, format!("profile {kernel}"));
-        }
-
-        let back = Campaign::from_manifest_text(&c.manifest_text()).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.hashes(), c.hashes());
     }
 }

@@ -6,8 +6,8 @@
 //! Golden/fault jobs run one of the two [`campaign_kernel`]s — the
 //! SPM-blocked SGEMM or the Jacobi kernel, seeded inputs, identical initial
 //! DRAM on every run — and classify against the campaign's golden record.
-//! Ablation, profile and race-check jobs run any [`hb_kernels::kernels`]
-//! token at a size class on a machine they build themselves.
+//! Ablation jobs run any [`hb_kernels::kernels`] token (case-insensitive)
+//! at a size class on a machine they build themselves.
 //!
 //! A fault job simulates only what follows its injection. Up to its first
 //! injection it *is* the golden run, so it forks from the golden run: it
@@ -25,7 +25,7 @@ use crate::spec::{JobKind, JobSpec, PlanSpec};
 use crate::store::{JobRecord, Store};
 use hb_core::{Machine, MachineConfig, SimError};
 use hb_fault::{InjectionPlan, PlanShape};
-use hb_kernels::{launch_on, run_on, Jacobi, Kernel, Sgemm, SizeClass};
+use hb_kernels::{launch_on, Jacobi, Kernel, Sgemm, SizeClass};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -401,7 +401,8 @@ impl SimExecutor {
 
     fn run_ablation(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
         let size = parse_size(size)?;
-        let kernel = suite_kernel(&spec.kernel)?;
+        let kernel = hb_kernels::by_name(&spec.kernel)
+            .ok_or_else(|| JobError::Permanent(format!("unknown kernel {:?}", spec.kernel)))?;
         let cfg = &spec.config;
         cfg.validate()
             .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
@@ -418,66 +419,6 @@ impl SimExecutor {
             ..JobRecord::default()
         })
     }
-
-    /// One profiled benchmark run: any suite kernel at a size class with
-    /// guest-code profiling enabled. The record carries cycles (identical
-    /// to an unprofiled run — profiling is observation-only) plus the
-    /// top-5 hot basic blocks in `hb_prof::compact_top` form, which the
-    /// report renders as a per-kernel hot-block section.
-    fn run_profile(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
-        let size = parse_size(size)?;
-        let kernel = suite_kernel(&spec.kernel)?;
-        let cfg = &spec.config;
-        cfg.validate()
-            .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let mut machine = Machine::new(cfg.clone());
-        machine.set_profile(true);
-        let stats = run_on(&mut machine, kernel.as_ref(), size)
-            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
-        let run = hb_prof::ProfRun::capture(&machine, Arc::new(kernel.program()))
-            .ok_or_else(|| JobError::Permanent(format!("{} captured no profile", kernel.name())))?;
-        let analysis = hb_prof::Analysis::analyze(kernel.name(), &run);
-        Ok(JobRecord {
-            kind: spec.kind.canonical(),
-            kernel: spec.kernel.clone(),
-            seed: spec.seed,
-            outcome: "ok".to_owned(),
-            cycles: stats.cycles,
-            instrs: stats.core.instrs,
-            checks: format!("retired={},stalled={}", analysis.retired, analysis.stalled),
-            profile: hb_prof::compact_top(&analysis, 5),
-            ..JobRecord::default()
-        })
-    }
-
-    /// Two-sided race check for one suite kernel: the static phase-conflict
-    /// pass over the program plus a full benchmark run (golden-validating)
-    /// under the dynamic epoch sanitizer. Finding counts land in `checks`
-    /// as `static=N,dynamic=M`; any finding makes the outcome `racy`.
-    fn run_race_check(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
-        let size = parse_size(size)?;
-        let kernel = suite_kernel(&spec.kernel)?;
-        let cfg = &spec.config;
-        cfg.validate()
-            .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let statics = hb_race::static_conflicts(&kernel.program(), cfg);
-        let mut machine = Machine::new(cfg.clone());
-        machine.set_race_check(true);
-        let stats = run_on(&mut machine, kernel.as_ref(), size)
-            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
-        let races = machine.race_reports().len();
-        let clean = statics.is_empty() && races == 0;
-        Ok(JobRecord {
-            kind: spec.kind.canonical(),
-            kernel: spec.kernel.clone(),
-            seed: spec.seed,
-            outcome: if clean { "clean" } else { "racy" }.to_owned(),
-            cycles: stats.cycles,
-            instrs: stats.core.instrs,
-            checks: format!("static={},dynamic={races}", statics.len()),
-            ..JobRecord::default()
-        })
-    }
 }
 
 impl Executor for SimExecutor {
@@ -486,8 +427,6 @@ impl Executor for SimExecutor {
             JobKind::Golden => self.run_golden(spec),
             JobKind::Fault => self.run_fault(spec, store),
             JobKind::Ablation { size } => self.run_ablation(spec, size),
-            JobKind::RaceCheck { size } => self.run_race_check(spec, size),
-            JobKind::Profile { size } => self.run_profile(spec, size),
         }
     }
 }
@@ -621,13 +560,6 @@ pub fn golden_spec(kernel: &str, config: &MachineConfig) -> JobSpec {
         config: config.clone(),
         label: "golden".to_owned(),
     }
-}
-
-/// Resolves the kernel token of an ablation, profile or race-check job:
-/// any of [`hb_kernels::kernels`], case-insensitively.
-fn suite_kernel(token: &str) -> Result<Box<dyn Kernel>, JobError> {
-    hb_kernels::by_name(token)
-        .ok_or_else(|| JobError::Permanent(format!("unknown kernel {token:?}")))
 }
 
 fn parse_size(s: &str) -> Result<SizeClass, JobError> {

@@ -25,8 +25,8 @@
 //!   completion counts, with no wall-clock in the artifact, so a resumed
 //!   campaign reports byte-identically to an uninterrupted one.
 //!
-//! The `hb-serve` binary exposes this as `submit` / `run` / `profile` /
-//! `status` / `resume` / `report` / `gc` (`run --expect` holds a fault
+//! The `hb-serve` binary exposes this as `submit` / `run` / `status` /
+//! `resume` / `report` / `gc` (`run --expect` holds a fault
 //! campaign to exact outcome counts); `hb-bench ablations` executes
 //! through it too and inherits caching and resume. [`cli`] is the argument
 //! walk both binaries share.

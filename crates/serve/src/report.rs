@@ -85,32 +85,6 @@ pub fn build(campaign: &Campaign, store: &Store) -> String {
         }
     }
 
-    // Hot-block tables of profile jobs, in manifest order.
-    let profiles: Vec<&JobRecord> = records
-        .iter()
-        .flatten()
-        .filter(|r| r.kind.starts_with("profile:"))
-        .collect();
-    if !profiles.is_empty() {
-        out.push('\n');
-        out.push_str("hot blocks (top 5 per kernel, share of tile-cycles):\n");
-        for rec in profiles {
-            out.push_str(&format!(
-                "  {}: cycles={} {}\n",
-                rec.kernel, rec.cycles, rec.checks
-            ));
-            for b in hb_prof::parse_compact(&rec.profile) {
-                out.push_str(&format!(
-                    "    blk_{:#06x}  retired={:<10} stalled={:<10} {:>3}.{:02}%\n",
-                    b.start_pc,
-                    b.retired,
-                    b.stall_cycles,
-                    b.share_bp / 100,
-                    b.share_bp % 100
-                ));
-            }
-        }
-    }
     out
 }
 
@@ -215,27 +189,6 @@ mod tests {
         sweep.specs[0].label = "ruche=3".to_owned(); // same hash: label unhashed
         assert!(build(&sweep, &store).contains("ruche=3"));
 
-        // Profile records render a hot-block table from the compact field.
-        let prof = Campaign::profile("hot", &["SGEMM"], &cfg, "small");
-        store
-            .put(&JobRecord {
-                hash: prof.specs[0].hash(),
-                kind: "profile:small".to_owned(),
-                kernel: "SGEMM".to_owned(),
-                outcome: "ok".to_owned(),
-                cycles: 1778,
-                instrs: 3728,
-                checks: "retired=3728,stalled=10496".to_owned(),
-                profile: "0x0054:3328:7497:7610;0x0088:128:656:551".to_owned(),
-                ..JobRecord::default()
-            })
-            .unwrap();
-        let text = build(&prof, &store);
-        assert!(text.contains("hot blocks (top 5 per kernel, share of tile-cycles):"));
-        assert!(text.contains("SGEMM: cycles=1778 retired=3728,stalled=10496"));
-        assert!(text.contains("blk_0x0054"));
-        assert!(text.contains("76.10%"), "share renders as basis points");
-        assert_eq!(text, build(&prof, &store));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -31,7 +31,11 @@ use hb_mem::text::Text;
 /// `warm:<kernel>` shared-checkpoint prefix, and cycle accounting for
 /// fault runs is total-since-launch (identical for cold runs, but the
 /// contract is now explicit so resumed runs classify bit-identically).
-pub const SCHEMA_REV: u32 = 3;
+///
+/// rev 4: `JobRecord` lost the `profile` field again, with the `race:` and
+/// `profile:` job kinds (a suite kernel's race check is `hb_race::
+/// check_suite`, its guest profile `hb-bench profile`).
+pub const SCHEMA_REV: u32 = 4;
 
 /// The binary revision folded into every job hash: `HB_SERVE_REV` when set
 /// (CI sets it to the commit SHA so rebuilt binaries invalidate the cache),
@@ -61,32 +65,13 @@ pub enum JobKind {
         /// Kernel input size class: `tiny`, `small` or `large`.
         size: String,
     },
-    /// One two-sided race check: the kernel's program through the static
-    /// phase-conflict pass and a full benchmark run under the dynamic
-    /// epoch sanitizer. The record's `checks` field carries
-    /// `static=N,dynamic=M`; the outcome is `clean` or `racy`.
-    RaceCheck {
-        /// Kernel input size class for the sanitized run.
-        size: String,
-    },
-    /// One guest-code profiling run: `hb_kernels::Benchmark::run` at a
-    /// size class with `MachineConfig::profile` enabled, recording cycles
-    /// plus the hot basic-block table (the record's `profile` field, in
-    /// `hb_prof::compact_top` form). Profiling is observation-only, so
-    /// cycles match the plain ablation run bit-for-bit.
-    Profile {
-        /// Kernel input size class for the profiled run.
-        size: String,
-    },
 }
 
-// `golden`, `fault`, or `<kind>:<size class>`.
+// `golden`, `fault`, or `ablation:<size class>`.
 hb_mem::text_enum!(JobKind, "job kind" {
     "golden" => Golden,
     "fault" => Fault,
     "ablation" [":" ""] => Ablation { size },
-    "race" [":" ""] => RaceCheck { size },
-    "profile" [":" ""] => Profile { size },
 });
 
 impl JobKind {
@@ -129,7 +114,7 @@ pub struct JobSpec {
     pub kind: JobKind,
     /// Kernel name: `sgemm`/`jacobi` for golden/fault jobs, an
     /// `hb_kernels::kernels()` token (`Name` or `Name@variant`, e.g.
-    /// `SGEMM@blocked`) for ablation, profile and race-check jobs.
+    /// `SGEMM@blocked`) for ablation jobs.
     pub kernel: String,
     /// Seed: selects the injection plan for fault jobs; 0 where unused.
     pub seed: u64,
@@ -276,24 +261,6 @@ mod tests {
                 ..spec()
             },
             JobSpec {
-                kind: JobKind::RaceCheck {
-                    size: "tiny".to_owned(),
-                },
-                kernel: "BFS@diropt".to_owned(),
-                plan: PlanSpec::None,
-                label: "race smoke".to_owned(),
-                ..spec()
-            },
-            JobSpec {
-                kind: JobKind::Profile {
-                    size: "small".to_owned(),
-                },
-                kernel: "Jacobi".to_owned(),
-                plan: PlanSpec::None,
-                label: "hot blocks".to_owned(),
-                ..spec()
-            },
-            JobSpec {
                 plan: PlanSpec::Explicit(InjectionPlan::random(9, 3, &shape)),
                 ..spec()
             },
@@ -325,7 +292,7 @@ mod tests {
         JobSpec::from_manifest_line(&good).unwrap();
         for (from, to) in [
             ("hbjob v1", "hbjob v2"),
-            ("rev=3.", "ver=3."),
+            ("v1 rev=", "v1 ver="),
             ("kind=fault", "kind=warp"),
             ("kind=fault", "kind=ablation:"),
             ("kind=fault", "kind=faulty"),

@@ -61,10 +61,6 @@ pub struct JobRecord {
     /// Paths of side artifacts (telemetry traces); relative to the store
     /// root, comma-joined. Empty when none.
     pub artifacts: String,
-    /// Hot basic-block table of `profile:<size>` jobs, in
-    /// `hb_prof::compact_top` form (`pc:retired:stalls:share_bp` rows
-    /// joined by `;`). Empty for every other kind.
-    pub profile: String,
 }
 
 /// Keys a record and a journal line share.
@@ -87,7 +83,6 @@ hb_mem::json_record!(pub JobRecord {
     "checks" => checks: string,
     RETRIES => retries: number,
     "artifacts" => artifacts: string,
-    "profile" => profile: string,
 });
 
 /// One journal line: the completion (or terminal failure) of a job.
@@ -383,7 +378,6 @@ mod tests {
             checks: String::new(),
             retries: 1,
             artifacts: String::new(),
-            profile: String::new(),
         }
     }
 
@@ -402,7 +396,7 @@ mod tests {
         // Escaping survives.
         let mut odd = rec("ab12");
         odd.checks = "a\"b\\c\n".to_owned();
-        odd.profile = "0x0054:3328:7497:7610;0x0088:128:656:551".to_owned();
+        odd.artifacts = "ckpt/hang-ab12.ckpt".to_owned();
         assert_eq!(JobRecord::from_json_line(&odd.to_json_line()).unwrap(), odd);
     }
 

@@ -30,7 +30,7 @@ fn golden_records_of_the_4x4_campaigns_have_not_moved() {
         ("sgemm", 13_865, 143_520, 0xbed0_bb6d_4cc2_ddaf),
         ("jacobi", 4_955, 14_846, 0xb7f6_3477_9749_7c4d),
     ];
-    assert_eq!(SCHEMA_REV, 3, "a new revision re-records PINNED");
+    assert_eq!(SCHEMA_REV, 4, "a new revision re-records PINNED");
     let dir = std::env::temp_dir().join(format!("hb-serve-digest-pins-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::open(&dir).unwrap();

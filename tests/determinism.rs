@@ -62,9 +62,11 @@ fn park_policy_is_bit_identical_to_never_park_for_every_kernel() {
 fn race_sanitizer_is_read_only_and_suite_is_clean() {
     // The dynamic race sanitizer only observes: every registry entry must
     // simulate bit-identically with it on or off — and, while we're
-    // watching, must be race-free.
+    // watching, must be race-free on both sides of the check.
     let cfg = cfg(true);
     for (name, kernel) in kernels() {
+        let statics = hammerblade::race::static_conflicts(&kernel.program(), &cfg);
+        assert!(statics.is_empty(), "{name} is statically racy: {statics:?}");
         let off = kernel
             .run(&cfg, SizeClass::Tiny)
             .unwrap_or_else(|e| panic!("{name} (race check off) failed: {e}"));

@@ -154,7 +154,6 @@ fn record() -> JobRecord {
         checks: "a\"b\\c\n\u{1}é".to_owned(),
         retries: 2,
         artifacts: "ckpt/hang-00ff.ckpt".to_owned(),
-        profile: "0x0054:3328:7497:7610;0x0088:128:656:551".to_owned(),
     }
 }
 

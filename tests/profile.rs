@@ -7,10 +7,11 @@
 //!    block, with more than half of all retired instructions;
 //! 2. the folded-stack export is byte-identical under both park policies
 //!    of the tile phase;
-//! 3. enabling profiling does not change simulated cycles.
+//! 3. enabling profiling changes no simulated cycle or core counter, for
+//!    every registry kernel.
 
 use hammerblade::core::{CellDim, Machine, MachineConfig};
-use hammerblade::kernels::{run_on, Sgemm, SizeClass};
+use hammerblade::kernels::{kernels, run_on, Sgemm, SizeClass};
 use hammerblade::prof::{folded, summary, Analysis, ProfRun};
 use std::sync::Arc;
 
@@ -82,12 +83,19 @@ fn profile_exports_are_identical_across_host_schedules() {
 
 #[test]
 fn profiling_does_not_change_simulated_cycles() {
-    let off = run_on(
-        &mut Machine::new(cfg(true)),
-        &Sgemm::default(),
-        SizeClass::Tiny,
-    )
-    .unwrap();
-    let (_, _, on_cycles) = sgemm_profile(true);
-    assert_eq!(off.cycles, on_cycles, "profiling must be timing-invisible");
+    for (name, kernel) in kernels() {
+        let off = kernel
+            .run(&cfg(true), SizeClass::Tiny)
+            .unwrap_or_else(|e| panic!("{name} (profile off) failed: {e}"));
+        let mut machine = Machine::new(cfg(true));
+        machine.set_profile(true);
+        let on = run_on(&mut machine, kernel.as_ref(), SizeClass::Tiny)
+            .unwrap_or_else(|e| panic!("{name} (profile on) failed: {e}"));
+        assert_eq!(off.cycles, on.cycles, "{name}: profiling changed cycles");
+        assert_eq!(off.core, on.core, "{name}: profiling changed core counters");
+        let run = ProfRun::capture(&machine, Arc::new(kernel.program()))
+            .unwrap_or_else(|| panic!("{name}: a profiled machine holds a profile"));
+        let analysis = Analysis::analyze(name, &run);
+        assert!(!analysis.ranked.is_empty(), "{name}: no hot blocks");
+    }
 }

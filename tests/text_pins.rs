@@ -138,13 +138,13 @@ fn manifest_line_and_hash_are_pinned() {
         "manifest_line",
         &spec.manifest_line(),
         &format!(
-            "hbjob v1 rev=3.dev kind=ablation:small kernel=SGEMM@blocked seed=7 \
+            "hbjob v1 rev=4.dev kind=ablation:small kernel=SGEMM@blocked seed=7 \
              plan=explicit:{{{PLAN}}} cfg{{{BASELINE}}} label=ruche=3 sweep point"
         ),
     );
     // Both hashes were re-recorded when `cfgv=2` moved the embedded config
-    // text; the job line around it did not change.
-    pin("hash", &spec.hash(), "4a8986e65a19c60b81fca20c9fd44aa1");
+    // text, and again when `SCHEMA_REV` 4 moved the `rev=` token.
+    pin("hash", &spec.hash(), "4cfeaebdf344d3b373ee61d7644ab7c8");
     let seeded = JobSpec {
         kind: JobKind::Fault,
         kernel: "sgemm".to_owned(),
@@ -156,10 +156,10 @@ fn manifest_line_and_hash_are_pinned() {
         "canonical_line",
         &seeded.canonical_line(),
         &format!(
-            "hbjob v1 rev=3.dev kind=fault kernel=sgemm seed=7 plan=seeded:2 cfg{{{BASELINE}}}"
+            "hbjob v1 rev=4.dev kind=fault kernel=sgemm seed=7 plan=seeded:2 cfg{{{BASELINE}}}"
         ),
     );
-    pin("hash", &seeded.hash(), "57ee196a20d8a66983b1af6ea37c5a4c");
+    pin("hash", &seeded.hash(), "faa417682bb648907fb9f2333c760f2b");
 }
 
 #[test]
@@ -178,13 +178,11 @@ fn record_and_journal_lines_are_pinned() {
         checks: "a\"b\\c\n\u{1}".to_owned(),
         retries: 1,
         artifacts: "ckpt/hang-ab12.ckpt".to_owned(),
-        profile: "0x0054:3328:7497:7610;0x0088:128:656:551".to_owned(),
     };
     let line = "{\"hash\":\"ab12\",\"kind\":\"fault\",\"kernel\":\"sgemm\",\"seed\":7,\
         \"outcome\":\"masked\",\"site\":\"regfile\",\"inj_cycle\":123,\"cycles\":4567,\
         \"instrs\":890,\"dram_digest\":\"0xdeadbeefcafef00d\",\"checks\":\"a\\\"b\\\\c\\n\\u0001\",\
-        \"retries\":1,\"artifacts\":\"ckpt/hang-ab12.ckpt\",\
-        \"profile\":\"0x0054:3328:7497:7610;0x0088:128:656:551\"}";
+        \"retries\":1,\"artifacts\":\"ckpt/hang-ab12.ckpt\"}";
     pin("JobRecord::to_json_line", &rec.to_json_line(), line);
 
     // The object file and the journal, as a store writes them.
