@@ -64,13 +64,34 @@ macro_rules! op_imm_methods {
     };
 }
 
+macro_rules! load_methods {
+    ($($(#[$meta:meta])* $name:ident => $width:expr;)*) => {
+        $(
+            $(#[$meta])*
+            pub fn $name(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
+                self.emit(Instr::Load { width: $width, rd, rs1, offset })
+            }
+        )*
+    };
+}
+
+macro_rules! store_methods {
+    ($($(#[$meta:meta])* $name:ident => $width:expr;)*) => {
+        $(
+            $(#[$meta])*
+            pub fn $name(&mut self, rs2: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
+                self.emit(Instr::Store { width: $width, rs1, rs2, offset })
+            }
+        )*
+    };
+}
+
 macro_rules! branch_methods {
     ($($(#[$meta:meta])* $name:ident => $op:expr;)*) => {
         $(
             $(#[$meta])*
             pub fn $name(&mut self, rs1: Gpr, rs2: Gpr, target: Label) -> &mut Self {
-                self.items.push(Item::Branch { op: $op, rs1, rs2, target });
-                self
+                self.branch($op, rs1, rs2, target)
             }
         )*
     };
@@ -94,6 +115,17 @@ macro_rules! fp_op_methods {
             $(#[$meta])*
             pub fn $name(&mut self, rd: Fpr, rs1: Fpr, rs2: Fpr) -> &mut Self {
                 self.emit(Instr::FpOp { op: $op, rd, rs1, rs2 })
+            }
+        )*
+    };
+}
+
+macro_rules! fp_cmp_methods {
+    ($($(#[$meta:meta])* $name:ident => $op:expr;)*) => {
+        $(
+            $(#[$meta])*
+            pub fn $name(&mut self, rd: Gpr, rs1: Fpr, rs2: Fpr) -> &mut Self {
+                self.emit(Instr::FpCmp { op: $op, rd, rs1, rs2 })
             }
         )*
     };
@@ -228,84 +260,26 @@ impl Assembler {
 
     // ---- Loads and stores ----
 
-    /// `lw rd, offset(rs1)`
-    pub fn lw(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Load {
-            width: LoadWidth::W,
-            rd,
-            rs1,
-            offset,
-        })
+    load_methods! {
+        /// `lw rd, offset(rs1)`
+        lw => LoadWidth::W;
+        /// `lh rd, offset(rs1)`
+        lh => LoadWidth::H;
+        /// `lhu rd, offset(rs1)`
+        lhu => LoadWidth::Hu;
+        /// `lb rd, offset(rs1)`
+        lb => LoadWidth::B;
+        /// `lbu rd, offset(rs1)`
+        lbu => LoadWidth::Bu;
     }
 
-    /// `lh rd, offset(rs1)`
-    pub fn lh(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Load {
-            width: LoadWidth::H,
-            rd,
-            rs1,
-            offset,
-        })
-    }
-
-    /// `lhu rd, offset(rs1)`
-    pub fn lhu(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Load {
-            width: LoadWidth::Hu,
-            rd,
-            rs1,
-            offset,
-        })
-    }
-
-    /// `lb rd, offset(rs1)`
-    pub fn lb(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Load {
-            width: LoadWidth::B,
-            rd,
-            rs1,
-            offset,
-        })
-    }
-
-    /// `lbu rd, offset(rs1)`
-    pub fn lbu(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Load {
-            width: LoadWidth::Bu,
-            rd,
-            rs1,
-            offset,
-        })
-    }
-
-    /// `sw rs2, offset(rs1)`
-    pub fn sw(&mut self, rs2: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Store {
-            width: StoreWidth::W,
-            rs1,
-            rs2,
-            offset,
-        })
-    }
-
-    /// `sh rs2, offset(rs1)`
-    pub fn sh(&mut self, rs2: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Store {
-            width: StoreWidth::H,
-            rs1,
-            rs2,
-            offset,
-        })
-    }
-
-    /// `sb rs2, offset(rs1)`
-    pub fn sb(&mut self, rs2: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.emit(Instr::Store {
-            width: StoreWidth::B,
-            rs1,
-            rs2,
-            offset,
-        })
+    store_methods! {
+        /// `sw rs2, offset(rs1)`
+        sw => StoreWidth::W;
+        /// `sh rs2, offset(rs1)`
+        sh => StoreWidth::H;
+        /// `sb rs2, offset(rs1)`
+        sb => StoreWidth::B;
     }
 
     /// `flw rd, offset(rs1)`
@@ -319,6 +293,17 @@ impl Assembler {
     }
 
     // ---- Control flow ----
+
+    /// A branch of any op to `target`.
+    pub(crate) fn branch(&mut self, op: BranchOp, rs1: Gpr, rs2: Gpr, target: Label) -> &mut Self {
+        self.items.push(Item::Branch {
+            op,
+            rs1,
+            rs2,
+            target,
+        });
+        self
+    }
 
     branch_methods! {
         /// `beq rs1, rs2, target`
@@ -485,34 +470,13 @@ impl Assembler {
         fnmadd => FmaOp::Nmadd;
     }
 
-    /// `feq.s rd, rs1, rs2`
-    pub fn feq(&mut self, rd: Gpr, rs1: Fpr, rs2: Fpr) -> &mut Self {
-        self.emit(Instr::FpCmp {
-            op: FpCmp::Eq,
-            rd,
-            rs1,
-            rs2,
-        })
-    }
-
-    /// `flt.s rd, rs1, rs2`
-    pub fn flt(&mut self, rd: Gpr, rs1: Fpr, rs2: Fpr) -> &mut Self {
-        self.emit(Instr::FpCmp {
-            op: FpCmp::Lt,
-            rd,
-            rs1,
-            rs2,
-        })
-    }
-
-    /// `fle.s rd, rs1, rs2`
-    pub fn fle(&mut self, rd: Gpr, rs1: Fpr, rs2: Fpr) -> &mut Self {
-        self.emit(Instr::FpCmp {
-            op: FpCmp::Le,
-            rd,
-            rs1,
-            rs2,
-        })
+    fp_cmp_methods! {
+        /// `feq.s rd, rs1, rs2`
+        feq => FpCmp::Eq;
+        /// `flt.s rd, rs1, rs2`
+        flt => FpCmp::Lt;
+        /// `fle.s rd, rs1, rs2`
+        fle => FpCmp::Le;
     }
 
     /// `fcvt.w.s rd, rs1`
@@ -694,19 +658,17 @@ fn check_encodable(instr: &Instr, at: usize) -> Result<(), AsmError> {
                 })
             }
         }
-        Instr::OpImm { op, imm, .. } => match op {
-            OpImmOp::Slli | OpImmOp::Srli | OpImmOp::Srai => {
-                if (0..32).contains(&imm) {
-                    Ok(())
-                } else {
-                    Err(AsmError::ImmOutOfRange {
-                        what: "a 5-bit shift amount",
-                        value: i64::from(imm),
-                    })
-                }
+        Instr::OpImm { op, imm, .. } if op.is_shift() => {
+            if (0..32).contains(&imm) {
+                Ok(())
+            } else {
+                Err(AsmError::ImmOutOfRange {
+                    what: "a 5-bit shift amount",
+                    value: i64::from(imm),
+                })
             }
-            _ => imm12("a 12-bit immediate", imm),
-        },
+        }
+        Instr::OpImm { imm, .. } => imm12("a 12-bit immediate", imm),
         Instr::Load { offset, .. } | Instr::Flw { offset, .. } => {
             imm12("a 12-bit load offset", offset)
         }

@@ -26,7 +26,9 @@
 use crate::builder::{Assembler, Label};
 use crate::program::Program;
 use crate::AsmError;
-use hb_isa::{BranchOp, Fpr, Gpr, Instr};
+use hb_isa::{
+    AmoOp, BranchOp, FmaOp, FpCmp, FpOp, Fpr, Gpr, Instr, LoadWidth, OpImmOp, OpOp, StoreWidth,
+};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -208,376 +210,337 @@ impl Parser {
         self.instr(mnemonic, &ops, line)
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// Resolves `m`: an op of a table family is found by its mnemonic and
+    /// read in its family's operand shape; the rest are spelled here.
     fn instr(&mut self, m: &str, ops: &[&str], line: usize) -> Result<(), ParseError> {
-        let n = ops.len();
-        let need = |want: usize| {
-            if n == want {
-                Ok(())
-            } else {
-                Err(err(line, format!("`{m}` expects {want} operands, got {n}")))
+        let o = Operands { m, ops, line };
+        let (base, aq, rl) = ordering(m);
+        let instr = if let Some(op) = find(&OpOp::ALL, OpOp::mnemonic, m) {
+            o.need(3)?;
+            Instr::Op {
+                op,
+                rd: o.gpr(0)?,
+                rs1: o.gpr(1)?,
+                rs2: o.gpr(2)?,
             }
+        } else if let Some(op) = find(&OpImmOp::ALL, OpImmOp::mnemonic, m) {
+            o.need(3)?;
+            Instr::OpImm {
+                op,
+                rd: o.gpr(0)?,
+                rs1: o.gpr(1)?,
+                imm: o.imm(2)?,
+            }
+        } else if let Some(width) = find(&LoadWidth::ALL, LoadWidth::mnemonic, m) {
+            o.need(2)?;
+            let rd = o.gpr(0)?;
+            let (offset, rs1) = o.mem(1)?;
+            Instr::Load {
+                width,
+                rd,
+                rs1,
+                offset,
+            }
+        } else if let Some(width) = find(&StoreWidth::ALL, StoreWidth::mnemonic, m) {
+            o.need(2)?;
+            let rs2 = o.gpr(0)?;
+            let (offset, rs1) = o.mem(1)?;
+            Instr::Store {
+                width,
+                rs1,
+                rs2,
+                offset,
+            }
+        } else if let Some(op) = find(&BranchOp::ALL, BranchOp::mnemonic, m) {
+            o.need(3)?;
+            self.branch(op, o.gpr(0)?, o.gpr(1)?, ops[2], line);
+            return Ok(());
+        } else if let Some(op) = find(&AmoOp::ALL, AmoOp::mnemonic, base) {
+            o.need(3)?;
+            let (rd, rs2) = (o.gpr(0)?, o.gpr(1)?);
+            Instr::Amo {
+                op,
+                rd,
+                rs1: o.amo_addr(2)?,
+                rs2,
+                aq,
+                rl,
+            }
+        } else if base == "lr.w" {
+            o.need(2)?;
+            Instr::LrW {
+                rd: o.gpr(0)?,
+                rs1: o.amo_addr(1)?,
+                aq,
+                rl,
+            }
+        } else if base == "sc.w" {
+            o.need(3)?;
+            let (rd, rs2) = (o.gpr(0)?, o.gpr(1)?);
+            Instr::ScW {
+                rd,
+                rs1: o.amo_addr(2)?,
+                rs2,
+                aq,
+                rl,
+            }
+        } else if let Some(op) = find(&FpOp::ALL, FpOp::mnemonic, m) {
+            // `fsqrt.s` reads one source; its rs2 field is zero.
+            let unary = op == FpOp::Sqrt;
+            o.need(if unary { 2 } else { 3 })?;
+            Instr::FpOp {
+                op,
+                rd: o.fpr(0)?,
+                rs1: o.fpr(1)?,
+                rs2: if unary { Fpr::Ft0 } else { o.fpr(2)? },
+            }
+        } else if let Some(op) = find(&FmaOp::ALL, FmaOp::mnemonic, m) {
+            o.need(4)?;
+            Instr::Fma {
+                op,
+                rd: o.fpr(0)?,
+                rs1: o.fpr(1)?,
+                rs2: o.fpr(2)?,
+                rs3: o.fpr(3)?,
+            }
+        } else if let Some(op) = find(&FpCmp::ALL, FpCmp::mnemonic, m) {
+            o.need(3)?;
+            Instr::FpCmp {
+                op,
+                rd: o.gpr(0)?,
+                rs1: o.fpr(1)?,
+                rs2: o.fpr(2)?,
+            }
+        } else {
+            return self.other(&o);
         };
-        macro_rules! rrr {
-            ($f:ident) => {{
-                need(3)?;
-                let (rd, rs1, rs2) = (gpr(ops[0], line)?, gpr(ops[1], line)?, gpr(ops[2], line)?);
-                self.a.$f(rd, rs1, rs2);
-            }};
-        }
-        macro_rules! rri {
-            ($f:ident) => {{
-                need(3)?;
-                let (rd, rs1, i) = (gpr(ops[0], line)?, gpr(ops[1], line)?, imm(ops[2], line)?);
-                self.a.$f(rd, rs1, i);
-            }};
-        }
-        macro_rules! load {
-            ($f:ident) => {{
-                need(2)?;
-                let rd = gpr(ops[0], line)?;
-                let (off, base) = mem_operand(ops[1], line)?;
-                self.a.$f(rd, base, off);
-            }};
-        }
-        macro_rules! store {
-            ($f:ident) => {{
-                need(2)?;
-                let rs2 = gpr(ops[0], line)?;
-                let (off, base) = mem_operand(ops[1], line)?;
-                self.a.$f(rs2, base, off);
-            }};
-        }
-        // Branch targets are labels or (as disassembly prints them)
-        // numeric byte offsets relative to the branch itself.
-        macro_rules! branch {
-            ($f:ident, $op:expr) => {{
-                need(3)?;
-                let (rs1, rs2) = (gpr(ops[0], line)?, gpr(ops[1], line)?);
-                if let Ok(offset) = imm(ops[2], line) {
-                    self.a.emit(Instr::Branch {
-                        op: $op,
-                        rs1,
-                        rs2,
-                        offset,
-                    });
-                } else {
-                    let target = self.label(ops[2]);
-                    self.a.$f(rs1, rs2, target);
-                }
-            }};
-        }
-        // `bgt`/`ble` are pseudos with swapped source operands.
-        macro_rules! branch_swapped {
-            ($f:ident, $op:expr) => {{
-                need(3)?;
-                let (rs1, rs2) = (gpr(ops[0], line)?, gpr(ops[1], line)?);
-                if let Ok(offset) = imm(ops[2], line) {
-                    self.a.emit(Instr::Branch {
-                        op: $op,
-                        rs1: rs2,
-                        rs2: rs1,
-                        offset,
-                    });
-                } else {
-                    let target = self.label(ops[2]);
-                    self.a.$f(rs1, rs2, target);
-                }
-            }};
-        }
-        macro_rules! branchz {
-            ($f:ident, $op:expr) => {{
-                need(2)?;
-                let rs1 = gpr(ops[0], line)?;
-                if let Ok(offset) = imm(ops[1], line) {
-                    self.a.emit(Instr::Branch {
-                        op: $op,
-                        rs1,
-                        rs2: Gpr::Zero,
-                        offset,
-                    });
-                } else {
-                    let target = self.label(ops[1]);
-                    self.a.$f(rs1, target);
-                }
-            }};
-        }
-        macro_rules! amo {
-            ($f:ident) => {{
-                need(3)?;
-                let (rd, rs2) = (gpr(ops[0], line)?, gpr(ops[1], line)?);
-                let (off, base) = mem_operand(ops[2], line)?;
-                if off != 0 {
-                    return Err(err(line, "AMO address must have zero offset"));
-                }
-                self.a.$f(rd, rs2, base);
-            }};
-        }
-        macro_rules! fff {
-            ($f:ident) => {{
-                need(3)?;
-                let (rd, rs1, rs2) = (fpr(ops[0], line)?, fpr(ops[1], line)?, fpr(ops[2], line)?);
-                self.a.$f(rd, rs1, rs2);
-            }};
-        }
-        macro_rules! ffff {
-            ($f:ident) => {{
-                need(4)?;
-                self.a.$f(
-                    fpr(ops[0], line)?,
-                    fpr(ops[1], line)?,
-                    fpr(ops[2], line)?,
-                    fpr(ops[3], line)?,
-                );
-            }};
-        }
+        self.a.emit(instr);
+        Ok(())
+    }
 
+    /// Instructions outside the op tables, and the pseudo-instructions.
+    fn other(&mut self, o: &Operands<'_>) -> Result<(), ParseError> {
+        let (m, ops, line) = (o.m, o.ops, o.line);
+        let a = &mut self.a;
+        if let Some(emit) = form(&NULLARY, m) {
+            o.need(0)?;
+            emit(a);
+            return Ok(());
+        }
+        if let Some(emit) = form(&GPR_FPR, m) {
+            o.need(2)?;
+            emit(a, o.gpr(0)?, o.fpr(1)?);
+            return Ok(());
+        }
+        if let Some(emit) = form(&FPR_GPR, m) {
+            o.need(2)?;
+            emit(a, o.fpr(0)?, o.gpr(1)?);
+            return Ok(());
+        }
+        if let Some(emit) = form(&FPR_FPR, m) {
+            o.need(2)?;
+            emit(a, o.fpr(0)?, o.fpr(1)?);
+            return Ok(());
+        }
+        if let Some(emit) = form(&GPR_GPR, m) {
+            o.need(2)?;
+            emit(a, o.gpr(0)?, o.gpr(1)?);
+            return Ok(());
+        }
         match m {
-            // RV32I ALU.
-            "add" => rrr!(add),
-            "sub" => rrr!(sub),
-            "sll" => rrr!(sll),
-            "slt" => rrr!(slt),
-            "sltu" => rrr!(sltu),
-            "xor" => rrr!(xor),
-            "srl" => rrr!(srl),
-            "sra" => rrr!(sra),
-            "or" => rrr!(or),
-            "and" => rrr!(and),
-            "mul" => rrr!(mul),
-            "mulh" => rrr!(mulh),
-            "mulhsu" => rrr!(mulhsu),
-            "mulhu" => rrr!(mulhu),
-            "div" => rrr!(div),
-            "divu" => rrr!(divu),
-            "rem" => rrr!(rem),
-            "remu" => rrr!(remu),
-            "addi" => rri!(addi),
-            "slti" => rri!(slti),
-            "sltiu" => rri!(sltiu),
-            "xori" => rri!(xori),
-            "ori" => rri!(ori),
-            "andi" => rri!(andi),
-            "slli" => rri!(slli),
-            "srli" => rri!(srli),
-            "srai" => rri!(srai),
             "lui" => {
-                need(2)?;
-                let rd = gpr(ops[0], line)?;
-                self.a.lui(rd, upper20(imm(ops[1], line)?, line)?);
+                o.need(2)?;
+                a.lui(o.gpr(0)?, upper20(o.imm(1)?, line)?);
             }
             "auipc" => {
-                need(2)?;
-                let rd = gpr(ops[0], line)?;
-                self.a.auipc(rd, upper20(imm(ops[1], line)?, line)?);
+                o.need(2)?;
+                a.auipc(o.gpr(0)?, upper20(o.imm(1)?, line)?);
             }
-            // Loads/stores.
-            "lw" => load!(lw),
-            "lh" => load!(lh),
-            "lhu" => load!(lhu),
-            "lb" => load!(lb),
-            "lbu" => load!(lbu),
-            "sw" => store!(sw),
-            "sh" => store!(sh),
-            "sb" => store!(sb),
             "flw" => {
-                need(2)?;
-                let rd = fpr(ops[0], line)?;
-                let (off, base) = mem_operand(ops[1], line)?;
-                self.a.flw(rd, base, off);
+                o.need(2)?;
+                let rd = o.fpr(0)?;
+                let (off, base) = o.mem(1)?;
+                a.flw(rd, base, off);
             }
             "fsw" => {
-                need(2)?;
-                let rs2 = fpr(ops[0], line)?;
-                let (off, base) = mem_operand(ops[1], line)?;
-                self.a.fsw(rs2, base, off);
+                o.need(2)?;
+                let rs2 = o.fpr(0)?;
+                let (off, base) = o.mem(1)?;
+                a.fsw(rs2, base, off);
             }
-            // Branches and jumps.
-            "beq" => branch!(beq, BranchOp::Eq),
-            "bne" => branch!(bne, BranchOp::Ne),
-            "blt" => branch!(blt, BranchOp::Lt),
-            "bge" => branch!(bge, BranchOp::Ge),
-            "bltu" => branch!(bltu, BranchOp::Ltu),
-            "bgeu" => branch!(bgeu, BranchOp::Geu),
-            "bgt" => branch_swapped!(bgt, BranchOp::Lt),
-            "ble" => branch_swapped!(ble, BranchOp::Ge),
-            "beqz" => branchz!(beqz, BranchOp::Eq),
-            "bnez" => branchz!(bnez, BranchOp::Ne),
+            "jalr" => {
+                o.need(2)?;
+                let rd = o.gpr(0)?;
+                let (off, base) = o.mem(1)?;
+                a.jalr(rd, base, off);
+            }
+            "li" => {
+                o.need(2)?;
+                a.li(o.gpr(0)?, o.imm(1)?);
+            }
+            // `bgt`/`ble` swap their sources; `beqz`/`bnez` compare with zero.
+            "bgt" => {
+                o.need(3)?;
+                self.branch(BranchOp::Lt, o.gpr(1)?, o.gpr(0)?, ops[2], line);
+            }
+            "ble" => {
+                o.need(3)?;
+                self.branch(BranchOp::Ge, o.gpr(1)?, o.gpr(0)?, ops[2], line);
+            }
+            "beqz" => {
+                o.need(2)?;
+                self.branch(BranchOp::Eq, o.gpr(0)?, Gpr::Zero, ops[1], line);
+            }
+            "bnez" => {
+                o.need(2)?;
+                self.branch(BranchOp::Ne, o.gpr(0)?, Gpr::Zero, ops[1], line);
+            }
             "j" => {
-                need(1)?;
-                if let Ok(offset) = imm(ops[0], line) {
-                    self.a.emit(Instr::Jal {
-                        rd: Gpr::Zero,
-                        offset,
-                    });
-                } else {
-                    let t = self.label(ops[0]);
-                    self.a.j(t);
-                }
+                o.need(1)?;
+                self.jump(Gpr::Zero, ops[0], line);
             }
-            "jal" => match n {
-                1 => {
-                    if let Ok(offset) = imm(ops[0], line) {
-                        self.a.emit(Instr::Jal {
-                            rd: Gpr::Ra,
-                            offset,
-                        });
-                    } else {
-                        let t = self.label(ops[0]);
-                        self.a.jal(Gpr::Ra, t);
-                    }
-                }
-                2 => {
-                    let rd = gpr(ops[0], line)?;
-                    if let Ok(offset) = imm(ops[1], line) {
-                        self.a.emit(Instr::Jal { rd, offset });
-                    } else {
-                        let t = self.label(ops[1]);
-                        self.a.jal(rd, t);
-                    }
-                }
+            "jal" => match ops.len() {
+                1 => self.jump(Gpr::Ra, ops[0], line),
+                2 => self.jump(o.gpr(0)?, ops[1], line),
                 _ => return Err(err(line, "`jal` expects 1 or 2 operands")),
             },
-            "jalr" => {
-                need(2)?;
-                let rd = gpr(ops[0], line)?;
-                let (off, base) = mem_operand(ops[1], line)?;
-                self.a.jalr(rd, base, off);
-            }
             "call" => {
-                need(1)?;
+                o.need(1)?;
                 let t = self.label(ops[0]);
                 self.a.call(t);
-            }
-            "ret" => {
-                need(0)?;
-                self.a.ret();
-            }
-            // System.
-            "nop" => {
-                need(0)?;
-                self.a.nop();
-            }
-            "fence" => {
-                need(0)?;
-                self.a.fence();
-            }
-            "ecall" => {
-                need(0)?;
-                self.a.ecall();
-            }
-            "ebreak" => {
-                need(0)?;
-                self.a.ebreak();
-            }
-            // Atomics.
-            "amoswap.w" => amo!(amoswap),
-            "amoadd.w" => amo!(amoadd),
-            "amoxor.w" => amo!(amoxor),
-            "amoand.w" => amo!(amoand),
-            "amoor.w" => amo!(amoor),
-            "amomin.w" => amo!(amomin),
-            "amomax.w" => amo!(amomax),
-            "amominu.w" => amo!(amominu),
-            "amomaxu.w" => amo!(amomaxu),
-            // FP.
-            "fadd.s" => fff!(fadd),
-            "fsub.s" => fff!(fsub),
-            "fmul.s" => fff!(fmul),
-            "fdiv.s" => fff!(fdiv),
-            "fmin.s" => fff!(fmin),
-            "fmax.s" => fff!(fmax),
-            "fsgnj.s" => fff!(fsgnj),
-            "fsgnjn.s" => fff!(fsgnjn),
-            "fsgnjx.s" => fff!(fsgnjx),
-            "fmadd.s" => ffff!(fmadd),
-            "fmsub.s" => ffff!(fmsub),
-            "fnmsub.s" => ffff!(fnmsub),
-            "fnmadd.s" => ffff!(fnmadd),
-            "fsqrt.s" => {
-                need(2)?;
-                self.a.fsqrt(fpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "fmv.s" => {
-                need(2)?;
-                self.a.fmv(fpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "fneg.s" => {
-                need(2)?;
-                self.a.fneg(fpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "fabs.s" => {
-                need(2)?;
-                self.a.fabs(fpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "feq.s" => {
-                need(3)?;
-                self.a
-                    .feq(gpr(ops[0], line)?, fpr(ops[1], line)?, fpr(ops[2], line)?);
-            }
-            "flt.s" => {
-                need(3)?;
-                self.a
-                    .flt(gpr(ops[0], line)?, fpr(ops[1], line)?, fpr(ops[2], line)?);
-            }
-            "fle.s" => {
-                need(3)?;
-                self.a
-                    .fle(gpr(ops[0], line)?, fpr(ops[1], line)?, fpr(ops[2], line)?);
-            }
-            "fcvt.w.s" => {
-                need(2)?;
-                self.a.fcvt_w_s(gpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "fcvt.wu.s" => {
-                need(2)?;
-                self.a.fcvt_wu_s(gpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "fcvt.s.w" => {
-                need(2)?;
-                self.a.fcvt_s_w(fpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            "fcvt.s.wu" => {
-                need(2)?;
-                self.a.fcvt_s_wu(fpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            "fmv.x.w" => {
-                need(2)?;
-                self.a.fmv_x_w(gpr(ops[0], line)?, fpr(ops[1], line)?);
-            }
-            "fmv.w.x" => {
-                need(2)?;
-                self.a.fmv_w_x(fpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            // Pseudo.
-            "li" => {
-                need(2)?;
-                let rd = gpr(ops[0], line)?;
-                self.a.li(rd, imm(ops[1], line)?);
-            }
-            "mv" => {
-                need(2)?;
-                self.a.mv(gpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            "not" => {
-                need(2)?;
-                self.a.not(gpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            "neg" => {
-                need(2)?;
-                self.a.neg(gpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            "seqz" => {
-                need(2)?;
-                self.a.seqz(gpr(ops[0], line)?, gpr(ops[1], line)?);
-            }
-            "snez" => {
-                need(2)?;
-                self.a.snez(gpr(ops[0], line)?, gpr(ops[1], line)?);
             }
             other => return Err(err(line, format!("unknown mnemonic `{other}`"))),
         }
         Ok(())
+    }
+
+    /// Branch targets are labels or (as disassembly prints them) numeric
+    /// byte offsets relative to the branch itself.
+    fn branch(&mut self, op: BranchOp, rs1: Gpr, rs2: Gpr, target: &str, line: usize) {
+        if let Ok(offset) = imm(target, line) {
+            self.a.emit(Instr::Branch {
+                op,
+                rs1,
+                rs2,
+                offset,
+            });
+        } else {
+            let target = self.label(target);
+            self.a.branch(op, rs1, rs2, target);
+        }
+    }
+
+    /// A jump target, read as [`Parser::branch`] reads one.
+    fn jump(&mut self, rd: Gpr, target: &str, line: usize) {
+        if let Ok(offset) = imm(target, line) {
+            self.a.emit(Instr::Jal { rd, offset });
+        } else {
+            let target = self.label(target);
+            self.a.jal(rd, target);
+        }
+    }
+}
+
+/// Splits the `.aq`, `.rl` or `.aqrl` suffix that orders an AMO, `lr.w` or
+/// `sc.w` off its mnemonic.
+fn ordering(m: &str) -> (&str, bool, bool) {
+    [
+        (".aqrl", true, true),
+        (".aq", true, false),
+        (".rl", false, true),
+    ]
+    .into_iter()
+    .find_map(|(sfx, aq, rl)| Some((m.strip_suffix(sfx)?, aq, rl)))
+    .unwrap_or((m, false, false))
+}
+
+/// Forms outside the op tables that share an operand shape, by mnemonic,
+/// with the builder method that emits each.
+type Emit<A, B> = fn(&mut Assembler, A, B) -> &mut Assembler;
+type Emit0 = fn(&mut Assembler) -> &mut Assembler;
+const NULLARY: [(&str, Emit0); 5] = [
+    ("fence", Assembler::fence),
+    ("ecall", Assembler::ecall),
+    ("ebreak", Assembler::ebreak),
+    ("nop", Assembler::nop),
+    ("ret", Assembler::ret),
+];
+const GPR_FPR: [(&str, Emit<Gpr, Fpr>); 3] = [
+    ("fcvt.w.s", Assembler::fcvt_w_s),
+    ("fcvt.wu.s", Assembler::fcvt_wu_s),
+    ("fmv.x.w", Assembler::fmv_x_w),
+];
+const FPR_GPR: [(&str, Emit<Fpr, Gpr>); 3] = [
+    ("fcvt.s.w", Assembler::fcvt_s_w),
+    ("fcvt.s.wu", Assembler::fcvt_s_wu),
+    ("fmv.w.x", Assembler::fmv_w_x),
+];
+const FPR_FPR: [(&str, Emit<Fpr, Fpr>); 3] = [
+    ("fmv.s", Assembler::fmv),
+    ("fneg.s", Assembler::fneg),
+    ("fabs.s", Assembler::fabs),
+];
+const GPR_GPR: [(&str, Emit<Gpr, Gpr>); 5] = [
+    ("mv", Assembler::mv),
+    ("not", Assembler::not),
+    ("neg", Assembler::neg),
+    ("seqz", Assembler::seqz),
+    ("snez", Assembler::snez),
+];
+
+/// The builder method of the form in `rows` spelled `m`.
+fn form<F: Copy>(rows: &[(&str, F)], m: &str) -> Option<F> {
+    rows.iter().find(|row| row.0 == m).map(|row| row.1)
+}
+
+/// The first op in `all` spelled `m`.
+fn find<T: Copy>(all: &[T], mnemonic: fn(T) -> &'static str, m: &str) -> Option<T> {
+    all.iter().copied().find(|&op| mnemonic(op) == m)
+}
+
+/// One line's mnemonic and operands.
+struct Operands<'a> {
+    m: &'a str,
+    ops: &'a [&'a str],
+    line: usize,
+}
+
+impl Operands<'_> {
+    fn need(&self, want: usize) -> Result<(), ParseError> {
+        let n = self.ops.len();
+        if n == want {
+            Ok(())
+        } else {
+            let m = self.m;
+            Err(err(
+                self.line,
+                format!("`{m}` expects {want} operands, got {n}"),
+            ))
+        }
+    }
+
+    fn gpr(&self, i: usize) -> Result<Gpr, ParseError> {
+        gpr(self.ops[i], self.line)
+    }
+
+    fn fpr(&self, i: usize) -> Result<Fpr, ParseError> {
+        fpr(self.ops[i], self.line)
+    }
+
+    fn imm(&self, i: usize) -> Result<i32, ParseError> {
+        imm(self.ops[i], self.line)
+    }
+
+    fn mem(&self, i: usize) -> Result<(i32, Gpr), ParseError> {
+        mem_operand(self.ops[i], self.line)
+    }
+
+    /// The `(rs1)` address of an AMO, `lr.w` or `sc.w`.
+    fn amo_addr(&self, i: usize) -> Result<Gpr, ParseError> {
+        match self.mem(i)? {
+            (0, base) => Ok(base),
+            _ => Err(err(self.line, "AMO address must have zero offset")),
+        }
     }
 }
 

@@ -20,16 +20,7 @@ pub fn run(args: &Args) {
     // The configuration ladder (cumulative).
     let base = MachineConfig {
         cell_dim: quarter,
-        ruche_factor: 0,
-        non_blocking_loads: false,
-        write_validate: false,
-        load_packet_compression: false,
-        ipoly_hashing: false,
-        non_blocking_cache: false,
-        cache_sets: MachineConfig::baseline_16x8().cache_sets / 2,
-        link_occupancy: 2,
-        net_fifo_depth: 2,
-        ..MachineConfig::baseline_16x8()
+        ..MachineConfig::baseline_manycore()
     };
     type Step = (&'static str, Box<dyn Fn(&MachineConfig) -> MachineConfig>);
     let steps: Vec<Step> = vec![

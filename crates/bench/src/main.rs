@@ -43,6 +43,7 @@ mod telemetry;
 use hb_core::{CellDim, MachineConfig};
 use hb_kernels::{Kernel, SizeClass};
 use hb_serve::cli::{self, Args};
+use std::num::NonZeroUsize;
 
 /// A command: its name, its flags (a flag followed by a word takes a
 /// value) and its body.
@@ -78,6 +79,7 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn main() {
+    quiet_on_closed_stdout();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
     let usage = format!(
@@ -108,14 +110,34 @@ fn main() {
     run(&Args::walk(&argv[1..], flags, usage.trim_end().to_owned()));
 }
 
+/// Ends the process quietly, with status 0, once stdout is closed under it
+/// (`hb-bench fig10 | head -3`): `println!` panics on the broken pipe, and
+/// this hook turns that one panic into an exit, as `SIGPIPE` ends a C
+/// tool. Every other panic reports as before.
+fn quiet_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map_or("", String::as_str);
+        if msg.starts_with("failed printing to stdout")
+            && msg.to_ascii_lowercase().contains("broken pipe")
+        {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 /// Job-level worker count for a sweep: `--threads N`, else the host's
 /// available parallelism ([`hb_serve::default_threads`]). The points fan
 /// out through [`hb_serve::run_ordered`] or a campaign's
 /// [`hb_serve::RunOpts`], and come back in point order, so the count
 /// never shows in a figure.
 fn job_threads(args: &Args) -> usize {
-    args.parse::<usize>("--threads")
-        .map_or_else(hb_serve::default_threads, |n| n.max(1))
+    args.parse::<NonZeroUsize>("--threads")
+        .map_or_else(hb_serve::default_threads, NonZeroUsize::get)
 }
 
 /// Resolves `--kernel` (else `default`) through [`hb_kernels::by_name`];

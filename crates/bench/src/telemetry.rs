@@ -17,11 +17,14 @@ use hb_kernels::Kernel;
 use hb_obs::{Keep, Sampler, SharedTelemetry};
 use hb_serve::cli::{self, Args};
 use std::io::Write as _;
+use std::num::NonZeroU64;
 
 pub fn run(args: &Args) {
     let bench = kernel_arg(args, "SGEMM");
     let out = args.value("--out").unwrap_or("telemetry.json");
-    let window = args.parse::<u64>("--window").map_or(1000, |n| n.max(1));
+    let window = args
+        .parse::<NonZeroU64>("--window")
+        .map_or(1000, NonZeroU64::get);
 
     let cfg = hb_config();
     println!(

@@ -3,7 +3,7 @@
 //! usage error — exit 2, one `error:` line, nothing on stdout — and never
 //! runs a figure with the argument silently ignored.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn hb_bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hb-bench"))
@@ -46,6 +46,36 @@ fn a_misspelled_kernel_flag_runs_nothing() {
 #[test]
 fn a_bad_thread_count_is_a_usage_error() {
     assert_usage_error(&["fig10", "--threads", "abc"]);
+}
+
+/// A count of zero is refused, not quietly run as one.
+#[test]
+fn a_zero_count_is_a_usage_error() {
+    for cmd in ["fig10", "fig15", "ablations"] {
+        assert_usage_error(&[cmd, "--threads", "0"]);
+    }
+    assert_usage_error(&["telemetry", "--window", "0"]);
+}
+
+/// A closed stdout (`hb-bench telemetry | head -3`) ends the run with no
+/// panic text.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let trace = std::env::temp_dir().join(format!("hb-bench-pipe-{}.json", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hb-bench"))
+        .args(["telemetry", "--out", &trace.display().to_string()])
+        .env("HB_SCALE", "tiny")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(trace.with_extension("json.ndjson"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
 
 #[test]

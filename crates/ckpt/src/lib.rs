@@ -35,7 +35,6 @@
 use hb_core::{Machine, MachineConfig};
 use hb_mem::{fnv1a128, SnapError, SnapReader, SnapState, SnapWriter};
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
 
 /// Current checkpoint format version. It names the byte layout of the
@@ -261,32 +260,6 @@ pub fn restore(machine: &mut Machine, bytes: &[u8]) -> Result<u64, CkptError> {
     parse(bytes)?.apply(machine)
 }
 
-/// Writes the machine's checkpoint to `path` crash-safely: the bytes land
-/// in a `.tmp` sibling, are fsynced, renamed over `path`, and the parent
-/// directory is fsynced so the rename itself is durable — after a crash
-/// the path holds either the complete new checkpoint or whatever was there
-/// before, never a torn file.
-///
-/// # Errors
-///
-/// [`CkptError::Io`] on any file operation failure.
-pub fn save_to_file(machine: &Machine, path: &Path) -> Result<(), CkptError> {
-    let bytes = encode(machine);
-    write_atomic(path, |f| f.write_all(&bytes))?;
-    Ok(())
-}
-
-/// Reads, verifies and applies a checkpoint file. Returns the restored
-/// cycle.
-///
-/// # Errors
-///
-/// Any [`CkptError`].
-pub fn restore_from_file(machine: &mut Machine, path: &Path) -> Result<u64, CkptError> {
-    let bytes = std::fs::read(path)?;
-    restore(machine, &bytes)
-}
-
 /// Replaces `path` atomically and durably: the content goes to a `.tmp`
 /// sibling that is fsynced, the rename swaps it in, and the parent
 /// directory is fsynced so the swap survives a power cut. Checkpoint files
@@ -323,6 +296,7 @@ pub fn write_atomic(
 mod tests {
     use super::*;
     use hb_core::{CellDim, MachineConfig};
+    use std::io::Write;
 
     fn tiny_cfg() -> MachineConfig {
         MachineConfig {
@@ -417,13 +391,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("snap.ckpt");
         let m = ticked_machine(21);
-        save_to_file(&m, &path).unwrap();
+        write_atomic(&path, |f| f.write_all(&encode(&m))).unwrap();
         assert!(
             !path.with_extension("tmp").exists(),
             "tmp must be renamed away"
         );
         let mut twin = Machine::new(tiny_cfg());
-        assert_eq!(restore_from_file(&mut twin, &path).unwrap(), 21);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(restore(&mut twin, &bytes).unwrap(), 21);
         assert_eq!(encode(&twin), encode(&m));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -83,6 +83,11 @@ fn imm_j(w: u32) -> i32 {
     sext(imm, 21)
 }
 
+/// The op of a family table whose fields `word` holds.
+fn find<T: Copy>(all: &[T], word: u32, fields: impl Fn(&T) -> bool) -> Result<T, DecodeError> {
+    all.iter().copied().find(fields).ok_or(DecodeError { word })
+}
+
 /// Decodes a 32-bit machine word into an [`Instr`].
 ///
 /// The decoder accepts any rounding-mode field on floating-point arithmetic
@@ -122,22 +127,14 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
             rd: rd(word),
             offset: imm_j(word),
         },
-        OPC_JALR => {
-            if funct3(word) != 0 {
-                return err;
-            }
-            Instr::Jalr {
-                rd: rd(word),
-                rs1: rs1(word),
-                offset: imm_i(word),
-            }
-        }
+        OPC_JALR if funct3(word) == 0 => Instr::Jalr {
+            rd: rd(word),
+            rs1: rs1(word),
+            offset: imm_i(word),
+        },
         OPC_BRANCH => {
             let f3 = funct3(word);
-            let op = BranchOp::ALL
-                .into_iter()
-                .find(|op| op.funct3() == f3)
-                .ok_or(DecodeError { word })?;
+            let op = find(&BranchOp::ALL, word, |op| op.funct3() == f3)?;
             Instr::Branch {
                 op,
                 rs1: rs1(word),
@@ -147,10 +144,7 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
         }
         OPC_LOAD => {
             let f3 = funct3(word);
-            let width = LoadWidth::ALL
-                .into_iter()
-                .find(|wd| wd.funct3() == f3)
-                .ok_or(DecodeError { word })?;
+            let width = find(&LoadWidth::ALL, word, |wd| wd.funct3() == f3)?;
             Instr::Load {
                 width,
                 rd: rd(word),
@@ -160,10 +154,7 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
         }
         OPC_STORE => {
             let f3 = funct3(word);
-            let width = StoreWidth::ALL
-                .into_iter()
-                .find(|wd| wd.funct3() == f3)
-                .ok_or(DecodeError { word })?;
+            let width = find(&StoreWidth::ALL, word, |wd| wd.funct3() == f3)?;
             Instr::Store {
                 width,
                 rs1: rs1(word),
@@ -172,27 +163,11 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
             }
         }
         OPC_OP_IMM => {
-            let f3 = funct3(word);
-            let op = match f3 {
-                0b000 => OpImmOp::Addi,
-                0b010 => OpImmOp::Slti,
-                0b011 => OpImmOp::Sltiu,
-                0b100 => OpImmOp::Xori,
-                0b110 => OpImmOp::Ori,
-                0b111 => OpImmOp::Andi,
-                0b001 => {
-                    if funct7(word) != 0 {
-                        return err;
-                    }
-                    OpImmOp::Slli
-                }
-                0b101 => match funct7(word) {
-                    0b000_0000 => OpImmOp::Srli,
-                    0b010_0000 => OpImmOp::Srai,
-                    _ => return err,
-                },
-                _ => unreachable!(),
-            };
+            // A shift's funct7 sits where the others keep immediate bits.
+            let (f3, f7) = (funct3(word), funct7(word));
+            let op = find(&OpImmOp::ALL, word, |op| {
+                op.funct3() == f3 && (!op.is_shift() || op.funct7() == f7)
+            })?;
             let imm = if op.is_shift() {
                 ((word >> 20) & 0x1f) as i32
             } else {
@@ -207,10 +182,9 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
         }
         OPC_OP => {
             let (f3, f7) = (funct3(word), funct7(word));
-            let op = OpOp::ALL
-                .into_iter()
-                .find(|op| op.funct3() == f3 && op.funct7() == f7)
-                .ok_or(DecodeError { word })?;
+            let op = find(&OpOp::ALL, word, |op| {
+                op.funct3() == f3 && op.funct7() == f7
+            })?;
             Instr::Op {
                 op,
                 rd: rd(word),
@@ -224,27 +198,19 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
             1 => Instr::Ebreak,
             _ => return err,
         },
-        OPC_AMO => {
-            if funct3(word) != 0b010 {
-                return err;
-            }
+        OPC_AMO if funct3(word) == 0b010 => {
             let f7 = funct7(word);
             let f5 = f7 >> 2;
             let aq = (f7 >> 1) & 1 == 1;
             let rl = f7 & 1 == 1;
             match f5 {
-                0b00010 => {
-                    if rs2(word) != Gpr::Zero {
-                        return err;
-                    }
-                    Instr::LrW {
-                        rd: rd(word),
-                        rs1: rs1(word),
-                        aq,
-                        rl,
-                    }
-                }
-                0b00011 => Instr::ScW {
+                F5_LR if rs2(word) == Gpr::Zero => Instr::LrW {
+                    rd: rd(word),
+                    rs1: rs1(word),
+                    aq,
+                    rl,
+                },
+                F5_SC => Instr::ScW {
                     rd: rd(word),
                     rs1: rs1(word),
                     rs2: rs2(word),
@@ -252,10 +218,7 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
                     rl,
                 },
                 _ => {
-                    let op = AmoOp::ALL
-                        .into_iter()
-                        .find(|op| op.funct5() == f5)
-                        .ok_or(DecodeError { word })?;
+                    let op = find(&AmoOp::ALL, word, |op| op.funct5() == f5)?;
                     Instr::Amo {
                         op,
                         rd: rd(word),
@@ -267,36 +230,23 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
                 }
             }
         }
-        OPC_LOAD_FP => {
-            if funct3(word) != 0b010 {
-                return err;
-            }
-            Instr::Flw {
-                rd: frd(word),
-                rs1: rs1(word),
-                offset: imm_i(word),
-            }
-        }
-        OPC_STORE_FP => {
-            if funct3(word) != 0b010 {
-                return err;
-            }
-            Instr::Fsw {
-                rs1: rs1(word),
-                rs2: frs2(word),
-                offset: imm_s(word),
-            }
-        }
-        OPC_MADD | OPC_MSUB | OPC_NMSUB | OPC_NMADD => {
+        OPC_LOAD_FP if funct3(word) == 0b010 => Instr::Flw {
+            rd: frd(word),
+            rs1: rs1(word),
+            offset: imm_i(word),
+        },
+        OPC_STORE_FP if funct3(word) == 0b010 => Instr::Fsw {
+            rs1: rs1(word),
+            rs2: frs2(word),
+            offset: imm_s(word),
+        },
+        OPC_OP_FP => decode_op_fp(word)?,
+        // Any other word is an FMA or an error.
+        _ => {
+            let op = find(&FmaOp::ALL, word, |op| op.opcode() == opc)?;
             if (word >> 25) & 0x3 != 0 {
                 return err; // fmt must be S (single precision)
             }
-            let op = match opc {
-                OPC_MADD => FmaOp::Madd,
-                OPC_MSUB => FmaOp::Msub,
-                OPC_NMSUB => FmaOp::Nmsub,
-                _ => FmaOp::Nmadd,
-            };
             Instr::Fma {
                 op,
                 rd: frd(word),
@@ -305,134 +255,60 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
                 rs3: frs3(word),
             }
         }
-        OPC_OP_FP => decode_op_fp(word)?,
-        _ => return err,
     };
     Ok(instr)
 }
 
 fn decode_op_fp(word: u32) -> Result<Instr, DecodeError> {
     let err = Err(DecodeError { word });
-    let f7 = funct7(word);
-    let f3 = funct3(word);
+    let (f7, f3) = (funct7(word), funct3(word));
     let rs2_field = (word >> 20) & 0x1f;
-    let instr = match f7 {
-        0b000_0000 => Instr::FpOp {
-            op: FpOp::Add,
+    // An arithmetic op whose funct3 is the rounding mode takes any mode.
+    let arith = find(&FpOp::ALL, word, |op| {
+        op.funct7() == f7 && op.funct3().is_none_or(|want| want == f3)
+    });
+    if let Ok(op) = arith {
+        if op == FpOp::Sqrt && rs2_field != 0 {
+            return err;
+        }
+        return Ok(Instr::FpOp {
+            op,
             rd: frd(word),
             rs1: frs1(word),
             rs2: frs2(word),
-        },
-        0b000_0100 => Instr::FpOp {
-            op: FpOp::Sub,
-            rd: frd(word),
+        });
+    }
+    let instr = match (f7, rs2_field) {
+        (F7_FCMP, _) => Instr::FpCmp {
+            op: find(&FpCmp::ALL, word, |op| op.funct3() == f3)?,
+            rd: rd(word),
             rs1: frs1(word),
             rs2: frs2(word),
         },
-        0b000_1000 => Instr::FpOp {
-            op: FpOp::Mul,
-            rd: frd(word),
+        (F7_FCVT_W_S, 0) => Instr::FcvtWS {
+            rd: rd(word),
             rs1: frs1(word),
-            rs2: frs2(word),
         },
-        0b000_1100 => Instr::FpOp {
-            op: FpOp::Div,
-            rd: frd(word),
+        (F7_FCVT_W_S, 1) => Instr::FcvtWuS {
+            rd: rd(word),
             rs1: frs1(word),
-            rs2: frs2(word),
         },
-        0b010_1100 => {
-            if rs2_field != 0 {
-                return err;
-            }
-            Instr::FpOp {
-                op: FpOp::Sqrt,
-                rd: frd(word),
-                rs1: frs1(word),
-                rs2: Fpr::Ft0,
-            }
-        }
-        0b001_0000 => {
-            let op = match f3 {
-                0b000 => FpOp::Sgnj,
-                0b001 => FpOp::Sgnjn,
-                0b010 => FpOp::Sgnjx,
-                _ => return err,
-            };
-            Instr::FpOp {
-                op,
-                rd: frd(word),
-                rs1: frs1(word),
-                rs2: frs2(word),
-            }
-        }
-        0b001_0100 => {
-            let op = match f3 {
-                0b000 => FpOp::Min,
-                0b001 => FpOp::Max,
-                _ => return err,
-            };
-            Instr::FpOp {
-                op,
-                rd: frd(word),
-                rs1: frs1(word),
-                rs2: frs2(word),
-            }
-        }
-        0b101_0000 => {
-            let op = match f3 {
-                0b010 => FpCmp::Eq,
-                0b001 => FpCmp::Lt,
-                0b000 => FpCmp::Le,
-                _ => return err,
-            };
-            Instr::FpCmp {
-                op,
-                rd: rd(word),
-                rs1: frs1(word),
-                rs2: frs2(word),
-            }
-        }
-        0b110_0000 => match rs2_field {
-            0 => Instr::FcvtWS {
-                rd: rd(word),
-                rs1: frs1(word),
-            },
-            1 => Instr::FcvtWuS {
-                rd: rd(word),
-                rs1: frs1(word),
-            },
-            _ => return err,
+        (F7_FCVT_S_W, 0) => Instr::FcvtSW {
+            rd: frd(word),
+            rs1: rs1(word),
         },
-        0b110_1000 => match rs2_field {
-            0 => Instr::FcvtSW {
-                rd: frd(word),
-                rs1: rs1(word),
-            },
-            1 => Instr::FcvtSWu {
-                rd: frd(word),
-                rs1: rs1(word),
-            },
-            _ => return err,
+        (F7_FCVT_S_W, 1) => Instr::FcvtSWu {
+            rd: frd(word),
+            rs1: rs1(word),
         },
-        0b111_0000 => {
-            if rs2_field != 0 || f3 != 0 {
-                return err;
-            }
-            Instr::FmvXW {
-                rd: rd(word),
-                rs1: frs1(word),
-            }
-        }
-        0b111_1000 => {
-            if rs2_field != 0 || f3 != 0 {
-                return err;
-            }
-            Instr::FmvWX {
-                rd: frd(word),
-                rs1: rs1(word),
-            }
-        }
+        (F7_FMV_X_W, 0) if f3 == 0 => Instr::FmvXW {
+            rd: rd(word),
+            rs1: frs1(word),
+        },
+        (F7_FMV_W_X, 0) if f3 == 0 => Instr::FmvWX {
+            rd: frd(word),
+            rs1: rs1(word),
+        },
         _ => return err,
     };
     Ok(instr)

@@ -1,21 +1,8 @@
 //! Disassembly: `Display` implementations producing standard RISC-V syntax.
+//! An op of a table family prints its row's mnemonic.
 
 use crate::instr::*;
 use std::fmt;
-
-impl fmt::Display for BranchOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BranchOp::Eq => "beq",
-            BranchOp::Ne => "bne",
-            BranchOp::Lt => "blt",
-            BranchOp::Ge => "bge",
-            BranchOp::Ltu => "bltu",
-            BranchOp::Geu => "bgeu",
-        };
-        f.write_str(s)
-    }
-}
 
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -29,72 +16,21 @@ impl fmt::Display for Instr {
                 rs1,
                 rs2,
                 offset,
-            } => write!(f, "{op} {rs1}, {rs2}, {offset}"),
+            } => write!(f, "{} {rs1}, {rs2}, {offset}", op.mnemonic()),
             Instr::Load {
                 width,
                 rd,
                 rs1,
                 offset,
-            } => {
-                let m = match width {
-                    LoadWidth::B => "lb",
-                    LoadWidth::H => "lh",
-                    LoadWidth::W => "lw",
-                    LoadWidth::Bu => "lbu",
-                    LoadWidth::Hu => "lhu",
-                };
-                write!(f, "{m} {rd}, {offset}({rs1})")
-            }
+            } => write!(f, "{} {rd}, {offset}({rs1})", width.mnemonic()),
             Instr::Store {
                 width,
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let m = match width {
-                    StoreWidth::B => "sb",
-                    StoreWidth::H => "sh",
-                    StoreWidth::W => "sw",
-                };
-                write!(f, "{m} {rs2}, {offset}({rs1})")
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let m = match op {
-                    OpImmOp::Addi => "addi",
-                    OpImmOp::Slti => "slti",
-                    OpImmOp::Sltiu => "sltiu",
-                    OpImmOp::Xori => "xori",
-                    OpImmOp::Ori => "ori",
-                    OpImmOp::Andi => "andi",
-                    OpImmOp::Slli => "slli",
-                    OpImmOp::Srli => "srli",
-                    OpImmOp::Srai => "srai",
-                };
-                write!(f, "{m} {rd}, {rs1}, {imm}")
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let m = match op {
-                    OpOp::Add => "add",
-                    OpOp::Sub => "sub",
-                    OpOp::Sll => "sll",
-                    OpOp::Slt => "slt",
-                    OpOp::Sltu => "sltu",
-                    OpOp::Xor => "xor",
-                    OpOp::Srl => "srl",
-                    OpOp::Sra => "sra",
-                    OpOp::Or => "or",
-                    OpOp::And => "and",
-                    OpOp::Mul => "mul",
-                    OpOp::Mulh => "mulh",
-                    OpOp::Mulhsu => "mulhsu",
-                    OpOp::Mulhu => "mulhu",
-                    OpOp::Div => "div",
-                    OpOp::Divu => "divu",
-                    OpOp::Rem => "rem",
-                    OpOp::Remu => "remu",
-                };
-                write!(f, "{m} {rd}, {rs1}, {rs2}")
-            }
+            } => write!(f, "{} {rs2}, {offset}({rs1})", width.mnemonic()),
+            Instr::OpImm { op, rd, rs1, imm } => write!(f, "{} {rd}, {rs1}, {imm}", op.mnemonic()),
+            Instr::Op { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
             Instr::Fence => f.write_str("fence"),
             Instr::Ecall => f.write_str("ecall"),
             Instr::Ebreak => f.write_str("ebreak"),
@@ -105,20 +41,7 @@ impl fmt::Display for Instr {
                 rs2,
                 aq,
                 rl,
-            } => {
-                let m = match op {
-                    AmoOp::Swap => "amoswap.w",
-                    AmoOp::Add => "amoadd.w",
-                    AmoOp::Xor => "amoxor.w",
-                    AmoOp::And => "amoand.w",
-                    AmoOp::Or => "amoor.w",
-                    AmoOp::Min => "amomin.w",
-                    AmoOp::Max => "amomax.w",
-                    AmoOp::Minu => "amominu.w",
-                    AmoOp::Maxu => "amomaxu.w",
-                };
-                write!(f, "{m}{} {rd}, {rs2}, ({rs1})", aqrl(aq, rl))
-            }
+            } => write!(f, "{}{} {rd}, {rs2}, ({rs1})", op.mnemonic(), aqrl(aq, rl)),
             Instr::LrW { rd, rs1, aq, rl } => write!(f, "lr.w{} {rd}, ({rs1})", aqrl(aq, rl)),
             Instr::ScW {
                 rd,
@@ -126,49 +49,24 @@ impl fmt::Display for Instr {
                 rs2,
                 aq,
                 rl,
-            } => {
-                write!(f, "sc.w{} {rd}, {rs2}, ({rs1})", aqrl(aq, rl))
-            }
+            } => write!(f, "sc.w{} {rd}, {rs2}, ({rs1})", aqrl(aq, rl)),
             Instr::Flw { rd, rs1, offset } => write!(f, "flw {rd}, {offset}({rs1})"),
             Instr::Fsw { rs1, rs2, offset } => write!(f, "fsw {rs2}, {offset}({rs1})"),
-            Instr::FpOp { op, rd, rs1, rs2 } => {
-                let m = match op {
-                    FpOp::Add => "fadd.s",
-                    FpOp::Sub => "fsub.s",
-                    FpOp::Mul => "fmul.s",
-                    FpOp::Div => "fdiv.s",
-                    FpOp::Sqrt => return write!(f, "fsqrt.s {rd}, {rs1}"),
-                    FpOp::Sgnj => "fsgnj.s",
-                    FpOp::Sgnjn => "fsgnjn.s",
-                    FpOp::Sgnjx => "fsgnjx.s",
-                    FpOp::Min => "fmin.s",
-                    FpOp::Max => "fmax.s",
-                };
-                write!(f, "{m} {rd}, {rs1}, {rs2}")
-            }
+            Instr::FpOp {
+                op: FpOp::Sqrt,
+                rd,
+                rs1,
+                ..
+            } => write!(f, "{} {rd}, {rs1}", FpOp::Sqrt.mnemonic()),
+            Instr::FpOp { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
             Instr::Fma {
                 op,
                 rd,
                 rs1,
                 rs2,
                 rs3,
-            } => {
-                let m = match op {
-                    FmaOp::Madd => "fmadd.s",
-                    FmaOp::Msub => "fmsub.s",
-                    FmaOp::Nmsub => "fnmsub.s",
-                    FmaOp::Nmadd => "fnmadd.s",
-                };
-                write!(f, "{m} {rd}, {rs1}, {rs2}, {rs3}")
-            }
-            Instr::FpCmp { op, rd, rs1, rs2 } => {
-                let m = match op {
-                    FpCmp::Eq => "feq.s",
-                    FpCmp::Lt => "flt.s",
-                    FpCmp::Le => "fle.s",
-                };
-                write!(f, "{m} {rd}, {rs1}, {rs2}")
-            }
+            } => write!(f, "{} {rd}, {rs1}, {rs2}, {rs3}", op.mnemonic()),
+            Instr::FpCmp { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
             Instr::FcvtWS { rd, rs1 } => write!(f, "fcvt.w.s {rd}, {rs1}"),
             Instr::FcvtWuS { rd, rs1 } => write!(f, "fcvt.wu.s {rd}, {rs1}"),
             Instr::FcvtSW { rd, rs1 } => write!(f, "fcvt.s.w {rd}, {rs1}"),

@@ -1,7 +1,7 @@
 //! Binary encoding of [`Instr`] into 32-bit RV32 machine words.
 
 use crate::instr::*;
-use crate::reg::{Fpr, Gpr};
+use crate::reg::Gpr;
 
 // Major opcodes (bits [6:0]).
 pub(crate) const OPC_LUI: u32 = 0b011_0111;
@@ -19,18 +19,24 @@ pub(crate) const OPC_AMO: u32 = 0b010_1111;
 pub(crate) const OPC_LOAD_FP: u32 = 0b000_0111;
 pub(crate) const OPC_STORE_FP: u32 = 0b010_0111;
 pub(crate) const OPC_OP_FP: u32 = 0b101_0011;
-pub(crate) const OPC_MADD: u32 = 0b100_0011;
-pub(crate) const OPC_MSUB: u32 = 0b100_0111;
-pub(crate) const OPC_NMSUB: u32 = 0b100_1011;
-pub(crate) const OPC_NMADD: u32 = 0b100_1111;
 
-fn rd(r: u8) -> u32 {
+// funct5 of `lr.w`/`sc.w` within `AMO`; funct7 of the `OP-FP` forms that
+// are not an [`FpOp`].
+pub(crate) const F5_LR: u32 = 0b00010;
+pub(crate) const F5_SC: u32 = 0b00011;
+pub(crate) const F7_FCMP: u32 = 0b101_0000;
+pub(crate) const F7_FCVT_W_S: u32 = 0b110_0000;
+pub(crate) const F7_FCVT_S_W: u32 = 0b110_1000;
+pub(crate) const F7_FMV_X_W: u32 = 0b111_0000;
+pub(crate) const F7_FMV_W_X: u32 = 0b111_1000;
+
+fn rd_bits(r: u8) -> u32 {
     (r as u32) << 7
 }
-fn rs1(r: u8) -> u32 {
+fn rs1_bits(r: u8) -> u32 {
     (r as u32) << 15
 }
-fn rs2(r: u8) -> u32 {
+fn rs2_bits(r: u8) -> u32 {
     (r as u32) << 20
 }
 fn funct3(f: u32) -> u32 {
@@ -40,8 +46,11 @@ fn funct7(f: u32) -> u32 {
     f << 25
 }
 
+/// The rounding-mode field for round to nearest, ties to even.
+const RNE: u32 = 0b000;
+
 fn r_type(opc: u32, f7: u32, f3: u32, d: u8, s1: u8, s2: u8) -> u32 {
-    opc | rd(d) | funct3(f3) | rs1(s1) | rs2(s2) | funct7(f7)
+    opc | rd_bits(d) | funct3(f3) | rs1_bits(s1) | rs2_bits(s2) | funct7(f7)
 }
 
 fn i_type(opc: u32, f3: u32, d: u8, s1: u8, imm: i32) -> u32 {
@@ -49,7 +58,7 @@ fn i_type(opc: u32, f3: u32, d: u8, s1: u8, imm: i32) -> u32 {
         (-2048..2048).contains(&imm),
         "I-type imm out of range: {imm}"
     );
-    opc | rd(d) | funct3(f3) | rs1(s1) | (((imm as u32) & 0xfff) << 20)
+    opc | rd_bits(d) | funct3(f3) | rs1_bits(s1) | (((imm as u32) & 0xfff) << 20)
 }
 
 fn s_type(opc: u32, f3: u32, s1: u8, s2: u8, imm: i32) -> u32 {
@@ -58,7 +67,11 @@ fn s_type(opc: u32, f3: u32, s1: u8, s2: u8, imm: i32) -> u32 {
         "S-type imm out of range: {imm}"
     );
     let imm = imm as u32;
-    opc | funct3(f3) | rs1(s1) | rs2(s2) | ((imm & 0x1f) << 7) | (((imm >> 5) & 0x7f) << 25)
+    opc | funct3(f3)
+        | rs1_bits(s1)
+        | rs2_bits(s2)
+        | ((imm & 0x1f) << 7)
+        | (((imm >> 5) & 0x7f) << 25)
 }
 
 fn b_type(opc: u32, f3: u32, s1: u8, s2: u8, offset: i32) -> u32 {
@@ -68,8 +81,8 @@ fn b_type(opc: u32, f3: u32, s1: u8, s2: u8, offset: i32) -> u32 {
     );
     let imm = offset as u32;
     opc | funct3(f3)
-        | rs1(s1)
-        | rs2(s2)
+        | rs1_bits(s1)
+        | rs2_bits(s2)
         | (((imm >> 11) & 1) << 7)
         | (((imm >> 1) & 0xf) << 8)
         | (((imm >> 5) & 0x3f) << 25)
@@ -81,7 +94,7 @@ fn u_type(opc: u32, d: u8, imm: i32) -> u32 {
         (-(1 << 19)..(1 << 19)).contains(&imm),
         "U-type imm out of range: {imm}"
     );
-    opc | rd(d) | (((imm as u32) & 0xf_ffff) << 12)
+    opc | rd_bits(d) | (((imm as u32) & 0xf_ffff) << 12)
 }
 
 fn j_type(opc: u32, d: u8, offset: i32) -> u32 {
@@ -90,62 +103,20 @@ fn j_type(opc: u32, d: u8, offset: i32) -> u32 {
         "J-type offset out of range or misaligned: {offset}"
     );
     let imm = offset as u32;
-    opc | rd(d)
+    opc | rd_bits(d)
         | (((imm >> 12) & 0xff) << 12)
         | (((imm >> 11) & 1) << 20)
         | (((imm >> 1) & 0x3ff) << 21)
         | (((imm >> 20) & 1) << 31)
 }
 
-fn amo(f5: u32, aq: bool, rl: bool, d: Gpr, s1: Gpr, s2: Gpr) -> u32 {
+fn op_fp(f7: u32, f3: u32, d: u8, s1: u8, s2: u8) -> u32 {
+    r_type(OPC_OP_FP, f7, f3, d, s1, s2)
+}
+
+fn amo(f5: u32, aq: bool, rl: bool, rd: Gpr, rs1: Gpr, rs2: Gpr) -> u32 {
     let f7 = (f5 << 2) | (u32::from(aq) << 1) | u32::from(rl);
-    r_type(OPC_AMO, f7, 0b010, d.index(), s1.index(), s2.index())
-}
-
-impl OpImmOp {
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            OpImmOp::Addi => 0b000,
-            OpImmOp::Slti => 0b010,
-            OpImmOp::Sltiu => 0b011,
-            OpImmOp::Xori => 0b100,
-            OpImmOp::Ori => 0b110,
-            OpImmOp::Andi => 0b111,
-            OpImmOp::Slli => 0b001,
-            OpImmOp::Srli | OpImmOp::Srai => 0b101,
-        }
-    }
-}
-
-impl OpOp {
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            OpOp::Add | OpOp::Sub => 0b000,
-            OpOp::Sll => 0b001,
-            OpOp::Slt => 0b010,
-            OpOp::Sltu => 0b011,
-            OpOp::Xor => 0b100,
-            OpOp::Srl | OpOp::Sra => 0b101,
-            OpOp::Or => 0b110,
-            OpOp::And => 0b111,
-            OpOp::Mul => 0b000,
-            OpOp::Mulh => 0b001,
-            OpOp::Mulhsu => 0b010,
-            OpOp::Mulhu => 0b011,
-            OpOp::Div => 0b100,
-            OpOp::Divu => 0b101,
-            OpOp::Rem => 0b110,
-            OpOp::Remu => 0b111,
-        }
-    }
-
-    pub(crate) fn funct7(self) -> u32 {
-        match self {
-            OpOp::Sub | OpOp::Sra => 0b010_0000,
-            op if op.is_muldiv() => 0b000_0001,
-            _ => 0b000_0000,
-        }
-    }
+    r_type(OPC_AMO, f7, 0b010, rd.index(), rs1.index(), rs2.index())
 }
 
 impl Instr {
@@ -161,174 +132,100 @@ impl Instr {
     /// assembler validates ranges before calling this.
     pub fn encode(&self) -> u32 {
         match *self {
-            Instr::Lui { rd: d, imm } => u_type(OPC_LUI, d.index(), imm),
-            Instr::Auipc { rd: d, imm } => u_type(OPC_AUIPC, d.index(), imm),
-            Instr::Jal { rd: d, offset } => j_type(OPC_JAL, d.index(), offset),
-            Instr::Jalr {
-                rd: d,
-                rs1: s1,
-                offset,
-            } => i_type(OPC_JALR, 0b000, d.index(), s1.index(), offset),
+            Instr::Lui { rd, imm } => u_type(OPC_LUI, rd.index(), imm),
+            Instr::Auipc { rd, imm } => u_type(OPC_AUIPC, rd.index(), imm),
+            Instr::Jal { rd, offset } => j_type(OPC_JAL, rd.index(), offset),
+            Instr::Jalr { rd, rs1, offset } => {
+                i_type(OPC_JALR, 0b000, rd.index(), rs1.index(), offset)
+            }
             Instr::Branch {
                 op,
-                rs1: s1,
-                rs2: s2,
+                rs1,
+                rs2,
                 offset,
-            } => b_type(OPC_BRANCH, op.funct3(), s1.index(), s2.index(), offset),
+            } => b_type(OPC_BRANCH, op.funct3(), rs1.index(), rs2.index(), offset),
             Instr::Load {
                 width,
-                rd: d,
-                rs1: s1,
+                rd,
+                rs1,
                 offset,
-            } => i_type(OPC_LOAD, width.funct3(), d.index(), s1.index(), offset),
+            } => i_type(OPC_LOAD, width.funct3(), rd.index(), rs1.index(), offset),
             Instr::Store {
                 width,
-                rs1: s1,
-                rs2: s2,
+                rs1,
+                rs2,
                 offset,
-            } => s_type(OPC_STORE, width.funct3(), s1.index(), s2.index(), offset),
-            Instr::OpImm {
-                op,
-                rd: d,
-                rs1: s1,
-                imm,
-            } => {
-                let mut w = i_type(OPC_OP_IMM, op.funct3(), d.index(), s1.index(), imm);
-                if op.is_shift() {
+            } => s_type(OPC_STORE, width.funct3(), rs1.index(), rs2.index(), offset),
+            Instr::OpImm { op, rd, rs1, imm } => {
+                let imm = if op.is_shift() {
                     debug_assert!((0..32).contains(&imm), "shift amount out of range: {imm}");
-                    w = OPC_OP_IMM
-                        | rd(d.index())
-                        | funct3(op.funct3())
-                        | rs1(s1.index())
-                        | (((imm as u32) & 0x1f) << 20);
-                    if op == OpImmOp::Srai {
-                        w |= funct7(0b010_0000);
-                    }
-                }
-                w
+                    (imm & 0x1f) | (op.funct7() << 5) as i32
+                } else {
+                    imm
+                };
+                i_type(OPC_OP_IMM, op.funct3(), rd.index(), rs1.index(), imm)
             }
-            Instr::Op {
-                op,
-                rd: d,
-                rs1: s1,
-                rs2: s2,
-            } => r_type(
+            Instr::Op { op, rd, rs1, rs2 } => r_type(
                 OPC_OP,
                 op.funct7(),
                 op.funct3(),
-                d.index(),
-                s1.index(),
-                s2.index(),
+                rd.index(),
+                rs1.index(),
+                rs2.index(),
             ),
             Instr::Fence => OPC_MISC_MEM | (0b0000_1111_1111 << 20),
             Instr::Ecall => OPC_SYSTEM,
             Instr::Ebreak => OPC_SYSTEM | (1 << 20),
             Instr::Amo {
                 op,
-                rd: d,
-                rs1: s1,
-                rs2: s2,
+                rd,
+                rs1,
+                rs2,
                 aq,
                 rl,
-            } => amo(op.funct5(), aq, rl, d, s1, s2),
-            Instr::LrW {
-                rd: d,
-                rs1: s1,
-                aq,
-                rl,
-            } => amo(0b00010, aq, rl, d, s1, Gpr::Zero),
+            } => amo(op.funct5(), aq, rl, rd, rs1, rs2),
+            Instr::LrW { rd, rs1, aq, rl } => amo(F5_LR, aq, rl, rd, rs1, Gpr::Zero),
             Instr::ScW {
-                rd: d,
-                rs1: s1,
-                rs2: s2,
+                rd,
+                rs1,
+                rs2,
                 aq,
                 rl,
-            } => amo(0b00011, aq, rl, d, s1, s2),
-            Instr::Flw {
-                rd: d,
-                rs1: s1,
-                offset,
-            } => i_type(OPC_LOAD_FP, 0b010, d.index(), s1.index(), offset),
-            Instr::Fsw {
-                rs1: s1,
-                rs2: s2,
-                offset,
-            } => s_type(OPC_STORE_FP, 0b010, s1.index(), s2.index(), offset),
-            Instr::FpOp {
-                op,
-                rd: d,
-                rs1: s1,
-                rs2: s2,
-            } => {
-                let (f7, f3, s2e) = fp_op_fields(op, s2);
-                r_type(OPC_OP_FP, f7, f3, d.index(), s1.index(), s2e)
+            } => amo(F5_SC, aq, rl, rd, rs1, rs2),
+            Instr::Flw { rd, rs1, offset } => {
+                i_type(OPC_LOAD_FP, 0b010, rd.index(), rs1.index(), offset)
+            }
+            Instr::Fsw { rs1, rs2, offset } => {
+                s_type(OPC_STORE_FP, 0b010, rs1.index(), rs2.index(), offset)
+            }
+            Instr::FpOp { op, rd, rs1, rs2 } => {
+                let rs2 = if op == FpOp::Sqrt { 0 } else { rs2.index() };
+                let f3 = op.funct3().unwrap_or(RNE);
+                op_fp(op.funct7(), f3, rd.index(), rs1.index(), rs2)
             }
             Instr::Fma {
                 op,
-                rd: d,
-                rs1: s1,
-                rs2: s2,
+                rd,
+                rs1,
+                rs2,
                 rs3,
             } => {
-                let opc = match op {
-                    FmaOp::Madd => OPC_MADD,
-                    FmaOp::Msub => OPC_MSUB,
-                    FmaOp::Nmsub => OPC_NMSUB,
-                    FmaOp::Nmadd => OPC_NMADD,
-                };
-                opc | rd(d.index())
-                    | rs1(s1.index())
-                    | rs2(s2.index())
+                op.opcode()
+                    | rd_bits(rd.index())
+                    | rs1_bits(rs1.index())
+                    | rs2_bits(rs2.index())
                     | ((rs3.index() as u32) << 27)
             }
-            Instr::FpCmp {
-                op,
-                rd: d,
-                rs1: s1,
-                rs2: s2,
-            } => {
-                let f3 = match op {
-                    FpCmp::Eq => 0b010,
-                    FpCmp::Lt => 0b001,
-                    FpCmp::Le => 0b000,
-                };
-                r_type(OPC_OP_FP, 0b101_0000, f3, d.index(), s1.index(), s2.index())
+            Instr::FpCmp { op, rd, rs1, rs2 } => {
+                op_fp(F7_FCMP, op.funct3(), rd.index(), rs1.index(), rs2.index())
             }
-            Instr::FcvtWS { rd: d, rs1: s1 } => {
-                r_type(OPC_OP_FP, 0b110_0000, 0b000, d.index(), s1.index(), 0)
-            }
-            Instr::FcvtWuS { rd: d, rs1: s1 } => {
-                r_type(OPC_OP_FP, 0b110_0000, 0b000, d.index(), s1.index(), 1)
-            }
-            Instr::FcvtSW { rd: d, rs1: s1 } => {
-                r_type(OPC_OP_FP, 0b110_1000, 0b000, d.index(), s1.index(), 0)
-            }
-            Instr::FcvtSWu { rd: d, rs1: s1 } => {
-                r_type(OPC_OP_FP, 0b110_1000, 0b000, d.index(), s1.index(), 1)
-            }
-            Instr::FmvXW { rd: d, rs1: s1 } => {
-                r_type(OPC_OP_FP, 0b111_0000, 0b000, d.index(), s1.index(), 0)
-            }
-            Instr::FmvWX { rd: d, rs1: s1 } => {
-                r_type(OPC_OP_FP, 0b111_1000, 0b000, d.index(), s1.index(), 0)
-            }
+            Instr::FcvtWS { rd, rs1 } => op_fp(F7_FCVT_W_S, RNE, rd.index(), rs1.index(), 0),
+            Instr::FcvtWuS { rd, rs1 } => op_fp(F7_FCVT_W_S, RNE, rd.index(), rs1.index(), 1),
+            Instr::FcvtSW { rd, rs1 } => op_fp(F7_FCVT_S_W, RNE, rd.index(), rs1.index(), 0),
+            Instr::FcvtSWu { rd, rs1 } => op_fp(F7_FCVT_S_W, RNE, rd.index(), rs1.index(), 1),
+            Instr::FmvXW { rd, rs1 } => op_fp(F7_FMV_X_W, 0, rd.index(), rs1.index(), 0),
+            Instr::FmvWX { rd, rs1 } => op_fp(F7_FMV_W_X, 0, rd.index(), rs1.index(), 0),
         }
-    }
-}
-
-/// (funct7, funct3, rs2-field) for an OP-FP arithmetic instruction.
-fn fp_op_fields(op: FpOp, s2: Fpr) -> (u32, u32, u8) {
-    match op {
-        FpOp::Add => (0b000_0000, 0b000, s2.index()),
-        FpOp::Sub => (0b000_0100, 0b000, s2.index()),
-        FpOp::Mul => (0b000_1000, 0b000, s2.index()),
-        FpOp::Div => (0b000_1100, 0b000, s2.index()),
-        FpOp::Sqrt => (0b010_1100, 0b000, 0),
-        FpOp::Sgnj => (0b001_0000, 0b000, s2.index()),
-        FpOp::Sgnjn => (0b001_0000, 0b001, s2.index()),
-        FpOp::Sgnjx => (0b001_0000, 0b010, s2.index()),
-        FpOp::Min => (0b001_0100, 0b000, s2.index()),
-        FpOp::Max => (0b001_0100, 0b001, s2.index()),
     }
 }
 

@@ -30,15 +30,23 @@ impl BranchOp {
         BranchOp::Geu,
     ];
 
+    /// One row per variant, in declaration order: mnemonic, funct3.
+    const ROWS: [(&'static str, u32); 6] = [
+        ("beq", 0b000),
+        ("bne", 0b001),
+        ("blt", 0b100),
+        ("bge", 0b101),
+        ("bltu", 0b110),
+        ("bgeu", 0b111),
+    ];
+
+    /// The assembly mnemonic, e.g. `beq`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
     pub(crate) fn funct3(self) -> u32 {
-        match self {
-            BranchOp::Eq => 0b000,
-            BranchOp::Ne => 0b001,
-            BranchOp::Lt => 0b100,
-            BranchOp::Ge => 0b101,
-            BranchOp::Ltu => 0b110,
-            BranchOp::Geu => 0b111,
-        }
+        Self::ROWS[self as usize].1
     }
 
     /// Evaluates the branch condition on two register values.
@@ -79,23 +87,27 @@ impl LoadWidth {
         LoadWidth::Hu,
     ];
 
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            LoadWidth::B => 0b000,
-            LoadWidth::H => 0b001,
-            LoadWidth::W => 0b010,
-            LoadWidth::Bu => 0b100,
-            LoadWidth::Hu => 0b101,
-        }
+    /// One row per variant, in declaration order: mnemonic, funct3.
+    const ROWS: [(&'static str, u32); 5] = [
+        ("lb", 0b000),
+        ("lh", 0b001),
+        ("lw", 0b010),
+        ("lbu", 0b100),
+        ("lhu", 0b101),
+    ];
+
+    /// The assembly mnemonic, e.g. `lw`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
     }
 
-    /// Number of bytes transferred.
+    pub(crate) fn funct3(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
+
+    /// Number of bytes transferred: funct3's low two bits are its log2.
     pub fn bytes(self) -> u32 {
-        match self {
-            LoadWidth::B | LoadWidth::Bu => 1,
-            LoadWidth::H | LoadWidth::Hu => 2,
-            LoadWidth::W => 4,
-        }
+        1 << (self.funct3() & 0b11)
     }
 }
 
@@ -114,21 +126,21 @@ impl StoreWidth {
     /// Every operation variant, in a fixed order (useful for exercisers).
     pub const ALL: [StoreWidth; 3] = [StoreWidth::B, StoreWidth::H, StoreWidth::W];
 
-    pub(crate) fn funct3(self) -> u32 {
-        match self {
-            StoreWidth::B => 0b000,
-            StoreWidth::H => 0b001,
-            StoreWidth::W => 0b010,
-        }
+    /// One row per variant, in declaration order: mnemonic, funct3.
+    const ROWS: [(&'static str, u32); 3] = [("sb", 0b000), ("sh", 0b001), ("sw", 0b010)];
+
+    /// The assembly mnemonic, e.g. `sw`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
     }
 
-    /// Number of bytes transferred.
+    pub(crate) fn funct3(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
+
+    /// Number of bytes transferred: funct3 is its log2.
     pub fn bytes(self) -> u32 {
-        match self {
-            StoreWidth::B => 1,
-            StoreWidth::H => 2,
-            StoreWidth::W => 4,
-        }
+        1 << self.funct3()
     }
 }
 
@@ -168,6 +180,33 @@ impl OpImmOp {
         OpImmOp::Srli,
         OpImmOp::Srai,
     ];
+
+    /// One row per variant, in declaration order: mnemonic, funct3, and
+    /// the funct7 above a shift's 5-bit amount (0 for the others).
+    const ROWS: [(&'static str, u32, u32); 9] = [
+        ("addi", 0b000, 0),
+        ("slti", 0b010, 0),
+        ("sltiu", 0b011, 0),
+        ("xori", 0b100, 0),
+        ("ori", 0b110, 0),
+        ("andi", 0b111, 0),
+        ("slli", 0b001, 0b000_0000),
+        ("srli", 0b101, 0b000_0000),
+        ("srai", 0b101, 0b010_0000),
+    ];
+
+    /// The assembly mnemonic, e.g. `addi`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
+    pub(crate) fn funct3(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
+
+    pub(crate) fn funct7(self) -> u32 {
+        Self::ROWS[self as usize].2
+    }
 
     /// Whether this is a shift (immediate restricted to 0..32).
     pub fn is_shift(self) -> bool {
@@ -255,19 +294,44 @@ impl OpOp {
         OpOp::Remu,
     ];
 
+    /// One row per variant, in declaration order: mnemonic, funct3, funct7.
+    const ROWS: [(&'static str, u32, u32); 18] = [
+        ("add", 0b000, 0b000_0000),
+        ("sub", 0b000, 0b010_0000),
+        ("sll", 0b001, 0b000_0000),
+        ("slt", 0b010, 0b000_0000),
+        ("sltu", 0b011, 0b000_0000),
+        ("xor", 0b100, 0b000_0000),
+        ("srl", 0b101, 0b000_0000),
+        ("sra", 0b101, 0b010_0000),
+        ("or", 0b110, 0b000_0000),
+        ("and", 0b111, 0b000_0000),
+        ("mul", 0b000, 0b000_0001),
+        ("mulh", 0b001, 0b000_0001),
+        ("mulhsu", 0b010, 0b000_0001),
+        ("mulhu", 0b011, 0b000_0001),
+        ("div", 0b100, 0b000_0001),
+        ("divu", 0b101, 0b000_0001),
+        ("rem", 0b110, 0b000_0001),
+        ("remu", 0b111, 0b000_0001),
+    ];
+
+    /// The assembly mnemonic, e.g. `add`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
+    pub(crate) fn funct3(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
+
+    pub(crate) fn funct7(self) -> u32 {
+        Self::ROWS[self as usize].2
+    }
+
     /// Whether this operation comes from the M extension.
     pub fn is_muldiv(self) -> bool {
-        matches!(
-            self,
-            OpOp::Mul
-                | OpOp::Mulh
-                | OpOp::Mulhsu
-                | OpOp::Mulhu
-                | OpOp::Div
-                | OpOp::Divu
-                | OpOp::Rem
-                | OpOp::Remu
-        )
+        self.funct7() == 0b000_0001
     }
 
     /// Evaluates the operation with RISC-V semantics (including the
@@ -359,18 +423,26 @@ impl AmoOp {
         AmoOp::Maxu,
     ];
 
+    /// One row per variant, in declaration order: mnemonic, funct5.
+    const ROWS: [(&'static str, u32); 9] = [
+        ("amoswap.w", 0b00001),
+        ("amoadd.w", 0b00000),
+        ("amoxor.w", 0b00100),
+        ("amoand.w", 0b01100),
+        ("amoor.w", 0b01000),
+        ("amomin.w", 0b10000),
+        ("amomax.w", 0b10100),
+        ("amominu.w", 0b11000),
+        ("amomaxu.w", 0b11100),
+    ];
+
+    /// The assembly mnemonic, e.g. `amoadd.w`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
     pub(crate) fn funct5(self) -> u32 {
-        match self {
-            AmoOp::Swap => 0b00001,
-            AmoOp::Add => 0b00000,
-            AmoOp::Xor => 0b00100,
-            AmoOp::And => 0b01100,
-            AmoOp::Or => 0b01000,
-            AmoOp::Min => 0b10000,
-            AmoOp::Max => 0b10100,
-            AmoOp::Minu => 0b11000,
-            AmoOp::Maxu => 0b11100,
-        }
+        Self::ROWS[self as usize].1
     }
 
     /// Computes the new memory value from the old value and the operand.
@@ -430,6 +502,34 @@ impl FpOp {
         FpOp::Max,
     ];
 
+    /// One row per variant, in declaration order: mnemonic, funct7, and
+    /// funct3, which is `None` where the field is the rounding mode.
+    const ROWS: [(&'static str, u32, Option<u32>); 10] = [
+        ("fadd.s", 0b000_0000, None),
+        ("fsub.s", 0b000_0100, None),
+        ("fmul.s", 0b000_1000, None),
+        ("fdiv.s", 0b000_1100, None),
+        ("fsqrt.s", 0b010_1100, None),
+        ("fsgnj.s", 0b001_0000, Some(0b000)),
+        ("fsgnjn.s", 0b001_0000, Some(0b001)),
+        ("fsgnjx.s", 0b001_0000, Some(0b010)),
+        ("fmin.s", 0b001_0100, Some(0b000)),
+        ("fmax.s", 0b001_0100, Some(0b001)),
+    ];
+
+    /// The assembly mnemonic, e.g. `fadd.s`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
+    pub(crate) fn funct7(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
+
+    pub(crate) fn funct3(self) -> Option<u32> {
+        Self::ROWS[self as usize].2
+    }
+
     /// Evaluates the operation on raw f32 bit patterns.
     pub fn eval(self, a: f32, b: f32) -> f32 {
         match self {
@@ -465,6 +565,23 @@ pub enum FmaOp {
 impl FmaOp {
     /// Every operation variant, in a fixed order (useful for exercisers).
     pub const ALL: [FmaOp; 4] = [FmaOp::Madd, FmaOp::Msub, FmaOp::Nmsub, FmaOp::Nmadd];
+
+    /// One row per variant, in declaration order: mnemonic, major opcode.
+    const ROWS: [(&'static str, u32); 4] = [
+        ("fmadd.s", 0b100_0011),
+        ("fmsub.s", 0b100_0111),
+        ("fnmsub.s", 0b100_1011),
+        ("fnmadd.s", 0b100_1111),
+    ];
+
+    /// The assembly mnemonic, e.g. `fmadd.s`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
+    pub(crate) fn opcode(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
 
     /// Evaluates the fused operation.
     pub fn eval(self, a: f32, b: f32, c: f32) -> f32 {
@@ -617,6 +734,18 @@ impl FpCmp {
     /// Every operation variant, in a fixed order (useful for exercisers).
     pub const ALL: [FpCmp; 3] = [FpCmp::Eq, FpCmp::Lt, FpCmp::Le];
 
+    /// One row per variant, in declaration order: mnemonic, funct3.
+    const ROWS: [(&'static str, u32); 3] = [("feq.s", 0b010), ("flt.s", 0b001), ("fle.s", 0b000)];
+
+    /// The assembly mnemonic, e.g. `feq.s`.
+    pub fn mnemonic(self) -> &'static str {
+        Self::ROWS[self as usize].0
+    }
+
+    pub(crate) fn funct3(self) -> u32 {
+        Self::ROWS[self as usize].1
+    }
+
     /// Evaluates the comparison (quiet; NaN compares false).
     pub fn eval(self, a: f32, b: f32) -> bool {
         match self {
@@ -635,4 +764,30 @@ impl Instr {
         rs1: Gpr::Zero,
         imm: 0,
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// The text parser finds an op by its mnemonic alone, so no two ops,
+    /// in one family or across families, may share one.
+    #[test]
+    fn no_two_ops_share_a_mnemonic() {
+        let all = [
+            &BranchOp::ALL.map(BranchOp::mnemonic)[..],
+            &LoadWidth::ALL.map(LoadWidth::mnemonic),
+            &StoreWidth::ALL.map(StoreWidth::mnemonic),
+            &OpImmOp::ALL.map(OpImmOp::mnemonic),
+            &OpOp::ALL.map(OpOp::mnemonic),
+            &AmoOp::ALL.map(AmoOp::mnemonic),
+            &FpOp::ALL.map(FpOp::mnemonic),
+            &FmaOp::ALL.map(FmaOp::mnemonic),
+            &FpCmp::ALL.map(FpCmp::mnemonic),
+        ]
+        .concat();
+        let unique: HashSet<_> = all.iter().collect();
+        assert_eq!(unique.len(), all.len(), "a mnemonic names two ops: {all:?}");
+    }
 }

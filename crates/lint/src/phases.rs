@@ -36,6 +36,7 @@ use crate::absint::{self, is_local_spm, AVal, Facts};
 use crate::cfg::Cfg;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
 use hb_asm::Program;
+use hb_core::pgas::OWN_CELL;
 pub use hb_core::AccessKind;
 use std::collections::{BTreeSet, HashSet};
 
@@ -82,13 +83,30 @@ enum Container {
     /// One cell's DRAM window (`OWN_CELL` kept as a sentinel: all tiles of
     /// a group live in one cell, so it compares consistently).
     Dram(u32),
-    /// Hash-interleaved global DRAM (compared by pre-hash offset).
+    /// Hash-interleaved global DRAM, by the cell-DRAM address a global
+    /// offset lands at in whichever cell its line hashes to.
     GlobalDram,
     /// The opaque region behind launch argument `k`.
     Arg(u8),
 }
 
 impl Container {
+    /// Whether the two containers may hold the same words at the same
+    /// offsets, as `hb_core::RaceLoc::Dram` compares them: the own-cell
+    /// window may be any explicit cell's (cell 0's on a one-Cell machine),
+    /// and a global line may be in any cell.
+    fn may_alias(self, other: Container, num_cells: u8) -> bool {
+        use Container::{Dram, GlobalDram};
+        const OWN: u32 = OWN_CELL as u32;
+        match (self, other) {
+            (GlobalDram, Dram(_) | GlobalDram) | (Dram(_), GlobalDram) => true,
+            (Dram(a), Dram(b)) if a != b && (a == OWN || b == OWN) => {
+                num_cells > 1 || a.min(b) == 0
+            }
+            _ => self == other,
+        }
+    }
+
     fn space(self) -> &'static str {
         match self {
             Container::Spm(_) => "scratchpad",
@@ -133,8 +151,7 @@ fn concretize(acc: &Acc, r: u32, lc: &LintConfig) -> Option<(Container, u64, u64
                 .then(|| (Container::Dram(cell), u64::from(addr), u64::from(addr) + w))
         }
         _ => {
-            let total = (u64::from(lc.dram_bytes_per_cell) * u64::from(lc.num_cells)).max(1);
-            let off = u64::from(e & 0x3fff_ffff) % total;
+            let off = u64::from(e & 0x3fff_ffff) % u64::from(lc.dram_bytes_per_cell.max(1));
             Some((Container::GlobalDram, off, off + w))
         }
     }
@@ -175,7 +192,8 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
         else {
             return None;
         };
-        return (distinct && ca == cb && la < hb && lb < ha).then(|| ca.space());
+        let same = ca.may_alias(cb, lc.num_cells);
+        return (distinct && same && la < hb && lb < ha).then(|| ca.space());
     }
     for ra in alo..ahi {
         for rb in blo..bhi {
@@ -187,7 +205,7 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
             else {
                 continue;
             };
-            if ca == cb && la < hb && lb < ha {
+            if ca.may_alias(cb, lc.num_cells) && la < hb && lb < ha {
                 return Some(ca.space());
             }
         }
@@ -346,6 +364,20 @@ mod tests {
     fn analyze(a: &Assembler) -> Vec<PhaseConflict> {
         let p = a.assemble(0).unwrap();
         phase_conflicts(&p, &LintConfig::default())
+    }
+
+    /// DRAM windows alias as `RaceLoc::Dram` names words: the own cell is
+    /// cell 0 on a one-Cell machine and may be any cell on a larger one;
+    /// a global line may be in any cell.
+    #[test]
+    fn dram_windows_alias_as_the_sanitizer_names_words() {
+        use Container::{Dram, GlobalDram};
+        let own = Dram(u32::from(OWN_CELL));
+        assert!(own.may_alias(own, 1) && own.may_alias(Dram(0), 1));
+        assert!(!own.may_alias(Dram(1), 1) && own.may_alias(Dram(1), 2));
+        assert!(!Dram(0).may_alias(Dram(1), 2));
+        assert!(GlobalDram.may_alias(own, 1) && Dram(1).may_alias(GlobalDram, 2));
+        assert!(!GlobalDram.may_alias(Container::Spm(0), 1));
     }
 
     /// out[rank] = rank; barrier; read out[rank + 1].

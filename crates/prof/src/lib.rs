@@ -44,7 +44,6 @@ pub mod summary;
 
 use hb_asm::Program;
 use hb_core::{GuestProfile, Machine, StallKind, UNMARKED};
-use hb_isa::INSTR_BYTES;
 use hb_lint::cfg::Cfg;
 use std::sync::Arc;
 
@@ -257,11 +256,6 @@ impl Analysis {
     pub fn top(&self, n: usize) -> &[BlockRow] {
         &self.ranked[..self.ranked.len().min(n)]
     }
-}
-
-/// Instruction index of byte address `pc` relative to `base`.
-pub fn instr_index(base: u32, pc: u32) -> usize {
-    pc.wrapping_sub(base) as usize / INSTR_BYTES as usize
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use hb_core::{CellDim, MachineConfig};
 use hb_fault::Outcome;
 use hb_serve::cli;
 use hb_serve::{report, Campaign, CancelToken, RunOpts, SimExecutor};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: hb-serve <command> [options]
@@ -119,7 +120,9 @@ fn parse_opts(cmd: &str, argv: &[String]) -> Opts {
 /// only when one worker writes every checkpoint, so it runs on one, and
 /// asking it for more is a usage error.
 fn worker_count(args: &cli::Args) -> usize {
-    let asked = args.parse::<usize>("--threads").map(|n| n.max(1));
+    let asked = args
+        .parse::<NonZeroUsize>("--threads")
+        .map(NonZeroUsize::get);
     if args.value("--crash-after-ckpts").is_none() {
         return asked.unwrap_or_else(hb_serve::default_threads);
     }
