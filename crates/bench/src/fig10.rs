@@ -4,92 +4,48 @@
 //! Ruche network, write-validate, Load Packet Compression, Regional IPOLY
 //! and non-blocking caches. Reports per-kernel and geomean speedups.
 
-use crate::{bench_cell, bench_size, geomean, header, job_threads, row};
+use crate::{bench_cell, geomean, header, row, run_points};
 use hb_core::{CellDim, MachineConfig};
+use hb_kernels::Benchmark;
 use hb_serve::cli::Args;
 
-pub fn run(args: &Args) {
-    let threads = job_threads(args);
+pub fn run(_: &Args) {
     let full = bench_cell();
     let quarter = CellDim {
         x: full.x / 2,
         y: full.y / 2,
     };
-    let size = bench_size();
 
-    // The configuration ladder (cumulative).
-    let base = MachineConfig {
+    // The configuration ladder (cumulative): each step edits the last.
+    type Step<'a> = (&'static str, &'a dyn Fn(&mut MachineConfig));
+    let steps: [Step; 10] = [
+        ("baseline manycore", &|_| {}),
+        ("+router", &|c| {
+            c.link_occupancy = 1;
+            c.net_fifo_depth = 4;
+        }),
+        ("+cache", &|c| c.cache_sets *= 2),
+        ("+density", &|c| c.cell_dim = full),
+        ("+nonblock loads", &|c| c.non_blocking_loads = true),
+        ("+ruche", &|c| c.ruche_factor = 3),
+        ("+write-validate", &|c| c.write_validate = true),
+        ("+load pkt compression", &|c| {
+            c.load_packet_compression = true
+        }),
+        ("+regional ipoly", &|c| c.ipoly_hashing = true),
+        ("+nonblock cache", &|c| c.non_blocking_cache = true),
+    ];
+    let mut cfg = MachineConfig {
         cell_dim: quarter,
         ..MachineConfig::baseline_manycore()
     };
-    type Step = (&'static str, Box<dyn Fn(&MachineConfig) -> MachineConfig>);
-    let steps: Vec<Step> = vec![
-        ("baseline manycore", Box::new(|c: &MachineConfig| c.clone())),
-        (
-            "+router",
-            Box::new(|c| MachineConfig {
-                link_occupancy: 1,
-                net_fifo_depth: 4,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+cache",
-            Box::new(move |c| MachineConfig {
-                cache_sets: c.cache_sets * 2,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+density",
-            Box::new(move |c| MachineConfig {
-                cell_dim: full,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+nonblock loads",
-            Box::new(|c| MachineConfig {
-                non_blocking_loads: true,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+ruche",
-            Box::new(|c| MachineConfig {
-                ruche_factor: 3,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+write-validate",
-            Box::new(|c| MachineConfig {
-                write_validate: true,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+load pkt compression",
-            Box::new(|c| MachineConfig {
-                load_packet_compression: true,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+regional ipoly",
-            Box::new(|c| MachineConfig {
-                ipoly_hashing: true,
-                ..c.clone()
-            }),
-        ),
-        (
-            "+nonblock cache",
-            Box::new(|c| MachineConfig {
-                non_blocking_cache: true,
-                ..c.clone()
-            }),
-        ),
-    ];
+    let configs: Vec<(&str, MachineConfig)> = steps
+        .iter()
+        .map(|(label, apply)| {
+            apply(&mut cfg);
+            (*label, cfg.clone())
+        })
+        .collect();
 
     let suite = hb_kernels::suite();
     println!(
@@ -104,38 +60,18 @@ pub fn run(args: &Args) {
     head.push("geomean");
     header(&head, &widths);
 
-    // The ladder is cumulative, so materialize the configurations first;
-    // the (configuration, kernel) simulation points are then independent
-    // and fan out across the job pool, collected in submission order.
-    let mut configs: Vec<(&'static str, MachineConfig)> = Vec::new();
-    let mut cfg = base;
-    for (label, apply) in steps {
-        cfg = apply(&cfg);
-        configs.push((label, cfg.clone()));
-    }
-    let points: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|si| (0..suite.len()).map(move |ki| (si, ki)))
+    let points: Vec<(&dyn Benchmark, MachineConfig)> = configs
+        .iter()
+        .flat_map(|(_, cfg)| suite.iter().map(|b| (b.as_ref(), cfg.clone())))
         .collect();
-    let tputs = hb_serve::run_ordered(&points, threads, |_, &(si, ki)| {
-        let (label, cfg) = &configs[si];
-        let bench = &suite[ki];
-        eprintln!("  running {} / {label} ...", bench.name());
-        let stats = bench
-            .run(cfg, size)
-            .unwrap_or_else(|e| panic!("{} under '{label}' failed: {e}", bench.name()));
-        // Work-normalized (Jacobi's grid scales with the Cell).
-        stats.throughput()
-    });
-
-    for (si, (label, _)) in configs.iter().enumerate() {
-        let mut speedups = Vec::new();
+    // Work-normalized (Jacobi's grid scales with the Cell).
+    let tputs: Vec<f64> = run_points(&points).iter().map(|s| s.throughput()).collect();
+    // Row 0 of the ladder is the Baseline Manycore.
+    let baseline = &tputs[..suite.len()];
+    for ((label, _), tput) in configs.iter().zip(tputs.chunks(suite.len())) {
+        let speedups: Vec<f64> = tput.iter().zip(baseline).map(|(t, b)| t / b).collect();
         let mut cells = vec![(*label).to_owned()];
-        for ki in 0..suite.len() {
-            // Row 0 of the ladder is the Baseline Manycore.
-            let speedup = tputs[si * suite.len() + ki] / tputs[ki];
-            speedups.push(speedup);
-            cells.push(format!("{speedup:.2}"));
-        }
+        cells.extend(speedups.iter().map(|s| format!("{s:.2}")));
         cells.push(format!("{:.2}", geomean(&speedups)));
         row(&cells, &widths);
     }

@@ -2,13 +2,13 @@
 //! Cell, kernels ordered memory-intensive -> compute-intensive, with the
 //! stall taxonomy of Table III.
 
-use crate::{bench_size, hb_config, header, row};
+use crate::{hb_config, header, row, run_points};
 use hb_core::StallKind;
+use hb_kernels::Benchmark;
 use hb_serve::cli::Args;
 
 pub fn run(_: &Args) {
     let cfg = hb_config();
-    let size = bench_size();
     println!(
         "Figure 11 — core & HBM2 utilization ({}x{} Cell, all features on)\n",
         cfg.cell_dim.x, cfg.cell_dim.y
@@ -22,10 +22,10 @@ pub fn run(_: &Args) {
         &widths,
     );
 
-    for bench in hb_kernels::suite() {
-        let stats = bench
-            .run(&cfg, size)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", bench.name()));
+    let suite = hb_kernels::suite();
+    let points: Vec<(&dyn Benchmark, _)> =
+        suite.iter().map(|b| (b.as_ref(), cfg.clone())).collect();
+    for ((bench, _), stats) in points.iter().zip(run_points(&points)) {
         // Exclude post-ecall idling (tiles that finished early) from the
         // utilization denominator, as the paper measures execution only.
         let done = stats.core.stall(StallKind::Done);

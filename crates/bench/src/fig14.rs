@@ -1,8 +1,9 @@
 //! Figure 14: Cell-bisection stall percentage per kernel for (1) plain
 //! 2-D mesh, (2) Ruche network, (3) Ruche + Load Packet Compression.
 
-use crate::{bench_cell, bench_size, header, row};
+use crate::{bench_cell, header, row, run_points};
 use hb_core::{CellDim, MachineConfig};
+use hb_kernels::Benchmark;
 use hb_serve::cli::Args;
 
 pub fn run(_: &Args) {
@@ -12,34 +13,19 @@ pub fn run(_: &Args) {
         x: base.x * 2,
         y: base.y,
     };
-    let size = bench_size();
-    type Variant = (&'static str, Box<dyn Fn() -> MachineConfig>);
-    let variants: [Variant; 3] = [
-        (
-            "2-D mesh",
-            Box::new(move || MachineConfig {
-                cell_dim: dim,
-                ruche_factor: 0,
-                load_packet_compression: false,
-                ..MachineConfig::baseline_16x8()
-            }),
-        ),
-        (
-            "ruche",
-            Box::new(move || MachineConfig {
-                cell_dim: dim,
-                load_packet_compression: false,
-                ..MachineConfig::baseline_16x8()
-            }),
-        ),
-        (
-            "ruche+LPC",
-            Box::new(move || MachineConfig {
-                cell_dim: dim,
-                ..MachineConfig::baseline_16x8()
-            }),
-        ),
-    ];
+    let ruche_lpc = MachineConfig {
+        cell_dim: dim,
+        ..MachineConfig::baseline_16x8()
+    };
+    let ruche = MachineConfig {
+        load_packet_compression: false,
+        ..ruche_lpc.clone()
+    };
+    let mesh = MachineConfig {
+        ruche_factor: 0,
+        ..ruche.clone()
+    };
+    let variants = [mesh, ruche, ruche_lpc];
 
     println!(
         "Figure 14 — request-network bisection behaviour per kernel ({}x{} Cell)\n\
@@ -61,35 +47,29 @@ pub fn run(_: &Args) {
         &widths,
     );
 
-    for bench in hb_kernels::suite() {
-        let mut stalls = Vec::new();
-        let mut utils = Vec::new();
-        let mut tputs = Vec::new();
-        for (label, mk) in &variants {
-            eprintln!("  running {} / {label} ...", bench.name());
-            let stats = bench
-                .run(&mk(), size)
-                .unwrap_or_else(|e| panic!("{} / {label} failed: {e}", bench.name()));
-            // Stall share of all bisection link-cycle slots (the paper's
-            // "% of time the bisection links are stalled").
-            let slots = (stats.cycles * stats.bisection_links as u64).max(1) as f64;
-            stalls.push(stats.bisection.stalled as f64 / slots * 100.0);
-            utils.push(stats.bisection_utilization() * 100.0);
-            tputs.push(stats.throughput());
-        }
-        row(
-            &[
-                bench.name().to_owned(),
-                format!("{:.1}", stalls[0]),
-                format!("{:.1}", stalls[1]),
-                format!("{:.1}", stalls[2]),
-                format!("{:.1}", utils[0]),
-                format!("{:.1}", utils[1]),
-                format!("{:.1}", utils[2]),
-                format!("{:.2}x", tputs[2] / tputs[0]),
-            ],
-            &widths,
+    let suite = hb_kernels::suite();
+    let points: Vec<(&dyn Benchmark, MachineConfig)> = suite
+        .iter()
+        .flat_map(|b| variants.iter().map(|cfg| (b.as_ref(), cfg.clone())))
+        .collect();
+    let stats = run_points(&points);
+    for (bench, runs) in suite.iter().zip(stats.chunks(variants.len())) {
+        let mut cells = vec![bench.name().to_owned()];
+        // Stall share of all bisection link-cycle slots (the paper's "% of
+        // time the bisection links are stalled").
+        cells.extend(runs.iter().map(|s| {
+            let slots = (s.cycles * s.bisection_links as u64).max(1) as f64;
+            format!("{:.1}", s.bisection.stalled as f64 / slots * 100.0)
+        }));
+        cells.extend(
+            runs.iter()
+                .map(|s| format!("{:.1}", s.bisection_utilization() * 100.0)),
         );
+        cells.push(format!(
+            "{:.2}x",
+            runs[2].throughput() / runs[0].throughput()
+        ));
+        row(&cells, &widths);
     }
     println!(
         "\npaper: mesh bisection links stall up to ~50% on network-heavy kernels;\n\

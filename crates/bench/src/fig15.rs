@@ -2,14 +2,13 @@
 //! constant HBM2 bandwidth — taller Cells (16x16), wider Cells (32x8) and
 //! more Cells (2x16x8) — vs the baseline 16x8 Cell.
 
-use crate::{bench_cell, bench_size, geomean, header, job_threads, row};
-use hb_core::{CellDim, MachineConfig, MultiCellEstimator, Phase};
+use crate::{bench_cell, geomean, header, row, run_points};
+use hb_core::{CellDim, MachineConfig, MultiCellEstimator};
+use hb_kernels::Benchmark;
 use hb_serve::cli::Args;
 
-pub fn run(args: &Args) {
-    let threads = job_threads(args);
+pub fn run(_: &Args) {
     let base_dim = bench_cell();
-    let size = bench_size();
     let base_cfg = MachineConfig {
         cell_dim: base_dim,
         ..MachineConfig::baseline_16x8()
@@ -53,56 +52,37 @@ pub fn run(args: &Args) {
     let est = MultiCellEstimator::from_config(&base_cfg);
     let suite = hb_kernels::suite();
 
-    // Every (kernel, configuration) point is an independent simulation;
-    // fan them all out across the job pool and reassemble the rows from
-    // the ordered results.
-    let variants = [
-        ("base", &base_cfg),
-        ("tall", &tall),
-        ("wide", &wide),
-        ("half-bw", &half_bw),
-    ];
-    let points: Vec<(usize, usize)> = (0..suite.len())
-        .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
+    let variants = [&base_cfg, &tall, &wide, &half_bw];
+    let points: Vec<(&dyn Benchmark, MachineConfig)> = suite
+        .iter()
+        .flat_map(|b| variants.map(|cfg| (b.as_ref(), cfg.clone())))
         .collect();
-    let runs = hb_serve::run_ordered(&points, threads, |_, &(ki, vi)| {
-        let bench = &suite[ki];
-        let (vname, cfg) = variants[vi];
-        eprintln!("  running {} / {vname} ...", bench.name());
-        let stats = bench
-            .run(cfg, size)
-            .unwrap_or_else(|e| panic!("{} / {vname} failed: {e}", bench.name()));
-        (stats.cycles, stats.throughput(), stats.work_units)
-    });
+    let stats = run_points(&points);
 
     let (mut s_tall, mut s_wide, mut s_two) = (Vec::new(), Vec::new(), Vec::new());
-    for (ki, bench) in suite.iter().enumerate() {
-        let at = |vi: usize| runs[ki * variants.len() + vi];
-        let (base_cycles, base_t, _) = at(0);
-        let base = base_cycles as f64;
-        let (_, tall_t, _) = at(1);
-        let (_, wide_t, _) = at(2);
+    for (bench, runs) in suite.iter().zip(stats.chunks(variants.len())) {
+        let [base, tall, wide, half] = runs else {
+            unreachable!("one run per variant")
+        };
+        let base_t = base.throughput();
+        let (tall_t, wide_t) = (tall.throughput(), wide.throughput());
         // Two Cells, the paper's own methodology: each Cell handles half
         // the work at half the HBM2 bandwidth, plus a conservative
         // inter-phase broadcast of shared data for hard-to-partition
         // kernels (graph/octree duplication into both Local DRAMs).
-        let (half_cycles, _, half_work) = at(3);
         let dup_bytes: u64 = match bench.name() {
             "BFS" | "PR" | "SpGEMM" | "BH" => 256 * 1024,
             _ => 0,
         };
-        let two_c = est.total_cycles(&[Phase {
-            exec_cycles: half_cycles / 2,
-            transfer_bytes: dup_bytes,
-        }]) as f64;
-        let two_t = half_work / two_c;
+        let two_c = (half.cycles / 2 + est.transfer_cycles(dup_bytes)) as f64;
+        let two_t = half.work_units / two_c;
         s_tall.push(tall_t / base_t);
         s_wide.push(wide_t / base_t);
         s_two.push(two_t / base_t);
         row(
             &[
                 bench.name().to_owned(),
-                format!("{base:.0}"),
+                base.cycles.to_string(),
                 format!("{:.2}", tall_t / base_t),
                 format!("{:.2}", wide_t / base_t),
                 format!("{:.2}", two_t / base_t),

@@ -2,7 +2,7 @@
 //! on the irregular workloads, splitting run time into execution and
 //! inter-phase sparse data transfer.
 
-use crate::{bench_cell, bench_size, header, row};
+use crate::{bench_cell, header, row, run_points};
 use hb_core::{CellDim, MachineConfig, MultiCellEstimator};
 use hb_hier::{HierConfig, HierMachine, WorkloadProfile};
 use hb_kernels::Benchmark;
@@ -18,7 +18,6 @@ pub fn run(_: &Args) {
         cell_dim: dim,
         ..MachineConfig::baseline_16x8()
     };
-    let size = bench_size();
     // ET-class comparator normalized to the same DRAM bandwidth and ~1/4
     // the thread count, but far larger L2.
     let hier = HierMachine::new(HierConfig {
@@ -47,9 +46,11 @@ pub fn run(_: &Args) {
         Box::new(hb_kernels::Bfs::default()),
         Box::new(hb_kernels::BarnesHut::default()),
     ];
-    for bench in irregular {
-        eprintln!("  running {} ...", bench.name());
-        let stats = bench.run(&cfg, size).expect("HB run");
+    let points: Vec<(&dyn Benchmark, MachineConfig)> = irregular
+        .iter()
+        .map(|b| (b.as_ref(), cfg.clone()))
+        .collect();
+    for ((bench, _), stats) in points.iter().zip(run_points(&points)) {
         // Characterize the kernel from measured counters.
         let unique_lines = stats.cache.misses + stats.cache.write_validate_fills;
         let sync = (stats.core.stall(hb_core::StallKind::Barrier)

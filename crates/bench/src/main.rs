@@ -41,9 +41,8 @@ mod table4_comparison;
 mod telemetry;
 
 use hb_core::{CellDim, MachineConfig};
-use hb_kernels::{Kernel, SizeClass};
+use hb_kernels::{BenchStats, Benchmark, Kernel, SizeClass};
 use hb_serve::cli::{self, Args};
-use std::num::NonZeroUsize;
 
 /// A command: its name, its flags (a flag followed by a word takes a
 /// value) and its body.
@@ -52,17 +51,17 @@ type Command = (&'static str, &'static str, fn(&Args));
 const COMMANDS: &[Command] = &[
     ("fig03", "", fig03::run),
     ("fig04", "", fig04::run),
-    ("fig10", "--threads N", fig10::run),
+    ("fig10", "", fig10::run),
     ("fig11", "", fig11::run),
     ("fig12", "", fig12::run),
     ("fig13", "", fig13::run),
     ("fig14", "", fig14::run),
-    ("fig15", "--threads N", fig15::run),
+    ("fig15", "", fig15::run),
     ("fig16", "", fig16::run),
     ("table1_benchmarks", "", table1_benchmarks::run),
     ("table2_configurations", "", table2_configurations::run),
     ("table4_comparison", "", table4_comparison::run),
-    ("ablations", "--out DIR --threads N", ablations::run),
+    ("ablations", "", ablations::run),
     ("inspect", "--kernel K", inspect::run),
     ("profile", "--kernel K --out PATH --top N", profile::run),
     (
@@ -130,14 +129,24 @@ fn quiet_on_closed_stdout() {
     }));
 }
 
-/// Job-level worker count for a sweep: `--threads N`, else the host's
-/// available parallelism ([`hb_serve::default_threads`]). The points fan
-/// out through [`hb_serve::run_ordered`] or a campaign's
-/// [`hb_serve::RunOpts`], and come back in point order, so the count
-/// never shows in a figure.
-fn job_threads(args: &Args) -> usize {
-    args.parse::<NonZeroUsize>("--threads")
-        .map_or_else(hb_serve::default_threads, NonZeroUsize::get)
+/// The one runner of a figure's simulations. A point is a suite kernel at
+/// a configuration; each runs at [`bench_size`] on the ordered job pool,
+/// with [`hb_serve::default_threads`] workers (the CPUs the process may run
+/// on), and the stats come back in point order, so the worker count never
+/// shows in a figure.
+///
+/// # Panics
+///
+/// Panics if a point fails to simulate or to validate.
+fn run_points(points: &[(&dyn Benchmark, MachineConfig)]) -> Vec<BenchStats> {
+    let size = bench_size();
+    hb_serve::run_ordered(points, hb_serve::default_threads(), |_, (bench, cfg)| {
+        let dim = cfg.cell_dim;
+        eprintln!("  running {} on {}x{} ...", bench.name(), dim.x, dim.y);
+        bench
+            .run(cfg, size)
+            .unwrap_or_else(|e| panic!("{} on {}x{} failed: {e}", bench.name(), dim.x, dim.y))
+    })
 }
 
 /// Resolves `--kernel` (else `default`) through [`hb_kernels::by_name`];

@@ -19,12 +19,15 @@
 use crate::{bench_size, hb_config, kernel_arg};
 use hb_core::Machine;
 use hb_serve::cli::{self, Args};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 pub fn run(args: &Args) {
     let bench = kernel_arg(args, "SGEMM");
     let out = args.value("--out").unwrap_or("profile");
-    let top: usize = args.parse("--top").unwrap_or(10);
+    let top = args
+        .parse::<NonZeroUsize>("--top")
+        .map_or(10, NonZeroUsize::get);
 
     let cfg = hb_config();
     println!(

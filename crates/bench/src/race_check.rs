@@ -19,53 +19,56 @@
 //! ```
 
 use hb_core::{CellDim, MachineConfig};
+use hb_kernels::fixtures::{self, Fixture};
 use hb_serve::cli::{self, Args};
 
 struct Opts {
     expect: Option<(usize, usize)>,
-    cell: Option<CellDim>,
     verbose: bool,
 }
 
 pub fn run(args: &Args) {
+    let usage = args.usage();
     let opts = Opts {
         expect: args.value("--expect").map(|v| {
-            let counts = cli::parse_counts("--expect", v, &["static", "dynamic"], args.usage());
+            let counts = cli::parse_counts("--expect", v, &["static", "dynamic"], usage);
             (counts[0] as usize, counts[1] as usize)
         }),
-        cell: args
-            .value("--cell")
-            .map(|v| cli::parse_cell(v, args.usage())),
         verbose: args.has("--verbose"),
+    };
+    let cell = args.value("--cell").map(|v| cli::parse_cell(v, usage));
+    let config = |default: CellDim| {
+        let cfg = MachineConfig {
+            cell_dim: cell.unwrap_or(default),
+            ..MachineConfig::baseline_16x8()
+        };
+        cli::valid_config(cfg, usage)
     };
     // `--suite` is the default mode; it is accepted for explicitness.
     match args.value("--fixture") {
-        Some(name) => check_fixtures(&opts, name),
-        None => check_suite(&opts),
+        Some("list") => {
+            for f in fixtures::all() {
+                println!(
+                    "{:32} static={} dynamic={}  {}",
+                    f.name, f.expect_static, f.expect_dynamic, f.blurb
+                );
+            }
+        }
+        Some(name) => {
+            let Some(f) = fixtures::by_name(name) else {
+                cli::usage_fail(
+                    usage,
+                    format!("unknown fixture {name:?} (try --fixture list)"),
+                );
+            };
+            check_fixture(&opts, &f, &config(CellDim { x: 4, y: 2 }));
+        }
+        None => check_suite(&config(crate::bench_cell())),
     }
 }
 
-fn check_fixtures(opts: &Opts, name: &str) {
-    if name == "list" {
-        for f in hb_kernels::fixtures::all() {
-            println!(
-                "{:32} static={} dynamic={}  {}",
-                f.name, f.expect_static, f.expect_dynamic, f.blurb
-            );
-        }
-        return;
-    }
-    let Some(f) = hb_kernels::fixtures::by_name(name) else {
-        cli::fail(format!("unknown fixture {name:?} (try --fixture list)"));
-    };
-    let cfg = MachineConfig {
-        cell_dim: opts.cell.unwrap_or(CellDim { x: 4, y: 2 }),
-        ..MachineConfig::baseline_16x8()
-    };
-    if let Err(e) = cfg.validate() {
-        cli::fail(format!("invalid configuration: {e}"));
-    }
-    let out = hb_race::run_fixture(&f, &cfg);
+fn check_fixture(opts: &Opts, f: &Fixture, cfg: &MachineConfig) {
+    let out = hb_race::run_fixture(f, cfg);
     println!(
         "fixture {}: {} static finding(s), {} dynamic report(s)",
         out.name,
@@ -105,21 +108,14 @@ fn check_fixtures(opts: &Opts, name: &str) {
     }
 }
 
-fn check_suite(opts: &Opts) {
-    let cfg = MachineConfig {
-        cell_dim: opts.cell.unwrap_or_else(crate::bench_cell),
-        ..MachineConfig::baseline_16x8()
-    };
-    if let Err(e) = cfg.validate() {
-        cli::fail(format!("invalid configuration: {e}"));
-    }
+fn check_suite(cfg: &MachineConfig) {
     let size = crate::bench_size();
     println!(
         "race_check: suite cell={}x{} size={:?} (static + sanitized golden-validating runs)",
         cfg.cell_dim.x, cfg.cell_dim.y, size
     );
     let mut dirty = 0usize;
-    let entries = hb_race::check_suite(&cfg, size);
+    let entries = hb_race::check_suite(cfg, size);
     for e in &entries {
         println!(
             "{:16} static={} dynamic={}  {}",

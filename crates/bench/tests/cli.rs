@@ -36,6 +36,15 @@ fn an_unknown_flag_is_a_usage_error() {
     // Telemetry has one route, `hb-bench telemetry`.
     assert_usage_error(&["fig11", "--telemetry", "t.json"]);
     assert_usage_error(&["fig15", "--window", "200"]);
+    // The figures run on the process's CPUs (`taskset` narrows them) and
+    // keep no results directory: no command takes a worker count or a
+    // store.
+    for cmd in ["fig10", "fig15", "ablations"] {
+        for n in ["2", "0", "abc"] {
+            assert_usage_error(&[cmd, "--threads", n]);
+        }
+    }
+    assert_usage_error(&["ablations", "--out", "d"]);
 }
 
 #[test]
@@ -43,18 +52,33 @@ fn a_misspelled_kernel_flag_runs_nothing() {
     assert_usage_error(&["telemetry", "--kernal", "BFS"]);
 }
 
-#[test]
-fn a_bad_thread_count_is_a_usage_error() {
-    assert_usage_error(&["fig10", "--threads", "abc"]);
-}
-
-/// A count of zero is refused, not quietly run as one.
+/// A count of zero is refused, not quietly run as one (or as an empty
+/// table).
 #[test]
 fn a_zero_count_is_a_usage_error() {
-    for cmd in ["fig10", "fig15", "ablations"] {
-        assert_usage_error(&[cmd, "--threads", "0"]);
-    }
     assert_usage_error(&["telemetry", "--window", "0"]);
+    assert_usage_error(&["profile", "--top", "0"]);
+}
+
+/// A value that parses but names nothing the command can run — a Cell no
+/// machine can have, a fixture or kernel that does not exist — is a bad
+/// invocation too, not a runtime failure.
+#[test]
+fn a_value_the_command_cannot_use_is_a_usage_error() {
+    assert_usage_error(&["race_check", "--cell", "0x0", "--suite"]);
+    assert_usage_error(&["race_check", "--fixture", "nope"]);
+}
+
+/// `--kernel` takes an `hb_kernels::kernels()` token; any other is refused
+/// with the registry's list.
+#[test]
+fn an_unknown_kernel_token_names_the_registry() {
+    assert_usage_error(&["profile", "--kernel", "SGEMM@tiled"]);
+    let out = hb_bench(&["profile", "--kernel", "SGEMM@tiled"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for (token, _) in hb_kernels::kernels() {
+        assert!(stderr.contains(token), "{token} not listed: {stderr}");
+    }
 }
 
 /// A closed stdout (`hb-bench telemetry | head -3`) ends the run with no

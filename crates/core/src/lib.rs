@@ -78,7 +78,7 @@ pub use gprof::{GuestProfile, PhaseProfile, UNMARKED};
 pub use icache::ICache;
 pub use kernel_util::HbOps;
 pub use machine::{CheckpointSink, Machine, RunSummary, SimError};
-pub use multicell::{MultiCellEstimator, Phase};
+pub use multicell::MultiCellEstimator;
 pub use observe::{
     set_observer_factory, InjectKind, MachineObserver, ObsEvent, ObsKind, ObserverScope,
 };

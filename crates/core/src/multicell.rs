@@ -6,18 +6,8 @@
 
 use crate::config::MachineConfig;
 
-/// One program phase of a multi-Cell run: per-Cell execution cycles plus
-/// the bytes each Cell exchanges with other Cells before the next phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Phase {
-    /// Longest single-Cell execution time for the phase (cycles).
-    pub exec_cycles: u64,
-    /// Bytes transferred across the Cell boundary between phases.
-    pub transfer_bytes: u64,
-}
-
-/// Estimates the total run time of a multi-Cell execution from per-phase
-/// single-Cell results.
+/// Estimates the inter-phase transfer time of a multi-Cell execution; a
+/// phase's run time is its longest single-Cell run plus that transfer.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiCellEstimator {
     /// Words per cycle the Cell boundary sustains.
@@ -48,15 +38,6 @@ impl MultiCellEstimator {
         let words = (bytes as f64) / 4.0;
         (words / (self.boundary_words_per_cycle * self.efficiency)).ceil() as u64
     }
-
-    /// Total estimated cycles across phases (execution + inter-phase
-    /// transfers).
-    pub fn total_cycles(&self, phases: &[Phase]) -> u64 {
-        phases
-            .iter()
-            .map(|p| p.exec_cycles + self.transfer_cycles(p.transfer_bytes))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -75,25 +56,6 @@ mod tests {
         // Ruche-3 has 4x the boundary links.
         let ratio = mesh.transfer_cycles(bytes) as f64 / ruche.transfer_cycles(bytes) as f64;
         assert!((3.5..=4.5).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn phases_accumulate() {
-        let est = MultiCellEstimator {
-            boundary_words_per_cycle: 32.0,
-            efficiency: 1.0,
-        };
-        let phases = [
-            Phase {
-                exec_cycles: 1000,
-                transfer_bytes: 128,
-            },
-            Phase {
-                exec_cycles: 2000,
-                transfer_bytes: 0,
-            },
-        ];
-        assert_eq!(est.total_cycles(&phases), 1000 + 1 + 2000);
     }
 
     #[test]

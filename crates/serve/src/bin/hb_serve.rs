@@ -153,14 +153,14 @@ fn parse_expect(value: &str) -> String {
 /// refuses to silently reuse a directory whose manifest is a *different*
 /// campaign.
 fn submit_campaign(opts: &Opts) -> Campaign {
-    let cfg = MachineConfig {
-        cell_dim: opts.cell,
-        disabled_tiles: opts.disabled.clone(),
-        ..MachineConfig::baseline_16x8()
-    };
-    if let Err(e) = cfg.validate() {
-        cli::fail(format!("invalid machine configuration: {e}"));
-    }
+    let cfg = cli::valid_config(
+        MachineConfig {
+            cell_dim: opts.cell,
+            disabled_tiles: opts.disabled.clone(),
+            ..MachineConfig::baseline_16x8()
+        },
+        USAGE,
+    );
     let name = format!(
         "{} cell={}x{} seed={} faults={}",
         opts.kernel, opts.cell.x, opts.cell.y, opts.seed, opts.faults

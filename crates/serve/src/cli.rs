@@ -1,9 +1,11 @@
 //! Shared command-line handling for the workspace binaries.
 //!
 //! Every binary follows the same contract: malformed arguments — an
-//! unknown flag, a missing or unparsable value — print one `error:` line
-//! plus the usage text and exit **2**; runtime failures (unwritable
-//! `--out`, invalid configuration) print one `error:` line and exit **1**.
+//! unknown flag, a missing or unparsable value, a value the command cannot
+//! use (a machine configuration that does not validate, an unknown name) —
+//! print one `error:` line plus the usage text and exit **2**; runtime
+//! failures (an unwritable `--out`, a failed run) print one `error:` line
+//! and exit **1**.
 //! `hb-serve` and `hb-bench` check every command line with [`Args::walk`]
 //! against the command's own flag list.
 
@@ -182,6 +184,17 @@ pub fn parse_disabled(value: &str, usage: &str) -> Vec<(u8, u8)> {
             )
         })
         .collect()
+}
+
+/// `cfg` if [`MachineConfig::validate`](hb_core::MachineConfig::validate)
+/// accepts it, else a usage error with the
+/// [`ConfigError`](hb_core::ConfigError) text: a configuration built from
+/// flags that no machine can take is a bad invocation.
+pub fn valid_config(cfg: hb_core::MachineConfig, usage: &str) -> hb_core::MachineConfig {
+    if let Err(e) = cfg.validate() {
+        usage_fail(usage, format!("invalid machine configuration: {e}"));
+    }
+    cfg
 }
 
 /// Creates an output file (creating parent directories), or a clean exit-1

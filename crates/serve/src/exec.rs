@@ -1,13 +1,11 @@
 //! The simulation executor: turns a [`JobSpec`] into a [`JobRecord`] by
-//! actually running the simulator. The `hb-serve` binary, `hb-bench`'s
-//! ablation sweep and the tests all run jobs through this one
-//! implementation (so every caller gains caching/resume for free).
+//! actually running the simulator. The `hb-serve` binary and the tests
+//! all run jobs through this one implementation (so every caller gains
+//! caching/resume for free).
 //!
 //! Golden/fault jobs run one of the two [`campaign_kernel`]s — the
 //! SPM-blocked SGEMM or the Jacobi kernel, seeded inputs, identical initial
 //! DRAM on every run — and classify against the campaign's golden record.
-//! Ablation jobs run any [`hb_kernels::kernels`] token (case-insensitive)
-//! at a size class on a machine they build themselves.
 //!
 //! A fault job simulates only what follows its injection. Up to its first
 //! injection it *is* the golden run, so it forks from the golden run: it
@@ -398,27 +396,6 @@ impl SimExecutor {
             ..JobRecord::default()
         })
     }
-
-    fn run_ablation(&self, spec: &JobSpec, size: &str) -> Result<JobRecord, JobError> {
-        let size = parse_size(size)?;
-        let kernel = hb_kernels::by_name(&spec.kernel)
-            .ok_or_else(|| JobError::Permanent(format!("unknown kernel {:?}", spec.kernel)))?;
-        let cfg = &spec.config;
-        cfg.validate()
-            .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let stats = kernel
-            .run(cfg, size)
-            .map_err(|e| JobError::Permanent(format!("{} failed: {e}", kernel.name())))?;
-        Ok(JobRecord {
-            kind: spec.kind.canonical(),
-            kernel: spec.kernel.clone(),
-            seed: spec.seed,
-            outcome: "ok".to_owned(),
-            cycles: stats.cycles,
-            instrs: stats.core.instrs,
-            ..JobRecord::default()
-        })
-    }
 }
 
 impl Executor for SimExecutor {
@@ -426,7 +403,6 @@ impl Executor for SimExecutor {
         match &spec.kind {
             JobKind::Golden => self.run_golden(spec),
             JobKind::Fault => self.run_fault(spec, store),
-            JobKind::Ablation { size } => self.run_ablation(spec, size),
         }
     }
 }
@@ -559,24 +535,6 @@ pub fn golden_spec(kernel: &str, config: &MachineConfig) -> JobSpec {
         plan: PlanSpec::None,
         config: config.clone(),
         label: "golden".to_owned(),
-    }
-}
-
-fn parse_size(s: &str) -> Result<SizeClass, JobError> {
-    match s {
-        "tiny" => Ok(SizeClass::Tiny),
-        "small" => Ok(SizeClass::Small),
-        "large" => Ok(SizeClass::Large),
-        _ => Err(JobError::Permanent(format!("unknown size class {s:?}"))),
-    }
-}
-
-/// Renders a [`SizeClass`] as its canonical token.
-pub fn size_token(size: SizeClass) -> &'static str {
-    match size {
-        SizeClass::Tiny => "tiny",
-        SizeClass::Small => "small",
-        SizeClass::Large => "large",
     }
 }
 

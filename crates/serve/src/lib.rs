@@ -1,8 +1,8 @@
 //! `hb-serve`: the campaign execution service.
 //!
-//! Fault-injection AVF campaigns and design-space ablation sweeps are
-//! thousands of independent simulator runs. This crate turns them from
-//! one-shot in-process loops into durable, resumable, cached campaigns:
+//! A fault-injection AVF campaign is thousands of independent simulator
+//! runs. This crate turns it from a one-shot in-process loop into a
+//! durable, resumable, cached campaign:
 //!
 //! * [`spec`] — the job model. A [`JobSpec`] is the canonicalized
 //!   (kind, kernel, seed, injection plan, [`MachineConfig`]) tuple with a
@@ -17,19 +17,19 @@
 //!   with backoff, cooperative cancellation and an exact execution budget
 //!   (`max_jobs`) for deterministic mid-run stops.
 //! * [`exec`] — the [`SimExecutor`] that actually runs the simulator:
-//!   golden references (with bit-identity and hb-iss anchoring checks),
-//!   classified fault injections, and ablation benchmark points.
+//!   golden references (with bit-identity and hb-iss anchoring checks)
+//!   and classified fault injections.
 //! * [`campaign`] — named manifests of specs with save/load/status and
 //!   phased (golden-first) execution.
-//! * [`report`] — deterministic aggregation: AVF tables, sweep curves and
-//!   completion counts, with no wall-clock in the artifact, so a resumed
+//! * [`report`] — deterministic aggregation: AVF tables and completion
+//!   counts, with no wall-clock in the artifact, so a resumed
 //!   campaign reports byte-identically to an uninterrupted one.
 //!
 //! The `hb-serve` binary exposes this as `submit` / `run` / `status` /
 //! `resume` / `report` / `gc` (`run --expect` holds a fault
-//! campaign to exact outcome counts); `hb-bench ablations` executes
-//! through it too and inherits caching and resume. [`cli`] is the argument
-//! walk both binaries share.
+//! campaign to exact outcome counts). [`pool`]'s ordered map also runs
+//! `hb-bench`'s figure points. [`cli`] is the argument walk both binaries
+//! share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +44,7 @@ pub mod spec;
 pub mod store;
 
 pub use campaign::{Campaign, CampaignStatus};
-pub use exec::{campaign_kernel, golden_spec, size_token, SimExecutor};
+pub use exec::{campaign_kernel, golden_spec, SimExecutor};
 pub use pool::{
     default_threads, run_jobs, run_ordered, run_ordered_results, CampaignSummary, CancelToken,
     Executor, JobError, JobPanic, RunOpts,

@@ -2,7 +2,7 @@
 //!
 //! A report is a pure function of (manifest, store contents): it iterates
 //! the manifest in submission order, fetches each job's record by hash, and
-//! renders AVF tables, ablation sweep curves and completion counts. It
+//! renders AVF tables and completion counts. It
 //! deliberately contains **no wall-clock or host information**, so a
 //! campaign that was killed and resumed produces a byte-identical report to
 //! one that ran uninterrupted — the CI smoke job asserts exactly that.
@@ -62,29 +62,6 @@ pub fn build(campaign: &Campaign, store: &Store) -> String {
         out.push_str(&format!("summary: {}\n", table.summary_line()));
     }
 
-    // Ablation sweep points, in manifest order (the sweep harness submits
-    // them in curve order, so this *is* the curve).
-    let ablations: Vec<(&str, Option<&JobRecord>)> = campaign
-        .specs
-        .iter()
-        .zip(records.iter())
-        .filter(|(s, _)| matches!(s.kind, crate::spec::JobKind::Ablation { .. }))
-        .map(|(s, r)| (s.label.as_str(), r.as_ref()))
-        .collect();
-    if !ablations.is_empty() {
-        out.push('\n');
-        out.push_str("sweep:\n");
-        for (label, rec) in ablations {
-            match rec {
-                Some(r) => out.push_str(&format!(
-                    "  {:<28} kernel={} cycles={} instrs={}\n",
-                    label, r.kernel, r.cycles, r.instrs
-                )),
-                None => out.push_str(&format!("  {label:<28} (missing)\n")),
-            }
-        }
-    }
-
     out
 }
 
@@ -108,7 +85,6 @@ pub fn write(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JobKind, JobSpec, PlanSpec};
     use hb_core::MachineConfig;
 
     #[test]
@@ -156,38 +132,6 @@ mod tests {
         assert!(!text.contains("wall"), "report must be wall-clock free");
         // Pure function of inputs: building twice is byte-identical.
         assert_eq!(text, build(&campaign, &store));
-
-        // Ablation labels render as a sweep section.
-        let mut sweep = Campaign {
-            name: "sweep".to_owned(),
-            specs: vec![JobSpec {
-                kind: JobKind::Ablation {
-                    size: "small".to_owned(),
-                },
-                kernel: "SGEMM".to_owned(),
-                seed: 0,
-                plan: PlanSpec::None,
-                config: cfg.clone(),
-                label: "ruche=2".to_owned(),
-            }],
-        };
-        store
-            .put(&JobRecord {
-                hash: sweep.specs[0].hash(),
-                kind: "ablation:small".to_owned(),
-                kernel: "SGEMM".to_owned(),
-                outcome: "ok".to_owned(),
-                cycles: 2222,
-                instrs: 999,
-                ..JobRecord::default()
-            })
-            .unwrap();
-        let text = build(&sweep, &store);
-        assert!(text.contains("sweep:"));
-        assert!(text.contains("ruche=2"));
-        assert!(text.contains("cycles=2222"));
-        sweep.specs[0].label = "ruche=3".to_owned(); // same hash: label unhashed
-        assert!(build(&sweep, &store).contains("ruche=3"));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -59,19 +59,12 @@ pub enum JobKind {
     /// One fault-injection run, classified masked/sdc/detected/hang against
     /// the campaign's golden record.
     Fault,
-    /// One sweep point: `hb_kernels::Benchmark::run` at a size class,
-    /// recording cycles (ablation/performance campaigns).
-    Ablation {
-        /// Kernel input size class: `tiny`, `small` or `large`.
-        size: String,
-    },
 }
 
-// `golden`, `fault`, or `ablation:<size class>`.
+// `golden` or `fault`.
 hb_mem::text_enum!(JobKind, "job kind" {
     "golden" => Golden,
     "fault" => Fault,
-    "ablation" [":" ""] => Ablation { size },
 });
 
 impl JobKind {
@@ -84,7 +77,7 @@ impl JobKind {
 /// The injection plan a job runs under, in hashable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanSpec {
-    /// No injection (golden and ablation jobs).
+    /// No injection (golden jobs).
     None,
     /// `InjectionPlan::random(seed, faults, shape)` where `shape` is derived
     /// deterministically from the campaign's golden record — so `(seed,
@@ -112,9 +105,7 @@ hb_mem::text_enum!(PlanSpec, "plan spec" {
 pub struct JobSpec {
     /// Campaign kind.
     pub kind: JobKind,
-    /// Kernel name: `sgemm`/`jacobi` for golden/fault jobs, an
-    /// `hb_kernels::kernels()` token (`Name` or `Name@variant`, e.g.
-    /// `SGEMM@blocked`) for ablation jobs.
+    /// Kernel name: `sgemm` or `jacobi`.
     pub kernel: String,
     /// Seed: selects the injection plan for fault jobs; 0 where unused.
     pub seed: u64,
@@ -122,7 +113,7 @@ pub struct JobSpec {
     pub plan: PlanSpec,
     /// Machine configuration (canonicalized; host fields never hash).
     pub config: MachineConfig,
-    /// Display label for reports (sweep point name). **Not hashed.**
+    /// Display label. **Not hashed.**
     pub label: String,
 }
 
@@ -252,15 +243,6 @@ mod tests {
                 ..spec()
             },
             JobSpec {
-                kind: JobKind::Ablation {
-                    size: "small".to_owned(),
-                },
-                kernel: "SGEMM@blocked".to_owned(),
-                plan: PlanSpec::None,
-                label: "ruche=3 sweep point".to_owned(),
-                ..spec()
-            },
-            JobSpec {
                 plan: PlanSpec::Explicit(InjectionPlan::random(9, 3, &shape)),
                 ..spec()
             },
@@ -313,5 +295,17 @@ mod tests {
             let bad = good.replacen(from, to, 1);
             assert!(JobSpec::from_manifest_line(&bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// Jobs are golden or fault runs: a manifest line of any other kind
+    /// (an `ablation:<size>` sweep point, say; `hb-bench ablations` runs
+    /// its points itself) is a typed parse error, not a job.
+    #[test]
+    fn a_kind_that_is_not_golden_or_fault_is_refused() {
+        let line = spec()
+            .manifest_line()
+            .replacen("kind=fault", "kind=ablation:small", 1);
+        let err = JobSpec::from_manifest_line(&line).unwrap_err();
+        assert!(err.contains("unknown job kind"), "{err}");
     }
 }

@@ -34,19 +34,19 @@ use std::path::{Path, PathBuf};
 pub struct JobRecord {
     /// Content hash of the [`crate::JobSpec`] that produced this.
     pub hash: String,
-    /// Job kind token (`golden`/`fault`/`ablation:<size>`).
+    /// Job kind token (`golden`/`fault`).
     pub kind: String,
     /// Kernel name.
     pub kernel: String,
     /// Job seed.
     pub seed: u64,
-    /// Outcome: `ok` (golden/ablation), or `masked`/`sdc`/`detected`/`hang`.
+    /// Outcome: `ok` (golden), or `masked`/`sdc`/`detected`/`hang`.
     pub outcome: String,
     /// Injected site-kind label (`regfile`, `spm`, ...); empty when none.
     pub site: String,
     /// Injection cycle; 0 when none.
     pub inj_cycle: u64,
-    /// Simulated cycles (golden/ablation: run length; fault: observed
+    /// Simulated cycles (golden: run length; fault: observed
     /// cycles, 0 for hangs).
     pub cycles: u64,
     /// Retired instructions.

@@ -1,7 +1,36 @@
-//! The `hb-serve` command line: a worker count of zero is a usage error
-//! (exit 2, one `error:` line), not a run on one worker.
+//! The `hb-serve` command line: a worker count of zero or a machine
+//! configuration that does not validate is a usage error (exit 2, one
+//! `error:` line), not a run.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+#[track_caller]
+fn assert_usage_error(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert_eq!(
+        stderr.lines().filter(|l| l.starts_with("error:")).count(),
+        1,
+        "{what}: {stderr}"
+    );
+}
+
+#[test]
+fn a_configuration_that_does_not_validate_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("hb-serve-cli-cfg-{}", std::process::id()));
+    for flags in [["--cell", "0x4"], ["--disable", "9,9"]] {
+        for cmd in ["submit", "run"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_hb-serve"))
+                .args([cmd, "--dir", &dir.display().to_string()])
+                .args(flags)
+                .output()
+                .unwrap();
+            assert_usage_error(&out, &format!("{cmd} {flags:?}"));
+            assert!(out.stdout.is_empty(), "{cmd} {flags:?} printed to stdout");
+            assert!(!dir.exists(), "{cmd} {flags:?} touched its store");
+        }
+    }
+}
 
 #[test]
 fn a_zero_thread_count_is_a_usage_error() {
@@ -11,13 +40,7 @@ fn a_zero_thread_count_is_a_usage_error() {
             .args([cmd, "--dir", &dir.display().to_string(), "--threads", "0"])
             .output()
             .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
-        assert_eq!(
-            stderr.lines().filter(|l| l.starts_with("error:")).count(),
-            1,
-            "{cmd}: {stderr}"
-        );
+        assert_usage_error(&out, cmd);
         assert!(!dir.exists(), "{cmd} touched its store");
     }
 }

@@ -230,14 +230,12 @@ fn mutated_texts_never_panic_or_overallocate() {
     .fuzz(&mut rng);
 
     let spec = JobSpec {
-        kind: JobKind::Ablation {
-            size: "small".to_owned(),
-        },
-        kernel: "SGEMM@blocked".to_owned(),
+        kind: JobKind::Fault,
+        kernel: "sgemm".to_owned(),
         seed: 7,
         plan: PlanSpec::Explicit(InjectionPlan::from_canonical_text(PLAN).unwrap()),
         config: config(),
-        label: "a sweep point".to_owned(),
+        label: "a labelled job".to_owned(),
     };
     Form {
         name: "manifest line",

@@ -125,29 +125,23 @@ fn manifest_line_and_hash_are_pinned() {
         return;
     }
     let spec = JobSpec {
-        kind: JobKind::Ablation {
-            size: "small".to_owned(),
-        },
-        kernel: "SGEMM@blocked".to_owned(),
+        kind: JobKind::Fault,
+        kernel: "sgemm".to_owned(),
         seed: 7,
         plan: PlanSpec::Explicit(one_site_of_each_kind()),
         config: MachineConfig::baseline_16x8(),
-        label: "ruche=3 sweep point".to_owned(),
+        label: "six sites, one of each kind".to_owned(),
     };
     pin(
         "manifest_line",
         &spec.manifest_line(),
         &format!(
-            "hbjob v1 rev=4.dev kind=ablation:small kernel=SGEMM@blocked seed=7 \
-             plan=explicit:{{{PLAN}}} cfg{{{BASELINE}}} label=ruche=3 sweep point"
+            "hbjob v1 rev=4.dev kind=fault kernel=sgemm seed=7 \
+             plan=explicit:{{{PLAN}}} cfg{{{BASELINE}}} label=six sites, one of each kind"
         ),
     );
-    // Both hashes were re-recorded when `cfgv=2` moved the embedded config
-    // text, and again when `SCHEMA_REV` 4 moved the `rev=` token.
-    pin("hash", &spec.hash(), "4cfeaebdf344d3b373ee61d7644ab7c8");
+    pin("hash", &spec.hash(), "1ab450cf6710ee7e3a29082e0ae704d1");
     let seeded = JobSpec {
-        kind: JobKind::Fault,
-        kernel: "sgemm".to_owned(),
         plan: PlanSpec::Seeded { faults: 2 },
         label: String::new(),
         ..spec
@@ -159,6 +153,8 @@ fn manifest_line_and_hash_are_pinned() {
             "hbjob v1 rev=4.dev kind=fault kernel=sgemm seed=7 plan=seeded:2 cfg{{{BASELINE}}}"
         ),
     );
+    // Re-recorded when `cfgv=2` moved the embedded config text, and again
+    // when `SCHEMA_REV` 4 moved the `rev=` token.
     pin("hash", &seeded.hash(), "faa417682bb648907fb9f2333c760f2b");
 }
 
