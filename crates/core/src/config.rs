@@ -146,7 +146,7 @@ pub struct MachineConfig {
     /// No effect since PR 18 (a machine runs on the thread that ticks it;
     /// nothing reads this). Kept because the benchmark crate `hb_perf/`
     /// names it in struct literals; the benchmark-only follow-up that
-    /// drops it there deletes the field (ROADMAP item 8).
+    /// drops it there deletes the field (ROADMAP's benchmark-only PR).
     pub threads: usize,
     /// Park policy of the tile phase's wake-list loop (see
     /// `hb_core::sched` and the "Event-driven core" section of DESIGN.md).

@@ -42,7 +42,9 @@ options (each command takes the ones it uses; status and gc take --dir):
   --cell WxH       tile grid per cell            [4x4]
   --disable x,y[;x,y]  disabled tiles            []
   --threads T      job workers, this thread included
-                   [the host's available parallelism]
+                   [the host's available parallelism]; a golden job's
+                   two reference runs use the host's count (taskset -c 0
+                   keeps them on one CPU)
   --max-jobs N     stop after N executed jobs (deterministic mid-run stop)
   --retries R      retries per transient failure [2]
   --ckpt-every N   checkpoint fault runs every N cycles into the store,

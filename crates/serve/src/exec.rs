@@ -18,10 +18,10 @@
 //! is bit-exact (see `hb-ckpt`), so forked and resumed runs classify
 //! identically to cold ones.
 
-use crate::pool::{Executor, JobError};
+use crate::pool::{default_threads, run_ordered, Executor, JobError};
 use crate::spec::{JobKind, JobSpec, PlanSpec};
 use crate::store::{JobRecord, Store};
-use hb_core::{Machine, MachineConfig, SimError};
+use hb_core::{Machine, MachineConfig, RunSummary, SimError};
 use hb_fault::{InjectionPlan, PlanShape};
 use hb_kernels::{launch_on, Jacobi, Kernel, Sgemm, SizeClass};
 use std::collections::btree_map::Entry;
@@ -132,9 +132,10 @@ pub struct SimExecutor {
 impl SimExecutor {
     /// An executor. The argument has had no effect since PR 18 (workers are
     /// [`RunOpts::threads`](crate::RunOpts); every job's machine runs on
-    /// the worker that claimed it); the arity is kept because the benchmark
-    /// crate `hb_perf/` calls `SimExecutor::new(1)`, and goes with the
-    /// benchmark-only follow-up (ROADMAP item 8).
+    /// the worker that claimed it, and a golden job's two reference runs
+    /// on [`default_threads`] workers); the arity is kept because the
+    /// benchmark crate `hb_perf/` calls `SimExecutor::new(1)`, and goes
+    /// with ROADMAP's benchmark-only PR.
     pub fn new(_workers: usize) -> SimExecutor {
         SimExecutor {
             goldens: Mutex::new(HashMap::new()),
@@ -177,68 +178,11 @@ impl SimExecutor {
             // A fault job arrived before its golden (e.g. a hand-built
             // manifest without one): run the golden inline. Not stored —
             // the pool owns store writes — but cached for this process.
-            let rec = self.run_golden(&gspec)?;
+            let rec = run_golden(&gspec, default_threads())?;
             GoldenInfo::from_record(&rec)
         };
         self.goldens.lock().unwrap().insert(ghash, info);
         Ok(info)
-    }
-
-    fn run_golden(&self, spec: &JobSpec) -> Result<JobRecord, JobError> {
-        let row = campaign_row(&spec.kernel)?;
-        let kernel = row.kernel;
-        let cfg = &spec.config;
-        cfg.validate()
-            .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
-        let (gold_res, gold_machine) = run_once(kernel, cfg, None, GOLDEN_BUDGET);
-        let gold = gold_res.map_err(|e| JobError::Permanent(format!("golden run failed: {e}")))?;
-        let mut checks = vec!["empty-plan-identity"];
-
-        // Bit-identity: installing an *empty* plan must change nothing —
-        // the zero-injection hot path is one untaken branch.
-        {
-            let (empty_res, empty_machine) =
-                run_once(kernel, cfg, Some(&InjectionPlan::default()), GOLDEN_BUDGET);
-            let empty = empty_res
-                .map_err(|e| JobError::Permanent(format!("empty-plan run failed: {e}")))?;
-            if (empty.cycles, empty.core.instrs) != (gold.cycles, gold.core.instrs)
-                || !same_memory(&empty_machine, &gold_machine)
-            {
-                return Err(JobError::Permanent(
-                    "empty injection plan is not bit-identical to the uninstrumented run"
-                        .to_owned(),
-                ));
-            }
-        }
-
-        // Anchor the golden image to the hb-iss functional model where the
-        // kernel runs to completion functionally (no barriers).
-        if row.barrier_free {
-            let mut machine = Machine::new(cfg.clone());
-            launch_on(&mut machine, kernel, SizeClass::Small);
-            machine
-                .warmup_functional(100_000_000)
-                .map_err(|e| JobError::Permanent(format!("functional golden run failed: {e}")))?;
-            machine.flush_all_caches();
-            if !same_memory(&gold_machine, &machine) {
-                return Err(JobError::Permanent(
-                    "cycle-level golden memory diverges from the hb-iss functional run".to_owned(),
-                ));
-            }
-            checks.push("iss-anchor");
-        }
-
-        Ok(JobRecord {
-            kind: spec.kind.canonical(),
-            kernel: spec.kernel.clone(),
-            seed: spec.seed,
-            outcome: "ok".to_owned(),
-            cycles: gold.cycles,
-            instrs: gold.core.instrs,
-            dram_digest: digest(&gold_machine),
-            checks: checks.join(","),
-            ..JobRecord::default()
-        })
     }
 
     /// Brings a fresh `machine` to the golden run's state at [`fork_point`]:
@@ -401,7 +345,7 @@ impl SimExecutor {
 impl Executor for SimExecutor {
     fn run(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError> {
         match &spec.kind {
-            JobKind::Golden => self.run_golden(spec),
+            JobKind::Golden => run_golden(spec, default_threads()),
             JobKind::Fault => self.run_fault(spec, store),
         }
     }
@@ -410,6 +354,83 @@ impl Executor for SimExecutor {
 /// Cycle budget for golden runs (generous; a golden that cannot finish in
 /// this is a campaign configuration error).
 const GOLDEN_BUDGET: u64 = 10_000_000;
+
+/// A golden job: the campaign kernel's uninstrumented run, held to two
+/// identity checks — the same run under an empty injection plan, and, for
+/// a barrier-free kernel, the `hb-iss` functional run's memory image. The
+/// two cycle-level runs go side by side on up to `threads` workers; the
+/// record is the same at any count.
+fn run_golden(spec: &JobSpec, threads: usize) -> Result<JobRecord, JobError> {
+    let row = campaign_row(&spec.kernel)?;
+    let cfg = &spec.config;
+    cfg.validate()
+        .map_err(|e| JobError::Permanent(format!("invalid config: {e}")))?;
+    let (gold, gold_machine) = identity_runs(row.kernel, cfg, &InjectionPlan::default(), threads)?;
+    let mut checks = vec!["empty-plan-identity"];
+    if row.barrier_free {
+        iss_anchor(row.kernel, cfg, &gold_machine)?;
+        checks.push("iss-anchor");
+    }
+    Ok(JobRecord {
+        kind: spec.kind.canonical(),
+        kernel: spec.kernel.clone(),
+        seed: spec.seed,
+        outcome: "ok".to_owned(),
+        cycles: gold.cycles,
+        instrs: gold.core.instrs,
+        dram_digest: digest(&gold_machine),
+        checks: checks.join(","),
+        ..JobRecord::default()
+    })
+}
+
+/// Bit-identity: the uninstrumented run and the run with `plan` installed,
+/// as two items of the pool on up to `threads` workers, must agree on
+/// cycles, instructions and every DRAM byte. A golden job passes the empty
+/// plan, whose zero-injection hot path is one untaken branch. Returns the
+/// uninstrumented run and its machine; the other machine is dropped here.
+fn identity_runs(
+    kernel: &dyn Kernel,
+    cfg: &MachineConfig,
+    plan: &InjectionPlan,
+    threads: usize,
+) -> Result<(RunSummary, Machine), JobError> {
+    let plans = [None, Some(plan)];
+    let runs = run_ordered(&plans, threads, |_, plan| {
+        run_once(kernel, cfg, *plan, GOLDEN_BUDGET)
+    });
+    let [(gold_res, gold_machine), (plan_res, plan_machine)]: [_; 2] =
+        runs.try_into().expect("one run per plan");
+    let gold = gold_res.map_err(|e| JobError::Permanent(format!("golden run failed: {e}")))?;
+    let planned =
+        plan_res.map_err(|e| JobError::Permanent(format!("empty-plan run failed: {e}")))?;
+    if (planned.cycles, planned.core.instrs) != (gold.cycles, gold.core.instrs)
+        || !same_memory(&plan_machine, &gold_machine)
+    {
+        return Err(JobError::Permanent(
+            "empty injection plan is not bit-identical to the uninstrumented run".to_owned(),
+        ));
+    }
+    Ok((gold, gold_machine))
+}
+
+/// Anchors a golden memory image to the `hb-iss` functional model, for a
+/// kernel that runs to completion functionally (no barriers): its
+/// functional run must leave `gold` DRAM byte for byte.
+fn iss_anchor(kernel: &dyn Kernel, cfg: &MachineConfig, gold: &Machine) -> Result<(), JobError> {
+    let mut machine = Machine::new(cfg.clone());
+    launch_on(&mut machine, kernel, SizeClass::Small);
+    machine
+        .warmup_functional(100_000_000)
+        .map_err(|e| JobError::Permanent(format!("functional golden run failed: {e}")))?;
+    machine.flush_all_caches();
+    if !same_memory(gold, &machine) {
+        return Err(JobError::Permanent(
+            "cycle-level golden memory diverges from the hb-iss functional run".to_owned(),
+        ));
+    }
+    Ok(())
+}
 
 /// Cycles between golden-prefix captures: a rule, not a knob. At most 16
 /// per golden run, so a campaign's captures stay a few golden images, and
@@ -545,7 +566,7 @@ fn run_once(
     cfg: &MachineConfig,
     plan: Option<&InjectionPlan>,
     budget: u64,
-) -> (Result<hb_core::RunSummary, SimError>, Machine) {
+) -> (Result<RunSummary, SimError>, Machine) {
     let mut machine = Machine::new(cfg.clone());
     launch_on(&mut machine, kernel, SizeClass::Small);
     if let Some(plan) = plan {
@@ -819,6 +840,64 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .all(|name| name.starts_with("hang-")));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A golden record is the same, field for field, whether its two
+    /// cycle-level runs run on one worker or fan out: SGEMM with its
+    /// `hb-iss` anchor, Jacobi without.
+    #[test]
+    fn a_golden_record_does_not_follow_the_worker_count() {
+        for (kernel, checks) in [
+            ("sgemm", "empty-plan-identity,iss-anchor"),
+            ("jacobi", "empty-plan-identity"),
+        ] {
+            let spec = golden_spec(kernel, &campaign_cfg());
+            let [one, two, default] = [1, 2, default_threads()]
+                .map(|threads| run_golden(&spec, threads).expect("the golden passes"));
+            assert_eq!(one.checks, checks);
+            assert_eq!(one, two, "{kernel}");
+            assert_eq!(one, default, "{kernel}");
+        }
+    }
+
+    /// The empty-plan check refuses a run that differs: one HBM2 stall
+    /// window in place of the empty plan, at one worker and at two.
+    #[test]
+    fn a_run_that_differs_fails_the_empty_plan_check() {
+        let sgemm = campaign_kernel("sgemm").unwrap();
+        let plan = InjectionPlan {
+            seed: 0,
+            injections: vec![Injection {
+                cycle: 3000,
+                site: Site::HbmStall { cell: 0, window: 8 },
+            }],
+        };
+        let refusal = JobError::Permanent(
+            "empty injection plan is not bit-identical to the uninstrumented run".to_owned(),
+        );
+        for threads in [1, 2] {
+            let runs = identity_runs(sgemm, &campaign_cfg(), &plan, threads);
+            assert_eq!(runs.map(|_| ()), Err(refusal.clone()), "{threads} workers");
+        }
+    }
+
+    /// The `hb-iss` anchor refuses a golden image with one flipped byte.
+    #[test]
+    fn a_flipped_golden_byte_fails_the_iss_anchor() {
+        let sgemm = campaign_kernel("sgemm").unwrap();
+        let cfg = campaign_cfg();
+        let (_, mut gold) = identity_runs(sgemm, &cfg, &InjectionPlan::default(), 1).unwrap();
+        assert_eq!(iss_anchor(sgemm, &cfg, &gold), Ok(()));
+        let dram = gold.cell_mut(0).dram_mut();
+        let (at, _) = dram.extents().next().expect("the kernel wrote DRAM");
+        let at = at as u32;
+        dram.write_u8(at, dram.read_u8(at) ^ 0x10);
+        assert_eq!(
+            iss_anchor(sgemm, &cfg, &gold),
+            Err(JobError::Permanent(
+                "cycle-level golden memory diverges from the hb-iss functional run".to_owned()
+            ))
+        );
     }
 
     #[test]
