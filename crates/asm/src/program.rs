@@ -72,11 +72,6 @@ impl Program {
         &self.words
     }
 
-    /// The image as little-endian bytes, suitable for writing to DRAM.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.words.iter().flat_map(|w| w.to_le_bytes()).collect()
-    }
-
     /// The instruction at byte address `pc`, if `pc` falls inside the image
     /// and is 4-byte aligned.
     pub fn instr_at(&self, pc: u32) -> Option<Instr> {
@@ -116,10 +111,9 @@ mod tests {
     #[test]
     fn bytes_round_trip_through_decode() {
         let p = sample();
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len() as u32, p.size_bytes());
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            let word = u32::from_le_bytes(chunk.try_into().unwrap());
+        let words = p.words();
+        assert_eq!(words.len() as u32 * INSTR_BYTES, p.size_bytes());
+        for (i, &word) in words.iter().enumerate() {
             assert_eq!(hb_isa::decode(word).unwrap(), p.instrs()[i]);
         }
     }

@@ -7,6 +7,11 @@
 //! discipline that makes a checkpoint either fully present or absent after
 //! a crash.
 //!
+//! [`decode`] is the one parser: it checks a file's bytes and returns a
+//! [`Checkpoint`] that borrows its config text and payload from them.
+//! [`apply`] checks the config and restores a decoded checkpoint into a
+//! machine; [`restore`] is the two in one step.
+//!
 //! # File format (`HBCKPT01`)
 //!
 //! ```text
@@ -122,25 +127,26 @@ impl From<hb_mem::SnapError> for CkptError {
     }
 }
 
-/// A decoded checkpoint container, not yet applied to a machine.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
+/// A decoded, integrity-checked checkpoint container, not yet applied to
+/// a machine. It borrows the config text and payload from the file bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Checkpoint<'a> {
     /// Machine cycle at capture.
     pub cycle: u64,
     /// Canonical config text the capture ran under.
-    pub config_text: String,
+    pub config_text: &'a str,
     /// The machine payload ([`Machine::save_checkpoint`] bytes).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl Checkpoint {
+impl Checkpoint<'_> {
     /// Parses the config the checkpoint was captured under.
     ///
     /// # Errors
     ///
     /// The canonical-text parse error, verbatim.
     pub fn config(&self) -> Result<MachineConfig, String> {
-        MachineConfig::from_canonical_text(&self.config_text)
+        MachineConfig::from_canonical_text(self.config_text)
     }
 }
 
@@ -165,14 +171,14 @@ pub fn encode(machine: &Machine) -> Vec<u8> {
     out
 }
 
-/// The fields of an integrity-checked container, borrowed from its bytes.
-struct Parsed<'a> {
-    cycle: u64,
-    config_text: &'a str,
-    payload: &'a [u8],
-}
-
-fn parse(bytes: &[u8]) -> Result<Parsed<'_>, CkptError> {
+/// Decodes and integrity-checks checkpoint-file bytes without applying
+/// them to a machine.
+///
+/// # Errors
+///
+/// [`CkptError::BadMagic`], [`CkptError::Version`], [`CkptError::Corrupt`]
+/// or [`CkptError::Malformed`]; never a panic.
+pub fn decode(bytes: &[u8]) -> Result<Checkpoint<'_>, CkptError> {
     if bytes.len() < MAGIC.len() + 4 + 16 {
         if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
             return Err(CkptError::BadMagic);
@@ -194,43 +200,13 @@ fn parse(bytes: &[u8]) -> Result<Parsed<'_>, CkptError> {
     if fnv1a128(body) != stored {
         return Err(CkptError::Corrupt);
     }
-    let parsed = Parsed {
+    let ckpt = Checkpoint {
         config_text: r.str()?,
         cycle: r.u64()?,
         payload: r.bytes()?,
     };
     r.finish()?;
-    Ok(parsed)
-}
-
-/// Decodes and integrity-checks checkpoint-file bytes without applying
-/// them to a machine.
-///
-/// # Errors
-///
-/// [`CkptError::BadMagic`], [`CkptError::Version`], [`CkptError::Corrupt`]
-/// or [`CkptError::Malformed`]; never a panic.
-pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
-    let parsed = parse(bytes)?;
-    Ok(Checkpoint {
-        cycle: parsed.cycle,
-        config_text: parsed.config_text.to_owned(),
-        payload: parsed.payload.to_vec(),
-    })
-}
-
-impl Parsed<'_> {
-    fn apply(&self, machine: &mut Machine) -> Result<u64, CkptError> {
-        let got = machine.config().canonical_text();
-        if got != self.config_text {
-            return Err(CkptError::ConfigMismatch {
-                expected: self.config_text.to_owned(),
-                got,
-            });
-        }
-        machine.restore_checkpoint(self.payload)?;
-        Ok(self.cycle)
-    }
+    Ok(ckpt)
 }
 
 /// Restores a decoded checkpoint into `machine`, verifying the config
@@ -241,23 +217,25 @@ impl Parsed<'_> {
 /// [`CkptError::ConfigMismatch`] when the canonical config texts differ,
 /// [`CkptError::Malformed`] when the payload does not decode (the machine
 /// must then be discarded — it may be partially overwritten).
-pub fn apply(machine: &mut Machine, ckpt: &Checkpoint) -> Result<u64, CkptError> {
-    let parsed = Parsed {
-        cycle: ckpt.cycle,
-        config_text: &ckpt.config_text,
-        payload: &ckpt.payload,
-    };
-    parsed.apply(machine)
+pub fn apply(machine: &mut Machine, ckpt: &Checkpoint<'_>) -> Result<u64, CkptError> {
+    let got = machine.config().canonical_text();
+    if got != ckpt.config_text {
+        return Err(CkptError::ConfigMismatch {
+            expected: ckpt.config_text.to_owned(),
+            got,
+        });
+    }
+    machine.restore_checkpoint(ckpt.payload)?;
+    Ok(ckpt.cycle)
 }
 
-/// [`decode`] + [`apply`] in one step, without the owned copy of the
-/// payload a [`Checkpoint`] holds.
+/// [`decode`] + [`apply`] in one step.
 ///
 /// # Errors
 ///
 /// Any [`CkptError`].
 pub fn restore(machine: &mut Machine, bytes: &[u8]) -> Result<u64, CkptError> {
-    parse(bytes)?.apply(machine)
+    apply(machine, &decode(bytes)?)
 }
 
 /// Replaces `path` atomically and durably: the content goes to a `.tmp`

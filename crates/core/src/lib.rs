@@ -77,7 +77,7 @@ pub use func::{FuncBus, IssTile, SnapshotDram, TileCtx, WarmupReport};
 pub use gprof::{GuestProfile, PhaseProfile, UNMARKED};
 pub use icache::ICache;
 pub use kernel_util::HbOps;
-pub use machine::{CheckpointSink, Machine, RunSummary, SimError};
+pub use machine::{Machine, RunSummary, SimError};
 pub use multicell::MultiCellEstimator;
 pub use observe::{
     set_observer_factory, InjectKind, MachineObserver, ObsEvent, ObsKind, ObserverScope,

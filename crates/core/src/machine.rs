@@ -23,25 +23,6 @@ use std::sync::Arc;
 /// — and nothing ever set it to anything else.
 const WATCHDOG_WINDOW: u64 = 10_000;
 
-/// Periodic checkpoint callback (see [`Machine::set_auto_checkpoint`]).
-/// The machine passes itself back so the sink can serialize it; the sink
-/// is detached for the duration of the call.
-pub type CheckpointSink = Box<dyn FnMut(&mut Machine) + Send>;
-
-/// The installed auto-checkpoint sink plus its firing interval.
-struct CkptSinkSlot {
-    every: u64,
-    sink: CheckpointSink,
-}
-
-impl fmt::Debug for CkptSinkSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CkptSinkSlot")
-            .field("every", &self.every)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Simulation-terminating errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
@@ -151,13 +132,6 @@ pub struct Machine {
     /// hot loop pays exactly one always-false branch (the same pattern as
     /// `obs_due`/`fault_due`).
     race: Option<Box<crate::race::RaceChecker>>,
-    /// Periodic auto-checkpoint sink plus its interval, if installed (see
-    /// [`Machine::set_auto_checkpoint`]).
-    ckpt_sink: Option<CkptSinkSlot>,
-    /// Next cycle the auto-checkpoint sink fires; `u64::MAX` when none is
-    /// installed, so the uncheckpointed hot loop pays exactly one
-    /// always-false branch (the same pattern as `obs_due`/`fault_due`).
-    ckpt_due: u64,
 }
 
 impl Machine {
@@ -190,8 +164,6 @@ impl Machine {
             fault_cursor: 0,
             fault_due: u64::MAX,
             race: None,
-            ckpt_sink: None,
-            ckpt_due: u64::MAX,
         };
         if let Some(obs) = crate::observe::make_observer(&machine.cfg) {
             machine.attach_observer(obs);
@@ -479,57 +451,6 @@ impl Machine {
         if self.race.is_some() {
             self.drain_races();
         }
-        if self.cycle >= self.ckpt_due {
-            self.auto_checkpoint();
-        }
-    }
-
-    /// Installs a periodic checkpoint sink: `sink` is called at the end of
-    /// every `every`-th machine cycle (after all Cell phases, the fabric,
-    /// injections and observation — the same quiescent point
-    /// [`Machine::save_checkpoint`] requires). The hot loop pays exactly
-    /// one `cycle >= ckpt_due` branch when no sink is installed. Replaces
-    /// any previous sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn set_auto_checkpoint(
-        &mut self,
-        every: u64,
-        sink: impl FnMut(&mut Machine) + Send + 'static,
-    ) {
-        assert!(every > 0, "auto-checkpoint interval must be at least 1");
-        self.ckpt_due = self.cycle + every;
-        self.ckpt_sink = Some(CkptSinkSlot {
-            every,
-            sink: Box::new(sink),
-        });
-    }
-
-    /// Removes the periodic checkpoint sink, if any.
-    pub fn clear_auto_checkpoint(&mut self) {
-        self.ckpt_sink = None;
-        self.ckpt_due = u64::MAX;
-    }
-
-    /// Out-of-line auto-checkpoint dispatch, so the uncheckpointed
-    /// [`Machine::tick`] only pays the `ckpt_due` comparison. The sink is
-    /// detached while it runs (it receives the machine and may serialize
-    /// it), mirroring the observer discipline.
-    #[cold]
-    fn auto_checkpoint(&mut self) {
-        let Some(mut slot) = self.ckpt_sink.take() else {
-            self.ckpt_due = u64::MAX;
-            return;
-        };
-        (slot.sink)(self);
-        // A sink may replace itself via set_auto_checkpoint; only rearm if
-        // it did not.
-        if self.ckpt_sink.is_none() {
-            self.ckpt_due = self.cycle + slot.every;
-            self.ckpt_sink = Some(slot);
-        }
     }
 
     /// Serializes the complete simulated state — every Cell, the inter-Cell
@@ -541,12 +462,11 @@ impl Machine {
     ///
     /// Host-side scaffolding is deliberately not serialized: the race
     /// sanitizer (its per-cycle logs are drained every tick, so they are
-    /// empty here), the profiling switch and the auto-checkpoint sink are
-    /// all re-established by the host after restore. The tiles' telemetry
-    /// capture switch keeps a byte in the payload, but a restore sets it
-    /// from the restoring machine's observer, not from the bytes. Call
-    /// this only at the end-of-cycle quiescent point (between `tick`s, or
-    /// from an auto-checkpoint sink, which runs there).
+    /// empty here) and the profiling switch are both re-established by the
+    /// host after restore. The tiles' telemetry capture switch keeps a
+    /// byte in the payload, but a restore sets it from the restoring
+    /// machine's observer, not from the bytes. Call this only at the
+    /// end-of-cycle quiescent point: between `tick`s or `run`s.
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = hb_mem::SnapWriter::new();
         self.save_state(&mut w);
@@ -926,12 +846,12 @@ hb_mem::snap_state!(Fabric [b"FABR"] {
 });
 // `fault_plan` and the `observer`'s window travel in the extra section. The
 // rest of `host` is scaffolding the host re-establishes after a restore:
-// the race sanitizer (its per-cycle logs are drained every tick, so they
-// are empty at a checkpoint) and the auto-checkpoint sink.
+// the race sanitizer, whose per-cycle logs are drained every tick, so they
+// are empty at a checkpoint.
 hb_mem::snap_state!(Machine [b"MACH"] {
     save: cycle, fabric, fault_cursor, fault_due;
     fixed: cells;
-    host: cfg, observer, obs_due, fault_plan, race, ckpt_sink, ckpt_due;
+    host: cfg, observer, obs_due, fault_plan, race;
 } extra (save_plan_and_observer, load_plan_and_observer) check check_restored);
 
 impl Drop for Machine {

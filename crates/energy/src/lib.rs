@@ -181,41 +181,6 @@ pub fn efficiency_ratio(class: InstrClass) -> f64 {
     piton_epi_scaled(class) / hammerblade_epi(class).total()
 }
 
-/// Event counts from a kernel run, for whole-kernel energy estimates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelEvents {
-    /// Integer instructions retired.
-    pub int_instrs: u64,
-    /// FP instructions retired.
-    pub fp_instrs: u64,
-    /// Local SPM accesses.
-    pub spm_accesses: u64,
-    /// Network hops traversed (packets x hops).
-    pub network_hops: u64,
-    /// Cache-bank accesses.
-    pub cache_accesses: u64,
-    /// DRAM line transfers.
-    pub dram_lines: u64,
-}
-
-/// Per-event energies beyond the core (pJ).
-const NETWORK_HOP_PJ: f64 = 1.9;
-const CACHE_ACCESS_PJ: f64 = 12.0;
-const DRAM_LINE_PJ: f64 = 2200.0;
-
-/// Whole-kernel energy estimate in nanojoules.
-pub fn kernel_energy_nj(ev: &KernelEvents) -> f64 {
-    let int = hammerblade_epi(InstrClass::IntAlu).total();
-    let fp = hammerblade_epi(InstrClass::Fma).total();
-    let pj = ev.int_instrs as f64 * int
-        + ev.fp_instrs as f64 * fp
-        + ev.spm_accesses as f64 * HB_SPM
-        + ev.network_hops as f64 * NETWORK_HOP_PJ
-        + ev.cache_accesses as f64 * CACHE_ACCESS_PJ
-        + ev.dram_lines as f64 * DRAM_LINE_PJ;
-    pj / 1000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,20 +224,5 @@ mod tests {
     fn cv2_scaling_is_quadratic_in_voltage() {
         let e = cv2_scale(100.0, 1.0, 1.0, 0.5);
         assert!((e - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kernel_energy_accumulates() {
-        let ev = KernelEvents {
-            int_instrs: 1000,
-            dram_lines: 10,
-            ..KernelEvents::default()
-        };
-        let base = kernel_energy_nj(&ev);
-        let more = kernel_energy_nj(&KernelEvents {
-            int_instrs: 2000,
-            ..ev
-        });
-        assert!(more > base);
     }
 }

@@ -12,11 +12,11 @@
 //! restores the last golden-prefix capture before that cycle, which the
 //! executor keeps in memory (see [`SimExecutor`]), and installs its plan
 //! there. Fault jobs can additionally checkpoint: with an interval
-//! configured (`with_ckpt_every`), each run periodically snapshots its
-//! machine into the store under the job hash, and a killed worker's next
-//! attempt restores from the last snapshot instead of restarting. Restore
-//! is bit-exact (see `hb-ckpt`), so forked and resumed runs classify
-//! identically to cold ones.
+//! configured (`with_ckpt_every`), each run goes in legs of that many
+//! cycles and snapshots its machine into the store under the job hash
+//! between them, and a killed worker's next attempt restores from the last
+//! snapshot instead of restarting. Restore is bit-exact (see `hb-ckpt`),
+//! so forked and resumed runs classify identically to cold ones.
 
 use crate::pool::{default_threads, run_ordered, Executor, JobError};
 use crate::spec::{JobKind, JobSpec, PlanSpec};
@@ -27,7 +27,7 @@ use hb_kernels::{launch_on, Jacobi, Kernel, Sgemm, SizeClass};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One row of the campaign table: what golden/fault jobs can run. Two
 /// rows, not the suite: a campaign needs live state on every tile of a 4x4
@@ -126,7 +126,7 @@ pub struct SimExecutor {
     ckpt_every: Option<u64>,
     /// Fault-injection hook for the crash/resume CI job: the process exits
     /// hard (code 3) after this many checkpoints have been written.
-    crash_after: Option<Arc<AtomicI64>>,
+    crash_after: Option<AtomicI64>,
 }
 
 impl SimExecutor {
@@ -145,10 +145,11 @@ impl SimExecutor {
         }
     }
 
-    /// Enables mid-job checkpointing: every `every` cycles a fault run
-    /// snapshots its machine into the store under the job hash, so a
-    /// killed worker's next attempt resumes from the last snapshot instead
-    /// of restarting. `every == 0` disables.
+    /// Enables mid-job checkpointing: a fault run goes in legs of `every`
+    /// cycles and snapshots its machine into the store under the job hash
+    /// after each leg it is still running at, so a killed worker's next
+    /// attempt resumes from the last snapshot instead of restarting.
+    /// `every == 0` disables.
     #[must_use]
     pub fn with_ckpt_every(mut self, every: u64) -> SimExecutor {
         self.ckpt_every = (every > 0).then_some(every);
@@ -160,7 +161,7 @@ impl SimExecutor {
     /// a deterministic stand-in for a mid-run `kill -9`.
     #[must_use]
     pub fn with_crash_after_ckpts(mut self, n: u64) -> SimExecutor {
-        self.crash_after = Some(Arc::new(AtomicI64::new(n as i64)));
+        self.crash_after = Some(AtomicI64::new(n as i64));
         self
     }
 
@@ -238,6 +239,39 @@ impl SimExecutor {
         Ok(())
     }
 
+    /// Runs `machine` until it finishes, traps or reaches cycle `budget`.
+    /// With a checkpoint interval set it runs in legs of that many cycles
+    /// and stores a resume checkpoint under `hash` after each leg the
+    /// machine is still running at, counting it toward the crash hook.
+    fn run_to(
+        &self,
+        machine: &mut Machine,
+        budget: u64,
+        store: &Store,
+        hash: &str,
+    ) -> Result<RunSummary, SimError> {
+        let Some(every) = self.ckpt_every else {
+            return machine.run(budget.saturating_sub(machine.cycle()));
+        };
+        loop {
+            let left = budget.saturating_sub(machine.cycle());
+            let result = machine.run(left.min(every));
+            if left < every || !matches!(result, Err(SimError::Timeout { .. })) {
+                return result;
+            }
+            let _ = store.put_ckpt(hash, &hb_ckpt::encode(machine));
+            if let Some(n) = &self.crash_after {
+                if n.fetch_sub(1, Ordering::SeqCst) <= 1 {
+                    // The ckpt-smoke stand-in for a mid-run kill -9.
+                    std::process::exit(3);
+                }
+            }
+            if left == every {
+                return result;
+            }
+        }
+    }
+
     fn run_fault(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError> {
         let row = campaign_row(&spec.kernel)?;
         let cfg = &spec.config;
@@ -285,27 +319,10 @@ impl SimExecutor {
             self.fork(&row, &mut machine, &plan, gold.cycles)?;
             machine.set_injection_plan(&plan);
         }
-        if let Some(every) = self.ckpt_every {
-            let sink_store = Store::open(store.root())
-                .map_err(|e| JobError::Transient(format!("cannot reopen store: {e}")))?;
-            let key = hash.clone();
-            let crash = self.crash_after.clone();
-            machine.set_auto_checkpoint(every, move |m: &mut Machine| {
-                let _ = sink_store.put_ckpt(&key, &hb_ckpt::encode(m));
-                if let Some(left) = &crash {
-                    if left.fetch_sub(1, Ordering::SeqCst) <= 1 {
-                        // The ckpt-smoke stand-in for a mid-run kill -9.
-                        std::process::exit(3);
-                    }
-                }
-            });
-        }
-
         // Budget in *total* cycles since launch, so a resumed or forked run
         // hangs (or finishes) at exactly the same machine cycle as a cold
         // one — the classification below is bit-identical either way.
-        let result = machine.run(budget.saturating_sub(machine.cycle()));
-        machine.clear_auto_checkpoint();
+        let result = self.run_to(&mut machine, budget, store, &hash);
         let mut artifacts = String::new();
         if matches!(&result, Err(SimError::Timeout { .. })) {
             // Post-mortem: dump the hung state next to the HangReport so

@@ -150,11 +150,6 @@ impl Store {
         Ok(Store { root })
     }
 
-    /// The store root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Path of the object for `hash`.
     pub fn object_path(&self, hash: &str) -> PathBuf {
         let shard = hash.get(..2).unwrap_or("xx");

@@ -95,6 +95,53 @@ fn killed_campaign_resumes_mid_job_with_identical_report() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// Where the checkpoints fall: a fault run checkpoints after each
+/// `--ckpt-every` leg it is still running at, counting legs from the cycle
+/// it forked or resumed at, and `--crash-after-ckpts k` exits on the k-th
+/// write. So a crash run leaves one checkpoint, and its job and capture
+/// cycle pin the cadence; the report identity above would not notice a
+/// checkpoint written at another cycle. The jobs are those of the
+/// `ckpt-smoke` CI campaign (k = 3 is its crash).
+#[test]
+fn crash_runs_leave_the_checkpoint_the_cadence_puts_there() {
+    let bin = env!("CARGO_BIN_EXE_hb-serve");
+    let base = std::env::temp_dir().join(format!("hb-serve-ckpt-cadence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let pins = [
+        (1, "7ac0a55266bcc5375ae30ccad5a0b744", 3048),
+        (2, "7ac0a55266bcc5375ae30ccad5a0b744", 4048),
+        (3, "456aa4ff4249fffc7fc715fe6214f957", 3048),
+        (5, "7e3ef06ccacb991940e7b4b6f64ed006", 1000),
+    ];
+    for (k, job, cycle) in pins {
+        let dir = base.join(format!("k{k}"));
+        let dir_arg = dir.display().to_string();
+        let k_arg = k.to_string();
+        let out = Command::new(bin)
+            .args([
+                "run", "--dir", &dir_arg, "--kernel", "jacobi", "--faults", "25",
+            ])
+            .args(["--seed", "7", "--threads", "1", "--ckpt-every", "1000"])
+            .args(["--crash-after-ckpts", &k_arg])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(3), "k={k}: expected the kill");
+        let files: Vec<_> = std::fs::read_dir(dir.join("store").join("ckpt"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "k={k}: {files:?}");
+        assert_eq!(
+            files[0].file_name().unwrap().to_str(),
+            Some(format!("{job}.ckpt").as_str()),
+            "k={k}"
+        );
+        let bytes = std::fs::read(&files[0]).unwrap();
+        assert_eq!(hb_ckpt::decode(&bytes).unwrap().cycle, cycle, "k={k}");
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// What an existing store meets after a `CKPT_VERSION` bump — here 3 → 4,
 /// the per-bank and per-strip clocks giving way to one memory clock, with
 /// no version-3 reader kept: the resume checkpoint a killed worker left
