@@ -1,7 +1,7 @@
 //! `hb-serve` — the campaign execution service CLI.
 //!
 //! A campaign lives in a directory: `manifest.txt` (the jobs), `store/`
-//! (content-addressed results + journal) and `report.txt` (deterministic
+//! (content-addressed results + failure log) and `report.txt` (deterministic
 //! aggregate). Results are keyed by a content hash of the job spec (kernel,
 //! config, seed, plan, schema/binary revision), so re-running finished work
 //! is a cache hit and a killed campaign resumes by re-running only the
@@ -46,7 +46,6 @@ options (each command takes the ones it uses; status and gc take --dir):
                    two reference runs use the host's count (taskset -c 0
                    keeps them on one CPU)
   --max-jobs N     stop after N executed jobs (deterministic mid-run stop)
-  --retries R      retries per transient failure [2]
   --ckpt-every N   checkpoint fault runs every N cycles into the store,
                    so a killed worker resumes mid-job (0 = off)  [0]
   --crash-after-ckpts N  testing: exit(3) after N checkpoints (the
@@ -55,10 +54,7 @@ options (each command takes the ones it uses; status and gc take --dir):
   --out FILE       also write the report here
   --expect masked=a,sdc=b,detected=c,hang=d
                    run: exit 1 unless the report's AVF summary has
-                   exactly these counts (the CI fault-smoke contract)
-
-kernel names: sgemm | jacobi; warm:<kernel> is an alias (every fault run
-already starts from the golden run's state just before its injection)";
+                   exactly these counts (the CI fault-smoke contract)";
 
 struct Opts {
     dir: PathBuf,
@@ -69,7 +65,6 @@ struct Opts {
     disabled: Vec<(u8, u8)>,
     threads: usize,
     max_jobs: Option<usize>,
-    retries: u32,
     ckpt_every: u64,
     crash_after_ckpts: Option<u64>,
     out: Option<PathBuf>,
@@ -77,8 +72,7 @@ struct Opts {
 }
 
 /// The flags of the commands that execute jobs.
-const EXEC_FLAGS: &str =
-    "--threads T --max-jobs N --retries R --ckpt-every N --crash-after-ckpts N --out FILE";
+const EXEC_FLAGS: &str = "--threads T --max-jobs N --ckpt-every N --crash-after-ckpts N --out FILE";
 
 /// Each command's flags: a flag followed by a word takes a value.
 fn flags(cmd: &str) -> String {
@@ -109,7 +103,6 @@ fn parse_opts(cmd: &str, argv: &[String]) -> Opts {
             .map_or_else(Vec::new, |v| cli::parse_disabled(v, USAGE)),
         threads: worker_count(&args),
         max_jobs: args.parse("--max-jobs"),
-        retries: args.parse("--retries").unwrap_or(2),
         ckpt_every: args.parse("--ckpt-every").unwrap_or(0),
         crash_after_ckpts: args.parse("--crash-after-ckpts"),
         out: args.value("--out").map(PathBuf::from),
@@ -194,9 +187,7 @@ fn execute(campaign: &Campaign, opts: &Opts) -> ! {
     }
     let run_opts = RunOpts {
         threads: opts.threads,
-        retries: opts.retries,
         max_jobs: opts.max_jobs,
-        ..RunOpts::default()
     };
     let summary = campaign.run(&store, &exec, &run_opts, &CancelToken::new());
     println!("{}", summary.line());

@@ -127,8 +127,8 @@ impl Campaign {
 
     /// Executes the campaign: golden jobs first (fault jobs classify
     /// against their stored records), then the rest. Already-stored results
-    /// are cache hits. `opts.max_jobs` bounds *executions* across both
-    /// phases.
+    /// are cache hits. `opts.max_jobs` bounds *executions*, failed ones
+    /// included, across both phases.
     pub fn run(
         &self,
         store: &Store,
@@ -145,21 +145,21 @@ impl Campaign {
         let first = run_jobs(&gold, store, exec, opts, cancel);
         let mut opts2 = opts.clone();
         if let Some(max) = opts.max_jobs {
-            opts2.max_jobs = Some(max.saturating_sub(first.run));
+            opts2.max_jobs = Some(max.saturating_sub(first.run + first.failed));
         }
         let second = run_jobs(&rest, store, exec, &opts2, cancel);
         CampaignSummary {
             total: self.specs.len(),
             run: first.run + second.run,
             cached: first.cached + second.cached,
-            retried: first.retried + second.retried,
             failed: first.failed + second.failed,
             skipped: first.skipped + second.skipped,
             wall_ms: started.elapsed().as_millis() as u64,
         }
     }
 
-    /// Completion status against a store.
+    /// Completion status against a store: `done` and `missing` read the
+    /// objects, `failed_previously` the journal's `failed` lines.
     pub fn status(&self, store: &Store) -> CampaignStatus {
         let mut status = CampaignStatus::default();
         let failed_hashes: std::collections::HashSet<String> = store
@@ -190,7 +190,7 @@ pub struct CampaignStatus {
     pub done: usize,
     /// Jobs without one.
     pub missing: usize,
-    /// Missing jobs whose last journal entry is a terminal failure.
+    /// Missing jobs with a `failed` journal line (from any earlier run).
     pub failed_previously: usize,
 }
 

@@ -9,12 +9,13 @@
 //!   stable content [`hash`](JobSpec::hash) that folds in a schema/binary
 //!   revision, so results never alias across incompatible simulators.
 //! * [`store`] — the content-addressed results [`Store`]: one JSON object
-//!   per completed job under its hash, plus an append-only journal with
-//!   truncated-tail recovery. Identical work is a cache hit forever.
+//!   per completed job under its hash, plus a failure log (one `failed`
+//!   journal line per job that erred or panicked) with truncated-tail
+//!   recovery. Identical work is a cache hit forever.
 //! * [`pool`] — the worker pool, the workspace's one level of host
 //!   parallelism: an ordered, panic-isolating map over scoped workers, and
-//!   on it the campaign runner — bounded in-flight memory, bounded retries
-//!   with backoff, cooperative cancellation and an exact execution budget
+//!   on it the campaign runner — bounded in-flight memory, one attempt per
+//!   uncached job, cooperative cancellation and an exact execution budget
 //!   (`max_jobs`) for deterministic mid-run stops.
 //! * [`exec`] — the [`SimExecutor`] that actually runs the simulator:
 //!   golden references (with bit-identity and hb-iss anchoring checks)
@@ -46,8 +47,8 @@ pub mod store;
 pub use campaign::{Campaign, CampaignStatus};
 pub use exec::{campaign_kernel, golden_spec, SimExecutor};
 pub use pool::{
-    default_threads, run_jobs, run_ordered, run_ordered_results, CampaignSummary, CancelToken,
-    Executor, JobError, JobPanic, RunOpts,
+    default_threads, run_jobs, run_ordered, CampaignSummary, CancelToken, Executor, JobError,
+    RunOpts,
 };
 pub use spec::{binary_rev, JobKind, JobSpec, PlanSpec, SCHEMA_REV};
 pub use store::{GcStats, JobRecord, JournalEntry, Store};

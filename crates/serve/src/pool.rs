@@ -4,15 +4,15 @@
 //!
 //! `run_shared` is the one worker loop — workers claim items by atomic
 //! index or take a fixed stride of them, each item runs under
-//! `catch_unwind`, results come back in item order. The figure binaries
-//! map their (kernel, configuration) points through its claiming form
-//! ([`run_ordered_results`], [`run_ordered`]); [`run_jobs`] maps a
-//! campaign manifest through its striding form against the store, with
-//! bounded in-flight memory (one job per worker at a time; results stream
-//! to disk, and what comes back per job is a counter-sized outcome),
-//! completed jobs skipped as cache hits, bounded retries with backoff for
-//! transient failures, cooperative cancellation, and a panicking job
-//! recorded as a `failed` journal entry.
+//! `catch_unwind`, results come back in item order. It has two entry
+//! points. [`run_ordered`] maps the figure binaries' (kernel,
+//! configuration) points and a golden job's two reference runs through its
+//! claiming form. [`run_jobs`] maps a campaign manifest through its
+//! striding form against the store: one job per worker at a time (results
+//! stream to disk, and what comes back per job is a counter-sized
+//! outcome), completed jobs skipped as cache hits, cooperative
+//! cancellation, and each uncached job run once, an error or a panic
+//! recorded as a `failed` journal line.
 
 use crate::spec::JobSpec;
 use crate::store::{JobRecord, Store};
@@ -20,13 +20,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One job's panic, caught and isolated by [`run_ordered_results`].
+/// One job's panic, caught and isolated by `run_shared`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
+struct JobPanic {
     /// Submission index of the job that panicked.
-    pub index: usize,
+    index: usize,
     /// Best-effort panic payload message.
-    pub message: String,
+    message: String,
 }
 
 /// The worker count a pool gets when none is asked for: the host's
@@ -34,25 +34,6 @@ pub struct JobPanic {
 /// Results are collected in item order, so the count never shows in them.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs `f` over every item on up to `threads` workers and returns one
-/// `Result` **per item, in item order** (work-stealing execution,
-/// deterministic collection). Each job runs under `catch_unwind`, so a
-/// panicking job yields `Err(JobPanic)` in its own slot and every other job
-/// still completes — one bad simulation point cannot take down a
-/// whole-figure sweep. The calling thread is one of the workers: it spawns
-/// `threads.min(items) - 1` scoped threads and claims items beside them,
-/// rather than idling in the join while one more spawned thread maps one
-/// more allocator arena. `threads <= 1` (or a single item) runs on the
-/// caller alone, in order, with the same isolation.
-pub fn run_ordered_results<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<Result<T, JobPanic>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    run_shared(items, threads, Share::Steal, f)
 }
 
 /// How a pool's workers divide its items.
@@ -67,7 +48,15 @@ enum Share {
     Stride,
 }
 
-/// [`run_ordered_results`] with the division of items chosen.
+/// Runs `f` over every item on up to `threads` workers, divided as `share`
+/// says, and returns one `Result` **per item, in item order**. Each job
+/// runs under `catch_unwind`, so a panicking job yields `Err(JobPanic)` in
+/// its own slot and every other job still completes. The calling thread is
+/// one of the workers: it spawns `threads.min(items) - 1` scoped threads
+/// and runs items beside them, rather than idling in the join while one
+/// more spawned thread maps one more allocator arena. `threads <= 1` (or a
+/// single item) runs on the caller alone, in order, with the same
+/// isolation.
 fn run_shared<I, T, F>(items: &[I], threads: usize, share: Share, f: F) -> Vec<Result<T, JobPanic>>
 where
     I: Sync,
@@ -112,51 +101,46 @@ where
         .collect()
 }
 
-/// [`run_ordered_results`] for harnesses that treat any panic as fatal:
-/// every *other* job still runs to completion first, then the first panic
-/// (in item order) is re-raised with its index and message.
+/// Runs `f` over every item on up to `threads` workers that claim items
+/// as they free up, and returns the results in item order. One panicking
+/// item cannot take down a whole-figure sweep unseen: every *other* item
+/// still runs to completion first, then the first panic (in item order) is
+/// re-raised with its index and message.
 pub fn run_ordered<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    run_ordered_results(items, threads, f)
+    run_shared(items, threads, Share::Steal, f)
         .into_iter()
         .map(|r| r.unwrap_or_else(|p| panic!("job {} panicked: {}", p.index, p.message)))
         .collect()
 }
 
-/// How a job execution failed.
+/// How a job execution failed: a message. The job runs again only when
+/// its campaign is resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobError {
-    /// Worth retrying (I/O hiccup, resource exhaustion).
-    Transient(String),
-    /// Deterministic failure; retrying cannot help.
-    Permanent(String),
-}
+pub struct JobError(pub String);
 
 impl JobError {
     /// The failure message.
     pub fn message(&self) -> &str {
-        match self {
-            JobError::Transient(m) | JobError::Permanent(m) => m,
-        }
+        &self.0
     }
 }
 
 /// Something that can execute one job. The simulation executor lives in
 /// [`crate::exec`]; tests inject mock executors to exercise the pool's
-/// retry/panic/cancellation paths without simulating anything.
+/// failure/panic/cancellation paths without simulating anything.
 pub trait Executor: Sync {
     /// Runs `spec` to completion and returns its record (the pool fills in
-    /// `hash` and `retries`). May read `store` (e.g. to fetch the campaign
-    /// golden on resume).
+    /// `hash`). May read `store` (e.g. to fetch the campaign golden on
+    /// resume).
     ///
     /// # Errors
     ///
-    /// [`JobError::Transient`] failures are retried with backoff;
-    /// [`JobError::Permanent`] (and panics) become `failed` journal entries.
+    /// A [`JobError`] (like a panic) becomes one `failed` journal line.
     fn run(&self, spec: &JobSpec, store: &Store) -> Result<JobRecord, JobError>;
 }
 
@@ -166,10 +150,6 @@ pub struct RunOpts {
     /// Workers, the calling thread included; [`default_threads`] by
     /// default.
     pub threads: usize,
-    /// Retries per job after the first attempt (transient failures only).
-    pub retries: u32,
-    /// Base backoff sleep; attempt `k` sleeps `backoff_ms << k`.
-    pub backoff_ms: u64,
     /// Stop claiming new work after this many *executed* (non-cached) jobs —
     /// the deterministic stand-in for a mid-campaign kill used by tests and
     /// the `serve-smoke` CI job. `None` = run to completion.
@@ -180,8 +160,6 @@ impl Default for RunOpts {
     fn default() -> RunOpts {
         RunOpts {
             threads: default_threads(),
-            retries: 2,
-            backoff_ms: 20,
             max_jobs: None,
         }
     }
@@ -217,9 +195,8 @@ pub struct CampaignSummary {
     pub run: usize,
     /// Skipped because a valid result was already stored.
     pub cached: usize,
-    /// Transient-failure retry attempts consumed (across all jobs).
-    pub retried: usize,
-    /// Jobs that ended in a terminal failure (panic or permanent error).
+    /// Jobs that failed: the executor erred or panicked, or the record
+    /// could not be stored.
     pub failed: usize,
     /// Jobs not attempted (cancellation or `max_jobs` stop).
     pub skipped: usize,
@@ -231,34 +208,29 @@ impl CampaignSummary {
     /// The stable one-line form the CI smoke job greps.
     pub fn line(&self) -> String {
         format!(
-            "summary: total={} run={} cached={} retried={} failed={} skipped={} wall_ms={}",
-            self.total,
-            self.run,
-            self.cached,
-            self.retried,
-            self.failed,
-            self.skipped,
-            self.wall_ms
+            "summary: total={} run={} cached={} failed={} skipped={} wall_ms={}",
+            self.total, self.run, self.cached, self.failed, self.skipped, self.wall_ms
         )
     }
 }
 
-/// What became of one job of a manifest (beside its retry count).
+/// What became of one job of a manifest.
 enum Outcome {
     /// Ran to a stored result.
     Stored,
     /// A valid result was already stored.
     Cached,
-    /// Terminal failure, journaled.
+    /// The executor erred or panicked (journaled), or the record could
+    /// not be stored.
     Failed,
     /// Not attempted.
     Skipped,
 }
 
 /// Executes `specs` over `opts.threads` workers. Jobs whose hash is already
-/// stored are counted as cache hits and skipped; the rest run with per-job
-/// `catch_unwind` isolation and bounded retries, streaming results into
-/// `store` as they complete.
+/// stored are counted as cache hits and skipped; the rest run once each
+/// under `catch_unwind`, streaming results into `store` as they complete.
+/// A job whose executor errs or panics leaves one `failed` journal line.
 ///
 /// The workers stride the manifest rather than claim from it: worker `w`
 /// of `n` runs jobs `w, w + n, ...`, the caller being worker 0. A
@@ -275,45 +247,35 @@ pub fn run_jobs(
 ) -> CampaignSummary {
     let started = std::time::Instant::now();
     let executed = AtomicUsize::new(0);
-    let run_one = |_, spec: &JobSpec| -> (Outcome, usize) {
+    let run_one = |_, spec: &JobSpec| -> Outcome {
         if cancel.is_cancelled() {
-            return (Outcome::Skipped, 0);
+            return Outcome::Skipped;
         }
         let hash = spec.hash();
         if store.has(&hash) {
-            return (Outcome::Cached, 0);
+            return Outcome::Cached;
         }
         // The executed-budget claim happens before running so `max_jobs`
         // is exact: exactly that many cache misses execute.
         if let Some(max) = opts.max_jobs {
             if executed.fetch_add(1, Ordering::Relaxed) >= max {
                 cancel.cancel();
-                return (Outcome::Skipped, 0);
+                return Outcome::Skipped;
             }
         }
-        let mut attempts: u32 = 0;
-        let failure = loop {
-            match catch_unwind(AssertUnwindSafe(|| exec.run(spec, store))) {
-                Ok(Ok(mut rec)) => {
-                    rec.hash = hash.clone();
-                    rec.retries = attempts;
-                    match store.put(&rec) {
-                        Ok(()) => return (Outcome::Stored, attempts as usize),
-                        Err(_) => return (Outcome::Failed, attempts as usize),
-                    }
-                }
-                Ok(Err(JobError::Transient(_))) if attempts < opts.retries => {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        opts.backoff_ms << attempts.min(10),
-                    ));
-                    attempts += 1;
-                }
-                Ok(Err(e)) => break e.message().to_owned(),
-                Err(payload) => break format!("panic: {}", panic_message(payload.as_ref())),
+        let failure = match catch_unwind(AssertUnwindSafe(|| exec.run(spec, store))) {
+            Ok(Ok(mut rec)) => {
+                rec.hash = hash;
+                return match store.put(&rec) {
+                    Ok(()) => Outcome::Stored,
+                    Err(_) => Outcome::Failed,
+                };
             }
+            Ok(Err(e)) => e.0,
+            Err(payload) => format!("panic: {}", panic_message(payload.as_ref())),
         };
-        let _ = store.record_failure(&hash, &failure, attempts);
-        (Outcome::Failed, attempts as usize)
+        let _ = store.record_failure(&hash, &failure);
+        Outcome::Failed
     };
 
     let mut summary = CampaignSummary {
@@ -323,9 +285,7 @@ pub fn run_jobs(
     for outcome in run_shared(specs, opts.threads, Share::Stride, run_one) {
         // A panic that escaped `run_one` came from the store, not the
         // executor: there is nothing to journal it with.
-        let (outcome, retried) = outcome.unwrap_or((Outcome::Failed, 0));
-        summary.retried += retried;
-        match outcome {
+        match outcome.unwrap_or(Outcome::Failed) {
             Outcome::Stored => summary.run += 1,
             Outcome::Cached => summary.cached += 1,
             Outcome::Failed => summary.failed += 1,
@@ -377,16 +337,11 @@ mod tests {
     struct MockExec {
         /// seeds that panic every time
         panics: Vec<u64>,
-        /// seeds that fail transiently this many times before succeeding
-        flaky: Mutex<std::collections::HashMap<u64, u32>>,
     }
 
     impl MockExec {
         fn ok() -> MockExec {
-            MockExec {
-                panics: Vec::new(),
-                flaky: Mutex::new(Default::default()),
-            }
+            MockExec { panics: Vec::new() }
         }
     }
 
@@ -394,12 +349,6 @@ mod tests {
         fn run(&self, spec: &JobSpec, _store: &Store) -> Result<JobRecord, JobError> {
             if self.panics.contains(&spec.seed) {
                 panic!("job {} exploded", spec.seed);
-            }
-            if let Some(left) = self.flaky.lock().unwrap().get_mut(&spec.seed) {
-                if *left > 0 {
-                    *left -= 1;
-                    return Err(JobError::Transient("flaky io".to_owned()));
-                }
             }
             Ok(JobRecord {
                 kind: spec.kind.canonical(),
@@ -506,7 +455,7 @@ mod tests {
     #[test]
     fn a_panicking_job_does_not_poison_the_pool() {
         let items: Vec<usize> = (0..8).collect();
-        let out = run_ordered_results(&items, 4, |_, &item| {
+        let out = run_shared(&items, 4, Share::Steal, |_, &item| {
             if item == 3 {
                 panic!("point {item} exploded");
             }
@@ -523,7 +472,7 @@ mod tests {
             }
         }
         // Same isolation on the single-threaded path.
-        let out = run_ordered_results(&[0usize, 1], 1, |_, &item| {
+        let out = run_shared(&[0usize, 1], 1, Share::Steal, |_, &item| {
             if item == 0 {
                 panic!("boom");
             }
@@ -571,10 +520,7 @@ mod tests {
     fn a_panicking_job_fails_alone() {
         let (store, dir) = open_store("panic");
         let specs = specs(8);
-        let exec = MockExec {
-            panics: vec![3],
-            flaky: Mutex::new(Default::default()),
-        };
+        let exec = MockExec { panics: vec![3] };
         let opts = RunOpts {
             threads: 4,
             ..RunOpts::default()
@@ -582,38 +528,16 @@ mod tests {
         let s = run_jobs(&specs, &store, &exec, &opts, &CancelToken::new());
         assert_eq!((s.run, s.failed), (7, 1), "{s:?}");
         let journal = store.journal().unwrap();
-        let fail: Vec<_> = journal.iter().filter(|e| e.status == "failed").collect();
-        assert_eq!(fail.len(), 1);
-        assert!(fail[0].detail.contains("job 3 exploded"), "{:?}", fail[0]);
+        assert_eq!(journal.len(), 1, "stored jobs leave no journal line");
+        assert_eq!(journal[0].status, "failed");
+        assert!(
+            journal[0].detail.contains("job 3 exploded"),
+            "{:?}",
+            journal[0]
+        );
         // The failed job re-runs on resume (and panics again deterministically).
         let s2 = run_jobs(&specs, &store, &exec, &opts, &CancelToken::new());
         assert_eq!((s2.run, s2.cached, s2.failed), (0, 7, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn transient_failures_retry_with_bounded_attempts() {
-        let (store, dir) = open_store("retry");
-        let specs = specs(4);
-        let exec = MockExec {
-            panics: Vec::new(),
-            flaky: Mutex::new([(1u64, 2u32), (2, 99)].into()),
-        };
-        let opts = RunOpts {
-            threads: 2,
-            retries: 2,
-            backoff_ms: 1,
-            ..RunOpts::default()
-        };
-        let s = run_jobs(&specs, &store, &exec, &opts, &CancelToken::new());
-        // seed 1 succeeds on its 3rd attempt (2 retries); seed 2 exhausts
-        // the retry budget and fails.
-        assert_eq!((s.run, s.failed), (3, 1), "{s:?}");
-        assert_eq!(s.retried, 4, "2 (seed 1) + 2 (seed 2)");
-        let rec = store
-            .get(&specs[1].hash())
-            .expect("seed 1 eventually stored");
-        assert_eq!(rec.retries, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -624,7 +548,6 @@ mod tests {
         let opts = RunOpts {
             threads: 2,
             max_jobs: Some(4),
-            ..RunOpts::default()
         };
         let s = run_jobs(&specs, &store, &MockExec::ok(), &opts, &CancelToken::new());
         assert_eq!(s.run, 4, "{s:?}");

@@ -27,8 +27,8 @@ use hb_mem::text::Text;
 /// `profile:<size>` jobs).
 ///
 /// rev 3: hang records carry a replayable checkpoint artifact
-/// (`artifacts = ckpt/hang-<hash>.ckpt`), the kernel namespace gained the
-/// `warm:<kernel>` shared-checkpoint prefix, and cycle accounting for
+/// (`artifacts = ckpt/hang-<hash>.ckpt`), the kernel namespace gained a
+/// shared-checkpoint prefix (removed since), and cycle accounting for
 /// fault runs is total-since-launch (identical for cold runs, but the
 /// contract is now explicit so resumed runs classify bit-identically).
 ///

@@ -1,4 +1,4 @@
-//! Content-addressed results store with an append-only journal.
+//! Content-addressed results store with a failure log.
 //!
 //! Layout under the store root:
 //!
@@ -6,23 +6,25 @@
 //! store/
 //!   objects/<h[0..2]>/<h>.json    one JSON line per completed job (h = JobSpec hash)
 //!   ckpt/<h>.ckpt                 mid-job resume checkpoints (hang-<h>: hang dumps)
-//!   journal.ndjson                append-only completion log
+//!   journal.ndjson                one `failed` line per job that erred or panicked
 //! ```
 //!
 //! Object writes are atomic (`.tmp` + rename), so a killed campaign leaves
-//! either a complete object or none; the journal line is appended *after*
-//! the rename. Journal recovery ignores a truncated last line (the classic
+//! either a complete object or none. The objects are the record of what is
+//! done: cache hits, reports and `status`'s `done` count read them
+//! (existence + successful parse). The journal holds only failures, which
+//! leave no object: `status` counts them, `gc` prunes them, and a report
+//! names none. Journal recovery ignores a truncated last line (the classic
 //! kill-during-append artifact), so resume never trips over a partial
-//! record. Cache-hit decisions use the objects (existence + successful
-//! parse); the journal feeds `status`, retry accounting and `gc`.
+//! line.
 //!
 //! Durability contract: `rename(2)` alone only orders the swap against
 //! other operations on a live filesystem — the *directory entry* is not
 //! durable until the parent directory itself is fsynced. Every file this
 //! module replaces goes through [`hb_ckpt::write_atomic`], which fsyncs the
-//! parent after the rename, and every journal append (the first one
-//! creates the file) is followed by `sync_dir` on the root, so a power cut
-//! after `put` returns cannot resurrect the pre-rename state.
+//! parent after the rename, so a power cut after `put` returns cannot
+//! resurrect the pre-rename state; every journal append (the first one
+//! creates the file) is followed by `sync_dir` on the root.
 
 use hb_ckpt::write_atomic;
 use std::io::Write;
@@ -56,7 +58,9 @@ pub struct JobRecord {
     /// Cross-checks the run passed (comma-joined, e.g.
     /// `empty-plan-identity,iss-anchor`).
     pub checks: String,
-    /// Transient-failure retries consumed before success.
+    /// Always 0: a job runs once. The member is kept so that the stored
+    /// layout (`SCHEMA_REV` 4) and the benchmark's `serve.retries` row do
+    /// not move; it leaves with the benchmark-only change of ROADMAP item 6.
     pub retries: u32,
     /// Paths of side artifacts (telemetry traces); relative to the store
     /// root, comma-joined. Empty when none.
@@ -85,17 +89,19 @@ hb_mem::json_record!(pub JobRecord {
     "artifacts" => artifacts: string,
 });
 
-/// One journal line: the completion (or terminal failure) of a job.
+/// One journal line: a job that failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Job hash.
     pub hash: String,
-    /// `done` (object stored) or `failed` (terminal failure; no object, a
-    /// later run will retry the job).
+    /// `failed`: the executor erred or panicked, no object is stored, and
+    /// the next run of the campaign runs the job again.
     pub status: String,
-    /// Outcome or error summary.
+    /// The error message (`panic: ...` for a panic).
     pub detail: String,
-    /// Retries consumed.
+    /// Always 0: a job runs once. The member is kept so that the stored
+    /// layout (`SCHEMA_REV` 4) does not move; it leaves with the
+    /// benchmark-only change of ROADMAP item 6.
     pub retries: u32,
 }
 
@@ -178,8 +184,8 @@ impl Store {
         self.get(hash).is_some()
     }
 
-    /// Stores a completed job's record under its hash (atomic tmp+rename)
-    /// and appends a `done` journal line.
+    /// Stores a completed job's record under its hash (atomic tmp + fsync
+    /// + rename + parent-dir fsync).
     ///
     /// # Errors
     ///
@@ -187,31 +193,22 @@ impl Store {
     pub fn put(&self, rec: &JobRecord) -> std::io::Result<()> {
         write_atomic(&self.object_path(&rec.hash), |f| {
             writeln!(f, "{}", rec.to_json_line())
-        })?;
-        self.append_journal(&JournalEntry {
-            hash: rec.hash.clone(),
-            status: "done".to_owned(),
-            detail: rec.outcome.clone(),
-            retries: rec.retries,
         })
     }
 
-    /// Appends a terminal-failure journal line (no object is stored, so the
-    /// job re-runs on resume).
+    /// Appends a `failed` journal line (no object is stored, so the job
+    /// re-runs on resume).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn record_failure(&self, hash: &str, error: &str, retries: u32) -> std::io::Result<()> {
-        self.append_journal(&JournalEntry {
+    pub fn record_failure(&self, hash: &str, error: &str) -> std::io::Result<()> {
+        let entry = JournalEntry {
             hash: hash.to_owned(),
             status: "failed".to_owned(),
             detail: error.to_owned(),
-            retries,
-        })
-    }
-
-    fn append_journal(&self, entry: &JournalEntry) -> std::io::Result<()> {
+            retries: 0,
+        };
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -292,8 +289,8 @@ impl Store {
             .collect()
     }
 
-    /// Deletes every object whose hash is not in `keep`; prunes journal
-    /// lines for deleted objects by rewriting the journal (atomic rename).
+    /// Deletes every object whose hash is not in `keep`; prunes the journal
+    /// lines of jobs not in `keep` by rewriting the journal (atomic rename).
     /// In `ckpt/`, deletes the hang dump (`hang-<h>.ckpt`) and the resume
     /// checkpoint (`<h>.ckpt`) of every job not in `keep`, and any checkpoint
     /// this binary cannot decode (an older `CKPT_VERSION`, a torn file). A
@@ -343,7 +340,7 @@ impl Store {
                 stats.ckpts_deleted += 1;
             }
         }
-        // Rewrite the journal without entries for deleted objects.
+        // Rewrite the journal without entries for jobs not in `keep`.
         let entries = self.journal()?;
         write_atomic(&self.journal_path(), |f| {
             (entries.iter().filter(|e| keep.contains(&e.hash)))
@@ -402,12 +399,15 @@ mod tests {
         assert!(store.get("ab12").is_none());
         store.put(&rec("ab12")).unwrap();
         assert_eq!(store.get("ab12").unwrap(), rec("ab12"));
-        store.record_failure("cd34", "panic: boom", 2).unwrap();
+        assert!(store.journal().unwrap().is_empty(), "put journals nothing");
+        store.record_failure("cd34", "panic: boom").unwrap();
         let j = store.journal().unwrap();
-        assert_eq!(j.len(), 2);
-        assert_eq!(j[0].status, "done");
-        assert_eq!(j[1].status, "failed");
-        assert_eq!(j[1].retries, 2);
+        assert_eq!(j.len(), 1);
+        assert_eq!(
+            (j[0].hash.as_str(), j[0].status.as_str()),
+            ("cd34", "failed")
+        );
+        assert_eq!((j[0].detail.as_str(), j[0].retries), ("panic: boom", 0));
         assert!(!store.has("cd34"), "failures must not read as cache hits");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -416,8 +416,8 @@ mod tests {
     fn journal_ignores_truncated_last_line() {
         let dir = tmpdir("trunc");
         let store = Store::open(&dir).unwrap();
-        store.put(&rec("ab12")).unwrap();
-        store.put(&rec("ef56")).unwrap();
+        store.record_failure("ab12", "panic: boom").unwrap();
+        store.record_failure("ef56", "panic: boom").unwrap();
         // Simulate a kill mid-append: chop the file mid-way through the
         // last line.
         let jp = dir.join("journal.ndjson");
@@ -430,7 +430,7 @@ mod tests {
         // Interior corruption is NOT silently dropped.
         std::fs::write(
             &jp,
-            "{garbage}\n{\"hash\":\"x\",\"status\":\"done\",\"detail\":\"\",\"retries\":0}\n",
+            "{garbage}\n{\"hash\":\"x\",\"status\":\"failed\",\"detail\":\"\",\"retries\":0}\n",
         )
         .unwrap();
         assert!(store.journal().is_err());
@@ -448,9 +448,7 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for i in 0..40 {
-                        store
-                            .record_failure(&format!("{t}-{i}"), "boom", t)
-                            .unwrap();
+                        store.record_failure(&format!("{t}-{i}"), "boom").unwrap();
                     }
                 });
             }
@@ -491,12 +489,16 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         store.put(&rec("ab12")).unwrap();
         store.put(&rec("cd34")).unwrap();
-        let keep: std::collections::HashSet<String> = ["ab12".to_owned()].into();
+        store.record_failure("ef56", "panic: boom").unwrap();
+        store.record_failure("0a0b", "panic: boom").unwrap();
+        let keep: std::collections::HashSet<String> = ["ab12", "ef56"].map(String::from).into();
         let stats = store.gc(&keep).unwrap();
         assert_eq!((stats.kept, stats.deleted), (1, 1));
         assert!(store.has("ab12"));
         assert!(!store.has("cd34"));
-        assert_eq!(store.journal().unwrap().len(), 1);
+        let journal = store.journal().unwrap();
+        assert_eq!(journal.len(), 1);
+        assert_eq!(journal[0].hash, "ef56", "the failure of a kept job stays");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -147,8 +147,7 @@ fn crash_runs_leave_the_checkpoint_the_cadence_puts_there() {
 /// no version-3 reader kept: the resume checkpoint a killed worker left
 /// behind says version 3. Whatever follows such a header is never looked
 /// at, so it may not fail the campaign — the checkpoint is dropped and its
-/// job starts over — and the report must not change. The campaign names
-/// its kernel `warm:jacobi`, an alias that must keep resolving.
+/// job starts over — and the report must not change.
 #[test]
 fn stale_version_checkpoints_are_discarded_on_resume() {
     let bin = env!("CARGO_BIN_EXE_hb-serve");
@@ -156,20 +155,14 @@ fn stale_version_checkpoints_are_discarded_on_resume() {
     let _ = std::fs::remove_dir_all(&base);
     let clean = base.join("clean");
     let killed = base.join("killed");
-    let warm_args = |dir: &Path| {
-        let mut args = run_args(dir);
-        let kernel = args.iter().position(|a| a == "jacobi").unwrap();
-        args[kernel] = "warm:jacobi".to_owned();
-        args
-    };
 
-    let out = Command::new(bin).args(warm_args(&clean)).output().unwrap();
+    let out = Command::new(bin).args(run_args(&clean)).output().unwrap();
     assert!(
         out.status.success(),
         "clean run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let mut kargs = warm_args(&killed);
+    let mut kargs = run_args(&killed);
     kargs.extend(["--crash-after-ckpts".to_owned(), "2".to_owned()]);
     let out = Command::new(bin).args(kargs).output().unwrap();
     assert_eq!(out.status.code(), Some(3), "expected the mid-run kill");
@@ -278,6 +271,10 @@ fn a_crash_run_is_one_worker() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// A campaign forks every fault job from golden-prefix captures, which
+/// stay in memory. The same campaign run again on the same executor (into
+/// a second store) is warm: its fault jobs restore the captures the cold
+/// run made, and must classify every seed exactly as the cold run did.
 #[test]
 fn warm_campaign_classifies_identically_to_cold() {
     use hb_core::MachineConfig;
@@ -290,28 +287,16 @@ fn warm_campaign_classifies_identically_to_cold() {
         threads: 1,
         ..RunOpts::default()
     };
+    let sim = SimExecutor::new(1);
+    let campaign = Campaign::fault("cold", "jacobi", &cfg, 1, 2);
 
-    // The same seeds with and without the `warm:` alias: both fork from
-    // golden-prefix captures, and neither may compute anything else.
-    let cold = Campaign::fault("cold", "jacobi", &cfg, 1, 2);
     let cold_store = Store::open(base.join("cold")).unwrap();
-    let s = cold.run(
-        &cold_store,
-        &SimExecutor::new(1),
-        &opts,
-        &CancelToken::new(),
-    );
+    let s = campaign.run(&cold_store, &sim, &opts, &CancelToken::new());
     assert_eq!((s.run, s.failed), (3, 0), "{s:?}");
 
-    let warm = Campaign::fault("warm", "warm:jacobi", &cfg, 1, 2);
     let warm_store = Store::open(base.join("warm")).unwrap();
-    let s = warm.run(
-        &warm_store,
-        &SimExecutor::new(1),
-        &opts,
-        &CancelToken::new(),
-    );
-    assert_eq!((s.run, s.failed), (3, 0), "{s:?}");
+    let s = campaign.run(&warm_store, &sim, &opts, &CancelToken::new());
+    assert_eq!((s.run, s.cached, s.failed), (3, 0, 0), "{s:?}");
 
     // Captures stay in memory: neither store holds a checkpoint.
     for store in ["cold", "warm"] {
@@ -321,11 +306,10 @@ fn warm_campaign_classifies_identically_to_cold() {
         assert_eq!(ckpts, 0, "a checkpoint in the {store} store");
     }
 
-    // Per-seed classification is bit-identical (hashes differ by design —
-    // the kernel token differs — so compare the simulated fields).
-    for (c, w) in cold.specs.iter().zip(&warm.specs) {
-        let cr = cold_store.get(&c.hash()).expect("cold record");
-        let wr = warm_store.get(&w.hash()).expect("warm record");
+    // Per-seed classification is bit-identical.
+    for spec in &campaign.specs {
+        let cr = cold_store.get(&spec.hash()).expect("cold record");
+        let wr = warm_store.get(&spec.hash()).expect("warm record");
         assert_eq!(
             (
                 &cr.outcome,
@@ -343,8 +327,8 @@ fn warm_campaign_classifies_identically_to_cold() {
                 &wr.site,
                 wr.inj_cycle
             ),
-            "the warm: alias diverged for seed {}",
-            c.seed
+            "the warm run diverged for seed {}",
+            spec.seed
         );
     }
     let _ = std::fs::remove_dir_all(&base);

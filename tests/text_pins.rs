@@ -181,20 +181,20 @@ fn record_and_journal_lines_are_pinned() {
         \"retries\":1,\"artifacts\":\"ckpt/hang-ab12.ckpt\"}";
     pin("JobRecord::to_json_line", &rec.to_json_line(), line);
 
-    // The object file and the journal, as a store writes them.
+    // The object file and the journal, as a store writes them: a stored
+    // job journals nothing, a failed one its `failed` line.
     let dir = std::env::temp_dir().join(format!("hb-text-pins-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::open(&dir).unwrap();
     store.put(&rec).unwrap();
-    store.record_failure("cd34", "panic: \"boom\"", 2).unwrap();
+    store.record_failure("cd34", "panic: \"boom\"").unwrap();
     let object = std::fs::read_to_string(store.object_path("ab12")).unwrap();
     pin("object file", &object, &format!("{line}\n"));
     let journal = std::fs::read_to_string(dir.join("journal.ndjson")).unwrap();
     pin(
         "journal lines",
         &journal,
-        "{\"hash\":\"ab12\",\"status\":\"done\",\"detail\":\"masked\",\"retries\":1}\n\
-         {\"hash\":\"cd34\",\"status\":\"failed\",\"detail\":\"panic: \\\"boom\\\"\",\"retries\":2}\n",
+        "{\"hash\":\"cd34\",\"status\":\"failed\",\"detail\":\"panic: \\\"boom\\\"\",\"retries\":0}\n",
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
