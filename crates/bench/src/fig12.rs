@@ -3,24 +3,12 @@
 //! groups each running an independent task on the shared data structure.
 
 use crate::{bench_cell, header, row};
-use hb_core::{pgas, Cell, GroupSpec, Machine, MachineConfig};
+use hb_core::{pgas, GroupSpec, Machine, MachineConfig};
+use hb_kernels::util::{alloc_f32, alloc_u32};
 use hb_kernels::SpGemm;
 use hb_serve::cli::Args;
 use hb_workloads::{gen, golden};
 use std::sync::Arc;
-
-/// Allocates and fills a u32 region.
-fn alloc_u32(cell: &mut Cell, data: &[u32]) -> u32 {
-    let p = cell.alloc((data.len() * 4) as u32, 64);
-    cell.dram_mut().write_u32_slice(p, data);
-    p
-}
-
-fn alloc_f32(cell: &mut Cell, data: &[f32]) -> u32 {
-    let p = cell.alloc((data.len() * 4) as u32, 64);
-    cell.dram_mut().write_f32_slice(p, data);
-    p
-}
 
 pub fn run(_: &Args) {
     let dim = bench_cell();

@@ -32,13 +32,11 @@ mod fig14;
 mod fig15;
 mod fig16;
 mod inspect;
-mod profile;
 mod race_check;
 mod replay;
 mod table1_benchmarks;
 mod table2_configurations;
 mod table4_comparison;
-mod telemetry;
 
 use hb_core::{CellDim, MachineConfig};
 use hb_kernels::{BenchStats, Benchmark, Kernel, SizeClass};
@@ -62,16 +60,14 @@ const COMMANDS: &[Command] = &[
     ("table2_configurations", "", table2_configurations::run),
     ("table4_comparison", "", table4_comparison::run),
     ("ablations", "", ablations::run),
-    ("inspect", "--kernel K", inspect::run),
-    ("profile", "--kernel K --out PATH --top N", profile::run),
     (
-        "telemetry",
-        "--kernel K --window N --out FILE",
-        telemetry::run,
+        "inspect",
+        "--kernel K --window N --out PATH --top N",
+        inspect::run,
     ),
     (
         "race_check",
-        "--suite --fixture NAME --expect static=N,dynamic=M --cell WxH --verbose",
+        "--fixture NAME --cell WxH --verbose",
         race_check::run,
     ),
     ("replay", "--ckpt FILE --cycles N", replay::run),

@@ -2,40 +2,28 @@
 //!
 //! Two modes:
 //!
-//! - `--suite` (the default): every suite kernel parameterization runs
+//! - no `--fixture` (the suite): every suite kernel parameterization runs
 //!   through **both** checkers — the static `phase-race` pass and a full
 //!   golden-validating benchmark run under the dynamic epoch sanitizer —
 //!   and must come back clean on both. Exit 1 on any finding.
 //! - `--fixture NAME`: one deliberately-racy fixture from
 //!   `hb_kernels::fixtures` runs through both checkers; findings are
 //!   printed, cross-validated (every dynamic race must be statically
-//!   flagged), and optionally compared against exact expected counts with
-//!   `--expect static=N,dynamic=M` (mismatch exits 1). Pass `--fixture
-//!   list` to enumerate the fixtures.
+//!   flagged), and held to the counts the fixture records
+//!   (`expect_static`, `expect_dynamic`; a mismatch exits 1). Pass
+//!   `--fixture list` to enumerate the fixtures.
 //!
 //! ```text
-//! hb-bench race_check [--suite] [--fixture NAME] \
-//!   [--expect static=N,dynamic=M] [--cell WxH] [--verbose]
+//! hb-bench race_check [--fixture NAME] [--cell WxH] [--verbose]
 //! ```
 
 use hb_core::{CellDim, MachineConfig};
 use hb_kernels::fixtures::{self, Fixture};
 use hb_serve::cli::{self, Args};
 
-struct Opts {
-    expect: Option<(usize, usize)>,
-    verbose: bool,
-}
-
 pub fn run(args: &Args) {
     let usage = args.usage();
-    let opts = Opts {
-        expect: args.value("--expect").map(|v| {
-            let counts = cli::parse_counts("--expect", v, &["static", "dynamic"], usage);
-            (counts[0] as usize, counts[1] as usize)
-        }),
-        verbose: args.has("--verbose"),
-    };
+    let verbose = args.has("--verbose");
     let cell = args.value("--cell").map(|v| cli::parse_cell(v, usage));
     let config = |default: CellDim| {
         let cfg = MachineConfig {
@@ -44,7 +32,6 @@ pub fn run(args: &Args) {
         };
         cli::valid_config(cfg, usage)
     };
-    // `--suite` is the default mode; it is accepted for explicitness.
     match args.value("--fixture") {
         Some("list") => {
             for f in fixtures::all() {
@@ -61,13 +48,13 @@ pub fn run(args: &Args) {
                     format!("unknown fixture {name:?} (try --fixture list)"),
                 );
             };
-            check_fixture(&opts, &f, &config(CellDim { x: 4, y: 2 }));
+            check_fixture(verbose, &f, &config(CellDim { x: 4, y: 2 }));
         }
         None => check_suite(&config(crate::bench_cell())),
     }
 }
 
-fn check_fixture(opts: &Opts, f: &Fixture, cfg: &MachineConfig) {
+fn check_fixture(verbose: bool, f: &Fixture, cfg: &MachineConfig) {
     let out = hb_race::run_fixture(f, cfg);
     println!(
         "fixture {}: {} static finding(s), {} dynamic report(s)",
@@ -75,7 +62,7 @@ fn check_fixture(opts: &Opts, f: &Fixture, cfg: &MachineConfig) {
         out.statics.len(),
         out.dynamic.len()
     );
-    if opts.verbose {
+    if verbose {
         for c in &out.statics {
             println!(
                 "static: {} at {:#x} vs {} at {:#x} ({}, phase {})",
@@ -95,17 +82,17 @@ fn check_fixture(opts: &Opts, f: &Fixture, cfg: &MachineConfig) {
         cli::fail(e);
     }
     println!("cross-validation: every dynamic race statically flagged");
-    if let Some((ws, wd)) = opts.expect {
-        if (out.statics.len(), out.dynamic.len()) != (ws, wd) {
-            cli::fail(format!(
-                "expectation mismatch: wanted static={ws} dynamic={wd}, \
-                 got static={} dynamic={}",
-                out.statics.len(),
-                out.dynamic.len()
-            ));
-        }
-        println!("expected finding counts: ok");
+    let (ws, wd) = (f.expect_static, f.expect_dynamic);
+    if (out.statics.len(), out.dynamic.len()) != (ws, wd) {
+        cli::fail(format!(
+            "expectation mismatch: {} records static={ws} dynamic={wd}, \
+             got static={} dynamic={}",
+            f.name,
+            out.statics.len(),
+            out.dynamic.len()
+        ));
     }
+    println!("recorded finding counts: ok");
 }
 
 fn check_suite(cfg: &MachineConfig) {

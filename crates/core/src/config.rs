@@ -59,9 +59,10 @@ impl CellDim {
 pub struct MachineConfig {
     /// Tile array per Cell.
     pub cell_dim: CellDim,
-    /// Number of Cells simulated together (multi-Cell runs follow the
-    /// paper's methodology: independent single-Cell simulations plus an
-    /// inter-Cell transfer estimate).
+    /// Number of Cells simulated together: `Machine` ticks them in
+    /// lockstep, joined by its inter-Cell fabric. (The Fig. 15/16
+    /// multi-Cell points instead follow the paper's methodology: a
+    /// single-Cell run plus `MultiCellEstimator::transfer_cycles`.)
     pub num_cells: u8,
 
     // ---- Figure 10 feature knobs ----

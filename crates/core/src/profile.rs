@@ -1,12 +1,13 @@
-//! Performance debugging and visualization tools (paper §III.D).
+//! Performance debugging tables (paper §III.D).
 //!
 //! The open-source HammerBlade release ships "an extensive set of custom
 //! performance debugging and visualization tools, which analyze where and
 //! why the processors spend most of the time during the kernel execution
 //! and the utilization of DRAM, cache, processors, and network routers".
-//! This module is that tooling for the simulator: ASCII heatmaps of tile
-//! and router utilization, per-bank cache reports, a stall "blame"
-//! breakdown and a bottleneck diagnosis.
+//! This module is the end-of-run half of that tooling for the simulator:
+//! per-bank cache reports, the HBM2 line, a stall "blame" breakdown and a
+//! bottleneck diagnosis. The mesh maps of tile and router utilization are
+//! `hb_obs::heatmap`'s, over a sampled run; `hb-bench inspect` prints both.
 //!
 //! # Examples
 //!
@@ -23,21 +24,9 @@ use crate::cell::Cell;
 use crate::stats::{CoreStats, StallKind};
 use hb_cache::CacheStats;
 use hb_mem::Hbm2Stats;
-use hb_noc::Port;
 use std::fmt::Write;
 
-/// Shade glyphs from cold to hot.
-const SHADES: [char; 8] = [' ', '.', ':', '-', '=', '+', '#', '@'];
-
-/// The heatmap glyph of a share `v` in `0.0..=1.0` (clamped), from `' '`
-/// (cold) to `'@'` (hot). `hb_obs`'s time-windowed heatmaps use the same
-/// ramp.
-pub fn shade(v: f64) -> char {
-    let i = ((v.clamp(0.0, 1.0)) * (SHADES.len() - 1) as f64).round() as usize;
-    SHADES[i]
-}
-
-/// A post-run snapshot of one Cell's hardware counters, with renderers.
+/// A post-run snapshot of one Cell's hardware counters, with its report.
 #[derive(Debug, Clone)]
 pub struct CellProfile {
     /// Tile array shape.
@@ -48,8 +37,6 @@ pub struct CellProfile {
     pub tiles: Vec<CoreStats>,
     /// Per-bank cache counters.
     pub banks: Vec<CacheStats>,
-    /// Per-tile-router horizontal link busy cycles (east + ruche-east).
-    pub east_busy: Vec<u64>,
     /// HBM2 channel counters.
     pub hbm: Hbm2Stats,
 }
@@ -59,59 +46,18 @@ impl CellProfile {
     pub fn capture(cell: &Cell) -> CellProfile {
         let cfg = cell.pgas();
         let (w, h) = (cfg.cell_w, cfg.cell_h);
-        let mut tiles = Vec::with_capacity(w as usize * h as usize);
-        let mut east_busy = Vec::with_capacity(w as usize * h as usize);
-        for y in 0..h {
-            for x in 0..w {
-                tiles.push(cell.tile_stats(x, y));
-                let c = cfg.tile_coord(x, y);
-                let busy = cell.request_link(c, Port::East).busy
-                    + cell.request_link(c, Port::RucheEast).busy;
-                east_busy.push(busy);
-            }
-        }
+        let tiles = (0..h)
+            .flat_map(|y| (0..w).map(move |x| (x, y)))
+            .map(|(x, y)| cell.tile_stats(x, y))
+            .collect();
         let banks = (0..cfg.banks()).map(|b| cell.bank_stats(b)).collect();
         CellProfile {
             dim: (w, h),
             cycles: cell.cycle(),
             tiles,
             banks,
-            east_busy,
             hbm: *cell.hbm_stats(),
         }
-    }
-
-    /// ASCII heatmap of per-tile core utilization (execute cycles / total).
-    pub fn tile_heatmap(&self) -> String {
-        self.render_grid("tile utilization (execute share)", |s: &CoreStats| {
-            s.utilization()
-        })
-    }
-
-    /// ASCII heatmap of eastward (mesh + Ruche) link activity per router.
-    pub fn link_heatmap(&self) -> String {
-        let max = self.east_busy.iter().copied().max().unwrap_or(1).max(1) as f64;
-        let mut out = String::from("eastward link activity (row 0 = north)\n");
-        for y in 0..self.dim.1 {
-            for x in 0..self.dim.0 {
-                let v = self.east_busy[y as usize * self.dim.0 as usize + x as usize];
-                out.push(shade(v as f64 / max));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    fn render_grid(&self, title: &str, f: impl Fn(&CoreStats) -> f64) -> String {
-        let mut out = format!("{title} (row 0 = north)\n");
-        for y in 0..self.dim.1 {
-            for x in 0..self.dim.0 {
-                let s = &self.tiles[y as usize * self.dim.0 as usize + x as usize];
-                out.push(shade(f(s)));
-            }
-            out.push('\n');
-        }
-        out
     }
 
     /// Aggregated core counters.
@@ -188,16 +134,12 @@ impl CellProfile {
         format!("{verdict} ({:.0}% of cycles)", top * 100.0)
     }
 
-    /// The full §III.D-style report: utilization heatmaps, cache and HBM
-    /// tables, stall blame and the bottleneck verdict.
+    /// The §III.D-style tables: stall blame, the cache bank table, the
+    /// HBM2 line and the bottleneck verdict.
     pub fn report(&self) -> String {
         let agg = self.aggregate();
         let mut out = String::new();
         let _ = writeln!(out, "=== Cell profile after {} cycles ===\n", self.cycles);
-        out.push_str(&self.tile_heatmap());
-        out.push('\n');
-        out.push_str(&self.link_heatmap());
-        out.push('\n');
         out.push_str("stall blame (all tiles):\n");
         out.push_str(&crate::stats::utilization_report(&agg));
         out.push('\n');
@@ -239,21 +181,8 @@ mod tests {
             cycles: 100,
             tiles: vec![busy_tile, idle_tile],
             banks: vec![CacheStats::default()],
-            east_busy: vec![10, 90],
             hbm: Hbm2Stats::default(),
         }
-    }
-
-    #[test]
-    fn heatmap_shades_by_utilization() {
-        let p = fake_profile();
-        let map = p.tile_heatmap();
-        let grid_line = map.lines().nth(1).unwrap();
-        assert_eq!(grid_line.chars().count(), 2);
-        // Busy tile must render hotter than the barrier-bound tile.
-        let chars: Vec<char> = grid_line.chars().collect();
-        let rank = |c: char| SHADES.iter().position(|&s| s == c).unwrap();
-        assert!(rank(chars[0]) > rank(chars[1]));
     }
 
     #[test]
@@ -291,14 +220,10 @@ mod tests {
     fn report_contains_all_sections() {
         let p = fake_profile();
         let r = p.report();
-        for needle in [
-            "tile utilization",
-            "eastward link",
-            "stall blame",
-            "HBM2",
-            "verdict",
-        ] {
+        for needle in ["stall blame", "miss%", "HBM2", "verdict"] {
             assert!(r.contains(needle), "report missing {needle}");
         }
+        // The mesh maps are hb_obs::heatmap's: the report is tables only.
+        assert!(!r.contains("row 0 = north"), "report renders a map:\n{r}");
     }
 }

@@ -5,14 +5,14 @@ use hb_core::{Cell, HbOps};
 use hb_isa::Gpr;
 
 /// Allocates a 64-byte-aligned Local-DRAM buffer holding `data`.
-pub(crate) fn alloc_u32(cell: &mut Cell, data: &[u32]) -> u32 {
+pub fn alloc_u32(cell: &mut Cell, data: &[u32]) -> u32 {
     let p = cell.alloc((data.len() * 4) as u32, 64);
     cell.dram_mut().write_u32_slice(p, data);
     p
 }
 
 /// [`alloc_u32`] for floats.
-pub(crate) fn alloc_f32(cell: &mut Cell, data: &[f32]) -> u32 {
+pub fn alloc_f32(cell: &mut Cell, data: &[f32]) -> u32 {
     let p = cell.alloc((data.len() * 4) as u32, 64);
     cell.dram_mut().write_f32_slice(p, data);
     p

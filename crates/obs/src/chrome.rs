@@ -18,7 +18,6 @@ use crate::json::escape;
 use crate::Telemetry;
 use hb_core::observe::ObsKind;
 use std::fmt::Write as _;
-use std::io;
 
 /// Renders the whole store as one Chrome-trace JSON document.
 pub fn to_string(t: &Telemetry) -> String {
@@ -137,11 +136,6 @@ pub fn to_string(t: &Telemetry) -> String {
     );
     out.push_str(&tail);
     out
-}
-
-/// Writes [`to_string`] to `w`.
-pub fn write<W: io::Write>(t: &Telemetry, w: &mut W) -> io::Result<()> {
-    w.write_all(to_string(t).as_bytes())
 }
 
 /// Number of `"ph":"M"` metadata events [`to_string`] emits.

@@ -1,14 +1,23 @@
 //! Textual mesh heatmaps over the telemetry store: where on the Cell the
-//! time went, aggregated over the retained windows (the time-resolved
-//! counterpart of `hb_core::profile::CellProfile`'s end-of-run maps, in
-//! the same shade ramp).
+//! time went, aggregated over the retained windows. These are the
+//! simulator's only mesh maps; `hb-bench inspect` prints them beside
+//! `hb_core::profile::CellProfile`'s end-of-run tables.
 
 use crate::Telemetry;
-use hb_core::profile::shade;
 use std::fmt::Write as _;
 
+/// Shade glyphs from cold to hot.
+const SHADES: [char; 8] = [' ', '.', ':', '-', '=', '+', '#', '@'];
+
+/// The heatmap glyph of a share `v` in `0.0..=1.0` (clamped), from `' '`
+/// (cold) to `'@'` (hot).
+fn shade(v: f64) -> char {
+    let i = ((v.clamp(0.0, 1.0)) * (SHADES.len() - 1) as f64).round() as usize;
+    SHADES[i]
+}
+
 /// The shade ramp, for legends.
-pub fn legend() -> String {
+fn legend() -> String {
     format!(
         "shade ramp: '{}' = 0% .. '{}' = 100%",
         shade(0.0),
@@ -115,6 +124,24 @@ mod tests {
             final_cycle: 100,
             dropped: 0,
         }
+    }
+
+    #[test]
+    fn heatmap_shades_by_utilization() {
+        // A busy tile renders hotter than a mostly idle one, and each
+        // renders at its share of the covered cycles.
+        let mut t = store();
+        t.samples[0].cells[0].tiles[1] = CoreStats {
+            int_cycles: 30,
+            ..CoreStats::default()
+        };
+        let map = tile_utilization(&t, 0);
+        let row: Vec<char> = map.lines().nth(1).unwrap().chars().collect();
+        let rank = |c: char| SHADES.iter().position(|&s| s == c).unwrap();
+        assert_eq!(row, [shade(1.0), shade(0.3)], "{map}");
+        assert!(rank(row[0]) > rank(row[1]), "{map}");
+        assert_eq!(shade(-1.0), ' ');
+        assert_eq!(shade(2.0), '@');
     }
 
     #[test]

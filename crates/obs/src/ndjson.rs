@@ -6,7 +6,6 @@
 use crate::Telemetry;
 use hb_core::observe::ObsKind;
 use std::fmt::Write as _;
-use std::io;
 
 /// Renders the whole store as NDJSON.
 pub fn to_string(t: &Telemetry) -> String {
@@ -90,11 +89,6 @@ pub fn to_string(t: &Telemetry) -> String {
         );
     }
     out
-}
-
-/// Writes [`to_string`] to `w`.
-pub fn write<W: io::Write>(t: &Telemetry, w: &mut W) -> io::Result<()> {
-    w.write_all(to_string(t).as_bytes())
 }
 
 #[cfg(test)]

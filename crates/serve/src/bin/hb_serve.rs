@@ -148,6 +148,15 @@ fn parse_expect(value: &str) -> String {
 /// refuses to silently reuse a directory whose manifest is a *different*
 /// campaign.
 fn submit_campaign(opts: &Opts) -> Campaign {
+    if hb_serve::campaign_kernel(&opts.kernel).is_none() {
+        cli::usage_fail(
+            USAGE,
+            format!(
+                "unknown campaign kernel {:?}: expected sgemm or jacobi",
+                opts.kernel
+            ),
+        );
+    }
     let cfg = cli::valid_config(
         MachineConfig {
             cell_dim: opts.cell,
@@ -190,8 +199,8 @@ fn execute(campaign: &Campaign, opts: &Opts) -> ! {
         max_jobs: opts.max_jobs,
     };
     let summary = campaign.run(&store, &exec, &run_opts, &CancelToken::new());
-    println!("{}", summary.line());
-    println!("{}", campaign.status(&store).line());
+    cli::say(summary.line());
+    cli::say(campaign.status(&store).line());
     let report_path = opts.dir.join("report.txt");
     let text = report::write(campaign, &store, &report_path)
         .unwrap_or_else(|e| cli::fail(format!("cannot write {}: {e}", report_path.display())));
@@ -201,7 +210,7 @@ fn execute(campaign: &Campaign, opts: &Opts) -> ! {
         f.write_all(text.as_bytes())
             .unwrap_or_else(|e| cli::fail(format!("cannot write {}: {e}", out.display())));
     }
-    println!("report: {}", report_path.display());
+    cli::say(format_args!("report: {}", report_path.display()));
     if summary.failed > 0 {
         cli::fail(format!(
             "{} job(s) failed; see the store journal",
@@ -216,7 +225,7 @@ fn execute(campaign: &Campaign, opts: &Opts) -> ! {
                 got.unwrap_or("no AVF summary")
             ));
         }
-        println!("expected outcome counts: ok");
+        cli::say("expected outcome counts: ok");
     }
     std::process::exit(0);
 }
@@ -232,16 +241,16 @@ fn main() {
     };
     let rest = &argv[1..];
     match cmd.as_str() {
-        "help" | "--help" | "-h" => println!("{USAGE}"),
+        "help" | "--help" | "-h" => cli::say(USAGE),
         "submit" => {
             let opts = parse_opts(cmd, rest);
             let campaign = submit_campaign(&opts);
-            println!(
+            cli::say(format_args!(
                 "submitted: {:?} ({} jobs) -> {}",
                 campaign.name,
                 campaign.specs.len(),
                 opts.dir.display()
-            );
+            ));
         }
         "run" => {
             let opts = parse_opts(cmd, rest);
@@ -258,8 +267,8 @@ fn main() {
             let campaign = load_campaign(&opts);
             let store = Campaign::open_store(&opts.dir)
                 .unwrap_or_else(|e| cli::fail(format!("cannot open store: {e}")));
-            println!("campaign: {:?}", campaign.name);
-            println!("{}", campaign.status(&store).line());
+            cli::say(format_args!("campaign: {:?}", campaign.name));
+            cli::say(campaign.status(&store).line());
         }
         "report" => {
             let opts = parse_opts(cmd, rest);
@@ -272,7 +281,7 @@ fn main() {
                 .unwrap_or_else(|| opts.dir.join("report.txt"));
             let text = report::write(&campaign, &store, &path)
                 .unwrap_or_else(|e| cli::fail(format!("cannot write {}: {e}", path.display())));
-            print!("{text}");
+            cli::say(text.strip_suffix('\n').unwrap_or(&text));
         }
         "gc" => {
             let opts = parse_opts(cmd, rest);
@@ -281,10 +290,10 @@ fn main() {
                 .unwrap_or_else(|e| cli::fail(format!("cannot open store: {e}")));
             let keep: std::collections::HashSet<String> = campaign.hashes().into_iter().collect();
             let stats = store.gc(&keep).unwrap_or_else(|e| cli::fail(e));
-            println!(
+            cli::say(format_args!(
                 "gc: kept={} deleted={} bytes={} ckpts_deleted={} ckpt_bytes={}",
                 stats.kept, stats.deleted, stats.bytes, stats.ckpts_deleted, stats.ckpt_bytes
-            );
+            ));
         }
         other => cli::usage_fail(USAGE, format!("unknown command {other:?}")),
     }

@@ -25,6 +25,15 @@ pub fn usage_fail(usage: &str, msg: impl Display) -> ! {
     std::process::exit(2);
 }
 
+/// Writes one line to stdout and ignores a write error. A closed stdout
+/// (`hb-serve resume ... | head -2`) then changes only what is printed:
+/// the command still writes its files and exits with its own status,
+/// where `println!` would panic on the broken pipe.
+pub fn say(line: impl Display) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
+}
+
 /// The value following a flag, or a clean usage error naming the flag.
 pub fn flag_value(argv: &[String], i: &mut usize, usage: &str) -> String {
     let flag = argv[*i].clone();
@@ -49,7 +58,7 @@ impl Args {
     /// given to a switch is a usage error.
     pub fn walk(argv: &[String], flags: &str, usage: String) -> Args {
         if argv.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{usage}");
+            say(&usage);
             std::process::exit(0);
         }
         match Args::check(argv, flags) {

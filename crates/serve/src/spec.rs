@@ -34,7 +34,7 @@ use hb_mem::text::Text;
 ///
 /// rev 4: `JobRecord` lost the `profile` field again, with the `race:` and
 /// `profile:` job kinds (a suite kernel's race check is `hb_race::
-/// check_suite`, its guest profile `hb-bench profile`).
+/// check_suite`, its guest profile `hb-bench inspect`).
 pub const SCHEMA_REV: u32 = 4;
 
 /// The binary revision folded into every job hash: `HB_SERVE_REV` when set

@@ -273,8 +273,9 @@ fn a_crash_run_is_one_worker() {
 
 /// A campaign forks every fault job from golden-prefix captures, which
 /// stay in memory. The same campaign run again on the same executor (into
-/// a second store) is warm: its fault jobs restore the captures the cold
-/// run made, and must classify every seed exactly as the cold run did.
+/// a second store) is a warm rerun; its fault jobs restore the captures
+/// the cold run made, and must classify every seed exactly as the cold run
+/// did.
 #[test]
 fn warm_campaign_classifies_identically_to_cold() {
     use hb_core::MachineConfig;

@@ -12,9 +12,9 @@
 //! `hb-serve` content-address shared warm checkpoints.
 
 use hammerblade::ckpt;
-use hammerblade::core::profile::CellProfile;
-use hammerblade::core::{pgas, CellDim, CoreStats, Machine, MachineConfig, StallKind};
+use hammerblade::core::{pgas, Cell, CellDim, CoreStats, Machine, MachineConfig, StallKind};
 use hammerblade::kernels::{kernels, launch_on, run_on, Kernel, Launch, SizeClass};
+use hammerblade::noc::Port;
 use hammerblade::obs::{Keep, Sampler, Telemetry};
 use std::sync::{Arc, Mutex};
 
@@ -48,7 +48,7 @@ struct Finish {
     hbm: hammerblade::mem::Hbm2Stats,
     cache: hammerblade::cache::CacheStats,
     bisection: hammerblade::noc::LinkStats,
-    east_busy: Vec<u64>,
+    east_link_busy: Vec<u64>,
     digest: u64,
 }
 
@@ -70,9 +70,19 @@ fn finish(machine: &Machine) -> Finish {
         hbm: *cell.hbm_stats(),
         cache: cell.cache_stats(),
         bisection: cell.request_bisection(),
-        east_busy: CellProfile::capture(cell).east_busy,
+        east_link_busy: east_link_busy(cell),
         digest: hb_serve::exec::digest(machine),
     }
+}
+
+/// Busy cycles of each tile router's eastward request links (mesh and
+/// Ruche), row-major: the per-router link activity a run leaves behind.
+fn east_link_busy(cell: &Cell) -> Vec<u64> {
+    let pgas = cell.pgas();
+    (0..pgas.cell_h)
+        .flat_map(|y| (0..pgas.cell_w).map(move |x| pgas.tile_coord(x, y)))
+        .map(|c| cell.request_link(c, Port::East).busy + cell.request_link(c, Port::RucheEast).busy)
+        .collect()
 }
 
 /// A coprime-ish capture cycle strictly inside the run.
@@ -92,7 +102,7 @@ fn restored_run_is_bit_identical_for_every_kernel() {
         let mut twin = Machine::new(base.clone());
         let reference = run_on(&mut twin, kernel.as_ref(), SizeClass::Tiny)
             .unwrap_or_else(|e| panic!("{name} (reference) failed: {e}"));
-        let east_busy = CellProfile::capture(twin.cell(0)).east_busy;
+        let east_link_busy = east_link_busy(twin.cell(0));
         drop(twin);
         let at = capture_cycle(reference.cycles);
         let (blob, launch) = capture(kernel.as_ref(), &base, at);
@@ -127,7 +137,7 @@ fn restored_run_is_bit_identical_for_every_kernel() {
                 "{tag}: NoC bisection counters diverged"
             );
             assert_eq!(
-                fin.east_busy, east_busy,
+                fin.east_link_busy, east_link_busy,
                 "{tag}: per-router link activity diverged"
             );
             digests.push((tag, fin.digest));

@@ -3,9 +3,9 @@
 //! with the race sanitizer on and off; every architectural counter — cycle
 //! counts, stall blame, cache/HBM/NoC traffic — must match exactly.
 
-use hammerblade::core::profile::CellProfile;
-use hammerblade::core::{CellDim, Machine, MachineConfig};
+use hammerblade::core::{Cell, CellDim, Machine, MachineConfig};
 use hammerblade::kernels::{kernels, run_on, SizeClass};
+use hammerblade::noc::Port;
 
 fn cfg(event_core: bool) -> MachineConfig {
     MachineConfig {
@@ -13,6 +13,16 @@ fn cfg(event_core: bool) -> MachineConfig {
         event_core,
         ..MachineConfig::baseline_16x8()
     }
+}
+
+/// Busy cycles of each tile router's eastward request links (mesh and
+/// Ruche), row-major: the per-router link activity a run leaves behind.
+fn east_link_busy(cell: &Cell) -> Vec<u64> {
+    let pgas = cell.pgas();
+    (0..pgas.cell_h)
+        .flat_map(|y| (0..pgas.cell_w).map(move |x| pgas.tile_coord(x, y)))
+        .map(|c| cell.request_link(c, Port::East).busy + cell.request_link(c, Port::RucheEast).busy)
+        .collect()
 }
 
 #[test]
@@ -31,10 +41,10 @@ fn park_policy_is_bit_identical_to_never_park_for_every_kernel() {
             let mut machine = Machine::new(cfg.clone());
             let stats = run_on(&mut machine, kernel.as_ref(), SizeClass::Tiny)
                 .unwrap_or_else(|e| panic!("{name} (event={}) failed: {e}", cfg.event_core));
-            (stats, CellProfile::capture(machine.cell(0)).east_busy)
+            (stats, east_link_busy(machine.cell(0)))
         };
-        let (dense, dense_east_busy) = run(&dense_cfg);
-        let (event, event_east_busy) = run(&event_cfg);
+        let (dense, dense_east_link_busy) = run(&dense_cfg);
+        let (event, event_east_link_busy) = run(&event_cfg);
         assert_eq!(dense.cycles, event.cycles, "{name}: cycle count diverged");
         assert_eq!(dense.core, event.core, "{name}: core counters diverged");
         assert_eq!(dense.hbm, event.hbm, "{name}: HBM2 counters diverged");
@@ -44,7 +54,7 @@ fn park_policy_is_bit_identical_to_never_park_for_every_kernel() {
             "{name}: NoC bisection counters diverged"
         );
         assert_eq!(
-            dense_east_busy, event_east_busy,
+            dense_east_link_busy, event_east_link_busy,
             "{name}: per-router link activity diverged"
         );
         // Host-side sanity, not architectural counters: never-park

@@ -1,17 +1,21 @@
 //! Cross-crate integration: the guest-code profiler end-to-end over the
 //! benchmark suite.
 //!
-//! Three properties are pinned here, matching the profiler's contract:
+//! Four properties are pinned here, matching the profiler's contract:
 //!
 //! 1. the SGEMM profile names the FMA inner-loop block as the top retired
 //!    block, with more than half of all retired instructions;
 //! 2. the folded-stack export is byte-identical under both park policies
 //!    of the tile phase;
 //! 3. enabling profiling changes no simulated cycle or core counter, for
-//!    every registry kernel.
+//!    every registry kernel;
+//! 4. the profiler and the telemetry sampler on one run (`hb-bench
+//!    inspect`) give each instrument's artifacts byte for byte, and the
+//!    bare run's cycles, counters and DRAM image.
 
-use hammerblade::core::{CellDim, Machine, MachineConfig};
-use hammerblade::kernels::{kernels, run_on, Sgemm, SizeClass};
+use hammerblade::core::{CellDim, CoreStats, Machine, MachineConfig};
+use hammerblade::kernels::{by_name, kernels, run_on, Kernel, Sgemm, SizeClass};
+use hammerblade::obs::{chrome, ndjson, Keep, Sampler, SharedTelemetry};
 use hammerblade::prof::{folded, summary, Analysis, ProfRun};
 use std::sync::Arc;
 
@@ -97,5 +101,69 @@ fn profiling_does_not_change_simulated_cycles() {
             .unwrap_or_else(|| panic!("{name}: a profiled machine holds a profile"));
         let analysis = Analysis::analyze(name, &run);
         assert!(!analysis.ranked.is_empty(), "{name}: no hot blocks");
+    }
+}
+
+/// What one run of a kernel left: cycles, core counters, the DRAM digest,
+/// the telemetry exports (Chrome, NDJSON) when sampled and the profile
+/// exports (folded, NDJSON) when profiled.
+struct Instrumented {
+    cycles: u64,
+    core: CoreStats,
+    digest: u64,
+    telemetry: Option<(String, String)>,
+    profile: Option<(String, String)>,
+}
+
+fn instrumented(kernel: &dyn Kernel, sample: bool, profile: bool) -> Instrumented {
+    let cfg = cfg(true);
+    let store = SharedTelemetry::default();
+    let mut machine = Machine::new(cfg.clone());
+    if sample {
+        let sampler = Sampler::new(&cfg, 200, Keep::All, store.clone());
+        machine.attach_observer(Box::new(sampler));
+    }
+    machine.set_profile(profile);
+    let stats = run_on(&mut machine, kernel, SizeClass::Tiny)
+        .unwrap_or_else(|e| panic!("{} failed: {e}", kernel.name()));
+    machine.detach_observer(); // flushes the final partial window
+    let telemetry = sample.then(|| {
+        let t = store.lock().unwrap();
+        (chrome::to_string(&t), ndjson::to_string(&t))
+    });
+    let profile = profile.then(|| {
+        let run = ProfRun::capture(&machine, Arc::new(kernel.program()))
+            .expect("a profiled machine holds a profile");
+        let a = Analysis::analyze(kernel.name(), &run);
+        (folded::to_string(&a), summary::to_ndjson(&a))
+    });
+    Instrumented {
+        cycles: stats.cycles,
+        core: stats.core,
+        digest: hb_serve::exec::digest(&machine),
+        telemetry,
+        profile,
+    }
+}
+
+#[test]
+fn sampler_and_profiler_on_one_run_match_each_alone() {
+    for token in ["SGEMM", "BFS"] {
+        let kernel = by_name(token).unwrap();
+        let bare = instrumented(kernel.as_ref(), false, false);
+        let sampled = instrumented(kernel.as_ref(), true, false);
+        let profiled = instrumented(kernel.as_ref(), false, true);
+        let both = instrumented(kernel.as_ref(), true, true);
+        assert_eq!(both.cycles, bare.cycles, "{token}: cycles moved");
+        assert_eq!(both.core, bare.core, "{token}: core counters moved");
+        assert_eq!(both.digest, bare.digest, "{token}: DRAM image moved");
+        let (trace, windows) = both.telemetry.unwrap();
+        let (want_trace, want_windows) = sampled.telemetry.unwrap();
+        assert!(trace == want_trace, "{token}: Chrome trace differs");
+        assert!(windows == want_windows, "{token}: telemetry NDJSON differs");
+        let (stacks, blocks) = both.profile.unwrap();
+        let (want_stacks, want_blocks) = profiled.profile.unwrap();
+        assert_eq!(stacks, want_stacks, "{token}: folded stacks differ");
+        assert_eq!(blocks, want_blocks, "{token}: block NDJSON differs");
     }
 }
