@@ -43,12 +43,6 @@ pub fn run(args: &Args) {
         .map_or(10, NonZeroUsize::get);
 
     let cfg = hb_config();
-    println!(
-        "inspect: {} on a {}x{} Cell, window {window}",
-        bench.name(),
-        cfg.cell_dim.x,
-        cfg.cell_dim.y
-    );
     let store = SharedTelemetry::default();
     let mut machine = Machine::new(cfg.clone());
     machine.attach_observer(Box::new(Sampler::new(
@@ -71,23 +65,6 @@ pub fn run(args: &Args) {
     if t.samples.is_empty() {
         cli::fail("instrumented run produced no telemetry windows");
     }
-    println!(
-        "{} finished in {} cycles ({} instructions, {} remote requests)\n",
-        bench.name(),
-        stats.cycles,
-        stats.core.instrs,
-        stats.core.remote_requests
-    );
-    println!("{}", hb_obs::heatmap::tile_utilization(&t, 0));
-    println!("{}", hb_obs::heatmap::link_occupancy(&t, 0));
-    println!("{}", CellProfile::capture(machine.cell(0)).report());
-    print!("{}", hb_prof::summary::report_text(&analysis, top));
-    println!(
-        "kernel cycles {}  (profile covers {} tile-cycles)\n",
-        stats.cycles,
-        analysis.tile_cycles()
-    );
-
     let artifacts = [
         (
             format!("{out}.trace.json"),
@@ -110,15 +87,41 @@ pub fn run(args: &Args) {
             hb_prof::summary::to_ndjson(&analysis),
         ),
     ];
+    // The files first: a reader that closes stdout early (`| head`) ends
+    // the process at the first line printed.
+    for (path, _, text) in &artifacts {
+        if let Err(e) = std::fs::write(path, text) {
+            cli::fail(format!("cannot write {path}: {e}"));
+        }
+    }
+    println!(
+        "inspect: {} on a {}x{} Cell, window {window}",
+        bench.name(),
+        cfg.cell_dim.x,
+        cfg.cell_dim.y
+    );
+    println!(
+        "{} finished in {} cycles ({} instructions, {} remote requests)\n",
+        bench.name(),
+        stats.cycles,
+        stats.core.instrs,
+        stats.core.remote_requests
+    );
+    println!("{}", hb_obs::heatmap::tile_utilization(&t, 0));
+    println!("{}", hb_obs::heatmap::link_occupancy(&t, 0));
+    println!("{}", CellProfile::capture(machine.cell(0)).report());
+    print!("{}", hb_prof::summary::report_text(&analysis, top));
+    println!(
+        "kernel cycles {}  (profile covers {} tile-cycles)\n",
+        stats.cycles,
+        analysis.tile_cycles()
+    );
     println!(
         "telemetry: {} windows, {} events",
         t.samples.len(),
         hb_obs::chrome::instant_event_count(&t)
     );
-    for (path, what, text) in &artifacts {
-        if let Err(e) = std::fs::write(path, text) {
-            cli::fail(format!("cannot write {path}: {e}"));
-        }
+    for (path, what, _) in &artifacts {
         println!("wrote {path} ({what})");
     }
 }

@@ -110,7 +110,7 @@ fn an_unknown_kernel_token_names_the_registry() {
 }
 
 /// A closed stdout (`hb-bench inspect | head -3`) ends the run with no
-/// panic text.
+/// panic text, and every artifact is still written.
 #[test]
 fn a_closed_stdout_ends_the_run_quietly() {
     let out_path = std::env::temp_dir().join(format!("hb-bench-pipe-{}", std::process::id()));
@@ -124,12 +124,18 @@ fn a_closed_stdout_ends_the_run_quietly() {
         .unwrap();
     drop(child.stdout.take());
     let out = child.wait_with_output().unwrap();
+    let mut missing = Vec::new();
     for ext in ["trace.json", "trace.ndjson", "folded", "blocks.ndjson"] {
-        let _ = std::fs::remove_file(format!("{out_path}.{ext}"));
+        let path = format!("{out_path}.{ext}");
+        if std::fs::metadata(&path).map_or(true, |m| m.len() == 0) {
+            missing.push(path.clone());
+        }
+        let _ = std::fs::remove_file(path);
     }
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(missing.is_empty(), "not written or empty: {missing:?}");
 }
 
 #[test]

@@ -186,16 +186,7 @@ pub struct Cell {
 impl Cell {
     /// Builds an idle Cell of a configuration `Machine::new` has validated.
     pub fn new(cfg: Arc<MachineConfig>, id: u8) -> Cell {
-        let pgas = PgasMap {
-            cell_id: id,
-            num_cells: cfg.num_cells,
-            cell_w: cfg.cell_dim.x,
-            cell_h: cfg.cell_dim.y,
-            spm_bytes: cfg.spm_bytes,
-            line_bytes: cfg.line_bytes,
-            dram_bytes: cfg.dram_bytes_per_cell,
-            ipoly: cfg.ipoly_hashing,
-        };
+        let pgas = PgasMap::new(&cfg, id);
         let mut tiles = Vec::with_capacity(cfg.cell_dim.tiles());
         for y in 0..cfg.cell_dim.y {
             for x in 0..cfg.cell_dim.x {

@@ -427,9 +427,10 @@ impl MachineConfig {
     /// Largest Cell edge, in tiles: a Group-SPM address names a tile with
     /// two 6-bit coordinate fields.
     pub const MAX_CELL_EDGE: u8 = 64;
-    /// Largest scratchpad, in bytes: a Group-SPM address carries an 18-bit
-    /// offset.
-    pub const MAX_SPM_BYTES: u32 = 1 << 18;
+    /// Largest scratchpad, in bytes: the CSR window of the local space
+    /// starts at [`CSR_BASE`](crate::pgas::CSR_BASE), and a larger SPM would
+    /// cover it (a Group-SPM offset field alone would allow 256 KiB).
+    pub const MAX_SPM_BYTES: u32 = crate::pgas::CSR_BASE;
     /// Largest cache bank, in bytes: no bank outgrows the 16 MiB DRAM
     /// window it caches.
     pub const MAX_BANK_BYTES: usize = 16 << 20;
@@ -545,7 +546,8 @@ pub enum ConfigError {
         /// The Cell shape.
         dim: CellDim,
     },
-    /// The scratchpad exceeds [`MachineConfig::MAX_SPM_BYTES`].
+    /// The scratchpad exceeds [`MachineConfig::MAX_SPM_BYTES`]: it would
+    /// cover the CSR window.
     SpmTooLarge {
         /// The configured size.
         bytes: u32,
@@ -644,7 +646,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SpmTooLarge { bytes } => {
                 write!(
                     f,
-                    "SPM of {bytes} bytes exceeds the 18-bit Group-SPM offset field (256 KiB)"
+                    "SPM of {bytes} bytes runs into the CSR window at 0x1000 (maximum 4096)"
                 )
             }
             ConfigError::CellTooLarge { dim } => {
@@ -1001,7 +1003,7 @@ mod tests {
             "load_packet_compression" => cfg.load_packet_compression = false,
             "ipoly_hashing" => cfg.ipoly_hashing = false,
             "non_blocking_cache" => cfg.non_blocking_cache = false,
-            "spm_bytes" => cfg.spm_bytes = 8192,
+            "spm_bytes" => cfg.spm_bytes = 2048,
             "icache_bytes" => cfg.icache_bytes = 8192,
             "cache_sets" => cfg.cache_sets = 128,
             "cache_ways" => cfg.cache_ways = 4,
@@ -1134,6 +1136,28 @@ mod tests {
             let err = MachineConfig::from_canonical_text(&good.replacen(from, to, 1)).unwrap_err();
             assert!(err.contains(why), "{to}: {err}");
         }
+    }
+
+    #[test]
+    fn an_spm_that_covers_the_csr_window_is_refused() {
+        // Past `CSR_BASE` the scratchpad would answer every CSR address:
+        // each tile would read rank 0 and no barrier store would join.
+        let good = MachineConfig::baseline_16x8();
+        assert_eq!(good.spm_bytes, 4096);
+        good.validate().unwrap();
+        let text = good.canonical_text();
+        assert_eq!(MachineConfig::from_canonical_text(&text), Ok(good.clone()));
+        let big = MachineConfig {
+            spm_bytes: 8192,
+            ..good
+        };
+        assert_eq!(
+            big.validate(),
+            Err(ConfigError::SpmTooLarge { bytes: 8192 })
+        );
+        let err = MachineConfig::from_canonical_text(&text.replacen("spm=4096", "spm=8192", 1))
+            .unwrap_err();
+        assert!(err.contains("CSR window"), "{err}");
     }
 
     #[test]

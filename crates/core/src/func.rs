@@ -281,7 +281,7 @@ impl<D: DramStore> FuncBus<D> {
 
 impl<D: DramStore> Bus for FuncBus<D> {
     fn load(&mut self, addr: u32, width: u8) -> Result<u32, String> {
-        match self.pgas.translate_flat(addr).map_err(|e| e.to_string())? {
+        match self.pgas.translate(addr).map_err(|e| e.to_string())? {
             Target::LocalSpm { offset } => self.spm_load(self.cur, offset, width, true),
             Target::Csr { offset } => self
                 .csr_read(offset)
@@ -301,7 +301,7 @@ impl<D: DramStore> Bus for FuncBus<D> {
     }
 
     fn store(&mut self, addr: u32, width: u8, data: u32) -> Result<StoreEffect, String> {
-        match self.pgas.translate_flat(addr).map_err(|e| e.to_string())? {
+        match self.pgas.translate(addr).map_err(|e| e.to_string())? {
             Target::LocalSpm { offset } => self.spm_store(self.cur, offset, width, data, true),
             Target::Csr { offset } => match offset {
                 csr::BARRIER => Ok(StoreEffect::Barrier),
@@ -326,7 +326,7 @@ impl<D: DramStore> Bus for FuncBus<D> {
     }
 
     fn amo(&mut self, addr: u32, op: AmoOp, data: u32) -> Result<u32, String> {
-        match self.pgas.translate_flat(addr).map_err(|e| e.to_string())? {
+        match self.pgas.translate(addr).map_err(|e| e.to_string())? {
             Target::Bank { cell, addr, .. } => Ok(self.dram.amo(cell, addr, op, data)),
             Target::RemoteSpm { tile, offset } => {
                 // The tile sends group-space AMOs over the network even to

@@ -17,6 +17,7 @@
 //! camping problem of 2^n-stride accesses. The ablation alternative is
 //! plain modulo striping.
 
+use crate::MachineConfig;
 use hb_noc::Coord;
 
 /// Cell id value meaning "the issuing tile's own Cell" (Local DRAM).
@@ -76,6 +77,15 @@ pub mod csr {
     /// has no adoptee. Coordinate-based kernels (Jacobi) use this to take
     /// over a dead tile's slice through its still-live scratchpad NI.
     pub const TG_ADOPT: u32 = 0x1068;
+
+    /// Whether a load of CSR `offset` reads a value: every named word but
+    /// the store-only `BARRIER` and `MARK`, and any byte of an argument.
+    /// Every other offset of the window traps on a load.
+    pub const fn loadable(offset: u32) -> bool {
+        let word = offset.is_multiple_of(4);
+        (offset >= ARG0 && offset < ARG0 + 32)
+            || (word && matches!(offset, TILE_X..=NUM_CELLS | CYCLE | TG_LIVE_RANK..=TG_ADOPT))
+    }
 }
 
 /// `TG_ADOPT` value meaning "no adoptee".
@@ -105,6 +115,39 @@ pub const fn group_dram(cell: u8, offset: u32) -> u32 {
 /// Builds a Global-DRAM EVA (hashed across all banks of all Cells).
 pub const fn global_dram(offset: u32) -> u32 {
     (0b11 << 30) | (offset & 0x3fff_ffff)
+}
+
+/// An EVA split into the fields of its space (Fig. 5) and checked against
+/// the map, before [`OWN_CELL`] is resolved or a bank chosen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Eva {
+    /// Byte `offset` of the issuing tile's scratchpad.
+    Spm { offset: u32 },
+    /// The issuing tile's CSR at `offset` (see [`csr`]).
+    Csr { offset: u32 },
+    /// Byte `offset` of the scratchpad of tile (`x`, `y`) of the issuing
+    /// Cell.
+    GroupSpm { x: u8, y: u8, offset: u32 },
+    /// Byte `offset` of Cell `cell`'s DRAM window, the Cell field as
+    /// written ([`OWN_CELL`] names the issuer's).
+    Dram { cell: u8, offset: u32 },
+    /// Global DRAM: a 30-bit `offset` hashed over every bank of the machine.
+    Global { offset: u32 },
+}
+
+/// Which field of an EVA names no resource.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvaFault {
+    /// Local space outside both the SPM and the CSR window.
+    Local,
+    /// A Group-SPM tile outside the Cell.
+    NoTile { x: u8, y: u8 },
+    /// A Group-SPM access past the end of the scratchpad.
+    SpmOverrun { offset: u32 },
+    /// A DRAM Cell the machine does not have.
+    NoCell { cell: u8 },
+    /// A DRAM access past the end of the Cell's window.
+    DramOverrun { offset: u32 },
 }
 
 /// Where a translated EVA lands.
@@ -175,65 +218,89 @@ pub struct PgasMap {
 }
 
 impl PgasMap {
+    /// The map of Cell `cell_id` of a machine built from `cfg`.
+    pub fn new(cfg: &MachineConfig, cell_id: u8) -> PgasMap {
+        PgasMap {
+            cell_id,
+            num_cells: cfg.num_cells,
+            cell_w: cfg.cell_dim.x,
+            cell_h: cfg.cell_dim.y,
+            spm_bytes: cfg.spm_bytes,
+            line_bytes: cfg.line_bytes,
+            dram_bytes: cfg.dram_bytes_per_cell,
+            ipoly: cfg.ipoly_hashing,
+        }
+    }
+
     /// Banks per Cell (two strips).
     pub fn banks(&self) -> usize {
         2 * self.cell_w as usize
     }
 
-    /// Translates `eva` from the perspective of the owning tile.
+    /// Splits `eva` into its space's fields and checks them for an access
+    /// of `width` bytes: the only reader of an EVA's bit fields. The tile
+    /// translates with width 1 (its own overrun checks come after); the
+    /// linter passes the access width.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`EvaFault`] naming the field that maps to no resource.
+    #[inline]
+    pub fn decode(&self, eva: u32, width: u32) -> Result<Eva, EvaFault> {
+        let hi = ((eva >> 24) & 0x3f) as u8; // [29:24]: tile Y or Cell
+        match eva >> 30 {
+            0b00 if eva + width <= self.spm_bytes => Ok(Eva::Spm { offset: eva }),
+            0b00 if (CSR_BASE..CSR_BASE + 0x100).contains(&eva) => Ok(Eva::Csr { offset: eva }),
+            0b00 => Err(EvaFault::Local),
+            0b01 => {
+                let (x, y, offset) = (((eva >> 18) & 0x3f) as u8, hi, eva & 0x3ffff);
+                if x >= self.cell_w || y >= self.cell_h {
+                    Err(EvaFault::NoTile { x, y })
+                } else if offset + width > self.spm_bytes {
+                    Err(EvaFault::SpmOverrun { offset })
+                } else {
+                    Ok(Eva::GroupSpm { x, y, offset })
+                }
+            }
+            0b10 => {
+                let (cell, offset) = (hi, eva & 0xff_ffff);
+                if cell != OWN_CELL && cell >= self.num_cells {
+                    Err(EvaFault::NoCell { cell })
+                } else if offset + width > self.dram_bytes {
+                    Err(EvaFault::DramOverrun { offset })
+                } else {
+                    Ok(Eva::Dram { cell, offset })
+                }
+            }
+            _ => Ok(Eva::Global {
+                offset: eva & 0x3fff_ffff,
+            }),
+        }
+    }
+
+    /// Translates `eva` from the perspective of the owning tile: the
+    /// [decoded](Self::decode) fields with [`OWN_CELL`] resolved and the
+    /// DRAM bank chosen.
     ///
     /// # Errors
     ///
     /// Returns [`BadEva`] for addresses outside every space (SPM overrun,
     /// nonexistent tile/Cell, DRAM window overrun).
     pub fn translate(&self, eva: u32) -> Result<Target, BadEva> {
-        let bad = Err(BadEva { eva });
-        match eva >> 30 {
-            0b00 => {
-                if eva < self.spm_bytes {
-                    Ok(Target::LocalSpm { offset: eva })
-                } else if (CSR_BASE..CSR_BASE + 0x100).contains(&eva) {
-                    Ok(Target::Csr { offset: eva })
-                } else {
-                    bad
-                }
-            }
-            0b01 => {
-                let y = ((eva >> 24) & 0x3f) as u8;
-                let x = ((eva >> 18) & 0x3f) as u8;
-                let offset = eva & 0x3ffff;
-                if x >= self.cell_w || y >= self.cell_h || offset >= self.spm_bytes {
-                    return bad;
-                }
-                Ok(Target::RemoteSpm {
-                    tile: Coord::new(x, y),
-                    offset,
-                })
-            }
-            0b10 => {
-                let cell_field = ((eva >> 24) & 0x3f) as u8;
-                let cell = if cell_field == OWN_CELL {
-                    self.cell_id
-                } else {
-                    cell_field
-                };
-                let addr = eva & 0xff_ffff;
-                if cell >= self.num_cells && cell_field != OWN_CELL {
-                    return bad;
-                }
-                if addr >= self.dram_bytes {
-                    return bad;
-                }
-                Ok(Target::Bank {
-                    cell,
-                    bank: self.bank_for(addr),
-                    addr,
-                })
-            }
-            _ => {
-                // Global DRAM: hash the line over (cell, bank) across the
-                // whole machine.
-                let offset = eva & 0x3fff_ffff;
+        Ok(match self.decode(eva, 1).map_err(|_| BadEva { eva })? {
+            Eva::Spm { offset } => Target::LocalSpm { offset },
+            Eva::Csr { offset } => Target::Csr { offset },
+            Eva::GroupSpm { x, y, offset } => Target::RemoteSpm {
+                tile: Coord::new(x, y),
+                offset,
+            },
+            Eva::Dram { cell, offset } => Target::Bank {
+                cell: if cell == OWN_CELL { self.cell_id } else { cell },
+                bank: self.bank_for(offset),
+                addr: offset,
+            },
+            Eva::Global { offset } => {
+                // Hash the line over (cell, bank) across the whole machine.
                 let line = offset >> self.line_bytes.trailing_zeros();
                 let banks = self.banks() as u32;
                 let total_banks = banks * u32::from(self.num_cells);
@@ -246,38 +313,9 @@ impl PgasMap {
                 let bank = (slot & (banks - 1)) as usize;
                 // Each Cell stores global lines in the top of its window.
                 let addr = offset % self.dram_bytes;
-                Ok(Target::Bank { cell, bank, addr })
+                Target::Bank { cell, bank, addr }
             }
-        }
-    }
-
-    /// Like [`PgasMap::translate`], but skips bank selection for Cell-local
-    /// DRAM (the returned `bank` is 0). Bank choice only matters to the
-    /// cycle-level memory system; functional consumers (the `hb-iss` bus)
-    /// need just "which Cell, which byte".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BadEva`] exactly when [`PgasMap::translate`] does.
-    pub fn translate_flat(&self, eva: u32) -> Result<Target, BadEva> {
-        if eva >> 30 == 0b10 {
-            let cell_field = ((eva >> 24) & 0x3f) as u8;
-            let cell = if cell_field == OWN_CELL {
-                self.cell_id
-            } else {
-                cell_field
-            };
-            let addr = eva & 0xff_ffff;
-            if (cell >= self.num_cells && cell_field != OWN_CELL) || addr >= self.dram_bytes {
-                return Err(BadEva { eva });
-            }
-            return Ok(Target::Bank {
-                cell,
-                bank: 0,
-                addr,
-            });
-        }
-        self.translate(eva)
+        })
     }
 
     /// Bank selection for a Cell-local DRAM address. The line size and
@@ -562,6 +600,30 @@ mod tests {
             })
         );
         assert!(m.translate(0x2000).is_err());
+    }
+
+    #[test]
+    fn decode_keeps_the_cell_field_and_bounds_the_whole_access() {
+        let m = map();
+        assert_eq!(
+            m.decode(local_dram(0x40), 4),
+            Ok(Eva::Dram {
+                cell: OWN_CELL,
+                offset: 0x40
+            })
+        );
+        let last = group_spm(5, 3, 4092);
+        assert!(m.decode(last, 4).is_ok());
+        assert_eq!(
+            m.decode(last + 2, 4),
+            Err(EvaFault::SpmOverrun { offset: 4094 })
+        );
+        assert!(m.decode(last + 2, 1).is_ok());
+        assert_eq!(m.decode(0xffc, 8), Err(EvaFault::Local));
+        assert_eq!(
+            m.decode(group_dram(9, 0), 4),
+            Err(EvaFault::NoCell { cell: 9 })
+        );
     }
 
     #[test]

@@ -411,16 +411,7 @@ mod tests {
             ..MachineConfig::baseline_16x8()
         });
         let n = cfg.cell_dim.tiles();
-        let pgas = PgasMap {
-            cell_id: 0,
-            num_cells: cfg.num_cells,
-            cell_w: cfg.cell_dim.x,
-            cell_h: cfg.cell_dim.y,
-            spm_bytes: cfg.spm_bytes,
-            line_bytes: cfg.line_bytes,
-            dram_bytes: cfg.dram_bytes_per_cell,
-            ipoly: cfg.ipoly_hashing,
-        };
+        let pgas = PgasMap::new(&cfg, 0);
         let tiles = || -> Vec<Tile> {
             (0..n)
                 .map(|i| Tile::new(cfg.clone(), pgas, ((i % 10) as u8, (i / 10) as u8)))

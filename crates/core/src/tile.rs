@@ -1789,22 +1789,9 @@ impl Tile {
 mod tests {
     use super::*;
 
-    fn pgas_of(cfg: &MachineConfig) -> PgasMap {
-        PgasMap {
-            cell_id: 0,
-            num_cells: cfg.num_cells,
-            cell_w: cfg.cell_dim.x,
-            cell_h: cfg.cell_dim.y,
-            spm_bytes: cfg.spm_bytes,
-            line_bytes: cfg.line_bytes,
-            dram_bytes: cfg.dram_bytes_per_cell,
-            ipoly: cfg.ipoly_hashing,
-        }
-    }
-
     fn tile() -> Tile {
         let cfg = Arc::new(MachineConfig::baseline_16x8());
-        let pgas = pgas_of(&cfg);
+        let pgas = PgasMap::new(&cfg, 0);
         Tile::new(cfg, pgas, (0, 0))
     }
 
@@ -1852,7 +1839,7 @@ mod tests {
             num_cells: 2,
             ..MachineConfig::baseline_16x8()
         });
-        let pg = pgas_of(&cfg);
+        let pg = PgasMap::new(&cfg, 0);
         let (me, other) = ((2u8, 3u8), (5u8, 1u8));
         let (spm_bytes, line) = (cfg.spm_bytes, cfg.line_bytes);
         let image: Vec<u8> = (0..spm_bytes).map(|i| (i * 7 + 0x83) as u8).collect();
@@ -2219,7 +2206,7 @@ mod tests {
                 branch_miss_penalty: penalty,
                 ..MachineConfig::baseline_16x8()
             });
-            let mut t = Tile::new(cfg.clone(), pgas_of(&cfg), (0, 0));
+            let mut t = Tile::new(cfg.clone(), PgasMap::new(&cfg, 0), (0, 0));
             t.running = true;
             // Taken forward: the static predictor said not taken.
             let beq = Instr::Branch {
@@ -2253,7 +2240,7 @@ mod tests {
         use hb_mem::SnapState;
 
         let cfg = Arc::new(MachineConfig::baseline_16x8());
-        let pg = pgas_of(&cfg);
+        let pg = PgasMap::new(&cfg, 0);
         let (me, other) = ((2u8, 3u8), (5u8, 1u8));
         let mut t = Tile::new(cfg.clone(), pg, me);
         t.regs[Gpr::A0.index() as usize] = crate::pgas::group_spm(other.0, other.1, 0x40);

@@ -3,14 +3,14 @@
 //!
 //! Every GPR holds a *rank-affine* value, `arg? + base + coeff * rank`,
 //! where `rank` is the symbolic `TG_RANK` of the executing tile and `arg`
-//! one opaque launch argument. A constant (no argument, no rank) drives an
-//! address classifier that mirrors `hb_core::pgas::PgasMap::translate`,
-//! letting the linter statically decide where each memory access lands:
-//! local SPM, a tile CSR, or the remote network. Anything else classifies
-//! as unknown. On top of that, intervals track how many remote operations
-//! can be outstanding in the 63-entry scoreboard, which registers have
-//! in-flight remote loads, and how many barrier joins each static path has
-//! executed.
+//! one opaque launch argument. A constant (no argument, no rank) is
+//! classified by `hb_core::pgas::PgasMap::decode`, the decoder the tiles
+//! translate with, so the linter statically decides where each memory
+//! access lands: local SPM, a tile CSR, or the remote network. Anything
+//! else classifies as unknown. On top of that, intervals track how many
+//! remote operations can be outstanding in the 63-entry scoreboard, which
+//! registers have in-flight remote loads, and how many barrier joins each
+//! static path has executed.
 //!
 //! The same walk hands the phase-race pass ([`mod@crate::phases`]) what it
 //! pairs up: every shared-memory access with a rank-affine address, the
@@ -21,7 +21,7 @@
 use crate::cfg::{Cfg, Terminator};
 use crate::dataflow::defs_uses;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
-use hb_core::pgas::{csr, OWN_CELL};
+use hb_core::pgas::{csr, Eva, EvaFault};
 use hb_core::AccessKind;
 use hb_isa::{BranchOp, Fpr, Gpr, Instr, OpImmOp, OpOp, INSTR_BYTES};
 use std::collections::HashSet;
@@ -220,7 +220,7 @@ impl State {
         // `Tile::launch` zeroes every register, then sets sp to the top of
         // the SPM and a0..a7 to the kernel arguments (opaque symbols).
         let mut regs = [AVal::konst(0); 32];
-        regs[Gpr::Sp.index() as usize] = AVal::konst(lc.spm_bytes);
+        regs[Gpr::Sp.index() as usize] = AVal::konst(lc.pgas.spm_bytes);
         for (i, r) in regs[10..=17].iter_mut().enumerate() {
             *r = AVal::aff(Some(i as u8), 0, 0);
         }
@@ -285,7 +285,8 @@ fn insert_sorted(set: &mut Vec<usize>, i: usize) {
 /// rank (rank-independent): the only write target that cannot be in flight
 /// at a barrier join.
 pub(crate) fn is_local_spm(addr: AVal, width: u32, lc: &LintConfig) -> bool {
-    matches!(addr.as_const(), Some(base) if base.wrapping_add(width) <= lc.spm_bytes)
+    let local = |c| matches!(lc.pgas.decode(c, width), Ok(Eva::Spm { .. }));
+    addr.as_const().is_some_and(local)
 }
 
 /// Where a statically-classified access lands.
@@ -299,7 +300,7 @@ enum Class {
     Remote,
     /// Address not statically known.
     Unknown,
-    /// Definitely faults in `PgasMap::translate` or the tile access checks.
+    /// Definitely faults in `PgasMap::decode` or the tile access checks.
     Bad(Rule, String),
 }
 
@@ -313,93 +314,33 @@ fn classify(v: AVal, width: u32, lc: &LintConfig) -> Class {
             format!("address {c:#010x} is not {width}-byte aligned"),
         );
     }
-    match c >> 30 {
-        0b00 => {
-            if c + width <= lc.spm_bytes {
-                Class::Local
-            } else if (0x1000..0x1100).contains(&c) {
-                Class::Csr(c)
-            } else {
-                Class::Bad(
-                    Rule::SpmOutOfBounds,
-                    format!(
-                        "address {c:#010x} is outside the {}-byte local SPM and the CSR window",
-                        lc.spm_bytes
-                    ),
-                )
-            }
-        }
-        0b01 => {
-            let y = (c >> 24) & 0x3f;
-            let x = (c >> 18) & 0x3f;
-            let offset = c & 0x3ffff;
-            if x >= u32::from(lc.cell_w) || y >= u32::from(lc.cell_h) {
-                Class::Bad(
-                    Rule::SpmOutOfBounds,
-                    format!(
-                        "group-SPM EVA {c:#010x} names tile ({x}, {y}) outside the {}x{} cell",
-                        lc.cell_w, lc.cell_h
-                    ),
-                )
-            } else if offset + width > lc.spm_bytes {
-                Class::Bad(
-                    Rule::SpmOutOfBounds,
-                    format!(
-                        "group-SPM EVA {c:#010x} offset {offset:#x} overruns the {}-byte SPM",
-                        lc.spm_bytes
-                    ),
-                )
-            } else {
-                Class::Remote
-            }
-        }
-        0b10 => {
-            let cell = (c >> 24) & 0x3f;
-            let addr = c & 0xff_ffff;
-            if cell != u32::from(OWN_CELL) && cell >= u32::from(lc.num_cells) {
-                Class::Bad(
-                    Rule::SpmOutOfBounds,
-                    format!(
-                        "DRAM EVA {c:#010x} names cell {cell} but the machine has {} cell(s)",
-                        lc.num_cells
-                    ),
-                )
-            } else if addr + width > lc.dram_bytes_per_cell {
-                Class::Bad(
-                    Rule::SpmOutOfBounds,
-                    format!(
-                        "DRAM EVA {c:#010x} offset {addr:#x} overruns the {}-byte cell window",
-                        lc.dram_bytes_per_cell
-                    ),
-                )
-            } else {
-                Class::Remote
-            }
-        }
-        _ => Class::Remote, // Global DRAM: hashed, always in range.
-    }
-}
-
-fn csr_load_ok(offset: u32) -> bool {
-    matches!(
-        offset,
-        csr::TILE_X
-            | csr::TILE_Y
-            | csr::TG_X
-            | csr::TG_Y
-            | csr::TG_W
-            | csr::TG_H
-            | csr::TG_RANK
-            | csr::TG_SIZE
-            | csr::TG_LIVE_RANK
-            | csr::TG_LIVE_SIZE
-            | csr::TG_ADOPT
-            | csr::CELL_W
-            | csr::CELL_H
-            | csr::CELL_ID
-            | csr::NUM_CELLS
-            | csr::CYCLE
-    ) || (csr::ARG0..csr::ARG0 + 32).contains(&offset)
+    let m = &lc.pgas;
+    let msg = match m.decode(c, width) {
+        Ok(Eva::Spm { .. }) => return Class::Local,
+        Ok(Eva::Csr { offset }) => return Class::Csr(offset),
+        Ok(Eva::GroupSpm { .. } | Eva::Dram { .. } | Eva::Global { .. }) => return Class::Remote,
+        Err(EvaFault::Local) => format!(
+            "address {c:#010x} is outside the {}-byte local SPM and the CSR window",
+            m.spm_bytes
+        ),
+        Err(EvaFault::NoTile { x, y }) => format!(
+            "group-SPM EVA {c:#010x} names tile ({x}, {y}) outside the {}x{} cell",
+            m.cell_w, m.cell_h
+        ),
+        Err(EvaFault::SpmOverrun { offset }) => format!(
+            "group-SPM EVA {c:#010x} offset {offset:#x} overruns the {}-byte SPM",
+            m.spm_bytes
+        ),
+        Err(EvaFault::NoCell { cell }) => format!(
+            "DRAM EVA {c:#010x} names cell {cell} but the machine has {} cell(s)",
+            m.num_cells
+        ),
+        Err(EvaFault::DramOverrun { offset }) => format!(
+            "DRAM EVA {c:#010x} offset {offset:#x} overruns the {}-byte cell window",
+            m.dram_bytes
+        ),
+    };
+    Class::Bad(Rule::SpmOutOfBounds, msg)
 }
 
 /// The value a load of CSR `offset` yields: the tile's rank, a launch
@@ -749,7 +690,7 @@ impl Interp<'_> {
                         Rule::BadCsrAccess,
                         "the barrier CSR is store-only; loading it traps".to_owned(),
                     );
-                } else if !csr_load_ok(offset) {
+                } else if !csr::loadable(offset) {
                     self.emit(
                         rec,
                         Severity::Error,

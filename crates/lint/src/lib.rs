@@ -11,7 +11,7 @@
 //! 2. classic dataflow ([`dataflow`]): use-before-def over GPRs and FPRs,
 //!    dead-write detection via backward liveness, unreachable blocks;
 //! 3. one abstract interpretation per program ([`absint`]): rank-affine
-//!    register values drive an address classifier mirroring the PGAS map,
+//!    register values drive an address classifier reading the PGAS map,
 //!    which feeds scoreboard-occupancy intervals, barrier-pairing phase
 //!    checks, alignment/bounds checks and icache footprint estimates;
 //! 4. cross-tile barrier-phase races ([`phases`]) over the accesses and the
@@ -45,6 +45,7 @@ pub mod dataflow;
 pub mod phases;
 
 use hb_asm::{AsmError, Assembler, Program};
+use hb_core::pgas::PgasMap;
 use hb_core::MachineConfig;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -215,20 +216,13 @@ impl fmt::Display for Diagnostic {
 /// [`LintConfig::for_machine`] to lint against a different configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintConfig {
-    /// Scratchpad bytes per tile.
-    pub spm_bytes: u32,
+    /// The machine's address map: every EVA is classified through
+    /// [`PgasMap::decode`], the decoder the tiles translate with.
+    pub pgas: PgasMap,
     /// Instruction-cache bytes per tile.
     pub icache_bytes: u32,
     /// Remote-op scoreboard capacity.
     pub max_outstanding: u32,
-    /// Cell tile-array width.
-    pub cell_w: u8,
-    /// Cell tile-array height.
-    pub cell_h: u8,
-    /// Number of Cells in the machine.
-    pub num_cells: u8,
-    /// DRAM window per Cell in bytes.
-    pub dram_bytes_per_cell: u32,
     /// Rules whose diagnostics are dropped.
     pub disabled: BTreeSet<Rule>,
 }
@@ -240,16 +234,15 @@ impl Default for LintConfig {
 }
 
 impl LintConfig {
-    /// Builds a lint configuration matching a machine configuration.
+    /// Builds a lint configuration matching a machine configuration (the
+    /// map of Cell 0: a kernel names its own Cell as [`OWN_CELL`]).
+    ///
+    /// [`OWN_CELL`]: hb_core::pgas::OWN_CELL
     pub fn for_machine(cfg: &MachineConfig) -> LintConfig {
         LintConfig {
-            spm_bytes: cfg.spm_bytes,
+            pgas: PgasMap::new(cfg, 0),
             icache_bytes: cfg.icache_bytes,
             max_outstanding: cfg.max_outstanding as u32,
-            cell_w: cfg.cell_dim.x,
-            cell_h: cfg.cell_dim.y,
-            num_cells: cfg.num_cells,
-            dram_bytes_per_cell: cfg.dram_bytes_per_cell,
             disabled: BTreeSet::new(),
         }
     }

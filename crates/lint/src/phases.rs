@@ -36,7 +36,7 @@ use crate::absint::{self, is_local_spm, AVal, Facts};
 use crate::cfg::Cfg;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
 use hb_asm::Program;
-use hb_core::pgas::OWN_CELL;
+use hb_core::pgas::{Eva, OWN_CELL};
 pub use hb_core::AccessKind;
 use std::collections::{BTreeSet, HashSet};
 
@@ -82,7 +82,7 @@ enum Container {
     Spm(u32),
     /// One cell's DRAM window (`OWN_CELL` kept as a sentinel: all tiles of
     /// a group live in one cell, so it compares consistently).
-    Dram(u32),
+    Dram(u8),
     /// Hash-interleaved global DRAM, by the cell-DRAM address a global
     /// offset lands at in whichever cell its line hashes to.
     GlobalDram,
@@ -97,10 +97,9 @@ impl Container {
     /// and a global line may be in any cell.
     fn may_alias(self, other: Container, num_cells: u8) -> bool {
         use Container::{Dram, GlobalDram};
-        const OWN: u32 = OWN_CELL as u32;
         match (self, other) {
             (GlobalDram, Dram(_) | GlobalDram) | (Dram(_), GlobalDram) => true,
-            (Dram(a), Dram(b)) if a != b && (a == OWN || b == OWN) => {
+            (Dram(a), Dram(b)) if a != b && (a == OWN_CELL || b == OWN_CELL) => {
                 num_cells > 1 || a.min(b) == 0
             }
             _ => self == other,
@@ -121,39 +120,21 @@ impl Container {
 /// range `[lo, hi)` touched, or `None` when the address faults (the absint
 /// reports those separately).
 fn concretize(acc: &Acc, r: u32, lc: &LintConfig) -> Option<(Container, u64, u64)> {
-    let w = u64::from(acc.width);
     let e = acc.base.wrapping_add(acc.coeff.wrapping_mul(r));
+    let span = |c, lo: u32| Some((c, u64::from(lo), u64::from(lo) + u64::from(acc.width)));
     if let Some(k) = acc.sym {
-        return Some((Container::Arg(k), u64::from(e), u64::from(e) + w));
+        return span(Container::Arg(k), e);
     }
-    match e >> 30 {
-        0b00 => (u64::from(e) + w <= u64::from(lc.spm_bytes))
-            .then(|| (Container::Spm(r), u64::from(e), u64::from(e) + w)),
-        0b01 => {
-            let y = (e >> 24) & 0x3f;
-            let x = (e >> 18) & 0x3f;
-            let off = e & 0x3ffff;
-            (x < u32::from(lc.cell_w)
-                && y < u32::from(lc.cell_h)
-                && u64::from(off) + w <= u64::from(lc.spm_bytes))
-            .then(|| {
-                (
-                    Container::Spm(y * u32::from(lc.cell_w) + x),
-                    u64::from(off),
-                    u64::from(off) + w,
-                )
-            })
-        }
-        0b10 => {
-            let cell = (e >> 24) & 0x3f;
-            let addr = e & 0xff_ffff;
-            (u64::from(addr) + w <= u64::from(lc.dram_bytes_per_cell))
-                .then(|| (Container::Dram(cell), u64::from(addr), u64::from(addr) + w))
-        }
-        _ => {
-            let off = u64::from(e & 0x3fff_ffff) % u64::from(lc.dram_bytes_per_cell.max(1));
-            Some((Container::GlobalDram, off, off + w))
-        }
+    let m = &lc.pgas;
+    match m.decode(e, acc.width).ok()? {
+        Eva::Spm { offset } => span(Container::Spm(r), offset),
+        Eva::GroupSpm { x, y, offset } => span(
+            Container::Spm(u32::from(y) * u32::from(m.cell_w) + u32::from(x)),
+            offset,
+        ),
+        Eva::Dram { cell, offset } => span(Container::Dram(cell), offset),
+        Eva::Global { offset } => span(Container::GlobalDram, offset % m.dram_bytes.max(1)),
+        Eva::Csr { .. } => None,
     }
 }
 
@@ -192,7 +173,7 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
         else {
             return None;
         };
-        let same = ca.may_alias(cb, lc.num_cells);
+        let same = ca.may_alias(cb, lc.pgas.num_cells);
         return (distinct && same && la < hb && lb < ha).then(|| ca.space());
     }
     for ra in alo..ahi {
@@ -205,7 +186,7 @@ fn overlap(a: &Acc, b: &Acc, ranks: u32, lc: &LintConfig) -> Option<&'static str
             else {
                 continue;
             };
-            if ca.may_alias(cb, lc.num_cells) && la < hb && lb < ha {
+            if ca.may_alias(cb, lc.pgas.num_cells) && la < hb && lb < ha {
                 return Some(ca.space());
             }
         }
@@ -323,7 +304,7 @@ fn conflicts(cfg: &Cfg, facts: &Facts, lc: &LintConfig) -> Vec<PhaseConflict> {
     }
     accs.sort_by_key(|a| a.idx);
 
-    let ranks = u32::from(lc.cell_w) * u32::from(lc.cell_h);
+    let ranks = u32::from(lc.pgas.cell_w) * u32::from(lc.pgas.cell_h);
     let ranks = ranks.clamp(2, 128);
     let mut out = Vec::new();
     for i in 0..accs.len() {
@@ -372,7 +353,7 @@ mod tests {
     #[test]
     fn dram_windows_alias_as_the_sanitizer_names_words() {
         use Container::{Dram, GlobalDram};
-        let own = Dram(u32::from(OWN_CELL));
+        let own = Dram(OWN_CELL);
         assert!(own.may_alias(own, 1) && own.may_alias(Dram(0), 1));
         assert!(!own.may_alias(Dram(1), 1) && own.may_alias(Dram(1), 2));
         assert!(!Dram(0).may_alias(Dram(1), 2));
