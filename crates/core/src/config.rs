@@ -323,6 +323,11 @@ impl MachineConfig {
         if self.net_fifo_depth < 1 {
             return Err(ConfigError::ZeroFifoDepth);
         }
+        if self.net_fifo_depth > Self::MAX_NET_FIFO_DEPTH {
+            return Err(ConfigError::FifoTooDeep {
+                depth: self.net_fifo_depth,
+            });
+        }
         let bank_bytes = (self.cache_sets.checked_mul(self.cache_ways))
             .and_then(|lines| lines.checked_mul(self.line_bytes as usize));
         if !matches!(bank_bytes, Some(1..=Self::MAX_BANK_BYTES))
@@ -436,6 +441,10 @@ impl MachineConfig {
     pub const MAX_BANK_BYTES: usize = 16 << 20;
     /// Largest instruction cache, in bytes.
     pub const MAX_ICACHE_BYTES: u32 = 1 << 20;
+    /// Deepest router input FIFO, in packets: a network allocates every
+    /// FIFO's ring up front, so the depth is bounded like the other
+    /// storage sizes ([`hb_noc::MAX_FIFO_DEPTH`], 4x the baseline's 4).
+    pub const MAX_NET_FIFO_DEPTH: usize = hb_noc::MAX_FIFO_DEPTH;
     /// Most banks an HBM2 pseudo-channel is modelled with.
     pub const MAX_HBM_BANKS: usize = 1024;
 
@@ -559,6 +568,12 @@ pub enum ConfigError {
     },
     /// A router input FIFO must hold at least one packet.
     ZeroFifoDepth,
+    /// A router input FIFO is deeper than
+    /// [`MachineConfig::MAX_NET_FIFO_DEPTH`].
+    FifoTooDeep {
+        /// The configured depth.
+        depth: usize,
+    },
     /// The cache-bank model needs at least one set, way and MSHR, a
     /// power-of-two line of 4 to 64 bytes, and a bank of at most
     /// [`MachineConfig::MAX_BANK_BYTES`].
@@ -657,6 +672,11 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroFifoDepth => write!(f, "net_fifo_depth must be at least 1"),
+            ConfigError::FifoTooDeep { depth } => write!(
+                f,
+                "net_fifo_depth of {depth} exceeds the maximum of {}",
+                MachineConfig::MAX_NET_FIFO_DEPTH
+            ),
             ConfigError::BadCacheGeometry {
                 sets,
                 ways,
@@ -827,6 +847,30 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(c.validate(), Err(ConfigError::ZeroFifoDepth));
+
+        // The rings are allocated up front: a depth from a config text is
+        // refused before `Machine::new` would try to allocate it.
+        let deepest = MachineConfig {
+            net_fifo_depth: MachineConfig::MAX_NET_FIFO_DEPTH,
+            ..base.clone()
+        };
+        assert_eq!(deepest.validate(), Ok(()));
+        let text = deepest.canonical_text().replace(
+            &format!(";fifo={};", MachineConfig::MAX_NET_FIFO_DEPTH),
+            ";fifo=1000000000;",
+        );
+        let err = MachineConfig::from_canonical_text(&text).unwrap_err();
+        assert!(err.contains("net_fifo_depth of 1000000000"), "{err}");
+        let c = MachineConfig {
+            net_fifo_depth: MachineConfig::MAX_NET_FIFO_DEPTH + 1,
+            ..base.clone()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::FifoTooDeep {
+                depth: MachineConfig::MAX_NET_FIFO_DEPTH + 1
+            })
+        );
 
         let bad_cache =
             |c: MachineConfig| matches!(c.validate(), Err(ConfigError::BadCacheGeometry { .. }));

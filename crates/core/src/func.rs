@@ -283,8 +283,8 @@ impl<D: DramStore> Bus for FuncBus<D> {
     fn load(&mut self, addr: u32, width: u8) -> Result<u32, String> {
         match self.pgas.translate(addr).map_err(|e| e.to_string())? {
             Target::LocalSpm { offset } => self.spm_load(self.cur, offset, width, true),
-            Target::Csr { offset } => self
-                .csr_read(offset)
+            Target::Csr { offset } => (self.csr_read(offset))
+                .map(|word| csr::narrow(word, offset))
                 .ok_or_else(|| format!("read of unknown CSR {offset:#x}")),
             Target::RemoteSpm { tile, offset } => {
                 let own = self.ctxs[self.cur].xy;

@@ -86,6 +86,15 @@ pub mod csr {
         (offset >= ARG0 && offset < ARG0 + 32)
             || (word && matches!(offset, TILE_X..=NUM_CELLS | CYCLE | TG_LIVE_RANK..=TG_ADOPT))
     }
+
+    /// What a load at `offset` reads of the CSR word holding it: the word
+    /// shifted so the addressed byte is the low one. The load then keeps
+    /// its one, two or four low bytes and sign- or zero-extends them by its
+    /// opcode, as from memory — so `lb` at `ARG0 + 1` of `0x8899aabb`
+    /// reads `0xffffffaa` on the tile and in the ISS alike.
+    pub const fn narrow(word: u32, offset: u32) -> u32 {
+        word >> (8 * (offset % 4))
+    }
 }
 
 /// `TG_ADOPT` value meaning "no adoptee".

@@ -87,6 +87,9 @@ enum PendingOp {
     Store,
     /// An atomic op returning the old value.
     Amo { rd: Gpr },
+    /// An op of an earlier launch whose response had not arrived when the
+    /// tile was relaunched: the response is dropped when it comes.
+    Abandoned,
 }
 
 /// Load-packet-compression combining latch.
@@ -302,6 +305,7 @@ hb_mem::snap_enum!(PendingOp, "unknown pending op tag" {
     0 => Load { dsts, width, signed },
     1 => Store,
     2 => Amo { rd [gpr] },
+    3 => Abandoned,
 });
 hb_mem::snap_value!(Combine {
     dst_cell,
@@ -521,7 +525,14 @@ impl Tile {
             self.penalty_until = 0;
         }
         self.outstanding = 0;
-        self.pending_ops.clear();
+        // A relaunch over a kernel cut short (a timeout) finds its ops still
+        // in flight, in a network, a bank or another Cell. They keep their
+        // ids so that their responses, when they come, are recognised and
+        // dropped; the op held in the combining latch was never sent.
+        if let Some(c) = self.combine.take() {
+            self.pending_ops.remove(c.op_id);
+        }
+        (self.pending_ops.values_mut()).for_each(|op| *op = PendingOp::Abandoned);
         self.wants_join = false;
         self.barrier_waiting = false;
         self.race_join_unfenced = false;
@@ -542,7 +553,6 @@ impl Tile {
         self.finished = false;
         self.fault = None;
         self.blocking_on = None;
-        self.combine = None;
     }
 
     /// Whether the tile has executed `ecall` (kernel complete).
@@ -843,6 +853,7 @@ impl Tile {
                 return;
             };
             match (op, resp.kind) {
+                (PendingOp::Abandoned, _) => {}
                 (
                     PendingOp::Load {
                         dsts,
@@ -1680,7 +1691,8 @@ impl Tile {
                 extend(read_bytes(&self.spm, offset, width), width, signed)
             }
             Ok(Access::Csr { offset }) => match self.csr_read(offset, now) {
-                Some(value) => value,
+                // A sub-word load reads the addressed bytes of the word.
+                Some(word) => extend(csr::narrow(word, offset), width, signed),
                 None => {
                     self.trap(format!("read of unknown CSR {offset:#x}"));
                     return false;

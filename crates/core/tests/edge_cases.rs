@@ -389,3 +389,73 @@ fn two_adjacent_remote_loads_leave_as_one_packet() {
     assert_eq!(summary.core.remote_requests, 1);
     assert_eq!(m.cell(0).tile(0, 0).reg(T1), 42);
 }
+
+/// A kernel that timed out leaves loads and stores in flight; relaunching
+/// on the same machine must neither trap on their late responses nor let
+/// them land in the new kernel's registers. The clean kernel computes what
+/// it computes on a fresh machine.
+#[test]
+fn a_relaunch_after_a_timeout_drops_the_abandoned_responses() {
+    let cfg = cfg();
+    let clean = |m: &mut Machine, buf: u32| {
+        // Every tile sums four words of the buffer and stores the sum at
+        // its rank's slot.
+        let mut a = Assembler::new();
+        a.tg_rank(T0, T6);
+        a.lw(T1, A0, 0);
+        a.lw(T2, A0, 4);
+        a.lw(T3, A0, 8);
+        a.lw(T4, A0, 12);
+        a.add(T1, T1, T2);
+        a.add(T1, T1, T3);
+        a.add(T1, T1, T4);
+        a.add(T1, T1, T0);
+        a.slli(T0, T0, 2);
+        a.add(T0, T0, A1);
+        a.sw(T1, T0, 0);
+        a.fence();
+        a.ecall();
+        let p = Arc::new(a.assemble(0).unwrap());
+        m.launch(0, &p, &[pgas::local_dram(buf), pgas::local_dram(buf + 64)]);
+        m.run(100_000).map(|s| s.cycles)
+    };
+    let setup = |m: &mut Machine| {
+        let buf = m.cell_mut(0).alloc(256, 64);
+        for i in 0..4u32 {
+            m.cell_mut(0)
+                .dram_mut()
+                .write_u32(buf + 4 * i, 10 * (i + 1));
+        }
+        buf
+    };
+    let results = |m: &mut Machine, buf: u32| {
+        m.cell_mut(0).flush_caches();
+        (0..8u32)
+            .map(|r| m.cell(0).dram().read_u32(buf + 64 + 4 * r))
+            .collect::<Vec<_>>()
+    };
+
+    let mut fresh = Machine::new(cfg.clone());
+    let buf = setup(&mut fresh);
+    clean(&mut fresh, buf).unwrap();
+    let expect = results(&mut fresh, buf);
+    assert_eq!(expect, (0..8).map(|r| 100 + r).collect::<Vec<_>>());
+
+    // A spinning kernel: remote loads and stores, never a fence, never an
+    // ecall. Cut off mid-stream, it owes responses to every tile.
+    let mut m = Machine::new(cfg);
+    let buf = setup(&mut m);
+    let mut a = Assembler::new();
+    let top = a.new_label();
+    a.bind(top);
+    a.lw(T1, A0, 0);
+    a.lw(T2, A0, 32);
+    a.sw(T1, A0, 128);
+    a.j(top);
+    let spin = Arc::new(a.assemble(0).unwrap());
+    m.launch(0, &spin, &[pgas::local_dram(buf)]);
+    assert!(matches!(m.run(500), Err(SimError::Timeout { .. })));
+    assert!(m.cell(0).req_in_flight() + m.cell(0).resp_in_flight() > 0);
+    clean(&mut m, buf).unwrap();
+    assert_eq!(results(&mut m, buf), expect);
+}

@@ -66,6 +66,11 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, value)| value)
     }
+
+    /// The values, mutably, in ascending id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.iter_mut().map(|(_, value)| value)
+    }
 }
 
 impl<K: Snap + Ord + Copy, V: Snap> Snap for IdMap<K, V> {

@@ -126,6 +126,15 @@ impl WorkSet {
         (self.words[group / 8] >> (group % 8 * 8)) as u8
     }
 
+    /// Word `i` of the bitmap (bit `k` for index `64 * i + k`), or `None`
+    /// past the last word: lets a walk that edits the set copy one word
+    /// and visit its members without re-reading the set per member, when
+    /// the edits can only remove members it has already visited.
+    #[inline]
+    pub fn word(&self, i: usize) -> Option<u64> {
+        self.words.get(i).copied()
+    }
+
     /// The members in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -230,6 +239,8 @@ mod tests {
         assert_eq!(s.octet(9), 0b100_0010);
         assert_eq!(s.octet(10), 1);
         assert_eq!(s.octet(11), 0);
+        assert_eq!(s.word(1), Some(0x1_4200));
+        assert_eq!(s.word(20), None);
         let mut t = WorkSet::new(160 * 8);
         t.insert(3);
         t.union_with(&s);

@@ -52,7 +52,7 @@ mod strip;
 pub use barrier::{BarrierConfig, BarrierNetwork, Dir};
 pub use net::{
     Coord, LinkStats, Network, NetworkConfig, NetworkStats, Packet, Port, RetransmitEvent,
-    RouteOrder, TickWork, RETRY_PENALTY,
+    RouteOrder, TickWork, MAX_FIFO_DEPTH, RETRY_PENALTY,
 };
 pub use strip::{StripChannel, StripConfig, StripStats, StripTransfer};
 

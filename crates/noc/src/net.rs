@@ -215,40 +215,104 @@ pub struct RetransmitEvent {
     pub port: Port,
 }
 
-/// A packet as the fabric moves it: its handle in the network's packet slab
-/// and the one field routing reads. Input FIFOs, output latches and
-/// ejection queues carry these 8 bytes; the packet itself is written once
-/// by `inject` and read once by `eject`.
+/// A packet as the fabric moves it: its handle in the network's packet slab,
+/// its destination, and — while it waits in an input FIFO — the output port
+/// it takes at that router, looked up once as it enters the FIFO. Input
+/// FIFOs, output latches and ejection queues carry these 8 bytes; the
+/// packet itself is written once by `inject` and read once by `eject`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     handle: u32,
     dst: Coord,
+    port: u8,
 }
 
+impl Slot {
+    const EMPTY: Slot = Slot {
+        handle: 0,
+        dst: Coord::new(0, 0),
+        port: 0,
+    };
+}
+
+/// Most packets a router input FIFO may be configured to hold. The FIFOs
+/// are rings allocated up front (`fifo_depth` slots of 8 bytes per input
+/// port), so the bound also bounds their memory: at 16, a 64x66-router
+/// network's rings take 4.3 MiB.
+pub const MAX_FIFO_DEPTH: usize = 16;
+
+/// [`Block::dest`] of the output that ejects into the router's own node.
+const TO_LOCAL: u32 = u32::MAX - 1;
+/// [`Block::dest`] of an output with no link (a grid edge, Ruche off).
+const NO_LINK: u32 = u32::MAX;
+
+/// What a hop reads and writes of one router, in one place, indexed by
+/// port: its input FIFOs' ring positions, its round-robin pointers, where
+/// its output links land and its output latches. Lane 7 is padding, so an
+/// index taken `% PORT_STRIDE` needs no bounds check. A latch's slot and
+/// release cycle mean something only while `latched` names the latch.
 #[derive(Debug, Clone)]
-struct Router {
-    inputs: [VecDeque<Slot>; NPORTS],
+struct Block {
+    /// Ring position of each input FIFO's head.
+    head: [u8; PORT_STRIDE],
+    /// Packets in each input FIFO.
+    len: [u8; PORT_STRIDE],
     /// Round-robin pointer per output port.
-    rr: [usize; NPORTS],
+    rr: [u8; PORT_STRIDE],
+    /// Where each output link lands: the downstream input FIFO, as its
+    /// worklist member `router * PORT_STRIDE + port`; [`TO_LOCAL`] or
+    /// [`NO_LINK`].
+    dest: [u32; PORT_STRIDE],
+    /// The packet each output latch holds.
+    latch: [Slot; PORT_STRIDE],
+    /// The cycle each latched packet may leave its link (link_occupancy
+    /// pacing, replay after a link fault).
+    release: [u64; PORT_STRIDE],
 }
 
-impl Router {
-    fn new() -> Router {
-        Router {
-            inputs: std::array::from_fn(|_| VecDeque::new()),
-            rr: [0; NPORTS],
+/// The routing function as one table per axis, built by [`Network::new`]:
+/// the port a packet at column (row) `a` takes toward column (row) `b`
+/// along that axis is `x[a * width + b]` (`y[a * height + b]`), `Local`
+/// where the two agree.
+#[derive(Debug, Clone)]
+struct Routes {
+    x: Vec<u8>,
+    y: Vec<u8>,
+    width: usize,
+    height: usize,
+    order: RouteOrder,
+}
+
+impl Routes {
+    fn new(cfg: &NetworkConfig) -> Routes {
+        let (w, h) = (cfg.width, cfg.height);
+        let axis = |n: u8, port: &dyn Fn(u8, u8) -> Port| {
+            let pairs = (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+            pairs
+                .map(|(a, b)| (if a == b { Port::Local } else { port(a, b) }) as u8)
+                .collect()
+        };
+        Routes {
+            x: axis(w, &|a, b| route_x(cfg, Coord::new(a, 0), Coord::new(b, 0))),
+            y: axis(h, &|a, b| route_y(Coord::new(0, a), Coord::new(0, b))),
+            width: w.into(),
+            height: h.into(),
+            order: cfg.order,
+        }
+    }
+
+    /// [`route_of`] as two table loads; `at` and `dst` lie in the grid.
+    #[inline]
+    fn port(&self, at: Coord, dst: Coord) -> u8 {
+        let x = self.x[usize::from(at.x) * self.width + usize::from(dst.x)];
+        let y = self.y[usize::from(at.y) * self.height + usize::from(dst.y)];
+        match self.order {
+            RouteOrder::XThenY if x != Port::Local as u8 => x,
+            RouteOrder::YThenX if y == Port::Local as u8 => x,
+            _ => y,
         }
     }
 }
-
-/// One router's output latches: a packet's slot plus its link-release
-/// cycle per output port.
-type OutputLatches = [Option<(Slot, u64)>; NPORTS];
-
-/// Where each output link of one router lands: the downstream router and
-/// its input port; `None` for the local ejection queue or a nonexistent
-/// link.
-type LinkDests = [Option<(u16, Port)>; NPORTS];
 
 /// Host-side work done by [`Network::tick`] since construction: the exact,
 /// noise-free measure of what a cycle cost the simulator. Not simulated
@@ -277,12 +341,12 @@ pub struct Network<P> {
     cfg: NetworkConfig,
     /// Router coordinates, row-major (fixed at build time).
     coords: Vec<Coord>,
-    /// Link destinations per router (fixed at build time).
-    link_dests: Vec<LinkDests>,
-    routers: Vec<Router>,
-    /// Output latch per (router, output port): the packet's slot and the
-    /// cycle at which it may leave the link (link_occupancy pacing).
-    latches: Vec<OutputLatches>,
+    routes: Routes,
+    blocks: Vec<Block>,
+    /// Every input FIFO's slots: FIFO `router * PORT_STRIDE + port` owns
+    /// the `fifo_depth` slots from `fifo * fifo_depth`, a ring whose head
+    /// and length are in the router's block.
+    ring: Vec<Slot>,
     link_stats: Vec<[LinkStats; NPORTS]>,
     eject_qs: Vec<VecDeque<Slot>>,
     /// The slab the slots point into: every packet between `inject` and
@@ -297,10 +361,10 @@ pub struct Network<P> {
     /// excluded: their draining is driven by the attached nodes, not by
     /// `tick`. Zero makes a tick a provable no-op (quiescence fast path).
     moving: usize,
-    /// Worklist: occupied output latches, `router * PORT_STRIDE + port`.
-    /// A latch stays a member for as long as it holds a packet — while it
-    /// serializes, while it is stalled on a full FIFO or ejection queue —
-    /// because `busy`/`stalled` accrue per occupied-latch cycle.
+    /// The occupied output latches, `router * PORT_STRIDE + port`: a latch
+    /// holds a packet exactly while it is a member — while it serializes,
+    /// while it is stalled on a full FIFO or ejection queue — because
+    /// `busy`/`stalled` accrue per occupied-latch cycle.
     latched: WorkSet,
     /// Worklist: non-empty input FIFOs, `router * PORT_STRIDE + port`.
     queued: WorkSet,
@@ -342,27 +406,101 @@ fn link_dest_of(cfg: &NetworkConfig, idx: usize, port: Port) -> Option<(u16, Por
     }
 }
 
+/// The deterministic routing function: which output port a packet at `at`
+/// destined for `dst` takes.
+fn route_of(cfg: &NetworkConfig, at: Coord, dst: Coord) -> Port {
+    match cfg.order {
+        RouteOrder::XThenY => {
+            if at.x != dst.x {
+                route_x(cfg, at, dst)
+            } else if at.y != dst.y {
+                route_y(at, dst)
+            } else {
+                Port::Local
+            }
+        }
+        RouteOrder::YThenX => {
+            if at.y != dst.y {
+                route_y(at, dst)
+            } else if at.x != dst.x {
+                route_x(cfg, at, dst)
+            } else {
+                Port::Local
+            }
+        }
+    }
+}
+
+fn route_x(cfg: &NetworkConfig, at: Coord, dst: Coord) -> Port {
+    let rf = cfg.ruche_factor;
+    if dst.x > at.x {
+        let dx = dst.x - at.x;
+        if rf > 0 && dx >= rf && at.x + rf < cfg.width {
+            Port::RucheEast
+        } else {
+            Port::East
+        }
+    } else {
+        let dx = at.x - dst.x;
+        if rf > 0 && dx >= rf && at.x >= rf {
+            Port::RucheWest
+        } else {
+            Port::West
+        }
+    }
+}
+
+fn route_y(at: Coord, dst: Coord) -> Port {
+    if dst.y > at.y {
+        Port::South
+    } else {
+        Port::North
+    }
+}
+
+/// Routers per `WorkSet` word of a port-granular worklist.
+const ROUTERS_PER_WORD: usize = 64 / PORT_STRIDE;
+
 impl<P: Clone + std::fmt::Debug> Network<P> {
     /// Builds a network of `width * height` routers.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension or the FIFO depth is zero.
+    /// Panics if any dimension is zero or the FIFO depth is outside
+    /// `1..=`[`MAX_FIFO_DEPTH`].
     pub fn new(cfg: NetworkConfig) -> Network<P> {
         assert!(
             cfg.width > 0 && cfg.height > 0,
             "network dimensions must be nonzero"
         );
-        assert!(cfg.fifo_depth > 0, "fifo depth must be nonzero");
+        assert!(
+            (1..=MAX_FIFO_DEPTH).contains(&cfg.fifo_depth),
+            "fifo depth must be 1..={MAX_FIFO_DEPTH}"
+        );
         let n = cfg.width as usize * cfg.height as usize;
+        let dest = |idx: usize, p: usize| match Port::ALL.get(p) {
+            Some(&port) => match link_dest_of(&cfg, idx, port) {
+                Some((d, dp)) => u32::from(d) * PORT_STRIDE as u32 + dp as u32,
+                None if port == Port::Local => TO_LOCAL,
+                None => NO_LINK,
+            },
+            None => NO_LINK,
+        };
         Network {
             coords: (0..n).map(|idx| coord_of(&cfg, idx)).collect(),
-            link_dests: (0..n)
-                .map(|idx| Port::ALL.map(|port| link_dest_of(&cfg, idx, port)))
+            routes: Routes::new(&cfg),
+            blocks: (0..n)
+                .map(|idx| Block {
+                    head: [0; PORT_STRIDE],
+                    len: [0; PORT_STRIDE],
+                    rr: [0; PORT_STRIDE],
+                    dest: std::array::from_fn(|p| dest(idx, p)),
+                    latch: [Slot::EMPTY; PORT_STRIDE],
+                    release: [0; PORT_STRIDE],
+                })
                 .collect(),
+            ring: vec![Slot::EMPTY; n * PORT_STRIDE * cfg.fifo_depth],
             cfg,
-            routers: (0..n).map(|_| Router::new()).collect(),
-            latches: (0..n).map(|_| std::array::from_fn(|_| None)).collect(),
             link_stats: vec![[LinkStats::default(); NPORTS]; n],
             eject_qs: (0..n).map(|_| VecDeque::new()).collect(),
             packets: Vec::new(),
@@ -432,67 +570,30 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     }
 
     /// The deterministic routing function: which output port a packet at
-    /// `at` destined for `dst` takes.
+    /// `at` destined for `dst` takes. A hop reads the same function from
+    /// the tables [`new`](Self::new) builds of it.
     pub fn route_port(&self, at: Coord, dst: Coord) -> Port {
-        match self.cfg.order {
-            RouteOrder::XThenY => {
-                if at.x != dst.x {
-                    self.route_x(at, dst)
-                } else if at.y != dst.y {
-                    self.route_y(at, dst)
-                } else {
-                    Port::Local
-                }
-            }
-            RouteOrder::YThenX => {
-                if at.y != dst.y {
-                    self.route_y(at, dst)
-                } else if at.x != dst.x {
-                    self.route_x(at, dst)
-                } else {
-                    Port::Local
-                }
-            }
-        }
-    }
-
-    fn route_x(&self, at: Coord, dst: Coord) -> Port {
-        let rf = self.cfg.ruche_factor;
-        if dst.x > at.x {
-            let dx = dst.x - at.x;
-            if rf > 0 && dx >= rf && at.x + rf < self.cfg.width {
-                Port::RucheEast
-            } else {
-                Port::East
-            }
-        } else {
-            let dx = at.x - dst.x;
-            if rf > 0 && dx >= rf && at.x >= rf {
-                Port::RucheWest
-            } else {
-                Port::West
-            }
-        }
-    }
-
-    fn route_y(&self, at: Coord, dst: Coord) -> Port {
-        if dst.y > at.y {
-            Port::South
-        } else {
-            Port::North
-        }
+        route_of(&self.cfg, at, dst)
     }
 
     /// Injects a packet at its source node's local port. Returns `false`
     /// when the injection FIFO is full (the caller must retry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the destination lies outside the grid.
     pub fn inject(&mut self, at: Coord, pkt: Packet<P>) -> bool {
-        let idx = self.idx(at);
         if !self.can_inject(at) {
             return false;
         }
-        let slot = self.stow(pkt);
-        self.routers[idx].inputs[Port::Local as usize].push_back(slot);
-        self.queued.insert(idx * PORT_STRIDE + Port::Local as usize);
+        assert!(
+            pkt.dst.x < self.cfg.width && pkt.dst.y < self.cfg.height,
+            "packet destination {} outside the grid",
+            pkt.dst
+        );
+        let port = self.routes.port(at, pkt.dst);
+        let slot = self.stow(pkt, port);
+        self.push(self.idx(at) * PORT_STRIDE + Port::Local as usize, slot);
         self.moving += 1;
         self.stats.injected += 1;
         true
@@ -501,7 +602,7 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// Whether node `at` can accept an injection this cycle.
     pub fn can_inject(&self, at: Coord) -> bool {
         let idx = self.idx(at);
-        self.routers[idx].inputs[Port::Local as usize].len() < self.cfg.fifo_depth
+        usize::from(self.blocks[idx].len[Port::Local as usize]) < self.cfg.fifo_depth
     }
 
     /// Pops a packet delivered to node `at`, if any.
@@ -572,153 +673,177 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
     /// quiescent ticks fold into one addition and the row reads 1e11).
     #[inline(never)]
     pub fn tick(&mut self) {
-        self.tick_worklists::<true>();
+        self.tick_worklists::<true, false>();
     }
 
-    /// The one tick body. `REARBITRATE` is `true` everywhere but in the
-    /// lockstep test's deliberately broken twin (see `arbitrate`).
+    /// The one tick body. `REARBITRATE` is `true` and `REVISIT` `false`
+    /// everywhere but in the lockstep test's deliberately broken twins (see
+    /// `arbitrate`).
     #[inline]
-    fn tick_worklists<const REARBITRATE: bool>(&mut self) {
+    fn tick_worklists<const REARBITRATE: bool, const REVISIT: bool>(&mut self) {
         self.cycle += 1;
         // Quiescence fast path: with no packet in any input FIFO or output
         // latch both worklists are empty and no link counter can move
         // (busy/stalled/flits all require an occupied latch; armed link
         // faults only fire on a latched flit).
         if self.moving != 0 {
-            self.advance::<REARBITRATE>();
+            self.advance::<REARBITRATE, REVISIT>();
         }
     }
 
     /// A tick of a network that holds a moving packet. Out of line, so the
     /// quiescent path above it saves no registers.
+    ///
+    /// Both phases walk a copy of one worklist word at a time, which is
+    /// exact: phase A only removes `latched` members (a delivered latch) and
+    /// adds none, and arbitrating a router only removes that router's own
+    /// `queued` members and adds none.
     #[inline(never)]
-    fn advance<const REARBITRATE: bool>(&mut self) {
+    fn advance<const REARBITRATE: bool, const REVISIT: bool>(&mut self) {
         let faults_armed = !self.link_faults.is_empty();
 
         // Phase A: deliver output latches across links, in ascending
         // (router, port) order. The order is immaterial to the packets —
         // each input FIFO and each ejection queue is fed by exactly one
         // latch, and this phase pops no FIFO — but it is the order
-        // retransmit events are logged and due faults consumed in. The walk
-        // only ever removes members (a delivered latch), never adds one.
-        let mut cursor = 0;
-        while let Some(member) = self.latched.first_from(cursor) {
-            cursor = member + 1;
-            let (idx, p) = (member / PORT_STRIDE, member % PORT_STRIDE);
-            self.work.latches += 1;
-            let &(_, free_at) = self.latches[idx][p]
-                .as_ref()
-                .expect("latched worklist names an empty latch");
-            if self.cycle < free_at {
-                // Still serializing across a narrow link.
-                self.link_stats[idx][p].busy += 1;
-                continue;
+        // retransmit events are logged and due faults consumed in.
+        let mut wi = 0;
+        while let Some(mut word) = self.latched.word(wi) {
+            while word != 0 {
+                let member = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.work.latches += 1;
+                self.deliver(member, faults_armed);
             }
-            if faults_armed && self.take_due_fault(idx, p) {
-                // The flit is corrupted in flight; the downstream link
-                // check nacks it and the sender holds it latched for a
-                // bounded replay.
-                if let Some((_, fa)) = self.latches[idx][p].as_mut() {
-                    *fa = self.cycle + RETRY_PENALTY;
-                }
-                self.stats.retransmits += 1;
-                self.link_stats[idx][p].busy += 1;
-                self.retransmit_events.push(RetransmitEvent {
-                    cycle: self.cycle,
-                    at: self.coords[idx],
-                    port: Port::ALL[p],
-                });
-                continue;
-            }
-            let accepted = match self.link_dests[idx][p] {
-                None if p == Port::Local as usize => {
-                    // Ejection queues are consumed by the attached node
-                    // every cycle; bound them generously.
-                    let room = self.eject_qs[idx].len() < 8 * self.cfg.fifo_depth;
-                    if room {
-                        let (slot, _) = self.latches[idx][p].take().unwrap();
-                        self.eject_qs[idx].push_back(slot);
-                        self.ready.insert(idx);
-                        self.moving -= 1;
-                    }
-                    room
-                }
-                None => unreachable!("packet latched on nonexistent link"),
-                Some((didx, dport)) => {
-                    let (didx, dport) = (didx as usize, dport as usize);
-                    let room = self.routers[didx].inputs[dport].len() < self.cfg.fifo_depth;
-                    if room {
-                        let (slot, _) = self.latches[idx][p].take().unwrap();
-                        self.routers[didx].inputs[dport].push_back(slot);
-                        self.queued.insert(didx * PORT_STRIDE + dport);
-                    }
-                    room
-                }
-            };
-            if accepted {
-                self.latched.remove(member);
-                self.link_stats[idx][p].busy += 1;
-                self.link_stats[idx][p].flits += 1;
-            } else {
-                self.link_stats[idx][p].stalled += 1;
-            }
+            wi += 1;
         }
 
         // Phase B: arbitrate input FIFO heads into free output latches, one
         // router with a queued packet at a time (a router touches only its
         // own FIFOs, latches and round-robin pointers). A latch delivered
-        // in phase A is already a member here.
-        let mut cursor = 0;
-        while let Some(member) = self.queued.first_from(cursor) {
-            let idx = member / PORT_STRIDE;
-            cursor = (idx + 1) * PORT_STRIDE;
-            self.work.routers += 1;
-            self.arbitrate::<REARBITRATE>(idx);
+        // in phase A is already free here.
+        let mut wi = 0;
+        while let Some(mut word) = self.queued.word(wi) {
+            while word != 0 {
+                let lane = word.trailing_zeros() as usize / PORT_STRIDE;
+                let heads = (word >> (lane * PORT_STRIDE)) as u8;
+                word &= !(0xff << (lane * PORT_STRIDE));
+                self.work.routers += 1;
+                self.arbitrate::<REARBITRATE, REVISIT>(wi * ROUTERS_PER_WORD + lane, heads);
+            }
+            wi += 1;
         }
     }
 
-    /// Phase B for one router: every free output, in port order, takes the
-    /// first input at or after its round-robin pointer whose head routes to
-    /// it. `route_port` runs once per head, not once per (output, input).
+    /// Phase A for one occupied latch, `router * PORT_STRIDE + port`.
+    #[inline]
+    fn deliver(&mut self, member: usize, faults_armed: bool) {
+        let (idx, p) = (member / PORT_STRIDE, member % PORT_STRIDE);
+        if self.cycle < self.blocks[idx].release[p] {
+            // Still serializing across a narrow link.
+            self.link_stats[idx][p].busy += 1;
+            return;
+        }
+        if faults_armed && self.take_due_fault(idx, p) {
+            // The flit is corrupted in flight; the downstream link check
+            // nacks it and the sender holds it latched for a bounded replay.
+            self.blocks[idx].release[p] = self.cycle + RETRY_PENALTY;
+            self.stats.retransmits += 1;
+            self.link_stats[idx][p].busy += 1;
+            self.retransmit_events.push(RetransmitEvent {
+                cycle: self.cycle,
+                at: self.coords[idx],
+                port: Port::ALL[p],
+            });
+            return;
+        }
+        let (slot, dest) = (self.blocks[idx].latch[p], self.blocks[idx].dest[p]);
+        let accepted = if dest == TO_LOCAL {
+            // Ejection queues are consumed by the attached node every
+            // cycle; bound them generously.
+            let room = self.eject_qs[idx].len() < self.eject_cap();
+            if room {
+                self.eject_qs[idx].push_back(slot);
+                self.ready.insert(idx);
+                self.moving -= 1;
+            }
+            room
+        } else {
+            debug_assert_ne!(dest, NO_LINK, "packet latched on nonexistent link");
+            let fifo = dest as usize;
+            let (didx, dp) = (fifo / PORT_STRIDE, fifo % PORT_STRIDE);
+            let room = usize::from(self.blocks[didx].len[dp]) < self.cfg.fifo_depth;
+            if room {
+                let port = self.routes.port(self.coords[didx], slot.dst);
+                self.push(fifo, Slot { port, ..slot });
+            }
+            room
+        };
+        if accepted {
+            self.latched.remove(member);
+            self.link_stats[idx][p].busy += 1;
+            self.link_stats[idx][p].flits += 1;
+        } else {
+            self.link_stats[idx][p].stalled += 1;
+        }
+    }
+
+    /// Phase B for one router whose non-empty input FIFOs are `heads`: every
+    /// free output wanted by a head, in port order, takes the first input at
+    /// or after its round-robin pointer whose head routes to it. The heads'
+    /// ports were looked up when they entered their FIFOs.
     ///
     /// A FIFO can issue twice in one tick: once input `i` is popped for
-    /// output `o`, its *new* head competes for the outputs after `o`. So the
-    /// popped input's wanted port is recomputed on the spot; with
-    /// `REARBITRATE` off it is not (a one-shot snapshot of the heads), which
-    /// is the mutation `worklist_tick_matches_the_reference_sweep` catches.
-    fn arbitrate<const REARBITRATE: bool>(&mut self, idx: usize) {
-        let at = self.coords[idx];
+    /// output `o`, its *new* head competes for the free outputs after `o`,
+    /// and only those. `REARBITRATE` off (the new head waits for the next
+    /// tick) and `REVISIT` on (it may also take a free output before `o`)
+    /// are the two mutations `worklist_tick_matches_the_reference_sweep`
+    /// catches.
+    #[inline]
+    fn arbitrate<const REARBITRATE: bool, const REVISIT: bool>(&mut self, idx: usize, heads: u8) {
+        let depth = self.cfg.fifo_depth;
+        let base = idx * PORT_STRIDE;
+        let block = &mut self.blocks[idx];
         // wants[o]: the inputs whose head routes to output `o`.
-        let mut wants = [0u8; NPORTS];
-        let mut heads = self.queued.octet(idx);
-        while heads != 0 {
-            let inp = heads.trailing_zeros() as usize;
-            heads &= heads - 1;
-            let head = self.routers[idx].inputs[inp]
-                .front()
-                .expect("queued worklist names an empty FIFO");
-            wants[self.route_port(at, head.dst) as usize] |= 1 << inp;
+        let mut wants = [0u8; PORT_STRIDE];
+        let mut outputs = 0u8;
+        let mut rest = heads;
+        while rest != 0 {
+            let inp = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let port = self.ring[(base + inp) * depth + usize::from(block.head[inp])].port;
+            wants[usize::from(port) % PORT_STRIDE] |= 1 << inp;
+            outputs |= 1 << port;
         }
-        for o in 0..NPORTS {
-            if wants[o] == 0 || self.latches[idx][o].is_some() {
-                continue;
-            }
+        let free = !self.latched.octet(idx);
+        let mut todo = outputs & free;
+        let mut taken = 0u8;
+        while todo != 0 {
+            let o = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
             // Round-robin: the first wanting input at or after the pointer,
             // else the lowest one.
-            let from_rr = wants[o] >> self.routers[idx].rr[o] << self.routers[idx].rr[o];
+            let from_rr = wants[o] >> block.rr[o] << block.rr[o];
             let pick = if from_rr != 0 { from_rr } else { wants[o] };
-            let inp = pick.trailing_zeros() as usize;
-            let fifo = &mut self.routers[idx].inputs[inp];
-            let slot = fifo.pop_front().unwrap();
-            match fifo.front().map(|head| head.dst) {
-                Some(dst) if REARBITRATE => wants[self.route_port(at, dst) as usize] |= 1 << inp,
-                Some(_) => {}
-                None => self.queued.remove(idx * PORT_STRIDE + inp),
+            let inp = pick.trailing_zeros() as usize % PORT_STRIDE;
+            let fifo = base + inp;
+            let head = usize::from(block.head[inp]);
+            let slot = self.ring[fifo * depth + head];
+            block.head[inp] = if head + 1 == depth { 0 } else { head as u8 + 1 };
+            block.len[inp] -= 1;
+            taken |= 1 << o;
+            if block.len[inp] == 0 {
+                self.queued.remove(fifo);
+            } else if REARBITRATE {
+                let next = self.ring[fifo * depth + usize::from(block.head[inp])].port;
+                wants[usize::from(next) % PORT_STRIDE] |= 1 << inp;
+                let open = if REVISIT { !taken } else { !((2u8 << o) - 1) };
+                todo |= (1 << next) & free & open;
             }
-            let free_at = self.cycle + u64::from(self.cfg.link_occupancy);
-            self.latches[idx][o] = Some((slot, free_at));
-            self.latched.insert(idx * PORT_STRIDE + o);
-            self.routers[idx].rr[o] = (inp + 1) % NPORTS;
+            block.latch[o] = slot;
+            block.release[o] = self.cycle + u64::from(self.cfg.link_occupancy);
+            self.latched.insert(base + o);
+            block.rr[o] = ((inp + 1) % NPORTS) as u8;
         }
     }
 
@@ -760,10 +885,10 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
 
     fn for_each_bisection_link(&self, x_boundary: u8, mut f: impl FnMut(usize, Port)) {
         let rf = self.cfg.ruche_factor;
-        for idx in 0..self.routers.len() {
+        for idx in 0..self.blocks.len() {
             let c = self.coords[idx];
             for port in [Port::East, Port::West, Port::RucheEast, Port::RucheWest] {
-                if self.link_dests[idx][port as usize].is_none() {
+                if self.blocks[idx].dest[port as usize] == NO_LINK {
                     continue;
                 }
                 let crosses = match port {
@@ -782,45 +907,72 @@ impl<P: Clone + std::fmt::Debug> Network<P> {
 }
 
 impl<P> Network<P> {
-    /// `moving` and the three worklists, recounted from the FIFOs, latches
-    /// and ejection queues they are derived from.
-    fn derived(&self) -> (usize, WorkSet, WorkSet, WorkSet) {
-        let n = self.routers.len();
-        let mut moving = 0;
-        let mut latched = WorkSet::new(n * PORT_STRIDE);
+    /// Most deliveries an ejection queue holds before its latch stalls.
+    fn eject_cap(&self) -> usize {
+        8 * self.cfg.fifo_depth
+    }
+
+    /// Appends `slot` to input FIFO `fifo`, which has room.
+    #[inline]
+    fn push(&mut self, fifo: usize, slot: Slot) {
+        let depth = self.cfg.fifo_depth;
+        let (idx, p) = (fifo / PORT_STRIDE, fifo % PORT_STRIDE);
+        let block = &mut self.blocks[idx];
+        let mut pos = usize::from(block.head[p]) + usize::from(block.len[p]);
+        if pos >= depth {
+            pos -= depth;
+        }
+        block.len[p] += 1;
+        self.ring[fifo * depth + pos] = slot;
+        self.queued.insert(fifo);
+    }
+
+    /// The slots of input FIFO `fifo`, head first.
+    fn fifo_slots(&self, fifo: usize) -> impl Iterator<Item = Slot> + '_ {
+        let depth = self.cfg.fifo_depth;
+        let block = &self.blocks[fifo / PORT_STRIDE];
+        let p = fifo % PORT_STRIDE;
+        (0..usize::from(block.len[p]))
+            .map(move |k| self.ring[fifo * depth + (usize::from(block.head[p]) + k) % depth])
+    }
+
+    /// `moving` and the `queued` and `ready` worklists, recounted from the
+    /// FIFOs, latches and ejection queues they are derived from.
+    fn derived(&self) -> (usize, WorkSet, WorkSet) {
+        let n = self.blocks.len();
+        let mut moving = self.latched.iter().count();
         let mut queued = WorkSet::new(n * PORT_STRIDE);
         let mut ready = WorkSet::new(n);
-        for idx in 0..n {
+        for (idx, block) in self.blocks.iter().enumerate() {
             for p in 0..NPORTS {
-                if self.latches[idx][p].is_some() {
-                    latched.insert(idx * PORT_STRIDE + p);
-                    moving += 1;
-                }
-                if !self.routers[idx].inputs[p].is_empty() {
+                if block.len[p] > 0 {
                     queued.insert(idx * PORT_STRIDE + p);
-                    moving += self.routers[idx].inputs[p].len();
+                    moving += usize::from(block.len[p]);
                 }
             }
             if !self.eject_qs[idx].is_empty() {
                 ready.insert(idx);
             }
         }
-        (moving, latched, queued, ready)
+        (moving, queued, ready)
     }
 
     /// Whether `moving` and the incrementally kept worklists equal a
-    /// from-scratch recount, and the slab holds exactly the packets the
-    /// slots point to.
+    /// from-scratch recount, every latch sits on a link, and the slab holds
+    /// exactly the packets the slots point to.
     fn derived_state_is_exact(&self) -> bool {
-        let (moving, latched, queued, ready) = self.derived();
+        let (moving, queued, ready) = self.derived();
         let ejectable: usize = self.eject_qs.iter().map(VecDeque::len).sum();
-        (moving, &latched, &queued, &ready)
-            == (self.moving, &self.latched, &self.queued, &self.ready)
+        let on_links = (self.latched.iter())
+            .all(|m| self.blocks[m / PORT_STRIDE].dest[m % PORT_STRIDE] != NO_LINK);
+        (moving, &queued, &ready) == (self.moving, &self.queued, &self.ready)
+            && on_links
             && self.packets.len() - self.free.len() == moving + ejectable
     }
 
-    /// Puts `pkt` in the slab, in a freed place if there is one.
-    fn stow(&mut self, pkt: Packet<P>) -> Slot {
+    /// Puts `pkt` in the slab, in a freed place if there is one, and
+    /// returns its slot bound for output `port`.
+    fn stow(&mut self, pkt: Packet<P>, port: u8) -> Slot {
         let dst = pkt.dst;
         let handle = match self.free.pop() {
             Some(handle) => {
@@ -832,25 +984,18 @@ impl<P> Network<P> {
                 u32::try_from(self.packets.len() - 1).expect("over 2^32 packets in flight")
             }
         };
-        Slot { handle, dst }
+        Slot { handle, dst, port }
     }
 
-    /// After a restore: range-checks the decoded indices and recounts the
-    /// derived state — `moving` and the worklists — from the FIFO, latch and
-    /// ejection-queue population.
+    /// After a restore: range-checks the decoded fault indices and
+    /// recounts the derived state — `moving` and the worklists — from the
+    /// FIFO, latch and ejection-queue population.
     fn check_restored(&mut self) -> Result<(), SnapError> {
-        let n = self.routers.len();
-        if self
-            .routers
-            .iter()
-            .any(|r| r.rr.iter().any(|&v| v >= NPORTS))
-        {
-            return Err(SnapError::Bad("Network round-robin pointer out of range"));
-        }
+        let n = self.blocks.len();
         if (self.link_faults.iter()).any(|&(_, idx, port)| idx >= n || port >= NPORTS) {
             return Err(SnapError::Bad("Network link fault out of range"));
         }
-        (self.moving, self.latched, self.queued, self.ready) = self.derived();
+        (self.moving, self.queued, self.ready) = self.derived();
         Ok(())
     }
 }
@@ -879,8 +1024,8 @@ hb_mem::snap_value!(NetworkStats {
 hb_mem::snap_value!(RetransmitEvent { cycle, at, port });
 hb_mem::snap_state!(Network<P> [b"NET0"] {
     save: stats, cycle, link_faults, retransmit_events;
-    host: cfg, coords, link_dests, routers, latches, link_stats, eject_qs, packets, free, moving,
-        latched, queued, ready, work;
+    host: cfg, coords, routes, blocks, ring, link_stats, eject_qs, packets, free, moving, latched,
+        queued, ready, work;
 } extra (save_fabric, load_fabric) check check_restored);
 
 /// The packet containers, in the wire form they had when they held whole
@@ -892,52 +1037,85 @@ hb_mem::snap_state!(Network<P> [b"NET0"] {
 /// must equal the live one.
 impl<P: Snap> Network<P> {
     fn save_fabric(&self, w: &mut SnapWriter) {
-        let queue = |q: &VecDeque<Slot>, w: &mut SnapWriter| {
-            w.usize(q.len());
-            q.iter()
-                .for_each(|s| self.packets[s.handle as usize].save(w));
-        };
-        w.usize(self.routers.len());
-        for router in &self.routers {
-            router.inputs.iter().for_each(|q| queue(q, w));
-            router.rr.save(w);
+        let packet = |s: Slot, w: &mut SnapWriter| self.packets[s.handle as usize].save(w);
+        w.usize(self.blocks.len());
+        for (idx, block) in self.blocks.iter().enumerate() {
+            for p in 0..NPORTS {
+                w.usize(usize::from(block.len[p]));
+                (self.fifo_slots(idx * PORT_STRIDE + p)).for_each(|s| packet(s, w));
+            }
+            let rr: [usize; NPORTS] = std::array::from_fn(|p| usize::from(block.rr[p]));
+            rr.save(w);
         }
-        w.usize(self.latches.len());
-        for latch in self.latches.iter().flatten() {
-            w.bool(latch.is_some());
-            if let Some((s, free_at)) = latch {
-                self.packets[s.handle as usize].save(w);
-                free_at.save(w);
+        w.usize(self.blocks.len());
+        for (idx, block) in self.blocks.iter().enumerate() {
+            for p in 0..NPORTS {
+                let present = self.latched.contains(idx * PORT_STRIDE + p);
+                w.bool(present);
+                if present {
+                    packet(block.latch[p], w);
+                    block.release[p].save(w);
+                }
             }
         }
         hb_mem::snap::save_fixed(&self.link_stats, w);
         w.usize(self.eject_qs.len());
-        self.eject_qs.iter().for_each(|q| queue(q, w));
+        for q in &self.eject_qs {
+            w.usize(q.len());
+            q.iter().for_each(|&s| packet(s, w));
+        }
     }
 
-    /// Re-slabs every packet as it is read.
+    /// Re-slabs every packet as it is read, refusing what the network
+    /// could not hold: a FIFO longer than its depth, an ejection queue
+    /// longer than its bound, a latch on a missing link, a destination
+    /// outside the grid.
     fn load_fabric(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = self.routers.len();
+        let n = self.blocks.len();
         let routers = |r: &mut SnapReader, what| match r.usize()? == n {
             true => Ok(()),
             false => Err(SnapError::Bad(what)),
         };
         self.packets.clear();
         self.free.clear();
+        self.latched.clear();
         routers(r, "Network.routers length mismatch")?;
         for idx in 0..n {
             for p in 0..NPORTS {
-                let mut q = std::mem::take(&mut self.routers[idx].inputs[p]);
-                self.load_queue(&mut q, r)?;
-                self.routers[idx].inputs[p] = q;
+                let len = r.seq_len()?;
+                if len > self.cfg.fifo_depth {
+                    return Err(SnapError::Bad("Network input FIFO longer than its depth"));
+                }
+                (self.blocks[idx].head[p], self.blocks[idx].len[p]) = (0, 0);
+                for _ in 0..len {
+                    let pkt = self.load_packet(r)?;
+                    let port = self.routes.port(self.coords[idx], pkt.dst);
+                    let slot = self.stow(pkt, port);
+                    self.push(idx * PORT_STRIDE + p, slot);
+                }
             }
-            self.routers[idx].rr = Snap::load(r)?;
+            let rr = <[usize; NPORTS]>::load(r)?;
+            if rr.iter().any(|&v| v >= NPORTS) {
+                return Err(SnapError::Bad("Network round-robin pointer out of range"));
+            }
+            for (p, v) in rr.into_iter().enumerate() {
+                self.blocks[idx].rr[p] = v as u8;
+            }
         }
         routers(r, "Network.latches length mismatch")?;
         for idx in 0..n {
             for p in 0..NPORTS {
-                let latch = Option::<(Packet<P>, u64)>::load(r)?;
-                self.latches[idx][p] = latch.map(|(pkt, free_at)| (self.stow(pkt), free_at));
+                if !r.bool()? {
+                    continue;
+                }
+                if self.blocks[idx].dest[p] == NO_LINK {
+                    return Err(SnapError::Bad("Network packet latched on a missing link"));
+                }
+                let pkt = self.load_packet(r)?;
+                let release = u64::load(r)?;
+                let slot = self.stow(pkt, p as u8);
+                (self.blocks[idx].latch[p], self.blocks[idx].release[p]) = (slot, release);
+                self.latched.insert(idx * PORT_STRIDE + p);
             }
         }
         hb_mem::snap::load_fixed(
@@ -947,31 +1125,179 @@ impl<P: Snap> Network<P> {
         )?;
         routers(r, "Network.eject_qs length mismatch")?;
         for idx in 0..n {
+            let len = r.seq_len()?;
+            if len > self.eject_cap() {
+                return Err(SnapError::Bad(
+                    "Network ejection queue longer than its bound",
+                ));
+            }
             let mut q = std::mem::take(&mut self.eject_qs[idx]);
-            self.load_queue(&mut q, r)?;
+            q.clear();
+            for _ in 0..len {
+                let pkt = self.load_packet(r)?;
+                q.push_back(self.stow(pkt, Port::Local as u8));
+            }
             self.eject_qs[idx] = q;
         }
         Ok(())
     }
 
-    /// Replaces the contents of `q` by a stored packet queue.
-    fn load_queue(&mut self, q: &mut VecDeque<Slot>, r: &mut SnapReader) -> Result<(), SnapError> {
-        q.clear();
-        for _ in 0..r.seq_len()? {
-            let pkt = Packet::load(r)?;
-            q.push_back(self.stow(pkt));
+    /// Reads one packet, refusing a destination outside the grid.
+    fn load_packet(&self, r: &mut SnapReader) -> Result<Packet<P>, SnapError> {
+        let pkt = Packet::<P>::load(r)?;
+        if pkt.dst.x >= self.cfg.width || pkt.dst.y >= self.cfg.height {
+            return Err(SnapError::Bad(
+                "Network packet destination outside the grid",
+            ));
         }
-        Ok(())
+        Ok(pkt)
     }
 }
 
-/// The full-sweep tick the worklists replaced, kept verbatim as the oracle
-/// of `worklist_tick_matches_the_reference_sweep`: every router x port in
-/// phase A, every router x output x input in phase B, coordinates and link
-/// destinations by div/mod per hop. It maintains nothing incrementally —
-/// `moving` and the worklists are recounted from state when it is done.
+/// The layout the router blocks replaced — per-router `VecDeque` input
+/// FIFOs, `Option` output latches, a route computed per head per output —
+/// kept as the reference network of `worklist_tick_matches_the_reference_sweep`.
 #[cfg(test)]
-impl<P: Clone + std::fmt::Debug> Network<P> {
+#[derive(Debug, Clone)]
+struct Reference<P> {
+    cfg: NetworkConfig,
+    routers: Vec<Router>,
+    latches: Vec<[Option<(Slot, u64)>; NPORTS]>,
+    link_stats: Vec<[LinkStats; NPORTS]>,
+    eject_qs: Vec<VecDeque<Slot>>,
+    packets: Vec<Packet<P>>,
+    free: Vec<u32>,
+    moving: usize,
+    latched: WorkSet,
+    queued: WorkSet,
+    ready: WorkSet,
+    stats: NetworkStats,
+    cycle: u64,
+    link_faults: Vec<(u64, usize, usize)>,
+    retransmit_events: Vec<RetransmitEvent>,
+}
+
+#[cfg(test)]
+#[derive(Debug, Clone)]
+struct Router {
+    inputs: [VecDeque<Slot>; NPORTS],
+    /// Round-robin pointer per output port.
+    rr: [usize; NPORTS],
+}
+
+#[cfg(test)]
+impl<P: Clone + std::fmt::Debug> Reference<P> {
+    fn new(cfg: NetworkConfig) -> Reference<P> {
+        let n = cfg.width as usize * cfg.height as usize;
+        Reference {
+            cfg,
+            routers: (0..n)
+                .map(|_| Router {
+                    inputs: std::array::from_fn(|_| VecDeque::new()),
+                    rr: [0; NPORTS],
+                })
+                .collect(),
+            latches: vec![[None; NPORTS]; n],
+            link_stats: vec![[LinkStats::default(); NPORTS]; n],
+            eject_qs: vec![VecDeque::new(); n],
+            packets: Vec::new(),
+            free: Vec::new(),
+            moving: 0,
+            latched: WorkSet::new(n * PORT_STRIDE),
+            queued: WorkSet::new(n * PORT_STRIDE),
+            ready: WorkSet::new(n),
+            stats: NetworkStats::default(),
+            cycle: 0,
+            link_faults: Vec::new(),
+            retransmit_events: Vec::new(),
+        }
+    }
+
+    fn idx(&self, c: Coord) -> usize {
+        c.y as usize * self.cfg.width as usize + c.x as usize
+    }
+
+    fn schedule_link_fault(&mut self, cycle: u64, at: Coord, port: Port) {
+        let idx = self.idx(at);
+        self.link_faults.push((cycle, idx, port as usize));
+    }
+
+    fn take_due_fault(&mut self, idx: usize, port: usize) -> bool {
+        let due = (self.link_faults.iter())
+            .position(|&(c, i, p)| c <= self.cycle && i == idx && p == port);
+        due.map(|at| self.link_faults.swap_remove(at)).is_some()
+    }
+
+    fn route_port(&self, at: Coord, dst: Coord) -> Port {
+        route_of(&self.cfg, at, dst)
+    }
+
+    fn inject(&mut self, at: Coord, pkt: Packet<P>) -> bool {
+        let idx = self.idx(at);
+        if self.routers[idx].inputs[Port::Local as usize].len() >= self.cfg.fifo_depth {
+            return false;
+        }
+        let dst = pkt.dst;
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.packets[handle as usize] = pkt;
+                handle
+            }
+            None => {
+                self.packets.push(pkt);
+                (self.packets.len() - 1) as u32
+            }
+        };
+        let slot = Slot {
+            handle,
+            dst,
+            port: 0,
+        };
+        self.routers[idx].inputs[Port::Local as usize].push_back(slot);
+        self.moving += 1;
+        self.stats.injected += 1;
+        true
+    }
+
+    fn eject(&mut self, at: Coord) -> Option<Packet<P>> {
+        let idx = self.idx(at);
+        let slot = self.eject_qs[idx].pop_front()?;
+        self.stats.ejected += 1;
+        self.free.push(slot.handle);
+        Some(self.packets[slot.handle as usize].clone())
+    }
+
+    /// `moving` and the three worklists, recounted from the FIFOs, latches
+    /// and ejection queues.
+    fn derived(&self) -> (usize, WorkSet, WorkSet, WorkSet) {
+        let n = self.routers.len();
+        let mut moving = 0;
+        let mut latched = WorkSet::new(n * PORT_STRIDE);
+        let mut queued = WorkSet::new(n * PORT_STRIDE);
+        let mut ready = WorkSet::new(n);
+        for idx in 0..n {
+            for p in 0..NPORTS {
+                if self.latches[idx][p].is_some() {
+                    latched.insert(idx * PORT_STRIDE + p);
+                    moving += 1;
+                }
+                if !self.routers[idx].inputs[p].is_empty() {
+                    queued.insert(idx * PORT_STRIDE + p);
+                    moving += self.routers[idx].inputs[p].len();
+                }
+            }
+            if !self.eject_qs[idx].is_empty() {
+                ready.insert(idx);
+            }
+        }
+        (moving, latched, queued, ready)
+    }
+
+    /// The full-sweep tick the worklists replaced, kept verbatim as the oracle
+    /// of `worklist_tick_matches_the_reference_sweep`: every router x port in
+    /// phase A, every router x output x input in phase B, coordinates and link
+    /// destinations by div/mod per hop. It maintains nothing incrementally —
+    /// `moving` and the worklists are recounted from state when it is done.
     fn tick_reference(&mut self) {
         self.cycle += 1;
         let faults_armed = !self.link_faults.is_empty();
@@ -1389,82 +1715,111 @@ mod tests {
         assert!(net.stats().retransmits > 0, "no scheduled fault ever fired");
     }
 
-    /// Router `idx`'s input FIFOs, output latches and ejection queue, each
+    /// What a tick may write of router `idx`: its input FIFOs, round-robin
+    /// pointers, output latches, link counters and ejection queue, each
     /// slot resolved to its packet.
-    #[allow(clippy::type_complexity)]
-    fn contents(
-        net: &Network<u64>,
-        idx: usize,
-    ) -> (
+    type View = (
         Vec<Vec<Packet<u64>>>,
+        [usize; NPORTS],
         Vec<Option<(Packet<u64>, u64)>>,
+        [LinkStats; NPORTS],
         Vec<Packet<u64>>,
-    ) {
+    );
+
+    fn view(net: &Network<u64>, idx: usize) -> View {
+        let packet = |s: Slot| net.packets[s.handle as usize];
+        let block = &net.blocks[idx];
+        let latch = |p: usize| {
+            (net.latched.contains(idx * PORT_STRIDE + p))
+                .then(|| (packet(block.latch[p]), block.release[p]))
+        };
+        (
+            (0..NPORTS)
+                .map(|p| net.fifo_slots(idx * PORT_STRIDE + p).map(packet).collect())
+                .collect(),
+            std::array::from_fn(|p| usize::from(block.rr[p])),
+            (0..NPORTS).map(latch).collect(),
+            net.link_stats[idx],
+            net.eject_qs[idx].iter().map(|&s| packet(s)).collect(),
+        )
+    }
+
+    fn reference_view(net: &Reference<u64>, idx: usize) -> View {
         let packet = |s: &Slot| net.packets[s.handle as usize];
         (
             (net.routers[idx].inputs.iter())
                 .map(|q| q.iter().map(packet).collect())
                 .collect(),
+            net.routers[idx].rr,
             (net.latches[idx].iter())
                 .map(|l| l.map(|(s, free_at)| (packet(&s), free_at)))
                 .collect(),
+            net.link_stats[idx],
             net.eject_qs[idx].iter().map(packet).collect(),
         )
     }
 
-    /// The first piece of state `tick` may write that differs between two
-    /// networks, if any.
-    fn first_difference(a: &Network<u64>, b: &Network<u64>) -> Option<String> {
-        for idx in 0..a.routers.len() {
+    /// The first piece of state `tick` may write that differs between the
+    /// network and the reference, if any.
+    fn first_difference(a: &Network<u64>, b: &Reference<u64>) -> Option<String> {
+        for idx in 0..a.blocks.len() {
             let at = a.coords[idx];
-            let (x, y) = (contents(a, idx), contents(b, idx));
-            if x.0 != y.0 {
-                return Some(format!("input FIFOs of router {at}"));
+            let (x, y) = (view(a, idx), reference_view(b, idx));
+            let parts = [
+                "input FIFOs",
+                "round-robin pointers",
+                "output latches",
+                "link stats",
+            ];
+            let differs = [x.0 != y.0, x.1 != y.1, x.2 != y.2, x.3 != y.3];
+            if let Some(k) = differs.iter().position(|&d| d) {
+                return Some(format!("{} of router {at}", parts[k]));
             }
-            if a.routers[idx].rr != b.routers[idx].rr {
-                return Some(format!("round-robin pointers of router {at}"));
-            }
-            if x.1 != y.1 {
-                return Some(format!("output latches of router {at}"));
-            }
-            if a.link_stats[idx] != b.link_stats[idx] {
-                return Some(format!("link stats of router {at}"));
-            }
-            if x.2 != y.2 {
+            if x.4 != y.4 {
                 return Some(format!("ejection queue of node {at}"));
             }
         }
-        let whole = |n: &Network<u64>| {
-            (
-                n.stats,
-                n.cycle,
-                n.moving,
-                n.retransmit_events.clone(),
-                n.link_faults.clone(),
-            )
-        };
-        (whole(a) != whole(b)).then(|| "stats, retransmit events or armed faults".to_owned())
+        let whole_a = (
+            a.stats,
+            a.cycle,
+            a.moving,
+            &a.retransmit_events,
+            &a.link_faults,
+        );
+        let whole_b = (
+            b.stats,
+            b.cycle,
+            b.moving,
+            &b.retransmit_events,
+            &b.link_faults,
+        );
+        (whole_a != whole_b).then(|| "stats, retransmit events or armed faults".to_owned())
     }
 
     /// Drives `cfg` twice with the same seeded traffic — once through the
-    /// worklist tick (`REARBITRATE` as given), once through
+    /// worklist tick (`REARBITRATE` and `REVISIT` as given), once through
     /// `tick_reference` — and compares the pair after every tick. Four
     /// 150-tick stretches: light random traffic; the same with ejection
     /// withheld (hot destinations back up into full ejection queues and on
     /// into the fabric); saturation (an injection attempt at every node
     /// every tick); drain. Link faults are scheduled throughout.
-    fn lockstep<const REARBITRATE: bool>(cfg: NetworkConfig, seed: u64) -> Result<(), String> {
+    fn lockstep<const REARBITRATE: bool, const REVISIT: bool>(
+        cfg: NetworkConfig,
+        seed: u64,
+    ) -> Result<(), String> {
         let mut rng = hb_rng::Rng::seed_from_u64(seed);
         let mut fast: Network<u64> = Network::new(cfg);
+        let mut slow: Reference<u64> = Reference::new(cfg);
         let (w, h) = (cfg.width, cfg.height);
         let any = |rng: &mut hb_rng::Rng| {
             Coord::new(rng.index(w as usize) as u8, rng.index(h as usize) as u8)
         };
         for _ in 0..24 {
             let (cycle, at) = (rng.below(600), any(&mut rng));
-            fast.schedule_link_fault(cycle, at, Port::from_index(rng.index(NPORTS)));
+            let port = Port::from_index(rng.index(NPORTS));
+            fast.schedule_link_fault(cycle, at, port);
+            slow.schedule_link_fault(cycle, at, port);
         }
-        let mut slow = fast.clone();
         let hot = [any(&mut rng), any(&mut rng)];
         let mut payload = 0u64;
         for t in 0..600u64 {
@@ -1487,7 +1842,7 @@ mod tests {
                     return Err(format!("tick {t}: inject at {src} disagreed"));
                 }
             }
-            fast.tick_worklists::<REARBITRATE>();
+            fast.tick_worklists::<REARBITRATE, REVISIT>();
             slow.tick_reference();
             if let Some(what) = first_difference(&fast, &slow) {
                 return Err(format!("tick {}: {what} differ", t + 1));
@@ -1499,7 +1854,7 @@ mod tests {
                 // The worklist side ejects what `ready_nodes` names, the
                 // reference polls every node: same packets, same order.
                 let ready: Vec<Coord> = fast.ready_nodes().collect();
-                let polled: Vec<Coord> = (slow.coords.iter().copied())
+                let polled: Vec<Coord> = (fast.coords.iter().copied())
                     .filter(|&c| !slow.eject_qs[slow.idx(c)].is_empty())
                     .collect();
                 if ready != polled {
@@ -1529,7 +1884,7 @@ mod tests {
         let mut cfgs = Vec::new();
         for ruche_factor in [0, 3] {
             for order in [RouteOrder::XThenY, RouteOrder::YThenX] {
-                for link_occupancy in [1, 2] {
+                for link_occupancy in [1, 3] {
                     for fifo_depth in [1, 2, 4] {
                         cfgs.push(NetworkConfig {
                             width: 8,
@@ -1547,32 +1902,39 @@ mod tests {
     }
 
     /// The oracle for touching arbitration: the worklist tick against the
-    /// full router x port sweep it replaced, in lockstep, on every piece of
-    /// state a tick may write (FIFOs, latches, round-robin pointers, link
-    /// stats, ejection queues, counters, retransmit events, armed faults),
-    /// with the incrementally kept worklists checked against a from-scratch
-    /// recount after every tick.
+    /// full router x port sweep over the layout it replaced, in lockstep,
+    /// on every piece of state a tick may write (FIFOs, latches,
+    /// round-robin pointers, link stats, ejection queues, counters,
+    /// retransmit events, armed faults), with the incrementally kept
+    /// worklists checked against a from-scratch recount after every tick.
     ///
-    /// The mutation it is known to catch (second half of the test): phase B
-    /// taking a one-shot snapshot of the FIFO heads instead of recomputing a
-    /// popped input's wanted port — which loses the second issue a FIFO can
-    /// make in one tick when its new head wants a later output.
+    /// The mutations it is known to catch (second half of the test), each
+    /// a wrong answer to "may a FIFO issue twice in one tick": phase B
+    /// taking a one-shot snapshot of the FIFO heads, which loses the second
+    /// issue when the new head wants a later output; and the new head also
+    /// taking a free output already passed over, which issues out of port
+    /// order.
     #[test]
     fn worklist_tick_matches_the_reference_sweep() {
         for (i, cfg) in lockstep_configs().into_iter().enumerate() {
             for seed in [1, 2] {
-                if let Err(e) = lockstep::<true>(cfg, 1000 * i as u64 + seed) {
+                if let Err(e) = lockstep::<true, false>(cfg, 1000 * i as u64 + seed) {
                     panic!("{cfg:?} seed {seed}: {e}");
                 }
             }
         }
-        let caught = (lockstep_configs().into_iter().enumerate())
-            .filter(|(_, cfg)| cfg.fifo_depth > 1)
-            .filter(|&(i, cfg)| lockstep::<false>(cfg, 1000 * i as u64 + 1).is_err())
+        let deep =
+            || (lockstep_configs().into_iter().enumerate()).filter(|(_, c)| c.fifo_depth > 1);
+        let snapshot = deep()
+            .filter(|&(i, cfg)| lockstep::<false, false>(cfg, 1000 * i as u64 + 1).is_err())
+            .count();
+        let revisit = deep()
+            .filter(|&(i, cfg)| lockstep::<true, true>(cfg, 1000 * i as u64 + 1).is_err())
             .count();
         assert_eq!(
-            caught, 16,
-            "the head-snapshot mutant must diverge wherever a FIFO holds two packets"
+            (snapshot, revisit),
+            (16, 16),
+            "each mutant must diverge wherever a FIFO holds two packets"
         );
     }
 
@@ -1679,11 +2041,9 @@ mod tests {
             let mut net = filled(cfg);
             let n = net.coords.len();
             let deep_fifos = (0..n * NPORTS)
-                .filter(|&m| net.routers[m / NPORTS].inputs[m % NPORTS].len() > 1)
+                .filter(|&m| net.blocks[m / NPORTS].len[m % NPORTS] > 1)
                 .count();
-            let latches = (0..n * NPORTS)
-                .filter(|&m| net.latches[m / NPORTS][m % NPORTS].is_some())
-                .count();
+            let latches = net.latched.iter().count();
             let full_ejects = (net.eject_qs.iter())
                 .filter(|q| q.len() == 8 * cfg.fifo_depth)
                 .count();
@@ -1750,5 +2110,160 @@ mod tests {
             "{} > {peak}",
             net.packets.len()
         );
+    }
+
+    /// The per-axis route tables a hop reads give what the routing function
+    /// computes, for every (router, destination) pair of every grid from
+    /// 1x1 to 32x10 (every preset's network lies inside), both orders,
+    /// mesh and Ruche-3.
+    #[test]
+    fn route_tables_equal_the_routing_function() {
+        for (w, h) in (1..=32u8).flat_map(|w| (1..=10u8).map(move |h| (w, h))) {
+            for ruche_factor in [0, 3] {
+                for order in [RouteOrder::XThenY, RouteOrder::YThenX] {
+                    let net: Network<u64> =
+                        Network::new(NetworkConfig::new(w, h, ruche_factor, order));
+                    for &at in &net.coords {
+                        for &dst in &net.coords {
+                            let table = net.routes.port(at, dst);
+                            let computed = net.route_port(at, dst) as u8;
+                            assert_eq!(
+                                table, computed,
+                                "{w}x{h} rf {ruche_factor} {order:?} {at}->{dst}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A seeded network caught mid-flight: packets in FIFOs, in latches
+    /// serializing across narrow links and in ejection queues, link faults
+    /// fired and still armed.
+    fn mid_flight(cfg: NetworkConfig, seed: u64) -> Network<u64> {
+        let mut net = Network::new(cfg);
+        let mut rng = hb_rng::Rng::seed_from_u64(seed);
+        let (w, h) = (cfg.width, cfg.height);
+        let any = |rng: &mut hb_rng::Rng| {
+            Coord::new(rng.index(w.into()) as u8, rng.index(h.into()) as u8)
+        };
+        for _ in 0..32 {
+            let (cycle, at) = (rng.below(400), any(&mut rng));
+            net.schedule_link_fault(cycle, at, Port::from_index(rng.index(NPORTS)));
+        }
+        let mut payload = 0;
+        for t in 0..120 {
+            for _ in 0..rng.index(2 * usize::from(w)) {
+                let (src, dst) = (any(&mut rng), any(&mut rng));
+                payload += 1;
+                net.inject(src, Packet { src, dst, payload });
+            }
+            net.tick();
+            if t % 3 == 0 {
+                for _ in 0..4 {
+                    net.eject(any(&mut rng));
+                }
+            }
+        }
+        net
+    }
+
+    /// The whole checkpoint section of a mid-flight network with armed
+    /// faults, pinned to digests recorded from the `VecDeque`-FIFO layout:
+    /// the router blocks, rings and lookahead routes changed no byte.
+    #[test]
+    fn a_mid_flight_network_keeps_its_checkpoint_bytes() {
+        for (cfg, pinned) in [
+            (
+                NetworkConfig {
+                    fifo_depth: 2,
+                    link_occupancy: 3,
+                    ..NetworkConfig::new(8, 6, 3, RouteOrder::XThenY)
+                },
+                0x15a20be4e7d1a9a72c7f26273199277a,
+            ),
+            (
+                NetworkConfig {
+                    fifo_depth: 1,
+                    ..NetworkConfig::new(6, 5, 0, RouteOrder::YThenX)
+                },
+                0xcdb905fb41ac7d8b218def086e6625d0,
+            ),
+        ] {
+            let net = mid_flight(cfg, 52);
+            let serializing = (net.latched.iter())
+                .filter(|&m| net.blocks[m / PORT_STRIDE].release[m % PORT_STRIDE] > net.cycle)
+                .count();
+            assert!(
+                net.link_faults.len() > 20 && net.stats.retransmits > 0 && net.in_flight() > 300,
+                "{cfg:?}"
+            );
+            assert!(cfg.link_occupancy == 1 || serializing > 0, "{cfg:?}");
+            let bytes = encoded(&net);
+            assert_eq!(hb_mem::fnv1a128(&bytes), pinned, "{cfg:?}");
+            let mut twin = Network::new(cfg);
+            let mut r = hb_mem::SnapReader::new(&bytes);
+            hb_mem::SnapState::load_state(&mut twin, &mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(encoded(&twin), bytes);
+        }
+    }
+
+    /// A checkpoint holding more than the network could: its input FIFOs
+    /// and ejection queues are bounded by the configuration, so a stream
+    /// from a deeper network is refused with a typed error, not stored.
+    #[test]
+    fn a_restore_refuses_queues_longer_than_their_bounds() {
+        let load = |cfg: NetworkConfig, bytes: &[u8]| {
+            let mut net: Network<u64> = Network::new(cfg);
+            hb_mem::SnapState::load_state(&mut net, &mut hb_mem::SnapReader::new(bytes))
+        };
+        let deep = NetworkConfig::new(4, 4, 0, RouteOrder::XThenY);
+        let shallow = NetworkConfig {
+            fifo_depth: 2,
+            ..deep
+        };
+        // Four packets queued at one injection port.
+        let mut net: Network<u64> = Network::new(deep);
+        let at = Coord::new(0, 0);
+        for payload in 0..4 {
+            assert!(net.inject(
+                at,
+                Packet {
+                    src: at,
+                    dst: Coord::new(3, 3),
+                    payload
+                }
+            ));
+        }
+        assert_eq!(
+            load(shallow, &encoded(&net)),
+            Err(SnapError::Bad("Network input FIFO longer than its depth"))
+        );
+        // Twenty deliveries waiting at one node, no FIFO over two.
+        let mut net: Network<u64> = Network::new(deep);
+        for payload in 0..20 {
+            assert!(net.inject(
+                at,
+                Packet {
+                    src: at,
+                    dst: at,
+                    payload
+                }
+            ));
+            net.tick();
+        }
+        for _ in 0..4 {
+            net.tick();
+        }
+        assert_eq!(net.eject_qs[0].len(), 20);
+        assert_eq!(
+            load(shallow, &encoded(&net)),
+            Err(SnapError::Bad(
+                "Network ejection queue longer than its bound"
+            ))
+        );
+        assert_eq!(load(deep, &encoded(&net)), Ok(()));
     }
 }
