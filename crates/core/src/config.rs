@@ -307,6 +307,9 @@ impl MachineConfig {
         if self.num_cells < 1 {
             return Err(ConfigError::ZeroCells);
         }
+        if self.dram_bytes_per_cell == 0 {
+            return Err(ConfigError::ZeroDramWindow);
+        }
         if self.dram_bytes_per_cell > (16 << 20) {
             return Err(ConfigError::DramWindowTooLarge {
                 bytes: self.dram_bytes_per_cell,
@@ -542,6 +545,8 @@ pub enum ConfigError {
     ZeroScoreboard,
     /// A machine needs at least one Cell.
     ZeroCells,
+    /// A Cell needs a DRAM window: Global-DRAM lines wrap modulo its size.
+    ZeroDramWindow,
     /// The Local/Group-DRAM EVA offset field is 24 bits, capping the
     /// per-Cell window at 16 MiB.
     DramWindowTooLarge {
@@ -645,6 +650,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "max_outstanding must be at least 1")
             }
             ConfigError::ZeroCells => write!(f, "num_cells must be at least 1"),
+            ConfigError::ZeroDramWindow => write!(f, "dram_bytes_per_cell must be at least 1"),
             ConfigError::DisabledTileOutOfRange { tile, dim } => {
                 write!(
                     f,
@@ -802,6 +808,12 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(c.validate(), Err(ConfigError::ZeroCells));
+
+        let c = MachineConfig {
+            dram_bytes_per_cell: 0,
+            ..base.clone()
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroDramWindow));
 
         let c = MachineConfig {
             dram_bytes_per_cell: 32 << 20,

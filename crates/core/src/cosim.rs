@@ -1,8 +1,8 @@
 //! Lockstep co-simulation: the cycle-level tile checked against the
 //! functional golden model, instruction by instruction.
 //!
-//! The cycle-level [`Tile`](crate::Tile) is ~1.1k lines of pipelined,
-//! scoreboarded, network-coupled state machine; the [`hb_iss::Hart`] is a
+//! The cycle-level [`Tile`](crate::Tile) is a pipelined, scoreboarded,
+//! network-coupled state machine; the [`hb_iss::Hart`] is a
 //! few hundred lines of direct interpretation. Running them in lockstep —
 //! the checker reads the tile's retire counter after every tick and steps
 //! the ISS once per retire — catches any architectural disagreement at the
@@ -20,10 +20,11 @@
 //! A divergence produces a [`Divergence`] carrying the disassembled recent
 //! retire history.
 
-use crate::func::{IssTile, SnapshotDram};
+use crate::func::IssTile;
 use crate::machine::{Machine, RunSummary, SimError};
 use crate::stats::CoreStats;
 use hb_isa::Instr;
+use hb_mem::Dram;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -283,19 +284,17 @@ impl CosimChecker {
                 ),
             ));
         }
-        let real_image = SnapshotDram::from_machine(machine);
-        for c in 0..machine.num_cells() {
-            let real = real_image.cell(c as u8);
-            let shadow = self.iss.bus.dram.cell(c as u8);
-            if let Some(off) = (0..real.len()).find(|&i| real[i] != shadow[i]) {
-                let a = off & !3;
+        for (c, shadow) in self.iss.bus.dram.iter().enumerate() {
+            let real = machine.cell(c as u8).dram();
+            if real != shadow {
+                let a = first_difference(real, shadow) & !3;
                 return Err(self.diverge(
                     cycle,
                     pc,
                     format!(
                         "DRAM mismatch in cell {c} at {a:#010x}: tile word {:#010x}, iss word {:#010x}",
-                        u32::from_le_bytes(real[a..a + 4].try_into().unwrap()),
-                        u32::from_le_bytes(shadow[a..a + 4].try_into().unwrap()),
+                        real.read_u32(a),
+                        shadow.read_u32(a),
                     ),
                 ));
             }
@@ -305,6 +304,22 @@ impl CosimChecker {
             reg_compares: self.reg_compares,
         })
     }
+}
+
+/// The first byte address at which two unequal images of one length
+/// differ.
+fn first_difference(a: &Dram, b: &Dram) -> u32 {
+    const CHUNK: usize = 4096;
+    let (mut x, mut y) = ([0; CHUNK], [0; CHUNK]);
+    (0..a.len())
+        .step_by(CHUNK)
+        .find_map(|at| {
+            let n = CHUNK.min(a.len() - at);
+            a.read_into(at as u32, &mut x[..n]);
+            b.read_into(at as u32, &mut y[..n]);
+            (0..n).find(|&i| x[i] != y[i]).map(|i| (at + i) as u32)
+        })
+        .expect("unequal images differ in a byte")
 }
 
 impl Machine {
@@ -441,6 +456,22 @@ mod tests {
             .observe(&m)
             .expect_err("two retires in one observation");
         assert!(d.what.contains("moved from 0 to 2"), "{}", d.what);
+    }
+
+    #[test]
+    fn a_dram_byte_only_the_tile_wrote_names_its_word() {
+        let mut m = machine(1, true);
+        let mut checker = CosimChecker::new(&m, 0, (0, 0));
+        while !m.all_done() {
+            m.tick();
+            checker.observe(&m).unwrap();
+        }
+        m.cell_mut(0).dram_mut().write_u8(0x5003, 0xab);
+        let d = checker.finish(&m).expect_err("the images differ");
+        assert_eq!(
+            d.what,
+            "DRAM mismatch in cell 0 at 0x00005000: tile word 0xab000000, iss word 0x00000000"
+        );
     }
 
     #[test]

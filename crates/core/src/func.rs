@@ -11,131 +11,16 @@
 //! * [`crate::cosim::CosimChecker`] — lockstep co-simulation oracle.
 //! * [`crate::Machine::warmup_functional`] — fast-forward of kernel init
 //!   phases.
-//!
-//! One intentional divergence from the tile: sub-word (`lb`/`lh`) reads of
-//! CSR space are sign-extended here but not by the tile. Kernels read CSRs
-//! with `lw`, where the two agree bit-for-bit.
 
 use crate::machine::{Machine, SimError};
 use crate::pgas::{csr, PgasMap, Target};
-use crate::tile::GroupInfo;
+use crate::tile::{read_bytes, write_bytes, GroupInfo, Tile};
 use hb_asm::Program;
 use hb_isa::AmoOp;
-use hb_iss::{Bus, Hart, IssFault, StopReason, StoreEffect};
+use hb_iss::{Bus, Hart, IssFault, Step, StopReason, StoreEffect};
+use hb_mem::Dram;
 use hb_noc::Coord;
 use std::sync::Arc;
-
-fn read_bytes(buf: &[u8], offset: u32, width: u8) -> u32 {
-    let o = offset as usize;
-    let mut v = 0u32;
-    for i in (0..width as usize).rev() {
-        v = (v << 8) | u32::from(buf[o + i]);
-    }
-    v
-}
-
-fn write_bytes(buf: &mut [u8], offset: u32, width: u8, value: u32) {
-    let o = offset as usize;
-    for i in 0..width as usize {
-        buf[o + i] = (value >> (8 * i)) as u8;
-    }
-}
-
-/// DRAM backing for a [`FuncBus`]: either an owned snapshot
-/// ([`SnapshotDram`]) or the machine's real DRAM ([`BorrowedDram`]).
-pub trait DramStore {
-    /// Reads `width` bytes at a Cell-local address.
-    fn read(&mut self, cell: u8, addr: u32, width: u8) -> u32;
-    /// Writes the low `width` bytes of `data`.
-    fn write(&mut self, cell: u8, addr: u32, width: u8, data: u32);
-    /// Applies an AMO, returning the old word.
-    fn amo(&mut self, cell: u8, addr: u32, op: AmoOp, data: u32) -> u32 {
-        let old = self.read(cell, addr, 4);
-        self.write(cell, addr, 4, op.apply(old, data));
-        old
-    }
-}
-
-impl<D: DramStore + ?Sized> DramStore for &mut D {
-    fn read(&mut self, cell: u8, addr: u32, width: u8) -> u32 {
-        (**self).read(cell, addr, width)
-    }
-    fn write(&mut self, cell: u8, addr: u32, width: u8, data: u32) {
-        (**self).write(cell, addr, width, data);
-    }
-}
-
-/// A private copy of every Cell's DRAM contents.
-///
-/// Functional runs against a snapshot leave the machine untouched, and the
-/// co-simulation checker compares its snapshot against the real DRAM after
-/// the caches flush.
-#[derive(Debug, Clone)]
-pub struct SnapshotDram {
-    cells: Vec<Vec<u8>>,
-}
-
-impl SnapshotDram {
-    /// Copies the DRAM of every Cell in `machine`.
-    pub fn from_machine(machine: &Machine) -> SnapshotDram {
-        let cells = (0..machine.num_cells())
-            .map(|c| {
-                let dram = machine.cell(c as u8).dram();
-                let mut image = vec![0; dram.len()];
-                dram.read_into(0, &mut image);
-                image
-            })
-            .collect();
-        SnapshotDram { cells }
-    }
-
-    /// The snapshot of Cell `cell`.
-    pub fn cell(&self, cell: u8) -> &[u8] {
-        &self.cells[cell as usize]
-    }
-}
-
-impl DramStore for SnapshotDram {
-    fn read(&mut self, cell: u8, addr: u32, width: u8) -> u32 {
-        read_bytes(&self.cells[cell as usize], addr, width)
-    }
-    fn write(&mut self, cell: u8, addr: u32, width: u8, data: u32) {
-        write_bytes(&mut self.cells[cell as usize], addr, width, data);
-    }
-}
-
-/// Direct mutable access to every Cell's real DRAM (fast-forward writes
-/// kernel init state straight into the machine).
-#[derive(Debug)]
-pub struct BorrowedDram<'a> {
-    cells: Vec<&'a mut hb_mem::Dram>,
-}
-
-impl<'a> BorrowedDram<'a> {
-    /// Wraps mutable borrows of each Cell's DRAM, in Cell-id order.
-    pub fn new(cells: Vec<&'a mut hb_mem::Dram>) -> BorrowedDram<'a> {
-        BorrowedDram { cells }
-    }
-}
-
-impl DramStore for BorrowedDram<'_> {
-    fn read(&mut self, cell: u8, addr: u32, width: u8) -> u32 {
-        let d = &self.cells[cell as usize];
-        match width {
-            1 => u32::from(d.read_u8(addr)),
-            2 => u32::from(d.read_u16(addr)),
-            _ => d.read_u32(addr),
-        }
-    }
-    fn write(&mut self, cell: u8, addr: u32, width: u8, data: u32) {
-        let d = &mut self.cells[cell as usize];
-        match width {
-            1 => d.write_u8(addr, data as u8),
-            2 => d.write_u16(addr, data as u16),
-            _ => d.write_u32(addr, data),
-        }
-    }
-}
 
 /// Per-hart identity: everything the CSR file and the group-SPM
 /// redirection need to know about "which tile am I".
@@ -152,24 +37,25 @@ pub struct TileCtx {
 /// A [`Bus`] with cycle-level-tile memory semantics over one Cell.
 ///
 /// Holds the scratchpads of every modelled tile in the Cell (so group-SPM
-/// accesses between them resolve), per-tile CSR identity, and a pluggable
-/// [`DramStore`]. Before stepping a hart, select its tile with
-/// [`FuncBus::set_cur`]; feed the CYCLE CSR with [`FuncBus::set_now`].
+/// accesses between them resolve), per-tile CSR identity, and one DRAM
+/// image per Cell of the machine. Before stepping a hart, select its tile
+/// with [`FuncBus::set_cur`]; feed the CYCLE CSR with [`FuncBus::set_now`].
 #[derive(Debug)]
-pub struct FuncBus<D> {
+pub struct FuncBus {
     pgas: PgasMap,
     ctxs: Vec<TileCtx>,
     spms: Vec<Vec<u8>>,
     cur: usize,
     now: u64,
-    /// The DRAM side of the address space.
-    pub dram: D,
+    /// The DRAM side of the address space, indexed by Cell id.
+    pub dram: Vec<Dram>,
 }
 
-impl<D: DramStore> FuncBus<D> {
+impl FuncBus {
     /// Builds a bus over `tiles` (context + initial SPM image pairs, all in
-    /// the Cell `pgas` describes) and `dram`.
-    pub fn new(pgas: PgasMap, tiles: Vec<(TileCtx, Vec<u8>)>, dram: D) -> FuncBus<D> {
+    /// the Cell `pgas` describes) and `dram`, every Cell's image in Cell-id
+    /// order.
+    pub fn new(pgas: PgasMap, tiles: Vec<(TileCtx, Vec<u8>)>, dram: Vec<Dram>) -> FuncBus {
         assert!(!tiles.is_empty(), "a FuncBus needs at least one tile");
         let (ctxs, spms) = tiles.into_iter().unzip();
         FuncBus {
@@ -277,11 +163,36 @@ impl<D: DramStore> FuncBus<D> {
         write_bytes(&mut self.spms[idx], offset, width, data);
         Ok(StoreEffect::Done)
     }
+
+    /// Reads a `width`-byte DRAM word of Cell `cell` at its local `addr`
+    /// (from `eva`): refused, as the tile refuses it, if it leaves its
+    /// cache line.
+    fn dram_load(&self, eva: u32, cell: u8, addr: u32, width: u8) -> Result<u32, String> {
+        self.pgas.check_line(eva, addr, width)?;
+        let mut bytes = [0; 4];
+        self.dram[cell as usize].read_into(addr, &mut bytes[..width as usize]);
+        Ok(u32::from_le_bytes(bytes))
+    }
+
+    /// Writes the low `width` bytes of `data`, refused like
+    /// [`dram_load`](Self::dram_load).
+    fn dram_store(
+        &mut self,
+        eva: u32,
+        cell: u8,
+        addr: u32,
+        width: u8,
+        data: u32,
+    ) -> Result<(), String> {
+        self.pgas.check_line(eva, addr, width)?;
+        self.dram[cell as usize].write_bytes(addr, &data.to_le_bytes()[..width as usize]);
+        Ok(())
+    }
 }
 
-impl<D: DramStore> Bus for FuncBus<D> {
-    fn load(&mut self, addr: u32, width: u8) -> Result<u32, String> {
-        match self.pgas.translate(addr).map_err(|e| e.to_string())? {
+impl Bus for FuncBus {
+    fn load(&mut self, eva: u32, width: u8) -> Result<u32, String> {
+        match self.pgas.translate(eva).map_err(|e| e.to_string())? {
             Target::LocalSpm { offset } => self.spm_load(self.cur, offset, width, true),
             Target::Csr { offset } => (self.csr_read(offset))
                 .map(|word| csr::narrow(word, offset))
@@ -296,12 +207,12 @@ impl<D: DramStore> Bus for FuncBus<D> {
                 let idx = self.tile_index(tile)?;
                 self.spm_load(idx, offset, width, false)
             }
-            Target::Bank { cell, addr, .. } => Ok(self.dram.read(cell, addr, width)),
+            Target::Bank { cell, addr, .. } => self.dram_load(eva, cell, addr, width),
         }
     }
 
-    fn store(&mut self, addr: u32, width: u8, data: u32) -> Result<StoreEffect, String> {
-        match self.pgas.translate(addr).map_err(|e| e.to_string())? {
+    fn store(&mut self, eva: u32, width: u8, data: u32) -> Result<StoreEffect, String> {
+        match self.pgas.translate(eva).map_err(|e| e.to_string())? {
             Target::LocalSpm { offset } => self.spm_store(self.cur, offset, width, data, true),
             Target::Csr { offset } => match offset {
                 csr::BARRIER => Ok(StoreEffect::Barrier),
@@ -319,15 +230,19 @@ impl<D: DramStore> Bus for FuncBus<D> {
                 self.spm_store(idx, offset, width, data, false)
             }
             Target::Bank { cell, addr, .. } => {
-                self.dram.write(cell, addr, width, data);
+                self.dram_store(eva, cell, addr, width, data)?;
                 Ok(StoreEffect::Done)
             }
         }
     }
 
-    fn amo(&mut self, addr: u32, op: AmoOp, data: u32) -> Result<u32, String> {
-        match self.pgas.translate(addr).map_err(|e| e.to_string())? {
-            Target::Bank { cell, addr, .. } => Ok(self.dram.amo(cell, addr, op, data)),
+    fn amo(&mut self, eva: u32, op: AmoOp, data: u32) -> Result<u32, String> {
+        match self.pgas.translate(eva).map_err(|e| e.to_string())? {
+            Target::Bank { cell, addr, .. } => {
+                let old = self.dram_load(eva, cell, addr, 4)?;
+                self.dram_store(eva, cell, addr, 4, op.apply(old, data))?;
+                Ok(old)
+            }
             Target::RemoteSpm { tile, offset } => {
                 // The tile sends group-space AMOs over the network even to
                 // itself; the SPM service applies them (flags/mailboxes).
@@ -339,7 +254,7 @@ impl<D: DramStore> Bus for FuncBus<D> {
                 write_bytes(&mut self.spms[idx], offset, 4, op.apply(old, data));
                 Ok(old)
             }
-            _ => Err(format!("AMO to non-atomic space at {addr:#x}")),
+            _ => Err(format!("AMO to non-atomic space at {eva:#x}")),
         }
     }
 
@@ -348,49 +263,70 @@ impl<D: DramStore> Bus for FuncBus<D> {
     }
 }
 
+/// The architectural state of one launched tile, as the functional model
+/// takes it over: identity, a hart holding its registers and PC, its SPM
+/// image and its program.
+struct TileSnap {
+    ctx: TileCtx,
+    hart: Hart,
+    spm: Vec<u8>,
+    program: Arc<Program>,
+}
+
+impl TileSnap {
+    /// Reads tile `xy`, or `None` if it has no program loaded.
+    fn read(tile: &Tile, xy: (u8, u8)) -> Option<TileSnap> {
+        let mut hart = Hart::new();
+        hart.regs = *tile.arch_regs();
+        hart.fregs = *tile.arch_fregs();
+        hart.pc = tile.pc();
+        Some(TileSnap {
+            ctx: TileCtx {
+                xy,
+                group: tile.group(),
+                args: tile.args(),
+            },
+            hart,
+            spm: tile.spm().to_vec(),
+            program: tile.program()?.clone(),
+        })
+    }
+}
+
 /// A standalone functional copy of one launched tile: its own [`Hart`],
-/// SPM image and DRAM snapshot. Running it never perturbs the machine —
-/// this is what the throughput benchmark and the differential fuzzer use.
+/// SPM image and copy of every Cell's DRAM. Running it never perturbs the
+/// machine — this is what the throughput benchmark and the differential
+/// fuzzer use.
 #[derive(Debug)]
 pub struct IssTile {
     /// The functional hart.
     pub hart: Hart,
-    /// Its PGAS bus (SPM image index 0, DRAM snapshot).
-    pub bus: FuncBus<SnapshotDram>,
+    /// Its PGAS bus (SPM image index 0, the DRAM copy).
+    pub bus: FuncBus,
     /// The kernel image.
     pub program: Arc<Program>,
 }
 
 impl IssTile {
-    /// Snapshots tile `xy` of Cell `cell` — which must be launched — into
-    /// a functional model, copying its registers, PC, SPM and every Cell's
-    /// DRAM.
+    /// Copies tile `xy` of Cell `cell` — which must be launched — into a
+    /// functional model: its registers, PC, SPM and every Cell's DRAM (a
+    /// clone of the written pages).
     ///
     /// # Panics
     ///
     /// Panics if the tile has no program loaded.
     pub fn from_machine(machine: &Machine, cell: u8, xy: (u8, u8)) -> IssTile {
         let c = machine.cell(cell);
-        let tile = c.tile(xy.0, xy.1);
-        let program = tile
-            .program()
-            .expect("IssTile::from_machine needs a launched tile")
-            .clone();
-        let ctx = TileCtx {
-            xy,
-            group: tile.group(),
-            args: tile.args(),
-        };
-        let bus = FuncBus::new(
-            *c.pgas(),
-            vec![(ctx, tile.spm().to_vec())],
-            SnapshotDram::from_machine(machine),
-        );
-        let mut hart = Hart::new();
-        hart.regs = *tile.arch_regs();
-        hart.fregs = *tile.arch_fregs();
-        hart.pc = tile.pc();
-        IssTile { hart, bus, program }
+        let snap = TileSnap::read(c.tile(xy.0, xy.1), xy)
+            .expect("IssTile::from_machine needs a launched tile");
+        let dram = (0..machine.num_cells())
+            .map(|c| machine.cell(c as u8).dram().clone())
+            .collect();
+        IssTile {
+            hart: snap.hart,
+            bus: FuncBus::new(*c.pgas(), vec![(snap.ctx, snap.spm)], dram),
+            program: snap.program,
+        }
     }
 
     /// Runs to `ecall` or until `max_instrs` retire. Barrier joins retire
@@ -421,15 +357,55 @@ pub struct WarmupReport {
     pub out_of_budget: usize,
 }
 
-struct TileSnap {
-    cell: u8,
-    xy: (u8, u8),
-    regs: [u32; 32],
-    fregs: [f32; 32],
-    pc: u32,
-    spm: Vec<u8>,
-    ctx: TileCtx,
-    program: Arc<Program>,
+/// Runs each of `snaps`, the tiles `bus` models in order, to its first
+/// barrier join, `ecall` or `budget` instructions, and leaves in each snap
+/// the state to inject: the hart, its pc on the join store after a barrier
+/// (the tile re-executes the join for real) and on the `ecall` after an
+/// `ecall` (the tile re-executes it and finishes in one cycle), and the SPM
+/// image, which the other tiles may have written.
+fn warm_cell(
+    bus: &mut FuncBus,
+    snaps: &mut [TileSnap],
+    budget: u64,
+    report: &mut WarmupReport,
+) -> Result<(), SimError> {
+    for (idx, snap) in snaps.iter_mut().enumerate() {
+        bus.set_cur(idx);
+        let hart = &mut snap.hart;
+        loop {
+            if hart.stats.instrs >= budget {
+                report.out_of_budget += 1;
+                break;
+            }
+            let pc_before = hart.pc;
+            match hart.step(&snap.program, bus) {
+                Ok(Step::Retired) => {}
+                Ok(Step::Barrier) => {
+                    report.at_barrier += 1;
+                    hart.pc = pc_before;
+                    break;
+                }
+                Ok(Step::Ecall) => {
+                    report.finished += 1;
+                    break;
+                }
+                Err(f) => {
+                    return Err(SimError::Fault(Box::new(crate::diag::FaultInfo::host(
+                        format!(
+                            "functional warmup of tile ({},{}) cell {}: {f}",
+                            snap.ctx.xy.0, snap.ctx.xy.1, bus.pgas.cell_id
+                        ),
+                    ))));
+                }
+            }
+        }
+        report.tiles += 1;
+        report.instrs += hart.stats.instrs;
+    }
+    for (idx, snap) in snaps.iter_mut().enumerate() {
+        snap.spm = bus.spm(idx).to_vec();
+    }
+    Ok(())
 }
 
 impl Machine {
@@ -438,11 +414,12 @@ impl Machine {
     /// state back into the cycle-level tiles.
     ///
     /// Each tile executes functionally — against its real SPM image and
-    /// the machine's real DRAM — until its first barrier join, `ecall`, or
-    /// `max_instrs_per_tile`, whichever comes first. Tiles stopped at a
-    /// barrier are injected with the PC of the join store so the barrier
-    /// itself is executed cycle-accurately; a subsequent
-    /// [`Machine::run`] then simulates only the post-init phases.
+    /// the machine's own DRAM, moved into the functional bus and back —
+    /// until its first barrier join, `ecall`, or `max_instrs_per_tile`,
+    /// whichever comes first. Tiles stopped at a barrier are injected with
+    /// the PC of the join store so the barrier itself is executed
+    /// cycle-accurately; a subsequent [`Machine::run`] then simulates only
+    /// the post-init phases.
     ///
     /// Tiles run one after another, so the init phase up to the first
     /// barrier must be free of cross-tile data races (the usual contract
@@ -462,14 +439,12 @@ impl Machine {
         // accesses (and stale after injection): start clean.
         self.flush_all_caches();
 
-        // Phase A: snapshot the launched tiles' architectural state.
+        // Phase A: read the launched tiles' architectural state.
         let dim = self.config().cell_dim;
-        let mut pgases = Vec::new();
-        let mut snaps: Vec<Vec<TileSnap>> = Vec::new();
+        let mut cells = Vec::new();
         for c in 0..self.num_cells() as u8 {
             let cell = self.cell(c);
-            pgases.push(*cell.pgas());
-            let mut cell_snaps = Vec::new();
+            let mut snaps = Vec::new();
             for y in 0..dim.y {
                 for x in 0..dim.x {
                     let tile = cell.tile(x, y);
@@ -483,107 +458,43 @@ impl Machine {
                         ),
                         ))));
                     }
-                    cell_snaps.push(TileSnap {
-                        cell: c,
-                        xy: (x, y),
-                        regs: *tile.arch_regs(),
-                        fregs: *tile.arch_fregs(),
-                        pc: tile.pc(),
-                        spm: tile.spm().to_vec(),
-                        ctx: TileCtx {
-                            xy: (x, y),
-                            group: tile.group(),
-                            args: tile.args(),
-                        },
-                        program: tile
-                            .program()
-                            .expect("running tile without program")
-                            .clone(),
-                    });
+                    snaps.push(TileSnap::read(tile, (x, y)).expect("running tile without program"));
                 }
             }
-            snaps.push(cell_snaps);
+            cells.push((*cell.pgas(), snaps));
         }
 
-        // Phase B: run functionally against the real DRAM.
+        // Phase B: run functionally on the machine's DRAM, which each
+        // Cell's bus holds in turn and which goes back on every path.
         let mut report = WarmupReport::default();
-        let mut results: Vec<TileSnap> = Vec::new();
-        {
-            let mut dram =
-                BorrowedDram::new(self.cells_mut().iter_mut().map(|c| c.dram_mut()).collect());
-            for (pgas, cell_snaps) in pgases.into_iter().zip(snaps) {
-                if cell_snaps.is_empty() {
-                    continue;
-                }
-                let tiles = cell_snaps.iter().map(|s| (s.ctx, s.spm.clone())).collect();
-                let mut bus = FuncBus::new(pgas, tiles, &mut dram);
-                for (idx, mut snap) in cell_snaps.into_iter().enumerate() {
-                    bus.set_cur(idx);
-                    let mut hart = Hart::new();
-                    hart.regs = snap.regs;
-                    hart.fregs = snap.fregs;
-                    hart.pc = snap.pc;
-                    let final_pc;
-                    loop {
-                        if hart.stats.instrs >= max_instrs_per_tile {
-                            report.out_of_budget += 1;
-                            final_pc = hart.pc;
-                            break;
-                        }
-                        let pc_before = hart.pc;
-                        match hart.step(&snap.program, &mut bus) {
-                            Ok(hb_iss::Step::Retired) => {}
-                            Ok(hb_iss::Step::Barrier) => {
-                                // Park on the join store itself: the tile
-                                // re-executes it and joins for real.
-                                report.at_barrier += 1;
-                                final_pc = pc_before;
-                                break;
-                            }
-                            Ok(hb_iss::Step::Ecall) => {
-                                // PC parks at the ecall; the tile will
-                                // re-execute it and finish in one cycle.
-                                report.finished += 1;
-                                final_pc = hart.pc;
-                                break;
-                            }
-                            Err(f) => {
-                                return Err(SimError::Fault(Box::new(
-                                    crate::diag::FaultInfo::host(format!(
-                                        "functional warmup of tile ({},{}) cell {}: {f}",
-                                        snap.xy.0, snap.xy.1, snap.cell
-                                    )),
-                                )));
-                            }
-                        }
-                    }
-                    report.tiles += 1;
-                    report.instrs += hart.stats.instrs;
-                    snap.regs = hart.regs;
-                    snap.fregs = hart.fregs;
-                    snap.pc = final_pc;
-                    snap.spm.clear();
-                    results.push(snap);
-                }
-                // Pull the (possibly cross-written) SPM images back out.
-                let n = results.len();
-                for (idx, snap) in results[n - bus_tiles(&bus)..].iter_mut().enumerate() {
-                    snap.spm = bus.spm(idx).to_vec();
-                }
-            }
+        let mut dram: Vec<Dram> = (self.cells_mut().iter_mut())
+            .map(|c| std::mem::replace(c.dram_mut(), Dram::new(0)))
+            .collect();
+        let warmed: Result<Vec<_>, SimError> = (cells.into_iter())
+            .filter(|(_, snaps)| !snaps.is_empty())
+            .map(|(pgas, mut snaps)| {
+                let tiles = snaps.iter().map(|s| (s.ctx, s.spm.clone())).collect();
+                let mut bus = FuncBus::new(pgas, tiles, std::mem::take(&mut dram));
+                let ran = warm_cell(&mut bus, &mut snaps, max_instrs_per_tile, &mut report);
+                dram = bus.dram;
+                ran.map(|()| (pgas.cell_id, snaps))
+            })
+            .collect();
+        for (cell, image) in self.cells_mut().iter_mut().zip(dram) {
+            *cell.dram_mut() = image;
         }
 
         // Phase C: inject.
-        for snap in &results {
-            let tile = self.cell_mut(snap.cell).tile_mut(snap.xy.0, snap.xy.1);
-            tile.restore_arch_state(&snap.regs, &snap.fregs, snap.pc, &snap.spm);
+        for (c, snaps) in warmed? {
+            for snap in snaps {
+                let (x, y) = snap.ctx.xy;
+                let hart = &snap.hart;
+                let tile = self.cell_mut(c).tile_mut(x, y);
+                tile.restore_arch_state(&hart.regs, &hart.fregs, hart.pc, &snap.spm);
+            }
         }
         Ok(report)
     }
-}
-
-fn bus_tiles<D>(bus: &FuncBus<D>) -> usize {
-    bus.ctxs.len()
 }
 
 #[cfg(test)]
@@ -592,10 +503,8 @@ mod tests {
     use crate::config::MachineConfig;
     use crate::pgas;
 
-    fn bus_1x1() -> FuncBus<SnapshotDram> {
-        let cfg = MachineConfig::baseline_16x8();
-        let machine = Machine::new(cfg);
-        let pg = *machine.cell(0).pgas();
+    fn bus_1x1() -> FuncBus {
+        let pg = PgasMap::new(&MachineConfig::baseline_16x8(), 0);
         let ctx = TileCtx {
             xy: (0, 0),
             group: GroupInfo {
@@ -608,11 +517,8 @@ mod tests {
             },
             args: [7, 0, 0, 0, 0, 0, 0, 0],
         };
-        FuncBus::new(
-            pg,
-            vec![(ctx, vec![0; pg.spm_bytes as usize])],
-            SnapshotDram::from_machine(&machine),
-        )
+        let dram = vec![Dram::new(pg.dram_bytes as usize)];
+        FuncBus::new(pg, vec![(ctx, vec![0; pg.spm_bytes as usize])], dram)
     }
 
     #[test]
@@ -652,5 +558,42 @@ mod tests {
         let mut bus = bus_1x1();
         bus.store(pgas::group_spm(0, 0, 32), 4, 77).unwrap();
         assert_eq!(bus.load(pgas::local_spm(32), 4).unwrap(), 77);
+    }
+
+    /// A word that leaves its cache line — mid-window, and at the last two
+    /// bytes of the window — faults the functional warmup as it traps the
+    /// tile, and the machine keeps its DRAM.
+    #[test]
+    fn warmup_faults_on_a_word_across_a_cache_line() {
+        use hb_asm::Assembler;
+        use hb_isa::Gpr;
+        let cfg = MachineConfig {
+            cell_dim: crate::CellDim { x: 1, y: 1 },
+            ..MachineConfig::baseline_16x8()
+        };
+        for offset in [cfg.line_bytes - 3, cfg.dram_bytes_per_cell - 2] {
+            let mut m = Machine::new(cfg.clone());
+            m.cell_mut(0).dram_mut().write_u32(0, 0x5eed);
+            let mut a = Assembler::new();
+            a.li(Gpr::T0, pgas::local_dram(offset) as i32);
+            a.lw(Gpr::A0, Gpr::T0, 0);
+            a.ecall();
+            m.launch(0, &Arc::new(a.assemble(0).unwrap()), &[]);
+            match m.warmup_functional(1000) {
+                Err(SimError::Fault(info)) => {
+                    assert!(
+                        info.cause.contains("crosses its cache line"),
+                        "{}",
+                        info.cause
+                    )
+                }
+                other => panic!("lw at DRAM offset {offset:#x}: {other:?}"),
+            }
+            let dram = m.cell(0).dram();
+            assert_eq!(
+                (dram.len(), dram.read_u32(0)),
+                (cfg.dram_bytes_per_cell as usize, 0x5eed)
+            );
+        }
     }
 }

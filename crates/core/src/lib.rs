@@ -73,7 +73,7 @@ pub use cell::{Cell, CellWork, GroupSpec, EJECT_PER_CYCLE};
 pub use config::{CellDim, ConfigError, MachineConfig};
 pub use cosim::{CosimChecker, CosimError, CosimReport, Divergence};
 pub use diag::{FaultInfo, HangClass, HangReport};
-pub use func::{FuncBus, IssTile, SnapshotDram, TileCtx, WarmupReport};
+pub use func::{FuncBus, IssTile, TileCtx, WarmupReport};
 pub use gprof::{GuestProfile, PhaseProfile, UNMARKED};
 pub use icache::ICache;
 pub use kernel_util::HbOps;

@@ -327,6 +327,24 @@ impl PgasMap {
         })
     }
 
+    /// Refuses a `width`-byte access to `eva`, Cell-local DRAM address
+    /// `addr`, that leaves its cache line (a power of two,
+    /// `MachineConfig::validate`): a bank serves whole lines. A window of
+    /// whole lines ends on a line boundary, so this also refuses a word
+    /// that would run off its end.
+    ///
+    /// # Errors
+    ///
+    /// The trap cause the tile and the functional bus report.
+    pub fn check_line(&self, eva: u32, addr: u32, width: u8) -> Result<(), String> {
+        if (addr & (self.line_bytes - 1)) + u32::from(width) > self.line_bytes {
+            return Err(format!(
+                "{width}-byte DRAM access at {eva:#x} crosses its cache line"
+            ));
+        }
+        Ok(())
+    }
+
     /// Bank selection for a Cell-local DRAM address. The line size and
     /// the bank count are powers of two (`MachineConfig::validate`).
     pub fn bank_for(&self, addr: u32) -> usize {

@@ -257,7 +257,8 @@ fn extend(value: u32, width: u8, signed: bool) -> u32 {
     }
 }
 
-fn read_bytes(buf: &[u8], offset: u32, width: u8) -> u32 {
+/// Reads a `width`-byte little-endian word of a scratchpad image.
+pub(crate) fn read_bytes(buf: &[u8], offset: u32, width: u8) -> u32 {
     let o = offset as usize;
     let mut v = 0u32;
     for i in (0..width as usize).rev() {
@@ -266,7 +267,8 @@ fn read_bytes(buf: &[u8], offset: u32, width: u8) -> u32 {
     v
 }
 
-fn write_bytes(buf: &mut [u8], offset: u32, width: u8, value: u32) {
+/// Writes the low `width` bytes of `value` into a scratchpad image.
+pub(crate) fn write_bytes(buf: &mut [u8], offset: u32, width: u8, value: u32) {
     let o = offset as usize;
     for i in 0..width as usize {
         buf[o + i] = (value >> (8 * i)) as u8;
@@ -1621,12 +1623,7 @@ impl Tile {
         let own = Coord::new(self.xy.0, self.xy.1);
         let (tile, offset) = match self.pgas.translate(eva).map_err(|e| e.to_string())? {
             Target::Bank { cell, bank, addr } => {
-                // `line_bytes` is a power of two (`CacheBank::new` asserts it).
-                if (addr & (self.cfg.line_bytes - 1)) + u32::from(width) > self.cfg.line_bytes {
-                    return Err(format!(
-                        "{width}-byte DRAM access at {eva:#x} crosses its cache line"
-                    ));
-                }
+                self.pgas.check_line(eva, addr, width)?;
                 return Ok(Access::Remote {
                     cell,
                     coord: self.pgas.bank_coord(bank),
@@ -1810,11 +1807,11 @@ mod tests {
     /// The data-access matrix: every kind of memory instruction against
     /// every kind of address. One tile, one instruction, the outcome read
     /// straight off the tile — a local effect, the request packet with its
-    /// destination, or the exact trap — and, wherever the functional bus has
-    /// an opinion (it has none on cache lines), the same outcome from it.
+    /// destination, or the exact trap — and the same outcome from the
+    /// functional bus.
     #[test]
     fn every_access_kind_lands_where_the_address_says() {
-        use crate::func::{DramStore, FuncBus, TileCtx};
+        use crate::func::{FuncBus, TileCtx};
         use hb_isa::{AmoOp, LoadWidth, StoreWidth};
         use hb_iss::{Bus, StoreEffect};
 
@@ -1839,21 +1836,13 @@ mod tests {
         }
         use Expect::{Joins, Net, Own, Reads, Retires, Trap};
 
-        struct Zeroes;
-        impl DramStore for Zeroes {
-            fn read(&mut self, _: u8, _: u32, _: u8) -> u32 {
-                0
-            }
-            fn write(&mut self, _: u8, _: u32, _: u8, _: u32) {}
-        }
-
         let cfg = Arc::new(MachineConfig {
             num_cells: 2,
             ..MachineConfig::baseline_16x8()
         });
         let pg = PgasMap::new(&cfg, 0);
         let (me, other) = ((2u8, 3u8), (5u8, 1u8));
-        let (spm_bytes, line) = (cfg.spm_bytes, cfg.line_bytes);
+        let (spm_bytes, line, window) = (cfg.spm_bytes, cfg.line_bytes, cfg.dram_bytes_per_cell);
         let image: Vec<u8> = (0..spm_bytes).map(|i| (i * 7 + 0x83) as u8).collect();
         let group = Tile::new(cfg.clone(), pg, me).group();
 
@@ -1925,6 +1914,17 @@ mod tests {
                 Kind::Load { .. } => load.clone(),
                 Kind::Store { .. } => store.clone(),
                 Kind::Amo => Trap(format!("AMO to non-atomic space at {eva:#x}")),
+            }
+        };
+        // An access of `width` bytes at `eva`, `room` bytes before the end
+        // of its cache line.
+        let crosses = |eva: u32, room: u8, width: u8| {
+            if width <= room {
+                to_bank(eva)
+            } else {
+                Trap(format!(
+                    "{width}-byte DRAM access at {eva:#x} crosses its cache line"
+                ))
             }
         };
         let unknown = |eva: u32| Trap(format!("read of unknown CSR {eva:#x}"));
@@ -2030,16 +2030,12 @@ mod tests {
             (
                 "last byte of a DRAM cache line",
                 crate::pgas::local_dram(line - 1),
-                Box::new(|_, width| {
-                    let eva = crate::pgas::local_dram(line - 1);
-                    if width == 1 {
-                        to_bank(eva)
-                    } else {
-                        Trap(format!(
-                            "{width}-byte DRAM access at {eva:#x} crosses its cache line"
-                        ))
-                    }
-                }),
+                Box::new(|_, width| crosses(crate::pgas::local_dram(line - 1), 1, width)),
+            ),
+            (
+                "last two bytes of the DRAM window",
+                crate::pgas::local_dram(window - 2),
+                Box::new(|_, width| crosses(crate::pgas::local_dram(window - 2), 2, width)),
             ),
         ];
 
@@ -2165,16 +2161,14 @@ mod tests {
                 }
 
                 // The functional bus, with both tiles modelled.
-                if *row == "last byte of a DRAM cache line" {
-                    continue;
-                }
                 let ctx = |xy| TileCtx {
                     xy,
                     group,
                     args: [0; 8],
                 };
                 let tiles = vec![(ctx(me), image.clone()), (ctx(other), image.clone())];
-                let mut bus = FuncBus::new(pg, tiles, Zeroes);
+                let dram = vec![hb_mem::Dram::new(window as usize); 2];
+                let mut bus = FuncBus::new(pg, tiles, dram);
                 let said = match kind {
                     Kind::Load { signed, .. } => match bus.load(*eva, width) {
                         Ok(raw) if matches!(got, Own(_) | Reads(_)) => {

@@ -5,9 +5,9 @@
 //! uses, but with no pipeline, network, cache or timing state. It fills
 //! three roles (see DESIGN.md §hb-iss):
 //!
-//! 1. **Oracle** — lockstep co-simulation retires the 1.1k-line cycle-level
-//!    tile against [`Hart`] instruction-by-instruction and reports the
-//!    first architectural divergence.
+//! 1. **Oracle** — lockstep co-simulation retires the cycle-level tile
+//!    against [`Hart`] instruction-by-instruction and reports the first
+//!    architectural divergence.
 //! 2. **Fast path** — `Machine::warmup_functional` in `hb-core` executes
 //!    kernel init phases here (two to three orders of magnitude faster than
 //!    cycle simulation, rvr-style) and injects the resulting state into

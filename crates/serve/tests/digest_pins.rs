@@ -10,7 +10,7 @@
 //! in Cell order — kept here as the reference, on the campaign's own memory
 //! and on images built to sit on every edge of the extent scan.
 
-use hb_core::{CellDim, Machine, MachineConfig, SnapshotDram};
+use hb_core::{CellDim, Machine, MachineConfig};
 use hb_kernels::{launch_on, SizeClass};
 use hb_serve::exec::digest;
 use hb_serve::{campaign_kernel, golden_spec, Executor, SimExecutor, Store, SCHEMA_REV};
@@ -68,10 +68,12 @@ fn the_in_place_digest_is_fnv1a64_over_every_cells_image_in_cell_order() {
 
 /// The definition: one FNV-1a-64 step per byte, zero or not.
 fn reference(machine: &Machine) -> u64 {
-    let copy = SnapshotDram::from_machine(machine);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for cell in 0..machine.num_cells() {
-        for &b in copy.cell(cell as u8) {
+        let dram = machine.cell(cell as u8).dram();
+        let mut image = vec![0; dram.len()];
+        dram.read_into(0, &mut image);
+        for b in image {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }

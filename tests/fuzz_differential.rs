@@ -23,8 +23,6 @@ const SEED_BASE: u64 = 0xF022_0000;
 fn fuzz_machine_config() -> MachineConfig {
     MachineConfig {
         cell_dim: CellDim { x: 1, y: 1 },
-        // Small DRAM keeps the per-sequence snapshot cheap.
-        dram_bytes_per_cell: 1 << 16,
         ..MachineConfig::baseline_16x8()
     }
 }
