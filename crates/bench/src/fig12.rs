@@ -3,8 +3,7 @@
 //! groups each running an independent task on the shared data structure.
 
 use crate::{bench_cell, header, row};
-use hb_core::{pgas, GroupSpec, Machine, MachineConfig};
-use hb_kernels::util::{alloc_f32, alloc_u32};
+use hb_core::{GroupSpec, Machine, MachineConfig};
 use hb_kernels::SpGemm;
 use hb_serve::cli::Args;
 use hb_workloads::{gen, golden};
@@ -37,7 +36,7 @@ pub fn run(_: &Args) {
     }
     let a = hb_workloads::CsrMatrix::from_triples(rows, n, &triples);
     let b = gen::uniform_sparse(n, n, 8, 0x5B);
-    let expect_nnz = golden::spgemm(&a, &b).nnz() as u32;
+    let expect = Arc::new(golden::spgemm(&a, &b));
 
     println!(
         "Figure 12 — tile groups on SpGEMM (power-law {nx}x{nx}, {gx}x{gy} Cell)\n",
@@ -58,57 +57,24 @@ pub fn run(_: &Args) {
         let groups = GroupSpec::grid(&cfg, gw, gh);
         let ntasks = groups.len();
         let mut machine = Machine::new(cfg.clone());
+        // Independent tasks on shared inputs, each with its own counters
+        // and outputs.
         let cell = machine.cell_mut(0);
-        // Shared inputs.
-        let a_rp = alloc_u32(cell, &a.row_ptr);
-        let a_ci = alloc_u32(cell, &a.col_idx);
-        let a_av = alloc_f32(cell, &a.vals);
-        let b_rp = alloc_u32(cell, &b.row_ptr);
-        let b_ci = alloc_u32(cell, &b.col_idx);
-        let b_av = alloc_f32(cell, &b.vals);
-        // Per-task counters and outputs (independent tasks on shared data).
-        let mut launches = Vec::new();
-        for g in groups {
-            let q0 = alloc_u32(cell, &[0]);
-            let nnz = alloc_u32(cell, &[0]);
-            let cap = expect_nnz + 64;
-            let out_i = cell.alloc(cap * 4, 64);
-            let out_j = cell.alloc(cap * 4, 64);
-            let out_v = cell.alloc(cap * 4, 64);
-            let desc = alloc_u32(
-                cell,
-                &[
-                    pgas::local_dram(a_rp),
-                    pgas::local_dram(a_ci),
-                    pgas::local_dram(a_av),
-                    pgas::local_dram(b_rp),
-                    pgas::local_dram(b_ci),
-                    pgas::local_dram(b_av),
-                    pgas::local_dram(q0),
-                    pgas::local_dram(nnz),
-                    pgas::local_dram(out_i),
-                    pgas::local_dram(out_j),
-                    pgas::local_dram(out_v),
-                    a.rows,
-                    b.cols,
-                ],
-            );
-            launches.push((g, vec![pgas::local_dram(desc)], nnz));
-        }
+        let inputs = SpGemm::alloc_inputs(cell, &a, &b);
+        let tasks: Vec<_> = (0..ntasks)
+            .map(|_| SpGemm::alloc_task(cell, inputs, &expect))
+            .collect();
         let program = Arc::new(SpGemm::program());
-        let specs: Vec<(GroupSpec, Vec<u32>)> = launches
-            .iter()
-            .map(|(g, args, _)| (*g, args.clone()))
+        let specs: Vec<(GroupSpec, Vec<u32>)> = groups
+            .into_iter()
+            .zip(&tasks)
+            .map(|(g, task)| (g, vec![task.arg]))
             .collect();
         machine.launch_groups(0, &program, &specs);
         let summary = machine.run(500_000_000).expect("spgemm tile-group run");
         machine.cell_mut(0).flush_caches();
-        for (_, _, nnz) in &launches {
-            assert_eq!(
-                machine.cell(0).dram().read_u32(*nnz),
-                expect_nnz,
-                "task produced wrong nnz"
-            );
+        for task in &tasks {
+            task.check(&machine);
         }
         let hbm = machine.cell(0).hbm_stats();
         let throughput = ntasks as f64 / (summary.cycles as f64 / 1.0e6);

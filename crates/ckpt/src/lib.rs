@@ -240,8 +240,9 @@ pub fn restore(machine: &mut Machine, bytes: &[u8]) -> Result<u64, CkptError> {
 
 /// Replaces `path` atomically and durably: the content goes to a `.tmp`
 /// sibling that is fsynced, the rename swaps it in, and the parent
-/// directory is fsynced so the swap survives a power cut. Checkpoint files
-/// and every file `hb-serve`'s store replaces are written through it.
+/// directory is fsynced so the swap survives a power cut. Checkpoint files,
+/// every file `hb-serve`'s store replaces and its campaign report are
+/// written through it.
 ///
 /// # Errors
 ///

@@ -17,7 +17,7 @@ use crate::race::{AccessKind, RaceLoc};
 use crate::sched::Park;
 use crate::stats::{CoreStats, StallKind};
 use hb_asm::Program;
-use hb_isa::{Fpr, Gpr, Instr};
+use hb_isa::{Fpr, Gpr, Instr, Reg};
 use hb_mem::{IdMap, Snap, SnapError, SnapReader, SnapWriter};
 use hb_noc::{Coord, Packet};
 use std::collections::VecDeque;
@@ -30,6 +30,15 @@ enum Dst {
     Int(Gpr),
     /// FP register.
     Fp(Fpr),
+}
+
+impl Dst {
+    fn reg(self) -> Option<Reg> {
+        match self {
+            Dst::Int(rd) => Reg::gpr(rd),
+            Dst::Fp(rd) => Some(Reg::fpr(rd)),
+        }
+    }
 }
 
 /// The destinations of one remote load, one per word, held inline: a
@@ -160,16 +169,15 @@ pub struct Tile {
     spm: Vec<u8>,
     args: [u32; 8],
 
-    // Hazard tracking.
-    int_ready: [u64; 32],
-    fp_ready: [u64; 32],
-    int_ready_kind: [StallKind; 32],
-    fp_ready_kind: [StallKind; 32],
-    int_pending: [bool; 32],
-    fp_pending: [bool; 32],
+    // Hazard tracking, one entry per `hb_isa::Reg` index (integer half
+    // first): the cycle a result becomes visible and the stall it causes
+    // until then, and whether a remote load or AMO will write the register.
+    ready: [u64; Reg::COUNT],
+    ready_kind: [StallKind; Reg::COUNT],
+    pending: [bool; Reg::COUNT],
     fpu_busy_until: u64,
     div_busy_until: u64,
-    /// Hazard horizon: an upper bound on every `int_ready`/`fp_ready` entry
+    /// Hazard horizon: an upper bound on every `ready` entry
     /// and both `*_busy_until`s, so that with no remote operation
     /// outstanding and `now >= haz_until` no instruction can have a hazard
     /// and [`Tile::execute`] skips the check. Raised wherever those are
@@ -332,11 +340,11 @@ hb_mem::snap_value!(GroupInfo {
 // to set: `observed` keeps its byte in the stream, but the machine
 // overwrites it after a load with whether it has an observer attached.
 hb_mem::snap_state!(Tile [b"TILE"] {
-    save: group, regs, fregs, pc, args, int_ready, fp_ready, int_ready_kind, fp_ready_kind,
-        int_pending, fp_pending, fpu_busy_until, div_busy_until, penalty_until, penalty_kind,
-        icache, outstanding, next_op_id, pending_ops, blocking_on, combine, req_outbox,
-        resp_outbox, req_inbox, resp_inbox, resp_stage, wants_join, barrier_waiting, running,
-        finished, fault, stats, last_cycle, observed, obs_events, prof;
+    save: group, regs, fregs, pc, args, ready, ready_kind, pending, fpu_busy_until,
+        div_busy_until, penalty_until, penalty_kind, icache, outstanding, next_op_id,
+        pending_ops, blocking_on, combine, req_outbox, resp_outbox, req_inbox, resp_inbox,
+        resp_stage, wants_join, barrier_waiting, running, finished, fault, stats, last_cycle,
+        observed, obs_events, prof;
     fixed: spm;
     host: cfg, pgas, xy, haz_until, program, race_check, race_log, race_join_unfenced,
         profile;
@@ -364,12 +372,9 @@ impl Tile {
             pc: 0,
             spm,
             args: [0; 8],
-            int_ready: [0; 32],
-            fp_ready: [0; 32],
-            int_ready_kind: [StallKind::Bypass; 32],
-            fp_ready_kind: [StallKind::Bypass; 32],
-            int_pending: [false; 32],
-            fp_pending: [false; 32],
+            ready: [0; Reg::COUNT],
+            ready_kind: [StallKind::Bypass; Reg::COUNT],
+            pending: [false; Reg::COUNT],
             fpu_busy_until: 0,
             div_busy_until: 0,
             haz_until: 0,
@@ -516,10 +521,8 @@ impl Tile {
         assert!(args.len() <= 8, "at most 8 kernel arguments");
         self.regs = [0; 32];
         self.fregs = [0.0; 32];
-        self.int_ready = [0; 32];
-        self.fp_ready = [0; 32];
-        self.int_pending = [false; 32];
-        self.fp_pending = [false; 32];
+        self.ready = [0; Reg::COUNT];
+        self.pending = [false; Reg::COUNT];
         self.fpu_busy_until = 0;
         self.div_busy_until = 0;
         self.haz_until = 0;
@@ -674,10 +677,8 @@ impl Tile {
         self.fregs = *fregs;
         self.pc = pc;
         self.spm.copy_from_slice(spm);
-        self.int_ready = [0; 32];
-        self.fp_ready = [0; 32];
-        self.int_pending = [false; 32];
-        self.fp_pending = [false; 32];
+        self.ready = [0; Reg::COUNT];
+        self.pending = [false; Reg::COUNT];
         self.wants_join = false;
         self.barrier_waiting = false;
         self.blocking_on = None;
@@ -797,7 +798,7 @@ impl Tile {
     /// After a restore: re-derives the hazard horizon, which is not in the
     /// stream, from the ready and busy times that are.
     fn check_restored(&mut self) -> Result<(), hb_mem::SnapError> {
-        let ready = self.int_ready.iter().chain(&self.fp_ready).copied().max();
+        let ready = self.ready.iter().copied().max();
         self.haz_until = ready
             .unwrap_or(0)
             .max(self.fpu_busy_until)
@@ -805,44 +806,14 @@ impl Tile {
         Ok(())
     }
 
-    fn set_int_latency(&mut self, rd: Gpr, now: u64, lat: u64, kind: StallKind) {
-        if rd != Gpr::Zero && lat > 1 {
-            self.int_ready[rd.index() as usize] = now + lat;
-            self.int_ready_kind[rd.index() as usize] = kind;
+    /// A result written at `now` becomes visible `lat` cycles later; until
+    /// then a reader stalls as `kind`.
+    fn set_latency(&mut self, rd: impl Into<Option<Reg>>, now: u64, lat: u64, kind: StallKind) {
+        if let Some(rd) = rd.into().filter(|_| lat > 1) {
+            self.ready[rd.index()] = now + lat;
+            self.ready_kind[rd.index()] = kind;
             self.raise_horizon(now + lat);
         }
-    }
-
-    fn set_fp_latency(&mut self, rd: Fpr, now: u64, lat: u64, kind: StallKind) {
-        if lat > 1 {
-            self.fp_ready[rd.index() as usize] = now + lat;
-            self.fp_ready_kind[rd.index() as usize] = kind;
-            self.raise_horizon(now + lat);
-        }
-    }
-
-    /// Checks an integer source register; returns the stall cause if it is
-    /// not yet usable.
-    fn int_hazard(&self, r: Gpr, now: u64) -> Option<StallKind> {
-        let i = r.index() as usize;
-        if self.int_pending[i] {
-            return Some(StallKind::RemoteLoad);
-        }
-        if self.int_ready[i] > now {
-            return Some(self.int_ready_kind[i]);
-        }
-        None
-    }
-
-    fn fp_hazard(&self, r: Fpr, now: u64) -> Option<StallKind> {
-        let i = r.index() as usize;
-        if self.fp_pending[i] {
-            return Some(StallKind::RemoteLoad);
-        }
-        if self.fp_ready[i] > now {
-            return Some(self.fp_ready_kind[i]);
-        }
-        None
     }
 
     /// Processes all arrived responses: fills registers, releases the
@@ -969,10 +940,8 @@ impl Tile {
     }
 
     fn set_pending(&mut self, dst: Dst, pending: bool) {
-        match dst {
-            Dst::Int(Gpr::Zero) => {}
-            Dst::Int(rd) => self.int_pending[rd.index() as usize] = pending,
-            Dst::Fp(rd) => self.fp_pending[rd.index() as usize] = pending,
+        if let Some(rd) = dst.reg() {
+            self.pending[rd.index()] = pending;
         }
     }
 
@@ -1277,7 +1246,7 @@ impl Tile {
             return (self.outstanding > 0).then_some(StallKind::Fence);
         }
         // `RemoteLoad` from `instr_hazard` can only come from a pending
-        // bit (ready-kind arrays never hold it), the first-checked
+        // bit (`ready_kind` never holds it), the first-checked
         // blocking source stays first and pending until a response
         // delivery, and deliveries always wake — so the stall kind is
         // constant over the whole sleep.
@@ -1375,7 +1344,7 @@ impl Tile {
                     } else {
                         self.cfg.mul_latency
                     };
-                    self.set_int_latency(rd, now, lat, StallKind::IntBusy);
+                    self.set_latency(Reg::gpr(rd), now, lat, StallKind::IntBusy);
                 }
             }
             I::Fence => {
@@ -1456,21 +1425,22 @@ impl Tile {
                 let a = self.fregs[rs1.index() as usize];
                 let b = self.fregs[rs2.index() as usize];
                 self.fregs[rd.index() as usize] = op.eval(a, b);
+                let fd = Reg::fpr(rd);
                 match op {
                     hb_isa::FpOp::Div => {
                         self.fpu_busy_until = now + self.cfg.fdiv_latency;
                         self.raise_horizon(self.fpu_busy_until);
-                        self.set_fp_latency(rd, now, self.cfg.fdiv_latency, StallKind::FpBusy);
+                        self.set_latency(fd, now, self.cfg.fdiv_latency, StallKind::FpBusy);
                     }
                     hb_isa::FpOp::Sqrt => {
                         self.fpu_busy_until = now + self.cfg.fsqrt_latency;
                         self.raise_horizon(self.fpu_busy_until);
-                        self.set_fp_latency(rd, now, self.cfg.fsqrt_latency, StallKind::FpBusy);
+                        self.set_latency(fd, now, self.cfg.fsqrt_latency, StallKind::FpBusy);
                     }
                     hb_isa::FpOp::Mul => {
-                        self.set_fp_latency(rd, now, self.cfg.fma_latency, StallKind::Bypass);
+                        self.set_latency(fd, now, self.cfg.fma_latency, StallKind::Bypass);
                     }
-                    _ => self.set_fp_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass),
+                    _ => self.set_latency(fd, now, self.cfg.fp_latency, StallKind::Bypass),
                 }
             }
             I::Fma {
@@ -1485,38 +1455,38 @@ impl Tile {
                 let b = self.fregs[rs2.index() as usize];
                 let c = self.fregs[rs3.index() as usize];
                 self.fregs[rd.index() as usize] = op.eval(a, b, c);
-                self.set_fp_latency(rd, now, self.cfg.fma_latency, StallKind::Bypass);
+                self.set_latency(Reg::fpr(rd), now, self.cfg.fma_latency, StallKind::Bypass);
             }
             I::FpCmp { op, rd, rs1, rs2 } => {
                 fp_instr = true;
                 let a = self.fregs[rs1.index() as usize];
                 let b = self.fregs[rs2.index() as usize];
                 self.write_int(rd, u32::from(op.eval(a, b)));
-                self.set_int_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
+                self.set_latency(Reg::gpr(rd), now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtWS { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.fregs[rs1.index() as usize];
                 self.write_int(rd, v as i32 as u32);
-                self.set_int_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
+                self.set_latency(Reg::gpr(rd), now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtWuS { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.fregs[rs1.index() as usize];
                 self.write_int(rd, v as u32);
-                self.set_int_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
+                self.set_latency(Reg::gpr(rd), now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtSW { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.regs[rs1.index() as usize] as i32;
                 self.fregs[rd.index() as usize] = v as f32;
-                self.set_fp_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
+                self.set_latency(Reg::fpr(rd), now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FcvtSWu { rd, rs1 } => {
                 fp_instr = true;
                 let v = self.regs[rs1.index() as usize];
                 self.fregs[rd.index() as usize] = v as f32;
-                self.set_fp_latency(rd, now, self.cfg.fp_latency, StallKind::Bypass);
+                self.set_latency(Reg::fpr(rd), now, self.cfg.fp_latency, StallKind::Bypass);
             }
             I::FmvXW { rd, rs1 } => {
                 fp_instr = true;
@@ -1540,66 +1510,31 @@ impl Tile {
         }
     }
 
-    /// Checks all source and structural hazards for `instr`.
+    /// The stall `instr` takes this cycle, if any: a source that is not yet
+    /// written (in operand order), then a destination a remote load or AMO
+    /// will still write, then a busy divider or FP divide/sqrt unit.
     fn instr_hazard(&self, instr: &Instr, now: u64) -> Option<StallKind> {
-        use Instr as I;
-        let int = |r: Gpr| self.int_hazard(r, now);
-        let fp = |r: Fpr| self.fp_hazard(r, now);
-        // Destination-pending (WAW on remote loads) also stalls.
-        let int_dst = |r: Gpr| {
-            if r != Gpr::Zero && self.int_pending[r.index() as usize] {
-                Some(StallKind::RemoteLoad)
-            } else {
-                None
+        let ops = instr.operands();
+        for r in ops.srcs.into_iter().flatten() {
+            if self.pending[r.index()] {
+                return Some(StallKind::RemoteLoad);
             }
-        };
-        let fp_dst = |r: Fpr| {
-            if self.fp_pending[r.index() as usize] {
-                Some(StallKind::RemoteLoad)
-            } else {
-                None
+            if self.ready[r.index()] > now {
+                return Some(self.ready_kind[r.index()]);
             }
-        };
+        }
+        if ops.dst.is_some_and(|r| self.pending[r.index()]) {
+            return Some(StallKind::RemoteLoad);
+        }
         match *instr {
-            I::Lui { rd, .. } | I::Auipc { rd, .. } => int_dst(rd),
-            I::Jal { rd, .. } => int_dst(rd),
-            I::Jalr { rd, rs1, .. } => int(rs1).or_else(|| int_dst(rd)),
-            I::Branch { rs1, rs2, .. } => int(rs1).or_else(|| int(rs2)),
-            I::Load { rd, rs1, .. } => int(rs1).or_else(|| int_dst(rd)),
-            I::Store { rs1, rs2, .. } => int(rs1).or_else(|| int(rs2)),
-            I::OpImm { rd, rs1, .. } => int(rs1).or_else(|| int_dst(rd)),
-            I::Op { op, rd, rs1, rs2 } => int(rs1).or_else(|| int(rs2)).or_else(|| int_dst(rd)).or(
-                if op.is_muldiv() && self.div_busy_until > now {
-                    Some(StallKind::IntBusy)
-                } else {
-                    None
-                },
-            ),
-            I::Fence | I::Ecall | I::Ebreak => None,
-            I::Amo { rd, rs1, rs2, .. } => int(rs1).or_else(|| int(rs2)).or_else(|| int_dst(rd)),
-            I::LrW { rd, rs1, .. } => int(rs1).or_else(|| int_dst(rd)),
-            I::ScW { rd, rs1, rs2, .. } => int(rs1).or_else(|| int(rs2)).or_else(|| int_dst(rd)),
-            I::Flw { rd, rs1, .. } => int(rs1).or_else(|| fp_dst(rd)),
-            I::Fsw { rs1, rs2, .. } => int(rs1).or_else(|| fp(rs2)),
-            I::FpOp { op, rd, rs1, rs2 } => fp(rs1).or_else(|| fp(rs2)).or_else(|| fp_dst(rd)).or(
-                if matches!(op, hb_isa::FpOp::Div | hb_isa::FpOp::Sqrt) && self.fpu_busy_until > now
-                {
-                    Some(StallKind::FpBusy)
-                } else {
-                    None
-                },
-            ),
-            I::Fma {
-                rd, rs1, rs2, rs3, ..
-            } => fp(rs1)
-                .or_else(|| fp(rs2))
-                .or_else(|| fp(rs3))
-                .or_else(|| fp_dst(rd)),
-            I::FpCmp { rd, rs1, rs2, .. } => fp(rs1).or_else(|| fp(rs2)).or_else(|| int_dst(rd)),
-            I::FcvtWS { rd, rs1 } | I::FcvtWuS { rd, rs1 } => int_dst(rd).or_else(|| fp(rs1)),
-            I::FcvtSW { rd, rs1 } | I::FcvtSWu { rd, rs1 } => int(rs1).or_else(|| fp_dst(rd)),
-            I::FmvXW { rd, rs1 } => fp(rs1).or_else(|| int_dst(rd)),
-            I::FmvWX { rd, rs1 } => int(rs1).or_else(|| fp_dst(rd)),
+            Instr::Op { op, .. } if op.is_muldiv() && self.div_busy_until > now => {
+                Some(StallKind::IntBusy)
+            }
+            Instr::FpOp {
+                op: hb_isa::FpOp::Div | hb_isa::FpOp::Sqrt,
+                ..
+            } if self.fpu_busy_until > now => Some(StallKind::FpBusy),
+            _ => None,
         }
     }
 
@@ -1681,10 +1616,7 @@ impl Tile {
                 // store can land here), so local reads are race-relevant.
                 self.push_race(now, loc, AccessKind::Read, false);
                 let lat = self.cfg.spm_load_latency;
-                match dst {
-                    Dst::Int(rd) => self.set_int_latency(rd, now, lat, StallKind::LocalLoad),
-                    Dst::Fp(rd) => self.set_fp_latency(rd, now, lat, StallKind::LocalLoad),
-                }
+                self.set_latency(dst.reg(), now, lat, StallKind::LocalLoad);
                 extend(read_bytes(&self.spm, offset, width), width, signed)
             }
             Ok(Access::Csr { offset }) => match self.csr_read(offset, now) {
@@ -2199,7 +2131,7 @@ mod tests {
 
     #[test]
     fn tile_fits_in_1700_bytes() {
-        // The two ready-kind arrays hold one byte per register
+        // The ready-kind array holds one byte per register
         // (`StallKind` is `repr(u8)`), not one word: 2096 -> 1656 bytes.
         let size = std::mem::size_of::<Tile>();
         assert!(size <= 1700, "Tile grew to {size} bytes");

@@ -459,3 +459,22 @@ fn a_relaunch_after_a_timeout_drops_the_abandoned_responses() {
     clean(&mut m, buf).unwrap();
     assert_eq!(results(&mut m, buf), expect);
 }
+
+/// `fsqrt.s` reads rs1 only. Its encoding fills rs2 with `f0`, so a
+/// scoreboard that read rs2 would hold the sqrt until an unrelated load
+/// into `ft0` came back. The sqrt retires without waiting for it.
+#[test]
+fn fsqrt_does_not_wait_on_a_pending_f0() {
+    let mut m = Machine::new(MachineConfig {
+        cell_dim: CellDim { x: 1, y: 1 },
+        ..MachineConfig::baseline_16x8()
+    });
+    let mut a = Assembler::new();
+    a.flw(hb_isa::Fpr::Ft0, A0, 0);
+    a.fsqrt(hb_isa::Fpr::Fa0, hb_isa::Fpr::Fa1);
+    a.ecall();
+    let p = Arc::new(a.assemble(0).unwrap());
+    m.launch(0, &p, &[pgas::local_dram(0)]);
+    let summary = m.run(100_000).unwrap();
+    assert_eq!(summary.core.stall(StallKind::RemoteLoad), 0);
+}

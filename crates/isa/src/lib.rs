@@ -5,12 +5,14 @@
 //! (`F`) extensions. This crate provides:
 //!
 //! - typed register names ([`Gpr`], [`Fpr`]) with the standard ABI mnemonics,
+//!   and one index over both files ([`Reg`]),
 //! - a structured [`Instr`] enum covering every instruction the simulator
 //!   executes,
 //! - binary [`encode`](Instr::encode) / [`decode`] round-tripping the real
 //!   RV32 encodings, so program images stored in simulated DRAM are genuine
 //!   RISC-V machine code,
-//! - a disassembler via [`Instr`]'s `Display` implementation.
+//! - a disassembler via [`Instr`]'s `Display` implementation,
+//! - the registers each instruction reads and writes ([`Instr::operands`]).
 //!
 //! # Examples
 //!
@@ -29,10 +31,12 @@ mod decode;
 mod disasm;
 mod encode;
 mod instr;
+mod operands;
 mod reg;
 
 pub use decode::{decode, DecodeError};
 pub use instr::{AmoOp, BranchOp, FmaOp, FpCmp, FpOp, Instr, LoadWidth, OpImmOp, OpOp, StoreWidth};
+pub use operands::{Operands, Reg};
 pub use reg::{Fpr, Gpr, ParseRegError};
 
 /// Size of one instruction in bytes. RV32 instructions are fixed 32-bit.

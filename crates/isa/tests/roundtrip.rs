@@ -211,6 +211,39 @@ fn decode_is_partial_inverse() {
     }
 }
 
+/// `operands()` names exactly the registers the disassembly prints, `x0`
+/// left out, with the destination printed first: the printer is written
+/// per format and independently of the operand table, and `fsqrt.s` prints
+/// no rs2.
+#[test]
+fn operands_are_the_registers_the_disassembly_names() {
+    let mut rng = Rng::seed_from_u64(0x150_0008);
+    for _ in 0..4096 {
+        let instr = decode(any_instr(&mut rng).encode()).unwrap();
+        let text = instr.to_string();
+        let named: Vec<Reg> = text
+            .split([' ', ',', '(', ')'])
+            .skip(1)
+            .filter_map(|t| match (t.parse::<Gpr>(), t.parse::<Fpr>()) {
+                (Ok(r), _) => Reg::gpr(r),
+                (_, Ok(r)) => Some(Reg::fpr(r)),
+                _ => None,
+            })
+            .collect();
+        let ops = instr.operands();
+        let mut listed: Vec<Reg> = ops.srcs.iter().flatten().chain(&ops.dst).copied().collect();
+        let mut printed = named.clone();
+        for regs in [&mut listed, &mut printed] {
+            regs.sort_unstable();
+            regs.dedup();
+        }
+        assert_eq!(listed, printed, "`{text}`: {ops:?}");
+        if let Some(rd) = ops.dst {
+            assert_eq!(named[0], rd, "`{text}` prints its destination first");
+        }
+    }
+}
+
 /// M-extension division conventions.
 #[test]
 fn div_by_zero_conventions() {

@@ -51,7 +51,7 @@ pub use fft::Fft;
 pub use jacobi::Jacobi;
 pub use pr::PageRank;
 pub use sgemm::Sgemm;
-pub use spgemm::SpGemm;
+pub use spgemm::{SpGemm, SpGemmTask};
 pub use sw::SmithWaterman;
 
 type New = fn() -> Box<dyn Kernel>;

@@ -9,12 +9,13 @@
 use crate::bench::{run_fresh, BenchStats, Benchmark, Kernel, Launch, SizeClass};
 use crate::util::{alloc_f32, alloc_u32, prologue};
 use hb_asm::{Assembler, Program};
-use hb_core::{pgas, Machine, MachineConfig, SimError};
+use hb_core::{pgas, Cell, Machine, MachineConfig, SimError};
 use hb_isa::{Fpr::*, Gpr::*};
 use hb_workloads::{gen, golden, CsrMatrix};
 use std::sync::Arc;
 
-/// Descriptor word indices (see [`SpGemm::execute`]).
+/// Descriptor word indices (read by [`SpGemm::program`], written by
+/// [`SpGemm::alloc_task`]).
 const D_A_RP: u32 = 0;
 const D_A_CI: u32 = 1;
 const D_A_AV: u32 = 2;
@@ -203,6 +204,84 @@ impl SpGemm {
         let b = gen::uniform_sparse(self.n, self.n, self.nnz_per_row, 0x5B);
         (a, b)
     }
+
+    /// Writes the operands into `cell`'s DRAM once for every task that
+    /// multiplies them: `a` then `b`, each as row pointers, column indices
+    /// and values.
+    pub fn alloc_inputs(cell: &mut Cell, a: &CsrMatrix, b: &CsrMatrix) -> [u32; 6] {
+        [
+            alloc_u32(cell, &a.row_ptr),
+            alloc_u32(cell, &a.col_idx),
+            alloc_f32(cell, &a.vals),
+            alloc_u32(cell, &b.row_ptr),
+            alloc_u32(cell, &b.col_idx),
+            alloc_f32(cell, &b.vals),
+        ]
+    }
+
+    /// Allocates one task over the shared `inputs` ([`SpGemm::alloc_inputs`]):
+    /// its row and nonzero counters, its output triples with room for
+    /// `expect` (the `golden::spgemm` product) and its descriptor.
+    pub fn alloc_task(cell: &mut Cell, inputs: [u32; 6], expect: &Arc<CsrMatrix>) -> SpGemmTask {
+        let q0 = alloc_u32(cell, &[0]);
+        let nnz = alloc_u32(cell, &[0]);
+        let max_out = expect.nnz() as u32 + 64;
+        let out = [(); 3].map(|()| cell.alloc(max_out * 4, 64));
+        // In word order, `D_A_RP` through `D_B_COLS`.
+        let mut desc: Vec<u32> = [&inputs[..], &[q0, nnz], &out]
+            .concat()
+            .into_iter()
+            .map(pgas::local_dram)
+            .collect();
+        desc.extend([expect.rows, expect.cols]);
+        debug_assert_eq!(desc.len(), DESC_WORDS as usize);
+        SpGemmTask {
+            arg: pgas::local_dram(alloc_u32(cell, &desc)),
+            nnz,
+            out,
+            expect: Arc::clone(expect),
+        }
+    }
+}
+
+/// One SpGEMM task in Cell 0 (see [`SpGemm::alloc_task`]).
+#[derive(Debug)]
+pub struct SpGemmTask {
+    /// The task's launch argument: its descriptor's EVA.
+    pub arg: u32,
+    nnz: u32,
+    out: [u32; 3],
+    expect: Arc<CsrMatrix>,
+}
+
+impl SpGemmTask {
+    /// Asserts that the task wrote exactly the expected product: the
+    /// nonzero count, the pattern, and every value to a relative 1e-3.
+    pub fn check(&self, machine: &Machine) {
+        let expect = &*self.expect;
+        let dram = machine.cell(0).dram();
+        let got_nnz = dram.read_u32(self.nnz) as usize;
+        assert_eq!(got_nnz, expect.nnz(), "SpGEMM nonzero count mismatch");
+        let [out_i, out_j, out_v] = self.out;
+        let is = dram.read_u32_slice(out_i, got_nnz);
+        let js = dram.read_u32_slice(out_j, got_nnz);
+        let vs = dram.read_f32_slice(out_v, got_nnz);
+        let triples: Vec<(u32, u32, f32)> = is
+            .into_iter()
+            .zip(js)
+            .zip(vs)
+            .map(|((i, j), v)| (i, j, v))
+            .collect();
+        let got = CsrMatrix::from_triples(expect.rows, expect.cols, &triples);
+        assert_eq!(got.row_ptr, expect.row_ptr, "SpGEMM structure mismatch");
+        assert_eq!(got.col_idx, expect.col_idx, "SpGEMM pattern mismatch");
+        for (i, (g, e)) in got.vals.iter().zip(&expect.vals).enumerate() {
+            assert!(
+                (g - e).abs() <= e.abs() * 1e-3 + 1e-5,
+                "SpGEMM value mismatch at nz {i}: {g} vs {e}"
+            );
+        }
+    }
 }
 
 impl Benchmark for SpGemm {
@@ -231,66 +310,15 @@ impl Kernel for SpGemm {
         let (am, bm) = sized.inputs();
         // The output buffers are sized from the product, so this kernel
         // multiplies on the host before the launch, not in `check`.
-        let expect = golden::spgemm(&am, &bm);
-
+        let expect = Arc::new(golden::spgemm(&am, &bm));
         let cell = machine.cell_mut(0);
-        let a_rp = alloc_u32(cell, &am.row_ptr);
-        let a_ci = alloc_u32(cell, &am.col_idx);
-        let a_av = alloc_f32(cell, &am.vals);
-        let b_rp = alloc_u32(cell, &bm.row_ptr);
-        let b_ci = alloc_u32(cell, &bm.col_idx);
-        let b_av = alloc_f32(cell, &bm.vals);
-        let q0 = alloc_u32(cell, &[0]);
-        let nnz = alloc_u32(cell, &[0]);
-        let max_out = expect.nnz() as u32 + 64;
-        let out_i = cell.alloc(max_out * 4, 64);
-        let out_j = cell.alloc(max_out * 4, 64);
-        let out_v = cell.alloc(max_out * 4, 64);
-        let desc_vals = [
-            pgas::local_dram(a_rp),
-            pgas::local_dram(a_ci),
-            pgas::local_dram(a_av),
-            pgas::local_dram(b_rp),
-            pgas::local_dram(b_ci),
-            pgas::local_dram(b_av),
-            pgas::local_dram(q0),
-            pgas::local_dram(nnz),
-            pgas::local_dram(out_i),
-            pgas::local_dram(out_j),
-            pgas::local_dram(out_v),
-            am.rows,
-            bm.cols,
-        ];
-        debug_assert_eq!(desc_vals.len(), DESC_WORDS as usize);
-        let desc = alloc_u32(cell, &desc_vals);
-
+        let inputs = Self::alloc_inputs(cell, &am, &bm);
+        let task = Self::alloc_task(cell, inputs, &expect);
         Launch {
             program: Arc::new(Self::program()),
-            args: vec![pgas::local_dram(desc)],
+            args: vec![task.arg],
             work_units: 1.0,
-            check: Box::new(move |machine| {
-                let dram = machine.cell(0).dram();
-                let got_nnz = dram.read_u32(nnz) as usize;
-                assert_eq!(got_nnz, expect.nnz(), "SpGEMM nonzero count mismatch");
-                let is = dram.read_u32_slice(out_i, got_nnz);
-                let js = dram.read_u32_slice(out_j, got_nnz);
-                let vs = dram.read_f32_slice(out_v, got_nnz);
-                let triples: Vec<(u32, u32, f32)> = is
-                    .into_iter()
-                    .zip(js)
-                    .zip(vs)
-                    .map(|((i, j), v)| (i, j, v))
-                    .collect();
-                let got = CsrMatrix::from_triples(am.rows, bm.cols, &triples);
-                assert_eq!(got.row_ptr, expect.row_ptr, "SpGEMM structure mismatch");
-                assert_eq!(got.col_idx, expect.col_idx, "SpGEMM pattern mismatch");
-                for (i, (g, e)) in got.vals.iter().zip(&expect.vals).enumerate() {
-                    assert!(
-                        (g - e).abs() <= e.abs() * 1e-3 + 1e-5,
-                        "SpGEMM value mismatch at nz {i}: {g} vs {e}"
-                    );
-                }
-            }),
+            check: Box::new(move |machine| task.check(machine)),
         }
     }
 }

@@ -19,11 +19,10 @@
 //! (`BarrierPhases`) that the `barrier-mismatch` check reads too.
 
 use crate::cfg::{Cfg, Terminator};
-use crate::dataflow::defs_uses;
 use crate::{Diagnostic, LintConfig, Rule, Severity};
 use hb_core::pgas::{csr, Eva, EvaFault};
 use hb_core::AccessKind;
-use hb_isa::{BranchOp, Fpr, Gpr, Instr, OpImmOp, OpOp, INSTR_BYTES};
+use hb_isa::{BranchOp, Gpr, Instr, OpImmOp, OpOp, Reg, INSTR_BYTES};
 use std::collections::HashSet;
 
 /// Sentinel for an interval bound that widening has given up on.
@@ -411,25 +410,18 @@ impl Interp<'_> {
         // A read of a register with an in-flight remote value stalls the
         // core until the value arrives (per-register interlock), after
         // which that operation has retired.
-        let (defs, uses) = defs_uses(&instr);
+        let ops = instr.operands();
+        let (defs, uses) = (ops.defs(), ops.uses());
         let stalled = uses & st.pending;
         if stalled != 0 {
-            for bit in 0..64u32 {
-                if stalled & (1 << bit) == 0 {
-                    continue;
-                }
-                let name = if bit < 32 {
-                    Gpr::from_index(bit as u8).abi_name()
-                } else {
-                    Fpr::from_index((bit - 32) as u8).abi_name()
-                };
+            for r in Reg::in_mask(stalled) {
                 self.emit(
                     &mut rec,
                     Severity::Info,
                     i,
                     Rule::RemoteUseStall,
                     format!(
-                        "{name} is consumed while its remote load may still be in flight; \
+                        "{r} is consumed while its remote load may still be in flight; \
                          the core stalls here (consider scheduling independent work first)"
                     ),
                 );
@@ -462,7 +454,7 @@ impl Interp<'_> {
                             | csr::TG_ADOPT
                             | csr::CYCLE
                     )
-                ) || st.div & reg_bit_gpr(rs1) != 0
+                ) || uses & st.div != 0
             }
             _ => uses & st.div != 0,
         };
@@ -526,12 +518,12 @@ impl Interp<'_> {
                 offset,
             } => {
                 let addr = self.effective(st, rs1, offset);
-                let v = self.load_effect(st, i, addr, width.bytes(), LoadDst::Int(rd), &mut rec);
+                let v = self.load_effect(st, i, addr, width.bytes(), defs, &mut rec);
                 st.set(rd, v);
             }
-            Instr::Flw { rd, rs1, offset } => {
+            Instr::Flw { rs1, offset, .. } => {
                 let addr = self.effective(st, rs1, offset);
-                self.load_effect(st, i, addr, 4, LoadDst::Fp(rd), &mut rec);
+                self.load_effect(st, i, addr, 4, defs, &mut rec);
             }
             Instr::Store {
                 width, rs1, offset, ..
@@ -583,11 +575,11 @@ impl Interp<'_> {
                     Class::Bad(rule, msg) => self.emit(&mut rec, Severity::Error, i, rule, msg),
                     Class::Remote => {
                         self.issue(st, i, 1, &mut rec);
-                        st.pending |= reg_bit_gpr(rd);
+                        st.pending |= defs;
                     }
                     Class::Unknown => {
                         st.ops.bump(0, 1);
-                        st.pending |= reg_bit_gpr(rd);
+                        st.pending |= defs;
                     }
                 }
                 if !csr {
@@ -669,14 +661,15 @@ impl Interp<'_> {
         }
     }
 
-    /// Returns the loaded value: a CSR's, or unknown for memory.
+    /// Returns the loaded value: a CSR's, or unknown for memory. A remote
+    /// (or unclassified) load leaves its destination mask `defs` pending.
     fn load_effect(
         &self,
         st: &mut State,
         i: usize,
         addr: AVal,
         width: u32,
-        dst: LoadDst,
+        defs: u64,
         rec: &mut Option<&mut Recorder>,
     ) -> AVal {
         match classify(addr, width, self.lc) {
@@ -703,14 +696,14 @@ impl Interp<'_> {
             }
             Class::Remote => {
                 self.issue(st, i, 1, rec);
-                st.pending |= dst.bit();
+                st.pending |= defs;
                 if let Some(r) = rec.as_deref_mut() {
                     r.remote_load_at[i] = true;
                 }
             }
             Class::Unknown => {
                 st.ops.bump(0, 1);
-                st.pending |= dst.bit();
+                st.pending |= defs;
             }
             Class::Bad(rule, msg) => self.emit(rec, Severity::Error, i, rule, msg),
         }
@@ -821,30 +814,6 @@ impl Interp<'_> {
             _ => None,
         };
         eq.map(|s| (s, rank))
-    }
-}
-
-#[derive(Clone, Copy)]
-enum LoadDst {
-    Int(Gpr),
-    Fp(Fpr),
-}
-
-impl LoadDst {
-    fn bit(self) -> u64 {
-        match self {
-            LoadDst::Int(Gpr::Zero) => 0,
-            LoadDst::Int(r) => 1u64 << r.index(),
-            LoadDst::Fp(r) => 1u64 << (32 + r.index()),
-        }
-    }
-}
-
-fn reg_bit_gpr(r: Gpr) -> u64 {
-    if r == Gpr::Zero {
-        0
-    } else {
-        1u64 << r.index()
     }
 }
 

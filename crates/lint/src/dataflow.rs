@@ -1,97 +1,27 @@
-//! Register dataflow over the CFG: def/use extraction, initialized-register
-//! analysis (use-before-def), backward liveness (dead writes), and
-//! unreachable-block detection.
+//! Register dataflow over the CFG: initialized-register analysis
+//! (use-before-def), backward liveness (dead writes), and unreachable-block
+//! detection.
 //!
-//! Registers are tracked in a 64-bit mask: bits 0–31 are GPRs `x0..x31`,
-//! bits 32–63 are FPRs `f0..f31`. `x0` (zero) is never a def or a use.
+//! Registers are tracked in a 64-bit mask of `hb_isa::Reg` bits, read off
+//! `Instr::operands`; `x0` (zero) is never a def or a use.
 
 use crate::cfg::{Cfg, Terminator};
 use crate::{Diagnostic, Rule, Severity};
-use hb_isa::{FpOp, Fpr, Gpr, Instr};
-
-/// Bit index of a GPR in a register mask.
-#[inline]
-fn gbit(r: Gpr) -> u64 {
-    1u64 << r.index()
-}
-
-/// Bit index of an FPR in a register mask.
-#[inline]
-fn fbit(r: Fpr) -> u64 {
-    1u64 << (32 + r.index())
-}
-
-fn gname(bit: u32) -> String {
-    if bit < 32 {
-        Gpr::from_index(bit as u8).abi_name().to_owned()
-    } else {
-        Fpr::from_index((bit - 32) as u8).abi_name().to_owned()
-    }
-}
-
-/// The registers an instruction reads and writes, as bit masks.
-///
-/// `x0` is excluded from both sides: writes to it are discarded by the
-/// hardware and its value is always defined.
-pub fn defs_uses(instr: &Instr) -> (u64, u64) {
-    let g = |r: Gpr| if r == Gpr::Zero { 0 } else { gbit(r) };
-    match *instr {
-        Instr::Lui { rd, .. } | Instr::Auipc { rd, .. } => (g(rd), 0),
-        Instr::Jal { rd, .. } => (g(rd), 0),
-        Instr::Jalr { rd, rs1, .. } => (g(rd), g(rs1)),
-        Instr::Branch { rs1, rs2, .. } => (0, g(rs1) | g(rs2)),
-        Instr::Load { rd, rs1, .. } => (g(rd), g(rs1)),
-        Instr::Store { rs1, rs2, .. } => (0, g(rs1) | g(rs2)),
-        Instr::OpImm { rd, rs1, .. } => (g(rd), g(rs1)),
-        Instr::Op { rd, rs1, rs2, .. } => (g(rd), g(rs1) | g(rs2)),
-        Instr::Fence | Instr::Ecall | Instr::Ebreak => (0, 0),
-        Instr::Amo { rd, rs1, rs2, .. } => (g(rd), g(rs1) | g(rs2)),
-        Instr::LrW { rd, rs1, .. } => (g(rd), g(rs1)),
-        Instr::ScW { rd, rs1, rs2, .. } => (g(rd), g(rs1) | g(rs2)),
-        Instr::Flw { rd, rs1, .. } => (fbit(rd), g(rs1)),
-        Instr::Fsw { rs1, rs2, .. } => (0, g(rs1) | fbit(rs2)),
-        Instr::FpOp { op, rd, rs1, rs2 } => {
-            // fsqrt.s encodes rs2 as a don't-care field; reading it would
-            // make every kernel's first sqrt a false use-before-def.
-            let uses = if op == FpOp::Sqrt {
-                fbit(rs1)
-            } else {
-                fbit(rs1) | fbit(rs2)
-            };
-            (fbit(rd), uses)
-        }
-        Instr::Fma {
-            rd, rs1, rs2, rs3, ..
-        } => (fbit(rd), fbit(rs1) | fbit(rs2) | fbit(rs3)),
-        Instr::FpCmp { rd, rs1, rs2, .. } => (g(rd), fbit(rs1) | fbit(rs2)),
-        Instr::FcvtWS { rd, rs1 } | Instr::FcvtWuS { rd, rs1 } => (g(rd), fbit(rs1)),
-        Instr::FcvtSW { rd, rs1 } | Instr::FcvtSWu { rd, rs1 } => (fbit(rd), g(rs1)),
-        Instr::FmvXW { rd, rs1 } => (g(rd), fbit(rs1)),
-        Instr::FmvWX { rd, rs1 } => (fbit(rd), g(rs1)),
-    }
-}
+use hb_isa::{Gpr, Instr, Reg};
 
 /// Registers guaranteed to hold meaningful values when `Tile::launch` starts
-/// a program: `zero`, `sp` (top of SPM) and the kernel arguments `a0..a7`.
+/// a program: `sp` (top of SPM) and the kernel arguments `a0..a7` (`zero`
+/// is never a use).
 ///
 /// `Tile::launch` zeroes every other register, so reading one is not
 /// undefined behaviour in the simulator — but it is almost always a kernel
 /// bug, because no meaningful value was ever placed there.
 pub fn entry_defined() -> u64 {
-    let mut m = gbit(Gpr::Zero) | gbit(Gpr::Sp);
-    for r in [
-        Gpr::A0,
-        Gpr::A1,
-        Gpr::A2,
-        Gpr::A3,
-        Gpr::A4,
-        Gpr::A5,
-        Gpr::A6,
-        Gpr::A7,
-    ] {
-        m |= gbit(r);
-    }
-    m
+    use Gpr::*;
+    [Sp, A0, A1, A2, A3, A4, A5, A6, A7]
+        .into_iter()
+        .flat_map(Reg::gpr)
+        .fold(0, |m, r| m | r.bit())
 }
 
 /// Runs the forward initialized-registers analysis and reports
@@ -116,7 +46,7 @@ pub fn check_use_before_def(cfg: &Cfg, instrs: &[Instr], diags: &mut Vec<Diagnos
         .map(|b| {
             instrs[b.start..b.end]
                 .iter()
-                .fold(0, |m, instr| m | defs_uses(instr).0)
+                .fold(0, |m, instr| m | instr.operands().defs())
         })
         .collect();
 
@@ -165,36 +95,34 @@ pub fn check_use_before_def(cfg: &Cfg, instrs: &[Instr], diags: &mut Vec<Diagnos
         let mut must = must_in[bi];
         for (off, instr) in instrs[b.start..b.end].iter().enumerate() {
             let i = b.start + off;
-            let (d, u) = defs_uses(instr);
+            let ops = instr.operands();
+            let u = ops.uses();
             let never = u & !may;
             let maybe = u & may & !must;
-            for bit in 0..64 {
-                let m = 1u64 << bit;
-                if never & m != 0 {
+            for r in Reg::in_mask(never | maybe) {
+                if never & r.bit() != 0 {
                     diags.push(Diagnostic {
                         severity: Severity::Error,
                         pc: Some(cfg.pc_of(i)),
                         rule: Rule::UseBeforeDef,
                         message: format!(
-                            "register {} is read but never written on any path to this point \
-                             (launch zeroes it, so this reads 0)",
-                            gname(bit)
+                            "register {r} is read but never written on any path to this point \
+                             (launch zeroes it, so this reads 0)"
                         ),
                     });
-                } else if maybe & m != 0 {
+                } else {
                     diags.push(Diagnostic {
                         severity: Severity::Warning,
                         pc: Some(cfg.pc_of(i)),
                         rule: Rule::UseBeforeDef,
                         message: format!(
-                            "register {} may be read before it is written on some path",
-                            gname(bit)
+                            "register {r} may be read before it is written on some path"
                         ),
                     });
                 }
             }
-            may |= d;
-            must |= d;
+            may |= ops.defs();
+            must |= ops.defs();
         }
     }
 }
@@ -217,9 +145,9 @@ pub fn check_dead_writes(cfg: &Cfg, instrs: &[Instr], diags: &mut Vec<Diagnostic
     let mut def_b = vec![0u64; n];
     for (bi, b) in cfg.blocks.iter().enumerate() {
         for instr in &instrs[b.start..b.end] {
-            let (d, u) = defs_uses(instr);
-            use_b[bi] |= u & !def_b[bi];
-            def_b[bi] |= d;
+            let ops = instr.operands();
+            use_b[bi] |= ops.uses() & !def_b[bi];
+            def_b[bi] |= ops.defs();
         }
     }
 
@@ -258,8 +186,8 @@ pub fn check_dead_writes(cfg: &Cfg, instrs: &[Instr], diags: &mut Vec<Diagnostic
         let mut live = live_out[bi];
         // Walk backwards through the block.
         for i in (b.start..b.end).rev() {
-            let (d, u) = defs_uses(&instrs[i]);
-            if d != 0 && d & live == 0 {
+            let ops = instrs[i].operands();
+            if let Some(rd) = ops.dst.filter(|rd| rd.bit() & live == 0) {
                 let is_load = matches!(instrs[i], Instr::Load { .. } | Instr::Flw { .. });
                 let is_amo = matches!(
                     instrs[i],
@@ -267,7 +195,6 @@ pub fn check_dead_writes(cfg: &Cfg, instrs: &[Instr], diags: &mut Vec<Diagnostic
                 );
                 let is_link = matches!(instrs[i], Instr::Jal { .. } | Instr::Jalr { .. });
                 if !is_amo && !is_link {
-                    let bit = d.trailing_zeros();
                     diags.push(Diagnostic {
                         severity: if is_load {
                             Severity::Info
@@ -277,18 +204,15 @@ pub fn check_dead_writes(cfg: &Cfg, instrs: &[Instr], diags: &mut Vec<Diagnostic
                         pc: Some(cfg.pc_of(i)),
                         rule: Rule::DeadWrite,
                         message: if is_load {
-                            format!(
-                                "loaded value in {} is never read (prefetch, or dead load?)",
-                                gname(bit)
-                            )
+                            format!("loaded value in {rd} is never read (prefetch, or dead load?)")
                         } else {
-                            format!("value written to {} is never read", gname(bit))
+                            format!("value written to {rd} is never read")
                         },
                     });
                 }
             }
-            live &= !d;
-            live |= u;
+            live &= !ops.defs();
+            live |= ops.uses();
         }
     }
 }

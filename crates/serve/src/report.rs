@@ -10,6 +10,7 @@
 use crate::campaign::Campaign;
 use crate::store::{JobRecord, Store};
 use hb_fault::{AvfTable, Outcome, SiteKind};
+use std::io::Write;
 
 /// Builds the report text for `campaign` against `store`.
 ///
@@ -65,7 +66,8 @@ pub fn build(campaign: &Campaign, store: &Store) -> String {
     out
 }
 
-/// Builds the report and writes it to `path` (atomic tmp+rename).
+/// Builds the report and writes it to `path` through
+/// [`hb_ckpt::write_atomic`], durably like every file the store replaces.
 ///
 /// # Errors
 ///
@@ -76,9 +78,7 @@ pub fn write(
     path: &std::path::Path,
 ) -> std::io::Result<String> {
     let text = build(campaign, store);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, path)?;
+    hb_ckpt::write_atomic(path, |f| f.write_all(text.as_bytes()))?;
     Ok(text)
 }
 
